@@ -8,7 +8,7 @@ GO ?= go
 # the rule set). It is never downloaded — no network access is required.
 STATICCHECK_VERSION ?= 2024.1
 
-.PHONY: all check help build vet test race staticcheck hygiene chaos brownout trace-demo dash-demo prof-demo bench bench-hotpath bench-analysis bench-storage paperscale ablations fuzz fuzz-short verify examples report clean
+.PHONY: all check help build vet test race staticcheck hygiene loc chaos brownout trace-demo dash-demo prof-demo bench bench-hotpath bench-analysis bench-storage paperscale ablations fuzz fuzz-short verify examples report clean
 
 # Default check path: the tier-1 verify (build + test) plus vet and the
 # race suite over the concurrent packages.
@@ -17,15 +17,17 @@ all: build vet test race
 # check is the conventional entry point for the same gate; the race leg
 # covers the sharded rate limiter and the batched crawl frontier, the
 # short fuzz leg shakes the checkpoint/journal parser, the hygiene leg
-# gates the metric exposition, the brownout leg proves kill-free
-# convergence through a server overload, and staticcheck runs when the
-# pinned version is installed.
-check: all staticcheck hygiene brownout fuzz-short
+# gates the metric exposition and the one-durable-writer rule, the
+# brownout leg proves kill-free convergence through a server overload,
+# staticcheck runs when the pinned version is installed, and the run
+# ends with the non-test line count per package.
+check: all staticcheck hygiene brownout fuzz-short loc
 
 help:
 	@echo "make all            build + vet + test + race (default)"
 	@echo "make check          all + staticcheck + hygiene + brownout + fuzz-short"
-	@echo "make hygiene        metrics-hygiene gate: naming grammar + HELP lines"
+	@echo "make hygiene        metrics-hygiene gate (naming grammar + HELP lines) + durable-write gate"
+	@echo "make loc            non-test Go lines per package (bench/ excluded)"
 	@echo "make chaos          kill/resume convergence under the fault suite"
 	@echo "make brownout       kill-free convergence through a server brownout"
 	@echo "make trace-demo     chaos crawl with request tracing on both sides"
@@ -52,13 +54,25 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/obs/ ./internal/obs/prof/ ./internal/obs/series/ ./internal/crawler/ ./internal/dataset/ ./internal/gplusd/ ./internal/graph/ ./internal/graph/diskcsr/ ./internal/resilience/
+	$(GO) test -race ./internal/obs/ ./internal/obs/prof/ ./internal/obs/series/ ./internal/crawler/ ./internal/dataset/ ./internal/durable/ ./internal/gplusd/ ./internal/graph/ ./internal/graph/diskcsr/ ./internal/resilience/
 
 # The metrics-hygiene gate: every family either registry exposes after a
 # faulted crawl must match the Prometheus naming grammar and carry a
-# HELP line, and every sample must belong to a declared TYPE.
+# HELP line, and every sample must belong to a declared TYPE. The
+# durable-write gate fails if non-test code outside internal/durable
+# (and bench/) calls os.Rename or os.CreateTemp, so a second copy of the
+# write-fsync-rename protocol cannot land unnoticed.
 hygiene:
 	$(GO) test -count=1 -run TestMetricsHygiene ./internal/crawler/
+	$(GO) test -count=1 -run TestDurableWriteHygiene ./internal/durable/
+
+# Non-test Go lines per package, bench/ excluded: the size trend ROADMAP
+# aim 2 asks every PR to report.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | sort | xargs wc -l \
+	    | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+	           END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
+	    | sort -k2
 
 # Lint with the pinned staticcheck when (and only when) it is installed;
 # a missing or differently versioned binary skips with a notice instead

@@ -72,7 +72,7 @@ func BenchmarkGenerateUniverse(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(u.Graph.AvgDegree(), "avg-degree")
+			b.ReportMetric(graph.AvgDegree(u.Graph), "avg-degree")
 		}
 	}
 }

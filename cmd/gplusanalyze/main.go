@@ -265,7 +265,7 @@ func main() {
 		format    = flag.String("format", "text", "output format: text or md (full Markdown report with audit)")
 		plotDir   = flag.String("plotdir", "", "also write gnuplot-ready figure data + plots.gp here")
 		par       = flag.Int("parallelism", 0, "worker goroutines per graph analysis; results are identical for any value (0 = auto: GOMAXPROCS capped at 8)")
-		mmapGraph = flag.Bool("mmap", false, "serve the graph from the memory-mapped v2 file instead of loading it into RAM; results are byte-identical (requires a v2 dataset from gplusgen -v2 or gpluscrawl -segment-dir)")
+		mmapGraph = flag.Bool("mmap", false, "serve the graph from the memory-mapped v2 file instead of loading it into RAM; results are byte-identical (a legacy dataset holding only a v1 graph.bin loads in RAM instead)")
 	)
 	flag.Parse()
 
@@ -278,7 +278,7 @@ func main() {
 	if ds.Graph == nil {
 		backend = "mmap"
 	} else if *mmapGraph {
-		log.Printf("warning: -mmap requested but %s holds only a v1 graph.bin; loaded in RAM (re-save with gplusgen -v2 or dataset.SaveV2)", *dataDir)
+		log.Printf("warning: -mmap requested but %s holds only a v1 graph.bin; loaded in RAM (re-save with dataset.SaveV2)", *dataDir)
 	}
 	log.Printf("dataset: %d users (%d crawled), %d edges (%s graph)",
 		ds.NumUsers(), ds.NumCrawled(), ds.View().NumEdges(), backend)

@@ -514,9 +514,9 @@ func main() {
 		defer ds.Close()
 	} else {
 		ds = dataset.FromCrawl(res)
-		save := ds.Save
+		save := ds.SaveV2
 		if *compress {
-			save = ds.SaveCompressed
+			save = ds.SaveV2Compressed
 		}
 		if err := save(*out); err != nil {
 			log.Fatalf("saving dataset: %v", err)

@@ -22,7 +22,6 @@ func main() {
 		seed     = flag.Uint64("seed", 2011, "generation seed")
 		out      = flag.String("out", "data", "output dataset directory")
 		compress = flag.Bool("compress", false, "gzip the profile column")
-		v2       = flag.Bool("v2", false, "write the graph in the v2 on-disk CSR form (varint/delta compressed; `gplusanalyze -mmap` then analyzes it without loading it into RAM)")
 	)
 	flag.Parse()
 
@@ -36,14 +35,9 @@ func main() {
 	log.Printf("generated %d users, %d edges in %v", u.NumUsers(), u.Graph.NumEdges(), time.Since(start))
 
 	ds := dataset.FromUniverse(u)
-	save := ds.Save
-	switch {
-	case *v2 && *compress:
+	save := ds.SaveV2
+	if *compress {
 		save = ds.SaveV2Compressed
-	case *v2:
-		save = ds.SaveV2
-	case *compress:
-		save = ds.SaveCompressed
 	}
 	if err := save(*out); err != nil {
 		log.Fatalf("saving dataset: %v", err)

@@ -119,7 +119,7 @@ func runGrowth(args []string) {
 	}
 	fmt.Println("epoch  phase        users     edges   avg-deg")
 	for _, s := range snaps {
-		fmt.Printf("%5d  %-11s %7d  %8d  %7.1f\n", s.Epoch, s.Phase, s.Users, s.Edges, s.Graph.AvgDegree())
+		fmt.Printf("%5d  %-11s %7d  %8d  %7.1f\n", s.Epoch, s.Phase, s.Users, s.Edges, graph.AvgDegree(s.Graph))
 	}
 	if fit, err := growth.DensificationFit(snaps); err == nil {
 		fmt.Printf("densification: E ∝ N^%.2f (R²=%.3f)\n", fit.Slope, fit.R2)

@@ -28,7 +28,7 @@ func main() {
 		dist := graph.SamplePathLengths(context.Background(), s.Graph, graph.Undirected,
 			graph.PathLengthOptions{MinSources: 16, MaxSources: 48, Rand: rng})
 		fmt.Printf("%5d  %-11s %7d  %8d  %7.1f  %8.2f\n",
-			s.Epoch, s.Phase, s.Users, s.Edges, s.Graph.AvgDegree(), dist.Mean())
+			s.Epoch, s.Phase, s.Users, s.Edges, graph.AvgDegree(s.Graph), dist.Mean())
 	}
 
 	fit, err := growth.DensificationFit(snaps)

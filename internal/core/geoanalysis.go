@@ -195,7 +195,7 @@ func (s *Study) CountryStructures() []CountryStructure {
 			Country:     c,
 			Users:       sub.NumNodes(),
 			Edges:       sub.NumEdges(),
-			AvgDegree:   sub.AvgDegree(),
+			AvgDegree:   graph.AvgDegree(sub),
 			Reciprocity: graph.GlobalReciprocity(sub, s.opts.Parallelism),
 		}
 		cs.MeanCC = graph.GlobalClustering(sub, s.opts.ClusteringSample, s.rng(20+uint64(i)), s.opts.Parallelism)

@@ -240,9 +240,8 @@ type SCCResult struct {
 	SizeCCDF []stats.Point
 }
 
-// SCC computes Figure 4(c) over the full graph. Parallelism > 1 uses the
-// forward-backward decomposition, which produces results byte-identical
-// to the serial Tarjan reference.
+// SCC computes Figure 4(c) over the full graph (serial Tarjan; the stage
+// overlaps with the other structural stages in Structure).
 func (s *Study) SCC() SCCResult {
 	return s.scc(context.Background())
 }
@@ -250,7 +249,7 @@ func (s *Study) SCC() SCCResult {
 func (s *Study) scc(ctx context.Context) SCCResult {
 	_, finish := s.stage(ctx, "scc")
 	defer finish()
-	res := graph.SCCParallel(s.g, s.opts.Parallelism)
+	res := graph.SCC(s.g)
 	sizes := make([]float64, len(res.Sizes))
 	for i, sz := range res.Sizes {
 		sizes[i] = float64(sz)

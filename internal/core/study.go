@@ -49,10 +49,10 @@ type Options struct {
 	// DiameterSweeps controls the double-sweep diameter bound restarts
 	// (default 4).
 	DiameterSweeps int
-	// Parallelism fans every graph analysis (degrees, reciprocity,
-	// clustering, components, BFS sampling) out over this many goroutines
-	// (default: up to 8, bounded by GOMAXPROCS). Results are identical
-	// for any value.
+	// Parallelism fans every graph analysis except the serial SCC
+	// (degrees, reciprocity, clustering, WCC, triangles, BFS sampling) out
+	// over this many goroutines (default: up to 8, bounded by GOMAXPROCS).
+	// Results are identical for any value.
 	Parallelism int
 	// Tracer, when non-nil, wraps each analysis stage in a span named
 	// analyze.<stage>, so the per-stage wall-clock breakdown can be read

@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
+	"gplus/internal/durable"
 	"gplus/internal/gplusapi"
 	"gplus/internal/profile"
 )
@@ -121,46 +121,13 @@ func ReadResult(r io.Reader) (*Result, error) {
 	return res, nil
 }
 
-// SaveCheckpoint writes a result to path atomically and durably: the
-// temp file is fsynced before the rename (so a crash can never publish
-// an empty or torn file under the final name) and the directory is
-// fsynced after it (so the rename itself survives power loss).
+// SaveCheckpoint writes a result to path atomically and durably
+// (durable.WriteFile): a crash can never publish an empty or torn file
+// under the final name.
 func SaveCheckpoint(path string, res *Result) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".checkpoint-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := WriteResult(tmp, res); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	syncDir(dir)
-	return nil
-}
-
-// syncDir fsyncs a directory, persisting a completed rename. Errors are
-// swallowed: some platforms and filesystems cannot fsync directories,
-// and the rename is already atomic for every observer except a
-// poorly-timed power cut.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	defer d.Close()
-	d.Sync() //nolint:errcheck — best-effort durability, see above
+	return durable.WriteFile(path, func(f *os.File) error {
+		return WriteResult(f, res)
+	})
 }
 
 // LoadCheckpoint reads a checkpoint written by SaveCheckpoint or a live

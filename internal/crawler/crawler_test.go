@@ -138,7 +138,7 @@ func TestCrawlEdgesMatchGroundTruth(t *testing.T) {
 		if !okF || !okT {
 			t.Fatalf("edge with unknown endpoint: %+v", e)
 		}
-		if !u.Graph.HasEdge(from, to) {
+		if !graph.HasArc(u.Graph, from, to) {
 			t.Fatalf("observed edge %d->%d not in ground truth", from, to)
 		}
 	}

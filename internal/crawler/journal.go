@@ -2,7 +2,6 @@ package crawler
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -12,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gplus/internal/durable"
 	"gplus/internal/gplusapi"
 	"gplus/internal/obs"
 )
@@ -101,7 +101,7 @@ func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := repairTornTail(f); err != nil {
+	if err := durable.TruncateTornTail(f); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -128,38 +128,6 @@ func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 	}
 	go j.writeLoop()
 	return j, nil
-}
-
-// repairTornTail truncates f back to its last newline, discarding the
-// torn final line a mid-append crash leaves behind. A file with no
-// newline at all is one torn record and is truncated to empty.
-func repairTornTail(f *os.File) error {
-	fi, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	size := fi.Size()
-	buf := make([]byte, 4096)
-	for off := size; off > 0; {
-		n := int64(len(buf))
-		if n > off {
-			n = off
-		}
-		if _, err := f.ReadAt(buf[:n], off-n); err != nil {
-			return err
-		}
-		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
-			if end := off - n + int64(i) + 1; end < size {
-				return f.Truncate(end)
-			}
-			return nil
-		}
-		off -= n
-	}
-	if size > 0 {
-		return f.Truncate(0)
-	}
-	return nil
 }
 
 // profile records one fully crawled profile. Callers must only record a

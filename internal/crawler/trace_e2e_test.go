@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -233,13 +234,20 @@ func TestFinalProgressWithoutInterval(t *testing.T) {
 func TestTraceDemo(t *testing.T) {
 	u := crawlUniverse(t)
 
-	var exemplars bytes.Buffer
+	// The sink runs outside the recorder lock on whichever worker finished
+	// the trace, so it serializes its own writes (as gpluscrawl's does).
+	var (
+		exMu      sync.Mutex
+		exemplars bytes.Buffer
+	)
 	clientRec := trace.NewRecorder(0, trace.Rules{
 		SlowerThan: 200 * time.Millisecond,
 		Errors:     true,
 		MinRetries: 3,
 	})
 	clientRec.SetSink(func(tr *trace.Trace) {
+		exMu.Lock()
+		defer exMu.Unlock()
 		trace.WriteTraceJSONL(&exemplars, tr) //nolint:errcheck — buffer writes cannot fail
 	})
 	clientTr := trace.New(trace.Config{Recorder: clientRec})

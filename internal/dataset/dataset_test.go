@@ -127,8 +127,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	_ = u
 	d := FromCrawl(res)
 	dir := filepath.Join(t.TempDir(), "ds")
-	if err := d.Save(dir); err != nil {
-		t.Fatalf("Save: %v", err)
+	if err := d.SaveV2(dir); err != nil {
+		t.Fatalf("SaveV2: %v", err)
 	}
 	got, err := Load(dir)
 	if err != nil {
@@ -156,8 +156,8 @@ func TestSaveCompressedRoundTrip(t *testing.T) {
 	_, res := fixtures(t)
 	d := FromCrawl(res)
 	dir := filepath.Join(t.TempDir(), "ds")
-	if err := d.SaveCompressed(dir); err != nil {
-		t.Fatalf("SaveCompressed: %v", err)
+	if err := d.SaveV2Compressed(dir); err != nil {
+		t.Fatalf("SaveV2Compressed: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "profiles.jsonl")); !os.IsNotExist(err) {
 		t.Fatal("plain profiles file should not exist in compressed form")
@@ -175,7 +175,7 @@ func TestSaveCompressedRoundTrip(t *testing.T) {
 
 	// A compressed dataset must be smaller than the plain one.
 	plainDir := filepath.Join(t.TempDir(), "plain")
-	if err := d.Save(plainDir); err != nil {
+	if err := d.SaveV2(plainDir); err != nil {
 		t.Fatal(err)
 	}
 	gzInfo, err := os.Stat(filepath.Join(dir, "profiles.jsonl.gz"))
@@ -195,7 +195,7 @@ func TestLoadRejectsCorruptGzip(t *testing.T) {
 	_, res := fixtures(t)
 	d := FromCrawl(res)
 	dir := filepath.Join(t.TempDir(), "ds")
-	if err := d.SaveCompressed(dir); err != nil {
+	if err := d.SaveV2Compressed(dir); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "profiles.jsonl.gz"), []byte("not gzip"), 0o644); err != nil {
@@ -211,7 +211,7 @@ func TestLoadRejectsCorruptProfiles(t *testing.T) {
 	_ = u
 	d := FromCrawl(res)
 	dir := filepath.Join(t.TempDir(), "ds")
-	if err := d.Save(dir); err != nil {
+	if err := d.SaveV2(dir); err != nil {
 		t.Fatal(err)
 	}
 	cases := map[string]string{
@@ -233,14 +233,22 @@ func TestLoadRejectsCorruptGraph(t *testing.T) {
 	_, res := fixtures(t)
 	d := FromCrawl(res)
 	dir := filepath.Join(t.TempDir(), "ds")
-	if err := d.Save(dir); err != nil {
+	if err := d.SaveV2(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "graph.bin"), []byte("garbage"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, graphV2File), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(dir); err == nil {
-		t.Error("corrupt graph accepted")
+		t.Error("corrupt v2 graph accepted")
+	}
+	// The legacy reader rejects garbage too: with graph.v2 gone the
+	// directory is a v1 dataset whose graph.bin does not parse.
+	if err := os.Rename(filepath.Join(dir, graphV2File), filepath.Join(dir, graphV1File)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(dir); err == nil {
+		t.Error("corrupt v1 graph accepted")
 	}
 }
 
@@ -251,7 +259,7 @@ func TestSaveRejectsInvalidDataset(t *testing.T) {
 		IDs:      []string{"a", "b", "c"},
 		Crawled:  make([]bool, 3),
 	}
-	if err := d.Save(t.TempDir()); err == nil {
+	if err := d.SaveV2(t.TempDir()); err == nil {
 		t.Error("invalid dataset saved")
 	}
 }

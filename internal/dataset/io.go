@@ -9,22 +9,24 @@ import (
 	"os"
 	"path/filepath"
 
+	"gplus/internal/durable"
 	"gplus/internal/gplusapi"
 	"gplus/internal/graph"
 	"gplus/internal/graph/diskcsr"
 )
 
-// On-disk layout: <dir>/graph.bin (v1 compact CSR) or <dir>/graph.v2
-// (varint/delta-compressed CSR, openable via mmap without materializing
-// — see internal/graph/diskcsr), plus <dir>/profiles.jsonl (one JSON
-// record per user in node-id order). The JSONL form keeps the profile
-// columns greppable and diffable; the graph stays binary because edge
-// lists dominate the size. Load prefers the v2 graph when both exist;
-// Save/SaveV2 each remove the other graph form after committing theirs,
-// so a directory never carries two graphs that could drift apart.
+// On-disk layout: <dir>/graph.v2 (varint/delta-compressed CSR, openable
+// via mmap without materializing — see internal/graph/diskcsr) plus
+// <dir>/profiles.jsonl (one JSON record per user in node-id order,
+// optionally gzipped). The JSONL form keeps the profile columns
+// greppable and diffable; the graph stays binary because edge lists
+// dominate the size. graph.v2 is the only graph form this package
+// writes; a directory holding only the legacy v1 graph.bin still loads
+// (LoadWith falls back to graph.ReadBinary), and a save over it leaves
+// graph.bin in place — Load prefers graph.v2 whenever it exists.
 
 const (
-	graphFile      = "graph.bin"
+	graphV1File    = "graph.bin"
 	graphV2File    = "graph.v2"
 	profilesFile   = "profiles.jsonl"
 	profilesGzFile = "profiles.jsonl.gz"
@@ -35,8 +37,8 @@ type Options struct {
 	// Mapped serves the graph straight from the memory-mapped v2 file
 	// instead of materializing it into RAM: analyses then fault in only
 	// the pages they touch, bounding resident memory far below the edge
-	// count. Requires a v2 graph (SaveV2 or FromCrawlSegments); a
-	// dataset holding only v1 graph.bin loads in RAM regardless.
+	// count. A legacy dataset holding only v1 graph.bin loads in RAM
+	// regardless.
 	Mapped bool
 }
 
@@ -46,30 +48,20 @@ type userRecord struct {
 	Crawled bool `json:"crawled"`
 }
 
-// Save writes the dataset under dir, creating it if needed.
-func (d *Dataset) Save(dir string) error {
-	return d.save(dir, false)
-}
-
-// SaveCompressed writes the dataset with a gzip-compressed profile
-// column (profiles.jsonl.gz), roughly quartering the disk footprint of
-// million-user datasets. Load reads either form transparently.
-func (d *Dataset) SaveCompressed(dir string) error {
-	return d.save(dir, true)
-}
-
-// SaveV2 writes the dataset with the graph in the v2 on-disk CSR form
-// (graph.v2: varint/delta-compressed adjacency with an O(1)-seek index)
-// instead of v1 graph.bin. A v2 graph is typically 2-4x smaller and can
-// be opened memory-mapped via LoadWith(dir, Options{Mapped: true}),
-// bounding analysis RSS by the pages actually touched. The graph is
-// streamed from the dataset's View, so saving a mapped dataset never
-// materializes it.
+// SaveV2 writes the dataset under dir, creating it if needed: the graph
+// as graph.v2 (varint/delta-compressed adjacency with an O(1)-seek
+// index), then the profile column. Each file is published with
+// durable.WriteFile, graph first, so a crash mid-save leaves every file
+// wholly old or wholly new and never new profiles beside an old graph.
+// The graph is streamed from the dataset's View, so saving a mapped
+// dataset never materializes it.
 func (d *Dataset) SaveV2(dir string) error {
 	return d.saveV2(dir, false)
 }
 
-// SaveV2Compressed is SaveV2 with a gzip-compressed profile column.
+// SaveV2Compressed is SaveV2 with a gzip-compressed profile column
+// (profiles.jsonl.gz), roughly quartering the disk footprint of
+// million-user datasets. Load reads either form transparently.
 func (d *Dataset) SaveV2Compressed(dir string) error {
 	return d.saveV2(dir, true)
 }
@@ -78,114 +70,21 @@ func (d *Dataset) saveV2(dir string, compress bool) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
+	return d.save(dir, compress, func(path string) error {
+		return diskcsr.WriteGraph(path, d.View())
+	})
+}
+
+// save is the one place a dataset directory is written: writeGraph
+// publishes graph.v2 (from a View, or by compacting crawl segments),
+// and only then is the profile column published.
+func (d *Dataset) save(dir string, compress bool, writeGraph func(path string) error) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := diskcsr.WriteGraph(filepath.Join(dir, graphV2File), d.View()); err != nil {
+	if err := writeGraph(filepath.Join(dir, graphV2File)); err != nil {
 		return fmt.Errorf("dataset: writing v2 graph: %w", err)
 	}
-	os.Remove(filepath.Join(dir, graphFile)) //nolint:errcheck — superseded form
-	return d.saveProfiles(dir, compress)
-}
-
-// saveProfilesAndV2Graph is FromCrawlSegments' save path: the graph
-// arrives by compacting segDir (through remap) rather than from a View.
-func (d *Dataset) saveProfilesAndV2Graph(dir, segDir string, remap []graph.NodeID, met *diskcsr.Metrics, compress bool) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	_, err := diskcsr.Compact(segDir, filepath.Join(dir, graphV2File), diskcsr.CompactOptions{
-		NumNodes: len(d.IDs),
-		Remap:    remap,
-		Metrics:  met,
-	})
-	if err != nil {
-		return fmt.Errorf("dataset: compacting segments: %w", err)
-	}
-	os.Remove(filepath.Join(dir, graphFile)) //nolint:errcheck — superseded form
-	return d.saveProfiles(dir, compress)
-}
-
-// saveStepHook, when non-nil, is invoked between the durability steps of
-// save with a label naming the step about to run. Returning an error
-// aborts the save at exactly that point — the test's stand-in for a
-// crash, since every step boundary is also an fsync boundary.
-var saveStepHook func(step string) error
-
-func stepHook(step string) error {
-	if saveStepHook != nil {
-		return saveStepHook(step)
-	}
-	return nil
-}
-
-// writeFileAtomic writes the output of write to dir/name via a temp
-// file: write, fsync, close, rename, fsync dir — the checkpoint
-// contract of internal/crawler. A crash at any point leaves either the
-// old file or the new one under the final name, never a torn mix, so a
-// failed re-save cannot destroy the only copy of a dataset.
-func writeFileAtomic(dir, name string, write func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(dir, "."+name+"-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := stepHook(name + ":written"); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := stepHook(name + ":synced"); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		return err
-	}
-	syncDir(dir)
-	return stepHook(name + ":renamed")
-}
-
-// syncDir fsyncs a directory so a completed rename survives power loss.
-// Errors are swallowed: some platforms cannot fsync directories, and the
-// rename is already atomic for every observer except a badly timed
-// power cut.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	defer d.Close()
-	d.Sync() //nolint:errcheck — best-effort durability, see above
-}
-
-func (d *Dataset) save(dir string, compress bool) error {
-	if err := d.Validate(); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	err := writeFileAtomic(dir, graphFile, func(w io.Writer) error {
-		bw := bufio.NewWriterSize(w, 1<<16)
-		if err := graph.WriteBinary(bw, d.View()); err != nil {
-			return err
-		}
-		return bw.Flush()
-	})
-	if err != nil {
-		return fmt.Errorf("dataset: writing graph: %w", err)
-	}
-	os.Remove(filepath.Join(dir, graphV2File)) //nolint:errcheck — superseded form
 	return d.saveProfiles(dir, compress)
 }
 
@@ -194,15 +93,15 @@ func (d *Dataset) saveProfiles(dir string, compress bool) error {
 	if compress {
 		name = profilesGzFile
 	}
-	err := writeFileAtomic(dir, name, func(w io.Writer) error {
+	err := durable.WriteFile(filepath.Join(dir, name), func(f *os.File) error {
 		if compress {
-			gz := gzip.NewWriter(w)
+			gz := gzip.NewWriter(f)
 			if err := d.writeProfiles(gz); err != nil {
 				return err
 			}
 			return gz.Close()
 		}
-		return d.writeProfiles(w)
+		return d.writeProfiles(f)
 	})
 	if err != nil {
 		return fmt.Errorf("dataset: writing profiles: %w", err)
@@ -225,14 +124,16 @@ func (d *Dataset) writeProfiles(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a dataset saved by Save or SaveV2, materialized in RAM.
+// Load reads a dataset directory, materialized in RAM.
 func Load(dir string) (*Dataset, error) {
 	return LoadWith(dir, Options{})
 }
 
-// LoadWith reads a dataset with explicit backend options. The v2 graph
-// form is preferred when present; with Options.Mapped it is served
-// memory-mapped and the caller must Close the returned dataset.
+// LoadWith reads a dataset with explicit backend options. With
+// Options.Mapped the v2 graph is served memory-mapped and the caller
+// must Close the returned dataset. A directory without graph.v2 is a
+// legacy v1 dataset: its graph.bin is read through graph.ReadBinary
+// (the migration reader) into RAM.
 func LoadWith(dir string, opt Options) (*Dataset, error) {
 	d := &Dataset{}
 	v2Path := filepath.Join(dir, graphV2File)
@@ -254,7 +155,7 @@ func LoadWith(dir string, opt Options) (*Dataset, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	} else {
-		gf, err := os.Open(filepath.Join(dir, graphFile))
+		gf, err := os.Open(filepath.Join(dir, graphV1File))
 		if err != nil {
 			return nil, err
 		}

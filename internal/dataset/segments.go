@@ -135,7 +135,15 @@ func fromCrawlSegments(res *crawler.Result, sink *SegmentSink, dir string, met *
 	for prov, id := range sink.names {
 		remap[prov] = d.index[id]
 	}
-	if err := d.saveProfilesAndV2Graph(dir, sink.dir, remap, met, compress); err != nil {
+	err := d.save(dir, compress, func(path string) error {
+		_, err := diskcsr.Compact(sink.dir, path, diskcsr.CompactOptions{
+			NumNodes: len(d.IDs),
+			Remap:    remap,
+			Metrics:  met,
+		})
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	m, err := diskcsr.Open(filepath.Join(dir, graphV2File), diskcsr.Options{Metrics: met})

@@ -24,8 +24,8 @@ func TestSaveV2LoadRoundTrip(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, graphV2File)); err != nil {
 		t.Fatalf("graph.v2 missing: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, graphFile)); !os.IsNotExist(err) {
-		t.Fatal("v1 graph.bin should not coexist with a fresh v2 save")
+	if _, err := os.Stat(filepath.Join(dir, graphV1File)); !os.IsNotExist(err) {
+		t.Fatal("a save wrote a v1 graph.bin")
 	}
 
 	got, err := Load(dir)
@@ -57,30 +57,6 @@ func TestSaveV2LoadRoundTrip(t *testing.T) {
 			!(len(v.Out(graph.NodeID(u))) == 0 && len(d.Graph.Out(graph.NodeID(u))) == 0) {
 			t.Fatalf("node %d: mapped out row differs", u)
 		}
-	}
-}
-
-// TestSaveV1OverwritesV2 pins the no-two-graphs invariant in the other
-// direction: a v1 save over a v2 dataset removes graph.v2.
-func TestSaveV1OverwritesV2(t *testing.T) {
-	_, res := fixtures(t)
-	d := FromCrawl(res)
-	dir := filepath.Join(t.TempDir(), "ds")
-	if err := d.SaveV2(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, graphV2File)); !os.IsNotExist(err) {
-		t.Fatal("stale graph.v2 left behind by a v1 save")
-	}
-	got, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Graph, d.Graph) {
-		t.Error("graph differs after v1-over-v2 save")
 	}
 }
 

@@ -23,10 +23,11 @@ import (
 // dataset's service ids, preceded by a size comment.
 func (d *Dataset) WriteEdgeList(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	fmt.Fprintf(bw, "# gplus edge list: %d nodes, %d edges\n", d.NumUsers(), d.Graph.NumEdges())
+	g := d.View()
+	fmt.Fprintf(bw, "# gplus edge list: %d nodes, %d edges\n", d.NumUsers(), g.NumEdges())
 	for u := 0; u < d.NumUsers(); u++ {
 		from := d.IDs[u]
-		for _, v := range d.Graph.Out(graph.NodeID(u)) {
+		for _, v := range g.Out(graph.NodeID(u)) {
 			if _, err := fmt.Fprintf(bw, "%s\t%s\n", from, d.IDs[v]); err != nil {
 				return err
 			}

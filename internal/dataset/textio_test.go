@@ -30,6 +30,31 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	}
 }
 
+// A mapped dataset has no in-RAM Graph; the export must read its View.
+func TestWriteEdgeListMapped(t *testing.T) {
+	_, res := fixtures(t)
+	d := FromCrawl(res)
+	dir := t.TempDir()
+	if err := d.SaveV2(dir); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := LoadWith(dir, Options{Mapped: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	var want, got bytes.Buffer
+	if err := d.WriteEdgeList(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := mapped.WriteEdgeList(&got); err != nil {
+		t.Fatalf("WriteEdgeList on a mapped dataset: %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Error("mapped and in-RAM datasets export different edge lists")
+	}
+}
+
 func TestImportEdgeListParsing(t *testing.T) {
 	in := "# comment\n\n a b \nb\tc\n"
 	d, err := ImportEdgeList(strings.NewReader(in))

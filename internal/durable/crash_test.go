@@ -1,0 +1,386 @@
+package durable_test
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"testing"
+
+	"gplus/internal/crawler"
+	"gplus/internal/dataset"
+	"gplus/internal/durable"
+	"gplus/internal/graph"
+	"gplus/internal/graph/diskcsr"
+	"gplus/internal/obs/prof"
+	"gplus/internal/profile"
+)
+
+var errCrash = errors.New("simulated crash")
+
+// crashCase is one durable write in the pipeline. build lays down the
+// old state in a fresh directory and returns the write under test plus
+// an observer. The observer reopens what is on disk the way a restarted
+// process would, fails the test if anything is unreadable or a mix of
+// old and new, and reports — keyed by file base name — whether each
+// file it tracks now holds the new version.
+type crashCase struct {
+	name  string
+	build func(t *testing.T) (write func() error, observe func(t *testing.T) map[string]bool)
+	// order, when set, is the sequence in which the named files must
+	// commit: dataset profiles may never be published before their graph.
+	order []string
+}
+
+type step struct{ file, step string }
+
+// TestCrashAtEveryStep is the repo's one crash contract, checked for
+// every writer that goes through durable.WriteFile: abort the write at
+// each durability step in turn, reopen, and require that every file is
+// completely old or completely new — new exactly when its rename had
+// already run — never a mix.
+func TestCrashAtEveryStep(t *testing.T) {
+	for _, c := range crashCases {
+		t.Run(c.name, func(t *testing.T) {
+			// Clean run: record the steps and check the new state lands.
+			var steps []step
+			write, observe := c.build(t)
+			durable.StepHook = func(path, s string) error {
+				steps = append(steps, step{filepath.Base(path), s})
+				return nil
+			}
+			err := write()
+			durable.StepHook = nil
+			if err != nil {
+				t.Fatalf("clean write: %v", err)
+			}
+			if len(steps) == 0 {
+				t.Fatal("write went through no durable.WriteFile step")
+			}
+			for file, isNew := range observe(t) {
+				if !isNew {
+					t.Errorf("clean write left %s at its old version", file)
+				}
+			}
+			var commits []string
+			for _, s := range steps {
+				if s.step == "renamed" && slices.Contains(c.order, s.file) {
+					commits = append(commits, s.file)
+				}
+			}
+			if c.order != nil && !reflect.DeepEqual(commits, c.order) {
+				t.Fatalf("commit order %v, want %v", commits, c.order)
+			}
+
+			for k, at := range steps {
+				write, observe := c.build(t)
+				calls := 0
+				durable.StepHook = func(string, string) error {
+					calls++
+					if calls == k+1 {
+						return errCrash
+					}
+					return nil
+				}
+				err := write()
+				durable.StepHook = nil
+				if !errors.Is(err, errCrash) {
+					t.Fatalf("crash at step %d (%s:%s) not surfaced: %v", k, at.file, at.step, err)
+				}
+				committed := map[string]bool{}
+				for _, s := range steps[:k+1] {
+					if s.step == "renamed" {
+						committed[s.file] = true
+					}
+				}
+				for file, isNew := range observe(t) {
+					if isNew != committed[file] {
+						t.Errorf("crash at step %d (%s:%s): %s new=%v, want %v",
+							k, at.file, at.step, file, isNew, committed[file])
+					}
+				}
+			}
+		})
+	}
+}
+
+// isNew classifies got as the old or the new version of what, failing
+// the test if it is neither.
+func isNew(t *testing.T, what string, got, old, new any) bool {
+	t.Helper()
+	switch {
+	case reflect.DeepEqual(got, new):
+		return true
+	case reflect.DeepEqual(got, old):
+		return false
+	}
+	t.Fatalf("%s is neither the old nor the new version", what)
+	return false
+}
+
+// crawlResult hand-builds a crawl over ids a..f whose edges and profile
+// names both carry version, so old and new results share a roster (any
+// mix of their files still agrees on the node count) but differ in
+// every file.
+func crawlResult(version string) *crawler.Result {
+	ids := []string{"a", "b", "c", "d", "e", "f"}
+	res := &crawler.Result{
+		Profiles:   make(map[string]profile.Profile),
+		Discovered: make(map[string]bool),
+	}
+	for i, id := range ids {
+		res.Discovered[id] = true
+		res.Profiles[id] = profile.Profile{
+			Name:   version + "-" + id,
+			Public: profile.AttrSet(0).With(profile.AttrName),
+		}
+		to := ids[(i+1)%len(ids)]
+		if version == "new" {
+			to = ids[(i+2)%len(ids)]
+		}
+		res.Edges = append(res.Edges, crawler.Edge{From: id, To: to}, crawler.Edge{From: to, To: ids[0]})
+	}
+	return res
+}
+
+// observeDataset reloads dir and classifies its graph and profile files.
+func observeDataset(dir string, old, new *dataset.Dataset) func(*testing.T) map[string]bool {
+	return func(t *testing.T) map[string]bool {
+		got, err := dataset.Load(dir)
+		if err != nil {
+			t.Fatalf("dataset unloadable: %v", err)
+		}
+		return map[string]bool{
+			"graph.v2":       isNew(t, "graph", got.Graph, old.Graph, new.Graph),
+			"profiles.jsonl": isNew(t, "profiles", got.Profiles, old.Profiles, new.Profiles),
+		}
+	}
+}
+
+// profileRing opens a three-capture ring in a fresh directory.
+func profileRing(t *testing.T) (*prof.Store, string) {
+	dir := t.TempDir()
+	s, err := prof.OpenStore(dir, prof.StoreOptions{MaxCaptures: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := s.Append("heap", "interval", "", 0, []byte("capture")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s, dir
+}
+
+// reopenRing reopens the ring at dir and requires exactly the captures
+// want, each with its file still on disk.
+func reopenRing(t *testing.T, dir string, want []uint64) {
+	s, err := prof.OpenStore(dir, prof.StoreOptions{MaxCaptures: 3})
+	if err != nil {
+		t.Fatalf("ring unopenable: %v", err)
+	}
+	defer s.Close()
+	if got := seqs(s.Entries()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened ring lists captures %v, want %v", got, want)
+	}
+	for _, e := range s.Entries() {
+		if _, err := os.Stat(e.Path(dir)); err != nil {
+			t.Fatalf("capture %d lost its file: %v", e.Seq, err)
+		}
+	}
+}
+
+func seqs(es []prof.Entry) []uint64 {
+	out := make([]uint64, len(es))
+	for i, e := range es {
+		out[i] = e.Seq
+	}
+	return out
+}
+
+var crashCases = []crashCase{
+	{
+		name:  "dataset.SaveV2",
+		order: []string{"graph.v2", "profiles.jsonl"},
+		build: func(t *testing.T) (func() error, func(*testing.T) map[string]bool) {
+			dir := t.TempDir()
+			old, new := dataset.FromCrawl(crawlResult("old")), dataset.FromCrawl(crawlResult("new"))
+			if err := old.SaveV2(dir); err != nil {
+				t.Fatal(err)
+			}
+			return func() error { return new.SaveV2(dir) }, observeDataset(dir, old, new)
+		},
+	},
+	{
+		// The out-of-core save: segment flush, remapped temp segments,
+		// compaction into graph.v2, then the profile column.
+		name:  "dataset.FromCrawlSegments",
+		order: []string{"graph.v2", "profiles.jsonl"},
+		build: func(t *testing.T) (func() error, func(*testing.T) map[string]bool) {
+			dir := t.TempDir()
+			oldRes, newRes := crawlResult("old"), crawlResult("new")
+			old, new := dataset.FromCrawl(oldRes), dataset.FromCrawl(newRes)
+			if err := old.SaveV2(dir); err != nil {
+				t.Fatal(err)
+			}
+			sink, err := dataset.NewSegmentSink(t.TempDir(), 64, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range newRes.Edges {
+				if err := sink.ObserveEdge(e.From, e.To); err != nil {
+					t.Fatal(err)
+				}
+			}
+			write := func() error {
+				ds, err := dataset.FromCrawlSegments(newRes, sink, dir, nil)
+				if err != nil {
+					return err
+				}
+				return ds.Close()
+			}
+			return write, observeDataset(dir, old, new)
+		},
+	},
+	{
+		name: "diskcsr.WriteGraph",
+		build: func(t *testing.T) (func() error, func(*testing.T) map[string]bool) {
+			path := filepath.Join(t.TempDir(), "graph.v2")
+			old, new := graph.FromEdges(4, 0, 1, 1, 2), graph.FromEdges(4, 3, 2, 2, 1, 1, 0)
+			if err := diskcsr.WriteGraph(path, old); err != nil {
+				t.Fatal(err)
+			}
+			observe := func(t *testing.T) map[string]bool {
+				m, err := diskcsr.Open(path, diskcsr.Options{})
+				if err != nil {
+					t.Fatalf("v2 graph unopenable: %v", err)
+				}
+				defer m.Close()
+				got, err := m.Materialize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return map[string]bool{"graph.v2": isNew(t, "graph", got, old, new)}
+			}
+			return func() error { return diskcsr.WriteGraph(path, new) }, observe
+		},
+	},
+	{
+		// A segment never replaces anything: its old version is "absent".
+		name: "diskcsr.Writer.Flush",
+		build: func(t *testing.T) (func() error, func(*testing.T) map[string]bool) {
+			dir := t.TempDir()
+			w, err := diskcsr.NewWriter(dir, 64, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u := graph.NodeID(0); u < 5; u++ {
+				if err := w.Add(u, u+1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			observe := func(t *testing.T) map[string]bool {
+				segs, err := diskcsr.ListSegments(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := diskcsr.Compact(dir, filepath.Join(t.TempDir(), "out.v2"), diskcsr.CompactOptions{NumNodes: 6})
+				if err != nil {
+					t.Fatalf("segment dir does not compact: %v", err)
+				}
+				if want := int64(5 * len(segs)); len(segs) > 1 || st.Edges != want {
+					t.Fatalf("%d segments holding %d edges, want %d", len(segs), st.Edges, want)
+				}
+				return map[string]bool{"seg-000000.seg": len(segs) == 1}
+			}
+			return w.Flush, observe
+		},
+	},
+	{
+		name: "crawler.SaveCheckpoint",
+		build: func(t *testing.T) (func() error, func(*testing.T) map[string]bool) {
+			path := filepath.Join(t.TempDir(), "crawl.ckpt")
+			old, new := crawlResult("old"), crawlResult("new")
+			if err := crawler.SaveCheckpoint(path, old); err != nil {
+				t.Fatal(err)
+			}
+			observe := func(t *testing.T) map[string]bool {
+				got, err := crawler.LoadCheckpoint(path)
+				if err != nil {
+					t.Fatalf("checkpoint unloadable: %v", err)
+				}
+				if got.Stats.TornRecords != 0 {
+					t.Fatalf("checkpoint has %d torn records", got.Stats.TornRecords)
+				}
+				return map[string]bool{
+					"crawl.ckpt": isNew(t, "checkpoint", [2]any{got.Profiles, got.Edges}, [2]any{old.Profiles, old.Edges}, [2]any{new.Profiles, new.Edges}),
+				}
+			}
+			return func() error { return crawler.SaveCheckpoint(path, new) }, observe
+		},
+	},
+	{
+		// A fourth capture in a three-capture ring evicts the oldest and
+		// rewrites the manifest. Whatever the manifest says at the crash,
+		// the reopened ring lists the three survivors and has all their
+		// files: an empty or torn manifest here would make the orphan
+		// sweep delete every capture.
+		name: "prof.Store manifest rewrite",
+		build: func(t *testing.T) (func() error, func(*testing.T) map[string]bool) {
+			s, dir := profileRing(t)
+			write := func() error {
+				_, err := s.Append("heap", "interval", "", 0, []byte("capture"))
+				return err
+			}
+			observe := func(t *testing.T) map[string]bool {
+				s.Close()
+				es, err := prof.ReadManifest(dir)
+				if err != nil {
+					t.Fatalf("manifest unreadable: %v", err)
+				}
+				rewritten := isNew(t, "manifest", seqs(es), []uint64{0, 1, 2, 3}, []uint64{1, 2, 3})
+				reopenRing(t, dir, []uint64{1, 2, 3})
+				return map[string]bool{"manifest.jsonl": rewritten}
+			}
+			return write, observe
+		},
+	},
+	{
+		// Reopening a ring whose manifest ends in a torn append drops the
+		// tail in memory and repairs the file by rewriting it; a crash
+		// inside that rewrite must never lose a complete record. The
+		// manifest's bytes are not classified old/new (both list the
+		// same captures), only what a later reopen finds.
+		name: "prof.Store torn manifest recovery",
+		build: func(t *testing.T) (func() error, func(*testing.T) map[string]bool) {
+			s, dir := profileRing(t)
+			s.Close()
+			f, err := os.OpenFile(filepath.Join(dir, "manifest.jsonl"), os.O_WRONLY|os.O_APPEND, 0)
+			if err == nil {
+				_, err = fmt.Fprint(f, `{"seq":3,"kind":"cpu","file":"cpu-0000`)
+				f.Close()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			write := func() error {
+				s, err := prof.OpenStore(dir, prof.StoreOptions{MaxCaptures: 3})
+				if err != nil {
+					return err
+				}
+				return s.Close()
+			}
+			observe := func(t *testing.T) map[string]bool {
+				es, err := prof.ReadManifest(dir)
+				if err != nil || !reflect.DeepEqual(seqs(es), []uint64{0, 1, 2}) {
+					t.Fatalf("manifest lists %v (err=%v), want captures 0 1 2", seqs(es), err)
+				}
+				reopenRing(t, dir, []uint64{0, 1, 2})
+				return nil
+			}
+			return write, observe
+		},
+	},
+}

@@ -1,0 +1,55 @@
+package durable_test
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestDurableWriteHygiene is the `make check` gate against a second
+// copy of the write-fsync-rename protocol: outside this package (and
+// bench/, which measures the repo from outside), non-test Go may not
+// call os.Rename or os.CreateTemp — a file that must survive a crash is
+// written with durable.WriteFile.
+func TestDurableWriteHygiene(t *testing.T) {
+	root := filepath.Join("..", "..")
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatalf("repo root not found from the test directory: %v", err)
+	}
+	exempt := map[string]bool{
+		filepath.Join(root, "bench"):               true,
+		filepath.Join(root, "internal", "durable"): true,
+	}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if exempt[path] || (path != root && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			for _, call := range []string{"os.Rename(", "os.CreateTemp("} {
+				if strings.Contains(line, call) {
+					t.Errorf("%s:%d calls %s outside internal/durable; use durable.WriteFile",
+						strings.TrimPrefix(path, root+string(filepath.Separator)), i+1, strings.TrimSuffix(call, "("))
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

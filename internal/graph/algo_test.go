@@ -356,7 +356,7 @@ func TestSampleClustering(t *testing.T) {
 	g := FromEdges(4, 0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3)
 	rng := rand.New(rand.NewPCG(3, 3))
 	all := SampleClustering(g, 0, rng, 1) // 0 => all eligible nodes
-	if len(all) != 2 {                 // only nodes 0 and 1 have out-degree >= 2
+	if len(all) != 2 {                    // only nodes 0 and 1 have out-degree >= 2
 		t.Fatalf("eligible sample size = %d, want 2", len(all))
 	}
 	some := SampleClustering(g, 1, rng, 1)
@@ -454,7 +454,7 @@ func TestInduced(t *testing.T) {
 		}
 	}
 	// New id 0 is old node 2; its out-neighbor (old 0) is new id 1.
-	if !sub.HasEdge(0, 1) {
+	if !HasArc(sub, 0, 1) {
 		t.Error("edge 2->0 missing in induced subgraph")
 	}
 	// Empty selection.
@@ -483,7 +483,7 @@ func TestInducedPropertyEdgesSubset(t *testing.T) {
 		// Every induced edge must exist in the original.
 		for u := 0; u < sub.NumNodes(); u++ {
 			for _, v := range sub.Out(NodeID(u)) {
-				if !g.HasEdge(back[u], back[v]) {
+				if !HasArc(g, back[u], back[v]) {
 					return false
 				}
 			}

@@ -86,23 +86,11 @@ func Compact(segDir, outPath string, opt CompactOptions) (*CompactStats, error) 
 		return nil, fmt.Errorf("diskcsr: merged graph too large (%d edges)", mFwd)
 	}
 
-	h := header{n: uint64(n), m: uint64(mFwd), outBlobLen: outPos[n], inBlobLen: inPos[n]}
-	err = writeFileAtomic(outPath, func(f *os.File) error {
-		bw := bufio.NewWriterSize(f, 1<<20)
-		if _, err := bw.Write(h.marshal()); err != nil {
+	err = writeV2(outPath, mFwd, outCnt, outPos, inCnt, inPos, func(bw *bufio.Writer) error {
+		if err := copyFileInto(bw, filepath.Join(spillDir, "out.blob")); err != nil {
 			return err
 		}
-		for _, arr := range [][]uint64{outCnt, outPos, inCnt, inPos} {
-			if err := writeUint64s(bw, arr); err != nil {
-				return err
-			}
-		}
-		for _, name := range []string{"out.blob", "in.blob"} {
-			if err := copyFileInto(bw, filepath.Join(spillDir, name)); err != nil {
-				return err
-			}
-		}
-		return bw.Flush()
+		return copyFileInto(bw, filepath.Join(spillDir, "in.blob"))
 	})
 	if err != nil {
 		return nil, err
@@ -217,8 +205,8 @@ func (h cursorHeap) Less(i, j int) bool {
 	}
 	return h[i].idx < h[j].idx
 }
-func (h cursorHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *cursorHeap) Push(x any)        { *h = append(*h, x.(cursorHead)) }
+func (h cursorHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *cursorHeap) Push(x any)   { *h = append(*h, x.(cursorHead)) }
 func (h *cursorHeap) Pop() any {
 	old := *h
 	x := old[len(old)-1]

@@ -31,8 +31,6 @@ package diskcsr
 import (
 	"encoding/binary"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"gplus/internal/graph"
 )
@@ -148,44 +146,4 @@ func uvarintLen(v uint64) int {
 		n++
 	}
 	return n
-}
-
-// writeFileAtomic writes build's output to path via a temp file in the
-// same directory with the write-fsync-rename-fsync-dir contract shared
-// with the crawler's checkpoints: a crash leaves either the old file or
-// the complete new one, never a torn hybrid.
-func writeFileAtomic(path string, build func(*os.File) error) error {
-	dir, base := filepath.Dir(path), filepath.Base(path)
-	tmp, err := os.CreateTemp(dir, "."+base+"-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := build(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	syncDir(dir)
-	return nil
-}
-
-// syncDir best-effort fsyncs a directory so a completed rename survives
-// power loss; some platforms cannot fsync directories, hence no error.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	defer d.Close()
-	d.Sync() //nolint:errcheck — best-effort durability
 }

@@ -137,7 +137,7 @@ func TestKernelEquivalence(t *testing.T) {
 				"TopByInDegree":     func(v graph.View, par int) any { return graph.TopByInDegree(v, 10, par) },
 				"TopByOutDegree":    func(v graph.View, par int) any { return graph.TopByOutDegree(v, 10, par) },
 				"WCC":               func(v graph.View, par int) any { return graph.WCC(v, par) },
-				"SCC":               func(v graph.View, par int) any { return graph.SCCParallel(v, par) },
+				"SCC":               func(v graph.View, _ int) any { return graph.SCC(v) },
 				"AllReciprocities":  func(v graph.View, par int) any { return graph.AllReciprocities(v, par) },
 				"GlobalReciprocity": func(v graph.View, par int) any { return graph.GlobalReciprocity(v, par) },
 				"AllClustering":     func(v graph.View, par int) any { return graph.AllClustering(v, par) },

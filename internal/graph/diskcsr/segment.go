@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"gplus/internal/durable"
 	"gplus/internal/graph"
 )
 
@@ -86,9 +87,9 @@ func (w *Writer) Add(src, dst graph.NodeID) error {
 	return nil
 }
 
-// Flush writes the buffered edges as one segment file (atomically:
-// temp, fsync, rename, fsync dir) and empties the buffer. Flushing an
-// empty buffer is a no-op.
+// Flush writes the buffered edges as one segment file (atomically, via
+// durable.WriteFile) and empties the buffer. Flushing an empty buffer is
+// a no-op.
 func (w *Writer) Flush() error {
 	if len(w.buf) == 0 {
 		return nil
@@ -161,7 +162,7 @@ func writeSegment(path string, edges []pair) (int, error) {
 	})
 	revBlob := encodeRuns(rev, func(e pair) (graph.NodeID, graph.NodeID) { return e.b, e.a })
 
-	err := writeFileAtomic(path, func(f *os.File) error {
+	err := durable.WriteFile(path, func(f *os.File) error {
 		var hdr [segHeaderSize]byte
 		copy(hdr[:], segMagic[:])
 		binary.LittleEndian.PutUint64(hdr[8:], bound)

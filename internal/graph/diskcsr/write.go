@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 
+	"gplus/internal/durable"
 	"gplus/internal/graph"
 )
 
@@ -26,9 +27,22 @@ func WriteGraph(path string, g graph.View) error {
 		return fmt.Errorf("diskcsr: view is inconsistent: %d out rows, %d in rows, %d edges",
 			outCnt[n], inCnt[n], m)
 	}
-	h := header{n: uint64(n), m: uint64(m), outBlobLen: outPos[n], inBlobLen: inPos[n]}
+	return writeV2(path, uint64(m), outCnt, outPos, inCnt, inPos, func(bw *bufio.Writer) error {
+		if err := writeBlob(bw, n, g.Out); err != nil {
+			return err
+		}
+		return writeBlob(bw, n, g.In)
+	})
+}
 
-	return writeFileAtomic(path, func(f *os.File) error {
+// writeV2 is the one writer of the v2 file: header, the four (n+1)-entry
+// index arrays, then the out and in blobs as emitted by blobs, published
+// with durable.WriteFile. The blob lengths in the header are the final
+// entries of the pos arrays.
+func writeV2(path string, m uint64, outCnt, outPos, inCnt, inPos []uint64, blobs func(*bufio.Writer) error) error {
+	n := len(outCnt) - 1
+	h := header{n: uint64(n), m: m, outBlobLen: outPos[n], inBlobLen: inPos[n]}
+	return durable.WriteFile(path, func(f *os.File) error {
 		bw := bufio.NewWriterSize(f, 1<<20)
 		if _, err := bw.Write(h.marshal()); err != nil {
 			return err
@@ -38,10 +52,7 @@ func WriteGraph(path string, g graph.View) error {
 				return err
 			}
 		}
-		if err := writeBlob(bw, n, g.Out); err != nil {
-			return err
-		}
-		if err := writeBlob(bw, n, g.In); err != nil {
+		if err := blobs(bw); err != nil {
 			return err
 		}
 		return bw.Flush()

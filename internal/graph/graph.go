@@ -10,7 +10,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 )
 
 // NodeID identifies a node. IDs are dense: a graph with N nodes uses IDs
@@ -62,24 +61,6 @@ func (g *Graph) OutDegree(u NodeID) int {
 // InDegree returns |In(u)|.
 func (g *Graph) InDegree(u NodeID) int {
 	return int(g.inOff[u+1] - g.inOff[u])
-}
-
-// HasEdge reports whether the directed edge u->v exists. It runs in
-// O(log outdeg(u)) time.
-func (g *Graph) HasEdge(u, v NodeID) bool {
-	adj := g.Out(u)
-	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
-	return i < len(adj) && adj[i] == v
-}
-
-// AvgDegree returns the average degree (edges / nodes). Because every
-// directed edge contributes one out-stub and one in-stub, the average in-
-// and out-degrees are identical.
-func (g *Graph) AvgDegree() float64 {
-	if g.NumNodes() == 0 {
-		return 0
-	}
-	return float64(g.NumEdges()) / float64(g.NumNodes())
 }
 
 // FromCSR assembles a Graph directly from prebuilt CSR arrays — offsets

@@ -22,10 +22,10 @@ func TestBuilderBasics(t *testing.T) {
 	if got := g.NumEdges(); got != 2 {
 		t.Fatalf("NumEdges = %d, want 2 (dup and self-loop dropped)", got)
 	}
-	if !g.HasEdge(0, 1) || !g.HasEdge(2, 0) {
+	if !HasArc(g, 0, 1) || !HasArc(g, 2, 0) {
 		t.Fatalf("expected edges 0->1 and 2->0")
 	}
-	if g.HasEdge(1, 1) {
+	if HasArc(g, 1, 1) {
 		t.Fatalf("self-loop should have been dropped")
 	}
 	if err := g.Validate(); err != nil {
@@ -44,7 +44,7 @@ func TestDegrees(t *testing.T) {
 	if got := g.InDegree(2); got != 1 {
 		t.Errorf("InDegree(2) = %d, want 1", got)
 	}
-	if got := g.AvgDegree(); got != 1.0 {
+	if got := AvgDegree(g); got != 1.0 {
 		t.Errorf("AvgDegree = %v, want 1.0", got)
 	}
 }
@@ -54,8 +54,8 @@ func TestEmptyGraph(t *testing.T) {
 	if g.NumNodes() != 0 || g.NumEdges() != 0 {
 		t.Fatalf("empty graph has %d nodes %d edges", g.NumNodes(), g.NumEdges())
 	}
-	if g.AvgDegree() != 0 {
-		t.Fatalf("AvgDegree of empty graph = %v", g.AvgDegree())
+	if AvgDegree(g) != 0 {
+		t.Fatalf("AvgDegree of empty graph = %v", AvgDegree(g))
 	}
 	scc := SCC(g)
 	if scc.Count != 0 {
@@ -134,7 +134,7 @@ func TestGraphPropertyInOutConsistent(t *testing.T) {
 	}
 }
 
-func TestHasEdge(t *testing.T) {
+func TestHasArc(t *testing.T) {
 	g := triangle()
 	cases := []struct {
 		u, v NodeID
@@ -144,8 +144,8 @@ func TestHasEdge(t *testing.T) {
 		{1, 0, false}, {2, 1, false}, {0, 2, false},
 	}
 	for _, c := range cases {
-		if got := g.HasEdge(c.u, c.v); got != c.want {
-			t.Errorf("HasEdge(%d,%d) = %v, want %v", c.u, c.v, got, c.want)
+		if got := HasArc(g, c.u, c.v); got != c.want {
+			t.Errorf("HasArc(%d,%d) = %v, want %v", c.u, c.v, got, c.want)
 		}
 	}
 }

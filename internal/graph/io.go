@@ -7,44 +7,14 @@ import (
 	"io"
 )
 
-// Binary graph format: magic, node count, edge count, per-node out-degree,
-// then the concatenated out-adjacency. The reverse adjacency is rebuilt on
-// load; storing only one direction halves the file size.
+// Legacy v1 binary graph format (GPLGRPH1), read-only: magic, node
+// count, edge count, per-node out-degree, then the concatenated
+// out-adjacency; the reverse adjacency is rebuilt on load. Nothing in the
+// repo writes it any more — datasets are saved as diskcsr v2 — and
+// ReadBinary stays as the migration reader for old dataset directories.
 var graphMagic = [8]byte{'G', 'P', 'L', 'G', 'R', 'P', 'H', '1'}
 
-// WriteBinary encodes the graph to w in the compact binary format. Any
-// View serializes; a mapped v2 graph written here becomes a v1 file.
-func WriteBinary(w io.Writer, g View) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(graphMagic[:]); err != nil {
-		return err
-	}
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], uint64(g.NumNodes()))
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(g.NumEdges()))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var buf [4]byte
-	n := g.NumNodes()
-	for u := 0; u < n; u++ {
-		binary.LittleEndian.PutUint32(buf[:], uint32(g.OutDegree(NodeID(u))))
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	for u := 0; u < n; u++ {
-		for _, v := range g.Out(NodeID(u)) {
-			binary.LittleEndian.PutUint32(buf[:], v)
-			if _, err := bw.Write(buf[:]); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary decodes a graph written by WriteBinary and validates it.
+// ReadBinary decodes a v1 graph and validates it.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var magic [8]byte

@@ -1,13 +1,49 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
 )
+
+// WriteBinary encodes g in the legacy v1 format. It lives in a test file
+// because only ReadBinary's round-trip tests and fuzz corpus still need
+// a v1 writer.
+func WriteBinary(w io.Writer, g View) error {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	if _, err := bw.Write(graphMagic[:]); err != nil {
+		return err
+	}
+	var hdr [16]byte
+	binary.LittleEndian.PutUint64(hdr[0:8], uint64(g.NumNodes()))
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(g.NumEdges()))
+	if _, err := bw.Write(hdr[:]); err != nil {
+		return err
+	}
+	var buf [4]byte
+	n := g.NumNodes()
+	for u := 0; u < n; u++ {
+		binary.LittleEndian.PutUint32(buf[:], uint32(g.OutDegree(NodeID(u))))
+		if _, err := bw.Write(buf[:]); err != nil {
+			return err
+		}
+	}
+	for u := 0; u < n; u++ {
+		for _, v := range g.Out(NodeID(u)) {
+			binary.LittleEndian.PutUint32(buf[:], v)
+			if _, err := bw.Write(buf[:]); err != nil {
+				return err
+			}
+		}
+	}
+	return bw.Flush()
+}
 
 func TestBinaryRoundTrip(t *testing.T) {
 	g := FromEdges(5, 0, 1, 1, 2, 2, 0, 3, 4, 0, 4)

@@ -84,7 +84,7 @@ func bruteMotifs(t *testing.T, g *Graph) [NumTriadClasses]int64 {
 				var arcs [][2]int
 				for i := 0; i < 3; i++ {
 					for j := 0; j < 3; j++ {
-						if i != j && g.HasEdge(triple[i], triple[j]) {
+						if i != j && HasArc(g, triple[i], triple[j]) {
 							arcs = append(arcs, [2]int{i, j})
 						}
 					}

@@ -42,7 +42,7 @@ func uniformBounds(n, parallelism int) []int {
 // weight, given a monotonic prefix-weight function w (w(0) <= w(1) <=
 // ... <= w(n), with w(n) the total). Each cut point is a binary search
 // on w, so no prefix array is materialized. It is the shared core of
-// the degree-balanced sharding used by Graph.workBounds and by the
+// the degree-balanced sharding used by viewWorkBounds and by the
 // undirected projection behind the triangle/motif kernels.
 func prefixWorkBounds(n, parallelism int, w func(int) int64) []int {
 	s := normShards(n, parallelism)
@@ -68,12 +68,6 @@ func prefixWorkBounds(n, parallelism int, w func(int) int64) []int {
 // the slowest worker bounds speedup.
 func (g *Graph) WorkPrefix(u int) int64 {
 	return g.outOff[u] + g.inOff[u] + int64(u)
-}
-
-// workBounds splits [0, n) into contiguous ranges of near-equal work;
-// kept as a method for tests, it is viewWorkBounds specialized to g.
-func (g *Graph) workBounds(parallelism int) []int {
-	return viewWorkBounds(g, parallelism)
 }
 
 // runShards invokes fn(shard, lo, hi) for each consecutive bounds pair,
@@ -116,9 +110,9 @@ func concatShards[T any](parts [][]T) []T {
 // package's canonical numbering — ids count up in order of each
 // component's first appearance by node id — and returns the component
 // sizes under that numbering. Input labels must lie in [0, maxOld). The
-// canonical form is what makes component results comparable across
-// algorithms (Tarjan vs forward-backward SCC) and byte-identical across
-// parallelism levels, whatever order workers discovered the components.
+// canonical form is what makes component results independent of
+// discovery order: Tarjan's reverse-topological emission for SCC, and
+// whatever order WCC's workers merged roots in at any parallelism.
 func relabelByFirstAppearance(comp []int32, maxOld int) []int32 {
 	remap := make([]int32, maxOld)
 	for i := range remap {

@@ -111,11 +111,14 @@ func BenchmarkAnalysisWCC(b *testing.B) {
 	})
 }
 
+// SCC is serial (Tarjan), so the suite has one row for it; the p=1
+// suffix keeps the row diffable against earlier BENCH_analysis baselines.
 func BenchmarkAnalysisSCC(b *testing.B) {
 	g := analysisGraphOnce(b)
-	benchOverParallelisms(b, func(b *testing.B, par int) {
+	b.Run("p=1", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = SCCParallel(g, par)
+			_ = SCC(g)
 		}
 	})
 }

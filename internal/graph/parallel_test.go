@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 // testGraphs returns a spread of shapes that exercise the parallel
@@ -52,7 +51,7 @@ func TestParallelDeterminism(t *testing.T) {
 					return SampleClustering(g, 50, rand.New(rand.NewPCG(5, 6)), par)
 				},
 				"WCC":                func(par int) any { return WCC(g, par) },
-				"SCC":                func(par int) any { return SCCParallel(g, par) },
+				"SCC":                func(int) any { return SCC(g) },
 				"AllClustering":      func(par int) any { return AllClustering(g, par) },
 				"ClusteringByDegree": func(par int) any { return ClusteringByDegree(g, par) },
 				"WedgeCount":         func(par int) any { return WedgeCount(g, par) },
@@ -73,29 +72,6 @@ func TestParallelDeterminism(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSCCParallelMatchesTarjan cross-checks the forward-backward
-// decomposition against the serial Tarjan reference on randomized graphs.
-func TestSCCParallelMatchesTarjan(t *testing.T) {
-	for name, g := range testGraphs() {
-		want := SCC(g)
-		for _, par := range []int{2, 3, 8} {
-			got := SCCParallel(g, par)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: SCCParallel(par=%d) = %+v, want Tarjan's %+v", name, par, got, want)
-			}
-		}
-	}
-	f := func(seed uint64) bool {
-		r := rand.New(rand.NewPCG(seed, seed^0xabcdef))
-		n := 2 + r.IntN(120)
-		g := randomGraph(n, 1+r.IntN(4*n), r)
-		return reflect.DeepEqual(SCCParallel(g, 2+r.IntN(6)), SCC(g))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -122,7 +98,7 @@ func TestZeroValueGraph(t *testing.T) {
 	if w := WCC(&g, 4); w.Count != 0 {
 		t.Fatalf("zero-value WCC count = %d, want 0", w.Count)
 	}
-	if s := SCCParallel(&g, 4); s.Count != 0 {
+	if s := SCC(&g); s.Count != 0 {
 		t.Fatalf("zero-value SCC count = %d, want 0", s.Count)
 	}
 	bad := Graph{inOff: []int64{0}}
@@ -230,7 +206,7 @@ func TestWorkBoundsCoverAndBalance(t *testing.T) {
 	g := testGraphs()["star"]
 	n := g.NumNodes()
 	for _, par := range []int{1, 2, 4, 7, 64, 1000} {
-		bounds := g.workBounds(par)
+		bounds := viewWorkBounds(g, par)
 		if bounds[0] != 0 || bounds[len(bounds)-1] != n {
 			t.Fatalf("par=%d: bounds %v do not span [0,%d)", par, bounds, n)
 		}
@@ -243,7 +219,7 @@ func TestWorkBoundsCoverAndBalance(t *testing.T) {
 	// The star's node 0 carries ~2/3 of all edge stubs; a 4-way uniform
 	// node split would leave shard 0 with almost all work, while the
 	// degree-balanced split must cut right after the head.
-	bounds := g.workBounds(4)
+	bounds := viewWorkBounds(g, 4)
 	if bounds[1] != 1 {
 		t.Fatalf("star workBounds(4) = %v, want first cut directly after the heavy node", bounds)
 	}

@@ -3,8 +3,7 @@ package graph
 // SCCResult describes the strongly connected components of a graph.
 type SCCResult struct {
 	// Comp maps each node to its component index in [0, Count). Component
-	// indices are assigned in order of first appearance by node id, so
-	// SCC and SCCParallel produce identical results on the same graph.
+	// indices are assigned in order of first appearance by node id.
 	Comp []int32
 	// Sizes holds the node count of each component.
 	Sizes []int32
@@ -38,9 +37,11 @@ func (r *SCCResult) GiantFraction() float64 {
 
 // SCC computes strongly connected components using an iterative Tarjan
 // algorithm (no recursion, so it is safe on multi-million-node graphs with
-// long path structures). It is the serial reference implementation that
-// SCCParallel is cross-checked against; both label components
-// canonically, in order of first appearance by node id.
+// long path structures), labelling components canonically in order of
+// first appearance by node id. It is the only SCC kernel: the pivot SCC
+// a forward-backward decomposition must extract serially is, on a social
+// graph, the giant component (§3.3.4: ~70% of G), which left the
+// task-parallel variant slower than this at every measured size.
 func SCC(g View) *SCCResult {
 	n := g.NumNodes()
 	const unvisited = -1
@@ -132,3 +133,9 @@ func SCC(g View) *SCCResult {
 	sizes = relabelByFirstAppearance(comp, len(sizes))
 	return &SCCResult{Comp: comp, Sizes: sizes, Count: len(sizes)}
 }
+
+// SCCParallel forwards to SCC and ignores its second argument. It
+// survives only because bench/study.go, which this repo's changes may
+// not edit, probes the kernel by this name; renaming the probe belongs
+// to the next benchmark PR, and this forwarder goes with it.
+func SCCParallel(g View, _ int) *SCCResult { return SCC(g) }

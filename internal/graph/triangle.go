@@ -116,7 +116,7 @@ func (u *undirected) hasEdge(a, b NodeID) bool {
 	return i < len(n) && n[i] == b
 }
 
-// workBounds is the projection's analogue of Graph.workBounds: shard
+// workBounds is the projection's analogue of viewWorkBounds: shard
 // cuts balanced on undirected degree.
 func (u *undirected) workBounds(parallelism int) []int {
 	return prefixWorkBounds(u.numNodes(), parallelism, func(v int) int64 {

@@ -220,7 +220,7 @@ func TestBuildUndirected(t *testing.T) {
 					if !u.hasEdge(w, NodeID(v)) {
 						t.Fatalf("%s: edge {%d,%d} not symmetric", name, v, w)
 					}
-					if !g.HasEdge(NodeID(v), w) && !g.HasEdge(w, NodeID(v)) {
+					if !HasArc(g, NodeID(v), w) && !HasArc(g, w, NodeID(v)) {
 						t.Fatalf("%s: projected edge {%d,%d} absent from graph", name, v, w)
 					}
 				}

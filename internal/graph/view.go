@@ -39,8 +39,9 @@ type WorkPrefixer interface {
 	WorkPrefix(u int) int64
 }
 
-// viewWorkBounds is the View analogue of Graph.workBounds: degree-
-// balanced cuts when the view can price them, uniform cuts otherwise.
+// viewWorkBounds splits [0, NumNodes()) into contiguous shard ranges:
+// degree-balanced cuts when the view can price them, uniform cuts
+// otherwise.
 func viewWorkBounds(g View, parallelism int) []int {
 	if wp, ok := g.(WorkPrefixer); ok {
 		return prefixWorkBounds(g.NumNodes(), parallelism, wp.WorkPrefix)
@@ -50,7 +51,7 @@ func viewWorkBounds(g View, parallelism int) []int {
 
 // HasArc reports whether the directed edge u->v exists, probing the
 // shorter of u's out-row and v's in-row so celebrity endpoints don't
-// slow the test. It is the View counterpart of Graph.HasEdge.
+// slow the test.
 func HasArc(g View, u, v NodeID) bool {
 	if g.OutDegree(u) <= g.InDegree(v) {
 		adj := g.Out(u)
@@ -62,8 +63,9 @@ func HasArc(g View, u, v NodeID) bool {
 	return i < len(adj) && adj[i] == u
 }
 
-// AvgDegree returns edges/nodes for any view; the method on *Graph
-// remains for existing callers.
+// AvgDegree returns the average degree (edges / nodes). Because every
+// directed edge contributes one out-stub and one in-stub, the average in-
+// and out-degrees are identical.
 func AvgDegree(g View) float64 {
 	if g.NumNodes() == 0 {
 		return 0

@@ -101,6 +101,11 @@ func TestStoreTornTailRecovery(t *testing.T) {
 	if err := os.WriteFile(orphan, []byte("orphan"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// And the temp file of a manifest rewrite that crashed before its rename.
+	staleTmp := filepath.Join(dir, "."+manifestName+"-123456")
+	if err := os.WriteFile(staleTmp, []byte("{"), 0o600); err != nil {
+		t.Fatal(err)
+	}
 
 	s2, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
@@ -113,6 +118,12 @@ func TestStoreTornTailRecovery(t *testing.T) {
 	}
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Errorf("orphan capture survived reopen: %v", err)
+	}
+	if _, err := os.Stat(staleTmp); !os.IsNotExist(err) {
+		t.Errorf("stale manifest temp file survived reopen: %v", err)
+	}
+	if fi, err := os.Stat(mf); err != nil || fi.Mode().Perm() != 0o644 {
+		t.Errorf("rewritten manifest mode = %v (err=%v), want 0644", fi.Mode().Perm(), err)
 	}
 	raw, err := os.ReadFile(mf)
 	if err != nil {

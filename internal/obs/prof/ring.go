@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"gplus/internal/durable"
 	"gplus/internal/obs"
 )
 
@@ -127,20 +128,11 @@ func (s *Store) recover() error {
 		}
 		return fmt.Errorf("prof: read manifest: %w", err)
 	}
-	// Torn-tail contract (mirrors the crawl journal): bytes after the
-	// last newline are a partial record from a crash mid-append —
-	// truncate them away rather than failing the whole ring.
-	valid := raw
-	if i := bytes.LastIndexByte(raw, '\n'); i < 0 {
-		valid = nil
-	} else if i+1 != len(raw) {
-		valid = raw[:i+1]
-	}
-	if len(valid) != len(raw) {
-		if err := os.WriteFile(s.manifestPath(), valid, 0o644); err != nil {
-			return fmt.Errorf("prof: repair torn manifest: %w", err)
-		}
-	}
+	// Torn-tail contract (shared with the crawl journal): bytes after
+	// the last newline are a partial record from a crash mid-append and
+	// are never parsed. The file itself is repaired by the atomic
+	// rewrite below, so a crash inside the repair leaves the old file.
+	valid := raw[:bytes.LastIndexByte(raw, '\n')+1]
 	known := make(map[string]bool)
 	for _, line := range bytes.Split(valid, []byte("\n")) {
 		if len(bytes.TrimSpace(line)) == 0 {
@@ -173,7 +165,8 @@ func (s *Store) recover() error {
 }
 
 // sweepOrphans deletes capture files not referenced by any manifest
-// entry (e.g. written just before a crash that lost the append).
+// entry (e.g. written just before a crash that lost the append) and the
+// temp file a crash inside a manifest rewrite leaves behind.
 func (s *Store) sweepOrphans(known map[string]bool) error {
 	des, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -181,19 +174,18 @@ func (s *Store) sweepOrphans(known map[string]bool) error {
 	}
 	for _, de := range des {
 		name := de.Name()
-		if de.IsDir() || name == manifestName || !strings.HasSuffix(name, ".pb.gz") {
-			continue
-		}
-		if !known[name] {
+		stale := strings.HasPrefix(name, "."+manifestName+"-") ||
+			strings.HasSuffix(name, ".pb.gz") && !known[name]
+		if stale && !de.IsDir() {
 			os.Remove(filepath.Join(s.dir, name))
 		}
 	}
 	return nil
 }
 
-// rewriteManifest atomically replaces the manifest with the current
-// entry list (temp file + rename), reopening the append handle if one
-// was live.
+// rewriteManifest atomically and durably replaces the manifest with the
+// current entry list (durable.WriteFile), reopening the append handle
+// if one was live.
 func (s *Store) rewriteManifest() error {
 	var buf bytes.Buffer
 	for _, e := range s.entries {
@@ -204,11 +196,16 @@ func (s *Store) rewriteManifest() error {
 		buf.Write(b)
 		buf.WriteByte('\n')
 	}
-	tmp := s.manifestPath() + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("prof: rewrite manifest: %w", err)
-	}
-	if err := os.Rename(tmp, s.manifestPath()); err != nil {
+	err := durable.WriteFile(s.manifestPath(), func(f *os.File) error {
+		// The temp file is created 0600; the manifest stays world-readable
+		// like the captures beside it.
+		if err := f.Chmod(0o644); err != nil {
+			return err
+		}
+		_, err := f.Write(buf.Bytes())
+		return err
+	})
+	if err != nil {
 		return fmt.Errorf("prof: rewrite manifest: %w", err)
 	}
 	if s.f != nil {

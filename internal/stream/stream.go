@@ -200,7 +200,7 @@ func simulateCascade(g *graph.Graph, cfg Config, rng *rand.Rand, post *Post, see
 			}
 			// Circles-limited posts reach only mutual contacts of the
 			// author; reshared posts are public by definition.
-			if post.Visibility == Circles && !g.HasEdge(post.Author, f) {
+			if post.Visibility == Circles && !graph.HasArc(g, post.Author, f) {
 				continue
 			}
 			seen[f] = stamp

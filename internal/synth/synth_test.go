@@ -116,7 +116,7 @@ func TestCalibrationStructural(t *testing.T) {
 	u := testUniverse(t)
 	g := u.Graph
 
-	if avg := g.AvgDegree(); avg < 13 || avg > 20 {
+	if avg := graph.AvgDegree(g); avg < 13 || avg > 20 {
 		t.Errorf("avg degree = %.2f, want ~16.4 (band 13-20)", avg)
 	}
 	if rec := graph.GlobalReciprocity(g, 1); rec < 0.25 || rec > 0.45 {
@@ -371,11 +371,11 @@ func TestGenerateBaselines(t *testing.T) {
 	if okRec := graph.GlobalReciprocity(ok, 1); okRec != 1 {
 		t.Errorf("Orkut-like reciprocity = %.3f, want 1", okRec)
 	}
-	if fb.AvgDegree() <= gplus.AvgDegree() {
-		t.Errorf("Facebook-like degree %.1f must exceed Google+ %.1f", fb.AvgDegree(), gplus.AvgDegree())
+	if graph.AvgDegree(fb) <= graph.AvgDegree(gplus) {
+		t.Errorf("Facebook-like degree %.1f must exceed Google+ %.1f", graph.AvgDegree(fb), graph.AvgDegree(gplus))
 	}
-	if tw.AvgDegree() <= gplus.AvgDegree() {
-		t.Errorf("Twitter-like degree %.1f must exceed Google+ %.1f", tw.AvgDegree(), gplus.AvgDegree())
+	if graph.AvgDegree(tw) <= graph.AvgDegree(gplus) {
+		t.Errorf("Twitter-like degree %.1f must exceed Google+ %.1f", graph.AvgDegree(tw), graph.AvgDegree(gplus))
 	}
 
 	if _, err := GenerateBaseline(Baseline(99), n, 1); err == nil {
