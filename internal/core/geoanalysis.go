@@ -230,14 +230,21 @@ func (s *Study) PathMiles() PathMileResult {
 
 	friends := stats.NewReservoir[[2]graph.NodeID](s.opts.PairSample, rng)
 	reciprocal := stats.NewReservoir[[2]graph.NodeID](s.opts.PairSample, rng)
+	rows := s.g.Rows()
 	for _, u := range located {
-		for _, v := range s.g.Out(u) {
+		// v→u exists exactly when v is in u's in-row, which ascends
+		// with the out-row: one merge finds the reciprocal friends.
+		in := rows.In(u)
+		for _, v := range rows.Out(u) {
+			for len(in) > 0 && in[0] < v {
+				in = in[1:]
+			}
 			if !isLocated[v] {
 				continue
 			}
 			pair := [2]graph.NodeID{u, v}
 			friends.Add(pair)
-			if graph.HasArc(s.g, v, u) {
+			if len(in) > 0 && in[0] == v {
 				reciprocal.Add(pair)
 			}
 		}
@@ -260,7 +267,7 @@ func (s *Study) PathMiles() PathMileResult {
 		for attempts := 0; len(res.Random) < s.opts.PairSample && attempts < 20*s.opts.PairSample; attempts++ {
 			u := located[rng.IntN(len(located))]
 			v := located[rng.IntN(len(located))]
-			if u == v || graph.HasArc(s.g, u, v) || graph.HasArc(s.g, v, u) {
+			if u == v || graph.HasArcRows(s.g, rows, u, v) || graph.HasArcRows(s.g, rows, v, u) {
 				continue
 			}
 			res.Random = append(res.Random, dist([2]graph.NodeID{u, v}))
@@ -292,6 +299,7 @@ func (s *Study) AveragePathMiles() []CountryPathMile {
 			isLocated[node] = true
 		}
 	})
+	rows := s.g.Rows()
 	s.eachCrawled(func(u graph.NodeID) {
 		p := &s.ds.Profiles[u]
 		if !p.HasLocation() {
@@ -301,7 +309,7 @@ func (s *Study) AveragePathMiles() []CountryPathMile {
 		if !ok {
 			return
 		}
-		for _, v := range s.g.Out(u) {
+		for _, v := range rows.Out(u) {
 			if !isLocated[v] {
 				continue
 			}
@@ -379,12 +387,13 @@ func (s *Study) CountryLinks() CountryLinkMatrix {
 	}
 
 	rowTotals := make([]float64, n)
+	rows := s.g.Rows()
 	for u := 0; u < s.ds.NumUsers(); u++ {
 		cu := countryOf[u]
 		if cu < 0 {
 			continue
 		}
-		for _, v := range s.g.Out(graph.NodeID(u)) {
+		for _, v := range rows.Out(graph.NodeID(u)) {
 			cv := countryOf[v]
 			if cv < 0 {
 				continue

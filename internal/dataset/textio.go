@@ -24,10 +24,11 @@ import (
 func (d *Dataset) WriteEdgeList(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	g := d.View()
+	rows := g.Rows()
 	fmt.Fprintf(bw, "# gplus edge list: %d nodes, %d edges\n", d.NumUsers(), g.NumEdges())
 	for u := 0; u < d.NumUsers(); u++ {
 		from := d.IDs[u]
-		for _, v := range g.Out(graph.NodeID(u)) {
+		for _, v := range rows.Out(graph.NodeID(u)) {
 			if _, err := fmt.Fprintf(bw, "%s\t%s\n", from, d.IDs[v]); err != nil {
 				return err
 			}

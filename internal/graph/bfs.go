@@ -30,28 +30,60 @@ func (d Direction) String() string {
 // unreachable nodes. The dist slice may be passed in to avoid allocation;
 // if it is nil or too short a new slice is allocated.
 func BFSDistances(g View, src NodeID, dir Direction, dist []int32) []int32 {
+	return newBFSScratch(g, dist).run(src, true, dir == Undirected)
+}
+
+// bfsScratch is what one BFS worker carries from source to source: its
+// row cursor, the distance array and the queue, so a path sample
+// allocates per worker, not per source.
+type bfsScratch struct {
+	rows  Rows
+	dist  []int32
+	queue []NodeID
+}
+
+// newBFSScratch sizes a scratch for g, taking over dist when it is
+// large enough.
+func newBFSScratch(g View, dist []int32) *bfsScratch {
 	n := g.NumNodes()
 	if cap(dist) < n {
 		dist = make([]int32, n)
 	}
-	dist = dist[:n]
+	return &bfsScratch{rows: g.Rows(), dist: dist[:n], queue: make([]NodeID, 0, n)}
+}
+
+// newBFSWorkers returns one scratch per BFS worker.
+func newBFSWorkers(g View, workers int) []*bfsScratch {
+	scratch := make([]*bfsScratch, workers)
+	for w := range scratch {
+		scratch[w] = newBFSScratch(g, nil)
+	}
+	return scratch
+}
+
+// run fills s.dist with hop distances from src, following out-edges,
+// in-edges (the transpose graph), or both, and returns it; the slice is
+// valid until the scratch's next run.
+func (s *bfsScratch) run(src NodeID, out, in bool) []int32 {
+	dist := s.dist
 	for i := range dist {
 		dist[i] = -1
 	}
-	queue := make([]NodeID, 0, 1024)
-	queue = append(queue, src)
+	queue := append(s.queue[:0], src)
 	dist[src] = 0
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		du := dist[u]
-		for _, v := range g.Out(u) {
-			if dist[v] < 0 {
-				dist[v] = du + 1
-				queue = append(queue, v)
+		if out {
+			for _, v := range s.rows.Out(u) {
+				if dist[v] < 0 {
+					dist[v] = du + 1
+					queue = append(queue, v)
+				}
 			}
 		}
-		if dir == Undirected {
-			for _, v := range g.In(u) {
+		if in {
+			for _, v := range s.rows.In(u) {
 				if dist[v] < 0 {
 					dist[v] = du + 1
 					queue = append(queue, v)
@@ -59,6 +91,7 @@ func BFSDistances(g View, src NodeID, dir Direction, dist []int32) []int32 {
 			}
 		}
 	}
+	s.queue = queue
 	return dist
 }
 
@@ -183,7 +216,7 @@ func SamplePathLengths(ctx context.Context, g View, dir Direction, opt PathLengt
 	}
 
 	var prevProb []float64
-	scratch := make([][]int32, opt.Parallelism)
+	scratch := newBFSWorkers(g, opt.Parallelism)
 	for res.Sources < opt.MaxSources {
 		batch := opt.BatchSize
 		if res.Sources+batch > opt.MaxSources {
@@ -192,7 +225,7 @@ func SamplePathLengths(ctx context.Context, g View, dir Direction, opt PathLengt
 		if ctx.Err() != nil {
 			return res
 		}
-		counts, done := bfsBatch(ctx, g, dir, sources[res.Sources:res.Sources+batch], scratch)
+		counts, done := bfsBatch(ctx, dir, sources[res.Sources:res.Sources+batch], scratch)
 		for h, c := range counts {
 			for h >= len(res.Counts) {
 				res.Counts = append(res.Counts, 0)
@@ -220,7 +253,7 @@ func SamplePathLengths(ctx context.Context, g View, dir Direction, opt PathLengt
 // bfsBatch runs BFS from each source, fanned out over len(scratch)
 // goroutines, and returns the summed distance histogram along with how
 // many sources actually completed (fewer than len(sources) only when the
-// context was cancelled mid-batch). Each worker reuses a distance slice
+// context was cancelled mid-batch). Each worker reuses its scratch
 // between sources.
 //
 // The pair (histogram, done) always means "the first done sources, in
@@ -233,10 +266,10 @@ func SamplePathLengths(ctx context.Context, g View, dir Direction, opt PathLengt
 // Instead each source keeps its own histogram and only the longest
 // fully-completed prefix merges — completed work beyond the first gap is
 // discarded, exactly as if the serial scan had been cancelled there.
-func bfsBatch(ctx context.Context, g View, dir Direction, sources []NodeID, scratch [][]int32) ([]int64, int) {
+func bfsBatch(ctx context.Context, dir Direction, sources []NodeID, scratch []*bfsScratch) ([]int64, int) {
 	workers := len(scratch)
 	if workers <= 1 || len(sources) < 2 {
-		return bfsBatchSeq(ctx, g, dir, sources, &scratch[0])
+		return bfsBatchSeq(ctx, dir, sources, scratch[0])
 	}
 	perSrc := make([][]int64, len(sources))
 	finished := make([]bool, len(sources))
@@ -250,9 +283,8 @@ func bfsBatch(ctx context.Context, g View, dir Direction, sources []NodeID, scra
 				if ctx.Err() != nil {
 					return
 				}
-				scratch[w] = BFSDistances(g, sources[i], dir, scratch[w])
 				var counts []int64
-				for _, d := range scratch[w] {
+				for _, d := range scratch[w].run(sources[i], true, dir == Undirected) {
 					if d < 0 {
 						continue
 					}
@@ -285,14 +317,13 @@ func bfsBatch(ctx context.Context, g View, dir Direction, sources []NodeID, scra
 
 // bfsBatchSeq runs BFS from each source in order and returns the summed
 // histogram plus the number of sources it finished before cancellation.
-func bfsBatchSeq(ctx context.Context, g View, dir Direction, sources []NodeID, dist *[]int32) ([]int64, int) {
+func bfsBatchSeq(ctx context.Context, dir Direction, sources []NodeID, scratch *bfsScratch) ([]int64, int) {
 	var counts []int64
 	for i, src := range sources {
 		if ctx.Err() != nil {
 			return counts, i
 		}
-		*dist = BFSDistances(g, src, dir, *dist)
-		for _, d := range *dist {
+		for _, d := range scratch.run(src, true, dir == Undirected) {
 			if d < 0 {
 				continue
 			}
@@ -345,15 +376,13 @@ func DoubleSweepDiameter(g View, dir Direction, sweeps int, rng *rand.Rand) int 
 		sweeps = 4
 	}
 	best := 0
-	var dist []int32
+	scratch := newBFSScratch(g, nil)
 	for s := 0; s < sweeps; s++ {
 		src := NodeID(rng.IntN(n))
 		for hop := 0; hop < 2; hop++ {
-			if dir == Directed && hop == 1 {
-				dist = bfsReverse(g, src, dist)
-			} else {
-				dist = BFSDistances(g, src, dir, dist)
-			}
+			// The directed return sweep runs over the transpose graph.
+			back := dir == Directed && hop == 1
+			dist := scratch.run(src, !back, back || dir == Undirected)
 			far, farD := src, int32(0)
 			for v, d := range dist {
 				if d > farD {
@@ -367,30 +396,4 @@ func DoubleSweepDiameter(g View, dir Direction, sweeps int, rng *rand.Rand) int 
 		}
 	}
 	return best
-}
-
-// bfsReverse is BFSDistances over the transpose graph (in-edges).
-func bfsReverse(g View, src NodeID, dist []int32) []int32 {
-	n := g.NumNodes()
-	if cap(dist) < n {
-		dist = make([]int32, n)
-	}
-	dist = dist[:n]
-	for i := range dist {
-		dist[i] = -1
-	}
-	queue := make([]NodeID, 0, 1024)
-	queue = append(queue, src)
-	dist[src] = 0
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u]
-		for _, v := range g.In(u) {
-			if dist[v] < 0 {
-				dist[v] = du + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
 }

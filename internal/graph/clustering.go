@@ -11,25 +11,33 @@ import (
 // (0, false) for nodes with fewer than two out-neighbors, which the paper
 // excludes from the analysis.
 func ClusteringCoefficient(g View, u NodeID) (float64, bool) {
+	return clusteringCoefficient(g, g.Rows(), g.Rows(), u)
+}
+
+// clusteringCoefficient is ClusteringCoefficient through a worker's two
+// cursors (see clusteringLinks).
+func clusteringCoefficient(g View, own, nbr Rows, u NodeID) (float64, bool) {
 	k := g.OutDegree(u)
 	if k < 2 {
 		return 0, false
 	}
-	return float64(clusteringLinks(g, u)) / float64(k*(k-1)), true
+	return float64(clusteringLinks(own, nbr, u)) / float64(k*(k-1)), true
 }
 
 // clusteringLinks is the integer numerator of C(u): the number of
 // directed edges among u's out-neighbors. Kept separate so exact
 // aggregations (per-degree curves, motif cross-checks) can sum the
-// numerators as integers instead of rounding floats back.
-func clusteringLinks(g View, u NodeID) int {
-	out := g.Out(u)
+// numerators as integers instead of rounding floats back. u's own
+// out-row stays live while each neighbor's out-row is read, hence the
+// second cursor.
+func clusteringLinks(own, nbr Rows, u NodeID) int {
+	out := own.Out(u)
 	links := 0
 	for _, v := range out {
 		// Count directed edges v->w with w also an out-neighbor of u.
 		// v->v never exists (self-loops are dropped at build time), so
 		// the intersection never counts the node itself.
-		links += sortedIntersectionSize(g.Out(v), out)
+		links += sortedIntersectionSize(nbr.Out(v), out)
 	}
 	return links
 }
@@ -37,7 +45,7 @@ func clusteringLinks(g View, u NodeID) int {
 // sortedIntersectionSize returns |a ∩ b| for two sorted lists.
 func sortedIntersectionSize(a, b []NodeID) int {
 	count := 0
-	intersectSorted(a, b, func(NodeID) { count++ })
+	intersectSorted(a, b, func(int, int) { count++ })
 	return count
 }
 
@@ -48,38 +56,43 @@ func sortedIntersectionSize(a, b []NodeID) int {
 // branch-predictable merge.
 const gallopSkewFactor = 16
 
-// intersectSorted calls emit for every element of a ∩ b, in ascending
-// order. Near-equal lengths use a linear merge; when one list dwarfs
-// the other — a celebrity adjacency list against an ordinary one — it
-// gallops through the long list instead, costing O(short·log(long))
-// rather than O(short+long). Exact triangle counting on a heavy-tailed
-// graph intersects the head's list once per incident edge, so without
-// this the kernel goes quadratic on exactly the nodes the paper's
-// degree distribution promises exist.
-func intersectSorted(a, b []NodeID, emit func(NodeID)) {
+// intersectSorted calls emit(i, j) for every common element a[i] ==
+// b[j], in ascending order; positions rather than values, so a caller
+// holding data parallel to either list can index it. Near-equal lengths
+// use a linear merge; when one list dwarfs the other — a celebrity
+// adjacency list against an ordinary one — it gallops through the long
+// list instead, costing O(short·log(long)) rather than O(short+long).
+// Exact triangle counting on a heavy-tailed graph intersects the head's
+// list once per incident edge, so without this the kernel goes
+// quadratic on exactly the nodes the paper's degree distribution
+// promises exist.
+func intersectSorted(a, b []NodeID, emit func(i, j int)) {
 	if len(a) > len(b) {
-		a, b = b, a
+		intersectSorted(b, a, func(j, i int) { emit(i, j) })
+		return
 	}
 	if len(b) >= gallopSkewFactor*len(a) && len(a) > 0 {
-		for _, x := range a {
+		base := 0 // b[:base] is consumed
+		for i, x := range a {
 			// Gallop: double the probe distance until past x, binary
 			// search the bracketed window, then drop the consumed
 			// prefix so one full pass costs O(|a| log |b|).
+			rest := b[base:]
 			hi := 1
-			for hi < len(b) && b[hi] < x {
+			for hi < len(rest) && rest[hi] < x {
 				hi *= 2
 			}
-			if hi > len(b) {
-				hi = len(b)
+			if hi > len(rest) {
+				hi = len(rest)
 			}
 			lo := hi / 2
-			i := lo + sort.Search(hi-lo, func(k int) bool { return b[lo+k] >= x })
-			if i < len(b) && b[i] == x {
-				emit(x)
-				i++
+			k := lo + sort.Search(hi-lo, func(k int) bool { return rest[lo+k] >= x })
+			if k < len(rest) && rest[k] == x {
+				emit(i, base+k)
+				k++
 			}
-			b = b[i:]
-			if len(b) == 0 {
+			base += k
+			if base == len(b) {
 				return
 			}
 		}
@@ -93,7 +106,7 @@ func intersectSorted(a, b []NodeID, emit func(NodeID)) {
 		case a[i] > b[j]:
 			j++
 		default:
-			emit(a[i])
+			emit(i, j)
 			i++
 			j++
 		}
@@ -150,10 +163,11 @@ func SampleClustering(g View, sampleSize int, rng *rand.Rand, parallelism int) [
 	selected := eligible[:sampleSize]
 	coeffs := make([]float64, sampleSize)
 	runShards(uniformBounds(sampleSize, parallelism), func(_, lo, hi int) {
+		own, nbr := g.Rows(), g.Rows()
 		for i := lo; i < hi; i++ {
 			// Sampled nodes have out-degree > 1, so the coefficient is
 			// always defined.
-			coeffs[i], _ = ClusteringCoefficient(g, selected[i])
+			coeffs[i], _ = clusteringCoefficient(g, own, nbr, selected[i])
 		}
 	})
 	return coeffs
@@ -170,8 +184,9 @@ func AllClustering(g View, parallelism int) []float64 {
 	parts := make([][]float64, len(bounds)-1)
 	runShards(bounds, func(shard, lo, hi int) {
 		var part []float64
+		own, nbr := g.Rows(), g.Rows()
 		for u := lo; u < hi; u++ {
-			if c, ok := ClusteringCoefficient(g, NodeID(u)); ok {
+			if c, ok := clusteringCoefficient(g, own, nbr, NodeID(u)); ok {
 				part = append(part, c)
 			}
 		}
@@ -201,13 +216,14 @@ func ClusteringByDegree(g View, parallelism int) []DegreeClustering {
 	parts := make([]map[int]acc, len(bounds)-1)
 	runShards(bounds, func(shard, lo, hi int) {
 		m := map[int]acc{}
+		own, nbr := g.Rows(), g.Rows()
 		for u := lo; u < hi; u++ {
 			k := g.OutDegree(NodeID(u))
 			if k < 2 {
 				continue
 			}
 			a := m[k]
-			a.links += int64(clusteringLinks(g, NodeID(u)))
+			a.links += int64(clusteringLinks(own, nbr, NodeID(u)))
 			a.n++
 			m[k] = a
 		}

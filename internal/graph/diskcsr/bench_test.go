@@ -159,15 +159,29 @@ func BenchmarkStorageLoad(b *testing.B) {
 	})
 }
 
+// openBench opens the benchmark file and restarts the timer.
+func openBench(b *testing.B, v2 string) *Mapped {
+	b.Helper()
+	m, err := Open(v2, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { m.Close() })
+	b.ResetTimer()
+	return m
+}
+
 // BenchmarkStorageSequentialScan prices a full adjacency sweep — the
-// access pattern of degree counting, WCC rounds, and triangle counting.
+// access pattern of degree counting, WCC rounds, and triangle counting
+// — over RAM, over the mapped file through View.Out (one slice per
+// row), and through one cursor, the way the kernels read it.
 func BenchmarkStorageSequentialScan(b *testing.B) {
 	g, v2 := benchSetup(b)
-	scan := func(b *testing.B, v graph.View) {
+	scan := func(b *testing.B, rows graph.Rows) {
 		var sum int64
 		for i := 0; i < b.N; i++ {
-			for u := 0; u < v.NumNodes(); u++ {
-				for _, w := range v.Out(graph.NodeID(u)) {
+			for u := 0; u < g.NumNodes(); u++ {
+				for _, w := range rows.Out(graph.NodeID(u)) {
 					sum += int64(w)
 				}
 			}
@@ -178,28 +192,22 @@ func BenchmarkStorageSequentialScan(b *testing.B) {
 		reportEdges(b, g.NumEdges())
 	}
 	b.Run("ram", func(b *testing.B) { scan(b, g) })
-	b.Run("mmap", func(b *testing.B) {
-		m, err := Open(v2, Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer m.Close()
-		b.ResetTimer()
-		scan(b, m)
-	})
+	b.Run("mmap", func(b *testing.B) { scan(b, openBench(b, v2)) })
+	b.Run("mmap-cursor", func(b *testing.B) { scan(b, openBench(b, v2).Rows()) })
 }
 
 // BenchmarkStorageRandomOut prices random row access — the pattern of
-// sampled analyses (clustering samples, BFS sources, HasArc probes).
+// sampled analyses (clustering samples, BFS sources, HasArc probes) —
+// over the same three forms.
 func BenchmarkStorageRandomOut(b *testing.B) {
 	g, v2 := benchSetup(b)
 	const probes = 1_000_000
-	random := func(b *testing.B, v graph.View) {
+	random := func(b *testing.B, rows graph.Rows) {
 		rng := rand.New(rand.NewPCG(7, 8))
 		var sum int64
 		for i := 0; i < b.N; i++ {
 			for p := 0; p < probes; p++ {
-				row := v.Out(graph.NodeID(rng.IntN(v.NumNodes())))
+				row := rows.Out(graph.NodeID(rng.IntN(g.NumNodes())))
 				if len(row) > 0 {
 					sum += int64(row[0])
 				}
@@ -211,13 +219,6 @@ func BenchmarkStorageRandomOut(b *testing.B) {
 		b.ReportMetric(float64(probes)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 	}
 	b.Run("ram", func(b *testing.B) { random(b, g) })
-	b.Run("mmap", func(b *testing.B) {
-		m, err := Open(v2, Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer m.Close()
-		b.ResetTimer()
-		random(b, m)
-	})
+	b.Run("mmap", func(b *testing.B) { random(b, openBench(b, v2)) })
+	b.Run("mmap-cursor", func(b *testing.B) { random(b, openBench(b, v2).Rows()) })
 }

@@ -1,6 +1,7 @@
 package diskcsr
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"os"
@@ -18,6 +19,32 @@ func v2Bytes(t testing.TB) []byte {
 	g := graph.FromEdges(5, 0, 1, 0, 2, 1, 2, 2, 3, 3, 0, 4, 0)
 	path := filepath.Join(t.TempDir(), "g.v2")
 	if err := WriteGraph(path, g); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// wrappedDeltaV2 returns a well-indexed 8-node file whose node 6 has the
+// out-row varint(5), varint(2^64-3): the ten-byte delta wraps 5+delta+1
+// around to 3, which a decoder that adds before it checks reads as the
+// in-range but descending row [5 3].
+func wrappedDeltaV2(t testing.TB) []byte {
+	t.Helper()
+	row := binary.AppendUvarint([]byte{5}, 1<<64-3)
+	rowLen := uint64(len(row))
+	path := filepath.Join(t.TempDir(), "wrapped.v2")
+	err := writeV2(path, 2,
+		[]uint64{0, 0, 0, 0, 0, 0, 0, 2, 2}, []uint64{0, 0, 0, 0, 0, 0, 0, rowLen, rowLen},
+		[]uint64{0, 0, 0, 0, 1, 1, 2, 2, 2}, []uint64{0, 0, 0, 0, 1, 1, 2, 2, 2},
+		func(bw *bufio.Writer) error {
+			_, err := bw.Write(append(row, 6, 6)) // in-rows of nodes 3 and 5
+			return err
+		})
+	if err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -107,6 +134,10 @@ func TestOpenRejectsCorruption(t *testing.T) {
 			},
 			"out of range",
 		},
+		"wrapped delta": {
+			func([]byte) []byte { return wrappedDeltaV2(t) },
+			"out of range",
+		},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -173,6 +204,7 @@ func FuzzOpenV2(f *testing.F) {
 	mism := append([]byte(nil), base...)
 	binary.LittleEndian.PutUint64(mism[16:], 999)
 	f.Add(mism)
+	f.Add(wrappedDeltaV2(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := openBytes(data, Options{})

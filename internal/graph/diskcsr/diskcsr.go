@@ -114,29 +114,42 @@ func appendRow(dst []byte, row []graph.NodeID) []byte {
 	return dst
 }
 
-// decodeRow appends count neighbors decoded from blob to dst, returning
-// the extended slice and the bytes consumed. n bounds node ids; any
-// malformed varint, non-ascending step, or out-of-range id is an error.
-func decodeRow(blob []byte, count int, n uint64, dst []graph.NodeID) ([]graph.NodeID, int, error) {
+// decodeRow decodes the len(dst) neighbors of one row from blob into
+// dst, returning the bytes consumed. n bounds node ids; any malformed
+// varint, or a step that would carry the row to or past n (which is
+// also every step that could wrap and break the ascending order), is an
+// error. It is the one row decoder: Open's verification, Materialize and
+// every cursor read go through it with the same checks.
+func decodeRow(blob []byte, n uint64, dst []graph.NodeID) (int, error) {
 	used := 0
-	prev := uint64(0)
-	for i := 0; i < count; i++ {
-		v, k := binary.Uvarint(blob[used:])
-		if k <= 0 {
-			return dst, used, fmt.Errorf("diskcsr: truncated varint at row element %d", i)
-		}
-		used += k
-		if i == 0 {
-			prev = v
+	next := uint64(0) // the smallest id the coming element may take; <= n
+	for i := range dst {
+		// v is the first id, or the gap to the previous id minus one.
+		// One- and two-byte varints — nearly every delta of a sorted
+		// adjacency row — decode without a branch between them, which
+		// matters because their mix is unpredictable; anything longer,
+		// and the row's last byte, take the general decoder.
+		var v uint64
+		if used+1 < len(blob) && blob[used]&blob[used+1] < 0x80 {
+			b0, b1 := uint64(blob[used]), uint64(blob[used+1])
+			more := b0 >> 7 // 1 when the second byte belongs to v
+			v = b0&0x7f | (b1<<7)&-more
+			used += 1 + int(more)
 		} else {
-			prev += v + 1
+			var k int
+			v, k = binary.Uvarint(blob[used:])
+			if k <= 0 {
+				return used, fmt.Errorf("diskcsr: truncated varint at row element %d", i)
+			}
+			used += k
 		}
-		if prev >= n {
-			return dst, used, fmt.Errorf("diskcsr: neighbor %d out of range (n=%d)", prev, n)
+		if v >= n-next {
+			return used, fmt.Errorf("diskcsr: row element %d: step %d from %d lands out of range (n=%d)", i, v, next, n)
 		}
-		dst = append(dst, graph.NodeID(prev))
+		next += v + 1
+		dst[i] = graph.NodeID(next - 1)
 	}
-	return dst, used, nil
+	return used, nil
 }
 
 func uvarintLen(v uint64) int {

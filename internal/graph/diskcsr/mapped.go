@@ -24,22 +24,25 @@ type Options struct {
 // Adjacency bytes live in a shared read-only memory map (plain memory
 // on platforms without mmap) and fault in on first touch, so opening a
 // file costs index validation, not an edge-list read, and resident
-// memory grows only with the rows actually visited. Out and In allocate
-// a fresh slice per call — nothing is shared between calls — which is
-// what makes the lazily-decoded form safe for the concurrent kernels.
+// memory grows only with the rows actually visited. Rows are decoded on
+// demand: a cursor from Rows decodes into two buffers it owns (one per
+// direction), so a row lives until the cursor's next call in its
+// direction, a pass allocates nothing once the buffers have grown, and
+// each goroutine needs its own cursor. Out and In are the same decode
+// into a fresh slice per call.
 //
 // Mapped implements graph.View and graph.WorkPrefixer. All methods are
-// safe for concurrent use. Close unmaps the file; no method may be
-// called afterwards.
+// safe for concurrent use. Close unmaps the file; no method or cursor
+// may be used afterwards.
 type Mapped struct {
-	h      header
-	data   []byte
-	unmap  func() error
-	met    *Metrics
-	outCnt []byte // (n+1) little-endian uint64s
-	outPos []byte
-	inCnt  []byte
-	inPos  []byte
+	h       header
+	data    []byte
+	unmap   func() error
+	met     *Metrics
+	outCnt  []byte // (n+1) little-endian uint64s
+	outPos  []byte
+	inCnt   []byte
+	inPos   []byte
 	outBlob []byte
 	inBlob  []byte
 }
@@ -146,10 +149,10 @@ func (m *Mapped) verifyBlob(name string, cnt, pos, blob []byte) error {
 	for u := uint64(0); u < n; u++ {
 		count := int(u64at(cnt, u+1) - u64at(cnt, u))
 		lo, hi := u64at(pos, u), u64at(pos, u+1)
-		row := blob[lo:hi]
-		var used int
-		var err error
-		scratch, used, err = decodeRow(row, count, n, scratch[:0])
+		if cap(scratch) < count {
+			scratch = make([]graph.NodeID, count)
+		}
+		used, err := decodeRow(blob[lo:hi], n, scratch[:count])
 		if err != nil {
 			return fmt.Errorf("%s row %d: %w", name, u, err)
 		}
@@ -197,29 +200,52 @@ func (m *Mapped) InDegree(u graph.NodeID) int {
 }
 
 // Out implements graph.View: u's out-neighbors, decoded into a fresh
-// slice. The decode trusts Open's verification; a row that fails to
-// decode here means the file changed underneath the map, and panicking
-// beats silently analyzing garbage.
+// slice.
 func (m *Mapped) Out(u graph.NodeID) []graph.NodeID {
-	return m.row(u, m.outCnt, m.outPos, m.outBlob)
+	return m.row(nil, u, m.outCnt, m.outPos, m.outBlob)
 }
 
-// In implements graph.View: u's in-neighbors, decoded per call.
+// In implements graph.View: u's in-neighbors, decoded into a fresh
+// slice.
 func (m *Mapped) In(u graph.NodeID) []graph.NodeID {
-	return m.row(u, m.inCnt, m.inPos, m.inBlob)
+	return m.row(nil, u, m.inCnt, m.inPos, m.inBlob)
 }
 
-func (m *Mapped) row(u graph.NodeID, cnt, pos, blob []byte) []graph.NodeID {
+// Rows implements graph.View: a cursor with its own two row buffers.
+func (m *Mapped) Rows() graph.Rows { return &cursor{m: m} }
+
+// cursor is Mapped's graph.Rows.
+type cursor struct {
+	m       *Mapped
+	out, in []graph.NodeID
+}
+
+func (c *cursor) Out(u graph.NodeID) []graph.NodeID {
+	c.out = c.m.row(c.out, u, c.m.outCnt, c.m.outPos, c.m.outBlob)
+	return c.out
+}
+
+func (c *cursor) In(u graph.NodeID) []graph.NodeID {
+	c.in = c.m.row(c.in, u, c.m.inCnt, c.m.inPos, c.m.inBlob)
+	return c.in
+}
+
+// row decodes u's row of one direction into dst's storage, growing it
+// (at least doubling, so a pass regrows a handful of times) when the
+// row does not fit; a nil dst gets a slice of exactly the row's length.
+// The decode trusts Open's verification: a row that fails to decode
+// here means the file changed underneath the map, and panicking beats
+// silently analyzing garbage.
+func (m *Mapped) row(dst []graph.NodeID, u graph.NodeID, cnt, pos, blob []byte) []graph.NodeID {
 	count := int(u64at(cnt, uint64(u)+1) - u64at(cnt, uint64(u)))
-	if count == 0 {
-		return nil
+	if count > cap(dst) {
+		dst = make([]graph.NodeID, count, max(count, 2*cap(dst)))
 	}
-	row, _, err := decodeRow(blob[u64at(pos, uint64(u)):u64at(pos, uint64(u)+1)],
-		count, m.h.n, make([]graph.NodeID, 0, count))
-	if err != nil {
+	dst = dst[:count]
+	if _, err := decodeRow(blob[u64at(pos, uint64(u)):u64at(pos, uint64(u)+1)], m.h.n, dst); err != nil {
 		panic(fmt.Sprintf("diskcsr: verified row %d unreadable: %v", u, err))
 	}
-	return row
+	return dst
 }
 
 // WorkPrefix implements graph.WorkPrefixer with the same weight the
@@ -247,13 +273,10 @@ func (m *Mapped) Materialize() (*graph.Graph, error) {
 func (m *Mapped) materializeDir(cnt, pos, blob []byte) ([]int64, []graph.NodeID, error) {
 	n := m.h.n
 	off := make([]int64, n+1)
-	adj := make([]graph.NodeID, 0, m.h.m)
+	adj := make([]graph.NodeID, m.h.m)
 	for u := uint64(0); u < n; u++ {
 		off[u+1] = int64(u64at(cnt, u+1))
-		count := int(u64at(cnt, u+1) - u64at(cnt, u))
-		var err error
-		adj, _, err = decodeRow(blob[u64at(pos, u):u64at(pos, u+1)], count, n, adj)
-		if err != nil {
+		if _, err := decodeRow(blob[u64at(pos, u):u64at(pos, u+1)], n, adj[off[u]:off[u+1]]); err != nil {
 			return nil, nil, fmt.Errorf("row %d: %w", u, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package diskcsr
 
 import (
+	"context"
 	"math/rand/v2"
 	"path/filepath"
 	"reflect"
@@ -124,39 +125,178 @@ func TestWorkPrefixMatchesGraph(t *testing.T) {
 	}
 }
 
-// TestKernelEquivalence is the tentpole's acceptance contract in
-// miniature: every analysis kernel must produce byte-identical results
-// over the mapped backend, at multiple parallelism levels.
+// staleView is the kernel matrix's hostile View. Its Out and In panic,
+// so a kernel that falls back to the allocating path fails; its cursors
+// hand out private copies of each row and scribble over the copy handed
+// out before in that direction, so a kernel that keeps a row across the
+// next call in its direction — or shares one cursor between goroutines
+// — reads garbage ids.
+type staleView struct{ graph.View }
+
+func (staleView) Out(graph.NodeID) []graph.NodeID { panic("kernel used the allocating path") }
+func (staleView) In(graph.NodeID) []graph.NodeID  { panic("kernel used the allocating path") }
+
+func (v staleView) Rows() graph.Rows { return &staleRows{inner: v.View.Rows()} }
+
+// WorkPrefix keeps the wrapped view's shard cuts.
+func (v staleView) WorkPrefix(u int) int64 { return v.View.(graph.WorkPrefixer).WorkPrefix(u) }
+
+type staleRows struct {
+	inner   graph.Rows
+	out, in []graph.NodeID // the copies handed out last
+}
+
+func (r *staleRows) Out(u graph.NodeID) []graph.NodeID {
+	r.out = handOut(r.out, r.inner.Out(u))
+	return r.out
+}
+
+func (r *staleRows) In(u graph.NodeID) []graph.NodeID {
+	r.in = handOut(r.in, r.inner.In(u))
+	return r.in
+}
+
+func handOut(last, row []graph.NodeID) []graph.NodeID {
+	for i := range last {
+		last[i] = ^graph.NodeID(0)
+	}
+	return append([]graph.NodeID(nil), row...)
+}
+
+// TestKernelEquivalence is the differential kernel matrix: every
+// analysis kernel must give the in-RAM graph's answer over the mapped
+// backend, and over both backends behind staleView, at every
+// parallelism level.
 func TestKernelEquivalence(t *testing.T) {
+	paths := func(v graph.View, dir graph.Direction, par int) any {
+		return graph.SamplePathLengths(context.Background(), v, dir, graph.PathLengthOptions{
+			MinSources: 8, MaxSources: 24, BatchSize: 8, Parallelism: par,
+			Rand: rand.New(rand.NewPCG(3, 4)),
+		})
+	}
+	kernels := map[string]func(v graph.View, par int) any{
+		"InDegrees":          func(v graph.View, par int) any { return graph.InDegrees(v, par) },
+		"OutDegrees":         func(v graph.View, par int) any { return graph.OutDegrees(v, par) },
+		"TopByInDegree":      func(v graph.View, par int) any { return graph.TopByInDegree(v, 10, par) },
+		"TopByOutDegree":     func(v graph.View, par int) any { return graph.TopByOutDegree(v, 10, par) },
+		"WCC":                func(v graph.View, par int) any { return graph.WCC(v, par) },
+		"SCC":                func(v graph.View, _ int) any { return graph.SCC(v) },
+		"AllReciprocities":   func(v graph.View, par int) any { return graph.AllReciprocities(v, par) },
+		"GlobalReciprocity":  func(v graph.View, par int) any { return graph.GlobalReciprocity(v, par) },
+		"AllClustering":      func(v graph.View, par int) any { return graph.AllClustering(v, par) },
+		"ClusteringByDegree": func(v graph.View, par int) any { return graph.ClusteringByDegree(v, par) },
+		"WedgeCount":         func(v graph.View, par int) any { return graph.WedgeCount(v, par) },
+		"Triangles":          func(v graph.View, par int) any { return graph.Triangles(v, graph.TriangleAuto, par) },
+		"TrianglesLL":        func(v graph.View, par int) any { return graph.Triangles(v, graph.TriangleSandiaLL, par) },
+		"Motifs":             func(v graph.View, par int) any { return graph.Motifs(v, par) },
+		"SampleClustering": func(v graph.View, par int) any {
+			return graph.SampleClustering(v, 50, rand.New(rand.NewPCG(5, 6)), par)
+		},
+		"PathsDirected":   func(v graph.View, par int) any { return paths(v, graph.Directed, par) },
+		"PathsUndirected": func(v graph.View, par int) any { return paths(v, graph.Undirected, par) },
+		"DiameterDirected": func(v graph.View, _ int) any {
+			return graph.DoubleSweepDiameter(v, graph.Directed, 3, rand.New(rand.NewPCG(7, 8)))
+		},
+		"DiameterUndirected": func(v graph.View, _ int) any {
+			return graph.DoubleSweepDiameter(v, graph.Undirected, 3, rand.New(rand.NewPCG(7, 8)))
+		},
+		"Induced": func(v graph.View, _ int) any {
+			var nodes []graph.NodeID
+			for u := 0; u < v.NumNodes(); u += 2 {
+				nodes = append(nodes, graph.NodeID(u))
+			}
+			sub, back := graph.Induced(v, nodes)
+			return []any{sub, back}
+		},
+		"HasArc": func(v graph.View, _ int) any {
+			rows, hits := v.Rows(), 0
+			for u := 0; u < v.NumNodes(); u++ {
+				if graph.HasArcRows(v, rows, graph.NodeID(u), graph.NodeID((u+1)%v.NumNodes())) {
+					hits++
+				}
+			}
+			return hits
+		},
+	}
 	for name, g := range testGraphs() {
 		t.Run(name, func(t *testing.T) {
 			m := mustOpen(t, t.TempDir(), g)
-			kernels := map[string]func(v graph.View, par int) any{
-				"InDegrees":         func(v graph.View, par int) any { return graph.InDegrees(v, par) },
-				"OutDegrees":        func(v graph.View, par int) any { return graph.OutDegrees(v, par) },
-				"TopByInDegree":     func(v graph.View, par int) any { return graph.TopByInDegree(v, 10, par) },
-				"TopByOutDegree":    func(v graph.View, par int) any { return graph.TopByOutDegree(v, 10, par) },
-				"WCC":               func(v graph.View, par int) any { return graph.WCC(v, par) },
-				"SCC":               func(v graph.View, _ int) any { return graph.SCC(v) },
-				"AllReciprocities":  func(v graph.View, par int) any { return graph.AllReciprocities(v, par) },
-				"GlobalReciprocity": func(v graph.View, par int) any { return graph.GlobalReciprocity(v, par) },
-				"AllClustering":     func(v graph.View, par int) any { return graph.AllClustering(v, par) },
-				"Triangles":         func(v graph.View, par int) any { return graph.Triangles(v, graph.TriangleAuto, par) },
-				"Motifs":            func(v graph.View, par int) any { return graph.Motifs(v, par) },
-				"SampleClustering": func(v graph.View, par int) any {
-					return graph.SampleClustering(v, 50, rand.New(rand.NewPCG(5, 6)), par)
-				},
-			}
+			views := map[string]graph.View{"ram/stale": staleView{g}, "mapped": m, "mapped/stale": staleView{m}}
 			for kname, run := range kernels {
-				for _, par := range []int{1, 4} {
-					want := run(g, par)
-					got := run(m, par)
-					if !reflect.DeepEqual(want, got) {
-						t.Errorf("%s at P=%d: mapped result diverged:\n got %v\nwant %v", kname, par, got, want)
+				want := run(g, 1)
+				for vname, v := range views {
+					for _, par := range []int{1, 2, 4} {
+						if got := run(v, par); !reflect.DeepEqual(want, got) {
+							t.Errorf("%s over %s at P=%d diverged from RAM:\n got %v\nwant %v", kname, vname, par, got, want)
+						}
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestStaleViewCatches proves the harness has teeth: a loop that holds
+// an out-row across the cursor's next Out call must misread it.
+func TestStaleViewCatches(t *testing.T) {
+	g := testGraphs()["star"]
+	rows := staleView{g}.Rows()
+	held := rows.Out(3)
+	want := append([]graph.NodeID(nil), held...)
+	rows.In(3) // the other direction leaves it alone
+	if !rowsEqual(held, want) {
+		t.Fatal("an In call disturbed the live out-row")
+	}
+	rows.Out(6)
+	if rowsEqual(held, want) {
+		t.Fatal("a stale out-row still reads as valid")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("View.Out did not panic")
+		}
+	}()
+	staleView{g}.Out(0)
+}
+
+// TestCursorSweepAllocatesNothing pins the cursor's point: once its two
+// buffers have grown to the longest row, a full out+in sweep of a
+// mapped graph makes no allocation at all.
+func TestCursorSweepAllocatesNothing(t *testing.T) {
+	g := testGraphs()["random"]
+	m := mustOpen(t, t.TempDir(), g)
+	rows := m.Rows()
+	sweep := func() {
+		for u := 0; u < m.NumNodes(); u++ {
+			if len(rows.Out(graph.NodeID(u))) != g.OutDegree(graph.NodeID(u)) ||
+				len(rows.In(graph.NodeID(u))) != g.InDegree(graph.NodeID(u)) {
+				t.Fatalf("node %d: cursor row length differs from the graph's degree", u)
+			}
+		}
+	}
+	sweep() // grow the buffers
+	if allocs := testing.AllocsPerRun(5, sweep); allocs != 0 {
+		t.Fatalf("a warmed-up sweep of %d rows made %v allocations", 2*m.NumNodes(), allocs)
+	}
+}
+
+// TestPathSampleAllocationsIndependentOfRows pins the BFS scratch: the
+// same number of sources over a graph four times the size visits four
+// times the rows and must not allocate with them — only the handful of
+// extra doublings the larger buffers take.
+func TestPathSampleAllocationsIndependentOfRows(t *testing.T) {
+	allocs := func(n int) float64 {
+		m := mustOpen(t, t.TempDir(), randomGraph(n, 8*n, rand.New(rand.NewPCG(11, 12))))
+		return testing.AllocsPerRun(3, func() {
+			graph.SamplePathLengths(context.Background(), m, graph.Undirected, graph.PathLengthOptions{
+				MinSources: 16, MaxSources: 16, BatchSize: 8, Parallelism: 2,
+				Rand: rand.New(rand.NewPCG(3, 4)),
+			})
+		})
+	}
+	small, large := allocs(500), allocs(2000)
+	if large > small+24 {
+		t.Fatalf("16 BFS sources made %v allocations over 500 nodes but %v over 2000: allocations follow the rows", small, large)
 	}
 }
 

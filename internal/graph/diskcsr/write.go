@@ -21,17 +21,18 @@ func WriteGraph(path string, g graph.View) error {
 	}
 
 	// Sizing pass: per-direction count and byte-offset prefix arrays.
-	outCnt, outPos := sizeDirection(n, g.Out)
-	inCnt, inPos := sizeDirection(n, g.In)
+	rows := g.Rows()
+	outCnt, outPos := sizeDirection(n, rows.Out)
+	inCnt, inPos := sizeDirection(n, rows.In)
 	if outCnt[n] != uint64(m) || inCnt[n] != uint64(m) {
 		return fmt.Errorf("diskcsr: view is inconsistent: %d out rows, %d in rows, %d edges",
 			outCnt[n], inCnt[n], m)
 	}
 	return writeV2(path, uint64(m), outCnt, outPos, inCnt, inPos, func(bw *bufio.Writer) error {
-		if err := writeBlob(bw, n, g.Out); err != nil {
+		if err := writeBlob(bw, n, rows.Out); err != nil {
 			return err
 		}
-		return writeBlob(bw, n, g.In)
+		return writeBlob(bw, n, rows.In)
 	})
 }
 

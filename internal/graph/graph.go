@@ -53,6 +53,10 @@ func (g *Graph) In(u NodeID) []NodeID {
 	return g.inAdj[g.inOff[u]:g.inOff[u+1]]
 }
 
+// Rows implements View: the graph is its own cursor, because its rows
+// alias the CSR arrays and never go stale.
+func (g *Graph) Rows() Rows { return g }
+
 // OutDegree returns |Out(u)|.
 func (g *Graph) OutDegree(u NodeID) int {
 	return int(g.outOff[u+1] - g.outOff[u])

@@ -205,9 +205,11 @@ func choose3(n int64) int64 {
 // Motifs runs the exact directed triad census of g. The result is
 // byte-identical for any parallelism.
 func Motifs(g View, parallelism int) *MotifCensus {
-	return motifsOn(g, buildUndirected(g, parallelism), parallelism)
+	return motifsOn(g, buildUndirected(g, parallelism, true), parallelism)
 }
 
+// motifsOn runs the census over u, the projection of g built with dyad
+// kinds; g itself is asked only for degrees.
 func motifsOn(g View, u *undirected, parallelism int) *MotifCensus {
 	n := u.numNodes()
 	m := &MotifCensus{Nodes: n}
@@ -215,111 +217,81 @@ func motifsOn(g View, u *undirected, parallelism int) *MotifCensus {
 		return m
 	}
 
-	// dyad[v] classifies v's undirected neighbors w as mutual (v→w and
-	// w→v) or asymmetric, splitting asymmetric by direction. The three
-	// per-node tallies drive both the open-triad combinatorics and the
-	// dyad totals.
-	type dyadCounts struct{ out, in, mut int64 }
-	dyads := make([]dyadCounts, n)
+	// Each shard tallies the open classes, its closed triples by kind
+	// triple, and the dyad totals, all exact integer sums.
+	type tally struct {
+		open         [NumTriadClasses]int64
+		closed       [len(triadTable)]int64
+		mutual, asym int64
+	}
 	bounds := u.workBounds(parallelism)
-	partials := make([][NumTriadClasses]int64, len(bounds)-1)
+	partials := make([]tally, len(bounds)-1)
 	runShards(bounds, func(shard, lo, hi int) {
-		var part [NumTriadClasses]int64
+		var part tally
 		for v := lo; v < hi; v++ {
-			var d dyadCounts
-			intersectSorted(g.Out(NodeID(v)), g.In(NodeID(v)), func(NodeID) { d.mut++ })
-			d.out = int64(g.OutDegree(NodeID(v))) - d.mut
-			d.in = int64(g.InDegree(NodeID(v))) - d.mut
-			dyads[v] = d
+			// v's neighbors split into mutual, out-only and in-only
+			// dyads; the projection's degree gives the split without
+			// reading a row, since |Out ∪ In| = |Out| + |In| − mutual.
+			dOut, dIn := int64(g.OutDegree(NodeID(v))), int64(g.InDegree(NodeID(v)))
+			mut := dOut + dIn - int64(u.deg(NodeID(v)))
+			dOut, dIn = dOut-mut, dIn-mut
+			part.mutual += mut
+			part.asym += dOut // each asymmetric dyad counted once, at its source
 			// Open-triad combinatorics, v as center: each unordered
 			// pair of v's dyads forms a triple whose class, *assuming
 			// the far pair is unconnected*, depends only on the two
 			// dyad kinds. Pairs whose far nodes are connected are
-			// overcounts, repaired during triangle enumeration below.
-			part[Triad021D] += d.out * (d.out - 1) / 2
-			part[Triad021U] += d.in * (d.in - 1) / 2
-			part[Triad021C] += d.out * d.in
-			part[Triad111U] += d.out * d.mut
-			part[Triad111D] += d.in * d.mut
-			part[Triad201] += d.mut * (d.mut - 1) / 2
-		}
-		partials[shard] = part
-	})
-	for _, part := range partials {
-		for c, v := range part {
-			m.Counts[c] += v
-		}
-	}
+			// overcounts, retracted per closed triple below.
+			part.open[Triad021D] += dOut * (dOut - 1) / 2
+			part.open[Triad021U] += dIn * (dIn - 1) / 2
+			part.open[Triad021C] += dOut * dIn
+			part.open[Triad111U] += dOut * mut
+			part.open[Triad111D] += dIn * mut
+			part.open[Triad201] += mut * (mut - 1) / 2
 
-	// Closed triads: enumerate each undirected triangle once (at its
-	// lowest-id corner), classify it by its three dyads, and retract
-	// the three open-class contributions its corners made above — each
-	// corner saw the other two as a dyad pair and miscounted the triple
-	// as open.
-	closedPartials := make([][NumTriadClasses]int64, len(bounds)-1)
-	runShards(bounds, func(shard, lo, hi int) {
-		var part [NumTriadClasses]int64
-		classify := func(a, b, c NodeID) {
-			part[triangleClass(g, a, b, c)]++
-			for _, corner := range [3][3]NodeID{{a, b, c}, {b, a, c}, {c, a, b}} {
-				center, p, q := corner[0], corner[1], corner[2]
-				pm := u2mut(g, center, p)
-				qm := u2mut(g, center, q)
-				switch {
-				case pm == dyadMut && qm == dyadMut:
-					part[Triad201]--
-				case pm == dyadMut || qm == dyadMut:
-					// One mutual, one asymmetric: direction of the
-					// asymmetric arc picks 111U (outgoing) vs 111D.
-					other := pm
-					if pm == dyadMut {
-						other = qm
-					}
-					if other == dyadOut {
-						part[Triad111U]--
-					} else {
-						part[Triad111D]--
-					}
-				case pm == dyadOut && qm == dyadOut:
-					part[Triad021D]--
-				case pm == dyadIn && qm == dyadIn:
-					part[Triad021U]--
-				default:
-					part[Triad021C]--
-				}
-			}
-		}
-		for v := lo; v < hi; v++ {
+			// Closed triads: enumerate each undirected triangle once,
+			// at its lowest-id corner (so it belongs to that corner's
+			// shard), and tally it under the kinds of its three dyads,
+			// read at the positions the intersection reports.
 			nv := u.nbr(NodeID(v))
-			// Neighbors above v only: the triangle belongs to its
-			// lowest-id corner's shard.
-			i := sort.Search(len(nv), func(k int) bool { return int(nv[k]) > v })
-			above := nv[i:]
-			for j, w := range above {
-				intersectSorted(above[j+1:], u.nbr(w), func(x NodeID) {
-					classify(NodeID(v), w, x)
+			first := sort.Search(len(nv), func(k int) bool { return int(nv[k]) > v })
+			vBase := u.kindBase(NodeID(v))
+			for j := first; j < len(nv); j++ {
+				w := nv[j]
+				wBase := u.kindBase(w)
+				vw := 9 * int(u.kindAt(vBase, j))
+				intersectSorted(nv[j+1:], u.nbr(w), func(p, q int) {
+					part.closed[vw+3*int(u.kindAt(vBase, j+1+p))+int(u.kindAt(wBase, q))]++
 				})
 			}
 		}
-		closedPartials[shard] = part
+		partials[shard] = part
 	})
-	for _, part := range closedPartials {
-		for c, v := range part {
+	var mutual, asym int64
+	for i := range partials {
+		part := &partials[i]
+		for c, v := range part.open {
 			m.Counts[c] += v
 		}
-	}
-
-	// Dyad totals, then the dyad-only classes by subtraction: a single
-	// arc (or mutual pair) spans n-2 triples; those where the third
-	// node connects to either endpoint were already classified above.
-	var mutual, asym int64
-	for _, d := range dyads {
-		mutual += d.mut
-		asym += d.out // each asymmetric dyad counted once, at its source
+		// A closed triple counts once in its own class and retracts the
+		// open class each of its three corners credited it with above.
+		for k, v := range part.closed {
+			e := &triadTable[k]
+			m.Counts[e.closed] += v
+			for _, c := range e.open {
+				m.Counts[c] -= v
+			}
+		}
+		mutual += part.mutual
+		asym += part.asym
 	}
 	mutual /= 2 // both endpoints counted it
 	m.MutualDyads, m.AsymDyads = mutual, asym
 
+	// The dyad-only classes by subtraction: a single arc (or mutual
+	// pair) spans n-2 triples; those where the third node connects to
+	// either endpoint were already classified above.
+	//
 	// How many asymmetric / mutual dyads each connected class contains.
 	var asymIn = [NumTriadClasses]int64{
 		Triad021D: 2, Triad021U: 2, Triad021C: 2,
@@ -352,36 +324,57 @@ func motifsOn(g View, u *undirected, parallelism int) *MotifCensus {
 	return m
 }
 
-// Dyad direction kinds, from a center's perspective.
-type dyadKind int
-
-const (
-	dyadOut dyadKind = iota // center→other only
-	dyadIn                  // other→center only
-	dyadMut                 // both
-)
-
-// u2mut classifies the connected dyad (center, other); the pair must be
-// adjacent in the undirected projection.
-func u2mut(g View, center, other NodeID) dyadKind {
-	fwd := HasArc(g, center, other)
-	rev := HasArc(g, other, center)
-	switch {
-	case fwd && rev:
-		return dyadMut
-	case fwd:
-		return dyadOut
-	default:
-		return dyadIn
+// triadTable classifies a closed triple {a, b, c} from its three dyad
+// kinds, indexed 9·kind(a,b) + 3·kind(a,c) + kind(b,c) with each kind
+// taken from the first-named node's side: the closed class of the
+// triple, and the open class each corner counted it as while seeing
+// only its own two dyads.
+var triadTable = func() (t [27]struct {
+	closed TriadClass
+	open   [3]TriadClass
+}) {
+	// flip is the same dyad seen from its other end.
+	flip := [3]dyadKind{dyadOut: dyadIn, dyadIn: dyadOut, dyadMut: dyadMut}
+	for ab := dyadOut; ab <= dyadMut; ab++ {
+		for ac := dyadOut; ac <= dyadMut; ac++ {
+			for bc := dyadOut; bc <= dyadMut; bc++ {
+				e := &t[9*ab+3*ac+bc]
+				e.closed = closedTriad(ab, ac, bc)
+				e.open = [3]TriadClass{
+					openTriad[ab][ac],
+					openTriad[flip[ab]][bc],
+					openTriad[flip[ac]][flip[bc]],
+				}
+			}
+		}
 	}
+	return t
+}()
+
+// openTriad[p][q] is the class of a triple whose center has dyads p and
+// q to two nodes that are not tied to each other.
+var openTriad = [3][3]TriadClass{
+	dyadOut: {dyadOut: Triad021D, dyadIn: Triad021C, dyadMut: Triad111U},
+	dyadIn:  {dyadOut: Triad021C, dyadIn: Triad021U, dyadMut: Triad111D},
+	dyadMut: {dyadOut: Triad111U, dyadIn: Triad111D, dyadMut: Triad201},
 }
 
-// triangleClass classifies a closed triple by its three dyads.
-func triangleClass(g View, a, b, c NodeID) TriadClass {
-	kinds := [3]dyadKind{u2mut(g, a, b), u2mut(g, a, c), u2mut(g, b, c)}
+// closedTriad is the class of a triple {a, b, c} with all three dyads
+// present: ab and ac from a's side, bc from b's.
+func closedTriad(ab, ac, bc dyadKind) TriadClass {
+	// outs[x] counts the asymmetric arcs node x sources.
+	var outs [3]int
 	muts := 0
-	for _, k := range kinds {
-		if k == dyadMut {
+	for _, d := range [3]struct {
+		k        dyadKind
+		from, to int
+	}{{ab, 0, 1}, {ac, 0, 2}, {bc, 1, 2}} {
+		switch d.k {
+		case dyadOut:
+			outs[d.from]++
+		case dyadIn:
+			outs[d.to]++
+		default:
 			muts++
 		}
 	}
@@ -391,35 +384,20 @@ func triangleClass(g View, a, b, c NodeID) TriadClass {
 	case 2:
 		return Triad210
 	case 1:
-		// The mutual dyad plus two asymmetric arcs touching the third
-		// node: both sourced by it → 120D, both sunk into it → 120U,
-		// one each → 120C.
-		var x, p, q NodeID // x: the node outside the mutual dyad
-		switch {
-		case kinds[0] == dyadMut:
-			x, p, q = c, a, b
-		case kinds[1] == dyadMut:
-			x, p, q = b, a, c
-		default:
-			x, p, q = a, b, c
+		// Both arcs touch the node outside the mutual dyad: sinking both
+		// → 120U, one in and one out → 120C, sourcing both → 120D.
+		x := 2
+		if ac == dyadMut {
+			x = 1
+		} else if bc == dyadMut {
+			x = 0
 		}
-		xp := HasArc(g, x, p)
-		xq := HasArc(g, x, q)
-		switch {
-		case xp && xq:
-			return Triad120D
-		case !xp && !xq:
-			return Triad120U
-		default:
-			return Triad120C
-		}
-	default:
-		// All asymmetric: cyclic iff the three arcs chain a→b→c→a or
-		// its reverse; otherwise one node sources two arcs and the
-		// triangle is transitive.
-		if HasArc(g, a, b) == HasArc(g, b, c) && HasArc(g, b, c) == HasArc(g, c, a) {
-			return Triad030C
-		}
-		return Triad030T
+		return [3]TriadClass{Triad120U, Triad120C, Triad120D}[outs[x]]
 	}
+	// All asymmetric: a cycle has every node sourcing exactly one arc;
+	// otherwise one node sources two and the triangle is transitive.
+	if outs[0] == 1 && outs[1] == 1 && outs[2] == 1 {
+		return Triad030C
+	}
+	return Triad030T
 }

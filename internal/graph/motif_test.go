@@ -156,7 +156,7 @@ func TestMotifsTransitiveClosuresMatchClustering(t *testing.T) {
 		m := Motifs(g, 4)
 		var want int64
 		for u := 0; u < g.NumNodes(); u++ {
-			want += int64(clusteringLinks(g, NodeID(u)))
+			want += int64(clusteringLinks(g, g, NodeID(u)))
 		}
 		if got := m.TransitiveClosures(); got != want {
 			t.Errorf("%s: TransitiveClosures = %d, Σ clusteringLinks = %d", name, got, want)
@@ -170,7 +170,7 @@ func TestMotifsTransitiveClosuresMatchClustering(t *testing.T) {
 func TestMotifsDyadTotals(t *testing.T) {
 	for name, g := range testGraphs() {
 		m := Motifs(g, 4)
-		u := buildUndirected(g, 4)
+		u := buildUndirected(g, 4, false)
 		undirectedEdges := int64(len(u.adj)) / 2
 		if m.MutualDyads+m.AsymDyads != undirectedEdges {
 			t.Errorf("%s: mutual %d + asym %d != undirected edges %d",
@@ -248,5 +248,132 @@ func TestMotifsReflectsReciprocity(t *testing.T) {
 	}
 	if m.MutualDyads != 4 || m.AsymDyads != 0 {
 		t.Errorf("mutual 4-cycle dyads = (%d,%d), want (4,0)", m.MutualDyads, m.AsymDyads)
+	}
+}
+
+// The census this file's table test holds triadTable against: the
+// probe-based classification Motifs used before it carried dyad kinds
+// in the projection, asking HasArc about every dyad of every triple.
+
+// probeDyad classifies the connected dyad (center, other).
+func probeDyad(g View, center, other NodeID) dyadKind {
+	fwd := HasArc(g, center, other)
+	rev := HasArc(g, other, center)
+	switch {
+	case fwd && rev:
+		return dyadMut
+	case fwd:
+		return dyadOut
+	default:
+		return dyadIn
+	}
+}
+
+// probeTriangleClass classifies a closed triple by its three dyads.
+func probeTriangleClass(g View, a, b, c NodeID) TriadClass {
+	kinds := [3]dyadKind{probeDyad(g, a, b), probeDyad(g, a, c), probeDyad(g, b, c)}
+	muts := 0
+	for _, k := range kinds {
+		if k == dyadMut {
+			muts++
+		}
+	}
+	switch muts {
+	case 3:
+		return Triad300
+	case 2:
+		return Triad210
+	case 1:
+		var x, p, q NodeID // x: the node outside the mutual dyad
+		switch {
+		case kinds[0] == dyadMut:
+			x, p, q = c, a, b
+		case kinds[1] == dyadMut:
+			x, p, q = b, a, c
+		default:
+			x, p, q = a, b, c
+		}
+		xp := HasArc(g, x, p)
+		xq := HasArc(g, x, q)
+		switch {
+		case xp && xq:
+			return Triad120D
+		case !xp && !xq:
+			return Triad120U
+		default:
+			return Triad120C
+		}
+	default:
+		if HasArc(g, a, b) == HasArc(g, b, c) && HasArc(g, b, c) == HasArc(g, c, a) {
+			return Triad030C
+		}
+		return Triad030T
+	}
+}
+
+// probeOpenClass is the open class a corner credited a closed triple
+// with, seeing only its own dyads to p and q.
+func probeOpenClass(g View, center, p, q NodeID) TriadClass {
+	pm, qm := probeDyad(g, center, p), probeDyad(g, center, q)
+	switch {
+	case pm == dyadMut && qm == dyadMut:
+		return Triad201
+	case pm == dyadMut || qm == dyadMut:
+		other := pm
+		if pm == dyadMut {
+			other = qm
+		}
+		if other == dyadOut {
+			return Triad111U
+		}
+		return Triad111D
+	case pm == dyadOut && qm == dyadOut:
+		return Triad021D
+	case pm == dyadIn && qm == dyadIn:
+		return Triad021U
+	default:
+		return Triad021C
+	}
+}
+
+// TestTriadTableMatchesProbes builds the closed triple of every one of
+// the 27 kind triples and requires the table's closed class and three
+// retractions to be what probing that graph finds — and the closed
+// class to be what the isomorphism oracle says.
+func TestTriadTableMatchesProbes(t *testing.T) {
+	addDyad := func(b *Builder, arcs *[][2]int, from, to int, k dyadKind) {
+		if k != dyadIn {
+			b.AddEdge(NodeID(from), NodeID(to))
+			*arcs = append(*arcs, [2]int{from, to})
+		}
+		if k != dyadOut {
+			b.AddEdge(NodeID(to), NodeID(from))
+			*arcs = append(*arcs, [2]int{to, from})
+		}
+	}
+	for ab := dyadOut; ab <= dyadMut; ab++ {
+		for ac := dyadOut; ac <= dyadMut; ac++ {
+			for bc := dyadOut; bc <= dyadMut; bc++ {
+				b := NewBuilder(3, 6)
+				var arcs [][2]int
+				addDyad(b, &arcs, 0, 1, ab)
+				addDyad(b, &arcs, 0, 2, ac)
+				addDyad(b, &arcs, 1, 2, bc)
+				g := b.Build()
+				got := triadTable[9*int(ab)+3*int(ac)+int(bc)]
+				if want := probeTriangleClass(g, 0, 1, 2); got.closed != want {
+					t.Errorf("kinds (%d,%d,%d): table says %v, probes say %v", ab, ac, bc, got.closed, want)
+				}
+				if want := triadClassOf(t, arcs); got.closed != want {
+					t.Errorf("kinds (%d,%d,%d): table says %v, isomorphism says %v", ab, ac, bc, got.closed, want)
+				}
+				wantOpen := [3]TriadClass{
+					probeOpenClass(g, 0, 1, 2), probeOpenClass(g, 1, 0, 2), probeOpenClass(g, 2, 0, 1),
+				}
+				if got.open != wantOpen {
+					t.Errorf("kinds (%d,%d,%d): table retracts %v, probes retract %v", ab, ac, bc, got.open, wantOpen)
+				}
+			}
+		}
 	}
 }

@@ -178,13 +178,12 @@ func TestBFSBatchCancelPrefixConsistency(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for allowed := int64(0); allowed <= int64(len(sources))+1; allowed++ {
 			ctx := &atomicCountingCtx{Context: context.Background(), allowed: allowed}
-			scratch := make([][]int32, workers)
-			got, done := bfsBatch(ctx, g, Directed, sources, scratch)
+			scratch := newBFSWorkers(g, workers)
+			got, done := bfsBatch(ctx, Directed, sources, scratch)
 			if done > len(sources) {
 				t.Fatalf("P=%d allowed=%d: done = %d > %d sources", workers, allowed, done, len(sources))
 			}
-			var wantScratch []int32
-			want, wantDone := bfsBatchSeq(context.Background(), g, Directed, sources[:done], &wantScratch)
+			want, wantDone := bfsBatchSeq(context.Background(), Directed, sources[:done], newBFSScratch(g, nil))
 			if wantDone != done || !reflect.DeepEqual(got, want) {
 				t.Fatalf("P=%d allowed=%d: histogram for done=%d is %v, want prefix histogram %v",
 					workers, allowed, done, got, want)
@@ -192,8 +191,8 @@ func TestBFSBatchCancelPrefixConsistency(t *testing.T) {
 		}
 	}
 	// Uncancelled, P=1 and P>1 must agree exactly.
-	base, baseDone := bfsBatch(context.Background(), g, Directed, sources, make([][]int32, 1))
-	par, parDone := bfsBatch(context.Background(), g, Directed, sources, make([][]int32, 4))
+	base, baseDone := bfsBatch(context.Background(), Directed, sources, newBFSWorkers(g, 1))
+	par, parDone := bfsBatch(context.Background(), Directed, sources, newBFSWorkers(g, 4))
 	if baseDone != len(sources) || parDone != len(sources) || !reflect.DeepEqual(base, par) {
 		t.Fatalf("uncancelled batch: P=1 (%v, %d) vs P=4 (%v, %d)", base, baseDone, par, parDone)
 	}

@@ -8,11 +8,15 @@ package graph
 // It returns (0, false) for nodes with no out-edges, which have no defined
 // reciprocity.
 func RelationReciprocity(g View, u NodeID) (float64, bool) {
-	out := g.Out(u)
+	return relationReciprocity(g.Rows(), u)
+}
+
+func relationReciprocity(rows Rows, u NodeID) (float64, bool) {
+	out := rows.Out(u)
 	if len(out) == 0 {
 		return 0, false
 	}
-	shared := sortedIntersectionSize(out, g.In(u))
+	shared := sortedIntersectionSize(out, rows.In(u))
 	return float64(shared) / float64(len(out)), true
 }
 
@@ -26,8 +30,9 @@ func AllReciprocities(g View, parallelism int) []float64 {
 	parts := make([][]float64, len(bounds)-1)
 	runShards(bounds, func(shard, lo, hi int) {
 		part := make([]float64, 0, hi-lo)
+		rows := g.Rows()
 		for u := lo; u < hi; u++ {
-			if rr, ok := RelationReciprocity(g, NodeID(u)); ok {
+			if rr, ok := relationReciprocity(rows, NodeID(u)); ok {
 				part = append(part, rr)
 			}
 		}
@@ -49,8 +54,9 @@ func GlobalReciprocity(g View, parallelism int) float64 {
 	partial := make([]int64, len(bounds)-1)
 	runShards(bounds, func(shard, lo, hi int) {
 		var sum int64
+		rows := g.Rows()
 		for u := lo; u < hi; u++ {
-			sum += int64(sortedIntersectionSize(g.Out(NodeID(u)), g.In(NodeID(u))))
+			sum += int64(sortedIntersectionSize(rows.Out(NodeID(u)), rows.In(NodeID(u))))
 		}
 		partial[shard] = sum
 	})

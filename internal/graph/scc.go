@@ -66,6 +66,7 @@ func SCC(g View) *SCCResult {
 		pos  int
 	}
 	frames := make([]frame, 0, 64)
+	rows := g.Rows()
 
 	for start := 0; start < n; start++ {
 		if index[start] != unvisited {
@@ -81,7 +82,9 @@ func SCC(g View) *SCCResult {
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
 			u := f.node
-			adj := g.Out(u)
+			// Re-read on every visit: the children's rows have passed
+			// through the cursor since u was last on top.
+			adj := rows.Out(u)
 			advanced := false
 			for f.pos < len(adj) {
 				v := adj[f.pos]

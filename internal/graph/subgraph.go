@@ -15,8 +15,9 @@ func Induced(g View, nodes []NodeID) (*Graph, []NodeID) {
 		newToOld = append(newToOld, u)
 	}
 	b := NewBuilder(len(newToOld), len(newToOld)*8)
+	rows := g.Rows()
 	for newU, oldU := range newToOld {
-		for _, oldV := range g.Out(oldU) {
+		for _, oldV := range rows.Out(oldU) {
 			if newV, ok := oldToNew[oldV]; ok {
 				b.AddEdge(NodeID(newU), newV)
 			}

@@ -97,6 +97,10 @@ func (r *TriangleResult) Transitivity() float64 {
 type undirected struct {
 	off []int64
 	adj []NodeID
+	// kind, present only when the motif census asked for it, holds the
+	// dyadKind of every adj entry at 2 bits each (see kindBase), so the
+	// census never goes back to the directed rows.
+	kind []byte
 }
 
 func (u *undirected) numNodes() int { return len(u.off) - 1 }
@@ -104,6 +108,17 @@ func (u *undirected) numNodes() int { return len(u.off) - 1 }
 func (u *undirected) nbr(v NodeID) []NodeID { return u.adj[u.off[v]:u.off[v+1]] }
 
 func (u *undirected) deg(v NodeID) int { return int(u.off[v+1] - u.off[v]) }
+
+// kindBase is the index in kind of the byte holding v's first entry.
+// Every row starts on a fresh byte (one spare byte per node, no second
+// offset array), so rows filled by different shards share no byte.
+func (u *undirected) kindBase(v NodeID) int64 { return u.off[v]>>2 + int64(v) }
+
+// kindAt returns the dyad kind of the i-th neighbor of the row whose
+// kindBase is base.
+func (u *undirected) kindAt(base int64, i int) dyadKind {
+	return dyadKind(u.kind[base+int64(i>>2)]>>(2*(i&3))) & 3
+}
 
 // hasEdge reports whether {a, b} is an edge, probing the smaller
 // adjacency list.
@@ -125,10 +140,11 @@ func (u *undirected) workBounds(parallelism int) []int {
 }
 
 // buildUndirected symmetrizes g: each node's out- and in-lists (both
-// already sorted) merge into one sorted, deduplicated neighbor list.
-// Two passes — size then fill — so the CSR arrays are allocated exactly
+// already sorted) merge into one sorted, deduplicated neighbor list,
+// with each neighbor's dyad kind alongside when kinds is set. Two
+// passes — size then fill — so the CSR arrays are allocated exactly
 // once; both passes shard over the directed workBounds.
-func buildUndirected(g View, parallelism int) *undirected {
+func buildUndirected(g View, parallelism int, kinds bool) *undirected {
 	n := g.NumNodes()
 	u := &undirected{off: make([]int64, n+1)}
 	if n == 0 {
@@ -137,61 +153,65 @@ func buildUndirected(g View, parallelism int) *undirected {
 	bounds := viewWorkBounds(g, parallelism)
 	// Pass 1: per-node union sizes into off[v+1].
 	runShards(bounds, func(_, lo, hi int) {
+		rows := g.Rows()
 		for v := lo; v < hi; v++ {
-			u.off[v+1] = int64(sortedUnionSize(g.Out(NodeID(v)), g.In(NodeID(v)), nil))
+			out, in := rows.Out(NodeID(v)), rows.In(NodeID(v))
+			u.off[v+1] = int64(len(out) + len(in) - sortedIntersectionSize(out, in))
 		}
 	})
 	for v := 0; v < n; v++ {
 		u.off[v+1] += u.off[v]
 	}
 	u.adj = make([]NodeID, u.off[n])
+	if kinds {
+		u.kind = make([]byte, u.kindBase(NodeID(n)))
+	}
 	// Pass 2: fill each node's slice; shards own disjoint ranges.
 	runShards(bounds, func(_, lo, hi int) {
+		rows := g.Rows()
 		for v := lo; v < hi; v++ {
-			dst := u.adj[u.off[v]:u.off[v]]
-			sortedUnionSize(g.Out(NodeID(v)), g.In(NodeID(v)), func(w NodeID) {
-				dst = append(dst, w)
-			})
+			var kind []byte
+			if kinds {
+				kind = u.kind[u.kindBase(NodeID(v)):]
+			}
+			mergeDyads(u.nbr(NodeID(v)), kind, rows.Out(NodeID(v)), rows.In(NodeID(v)))
 		}
 	})
 	return u
 }
 
-// sortedUnionSize merges two sorted lists, calling emit (when non-nil)
-// for each distinct element in ascending order, and returns the union
-// size.
-func sortedUnionSize(a, b []NodeID, emit func(NodeID)) int {
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		x := a[i]
+// dyadKind is how a node is tied to one neighbor of the projection.
+type dyadKind uint8
+
+const (
+	dyadOut dyadKind = iota // node→neighbor only
+	dyadIn                  // neighbor→node only
+	dyadMut                 // both
+)
+
+// mergeDyads merges a node's sorted out- and in-rows into dst, which
+// has exactly the union's length, and, when kind is non-nil, ORs each
+// entry's dyadKind into kind at 2 bits per entry (kind starts zeroed).
+func mergeDyads(dst []NodeID, kind []byte, out, in []NodeID) {
+	i, j := 0, 0
+	for p := range dst {
+		var k dyadKind
 		switch {
-		case a[i] < b[j]:
+		case j == len(in) || (i < len(out) && out[i] < in[j]):
+			dst[p], k = out[i], dyadOut
 			i++
-		case a[i] > b[j]:
-			x = b[j]
+		case i == len(out) || in[j] < out[i]:
+			dst[p], k = in[j], dyadIn
 			j++
 		default:
+			dst[p], k = out[i], dyadMut
 			i++
 			j++
 		}
-		if emit != nil {
-			emit(x)
+		if kind != nil {
+			kind[p>>2] |= byte(k) << (2 * (p & 3))
 		}
-		n++
 	}
-	for ; i < len(a); i++ {
-		if emit != nil {
-			emit(a[i])
-		}
-		n++
-	}
-	for ; j < len(b); j++ {
-		if emit != nil {
-			emit(b[j])
-		}
-		n++
-	}
-	return n
 }
 
 // wedgeTotal returns Σ_v C(deg(v), 2) over the projection.
@@ -252,7 +272,7 @@ func resolveTriangleMethod(u *undirected, wedges int64) TriangleMethod {
 // result — total, per-node counts, and wedge count — is byte-identical
 // for any parallelism.
 func Triangles(g View, method TriangleMethod, parallelism int) *TriangleResult {
-	u := buildUndirected(g, parallelism)
+	u := buildUndirected(g, parallelism, false)
 	return trianglesOn(u, method, parallelism)
 }
 
@@ -295,8 +315,8 @@ func triBurkhardt(u *undirected, per []int64, parallelism int) {
 			// Only edges toward higher ids; each {v,w} handled once.
 			i := sort.Search(len(nv), func(k int) bool { return int(nv[k]) > v })
 			for _, w := range nv[i:] {
-				intersectSorted(nv, u.nbr(w), func(x NodeID) {
-					atomic.AddInt64(&per[x], 1)
+				intersectSorted(nv, u.nbr(w), func(x, _ int) {
+					atomic.AddInt64(&per[nv[x]], 1)
 				})
 			}
 		}
@@ -330,7 +350,7 @@ func triCohen(u *undirected, per []int64, parallelism int) {
 // row is O(√m) long regardless of the original degree distribution.
 type oriented struct {
 	off []int64
-	adj []uint32 // rank ids
+	adj []NodeID // rank ids
 	// perm[rank] = original node id.
 	perm []NodeID
 }
@@ -382,7 +402,7 @@ func orient(u *undirected, parallelism int, reverse bool) *oriented {
 	for r := 0; r < n; r++ {
 		o.off[r+1] += o.off[r]
 	}
-	o.adj = make([]uint32, o.off[n])
+	o.adj = make([]NodeID, o.off[n])
 	// Pass 2: fill rows with surviving neighbors' ranks, sorted.
 	runShards(bounds, func(_, lo, hi int) {
 		for r := lo; r < hi; r++ {
@@ -422,55 +442,12 @@ func triSandia(u *undirected, per []int64, parallelism int, reverse bool) {
 				if reverse {
 					rest = row[:i]
 				}
-				intersectRanks(rest, srow, func(t uint32) {
+				intersectSorted(rest, srow, func(t, _ int) {
 					atomic.AddInt64(&per[o.perm[r]], 1)
 					atomic.AddInt64(&per[o.perm[s]], 1)
-					atomic.AddInt64(&per[o.perm[t]], 1)
+					atomic.AddInt64(&per[o.perm[rest[t]]], 1)
 				})
 			}
 		}
 	})
-}
-
-// intersectRanks is intersectSorted for rank slices (uint32 ids in rank
-// space). Same galloping crossover.
-func intersectRanks(a, b []uint32, emit func(uint32)) {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(b) >= gallopSkewFactor*len(a) && len(a) > 0 {
-		for _, x := range a {
-			hi := 1
-			for hi < len(b) && b[hi] < x {
-				hi *= 2
-			}
-			if hi > len(b) {
-				hi = len(b)
-			}
-			lo := hi / 2
-			i := lo + sort.Search(hi-lo, func(k int) bool { return b[lo+k] >= x })
-			if i < len(b) && b[i] == x {
-				emit(x)
-				i++
-			}
-			b = b[i:]
-			if len(b) == 0 {
-				return
-			}
-		}
-		return
-	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			emit(a[i])
-			i++
-			j++
-		}
-	}
 }

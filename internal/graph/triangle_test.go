@@ -95,7 +95,7 @@ func TestTrianglesMethodsAgree(t *testing.T) {
 // coefficient itself must equal triangles over possible pairs.
 func TestTrianglesMatchClusteringCoefficient(t *testing.T) {
 	for name, g := range testGraphs() {
-		u := buildUndirected(g, 4)
+		u := buildUndirected(g, 4, false)
 		n := u.numNodes()
 		b := NewBuilder(n, 0)
 		for v := 0; v < n; v++ {
@@ -106,7 +106,7 @@ func TestTrianglesMatchClusteringCoefficient(t *testing.T) {
 		sym := b.Build()
 		res := Triangles(g, TriangleAuto, 4)
 		for v := 0; v < n; v++ {
-			links := int64(clusteringLinks(sym, NodeID(v)))
+			links := int64(clusteringLinks(sym, sym, NodeID(v)))
 			if links%2 != 0 {
 				t.Fatalf("%s: node %d: odd symmetric link count %d", name, v, links)
 			}
@@ -164,11 +164,11 @@ func TestTriangleAutoResolves(t *testing.T) {
 	if m := Triangles(small, TriangleAuto, 2).Method; m != TriangleCohen {
 		t.Errorf("wedge-light graph resolved to %v, want cohen", m)
 	}
-	u := buildUndirected(small, 1)
+	u := buildUndirected(small, 1, false)
 	if m := resolveTriangleMethod(u, cohenWedgeBudget+1); m != TriangleBurkhardt {
 		t.Errorf("low-skew graph past the wedge budget resolved to %v, want burkhardt", m)
 	}
-	star := buildUndirected(testGraphs()["star"], 1)
+	star := buildUndirected(testGraphs()["star"], 1, false)
 	if m := resolveTriangleMethod(star, cohenWedgeBudget+1); m != TriangleSandiaLL {
 		t.Errorf("heavy-tailed graph past the wedge budget resolved to %v, want sandia-ll", m)
 	}
@@ -201,7 +201,7 @@ func TestTriangleTransitivity(t *testing.T) {
 func TestBuildUndirected(t *testing.T) {
 	for name, g := range testGraphs() {
 		for _, par := range []int{1, 3, 16} {
-			u := buildUndirected(g, par)
+			u := buildUndirected(g, par, false)
 			if u.numNodes() != g.NumNodes() {
 				t.Fatalf("%s: projection has %d nodes, graph %d", name, u.numNodes(), g.NumNodes())
 			}
@@ -270,9 +270,22 @@ func TestIntersectSortedGallop(t *testing.T) {
 			return out
 		}
 		short, long = sortDedup(short), sortDedup(long)
-		var got []NodeID
-		intersectSorted(short, long, func(x NodeID) { got = append(got, x) })
-		return reflect.DeepEqual(got, linear(short, long))
+		// Both argument orders: positions must come back in the order
+		// the lists went in, whichever one gallops.
+		for _, pair := range [][2][]NodeID{{short, long}, {long, short}} {
+			a, b := pair[0], pair[1]
+			var got []NodeID
+			intersectSorted(a, b, func(i, j int) {
+				if a[i] != b[j] {
+					t.Errorf("emitted positions (%d, %d) hold %d and %d", i, j, a[i], b[j])
+				}
+				got = append(got, a[i])
+			})
+			if !reflect.DeepEqual(got, linear(short, long)) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

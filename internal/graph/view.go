@@ -8,12 +8,15 @@ import "sort"
 // from a compressed file. The contract mirrors Graph exactly:
 //
 //   - Nodes are dense ids 0..NumNodes()-1.
-//   - Out and In return strictly ascending neighbor lists. Callers must
-//     not modify the returned slice; implementations may either share
-//     backing storage (Graph) or allocate per call (Mapped), so no
-//     caller may retain a row across a second Out/In call on the same
-//     receiver unless the implementation documents sharing.
-//   - All methods are safe for concurrent use.
+//   - Rows are strictly ascending neighbor lists and must not be
+//     modified by the caller.
+//   - Rows returns a row cursor, the form every kernel reads through.
+//     A cursor belongs to one goroutine: a parallel kernel takes one
+//     per worker, never one per node.
+//   - Out and In are the convenience form of the same rows for callers
+//     outside a hot loop: the slice is the caller's to keep, and on
+//     Mapped it costs one allocation per call.
+//   - Every method of the View itself is safe for concurrent use.
 //
 // Kernels accept a View rather than *Graph so the same code runs — and
 // by the package's determinism contract produces byte-identical results
@@ -21,10 +24,25 @@ import "sort"
 type View interface {
 	NumNodes() int
 	NumEdges() int64
-	Out(u NodeID) []NodeID
-	In(u NodeID) []NodeID
 	OutDegree(u NodeID) int
 	InDegree(u NodeID) int
+	Rows() Rows
+	Out(u NodeID) []NodeID
+	In(u NodeID) []NodeID
+}
+
+// Rows is a row cursor over a View. The slice Out returns is valid
+// until the cursor's next Out call, and likewise In until the next In:
+// the two directions have separate buffers, so one out-row and one
+// in-row of the same cursor may be held at once, while two live rows of
+// one direction need two cursors. *Graph is its own cursor (rows alias
+// the CSR arrays and never go stale); Mapped decodes each row into a
+// buffer the cursor owns, so a pass over the graph decodes every row
+// once and allocates nothing after the buffers have grown. A View is
+// itself a Rows whose rows never go stale, at Mapped's per-call price.
+type Rows interface {
+	Out(u NodeID) []NodeID
+	In(u NodeID) []NodeID
 }
 
 // WorkPrefixer is an optional View extension for degree-balanced
@@ -49,16 +67,21 @@ func viewWorkBounds(g View, parallelism int) []int {
 	return uniformBounds(g.NumNodes(), parallelism)
 }
 
-// HasArc reports whether the directed edge u->v exists, probing the
-// shorter of u's out-row and v's in-row so celebrity endpoints don't
-// slow the test.
-func HasArc(g View, u, v NodeID) bool {
+// HasArc reports whether the directed edge u->v exists. It is the
+// convenience form of HasArcRows, reading through View.Out/In.
+func HasArc(g View, u, v NodeID) bool { return HasArcRows(g, g, u, v) }
+
+// HasArcRows is HasArc reading through the caller's cursor. It probes
+// the shorter of u's out-row and v's in-row so celebrity endpoints
+// don't slow the test, and so replaces the cursor's current row of
+// either direction.
+func HasArcRows(g View, rows Rows, u, v NodeID) bool {
 	if g.OutDegree(u) <= g.InDegree(v) {
-		adj := g.Out(u)
+		adj := rows.Out(u)
 		i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
 		return i < len(adj) && adj[i] == v
 	}
-	adj := g.In(v)
+	adj := rows.In(v)
 	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= u })
 	return i < len(adj) && adj[i] == u
 }

@@ -54,8 +54,9 @@ func WCC(g View, parallelism int) *WCCResult {
 	// Shard weight follows the out-CSR so the celebrity head does not pile
 	// onto one worker.
 	runShards(viewWorkBounds(g, parallelism), func(_, lo, hi int) {
+		rows := g.Rows()
 		for u := lo; u < hi; u++ {
-			for _, v := range g.Out(NodeID(u)) {
+			for _, v := range rows.Out(NodeID(u)) {
 				ufUnion(parent, int32(u), int32(v))
 			}
 		}
