@@ -39,7 +39,7 @@ help:
 	@echo "make bench-storage  out-of-core CSR: segment/compact/load/scan -> BENCH_storage.json"
 	@echo "make paperscale     10M-node/200M-edge out-of-core acceptance run (slow; merges RSS rows into BENCH_storage.json)"
 	@echo "make ablations      design-choice ablation experiments"
-	@echo "make fuzz           long fuzz of every parser (30s each)"
+	@echo "make fuzz           long fuzz of every parser and the multi-source BFS (30s each)"
 	@echo "make verify         generate a dataset and audit it against the paper"
 	@echo "make examples       run every example binary"
 	@echo "make report         full Markdown report from a fresh dataset"
@@ -179,6 +179,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseProfileHTML -fuzztime=30s ./internal/gplusapi/
 	$(GO) test -fuzz=FuzzToProfile -fuzztime=30s ./internal/gplusapi/
 	$(GO) test -fuzz=FuzzReadBinary -fuzztime=30s ./internal/graph/
+	$(GO) test -fuzz=FuzzMultiSourceBFS -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzOpenV2 -fuzztime=30s ./internal/graph/diskcsr/
 	$(GO) test -fuzz=FuzzReadResult -fuzztime=30s ./internal/crawler/
 	$(GO) test -fuzz=FuzzParseFaultSpec -fuzztime=30s ./internal/gplusd/

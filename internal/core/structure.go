@@ -286,8 +286,8 @@ func (s *Study) PathLengths(ctx context.Context) PathLengthResult {
 	}
 	opt.Rand = s.rng(4)
 	res.Undirected = graph.SamplePathLengths(ctx, s.g, graph.Undirected, opt)
-	res.DiameterDirected = graph.DoubleSweepDiameter(s.g, graph.Directed, s.opts.DiameterSweeps, s.rng(5))
-	res.DiameterUndirected = graph.DoubleSweepDiameter(s.g, graph.Undirected, s.opts.DiameterSweeps, s.rng(6))
+	res.DiameterDirected = graph.DoubleSweepDiameter(s.g, graph.Directed, s.opts.DiameterSweeps, s.rng(5), s.opts.Parallelism)
+	res.DiameterUndirected = graph.DoubleSweepDiameter(s.g, graph.Undirected, s.opts.DiameterSweeps, s.rng(6), s.opts.Parallelism)
 	return res
 }
 
@@ -333,7 +333,7 @@ func topologyOf(ctx context.Context, name string, g graph.View, opts Options, pa
 		Edges:       g.NumEdges(),
 		PathLength:  dist.Mean(),
 		Reciprocity: graph.GlobalReciprocity(g, opts.Parallelism),
-		Diameter:    graph.DoubleSweepDiameter(g, graph.Directed, opts.DiameterSweeps, diamRNG),
+		Diameter:    graph.DoubleSweepDiameter(g, graph.Directed, opts.DiameterSweeps, diamRNG, opts.Parallelism),
 		AvgDegree:   graph.AvgDegree(g),
 	}
 }

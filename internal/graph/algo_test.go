@@ -302,11 +302,13 @@ func TestDoubleSweepDiameter(t *testing.T) {
 	// Undirected path 0-1-2-3-4 has diameter 4.
 	g := FromEdges(5, 0, 1, 1, 2, 2, 3, 3, 4)
 	rng := rand.New(rand.NewPCG(9, 9))
-	if got := DoubleSweepDiameter(g, Undirected, 4, rng); got != 4 {
-		t.Errorf("undirected diameter bound = %d, want 4", got)
-	}
-	if got := DoubleSweepDiameter(g, Directed, 4, rng); got != 4 {
-		t.Errorf("directed diameter bound = %d, want 4", got)
+	for _, par := range []int{1, 3} {
+		if got := DoubleSweepDiameter(g, Undirected, 4, rng, par); got != 4 {
+			t.Errorf("undirected diameter bound at P=%d = %d, want 4", par, got)
+		}
+		if got := DoubleSweepDiameter(g, Directed, 4, rng, par); got != 4 {
+			t.Errorf("directed diameter bound at P=%d = %d, want 4", par, got)
+		}
 	}
 }
 

@@ -2,8 +2,9 @@ package graph
 
 import (
 	"context"
+	"math/bits"
 	"math/rand/v2"
-	"sync"
+	"slices"
 )
 
 // Direction selects how BFS traverses edges.
@@ -50,15 +51,6 @@ func newBFSScratch(g View, dist []int32) *bfsScratch {
 		dist = make([]int32, n)
 	}
 	return &bfsScratch{rows: g.Rows(), dist: dist[:n], queue: make([]NodeID, 0, n)}
-}
-
-// newBFSWorkers returns one scratch per BFS worker.
-func newBFSWorkers(g View, workers int) []*bfsScratch {
-	scratch := make([]*bfsScratch, workers)
-	for w := range scratch {
-		scratch[w] = newBFSScratch(g, nil)
-	}
-	return scratch
 }
 
 // run fills s.dist with hop distances from src, following out-edges,
@@ -160,7 +152,8 @@ func (p *PathLengthDist) MaxObserved() int {
 type PathLengthOptions struct {
 	// MinSources and MaxSources bound the number of BFS sources. The paper
 	// started with 2,000 sources and grew to 10,000, stopping once the
-	// distribution no longer changed.
+	// distribution no longer changed. MaxSources is a hard cap: a
+	// MinSources above an explicit MaxSources is lowered to it.
 	MinSources int
 	MaxSources int
 	// Tolerance is the maximum L-infinity change between the normalized
@@ -168,9 +161,10 @@ type PathLengthOptions struct {
 	Tolerance float64
 	// BatchSize is the number of sources added per convergence check.
 	BatchSize int
-	// Parallelism runs BFS sources on this many goroutines. Results are
-	// identical for any value: sources are pre-drawn from Rand in order
-	// and histograms merge by summation.
+	// Parallelism runs that many 64-source passes at a time, one
+	// goroutine each. Results are identical for any value: sources are
+	// pre-drawn from Rand in order and batch histograms fold in source
+	// order.
 	Parallelism int
 	// Rand supplies source sampling. Required.
 	Rand *rand.Rand
@@ -181,10 +175,10 @@ func (o *PathLengthOptions) setDefaults() {
 		o.MinSources = 64
 	}
 	if o.MaxSources <= 0 {
-		o.MaxSources = 1024
+		o.MaxSources = max(1024, o.MinSources)
 	}
-	if o.MaxSources < o.MinSources {
-		o.MaxSources = o.MinSources
+	if o.MinSources > o.MaxSources {
+		o.MinSources = o.MaxSources
 	}
 	if o.Tolerance <= 0 {
 		o.Tolerance = 1e-3
@@ -202,138 +196,209 @@ func (o *PathLengthOptions) setDefaults() {
 // It stops early once the distribution stabilizes or ctx is cancelled
 // (returning the estimate so far). The result is independent of
 // Parallelism: sources are drawn up-front in a fixed order and per-batch
-// histograms merge by summation.
+// histograms fold in that order.
 func SamplePathLengths(ctx context.Context, g View, dir Direction, opt PathLengthOptions) *PathLengthDist {
 	opt.setDefaults()
 	n := g.NumNodes()
-	res := &PathLengthDist{}
 	if n == 0 {
-		return res
+		return &PathLengthDist{}
 	}
 	sources := make([]NodeID, opt.MaxSources)
 	for i := range sources {
 		sources[i] = NodeID(opt.Rand.IntN(n))
 	}
+	return pathLengthsFrom(ctx, g, dir, sources, opt)
+}
 
+// pathLengthsFrom is SamplePathLengths over an explicit source list
+// (opt already defaulted; len(sources) stands in for MaxSources).
+//
+// Sources ride the multi-source kernel 64 at a time: pass p carries
+// sources [64p, 64p+64), whatever batches those lanes belong to, and
+// reports one histogram per batch it touches. A round runs the next
+// Parallelism passes concurrently, then folds every batch whose lanes
+// have all arrived, in order, with the convergence check after each —
+// so the fold sees exactly what a source-by-source scan would, and
+// passes past the converging batch are simply dropped. A cancelled pass
+// reports nothing and ends the sample at the sources before it.
+func pathLengthsFrom(ctx context.Context, g View, dir Direction, sources []NodeID, opt PathLengthOptions) *PathLengthDist {
+	res := &PathLengthDist{}
+	passes := (len(sources) + msLanes - 1) / msLanes
+	// pending[b] is batch b's histogram so far, summed over the passes
+	// that carry its lanes.
+	pending := make([][]int64, (len(sources)+opt.BatchSize-1)/opt.BatchSize)
+	var scratch []*msBFS
 	var prevProb []float64
-	scratch := newBFSWorkers(g, opt.Parallelism)
-	for res.Sources < opt.MaxSources {
-		batch := opt.BatchSize
-		if res.Sources+batch > opt.MaxSources {
-			batch = opt.MaxSources - res.Sources
+	for pass := 0; pass < passes; {
+		round := min(opt.Parallelism, passes-pass)
+		for len(scratch) < round {
+			scratch = append(scratch, newMSBFS(g))
 		}
-		if ctx.Err() != nil {
-			return res
-		}
-		counts, done := bfsBatch(ctx, dir, sources[res.Sources:res.Sources+batch], scratch)
-		for h, c := range counts {
-			for h >= len(res.Counts) {
-				res.Counts = append(res.Counts, 0)
+		runShards(uniformBounds(round, round), func(w, _, _ int) {
+			lo := (pass + w) * msLanes
+			hi := min(lo+msLanes, len(sources))
+			scratch[w].run(ctx, sources[lo:hi], lo, opt.BatchSize, dir == Undirected)
+		})
+		covered, cancelled := pass*msLanes, false
+		for _, s := range scratch[:round] {
+			if !s.done {
+				cancelled = true
+				break
 			}
-			res.Counts[h] += c
-			res.Reachable += c
+			covered = min(covered+msLanes, len(sources))
+			for i, c := range s.hist {
+				if c == 0 {
+					continue // this batch's lanes finished at an earlier level
+				}
+				b, hop := s.firstBatch+i%len(s.masks), i/len(s.masks)
+				for hop >= len(pending[b]) {
+					pending[b] = append(pending[b], 0)
+				}
+				pending[b][hop] += c
+			}
 		}
-		// Count only the sources whose BFS actually completed: on
-		// cancellation mid-batch, done < batch, and crediting the full
-		// batch would make Sources (and the convergence check) lie.
-		res.Sources += done
-		if done < batch {
+		for res.Sources < len(sources) {
+			end := min(res.Sources+opt.BatchSize, len(sources))
+			if end > covered {
+				break
+			}
+			res.add(pending[res.Sources/opt.BatchSize], end)
+			prob := res.Probability()
+			if res.Sources >= opt.MinSources && prevProb != nil && linfDelta(prevProb, prob) < opt.Tolerance {
+				return res
+			}
+			prevProb = prob
+		}
+		if cancelled {
+			// The estimate so far includes the completed head of the
+			// batch the cancellation landed in.
+			if covered > res.Sources {
+				res.add(pending[res.Sources/opt.BatchSize], covered)
+			}
 			return res
 		}
-
-		prob := res.Probability()
-		if res.Sources >= opt.MinSources && prevProb != nil && linfDelta(prevProb, prob) < opt.Tolerance {
-			break
-		}
-		prevProb = prob
+		pass += round
 	}
 	return res
 }
 
-// bfsBatch runs BFS from each source, fanned out over len(scratch)
-// goroutines, and returns the summed distance histogram along with how
-// many sources actually completed (fewer than len(sources) only when the
-// context was cancelled mid-batch). Each worker reuses its scratch
-// between sources.
-//
-// The pair (histogram, done) always means "the first done sources, in
-// order": the caller advances its Sources cursor by done, so the merged
-// histogram must cover exactly the prefix sources[:done]. Workers take
-// strided source indices, so under cancellation they complete a
-// *scattered* subset; merging everything completed while reporting its
-// count as a prefix would credit later sources' distances to earlier
-// positions and make a cancelled P>1 run disagree with the P=1 run.
-// Instead each source keeps its own histogram and only the longest
-// fully-completed prefix merges — completed work beyond the first gap is
-// discarded, exactly as if the serial scan had been cancelled there.
-func bfsBatch(ctx context.Context, dir Direction, sources []NodeID, scratch []*bfsScratch) ([]int64, int) {
-	workers := len(scratch)
-	if workers <= 1 || len(sources) < 2 {
-		return bfsBatchSeq(ctx, dir, sources, scratch[0])
-	}
-	perSrc := make([][]int64, len(sources))
-	finished := make([]bool, len(sources))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Strided assignment keeps the partition deterministic.
-			for i := w; i < len(sources); i += workers {
-				if ctx.Err() != nil {
-					return
-				}
-				var counts []int64
-				for _, d := range scratch[w].run(sources[i], true, dir == Undirected) {
-					if d < 0 {
-						continue
-					}
-					for int(d) >= len(counts) {
-						counts = append(counts, 0)
-					}
-					counts[d]++
-				}
-				perSrc[i] = counts
-				finished[i] = true
-			}
-		}(w)
-	}
-	wg.Wait()
-	done := 0
-	for done < len(sources) && finished[done] {
-		done++
-	}
-	var out []int64
-	for _, p := range perSrc[:done] {
-		for h, c := range p {
-			for h >= len(out) {
-				out = append(out, 0)
-			}
-			out[h] += c
+// add folds a histogram covering the sources up to end into p.
+func (p *PathLengthDist) add(counts []int64, end int) {
+	for h, c := range counts {
+		for h >= len(p.Counts) {
+			p.Counts = append(p.Counts, 0)
 		}
+		p.Counts[h] += c
+		p.Reachable += c
 	}
-	return out, done
+	p.Sources = end
 }
 
-// bfsBatchSeq runs BFS from each source in order and returns the summed
-// histogram plus the number of sources it finished before cancellation.
-func bfsBatchSeq(ctx context.Context, dir Direction, sources []NodeID, scratch *bfsScratch) ([]int64, int) {
-	var counts []int64
-	for i, src := range sources {
-		if ctx.Err() != nil {
-			return counts, i
+// msLanes is how many BFS sources one multi-source pass carries: one
+// per bit of a word.
+const msLanes = 64
+
+// msBFS is the scratch of one bit-parallel multi-source BFS worker
+// (MS-BFS, Then et al., VLDB 2014). Lane i of every per-node word
+// belongs to the pass's i-th source: seen[v] has the lanes that have
+// reached v, frontier[v] the lanes that reached it at the current
+// level, next[v] those reaching it at the following one. cur and nxt
+// list the nodes whose frontier/next word is non-zero, so a level costs
+// its frontier, not the graph. Each frontier row is read through the
+// cursor once per level for all lanes together, where a per-source BFS
+// reads it once per source.
+//
+// frontier and next are all-zero between runs; only seen needs
+// clearing.
+type msBFS struct {
+	rows                 Rows
+	seen, frontier, next []uint64
+	cur, nxt             []NodeID
+
+	// The last run's result. masks[k] selects the lanes of batch
+	// firstBatch+k; hist is level-major, hist[hop*len(masks)+k] being
+	// the number of (lane, node) pairs of that batch at that hop. done
+	// is false when the run was cancelled, and hist is then meaningless.
+	masks      []uint64
+	hist       []int64
+	firstBatch int
+	done       bool
+}
+
+func newMSBFS(g View) *msBFS {
+	n := g.NumNodes()
+	words := make([]uint64, 3*n)
+	return &msBFS{
+		rows: g.Rows(),
+		seen: words[:n:n], frontier: words[n : 2*n : 2*n], next: words[2*n:],
+		cur: make([]NodeID, 0, n), nxt: make([]NodeID, 0, n),
+	}
+}
+
+// run searches from up to 64 sources at once, following out-edges, or
+// both directions when undirected. base is the position of sources[0]
+// in the whole sample, which decides how the lanes split into batches
+// of batchSize. ctx is consulted once per level.
+func (s *msBFS) run(ctx context.Context, sources []NodeID, base, batchSize int, undirected bool) {
+	s.masks, s.firstBatch = s.masks[:0], base/batchSize
+	for lo := 0; lo < len(sources); {
+		hi := min(len(sources), (base+lo)/batchSize*batchSize+batchSize-base)
+		s.masks = append(s.masks, ^uint64(0)>>(msLanes-(hi-lo))<<lo)
+		lo = hi
+	}
+	clear(s.seen)
+	cur, nxt, hist := s.cur[:0], s.nxt[:0], s.hist[:0]
+	for lane, src := range sources {
+		// Sampling is with replacement: lanes may share a source.
+		if s.frontier[src] == 0 {
+			cur = append(cur, src)
 		}
-		for _, d := range scratch.run(src, true, dir == Undirected) {
-			if d < 0 {
-				continue
+		s.frontier[src] |= 1 << lane
+		s.seen[src] |= 1 << lane
+	}
+	for len(cur) > 0 {
+		if ctx.Err() != nil {
+			for _, u := range cur {
+				s.frontier[u] = 0
 			}
-			for int(d) >= len(counts) {
-				counts = append(counts, 0)
+			break
+		}
+		level := len(hist)
+		for range s.masks {
+			hist = append(hist, 0)
+		}
+		for _, u := range cur {
+			f := s.frontier[u]
+			s.frontier[u] = 0
+			for k, m := range s.masks {
+				hist[level+k] += int64(bits.OnesCount64(f & m))
 			}
-			counts[d]++
+			nxt = s.expand(f, s.rows.Out(u), nxt)
+			if undirected {
+				nxt = s.expand(f, s.rows.In(u), nxt)
+			}
+		}
+		cur, nxt = nxt, cur[:0]
+		s.frontier, s.next = s.next, s.frontier
+	}
+	// The loop ends on an empty frontier unless cancellation broke it.
+	s.cur, s.nxt, s.hist, s.done = cur, nxt, hist, len(cur) == 0
+}
+
+// expand carries the frontier lanes f along one row: each neighbour
+// gains the lanes that had not reached it yet, and joins nxt on its
+// first gain of the level.
+func (s *msBFS) expand(f uint64, row []NodeID, nxt []NodeID) []NodeID {
+	for _, v := range row {
+		if gain := f &^ s.seen[v]; gain != 0 {
+			if s.next[v] == 0 {
+				nxt = append(nxt, v)
+			}
+			s.next[v] |= gain
+			s.seen[v] |= gain
 		}
 	}
-	return counts, len(sources)
+	return nxt
 }
 
 func linfDelta(a, b []float64) float64 {
@@ -366,8 +431,10 @@ func linfDelta(a, b []float64) float64 {
 // again from the farthest node found. For directed graphs the second sweep
 // runs backwards over in-edges, the standard directed variant, so that a
 // path ending at the far node is measured end to end. sweeps controls how
-// many restarts are tried from random nodes.
-func DoubleSweepDiameter(g View, dir Direction, sweeps int, rng *rand.Rand) int {
+// many restarts are tried from random nodes. The restarts are drawn from
+// rng up front and are independent, so they run on parallelism workers
+// and merge by max: the bound is the same at any parallelism.
+func DoubleSweepDiameter(g View, dir Direction, sweeps int, rng *rand.Rand, parallelism int) int {
 	n := g.NumNodes()
 	if n == 0 {
 		return 0
@@ -375,25 +442,29 @@ func DoubleSweepDiameter(g View, dir Direction, sweeps int, rng *rand.Rand) int 
 	if sweeps <= 0 {
 		sweeps = 4
 	}
-	best := 0
-	scratch := newBFSScratch(g, nil)
-	for s := 0; s < sweeps; s++ {
-		src := NodeID(rng.IntN(n))
-		for hop := 0; hop < 2; hop++ {
-			// The directed return sweep runs over the transpose graph.
-			back := dir == Directed && hop == 1
-			dist := scratch.run(src, !back, back || dir == Undirected)
-			far, farD := src, int32(0)
-			for v, d := range dist {
-				if d > farD {
-					far, farD = NodeID(v), d
-				}
-			}
-			if int(farD) > best {
-				best = int(farD)
-			}
-			src = far
-		}
+	starts := make([]NodeID, sweeps)
+	for i := range starts {
+		starts[i] = NodeID(rng.IntN(n))
 	}
-	return best
+	bounds := uniformBounds(sweeps, parallelism)
+	best := make([]int32, len(bounds)-1)
+	runShards(bounds, func(shard, lo, hi int) {
+		scratch := newBFSScratch(g, nil)
+		for _, src := range starts[lo:hi] {
+			for hop := 0; hop < 2; hop++ {
+				// The directed return sweep runs over the transpose graph.
+				back := dir == Directed && hop == 1
+				dist := scratch.run(src, !back, back || dir == Undirected)
+				far, farD := src, int32(0)
+				for v, d := range dist {
+					if d > farD {
+						far, farD = NodeID(v), d
+					}
+				}
+				best[shard] = max(best[shard], farD)
+				src = far
+			}
+		}
+	})
+	return int(slices.Max(best))
 }

@@ -194,11 +194,11 @@ func TestKernelEquivalence(t *testing.T) {
 		},
 		"PathsDirected":   func(v graph.View, par int) any { return paths(v, graph.Directed, par) },
 		"PathsUndirected": func(v graph.View, par int) any { return paths(v, graph.Undirected, par) },
-		"DiameterDirected": func(v graph.View, _ int) any {
-			return graph.DoubleSweepDiameter(v, graph.Directed, 3, rand.New(rand.NewPCG(7, 8)))
+		"DiameterDirected": func(v graph.View, par int) any {
+			return graph.DoubleSweepDiameter(v, graph.Directed, 3, rand.New(rand.NewPCG(7, 8)), par)
 		},
-		"DiameterUndirected": func(v graph.View, _ int) any {
-			return graph.DoubleSweepDiameter(v, graph.Undirected, 3, rand.New(rand.NewPCG(7, 8)))
+		"DiameterUndirected": func(v graph.View, par int) any {
+			return graph.DoubleSweepDiameter(v, graph.Undirected, 3, rand.New(rand.NewPCG(7, 8)), par)
 		},
 		"Induced": func(v graph.View, _ int) any {
 			var nodes []graph.NodeID

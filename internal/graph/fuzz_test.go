@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"reflect"
 	"testing"
 )
@@ -35,6 +37,74 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		if !reflect.DeepEqual(g, again) {
 			t.Fatal("accepted graph does not round trip")
+		}
+	})
+}
+
+// FuzzMultiSourceBFS checks the multi-source kernel lane by lane: with
+// a batch size of one every lane reports its own histogram, which must
+// be the histogram of a single-source BFSDistances from that lane's
+// source. The graph is decoded from the input (node ids as
+// little-endian uint16 pairs, reduced mod n), seeded with the
+// testGraphs shapes, and the scratch runs twice to prove it comes out
+// of a pass clean.
+func FuzzMultiSourceBFS(f *testing.F) {
+	for _, g := range testGraphs() {
+		n := g.NumNodes()
+		if n == 0 {
+			continue // the decoder below builds at least one node
+		}
+		var edges, srcs []byte
+		for u := 0; u < n; u++ {
+			for _, v := range g.Out(NodeID(u)) {
+				edges = binary.LittleEndian.AppendUint16(edges, uint16(u))
+				edges = binary.LittleEndian.AppendUint16(edges, uint16(v))
+			}
+			if u%5 == 0 {
+				srcs = binary.LittleEndian.AppendUint16(srcs, uint16(u))
+				srcs = binary.LittleEndian.AppendUint16(srcs, uint16(u/2)) // some lanes share a node
+			}
+		}
+		f.Add(uint16(n-1), edges, srcs, false)
+		f.Add(uint16(n-1), edges, srcs, true)
+	}
+	f.Fuzz(func(t *testing.T, nodes uint16, edges, srcs []byte, undirected bool) {
+		n := int(nodes)%600 + 1
+		b := NewBuilder(n, len(edges)/4)
+		for ; len(edges) >= 4; edges = edges[4:] {
+			u, v := binary.LittleEndian.Uint16(edges), binary.LittleEndian.Uint16(edges[2:])
+			b.AddEdge(NodeID(int(u)%n), NodeID(int(v)%n))
+		}
+		b.EnsureNode(NodeID(n - 1))
+		g := b.Build()
+		sources := []NodeID{0}
+		for ; len(srcs) >= 2 && len(sources) < msLanes; srcs = srcs[2:] {
+			sources = append(sources, NodeID(int(binary.LittleEndian.Uint16(srcs))%n))
+		}
+		dir := Directed
+		if undirected {
+			dir = Undirected
+		}
+		s := newMSBFS(g)
+		var dist []int32
+		for rerun := 0; rerun < 2; rerun++ {
+			s.run(context.Background(), sources, 0, 1, undirected)
+			if !s.done || len(s.masks) != len(sources) {
+				t.Fatalf("run %d: done=%v with %d lane masks for %d sources", rerun, s.done, len(s.masks), len(sources))
+			}
+			for lane, src := range sources {
+				dist = BFSDistances(g, src, dir, dist)
+				want := addHops(nil, dist)
+				for hop := 0; hop*len(sources) < len(s.hist); hop++ {
+					got := s.hist[hop*len(sources)+lane]
+					if hop < len(want) && got != want[hop] || hop >= len(want) && got != 0 {
+						t.Fatalf("run %d lane %d (source %d) hop %d: %d nodes, BFSDistances histogram is %v", rerun, lane, src, hop, got, want)
+					}
+				}
+				if len(want)*len(sources) > len(s.hist) {
+					t.Fatalf("run %d lane %d (source %d): kernel stopped after %d levels, BFSDistances histogram is %v", rerun, lane, src, len(s.hist)/len(sources), want)
+				}
+			}
 		}
 	})
 }

@@ -1,10 +1,8 @@
 package graph
 
 import (
-	"context"
 	"math/rand/v2"
 	"reflect"
-	"sync/atomic"
 	"testing"
 )
 
@@ -104,97 +102,6 @@ func TestZeroValueGraph(t *testing.T) {
 	bad := Graph{inOff: []int64{0}}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("Validate accepted a graph with offsets but no out array")
-	}
-}
-
-// countingCtx reports cancellation only after Err has been consulted
-// allowAfter times, simulating a deadline landing mid-batch.
-type countingCtx struct {
-	context.Context
-	calls, allowed int
-}
-
-func (c *countingCtx) Err() error {
-	c.calls++
-	if c.calls > c.allowed {
-		return context.Canceled
-	}
-	return nil
-}
-
-// TestSamplePathLengthsCancelMidBatchAccounting covers the regression
-// where cancellation inside a batch still credited the full batch to
-// Sources. On a triangle every completed source reaches exactly 3 nodes,
-// so Sources must equal Reachable/3.
-func TestSamplePathLengthsCancelMidBatchAccounting(t *testing.T) {
-	g := triangle()
-	// Err call 1 is the pre-batch check; calls 2-4 admit two sources and
-	// cancel on the third, mid-way through a batch of 4.
-	ctx := &countingCtx{Context: context.Background(), allowed: 3}
-	dist := SamplePathLengths(ctx, g, Directed, PathLengthOptions{
-		MinSources: 8, MaxSources: 8, BatchSize: 4,
-		Parallelism: 1,
-		Rand:        rand.New(rand.NewPCG(3, 4)),
-	})
-	if dist.Sources != 2 {
-		t.Fatalf("Sources = %d after mid-batch cancel, want 2", dist.Sources)
-	}
-	if want := int64(dist.Sources) * 3; dist.Reachable != want {
-		t.Fatalf("Reachable = %d, want %d (3 per completed source)", dist.Reachable, want)
-	}
-}
-
-// atomicCountingCtx is countingCtx for concurrent callers: cancellation
-// reports after allowed Err consultations, whichever goroutines make
-// them.
-type atomicCountingCtx struct {
-	context.Context
-	calls   atomic.Int64
-	allowed int64
-}
-
-func (c *atomicCountingCtx) Err() error {
-	if c.calls.Add(1) > c.allowed {
-		return context.Canceled
-	}
-	return nil
-}
-
-// TestBFSBatchCancelPrefixConsistency covers the P>1 cancellation
-// accounting regression: bfsBatch's contract is that (histogram, done)
-// describes exactly the prefix sources[:done], but the strided workers
-// used to merge whatever scattered subset finished before the cancel
-// while reporting its size as if it were a prefix. On the chain graph
-// every source reaches a different number of nodes, so crediting the
-// wrong sources is visible in the histogram. The oracle is the serial
-// batch over the prefix, uncancelled — checked at P=1 and P>1 for every
-// possible cancellation point.
-func TestBFSBatchCancelPrefixConsistency(t *testing.T) {
-	g := testGraphs()["chain"]
-	sources := make([]NodeID, 12)
-	for i := range sources {
-		sources[i] = NodeID(i * 3) // distinct reach: source i*3 sees 40-3i nodes
-	}
-	for _, workers := range []int{1, 4} {
-		for allowed := int64(0); allowed <= int64(len(sources))+1; allowed++ {
-			ctx := &atomicCountingCtx{Context: context.Background(), allowed: allowed}
-			scratch := newBFSWorkers(g, workers)
-			got, done := bfsBatch(ctx, Directed, sources, scratch)
-			if done > len(sources) {
-				t.Fatalf("P=%d allowed=%d: done = %d > %d sources", workers, allowed, done, len(sources))
-			}
-			want, wantDone := bfsBatchSeq(context.Background(), Directed, sources[:done], newBFSScratch(g, nil))
-			if wantDone != done || !reflect.DeepEqual(got, want) {
-				t.Fatalf("P=%d allowed=%d: histogram for done=%d is %v, want prefix histogram %v",
-					workers, allowed, done, got, want)
-			}
-		}
-	}
-	// Uncancelled, P=1 and P>1 must agree exactly.
-	base, baseDone := bfsBatch(context.Background(), Directed, sources, newBFSWorkers(g, 1))
-	par, parDone := bfsBatch(context.Background(), Directed, sources, newBFSWorkers(g, 4))
-	if baseDone != len(sources) || parDone != len(sources) || !reflect.DeepEqual(base, par) {
-		t.Fatalf("uncancelled batch: P=1 (%v, %d) vs P=4 (%v, %d)", base, baseDone, par, parDone)
 	}
 }
 
