@@ -15,7 +15,8 @@ STATICCHECK_VERSION ?= 2024.1
 all: build vet test race
 
 # check is the conventional entry point for the same gate; the race leg
-# covers the sharded rate limiter and the batched crawl frontier, the
+# covers the sharded rate limiter, the batched crawl frontier and the
+# study's concurrent structure stages, the
 # short fuzz leg shakes the checkpoint/journal parser, the hygiene leg
 # gates the metric exposition and the one-durable-writer rule, the
 # brownout leg proves kill-free convergence through a server overload,
@@ -54,7 +55,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/obs/ ./internal/obs/prof/ ./internal/obs/series/ ./internal/crawler/ ./internal/dataset/ ./internal/durable/ ./internal/gplusd/ ./internal/graph/ ./internal/graph/diskcsr/ ./internal/resilience/
+	$(GO) test -race ./internal/core/ ./internal/obs/ ./internal/obs/prof/ ./internal/obs/series/ ./internal/obs/trace/ ./internal/crawler/ ./internal/dataset/ ./internal/durable/ ./internal/gplusd/ ./internal/graph/ ./internal/graph/diskcsr/ ./internal/resilience/
 
 # The metrics-hygiene gate: every family either registry exposes after a
 # faulted crawl must match the Prometheus naming grammar and carry a

@@ -198,7 +198,7 @@ func (s *Study) CountryStructures() []CountryStructure {
 			AvgDegree:   graph.AvgDegree(sub),
 			Reciprocity: graph.GlobalReciprocity(sub, s.opts.Parallelism),
 		}
-		cs.MeanCC = graph.GlobalClustering(sub, s.opts.ClusteringSample, s.rng(20+uint64(i)), s.opts.Parallelism)
+		cs.MeanCC = mean(graph.SampleClustering(sub, s.opts.ClusteringSample, s.rng(20+uint64(i)), s.opts.Parallelism))
 		out = append(out, cs)
 	}
 	return out

@@ -108,16 +108,25 @@ func (s *Study) Reciprocity() ReciprocityResult {
 func (s *Study) reciprocity(ctx context.Context) ReciprocityResult {
 	_, finish := s.stage(ctx, "reciprocity")
 	defer finish()
-	rrs := graph.AllReciprocities(s.g, s.opts.Parallelism)
+	// One scan yields |OS(u) ∩ IS(u)| per node; RR(u) and the global
+	// fraction are both ratios of it.
+	shared := graph.ReciprocalCounts(s.g, s.opts.Parallelism)
+	rrs := make([]float64, 0, len(shared))
+	var reciprocated int64
 	over := 0
-	for _, r := range rrs {
-		if r > 0.6 {
-			over++
+	for u, c := range shared {
+		reciprocated += int64(c)
+		if k := s.g.OutDegree(graph.NodeID(u)); k > 0 {
+			rr := float64(c) / float64(k)
+			if rr > 0.6 {
+				over++
+			}
+			rrs = append(rrs, rr)
 		}
 	}
-	res := ReciprocityResult{
-		CDF:    stats.CDF(rrs),
-		Global: graph.GlobalReciprocity(s.g, s.opts.Parallelism),
+	res := ReciprocityResult{CDF: stats.CDF(rrs)}
+	if m := s.g.NumEdges(); m > 0 {
+		res.Global = float64(reciprocated) / float64(m)
 	}
 	if len(rrs) > 0 {
 		res.FractionAbove06 = float64(over) / float64(len(rrs))
@@ -135,10 +144,13 @@ type ClusteringResult struct {
 	// FractionAbove02 is the paper's headline: ~40% of users with
 	// CC > 0.2.
 	FractionAbove02 float64
-	// Sampled is how many nodes entered the scan.
+	// Sampled is how many nodes entered the scan: every eligible node
+	// when Exact, otherwise at most Options.ClusteringSample.
 	Sampled int
 	// Exact reports that every eligible node was scanned instead of the
-	// paper's one-million-node sample, removing the sampling error.
+	// paper's one-million-node sample, removing the sampling error. It
+	// holds whenever the graph fits exactClusteringWedgeBudget, whatever
+	// Options.ClusteringSample says.
 	Exact bool
 	// ByDegree is the exact C(k) curve (mean coefficient by out-degree),
 	// computed only on the exact path.
@@ -161,31 +173,51 @@ func (s *Study) Clustering() ClusteringResult {
 func (s *Study) clustering(ctx context.Context) ClusteringResult {
 	_, finish := s.stage(ctx, "clustering")
 	defer finish()
-	var res ClusteringResult
-	var coeffs []float64
-	if graph.WedgeCount(s.g, s.opts.Parallelism) <= exactClusteringWedgeBudget {
-		coeffs = graph.AllClustering(s.g, s.opts.Parallelism)
-		res.Exact = true
-		res.ByDegree = graph.ClusteringByDegree(s.g, s.opts.Parallelism)
-	} else {
-		coeffs = graph.SampleClustering(s.g, s.opts.ClusteringSample, s.rng(2), s.opts.Parallelism)
+	return s.clusteringScan(graph.WedgeCount(s.g, s.opts.Parallelism) <= exactClusteringWedgeBudget)
+}
+
+// clusteringScan is the clustering stage once the exact/sampled decision
+// is taken: one pass for the link numerators of the chosen nodes, then
+// every figure as a ratio of them.
+func (s *Study) clusteringScan(exact bool) ClusteringResult {
+	var sample int // 0 = every eligible node
+	var rng *rand.Rand
+	if !exact {
+		sample, rng = s.opts.ClusteringSample, s.rng(2)
 	}
-	res.CDF = stats.CDF(coeffs)
-	res.Sampled = len(coeffs)
-	if len(coeffs) == 0 {
-		return res
+	nodes := graph.ClusteringNodes(s.g, sample, rng, s.opts.Parallelism)
+	links := graph.ClusteringLinks(s.g, nodes, s.opts.Parallelism)
+	res := ClusteringResult{Sampled: len(nodes), Exact: exact}
+	if exact {
+		res.ByDegree = graph.ClusteringByDegree(s.g, nodes, links)
 	}
-	var sum float64
+	coeffs := make([]float64, len(nodes))
 	over := 0
-	for _, c := range coeffs {
-		sum += c
-		if c > 0.2 {
+	for i, u := range nodes {
+		k := s.g.OutDegree(u)
+		coeffs[i] = float64(links[i]) / float64(k*(k-1))
+		if coeffs[i] > 0.2 {
 			over++
 		}
 	}
-	res.Mean = sum / float64(len(coeffs))
-	res.FractionAbove02 = float64(over) / float64(len(coeffs))
+	res.CDF = stats.CDF(coeffs)
+	if len(coeffs) > 0 {
+		res.Mean = mean(coeffs)
+		res.FractionAbove02 = float64(over) / float64(len(coeffs))
+	}
 	return res
+}
+
+// mean is the in-order arithmetic mean, 0 for no values.
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
 }
 
 // MotifResult is the exact triangle count and directed 3-node motif
@@ -195,8 +227,7 @@ type MotifResult struct {
 	// Census is the full 16-class directed triad census.
 	Census *graph.MotifCensus
 	// TriangleTotal is the number of triangles in the undirected
-	// projection, and TriangleMethod the kernel the auto-selector
-	// picked for it.
+	// projection, and TriangleMethod the kernel that counted it.
 	TriangleTotal  int64
 	TriangleMethod graph.TriangleMethod
 	// Transitivity is the global transitivity ratio of the projection

@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"gplus/internal/dataset"
 	"gplus/internal/graph"
 	"gplus/internal/obs/trace"
 	"gplus/internal/profile"
+	"gplus/internal/stats"
 	"gplus/internal/synth"
 )
 
@@ -164,5 +166,118 @@ func TestClusteringExactPathAndMotifs(t *testing.T) {
 	}
 	if m.Census.Nodes != ds.Graph.NumNodes() {
 		t.Fatalf("census ran on %d nodes, graph has %d", m.Census.Nodes, ds.Graph.NumNodes())
+	}
+}
+
+// TestClusteringSampledPath drives the branch of the clustering stage
+// that no fixture reaches through the wedge budget: the sampled scan. It
+// must draw its nodes from rng(2) alone, report Exact=false without a
+// C(k) curve, and agree across parallelism and between the RAM and the
+// mapped dataset.
+func TestClusteringSampledPath(t *testing.T) {
+	u, err := synth.Generate(synth.DefaultConfig(3_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := dataset.FromUniverse(u).SaveV2(dir); err != nil {
+		t.Fatal(err)
+	}
+	const sample = 200
+	var base *ClusteringResult
+	for _, mapped := range []bool{false, true} {
+		ds, err := dataset.LoadWith(dir, dataset.Options{Mapped: mapped})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		for _, par := range []int{1, 2, 4} {
+			s := New(ds, Options{Seed: 11, ClusteringSample: sample, Parallelism: par})
+			got := s.clusteringScan(false)
+			if got.Exact || got.ByDegree != nil || got.Sampled != sample {
+				t.Fatalf("mapped=%v P=%d: Exact=%v, %d C(k) points, %d nodes; want a %d-node sample and no curve",
+					mapped, par, got.Exact, len(got.ByDegree), got.Sampled, sample)
+			}
+			if base == nil {
+				base = &got
+				// The draw is SampleClustering's under stream 2.
+				want := stats.CDF(graph.SampleClustering(s.g, sample, s.rng(2), 1))
+				if !reflect.DeepEqual(got.CDF, want) {
+					t.Fatal("the sampled stage did not consume rng(2) as graph.SampleClustering does")
+				}
+				if exact := s.clusteringScan(true); reflect.DeepEqual(exact.CDF, got.CDF) {
+					t.Fatal("fixture cannot tell the sampled scan from the exact one")
+				}
+			} else if !reflect.DeepEqual(got, *base) {
+				t.Errorf("mapped=%v P=%d diverged from RAM at P=1", mapped, par)
+			}
+		}
+	}
+}
+
+// countingView counts the out- and in-row reads of every node, through
+// cursors and through the View itself.
+type countingView struct {
+	graph.View
+	outs, ins []atomic.Int32
+}
+
+func newCountingView(g graph.View) *countingView {
+	return &countingView{View: g, outs: make([]atomic.Int32, g.NumNodes()), ins: make([]atomic.Int32, g.NumNodes())}
+}
+
+func (v *countingView) Out(u graph.NodeID) []graph.NodeID { v.outs[u].Add(1); return v.View.Out(u) }
+func (v *countingView) In(u graph.NodeID) []graph.NodeID  { v.ins[u].Add(1); return v.View.In(u) }
+func (v *countingView) Rows() graph.Rows                  { return countingRows{v, v.View.Rows()} }
+
+type countingRows struct {
+	v     *countingView
+	inner graph.Rows
+}
+
+func (r countingRows) Out(u graph.NodeID) []graph.NodeID { r.v.outs[u].Add(1); return r.inner.Out(u) }
+func (r countingRows) In(u graph.NodeID) []graph.NodeID  { r.v.ins[u].Add(1); return r.inner.In(u) }
+
+// TestStagesScanOnce pins the one-scan shape of the two Figure 4 stages
+// Structure runs. Reciprocity reads each node's out-row once and its
+// in-row at most once; exact clustering reads a node's out-row once as
+// its own (when eligible) and once per eligible in-neighbor whose
+// out-neighborhood it sits in — nothing twice.
+func TestStagesScanOnce(t *testing.T) {
+	u, err := synth.Generate(synth.DefaultConfig(2_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(dataset.FromUniverse(u), Options{Seed: 7, Parallelism: 3})
+	g := s.g
+	n := g.NumNodes()
+
+	cv := newCountingView(g)
+	s.g = cv
+	s.reciprocity(context.Background())
+	for v := 0; v < n; v++ {
+		if outs, ins := cv.outs[v].Load(), cv.ins[v].Load(); outs != 1 || ins > 1 {
+			t.Fatalf("reciprocity read node %d's out-row %d times and in-row %d times, want 1 and at most 1", v, outs, ins)
+		}
+	}
+
+	cv = newCountingView(g)
+	s.g = cv
+	if cl := s.clustering(context.Background()); !cl.Exact {
+		t.Fatal("fixture did not take the exact clustering path")
+	}
+	for v := 0; v < n; v++ {
+		want := int32(0)
+		if g.OutDegree(graph.NodeID(v)) > 1 {
+			want++
+		}
+		for _, w := range g.In(graph.NodeID(v)) {
+			if g.OutDegree(w) > 1 {
+				want++
+			}
+		}
+		if outs, ins := cv.outs[v].Load(), cv.ins[v].Load(); outs != want || ins != 0 {
+			t.Fatalf("exact clustering read node %d's out-row %d times and in-row %d times, want %d and 0", v, outs, ins, want)
+		}
 	}
 }

@@ -40,8 +40,12 @@ type Options struct {
 	// PathSources bounds the BFS sources of the Figure 5 estimate
 	// (default 256; the paper used up to 10,000 on a 35M-node graph).
 	PathSources int
-	// ClusteringSample bounds the Figure 4(b) node sample (default
-	// 100,000; the paper used one million).
+	// ClusteringSample bounds the node sample of the sampled clustering
+	// estimate (default 100,000; the paper used one million). Figure 4(b)
+	// reads it only past exactClusteringWedgeBudget (2^31 out-wedges; a
+	// 200,000-user synthetic universe has 0.95e9): below the budget every
+	// eligible node is scanned whatever this says, and the option reaches
+	// only the per-country MeanCC of CountryStructures.
 	ClusteringSample int
 	// PairSample bounds each Figure 9 pair population (default 100,000;
 	// the paper used 13-60 million pairs).

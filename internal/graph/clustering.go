@@ -11,33 +11,29 @@ import (
 // (0, false) for nodes with fewer than two out-neighbors, which the paper
 // excludes from the analysis.
 func ClusteringCoefficient(g View, u NodeID) (float64, bool) {
-	return clusteringCoefficient(g, g.Rows(), g.Rows(), u)
-}
-
-// clusteringCoefficient is ClusteringCoefficient through a worker's two
-// cursors (see clusteringLinks).
-func clusteringCoefficient(g View, own, nbr Rows, u NodeID) (float64, bool) {
 	k := g.OutDegree(u)
 	if k < 2 {
 		return 0, false
 	}
-	return float64(clusteringLinks(own, nbr, u)) / float64(k*(k-1)), true
+	return coefficient(clusteringLinks(g.Rows(), g.Rows(), u), k), true
+}
+
+// coefficient is C(u) from its integer numerator and out-degree k >= 2.
+func coefficient(links int64, k int) float64 {
+	return float64(links) / float64(k*(k-1))
 }
 
 // clusteringLinks is the integer numerator of C(u): the number of
-// directed edges among u's out-neighbors. Kept separate so exact
-// aggregations (per-degree curves, motif cross-checks) can sum the
-// numerators as integers instead of rounding floats back. u's own
-// out-row stays live while each neighbor's out-row is read, hence the
-// second cursor.
-func clusteringLinks(own, nbr Rows, u NodeID) int {
+// directed edges among u's out-neighbors. u's own out-row stays live
+// while each neighbor's out-row is read, hence the second cursor.
+func clusteringLinks(own, nbr Rows, u NodeID) int64 {
 	out := own.Out(u)
-	links := 0
+	var links int64
 	for _, v := range out {
 		// Count directed edges v->w with w also an out-neighbor of u.
 		// v->v never exists (self-loops are dropped at build time), so
 		// the intersection never counts the node itself.
-		links += sortedIntersectionSize(nbr.Out(v), out)
+		links += int64(sortedIntersectionSize(nbr.Out(v), out))
 	}
 	return links
 }
@@ -113,86 +109,94 @@ func intersectSorted(a, b []NodeID, emit func(i, j int)) {
 	}
 }
 
-// SampleClustering computes clustering coefficients for nodes with
-// out-degree > 1, mirroring the paper's one-million-node sample. It
-// returns one coefficient per selected node. The sampleSize contract is
-// explicit:
+// ClusteringNodes selects the nodes Figure 4(b) scans: nodes with
+// out-degree > 1, mirroring the paper's one-million-node sample. The
+// sampleSize contract is explicit:
 //
 //   - sampleSize < 0 selects nothing: the caller asked for fewer than
 //     zero nodes, so the result is nil and rng is not consumed;
 //   - sampleSize == 0 is a full scan: every eligible node, in ascending
 //     node-id order, with rng not consumed (it may be nil);
-//   - 0 < sampleSize < #eligible draws a uniform sample without
-//     replacement via a partial Fisher-Yates;
-//   - sampleSize >= #eligible degenerates to the full scan (all
+//   - 0 < sampleSize <= #eligible draws a uniform sample without
+//     replacement via a partial Fisher-Yates (at equality, all of them
+//     in a seeded order);
+//   - sampleSize > #eligible degenerates to the full scan (all
 //     eligible nodes, id order, rng not consumed).
 //
-// The eligibility scan and the per-node coefficients fan out over
-// parallelism workers; the Fisher-Yates draw stays serial so the RNG
-// stream is consumed in a fixed order. For a fixed rng seed the result is
-// identical for any parallelism.
-func SampleClustering(g View, sampleSize int, rng *rand.Rand, parallelism int) []float64 {
+// The eligibility scan fans out over parallelism workers; the
+// Fisher-Yates draw stays serial so the RNG stream is consumed in a fixed
+// order. For a fixed rng seed the result is identical for any
+// parallelism.
+func ClusteringNodes(g View, sampleSize int, rng *rand.Rand, parallelism int) []NodeID {
 	if sampleSize < 0 {
 		return nil
 	}
-	n := g.NumNodes()
-	elBounds := uniformBounds(n, parallelism)
-	elParts := make([][]NodeID, len(elBounds)-1)
-	runShards(elBounds, func(shard, lo, hi int) {
+	bounds := uniformBounds(g.NumNodes(), parallelism)
+	parts := make([][]NodeID, len(bounds)-1)
+	runShards(bounds, func(shard, lo, hi int) {
 		part := make([]NodeID, 0, hi-lo)
 		for u := lo; u < hi; u++ {
 			if g.OutDegree(NodeID(u)) > 1 {
 				part = append(part, NodeID(u))
 			}
 		}
-		elParts[shard] = part
+		parts[shard] = part
 	})
-	eligible := concatShards(elParts)
+	eligible := concatShards(parts)
 	if sampleSize == 0 || sampleSize > len(eligible) {
-		sampleSize = len(eligible)
-	} else {
-		// Partial Fisher-Yates: the first sampleSize entries become a
-		// uniform sample without replacement.
-		for i := 0; i < sampleSize; i++ {
-			j := i + rng.IntN(len(eligible)-i)
-			eligible[i], eligible[j] = eligible[j], eligible[i]
-		}
+		return eligible
 	}
-	// Each sampled node's coefficient lands in its own slot, so the
-	// output order matches the serial scan over the sample.
-	selected := eligible[:sampleSize]
-	coeffs := make([]float64, sampleSize)
-	runShards(uniformBounds(sampleSize, parallelism), func(_, lo, hi int) {
+	// Partial Fisher-Yates: the first sampleSize entries become a
+	// uniform sample without replacement.
+	for i := 0; i < sampleSize; i++ {
+		j := i + rng.IntN(len(eligible)-i)
+		eligible[i], eligible[j] = eligible[j], eligible[i]
+	}
+	return eligible[:sampleSize]
+}
+
+// ClusteringLinks is the one scan behind Figure 4(b): for each listed
+// node, the number of directed edges among its out-neighbors, the
+// integer numerator of C(u). Coefficients and the C(k) curve are O(n)
+// derivations of it. Shards are contiguous runs of the list balanced on
+// out-degree, and each node's count lands in its own slot, so the output
+// is identical for any parallelism.
+func ClusteringLinks(g View, nodes []NodeID, parallelism int) []int64 {
+	work := make([]int64, len(nodes)+1)
+	for i, u := range nodes {
+		work[i+1] = work[i] + int64(g.OutDegree(u)) + 1
+	}
+	links := make([]int64, len(nodes))
+	bounds := prefixWorkBounds(len(nodes), parallelism, func(i int) int64 { return work[i] })
+	runShards(bounds, func(_, lo, hi int) {
 		own, nbr := g.Rows(), g.Rows()
 		for i := lo; i < hi; i++ {
-			// Sampled nodes have out-degree > 1, so the coefficient is
-			// always defined.
-			coeffs[i], _ = clusteringCoefficient(g, own, nbr, selected[i])
+			links[i] = clusteringLinks(own, nbr, nodes[i])
 		}
 	})
+	return links
+}
+
+// SampleClustering computes the clustering coefficient of every node
+// ClusteringNodes selects for sampleSize, in its order.
+func SampleClustering(g View, sampleSize int, rng *rand.Rand, parallelism int) []float64 {
+	nodes := ClusteringNodes(g, sampleSize, rng, parallelism)
+	if nodes == nil {
+		return nil
+	}
+	links := ClusteringLinks(g, nodes, parallelism)
+	coeffs := make([]float64, len(nodes))
+	for i, u := range nodes {
+		coeffs[i] = coefficient(links[i], g.OutDegree(u))
+	}
 	return coeffs
 }
 
 // AllClustering computes the exact clustering coefficient of every
-// eligible node (out-degree > 1), in ascending node-id order — the
-// exact replacement for SampleClustering's estimate. Work shards are
-// degree-balanced and merge by concatenation, so the result is
-// identical for any parallelism. It equals SampleClustering(g, 0, nil,
-// parallelism) and exists as the named entry point of the exact path.
+// eligible node (out-degree > 1), in ascending node-id order: the
+// full-scan form of SampleClustering under the name of the exact path.
 func AllClustering(g View, parallelism int) []float64 {
-	bounds := viewWorkBounds(g, parallelism)
-	parts := make([][]float64, len(bounds)-1)
-	runShards(bounds, func(shard, lo, hi int) {
-		var part []float64
-		own, nbr := g.Rows(), g.Rows()
-		for u := lo; u < hi; u++ {
-			if c, ok := clusteringCoefficient(g, own, nbr, NodeID(u)); ok {
-				part = append(part, c)
-			}
-		}
-		parts[shard] = part
-	})
-	return concatShards(parts)
+	return SampleClustering(g, 0, nil, parallelism)
 }
 
 // DegreeClustering is one point of the C(k) curve: the mean clustering
@@ -205,47 +209,29 @@ type DegreeClustering struct {
 	Mean float64
 }
 
-// ClusteringByDegree computes the exact C(k) curve: for every
-// out-degree k > 1 present in the graph, the mean coefficient over all
-// nodes of that out-degree, ascending by k. Shards accumulate the
-// integer link numerators, which merge by exact sums, so the curve is
-// byte-identical for any parallelism.
-func ClusteringByDegree(g View, parallelism int) []DegreeClustering {
+// ClusteringByDegree derives the C(k) curve from the ClusteringLinks of a
+// node list: for every out-degree k present in it, the mean coefficient
+// over the listed nodes of that out-degree, ascending by k. The link
+// numerators are summed as integers per degree, so the curve is exact
+// when the list is the full scan.
+func ClusteringByDegree(g View, nodes []NodeID, links []int64) []DegreeClustering {
 	type acc struct{ links, n int64 }
-	bounds := viewWorkBounds(g, parallelism)
-	parts := make([]map[int]acc, len(bounds)-1)
-	runShards(bounds, func(shard, lo, hi int) {
-		m := map[int]acc{}
-		own, nbr := g.Rows(), g.Rows()
-		for u := lo; u < hi; u++ {
-			k := g.OutDegree(NodeID(u))
-			if k < 2 {
-				continue
-			}
-			a := m[k]
-			a.links += int64(clusteringLinks(own, nbr, NodeID(u)))
-			a.n++
-			m[k] = a
-		}
-		parts[shard] = m
-	})
-	merged := map[int]acc{}
-	for _, m := range parts {
-		for k, a := range m {
-			t := merged[k]
-			t.links += a.links
-			t.n += a.n
-			merged[k] = t
-		}
+	byDeg := map[int]acc{}
+	for i, u := range nodes {
+		k := g.OutDegree(u)
+		a := byDeg[k]
+		a.links += links[i]
+		a.n++
+		byDeg[k] = a
 	}
-	degs := make([]int, 0, len(merged))
-	for k := range merged {
+	degs := make([]int, 0, len(byDeg))
+	for k := range byDeg {
 		degs = append(degs, k)
 	}
 	sort.Ints(degs)
 	out := make([]DegreeClustering, len(degs))
 	for i, k := range degs {
-		a := merged[k]
+		a := byDeg[k]
 		out[i] = DegreeClustering{
 			Degree: k,
 			N:      int(a.n),
@@ -275,18 +261,4 @@ func WedgeCount(g View, parallelism int) int64 {
 		total += p
 	}
 	return total
-}
-
-// GlobalClustering returns the mean clustering coefficient over a sample
-// (convenience for Table 4-style summaries).
-func GlobalClustering(g View, sampleSize int, rng *rand.Rand, parallelism int) float64 {
-	coeffs := SampleClustering(g, sampleSize, rng, parallelism)
-	if len(coeffs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, c := range coeffs {
-		sum += c
-	}
-	return sum / float64(len(coeffs))
 }

@@ -163,6 +163,14 @@ func handOut(last, row []graph.NodeID) []graph.NodeID {
 	return append([]graph.NodeID(nil), row...)
 }
 
+// matrixViews is the view axis of the kernel matrix: g behind the
+// hostile view, g written out and mapped, and the mapped form behind the
+// hostile view.
+func matrixViews(t *testing.T, g *graph.Graph) map[string]graph.View {
+	m := mustOpen(t, t.TempDir(), g)
+	return map[string]graph.View{"ram/stale": staleView{g}, "mapped": m, "mapped/stale": staleView{m}}
+}
+
 // TestKernelEquivalence is the differential kernel matrix: every
 // analysis kernel must give the in-RAM graph's answer over the mapped
 // backend, and over both backends behind staleView, at every
@@ -175,20 +183,25 @@ func TestKernelEquivalence(t *testing.T) {
 		})
 	}
 	kernels := map[string]func(v graph.View, par int) any{
-		"InDegrees":          func(v graph.View, par int) any { return graph.InDegrees(v, par) },
-		"OutDegrees":         func(v graph.View, par int) any { return graph.OutDegrees(v, par) },
-		"TopByInDegree":      func(v graph.View, par int) any { return graph.TopByInDegree(v, 10, par) },
-		"TopByOutDegree":     func(v graph.View, par int) any { return graph.TopByOutDegree(v, 10, par) },
-		"WCC":                func(v graph.View, par int) any { return graph.WCC(v, par) },
-		"SCC":                func(v graph.View, _ int) any { return graph.SCC(v) },
-		"AllReciprocities":   func(v graph.View, par int) any { return graph.AllReciprocities(v, par) },
-		"GlobalReciprocity":  func(v graph.View, par int) any { return graph.GlobalReciprocity(v, par) },
-		"AllClustering":      func(v graph.View, par int) any { return graph.AllClustering(v, par) },
-		"ClusteringByDegree": func(v graph.View, par int) any { return graph.ClusteringByDegree(v, par) },
-		"WedgeCount":         func(v graph.View, par int) any { return graph.WedgeCount(v, par) },
-		"Triangles":          func(v graph.View, par int) any { return graph.Triangles(v, graph.TriangleAuto, par) },
-		"TrianglesLL":        func(v graph.View, par int) any { return graph.Triangles(v, graph.TriangleSandiaLL, par) },
-		"Motifs":             func(v graph.View, par int) any { return graph.Motifs(v, par) },
+		"InDegrees":         func(v graph.View, par int) any { return graph.InDegrees(v, par) },
+		"OutDegrees":        func(v graph.View, par int) any { return graph.OutDegrees(v, par) },
+		"TopByInDegree":     func(v graph.View, par int) any { return graph.TopByInDegree(v, 10, par) },
+		"TopByOutDegree":    func(v graph.View, par int) any { return graph.TopByOutDegree(v, 10, par) },
+		"WCC":               func(v graph.View, par int) any { return graph.WCC(v, par) },
+		"SCC":               func(v graph.View, _ int) any { return graph.SCC(v) },
+		"ReciprocalCounts":  func(v graph.View, par int) any { return graph.ReciprocalCounts(v, par) },
+		"AllReciprocities":  func(v graph.View, par int) any { return graph.AllReciprocities(v, par) },
+		"GlobalReciprocity": func(v graph.View, par int) any { return graph.GlobalReciprocity(v, par) },
+		"AllClustering":     func(v graph.View, par int) any { return graph.AllClustering(v, par) },
+		"WedgeCount":        func(v graph.View, par int) any { return graph.WedgeCount(v, par) },
+		"Triangles":         func(v graph.View, par int) any { return graph.Triangles(v, graph.TriangleAuto, par) },
+		"TrianglesCohen":    func(v graph.View, par int) any { return graph.Triangles(v, graph.TriangleCohen, par) },
+		"Motifs":            func(v graph.View, par int) any { return graph.Motifs(v, par) },
+		"ClusteringByDegree": func(v graph.View, par int) any {
+			nodes := graph.ClusteringNodes(v, 0, nil, par)
+			links := graph.ClusteringLinks(v, nodes, par)
+			return []any{nodes, links, graph.ClusteringByDegree(v, nodes, links)}
+		},
 		"SampleClustering": func(v graph.View, par int) any {
 			return graph.SampleClustering(v, 50, rand.New(rand.NewPCG(5, 6)), par)
 		},
@@ -220,8 +233,7 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 	for name, g := range testGraphs() {
 		t.Run(name, func(t *testing.T) {
-			m := mustOpen(t, t.TempDir(), g)
-			views := map[string]graph.View{"ram/stale": staleView{g}, "mapped": m, "mapped/stale": staleView{m}}
+			views := matrixViews(t, g)
 			for kname, run := range kernels {
 				want := run(g, 1)
 				for vname, v := range views {

@@ -156,7 +156,7 @@ func TestMotifsTransitiveClosuresMatchClustering(t *testing.T) {
 		m := Motifs(g, 4)
 		var want int64
 		for u := 0; u < g.NumNodes(); u++ {
-			want += int64(clusteringLinks(g, g, NodeID(u)))
+			want += clusteringLinks(g, g, NodeID(u))
 		}
 		if got := m.TransitiveClosures(); got != want {
 			t.Errorf("%s: TransitiveClosures = %d, Σ clusteringLinks = %d", name, got, want)

@@ -123,34 +123,15 @@ func BenchmarkAnalysisSCC(b *testing.B) {
 	})
 }
 
-// The triangle suite skips the Cohen wedge-check kernel on the 1M-node
-// graph: its probe count is the full wedge total (~1e9 here), an order
-// of magnitude past what the other kernels pay — the same reason the
-// auto selector only picks it under the wedge budget.
-
-func BenchmarkAnalysisTrianglesBurkhardt(b *testing.B) {
-	g := analysisGraphOnce(b)
-	benchOverParallelisms(b, func(b *testing.B, par int) {
-		for i := 0; i < b.N; i++ {
-			_ = Triangles(g, TriangleBurkhardt, par)
-		}
-	})
-}
+// The triangle suite skips the Cohen wedge-check reference on the
+// 1M-node graph: its probe count is the full wedge total (~1e9 here), an
+// order of magnitude past what the production kernel pays.
 
 func BenchmarkAnalysisTrianglesSandiaLL(b *testing.B) {
 	g := analysisGraphOnce(b)
 	benchOverParallelisms(b, func(b *testing.B, par int) {
 		for i := 0; i < b.N; i++ {
 			_ = Triangles(g, TriangleSandiaLL, par)
-		}
-	})
-}
-
-func BenchmarkAnalysisTrianglesSandiaUU(b *testing.B) {
-	g := analysisGraphOnce(b)
-	benchOverParallelisms(b, func(b *testing.B, par int) {
-		for i := 0; i < b.N; i++ {
-			_ = Triangles(g, TriangleSandiaUU, par)
 		}
 	})
 }

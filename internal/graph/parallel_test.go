@@ -48,17 +48,17 @@ func TestParallelDeterminism(t *testing.T) {
 				"SampleClustering": func(par int) any {
 					return SampleClustering(g, 50, rand.New(rand.NewPCG(5, 6)), par)
 				},
-				"WCC":                func(par int) any { return WCC(g, par) },
-				"SCC":                func(int) any { return SCC(g) },
-				"AllClustering":      func(par int) any { return AllClustering(g, par) },
-				"ClusteringByDegree": func(par int) any { return ClusteringByDegree(g, par) },
-				"WedgeCount":         func(par int) any { return WedgeCount(g, par) },
-				"TrianglesBurkhardt": func(par int) any { return Triangles(g, TriangleBurkhardt, par) },
-				"TrianglesCohen":     func(par int) any { return Triangles(g, TriangleCohen, par) },
-				"TrianglesSandiaLL":  func(par int) any { return Triangles(g, TriangleSandiaLL, par) },
-				"TrianglesSandiaUU":  func(par int) any { return Triangles(g, TriangleSandiaUU, par) },
-				"TrianglesAuto":      func(par int) any { return Triangles(g, TriangleAuto, par) },
-				"Motifs":             func(par int) any { return Motifs(g, par) },
+				"WCC":           func(par int) any { return WCC(g, par) },
+				"SCC":           func(int) any { return SCC(g) },
+				"AllClustering": func(par int) any { return AllClustering(g, par) },
+				"ClusteringLinks": func(par int) any {
+					return ClusteringLinks(g, ClusteringNodes(g, 0, nil, par), par)
+				},
+				"ReciprocalCounts": func(par int) any { return ReciprocalCounts(g, par) },
+				"WedgeCount":       func(par int) any { return WedgeCount(g, par) },
+				"TrianglesCohen":   func(par int) any { return Triangles(g, TriangleCohen, par) },
+				"TrianglesAuto":    func(par int) any { return Triangles(g, TriangleAuto, par) },
+				"Motifs":           func(par int) any { return Motifs(g, par) },
 			}
 			for algo, run := range runs {
 				base := run(1)

@@ -8,61 +8,56 @@ package graph
 // It returns (0, false) for nodes with no out-edges, which have no defined
 // reciprocity.
 func RelationReciprocity(g View, u NodeID) (float64, bool) {
-	return relationReciprocity(g.Rows(), u)
-}
-
-func relationReciprocity(rows Rows, u NodeID) (float64, bool) {
-	out := rows.Out(u)
+	out := g.Out(u)
 	if len(out) == 0 {
 		return 0, false
 	}
-	shared := sortedIntersectionSize(out, rows.In(u))
-	return float64(shared) / float64(len(out)), true
+	return float64(sortedIntersectionSize(out, g.In(u))) / float64(len(out)), true
+}
+
+// ReciprocalCounts is the one scan behind Figure 4(a): for every node u,
+// the number of reciprocated out-edges |OS(u) ∩ IS(u)|, the integer
+// numerator of RR(u). Per-node ratios and the global figure are O(n)
+// derivations of it. The scan fans out over parallelism workers on
+// degree-balanced node ranges, each writing only its own nodes' slots, so
+// the output is identical for any parallelism.
+func ReciprocalCounts(g View, parallelism int) []int {
+	shared := make([]int, g.NumNodes())
+	runShards(viewWorkBounds(g, parallelism), func(_, lo, hi int) {
+		rows := g.Rows()
+		for u := lo; u < hi; u++ {
+			if out := rows.Out(NodeID(u)); len(out) > 0 {
+				shared[u] = sortedIntersectionSize(out, rows.In(NodeID(u)))
+			}
+		}
+	})
+	return shared
 }
 
 // AllReciprocities returns RR(u) for every node with at least one
-// out-edge, the population plotted in Figure 4(a). The scan fans out over
-// parallelism workers on degree-balanced node ranges; per-shard results
-// concatenate in shard order, so the output is identical for any
-// parallelism.
+// out-edge, in ascending node order: the population plotted in
+// Figure 4(a).
 func AllReciprocities(g View, parallelism int) []float64 {
-	bounds := viewWorkBounds(g, parallelism)
-	parts := make([][]float64, len(bounds)-1)
-	runShards(bounds, func(shard, lo, hi int) {
-		part := make([]float64, 0, hi-lo)
-		rows := g.Rows()
-		for u := lo; u < hi; u++ {
-			if rr, ok := relationReciprocity(rows, NodeID(u)); ok {
-				part = append(part, rr)
-			}
+	shared := ReciprocalCounts(g, parallelism)
+	rrs := make([]float64, 0, len(shared))
+	for u, c := range shared {
+		if k := g.OutDegree(NodeID(u)); k > 0 {
+			rrs = append(rrs, float64(c)/float64(k))
 		}
-		parts[shard] = part
-	})
-	return concatShards(parts)
+	}
+	return rrs
 }
 
 // GlobalReciprocity returns the fraction of directed edges that are
 // reciprocated (u->v exists and v->u exists). The paper measures 32% for
-// Google+ versus 22.1% reported for Twitter. The per-node intersection
-// counts are summed as integers per shard and then across shards, so the
-// result is identical for any parallelism.
+// Google+ versus 22.1% reported for Twitter.
 func GlobalReciprocity(g View, parallelism int) float64 {
 	if g.NumEdges() == 0 {
 		return 0
 	}
-	bounds := viewWorkBounds(g, parallelism)
-	partial := make([]int64, len(bounds)-1)
-	runShards(bounds, func(shard, lo, hi int) {
-		var sum int64
-		rows := g.Rows()
-		for u := lo; u < hi; u++ {
-			sum += int64(sortedIntersectionSize(rows.Out(NodeID(u)), rows.In(NodeID(u))))
-		}
-		partial[shard] = sum
-	})
 	var reciprocal int64
-	for _, p := range partial {
-		reciprocal += p
+	for _, c := range ReciprocalCounts(g, parallelism) {
+		reciprocal += int64(c)
 	}
 	return float64(reciprocal) / float64(g.NumEdges())
 }

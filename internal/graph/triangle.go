@@ -2,65 +2,50 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
 
 // Exact triangle counting over the undirected projection of the crawl
 // graph (u—v iff u→v or v→u), replacing the sampled clustering estimate
-// of §3.3.3 with exact counts. Three independent kernels — Burkhardt's
-// edge-iterator, Cohen's wedge-check, and the Sandia lowest/highest-
-// rank orientation over a degree-ordered presort — compute the same
-// result by entirely different routes, so the tests can cross-check
-// them against each other (and against the clustering-coefficient
-// numerators) on every graph they see. All kernels shard with the
-// degree-balanced prefixWorkBounds machinery and honor the package
-// determinism contract: per-node tallies are exact integer sums
-// (atomic adds commute), so results are byte-identical at any
+// of §3.3.3 with exact counts. One production kernel — the Sandia
+// lowest-rank orientation over a degree-ordered presort — and one
+// reference the tests compare it against: Cohen's wedge-check, which
+// shares neither the orientation nor intersectSorted with it. Both
+// shard with the degree-balanced prefixWorkBounds machinery and honor
+// the package determinism contract: per-node tallies are exact integer
+// sums (atomic adds commute), so results are byte-identical at any
 // parallelism.
 
 // TriangleMethod selects a triangle-counting kernel.
 type TriangleMethod int
 
 const (
-	// TriangleAuto picks a kernel from the graph's shape (wedge count
-	// and degree skew); the choice is a deterministic function of the
-	// graph, never of the environment.
+	// TriangleAuto is the production kernel, TriangleSandiaLL.
 	TriangleAuto TriangleMethod = iota
-	// TriangleBurkhardt is the edge-iterator: for every undirected edge
-	// {u,v}, count |N(u) ∩ N(v)|; each triangle is seen by its three
-	// edges, so the total divides by three. Work is Σ_edges min-degree
-	// intersections — robust on most shapes.
-	TriangleBurkhardt
 	// TriangleCohen is the wedge-check: for every wedge (v, u, w)
 	// centered at u with v < w, probe whether the closing edge {v,w}
-	// exists. Work is Σ_u C(deg(u),2) probes — cheap on wedge-light
-	// graphs, quadratic on the heavy-tailed head.
+	// exists. Work is Σ_u C(deg(u),2) probes — quadratic on the
+	// heavy-tailed head, so it is the reference for test-sized graphs,
+	// not a kernel for crawl-sized ones.
 	TriangleCohen
 	// TriangleSandiaLL orients each edge from lower to higher degree
-	// rank and intersects lower-neighborhoods, counting each triangle
+	// rank and intersects the oriented rows, counting each triangle
 	// exactly once at its lowest-rank corner. The orientation bounds
 	// every list by O(√m) on arbitrary graphs — the method of choice
 	// for skewed degree distributions.
 	TriangleSandiaLL
-	// TriangleSandiaUU is the mirror orientation (higher to lower
-	// rank); same bounds, counted at the highest-rank corner. Kept as
-	// an independent implementation for cross-checking.
-	TriangleSandiaUU
 )
 
 func (m TriangleMethod) String() string {
 	switch m {
 	case TriangleAuto:
 		return "auto"
-	case TriangleBurkhardt:
-		return "burkhardt"
 	case TriangleCohen:
 		return "cohen"
 	case TriangleSandiaLL:
 		return "sandia-ll"
-	case TriangleSandiaUU:
-		return "sandia-uu"
 	}
 	return fmt.Sprintf("TriangleMethod(%d)", int(m))
 }
@@ -233,64 +218,20 @@ func (u *undirected) wedgeTotal(parallelism int) int64 {
 	return total
 }
 
-// Method-selector thresholds. Both are deterministic functions of the
-// graph, so TriangleAuto resolves identically everywhere.
-const (
-	// cohenWedgeBudget caps the wedge-probe count Cohen is allowed; past
-	// it the probes dominate the intersections the other methods do.
-	cohenWedgeBudget = 4 << 20
-	// burkhardtSkewLimit is the max-degree / mean-degree ratio past
-	// which the unoriented edge-iterator starts paying the heavy head's
-	// full list on every incident edge, and the Sandia orientation's
-	// O(√m) row bound wins.
-	burkhardtSkewLimit = 8
-)
-
-// resolveTriangleMethod picks the kernel for TriangleAuto from the
-// projection's shape: wedge-light graphs take the cheap probe kernel;
-// low-skew graphs take the edge-iterator; heavy-tailed graphs — the
-// crawl's regime — take the oriented kernel.
-func resolveTriangleMethod(u *undirected, wedges int64) TriangleMethod {
-	if wedges <= cohenWedgeBudget {
-		return TriangleCohen
-	}
-	n := u.numNodes()
-	maxDeg := 0
-	for v := 0; v < n; v++ {
-		if d := u.deg(NodeID(v)); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	if int64(maxDeg)*int64(n) < burkhardtSkewLimit*u.off[n] {
-		return TriangleBurkhardt
-	}
-	return TriangleSandiaLL
-}
-
 // Triangles counts every triangle in the undirected projection of g
-// exactly, using the requested kernel (or an automatic choice). The
-// result — total, per-node counts, and wedge count — is byte-identical
-// for any parallelism.
+// exactly, using the requested kernel. The result — total, per-node
+// counts, and wedge count — is byte-identical for any parallelism.
 func Triangles(g View, method TriangleMethod, parallelism int) *TriangleResult {
-	u := buildUndirected(g, parallelism, false)
-	return trianglesOn(u, method, parallelism)
-}
-
-func trianglesOn(u *undirected, method TriangleMethod, parallelism int) *TriangleResult {
-	wedges := u.wedgeTotal(parallelism)
 	if method == TriangleAuto {
-		method = resolveTriangleMethod(u, wedges)
+		method = TriangleSandiaLL
 	}
-	res := &TriangleResult{Method: method, Wedges: wedges, PerNode: make([]int64, u.numNodes())}
+	u := buildUndirected(g, parallelism, false)
+	res := &TriangleResult{Method: method, Wedges: u.wedgeTotal(parallelism), PerNode: make([]int64, u.numNodes())}
 	switch method {
-	case TriangleBurkhardt:
-		triBurkhardt(u, res.PerNode, parallelism)
 	case TriangleCohen:
 		triCohen(u, res.PerNode, parallelism)
 	case TriangleSandiaLL:
-		triSandia(u, res.PerNode, parallelism, false)
-	case TriangleSandiaUU:
-		triSandia(u, res.PerNode, parallelism, true)
+		triSandia(u, res.PerNode, parallelism)
 	default:
 		panic(fmt.Sprintf("graph: unknown triangle method %v", method))
 	}
@@ -300,27 +241,6 @@ func trianglesOn(u *undirected, method TriangleMethod, parallelism int) *Triangl
 	}
 	res.Total = sum / 3
 	return res
-}
-
-// triBurkhardt: for each undirected edge {v,w} with v < w, every common
-// neighbor x closes a triangle {v,w,x}; crediting x per edge visits
-// each triangle once per corner, so per fills with exact per-node
-// counts directly. Shards own contiguous v-ranges; x may belong to any
-// shard, so its tally is an atomic add (integer addition commutes —
-// determinism holds).
-func triBurkhardt(u *undirected, per []int64, parallelism int) {
-	runShards(u.workBounds(parallelism), func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			nv := u.nbr(NodeID(v))
-			// Only edges toward higher ids; each {v,w} handled once.
-			i := sort.Search(len(nv), func(k int) bool { return int(nv[k]) > v })
-			for _, w := range nv[i:] {
-				intersectSorted(nv, u.nbr(w), func(x, _ int) {
-					atomic.AddInt64(&per[nv[x]], 1)
-				})
-			}
-		}
-	})
 }
 
 // triCohen: for each center v, probe every neighbor pair {a,b} with
@@ -355,12 +275,10 @@ type oriented struct {
 	perm []NodeID
 }
 
-// orient builds the rank-ordered half graph. With reverse=false, row r
-// keeps neighbors of higher rank (the LL orientation); with
-// reverse=true, lower rank (UU). Rank order is (degree asc, id asc) —
-// a total order, so the orientation is canonical and results cannot
-// depend on scheduling.
-func orient(u *undirected, parallelism int, reverse bool) *oriented {
+// orient builds the rank-ordered half graph: row r keeps r's neighbors
+// of higher rank. Rank order is (degree asc, id asc) — a total order, so
+// the orientation is canonical and results cannot depend on scheduling.
+func orient(u *undirected, parallelism int) *oriented {
 	n := u.numNodes()
 	o := &oriented{off: make([]int64, n+1), perm: make([]NodeID, n)}
 	for v := range o.perm {
@@ -377,22 +295,13 @@ func orient(u *undirected, parallelism int, reverse bool) *oriented {
 	for r, v := range o.perm {
 		rank[v] = uint32(r)
 	}
-	// keep reports whether the edge v→w survives in this orientation,
-	// from v's perspective.
-	keep := func(rv, rw uint32) bool {
-		if reverse {
-			return rw < rv
-		}
-		return rw > rv
-	}
 	bounds := uniformBounds(n, parallelism)
 	// Pass 1: surviving-degree of each rank row.
 	runShards(bounds, func(_, lo, hi int) {
 		for r := lo; r < hi; r++ {
-			v := o.perm[r]
 			c := int64(0)
-			for _, w := range u.nbr(v) {
-				if keep(uint32(r), rank[w]) {
+			for _, w := range u.nbr(o.perm[r]) {
+				if rank[w] > uint32(r) {
 					c++
 				}
 			}
@@ -406,14 +315,13 @@ func orient(u *undirected, parallelism int, reverse bool) *oriented {
 	// Pass 2: fill rows with surviving neighbors' ranks, sorted.
 	runShards(bounds, func(_, lo, hi int) {
 		for r := lo; r < hi; r++ {
-			v := o.perm[r]
 			row := o.adj[o.off[r]:o.off[r]]
-			for _, w := range u.nbr(v) {
-				if rw := rank[w]; keep(uint32(r), rw) {
+			for _, w := range u.nbr(o.perm[r]) {
+				if rw := rank[w]; rw > uint32(r) {
 					row = append(row, rw)
 				}
 			}
-			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+			slices.Sort(row)
 		}
 	})
 	return o
@@ -421,10 +329,10 @@ func orient(u *undirected, parallelism int, reverse bool) *oriented {
 
 // triSandia intersects oriented rows: for each kept edge (r, s), every
 // common oriented neighbor t closes triangle {r,s,t}, found exactly
-// once (at its lowest-rank corner under LL, highest under UU). All
-// three corners' tallies are atomic adds into the original id space.
-func triSandia(u *undirected, per []int64, parallelism int, reverse bool) {
-	o := orient(u, parallelism, reverse)
+// once, at its lowest-rank corner. All three corners' tallies are atomic
+// adds into the original id space.
+func triSandia(u *undirected, per []int64, parallelism int) {
+	o := orient(u, parallelism)
 	n := len(o.perm)
 	bounds := prefixWorkBounds(n, parallelism, func(r int) int64 {
 		return o.off[r] + int64(r)
@@ -433,16 +341,10 @@ func triSandia(u *undirected, per []int64, parallelism int, reverse bool) {
 		for r := lo; r < hi; r++ {
 			row := o.adj[o.off[r]:o.off[r+1]]
 			for i, s := range row {
-				srow := o.adj[o.off[s]:o.off[s+1]]
-				// The third corner ranks beyond s in the orientation's
-				// direction — after it under LL, before it under UU —
-				// so each triangle is generated from its extreme
-				// corner only.
+				// The third corner ranks after s, so each triangle is
+				// generated from its lowest-rank corner only.
 				rest := row[i+1:]
-				if reverse {
-					rest = row[:i]
-				}
-				intersectSorted(rest, srow, func(t, _ int) {
+				intersectSorted(rest, o.adj[o.off[s]:o.off[s+1]], func(t, _ int) {
 					atomic.AddInt64(&per[o.perm[r]], 1)
 					atomic.AddInt64(&per[o.perm[s]], 1)
 					atomic.AddInt64(&per[o.perm[rest[t]]], 1)
