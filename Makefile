@@ -18,7 +18,8 @@ all: build vet test race
 # covers the sharded rate limiter, the batched crawl frontier and the
 # study's concurrent structure stages, the
 # short fuzz leg shakes the checkpoint/journal parser, the hygiene leg
-# gates the metric exposition and the one-durable-writer rule, the
+# gates the metric exposition, the one-durable-writer rule and the
+# every-flag-has-a-recipe rule, the
 # brownout leg proves kill-free convergence through a server overload,
 # staticcheck runs when the pinned version is installed, and the run
 # ends with the non-test line count per package.
@@ -27,7 +28,7 @@ check: all staticcheck hygiene brownout fuzz-short loc
 help:
 	@echo "make all            build + vet + test + race (default)"
 	@echo "make check          all + staticcheck + hygiene + brownout + fuzz-short"
-	@echo "make hygiene        metrics-hygiene gate (naming grammar + HELP lines) + durable-write gate"
+	@echo "make hygiene        metrics-hygiene gate (naming grammar + HELP lines) + durable-write gate + every-flag-has-a-recipe gate"
 	@echo "make loc            non-test Go lines per package (bench/ excluded)"
 	@echo "make chaos          kill/resume convergence under the fault suite"
 	@echo "make brownout       kill-free convergence through a server brownout"
@@ -55,17 +56,21 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/ ./internal/obs/ ./internal/obs/prof/ ./internal/obs/series/ ./internal/obs/trace/ ./internal/crawler/ ./internal/dataset/ ./internal/durable/ ./internal/gplusd/ ./internal/graph/ ./internal/graph/diskcsr/ ./internal/resilience/
+	$(GO) test -race ./internal/core/ ./internal/obs/ ./internal/obs/prof/ ./internal/obs/rundir/ ./internal/obs/series/ ./internal/obs/trace/ ./cmd/gplusanalyze/ ./internal/crawler/ ./internal/dataset/ ./internal/durable/ ./internal/gplusd/ ./internal/graph/ ./internal/graph/diskcsr/ ./internal/resilience/
 
 # The metrics-hygiene gate: every family either registry exposes after a
 # faulted crawl must match the Prometheus naming grammar and carry a
 # HELP line, and every sample must belong to a declared TYPE. The
 # durable-write gate fails if non-test code outside internal/durable
-# (and bench/) calls os.Rename or os.CreateTemp, so a second copy of the
-# write-fsync-rename protocol cannot land unnoticed.
+# (and bench/) calls os.Rename or os.CreateTemp or opens a file
+# O_APPEND, so a second copy of the write-fsync-rename protocol or of
+# the append log cannot land unnoticed. The flags gate fails if
+# gpluscrawl or gplusd registers a flag that no README.md,
+# EXPERIMENTS.md or Makefile recipe names.
 hygiene:
 	$(GO) test -count=1 -run TestMetricsHygiene ./internal/crawler/
 	$(GO) test -count=1 -run TestDurableWriteHygiene ./internal/durable/
+	$(GO) test -count=1 -run TestFlagsHaveRecipe .
 
 # Non-test Go lines per package, bench/ excluded: the size trend ROADMAP
 # aim 2 asks every PR to report.
@@ -104,24 +109,28 @@ brownout:
 	$(GO) test -race -count=1 -run TestBrownoutConvergence -v ./internal/crawler/
 
 # The tracing demo: a short chaos crawl with request tracing on both
-# sides of the wire. Fails if the exemplar dump comes out empty or the
-# critical-path analysis is missing; -v prints the merged span trees
-# (client attempt spans with gplusd server spans joined under them).
+# sides of the wire, the client side streaming exemplars into a run
+# directory as gpluscrawl -obs-dir does. Fails if <dir>/exemplars.jsonl
+# comes out empty or the critical-path analysis is missing; -v prints
+# the merged span trees (client attempt spans with gplusd server spans
+# joined under them).
 trace-demo:
 	$(GO) test -count=1 -run TestTraceDemo -v ./internal/crawler/
 
 # The dashboard demo: a short chaos crawl rendered frame-by-frame on the
-# live dashboard, exactly as `gpluscrawl -dash` wires it; -v prints the
+# live dashboard, over the same rundir.Start stack `gpluscrawl -dash`
+# runs on; -v prints the
 # final frame and the offline health report replayed from the same
 # rings (outage spike, SLO violation span, alert transition).
 dash-demo:
 	$(GO) test -count=1 -run TestDashDemo -v ./internal/crawler/
 
 # The continuous-profiling demo, end to end: a brownout chaos crawl
-# fills a profile ring (interval captures plus the anomaly capture the
-# SLO page triggers, phase-label attribution asserted in-test), then
-# the offline analyzer decodes the same ring — CPU cost by crawl phase,
-# and a steady-state vs anomaly-window diff.
+# fills the profile ring of a run directory (interval captures plus the
+# anomaly capture the SLO page triggers, phase-label attribution
+# asserted in-test), then the offline analyzer, given only that
+# directory, decodes <dir>/profiles — CPU cost by crawl phase, and a
+# steady-state vs anomaly-window diff.
 prof-demo:
 	rm -rf /tmp/gplus-prof-demo
 	PROF_DEMO_DIR=/tmp/gplus-prof-demo $(GO) test -count=1 -run TestContinuousProfilingE2E -v ./internal/crawler/

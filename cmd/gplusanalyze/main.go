@@ -8,31 +8,34 @@
 //	gplusanalyze -data ./data -only motifs     # exact triangle + triad census
 //	gplusanalyze -data ./data -baselines       # include Table 4 baselines
 //
-// The traces subcommand analyzes request-trace dumps instead (JSONL from
-// gpluscrawl -trace-dir or /debug/traces?format=jsonl on either binary):
-// it merges client- and server-side spans sharing a trace id, prints the
-// critical-path breakdown of where request wall-clock went, the retry
-// amplification per operation, and the slowest requests as span trees.
+// Three subcommands read the run directory gpluscrawl/gplusd write
+// under -obs-dir (series.jsonl, traces.jsonl, exemplars.jsonl,
+// profiles/); each also accepts the individual files, e.g. dumps saved
+// from /debug/traces?format=jsonl or /debug/timeseries?format=jsonl.
 //
-//	gplusanalyze traces [-top N] traces.jsonl [server.jsonl ...]
+// traces merges client- and server-side spans sharing a trace id and
+// prints the critical-path breakdown of where request wall-clock went,
+// the retry amplification per operation, and the slowest requests as
+// span trees.
 //
-// The metrics subcommand replays a crawl's metric time-series dump
-// (JSONL from gpluscrawl -series-dir or /debug/timeseries?format=jsonl)
-// into a crawl health report: the throughput curve, the error-rate
-// timeline with spike spans, stall detection, and the violation spans of
-// the SLO objectives re-evaluated at every recorded tick.
+//	gplusanalyze traces [-top N] run-dir [server-run-dir | dump.jsonl ...]
 //
-//	gplusanalyze metrics [-width N] [-slo spec] series.jsonl [shard2.jsonl ...]
+// metrics replays the metric time series into a crawl health report:
+// the throughput curve, the error-rate timeline with spike spans, stall
+// detection, and the violation spans of the SLO objectives re-evaluated
+// at every recorded tick.
 //
-// The profiles subcommand analyzes continuous-profiling rings written by
-// gpluscrawl/gplusd -profile-dir (or loose pprof .pb.gz files): top-N
-// functions by flat or cumulative cost, aggregation by pprof label
-// (phase, endpoint, chaos, ...), and A-vs-B diffs — e.g. steady-state
-// interval captures against the anomaly captures an SLO page triggered.
+//	gplusanalyze metrics [-width N] [-slo spec] run-dir [shard2-run-dir ...]
 //
-//	gplusanalyze profiles [-kind cpu] [-top N] [-by flat|cum|label] profdir
-//	gplusanalyze profiles -by label -label phase profdir
-//	gplusanalyze profiles -trigger interval -diff profdir -diff-trigger slo-page profdir
+// profiles analyzes the continuous-profiling ring (or loose pprof .pb.gz
+// files): top-N functions by flat or cumulative cost, aggregation by
+// pprof label (phase, endpoint, chaos, ...), and A-vs-B diffs — e.g.
+// steady-state interval captures against the anomaly captures an SLO
+// page triggered.
+//
+//	gplusanalyze profiles [-kind cpu] [-top N] [-by flat|cum|label] run-dir
+//	gplusanalyze profiles -by label -label phase run-dir
+//	gplusanalyze profiles -trigger interval -diff run-dir -diff-trigger slo-page run-dir
 package main
 
 import (
@@ -42,6 +45,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -50,21 +54,55 @@ import (
 	"gplus/internal/core"
 	"gplus/internal/dataset"
 	"gplus/internal/obs/prof"
+	"gplus/internal/obs/rundir"
 	"gplus/internal/obs/series"
 	"gplus/internal/obs/trace"
 	"gplus/internal/report"
 	"gplus/internal/synth"
 )
 
-// runTraces is the `gplusanalyze traces` subcommand: offline analysis of
-// trace dumps.
-func runTraces(args []string) {
-	fs := flag.NewFlagSet("traces", flag.ExitOnError)
-	top := fs.Int("top", 10, "slowest traces to print with full span trees")
+// readEach hands every source to read, opened. A source that is a
+// directory is a run directory and stands for those of names that exist
+// in it, of which there must be at least one. A source that ends in an
+// unterminated record (a cut dump) is analyzed without it, with a warning.
+func readEach(sources, names []string, read func(io.Reader) (torn int, err error)) error {
+	for _, src := range sources {
+		paths := []string{src}
+		if isDir(src) {
+			paths = nil
+			for _, name := range names {
+				path := filepath.Join(src, name)
+				if _, err := os.Stat(path); err == nil {
+					paths = append(paths, path)
+				}
+			}
+			if paths == nil {
+				return fmt.Errorf("%s holds none of %s", src, strings.Join(names, ", "))
+			}
+		}
+		for _, path := range paths {
+			f, err := os.Open(path)
+			if err != nil {
+				return err
+			}
+			torn, err := read(f)
+			f.Close()
+			if err != nil {
+				return fmt.Errorf("reading %s: %w", path, err)
+			}
+			if torn > 0 {
+				log.Printf("warning: dropped %d unterminated trailing record from %s (cut mid-write, or saved without a final newline)", torn, path)
+			}
+		}
+	}
+	return nil
+}
+
+// sources parses a subcommand's arguments and returns the positional
+// ones, of which there must be at least one.
+func sources(fs *flag.FlagSet, usage string, args []string) []string {
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: gplusanalyze traces [-top N] dump.jsonl [more.jsonl ...]")
-		fmt.Fprintln(os.Stderr, "dumps come from gpluscrawl -trace-dir or /debug/traces?format=jsonl;")
-		fmt.Fprintln(os.Stderr, "client and server dumps of one crawl merge by trace id")
+		fmt.Fprintf(os.Stderr, "usage: gplusanalyze %s %s\n", fs.Name(), usage)
 		fs.PrintDefaults()
 	}
 	fs.Parse(args) //nolint:errcheck — ExitOnError
@@ -72,122 +110,105 @@ func runTraces(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
+	return fs.Args()
+}
+
+// runTraces is the `gplusanalyze traces` subcommand: offline analysis of
+// trace dumps.
+func runTraces(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("traces", flag.ExitOnError)
+	top := fs.Int("top", 10, "slowest traces to print with full span trees")
+	srcs := sources(fs, `[-top N] run-dir-or-dump.jsonl [more ...]
+a run directory (-obs-dir) stands for its traces.jsonl and exemplars.jsonl; dumps also
+come from /debug/traces?format=jsonl; client and server sides of one crawl merge by trace id`, args)
 	var all []*trace.Trace
-	for _, path := range fs.Args() {
-		f, err := os.Open(path)
-		if err != nil {
-			log.Fatalf("opening trace dump: %v", err)
-		}
-		trs, err := trace.ReadTraces(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("reading %s: %v", path, err)
-		}
+	err := readEach(srcs, []string{rundir.TracesFile, rundir.ExemplarsFile}, func(r io.Reader) (int, error) {
+		trs, torn, err := trace.ReadTraces(r)
 		all = append(all, trs...)
+		return torn, err
+	})
+	if err != nil {
+		return err
 	}
-	a := trace.Analyze(all, *top)
-	if err := a.WriteText(os.Stdout); err != nil {
-		log.Fatalf("writing analysis: %v", err)
-	}
+	return trace.Analyze(all, *top).WriteText(w)
 }
 
 // runMetrics is the `gplusanalyze metrics` subcommand: replay a crawl's
 // time-series dump into a crawl health report.
-func runMetrics(args []string) {
+func runMetrics(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
 	width := fs.Int("width", 60, "sparkline width")
 	sloSpec := fs.String("slo", "default", `SLO objectives to replay over the dump ("default" = the crawl defaults, "" skips SLO replay)`)
 	stallAfter := fs.Int("stall-after", 3, "consecutive zero-throughput ticks (with work queued) that count as a stall")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: gplusanalyze metrics [-width N] [-slo spec] series.jsonl [more.jsonl ...]")
-		fmt.Fprintln(os.Stderr, "dumps come from gpluscrawl -series-dir or /debug/timeseries?format=jsonl;")
-		fmt.Fprintln(os.Stderr, "multiple dumps (crawl shards) merge into one report")
-		fs.PrintDefaults()
-	}
-	fs.Parse(args) //nolint:errcheck — ExitOnError
-	if fs.NArg() == 0 {
-		fs.Usage()
-		os.Exit(2)
-	}
+	srcs := sources(fs, `[-width N] [-slo spec] run-dir-or-series.jsonl [more ...]
+a run directory (-obs-dir) stands for its series.jsonl; dumps also come from
+/debug/timeseries?format=jsonl; multiple dumps (crawl shards) merge into one report`, args)
 	dump := series.NewDump()
-	for _, path := range fs.Args() {
-		f, err := os.Open(path)
-		if err != nil {
-			log.Fatalf("opening series dump: %v", err)
-		}
-		err = dump.ReadJSONL(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("reading %s: %v", path, err)
-		}
+	if err := readEach(srcs, []string{rundir.SeriesFile}, dump.ReadJSONL); err != nil {
+		return err
 	}
-	opts := series.ReportOptions{Width: *width, StallAfter: *stallAfter}
-	switch *sloSpec {
-	case "default":
-	case "":
-		opts.Objectives = []series.Objective{}
-	default:
-		objs, err := series.ParseObjectives(*sloSpec)
-		if err != nil {
-			log.Fatalf("parsing -slo: %v", err)
-		}
-		opts.Objectives = objs
+	// A nil objective set replays the crawl defaults, an empty one none.
+	objs, err := series.ObjectivesFlag(*sloSpec, nil)
+	if err != nil {
+		return fmt.Errorf("parsing -slo: %w", err)
 	}
-	series.BuildReport(dump, opts).WriteText(os.Stdout, *width)
+	opts := series.ReportOptions{Width: *width, StallAfter: *stallAfter, Objectives: objs}
+	series.BuildReport(dump, opts).WriteText(w, *width)
+	return nil
 }
 
 // runProfiles is the `gplusanalyze profiles` subcommand: offline analysis
-// of the continuous-profiling rings gpluscrawl/gplusd write under
-// -profile-dir, or of loose pprof .pb.gz files.
-func runProfiles(args []string) {
+// of the continuous-profiling ring of a run directory, or of loose pprof
+// .pb.gz files.
+func runProfiles(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("profiles", flag.ExitOnError)
-	kind := fs.String("kind", "cpu", "capture kind to load from ring dirs: cpu, heap, goroutine, mutex, or block")
+	kind := fs.String("kind", "cpu", "capture kind to load from rings: cpu, heap, goroutine, mutex, or block")
 	trigger := fs.String("trigger", "", `only ring captures whose trigger starts with this prefix (e.g. "interval", "slo-page", "stall"); "" = all`)
 	top := fs.Int("top", 20, "rows to print (0 = all)")
 	by := fs.String("by", "flat", "ranking: flat (cost at the leaf), cum (cost anywhere on the stack), or label (aggregate by -label)")
 	label := fs.String("label", "phase", `pprof label key for -by label and labelled diffs (e.g. "phase", "endpoint", "chaos", "worker")`)
-	diffSrc := fs.String("diff", "", "diff mode: comma-separated B-side sources (ring dirs or .pb.gz files); the positional args are the A side")
+	diffSrc := fs.String("diff", "", "diff mode: comma-separated B-side sources (run directories or .pb.gz files); the positional args are the A side")
 	diffTrig := fs.String("diff-trigger", "", "trigger prefix filter for the -diff B side (default: same as -trigger, so the same ring can be split by trigger)")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: gplusanalyze profiles [-kind K] [-trigger T] [-top N] [-by flat|cum|label] [-label key] [-diff sources [-diff-trigger T]] dir-or-file [more ...]")
-		fmt.Fprintln(os.Stderr, "sources are -profile-dir rings (filtered via their manifest) or single pprof .pb.gz files;")
-		fmt.Fprintln(os.Stderr, "e.g. diff steady state against the captures an SLO page triggered, by crawl phase:")
-		fmt.Fprintln(os.Stderr, "  gplusanalyze profiles -by label -trigger interval -diff ./profs -diff-trigger slo-page ./profs")
-		fs.PrintDefaults()
+	srcs := sources(fs, `[-kind K] [-trigger T] [-top N] [-by flat|cum|label] [-label key] [-diff sources [-diff-trigger T]] run-dir-or-file [more ...]
+sources are run directories (-obs-dir; the ring under profiles/, filtered via its manifest), bare ring
+directories, or single pprof .pb.gz files; e.g. diff steady state against the captures an SLO page triggered, by crawl phase:
+  gplusanalyze profiles -by label -trigger interval -diff ./run -diff-trigger slo-page ./run`, args)
+	a, aDesc, err := loadProfileSet(srcs, *kind, *trigger)
+	if err != nil {
+		return err
 	}
-	fs.Parse(args) //nolint:errcheck — ExitOnError
-	if fs.NArg() == 0 {
-		fs.Usage()
-		os.Exit(2)
-	}
-	a, aDesc := loadProfileSet(fs.Args(), *kind, *trigger)
 	if *diffSrc != "" {
 		bTrig := *diffTrig
 		if bTrig == "" {
 			bTrig = *trigger
 		}
-		b, bDesc := loadProfileSet(strings.Split(*diffSrc, ","), *kind, bTrig)
+		b, bDesc, err := loadProfileSet(strings.Split(*diffSrc, ","), *kind, bTrig)
+		if err != nil {
+			return err
+		}
 		key, name := "", "function (flat)"
 		if *by == "label" {
 			key, name = *label, "label "+*label
 		}
-		fmt.Printf("profile diff (%s): A = %s; B = %s\n", *kind, aDesc, bDesc)
-		fmt.Print(prof.FormatDiff(prof.Diff(a, b, key, *top), name))
-		return
+		fmt.Fprintf(w, "profile diff (%s): A = %s; B = %s\n", *kind, aDesc, bDesc)
+		fmt.Fprint(w, prof.FormatDiff(prof.Diff(a, b, key, *top), name))
+		return nil
 	}
 	unit := prof.SampleUnit(a)
-	fmt.Printf("profiles (%s): %s\n", *kind, aDesc)
+	fmt.Fprintf(w, "profiles (%s): %s\n", *kind, aDesc)
 	if *by == "label" {
-		fmt.Print(prof.FormatByLabel(prof.ByLabel(a, *label), *label, unit))
-		return
+		fmt.Fprint(w, prof.FormatByLabel(prof.ByLabel(a, *label), *label, unit))
+		return nil
 	}
-	fmt.Print(prof.FormatTop(prof.TopFuncs(a, *by, *top), unit))
+	fmt.Fprint(w, prof.FormatTop(prof.TopFuncs(a, *by, *top), unit))
+	return nil
 }
 
 // loadProfileSet decodes every source into profiles: a directory is a
-// -profile-dir ring whose manifest is filtered by kind and trigger
-// prefix; anything else is read as a single pprof .pb.gz file.
-func loadProfileSet(sources []string, kind, trigger string) ([]*prof.Profile, string) {
+// run directory (its profiles/ ring) or a bare ring, whose manifest is
+// filtered by kind and trigger prefix; anything else is read as a single
+// pprof .pb.gz file.
+func loadProfileSet(sources []string, kind, trigger string) ([]*prof.Profile, string, error) {
 	var ps []*prof.Profile
 	for _, src := range sources {
 		src = strings.TrimSpace(src)
@@ -196,19 +217,23 @@ func loadProfileSet(sources []string, kind, trigger string) ([]*prof.Profile, st
 		}
 		st, err := os.Stat(src)
 		if err != nil {
-			log.Fatalf("profiles: %v", err)
+			return nil, "", err
 		}
 		if !st.IsDir() {
 			p, err := prof.ReadFile(src)
 			if err != nil {
-				log.Fatalf("decoding %s: %v", src, err)
+				return nil, "", fmt.Errorf("decoding %s: %w", src, err)
 			}
 			ps = append(ps, p)
 			continue
 		}
-		entries, err := prof.ReadManifest(src)
+		ring := src
+		if sub := filepath.Join(src, rundir.ProfilesDir); isDir(sub) {
+			ring = sub
+		}
+		entries, err := prof.ReadManifest(ring)
 		if err != nil {
-			log.Fatalf("reading capture manifest in %s: %v", src, err)
+			return nil, "", fmt.Errorf("reading capture manifest in %s: %w", ring, err)
 		}
 		for _, e := range entries {
 			if e.Kind != kind {
@@ -217,9 +242,9 @@ func loadProfileSet(sources []string, kind, trigger string) ([]*prof.Profile, st
 			if trigger != "" && !strings.HasPrefix(e.Trigger, trigger) {
 				continue
 			}
-			p, err := prof.ReadFile(e.Path(src))
+			p, err := prof.ReadFile(e.Path(ring))
 			if err != nil {
-				log.Fatalf("decoding %s: %v", e.Path(src), err)
+				return nil, "", fmt.Errorf("decoding %s: %w", e.Path(ring), err)
 			}
 			ps = append(ps, p)
 		}
@@ -229,30 +254,34 @@ func loadProfileSet(sources []string, kind, trigger string) ([]*prof.Profile, st
 		if trigger != "" {
 			filter += ", trigger " + trigger + "*"
 		}
-		log.Fatalf("profiles: no captures matched (%s) in %s", filter, strings.Join(sources, ", "))
+		return nil, "", fmt.Errorf("profiles: no captures matched (%s) in %s", filter, strings.Join(sources, ", "))
 	}
 	desc := fmt.Sprintf("%d capture(s) from %s", len(ps), strings.Join(sources, ", "))
 	if trigger != "" {
 		desc += fmt.Sprintf(", trigger %s*", trigger)
 	}
-	return ps, desc
+	return ps, desc, nil
+}
+
+func isDir(path string) bool {
+	st, err := os.Stat(path)
+	return err == nil && st.IsDir()
 }
 
 func main() {
 	if len(os.Args) > 1 && !strings.HasPrefix(os.Args[1], "-") {
-		switch os.Args[1] {
-		case "traces":
-			runTraces(os.Args[2:])
-		case "metrics":
-			runMetrics(os.Args[2:])
-		case "profiles":
-			runProfiles(os.Args[2:])
-		default:
+		sub := map[string]func(io.Writer, []string) error{
+			"traces": runTraces, "metrics": runMetrics, "profiles": runProfiles,
+		}[os.Args[1]]
+		if sub == nil {
 			// A bare first word that is not a known verb used to fall
 			// through to the study runner, which silently ignored it and
 			// analyzed the default dataset — surface the typo instead.
 			fmt.Fprintf(os.Stderr, "gplusanalyze: unknown subcommand %q (available: traces, metrics, profiles)\n", os.Args[1])
 			os.Exit(2)
+		}
+		if err := sub(os.Stdout, os.Args[2:]); err != nil {
+			log.Fatalf("%s: %v", os.Args[1], err)
 		}
 		return
 	}

@@ -1,0 +1,134 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"log"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+	"time"
+
+	"gplus/internal/crawler"
+	"gplus/internal/gplusd"
+	"gplus/internal/graph"
+	"gplus/internal/obs/prof"
+	"gplus/internal/obs/rundir"
+	"gplus/internal/obs/series"
+	"gplus/internal/obs/trace"
+	"gplus/internal/synth"
+)
+
+// TestRunDirectoryEndToEnd is the loop the binaries ship, in one
+// process: the stack gpluscrawl wires (rundir.Start on a run directory)
+// rides a short chaos crawl against an in-process gplusd, Close
+// completes the directory, and all three analyzers — given the
+// directory and nothing else — must have something to say: a
+// throughput curve, a critical-path table, and CPU cost by crawl phase.
+func TestRunDirectoryEndToEnd(t *testing.T) {
+	cfg := synth.DefaultConfig(2_500)
+	cfg.Seed = 1234
+	u, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The trace-demo fault mix: enough misbehaviour to exercise retries,
+	// errors and slow requests, not enough to keep the crawl from
+	// finishing.
+	srv := httptest.NewServer(gplusd.New(u, gplusd.Options{
+		Tracer: trace.New(trace.Config{}),
+		Faults: &gplusd.FaultSpec{Seed: 42, Rules: []gplusd.FaultRule{
+			{Kind: gplusd.FaultUnavailable, Rate: 0.05},
+			{Kind: gplusd.FaultDelay, Rate: 0.05, Delay: 10 * time.Millisecond},
+			{Kind: gplusd.FaultReset, Rate: 0.03},
+			{Kind: gplusd.FaultHang, Rate: 0.005, Delay: 300 * time.Millisecond},
+		}},
+	}))
+	defer srv.Close()
+
+	dir := t.TempDir()
+	run, err := rundir.Start(rundir.Config{
+		Dir:        dir,
+		Series:     series.Options{Interval: 25 * time.Millisecond, Capacity: 4096},
+		Objectives: series.DefaultCrawlObjectives(),
+		Trace:      trace.Config{SampleRate: 1},
+		// A CPU window covering most of each cycle, as in the profiling
+		// e2e: a one-second crawl must leave phase-labelled samples.
+		Prof: prof.Options{Interval: 250 * time.Millisecond, CPUDuration: 200 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := crawler.Crawl(context.Background(), crawler.Config{
+		BaseURL: srv.URL,
+		Seeds:   []string{u.IDs[graph.TopByInDegree(u.Graph, 1, 1)[0]]},
+		Workers: 8, FetchIn: true, FetchOut: true,
+		MaxProfiles:      1000,
+		HTTPTimeout:      150 * time.Millisecond,
+		MaxRetries:       16,
+		RetryBackoffBase: 2 * time.Millisecond,
+		Metrics:          run.Registry,
+		Tracer:           run.Tracer,
+	})
+	if cerr := run.Close(); cerr != nil {
+		t.Fatal(cerr)
+	}
+	if err != nil || res.Stats.ProfilesCrawled == 0 {
+		t.Fatalf("chaos crawl: %d profiles, err=%v", res.Stats.ProfilesCrawled, err)
+	}
+
+	analyze := func(sub func(w *bytes.Buffer) error) string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := sub(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+
+	metrics := analyze(func(w *bytes.Buffer) error { return runMetrics(w, []string{dir}) })
+	if m := regexp.MustCompile(`peak ([0-9.]+)/s  total ([0-9]+) profiles`).FindStringSubmatch(metrics); m == nil || m[1] == "0.00" || m[2] == "0" {
+		t.Errorf("metrics: empty throughput curve:\n%s", metrics)
+	}
+
+	traces := analyze(func(w *bytes.Buffer) error { return runTraces(w, []string{"-top", "1", dir}) })
+	for _, want := range []string{"critical-path breakdown", "crawl.profile", "retry amplification"} {
+		if !strings.Contains(traces, want) {
+			t.Errorf("traces: analysis lacks %q:\n%s", want, traces)
+		}
+	}
+
+	profiles := analyze(func(w *bytes.Buffer) error {
+		return runProfiles(w, []string{"-by", "label", "-label", "phase", dir})
+	})
+	if !regexp.MustCompile(`(?m)^ +[1-9][0-9]* +[0-9.]+%  (circle\.page|fetch\.profile)$`).MatchString(profiles) {
+		t.Errorf("profiles: no CPU attributed to a crawl phase:\n%s", profiles)
+	}
+	t.Logf("gplusanalyze metrics %s:\n%s", dir, metrics)
+	t.Logf("gplusanalyze profiles -by label -label phase %s:\n%s", dir, profiles)
+}
+
+// TestCutDumpIsAnalyzedWithAWarning: a dump whose last record has no
+// newline (a killed writer, a hand-saved /debug dump) is analyzed
+// without that record, and the user is told which file lost it.
+func TestCutDumpIsAnalyzedWithAWarning(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dump.jsonl")
+	if err := os.WriteFile(path, []byte("{\"trace_id\":\"a\"}\n{\"trace_id\":\"b"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var warned, out bytes.Buffer
+	log.SetOutput(&warned)
+	defer log.SetOutput(os.Stderr)
+	if err := runTraces(&out, []string{path}); err != nil {
+		t.Fatal(err)
+	}
+	if want := "dropped 1 unterminated trailing record from " + path; !strings.Contains(warned.String(), want) {
+		t.Errorf("log %q lacks %q", warned.String(), want)
+	}
+	if !strings.Contains(out.String(), "1 traces") {
+		t.Errorf("the complete trace was not analyzed:\n%s", out.String())
+	}
+}

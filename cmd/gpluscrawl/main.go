@@ -11,9 +11,12 @@
 // -dash replaces the progress lines with a live ANSI dashboard on
 // stdout: sparkline panels for throughput, edge discovery, frontier
 // depth, and API errors, plus headline counters and the burn-rate state
-// of the -slo objectives (logs keep flowing to stderr). -series-dir
-// spools the sampled series to <dir>/series.jsonl at exit; `gplusanalyze
-// metrics` replays that dump into a crawl health report offline.
+// of the -slo objectives (logs keep flowing to stderr).
+//
+// -obs-dir names the run directory every signal is spooled into (layout
+// in package rundir): exemplar traces and the profile ring as the crawl
+// runs, the metric series and every retained trace at exit.
+// `gplusanalyze metrics|traces|profiles <dir>` read it back.
 //
 // With -journal the crawl streams every profile, edge, and discovered id
 // into an append-only journal as it runs, flushed and fsynced every
@@ -30,9 +33,8 @@
 // circle page, per-attempt API calls (with backoff and status), scheduler
 // offers, and journal appends, propagated to gplusd via X-Gplus-Trace so
 // server-side spans join the same trace. The flight recorder keeps the
-// last traces plus every slow/errored/retry-heavy exemplar; browse it at
-// /debug/traces on -metrics-addr, or stream dumps to -trace-dir and feed
-// them to `gplusanalyze traces`.
+// last traces plus every slow (>500ms), errored or retry-heavy (3+)
+// exemplar; browse it at /debug/traces on -metrics-addr.
 //
 // -resilience arms the adaptive overload path: an AIMD gate adapts
 // effective worker concurrency to 429/503/deadline feedback, a shared
@@ -46,7 +48,7 @@
 //
 //	gpluscrawl -url http://127.0.0.1:8041 -out ./data -workers 11 -max 30000 \
 //	    -journal ./crawl.journal -metrics-addr 127.0.0.1:8042 -progress 10s \
-//	    -trace-sample 0.05 -trace-dir ./traces -resilience
+//	    -trace-sample 0.05 -obs-dir ./run -resilience
 package main
 
 import (
@@ -59,7 +61,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -69,28 +70,9 @@ import (
 	"gplus/internal/dataset"
 	"gplus/internal/gplusapi"
 	"gplus/internal/graph/diskcsr"
-	"gplus/internal/obs"
-	"gplus/internal/obs/prof"
+	"gplus/internal/obs/rundir"
 	"gplus/internal/obs/series"
-	"gplus/internal/obs/trace"
 )
-
-// writeSeries spools the collector's retained time series to path.
-func writeSeries(c *series.Collector, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := c.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	log.Printf("wrote metric time series -> %s (analyze with: gplusanalyze metrics %s)", path, path)
-	return nil
-}
 
 func main() {
 	var (
@@ -111,118 +93,31 @@ func main() {
 		politeness  = flag.Duration("politeness", 0, "pause between requests per worker (e.g. 50ms)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof/ and /debug/traces on this address while crawling (empty disables)")
 		progress    = flag.Duration("progress", 10*time.Second, "interval between progress lines (0 emits only the final summary)")
-		traceSample = flag.Float64("trace-sample", 0, "head-sample this fraction of crawled profiles for request tracing (0 disables, 1 traces everything)")
-		traceDir    = flag.String("trace-dir", "", "stream exemplar traces to <dir>/exemplars.jsonl as they trip and dump every retained trace to <dir>/traces.jsonl at exit (requires -trace-sample)")
-		traceSlow   = flag.Duration("trace-slow", 500*time.Millisecond, "exemplar rule: retain traces whose root exceeds this duration")
-		traceRetry  = flag.Int("trace-retries", 3, "exemplar rule: retain traces where any span burned at least this many retries")
-		seriesDir   = flag.String("series-dir", "", "write the sampled metric time series to <dir>/series.jsonl at exit (feed it to `gplusanalyze metrics`)")
 		dashOn      = flag.Bool("dash", false, "render a live terminal dashboard on stdout (sparkline throughput/frontier/error panels, SLO state) instead of periodic progress lines")
-		sampleInt   = flag.Duration("sample-interval", time.Second, "time-series sampling cadence for -series-dir/-dash/-metrics-addr (0 disables the collector)")
-		sloSpec     = flag.String("slo", "default", `SLO objectives evaluated over the crawl's metric time series ("default" = API availability <1% + p99 latency <1s, "" disables)`)
 		resilient   = flag.Bool("resilience", false, "arm adaptive overload handling: AIMD worker-concurrency adaptation, a shared retry budget, per-endpoint circuit breakers, and requeue-on-overload instead of counting sheds as failures")
 		attemptTO   = flag.Duration("attempt-timeout", 0, "per-attempt request deadline, propagated to gplusd via X-Gplus-Deadline (0 disables; requires -resilience)")
-		maxRequeues = flag.Int("max-requeues", 0, "cap on how many times one id may return to the frontier on overload (0 = default 32; requires -resilience)")
-		profileDir  = flag.String("profile-dir", "", "continuously capture CPU/heap/goroutine/mutex/block profiles into this bounded on-disk ring (manifest.jsonl + <kind>-<seq>.pb.gz; analyze with `gplusanalyze profiles <dir>`)")
-		profileInt  = flag.Duration("profile-interval", 30*time.Second, "capture cycle period for -profile-dir")
-		profileCPU  = flag.Duration("profile-cpu", 10*time.Second, "CPU-profile window per cycle for -profile-dir (clamped to -profile-interval)")
-		profileKeep = flag.Int("profile-retain", 64, "capture files retained in the -profile-dir ring before oldest-first eviction")
-		mutexProf   = flag.Int("mutex-profile", 0, "runtime.SetMutexProfileFraction: sample 1/N of mutex contention events so mutex captures have data (0 = off)")
-		blockProf   = flag.Int("block-profile", 0, "runtime.SetBlockProfileRate: sample blocking events >= N ns so block captures have data (0 = off)")
 	)
+	obsCfg := rundir.Config{Name: "gpluscrawl", Objectives: series.DefaultCrawlObjectives()}
+	obsCfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	// Arm the blocking profilers before any crawl goroutine exists, so
-	// the ring's mutex/block captures (and /debug/pprof) see every event.
-	if *mutexProf > 0 {
-		runtime.SetMutexProfileFraction(*mutexProf)
-	}
-	if *blockProf > 0 {
-		runtime.SetBlockProfileRate(*blockProf)
+	if *attemptTO > 0 && !*resilient {
+		log.Fatalf("-attempt-timeout requires -resilience")
 	}
 
-	if (*attemptTO > 0 || *maxRequeues > 0) && !*resilient {
-		log.Fatalf("-attempt-timeout and -max-requeues require -resilience")
+	// The whole observability stack and its spool into -obs-dir. Sampling
+	// starts here, before the seed fetch: a service that is down when the
+	// crawl launches shows up as 503/retry series from the first request.
+	if obsCfg.Dir == "" && *metricsAddr == "" && !*dashOn {
+		obsCfg.Series.Interval = 0 // nothing would read the series: no collector, no SLO engine
 	}
-
-	wantSeries := *sampleInt > 0 && (*seriesDir != "" || *dashOn || *metricsAddr != "")
-	if *dashOn && !wantSeries {
+	run, err := rundir.Start(obsCfg)
+	if err != nil {
+		log.Fatalf("starting observability: %v", err)
+	}
+	reg, collector, eng := run.Registry, run.Collector, run.Engine
+	if *dashOn && collector == nil {
 		log.Fatalf("-dash requires -sample-interval > 0")
-	}
-	var reg *obs.Registry
-	if *metricsAddr != "" || wantSeries {
-		reg = obs.NewRegistry()
-		obs.PublishExpvar("gpluscrawl", reg)
-		obs.RegisterRuntimeMetrics(reg)
-	}
-
-	// Time-series collector over the crawl registry: backs the live
-	// dashboard, the /debug/timeseries endpoint, and the series.jsonl
-	// spool that `gplusanalyze metrics` replays offline.
-	var collector *series.Collector
-	var eng *series.Engine
-	if wantSeries {
-		collector = series.NewCollector(reg, series.Options{Interval: *sampleInt})
-		if *sloSpec != "" {
-			objs := series.DefaultCrawlObjectives()
-			if *sloSpec != "default" {
-				var err error
-				if objs, err = series.ParseObjectives(*sloSpec); err != nil {
-					log.Fatalf("parsing -slo: %v", err)
-				}
-			}
-			eng = series.NewEngine(collector, objs, reg)
-			collector.OnSample(eng.Eval)
-		}
-	}
-
-	if *traceDir != "" && *traceSample <= 0 {
-		log.Fatalf("-trace-dir requires -trace-sample > 0")
-	}
-	var tracer *trace.Tracer
-	var traceDump func()
-	if *traceSample > 0 {
-		rec := trace.NewRecorder(0, trace.Rules{
-			SlowerThan: *traceSlow,
-			Errors:     true,
-			MinRetries: *traceRetry,
-		})
-		if *traceDir != "" {
-			if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-				log.Fatalf("creating -trace-dir: %v", err)
-			}
-			exPath := filepath.Join(*traceDir, "exemplars.jsonl")
-			exf, err := os.Create(exPath)
-			if err != nil {
-				log.Fatalf("creating exemplar stream: %v", err)
-			}
-			var exMu sync.Mutex
-			rec.SetSink(func(tr *trace.Trace) {
-				exMu.Lock()
-				defer exMu.Unlock()
-				trace.WriteTraceJSONL(exf, tr) //nolint:errcheck — best-effort diagnostics stream
-			})
-			traceDump = func() {
-				exMu.Lock()
-				exf.Close()
-				exMu.Unlock()
-				allPath := filepath.Join(*traceDir, "traces.jsonl")
-				f, err := os.Create(allPath)
-				if err != nil {
-					log.Printf("writing trace dump: %v", err)
-					return
-				}
-				if err := rec.WriteJSONL(f); err != nil {
-					log.Printf("writing trace dump: %v", err)
-				}
-				f.Close()
-				st := rec.Stats()
-				log.Printf("traces: %d completed, %d exemplars (%d dropped) -> %s (analyze with: gplusanalyze traces %s %s)",
-					st.Completed, st.Exemplars, st.Dropped, *traceDir, allPath, exPath)
-			}
-		}
-		tracer = trace.New(trace.Config{SampleRate: *traceSample, Recorder: rec, Metrics: reg})
-		log.Printf("tracing %.1f%% of crawled profiles (slow>%v, errors, retries>=%d retained as exemplars)",
-			100**traceSample, *traceSlow, *traceRetry)
 	}
 
 	if *metricsAddr != "" {
@@ -230,56 +125,16 @@ func main() {
 		if err != nil {
 			log.Fatalf("metrics listener: %v", err)
 		}
-		mux := obs.NewDebugMux(reg)
-		mux.Handle("/debug/traces", tracer.Recorder())
-		series.Mount(mux, collector, eng)
 		log.Printf("serving crawl metrics on http://%s/metrics (traces at /debug/traces)", ln.Addr())
 		go func() {
-			if err := http.Serve(ln, mux); err != nil {
+			if err := http.Serve(ln, run.Mux()); err != nil {
 				log.Printf("metrics server: %v", err)
 			}
 		}()
 	}
 
-	// The continuous profiler: interval captures into the on-disk ring,
-	// plus anomaly-triggered dumps the SLO engine, the stall detector,
-	// and the AIMD gate fire below. Nil when -profile-dir is unset —
-	// every hook on it is then a no-op.
-	var profC *prof.Collector
-	if *profileDir != "" {
-		store, err := prof.OpenStore(*profileDir, prof.StoreOptions{
-			MaxCaptures: *profileKeep,
-			Metrics:     reg,
-		})
-		if err != nil {
-			log.Fatalf("opening -profile-dir: %v", err)
-		}
-		profC = prof.NewCollector(store, prof.Options{
-			Interval:    *profileInt,
-			CPUDuration: *profileCPU,
-			SLOState:    eng.StateSummary,
-			Metrics:     reg,
-		})
-		log.Printf("continuous profiling -> %s (every %v, cpu window %v, retain %d; analyze with: gplusanalyze profiles %s)",
-			*profileDir, *profileInt, *profileCPU, *profileKeep, *profileDir)
-	}
-	// A PAGE transition on any objective fires an immediate capture
-	// tagged with the objective, so the profile ring holds a CPU burst
-	// and goroutine dump from inside every paged incident.
-	eng.OnTransition(func(tr series.Transition) {
-		if tr.To == series.StatePage {
-			profC.Trigger("slo-page:" + tr.Name)
-		}
-	})
-
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-
-	// Sampling starts before the seed fetch: a service that is down when
-	// the crawl launches shows up as 503/retry series from the very
-	// first request, instead of as invisible pre-collection history.
-	collector.Start()
-	profC.Start()
 
 	var seedList []string
 	if *seeds != "" {
@@ -396,9 +251,7 @@ func main() {
 	var sink *dataset.SegmentSink
 	var diskMet *diskcsr.Metrics
 	if *segmentDir != "" {
-		if reg != nil {
-			diskMet = diskcsr.NewMetrics(reg)
-		}
+		diskMet = diskcsr.NewMetrics(reg)
 		var serr error
 		sink, serr = dataset.NewSegmentSink(*segmentDir, 0, diskMet)
 		if serr != nil {
@@ -414,16 +267,13 @@ func main() {
 
 	var resCfg *crawler.ResilienceConfig
 	if *resilient {
-		resCfg = &crawler.ResilienceConfig{
-			AttemptTimeout: *attemptTO,
-			MaxRequeues:    *maxRequeues,
-		}
+		resCfg = &crawler.ResilienceConfig{AttemptTimeout: *attemptTO}
 		// An AIMD collapse — the fleet cut all the way to one concurrent
 		// fetch — is the crawl-side signature of a struggling service;
 		// capture it as it happens.
 		resCfg.AIMD.OnDecrease = func(limit int) {
 			if limit <= 1 {
-				profC.Trigger("aimd-collapse")
+				run.Profiler.Trigger("aimd-collapse")
 			}
 		}
 		log.Printf("resilience armed: AIMD concurrency gate, shared retry budget, per-endpoint breakers, requeue-on-overload (watch crawler_aimd_limit, crawler_retry_budget_tokens_milli, crawler_requeues_total)")
@@ -451,28 +301,19 @@ func main() {
 		StallAfter: 3,
 		OnStall: func(p crawler.Progress) {
 			log.Printf("crawl stalled (frontier=%d, no profiles for 3 intervals); capturing profile dump", p.Frontier)
-			profC.Trigger("stall")
+			run.Profiler.Trigger("stall")
 		},
-		Tracer:     tracer,
+		Tracer:     run.Tracer,
 		Resilience: resCfg,
 		EdgeSink:   edgeSink,
 	})
-	profC.Stop()
 	if cerr := jrnl.Close(); cerr != nil {
 		log.Printf("journal error (crawl state may be incomplete on disk): %v", cerr)
 	}
-	if traceDump != nil {
-		traceDump()
-	}
-	if collector != nil {
-		collector.Stop()
-		if *seriesDir != "" {
-			if err := os.MkdirAll(*seriesDir, 0o755); err != nil {
-				log.Printf("creating -series-dir: %v", err)
-			} else if err := writeSeries(collector, filepath.Join(*seriesDir, "series.jsonl")); err != nil {
-				log.Printf("writing series dump: %v", err)
-			}
-		}
+	if cerr := run.Close(); cerr != nil {
+		log.Printf("completing -obs-dir: %v", cerr)
+	} else if dir := obsCfg.Dir; dir != "" {
+		log.Printf("run directory complete -> %s (read it with: gplusanalyze metrics|traces|profiles %s)", dir, dir)
 	}
 	if err != nil && res == nil {
 		log.Fatalf("crawl: %v", err)

@@ -30,12 +30,18 @@
 // during its windows. State rides on /debug/admission and the
 // gplusd_admission_* series.
 //
-// -trace records server-side request spans — the request root plus chaos
-// delays/hangs and page rendering — joining crawler traces propagated
-// via the X-Gplus-Trace header so both sides of the wire share one trace
-// id. The flight recorder serves /debug/traces (?format=jsonl for a dump
-// that `gplusanalyze traces` reads). -access-log-sample N logs every Nth
-// request with its trace id.
+// -trace-sample > 0 records server-side request spans — the request root
+// plus chaos delays/hangs and page rendering — joining crawler traces
+// propagated via the X-Gplus-Trace header so both sides of the wire
+// share one trace id; the rate itself applies to requests arriving
+// without a header. The flight recorder serves /debug/traces
+// (?format=jsonl for a dump that `gplusanalyze traces` reads).
+// -access-log-sample N logs every Nth request with its trace id.
+//
+// -obs-dir names the run directory (layout in package rundir): the
+// profile ring and exemplar traces are written while serving, the metric
+// series and retained traces on SIGINT/SIGTERM, when the server drains
+// and exits. `gplusanalyze metrics|traces|profiles <dir>` read it back.
 //
 // Usage:
 //
@@ -43,18 +49,19 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"log"
 	"net"
 	"net/http"
-	"runtime"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"gplus/internal/gplusd"
-	"gplus/internal/obs"
-	"gplus/internal/obs/prof"
+	"gplus/internal/obs/rundir"
 	"gplus/internal/obs/series"
-	"gplus/internal/obs/trace"
 	"gplus/internal/resilience"
 	"gplus/internal/synth"
 )
@@ -72,30 +79,12 @@ func main() {
 		faultRate = flag.Float64("fault", 0, "transient 503 probability")
 		chaosSpec = flag.String("chaos", "", `chaos-mode fault suite, rules separated by ';', e.g. "unavailable,endpoint=profile,rate=0.2;delay,rate=0.1,delay=150ms;hang,rate=0.01,delay=90s;reset,rate=0.05;outage,every=10m,down=45s;brownout,every=10m,down=45s,delay=100ms,squeeze=0.8"`)
 		admitMax  = flag.Int("admission", 0, "admission control: max concurrent requests (0 disables; sheds carry Retry-After, report at /debug/admission)")
-		admitQ    = flag.Int("admission-queue", 0, "admission control: bounded LIFO wait-queue depth (0 = 4x -admission)")
 		admitWait = flag.Duration("admission-wait", 0, "admission control: max time a request may queue before being shed (0 = default 1s)")
-		traceOn   = flag.Bool("trace", false, "record server-side spans and join crawler traces propagated via X-Gplus-Trace (browse at /debug/traces)")
-		traceRate = flag.Float64("trace-sample", 1, "head sampling rate for requests arriving without a trace header (propagated traces are always joined)")
 		alogEvery = flag.Int("access-log-sample", 0, "log 1 in N served requests, with trace id (0 disables)")
-		sloSpec   = flag.String("slo", "default", `SLO objectives evaluated over the metric time series ("default" = availability <1% + p99 latency <250ms, "" disables, or a spec like "avail,error_ratio,bad=gplusd_faults_injected_total,total=gplusd_requests_total,max=1%,window=1m"); report at /debug/slo`)
-		sampleInt = flag.Duration("sample-interval", time.Second, "time-series sampling cadence (0 disables the collector and /debug/timeseries)")
-		profDir   = flag.String("profile-dir", "", "continuously capture CPU/heap/goroutine/mutex/block profiles into this bounded on-disk ring (analyze with `gplusanalyze profiles <dir>`)")
-		profInt   = flag.Duration("profile-interval", 30*time.Second, "capture cycle period for -profile-dir")
-		profCPU   = flag.Duration("profile-cpu", 10*time.Second, "CPU-profile window per cycle for -profile-dir (clamped to -profile-interval)")
-		profKeep  = flag.Int("profile-retain", 64, "capture files retained in the -profile-dir ring before oldest-first eviction")
-		mutexProf = flag.Int("mutex-profile", 0, "runtime.SetMutexProfileFraction: sample 1/N of mutex contention events so mutex captures have data (0 = off)")
-		blockProf = flag.Int("block-profile", 0, "runtime.SetBlockProfileRate: sample blocking events >= N ns so block captures have data (0 = off)")
 	)
+	obsCfg := rundir.Config{Name: "gplusd", Objectives: series.DefaultGplusdObjectives()}
+	obsCfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-
-	// Arm the blocking profilers before the server spins up, so the
-	// ring's mutex/block captures (and /debug/pprof) see every event.
-	if *mutexProf > 0 {
-		runtime.SetMutexProfileFraction(*mutexProf)
-	}
-	if *blockProf > 0 {
-		runtime.SetBlockProfileRate(*blockProf)
-	}
 
 	var faults *gplusd.FaultSpec
 	if *chaosSpec != "" {
@@ -117,21 +106,17 @@ func main() {
 	}
 	log.Printf("generated %d users, %d edges in %v", u.NumUsers(), u.Graph.NumEdges(), time.Since(start))
 
-	reg := obs.NewRegistry()
-	var tracer *trace.Tracer
-	if *traceOn {
-		tracer = trace.New(trace.Config{SampleRate: *traceRate, Metrics: reg})
-		log.Printf("tracing armed: joining X-Gplus-Trace headers, sampling %.1f%% of headerless requests (/debug/traces)", 100**traceRate)
+	// The observability stack. Under -obs-dir its profile ring's captures
+	// carry endpoint and chaos-state pprof labels, and an anomaly capture
+	// fires the moment any server objective pages.
+	run, err := rundir.Start(obsCfg)
+	if err != nil {
+		log.Fatalf("starting observability: %v", err)
 	}
 	var admission *resilience.AdmissionOptions
 	if *admitMax > 0 {
-		admission = &resilience.AdmissionOptions{
-			MaxConcurrent: *admitMax,
-			MaxQueue:      *admitQ,
-			MaxWait:       *admitWait,
-		}
-		log.Printf("admission control armed: %d concurrent, queue %d, wait %v (report at /debug/admission)",
-			*admitMax, *admitQ, *admitWait)
+		admission = &resilience.AdmissionOptions{MaxConcurrent: *admitMax, MaxWait: *admitWait}
+		log.Printf("admission control armed: %d concurrent, wait %v (report at /debug/admission)", *admitMax, *admitWait)
 	}
 	srv := gplusd.New(u, gplusd.Options{
 		CircleCap:       *circleCap,
@@ -142,77 +127,44 @@ func main() {
 		FaultRate:       *faultRate,
 		FaultSeed:       *seed,
 		Faults:          faults,
-		Metrics:         reg,
-		Tracer:          tracer,
+		Metrics:         run.Registry,
+		Tracer:          run.Tracer,
 		AccessLogSample: *alogEvery,
 		Admission:       admission,
 	})
-	obs.PublishExpvar("gplusd", reg)
-	obs.RegisterRuntimeMetrics(reg)
 
-	// The debug mux takes /metrics, /debug/vars, /debug/pprof/, and
-	// /debug/traces; every other path falls through to the simulator.
-	root := obs.NewDebugMux(reg)
-	root.Handle("/debug/traces", tracer.Recorder())
+	// The run's mux takes /metrics and the /debug/ endpoints; every other
+	// path falls through to the simulator.
+	root := run.Mux()
 	root.Handle("/", srv)
-
-	// Time-series collector + SLO engine over the same registry:
-	// /debug/timeseries serves ring-buffer window queries and JSONL
-	// dumps, /debug/slo the burn-rate report.
-	var eng *series.Engine
-	if *sampleInt > 0 {
-		collector := series.NewCollector(reg, series.Options{Interval: *sampleInt})
-		if *sloSpec != "" {
-			objs := series.DefaultGplusdObjectives()
-			if *sloSpec != "default" {
-				if objs, err = series.ParseObjectives(*sloSpec); err != nil {
-					log.Fatalf("parsing -slo: %v", err)
-				}
-			}
-			eng = series.NewEngine(collector, objs, reg)
-			collector.OnSample(eng.Eval)
-			for _, o := range objs {
-				log.Printf("slo armed: %s: %s", o.Name, o)
-			}
-		}
-		series.Mount(root, collector, eng)
-		collector.Start()
-		defer collector.Stop()
-	}
-
-	// The continuous profiler: interval captures into the on-disk ring,
-	// with an anomaly capture the moment any server objective pages.
-	// Server captures carry endpoint and chaos-state pprof labels, so a
-	// brownout window can be diffed against steady state offline.
-	if *profDir != "" {
-		store, err := prof.OpenStore(*profDir, prof.StoreOptions{
-			MaxCaptures: *profKeep,
-			Metrics:     reg,
-		})
-		if err != nil {
-			log.Fatalf("opening -profile-dir: %v", err)
-		}
-		profC := prof.NewCollector(store, prof.Options{
-			Interval:    *profInt,
-			CPUDuration: *profCPU,
-			SLOState:    eng.StateSummary,
-			Metrics:     reg,
-		})
-		eng.OnTransition(func(tr series.Transition) {
-			if tr.To == series.StatePage {
-				profC.Trigger("slo-page:" + tr.Name)
-			}
-		})
-		profC.Start()
-		defer profC.Stop()
-		log.Printf("continuous profiling -> %s (every %v, cpu window %v, retain %d; analyze with: gplusanalyze profiles %s)",
-			*profDir, *profInt, *profCPU, *profKeep, *profDir)
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
 	log.Printf("serving %s on http://%s (metrics at /metrics, pprof at /debug/pprof/)", srv, ln.Addr())
-	log.Fatal(http.Serve(ln, root))
+
+	// Serve until SIGINT/SIGTERM, then drain; run.Close completes the run
+	// directory (final captures, last sample, series/trace spools).
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	hs := &http.Server{Handler: root}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err = <-served:
+	case <-ctx.Done():
+		log.Printf("shutting down")
+		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		if hs.Shutdown(shutCtx) != nil {
+			hs.Close() //nolint:errcheck — a connection parked in a chaos hang never drains
+		}
+		cancel()
+	}
+	if cerr := run.Close(); cerr != nil {
+		log.Printf("completing -obs-dir: %v", cerr)
+	}
+	if err != nil && !errors.Is(err, http.ErrServerClosed) {
+		log.Fatalf("serve: %v", err)
+	}
 }

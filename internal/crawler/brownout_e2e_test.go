@@ -13,6 +13,7 @@ import (
 
 	"gplus/internal/gplusd"
 	"gplus/internal/obs"
+	"gplus/internal/obs/rundir"
 	"gplus/internal/obs/series"
 	"gplus/internal/obs/trace"
 	"gplus/internal/resilience"
@@ -104,25 +105,31 @@ func TestBrownoutConvergence(t *testing.T) {
 	// the burn-rate engine evaluates a short-window availability SLO on
 	// every tick, so the brownout and the recovery both land in-window
 	// within the test's runtime.
-	creg := obs.NewRegistry()
-	collector := series.NewCollector(creg, series.Options{Interval: 25 * time.Millisecond, Capacity: 8192})
-	eng := series.NewEngine(collector, []series.Objective{{
-		Name: "availability", Kind: series.ErrorRatio,
-		Bad:    []string{`gplusapi_responses_total{code="503"}`},
-		Total:  []string{"gplusapi_responses_total"},
-		Max:    0.05,
-		Window: 500 * time.Millisecond,
-		Fast:   100 * time.Millisecond,
-		// The stock 6x/14.4x burn factors are tuned for hour-scale
-		// windows; with a 500ms window one tick of recovery dilutes the
-		// long burn below 6x before the short window confirms it. 2x/4x
-		// still means "burning budget at least twice as fast as allowed".
-		WarnFactor: 2, PageFactor: 4,
-	}}, creg)
-	collector.OnSample(eng.Eval)
+	// Assertion 2's harness rides in the same run: a recorder large
+	// enough to keep every client trace, so the analyzer can compute
+	// attempts-per-operation across the whole crawl.
+	rec := trace.NewRecorder(200_000, trace.Rules{})
+	run := startRun(t, rundir.Config{
+		Series: series.Options{Interval: 25 * time.Millisecond, Capacity: 8192},
+		Objectives: []series.Objective{{
+			Name: "availability", Kind: series.ErrorRatio,
+			Bad:    []string{`gplusapi_responses_total{code="503"}`},
+			Total:  []string{"gplusapi_responses_total"},
+			Max:    0.05,
+			Window: 500 * time.Millisecond,
+			Fast:   100 * time.Millisecond,
+			// The stock 6x/14.4x burn factors are tuned for hour-scale
+			// windows; with a 500ms window one tick of recovery dilutes the
+			// long burn below 6x before the short window confirms it. 2x/4x
+			// still means "burning budget at least twice as fast as allowed".
+			WarnFactor: 2, PageFactor: 4,
+		}},
+		Trace: trace.Config{SampleRate: 1, Recorder: rec},
+	})
+	eng := run.Engine
 	var burnMu sync.Mutex
 	maxBurnLong, maxBurnShort := 0.0, 0.0
-	collector.OnSample(func(time.Time) {
+	run.Collector.OnSample(func(time.Time) {
 		st := eng.Statuses()
 		if len(st) == 0 {
 			return
@@ -136,12 +143,6 @@ func TestBrownoutConvergence(t *testing.T) {
 		}
 		burnMu.Unlock()
 	})
-	collector.Start()
-
-	// Assertion 2's harness: record every client trace so the analyzer
-	// can compute attempts-per-operation across the whole crawl.
-	rec := trace.NewRecorder(200_000, trace.Rules{})
-	tracer := trace.New(trace.Config{Recorder: rec})
 
 	res, err := Crawl(ctx, Config{
 		BaseURL: brownURL, Seeds: []string{seed}, Workers: 8,
@@ -149,8 +150,8 @@ func TestBrownoutConvergence(t *testing.T) {
 		HTTPTimeout:      time.Second,
 		MaxRetries:       16,
 		RetryBackoffBase: 2 * time.Millisecond,
-		Metrics:          creg,
-		Tracer:           tracer,
+		Metrics:          run.Registry,
+		Tracer:           run.Tracer,
 		Resilience: &ResilienceConfig{
 			AttemptTimeout: 500 * time.Millisecond,
 			Breaker:        resilience.BreakerOptions{Cooldown: 250 * time.Millisecond},
@@ -164,7 +165,9 @@ func TestBrownoutConvergence(t *testing.T) {
 	// Let a clean post-brownout window slide past before freezing the
 	// engine, so its final word reflects the recovered service.
 	time.Sleep(600 * time.Millisecond)
-	collector.Stop()
+	if err := run.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// (1) Convergence: requeues and retries must leave no holes.
 	if res.Stats.ProfileErrors != 0 || res.Stats.CircleErrors != 0 {

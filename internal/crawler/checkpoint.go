@@ -54,67 +54,57 @@ func WriteResult(w io.Writer, res *Result) error {
 // ReadResult parses a checkpoint stream back into a Result. Statistics
 // are reconstructed from the stream contents (durations are lost).
 //
-// Complete records are always newline-terminated, so a final line with
-// no trailing newline is the signature of a mid-append crash (SIGKILL or
-// power loss during a journal flush). Such a torn tail is dropped —
-// never parsed, even if a prefix of it would decode, because a truncated
-// id must not enter the result — and counted in Stats.TornRecords. A
-// malformed line that *is* newline-terminated was written whole and
-// still fails the load: that is corruption, not a torn append.
+// The stream is read with durable.ReadLog: a final line with no
+// trailing newline — the signature of a mid-append crash (SIGKILL or
+// power loss during a journal flush) — is never parsed and is counted
+// in Stats.TornRecords. A malformed line that *is* newline-terminated
+// was written whole and still fails the load: that is corruption, not a
+// torn append.
 func ReadResult(r io.Reader) (*Result, error) {
 	res := &Result{
 		Profiles:   make(map[string]profile.Profile),
 		Discovered: make(map[string]bool),
 	}
-	br := bufio.NewReaderSize(r, 1<<16)
 	line := 0
-	for {
-		text, rerr := br.ReadString('\n')
-		if rerr != nil && rerr != io.EOF {
-			return nil, rerr
-		}
-		terminated := strings.HasSuffix(text, "\n")
-		text = strings.TrimSuffix(text, "\n")
-		if !terminated && text != "" {
-			res.Stats.TornRecords++
-			break
-		}
+	torn, err := durable.ReadLog(r, func(rec []byte) error {
 		line++
-		if text != "" {
-			if len(text) < 2 || text[1] != ' ' {
-				return nil, fmt.Errorf("crawler: checkpoint line %d malformed", line)
-			}
-			body := text[2:]
-			switch text[0] {
-			case 'P':
-				var doc gplusapi.ProfileDoc
-				if err := json.Unmarshal([]byte(body), &doc); err != nil {
-					return nil, fmt.Errorf("crawler: checkpoint line %d: %w", line, err)
-				}
-				if doc.ID == "" {
-					return nil, fmt.Errorf("crawler: checkpoint line %d: profile without id", line)
-				}
-				res.Profiles[doc.ID] = doc.ToProfile()
-				res.Discovered[doc.ID] = true
-			case 'E':
-				from, to, ok := strings.Cut(body, " ")
-				if !ok || from == "" || to == "" {
-					return nil, fmt.Errorf("crawler: checkpoint line %d: bad edge", line)
-				}
-				res.Edges = append(res.Edges, Edge{From: from, To: to})
-			case 'D':
-				if body == "" {
-					return nil, fmt.Errorf("crawler: checkpoint line %d: empty id", line)
-				}
-				res.Discovered[body] = true
-			default:
-				return nil, fmt.Errorf("crawler: checkpoint line %d: unknown record %q", line, text[0])
-			}
+		if len(rec) == 0 {
+			return nil
 		}
-		if rerr == io.EOF {
-			break
+		if len(rec) < 2 || rec[1] != ' ' {
+			return fmt.Errorf("crawler: checkpoint line %d malformed", line)
 		}
+		switch body := rec[2:]; rec[0] {
+		case 'P':
+			var doc gplusapi.ProfileDoc
+			if err := json.Unmarshal(body, &doc); err != nil {
+				return fmt.Errorf("crawler: checkpoint line %d: %w", line, err)
+			}
+			if doc.ID == "" {
+				return fmt.Errorf("crawler: checkpoint line %d: profile without id", line)
+			}
+			res.Profiles[doc.ID] = doc.ToProfile()
+			res.Discovered[doc.ID] = true
+		case 'E':
+			from, to, ok := strings.Cut(string(body), " ")
+			if !ok || from == "" || to == "" {
+				return fmt.Errorf("crawler: checkpoint line %d: bad edge", line)
+			}
+			res.Edges = append(res.Edges, Edge{From: from, To: to})
+		case 'D':
+			if len(body) == 0 {
+				return fmt.Errorf("crawler: checkpoint line %d: empty id", line)
+			}
+			res.Discovered[string(body)] = true
+		default:
+			return fmt.Errorf("crawler: checkpoint line %d: unknown record %q", line, rec[0])
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	res.Stats.TornRecords = torn
 	res.Stats.ProfilesCrawled = len(res.Profiles)
 	res.Stats.EdgesObserved = int64(len(res.Edges))
 	res.Stats.Discovered = len(res.Discovered)

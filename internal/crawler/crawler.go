@@ -155,10 +155,6 @@ type ResilienceConfig struct {
 	// deadline also propagates to the server via X-Gplus-Deadline.
 	// Zero disables per-attempt deadlines.
 	AttemptTimeout time.Duration
-	// MaxRequeues caps how many times one id may be returned to the
-	// frontier on overload before it is finally counted as a failure
-	// (default 32).
-	MaxRequeues int
 }
 
 func (c *Config) withDefaults() (Config, error) {
@@ -288,10 +284,7 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 	sched.tel = tel
 	sched.errorBudget = cfg.AbortAfterErrors
 	if cfg.Resilience != nil {
-		sched.maxRequeues = cfg.Resilience.MaxRequeues
-		if sched.maxRequeues <= 0 {
-			sched.maxRequeues = 32
-		}
+		sched.maxRequeues = 32
 	}
 	// The scheduler journals D records centrally: it is the one place
 	// that knows which offered ids are genuinely new. Resume-preloaded

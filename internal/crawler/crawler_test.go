@@ -15,6 +15,7 @@ import (
 	"gplus/internal/graph"
 	"gplus/internal/growth"
 	"gplus/internal/obs"
+	"gplus/internal/obs/rundir"
 	"gplus/internal/synth"
 )
 
@@ -43,6 +44,19 @@ func startService(t *testing.T, u *synth.Universe, opts gplusd.Options) string {
 	ts := httptest.NewServer(gplusd.New(u, opts))
 	t.Cleanup(ts.Close)
 	return ts.URL
+}
+
+// startRun builds the crawl-side observability stack through the one
+// wiring call gpluscrawl uses. Tests Close the run themselves before
+// reading what it spooled; the cleanup covers early exits.
+func startRun(t *testing.T, cfg rundir.Config) *rundir.Run {
+	t.Helper()
+	run, err := rundir.Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { run.Close() }) //nolint:errcheck — the test's own Close is the checked one
+	return run
 }
 
 // seedID returns the id of the highest in-degree user — "the most popular

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"gplus/internal/gplusd"
-	"gplus/internal/obs"
+	"gplus/internal/obs/rundir"
 	"gplus/internal/obs/series"
 )
 
@@ -29,17 +29,16 @@ func TestDashDemo(t *testing.T) {
 		}},
 	})
 
-	reg := obs.NewRegistry()
-	obs.RegisterRuntimeMetrics(reg)
-	collector := series.NewCollector(reg, series.Options{Interval: 25 * time.Millisecond, Capacity: 4096})
-	eng := series.NewEngine(collector, series.DefaultCrawlObjectives(), reg)
-	collector.OnSample(eng.Eval)
+	run := startRun(t, rundir.Config{
+		Series:     series.Options{Interval: 25 * time.Millisecond, Capacity: 4096},
+		Objectives: series.DefaultCrawlObjectives(),
+	})
+	collector := run.Collector
 
 	var screen bytes.Buffer
-	dash := series.NewDash(collector, eng, &screen, series.DashOptions{Window: 30 * time.Second})
+	dash := series.NewDash(collector, run.Engine, &screen, series.DashOptions{Window: 30 * time.Second})
 	collector.OnSample(dash.Frame)
 
-	collector.Start()
 	res, err := Crawl(context.Background(), Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,
 		FetchIn: true, FetchOut: true,
@@ -47,17 +46,21 @@ func TestDashDemo(t *testing.T) {
 		Politeness:       time.Millisecond,
 		MaxRetries:       16,
 		RetryBackoffBase: 2 * time.Millisecond,
-		Metrics:          reg,
+		Metrics:          run.Registry,
 	})
-	collector.Stop()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.ProfilesCrawled == 0 {
 		t.Fatal("demo crawl made no progress")
 	}
-	if dash.Frames() < 2 {
-		t.Fatalf("dashboard rendered %d frames, want a live sequence", dash.Frames())
+	// Every frame starts with one cursor-home sequence.
+	rendered := strings.Count(screen.String(), "\x1b[H")
+	if rendered < 2 {
+		t.Fatalf("dashboard rendered %d frames, want a live sequence", rendered)
 	}
 
 	// The final frame, as the terminal would show it after the last
@@ -67,7 +70,7 @@ func TestDashDemo(t *testing.T) {
 	if !strings.Contains(last, "profiles/s") || !strings.Contains(last, "totals") {
 		t.Fatalf("final frame missing panels:\n%s", last)
 	}
-	t.Logf("dashboard: %d frames rendered; final frame:\n%s", dash.Frames(), ansiRe.ReplaceAllString(lastFrame(screen.String()), ""))
+	t.Logf("dashboard: %d frames rendered; final frame:\n%s", rendered, ansiRe.ReplaceAllString(lastFrame(screen.String()), ""))
 
 	// The same rings replay into the offline health report.
 	var dumpBuf bytes.Buffer

@@ -1,11 +1,9 @@
 package crawler
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -43,10 +41,6 @@ type JournalOptions struct {
 	// and fsynced to disk (default 1s). Shorter intervals bound what a
 	// crash can lose; longer ones amortize more records per fsync.
 	FlushInterval time.Duration
-	// Buffer is the record-channel capacity between crawl workers and
-	// the writer goroutine (default 4096 messages). Workers block only
-	// when the writer falls this far behind.
-	Buffer int
 	// Metrics receives journal telemetry when non-nil:
 	// crawler_journal_records_total{kind=...},
 	// crawler_journal_flushes_total, and the
@@ -57,7 +51,7 @@ type JournalOptions struct {
 // Journal is a live, append-only crawl log. All methods are safe for
 // concurrent use and nil-safe: a nil *Journal records nothing.
 type Journal struct {
-	f             *os.File
+	log           *durable.Log
 	ch            chan journalMsg
 	done          chan struct{}
 	flushInterval time.Duration
@@ -92,32 +86,24 @@ type journalMsg struct {
 // rewritten — load it first with LoadCheckpoint and pass the result as
 // Config.Resume to continue the crawl it records.
 //
-// A torn final line left by a mid-append crash is truncated away before
-// appending: the torn record is already dropped on load (ReadResult), and
-// appending after it would fuse the next record onto the torn bytes,
-// turning a recoverable torn tail into a permanently malformed line.
+// The file is a durable.Log: a torn final line left by a mid-append
+// crash is truncated away before appending (the torn record is already
+// dropped on load by ReadResult).
 func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	log, err := durable.OpenLog(path)
 	if err != nil {
-		return nil, err
-	}
-	if err := durable.TruncateTornTail(f); err != nil {
-		f.Close()
 		return nil, err
 	}
 	if opts.FlushInterval <= 0 {
 		opts.FlushInterval = time.Second
-	}
-	if opts.Buffer <= 0 {
-		opts.Buffer = 4096
 	}
 	reg := opts.Metrics
 	reg.Help("crawler_journal_records_total", "Journal records appended, by kind.")
 	reg.Help("crawler_journal_flushes_total", "Journal flush+fsync cycles completed.")
 	reg.Help("crawler_journal_fsync_seconds", "Latency of one journal flush+fsync cycle.")
 	j := &Journal{
-		f:             f,
-		ch:            make(chan journalMsg, opts.Buffer),
+		log:           log,
+		ch:            make(chan journalMsg, 4096), // workers block only when the writer falls this far behind
 		done:          make(chan struct{}),
 		flushInterval: opts.FlushInterval,
 		recProfiles:   reg.Counter(`crawler_journal_records_total{kind="profile"}`),
@@ -226,29 +212,23 @@ func (j *Journal) fail(err error) {
 	j.mu.Unlock()
 }
 
-// writeLoop is the dedicated writer goroutine: it renders records into a
-// buffered writer and flushes+fsyncs on the configured interval, on
+// writeLoop is the dedicated writer goroutine: it renders records into
+// the log's buffer and flushes+fsyncs on the configured interval, on
 // explicit barriers ('B'/'S' acks), and at close.
 func (j *Journal) writeLoop() {
 	defer close(j.done)
 	// Rendering and fsync cost lands on this goroutine, not the workers
 	// that sent the records; label it so CPU profiles attribute it.
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("phase", "journal")))
-	bw := bufio.NewWriterSize(j.f, 1<<16)
-	dirty := false
 	flush := func() {
-		if !dirty {
+		if j.dirtySince.Load() == 0 {
 			return
 		}
 		start := time.Now()
-		err := bw.Flush()
-		if err == nil {
-			err = j.f.Sync()
-		}
+		err := j.log.Sync()
 		j.fsyncSeconds.Observe(time.Since(start).Seconds())
 		j.flushes.Inc()
 		j.fail(err)
-		dirty = false
 		j.dirtySince.Store(0)
 	}
 	ticker := time.NewTicker(j.flushInterval)
@@ -258,14 +238,11 @@ func (j *Journal) writeLoop() {
 		case msg, ok := <-j.ch:
 			if !ok {
 				flush()
-				j.fail(j.f.Close())
+				j.fail(j.log.Close())
 				return
 			}
-			if j.handle(bw, msg) {
-				if !dirty {
-					j.dirtySince.Store(time.Now().UnixNano())
-				}
-				dirty = true
+			if j.handle(msg) && j.dirtySince.Load() == 0 {
+				j.dirtySince.Store(time.Now().UnixNano())
 			}
 			if msg.ack != nil {
 				flush()
@@ -280,7 +257,8 @@ func (j *Journal) writeLoop() {
 // handle renders one message; it reports whether bytes were written.
 // After a sticky error, records are dropped rather than blocking the
 // crawl on a dead disk.
-func (j *Journal) handle(bw *bufio.Writer, msg journalMsg) bool {
+func (j *Journal) handle(msg journalMsg) bool {
+	bw := j.log
 	if j.Err() != nil {
 		return false
 	}

@@ -14,7 +14,9 @@ import (
 	"gplus/internal/graph/diskcsr"
 	"gplus/internal/obs"
 	"gplus/internal/obs/prof"
+	"gplus/internal/obs/rundir"
 	"gplus/internal/obs/series"
+	"gplus/internal/obs/trace"
 	"gplus/internal/resilience"
 )
 
@@ -23,9 +25,9 @@ import (
 var promFamilyRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
 // TestMetricsHygiene populates both registries the way a real chaos
-// crawl does — server with faults armed, client crawl with runtime
-// metrics, collector, SLO engine, and the continuous profiler — then
-// parses the Prometheus
+// crawl does — server with faults armed, client crawl with the full
+// rundir stack (runtime metrics, collector, SLO engine, tracer, and the
+// continuous profiler) — then parses the Prometheus
 // exposition of each and asserts every family matches the naming
 // grammar, carries a HELP line, and every sample belongs to a declared
 // TYPE. This is the `make check` gate against unparseable or
@@ -46,34 +48,27 @@ func TestMetricsHygiene(t *testing.T) {
 		Admission: &resilience.AdmissionOptions{MaxConcurrent: 64},
 	})
 
-	creg := obs.NewRegistry()
-	obs.RegisterRuntimeMetrics(creg)
-	collector := series.NewCollector(creg, series.Options{Interval: 10 * time.Millisecond, Capacity: 256})
-	eng := series.NewEngine(collector, series.DefaultCrawlObjectives(), creg)
-	collector.OnSample(eng.Eval)
-	collector.Start()
-	pstore, err := prof.OpenStore(t.TempDir(), prof.StoreOptions{Metrics: creg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	profC := prof.NewCollector(pstore, prof.Options{
-		Interval:    50 * time.Millisecond,
-		CPUDuration: 20 * time.Millisecond,
-		SLOState:    eng.StateSummary,
-		Metrics:     creg,
+	run := startRun(t, rundir.Config{
+		Dir:        t.TempDir(),
+		Series:     series.Options{Interval: 10 * time.Millisecond, Capacity: 256},
+		Objectives: series.DefaultCrawlObjectives(),
+		Trace:      trace.Config{SampleRate: 1},
+		Prof:       prof.Options{Interval: 50 * time.Millisecond, CPUDuration: 20 * time.Millisecond},
 	})
-	profC.Start()
-	_, err = Crawl(context.Background(), Config{
+	creg := run.Registry
+	_, err := Crawl(context.Background(), Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,
 		FetchIn: true, FetchOut: true,
 		MaxProfiles: 80,
 		MaxRetries:  16, RetryBackoffBase: time.Millisecond,
 		Metrics:    creg,
+		Tracer:     run.Tracer,
 		Resilience: &ResilienceConfig{},
 	})
-	profC.Stop()
-	collector.Stop()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"gplus/internal/gplusd"
 	"gplus/internal/obs"
 	"gplus/internal/obs/prof"
+	"gplus/internal/obs/rundir"
 	"gplus/internal/obs/series"
 	"gplus/internal/resilience"
 )
@@ -29,7 +31,7 @@ import (
 //     dominant labelled cost to a real crawl phase — the attribution
 //     a 3am operator needs to see where a wedged crawl's cycles went.
 //
-// Set PROF_DEMO_DIR to keep the ring on disk so `gplusanalyze
+// Set PROF_DEMO_DIR to keep the run directory on disk so `gplusanalyze
 // profiles` can be demonstrated against it (the Makefile's prof-demo
 // target does exactly that).
 func TestContinuousProfilingE2E(t *testing.T) {
@@ -75,50 +77,41 @@ func TestContinuousProfilingE2E(t *testing.T) {
 		}()
 	}
 
-	// Burn-rate engine over a short, twitchy availability objective so
+	// The whole crawl-side stack in one wiring call, as gpluscrawl makes
+	// it. Burn-rate engine over a short, twitchy availability objective so
 	// the brownout's shed burst reliably pages within the test's runtime
 	// (a 1% budget burning at 2x pages on a few-percent 503 ratio).
-	creg := obs.NewRegistry()
-	collector := series.NewCollector(creg, series.Options{Interval: 25 * time.Millisecond, Capacity: 8192})
-	eng := series.NewEngine(collector, []series.Objective{{
-		Name: "availability", Kind: series.ErrorRatio,
-		Bad:        []string{`gplusapi_responses_total{code="503"}`},
-		Total:      []string{"gplusapi_responses_total"},
-		Max:        0.01,
-		Window:     500 * time.Millisecond,
-		Fast:       100 * time.Millisecond,
-		WarnFactor: 1, PageFactor: 2,
-	}}, creg)
-	collector.OnSample(eng.Eval)
-
-	// The profiler under test, at test-speed cadence: a capture cycle
-	// every 250ms with a 200ms CPU window, and a short trigger burst.
+	// The profiler runs at test-speed cadence: a capture cycle every
+	// 250ms with a 200ms CPU window, and a short trigger burst. Retention
+	// sits far above what even a race-detector-slowed crawl can produce:
+	// the brownout's page-triggered captures land in the ring's first
+	// seconds and must survive to the end-of-test assertions.
 	dir := os.Getenv("PROF_DEMO_DIR")
 	if dir == "" {
 		dir = t.TempDir()
 	}
-	// Retention far above what even a race-detector-slowed crawl can
-	// produce: the brownout's page-triggered captures land in the ring's
-	// first seconds and must survive to the end-of-test assertions.
-	store, err := prof.OpenStore(dir, prof.StoreOptions{MaxCaptures: 4096, Metrics: creg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	profC := prof.NewCollector(store, prof.Options{
-		Interval:           250 * time.Millisecond,
-		CPUDuration:        200 * time.Millisecond,
-		TriggerCPUDuration: 150 * time.Millisecond,
-		TriggerCooldown:    50 * time.Millisecond,
-		SLOState:           eng.StateSummary,
-		Metrics:            creg,
+	run := startRun(t, rundir.Config{
+		Dir:    dir,
+		Series: series.Options{Interval: 25 * time.Millisecond, Capacity: 8192},
+		Objectives: []series.Objective{{
+			Name: "availability", Kind: series.ErrorRatio,
+			Bad:        []string{`gplusapi_responses_total{code="503"}`},
+			Total:      []string{"gplusapi_responses_total"},
+			Max:        0.01,
+			Window:     500 * time.Millisecond,
+			Fast:       100 * time.Millisecond,
+			WarnFactor: 1, PageFactor: 2,
+		}},
+		Prof: prof.Options{
+			Interval:           250 * time.Millisecond,
+			CPUDuration:        200 * time.Millisecond,
+			TriggerCPUDuration: 150 * time.Millisecond,
+			TriggerCooldown:    50 * time.Millisecond,
+		},
+		ProfStore: prof.StoreOptions{MaxCaptures: 4096},
 	})
-	eng.OnTransition(func(tr series.Transition) {
-		if tr.To == series.StatePage {
-			profC.Trigger("slo-page:" + tr.Name)
-		}
-	})
-	collector.Start()
-	profC.Start()
+	creg, eng := run.Registry, run.Engine
+	ring := filepath.Join(dir, rundir.ProfilesDir)
 
 	res, err := Crawl(ctx, Config{
 		BaseURL: brownURL, Seeds: []string{seed}, Workers: 8,
@@ -136,8 +129,9 @@ func TestContinuousProfilingE2E(t *testing.T) {
 		t.Fatalf("brownout crawl: %v", err)
 	}
 	probeWG.Wait()
-	profC.Stop()
-	collector.Stop()
+	if err := run.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	if res.Stats.ProfilesCrawled == 0 {
 		t.Fatal("crawl fetched nothing; the fixture is broken")
@@ -145,7 +139,7 @@ func TestContinuousProfilingE2E(t *testing.T) {
 
 	// (1) The manifest tells the story: interval captures plus at least
 	// one capture the SLO page triggered, stamped with the paging state.
-	entries, err := prof.ReadManifest(dir)
+	entries, err := prof.ReadManifest(ring)
 	if err != nil {
 		t.Fatalf("reading manifest: %v", err)
 	}
@@ -175,7 +169,7 @@ func TestContinuousProfilingE2E(t *testing.T) {
 	// (2) Every capture decodes.
 	var cpuProfiles []*prof.Profile
 	for _, e := range entries {
-		p, err := prof.ReadFile(e.Path(dir))
+		p, err := prof.ReadFile(e.Path(ring))
 		if err != nil {
 			t.Fatalf("decoding %s-%06d (%s): %v", e.Kind, e.Seq, e.Trigger, err)
 		}

@@ -1,20 +1,21 @@
 package crawler
 
 import (
-	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"gplus/internal/gplusd"
-	"gplus/internal/obs"
+	"gplus/internal/obs/rundir"
 	"gplus/internal/obs/series"
 )
 
 // TestSeriesChaosReportE2E is the observability pipeline proof: a crawl
 // against a service with a scheduled outage runs under the time-series
-// collector, the rings are spooled to the JSONL dump format, and the
+// collector, the rings are spooled into the run directory, and the
 // offline health report built from that dump must surface the injected
 // outage as both an error-rate spike and an SLO violation span whose
 // timestamps match the chaos schedule.
@@ -33,9 +34,11 @@ func TestSeriesChaosReportE2E(t *testing.T) {
 	})
 	outageEnd := t0.Add(outageDown)
 
-	reg := obs.NewRegistry()
-	collector := series.NewCollector(reg, series.Options{Interval: 25 * time.Millisecond, Capacity: 4096})
-	collector.Start()
+	dir := t.TempDir()
+	run := startRun(t, rundir.Config{
+		Dir:    dir,
+		Series: series.Options{Interval: 25 * time.Millisecond, Capacity: 4096},
+	})
 
 	// Retries ride out the outage (cumulative backoff comfortably spans
 	// 400ms); politeness stretches the crawl so the collector records a
@@ -48,23 +51,26 @@ func TestSeriesChaosReportE2E(t *testing.T) {
 		HTTPTimeout:      time.Second,
 		MaxRetries:       16,
 		RetryBackoffBase: 4 * time.Millisecond,
-		Metrics:          reg,
+		Metrics:          run.Registry,
 	})
-	collector.Stop()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.ProfilesCrawled == 0 {
 		t.Fatal("crawl made no progress")
 	}
 
-	// Spool the rings through the dump format, exactly as gpluscrawl
-	// -series-dir does, and rebuild the report offline.
-	var buf bytes.Buffer
-	if err := collector.WriteJSONL(&buf); err != nil {
+	// Close spooled the rings to <dir>/series.jsonl, as gpluscrawl
+	// -obs-dir does; rebuild the report offline from that file.
+	f, err := os.Open(filepath.Join(dir, rundir.SeriesFile))
+	if err != nil {
 		t.Fatal(err)
 	}
-	dump, err := series.ReadDump(&buf)
+	dump, err := series.ReadDump(f)
+	f.Close()
 	if err != nil {
 		t.Fatal(err)
 	}

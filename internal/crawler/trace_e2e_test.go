@@ -3,12 +3,14 @@ package crawler
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"gplus/internal/gplusd"
+	"gplus/internal/obs/rundir"
 	"gplus/internal/obs/trace"
 )
 
@@ -187,7 +189,7 @@ func TestHungRequestCapturedAsExemplar(t *testing.T) {
 	if err := trace.WriteTraceJSONL(&buf, got); err != nil {
 		t.Fatal(err)
 	}
-	back, err := trace.ReadTraces(&buf)
+	back, _, err := trace.ReadTraces(&buf)
 	if err != nil || len(back) != 1 {
 		t.Fatalf("exemplar did not survive a JSONL round trip: %v", err)
 	}
@@ -234,23 +236,15 @@ func TestFinalProgressWithoutInterval(t *testing.T) {
 func TestTraceDemo(t *testing.T) {
 	u := crawlUniverse(t)
 
-	// The sink runs outside the recorder lock on whichever worker finished
-	// the trace, so it serializes its own writes (as gpluscrawl's does).
-	var (
-		exMu      sync.Mutex
-		exemplars bytes.Buffer
-	)
+	// The client side is wired as gpluscrawl -trace-sample 1 -obs-dir
+	// wires it: exemplars stream into the run directory as they trip.
+	dir := t.TempDir()
 	clientRec := trace.NewRecorder(0, trace.Rules{
 		SlowerThan: 200 * time.Millisecond,
 		Errors:     true,
 		MinRetries: 3,
 	})
-	clientRec.SetSink(func(tr *trace.Trace) {
-		exMu.Lock()
-		defer exMu.Unlock()
-		trace.WriteTraceJSONL(&exemplars, tr) //nolint:errcheck — buffer writes cannot fail
-	})
-	clientTr := trace.New(trace.Config{Recorder: clientRec})
+	run := startRun(t, rundir.Config{Dir: dir, Trace: trace.Config{SampleRate: 1, Recorder: clientRec}})
 	serverRec := trace.NewRecorder(100_000, trace.Rules{})
 	serverTr := trace.New(trace.Config{Recorder: serverRec})
 
@@ -262,19 +256,27 @@ func TestTraceDemo(t *testing.T) {
 		HTTPTimeout:      150 * time.Millisecond,
 		MaxRetries:       16,
 		RetryBackoffBase: 2 * time.Millisecond,
-		Tracer:           clientTr,
+		Tracer:           run.Tracer,
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if err := run.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	if exemplars.Len() == 0 {
-		t.Fatal("chaos crawl produced an empty exemplar dump")
-	}
-	dumped, err := trace.ReadTraces(bytes.NewReader(exemplars.Bytes()))
+	f, err := os.Open(filepath.Join(dir, rundir.ExemplarsFile))
 	if err != nil {
-		t.Fatalf("exemplar dump unreadable: %v", err)
+		t.Fatal(err)
 	}
-	t.Logf("exemplar dump: %d traces", len(dumped))
+	dumped, _, err := trace.ReadTraces(f)
+	f.Close()
+	if err != nil {
+		t.Fatalf("exemplar stream unreadable: %v", err)
+	}
+	if len(dumped) == 0 {
+		t.Fatal("chaos crawl produced an empty exemplar stream")
+	}
+	t.Logf("exemplar stream: %d traces", len(dumped))
 
 	// The analysis over client + server dumps must attribute wall-clock
 	// to the instrumented pipeline stages.

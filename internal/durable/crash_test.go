@@ -2,7 +2,6 @@ package durable_test
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -348,21 +347,15 @@ var crashCases = []crashCase{
 		},
 	},
 	{
-		// Reopening a ring whose manifest ends in a torn append drops the
-		// tail in memory and repairs the file by rewriting it; a crash
-		// inside that rewrite must never lose a complete record. The
-		// manifest's bytes are not classified old/new (both list the
-		// same captures), only what a later reopen finds.
-		name: "prof.Store torn manifest recovery",
+		// Reopening a ring that lost a capture file drops that entry and
+		// makes it stick by rewriting the manifest; a crash inside the
+		// rewrite must leave the old manifest, from which the next reopen
+		// reaches the same two survivors.
+		name: "prof.Store recovery rewrite",
 		build: func(t *testing.T) (func() error, func(*testing.T) map[string]bool) {
 			s, dir := profileRing(t)
 			s.Close()
-			f, err := os.OpenFile(filepath.Join(dir, "manifest.jsonl"), os.O_WRONLY|os.O_APPEND, 0)
-			if err == nil {
-				_, err = fmt.Fprint(f, `{"seq":3,"kind":"cpu","file":"cpu-0000`)
-				f.Close()
-			}
-			if err != nil {
+			if err := os.Remove(s.Entries()[0].Path(dir)); err != nil {
 				t.Fatal(err)
 			}
 			write := func() error {
@@ -374,11 +367,12 @@ var crashCases = []crashCase{
 			}
 			observe := func(t *testing.T) map[string]bool {
 				es, err := prof.ReadManifest(dir)
-				if err != nil || !reflect.DeepEqual(seqs(es), []uint64{0, 1, 2}) {
-					t.Fatalf("manifest lists %v (err=%v), want captures 0 1 2", seqs(es), err)
+				if err != nil {
+					t.Fatalf("manifest unreadable: %v", err)
 				}
-				reopenRing(t, dir, []uint64{0, 1, 2})
-				return nil
+				rewritten := isNew(t, "manifest", seqs(es), []uint64{0, 1, 2}, []uint64{1, 2})
+				reopenRing(t, dir, []uint64{1, 2})
+				return map[string]bool{"manifest.jsonl": rewritten}
 			}
 			return write, observe
 		},

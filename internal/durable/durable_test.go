@@ -3,16 +3,17 @@ package durable_test
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"gplus/internal/durable"
 )
 
-// TestTruncateTornTail covers the scan itself, including tails longer
-// than one 4096-byte read block and newlines on a block boundary — the
-// callers' own tests only tear short lines.
-func TestTruncateTornTail(t *testing.T) {
+// TestOpenLogTruncatesTornTail covers the repair scan itself, including
+// tails longer than one 4096-byte read block and newlines on a block
+// boundary — the cut-at-every-byte table only tears short records.
+func TestOpenLogTruncatesTornTail(t *testing.T) {
 	long := strings.Repeat("x", 10_000)
 	cases := []struct{ name, in, want string }{
 		{"empty", "", ""},
@@ -31,14 +32,10 @@ func TestTruncateTornTail(t *testing.T) {
 		if err := os.WriteFile(path, []byte(c.in), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// O_APPEND as the journal opens it: the scan must not depend on
-		// the file offset.
-		f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
-		if err != nil {
-			t.Fatal(err)
+		l, err := durable.OpenLog(path)
+		if err == nil {
+			err = l.Close()
 		}
-		err = durable.TruncateTornTail(f)
-		f.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -81,5 +78,44 @@ func TestWriteFileLeavesNoTemp(t *testing.T) {
 	}
 	if len(des) != 1 || des[0].Name() != "f" {
 		t.Fatalf("directory holds %v, want only f", des)
+	}
+}
+
+// TestReadLog pins the one torn-tail rule: newline-terminated records
+// are yielded, blank ones included; an unterminated tail never is, and
+// is counted; a record longer than the read buffer arrives whole.
+func TestReadLog(t *testing.T) {
+	long := strings.Repeat("x", 200_000)
+	cases := []struct {
+		name, in string
+		want     []string
+		torn     int
+	}{
+		{"empty", "", nil, 0},
+		{"whole", "a\nb\n", []string{"a", "b"}, 0},
+		{"blank record", "a\n\nb\n", []string{"a", "", "b"}, 0},
+		{"torn tail", "a\nb", []string{"a"}, 1},
+		{"torn only", "ab", nil, 1},
+		{"long record", "a\n" + long + "\nb\n", []string{"a", long, "b"}, 0},
+		{"long torn tail", "a\n" + long, []string{"a"}, 1},
+	}
+	for _, c := range cases {
+		var got []string
+		torn, err := durable.ReadLog(strings.NewReader(c.in), func(rec []byte) error {
+			got = append(got, string(rec))
+			return nil
+		})
+		if err != nil || torn != c.torn || !slices.Equal(got, c.want) {
+			t.Errorf("%s: %d records, torn=%d, err=%v; want %d records, torn=%d",
+				c.name, len(got), torn, err, len(c.want), c.torn)
+		}
+	}
+	calls := 0
+	_, err := durable.ReadLog(strings.NewReader("a\nb\nc\n"), func([]byte) error {
+		calls++
+		return errCrash
+	})
+	if err != errCrash || calls != 1 {
+		t.Errorf("fn's error: got %v after %d calls, want it bare after 1", err, calls)
 	}
 }

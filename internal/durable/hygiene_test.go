@@ -9,10 +9,11 @@ import (
 )
 
 // TestDurableWriteHygiene is the `make check` gate against a second
-// copy of the write-fsync-rename protocol: outside this package (and
-// bench/, which measures the repo from outside), non-test Go may not
-// call os.Rename or os.CreateTemp — a file that must survive a crash is
-// written with durable.WriteFile.
+// copy of either crash protocol: outside this package (and bench/,
+// which measures the repo from outside), non-test Go may not call
+// os.Rename or os.CreateTemp — a file that must survive a crash is
+// written with durable.WriteFile — nor open a file O_APPEND — a file
+// that grows in place is a durable.Log.
 func TestDurableWriteHygiene(t *testing.T) {
 	root := filepath.Join("..", "..")
 	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
@@ -40,10 +41,14 @@ func TestDurableWriteHygiene(t *testing.T) {
 			return err
 		}
 		for i, line := range strings.Split(string(src), "\n") {
-			for _, call := range []string{"os.Rename(", "os.CreateTemp("} {
-				if strings.Contains(line, call) {
-					t.Errorf("%s:%d calls %s outside internal/durable; use durable.WriteFile",
-						strings.TrimPrefix(path, root+string(filepath.Separator)), i+1, strings.TrimSuffix(call, "("))
+			for banned, instead := range map[string]string{
+				"os.Rename(":     "durable.WriteFile",
+				"os.CreateTemp(": "durable.WriteFile",
+				"os.O_APPEND":    "durable.OpenLog",
+			} {
+				if strings.Contains(line, banned) {
+					t.Errorf("%s:%d uses %s outside internal/durable; use %s",
+						strings.TrimPrefix(path, root+string(filepath.Separator)), i+1, strings.TrimSuffix(banned, "("), instead)
 				}
 			}
 		}

@@ -186,23 +186,6 @@ func TestHandlerFormats(t *testing.T) {
 	}
 }
 
-func TestDebugMux(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x").Inc()
-	ts := httptest.NewServer(NewDebugMux(r))
-	defer ts.Close()
-	for _, path := range []string{"/metrics", "/debug/vars", "/debug/pprof/"} {
-		resp, err := ts.Client().Get(ts.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Errorf("GET %s = %d", path, resp.StatusCode)
-		}
-	}
-}
-
 func TestCounterIgnoresNegative(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")

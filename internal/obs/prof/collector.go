@@ -15,7 +15,7 @@ type Options struct {
 	// Interval is the period between capture cycles (default 30s).
 	Interval time.Duration
 	// CPUDuration is how long each cycle's CPU profile window runs
-	// (default min(10s, Interval); clamped to Interval).
+	// (default min(10s, Interval/2); clamped to Interval).
 	CPUDuration time.Duration
 	// TriggerCPUDuration is the length of the CPU burst recorded after
 	// an anomaly trigger (default 1s).
@@ -60,7 +60,7 @@ func NewCollector(store *Store, opts Options) *Collector {
 		opts.Interval = 30 * time.Second
 	}
 	if opts.CPUDuration <= 0 {
-		opts.CPUDuration = 10 * time.Second
+		opts.CPUDuration = min(10*time.Second, opts.Interval/2)
 	}
 	if opts.CPUDuration > opts.Interval {
 		opts.CPUDuration = opts.Interval
@@ -85,14 +85,6 @@ func NewCollector(store *Store, opts Options) *Collector {
 		c.capErrors = reg.Counter("obsprof_capture_errors_total")
 	}
 	return c
-}
-
-// Store returns the underlying ring (nil for a nil collector).
-func (c *Collector) Store() *Store {
-	if c == nil {
-		return nil
-	}
-	return c.store
 }
 
 // Start launches the capture loop.
@@ -139,6 +131,7 @@ func (c *Collector) Trigger(reason string) {
 
 func (c *Collector) run() {
 	defer close(c.done)
+	defer c.snapshots("final")
 	// Label our own goroutine so collector overhead is attributable in
 	// the very profiles it captures.
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("phase", "obsprof")))
@@ -148,62 +141,63 @@ func (c *Collector) run() {
 		if data != nil {
 			c.append("cpu", "interval", dur, data)
 		}
-		if stopped {
-			c.finalSnapshots()
-			return
+		if !stopped && reason != "" {
+			stopped = c.burst(reason)
 		}
-		if reason != "" && !c.burst(reason) {
-			return
+		if !stopped {
+			c.snapshots("interval")
 		}
-		c.snapshots("interval")
 		// Wait out the remainder of the interval, still responsive to
 		// stop and triggers.
-		for {
+		for !stopped {
 			remain := c.opts.Interval - time.Since(cycleStart)
 			if remain <= 0 {
 				break
 			}
-			timer := time.NewTimer(remain)
-			select {
-			case <-c.stopCh:
-				timer.Stop()
-				c.finalSnapshots()
-				return
-			case reason := <-c.triggers:
-				timer.Stop()
-				if !c.burst(reason) {
-					return
-				}
-				continue
-			case <-timer.C:
+			if reason, stopped = c.wait(remain, true); reason != "" {
+				stopped = c.burst(reason)
 			}
-			break
+		}
+		if stopped {
+			return
 		}
 	}
 }
 
 // burst records the anomaly capture for one trigger: an immediate
 // goroutine dump, then a short CPU window, both tagged with the
-// reason. Returns false when the collector was stopped mid-burst
-// (final snapshots already written).
-func (c *Collector) burst(reason string) bool {
+// reason. It reports whether the collector was stopped mid-burst.
+func (c *Collector) burst(reason string) (stopped bool) {
 	c.snapshot("goroutine", reason)
 	data, dur, _, stopped := c.cpuWindow(c.opts.TriggerCPUDuration, false)
 	if data != nil {
 		c.append("cpu", reason, dur, data)
 	}
-	if stopped {
-		c.finalSnapshots()
-		return false
-	}
-	return true
+	return stopped
 }
 
-// cpuWindow records one CPU profile window of at most d. When
-// interruptible, an arriving trigger ends the window early and its
-// reason is returned so the caller can record the anomaly burst.
-// Returns the profile bytes (nil when starting the profile failed —
-// e.g. a concurrent /debug/pprof/profile request owns the profiler),
+// wait blocks for d, or until Stop (stopped) or — when interruptible —
+// a trigger (its reason) arrives first.
+func (c *Collector) wait(d time.Duration, interruptible bool) (reason string, stopped bool) {
+	var triggers <-chan string // nil, never ready, unless interruptible
+	if interruptible {
+		triggers = c.triggers
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-c.stopCh:
+		stopped = true
+	case reason = <-triggers:
+	case <-timer.C:
+	}
+	return reason, stopped
+}
+
+// cpuWindow records one CPU profile window of at most d (see wait for
+// what ends it early). Returns the profile bytes (nil when starting
+// the profile failed — e.g. a concurrent /debug/pprof/profile request
+// owns the profiler — in which case the window still paces the loop),
 // the actual window length, the interrupting trigger reason (""), and
 // whether Stop was observed.
 func (c *Collector) cpuWindow(d time.Duration, interruptible bool) (data []byte, dur time.Duration, reason string, stopped bool) {
@@ -211,42 +205,10 @@ func (c *Collector) cpuWindow(d time.Duration, interruptible bool) (data []byte,
 	start := time.Now()
 	if err := pprof.StartCPUProfile(&buf); err != nil {
 		c.capErrors.Inc()
-		// Still honor pacing and control signals for this window.
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		if interruptible {
-			select {
-			case <-c.stopCh:
-				return nil, 0, "", true
-			case r := <-c.triggers:
-				return nil, 0, r, false
-			case <-timer.C:
-				return nil, 0, "", false
-			}
-		}
-		select {
-		case <-c.stopCh:
-			return nil, 0, "", true
-		case <-timer.C:
-			return nil, 0, "", false
-		}
+		reason, stopped = c.wait(d, interruptible)
+		return nil, 0, reason, stopped
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	if interruptible {
-		select {
-		case <-c.stopCh:
-			stopped = true
-		case reason = <-c.triggers:
-		case <-timer.C:
-		}
-	} else {
-		select {
-		case <-c.stopCh:
-			stopped = true
-		case <-timer.C:
-		}
-	}
+	reason, stopped = c.wait(d, interruptible)
 	pprof.StopCPUProfile()
 	return buf.Bytes(), time.Since(start), reason, stopped
 }
@@ -257,8 +219,6 @@ func (c *Collector) snapshots(trigger string) {
 		c.snapshot(kind, trigger)
 	}
 }
-
-func (c *Collector) finalSnapshots() { c.snapshots("final") }
 
 // snapshot captures one runtime profile by name and appends it to the
 // ring.

@@ -298,7 +298,7 @@ func TestCollectorIntervalAndTriggerCaptures(t *testing.T) {
 
 	byKindTrigger := make(map[[2]string]int)
 	var pageSLO bool
-	for _, e := range c.Store().Entries() {
+	for _, e := range c.store.Entries() {
 		byKindTrigger[[2]string{e.Kind, e.Trigger}]++
 		if e.Trigger == "slo-page:availability" && e.SLO == "PAGE:availability" {
 			pageSLO = true
@@ -322,7 +322,7 @@ func TestCollectorIntervalAndTriggerCaptures(t *testing.T) {
 		t.Error("trigger capture not stamped with active SLO state")
 	}
 	// Triggered captures decode and carry the cpu dimension.
-	for _, e := range c.Store().Entries() {
+	for _, e := range c.store.Entries() {
 		if e.Kind != "cpu" {
 			continue
 		}
@@ -358,14 +358,11 @@ func TestNilCollectorAndStoreAreNoOps(t *testing.T) {
 	c.Start()
 	c.Trigger("x")
 	c.Stop()
-	if c.Store() != nil {
-		t.Error("nil collector store != nil")
-	}
 	var s *Store
 	if _, err := s.Append("cpu", "interval", "", 0, nil); err != nil {
 		t.Errorf("nil store Append: %v", err)
 	}
-	if s.Entries() != nil || s.Dir() != "" || s.Close() != nil {
+	if s.Entries() != nil || s.Close() != nil {
 		t.Error("nil store methods not no-ops")
 	}
 }

@@ -57,8 +57,8 @@ const (
 
 // Store is the bounded on-disk profile ring: capture files named
 // <kind>-<seq>.pb.gz beside a manifest.jsonl with one Entry per line.
-// The manifest follows the journal's torn-tail contract: a crash can
-// leave at most one torn final line, which reopen truncates away.
+// The manifest is appended to through a durable.Log: a crash can leave
+// at most one torn final line, which reopen truncates away.
 // Methods are safe for concurrent use; a nil *Store is a no-op.
 type Store struct {
 	dir string
@@ -66,7 +66,7 @@ type Store struct {
 	cap int64
 
 	mu      sync.Mutex
-	f       *os.File
+	log     *durable.Log // nil once closed
 	entries []Entry
 	seq     uint64
 	bytes   int64
@@ -104,46 +104,29 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 		s.evictions = reg.Counter("obsprof_evictions_total")
 		s.storeBytes = reg.Gauge("obsprof_store_bytes")
 	}
-	if err := s.recover(); err != nil {
+	err := s.recover()
+	if err == nil {
+		s.log, err = durable.OpenLog(s.manifestPath())
+	}
+	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(s.manifestPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("prof: open manifest: %w", err)
-	}
-	s.f = f
 	s.storeBytes.Set(s.bytes)
 	return s, nil
 }
 
 func (s *Store) manifestPath() string { return filepath.Join(s.dir, manifestName) }
 
-// recover loads the manifest, repairing a torn tail and reconciling
-// against the capture files actually on disk.
+// recover loads the manifest, reconciling it against the capture files
+// actually on disk. (A torn final line is not its business: ReadManifest
+// never sees it and OpenLog truncates it away.)
 func (s *Store) recover() error {
-	raw, err := os.ReadFile(s.manifestPath())
-	if err != nil {
-		if os.IsNotExist(err) {
-			return s.sweepOrphans(nil)
-		}
+	listed, err := ReadManifest(s.dir)
+	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("prof: read manifest: %w", err)
 	}
-	// Torn-tail contract (shared with the crawl journal): bytes after
-	// the last newline are a partial record from a crash mid-append and
-	// are never parsed. The file itself is repaired by the atomic
-	// rewrite below, so a crash inside the repair leaves the old file.
-	valid := raw[:bytes.LastIndexByte(raw, '\n')+1]
 	known := make(map[string]bool)
-	for _, line := range bytes.Split(valid, []byte("\n")) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			// A torn or corrupt interior line loses one capture record,
-			// not the ring.
-			continue
-		}
+	for _, e := range listed {
 		fi, err := os.Stat(e.Path(s.dir))
 		if err != nil {
 			continue // capture file gone; drop the entry
@@ -156,10 +139,13 @@ func (s *Store) recover() error {
 		}
 		known[e.File] = true
 	}
-	// Dropping entries above must stick: rewrite the manifest to match
-	// what we kept, then delete capture files no entry references.
-	if err := s.rewriteManifest(); err != nil {
-		return err
+	// Dropped entries must stay dropped: rewrite the manifest to match
+	// what we kept (atomically, so a crash inside the rewrite leaves the
+	// old file), then delete capture files no entry references.
+	if len(s.entries) < len(listed) {
+		if err := s.rewriteManifest(); err != nil {
+			return err
+		}
 	}
 	return s.sweepOrphans(known)
 }
@@ -184,8 +170,8 @@ func (s *Store) sweepOrphans(known map[string]bool) error {
 }
 
 // rewriteManifest atomically and durably replaces the manifest with the
-// current entry list (durable.WriteFile), reopening the append handle
-// if one was live.
+// current entry list (durable.WriteFile), reopening the append log if
+// one was live.
 func (s *Store) rewriteManifest() error {
 	var buf bytes.Buffer
 	for _, e := range s.entries {
@@ -208,13 +194,12 @@ func (s *Store) rewriteManifest() error {
 	if err != nil {
 		return fmt.Errorf("prof: rewrite manifest: %w", err)
 	}
-	if s.f != nil {
-		s.f.Close()
-		f, err := os.OpenFile(s.manifestPath(), os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
+	if s.log != nil {
+		// The rename replaced the file the append handle points at.
+		s.log.Close() //nolint:errcheck — every append was synced; the handle holds nothing
+		if s.log, err = durable.OpenLog(s.manifestPath()); err != nil {
 			return fmt.Errorf("prof: reopen manifest: %w", err)
 		}
-		s.f = f
 	}
 	return nil
 }
@@ -245,10 +230,10 @@ func (s *Store) Append(kind, trigger, slo string, captureDur time.Duration, data
 	if err != nil {
 		return Entry{}, fmt.Errorf("prof: marshal entry: %w", err)
 	}
-	if _, err := s.f.Write(append(line, '\n')); err != nil {
+	if _, err := s.log.Write(append(line, '\n')); err != nil {
 		return Entry{}, fmt.Errorf("prof: append manifest: %w", err)
 	}
-	if err := s.f.Sync(); err != nil {
+	if err := s.log.Sync(); err != nil {
 		return Entry{}, fmt.Errorf("prof: sync manifest: %w", err)
 	}
 	s.seq++
@@ -293,46 +278,41 @@ func (s *Store) Entries() []Entry {
 	return append([]Entry(nil), s.entries...)
 }
 
-// Dir returns the ring directory ("" for a nil store).
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.dir
-}
-
-// Close flushes and closes the manifest handle.
+// Close closes the manifest log. Safe to call more than once.
 func (s *Store) Close() error {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
+	if s.log == nil {
 		return nil
 	}
-	err := s.f.Close()
-	s.f = nil
+	err := s.log.Close()
+	s.log = nil
 	return err
 }
 
 // ReadManifest loads the manifest of a ring directory read-only (no
-// repair, no orphan sweep) for offline analysis, oldest first.
+// repair, no orphan sweep) for offline analysis, oldest first. A torn
+// final line is dropped by durable.ReadLog; a complete line that does
+// not decode loses that one capture record, not the ring.
 func ReadManifest(dir string) ([]Entry, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	f, err := os.Open(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
 	var out []Entry
-	for _, line := range bytes.Split(raw, []byte("\n")) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
+	_, err = durable.ReadLog(f, func(rec []byte) error {
 		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			continue // torn tail or corrupt line
+		if json.Unmarshal(rec, &e) == nil {
+			out = append(out, e)
 		}
-		out = append(out, e)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out, nil

@@ -110,20 +110,29 @@ func TestDumpRoundTrip(t *testing.T) {
 
 func TestReadDumpMergesAndRejectsGarbage(t *testing.T) {
 	d := NewDump()
-	if err := d.ReadJSONL(strings.NewReader(`{"name":"a_total","kind":"counter","t":"2026-01-01T00:00:00Z","v":1}` + "\n")); err != nil {
+	if torn, err := d.ReadJSONL(strings.NewReader(`{"name":"a_total","kind":"counter","t":"2026-01-01T00:00:00Z","v":1}` + "\n")); err != nil || torn != 0 {
 		t.Fatal(err)
 	}
-	if err := d.ReadJSONL(strings.NewReader(`{"name":"a_total","kind":"counter","t":"2026-01-01T00:00:01Z","v":2}` + "\n")); err != nil {
+	if _, err := d.ReadJSONL(strings.NewReader(`{"name":"a_total","kind":"counter","t":"2026-01-01T00:00:01Z","v":2}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	if pts := d.PointsSince("a_total", time.Time{}); len(pts) != 2 || pts[1].V != 2 {
 		t.Errorf("merge: %+v", pts)
 	}
-	if err := NewDump().ReadJSONL(strings.NewReader("not json\n")); err == nil {
+	if _, err := NewDump().ReadJSONL(strings.NewReader("not json\n")); err == nil {
 		t.Error("garbage line should error")
 	}
-	if err := NewDump().ReadJSONL(strings.NewReader(`{"kind":"counter","v":1}` + "\n")); err == nil {
+	if _, err := NewDump().ReadJSONL(strings.NewReader(`{"kind":"counter","v":1}` + "\n")); err == nil {
 		t.Error("missing name should error")
+	}
+	// A dump cut mid-record (a killed writer, a truncated download) loads
+	// up to its last complete point instead of failing whole, and says so.
+	cut := NewDump()
+	if torn, err := cut.ReadJSONL(strings.NewReader(`{"name":"a_total","kind":"counter","t":"2026-01-01T00:00:00Z","v":1}` + "\n" + `{"name":"a_total","kind":"cou`)); err != nil || torn != 1 {
+		t.Errorf("cut dump: torn=%d err=%v, want torn=1", torn, err)
+	}
+	if pts := cut.PointsSince("a_total", time.Time{}); len(pts) != 1 {
+		t.Errorf("cut dump holds %d points, want the 1 complete one", len(pts))
 	}
 }
 

@@ -24,21 +24,17 @@ type Panel struct {
 	Unit string
 }
 
-// DefaultCrawlPanels are the dashboard rows of a crawl: throughput,
-// edge discovery, frontier backlog, and API errors.
-func DefaultCrawlPanels() []Panel {
-	return []Panel{
-		{Title: "profiles/s", Selector: "crawler_pages_fetched_total", AsRate: true, Unit: "/s"},
-		{Title: "edges/s", Selector: "crawler_edges_observed_total", AsRate: true, Unit: "/s"},
-		{Title: "frontier", Selector: "crawler_frontier_depth"},
-		{Title: "errors/s", Selector: "gplusapi_responses_total{code=\"503\"}", AsRate: true, Unit: "/s"},
-	}
+// crawlPanels are the dashboard rows of a crawl: throughput, edge
+// discovery, frontier backlog, and API errors.
+var crawlPanels = []Panel{
+	{Title: "profiles/s", Selector: "crawler_pages_fetched_total", AsRate: true, Unit: "/s"},
+	{Title: "edges/s", Selector: "crawler_edges_observed_total", AsRate: true, Unit: "/s"},
+	{Title: "frontier", Selector: "crawler_frontier_depth"},
+	{Title: "errors/s", Selector: "gplusapi_responses_total{code=\"503\"}", AsRate: true, Unit: "/s"},
 }
 
 // DashOptions configures a Dash.
 type DashOptions struct {
-	// Panels default to DefaultCrawlPanels.
-	Panels []Panel
 	// Width is the sparkline width in cells (default 60).
 	Width int
 	// Window is how much history each sparkline spans (default 2m).
@@ -62,13 +58,6 @@ func (o DashOptions) window() time.Duration {
 	return o.Window
 }
 
-func (o DashOptions) panels() []Panel {
-	if len(o.Panels) > 0 {
-		return o.Panels
-	}
-	return DefaultCrawlPanels()
-}
-
 // Dash renders a live ANSI terminal dashboard from a collector's rings:
 // one sparkline panel per configured series, headline counters, SLO
 // states, and recent alert transitions. Attach it to the collector with
@@ -81,25 +70,14 @@ type Dash struct {
 	w    io.Writer
 	opts DashOptions
 
-	mu     sync.Mutex
-	start  time.Time
-	frames int
+	mu    sync.Mutex
+	start time.Time // of the first frame; zero until then
 }
 
 // NewDash builds a dashboard over a collector (and optional SLO
 // engine) writing frames to w.
 func NewDash(c *Collector, eng *Engine, w io.Writer, opts DashOptions) *Dash {
 	return &Dash{c: c, eng: eng, w: w, opts: opts}
-}
-
-// Frames returns how many frames have been rendered.
-func (d *Dash) Frames() int {
-	if d == nil {
-		return 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.frames
 }
 
 const (
@@ -115,12 +93,9 @@ func (d *Dash) Frame(now time.Time) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	var b strings.Builder
 	if d.start.IsZero() {
 		d.start = now
-	}
-	d.frames++
-	var b strings.Builder
-	if d.frames == 1 {
 		b.WriteString(ansiClear)
 	}
 	b.WriteString(ansiHome)
@@ -132,7 +107,7 @@ func (d *Dash) Frame(now time.Time) {
 		now.Format("15:04:05"), now.Sub(d.start).Round(time.Second), d.c.Interval())
 	line("%s", strings.Repeat("─", d.opts.width()+28))
 	since := now.Add(-d.opts.window())
-	for _, p := range d.opts.panels() {
+	for _, p := range crawlPanels {
 		values, cur := d.panelValues(p, since)
 		line("%-12s %s %s", p.Title, Sparkline(values, d.opts.width()), fmtValue(cur, p.Unit))
 	}

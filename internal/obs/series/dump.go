@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"gplus/internal/durable"
 	"gplus/internal/obs"
 )
 
@@ -61,23 +62,23 @@ func NewDump() *Dump { return &Dump{series: make(map[string]*dumpSeries)} }
 // ReadDump reads one JSONL stream into a fresh Dump.
 func ReadDump(r io.Reader) (*Dump, error) {
 	d := NewDump()
-	if err := d.ReadJSONL(r); err != nil {
+	if _, err := d.ReadJSONL(r); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
 // ReadJSONL merges one JSONL stream into the dump (multiple files from
-// one crawl — or shards of a fleet — accumulate).
-func (d *Dump) ReadJSONL(r io.Reader) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+// one crawl — or shards of a fleet — accumulate). A stream cut
+// mid-record loads up to its last complete point, and torn counts the
+// unterminated final record that was dropped (durable.ReadLog's
+// torn-tail rule).
+func (d *Dump) ReadJSONL(r io.Reader) (torn int, err error) {
 	line := 0
-	for sc.Scan() {
+	return durable.ReadLog(r, func(raw []byte) error {
 		line++
-		raw := sc.Bytes()
 		if len(raw) == 0 {
-			continue
+			return nil
 		}
 		var rec dumpRecord
 		if err := json.Unmarshal(raw, &rec); err != nil {
@@ -93,8 +94,8 @@ func (d *Dump) ReadJSONL(r io.Reader) error {
 		}
 		s.pts = append(s.pts, Point{T: rec.T, V: rec.V, Hist: rec.Hist})
 		s.sorted = false
-	}
-	return sc.Err()
+		return nil
+	})
 }
 
 func (s *dumpSeries) sort() {

@@ -114,15 +114,3 @@ func parseSince(s string, now time.Time) (time.Time, error) {
 	}
 	return time.Time{}, fmt.Errorf("series: since=%q is neither a duration nor an RFC3339 time", s)
 }
-
-// Mount registers the collector's debug endpoints (and, when eng is
-// non-nil, the SLO report) on mux under the conventional paths.
-func Mount(mux *http.ServeMux, c *Collector, eng *Engine) {
-	if mux == nil || c == nil {
-		return
-	}
-	mux.Handle("/debug/timeseries", Handler{C: c})
-	if eng != nil {
-		mux.Handle("/debug/slo", eng)
-	}
-}

@@ -92,14 +92,3 @@ func TestHandlerJSONLDump(t *testing.T) {
 		t.Errorf("dump names: %v", d.Names())
 	}
 }
-
-func TestMount(t *testing.T) {
-	c := handlerFixture(t)
-	mux := http.NewServeMux()
-	Mount(mux, c, nil)
-	rr := get(t, mux, "/debug/timeseries")
-	if rr.Code != http.StatusOK {
-		t.Errorf("mounted handler: code %d", rr.Code)
-	}
-	Mount(nil, c, nil) // no-op
-}

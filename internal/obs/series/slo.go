@@ -242,6 +242,19 @@ func parseThreshold(val string) (float64, error) {
 	return 0, fmt.Errorf("bad threshold %q", val)
 }
 
+// ObjectivesFlag resolves the value of a -slo flag: "default" keeps def,
+// "" selects no objectives (an empty, non-nil set), anything else is a
+// ParseObjectives spec.
+func ObjectivesFlag(value string, def []Objective) ([]Objective, error) {
+	switch value {
+	case "default":
+		return def, nil
+	case "":
+		return []Objective{}, nil
+	}
+	return ParseObjectives(value)
+}
+
 // DefaultCrawlObjectives are the stock objectives of a crawl run, seen
 // from the client side: API availability (503 responses and transport
 // errors against all attempts — retries that eventually succeed still

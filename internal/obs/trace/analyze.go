@@ -1,17 +1,18 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 	"time"
+
+	"gplus/internal/durable"
 )
 
 // This file is the offline half of the tracer: it reads JSONL dumps
-// (from /debug/traces?format=jsonl or gpluscrawl -trace-dir) back into
+// (from /debug/traces?format=jsonl or an -obs-dir run directory) back into
 // Traces and computes the reports `gplusanalyze traces` prints —
 // critical-path breakdown, retry amplification, and the slowest
 // requests with their span trees. Client and server dumps of the same
@@ -19,26 +20,23 @@ import (
 // propagated trace id into one tree, so a gplusd server span appears
 // under the crawler attempt span that caused it.
 
-// ReadTraces parses a JSONL trace dump (blank lines ignored).
-func ReadTraces(r io.Reader) ([]*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26) // span-heavy traces make long lines
-	var out []*Trace
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+// ReadTraces parses a JSONL trace dump (blank lines ignored). A dump cut
+// mid-record — an exemplar stream whose writer was killed — loads up to
+// its last complete trace, and torn counts the unterminated final record
+// that was dropped (durable.ReadLog's torn-tail rule).
+func ReadTraces(r io.Reader) (out []*Trace, torn int, err error) {
+	torn, err = durable.ReadLog(r, func(rec []byte) error {
+		if len(rec) == 0 {
+			return nil
 		}
 		tr := &Trace{}
-		if err := json.Unmarshal(line, tr); err != nil {
-			return nil, fmt.Errorf("trace: bad JSONL line %d: %w", len(out)+1, err)
+		if err := json.Unmarshal(rec, tr); err != nil {
+			return fmt.Errorf("trace: bad JSONL line %d: %w", len(out)+1, err)
 		}
 		out = append(out, tr)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+		return nil
+	})
+	return out, torn, err
 }
 
 // MergeByTraceID combines traces sharing a trace id — the client-side

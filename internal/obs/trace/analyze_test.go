@@ -30,9 +30,9 @@ func TestReadTracesRoundTrip(t *testing.T) {
 	if err := rec.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTraces(&buf)
-	if err != nil {
-		t.Fatal(err)
+	got, torn, err := ReadTraces(&buf)
+	if err != nil || torn != 0 {
+		t.Fatalf("torn=%d err=%v", torn, err)
 	}
 	if len(got) != 1 {
 		t.Fatalf("read %d traces, want 1", len(got))
@@ -49,8 +49,14 @@ func TestReadTracesRoundTrip(t *testing.T) {
 }
 
 func TestReadTracesRejectsGarbage(t *testing.T) {
-	if _, err := ReadTraces(strings.NewReader("{\"trace_id\":\"a\"}\nnot json\n")); err == nil {
+	if _, _, err := ReadTraces(strings.NewReader("{\"trace_id\":\"a\"}\nnot json\n")); err == nil {
 		t.Fatal("garbage line accepted")
+	}
+	// An unterminated tail is a torn append, not garbage: it is dropped
+	// and counted, and every complete trace before it still loads.
+	got, torn, err := ReadTraces(strings.NewReader("{\"trace_id\":\"a\"}\n{\"trace_id\":\"b"))
+	if err != nil || torn != 1 || len(got) != 1 || got[0].TraceID != "a" {
+		t.Fatalf("torn tail: %d traces, torn=%d, err=%v; want the 1 complete one and torn=1", len(got), torn, err)
 	}
 }
 
@@ -233,7 +239,7 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 	if err := rec.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	traces, err := ReadTraces(&buf)
+	traces, _, err := ReadTraces(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,10 +94,10 @@ func (r Rules) match(tr *Trace) string {
 	return out
 }
 
-// DefaultMaxExemplars bounds exemplar retention when the caller does not
-// choose a bound; beyond it, new exemplars are counted as dropped rather
-// than growing without limit over a 46-day crawl.
-const DefaultMaxExemplars = 4096
+// MaxExemplars bounds exemplar retention; beyond it, new exemplars are
+// counted as dropped rather than growing without limit over a 46-day
+// crawl.
+const MaxExemplars = 4096
 
 // Recorder is the bounded flight recorder: a ring of the last N
 // completed traces plus every trace matching the exemplar rules (up to
@@ -105,9 +105,6 @@ const DefaultMaxExemplars = 4096
 // (see ServeHTTP in handler.go).
 type Recorder struct {
 	rules Rules
-	// MaxExemplars caps exemplar retention (set before use; defaults to
-	// DefaultMaxExemplars in NewRecorder).
-	maxExemplars int
 
 	mu        sync.Mutex
 	ring      []*Trace // fixed-capacity circular buffer
@@ -129,24 +126,14 @@ func NewRecorder(ringSize int, rules Rules) *Recorder {
 		ringSize = 64
 	}
 	return &Recorder{
-		rules:        rules,
-		maxExemplars: DefaultMaxExemplars,
-		ring:         make([]*Trace, ringSize),
+		rules: rules,
+		ring:  make([]*Trace, ringSize),
 	}
-}
-
-// SetMaxExemplars adjusts the exemplar retention bound (n <= 0 keeps the
-// default). Call before tracing starts.
-func (r *Recorder) SetMaxExemplars(n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	r.maxExemplars = n
 }
 
 // SetSink installs a callback invoked (outside the recorder lock) with
-// every exemplar trace as it completes — gpluscrawl's -trace-dir streams
-// them to disk through it.
+// every exemplar trace as it completes — a run directory's exemplars.jsonl is
+// streamed through it.
 func (r *Recorder) SetSink(fn func(*Trace)) {
 	if r == nil {
 		return
@@ -183,7 +170,7 @@ func (r *Recorder) record(tr *Trace) {
 	r.ring[r.next] = tr
 	r.next = (r.next + 1) % len(r.ring)
 	if rule != "" {
-		if len(r.exemplars) < r.maxExemplars {
+		if len(r.exemplars) < MaxExemplars {
 			r.exemplars = append(r.exemplars, tr)
 			r.reg.Counter(`trace_exemplars_total{rule="` + rule + `"}`).Inc()
 			sink = r.sink

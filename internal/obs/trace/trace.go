@@ -246,15 +246,6 @@ func SpanFromContext(ctx context.Context) *Span {
 	return sp
 }
 
-// ContextWithSpan returns ctx carrying sp, for handing a span across an
-// API that does not thread one itself.
-func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
-	if sp == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanKey{}, sp)
-}
-
 // StartSpan starts a span: a child of the context's span when one is
 // present, otherwise a new trace root subject to the head sampling
 // decision. The returned context carries the new span (or the trace's

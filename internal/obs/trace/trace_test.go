@@ -253,7 +253,6 @@ func TestExemplarLatencyRule(t *testing.T) {
 
 func TestExemplarBoundAndSink(t *testing.T) {
 	rec := NewRecorder(2, Rules{Errors: true})
-	rec.SetMaxExemplars(3)
 	var mu sync.Mutex
 	var sunk []string
 	rec.SetSink(func(tr *Trace) {
@@ -262,22 +261,22 @@ func TestExemplarBoundAndSink(t *testing.T) {
 		mu.Unlock()
 	})
 	tr := New(Config{Recorder: rec})
-	for i := 0; i < 5; i++ {
+	for i := 0; i < MaxExemplars+2; i++ {
 		_, sp := tr.StartSpan(context.Background(), "bad")
 		sp.Fail("x")
 		sp.Finish()
 	}
 	st := rec.Stats()
-	if st.Exemplars != 3 {
-		t.Fatalf("retained %d exemplars past the bound of 3", st.Exemplars)
+	if st.Exemplars != MaxExemplars {
+		t.Fatalf("retained %d exemplars past the bound of %d", st.Exemplars, MaxExemplars)
 	}
 	if st.Dropped != 2 {
 		t.Fatalf("dropped = %d, want 2", st.Dropped)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(sunk) != 3 {
-		t.Fatalf("sink saw %d exemplars, want 3 (dropped ones must not reach it)", len(sunk))
+	if len(sunk) != MaxExemplars {
+		t.Fatalf("sink saw %d exemplars, want %d (dropped ones must not reach it)", len(sunk), MaxExemplars)
 	}
 }
 
