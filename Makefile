@@ -17,7 +17,7 @@ all: build vet test race
 # check is the conventional entry point for the same gate; the race leg
 # covers the sharded rate limiter, the batched crawl frontier and the
 # study's concurrent structure stages, the
-# short fuzz leg shakes the checkpoint/journal parser, the hygiene leg
+# short fuzz leg shakes the checkpoint/journal parser and the triad pass, the hygiene leg
 # gates the metric exposition, the one-durable-writer rule and the
 # every-flag-has-a-recipe rule, the
 # brownout leg proves kill-free convergence through a server overload,
@@ -41,7 +41,7 @@ help:
 	@echo "make bench-storage  out-of-core CSR: segment/compact/load/scan -> BENCH_storage.json"
 	@echo "make paperscale     10M-node/200M-edge out-of-core acceptance run (slow; merges RSS rows into BENCH_storage.json)"
 	@echo "make ablations      design-choice ablation experiments"
-	@echo "make fuzz           long fuzz of every parser and the multi-source BFS (30s each)"
+	@echo "make fuzz           long fuzz of every parser, the multi-source BFS and the triad pass (30s each)"
 	@echo "make verify         generate a dataset and audit it against the paper"
 	@echo "make examples       run every example binary"
 	@echo "make report         full Markdown report from a fresh dataset"
@@ -190,14 +190,17 @@ fuzz:
 	$(GO) test -fuzz=FuzzToProfile -fuzztime=30s ./internal/gplusapi/
 	$(GO) test -fuzz=FuzzReadBinary -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzMultiSourceBFS -fuzztime=30s ./internal/graph/
+	$(GO) test -fuzz=FuzzTriads -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzOpenV2 -fuzztime=30s ./internal/graph/diskcsr/
 	$(GO) test -fuzz=FuzzReadResult -fuzztime=30s ./internal/crawler/
 	$(GO) test -fuzz=FuzzParseFaultSpec -fuzztime=30s ./internal/gplusd/
 
 # The quick fuzz leg of `make check`: the checkpoint/journal parser is
-# the one format a crash can hand arbitrary torn bytes to.
+# the one format a crash can hand arbitrary torn bytes to, and the triad
+# pass is the one kernel three figures share.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz=FuzzReadResult -fuzztime=10s ./internal/crawler/
+	$(GO) test -run '^$$' -fuzz=FuzzTriads -fuzztime=10s ./internal/graph/
 
 # Generate a dataset and audit it against the paper's published claims.
 verify:

@@ -48,7 +48,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"gplus/internal/core"
@@ -322,17 +321,30 @@ func main() {
 	w := os.Stdout
 	defer printStageBreakdown(os.Stderr, rec)
 
+	// The structural analyses (figures 3-5, connectivity, motifs) share
+	// one Structure pass — the plot data, the Markdown report and the text
+	// experiments all read the same result — computed lazily so -only
+	// table1 does not pay for it.
+	var structRes *core.StructureResult
+	structure := func() *core.StructureResult {
+		if structRes == nil {
+			var err error
+			if structRes, err = study.Structure(ctx); err != nil {
+				log.Fatalf("structural analyses: %v", err)
+			}
+		}
+		return structRes
+	}
+
 	if *plotDir != "" {
-		if err := report.WritePlotData(ctx, *plotDir, study); err != nil {
+		if err := report.WritePlotData(*plotDir, study, structure()); err != nil {
 			log.Fatalf("plot data: %v", err)
 		}
 		log.Printf("wrote figure data + plots.gp -> %s", *plotDir)
 	}
 
 	if *format == "md" {
-		if err := report.Markdown(ctx, w, study); err != nil {
-			log.Fatalf("markdown report: %v", err)
-		}
+		report.Markdown(ctx, w, study, structure())
 		return
 	}
 
@@ -348,22 +360,6 @@ func main() {
 		}
 		fn()
 		fmt.Fprintln(w)
-	}
-
-	// The structural analyses (figures 3-5 and connectivity) share one
-	// Structure pass, computed lazily so -only table1 does not pay for it.
-	var (
-		structOnce sync.Once
-		structRes  *core.StructureResult
-	)
-	structure := func() *core.StructureResult {
-		structOnce.Do(func() {
-			var err error
-			if structRes, err = study.Structure(ctx); err != nil {
-				log.Fatalf("structural analyses: %v", err)
-			}
-		})
-		return structRes
 	}
 
 	run("table1", func() { report.Table1(w, study.TopUsers(20)) })

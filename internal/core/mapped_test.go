@@ -43,7 +43,6 @@ func TestStudyMappedMatchesRAM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.Timings = nil // wall-clock legitimately differs between runs
 		return results{
 			Structure: st,
 			Topology:  s.Topology(context.Background()),

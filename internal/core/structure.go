@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math/rand/v2"
 	"sync"
-	"time"
 
 	"gplus/internal/graph"
 	"gplus/internal/stats"
@@ -136,76 +134,27 @@ func (s *Study) reciprocity(ctx context.Context) ReciprocityResult {
 
 // ClusteringResult is Figure 4(b).
 type ClusteringResult struct {
-	// CDF is the distribution of clustering coefficients over nodes
-	// with out-degree > 1 (sampled or exact; see Exact).
+	// CDF is the distribution of clustering coefficients over the nodes
+	// with out-degree > 1.
 	CDF []stats.Point
-	// Mean is the mean coefficient over the scanned nodes.
+	// Mean is the mean coefficient over those nodes.
 	Mean float64
 	// FractionAbove02 is the paper's headline: ~40% of users with
 	// CC > 0.2.
 	FractionAbove02 float64
-	// Sampled is how many nodes entered the scan: every eligible node
-	// when Exact, otherwise at most Options.ClusteringSample.
+	// Sampled is how many nodes the figure covers: every eligible node,
+	// where the paper sampled one million.
 	Sampled int
-	// Exact reports that every eligible node was scanned instead of the
-	// paper's one-million-node sample, removing the sampling error. It
-	// holds whenever the graph fits exactClusteringWedgeBudget, whatever
-	// Options.ClusteringSample says.
-	Exact bool
-	// ByDegree is the exact C(k) curve (mean coefficient by out-degree),
-	// computed only on the exact path.
+	// ByDegree is the exact C(k) curve (mean coefficient by out-degree).
 	ByDegree []graph.DegreeClustering
 }
 
-// exactClusteringWedgeBudget bounds the out-wedge count (the exact
-// scan's work measure) under which the study computes clustering
-// exactly instead of sampling. 2^31 wedges is a few seconds of
-// intersection work; past it the paper's sampled estimate stands in.
-const exactClusteringWedgeBudget = int64(1) << 31
-
-// Clustering computes Figure 4(b): exactly over every eligible node
-// when the graph's wedge count fits the exact budget, otherwise on a
-// node sample (the paper sampled one million nodes).
+// Clustering computes Figure 4(b), exactly, over every eligible node:
+// the numerators are a by-product of the closed-triple enumeration the
+// motif census runs at any size.
 func (s *Study) Clustering() ClusteringResult {
-	return s.clustering(context.Background())
-}
-
-func (s *Study) clustering(ctx context.Context) ClusteringResult {
-	_, finish := s.stage(ctx, "clustering")
-	defer finish()
-	return s.clusteringScan(graph.WedgeCount(s.g, s.opts.Parallelism) <= exactClusteringWedgeBudget)
-}
-
-// clusteringScan is the clustering stage once the exact/sampled decision
-// is taken: one pass for the link numerators of the chosen nodes, then
-// every figure as a ratio of them.
-func (s *Study) clusteringScan(exact bool) ClusteringResult {
-	var sample int // 0 = every eligible node
-	var rng *rand.Rand
-	if !exact {
-		sample, rng = s.opts.ClusteringSample, s.rng(2)
-	}
-	nodes := graph.ClusteringNodes(s.g, sample, rng, s.opts.Parallelism)
-	links := graph.ClusteringLinks(s.g, nodes, s.opts.Parallelism)
-	res := ClusteringResult{Sampled: len(nodes), Exact: exact}
-	if exact {
-		res.ByDegree = graph.ClusteringByDegree(s.g, nodes, links)
-	}
-	coeffs := make([]float64, len(nodes))
-	over := 0
-	for i, u := range nodes {
-		k := s.g.OutDegree(u)
-		coeffs[i] = float64(links[i]) / float64(k*(k-1))
-		if coeffs[i] > 0.2 {
-			over++
-		}
-	}
-	res.CDF = stats.CDF(coeffs)
-	if len(coeffs) > 0 {
-		res.Mean = mean(coeffs)
-		res.FractionAbove02 = float64(over) / float64(len(coeffs))
-	}
-	return res
+	cl, _ := s.triads(context.Background())
+	return cl
 }
 
 // mean is the in-order arithmetic mean, 0 for no values.
@@ -235,27 +184,50 @@ type MotifResult struct {
 	Transitivity float64
 }
 
-// Motifs computes the exact triangle count and triad census.
+// Motifs computes the exact triangle count and triad census. The error
+// is always nil.
 func (s *Study) Motifs() (MotifResult, error) {
-	return s.motifs(context.Background())
+	_, m := s.triads(context.Background())
+	return m, nil
 }
 
-func (s *Study) motifs(ctx context.Context) (MotifResult, error) {
-	_, finish := s.stage(ctx, "motifs")
+// triads is the one stage behind Figure 4(b) and the motif census: one
+// closed-triple enumeration yields the clustering numerator of every
+// node, in id order, and the triangle and triad counts; every figure is
+// a ratio of them.
+func (s *Study) triads(ctx context.Context) (ClusteringResult, MotifResult) {
+	_, finish := s.stage(ctx, "triads")
 	defer finish()
-	tri := graph.Triangles(s.g, graph.TriangleAuto, s.opts.Parallelism)
-	census := graph.Motifs(s.g, s.opts.Parallelism)
-	if got := census.Triangles(); got != tri.Total {
-		return MotifResult{}, fmt.Errorf(
-			"motif census disagrees with triangle kernel %v: %d closed triads vs %d triangles",
-			tri.Method, got, tri.Total)
+	res := graph.Triads(s.g, s.opts.Parallelism)
+
+	nodes := graph.ClusteringNodes(s.g, 0, nil, s.opts.Parallelism)
+	links := make([]int64, len(nodes))
+	coeffs := make([]float64, len(nodes))
+	over := 0
+	for i, u := range nodes {
+		k := s.g.OutDegree(u)
+		links[i] = res.Links[u]
+		coeffs[i] = float64(links[i]) / float64(k*(k-1))
+		if coeffs[i] > 0.2 {
+			over++
+		}
 	}
-	return MotifResult{
-		Census:         census,
-		TriangleTotal:  tri.Total,
-		TriangleMethod: tri.Method,
-		Transitivity:   tri.Transitivity(),
-	}, nil
+	cl := ClusteringResult{
+		CDF:      stats.CDF(coeffs),
+		Mean:     mean(coeffs),
+		Sampled:  len(nodes),
+		ByDegree: graph.ClusteringByDegree(s.g, nodes, links),
+	}
+	if len(coeffs) > 0 {
+		cl.FractionAbove02 = float64(over) / float64(len(coeffs))
+	}
+	census := res.Census // a copy: the result must not pin the per-node arrays
+	return cl, MotifResult{
+		Census:         &census,
+		TriangleTotal:  res.Triangles.Total,
+		TriangleMethod: res.Triangles.Method,
+		Transitivity:   res.Triangles.Transitivity(),
+	}
 }
 
 // SCCResult is Figure 4(c).
@@ -370,8 +342,7 @@ func topologyOf(ctx context.Context, name string, g graph.View, opts Options, pa
 }
 
 // StructureResult bundles every structural analysis of §3.3 — Table 4
-// plus Figures 3, 4, and 5 — together with the measured wall-clock of
-// each stage, so callers can print a per-stage breakdown.
+// plus Figures 3, 4, and 5.
 type StructureResult struct {
 	Degrees     DegreeDistributions
 	Reciprocity ReciprocityResult
@@ -380,9 +351,6 @@ type StructureResult struct {
 	WCC         WCCResult
 	Paths       PathLengthResult
 	Motifs      MotifResult
-	// Timings holds per-stage wall-clock in the fixed stage order
-	// degrees, reciprocity, clustering, scc, wcc, paths, motifs.
-	Timings []StageTiming
 }
 
 // Structure runs every structural analysis once, fanning the independent
@@ -395,20 +363,15 @@ func (s *Study) Structure(ctx context.Context) (*StructureResult, error) {
 	defer finish()
 
 	res := &StructureResult{}
-	var degErr, motifErr error
-	stages := []struct {
-		name string
-		run  func(context.Context)
-	}{
-		{"degrees", func(ctx context.Context) { res.Degrees, degErr = s.degrees(ctx) }},
-		{"reciprocity", func(ctx context.Context) { res.Reciprocity = s.reciprocity(ctx) }},
-		{"clustering", func(ctx context.Context) { res.Clustering = s.clustering(ctx) }},
-		{"scc", func(ctx context.Context) { res.SCC = s.scc(ctx) }},
-		{"wcc", func(ctx context.Context) { res.WCC = s.wcc(ctx) }},
-		{"paths", func(ctx context.Context) { res.Paths = s.PathLengths(ctx) }},
-		{"motifs", func(ctx context.Context) { res.Motifs, motifErr = s.motifs(ctx) }},
+	var degErr error
+	stages := []func(){
+		func() { res.Degrees, degErr = s.degrees(ctx) },
+		func() { res.Reciprocity = s.reciprocity(ctx) },
+		func() { res.SCC = s.scc(ctx) },
+		func() { res.WCC = s.wcc(ctx) },
+		func() { res.Paths = s.PathLengths(ctx) },
+		func() { res.Clustering, res.Motifs = s.triads(ctx) },
 	}
-	res.Timings = make([]StageTiming, len(stages))
 
 	budget := s.opts.Parallelism
 	if budget > len(stages) {
@@ -419,23 +382,18 @@ func (s *Study) Structure(ctx context.Context) (*StructureResult, error) {
 	}
 	sem := make(chan struct{}, budget)
 	var wg sync.WaitGroup
-	for i, st := range stages {
+	for _, run := range stages {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			start := time.Now()
-			st.run(ctx)
-			res.Timings[i] = StageTiming{Stage: st.name, Dur: time.Since(start)}
+			run()
 		}()
 	}
 	wg.Wait()
 	if degErr != nil {
 		return nil, degErr
-	}
-	if motifErr != nil {
-		return nil, motifErr
 	}
 	return res, nil
 }

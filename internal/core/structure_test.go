@@ -67,7 +67,6 @@ func TestStructureParallelismInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.Timings = nil // wall-clock legitimately differs between runs
 		return st
 	}
 	base := run(1)
@@ -78,8 +77,9 @@ func TestStructureParallelismInvariant(t *testing.T) {
 	}
 }
 
-// TestStructureTimingsAndSpans checks the per-stage instrumentation: one
-// timing per stage, and analyze.<stage> spans in the tracer's recorder.
+// TestStructureTimingsAndSpans checks the per-stage instrumentation:
+// one analyze.<stage> span per stage in the tracer's recorder, under the
+// analyze.structure parent.
 func TestStructureTimingsAndSpans(t *testing.T) {
 	u, err := synth.Generate(synth.DefaultConfig(2_000))
 	if err != nil {
@@ -87,50 +87,36 @@ func TestStructureTimingsAndSpans(t *testing.T) {
 	}
 	rec := trace.NewRecorder(0, trace.Rules{})
 	s := New(dataset.FromUniverse(u), Options{
-		Seed:             7,
-		PathSources:      16,
-		ClusteringSample: 500,
-		Tracer:           trace.New(trace.Config{Recorder: rec}),
+		Seed:        7,
+		PathSources: 16,
+		Tracer:      trace.New(trace.Config{Recorder: rec}),
 	})
-	st, err := s.Structure(context.Background())
-	if err != nil {
+	if _, err := s.Structure(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	wantStages := []string{"degrees", "reciprocity", "clustering", "scc", "wcc", "paths", "motifs"}
-	if len(st.Timings) != len(wantStages) {
-		t.Fatalf("got %d timings, want %d", len(st.Timings), len(wantStages))
-	}
-	seen := map[string]bool{}
-	for _, tm := range st.Timings {
-		if tm.Dur <= 0 {
-			t.Errorf("stage %q has non-positive duration %v", tm.Stage, tm.Dur)
-		}
-		seen[tm.Stage] = true
-	}
-	spanNames := map[string]bool{}
+	spans := map[string]int{}
 	for _, tr := range rec.Traces() {
 		for _, sp := range tr.Spans {
-			spanNames[sp.Name] = true
+			if sp.Dur <= 0 {
+				t.Errorf("span %q has non-positive duration %v", sp.Name, sp.Dur)
+			}
+			spans[sp.Name]++
 		}
 	}
-	for _, stage := range wantStages {
-		if !seen[stage] {
-			t.Errorf("no timing recorded for stage %q", stage)
-		}
-		if !spanNames["analyze."+stage] {
-			t.Errorf("no analyze.%s span recorded", stage)
-		}
+	want := map[string]int{"analyze.structure": 1}
+	for _, stage := range []string{"degrees", "reciprocity", "scc", "wcc", "paths", "triads"} {
+		want["analyze."+stage] = 1
 	}
-	if !spanNames["analyze.structure"] {
-		t.Error("no analyze.structure parent span recorded")
+	if !reflect.DeepEqual(spans, want) {
+		t.Errorf("recorded spans %v, want %v", spans, want)
 	}
 }
 
-// TestClusteringExactPathAndMotifs checks that a graph whose wedge
-// count fits the exact budget takes the exact clustering path — every
-// eligible node scanned regardless of the configured sample size, with
-// the C(k) curve filled — and that the motif stage's internal
-// triangle/census cross-check holds on study data.
+// TestClusteringExactPathAndMotifs checks the two per-figure entry
+// points over the triad pass on study data: Figure 4(b) covers every
+// eligible node whatever the configured sample size, its numerators are
+// graph.ClusteringLinks's, the C(k) curve is filled, and the census and
+// the triangle total describe the same graph.
 func TestClusteringExactPathAndMotifs(t *testing.T) {
 	u, err := synth.Generate(synth.DefaultConfig(3_000))
 	if err != nil {
@@ -139,20 +125,16 @@ func TestClusteringExactPathAndMotifs(t *testing.T) {
 	ds := dataset.FromUniverse(u)
 	s := New(ds, Options{Seed: 11, ClusteringSample: 100})
 	cl := s.Clustering()
-	if !cl.Exact {
-		t.Fatal("small graph did not take the exact clustering path")
+	nodes := graph.ClusteringNodes(ds.Graph, 0, nil, 1)
+	if cl.Sampled != len(nodes) {
+		t.Fatalf("Figure 4(b) covers %d nodes, want every eligible node (%d)", cl.Sampled, len(nodes))
 	}
-	eligible := 0
-	for v := 0; v < ds.Graph.NumNodes(); v++ {
-		if ds.Graph.OutDegree(graph.NodeID(v)) > 1 {
-			eligible++
-		}
+	if want := stats.CDF(graph.AllClustering(ds.Graph, 1)); !reflect.DeepEqual(cl.CDF, want) {
+		t.Fatal("Figure 4(b) CDF is not that of graph.AllClustering")
 	}
-	if cl.Sampled != eligible {
-		t.Fatalf("exact path scanned %d nodes, want every eligible node (%d)", cl.Sampled, eligible)
-	}
-	if len(cl.ByDegree) == 0 {
-		t.Fatal("exact path returned no C(k) curve")
+	links := graph.ClusteringLinks(ds.Graph, nodes, 1)
+	if want := graph.ClusteringByDegree(ds.Graph, nodes, links); len(want) == 0 || !reflect.DeepEqual(cl.ByDegree, want) {
+		t.Fatal("C(k) curve is not that of graph.ClusteringLinks")
 	}
 	m, err := s.Motifs()
 	if err != nil {
@@ -164,54 +146,11 @@ func TestClusteringExactPathAndMotifs(t *testing.T) {
 	if m.Census == nil || m.Census.Triangles() != m.TriangleTotal {
 		t.Fatalf("census triangles disagree with kernel total %d", m.TriangleTotal)
 	}
+	if want := graph.Triangles(ds.Graph, graph.TriangleCohen, 2); m.TriangleTotal != want.Total || m.Transitivity != want.Transitivity() {
+		t.Fatalf("%d triangles, transitivity %v; the Cohen reference has %d and %v", m.TriangleTotal, m.Transitivity, want.Total, want.Transitivity())
+	}
 	if m.Census.Nodes != ds.Graph.NumNodes() {
 		t.Fatalf("census ran on %d nodes, graph has %d", m.Census.Nodes, ds.Graph.NumNodes())
-	}
-}
-
-// TestClusteringSampledPath drives the branch of the clustering stage
-// that no fixture reaches through the wedge budget: the sampled scan. It
-// must draw its nodes from rng(2) alone, report Exact=false without a
-// C(k) curve, and agree across parallelism and between the RAM and the
-// mapped dataset.
-func TestClusteringSampledPath(t *testing.T) {
-	u, err := synth.Generate(synth.DefaultConfig(3_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := dataset.FromUniverse(u).SaveV2(dir); err != nil {
-		t.Fatal(err)
-	}
-	const sample = 200
-	var base *ClusteringResult
-	for _, mapped := range []bool{false, true} {
-		ds, err := dataset.LoadWith(dir, dataset.Options{Mapped: mapped})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ds.Close()
-		for _, par := range []int{1, 2, 4} {
-			s := New(ds, Options{Seed: 11, ClusteringSample: sample, Parallelism: par})
-			got := s.clusteringScan(false)
-			if got.Exact || got.ByDegree != nil || got.Sampled != sample {
-				t.Fatalf("mapped=%v P=%d: Exact=%v, %d C(k) points, %d nodes; want a %d-node sample and no curve",
-					mapped, par, got.Exact, len(got.ByDegree), got.Sampled, sample)
-			}
-			if base == nil {
-				base = &got
-				// The draw is SampleClustering's under stream 2.
-				want := stats.CDF(graph.SampleClustering(s.g, sample, s.rng(2), 1))
-				if !reflect.DeepEqual(got.CDF, want) {
-					t.Fatal("the sampled stage did not consume rng(2) as graph.SampleClustering does")
-				}
-				if exact := s.clusteringScan(true); reflect.DeepEqual(exact.CDF, got.CDF) {
-					t.Fatal("fixture cannot tell the sampled scan from the exact one")
-				}
-			} else if !reflect.DeepEqual(got, *base) {
-				t.Errorf("mapped=%v P=%d diverged from RAM at P=1", mapped, par)
-			}
-		}
 	}
 }
 
@@ -238,46 +177,47 @@ type countingRows struct {
 func (r countingRows) Out(u graph.NodeID) []graph.NodeID { r.v.outs[u].Add(1); return r.inner.Out(u) }
 func (r countingRows) In(u graph.NodeID) []graph.NodeID  { r.v.ins[u].Add(1); return r.inner.In(u) }
 
-// TestStagesScanOnce pins the one-scan shape of the two Figure 4 stages
-// Structure runs. Reciprocity reads each node's out-row once and its
-// in-row at most once; exact clustering reads a node's out-row once as
-// its own (when eligible) and once per eligible in-neighbor whose
-// out-neighborhood it sits in — nothing twice.
+// TestStagesScanOnce pins the scan shape of the stages behind Figure 4
+// and the motif census. Reciprocity reads each node's out-row once and
+// its in-row at most once; the triad pass reads every row of either
+// direction exactly three times — degrees, half-graph sizes, half-graph
+// fill — over RAM and over the mapped dataset alike, and never goes back
+// to the view while it enumerates.
 func TestStagesScanOnce(t *testing.T) {
 	u, err := synth.Generate(synth.DefaultConfig(2_000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(dataset.FromUniverse(u), Options{Seed: 7, Parallelism: 3})
-	g := s.g
-	n := g.NumNodes()
-
-	cv := newCountingView(g)
-	s.g = cv
-	s.reciprocity(context.Background())
-	for v := 0; v < n; v++ {
-		if outs, ins := cv.outs[v].Load(), cv.ins[v].Load(); outs != 1 || ins > 1 {
-			t.Fatalf("reciprocity read node %d's out-row %d times and in-row %d times, want 1 and at most 1", v, outs, ins)
-		}
+	dir := t.TempDir()
+	if err := dataset.FromUniverse(u).SaveV2(dir); err != nil {
+		t.Fatal(err)
 	}
-
-	cv = newCountingView(g)
-	s.g = cv
-	if cl := s.clustering(context.Background()); !cl.Exact {
-		t.Fatal("fixture did not take the exact clustering path")
-	}
-	for v := 0; v < n; v++ {
-		want := int32(0)
-		if g.OutDegree(graph.NodeID(v)) > 1 {
-			want++
+	for _, mapped := range []bool{false, true} {
+		ds, err := dataset.LoadWith(dir, dataset.Options{Mapped: mapped})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, w := range g.In(graph.NodeID(v)) {
-			if g.OutDegree(w) > 1 {
-				want++
+		defer ds.Close()
+		s := New(ds, Options{Seed: 7, Parallelism: 3})
+		g := s.g
+		n := g.NumNodes()
+
+		cv := newCountingView(g)
+		s.g = cv
+		s.reciprocity(context.Background())
+		for v := 0; v < n; v++ {
+			if outs, ins := cv.outs[v].Load(), cv.ins[v].Load(); outs != 1 || ins > 1 {
+				t.Fatalf("mapped=%v: reciprocity read node %d's out-row %d times and in-row %d times, want 1 and at most 1", mapped, v, outs, ins)
 			}
 		}
-		if outs, ins := cv.outs[v].Load(), cv.ins[v].Load(); outs != want || ins != 0 {
-			t.Fatalf("exact clustering read node %d's out-row %d times and in-row %d times, want %d and 0", v, outs, ins, want)
+
+		cv = newCountingView(g)
+		s.g = cv
+		s.triads(context.Background())
+		for v := 0; v < n; v++ {
+			if outs, ins := cv.outs[v].Load(), cv.ins[v].Load(); outs != 3 || ins != 3 {
+				t.Fatalf("mapped=%v: the triad pass read node %d's out-row %d times and in-row %d times, want 3 and 3", mapped, v, outs, ins)
+			}
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"context"
 	"math/rand/v2"
 	"runtime"
-	"time"
 
 	"gplus/internal/dataset"
 	"gplus/internal/graph"
@@ -34,18 +33,15 @@ type Study struct {
 
 // Options tunes the sampled analyses.
 type Options struct {
-	// Seed drives every sampled analysis (path lengths, clustering,
-	// path miles). Defaults to 2012.
+	// Seed drives every sampled analysis (path lengths, per-country
+	// clustering, path miles). Defaults to 2012.
 	Seed uint64
 	// PathSources bounds the BFS sources of the Figure 5 estimate
 	// (default 256; the paper used up to 10,000 on a 35M-node graph).
 	PathSources int
-	// ClusteringSample bounds the node sample of the sampled clustering
-	// estimate (default 100,000; the paper used one million). Figure 4(b)
-	// reads it only past exactClusteringWedgeBudget (2^31 out-wedges; a
-	// 200,000-user synthetic universe has 0.95e9): below the budget every
-	// eligible node is scanned whatever this says, and the option reaches
-	// only the per-country MeanCC of CountryStructures.
+	// ClusteringSample bounds the node sample behind the per-country
+	// MeanCC of CountryStructures (default 100,000; the paper used one
+	// million for Figure 4(b), which is exact here and does not read it).
 	ClusteringSample int
 	// PairSample bounds each Figure 9 pair population (default 100,000;
 	// the paper used 13-60 million pairs).
@@ -102,21 +98,11 @@ func (s *Study) rng(stream uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(s.opts.Seed, s.opts.Seed^(stream*0x9e3779b97f4a7c15+stream)))
 }
 
-// StageTiming is the measured wall-clock of one analysis stage.
-type StageTiming struct {
-	Stage string
-	Dur   time.Duration
-}
-
-// stage wraps one analysis stage in a tracer span (analyze.<name>) and
-// reports its wall-clock through the returned finish func.
-func (s *Study) stage(ctx context.Context, name string) (context.Context, func() time.Duration) {
+// stage wraps one analysis stage in a tracer span (analyze.<name>),
+// ended by the returned finish func.
+func (s *Study) stage(ctx context.Context, name string) (context.Context, func()) {
 	ctx, sp := s.opts.Tracer.StartSpan(ctx, "analyze."+name)
-	start := time.Now()
-	return ctx, func() time.Duration {
-		sp.Finish()
-		return time.Since(start)
-	}
+	return ctx, sp.Finish
 }
 
 // eachCrawled visits every crawled profile with its node id.

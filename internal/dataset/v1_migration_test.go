@@ -105,7 +105,6 @@ func TestV1MigratesToV2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.Timings = nil
 		return res
 	}
 	base := structure(v1)

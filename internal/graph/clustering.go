@@ -240,25 +240,3 @@ func ClusteringByDegree(g View, nodes []NodeID, links []int64) []DegreeClusterin
 	}
 	return out
 }
-
-// WedgeCount returns the number of ordered out-wedges, Σ_u d_out(u)·
-// (d_out(u)−1) — the work upper bound of the exact clustering scan. The
-// study layer uses it to decide whether the exact path is affordable or
-// the paper's sampled estimate must stand in.
-func WedgeCount(g View, parallelism int) int64 {
-	bounds := uniformBounds(g.NumNodes(), parallelism)
-	parts := make([]int64, len(bounds)-1)
-	runShards(bounds, func(shard, lo, hi int) {
-		var s int64
-		for u := lo; u < hi; u++ {
-			d := int64(g.OutDegree(NodeID(u)))
-			s += d * (d - 1)
-		}
-		parts[shard] = s
-	})
-	var total int64
-	for _, p := range parts {
-		total += p
-	}
-	return total
-}

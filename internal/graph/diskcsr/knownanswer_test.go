@@ -12,7 +12,8 @@ import (
 // (or, for the karate club, from the literature) rather than from a
 // kernel of this repository: triangles per node in the undirected
 // projection, the clustering numerator of every node (directed edges
-// among its out-neighbors) and the reciprocated out-edges of every node.
+// among its out-neighbors), the reciprocated out-edges of every node,
+// and the triad census.
 type knownAnswer struct {
 	name      string
 	g         *graph.Graph
@@ -20,6 +21,7 @@ type knownAnswer struct {
 	perNode   []int64
 	links     []int64
 	shared    []int
+	census    [graph.NumTriadClasses]int64
 }
 
 func constant[T any](n int, v T) []T {
@@ -86,16 +88,31 @@ func knownAnswers() []knownAnswer {
 		ring.AddEdge(graph.NodeID(u), graph.NodeID((u+1)%12))
 	}
 
+	// The censuses, class by class. Karate is all mutual: its 528 wedges
+	// hold 45·3 closed ones, so 393 open 201s; each of 78 dyads spans 32
+	// triples, less two per 201 and three per 300; the rest of C(34,3)
+	// is empty. The tree's 7 parents each source a 021D, its 6 inner
+	// non-root nodes each sit mid-chain to two children, and its 14 arcs
+	// span 13 triples each, two per connected triad already counted. The
+	// ring's 12 consecutive triples are chains and each arc is alone
+	// with the 8 nodes that touch neither end.
+	type census = [graph.NumTriadClasses]int64
 	return []knownAnswer{
-		{"karate", karate.Build(), 45, karateTriangles, karateLinks, karateDegrees},
-		{"K7", complete.Build(), 35, constant[int64](kn, 15), constant[int64](kn, 30), constant(kn, kn-1)},
-		{"tree", tree.Build(), 0, make([]int64, 15), make([]int64, 15), make([]int, 15)},
-		{"ring", ring.Build(), 0, make([]int64, 12), make([]int64, 12), make([]int, 12)},
+		{"karate", karate.Build(), 45, karateTriangles, karateLinks, karateDegrees,
+			census{graph.Triad300: 45, graph.Triad201: 393, graph.Triad102: 78*32 - 2*393 - 3*45, graph.Triad003: 5984 - 45 - 393 - 1575}},
+		{"K7", complete.Build(), 35, constant[int64](kn, 15), constant[int64](kn, 30), constant(kn, kn-1),
+			census{graph.Triad300: 35}},
+		{"tree", tree.Build(), 0, make([]int64, 15), make([]int64, 15), make([]int, 15),
+			census{graph.Triad021D: 7, graph.Triad021C: 12, graph.Triad012: 14*13 - 2*19, graph.Triad003: 455 - 19 - 144}},
+		{"ring", ring.Build(), 0, make([]int64, 12), make([]int64, 12), make([]int, 12),
+			census{graph.Triad021C: 12, graph.Triad012: 12 * 8, graph.Triad003: 220 - 12 - 96}},
 		// The same undirected triangle twice. In the cycle every node has
 		// one out-neighbor, so no pair to link; in the transitive
 		// orientation node 0 points at both ends of the edge 1→2.
-		{"3-cycle", graph.FromEdges(3, 0, 1, 1, 2, 2, 0), 1, []int64{1, 1, 1}, []int64{0, 0, 0}, make([]int, 3)},
-		{"transitive", graph.FromEdges(3, 0, 1, 0, 2, 1, 2), 1, []int64{1, 1, 1}, []int64{1, 0, 0}, make([]int, 3)},
+		{"3-cycle", graph.FromEdges(3, 0, 1, 1, 2, 2, 0), 1, []int64{1, 1, 1}, []int64{0, 0, 0}, make([]int, 3),
+			census{graph.Triad030C: 1}},
+		{"transitive", graph.FromEdges(3, 0, 1, 0, 2, 1, 2), 1, []int64{1, 1, 1}, []int64{1, 0, 0}, make([]int, 3),
+			census{graph.Triad030T: 1}},
 	}
 }
 
@@ -133,9 +150,10 @@ func bruteFigure4(g *graph.Graph) (perNode, links []int64, shared []int) {
 }
 
 // TestKnownAnswers runs the known-answer fixtures through the kernel
-// matrix: the production triangle kernel, its Cohen reference and the
-// two Figure 4 numerator scans must each reproduce the pinned integers —
-// which brute-force enumeration confirms first — over RAM, the mapped
+// matrix: the triad pass (triangles, census and the numerator of every
+// node at once), the Cohen reference and the two Figure 4 numerator
+// scans must each reproduce the pinned integers — which brute-force
+// enumeration confirms first, the census apart — over RAM, the mapped
 // form and the hostile view of both, at every parallelism. An error
 // shared by every kernel of the package would pass TestKernelEquivalence
 // and fail here.
@@ -160,12 +178,18 @@ func TestKnownAnswers(t *testing.T) {
 			views := matrixViews(t, ka.g)
 			views["ram"] = ka.g
 			for vname, v := range views {
-				for _, par := range []int{1, 2, 4} {
-					for _, m := range []graph.TriangleMethod{graph.TriangleSandiaLL, graph.TriangleCohen} {
-						res := graph.Triangles(v, m, par)
+				for _, par := range matrixParallelisms {
+					triads := graph.Triads(v, par)
+					for _, res := range []*graph.TriangleResult{&triads.Triangles, graph.Triangles(v, graph.TriangleCohen, par)} {
 						if res.Total != ka.triangles || !reflect.DeepEqual(res.PerNode, ka.perNode) {
-							t.Errorf("%s P=%d %v: %d triangles %v, want %d %v", vname, par, m, res.Total, res.PerNode, ka.triangles, ka.perNode)
+							t.Errorf("%s P=%d %v: %d triangles %v, want %d %v", vname, par, res.Method, res.Total, res.PerNode, ka.triangles, ka.perNode)
 						}
+					}
+					if !reflect.DeepEqual(triads.Links, ka.links) {
+						t.Errorf("%s P=%d: Triads.Links = %v, want %v", vname, par, triads.Links, ka.links)
+					}
+					if triads.Census.Counts != ka.census {
+						t.Errorf("%s P=%d: census %v, want %v", vname, par, triads.Census.Counts, ka.census)
 					}
 					if got := graph.ClusteringLinks(v, all, par); !reflect.DeepEqual(got, ka.links) {
 						t.Errorf("%s P=%d: ClusteringLinks = %v, want %v", vname, par, got, ka.links)

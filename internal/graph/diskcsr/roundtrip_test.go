@@ -5,9 +5,11 @@ import (
 	"math/rand/v2"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"gplus/internal/graph"
+	"gplus/internal/synth"
 )
 
 // testGraphs mirrors the shape spread of internal/graph's fuzz suite:
@@ -171,10 +173,15 @@ func matrixViews(t *testing.T, g *graph.Graph) map[string]graph.View {
 	return map[string]graph.View{"ram/stale": staleView{g}, "mapped": m, "mapped/stale": staleView{m}}
 }
 
+// matrixParallelisms is the parallelism axis of the kernel matrix.
+var matrixParallelisms = []int{1, 2, 3, 8}
+
 // TestKernelEquivalence is the differential kernel matrix: every
 // analysis kernel must give the in-RAM graph's answer over the mapped
 // backend, and over both backends behind staleView, at every
-// parallelism level.
+// parallelism level. The triad pass must also give, on each graph, the
+// answers of the routes that share nothing with it: Cohen's triangles
+// and the ClusteringLinks of every node.
 func TestKernelEquivalence(t *testing.T) {
 	paths := func(v graph.View, dir graph.Direction, par int) any {
 		return graph.SamplePathLengths(context.Background(), v, dir, graph.PathLengthOptions{
@@ -193,10 +200,8 @@ func TestKernelEquivalence(t *testing.T) {
 		"AllReciprocities":  func(v graph.View, par int) any { return graph.AllReciprocities(v, par) },
 		"GlobalReciprocity": func(v graph.View, par int) any { return graph.GlobalReciprocity(v, par) },
 		"AllClustering":     func(v graph.View, par int) any { return graph.AllClustering(v, par) },
-		"WedgeCount":        func(v graph.View, par int) any { return graph.WedgeCount(v, par) },
-		"Triangles":         func(v graph.View, par int) any { return graph.Triangles(v, graph.TriangleAuto, par) },
+		"Triads":            func(v graph.View, par int) any { return graph.Triads(v, par) },
 		"TrianglesCohen":    func(v graph.View, par int) any { return graph.Triangles(v, graph.TriangleCohen, par) },
-		"Motifs":            func(v graph.View, par int) any { return graph.Motifs(v, par) },
 		"ClusteringByDegree": func(v graph.View, par int) any {
 			nodes := graph.ClusteringNodes(v, 0, nil, par)
 			links := graph.ClusteringLinks(v, nodes, par)
@@ -233,11 +238,23 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 	for name, g := range testGraphs() {
 		t.Run(name, func(t *testing.T) {
+			triads, cohen := graph.Triads(g, 1), graph.Triangles(g, graph.TriangleCohen, 1)
+			all := make([]graph.NodeID, g.NumNodes())
+			for u := range all {
+				all[u] = graph.NodeID(u)
+			}
+			cohen.Method = triads.Triangles.Method
+			if !reflect.DeepEqual(&triads.Triangles, cohen) {
+				t.Errorf("Triads counts triangles %+v, the Cohen reference %+v", triads.Triangles, cohen)
+			}
+			if links := graph.ClusteringLinks(g, all, 1); !reflect.DeepEqual(triads.Links, links) {
+				t.Errorf("Triads.Links = %v, ClusteringLinks = %v", triads.Links, links)
+			}
 			views := matrixViews(t, g)
 			for kname, run := range kernels {
 				want := run(g, 1)
 				for vname, v := range views {
-					for _, par := range []int{1, 2, 4} {
+					for _, par := range matrixParallelisms {
 						if got := run(v, par); !reflect.DeepEqual(want, got) {
 							t.Errorf("%s over %s at P=%d diverged from RAM:\n got %v\nwant %v", kname, vname, par, got, want)
 						}
@@ -245,6 +262,31 @@ func TestKernelEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTriadsAllocationShape pins what the triad pass holds: the ranked
+// half of the projection at five bytes an edge (rank id + dyad kind)
+// and a handful of per-node arrays, never the projection itself. The
+// bound is in bytes allocated by one call at P=1, over RAM and mapped.
+func TestTriadsAllocationShape(t *testing.T) {
+	u, err := synth.Generate(synth.DefaultConfig(20_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := u.Graph
+	census := graph.Motifs(g, 1)
+	bound := uint64(8*(census.MutualDyads+census.AsymDyads) + 64*int64(g.NumNodes()))
+	for name, v := range map[string]graph.View{"ram": g, "mapped": mustOpen(t, t.TempDir(), g)} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		graph.Triads(v, 1)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+			t.Errorf("%s: one Triads call allocated %d bytes, over 8·m_u + 64·n = %d", name, got, bound)
+		} else {
+			t.Logf("%s: %d bytes allocated, bound %d", name, got, bound)
+		}
 	}
 }
 

@@ -108,3 +108,43 @@ func FuzzMultiSourceBFS(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTriads holds the one closed-triple enumeration against the three
+// routes that share nothing with it — the isomorphism census, cubic
+// triangle enumeration and ClusteringLinks — on digraphs of up to 64
+// nodes decoded from the input (one byte per endpoint, reduced mod n),
+// at P=1 and P=3. Seeds: the 3-cycle, the transitive triangle and a
+// mutual K4, the three shapes the kind tables tell apart.
+func FuzzTriads(f *testing.F) {
+	f.Add(uint8(2), []byte{0, 1, 1, 2, 2, 0})
+	f.Add(uint8(2), []byte{0, 1, 0, 2, 1, 2})
+	f.Add(uint8(3), []byte{0, 1, 1, 0, 0, 2, 2, 0, 0, 3, 3, 0, 1, 2, 2, 1, 1, 3, 3, 1, 2, 3, 3, 2})
+	f.Fuzz(func(t *testing.T, nodes uint8, edges []byte) {
+		n := int(nodes)%64 + 1
+		b := NewBuilder(n, len(edges)/2)
+		for ; len(edges) >= 2; edges = edges[2:] {
+			b.AddEdge(NodeID(int(edges[0])%n), NodeID(int(edges[1])%n))
+		}
+		b.EnsureNode(NodeID(n - 1))
+		g := b.Build()
+		census := bruteMotifs(t, g)
+		total, perNode := bruteTriangles(g)
+		all := make([]NodeID, n)
+		for u := range all {
+			all[u] = NodeID(u)
+		}
+		links := ClusteringLinks(g, all, 1)
+		for _, par := range []int{1, 3} {
+			got := Triads(g, par)
+			if got.Census.Counts != census {
+				t.Errorf("P=%d: census %v, isomorphism oracle %v", par, got.Census.Counts, census)
+			}
+			if got.Triangles.Total != total || !reflect.DeepEqual(got.Triangles.PerNode, perNode) {
+				t.Errorf("P=%d: %d triangles %v, enumeration finds %d %v", par, got.Triangles.Total, got.Triangles.PerNode, total, perNode)
+			}
+			if !reflect.DeepEqual(got.Links, links) {
+				t.Errorf("P=%d: Links %v, ClusteringLinks %v", par, got.Links, links)
+			}
+		}
+	})
+}

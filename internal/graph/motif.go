@@ -1,23 +1,18 @@
 package graph
 
-import "sort"
-
 // Directed 3-node motif census: every unordered node triple classified
 // into one of the 16 isomorphism classes of directed triads, in the
 // standard M-A-N (mutual/asymmetric/null dyad) numbering. This is the
 // analysis of Schiöberg et al.'s follow-up study of directed triangle
-// motifs on the same crawl (see PAPERS.md); together with the exact
-// triangle kernels it replaces the sampled clustering pipeline's
-// closed-triple estimates with exact counts.
+// motifs on the same crawl (see PAPERS.md).
 //
-// The algorithm is Batagelj–Mrvar-style subquadratic censusing: open
-// (dyadic) triad classes fall out of per-center neighbor combinatorics,
-// closed classes out of explicit triangle enumeration on the undirected
-// projection — which simultaneously corrects the open-class counts the
+// The algorithm is Batagelj–Mrvar-style subquadratic censusing, carried
+// out by Triads: open (dyadic) triad classes fall out of per-center
+// neighbor combinatorics, closed classes out of the one closed-triple
+// enumeration — which simultaneously corrects the open-class counts the
 // combinatorics overcounted. Dyad-only classes (003, 012, 102) follow
-// arithmetically from the totals. Everything shards on the
-// degree-balanced bounds and merges exact integer partial sums, so the
-// census is byte-identical at any parallelism.
+// arithmetically from the totals. This file holds the classes, the
+// census type and the two tables the enumeration indexes.
 
 // TriadClass identifies one of the 16 directed triad isomorphism
 // classes, in standard M-A-N census order. The naming encodes the dyad
@@ -202,96 +197,18 @@ func choose3(n int64) int64 {
 	return ab * c
 }
 
-// Motifs runs the exact directed triad census of g. The result is
-// byte-identical for any parallelism.
+// Motifs runs the exact directed triad census of g: the Census of Triads.
+// The result is byte-identical for any parallelism.
 func Motifs(g View, parallelism int) *MotifCensus {
-	return motifsOn(g, buildUndirected(g, parallelism, true), parallelism)
+	census := Triads(g, parallelism).Census // a copy: the result must not pin the per-node arrays
+	return &census
 }
 
-// motifsOn runs the census over u, the projection of g built with dyad
-// kinds; g itself is asked only for degrees.
-func motifsOn(g View, u *undirected, parallelism int) *MotifCensus {
-	n := u.numNodes()
-	m := &MotifCensus{Nodes: n}
-	if n == 0 {
-		return m
-	}
-
-	// Each shard tallies the open classes, its closed triples by kind
-	// triple, and the dyad totals, all exact integer sums.
-	type tally struct {
-		open         [NumTriadClasses]int64
-		closed       [len(triadTable)]int64
-		mutual, asym int64
-	}
-	bounds := u.workBounds(parallelism)
-	partials := make([]tally, len(bounds)-1)
-	runShards(bounds, func(shard, lo, hi int) {
-		var part tally
-		for v := lo; v < hi; v++ {
-			// v's neighbors split into mutual, out-only and in-only
-			// dyads; the projection's degree gives the split without
-			// reading a row, since |Out ∪ In| = |Out| + |In| − mutual.
-			dOut, dIn := int64(g.OutDegree(NodeID(v))), int64(g.InDegree(NodeID(v)))
-			mut := dOut + dIn - int64(u.deg(NodeID(v)))
-			dOut, dIn = dOut-mut, dIn-mut
-			part.mutual += mut
-			part.asym += dOut // each asymmetric dyad counted once, at its source
-			// Open-triad combinatorics, v as center: each unordered
-			// pair of v's dyads forms a triple whose class, *assuming
-			// the far pair is unconnected*, depends only on the two
-			// dyad kinds. Pairs whose far nodes are connected are
-			// overcounts, retracted per closed triple below.
-			part.open[Triad021D] += dOut * (dOut - 1) / 2
-			part.open[Triad021U] += dIn * (dIn - 1) / 2
-			part.open[Triad021C] += dOut * dIn
-			part.open[Triad111U] += dOut * mut
-			part.open[Triad111D] += dIn * mut
-			part.open[Triad201] += mut * (mut - 1) / 2
-
-			// Closed triads: enumerate each undirected triangle once,
-			// at its lowest-id corner (so it belongs to that corner's
-			// shard), and tally it under the kinds of its three dyads,
-			// read at the positions the intersection reports.
-			nv := u.nbr(NodeID(v))
-			first := sort.Search(len(nv), func(k int) bool { return int(nv[k]) > v })
-			vBase := u.kindBase(NodeID(v))
-			for j := first; j < len(nv); j++ {
-				w := nv[j]
-				wBase := u.kindBase(w)
-				vw := 9 * int(u.kindAt(vBase, j))
-				intersectSorted(nv[j+1:], u.nbr(w), func(p, q int) {
-					part.closed[vw+3*int(u.kindAt(vBase, j+1+p))+int(u.kindAt(wBase, q))]++
-				})
-			}
-		}
-		partials[shard] = part
-	})
-	var mutual, asym int64
-	for i := range partials {
-		part := &partials[i]
-		for c, v := range part.open {
-			m.Counts[c] += v
-		}
-		// A closed triple counts once in its own class and retracts the
-		// open class each of its three corners credited it with above.
-		for k, v := range part.closed {
-			e := &triadTable[k]
-			m.Counts[e.closed] += v
-			for _, c := range e.open {
-				m.Counts[c] -= v
-			}
-		}
-		mutual += part.mutual
-		asym += part.asym
-	}
-	mutual /= 2 // both endpoints counted it
-	m.MutualDyads, m.AsymDyads = mutual, asym
-
-	// The dyad-only classes by subtraction: a single arc (or mutual
-	// pair) spans n-2 triples; those where the third node connects to
-	// either endpoint were already classified above.
-	//
+// countDyadTriples fills the dyad-only classes by subtraction, once the
+// 13 connected classes and the dyad totals are in: a single arc (or
+// mutual pair) spans n-2 triples; those where the third node connects to
+// either endpoint are already classified.
+func (m *MotifCensus) countDyadTriples() {
 	// How many asymmetric / mutual dyads each connected class contains.
 	var asymIn = [NumTriadClasses]int64{
 		Triad021D: 2, Triad021U: 2, Triad021C: 2,
@@ -305,8 +222,8 @@ func motifsOn(g View, u *undirected, parallelism int) *MotifCensus {
 		Triad120D: 1, Triad120U: 1, Triad120C: 1,
 		Triad210: 2, Triad300: 3,
 	}
-	asymTriples := asym * int64(n-2)
-	mutTriples := mutual * int64(n-2)
+	asymTriples := m.AsymDyads * int64(m.Nodes-2)
+	mutTriples := m.MutualDyads * int64(m.Nodes-2)
 	var connected int64
 	for c, v := range m.Counts {
 		asymTriples -= asymIn[c] * v
@@ -316,39 +233,56 @@ func motifsOn(g View, u *undirected, parallelism int) *MotifCensus {
 	m.Counts[Triad012] = asymTriples
 	m.Counts[Triad102] = mutTriples
 	connected += asymTriples + mutTriples
-	if total := choose3(int64(n)); total < 0 {
+	if total := choose3(int64(m.Nodes)); total < 0 {
 		m.Counts[Triad003] = -1
 	} else {
 		m.Counts[Triad003] = total - connected
 	}
-	return m
 }
 
-// triadTable classifies a closed triple {a, b, c} from its three dyad
-// kinds, indexed 9·kind(a,b) + 3·kind(a,c) + kind(b,c) with each kind
-// taken from the first-named node's side: the closed class of the
-// triple, and the open class each corner counted it as while seeing
-// only its own two dyads.
-var triadTable = func() (t [27]struct {
+// triadTable and linkTable are what a closed triple {a, b, c} adds to
+// the tallies, indexed 9·kind(a,b) + 3·kind(a,c) + kind(b,c) with each
+// kind taken from the first-named node's side. triadTable: the closed
+// class of the triple, and the open class each corner counted it as
+// while seeing only its own two dyads. linkTable: per corner, the arcs
+// between the other two corners when that corner points at both — its
+// share of the numerator of C(corner).
+var triadTable, linkTable = func() (t [27]struct {
 	closed TriadClass
 	open   [3]TriadClass
-}) {
+}, l [27][3]int64) {
 	// flip is the same dyad seen from its other end.
 	flip := [3]dyadKind{dyadOut: dyadIn, dyadIn: dyadOut, dyadMut: dyadMut}
+	// links is the table entry of a corner with dyads p and q to two
+	// nodes tied by far.
+	links := func(p, q, far dyadKind) int64 {
+		if p == dyadIn || q == dyadIn {
+			return 0
+		}
+		if far == dyadMut {
+			return 2
+		}
+		return 1
+	}
 	for ab := dyadOut; ab <= dyadMut; ab++ {
 		for ac := dyadOut; ac <= dyadMut; ac++ {
 			for bc := dyadOut; bc <= dyadMut; bc++ {
-				e := &t[9*ab+3*ac+bc]
-				e.closed = closedTriad(ab, ac, bc)
-				e.open = [3]TriadClass{
+				k := 9*ab + 3*ac + bc
+				t[k].closed = closedTriad(ab, ac, bc)
+				t[k].open = [3]TriadClass{
 					openTriad[ab][ac],
 					openTriad[flip[ab]][bc],
 					openTriad[flip[ac]][flip[bc]],
 				}
+				l[k] = [3]int64{
+					links(ab, ac, bc),
+					links(flip[ab], bc, ac),
+					links(flip[ac], flip[bc], ab),
+				}
 			}
 		}
 	}
-	return t
+	return t, l
 }()
 
 // openTriad[p][q] is the class of a triple whose center has dyads p and

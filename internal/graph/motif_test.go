@@ -148,18 +148,25 @@ func TestMotifsCountsSumToTriples(t *testing.T) {
 	}
 }
 
-// TestMotifsTransitiveClosuresMatchClustering ties the census to the
-// §3.3.3 clustering pipeline: the transitive-closure total must equal
-// the exact sum of every node's clustering-coefficient numerator.
+// TestMotifsTransitiveClosuresMatchClustering ties the enumeration to
+// the §3.3.3 clustering pipeline node by node: the numerator Triads
+// assembles from closed triples must be every node's clusteringLinks,
+// and the census's transitive-closure total their sum.
 func TestMotifsTransitiveClosuresMatchClustering(t *testing.T) {
 	for name, g := range testGraphs() {
-		m := Motifs(g, 4)
-		var want int64
-		for u := 0; u < g.NumNodes(); u++ {
-			want += clusteringLinks(g, g, NodeID(u))
-		}
-		if got := m.TransitiveClosures(); got != want {
-			t.Errorf("%s: TransitiveClosures = %d, Σ clusteringLinks = %d", name, got, want)
+		for _, par := range []int{1, 2, 3, 8} {
+			res := Triads(g, par)
+			var sum int64
+			for u := 0; u < g.NumNodes(); u++ {
+				want := clusteringLinks(g, g, NodeID(u))
+				if res.Links[u] != want {
+					t.Errorf("%s P=%d: node %d: Links = %d, clusteringLinks = %d", name, par, u, res.Links[u], want)
+				}
+				sum += want
+			}
+			if got := res.Census.TransitiveClosures(); got != sum {
+				t.Errorf("%s P=%d: TransitiveClosures = %d, Σ clusteringLinks = %d", name, par, got, sum)
+			}
 		}
 	}
 }
@@ -170,7 +177,7 @@ func TestMotifsTransitiveClosuresMatchClustering(t *testing.T) {
 func TestMotifsDyadTotals(t *testing.T) {
 	for name, g := range testGraphs() {
 		m := Motifs(g, 4)
-		u := buildUndirected(g, 4, false)
+		u := buildUndirected(g, 4)
 		undirectedEdges := int64(len(u.adj)) / 2
 		if m.MutualDyads+m.AsymDyads != undirectedEdges {
 			t.Errorf("%s: mutual %d + asym %d != undirected edges %d",

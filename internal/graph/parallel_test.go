@@ -55,10 +55,8 @@ func TestParallelDeterminism(t *testing.T) {
 					return ClusteringLinks(g, ClusteringNodes(g, 0, nil, par), par)
 				},
 				"ReciprocalCounts": func(par int) any { return ReciprocalCounts(g, par) },
-				"WedgeCount":       func(par int) any { return WedgeCount(g, par) },
 				"TrianglesCohen":   func(par int) any { return Triangles(g, TriangleCohen, par) },
-				"TrianglesAuto":    func(par int) any { return Triangles(g, TriangleAuto, par) },
-				"Motifs":           func(par int) any { return Motifs(g, par) },
+				"Triads":           func(par int) any { return Triads(g, par) },
 			}
 			for algo, run := range runs {
 				base := run(1)

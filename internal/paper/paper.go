@@ -64,6 +64,18 @@ type Results struct {
 
 // Collect runs every analysis a verification needs.
 func Collect(ctx context.Context, s *core.Study) (*Results, error) {
+	// The structural analyses run once through Structure, which fans the
+	// independent stages out under the study's parallelism budget.
+	st, err := s.Structure(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("paper: structural analyses: %w", err)
+	}
+	return CollectFrom(ctx, s, st), nil
+}
+
+// CollectFrom is Collect for a caller that already holds st, the
+// Structure result of s.
+func CollectFrom(ctx context.Context, s *core.Study, st *core.StructureResult) *Results {
 	r := &Results{
 		Attr:        map[profile.Attr]float64{},
 		Countries:   map[string]float64{},
@@ -76,12 +88,6 @@ func Collect(ctx context.Context, s *core.Study) (*Results, error) {
 	r.Tel = s.TelUsers()
 	if r.Tel.TotalAll > 0 {
 		r.TelFraction = float64(r.Tel.TotalTel) / float64(r.Tel.TotalAll)
-	}
-	// The structural analyses run once through Structure, which fans the
-	// independent stages out under the study's parallelism budget.
-	st, err := s.Structure(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("paper: structural analyses: %w", err)
 	}
 	r.Reciprocity = st.Reciprocity
 	r.Clustering = st.Clustering
@@ -100,7 +106,7 @@ func Collect(ctx context.Context, s *core.Study) (*Results, error) {
 	for _, country := range []string{"ID", "MX", "US", "DE"} {
 		r.Openness[country] = s.OpennessScore(country, 6)
 	}
-	return r, nil
+	return r
 }
 
 // Checks returns every verifiable claim.

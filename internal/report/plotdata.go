@@ -1,7 +1,6 @@
 package report
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -29,10 +28,13 @@ import (
 //	fig8_<CC>.dat                        per-country field CCDFs
 //	fig9a_{friends,reciprocal,random}.dat path-mile CDFs
 //	fig10_matrix.dat                     country link matrix
-//	fig4b_ck.dat                         exact C(k) curve (exact path only)
+//	fig4b_ck.dat                         exact C(k) curve
 //	motifs.dat                           directed triad census
 //	plots.gp                             gnuplot script
-func WritePlotData(ctx context.Context, dir string, s *core.Study) error {
+//
+// st is s's Structure result (every figure-3/4/5 series), computed by
+// the caller so that a run that also prints a report computes it once.
+func WritePlotData(dir string, s *core.Study, st *core.StructureResult) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -57,12 +59,6 @@ func WritePlotData(ctx context.Context, dir string, s *core.Study) error {
 		return err
 	}
 
-	// One Structure call computes every figure-3/4/5 series, fanning the
-	// independent stages out under the study's parallelism budget.
-	st, err := s.Structure(ctx)
-	if err != nil {
-		return err
-	}
 	if err := writeSeries("fig3_in.dat", st.Degrees.In); err != nil {
 		return err
 	}
@@ -112,10 +108,8 @@ func WritePlotData(ctx context.Context, dir string, s *core.Study) error {
 		return err
 	}
 
-	if st.Clustering.Exact {
-		if err := writeCk(filepath.Join(dir, "fig4b_ck.dat"), st.Clustering.ByDegree); err != nil {
-			return err
-		}
+	if err := writeCk(filepath.Join(dir, "fig4b_ck.dat"), st.Clustering.ByDegree); err != nil {
+		return err
 	}
 	if err := writeMotifs(filepath.Join(dir, "motifs.dat"), st.Motifs); err != nil {
 		return err
@@ -138,7 +132,9 @@ func writeCk(path string, curve []graph.DegreeClustering) error {
 	return f.Close()
 }
 
-// writeMotifs writes the triad census, one class per row.
+// writeMotifs writes the triad census, one class per row. A count that
+// overflowed (Counts[Triad003] == -1) stays out of the plot, behind a
+// comment.
 func writeMotifs(path string, m core.MotifResult) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -150,6 +146,10 @@ func writeMotifs(path string, m core.MotifResult) error {
 		return f.Close()
 	}
 	for cls, n := range m.Census.Counts {
+		if n < 0 {
+			fmt.Fprintf(f, "# %d %s overflow\n", cls, graph.TriadClass(cls))
+			continue
+		}
 		fmt.Fprintf(f, "%d %s %d\n", cls, graph.TriadClass(cls), n)
 	}
 	return f.Close()

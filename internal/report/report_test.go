@@ -2,6 +2,7 @@ package report
 
 import (
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,13 +11,16 @@ import (
 
 	"gplus/internal/core"
 	"gplus/internal/dataset"
+	"gplus/internal/graph"
+	"gplus/internal/obs/trace"
 	"gplus/internal/stats"
 	"gplus/internal/synth"
 )
 
 var (
-	repOnce  sync.Once
-	repStudy *core.Study
+	repOnce, repStructOnce sync.Once
+	repStudy               *core.Study
+	repStruct              *core.StructureResult
 )
 
 func study(t *testing.T) *core.Study {
@@ -132,12 +136,23 @@ func TestFigureRenderers(t *testing.T) {
 	}
 }
 
-func TestMarkdownReport(t *testing.T) {
+// structure is the shared study's Structure result, computed once as
+// cmd/gplusanalyze does.
+func structure(t *testing.T) *core.StructureResult {
+	t.Helper()
 	s := study(t)
+	repStructOnce.Do(func() {
+		var err error
+		if repStruct, err = s.Structure(context.Background()); err != nil {
+			panic(err)
+		}
+	})
+	return repStruct
+}
+
+func TestMarkdownReport(t *testing.T) {
 	var sb strings.Builder
-	if err := Markdown(context.Background(), &sb, s); err != nil {
-		t.Fatalf("Markdown: %v", err)
-	}
+	Markdown(context.Background(), &sb, study(t), structure(t))
 	out := sb.String()
 	for _, want := range []string{
 		"# Google+ reproduction report",
@@ -163,9 +178,8 @@ func TestMarkdownReport(t *testing.T) {
 }
 
 func TestWritePlotData(t *testing.T) {
-	s := study(t)
 	dir := t.TempDir()
-	if err := WritePlotData(context.Background(), dir, s); err != nil {
+	if err := WritePlotData(dir, study(t), structure(t)); err != nil {
 		t.Fatalf("WritePlotData: %v", err)
 	}
 	for _, name := range []string{
@@ -184,6 +198,69 @@ func TestWritePlotData(t *testing.T) {
 		if len(strings.Split(strings.TrimSpace(string(data)), "\n")) < 2 {
 			t.Errorf("%s has fewer than 2 lines", name)
 		}
+	}
+}
+
+// TestPlotDataAndMarkdownShareOneStructure pins the -plotdir fix: plot
+// data plus the Markdown report (audit included) of one study leave one
+// analyze.structure span, the caller's.
+func TestPlotDataAndMarkdownShareOneStructure(t *testing.T) {
+	u, err := synth.Generate(synth.DefaultConfig(2_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRecorder(0, trace.Rules{})
+	s := core.New(dataset.FromUniverse(u), core.Options{
+		Seed: 3, PathSources: 16, PairSample: 1_000, Tracer: trace.New(trace.Config{Recorder: rec}),
+	})
+	ctx := context.Background()
+	st, err := s.Structure(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WritePlotData(t.TempDir(), s, st); err != nil {
+		t.Fatal(err)
+	}
+	Markdown(ctx, io.Discard, s, st)
+	structures := 0
+	for _, tr := range rec.Traces() {
+		for _, sp := range tr.Spans {
+			if sp.Name == "analyze.structure" {
+				structures++
+			}
+		}
+	}
+	if structures != 1 {
+		t.Fatalf("plot data + Markdown report ran Structure %d times, want once", structures)
+	}
+}
+
+// TestMotifsDatSkipsOverflow: a census whose 003 count overflowed must
+// not hand gnuplot a -1 to draw.
+func TestMotifsDatSkipsOverflow(t *testing.T) {
+	census := &graph.MotifCensus{}
+	census.Counts[graph.Triad003] = -1
+	census.Counts[graph.Triad012] = 7
+	path := filepath.Join(t.TempDir(), "motifs.dat")
+	if err := writeMotifs(path, core.MotifResult{Census: census}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		rows++
+		if strings.Contains(line, "-1") || strings.Contains(line, "003") {
+			t.Errorf("overflowed class plotted: %q", line)
+		}
+	}
+	if rows != graph.NumTriadClasses-1 || !strings.Contains(string(data), "# 0 003 overflow\n") || !strings.Contains(string(data), "1 012 7\n") {
+		t.Errorf("motifs.dat has %d data rows:\n%s", rows, data)
 	}
 }
 
