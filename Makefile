@@ -56,7 +56,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/ ./internal/obs/ ./internal/obs/prof/ ./internal/obs/rundir/ ./internal/obs/series/ ./internal/obs/trace/ ./cmd/gplusanalyze/ ./internal/crawler/ ./internal/dataset/ ./internal/durable/ ./internal/gplusd/ ./internal/graph/ ./internal/graph/diskcsr/ ./internal/resilience/
+	$(GO) test -race ./internal/core/ ./internal/obs/ ./internal/obs/prof/ ./internal/obs/rundir/ ./internal/obs/series/ ./internal/obs/trace/ ./cmd/gplusanalyze/ ./cmd/gpluscrawl/ ./internal/crawler/ ./internal/dataset/ ./internal/durable/ ./internal/gplusd/ ./internal/graph/ ./internal/graph/diskcsr/ ./internal/resilience/
 
 # The metrics-hygiene gate: every family either registry exposes after a
 # faulted crawl must match the Prometheus naming grammar and carry a
@@ -65,8 +65,8 @@ race:
 # (and bench/) calls os.Rename or os.CreateTemp or opens a file
 # O_APPEND, so a second copy of the write-fsync-rename protocol or of
 # the append log cannot land unnoticed. The flags gate fails if
-# gpluscrawl or gplusd registers a flag that no README.md,
-# EXPERIMENTS.md or Makefile recipe names.
+# gpluscrawl, gplusd, gplusanalyze, gplusgen or gplusverify registers a
+# flag that no README.md, EXPERIMENTS.md or Makefile recipe names.
 hygiene:
 	$(GO) test -count=1 -run TestMetricsHygiene ./internal/crawler/
 	$(GO) test -count=1 -run TestDurableWriteHygiene ./internal/durable/
@@ -97,8 +97,12 @@ staticcheck:
 # The robustness gate: crawl under the full chaos fault suite, kill the
 # crawl mid-flight, tear the journal tail, resume, and require exact
 # convergence with a fault-free crawl — all under the race detector.
+# Once on the library's in-RAM reference path, once on the shape
+# gpluscrawl runs: journal + segment sink, stale segments cleared, the
+# journal replayed into a fresh sink, compacted.
 chaos:
 	$(GO) test -race -count=1 -run TestChaosKillResumeConvergence -v ./internal/crawler/
+	$(GO) test -race -count=1 -run TestSegmentCrawlKillResumeConvergence -v ./internal/dataset/
 
 # The overload-resilience gate: crawl straight through a server brownout
 # (latency ramp + admission squeeze) with no kill and no resume, and

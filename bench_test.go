@@ -382,8 +382,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 			srv := gplusd.New(u, gplusd.Options{
 				RatePerSecond: 1e9, // enabled but never limiting: the bucket path runs on every request
 				BurstSize:     1e9,
-				FaultRate:     0.01,
-				FaultSeed:     1,
+				Faults:        &gplusd.FaultSpec{Seed: 1, Rules: []gplusd.FaultRule{{Kind: gplusd.FaultUnavailable, Rate: 0.01}}},
 			})
 			ts := httptest.NewServer(srv)
 			defer ts.Close()

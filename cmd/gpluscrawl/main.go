@@ -1,6 +1,23 @@
 // Command gpluscrawl runs the paper's bidirectional BFS crawler against
 // a gplusd instance and writes the collected dataset to disk.
 //
+// Every crawl has the same shape. Profiles, edges and discovered ids
+// stream into an append-only journal (-journal, default
+// <out>/crawl.journal), flushed and fsynced every -flush-interval: a
+// crawl killed mid-flight (SIGKILL, OOM, reboot) loses at most one flush
+// interval of records plus one torn final line. Observed edges also
+// stream into sorted segments under <out>/.segments, so resident memory
+// follows the node count, not the edge count; when the crawl ends the
+// segments are compacted into <out>/graph.v2 and removed. Running the
+// same command again resumes: one pass over the journal restores the
+// profiles and the frontier and replays its edges into fresh segments
+// (stale ones are cleared — they are unreadable without the id table
+// of the process that wrote them), and the crawl continues. -max bounds
+// the profiles fetched per session; the summary reports those carried
+// over from earlier sessions separately as "+N resumed". A journal is a
+// checkpoint file and a checkpoint file is a journal: to seed a crawl
+// from an old one, copy it to <out>/crawl.journal.
+//
 // With -metrics-addr it serves live crawler telemetry (/metrics in
 // Prometheus text, /debug/vars, /debug/pprof/, and /debug/timeseries —
 // in-process metric history sampled every -sample-interval) while the
@@ -17,16 +34,6 @@
 // in package rundir): exemplar traces and the profile ring as the crawl
 // runs, the metric series and every retained trace at exit.
 // `gplusanalyze metrics|traces|profiles <dir>` read it back.
-//
-// With -journal the crawl streams every profile, edge, and discovered id
-// into an append-only journal as it runs, flushed and fsynced every
-// -flush-interval: a crawl killed mid-flight (SIGKILL, OOM, reboot)
-// loses at most one flush interval of records plus one torn final line,
-// and rerunning with the same -journal resumes from it automatically.
-//
-// When resuming (-resume or an existing -journal), the summary counts
-// only profiles fetched this session; checkpointed profiles carried over
-// from earlier sessions are reported separately as "+N resumed".
 //
 // With -trace-sample the crawler records request-scoped span traces: one
 // root per crawled profile with children for the profile fetch, each
@@ -47,12 +54,13 @@
 // Usage:
 //
 //	gpluscrawl -url http://127.0.0.1:8041 -out ./data -workers 11 -max 30000 \
-//	    -journal ./crawl.journal -metrics-addr 127.0.0.1:8042 -progress 10s \
+//	    -metrics-addr 127.0.0.1:8042 -progress 10s \
 //	    -trace-sample 0.05 -obs-dir ./run -resilience
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -75,34 +83,44 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is one crawl session: everything main does but the signal wiring.
+func run(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("gpluscrawl", flag.ExitOnError)
 	var (
-		url         = flag.String("url", "http://127.0.0.1:8041", "gplusd base URL")
-		out         = flag.String("out", "data", "output dataset directory")
-		seeds       = flag.String("seeds", "", "comma-separated seed ids (default: ask /seed)")
-		workers     = flag.Int("workers", 11, "concurrent crawl machines")
-		max         = flag.Int("max", 0, "profile budget (0 = crawl everything reachable)")
-		timeout     = flag.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
-		checkpoint  = flag.String("checkpoint", "", "write the raw crawl state to this file")
-		resume      = flag.String("resume", "", "resume from a checkpoint written by -checkpoint")
-		journal     = flag.String("journal", "", "stream live crawl state to this append-only journal; an existing journal resumes automatically")
-		flushEvery  = flag.Duration("flush-interval", time.Second, "journal flush+fsync interval (bounds what a crash can lose)")
-		scrapeHTML  = flag.Bool("html", false, "scrape HTML profile pages instead of the JSON API")
-		compress    = flag.Bool("compress", false, "gzip the dataset's profile column")
-		segmentDir  = flag.String("segment-dir", "", "stream observed edges to sorted on-disk segments in this directory instead of RAM, then compact them into a memory-mapped v2 graph at save time — bounds crawl RSS by the frontier, not the edge count (the dir must be fresh; resume replays the journal through it)")
-		abortErrs   = flag.Int("abort-errors", 0, "stop after this many permanent fetch failures (0 = never)")
-		politeness  = flag.Duration("politeness", 0, "pause between requests per worker (e.g. 50ms)")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof/ and /debug/traces on this address while crawling (empty disables)")
-		progress    = flag.Duration("progress", 10*time.Second, "interval between progress lines (0 emits only the final summary)")
-		dashOn      = flag.Bool("dash", false, "render a live terminal dashboard on stdout (sparkline throughput/frontier/error panels, SLO state) instead of periodic progress lines")
-		resilient   = flag.Bool("resilience", false, "arm adaptive overload handling: AIMD worker-concurrency adaptation, a shared retry budget, per-endpoint circuit breakers, and requeue-on-overload instead of counting sheds as failures")
-		attemptTO   = flag.Duration("attempt-timeout", 0, "per-attempt request deadline, propagated to gplusd via X-Gplus-Deadline (0 disables; requires -resilience)")
+		url         = fs.String("url", "http://127.0.0.1:8041", "gplusd base URL")
+		out         = fs.String("out", "data", "output dataset directory")
+		seeds       = fs.String("seeds", "", "comma-separated seed ids (default: ask /seed)")
+		workers     = fs.Int("workers", 11, "concurrent crawl machines")
+		max         = fs.Int("max", 0, "profile budget of this session (0 = crawl everything reachable)")
+		timeout     = fs.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
+		journal     = fs.String("journal", "", "append-only journal of the live crawl state (default <out>/crawl.journal); a non-empty one is resumed from, so a checkpoint copied here seeds the crawl")
+		flushEvery  = fs.Duration("flush-interval", time.Second, "journal flush+fsync interval (bounds what a crash can lose)")
+		scrapeHTML  = fs.Bool("html", false, "scrape HTML profile pages instead of the JSON API")
+		compress    = fs.Bool("compress", false, "gzip the dataset's profile column")
+		abortErrs   = fs.Int("abort-errors", 0, "stop after this many permanent fetch failures (0 = never)")
+		politeness  = fs.Duration("politeness", 0, "pause between requests per worker (e.g. 50ms)")
+		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof/ and /debug/traces on this address while crawling (empty disables)")
+		progress    = fs.Duration("progress", 10*time.Second, "interval between progress lines (0 emits only the final summary)")
+		dashOn      = fs.Bool("dash", false, "render a live terminal dashboard on stdout (sparkline throughput/frontier/error panels, SLO state) instead of periodic progress lines")
+		resilient   = fs.Bool("resilience", false, "arm adaptive overload handling: AIMD worker-concurrency adaptation, a shared retry budget, per-endpoint circuit breakers, and requeue-on-overload instead of counting sheds as failures")
+		attemptTO   = fs.Duration("attempt-timeout", 0, "per-attempt request deadline, propagated to gplusd via X-Gplus-Deadline (0 disables; requires -resilience)")
 	)
-	obsCfg := rundir.Config{Name: "gpluscrawl", Objectives: series.DefaultCrawlObjectives()}
-	obsCfg.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+	obsCfg := rundir.Config{Objectives: series.DefaultCrawlObjectives()}
+	obsCfg.RegisterFlags(fs)
+	fs.Parse(args) //nolint:errcheck — ExitOnError
 
 	if *attemptTO > 0 && !*resilient {
-		log.Fatalf("-attempt-timeout requires -resilience")
+		return errors.New("-attempt-timeout requires -resilience")
+	}
+	if *metricsAddr != "" {
+		obsCfg.Name = "gpluscrawl" // the expvar name: /debug/vars is served on -metrics-addr only
 	}
 
 	// The whole observability stack and its spool into -obs-dir. Sampling
@@ -111,30 +129,27 @@ func main() {
 	if obsCfg.Dir == "" && *metricsAddr == "" && !*dashOn {
 		obsCfg.Series.Interval = 0 // nothing would read the series: no collector, no SLO engine
 	}
-	run, err := rundir.Start(obsCfg)
+	obsRun, err := rundir.Start(obsCfg)
 	if err != nil {
-		log.Fatalf("starting observability: %v", err)
+		return fmt.Errorf("starting observability: %w", err)
 	}
-	reg, collector, eng := run.Registry, run.Collector, run.Engine
+	reg, collector, eng := obsRun.Registry, obsRun.Collector, obsRun.Engine
 	if *dashOn && collector == nil {
-		log.Fatalf("-dash requires -sample-interval > 0")
+		return errors.New("-dash requires -sample-interval > 0")
 	}
 
 	if *metricsAddr != "" {
 		ln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
-			log.Fatalf("metrics listener: %v", err)
+			return fmt.Errorf("metrics listener: %w", err)
 		}
 		log.Printf("serving crawl metrics on http://%s/metrics (traces at /debug/traces)", ln.Addr())
 		go func() {
-			if err := http.Serve(ln, run.Mux()); err != nil {
+			if err := http.Serve(ln, obsRun.Mux()); err != nil {
 				log.Printf("metrics server: %v", err)
 			}
 		}()
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 
 	var seedList []string
 	if *seeds != "" {
@@ -146,7 +161,7 @@ func main() {
 			}
 		}
 		if len(seedList) == 0 {
-			log.Fatalf("-seeds %q contains no usable ids", *seeds)
+			return fmt.Errorf("-seeds %q contains no usable ids", *seeds)
 		}
 	} else {
 		// The seed fetch deserves the same timeout and instrumentation
@@ -158,66 +173,57 @@ func main() {
 		}
 		id, err := client.FetchSeed(ctx)
 		if err != nil {
-			log.Fatalf("fetching seed from %s: %v", *url, err)
+			return fmt.Errorf("fetching seed from %s: %w", *url, err)
 		}
 		seedList = []string{id}
 		log.Printf("seeding crawl at most popular user %s", id)
 	}
 
-	load := func(path string) *crawler.Result {
-		prev, err := crawler.LoadCheckpoint(path)
-		if err != nil {
-			log.Fatalf("loading checkpoint: %v", err)
+	// Observed edges stream into sorted disk segments; the edge list never
+	// exists in this process's RAM. Segments left by a killed session are
+	// unusable — their ids index an interning table that died with it.
+	segDir := filepath.Join(*out, ".segments")
+	if stale, err := diskcsr.ListSegments(segDir); err != nil {
+		return err
+	} else if len(stale) > 0 {
+		log.Printf("clearing %d stale segment file(s) from %s (the journal replays their edges)", len(stale), segDir)
+	}
+	if err := os.RemoveAll(segDir); err != nil {
+		return err
+	}
+	diskMet := diskcsr.NewMetrics(reg)
+	sink, err := dataset.NewSegmentSink(segDir, 0, diskMet)
+	if err != nil {
+		return fmt.Errorf("opening segment dir: %w", err)
+	}
+
+	// A non-empty journal is an earlier session of this crawl: one pass
+	// restores its profiles and frontier and replays its edges into the sink.
+	if *journal == "" {
+		*journal = filepath.Join(*out, "crawl.journal")
+	}
+	var prev *crawler.Result
+	if fi, err := os.Stat(*journal); err == nil && fi.Size() > 0 {
+		if prev, err = crawler.ReplayJournal(*journal, sink); err != nil {
+			return fmt.Errorf("replaying journal: %w", err)
 		}
 		if n := prev.Stats.TornRecords; n > 0 {
 			// A mid-append crash tore the final line; at most that one
 			// record is lost and the rest of the journal is intact.
-			log.Printf("warning: dropped %d torn trailing record(s) from %s", n, path)
+			log.Printf("warning: dropped %d torn trailing record(s) from %s", n, *journal)
 			reg.Counter("crawler_journal_torn_records_total").Add(int64(n))
 		}
-		log.Printf("resuming: %d profiles, %d discovered from %s",
-			len(prev.Profiles), len(prev.Discovered), path)
-		return prev
+		log.Printf("resuming: %d profiles, %d discovered, %d edge observations from %s",
+			len(prev.Profiles), len(prev.Discovered), prev.Stats.EdgesObserved, *journal)
 	}
-
-	journalExists := false
-	if *journal != "" {
-		if fi, err := os.Stat(*journal); err == nil && fi.Size() > 0 {
-			journalExists = true
-		}
+	jrnl, err := crawler.OpenJournal(*journal, crawler.JournalOptions{
+		FlushInterval: *flushEvery,
+		Metrics:       reg,
+	})
+	if err != nil {
+		return fmt.Errorf("opening journal: %w", err)
 	}
-	if *resume != "" && journalExists {
-		log.Fatalf("-resume with an existing non-empty -journal %s is ambiguous: resume from the journal alone, or point -journal at a fresh file", *journal)
-	}
-
-	var prev *crawler.Result
-	switch {
-	case *resume != "":
-		prev = load(*resume)
-	case journalExists:
-		prev = load(*journal)
-	}
-
-	var jrnl *crawler.Journal
-	if *journal != "" {
-		j, err := crawler.OpenJournal(*journal, crawler.JournalOptions{
-			FlushInterval: *flushEvery,
-			Metrics:       reg,
-		})
-		if err != nil {
-			log.Fatalf("opening journal: %v", err)
-		}
-		jrnl = j
-		if prev != nil && *resume != "" {
-			// The resume state came from a separate checkpoint and the
-			// journal is fresh: copy it in so the journal alone can
-			// reconstruct the whole crawl.
-			if err := j.Bootstrap(prev); err != nil {
-				log.Fatalf("bootstrapping journal: %v", err)
-			}
-		}
-		log.Printf("journaling live crawl state -> %s (flush+fsync every %v)", *journal, *flushEvery)
-	}
+	log.Printf("journaling live crawl state -> %s (flush+fsync every %v), edges -> %s", *journal, *flushEvery, segDir)
 
 	// With -dash the periodic progress line would scribble over the
 	// dashboard: capture it instead and render it inside the dash frame
@@ -246,25 +252,6 @@ func main() {
 		collector.OnSample(dash.Frame)
 	}
 
-	// Out-of-core edge collection: workers stream every observed edge
-	// into sorted disk segments; the in-RAM edge list is never built.
-	var sink *dataset.SegmentSink
-	var diskMet *diskcsr.Metrics
-	if *segmentDir != "" {
-		diskMet = diskcsr.NewMetrics(reg)
-		var serr error
-		sink, serr = dataset.NewSegmentSink(*segmentDir, 0, diskMet)
-		if serr != nil {
-			log.Fatalf("opening -segment-dir: %v", serr)
-		}
-		log.Printf("streaming edges to segments -> %s (compacted into %s at save)", *segmentDir, filepath.Join(*out, "graph.v2"))
-	}
-	// A typed-nil *SegmentSink must not become a non-nil interface.
-	var edgeSink crawler.EdgeSink
-	if sink != nil {
-		edgeSink = sink
-	}
-
 	var resCfg *crawler.ResilienceConfig
 	if *resilient {
 		resCfg = &crawler.ResilienceConfig{AttemptTimeout: *attemptTO}
@@ -273,7 +260,7 @@ func main() {
 		// capture it as it happens.
 		resCfg.AIMD.OnDecrease = func(limit int) {
 			if limit <= 1 {
-				run.Profiler.Trigger("aimd-collapse")
+				obsRun.Profiler.Trigger("aimd-collapse")
 			}
 		}
 		log.Printf("resilience armed: AIMD concurrency gate, shared retry budget, per-endpoint breakers, requeue-on-overload (watch crawler_aimd_limit, crawler_retry_budget_tokens_milli, crawler_requeues_total)")
@@ -301,22 +288,22 @@ func main() {
 		StallAfter: 3,
 		OnStall: func(p crawler.Progress) {
 			log.Printf("crawl stalled (frontier=%d, no profiles for 3 intervals); capturing profile dump", p.Frontier)
-			run.Profiler.Trigger("stall")
+			obsRun.Profiler.Trigger("stall")
 		},
-		Tracer:     run.Tracer,
+		Tracer:     obsRun.Tracer,
 		Resilience: resCfg,
-		EdgeSink:   edgeSink,
+		EdgeSink:   sink,
 	})
 	if cerr := jrnl.Close(); cerr != nil {
 		log.Printf("journal error (crawl state may be incomplete on disk): %v", cerr)
 	}
-	if cerr := run.Close(); cerr != nil {
+	if cerr := obsRun.Close(); cerr != nil {
 		log.Printf("completing -obs-dir: %v", cerr)
 	} else if dir := obsCfg.Dir; dir != "" {
 		log.Printf("run directory complete -> %s (read it with: gplusanalyze metrics|traces|profiles %s)", dir, dir)
 	}
 	if err != nil && res == nil {
-		log.Fatalf("crawl: %v", err)
+		return fmt.Errorf("crawl: %w", err)
 	}
 	if err != nil {
 		log.Printf("crawl interrupted (%v); saving partial results", err)
@@ -333,35 +320,20 @@ func main() {
 		res.Stats.ProfilesCrawled, resumed, res.Stats.Discovered, res.Stats.EdgesObserved,
 		res.Stats.PagesFetched, res.Stats.ProfileErrors, res.Stats.CircleErrors, requeued, res.Stats.Duration)
 
-	if *checkpoint != "" {
-		if err := crawler.SaveCheckpoint(*checkpoint, res); err != nil {
-			log.Fatalf("saving checkpoint: %v", err)
-		}
-		log.Printf("wrote checkpoint -> %s", *checkpoint)
+	// Compact the segments straight into <out>/graph.v2 and open the
+	// result memory-mapped.
+	build := dataset.FromCrawlSegments
+	if *compress {
+		build = dataset.FromCrawlSegmentsCompressed
 	}
-
-	var ds *dataset.Dataset
-	if sink != nil {
-		// Compact the on-disk segments straight into <out>/graph.v2 and
-		// open the result memory-mapped: the full edge list never exists
-		// in this process's RAM.
-		build := dataset.FromCrawlSegments
-		if *compress {
-			build = dataset.FromCrawlSegmentsCompressed
-		}
-		if ds, err = build(res, sink, *out, diskMet); err != nil {
-			log.Fatalf("compacting segment dataset: %v", err)
-		}
-		defer ds.Close()
-	} else {
-		ds = dataset.FromCrawl(res)
-		save := ds.SaveV2
-		if *compress {
-			save = ds.SaveV2Compressed
-		}
-		if err := save(*out); err != nil {
-			log.Fatalf("saving dataset: %v", err)
-		}
+	ds, err := build(res, sink, *out, diskMet)
+	if err != nil {
+		return fmt.Errorf("compacting segment dataset: %w", err)
+	}
+	defer ds.Close()
+	if err := os.RemoveAll(segDir); err != nil {
+		log.Printf("removing compacted segments: %v", err)
 	}
 	log.Printf("wrote dataset: %d users, %d edges -> %s", ds.NumUsers(), ds.View().NumEdges(), *out)
+	return nil
 }

@@ -1,0 +1,89 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"log"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"gplus/internal/crawler"
+	"gplus/internal/dataset"
+	"gplus/internal/gplusd"
+	"gplus/internal/synth"
+)
+
+// TestRerunResumesToTheSameDataset drives the command itself, twice,
+// into one -out: the first run crawls a small service to completion, the
+// second finds the journal, replays it into fresh segments, fetches no
+// profile, and must leave a byte-identical dataset behind.
+func TestRerunResumesToTheSameDataset(t *testing.T) {
+	cfg := synth.DefaultConfig(300)
+	cfg.Seed = 18
+	u, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := gplusd.New(u, gplusd.Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	out := filepath.Join(t.TempDir(), "data")
+	journal := filepath.Join(out, "crawl.journal")
+	files := []string{"graph.v2", "profiles.jsonl", "crawl.journal"}
+	session := func() (written map[string][]byte, profileFetches int64) {
+		t.Helper()
+		logged.Reset()
+		if err := run(context.Background(), []string{"-url", ts.URL, "-out", out, "-workers", "4", "-progress", "0"}); err != nil {
+			t.Fatalf("gpluscrawl: %v\n%s", err, &logged)
+		}
+		written = make(map[string][]byte)
+		for _, name := range files {
+			if written[name], err = os.ReadFile(filepath.Join(out, name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := os.Stat(filepath.Join(out, ".segments")); !os.IsNotExist(err) {
+			t.Errorf("segment directory left behind after compaction (stat: %v)", err)
+		}
+		profileFetches, _, _ = srv.RequestStats()
+		return written, profileFetches
+	}
+
+	first, fetched := session()
+	if fetched == 0 {
+		t.Fatal("first run fetched no profile")
+	}
+	prev, err := crawler.LoadCheckpoint(journal)
+	if err != nil {
+		t.Fatalf("journal is not a loadable checkpoint: %v", err)
+	}
+	ds, err := dataset.Load(out)
+	if err != nil {
+		t.Fatalf("loading the crawled dataset: %v", err)
+	}
+	if ds.NumCrawled() != len(prev.Profiles) || ds.NumUsers() != len(prev.Discovered) || int64(len(prev.Profiles)) != fetched {
+		t.Errorf("dataset has %d/%d crawled/users, journal %d/%d, server saw %d profile fetches",
+			ds.NumCrawled(), ds.NumUsers(), len(prev.Profiles), len(prev.Discovered), fetched)
+	}
+
+	second, fetchedAfter := session()
+	if fetchedAfter != fetched {
+		t.Errorf("rerun fetched %d new profiles, want 0", fetchedAfter-fetched)
+	}
+	if !strings.Contains(logged.String(), "resuming: ") || !strings.Contains(logged.String(), "crawled 0 profiles (+") {
+		t.Errorf("rerun did not report a resumed, empty session:\n%s", &logged)
+	}
+	for _, name := range files {
+		if !bytes.Equal(first[name], second[name]) {
+			t.Errorf("%s differs after the rerun (%d vs %d bytes)", name, len(first[name]), len(second[name]))
+		}
+	}
+}

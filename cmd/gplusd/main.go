@@ -11,15 +11,14 @@
 //
 // The hot path holds no global locks: fault injection draws from
 // per-goroutine RNG streams and the per-crawler rate limiter is striped
-// across -rate-shards independently locked shards, with idle buckets
-// evicted after -bucket-ttl (watch gplusd_rate_limiter_buckets on
-// /metrics).
+// across independently locked shards, with idle buckets evicted (watch
+// gplusd_rate_limiter_buckets on /metrics).
 //
-// -chaos arms a seed-deterministic fault suite beyond the plain -fault
-// 503s: per-endpoint unavailability, response delays, connection hangs
-// past the client timeout, mid-body connection resets, scheduled outage
-// windows, and brownouts (triangular latency ramps plus admission
-// capacity squeezes). Injections are counted per kind in
+// -chaos arms a seed-deterministic fault suite: random 503s
+// ("unavailable,rate=0.02"), optionally per endpoint, response delays,
+// connection hangs past the client timeout, mid-body connection resets,
+// scheduled outage windows, and brownouts (triangular latency ramps plus
+// admission capacity squeezes). Injections are counted per kind in
 // gplusd_chaos_faults_total; /metrics itself is never faulted.
 //
 // -admission puts an admission controller in front of the simulator:
@@ -74,9 +73,6 @@ func main() {
 		circleCap = flag.Int("cap", 10_000, "circle list cap (-1 disables)")
 		pageSize  = flag.Int("page", 1000, "circle page size")
 		rate      = flag.Float64("rate", 0, "per-crawler rate limit (req/s, 0 disables)")
-		shards    = flag.Int("rate-shards", 0, "rate limiter lock stripes (rounded up to a power of two, 0 = default 64)")
-		bucketTTL = flag.Duration("bucket-ttl", 0, "evict idle rate limiter buckets after this long (0 = default 5m)")
-		faultRate = flag.Float64("fault", 0, "transient 503 probability")
 		chaosSpec = flag.String("chaos", "", `chaos-mode fault suite, rules separated by ';', e.g. "unavailable,endpoint=profile,rate=0.2;delay,rate=0.1,delay=150ms;hang,rate=0.01,delay=90s;reset,rate=0.05;outage,every=10m,down=45s;brownout,every=10m,down=45s,delay=100ms,squeeze=0.8"`)
 		admitMax  = flag.Int("admission", 0, "admission control: max concurrent requests (0 disables; sheds carry Retry-After, report at /debug/admission)")
 		admitWait = flag.Duration("admission-wait", 0, "admission control: max time a request may queue before being shed (0 = default 1s)")
@@ -122,10 +118,6 @@ func main() {
 		CircleCap:       *circleCap,
 		PageSize:        *pageSize,
 		RatePerSecond:   *rate,
-		RateShards:      *shards,
-		BucketTTL:       *bucketTTL,
-		FaultRate:       *faultRate,
-		FaultSeed:       *seed,
 		Faults:          faults,
 		Metrics:         run.Registry,
 		Tracer:          run.Tracer,

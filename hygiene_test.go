@@ -9,15 +9,12 @@ import (
 	"gplus/internal/obs/rundir"
 )
 
-// flagDecl matches a flag registration in a binary's main —
-// flag.String("name", ...) — and captures the flag's name.
-var flagDecl = regexp.MustCompile(`\bflag\.[A-Z]\w*\("([a-z][a-z-]*)"`)
-
 // TestFlagsHaveRecipe is the `make check` gate against knobs nobody
-// turns: every flag gpluscrawl and gplusd register must be named in a
+// turns: every flag a binary's main registers must be named in a
 // README.md, EXPERIMENTS.md or Makefile recipe. A flag with no recipe
 // and no reader is a constant; delete it or document the run that needs
-// it.
+// it. (The sub-command flag sets of gplusanalyze and gpluslab are not
+// scanned.)
 func TestFlagsHaveRecipe(t *testing.T) {
 	var docs []byte
 	for _, name := range []string{"README.md", "EXPERIMENTS.md", "Makefile"} {
@@ -27,29 +24,47 @@ func TestFlagsHaveRecipe(t *testing.T) {
 		}
 		docs = append(docs, b...)
 	}
-	// The flags both binaries share are read off the flag set itself;
-	// each main's own are scanned from its source.
+	// The observability flags are read off the flag set itself; each
+	// main's own are scanned from its source.
 	var shared []string
 	fs := flag.NewFlagSet("shared", flag.ContinueOnError)
 	new(rundir.Config).RegisterFlags(fs)
 	fs.VisitAll(func(f *flag.Flag) { shared = append(shared, f.Name) })
-	for _, main := range []string{"cmd/gpluscrawl/main.go", "cmd/gplusd/main.go"} {
-		src, err := os.ReadFile(main)
+	for _, bin := range []struct {
+		main string
+		set  string // the identifier flags are declared on: flag.String("name", ...)
+		obs  bool   // registers the shared observability flags too
+		own  int    // fewest own flags the scan must find, or declarations changed shape
+	}{
+		{"cmd/gpluscrawl/main.go", "fs", true, 17},
+		{"cmd/gplusd/main.go", "flag", true, 10},
+		{"cmd/gplusanalyze/main.go", "flag", false, 9},
+		{"cmd/gplusgen/main.go", "flag", false, 4},
+		{"cmd/gplusverify/main.go", "flag", false, 2},
+	} {
+		src, err := os.ReadFile(bin.main)
 		if err != nil {
 			t.Fatal(err)
 		}
-		names := append([]string(nil), shared...)
-		for _, m := range flagDecl.FindAllSubmatch(src, -1) {
+		var names []string
+		if bin.obs {
+			names = append(names, shared...)
+		}
+		// flag.String("name", ...) and its siblings; flag.NewFlagSet("name",
+		// ...) is not one of them.
+		decl := regexp.MustCompile(`\b` + bin.set + `\.[A-Z][a-z0-9]*\("([a-z][a-z-]*)"`)
+		own := decl.FindAllSubmatch(src, -1)
+		for _, m := range own {
 			names = append(names, string(m[1]))
 		}
 		for _, name := range names {
 			if !regexp.MustCompile(`(^|[^a-z-])-` + name + `($|[^a-z-])`).Match(docs) {
-				t.Errorf("%s: flag -%s appears in no README.md, EXPERIMENTS.md or Makefile recipe", main, name)
+				t.Errorf("%s: flag -%s appears in no README.md, EXPERIMENTS.md or Makefile recipe", bin.main, name)
 			}
 		}
-		if len(names) < len(shared)+10 {
-			t.Errorf("%s: found only %d flags of its own; the scan no longer matches how flags are declared", main, len(names)-len(shared))
+		if len(own) < bin.own {
+			t.Errorf("%s: found only %d flags of its own, want at least %d; the scan no longer matches how flags are declared", bin.main, len(own), bin.own)
 		}
-		t.Logf("%s registers %d flags", main, len(names))
+		t.Logf("%s registers %d flags", bin.main, len(names))
 	}
 }

@@ -61,6 +61,12 @@ func WriteResult(w io.Writer, res *Result) error {
 // was written whole and still fails the load: that is corruption, not a
 // torn append.
 func ReadResult(r io.Reader) (*Result, error) {
+	return readResult(r, nil)
+}
+
+// readResult is the one checkpoint parser; like Crawl it hands edges to
+// sink when there is one and accumulates Result.Edges when there is not.
+func readResult(r io.Reader, sink EdgeSink) (*Result, error) {
 	res := &Result{
 		Profiles:   make(map[string]profile.Profile),
 		Discovered: make(map[string]bool),
@@ -90,7 +96,12 @@ func ReadResult(r io.Reader) (*Result, error) {
 			if !ok || from == "" || to == "" {
 				return fmt.Errorf("crawler: checkpoint line %d: bad edge", line)
 			}
-			res.Edges = append(res.Edges, Edge{From: from, To: to})
+			res.Stats.EdgesObserved++
+			if sink == nil {
+				res.Edges = append(res.Edges, Edge{From: from, To: to})
+			} else if err := sink.ObserveEdge(from, to); err != nil {
+				return fmt.Errorf("crawler: replaying checkpoint line %d into the edge sink: %w", line, err)
+			}
 		case 'D':
 			if len(body) == 0 {
 				return fmt.Errorf("crawler: checkpoint line %d: empty id", line)
@@ -106,28 +117,26 @@ func ReadResult(r io.Reader) (*Result, error) {
 	}
 	res.Stats.TornRecords = torn
 	res.Stats.ProfilesCrawled = len(res.Profiles)
-	res.Stats.EdgesObserved = int64(len(res.Edges))
 	res.Stats.Discovered = len(res.Discovered)
 	return res, nil
 }
 
-// SaveCheckpoint writes a result to path atomically and durably
-// (durable.WriteFile): a crash can never publish an empty or torn file
-// under the final name.
-func SaveCheckpoint(path string, res *Result) error {
-	return durable.WriteFile(path, func(f *os.File) error {
-		return WriteResult(f, res)
-	})
+// LoadCheckpoint reads a checkpoint file or a live journal written by a
+// Journal (same format; a journal may additionally carry a torn final
+// line — see ReadResult and Stats.TornRecords).
+func LoadCheckpoint(path string) (*Result, error) {
+	return ReplayJournal(path, nil)
 }
 
-// LoadCheckpoint reads a checkpoint written by SaveCheckpoint or a live
-// journal written by a Journal (same format; a journal may additionally
-// carry a torn final line — see ReadResult and Stats.TornRecords).
-func LoadCheckpoint(path string) (*Result, error) {
+// ReplayJournal is LoadCheckpoint for a crawl that streams its edges out
+// of core: every E record goes to sink, in file order, as it is parsed.
+// Result.Edges stays empty and Stats.EdgesObserved counts what was
+// streamed, so a resume holds the nodes in memory, not the edge log.
+func ReplayJournal(path string, sink EdgeSink) (*Result, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadResult(f)
+	return readResult(f, sink)
 }

@@ -3,8 +3,10 @@ package crawler
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -85,6 +87,19 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// saveCheckpoint writes res to path as a checkpoint file.
+func saveCheckpoint(t *testing.T, path string, res *Result) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := WriteResult(f, res); err != nil {
+		t.Fatalf("WriteResult: %v", err)
+	}
+}
+
 func TestCheckpointFileAtomic(t *testing.T) {
 	u := crawlUniverse(t)
 	url := startService(t, u, gplusd.Options{})
@@ -96,9 +111,7 @@ func TestCheckpointFileAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "crawl.ckpt")
-	if err := SaveCheckpoint(path, res); err != nil {
-		t.Fatalf("SaveCheckpoint: %v", err)
-	}
+	saveCheckpoint(t, path, res)
 	got, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatalf("LoadCheckpoint: %v", err)
@@ -200,9 +213,7 @@ func TestCheckpointResumeCycleStability(t *testing.T) {
 		var resume *Result
 		if prev != nil {
 			path := filepath.Join(dir, fmt.Sprintf("cycle-%d.ckpt", i))
-			if err := SaveCheckpoint(path, prev); err != nil {
-				t.Fatal(err)
-			}
+			saveCheckpoint(t, path, prev)
 			if resume, err = LoadCheckpoint(path); err != nil {
 				t.Fatal(err)
 			}
@@ -336,7 +347,7 @@ func TestResumeDoesNotRefetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profilesBefore, _, _, _ := srv.RequestStats()
+	profilesBefore, _, _ := srv.RequestStats()
 
 	if _, err := Crawl(ctx, Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,
@@ -345,7 +356,7 @@ func TestResumeDoesNotRefetch(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	profilesAfter, _, _, _ := srv.RequestStats()
+	profilesAfter, _, _ := srv.RequestStats()
 	fetched := profilesAfter - profilesBefore
 	if fetched > 100 {
 		t.Errorf("resume refetched: %d profile requests for a 100-profile budget", fetched)
@@ -433,7 +444,56 @@ func TestResumeValidation(t *testing.T) {
 	if err == nil {
 		t.Error("resume with nil maps accepted")
 	}
+	// Crawl forwards nothing into a sink: in-RAM resume edges beside one
+	// would silently be a hole in the streamed graph.
+	_, err = Crawl(context.Background(), Config{
+		BaseURL: "http://x", Seeds: []string{"a"},
+		FetchIn: true, FetchOut: true,
+		Resume: &Result{
+			Profiles:   map[string]profile.Profile{},
+			Discovered: map[string]bool{"a": true, "b": true},
+			Edges:      []Edge{{From: "a", To: "b"}},
+		},
+		EdgeSink: sinkFunc(func(from, to string) error { return nil }),
+	})
+	if err == nil {
+		t.Error("resume edges in RAM accepted beside an EdgeSink")
+	}
 }
+
+// TestReplayJournalStreamsEdges: the sink form of the load hands over
+// every E record in file order and keeps none; a sink that fails stops
+// the load instead of resuming over a hole.
+func TestReplayJournalStreamsEdges(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "crawl.ckpt")
+	saveCheckpoint(t, path, &Result{
+		Discovered: map[string]bool{"a": true, "b": true, "c": true},
+		Edges:      []Edge{{"a", "b"}, {"c", "a"}, {"a", "b"}},
+	})
+	var seen []Edge
+	res, err := ReplayJournal(path, sinkFunc(func(from, to string) error {
+		seen = append(seen, Edge{from, to})
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Edge{{"a", "b"}, {"c", "a"}, {"a", "b"}}; !reflect.DeepEqual(seen, want) {
+		t.Errorf("sink saw %v, want %v", seen, want)
+	}
+	if len(res.Edges) != 0 || res.Stats.EdgesObserved != 3 || len(res.Discovered) != 3 {
+		t.Errorf("replayed result holds %d edges, counts %d, %d discovered; want 0, 3, 3",
+			len(res.Edges), res.Stats.EdgesObserved, len(res.Discovered))
+	}
+	boom := errors.New("disk full")
+	if _, err := ReplayJournal(path, sinkFunc(func(string, string) error { return boom })); !errors.Is(err, boom) {
+		t.Errorf("failing sink: err = %v, want it to wrap %v", err, boom)
+	}
+}
+
+type sinkFunc func(from, to string) error
+
+func (f sinkFunc) ObserveEdge(from, to string) error { return f(from, to) }
 
 func TestGraphFromPartialPlusResumeEqualsWhole(t *testing.T) {
 	// Degenerate resume: resuming a *complete* crawl fetches nothing and

@@ -37,8 +37,6 @@ type Config struct {
 	// the partial-crawl effect behind the paper's 35.1M-node/27.5M-profile
 	// dataset.
 	MaxProfiles int
-	// PageLimit is the per-request circle page size (0 = server default).
-	PageLimit int
 	// FetchIn and FetchOut select which circle lists to follow. The
 	// paper's crawl is bidirectional: both true. (Both false is rejected.)
 	FetchIn, FetchOut bool
@@ -75,7 +73,10 @@ type Config struct {
 	// Resume are not refetched. MaxProfiles bounds only the *additional*
 	// profiles fetched in this session, and Stats.ProfilesCrawled
 	// likewise counts only this session's fetches — carried-over
-	// profiles are reported in Stats.ProfilesResumed.
+	// profiles are reported in Stats.ProfilesResumed, and
+	// Resume.Stats.EdgesObserved carries into Stats.EdgesObserved. Beside
+	// an EdgeSink, Resume.Edges must be empty: Crawl forwards nothing, the
+	// caller replayed them into the sink while loading (ReplayJournal).
 	Resume *Result
 	// Metrics receives live crawl telemetry when non-nil: frontier and
 	// discovered gauges, profiles/pages/edges counters, the
@@ -120,8 +121,9 @@ type Config struct {
 	// pages stream in, instead of accumulating them in Result.Edges — the
 	// out-of-core path for crawls whose edge list would not fit in RAM
 	// (dataset.SegmentSink spools them into compactable disk segments).
-	// Under Config.Resume the carried-over edges are forwarded into the
-	// sink up front, so the sink alone holds the complete edge stream;
+	// The sink sees this session's observations; under Config.Resume the
+	// caller already streamed the earlier sessions' edges into it
+	// (ReplayJournal), so the sink alone holds the complete edge stream;
 	// duplicates between sessions collapse at compaction like any other
 	// re-observed edge. Implementations must be safe for concurrent use
 	// by all workers. A sink write error aborts the crawl.
@@ -170,6 +172,9 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if out.Resume != nil && (out.Resume.Profiles == nil || out.Resume.Discovered == nil) {
 		return out, errors.New("crawler: Resume result is missing its profile or discovered maps")
+	}
+	if out.Resume != nil && out.EdgeSink != nil && len(out.Resume.Edges) > 0 {
+		return out, errors.New("crawler: Resume.Edges would never reach the EdgeSink (a hole in the graph); load the journal with ReplayJournal")
 	}
 	if out.Workers <= 0 {
 		out.Workers = 11
@@ -288,24 +293,14 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	// The scheduler journals D records centrally: it is the one place
 	// that knows which offered ids are genuinely new. Resume-preloaded
-	// ids are deliberately not journaled — when resuming from the
-	// journal itself they are already on disk, and when resuming from a
-	// separate checkpoint Journal.Bootstrap writes them.
+	// ids are deliberately not journaled: a crawl resumes from the
+	// journal it appends to, so they are already on disk.
 	sched.jrnl = cfg.Journal
 	if cfg.Resume != nil {
 		sched.preload(cfg.Resume)
 		// Surface the load-time torn-record count in live telemetry so the
 		// progress line reports what the resume dropped.
 		tel.torn.Add(int64(cfg.Resume.Stats.TornRecords))
-		if cfg.EdgeSink != nil {
-			// Forward the carried-over edges so the sink holds the complete
-			// stream; cross-session duplicates collapse at compaction.
-			for _, e := range cfg.Resume.Edges {
-				if err := cfg.EdgeSink.ObserveEdge(e.From, e.To); err != nil {
-					return nil, fmt.Errorf("crawler: forwarding resumed edges to sink: %w", err)
-				}
-			}
-		}
 	}
 	sched.offerBatch(cfg.Seeds)
 
@@ -366,15 +361,12 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 		Profiles:   make(map[string]profile.Profile),
 		Discovered: sched.discovered(),
 	}
-	var edgesSeen int64
 	if cfg.Resume != nil {
 		for id, p := range cfg.Resume.Profiles {
 			res.Profiles[id] = p
 		}
-		if cfg.EdgeSink == nil {
-			res.Edges = append(res.Edges, cfg.Resume.Edges...)
-		}
-		edgesSeen += int64(len(cfg.Resume.Edges))
+		res.Edges = append(res.Edges, cfg.Resume.Edges...)
+		res.Stats.EdgesObserved = cfg.Resume.Stats.EdgesObserved
 		res.Stats.ProfilesResumed = len(cfg.Resume.Profiles)
 	}
 	var sinkErr error
@@ -382,7 +374,7 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 		if w.sinkErr != nil && sinkErr == nil {
 			sinkErr = w.sinkErr
 		}
-		edgesSeen += w.edgesSeen
+		res.Stats.EdgesObserved += w.edgesSeen
 		for id, p := range w.profiles {
 			res.Profiles[id] = p
 		}
@@ -396,7 +388,6 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 		res.Stats.ProfileErrors += w.profileErrs
 		res.Stats.CircleErrors += w.circleErrs
 	}
-	res.Stats.EdgesObserved = edgesSeen
 	res.Stats.Discovered = len(res.Discovered)
 	res.Stats.Requeued = sched.requeueTotal()
 	res.Stats.Duration = time.Since(start)
@@ -618,7 +609,7 @@ func (w *worker) fetchCircle(ctx context.Context, id string, dir gplusapi.Circle
 		// offer, journal append — shares one phase label, so by-phase CPU
 		// attribution matches the trace span of the same name.
 		pprof.Do(pctx, pprof.Labels("phase", "circle.page"), func(pctx context.Context) {
-			page, err = w.client.FetchCircle(pctx, id, dir, token, w.cfg.PageLimit)
+			page, err = w.client.FetchCircle(pctx, id, dir, token, 0)
 			if err != nil {
 				return
 			}

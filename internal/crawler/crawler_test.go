@@ -274,8 +274,7 @@ func TestCrawlCancellation(t *testing.T) {
 func TestCrawlSurvivesFaultsAndRateLimits(t *testing.T) {
 	u := crawlUniverse(t)
 	url := startService(t, u, gplusd.Options{
-		FaultRate:     0.05,
-		FaultSeed:     3,
+		Faults:        &gplusd.FaultSpec{Seed: 3, Rules: []gplusd.FaultRule{{Kind: gplusd.FaultUnavailable, Rate: 0.05}}},
 		RatePerSecond: 2000,
 		BurstSize:     200,
 	})
@@ -386,7 +385,7 @@ func TestCrawlOverGrowingService(t *testing.T) {
 func TestCrawlAbortsOnErrorBudget(t *testing.T) {
 	u := crawlUniverse(t)
 	// A service that always fails: every fetch exhausts its retries.
-	url := startService(t, u, gplusd.Options{FaultRate: 1.0, FaultSeed: 1})
+	url := startService(t, u, gplusd.Options{Faults: &gplusd.FaultSpec{Seed: 1, Rules: []gplusd.FaultRule{{Kind: gplusd.FaultUnavailable, Rate: 1}}}})
 	start := time.Now()
 	res, err := Crawl(context.Background(), Config{
 		BaseURL:          url,

@@ -191,7 +191,7 @@ func (j *Journal) FlushLag() time.Duration {
 
 // Err reports the journal's sticky error: the first write, flush, or
 // fsync failure. After an error the writer drops further records (the
-// crawl itself continues; the end-of-crawl checkpoint still saves).
+// crawl itself continues and Close reports the error).
 func (j *Journal) Err() error {
 	if j == nil {
 		return nil

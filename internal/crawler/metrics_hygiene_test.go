@@ -39,9 +39,8 @@ func TestMetricsHygiene(t *testing.T) {
 	url := startService(t, u, gplusd.Options{
 		Metrics:       sreg,
 		RatePerSecond: 10_000,
-		FaultRate:     0.05,
-		FaultSeed:     7,
 		Faults: &gplusd.FaultSpec{Seed: 7, Rules: []gplusd.FaultRule{
+			{Kind: gplusd.FaultUnavailable, Rate: 0.05},
 			{Kind: gplusd.FaultOutage, Every: time.Hour, Down: 10 * time.Millisecond},
 			{Kind: gplusd.FaultBrownout, Every: time.Hour, Down: time.Millisecond, Delay: time.Millisecond, Squeeze: 0.5},
 		}},

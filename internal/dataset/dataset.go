@@ -104,13 +104,18 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
-// FromCrawl builds a dataset from raw crawl output. Node ids are
-// assigned in sorted service-id order so the construction is
-// deterministic regardless of worker scheduling.
-func FromCrawl(res *crawler.Result) *Dataset {
+// rosterFromCrawl assembles everything of a crawled dataset but its
+// graph: the sorted id roster over res.Discovered and the distinct ids
+// of extra, the index, and the Profiles/Crawled columns.
+func rosterFromCrawl(res *crawler.Result, extra []string) *Dataset {
 	ids := make([]string, 0, len(res.Discovered))
 	for id := range res.Discovered {
 		ids = append(ids, id)
+	}
+	for _, id := range extra {
+		if _, seen := res.Discovered[id]; !seen {
+			ids = append(ids, id)
+		}
 	}
 	sort.Strings(ids)
 
@@ -125,7 +130,15 @@ func FromCrawl(res *crawler.Result) *Dataset {
 		d.Profiles[node] = p
 		d.Crawled[node] = true
 	}
+	return d
+}
 
+// FromCrawl builds a dataset from raw crawl output. Node ids are
+// assigned in sorted service-id order so the construction is
+// deterministic regardless of worker scheduling.
+func FromCrawl(res *crawler.Result) *Dataset {
+	d := rosterFromCrawl(res, nil)
+	ids := d.IDs
 	b := graph.NewBuilder(len(ids), len(res.Edges))
 	for _, e := range res.Edges {
 		from, okFrom := d.index[e.From]

@@ -3,13 +3,11 @@ package dataset
 import (
 	"fmt"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"gplus/internal/crawler"
 	"gplus/internal/graph"
 	"gplus/internal/graph/diskcsr"
-	"gplus/internal/profile"
 )
 
 // SegmentSink streams crawl edges straight to disk as sorted, compacted
@@ -22,9 +20,9 @@ import (
 //
 // The interning table lives only in memory, which is why a sink refuses
 // a directory that already holds segments: a crashed crawl resumes by
-// replaying its journal through a fresh sink (Config.Resume forwards
-// the carried-over edges), not by reusing stale segment files whose ids
-// were minted under a table that no longer exists.
+// replaying its journal through a fresh sink (crawler.ReplayJournal),
+// not by reusing stale segment files whose ids were minted under a
+// table that no longer exists.
 type SegmentSink struct {
 	mu    sync.Mutex
 	dir   string
@@ -106,30 +104,7 @@ func fromCrawlSegments(res *crawler.Result, sink *SegmentSink, dir string, met *
 	// The roster is every id the crawl discovered; the sink's ids are a
 	// subset (seeds with empty circles never appear on an edge), but the
 	// union guards hand-built Results whose Discovered map is incomplete.
-	roster := make(map[string]bool, len(res.Discovered))
-	for id := range res.Discovered {
-		roster[id] = true
-	}
-	for _, id := range sink.names {
-		roster[id] = true
-	}
-	ids := make([]string, 0, len(roster))
-	for id := range roster {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
-	d := &Dataset{
-		IDs:      ids,
-		Profiles: make([]profile.Profile, len(ids)),
-		Crawled:  make([]bool, len(ids)),
-	}
-	d.buildIndex()
-	for id, p := range res.Profiles {
-		node := d.index[id]
-		d.Profiles[node] = p
-		d.Crawled[node] = true
-	}
+	d := rosterFromCrawl(res, sink.names)
 
 	remap := make([]graph.NodeID, len(sink.names))
 	for prov, id := range sink.names {

@@ -6,11 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"gplus/internal/crawler"
 	"gplus/internal/gplusd"
 	"gplus/internal/graph"
+	"gplus/internal/graph/diskcsr"
 	"gplus/internal/synth"
 )
 
@@ -153,5 +156,173 @@ func TestSegmentSinkRefusesNonEmptyDir(t *testing.T) {
 	}
 	if _, err := NewSegmentSink(dir, 10, nil); err == nil {
 		t.Fatal("sink accepted a dir with stale segments (their interning table is gone)")
+	}
+}
+
+// recordingSink is a SegmentSink that remembers what it was handed.
+type recordingSink struct {
+	*SegmentSink
+	mu   sync.Mutex
+	seen []crawler.Edge
+}
+
+func (r *recordingSink) ObserveEdge(from, to string) error {
+	r.mu.Lock()
+	r.seen = append(r.seen, crawler.Edge{From: from, To: to})
+	r.mu.Unlock()
+	return r.SegmentSink.ObserveEdge(from, to)
+}
+
+// TestSegmentCrawlKillResumeConvergence is the robustness proof on the
+// one shape gpluscrawl runs — journal plus segment sink, resumed by
+// replaying the journal into a fresh sink: a crawl against a misbehaving
+// service is killed mid-flight with segments already on disk, its journal
+// tail is torn, and the resumed, compacted dataset must equal what a
+// fault-free in-RAM crawl builds.
+func TestSegmentCrawlKillResumeConvergence(t *testing.T) {
+	u, ref := fixtures(t)
+	want := FromCrawl(ref)
+	ts := httptest.NewServer(gplusd.New(u, gplusd.Options{
+		// The hang hold (300ms) deliberately exceeds the crawler's HTTP
+		// timeout (150ms).
+		Faults: &gplusd.FaultSpec{Seed: 42, Rules: []gplusd.FaultRule{
+			{Kind: gplusd.FaultUnavailable, Rate: 0.08},
+			{Kind: gplusd.FaultReset, Rate: 0.05},
+			{Kind: gplusd.FaultHang, Rate: 0.01, Delay: 300 * time.Millisecond},
+			{Kind: gplusd.FaultOutage, Every: 900 * time.Millisecond, Down: 60 * time.Millisecond},
+		}},
+	}))
+	defer ts.Close()
+	ctx := context.Background()
+	tmp := t.TempDir()
+	journal, segDir := filepath.Join(tmp, "crawl.journal"), filepath.Join(tmp, ".segments")
+	session := func(ctx context.Context, sink crawler.EdgeSink, resume *crawler.Result) (*crawler.Result, error) {
+		t.Helper()
+		j, err := crawler.OpenJournal(journal, crawler.JournalOptions{FlushInterval: 5 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := crawler.Crawl(ctx, crawler.Config{
+			BaseURL: ts.URL,
+			Seeds:   []string{u.IDs[graph.TopByInDegree(u.Graph, 1, 1)[0]]},
+			Workers: 8,
+			FetchIn: true, FetchOut: true,
+			HTTPTimeout:      150 * time.Millisecond,
+			MaxRetries:       16,
+			RetryBackoffBase: 2 * time.Millisecond,
+			Journal:          j,
+			EdgeSink:         sink,
+			Resume:           resume,
+		})
+		if cerr := j.Close(); cerr != nil {
+			t.Fatalf("journal: %v", cerr)
+		}
+		return res, err
+	}
+
+	// Session 1: a small segment buffer, killed (context cancelled) once
+	// the journal shows real progress on disk.
+	sink1, err := NewSegmentSink(segDir, 250, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killCtx, kill := context.WithCancel(ctx)
+	defer kill()
+	go func() {
+		for killCtx.Err() == nil {
+			if fi, err := os.Stat(journal); err == nil && fi.Size() > 60_000 {
+				kill()
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}()
+	if _, err := session(killCtx, sink1, nil); err == nil {
+		t.Fatal("session 1 finished before the kill; universe too small for this test")
+	}
+	if stale, _ := diskcsr.ListSegments(segDir); len(stale) < 2 {
+		t.Fatalf("session 1 left %d segments on disk, want several", len(stale))
+	}
+	// The torn final line of a mid-append crash.
+	fi, err := os.Stat(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(journal, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+	journaled, err := crawler.LoadCheckpoint(journal)
+	if err != nil {
+		t.Fatalf("loading torn journal: %v", err)
+	}
+
+	// Session 2, as gpluscrawl starts one: the stale segments are refused,
+	// cleared, and the journal is replayed into a fresh sink.
+	if _, err := NewSegmentSink(segDir, 250, nil); err == nil {
+		t.Fatal("a fresh sink accepted session 1's stale segments")
+	}
+	if err := os.RemoveAll(segDir); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewSegmentSink(segDir, 250, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink2 := &recordingSink{SegmentSink: fresh}
+	prev, err := crawler.ReplayJournal(journal, sink2)
+	if err != nil {
+		t.Fatalf("replaying torn journal: %v", err)
+	}
+	if prev.Stats.TornRecords != 1 {
+		t.Errorf("torn journal reports %d torn records, want 1", prev.Stats.TornRecords)
+	}
+	if len(prev.Edges) != 0 {
+		t.Errorf("replay materialised %d edges in RAM", len(prev.Edges))
+	}
+	if !reflect.DeepEqual(sink2.seen, journaled.Edges) {
+		t.Errorf("sink saw %d replayed edges, journal holds %d E records (or their order differs)",
+			len(sink2.seen), len(journaled.Edges))
+	}
+	if prev.Stats.EdgesObserved != int64(len(journaled.Edges)) {
+		t.Errorf("replay counted %d edges, journal holds %d", prev.Stats.EdgesObserved, len(journaled.Edges))
+	}
+	if len(prev.Profiles) == 0 || len(prev.Profiles) >= len(ref.Profiles) {
+		t.Fatalf("session 1 journaled %d of %d profiles; kill threshold mistuned", len(prev.Profiles), len(ref.Profiles))
+	}
+	res, err := session(ctx, sink2, prev)
+	if err != nil {
+		t.Fatalf("session 2: %v", err)
+	}
+	if len(res.Edges) != 0 {
+		t.Errorf("resumed sink crawl accumulated %d edges in RAM", len(res.Edges))
+	}
+	// Resumed plus this session's observations: every one of them is an E
+	// record of the journal, and every one reached the sink.
+	final, err := crawler.LoadCheckpoint(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := int64(len(final.Edges)); res.Stats.EdgesObserved != n || int64(len(sink2.seen)) != n {
+		t.Errorf("EdgesObserved = %d, sink saw %d, journal holds %d E records", res.Stats.EdgesObserved, len(sink2.seen), n)
+	}
+
+	// Convergence: the kill, the torn tail, the stale segments and every
+	// injected fault must be invisible in the compacted dataset.
+	got, err := FromCrawlSegments(res, fresh, filepath.Join(tmp, "ds"), nil)
+	if err != nil {
+		t.Fatalf("FromCrawlSegments: %v", err)
+	}
+	defer got.Close()
+	if !reflect.DeepEqual(got.IDs, want.IDs) {
+		t.Error("id roster diverges from the fault-free crawl")
+	}
+	if !reflect.DeepEqual(got.Profiles, want.Profiles) || !reflect.DeepEqual(got.Crawled, want.Crawled) {
+		t.Error("profile columns diverge from the fault-free crawl")
+	}
+	mat, err := got.View().(*diskcsr.Mapped).Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mat, want.Graph) {
+		t.Error("compacted graph diverges from the fault-free crawl graph")
 	}
 }

@@ -298,29 +298,6 @@ var crashCases = []crashCase{
 		},
 	},
 	{
-		name: "crawler.SaveCheckpoint",
-		build: func(t *testing.T) (func() error, func(*testing.T) map[string]bool) {
-			path := filepath.Join(t.TempDir(), "crawl.ckpt")
-			old, new := crawlResult("old"), crawlResult("new")
-			if err := crawler.SaveCheckpoint(path, old); err != nil {
-				t.Fatal(err)
-			}
-			observe := func(t *testing.T) map[string]bool {
-				got, err := crawler.LoadCheckpoint(path)
-				if err != nil {
-					t.Fatalf("checkpoint unloadable: %v", err)
-				}
-				if got.Stats.TornRecords != 0 {
-					t.Fatalf("checkpoint has %d torn records", got.Stats.TornRecords)
-				}
-				return map[string]bool{
-					"crawl.ckpt": isNew(t, "checkpoint", [2]any{got.Profiles, got.Edges}, [2]any{old.Profiles, old.Edges}, [2]any{new.Profiles, new.Edges}),
-				}
-			}
-			return func() error { return crawler.SaveCheckpoint(path, new) }, observe
-		},
-	},
-	{
 		// A fourth capture in a three-capture ring evicts the oldest and
 		// rewrites the manifest. Whatever the manifest says at the crash,
 		// the reopened ring lists the three survivors and has all their

@@ -142,7 +142,8 @@ func TestAdmissionDeadlineSheds(t *testing.T) {
 
 func TestDebugAdmissionEndpoint(t *testing.T) {
 	srv := New(serverUniverse(t), Options{
-		FaultRate: 1, // /debug/admission must bypass fault injection
+		// /debug/admission must bypass fault injection
+		Faults:    &FaultSpec{Rules: []FaultRule{{Kind: FaultUnavailable, Rate: 1}}},
 		Admission: &resilience.AdmissionOptions{MaxConcurrent: 3},
 	})
 	ts := httptest.NewServer(srv)

@@ -15,7 +15,7 @@ import (
 func BenchmarkRateLimiterAllow(b *testing.B) {
 	for _, clients := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			l := newLimiter(Options{RatePerSecond: 1e12, BurstSize: 1e12}, nil, nil)
+			l := newLimiter(1e12, 1e12, rateShards, bucketTTL, nil, nil)
 			per := b.N/clients + 1
 			var wg sync.WaitGroup
 			b.ReportAllocs()

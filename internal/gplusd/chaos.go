@@ -11,11 +11,10 @@ import (
 	"gplus/internal/obs/trace"
 )
 
-// Chaos mode: the single-knob FaultRate of the original simulator only
-// exercises one failure shape (random 503s). A crawl that is expected to
-// run for 45 days (§2.2) meets every other shape too — slow responses,
-// connections that hang past the client's timeout, mid-body resets, and
-// whole-service outage windows. FaultSpec describes a suite of such
+// Chaos mode: random 503s are only one failure shape. A crawl that is
+// expected to run for 45 days (§2.2) meets every other shape too — slow
+// responses, connections that hang past the client's timeout, mid-body
+// resets, and whole-service outage windows. FaultSpec describes a suite of such
 // faults, all drawn from seed-deterministic RNG streams, so the
 // crawler's retry/backoff/resume machinery can be tested against a
 // service that misbehaves the way real ones do.
@@ -75,8 +74,7 @@ type FaultRule struct {
 }
 
 // FaultSpec is a chaos-mode fault suite. All probabilistic rules draw
-// from PCG streams derived from Seed, keeping injection reproducible the
-// same way the plain FaultRate path is.
+// from PCG streams derived from Seed, keeping injection reproducible.
 type FaultSpec struct {
 	Seed  uint64
 	Rules []FaultRule

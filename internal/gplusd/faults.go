@@ -9,9 +9,9 @@ import (
 // faultSource draws fault-injection decisions without a shared lock:
 // each goroutine borrows a PCG stream from a pool, so concurrent
 // /people/* requests never serialize on one RNG. Every stream is seeded
-// from FaultSeed, keeping injection reproducible per stream (and exactly
-// reproducible for the degenerate rates 0 and 1 regardless of
-// scheduling).
+// from its rule's share of FaultSpec.Seed, keeping injection
+// reproducible per stream (and exactly reproducible for the degenerate
+// rates 0 and 1 regardless of scheduling).
 type faultSource struct {
 	rate float64
 	seed uint64
@@ -27,7 +27,7 @@ func newFaultSource(rate float64, seed uint64) *faultSource {
 	f := &faultSource{rate: rate, seed: seed}
 	f.pool.New = func() any {
 		// Distinct odd multiplier per stream keeps the PCG states of
-		// pooled RNGs decorrelated while still derived from FaultSeed.
+		// pooled RNGs decorrelated while still derived from the seed.
 		n := f.seq.Add(1)
 		return rand.New(rand.NewPCG(f.seed, f.seed^0xdead10cc^(n*0x9e3779b97f4a7c15)))
 	}

@@ -9,13 +9,13 @@ import (
 )
 
 const (
-	// defaultRateShards stripes the bucket table so concurrent crawler
+	// rateShards stripes the bucket table so concurrent crawler
 	// identities contend on different locks; 64 comfortably covers the
 	// paper's 11 machines with room for larger fleets.
-	defaultRateShards = 64
-	// defaultBucketTTL evicts buckets whose client has gone quiet, so a
-	// churn of ephemeral RemoteAddrs cannot grow the table without bound.
-	defaultBucketTTL = 5 * time.Minute
+	rateShards = 64
+	// bucketTTL evicts buckets whose client has gone quiet, so a churn of
+	// ephemeral RemoteAddrs cannot grow the table without bound.
+	bucketTTL = 5 * time.Minute
 )
 
 // bucket is a token bucket replenished on demand.
@@ -51,41 +51,33 @@ type limiter struct {
 	now func() time.Time // injectable clock for eviction tests
 }
 
-// newLimiter builds the striped limiter, or returns nil (allow
-// everything) when rate limiting is disabled.
-func newLimiter(opts Options, live *obs.Gauge, evictions *obs.Counter) *limiter {
-	if opts.RatePerSecond <= 0 {
+// newLimiter builds the limiter striped over shards locks (rounded up
+// to a power of two) with idle buckets evicted after ttl, or returns nil
+// (allow everything) when rate limiting is disabled.
+func newLimiter(rate, burst float64, shards int, ttl time.Duration, live *obs.Gauge, evictions *obs.Counter) *limiter {
+	if rate <= 0 {
 		return nil
 	}
-	burst := opts.BurstSize
 	if burst <= 0 {
-		burst = opts.RatePerSecond
-	}
-	n := opts.RateShards
-	if n <= 0 {
-		n = defaultRateShards
+		burst = rate
 	}
 	// Power-of-two shard count makes the shard pick a mask, not a mod.
-	shards := 1
-	for shards < n {
-		shards <<= 1
-	}
-	ttl := opts.BucketTTL
-	if ttl <= 0 {
-		ttl = defaultBucketTTL
+	n := 1
+	for n < shards {
+		n <<= 1
 	}
 	// An evicted key returns with a full burst, so evicting below the
 	// full-refill horizon would hand a churning client extra tokens;
 	// clamp the TTL to at least the time an empty bucket takes to refill.
-	if refill := time.Duration(burst / opts.RatePerSecond * float64(time.Second)); ttl < refill {
+	if refill := time.Duration(burst / rate * float64(time.Second)); ttl < refill {
 		ttl = refill
 	}
 	l := &limiter{
-		rate:      opts.RatePerSecond,
+		rate:      rate,
 		burst:     burst,
 		ttl:       ttl,
 		seed:      maphash.MakeSeed(),
-		shards:    make([]limiterShard, shards),
+		shards:    make([]limiterShard, n),
 		live:      live,
 		evictions: evictions,
 		now:       time.Now,

@@ -15,7 +15,7 @@ import (
 )
 
 func TestLimiterDisabledIsNil(t *testing.T) {
-	if l := newLimiter(Options{}, nil, nil); l != nil {
+	if l := newLimiter(0, 0, rateShards, bucketTTL, nil, nil); l != nil {
 		t.Fatal("limiter built with rate limiting disabled")
 	}
 	var l *limiter
@@ -26,11 +26,11 @@ func TestLimiterDisabledIsNil(t *testing.T) {
 
 func TestLimiterShardCountRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
-		{0, defaultRateShards}, {1, 1}, {3, 4}, {11, 16}, {64, 64},
+		{1, 1}, {3, 4}, {11, 16}, {rateShards, 64},
 	} {
-		l := newLimiter(Options{RatePerSecond: 1, RateShards: tc.in}, nil, nil)
+		l := newLimiter(1, 0, tc.in, bucketTTL, nil, nil)
 		if len(l.shards) != tc.want {
-			t.Errorf("RateShards %d -> %d shards, want %d", tc.in, len(l.shards), tc.want)
+			t.Errorf("%d shards asked -> %d shards, want %d", tc.in, len(l.shards), tc.want)
 		}
 	}
 }
@@ -39,7 +39,7 @@ func TestLimiterShardCountRounding(t *testing.T) {
 // concurrent crawler identities, each within its own burst, must never
 // see a rejection — run with -race this also exercises the shard locks.
 func TestLimiterDistinctKeysDoNotInterfere(t *testing.T) {
-	l := newLimiter(Options{RatePerSecond: 1000, BurstSize: 40}, nil, nil)
+	l := newLimiter(1000, 40, rateShards, bucketTTL, nil, nil)
 	var denied atomic.Int64
 	var wg sync.WaitGroup
 	for c := 0; c < 16; c++ {
@@ -62,7 +62,7 @@ func TestLimiterDistinctKeysDoNotInterfere(t *testing.T) {
 
 func TestLimiterSharedKeyStillLimits(t *testing.T) {
 	// Near-zero refill: only the burst is spendable.
-	l := newLimiter(Options{RatePerSecond: 0.001, BurstSize: 5}, nil, nil)
+	l := newLimiter(0.001, 5, rateShards, bucketTTL, nil, nil)
 	allowed := 0
 	for i := 0; i < 20; i++ {
 		if l.allow("one-key") {
@@ -78,12 +78,8 @@ func TestLimiterEvictsIdleBuckets(t *testing.T) {
 	reg := obs.NewRegistry()
 	live := reg.Gauge("gplusd_rate_limiter_buckets")
 	evictions := reg.Counter("gplusd_rate_limiter_evictions_total")
-	l := newLimiter(Options{
-		RatePerSecond: 100,
-		BurstSize:     1,
-		RateShards:    1, // one shard so a single sweep sees every bucket
-		BucketTTL:     50 * time.Millisecond,
-	}, live, evictions)
+	// One shard, so a single sweep sees every bucket.
+	l := newLimiter(100, 1, 1, 50*time.Millisecond, live, evictions)
 	now := time.Unix(1_000_000, 0)
 	l.now = func() time.Time { return now }
 
@@ -110,7 +106,7 @@ func TestLimiterEvictsIdleBuckets(t *testing.T) {
 func TestLimiterTTLClampedToBurstRefill(t *testing.T) {
 	// burst/rate = 10s of refill; a 1ms TTL would let churning clients
 	// re-mint full bursts, so the limiter must clamp it up.
-	l := newLimiter(Options{RatePerSecond: 1, BurstSize: 10, BucketTTL: time.Millisecond}, nil, nil)
+	l := newLimiter(1, 10, rateShards, time.Millisecond, nil, nil)
 	if l.ttl < 10*time.Second {
 		t.Errorf("ttl = %v, want >= 10s (full-burst refill)", l.ttl)
 	}
@@ -118,12 +114,7 @@ func TestLimiterTTLClampedToBurstRefill(t *testing.T) {
 
 func TestLimiterConcurrentChurnUnderRace(t *testing.T) {
 	reg := obs.NewRegistry()
-	l := newLimiter(Options{
-		RatePerSecond: 1e6,
-		BurstSize:     1e6,
-		RateShards:    4,
-		BucketTTL:     time.Millisecond,
-	}, reg.Gauge("b"), reg.Counter("e"))
+	l := newLimiter(1e6, 1e6, 4, time.Millisecond, reg.Gauge("b"), reg.Counter("e"))
 	var wg sync.WaitGroup
 	for c := 0; c < 8; c++ {
 		wg.Add(1)

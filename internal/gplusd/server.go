@@ -36,32 +36,16 @@ type Options struct {
 	// page. Zero means 1,000.
 	PageSize int
 	// RatePerSecond enables a token-bucket rate limit per crawler
-	// identity when positive. BurstSize defaults to RatePerSecond.
+	// identity when positive. BurstSize defaults to RatePerSecond. Live
+	// bucket count and idle evictions are exported as
+	// gplusd_rate_limiter_buckets and gplusd_rate_limiter_evictions_total.
 	RatePerSecond float64
 	BurstSize     float64
-	// RateShards stripes the rate limiter's bucket table across this
-	// many independently locked shards (rounded up to a power of two),
-	// so distinct crawler identities never contend on a single mutex.
-	// Zero means 64.
-	RateShards int
-	// BucketTTL evicts a client's token bucket after it has been idle
-	// this long, bounding the table under churning RemoteAddrs. Zero
-	// means 5 minutes; the TTL is clamped to at least the full-burst
-	// refill time so eviction never grants extra tokens. Live bucket
-	// count and evictions are exported as gplusd_rate_limiter_buckets
-	// and gplusd_rate_limiter_evictions_total.
-	BucketTTL time.Duration
-	// FaultRate injects random 503 responses with this probability, for
-	// testing crawler retry behaviour.
-	FaultRate float64
-	// FaultSeed makes fault injection deterministic.
-	FaultSeed uint64
 	// Faults arms the chaos-mode fault suite: per-endpoint 503s,
 	// response delays, connection hangs, mid-body resets, scheduled
 	// outage windows, and brownout ramps, all seed-deterministic. See
-	// FaultSpec and ParseFaultSpec. Nil disables chaos mode; FaultRate
-	// above keeps working independently. Injections are counted per kind
-	// in gplusd_chaos_faults_total.
+	// FaultSpec and ParseFaultSpec. Nil injects nothing. Injections are
+	// counted per kind in gplusd_chaos_faults_total.
 	Faults *FaultSpec
 	// Admission, when non-nil, puts an admission controller in front of
 	// the handler chain: bounded concurrency with a bounded LIFO wait
@@ -89,11 +73,8 @@ type Options struct {
 	// AccessLogSample logs 1 in N served requests (method, path, client
 	// identity, trace id, duration) when positive; 0 disables access
 	// logging. Sampling is deterministic (every Nth request), so a rate
-	// of 1 logs everything.
+	// of 1 logs everything. Lines go to the standard logger.
 	AccessLogSample int
-	// AccessLogger receives the sampled access-log lines (default: the
-	// standard logger).
-	AccessLogger *log.Logger
 	// OmitGeocode strips the resolved country from served place markers,
 	// leaving only the free-text name and map coordinates — the view the
 	// paper's crawler actually had, forcing the analysis side to run its
@@ -137,7 +118,6 @@ type Server struct {
 	index   map[string]graph.NodeID
 	mux     *http.ServeMux
 
-	faults    *faultSource
 	chaos     *chaos
 	admission *resilience.Admission
 	limiter   *limiter
@@ -150,7 +130,6 @@ type Server struct {
 	mStats     *obs.Counter
 	mSeed      *obs.Counter
 	mRateLimit *obs.Counter
-	mFaults    *obs.Counter
 	gInFlight  *obs.Gauge
 	hLatency   *obs.Histogram
 }
@@ -167,7 +146,6 @@ func NewContent(c Content, opts Options) *Server {
 		content: c,
 		opts:    opts,
 		index:   make(map[string]graph.NodeID, len(c.IDs)),
-		faults:  newFaultSource(opts.FaultRate, opts.FaultSeed),
 		tracer:  opts.Tracer,
 	}
 	for i, id := range c.IDs {
@@ -182,7 +160,6 @@ func NewContent(c Content, opts Options) *Server {
 	reg.Help("gplusd_rate_limited_total", "Requests rejected by the per-crawler rate limiter.")
 	reg.Help("gplusd_rate_limiter_buckets", "Live token buckets across all rate-limiter shards.")
 	reg.Help("gplusd_rate_limiter_evictions_total", "Idle token buckets evicted by shard sweeps.")
-	reg.Help("gplusd_faults_injected_total", "Synthetic 503s injected by the fault rate.")
 	reg.Help("gplusd_in_flight_requests", "Requests currently being served.")
 	reg.Help("gplusd_request_seconds", "End-to-end request latency.")
 	s.mProfile = reg.Counter(`gplusd_requests_total{endpoint="profile"}`)
@@ -190,10 +167,9 @@ func NewContent(c Content, opts Options) *Server {
 	s.mStats = reg.Counter(`gplusd_requests_total{endpoint="stats"}`)
 	s.mSeed = reg.Counter(`gplusd_requests_total{endpoint="seed"}`)
 	s.mRateLimit = reg.Counter("gplusd_rate_limited_total")
-	s.mFaults = reg.Counter("gplusd_faults_injected_total")
 	s.gInFlight = reg.Gauge("gplusd_in_flight_requests")
 	s.hLatency = reg.Histogram("gplusd_request_seconds", nil)
-	s.limiter = newLimiter(opts,
+	s.limiter = newLimiter(opts.RatePerSecond, opts.BurstSize, rateShards, bucketTTL,
 		reg.Gauge("gplusd_rate_limiter_buckets"),
 		reg.Counter("gplusd_rate_limiter_evictions_total"))
 	s.chaos = newChaos(opts.Faults, reg)
@@ -270,13 +246,6 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, start time.Time) 
 		}
 		defer release()
 	}
-	if s.injectFault() {
-		s.mFaults.Inc()
-		sp.Fail("injected 503")
-		w.Header().Set("Retry-After", "0.05")
-		http.Error(w, "transient backend error", http.StatusServiceUnavailable)
-		return
-	}
 	if !s.allow(clientKey(r)) {
 		s.mRateLimit.Inc()
 		sp.Fail("rate limited")
@@ -319,11 +288,7 @@ func (s *Server) logAccess(r *http.Request, sp *trace.Span, start time.Time) {
 	if sp != nil {
 		tid = sp.TraceID
 	}
-	lg := s.opts.AccessLogger
-	if lg == nil {
-		lg = log.Default()
-	}
-	lg.Printf("access: %s %s client=%s trace=%s dur=%s",
+	log.Printf("access: %s %s client=%s trace=%s dur=%s",
 		r.Method, r.URL.Path, clientKey(r), tid, time.Since(start).Round(time.Microsecond))
 }
 
@@ -332,12 +297,8 @@ func (s *Server) logAccess(r *http.Request, sp *trace.Span, start time.Time) {
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
 // RequestStats returns a snapshot of the request counters.
-func (s *Server) RequestStats() (profiles, circles, limited, faults int64) {
-	return s.mProfile.Value(), s.mCircle.Value(), s.mRateLimit.Value(), s.mFaults.Value()
-}
-
-func (s *Server) injectFault() bool {
-	return s.faults.hit()
+func (s *Server) RequestStats() (profiles, circles, limited int64) {
+	return s.mProfile.Value(), s.mCircle.Value(), s.mRateLimit.Value()
 }
 
 func clientKey(r *http.Request) string {
@@ -487,7 +448,7 @@ func (s *Server) String() string {
 	if s.chaos != nil {
 		chaosRules = len(s.chaos.rules)
 	}
-	return fmt.Sprintf("gplusd{users=%d edges=%d cap=%d page=%d rate=%g fault=%g chaos=%d}",
+	return fmt.Sprintf("gplusd{users=%d edges=%d cap=%d page=%d rate=%g chaos=%d}",
 		len(s.content.IDs), s.content.Graph.NumEdges(),
-		s.opts.circleCap(), s.opts.pageSize(), s.opts.RatePerSecond, s.opts.FaultRate, chaosRules)
+		s.opts.circleCap(), s.opts.pageSize(), s.opts.RatePerSecond, chaosRules)
 }

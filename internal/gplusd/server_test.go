@@ -218,7 +218,7 @@ func TestRateLimiting(t *testing.T) {
 	if code := get("worker-b"); code != http.StatusOK {
 		t.Fatalf("worker B got %d, want 200", code)
 	}
-	if _, _, limitedCount, _ := srv.RequestStats(); limitedCount == 0 {
+	if _, _, limitedCount := srv.RequestStats(); limitedCount == 0 {
 		t.Error("rate-limited counter not incremented")
 	}
 }
@@ -239,7 +239,7 @@ func TestClientRetriesRateLimit(t *testing.T) {
 
 func TestFaultInjectionAndRecovery(t *testing.T) {
 	u := serverUniverse(t)
-	srv, client := startServer(t, Options{FaultRate: 0.3, FaultSeed: 7})
+	srv, client := startServer(t, Options{Faults: &FaultSpec{Seed: 7, Rules: []FaultRule{{Kind: FaultUnavailable, Rate: 0.3}}}})
 	client.CrawlerID = "fault-worker"
 	ctx := context.Background()
 	for i := 0; i < 30; i++ {
@@ -247,8 +247,8 @@ func TestFaultInjectionAndRecovery(t *testing.T) {
 			t.Fatalf("fetch %d failed despite retries: %v", i, err)
 		}
 	}
-	if _, _, _, faults := srv.RequestStats(); faults == 0 {
-		t.Error("no faults were injected at FaultRate 0.3")
+	if srv.Metrics().Counter(`gplusd_chaos_faults_total{kind="unavailable"}`).Value() == 0 {
+		t.Error("no faults were injected at rate 0.3")
 	}
 }
 
@@ -328,8 +328,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	// Default exposition is Prometheus text, with request, rate-limit,
-	// and fault counters present (registered eagerly, even at zero).
+	// Default exposition is Prometheus text, with request and rate-limit
+	// counters present (registered eagerly, even at zero).
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -346,7 +346,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		`gplusd_requests_total{endpoint="profile"} 3`,
 		"gplusd_rate_limited_total 0",
-		"gplusd_faults_injected_total 0",
 		"# TYPE gplusd_request_seconds histogram",
 	} {
 		if !strings.Contains(text, want) {
@@ -374,18 +373,22 @@ func TestMetricsEndpoint(t *testing.T) {
 
 func TestMetricsBypassesFaultsAndRateLimit(t *testing.T) {
 	u := serverUniverse(t)
-	srv := New(u, Options{FaultRate: 1.0, RatePerSecond: 0.0001, BurstSize: 0.0001})
+	srv := New(u, Options{
+		Faults:        &FaultSpec{Rules: []FaultRule{{Kind: FaultUnavailable, Rate: 1}}},
+		RatePerSecond: 0.0001, BurstSize: 0.0001,
+	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// Regular traffic is fully faulted...
+	// Regular traffic is fully refused (the empty bucket answers 429
+	// before the chaos suite gets to answer 503)...
 	resp, err := http.Get(ts.URL + "/people/" + u.IDs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("faulted request status = %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("refused request status = %d", resp.StatusCode)
 	}
 	// ...but the monitoring endpoint keeps answering.
 	for i := 0; i < 5; i++ {

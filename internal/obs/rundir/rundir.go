@@ -78,7 +78,7 @@ type Config struct {
 func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Dir, "obs-dir", "", "run directory: exemplar traces stream to <dir>/exemplars.jsonl and profiles to <dir>/profiles/ during the run, series.jsonl and traces.jsonl are written at exit (read it back with `gplusanalyze metrics|traces|profiles <dir>`); the profile ring keeps the CPU profiler on for a third of the run at the default -profile-interval — pass -profile-interval 0 for series and traces only")
 	fs.DurationVar(&c.Series.Interval, "sample-interval", time.Second, "metric time-series sampling cadence for /debug/timeseries, the SLO engine and series.jsonl (0 disables all three)")
-	fs.Func("slo", `SLO objectives evaluated over the metric time series: "default" (the binary's availability + latency pair), "" for none, or a spec like "avail,error_ratio,bad=gplusd_faults_injected_total,total=gplusd_requests_total,max=1%,window=1m"; report at /debug/slo`, func(v string) (err error) {
+	fs.Func("slo", `SLO objectives evaluated over the metric time series: "default" (the binary's availability + latency pair), "" for none, or a spec like "avail,error_ratio,bad=gplusd_chaos_faults_total,total=gplusd_requests_total,max=1%,window=1m"; report at /debug/slo`, func(v string) (err error) {
 		c.Objectives, err = series.ObjectivesFlag(v, c.Objectives)
 		return err
 	})

@@ -199,7 +199,7 @@ func TestRegisterFlags(t *testing.T) {
 		t.Errorf(`-slo "" kept %v`, got.Objectives)
 	}
 	got := parse("-obs-dir", "d", "-trace-sample", "0.5", "-sample-interval", "0", "-profile-interval", "10s",
-		"-slo", "avail,error_ratio,bad=gplusd_faults_injected_total,total=gplusd_requests_total,max=1%,window=1m")
+		"-slo", "avail,error_ratio,bad=gplusd_chaos_faults_total,total=gplusd_requests_total,max=1%,window=1m")
 	if got.Dir != "d" || got.Trace.SampleRate != 0.5 || got.Series.Interval != 0 || got.Prof.Interval != 10*time.Second ||
 		len(got.Objectives) != 1 || got.Objectives[0].Name != "avail" {
 		t.Errorf("parsed: %+v", got)

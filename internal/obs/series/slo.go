@@ -278,13 +278,13 @@ func DefaultCrawlObjectives() []Objective {
 }
 
 // DefaultGplusdObjectives are the stock server-side objectives:
-// injected faults (synthetic and chaos) against requests served, and
+// injected chaos faults against requests served, and
 // p99 request latency under 250ms.
 func DefaultGplusdObjectives() []Objective {
 	return []Objective{
 		{
 			Name: "availability", Kind: ErrorRatio,
-			Bad:    []string{"gplusd_faults_injected_total", "gplusd_chaos_faults_total"},
+			Bad:    []string{"gplusd_chaos_faults_total"},
 			Total:  []string{"gplusd_requests_total"},
 			Max:    0.01,
 			Window: time.Minute,
