@@ -16,7 +16,8 @@ all: build vet test race
 
 # check is the conventional entry point for the same gate; the race leg
 # covers the sharded rate limiter, the batched crawl frontier and the
-# study's concurrent structure stages, the
+# study's concurrent, memoised structure stages with the packages that
+# drive them (paper, report, gplusanalyze), the
 # short fuzz leg shakes the checkpoint/journal parser and the triad pass, the hygiene leg
 # gates the metric exposition, the one-durable-writer rule and the
 # every-flag-has-a-recipe rule, the
@@ -56,7 +57,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/ ./internal/obs/ ./internal/obs/prof/ ./internal/obs/rundir/ ./internal/obs/series/ ./internal/obs/trace/ ./cmd/gplusanalyze/ ./cmd/gpluscrawl/ ./internal/crawler/ ./internal/dataset/ ./internal/durable/ ./internal/gplusd/ ./internal/graph/ ./internal/graph/diskcsr/ ./internal/resilience/
+	$(GO) test -race ./internal/core/ ./internal/obs/ ./internal/obs/prof/ ./internal/obs/rundir/ ./internal/obs/series/ ./internal/obs/trace/ ./internal/paper/ ./internal/report/ ./cmd/gplusanalyze/ ./cmd/gpluscrawl/ ./internal/crawler/ ./internal/dataset/ ./internal/durable/ ./internal/gplusd/ ./internal/graph/ ./internal/graph/diskcsr/ ./internal/resilience/
 
 # The metrics-hygiene gate: every family either registry exposes after a
 # faulted crawl must match the Prometheus naming grammar and carry a

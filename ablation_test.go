@@ -37,7 +37,7 @@ func ablationStudy(b *testing.B, mutate func(*synth.Config)) *core.Study {
 		b.Fatal(err)
 	}
 	return core.New(dataset.FromUniverse(u), core.Options{
-		Seed: 5, PathSources: 64, ClusteringSample: 20_000, PairSample: 20_000,
+		Seed: 5, PathSources: 64, PairSample: 20_000,
 	})
 }
 
@@ -216,7 +216,7 @@ func BenchmarkSeedSensitivity(b *testing.B) {
 			b.Fatal(err)
 		}
 		return core.New(dataset.FromCrawl(res), core.Options{
-			Seed: 3, PathSources: 32, ClusteringSample: 5_000, PairSample: 5_000,
+			Seed: 3, PathSources: 32, PairSample: 5_000,
 		})
 	}
 

@@ -40,12 +40,14 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -115,9 +117,9 @@ func sources(fs *flag.FlagSet, usage string, args []string) []string {
 // runTraces is the `gplusanalyze traces` subcommand: offline analysis of
 // trace dumps.
 func runTraces(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("traces", flag.ExitOnError)
-	top := fs.Int("top", 10, "slowest traces to print with full span trees")
-	srcs := sources(fs, `[-top N] run-dir-or-dump.jsonl [more ...]
+	sub := flag.NewFlagSet("traces", flag.ExitOnError)
+	top := sub.Int("top", 10, "slowest traces to print with full span trees")
+	srcs := sources(sub, `[-top N] run-dir-or-dump.jsonl [more ...]
 a run directory (-obs-dir) stands for its traces.jsonl and exemplars.jsonl; dumps also
 come from /debug/traces?format=jsonl; client and server sides of one crawl merge by trace id`, args)
 	var all []*trace.Trace
@@ -135,11 +137,11 @@ come from /debug/traces?format=jsonl; client and server sides of one crawl merge
 // runMetrics is the `gplusanalyze metrics` subcommand: replay a crawl's
 // time-series dump into a crawl health report.
 func runMetrics(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
-	width := fs.Int("width", 60, "sparkline width")
-	sloSpec := fs.String("slo", "default", `SLO objectives to replay over the dump ("default" = the crawl defaults, "" skips SLO replay)`)
-	stallAfter := fs.Int("stall-after", 3, "consecutive zero-throughput ticks (with work queued) that count as a stall")
-	srcs := sources(fs, `[-width N] [-slo spec] run-dir-or-series.jsonl [more ...]
+	sub := flag.NewFlagSet("metrics", flag.ExitOnError)
+	width := sub.Int("width", 60, "sparkline width")
+	sloSpec := sub.String("slo", "default", `SLO objectives to replay over the dump ("default" = the crawl defaults, "" skips SLO replay)`)
+	stallAfter := sub.Int("stall-after", 3, "consecutive zero-throughput ticks (with work queued) that count as a stall")
+	srcs := sources(sub, `[-width N] [-slo spec] run-dir-or-series.jsonl [more ...]
 a run directory (-obs-dir) stands for its series.jsonl; dumps also come from
 /debug/timeseries?format=jsonl; multiple dumps (crawl shards) merge into one report`, args)
 	dump := series.NewDump()
@@ -160,15 +162,15 @@ a run directory (-obs-dir) stands for its series.jsonl; dumps also come from
 // of the continuous-profiling ring of a run directory, or of loose pprof
 // .pb.gz files.
 func runProfiles(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("profiles", flag.ExitOnError)
-	kind := fs.String("kind", "cpu", "capture kind to load from rings: cpu, heap, goroutine, mutex, or block")
-	trigger := fs.String("trigger", "", `only ring captures whose trigger starts with this prefix (e.g. "interval", "slo-page", "stall"); "" = all`)
-	top := fs.Int("top", 20, "rows to print (0 = all)")
-	by := fs.String("by", "flat", "ranking: flat (cost at the leaf), cum (cost anywhere on the stack), or label (aggregate by -label)")
-	label := fs.String("label", "phase", `pprof label key for -by label and labelled diffs (e.g. "phase", "endpoint", "chaos", "worker")`)
-	diffSrc := fs.String("diff", "", "diff mode: comma-separated B-side sources (run directories or .pb.gz files); the positional args are the A side")
-	diffTrig := fs.String("diff-trigger", "", "trigger prefix filter for the -diff B side (default: same as -trigger, so the same ring can be split by trigger)")
-	srcs := sources(fs, `[-kind K] [-trigger T] [-top N] [-by flat|cum|label] [-label key] [-diff sources [-diff-trigger T]] run-dir-or-file [more ...]
+	sub := flag.NewFlagSet("profiles", flag.ExitOnError)
+	kind := sub.String("kind", "cpu", "capture kind to load from rings: cpu, heap, goroutine, mutex, or block")
+	trigger := sub.String("trigger", "", `only ring captures whose trigger starts with this prefix (e.g. "interval", "slo-page", "stall"); "" = all`)
+	top := sub.Int("top", 20, "rows to print (0 = all)")
+	by := sub.String("by", "flat", "ranking: flat (cost at the leaf), cum (cost anywhere on the stack), or label (aggregate by -label)")
+	label := sub.String("label", "phase", `pprof label key for -by label and labelled diffs (e.g. "phase", "endpoint", "chaos", "worker")`)
+	diffSrc := sub.String("diff", "", "diff mode: comma-separated B-side sources (run directories or .pb.gz files); the positional args are the A side")
+	diffTrig := sub.String("diff-trigger", "", "trigger prefix filter for the -diff B side (default: same as -trigger, so the same ring can be split by trigger)")
+	srcs := sources(sub, `[-kind K] [-trigger T] [-top N] [-by flat|cum|label] [-label key] [-diff sources [-diff-trigger T]] run-dir-or-file [more ...]
 sources are run directories (-obs-dir; the ring under profiles/, filtered via its manifest), bare ring
 directories, or single pprof .pb.gz files; e.g. diff steady state against the captures an SLO page triggered, by crawl phase:
   gplusanalyze profiles -by label -trigger interval -diff ./run -diff-trigger slo-page ./run`, args)
@@ -273,9 +275,7 @@ func main() {
 			"traces": runTraces, "metrics": runMetrics, "profiles": runProfiles,
 		}[os.Args[1]]
 		if sub == nil {
-			// A bare first word that is not a known verb used to fall
-			// through to the study runner, which silently ignored it and
-			// analyzed the default dataset — surface the typo instead.
+			// A mistyped verb is not a request to analyze the default dataset.
 			fmt.Fprintf(os.Stderr, "gplusanalyze: unknown subcommand %q (available: traces, metrics, profiles)\n", os.Args[1])
 			os.Exit(2)
 		}
@@ -284,169 +284,169 @@ func main() {
 		}
 		return
 	}
-	var (
-		dataDir   = flag.String("data", "data", "dataset directory (from gpluscrawl or gplusgen)")
-		only      = flag.String("only", "", "comma-separated experiment ids (table1..table5, fig2..fig10, connectivity, motifs, lostedges); empty = all")
-		baselines = flag.Bool("baselines", false, "regenerate Twitter/Facebook/Orkut-like baselines for Table 4")
-		seed      = flag.Uint64("analysis-seed", 2012, "seed for sampled analyses")
-		circleCap = flag.Int("cap", 10_000, "assumed circle cap for the lost-edge estimate")
-		format    = flag.String("format", "text", "output format: text or md (full Markdown report with audit)")
-		plotDir   = flag.String("plotdir", "", "also write gnuplot-ready figure data + plots.gp here")
-		par       = flag.Int("parallelism", 0, "worker goroutines per graph analysis; results are identical for any value (0 = auto: GOMAXPROCS capped at 8)")
-		mmapGraph = flag.Bool("mmap", false, "serve the graph from the memory-mapped v2 file instead of loading it into RAM; results are byte-identical (a legacy dataset holding only a v1 graph.bin loads in RAM instead)")
-	)
-	flag.Parse()
+	if err := run(os.Stdout, os.Stderr, os.Args[1:]); errors.As(err, new(usageError)) {
+		fmt.Fprintf(os.Stderr, "gplusanalyze: %v\n", err)
+		os.Exit(2)
+	} else if err != nil {
+		log.Fatal(err)
+	}
+}
 
+// usageError is a rejected command line: main exits 2 on it, as flag does.
+type usageError struct{ error }
+
+// run is the study runner: everything main does without a subcommand.
+func run(stdout, stderr io.Writer, args []string) error {
+	fs := flag.NewFlagSet("gplusanalyze", flag.ExitOnError)
+	var (
+		dataDir   = fs.String("data", "data", "dataset directory (from gpluscrawl or gplusgen)")
+		baselines = fs.Bool("baselines", false, "regenerate Twitter/Facebook/Orkut-like baselines for Table 4")
+		seed      = fs.Uint64("analysis-seed", 2012, "seed for sampled analyses")
+		circleCap = fs.Int("cap", 10_000, "assumed circle cap for the lost-edge estimate")
+		format    = fs.String("format", "text", "output format: text or md (full Markdown report with audit)")
+		plotDir   = fs.String("plotdir", "", "also write gnuplot-ready figure data + plots.gp here")
+		par       = fs.Int("parallelism", 0, "worker goroutines per graph analysis; results are identical for any value (0 = auto: GOMAXPROCS capped at 8)")
+		mmapGraph = fs.Bool("mmap", false, "serve the graph from the memory-mapped v2 file instead of loading it into RAM; results are byte-identical (a legacy dataset holding only a v1 graph.bin loads in RAM instead)")
+	)
+
+	// The text experiments, in print order. Each calls the per-figure
+	// methods it renders, and a Study computes each structural stage at
+	// most once, so -only pays for exactly the stages its ids name.
+	ctx, w := context.Background(), stdout
+	var study *core.Study // set once the dataset is loaded
+	experiments := []struct {
+		id  string
+		run func() error
+	}{
+		{"table1", func() error { report.Table1(w, study.TopUsers(20)); return nil }},
+		{"table2", func() error { report.Table2(w, study.AttributeTable()); return nil }},
+		{"table3", func() error { report.Table3(w, study.TelUsers()); return nil }},
+		{"table4", func() error {
+			rows := []core.TopologyRow{study.Topology(ctx)}
+			if *baselines {
+				n := max(study.Dataset().NumUsers()/3, 1000)
+				for _, kind := range []synth.Baseline{synth.TwitterLike, synth.FacebookLike, synth.OrkutLike} {
+					g, err := synth.GenerateBaseline(kind, n, *seed)
+					if err != nil {
+						return fmt.Errorf("baseline %v: %w", kind, err)
+					}
+					rows = append(rows, study.BaselineTopology(ctx, kind.String(), g))
+				}
+			}
+			report.Table4(w, rows)
+			return nil
+		}},
+		{"table5", func() error { report.Table5(w, study.TopOccupationsByCountry(10)); return nil }},
+		{"fig2", func() error { report.Fig2(w, study.FieldsShared()); return nil }},
+		{"fig3", func() error {
+			dd, err := study.Degrees()
+			if err == nil {
+				report.Fig3(w, dd)
+			}
+			return err
+		}},
+		{"fig4", func() error { report.Fig4(w, study.Reciprocity(), study.Clustering(), study.SCC()); return nil }},
+		{"fig5", func() error { report.Fig5(w, study.PathLengths(ctx)); return nil }},
+		{"fig6", func() error { report.Fig6(w, study.TopCountries(11)); return nil }},
+		{"fig7", func() error { report.Fig7(w, study.Penetration()); return nil }},
+		{"fig8", func() error { report.Fig8(w, study.FieldsByCountry(nil)); return nil }},
+		{"fig9", func() error { report.Fig9(w, study.PathMiles(), study.AveragePathMiles()); return nil }},
+		{"fig10", func() error { report.Fig10(w, study.CountryLinks()); return nil }},
+		{"connectivity", func() error { report.Connectivity(w, study.WCC(), study.SCC()); return nil }},
+		{"motifs", func() error { m, err := study.Motifs(); report.Motifs(w, m); return err }},
+		{"lostedges", func() error { report.LostEdges(w, study.LostEdges(*circleCap)); return nil }},
+	}
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	only := fs.String("only", "", "comma-separated experiment ids ("+strings.Join(ids, ", ")+"); empty = all")
+	fs.Parse(args) //nolint:errcheck — ExitOnError
+
+	want := map[string]bool{}
+	if *only != "" {
+		for _, id := range strings.Split(*only, ",") {
+			id = strings.TrimSpace(strings.ToLower(id))
+			if !slices.Contains(ids, id) {
+				return usageError{fmt.Errorf("unknown experiment id %q in -only (available: %s)", id, strings.Join(ids, ", "))}
+			}
+			want[id] = true
+		}
+	}
+
+	logger := log.New(stderr, "", log.LstdFlags)
 	ds, err := dataset.LoadWith(*dataDir, dataset.Options{Mapped: *mmapGraph})
 	if err != nil {
-		log.Fatalf("loading dataset: %v", err)
+		return fmt.Errorf("loading dataset: %w", err)
 	}
 	defer ds.Close()
 	backend := "in-RAM"
 	if ds.Graph == nil {
 		backend = "mmap"
 	} else if *mmapGraph {
-		log.Printf("warning: -mmap requested but %s holds only a v1 graph.bin; loaded in RAM (re-save with dataset.SaveV2)", *dataDir)
+		logger.Printf("warning: -mmap requested but %s holds only a v1 graph.bin; loaded in RAM (re-save with dataset.SaveV2)", *dataDir)
 	}
-	log.Printf("dataset: %d users (%d crawled), %d edges (%s graph)",
+	logger.Printf("dataset: %d users (%d crawled), %d edges (%s graph)",
 		ds.NumUsers(), ds.NumCrawled(), ds.View().NumEdges(), backend)
 
-	// The study wraps each analysis stage in an analyze.<stage> span; the
-	// recorder collects them so the per-stage wall-clock breakdown can be
-	// printed after the experiments run.
+	// The study wraps each stage computation in an analyze.<stage> span;
+	// the recorder collects them so the per-stage wall-clock breakdown can
+	// be printed after the experiments run.
 	rec := trace.NewRecorder(0, trace.Rules{})
-	tracer := trace.New(trace.Config{Recorder: rec})
-	study := core.New(ds, core.Options{Seed: *seed, Parallelism: *par, Tracer: tracer})
-	ctx := context.Background()
-	w := os.Stdout
-	defer printStageBreakdown(os.Stderr, rec)
-
-	// The structural analyses (figures 3-5, connectivity, motifs) share
-	// one Structure pass — the plot data, the Markdown report and the text
-	// experiments all read the same result — computed lazily so -only
-	// table1 does not pay for it.
-	var structRes *core.StructureResult
-	structure := func() *core.StructureResult {
-		if structRes == nil {
-			var err error
-			if structRes, err = study.Structure(ctx); err != nil {
-				log.Fatalf("structural analyses: %v", err)
-			}
-		}
-		return structRes
-	}
+	study = core.New(ds, core.Options{Seed: *seed, Parallelism: *par, Tracer: trace.New(trace.Config{Recorder: rec})})
+	defer printStageBreakdown(stderr, rec)
 
 	if *plotDir != "" {
-		if err := report.WritePlotData(*plotDir, study, structure()); err != nil {
-			log.Fatalf("plot data: %v", err)
+		if err := report.WritePlotData(*plotDir, study); err != nil {
+			return fmt.Errorf("plot data: %w", err)
 		}
-		log.Printf("wrote figure data + plots.gp -> %s", *plotDir)
+		logger.Printf("wrote figure data + plots.gp -> %s", *plotDir)
 	}
-
 	if *format == "md" {
-		report.Markdown(ctx, w, study, structure())
-		return
+		return report.Markdown(ctx, w, study)
 	}
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(strings.ToLower(id))] = true
+	if len(want) == 0 {
+		// Every stage is wanted, and Structure is what overlaps them.
+		if _, err := study.Structure(ctx); err != nil {
+			return fmt.Errorf("structural analyses: %w", err)
 		}
 	}
-	run := func(id string, fn func()) {
-		if len(want) > 0 && !want[id] {
-			return
+	for _, e := range experiments {
+		if len(want) > 0 && !want[e.id] {
+			continue
 		}
-		fn()
+		if err := e.run(); err != nil {
+			return fmt.Errorf("%s: %w", e.id, err)
+		}
 		fmt.Fprintln(w)
 	}
-
-	run("table1", func() { report.Table1(w, study.TopUsers(20)) })
-	run("table2", func() { report.Table2(w, study.AttributeTable()) })
-	run("table3", func() { report.Table3(w, study.TelUsers()) })
-	run("table4", func() {
-		rows := []core.TopologyRow{study.Topology(ctx)}
-		if *baselines {
-			n := ds.NumUsers() / 3
-			if n < 1000 {
-				n = 1000
-			}
-			for _, kind := range []synth.Baseline{synth.TwitterLike, synth.FacebookLike, synth.OrkutLike} {
-				g, err := synth.GenerateBaseline(kind, n, *seed)
-				if err != nil {
-					log.Fatalf("baseline %v: %v", kind, err)
-				}
-				rows = append(rows, study.BaselineTopology(ctx, kind.String(), g))
-			}
-		}
-		report.Table4(w, rows)
-	})
-	run("table5", func() { report.Table5(w, study.TopOccupationsByCountry(10)) })
-
-	run("fig2", func() { report.Fig2(w, study.FieldsShared()) })
-	run("fig3", func() { report.Fig3(w, structure().Degrees) })
-	run("fig4", func() {
-		st := structure()
-		report.Fig4(w, st.Reciprocity, st.Clustering, st.SCC)
-	})
-	run("fig5", func() { report.Fig5(w, structure().Paths) })
-	run("fig6", func() { report.Fig6(w, study.TopCountries(11)) })
-	run("fig7", func() { report.Fig7(w, study.Penetration()) })
-	run("fig8", func() { report.Fig8(w, study.FieldsByCountry(nil)) })
-	run("fig9", func() { report.Fig9(w, study.PathMiles(), study.AveragePathMiles()) })
-	run("fig10", func() { report.Fig10(w, study.CountryLinks()) })
-	run("connectivity", func() {
-		st := structure()
-		report.Connectivity(w, st.WCC, st.SCC)
-	})
-	run("motifs", func() { report.Motifs(w, structure().Motifs) })
-	run("lostedges", func() { report.LostEdges(w, study.LostEdges(*circleCap)) })
+	return nil
 }
 
-// printStageBreakdown sums the analyze.<stage> spans the study recorded
-// and prints where the analysis wall-clock went, slowest stage first.
+// printStageBreakdown prints where the analysis wall-clock went, slowest
+// stage first: the analyze.<stage> spans the study recorded, of which a
+// Study leaves at most one per stage.
 func printStageBreakdown(w io.Writer, rec *trace.Recorder) {
-	type stage struct {
-		name  string
-		dur   time.Duration
-		spans int
-	}
-	byName := map[string]*stage{}
+	var stages []*trace.Span
 	for _, tr := range rec.Traces() {
 		for _, sp := range tr.Spans {
-			name, ok := strings.CutPrefix(sp.Name, "analyze.")
-			if !ok || name == "structure" {
-				continue // structure is the parent span; its children carry the detail
+			// structure is the parent span; its children carry the detail.
+			if strings.HasPrefix(sp.Name, "analyze.") && sp.Name != "analyze.structure" {
+				stages = append(stages, sp)
 			}
-			s := byName[name]
-			if s == nil {
-				s = &stage{name: name}
-				byName[name] = s
-			}
-			s.dur += sp.Dur
-			s.spans++
 		}
 	}
-	if len(byName) == 0 {
+	if len(stages) == 0 {
 		return
 	}
-	stages := make([]*stage, 0, len(byName))
-	for _, s := range byName {
-		stages = append(stages, s)
-	}
 	sort.Slice(stages, func(i, j int) bool {
-		if stages[i].dur != stages[j].dur {
-			return stages[i].dur > stages[j].dur
+		if stages[i].Dur != stages[j].Dur {
+			return stages[i].Dur > stages[j].Dur
 		}
-		return stages[i].name < stages[j].name
+		return stages[i].Name < stages[j].Name
 	})
 	fmt.Fprintln(w, "analysis stage wall-clock:")
-	for _, s := range stages {
-		fmt.Fprintf(w, "  %-12s %12s", s.name, s.dur.Round(time.Microsecond))
-		if s.spans > 1 {
-			fmt.Fprintf(w, "  (%d runs)", s.spans)
-		}
-		fmt.Fprintln(w)
+	for _, sp := range stages {
+		fmt.Fprintf(w, "  %-12s %12s\n", strings.TrimPrefix(sp.Name, "analyze."), sp.Dur.Round(time.Microsecond))
 	}
 }

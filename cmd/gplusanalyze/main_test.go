@@ -3,16 +3,20 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"log"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"gplus/internal/crawler"
+	"gplus/internal/dataset"
 	"gplus/internal/gplusd"
 	"gplus/internal/graph"
 	"gplus/internal/obs/prof"
@@ -130,5 +134,57 @@ func TestCutDumpIsAnalyzedWithAWarning(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "1 traces") {
 		t.Errorf("the complete trace was not analyzed:\n%s", out.String())
+	}
+}
+
+// TestOnlyPaysForTheStagesItNames drives the study runner in-process:
+// the stage breakdown of an -only run lists exactly the stages behind
+// the experiments it names, and a mistyped id is a usage error that
+// lists the valid ones instead of an empty report.
+func TestOnlyPaysForTheStagesItNames(t *testing.T) {
+	u, err := synth.Generate(synth.DefaultConfig(2_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := dataset.FromUniverse(u).SaveV2(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		only   string
+		stages []string
+	}{
+		{"fig3", []string{"degrees"}},
+		{"table4", []string{"paths", "reciprocity"}},
+		{"table4,fig5,fig4", []string{"paths", "reciprocity", "scc", "triads"}},
+		{"table1,lostedges", nil},
+		{"", []string{"degrees", "paths", "reciprocity", "scc", "triads", "wcc"}},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(&stdout, &stderr, []string{"-data", dir, "-only", tc.only}); err != nil {
+			t.Fatalf("-only %q: %v", tc.only, err)
+		}
+		if stdout.Len() == 0 {
+			t.Errorf("-only %q printed nothing", tc.only)
+		}
+		var stages []string
+		if _, breakdown, ok := strings.Cut(stderr.String(), "analysis stage wall-clock:\n"); ok {
+			for _, line := range strings.Split(strings.TrimSpace(breakdown), "\n") {
+				stages = append(stages, strings.Fields(line)[0])
+			}
+			sort.Strings(stages)
+		}
+		if !reflect.DeepEqual(stages, tc.stages) {
+			t.Errorf("-only %q computed stages %v, want %v:\n%s", tc.only, stages, tc.stages, stderr.String())
+		}
+	}
+
+	var stdout, stderr bytes.Buffer
+	err = run(&stdout, &stderr, []string{"-data", dir, "-only", "tabel4,fig33"})
+	if !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), `"tabel4"`) || !strings.Contains(err.Error(), "table4, table5, fig2") {
+		t.Errorf("-only tabel4,fig33: err = %v, want a usage error naming the id and the valid ones", err)
+	}
+	if stdout.Len() > 0 {
+		t.Errorf("-only tabel4,fig33 still printed:\n%s", stdout.String())
 	}
 }

@@ -26,10 +26,9 @@ func testStudy(t *testing.T) *Study {
 			panic(err)
 		}
 		studyVal = New(dataset.FromUniverse(u), Options{
-			Seed:             77,
-			PathSources:      64,
-			ClusteringSample: 20_000,
-			PairSample:       20_000,
+			Seed:        77,
+			PathSources: 64,
+			PairSample:  20_000,
 		})
 	})
 	return studyVal

@@ -41,7 +41,7 @@ func TestPartialCrawlReproducesPaperSCCShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := dataset.FromCrawl(res)
-	s := New(ds, Options{Seed: 9, PathSources: 32, ClusteringSample: 5_000, PairSample: 5_000})
+	s := New(ds, Options{Seed: 9, PathSources: 32, PairSample: 5_000})
 
 	if ds.NumCrawled() >= ds.NumUsers() {
 		t.Fatalf("no uncrawled frontier: %d of %d", ds.NumCrawled(), ds.NumUsers())

@@ -66,40 +66,6 @@ func (s *Study) Penetration() []geo.PenetrationPoint {
 	return geo.PenetrationRates(s.usersByCountry())
 }
 
-// PenetrationCorrelation quantifies Figure 7's central observation: GDP
-// per capita correlates strongly with Internet penetration but not with
-// Google+ penetration.
-type PenetrationCorrelation struct {
-	// GDPvsIPR is the rank correlation behind Figure 7(b)'s near-linear
-	// cluster.
-	GDPvsIPR float64
-	// GDPvsGPR is the rank correlation behind Figure 7(a)'s scatter; the
-	// paper observes "we do not see the same trend".
-	GDPvsGPR float64
-	// Countries is the number of countries entering the correlations.
-	Countries int
-}
-
-// PenetrationCorrelations computes the Figure 7 correlation summary.
-func (s *Study) PenetrationCorrelations() (PenetrationCorrelation, error) {
-	pts := s.Penetration()
-	gdp := make([]float64, len(pts))
-	ipr := make([]float64, len(pts))
-	gpr := make([]float64, len(pts))
-	for i, p := range pts {
-		gdp[i], ipr[i], gpr[i] = p.GDPPerCapita, p.IPR, p.GPR
-	}
-	out := PenetrationCorrelation{Countries: len(pts)}
-	var err error
-	if out.GDPvsIPR, err = stats.Spearman(gdp, ipr); err != nil {
-		return out, err
-	}
-	if out.GDPvsGPR, err = stats.Spearman(gdp, gpr); err != nil {
-		return out, err
-	}
-	return out, nil
-}
-
 // CountryOccupations is one row of Table 5.
 type CountryOccupations struct {
 	Country string
@@ -189,17 +155,16 @@ func (s *Study) CountryStructures() []CountryStructure {
 		}
 	})
 	out := make([]CountryStructure, 0, len(paperTop10))
-	for i, c := range paperTop10 {
+	for _, c := range paperTop10 {
 		sub, _ := graph.Induced(s.g, byCountry[c])
-		cs := CountryStructure{
+		out = append(out, CountryStructure{
 			Country:     c,
 			Users:       sub.NumNodes(),
 			Edges:       sub.NumEdges(),
 			AvgDegree:   graph.AvgDegree(sub),
 			Reciprocity: graph.GlobalReciprocity(sub, s.opts.Parallelism),
-		}
-		cs.MeanCC = mean(graph.SampleClustering(sub, s.opts.ClusteringSample, s.rng(20+uint64(i)), s.opts.Parallelism))
-		out = append(out, cs)
+			MeanCC:      mean(graph.AllClustering(sub, s.opts.Parallelism)),
+		})
 	}
 	return out
 }

@@ -38,7 +38,7 @@ func TestStudyMappedMatchesRAM(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ds.Close()
-		s := New(ds, Options{Seed: 7, PathSources: 24, ClusteringSample: 1_000, PairSample: 2_000, Parallelism: 3})
+		s := New(ds, Options{Seed: 7, PathSources: 24, PairSample: 2_000, Parallelism: 3})
 		st, err := s.Structure(context.Background())
 		if err != nil {
 			t.Fatal(err)

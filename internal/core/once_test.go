@@ -1,0 +1,204 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+
+	"gplus/internal/dataset"
+	"gplus/internal/obs/trace"
+	"gplus/internal/synth"
+)
+
+// stageSpans counts the spans a recorder holds by name.
+func stageSpans(rec *trace.Recorder) map[string]int {
+	spans := map[string]int{}
+	for _, tr := range rec.Traces() {
+		for _, sp := range tr.Spans {
+			spans[sp.Name]++
+		}
+	}
+	return spans
+}
+
+// oncePerStage is what a Study leaves in its tracer however it was
+// driven, beside the analyze.structure wrapper of each Structure call.
+func oncePerStage(structures int) map[string]int {
+	want := map[string]int{}
+	for _, stage := range []string{"degrees", "reciprocity", "scc", "wcc", "paths", "triads"} {
+		want["analyze."+stage] = 1
+	}
+	if structures > 0 {
+		want["analyze.structure"] = structures
+	}
+	return want
+}
+
+// perFigure calls the seven per-figure methods and returns what they
+// returned, in StructureResult form.
+func perFigure(ctx context.Context, s *Study) (*StructureResult, error) {
+	dd, err := s.Degrees()
+	if err != nil {
+		return nil, err
+	}
+	m, err := s.Motifs()
+	return &StructureResult{
+		Degrees: dd, Reciprocity: s.Reciprocity(), Clustering: s.Clustering(),
+		SCC: s.SCC(), WCC: s.WCC(), Paths: s.PathLengths(ctx), Motifs: m,
+	}, err
+}
+
+// TestStagesComputedOnce is the memo's contract, over RAM and the mapped
+// dataset at P = 1 and 3: whatever asks first — Topology, Structure, a
+// per-figure method — each structural stage leaves one span and one
+// stage's worth of row reads, every caller sees the same result, and
+// Table 4 is Figures 4(a) and 5 to the bit.
+func TestStagesComputedOnce(t *testing.T) {
+	u, err := synth.Generate(synth.DefaultConfig(2_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := dataset.FromUniverse(u).SaveV2(dir); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, mapped := range []bool{false, true} {
+		ds, err := dataset.LoadWith(dir, dataset.Options{Mapped: mapped})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		for _, par := range []int{1, 3} {
+			t.Run(fmt.Sprintf("mapped=%v/P=%d", mapped, par), func(t *testing.T) {
+				// The reference: a lone Structure on its own Study.
+				lone := New(ds, Options{Seed: 7, PathSources: 32, Parallelism: par})
+				loneView := newCountingView(lone.g)
+				lone.g = loneView
+				want, err := lone.Structure(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				rec := trace.NewRecorder(0, trace.Rules{})
+				s := New(ds, Options{Seed: 7, PathSources: 32, Parallelism: par, Tracer: trace.New(trace.Config{Recorder: rec})})
+				cv := newCountingView(s.g)
+				s.g = cv
+
+				row := s.Topology(ctx)
+				st, err := s.Structure(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fig, err := perFigure(ctx, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if again := s.Topology(ctx); again != row {
+					t.Errorf("second Topology %+v differs from the first %+v", again, row)
+				}
+
+				if !reflect.DeepEqual(st, want) || !reflect.DeepEqual(fig, want) {
+					t.Error("Structure after Topology, or the per-figure methods after both, differ from a lone Structure")
+				}
+				if row.PathLength != fig.Paths.Directed.Mean() || row.Diameter != fig.Paths.DiameterDirected || row.Reciprocity != fig.Reciprocity.Global {
+					t.Errorf("Table 4 (%v, %d, %v) is not Figure 5's (%v, %d) and Figure 4(a)'s %v",
+						row.PathLength, row.Diameter, row.Reciprocity,
+						fig.Paths.Directed.Mean(), fig.Paths.DiameterDirected, fig.Reciprocity.Global)
+				}
+				if got := stageSpans(rec); !reflect.DeepEqual(got, oncePerStage(1)) {
+					t.Errorf("recorded spans %v, want %v", got, oncePerStage(1))
+				}
+				for v := range cv.outs {
+					if cv.outs[v].Load() != loneView.outs[v].Load() || cv.ins[v].Load() != loneView.ins[v].Load() {
+						t.Fatalf("node %d: %d out-row and %d in-row reads, a lone Structure makes %d and %d",
+							v, cv.outs[v].Load(), cv.ins[v].Load(), loneView.outs[v].Load(), loneView.ins[v].Load())
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestStagesComputedOnceConcurrently: sixteen goroutines mixing every
+// entry point on one Study still leave one span per stage and all see
+// the same results (run under -race by `make race`).
+func TestStagesComputedOnceConcurrently(t *testing.T) {
+	u, err := synth.Generate(synth.DefaultConfig(2_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.FromUniverse(u)
+	ctx := context.Background()
+	want, err := New(ds, Options{Seed: 7, PathSources: 32}).Structure(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRow := New(ds, Options{Seed: 7, PathSources: 32}).Topology(ctx)
+
+	rec := trace.NewRecorder(0, trace.Rules{})
+	s := New(ds, Options{Seed: 7, PathSources: 32, Tracer: trace.New(trace.Config{Recorder: rec})})
+	const workers = 16
+	structures := 0
+	var wg sync.WaitGroup
+	for i := range workers {
+		call := perFigure
+		switch i % 4 {
+		case 0:
+			call = func(ctx context.Context, s *Study) (*StructureResult, error) { return s.Structure(ctx) }
+			structures++
+		case 1:
+			call = func(ctx context.Context, s *Study) (*StructureResult, error) {
+				if row := s.Topology(ctx); row != wantRow {
+					t.Errorf("worker %d: Topology %+v, want %+v", i, row, wantRow)
+				}
+				return perFigure(ctx, s)
+			}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, err := call(ctx, s); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("worker %d: results differ from a lone Structure (err %v)", i, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := stageSpans(rec); !reflect.DeepEqual(got, oncePerStage(structures)) {
+		t.Errorf("recorded spans %v, want %v", got, oncePerStage(structures))
+	}
+}
+
+// TestCancelledStageIsNotCached: a paths stage cut short by a cancelled
+// context is returned to that caller only; the next caller with a live
+// context gets the full distribution, and that one is kept.
+func TestCancelledStageIsNotCached(t *testing.T) {
+	u, err := synth.Generate(synth.DefaultConfig(2_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.FromUniverse(u)
+	want := New(ds, Options{Seed: 7, PathSources: 32}).PathLengths(context.Background())
+
+	rec := trace.NewRecorder(0, trace.Rules{})
+	s := New(ds, Options{Seed: 7, PathSources: 32, Tracer: trace.New(trace.Config{Recorder: rec})})
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if cut := s.PathLengths(cancelled); reflect.DeepEqual(cut, want) {
+		t.Fatal("a cancelled context did not cut the path sample short; the test needs a larger graph")
+	}
+	if _, err := s.Structure(cancelled); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if got := s.PathLengths(context.Background()); !reflect.DeepEqual(got, want) {
+			t.Fatal("PathLengths after a cancelled call is not the full distribution")
+		}
+	}
+	// Three computations: the two cut short, and the one that was kept.
+	if got := stageSpans(rec)["analyze.paths"]; got != 3 {
+		t.Errorf("%d analyze.paths spans, want 3", got)
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math/rand/v2"
 	"sync"
 
 	"gplus/internal/graph"
@@ -33,29 +32,29 @@ func (s *Study) Degrees() (DegreeDistributions, error) {
 }
 
 func (s *Study) degrees(ctx context.Context) (DegreeDistributions, error) {
-	_, finish := s.stage(ctx, "degrees")
-	defer finish()
-	inDegs := graph.InDegrees(s.g, s.opts.Parallelism)
-	outDegs := graph.OutDegrees(s.g, s.opts.Parallelism)
-	in := stats.CCDFInts(inDegs)
-	out := stats.CCDFInts(outDegs)
-	inFit, err := stats.FitPowerLawCCDF(in, 1)
-	if err != nil {
-		return DegreeDistributions{}, err
-	}
-	outFit, err := stats.FitPowerLawCCDF(out, 1)
-	if err != nil {
-		return DegreeDistributions{}, err
-	}
-	dd := DegreeDistributions{In: in, Out: out, InFit: inFit, OutFit: outFit}
-	// The MLE cross-check is best-effort: tiny datasets may lack a tail.
-	if a, se, err := stats.FitDegreesMLE(inDegs, degreeMLEXmin); err == nil {
-		dd.InMLE, dd.InMLEErr = a, se
-	}
-	if a, se, err := stats.FitDegreesMLE(outDegs, degreeMLEXmin); err == nil {
-		dd.OutMLE, dd.OutMLEErr = a, se
-	}
-	return dd, nil
+	return once(ctx, s, &s.degreesMemo, "degrees", func(context.Context) (DegreeDistributions, error) {
+		inDegs := graph.InDegrees(s.g, s.opts.Parallelism)
+		outDegs := graph.OutDegrees(s.g, s.opts.Parallelism)
+		in := stats.CCDFInts(inDegs)
+		out := stats.CCDFInts(outDegs)
+		inFit, err := stats.FitPowerLawCCDF(in, 1)
+		if err != nil {
+			return DegreeDistributions{}, err
+		}
+		outFit, err := stats.FitPowerLawCCDF(out, 1)
+		if err != nil {
+			return DegreeDistributions{}, err
+		}
+		dd := DegreeDistributions{In: in, Out: out, InFit: inFit, OutFit: outFit}
+		// The MLE cross-check is best-effort: tiny datasets may lack a tail.
+		if a, se, err := stats.FitDegreesMLE(inDegs, degreeMLEXmin); err == nil {
+			dd.InMLE, dd.InMLEErr = a, se
+		}
+		if a, se, err := stats.FitDegreesMLE(outDegs, degreeMLEXmin); err == nil {
+			dd.OutMLE, dd.OutMLEErr = a, se
+		}
+		return dd, nil
+	})
 }
 
 // WCCResult is the §3.3.4 weak-connectivity check: a bidirectional
@@ -76,14 +75,15 @@ func (s *Study) WCC() WCCResult {
 }
 
 func (s *Study) wcc(ctx context.Context) WCCResult {
-	_, finish := s.stage(ctx, "wcc")
-	defer finish()
-	res := graph.WCC(s.g, s.opts.Parallelism)
-	return WCCResult{
-		Count:         res.Count,
-		GiantSize:     res.GiantSize(),
-		GiantFraction: res.GiantFraction(),
-	}
+	res, _ := once(ctx, s, &s.wccMemo, "wcc", func(context.Context) (WCCResult, error) {
+		res := graph.WCC(s.g, s.opts.Parallelism)
+		return WCCResult{
+			Count:         res.Count,
+			GiantSize:     res.GiantSize(),
+			GiantFraction: res.GiantFraction(),
+		}, nil
+	})
+	return res
 }
 
 // ReciprocityResult is Figure 4(a) plus the Table 4 global figure.
@@ -104,31 +104,32 @@ func (s *Study) Reciprocity() ReciprocityResult {
 }
 
 func (s *Study) reciprocity(ctx context.Context) ReciprocityResult {
-	_, finish := s.stage(ctx, "reciprocity")
-	defer finish()
-	// One scan yields |OS(u) ∩ IS(u)| per node; RR(u) and the global
-	// fraction are both ratios of it.
-	shared := graph.ReciprocalCounts(s.g, s.opts.Parallelism)
-	rrs := make([]float64, 0, len(shared))
-	var reciprocated int64
-	over := 0
-	for u, c := range shared {
-		reciprocated += int64(c)
-		if k := s.g.OutDegree(graph.NodeID(u)); k > 0 {
-			rr := float64(c) / float64(k)
-			if rr > 0.6 {
-				over++
+	res, _ := once(ctx, s, &s.reciprocityMemo, "reciprocity", func(context.Context) (ReciprocityResult, error) {
+		// One scan yields |OS(u) ∩ IS(u)| per node; RR(u) and the global
+		// fraction are both ratios of it.
+		shared := graph.ReciprocalCounts(s.g, s.opts.Parallelism)
+		rrs := make([]float64, 0, len(shared))
+		var reciprocated int64
+		over := 0
+		for u, c := range shared {
+			reciprocated += int64(c)
+			if k := s.g.OutDegree(graph.NodeID(u)); k > 0 {
+				rr := float64(c) / float64(k)
+				if rr > 0.6 {
+					over++
+				}
+				rrs = append(rrs, rr)
 			}
-			rrs = append(rrs, rr)
 		}
-	}
-	res := ReciprocityResult{CDF: stats.CDF(rrs)}
-	if m := s.g.NumEdges(); m > 0 {
-		res.Global = float64(reciprocated) / float64(m)
-	}
-	if len(rrs) > 0 {
-		res.FractionAbove06 = float64(over) / float64(len(rrs))
-	}
+		res := ReciprocityResult{CDF: stats.CDF(rrs)}
+		if m := s.g.NumEdges(); m > 0 {
+			res.Global = float64(reciprocated) / float64(m)
+		}
+		if len(rrs) > 0 {
+			res.FractionAbove06 = float64(over) / float64(len(rrs))
+		}
+		return res, nil
+	})
 	return res
 }
 
@@ -153,8 +154,7 @@ type ClusteringResult struct {
 // the numerators are a by-product of the closed-triple enumeration the
 // motif census runs at any size.
 func (s *Study) Clustering() ClusteringResult {
-	cl, _ := s.triads(context.Background())
-	return cl
+	return s.triads(context.Background()).Clustering
 }
 
 // mean is the in-order arithmetic mean, 0 for no values.
@@ -187,47 +187,53 @@ type MotifResult struct {
 // Motifs computes the exact triangle count and triad census. The error
 // is always nil.
 func (s *Study) Motifs() (MotifResult, error) {
-	_, m := s.triads(context.Background())
-	return m, nil
+	return s.triads(context.Background()).Motifs, nil
 }
 
 // triads is the one stage behind Figure 4(b) and the motif census: one
 // closed-triple enumeration yields the clustering numerator of every
 // node, in id order, and the triangle and triad counts; every figure is
 // a ratio of them.
-func (s *Study) triads(ctx context.Context) (ClusteringResult, MotifResult) {
-	_, finish := s.stage(ctx, "triads")
-	defer finish()
-	res := graph.Triads(s.g, s.opts.Parallelism)
+func (s *Study) triads(ctx context.Context) triadResult {
+	res, _ := once(ctx, s, &s.triadsMemo, "triads", func(context.Context) (triadResult, error) {
+		res := graph.Triads(s.g, s.opts.Parallelism)
 
-	nodes := graph.ClusteringNodes(s.g, 0, nil, s.opts.Parallelism)
-	links := make([]int64, len(nodes))
-	coeffs := make([]float64, len(nodes))
-	over := 0
-	for i, u := range nodes {
-		k := s.g.OutDegree(u)
-		links[i] = res.Links[u]
-		coeffs[i] = float64(links[i]) / float64(k*(k-1))
-		if coeffs[i] > 0.2 {
-			over++
+		nodes := graph.ClusteringNodes(s.g, 0, nil, s.opts.Parallelism)
+		links := make([]int64, len(nodes))
+		coeffs := make([]float64, len(nodes))
+		over := 0
+		for i, u := range nodes {
+			k := s.g.OutDegree(u)
+			links[i] = res.Links[u]
+			coeffs[i] = float64(links[i]) / float64(k*(k-1))
+			if coeffs[i] > 0.2 {
+				over++
+			}
 		}
-	}
-	cl := ClusteringResult{
-		CDF:      stats.CDF(coeffs),
-		Mean:     mean(coeffs),
-		Sampled:  len(nodes),
-		ByDegree: graph.ClusteringByDegree(s.g, nodes, links),
-	}
-	if len(coeffs) > 0 {
-		cl.FractionAbove02 = float64(over) / float64(len(coeffs))
-	}
-	census := res.Census // a copy: the result must not pin the per-node arrays
-	return cl, MotifResult{
-		Census:         &census,
-		TriangleTotal:  res.Triangles.Total,
-		TriangleMethod: res.Triangles.Method,
-		Transitivity:   res.Triangles.Transitivity(),
-	}
+		cl := ClusteringResult{
+			CDF:      stats.CDF(coeffs),
+			Mean:     mean(coeffs),
+			Sampled:  len(nodes),
+			ByDegree: graph.ClusteringByDegree(s.g, nodes, links),
+		}
+		if len(coeffs) > 0 {
+			cl.FractionAbove02 = float64(over) / float64(len(coeffs))
+		}
+		census := res.Census // a copy: the result must not pin the per-node arrays
+		return triadResult{cl, MotifResult{
+			Census:         &census,
+			TriangleTotal:  res.Triangles.Total,
+			TriangleMethod: res.Triangles.Method,
+			Transitivity:   res.Triangles.Transitivity(),
+		}}, nil
+	})
+	return res
+}
+
+// triadResult is the two figures the triads stage yields.
+type triadResult struct {
+	Clustering ClusteringResult
+	Motifs     MotifResult
 }
 
 // SCCResult is Figure 4(c).
@@ -250,19 +256,20 @@ func (s *Study) SCC() SCCResult {
 }
 
 func (s *Study) scc(ctx context.Context) SCCResult {
-	_, finish := s.stage(ctx, "scc")
-	defer finish()
-	res := graph.SCC(s.g)
-	sizes := make([]float64, len(res.Sizes))
-	for i, sz := range res.Sizes {
-		sizes[i] = float64(sz)
-	}
-	return SCCResult{
-		Count:         res.Count,
-		GiantSize:     res.GiantSize(),
-		GiantFraction: res.GiantFraction(),
-		SizeCCDF:      stats.CCDF(sizes),
-	}
+	res, _ := once(ctx, s, &s.sccMemo, "scc", func(context.Context) (SCCResult, error) {
+		res := graph.SCC(s.g)
+		sizes := make([]float64, len(res.Sizes))
+		for i, sz := range res.Sizes {
+			sizes[i] = float64(sz)
+		}
+		return SCCResult{
+			Count:         res.Count,
+			GiantSize:     res.GiantSize(),
+			GiantFraction: res.GiantFraction(),
+			SizeCCDF:      stats.CCDF(sizes),
+		}, nil
+	})
+	return res
 }
 
 // PathLengthResult is Figure 5 plus the Table 4 diameter entries.
@@ -276,39 +283,46 @@ type PathLengthResult struct {
 // PathLengths computes Figure 5 by sampled BFS, the paper's §3.3.5
 // procedure (grow the source sample until the distribution stabilizes).
 func (s *Study) PathLengths(ctx context.Context) PathLengthResult {
-	ctx, finish := s.stage(ctx, "paths")
-	defer finish()
-	opt := graph.PathLengthOptions{
-		MinSources:  s.opts.PathSources / 4,
-		MaxSources:  s.opts.PathSources,
-		Parallelism: s.opts.Parallelism,
-		Rand:        s.rng(3),
-	}
-	res := PathLengthResult{
-		Directed: graph.SamplePathLengths(ctx, s.g, graph.Directed, opt),
-	}
-	opt.Rand = s.rng(4)
-	res.Undirected = graph.SamplePathLengths(ctx, s.g, graph.Undirected, opt)
-	res.DiameterDirected = graph.DoubleSweepDiameter(s.g, graph.Directed, s.opts.DiameterSweeps, s.rng(5), s.opts.Parallelism)
-	res.DiameterUndirected = graph.DoubleSweepDiameter(s.g, graph.Undirected, s.opts.DiameterSweeps, s.rng(6), s.opts.Parallelism)
+	res, _ := once(ctx, s, &s.pathsMemo, "paths", func(ctx context.Context) (PathLengthResult, error) {
+		opt := graph.PathLengthOptions{
+			MinSources:  s.opts.PathSources / 4,
+			MaxSources:  s.opts.PathSources,
+			Parallelism: s.opts.Parallelism,
+			Rand:        s.rng(3),
+		}
+		res := PathLengthResult{
+			Directed: graph.SamplePathLengths(ctx, s.g, graph.Directed, opt),
+		}
+		opt.Rand = s.rng(4)
+		res.Undirected = graph.SamplePathLengths(ctx, s.g, graph.Undirected, opt)
+		res.DiameterDirected = graph.DoubleSweepDiameter(s.g, graph.Directed, diameterSweeps, s.rng(5), s.opts.Parallelism)
+		res.DiameterUndirected = graph.DoubleSweepDiameter(s.g, graph.Undirected, diameterSweeps, s.rng(6), s.opts.Parallelism)
+		return res, nil
+	})
 	return res
 }
 
-// TopologyRow is one row of Table 4.
+// diameterSweeps is the double-sweep restarts behind each diameter bound.
+const diameterSweeps = 4
+
+// TopologyRow is one row of Table 4: the graph's size beside the
+// Figure 5 directed average and diameter bound and the Figure 4(a)
+// global reciprocity — the same measurements, not a second sample.
 type TopologyRow struct {
 	Network        string
 	Nodes          int
 	Edges          int64
 	CrawledPercent float64 // share of nodes whose profile was fetched
-	PathLength     float64 // sampled average directed path length
-	Reciprocity    float64
-	Diameter       int // directed double-sweep lower bound
+	PathLength     float64 // PathLengths().Directed.Mean()
+	Reciprocity    float64 // Reciprocity().Global
+	Diameter       int     // PathLengths().DiameterDirected
 	AvgDegree      float64
 }
 
-// Topology computes the Google+ row of Table 4.
+// Topology assembles the Google+ row of Table 4 from the paths and
+// reciprocity stages.
 func (s *Study) Topology(ctx context.Context) TopologyRow {
-	row := topologyOf(ctx, "Google+", s.g, s.opts, s.rng(7), s.rng(8))
+	row := s.topologyRow(ctx, "Google+")
 	if n := s.ds.NumUsers(); n > 0 {
 		row.CrawledPercent = 100 * float64(s.ds.NumCrawled()) / float64(n)
 	}
@@ -316,28 +330,26 @@ func (s *Study) Topology(ctx context.Context) TopologyRow {
 }
 
 // BaselineTopology computes a Table 4 row for a comparison graph
-// produced by the synth baselines (or any other graph).
+// produced by the synth baselines (or any other graph): the same two
+// stages, untraced, on a throw-away Study over g.
 func (s *Study) BaselineTopology(ctx context.Context, name string, g graph.View) TopologyRow {
-	row := topologyOf(ctx, name, g, s.opts, s.rng(9), s.rng(10))
+	base := &Study{opts: s.opts, g: g}
+	base.opts.Tracer = nil
+	row := base.topologyRow(ctx, name)
 	row.CrawledPercent = 100
 	return row
 }
 
-func topologyOf(ctx context.Context, name string, g graph.View, opts Options, pathRNG, diamRNG *rand.Rand) TopologyRow {
-	dist := graph.SamplePathLengths(ctx, g, graph.Directed, graph.PathLengthOptions{
-		MinSources:  opts.PathSources / 4,
-		MaxSources:  opts.PathSources,
-		Parallelism: opts.Parallelism,
-		Rand:        pathRNG,
-	})
+func (s *Study) topologyRow(ctx context.Context, name string) TopologyRow {
+	paths := s.PathLengths(ctx)
 	return TopologyRow{
 		Network:     name,
-		Nodes:       g.NumNodes(),
-		Edges:       g.NumEdges(),
-		PathLength:  dist.Mean(),
-		Reciprocity: graph.GlobalReciprocity(g, opts.Parallelism),
-		Diameter:    graph.DoubleSweepDiameter(g, graph.Directed, opts.DiameterSweeps, diamRNG, opts.Parallelism),
-		AvgDegree:   graph.AvgDegree(g),
+		Nodes:       s.g.NumNodes(),
+		Edges:       s.g.NumEdges(),
+		PathLength:  paths.Directed.Mean(),
+		Reciprocity: s.reciprocity(ctx).Global,
+		Diameter:    paths.DiameterDirected,
+		AvgDegree:   graph.AvgDegree(s.g),
 	}
 }
 
@@ -353,14 +365,14 @@ type StructureResult struct {
 	Motifs      MotifResult
 }
 
-// Structure runs every structural analysis once, fanning the independent
-// stages out concurrently under a worker budget of min(Parallelism,
+// Structure returns every structural analysis, fanning the stages not
+// yet computed out concurrently under a worker budget of min(Parallelism,
 // #stages); each stage additionally parallelizes internally. Every stage
 // derives its own RNG stream, so the results are identical for any
 // Parallelism — the same contract the graph package promises.
 func (s *Study) Structure(ctx context.Context) (*StructureResult, error) {
-	ctx, finish := s.stage(ctx, "structure")
-	defer finish()
+	ctx, sp := s.opts.Tracer.StartSpan(ctx, "analyze.structure")
+	defer sp.Finish()
 
 	res := &StructureResult{}
 	var degErr error
@@ -370,17 +382,10 @@ func (s *Study) Structure(ctx context.Context) (*StructureResult, error) {
 		func() { res.SCC = s.scc(ctx) },
 		func() { res.WCC = s.wcc(ctx) },
 		func() { res.Paths = s.PathLengths(ctx) },
-		func() { res.Clustering, res.Motifs = s.triads(ctx) },
+		func() { t := s.triads(ctx); res.Clustering, res.Motifs = t.Clustering, t.Motifs },
 	}
 
-	budget := s.opts.Parallelism
-	if budget > len(stages) {
-		budget = len(stages)
-	}
-	if budget < 1 {
-		budget = 1
-	}
-	sem := make(chan struct{}, budget)
+	sem := make(chan struct{}, min(s.opts.Parallelism, len(stages))) // Parallelism >= 1: withDefaults
 	var wg sync.WaitGroup
 	for _, run := range stages {
 		wg.Add(1)

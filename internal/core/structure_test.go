@@ -58,10 +58,9 @@ func TestStructureParallelismInvariant(t *testing.T) {
 	ds := dataset.FromUniverse(u)
 	run := func(par int) *StructureResult {
 		s := New(ds, Options{
-			Seed:             99,
-			PathSources:      32,
-			ClusteringSample: 2_000,
-			Parallelism:      par,
+			Seed:        99,
+			PathSources: 32,
+			Parallelism: par,
 		})
 		st, err := s.Structure(context.Background())
 		if err != nil {
@@ -114,7 +113,7 @@ func TestStructureTimingsAndSpans(t *testing.T) {
 
 // TestClusteringExactPathAndMotifs checks the two per-figure entry
 // points over the triad pass on study data: Figure 4(b) covers every
-// eligible node whatever the configured sample size, its numerators are
+// eligible node, its numerators are
 // graph.ClusteringLinks's, the C(k) curve is filled, and the census and
 // the triangle total describe the same graph.
 func TestClusteringExactPathAndMotifs(t *testing.T) {
@@ -123,7 +122,7 @@ func TestClusteringExactPathAndMotifs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := dataset.FromUniverse(u)
-	s := New(ds, Options{Seed: 11, ClusteringSample: 100})
+	s := New(ds, Options{Seed: 11})
 	cl := s.Clustering()
 	nodes := graph.ClusteringNodes(ds.Graph, 0, nil, 1)
 	if cl.Sampled != len(nodes) {

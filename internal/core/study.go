@@ -12,6 +12,7 @@ import (
 	"context"
 	"math/rand/v2"
 	"runtime"
+	"sync"
 
 	"gplus/internal/dataset"
 	"gplus/internal/graph"
@@ -19,8 +20,17 @@ import (
 )
 
 // Study computes the paper's analyses over one dataset. All methods are
-// deterministic for a fixed Options.Seed. A Study is safe for concurrent
-// use: methods do not mutate shared state and derive their own RNGs.
+// deterministic for a fixed Options.Seed and derive their own RNGs.
+//
+// The six structural stages (degrees, reciprocity, scc, wcc, paths,
+// triads) are memoised: each is computed at most once per Study, by
+// whichever of Structure, the per-figure methods and Topology asks
+// first, so Table 4 is Figures 4(a) and 5 and a caller pays only for the
+// stages it names. Concurrent callers of one stage wait for the one
+// computation. The cached results are shared by every caller and must
+// not be mutated. A stage that ran under a cancelled ctx is returned but
+// not cached: the next call computes it in full. Everything else is
+// recomputed per call and touches no shared state.
 type Study struct {
 	ds   *dataset.Dataset
 	opts Options
@@ -29,32 +39,57 @@ type Study struct {
 	// *graph.Graph or the mmap-backed v2 view. Every analysis goes
 	// through it, so a Study never needs the concrete backend.
 	g graph.View
+
+	degreesMemo     memo[DegreeDistributions]
+	reciprocityMemo memo[ReciprocityResult]
+	sccMemo         memo[SCCResult]
+	wccMemo         memo[WCCResult]
+	pathsMemo       memo[PathLengthResult]
+	triadsMemo      memo[triadResult]
+}
+
+// memo is one structural stage's result once it has been computed.
+type memo[T any] struct {
+	mu   sync.Mutex
+	done bool
+	val  T
+	err  error
+}
+
+// once returns the stage's cached result, or computes it inside one
+// analyze.<name> span while later callers wait on the lock.
+func once[T any](ctx context.Context, s *Study, m *memo[T], name string, compute func(context.Context) (T, error)) (T, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.done {
+		return m.val, m.err
+	}
+	ctx, sp := s.opts.Tracer.StartSpan(ctx, "analyze."+name)
+	defer sp.Finish()
+	val, err := compute(ctx)
+	if ctx.Err() == nil {
+		m.val, m.err, m.done = val, err, true
+	}
+	return val, err
 }
 
 // Options tunes the sampled analyses.
 type Options struct {
-	// Seed drives every sampled analysis (path lengths, per-country
-	// clustering, path miles). Defaults to 2012.
+	// Seed drives every sampled analysis (path lengths, path miles).
+	// Defaults to 2012.
 	Seed uint64
 	// PathSources bounds the BFS sources of the Figure 5 estimate
 	// (default 256; the paper used up to 10,000 on a 35M-node graph).
 	PathSources int
-	// ClusteringSample bounds the node sample behind the per-country
-	// MeanCC of CountryStructures (default 100,000; the paper used one
-	// million for Figure 4(b), which is exact here and does not read it).
-	ClusteringSample int
 	// PairSample bounds each Figure 9 pair population (default 100,000;
 	// the paper used 13-60 million pairs).
 	PairSample int
-	// DiameterSweeps controls the double-sweep diameter bound restarts
-	// (default 4).
-	DiameterSweeps int
 	// Parallelism fans every graph analysis except the serial SCC
 	// (degrees, reciprocity, clustering, WCC, triangles, BFS sampling) out
 	// over this many goroutines (default: up to 8, bounded by GOMAXPROCS).
 	// Results are identical for any value.
 	Parallelism int
-	// Tracer, when non-nil, wraps each analysis stage in a span named
+	// Tracer, when non-nil, wraps each stage computation in a span named
 	// analyze.<stage>, so the per-stage wall-clock breakdown can be read
 	// back from the tracer's flight recorder. A nil Tracer is free.
 	Tracer *trace.Tracer
@@ -67,14 +102,8 @@ func (o Options) withDefaults() Options {
 	if o.PathSources <= 0 {
 		o.PathSources = 256
 	}
-	if o.ClusteringSample <= 0 {
-		o.ClusteringSample = 100_000
-	}
 	if o.PairSample <= 0 {
 		o.PairSample = 100_000
-	}
-	if o.DiameterSweeps <= 0 {
-		o.DiameterSweeps = 4
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
@@ -96,13 +125,6 @@ func (s *Study) Dataset() *dataset.Dataset { return s.ds }
 // rng derives an independent deterministic stream per analysis.
 func (s *Study) rng(stream uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(s.opts.Seed, s.opts.Seed^(stream*0x9e3779b97f4a7c15+stream)))
-}
-
-// stage wraps one analysis stage in a tracer span (analyze.<name>),
-// ended by the returned finish func.
-func (s *Study) stage(ctx context.Context, name string) (context.Context, func()) {
-	ctx, sp := s.opts.Tracer.StartSpan(ctx, "analyze."+name)
-	return ctx, sp.Finish
 }
 
 // eachCrawled visits every crawled profile with its node id.

@@ -64,18 +64,12 @@ type Results struct {
 
 // Collect runs every analysis a verification needs.
 func Collect(ctx context.Context, s *core.Study) (*Results, error) {
-	// The structural analyses run once through Structure, which fans the
-	// independent stages out under the study's parallelism budget.
+	// The structural analyses go through Structure, which fans the stages
+	// s has not computed yet out under the study's parallelism budget.
 	st, err := s.Structure(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("paper: structural analyses: %w", err)
 	}
-	return CollectFrom(ctx, s, st), nil
-}
-
-// CollectFrom is Collect for a caller that already holds st, the
-// Structure result of s.
-func CollectFrom(ctx context.Context, s *core.Study, st *core.StructureResult) *Results {
 	r := &Results{
 		Attr:        map[profile.Attr]float64{},
 		Countries:   map[string]float64{},
@@ -106,7 +100,7 @@ func CollectFrom(ctx context.Context, s *core.Study, st *core.StructureResult) *
 	for _, country := range []string{"ID", "MX", "US", "DE"} {
 		r.Openness[country] = s.OpennessScore(country, 6)
 	}
-	return r
+	return r, nil
 }
 
 // Checks returns every verifiable claim.

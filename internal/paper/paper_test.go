@@ -47,7 +47,7 @@ func TestEvaluateOnCalibratedUniverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	study := core.New(dataset.FromUniverse(u), core.Options{
-		Seed: 2012, PathSources: 64, ClusteringSample: 20_000, PairSample: 20_000,
+		Seed: 2012, PathSources: 64, PairSample: 20_000,
 	})
 	results, err := Collect(context.Background(), study)
 	if err != nil {
@@ -87,7 +87,7 @@ func TestEvaluateDetectsBrokenWorld(t *testing.T) {
 		t.Fatal(err)
 	}
 	study := core.New(dataset.FromUniverse(u), core.Options{
-		Seed: 1, PathSources: 32, ClusteringSample: 10_000, PairSample: 10_000,
+		Seed: 1, PathSources: 32, PairSample: 10_000,
 	})
 	results, err := Collect(context.Background(), study)
 	if err != nil {

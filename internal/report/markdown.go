@@ -14,15 +14,16 @@ import (
 // Markdown renders a complete study as a Markdown document in the style
 // of EXPERIMENTS.md: a dataset summary, the paper-versus-measured audit,
 // and the principal tables. It is what `gplusanalyze -format md` emits.
-// st is s's Structure result, computed by the caller so that a run that
-// also writes plot data computes it once.
-func Markdown(ctx context.Context, w io.Writer, s *core.Study, st *core.StructureResult) {
+func Markdown(ctx context.Context, w io.Writer, s *core.Study) error {
 	ds := s.Dataset()
 	fmt.Fprintf(w, "# Google+ reproduction report\n\n")
 	fmt.Fprintf(w, "Dataset: %d users (%d crawled), %d edges.\n\n",
 		ds.NumUsers(), ds.NumCrawled(), ds.View().NumEdges())
 
-	results := paper.CollectFrom(ctx, s, st)
+	results, err := paper.Collect(ctx, s)
+	if err != nil {
+		return err
+	}
 
 	// The audit table.
 	fmt.Fprintf(w, "## Audit against the published findings\n\n")
@@ -150,4 +151,5 @@ func Markdown(ctx context.Context, w io.Writer, s *core.Study, st *core.Structur
 		}
 		fmt.Fprintln(w)
 	}
+	return nil
 }

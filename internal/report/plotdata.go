@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -31,10 +32,11 @@ import (
 //	fig4b_ck.dat                         exact C(k) curve
 //	motifs.dat                           directed triad census
 //	plots.gp                             gnuplot script
-//
-// st is s's Structure result (every figure-3/4/5 series), computed by
-// the caller so that a run that also prints a report computes it once.
-func WritePlotData(dir string, s *core.Study, st *core.StructureResult) error {
+func WritePlotData(dir string, s *core.Study) error {
+	st, err := s.Structure(context.Background())
+	if err != nil {
+		return err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -51,29 +53,19 @@ func WritePlotData(dir string, s *core.Study, st *core.StructureResult) error {
 		return f.Close()
 	}
 
-	fc := s.FieldsShared()
-	if err := writeSeries("fig2_all.dat", fc.All); err != nil {
-		return err
-	}
-	if err := writeSeries("fig2_tel.dat", fc.Tel); err != nil {
-		return err
-	}
-
-	if err := writeSeries("fig3_in.dat", st.Degrees.In); err != nil {
-		return err
-	}
-	if err := writeSeries("fig3_out.dat", st.Degrees.Out); err != nil {
-		return err
-	}
-
-	if err := writeSeries("fig4a_rr.dat", st.Reciprocity.CDF); err != nil {
-		return err
-	}
-	if err := writeSeries("fig4b_cc.dat", st.Clustering.CDF); err != nil {
-		return err
-	}
-	if err := writeSeries("fig4c_scc.dat", st.SCC.SizeCCDF); err != nil {
-		return err
+	fc, pm := s.FieldsShared(), s.PathMiles()
+	for _, series := range []struct {
+		name string
+		pts  []stats.Point
+	}{
+		{"fig2_all.dat", fc.All}, {"fig2_tel.dat", fc.Tel},
+		{"fig3_in.dat", st.Degrees.In}, {"fig3_out.dat", st.Degrees.Out},
+		{"fig4a_rr.dat", st.Reciprocity.CDF}, {"fig4b_cc.dat", st.Clustering.CDF}, {"fig4c_scc.dat", st.SCC.SizeCCDF},
+		{"fig9a_friends.dat", pm.FriendsCDF}, {"fig9a_reciprocal.dat", pm.ReciprocalCDF}, {"fig9a_random.dat", pm.RandomCDF},
+	} {
+		if err := writeSeries(series.name, series.pts); err != nil {
+			return err
+		}
 	}
 
 	if err := writeHops(filepath.Join(dir, "fig5_directed.dat"), st.Paths.Directed.Probability()); err != nil {
@@ -91,17 +83,6 @@ func WritePlotData(dir string, s *core.Study, st *core.StructureResult) error {
 		if err := writeSeries(fmt.Sprintf("fig8_%s.dat", row.Country), row.CCDF); err != nil {
 			return err
 		}
-	}
-
-	pm := s.PathMiles()
-	if err := writeSeries("fig9a_friends.dat", pm.FriendsCDF); err != nil {
-		return err
-	}
-	if err := writeSeries("fig9a_reciprocal.dat", pm.ReciprocalCDF); err != nil {
-		return err
-	}
-	if err := writeSeries("fig9a_random.dat", pm.RandomCDF); err != nil {
-		return err
 	}
 
 	if err := writeMatrix(filepath.Join(dir, "fig10_matrix.dat"), s.CountryLinks()); err != nil {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -13,14 +14,14 @@ import (
 	"gplus/internal/dataset"
 	"gplus/internal/graph"
 	"gplus/internal/obs/trace"
+	"gplus/internal/paper"
 	"gplus/internal/stats"
 	"gplus/internal/synth"
 )
 
 var (
-	repOnce, repStructOnce sync.Once
-	repStudy               *core.Study
-	repStruct              *core.StructureResult
+	repOnce  sync.Once
+	repStudy *core.Study
 )
 
 func study(t *testing.T) *core.Study {
@@ -31,7 +32,7 @@ func study(t *testing.T) *core.Study {
 			panic(err)
 		}
 		repStudy = core.New(dataset.FromUniverse(u), core.Options{
-			Seed: 3, PathSources: 32, ClusteringSample: 4_000, PairSample: 4_000,
+			Seed: 3, PathSources: 32, PairSample: 4_000,
 		})
 	})
 	return repStudy
@@ -136,23 +137,11 @@ func TestFigureRenderers(t *testing.T) {
 	}
 }
 
-// structure is the shared study's Structure result, computed once as
-// cmd/gplusanalyze does.
-func structure(t *testing.T) *core.StructureResult {
-	t.Helper()
-	s := study(t)
-	repStructOnce.Do(func() {
-		var err error
-		if repStruct, err = s.Structure(context.Background()); err != nil {
-			panic(err)
-		}
-	})
-	return repStruct
-}
-
 func TestMarkdownReport(t *testing.T) {
 	var sb strings.Builder
-	Markdown(context.Background(), &sb, study(t), structure(t))
+	if err := Markdown(context.Background(), &sb, study(t)); err != nil {
+		t.Fatal(err)
+	}
 	out := sb.String()
 	for _, want := range []string{
 		"# Google+ reproduction report",
@@ -179,7 +168,7 @@ func TestMarkdownReport(t *testing.T) {
 
 func TestWritePlotData(t *testing.T) {
 	dir := t.TempDir()
-	if err := WritePlotData(dir, study(t), structure(t)); err != nil {
+	if err := WritePlotData(dir, study(t)); err != nil {
 		t.Fatalf("WritePlotData: %v", err)
 	}
 	for _, name := range []string{
@@ -202,8 +191,11 @@ func TestWritePlotData(t *testing.T) {
 }
 
 // TestPlotDataAndMarkdownShareOneStructure pins the -plotdir fix: plot
-// data plus the Markdown report (audit included) of one study leave one
-// analyze.structure span, the caller's.
+// data, the audit's Collect and the Markdown report (audit included) of
+// one study, in any order and beside the per-figure calls of the text
+// experiments, compute each structural stage once — one analyze.<stage>
+// span each — because the Study remembers it, not because a caller
+// threads a result through.
 func TestPlotDataAndMarkdownShareOneStructure(t *testing.T) {
 	u, err := synth.Generate(synth.DefaultConfig(2_000))
 	if err != nil {
@@ -214,24 +206,33 @@ func TestPlotDataAndMarkdownShareOneStructure(t *testing.T) {
 		Seed: 3, PathSources: 16, PairSample: 1_000, Tracer: trace.New(trace.Config{Recorder: rec}),
 	})
 	ctx := context.Background()
-	st, err := s.Structure(ctx)
+	row := s.Topology(ctx)
+	if err := WritePlotData(t.TempDir(), s); err != nil {
+		t.Fatal(err)
+	}
+	results, err := paper.Collect(ctx, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WritePlotData(t.TempDir(), s, st); err != nil {
+	if err := Markdown(ctx, io.Discard, s); err != nil {
 		t.Fatal(err)
 	}
-	Markdown(ctx, io.Discard, s, st)
-	structures := 0
+	if results.Topology != row || row.PathLength != results.Paths.Directed.Mean() || row.Reciprocity != results.Reciprocity.Global {
+		t.Errorf("Table 4 row %+v is not the audit's %+v read off Figures 4(a) and 5", row, results.Topology)
+	}
+	spans := map[string]int{}
 	for _, tr := range rec.Traces() {
 		for _, sp := range tr.Spans {
-			if sp.Name == "analyze.structure" {
-				structures++
-			}
+			spans[sp.Name]++
 		}
 	}
-	if structures != 1 {
-		t.Fatalf("plot data + Markdown report ran Structure %d times, want once", structures)
+	delete(spans, "analyze.structure") // the fan-out wrapper, once per caller
+	want := map[string]int{}
+	for _, stage := range []string{"degrees", "reciprocity", "scc", "wcc", "paths", "triads"} {
+		want["analyze."+stage] = 1
+	}
+	if !reflect.DeepEqual(spans, want) {
+		t.Fatalf("plot data + audit + Markdown report recorded spans %v, want one per stage", spans)
 	}
 }
 
