@@ -66,8 +66,9 @@ race:
 # (and bench/) calls os.Rename or os.CreateTemp or opens a file
 # O_APPEND, so a second copy of the write-fsync-rename protocol or of
 # the append log cannot land unnoticed. The flags gate fails if
-# gpluscrawl, gplusd, gplusanalyze, gplusgen or gplusverify registers a
-# flag that no README.md, EXPERIMENTS.md or Makefile recipe names.
+# gpluscrawl, gplusd, gplusanalyze, gplusgen, gplusverify or gpluslab
+# registers a flag that no README.md, EXPERIMENTS.md or Makefile recipe
+# names.
 hygiene:
 	$(GO) test -count=1 -run TestMetricsHygiene ./internal/crawler/
 	$(GO) test -count=1 -run TestDurableWriteHygiene ./internal/durable/

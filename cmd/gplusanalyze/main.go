@@ -20,10 +20,10 @@
 //
 //	gplusanalyze traces [-top N] run-dir [server-run-dir | dump.jsonl ...]
 //
-// metrics replays the metric time series into a crawl health report:
-// the throughput curve, the error-rate timeline with spike spans, stall
-// detection, and the violation spans of the SLO objectives re-evaluated
-// at every recorded tick.
+// metrics replays the metric time series of a gpluscrawl or gplusd run
+// into the health report gpluscrawl's progress line and -dash render
+// live: throughput curve, error-rate timeline with spike spans, stalls,
+// and the SLO objectives' violation spans re-evaluated at every tick.
 //
 //	gplusanalyze metrics [-width N] [-slo spec] run-dir [shard2-run-dir ...]
 //
@@ -134,13 +134,13 @@ come from /debug/traces?format=jsonl; client and server sides of one crawl merge
 	return trace.Analyze(all, *top).WriteText(w)
 }
 
-// runMetrics is the `gplusanalyze metrics` subcommand: replay a crawl's
-// time-series dump into a crawl health report.
+// runMetrics is the `gplusanalyze metrics` subcommand: replay a run's
+// time-series dump into its health report.
 func runMetrics(w io.Writer, args []string) error {
 	sub := flag.NewFlagSet("metrics", flag.ExitOnError)
 	width := sub.Int("width", 60, "sparkline width")
-	sloSpec := sub.String("slo", "default", `SLO objectives to replay over the dump ("default" = the crawl defaults, "" skips SLO replay)`)
-	stallAfter := sub.Int("stall-after", 3, "consecutive zero-throughput ticks (with work queued) that count as a stall")
+	sloSpec := sub.String("slo", "default", `SLO objectives to replay over the dump ("default" = those of the binary that wrote it, "" skips SLO replay)`)
+	stallAfter := sub.Int("stall-after", 3, "consecutive ticks without a page fetched (with work queued) that count as a stall")
 	srcs := sources(sub, `[-width N] [-slo spec] run-dir-or-series.jsonl [more ...]
 a run directory (-obs-dir) stands for its series.jsonl; dumps also come from
 /debug/timeseries?format=jsonl; multiple dumps (crawl shards) merge into one report`, args)
@@ -148,13 +148,13 @@ a run directory (-obs-dir) stands for its series.jsonl; dumps also come from
 	if err := readEach(srcs, []string{rundir.SeriesFile}, dump.ReadJSONL); err != nil {
 		return err
 	}
-	// A nil objective set replays the crawl defaults, an empty one none.
-	objs, err := series.ObjectivesFlag(*sloSpec, nil)
-	if err != nil {
+	sig := series.SignalsFor(dump) // a crawl's or a gplusd's, by the families in the dump: rows and default objectives follow
+	sig.StallAfter = *stallAfter
+	var err error
+	if sig.Objectives, err = series.ObjectivesFlag(*sloSpec, sig.Objectives); err != nil {
 		return fmt.Errorf("parsing -slo: %w", err)
 	}
-	opts := series.ReportOptions{Width: *width, StallAfter: *stallAfter, Objectives: objs}
-	series.BuildReport(dump, opts).WriteText(w, *width)
+	series.BuildReport(dump, sig).WriteText(w, *width)
 	return nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -94,8 +95,8 @@ func TestRunDirectoryEndToEnd(t *testing.T) {
 	}
 
 	metrics := analyze(func(w *bytes.Buffer) error { return runMetrics(w, []string{dir}) })
-	if m := regexp.MustCompile(`peak ([0-9.]+)/s  total ([0-9]+) profiles`).FindStringSubmatch(metrics); m == nil || m[1] == "0.00" || m[2] == "0" {
-		t.Errorf("metrics: empty throughput curve:\n%s", metrics)
+	if m := regexp.MustCompile(`peak ([0-9.]+)/s  total ([0-9]+) profiles`).FindStringSubmatch(metrics); m == nil || m[1] == "0.00" || m[2] != strconv.Itoa(res.Stats.ProfilesCrawled) {
+		t.Errorf("metrics: throughput curve does not count the %d profiles crawled:\n%s", res.Stats.ProfilesCrawled, metrics)
 	}
 
 	traces := analyze(func(w *bytes.Buffer) error { return runTraces(w, []string{"-top", "1", dir}) })
@@ -113,6 +114,59 @@ func TestRunDirectoryEndToEnd(t *testing.T) {
 	}
 	t.Logf("gplusanalyze metrics %s:\n%s", dir, metrics)
 	t.Logf("gplusanalyze profiles -by label -label phase %s:\n%s", dir, profiles)
+}
+
+// TestMetricsOnAGplusdRunDirectory: the directory a gplusd -obs-dir run
+// leaves is read as what it is — requests served against injected
+// faults, under the server's objectives — and not as a crawl that
+// fetched nothing. Which one it is comes from the families in the dump.
+func TestMetricsOnAGplusdRunDirectory(t *testing.T) {
+	cfg := synth.DefaultConfig(200)
+	cfg.Seed = 20
+	u, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	run, err := rundir.Start(rundir.Config{
+		Dir:        dir,
+		Series:     series.Options{Interval: 10 * time.Millisecond},
+		Objectives: series.DefaultGplusdObjectives(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := gplusd.New(u, gplusd.Options{Metrics: run.Registry})
+	const served = 37
+	for i := 0; i < served; i++ {
+		srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/people/"+u.IDs[i], nil))
+		if i%10 == 0 {
+			time.Sleep(15 * time.Millisecond) // spread the requests over a few ticks
+		}
+	}
+	if err := run.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := runMetrics(&out, []string{dir}); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"gplusd health", "requests/s", "total 37 requests", "p99(gplusd_request_seconds)", "gplusd_chaos_faults_total / gplusd_requests_total"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, &out)
+		}
+	}
+	if strings.Contains(out.String(), "frontier") || strings.Contains(out.String(), "gplusapi_") {
+		t.Errorf("a gplusd run reported as a crawl:\n%s", &out)
+	}
+	// An explicit -slo still wins over the detected defaults.
+	out.Reset()
+	if err := runMetrics(&out, []string{"-slo", "mine,latency,hist=gplusd_request_seconds,q=0.5,max=1s", dir}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "mine") || strings.Contains(out.String(), "availability") {
+		t.Errorf("-slo did not replace the default objectives:\n%s", &out)
+	}
 }
 
 // TestCutDumpIsAnalyzedWithAWarning: a dump whose last record has no

@@ -21,14 +21,16 @@
 // With -metrics-addr it serves live crawler telemetry (/metrics in
 // Prometheus text, /debug/vars, /debug/pprof/, and /debug/timeseries —
 // in-process metric history sampled every -sample-interval) while the
-// crawl runs, and -progress emits a periodic structured progress line
-// with a frontier-drain ETA — the operational view the paper's 45-day
-// crawl depended on.
+// crawl runs. Every sample, one health report (series.BuildReport) is
+// built over the trailing window of that history; -progress logs its
+// last tick as a structured line with a frontier-drain ETA — the
+// operational view the paper's 45-day crawl depended on — and a report
+// that shows a stall beginning fires a profile capture.
 //
-// -dash replaces the progress lines with a live ANSI dashboard on
-// stdout: sparkline panels for throughput, edge discovery, frontier
-// depth, and API errors, plus headline counters and the burn-rate state
-// of the -slo objectives (logs keep flowing to stderr).
+// -dash draws the same report on stdout as a live ANSI dashboard
+// instead: what `gplusanalyze metrics` prints of the run afterwards
+// (sparkline rows, error spikes, stalls, the burn-rate state of the -slo
+// objectives), as it happens (logs keep flowing to stderr).
 //
 // -obs-dir names the run directory every signal is spooled into (layout
 // in package rundir): exemplar traces and the profile ring as the crawl
@@ -70,7 +72,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -107,17 +108,22 @@ func run(ctx context.Context, args []string) error {
 		abortErrs   = fs.Int("abort-errors", 0, "stop after this many permanent fetch failures (0 = never)")
 		politeness  = fs.Duration("politeness", 0, "pause between requests per worker (e.g. 50ms)")
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof/ and /debug/traces on this address while crawling (empty disables)")
-		progress    = fs.Duration("progress", 10*time.Second, "interval between progress lines (0 emits only the final summary)")
-		dashOn      = fs.Bool("dash", false, "render a live terminal dashboard on stdout (sparkline throughput/frontier/error panels, SLO state) instead of periodic progress lines")
+		progress    = fs.Duration("progress", 10*time.Second, "interval between progress lines (0 logs only the closing summary); three intervals without a page fetched while ids stay queued is a stall and fires a profile capture")
+		dashOn      = fs.Bool("dash", false, "draw the live health report on stdout as a terminal dashboard (sparkline throughput/frontier/error rows, stalls, SLO state) instead of periodic progress lines")
 		resilient   = fs.Bool("resilience", false, "arm adaptive overload handling: AIMD worker-concurrency adaptation, a shared retry budget, per-endpoint circuit breakers, and requeue-on-overload instead of counting sheds as failures")
 		attemptTO   = fs.Duration("attempt-timeout", 0, "per-attempt request deadline, propagated to gplusd via X-Gplus-Deadline (0 disables; requires -resilience)")
 	)
-	obsCfg := rundir.Config{Objectives: series.DefaultCrawlObjectives()}
+	sig := series.CrawlSignals()
+	obsCfg := rundir.Config{Objectives: sig.Objectives}
 	obsCfg.RegisterFlags(fs)
 	fs.Parse(args) //nolint:errcheck — ExitOnError
 
 	if *attemptTO > 0 && !*resilient {
 		return errors.New("-attempt-timeout requires -resilience")
+	}
+	watch := *progress > 0 || *dashOn
+	if watch && obsCfg.Series.Interval <= 0 {
+		return errors.New("-progress and -dash read the sampled series: they require -sample-interval > 0")
 	}
 	if *metricsAddr != "" {
 		obsCfg.Name = "gpluscrawl" // the expvar name: /debug/vars is served on -metrics-addr only
@@ -126,17 +132,11 @@ func run(ctx context.Context, args []string) error {
 	// The whole observability stack and its spool into -obs-dir. Sampling
 	// starts here, before the seed fetch: a service that is down when the
 	// crawl launches shows up as 503/retry series from the first request.
-	if obsCfg.Dir == "" && *metricsAddr == "" && !*dashOn {
-		obsCfg.Series.Interval = 0 // nothing would read the series: no collector, no SLO engine
-	}
 	obsRun, err := rundir.Start(obsCfg)
 	if err != nil {
 		return fmt.Errorf("starting observability: %w", err)
 	}
-	reg, collector, eng := obsRun.Registry, obsRun.Collector, obsRun.Engine
-	if *dashOn && collector == nil {
-		return errors.New("-dash requires -sample-interval > 0")
-	}
+	reg, collector := obsRun.Registry, obsRun.Collector
 
 	if *metricsAddr != "" {
 		ln, err := net.Listen("tcp", *metricsAddr)
@@ -225,31 +225,32 @@ func run(ctx context.Context, args []string) error {
 	}
 	log.Printf("journaling live crawl state -> %s (flush+fsync every %v), edges -> %s", *journal, *flushEvery, segDir)
 
-	// With -dash the periodic progress line would scribble over the
-	// dashboard: capture it instead and render it inside the dash frame
-	// (the final summary still goes to the log, which writes to stderr
-	// while the dashboard owns stdout).
-	var onProgress func(crawler.Progress)
-	if *dashOn {
-		var progMu sync.Mutex
-		var lastProgress crawler.Progress
-		onProgress = func(p crawler.Progress) {
-			progMu.Lock()
-			lastProgress = p
-			progMu.Unlock()
-			if p.Final {
-				log.Print(p)
-			}
+	// The live view: one report per sample, rendered as a progress line
+	// every -progress or as a dashboard frame (which would be scribbled
+	// over by progress lines; the log goes to stderr, the frame to stdout).
+	var health *series.HealthReport // the latest; main reads it once sampling has stopped
+	printed := time.Now()           // the tick of the last progress line logged
+	if watch {
+		sig.Objectives = obsCfg.Objectives
+		// The stall rule counts ticks: as many as three progress intervals span.
+		if n := int(3 * *progress / collector.Interval()); n > sig.StallAfter {
+			sig.StallAfter = n
 		}
-		dash := series.NewDash(collector, eng, os.Stdout, series.DashOptions{Extra: func() []string {
-			progMu.Lock()
-			defer progMu.Unlock()
-			if lastProgress.Elapsed == 0 {
-				return nil
+		dash := series.NewDash(os.Stdout)
+		series.Watch(collector, sig, func(r *series.HealthReport) {
+			health = r
+			if r.StallOnset {
+				log.Printf("crawl stalled (no page fetched for %d ticks with ids queued); capturing profile dump", sig.StallAfter)
+				obsRun.Profiler.Trigger("stall")
 			}
-			return []string{lastProgress.String()}
-		}})
-		collector.OnSample(dash.Frame)
+			switch {
+			case *dashOn:
+				dash.Frame(r)
+			case r.End.Sub(printed) >= *progress:
+				log.Print(r.ProgressLine())
+				printed = r.End
+			}
+		})
 	}
 
 	var resCfg *crawler.ResilienceConfig
@@ -280,25 +281,19 @@ func run(ctx context.Context, args []string) error {
 		Resume:           prev,
 		Journal:          jrnl,
 		Metrics:          reg,
-		ProgressInterval: *progress,
-		OnProgress:       onProgress,
-		// Three intervals of zero throughput with a non-empty frontier is
-		// a stall; the goroutine dump it triggers shows where every
-		// worker is wedged.
-		StallAfter: 3,
-		OnStall: func(p crawler.Progress) {
-			log.Printf("crawl stalled (frontier=%d, no profiles for 3 intervals); capturing profile dump", p.Frontier)
-			obsRun.Profiler.Trigger("stall")
-		},
-		Tracer:     obsRun.Tracer,
-		Resilience: resCfg,
-		EdgeSink:   sink,
+		Tracer:           obsRun.Tracer,
+		Resilience:       resCfg,
+		EdgeSink:         sink,
 	})
 	if cerr := jrnl.Close(); cerr != nil {
 		log.Printf("journal error (crawl state may be incomplete on disk): %v", cerr)
 	}
-	if cerr := obsRun.Close(); cerr != nil {
-		log.Printf("completing -obs-dir: %v", cerr)
+	obsErr := obsRun.Close() // takes the last sample: health is now where the crawl ended
+	if health != nil && !health.End.Equal(printed) {
+		log.Print(health.ProgressLine())
+	}
+	if obsErr != nil {
+		log.Printf("completing -obs-dir: %v", obsErr)
 	} else if dir := obsCfg.Dir; dir != "" {
 		log.Printf("run directory complete -> %s (read it with: gplusanalyze metrics|traces|profiles %s)", dir, dir)
 	}

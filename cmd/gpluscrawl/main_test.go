@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -19,7 +20,9 @@ import (
 // TestRerunResumesToTheSameDataset drives the command itself, twice,
 // into one -out: the first run crawls a small service to completion, the
 // second finds the journal, replays it into fresh segments, fetches no
-// profile, and must leave a byte-identical dataset behind.
+// profile, and must leave a byte-identical dataset behind. Both log
+// progress lines off the sampled series; the last one of a session must
+// count the profiles its closing summary does.
 func TestRerunResumesToTheSameDataset(t *testing.T) {
 	cfg := synth.DefaultConfig(300)
 	cfg.Seed = 18
@@ -41,7 +44,7 @@ func TestRerunResumesToTheSameDataset(t *testing.T) {
 	session := func() (written map[string][]byte, profileFetches int64) {
 		t.Helper()
 		logged.Reset()
-		if err := run(context.Background(), []string{"-url", ts.URL, "-out", out, "-workers", "4", "-progress", "0"}); err != nil {
+		if err := run(context.Background(), []string{"-url", ts.URL, "-out", out, "-workers", "4", "-progress", "10ms", "-sample-interval", "5ms"}); err != nil {
 			t.Fatalf("gpluscrawl: %v\n%s", err, &logged)
 		}
 		written = make(map[string][]byte)
@@ -52,6 +55,11 @@ func TestRerunResumesToTheSameDataset(t *testing.T) {
 		}
 		if _, err := os.Stat(filepath.Join(out, ".segments")); !os.IsNotExist(err) {
 			t.Errorf("segment directory left behind after compaction (stat: %v)", err)
+		}
+		lines := regexp.MustCompile(`crawl progress: crawled=(\d+) `).FindAllStringSubmatch(logged.String(), -1)
+		summary := regexp.MustCompile(` crawled (\d+) profiles`).FindStringSubmatch(logged.String())
+		if len(lines) == 0 || summary == nil || lines[len(lines)-1][1] != summary[1] {
+			t.Errorf("last progress line and closing summary disagree (%v vs %v):\n%s", lines, summary, &logged)
 		}
 		profileFetches, _, _ = srv.RequestStats()
 		return written, profileFetches

@@ -14,8 +14,8 @@ import (
 // README.md, EXPERIMENTS.md or Makefile recipe. A flag with no recipe
 // and no reader is a constant; delete it or document the run that needs
 // it. gplusanalyze's three sub-commands (traces, metrics, profiles)
-// declare theirs on one identifier, scanned as a row of its own.
-// (gpluslab's sub-command flag sets are not scanned.)
+// declare theirs on one identifier, scanned as a row of its own, as do
+// gpluslab's five (calibrate, growth, stream, sampling, recommend).
 func TestFlagsHaveRecipe(t *testing.T) {
 	var docs []byte
 	for _, name := range []string{"README.md", "EXPERIMENTS.md", "Makefile"} {
@@ -43,6 +43,7 @@ func TestFlagsHaveRecipe(t *testing.T) {
 		{"cmd/gplusanalyze/main.go", "sub", false, 11},
 		{"cmd/gplusgen/main.go", "flag", false, 4},
 		{"cmd/gplusverify/main.go", "flag", false, 2},
+		{"cmd/gpluslab/main.go", "fs", false, 4},
 	} {
 		src, err := os.ReadFile(bin.main)
 		if err != nil {

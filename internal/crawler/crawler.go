@@ -92,24 +92,6 @@ type Config struct {
 	// silently losing their edges. The caller opens the Journal before
 	// the crawl and closes it after Crawl returns.
 	Journal *Journal
-	// ProgressInterval emits one structured progress line (see Progress)
-	// this often while the crawl runs, plus a final line at completion.
-	// Zero emits only the final line (and only when OnProgress is set).
-	ProgressInterval time.Duration
-	// OnProgress receives each progress report. When nil (and
-	// ProgressInterval > 0) reports go to the standard logger. A final
-	// report (Progress.Final) is always emitted at crawl completion,
-	// even when ProgressInterval never elapsed.
-	OnProgress func(Progress)
-	// StallAfter arms the stall detector: after this many consecutive
-	// progress intervals with zero profiles crawled while the frontier
-	// is non-empty, OnStall fires once with the stalled Progress (and
-	// re-arms when throughput resumes). Requires ProgressInterval > 0 —
-	// the detector rides the progress ticker. 0 disables it.
-	StallAfter int
-	// OnStall receives the stalled Progress. The continuous profiler
-	// hooks this to capture a goroutine dump while the stall is live.
-	OnStall func(Progress)
 	// Tracer records request-scoped spans when non-nil: a "crawl.profile"
 	// root per crawled user with children for the profile fetch, each
 	// circle page, scheduler offers, and journal appends — plus the
@@ -258,15 +240,8 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	start := time.Now()
 
-	// Progress reporting needs live counters even when the caller did not
-	// pass a registry; a private one keeps the handles real.
-	reportProgress := cfg.ProgressInterval > 0 || cfg.OnProgress != nil
 	reg := cfg.Metrics
-	if reg == nil && reportProgress {
-		reg = obs.NewRegistry()
-	}
 	tel := newTelemetry(reg, cfg.Workers)
-	tel.journal = cfg.Journal
 
 	// Overload machinery, shared across the worker fleet so one worker's
 	// overload signal protects every other worker's request stream.
@@ -298,22 +273,10 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 	sched.jrnl = cfg.Journal
 	if cfg.Resume != nil {
 		sched.preload(cfg.Resume)
-		// Surface the load-time torn-record count in live telemetry so the
-		// progress line reports what the resume dropped.
+		// Surface the load-time torn-record count in live telemetry.
 		tel.torn.Add(int64(cfg.Resume.Stats.TornRecords))
 	}
 	sched.offerBatch(cfg.Seeds)
-
-	var progressDone chan struct{}
-	var progressWG sync.WaitGroup
-	if reportProgress {
-		progressDone = make(chan struct{})
-		progressWG.Add(1)
-		go func() {
-			defer progressWG.Done()
-			tel.reportProgress(cfg.ProgressInterval, cfg.OnProgress, progressDone, cfg.StallAfter, cfg.OnStall)
-		}()
-	}
 
 	workers := make([]*worker, cfg.Workers)
 	var wg sync.WaitGroup
@@ -352,10 +315,6 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 		}()
 	}
 	wg.Wait()
-	if progressDone != nil {
-		close(progressDone)
-		progressWG.Wait()
-	}
 
 	res := &Result{
 		Profiles:   make(map[string]profile.Profile),

@@ -605,68 +605,3 @@ func TestCrawlCancellationDoesNotInflateErrors(t *testing.T) {
 		t.Errorf("cancelled crawl counted phantom errors: %+v", res.Stats)
 	}
 }
-
-func TestCrawlProgressReports(t *testing.T) {
-	u := crawlUniverse(t)
-	url := startService(t, u, gplusd.Options{})
-
-	var mu sync.Mutex
-	var reports []Progress
-	res, err := Crawl(context.Background(), Config{
-		BaseURL:     url,
-		Seeds:       []string{seedID(u)},
-		Workers:     4,
-		MaxProfiles: 200,
-		FetchIn:     true, FetchOut: true,
-		ProgressInterval: 5 * time.Millisecond,
-		OnProgress: func(p Progress) {
-			mu.Lock()
-			reports = append(reports, p)
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(reports) == 0 {
-		t.Fatal("no progress reports emitted")
-	}
-	final := reports[len(reports)-1]
-	if final.Crawled != res.Stats.ProfilesCrawled {
-		t.Errorf("final progress crawled = %d, want %d", final.Crawled, res.Stats.ProfilesCrawled)
-	}
-	if final.Discovered != res.Stats.Discovered {
-		t.Errorf("final progress discovered = %d, want %d", final.Discovered, res.Stats.Discovered)
-	}
-	if line := final.String(); !strings.Contains(line, "crawled=") || !strings.Contains(line, "frontier=") {
-		t.Errorf("progress line missing fields: %q", line)
-	}
-	// Once the crawl is moving, reports with a non-empty frontier carry a
-	// drain estimate from the smoothed rate.
-	sawETA := false
-	for _, p := range reports {
-		if p.ETA > 0 && p.Frontier > 0 {
-			sawETA = true
-			break
-		}
-	}
-	if !sawETA {
-		t.Error("no progress report carried an ETA despite a live frontier")
-	}
-	if line := final.String(); !strings.Contains(line, "eta=") {
-		t.Errorf("progress line missing eta: %q", line)
-	}
-}
-
-func TestProgressETARendering(t *testing.T) {
-	p := Progress{Frontier: 100}
-	if !strings.Contains(p.String(), "eta=?") {
-		t.Errorf("zero ETA should render as unknown: %q", p.String())
-	}
-	p.ETA = 90 * time.Second
-	if !strings.Contains(p.String(), "eta=1m30s") {
-		t.Errorf("ETA not rendered: %q", p.String())
-	}
-}

@@ -36,8 +36,7 @@ func TestDashDemo(t *testing.T) {
 	collector := run.Collector
 
 	var screen bytes.Buffer
-	dash := series.NewDash(collector, run.Engine, &screen, series.DashOptions{Window: 30 * time.Second})
-	collector.OnSample(dash.Frame)
+	series.Watch(collector, series.CrawlSignals(), series.NewDash(&screen).Frame)
 
 	res, err := Crawl(context.Background(), Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,
@@ -67,7 +66,7 @@ func TestDashDemo(t *testing.T) {
 	// repaint: everything since the last clear/home sequence.
 	frames := ansiRe.Split(screen.String(), -1)
 	last := strings.TrimSpace(strings.Join(frames, ""))
-	if !strings.Contains(last, "profiles/s") || !strings.Contains(last, "totals") {
+	if !strings.Contains(last, "profiles/s") || !strings.Contains(last, "crawl progress: crawled=") {
 		t.Fatalf("final frame missing panels:\n%s", last)
 	}
 	t.Logf("dashboard: %d frames rendered; final frame:\n%s", rendered, ansiRe.ReplaceAllString(lastFrame(screen.String()), ""))
@@ -82,7 +81,7 @@ func TestDashDemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	var report strings.Builder
-	series.BuildReport(dump, series.ReportOptions{}).WriteText(&report, 60)
+	series.BuildReport(dump, series.SignalsFor(dump)).WriteText(&report, 60)
 	if !strings.Contains(report.String(), "crawl health") {
 		t.Fatalf("health report missing:\n%s", report.String())
 	}

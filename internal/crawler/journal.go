@@ -43,8 +43,12 @@ type JournalOptions struct {
 	FlushInterval time.Duration
 	// Metrics receives journal telemetry when non-nil:
 	// crawler_journal_records_total{kind=...},
-	// crawler_journal_flushes_total, and the
-	// crawler_journal_fsync_seconds latency histogram.
+	// crawler_journal_flushes_total, the crawler_journal_fsync_seconds
+	// latency histogram, and the two health gauges —
+	// crawler_journal_flush_lag_seconds (how long the oldest unflushed
+	// record has waited, in whole seconds: the window a crash right now
+	// would lose) and crawler_journal_failed (1 once the writer hit its
+	// sticky error and started dropping records).
 	Metrics *obs.Registry
 }
 
@@ -60,8 +64,8 @@ type Journal struct {
 	werr error // first write/flush/sync error, sticky
 
 	// dirtySince is the unix-nano time the oldest unflushed record was
-	// buffered (0 when everything has reached disk). Progress reports
-	// read it as the journal's flush lag — the window a crash would lose.
+	// buffered (0 when everything has reached disk); the flush-lag gauge
+	// is sampled from it.
 	dirtySince atomic.Int64
 
 	recProfiles   *obs.Counter
@@ -69,6 +73,7 @@ type Journal struct {
 	recDiscovered *obs.Counter
 	flushes       *obs.Counter
 	fsyncSeconds  *obs.Histogram
+	failed        *obs.Gauge
 }
 
 type journalMsg struct {
@@ -101,6 +106,8 @@ func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 	reg.Help("crawler_journal_records_total", "Journal records appended, by kind.")
 	reg.Help("crawler_journal_flushes_total", "Journal flush+fsync cycles completed.")
 	reg.Help("crawler_journal_fsync_seconds", "Latency of one journal flush+fsync cycle.")
+	reg.Help("crawler_journal_flush_lag_seconds", "Whole seconds the oldest unflushed journal record has waited for its fsync (0 = clean).")
+	reg.Help("crawler_journal_failed", "1 once the journal hit its sticky write error (0 = healthy).")
 	j := &Journal{
 		log:           log,
 		ch:            make(chan journalMsg, 4096), // workers block only when the writer falls this far behind
@@ -111,7 +118,16 @@ func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 		recDiscovered: reg.Counter(`crawler_journal_records_total{kind="discovered"}`),
 		flushes:       reg.Counter("crawler_journal_flushes_total"),
 		fsyncSeconds:  reg.Histogram("crawler_journal_fsync_seconds", nil),
+		failed:        reg.Gauge("crawler_journal_failed"),
 	}
+	lag := reg.Gauge("crawler_journal_flush_lag_seconds")
+	reg.RegisterSampler(func() {
+		var waited time.Duration
+		if since := j.dirtySince.Load(); since != 0 {
+			waited = time.Since(time.Unix(0, since))
+		}
+		lag.Set(int64(waited / time.Second))
+	})
 	go j.writeLoop()
 	return j, nil
 }
@@ -176,19 +192,6 @@ func (j *Journal) Close() error {
 	return j.Err()
 }
 
-// FlushLag reports how long the oldest record still waiting for its
-// flush+fsync has been buffered (0 when the journal is clean or nil).
-func (j *Journal) FlushLag() time.Duration {
-	if j == nil {
-		return 0
-	}
-	since := j.dirtySince.Load()
-	if since == 0 {
-		return 0
-	}
-	return time.Duration(time.Now().UnixNano() - since)
-}
-
 // Err reports the journal's sticky error: the first write, flush, or
 // fsync failure. After an error the writer drops further records (the
 // crawl itself continues and Close reports the error).
@@ -210,6 +213,7 @@ func (j *Journal) fail(err error) {
 		j.werr = err
 	}
 	j.mu.Unlock()
+	j.failed.Set(1)
 }
 
 // writeLoop is the dedicated writer goroutine: it renders records into

@@ -225,3 +225,52 @@ func TestOpenJournalBadPath(t *testing.T) {
 		t.Error("OpenJournal in a missing directory succeeded")
 	}
 }
+
+// TestJournalErrorSurfacedInProgress: the journal reports its own health
+// as recorded series, with nobody sampling the crawl on its behalf — the
+// flush-lag gauge follows the oldest unflushed record, and a disk that
+// fails flips crawler_journal_failed at the write that hit it.
+func TestJournalErrorSurfacedInProgress(t *testing.T) {
+	reg := obs.NewRegistry()
+	gauge := func(name string) int64 { return reg.Snapshot().Gauges[name] }
+
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.journal"), JournalOptions{FlushInterval: time.Hour, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lag, failed := gauge("crawler_journal_flush_lag_seconds"), gauge("crawler_journal_failed"); lag != 0 || failed != 0 {
+		t.Fatalf("clean journal: lag=%ds failed=%d", lag, failed)
+	}
+	j.dirtySince.Store(time.Now().Add(-5 * time.Second).UnixNano())
+	if lag := gauge("crawler_journal_flush_lag_seconds"); lag < 5 || lag > 6 {
+		t.Errorf("a record buffered 5s ago reads as lag=%ds", lag)
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if lag := gauge("crawler_journal_flush_lag_seconds"); lag != 0 {
+		t.Errorf("lag=%ds after a sync", lag)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to stand in for a full disk")
+	}
+	reg = obs.NewRegistry()
+	full, err := OpenJournal("/dev/full", JournalOptions{FlushInterval: time.Hour, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full.discoveredIDs([]string{"aa"})
+	if err := full.Sync(); err == nil {
+		t.Fatal("sync to a full disk succeeded")
+	}
+	if failed := gauge("crawler_journal_failed"); failed != 1 {
+		t.Errorf("crawler_journal_failed = %d after the disk filled, want 1", failed)
+	}
+	if err := full.Close(); err == nil {
+		t.Error("Close did not report the sticky error")
+	}
+}

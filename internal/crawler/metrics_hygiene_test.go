@@ -4,11 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"net/http/httptest"
+	"net/url"
 	"regexp"
 	"strings"
 	"testing"
 	"time"
 
+	"gplus/internal/gplusapi"
 	"gplus/internal/gplusd"
 	"gplus/internal/graph"
 	"gplus/internal/graph/diskcsr"
@@ -31,7 +34,10 @@ var promFamilyRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 // exposition of each and asserts every family matches the naming
 // grammar, carries a HELP line, and every sample belongs to a declared
 // TYPE. This is the `make check` gate against unparseable or
-// undocumented metrics sneaking in.
+// undocumented metrics sneaking in. It also resolves every selector the
+// health reports read — both Signals values and their default
+// objectives — against the series those two runs recorded, so a renamed
+// family cannot silently flatten a report.
 func TestMetricsHygiene(t *testing.T) {
 	u := crawlUniverse(t)
 
@@ -55,21 +61,39 @@ func TestMetricsHygiene(t *testing.T) {
 		Prof:       prof.Options{Interval: 50 * time.Millisecond, CPUDuration: 20 * time.Millisecond},
 	})
 	creg := run.Registry
-	_, err := Crawl(context.Background(), Config{
+	jrnl, err := OpenJournal(t.TempDir()+"/crawl.journal", JournalOptions{Metrics: creg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Crawl(context.Background(), Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,
 		FetchIn: true, FetchOut: true,
 		MaxProfiles: 80,
 		MaxRetries:  16, RetryBackoffBase: time.Millisecond,
 		Metrics:    creg,
+		Journal:    jrnl,
 		Tracer:     run.Tracer,
 		Resilience: &ResilienceConfig{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := jrnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// One request at a closed port: the transport-error family only
+	// exists once a connection has failed below HTTP.
+	dead := &gplusapi.Client{BaseURL: "http://127.0.0.1:1", Metrics: creg, MaxRetries: 1, BackoffBase: time.Millisecond}
+	if _, err := dead.FetchSeed(context.Background()); err == nil {
+		t.Fatal("seed fetch from a closed port succeeded")
+	}
 	if err := run.Close(); err != nil {
 		t.Fatal(err)
 	}
+	served := series.NewCollector(sreg, series.Options{})
+	served.Sample(time.Now())
+	checkSelectors(t, "gplusd", served, series.GplusdSignals())
+	checkSelectors(t, "crawl", run.Collector, series.CrawlSignals())
 
 	// The out-of-core storage path registers its diskcsr_* family on the
 	// same client registry a segment-streaming crawl would use; exercise
@@ -100,6 +124,29 @@ func TestMetricsHygiene(t *testing.T) {
 
 	checkExposition(t, "gplusd", sreg)
 	checkExposition(t, "crawl", creg)
+}
+
+// checkSelectors asks the collector's own window query — the matcher the
+// reports use — for each selector of sig; every one must find a series.
+func checkSelectors(t *testing.T, side string, c *series.Collector, sig series.Signals) {
+	t.Helper()
+	selectors := append([]string{sig.Work.Selector, sig.Activity.Selector, sig.Backlog.Selector, sig.Lag.Selector}, sig.Errors...)
+	for _, s := range sig.Also {
+		selectors = append(selectors, s.Selector)
+	}
+	for _, o := range sig.Objectives {
+		selectors = append(append(append(selectors, o.Bad...), o.Total...), o.Hist)
+	}
+	for _, sel := range selectors {
+		if sel == "" {
+			continue
+		}
+		rec := httptest.NewRecorder()
+		series.Handler{C: c}.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/timeseries?name="+url.QueryEscape(sel), nil))
+		if strings.TrimSpace(rec.Body.String()) == "[]" {
+			t.Errorf("%s: health selector %s matches no recorded series", side, sel)
+		}
+	}
 }
 
 func checkExposition(t *testing.T, side string, reg *obs.Registry) {

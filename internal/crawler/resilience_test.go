@@ -2,11 +2,8 @@ package crawler
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -152,39 +149,6 @@ func TestCrawlWithoutResilienceCountsOverloadAsError(t *testing.T) {
 	}
 	if res.Stats.Requeued != 0 {
 		t.Errorf("Requeued = %d without Resilience armed", res.Stats.Requeued)
-	}
-}
-
-func TestJournalErrorSurfacedInProgress(t *testing.T) {
-	reg := obs.NewRegistry()
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.journal"), JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-
-	tel := newTelemetry(reg, 1)
-	tel.journal = j
-
-	now := time.Now()
-	p := tel.snapshot(now, Progress{}, now, now)
-	if p.JournalErr != "" {
-		t.Fatalf("healthy journal reported error %q", p.JournalErr)
-	}
-	if got := reg.Gauge("crawler_journal_failed").Value(); got != 0 {
-		t.Fatalf("crawler_journal_failed = %d while healthy", got)
-	}
-
-	j.fail(errors.New("disk full"))
-	p = tel.snapshot(now, Progress{}, now, now)
-	if p.JournalErr != "disk full" {
-		t.Fatalf("JournalErr = %q, want the sticky error", p.JournalErr)
-	}
-	if !strings.Contains(p.String(), `journal_err="disk full"`) {
-		t.Errorf("progress line %q does not surface the journal error", p.String())
-	}
-	if got := reg.Gauge("crawler_journal_failed").Value(); got != 1 {
-		t.Errorf("crawler_journal_failed = %d, want 1", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,10 +16,13 @@ import (
 
 // TestSeriesChaosReportE2E is the observability pipeline proof: a crawl
 // against a service with a scheduled outage runs under the time-series
-// collector, the rings are spooled into the run directory, and the
-// offline health report built from that dump must surface the injected
-// outage as both an error-rate spike and an SLO violation span whose
-// timestamps match the chaos schedule.
+// collector with the live watcher attached, the rings are spooled into
+// the run directory, and the offline health report built from that dump
+// must surface the injected outage as both an error-rate spike and an
+// SLO violation span whose timestamps match the chaos schedule — and
+// must be the report the watcher built at the last tick: the live
+// progress line, the crawl's own Stats and the post-mortem count the
+// same profiles.
 func TestSeriesChaosReportE2E(t *testing.T) {
 	u := crawlUniverse(t)
 
@@ -39,6 +43,20 @@ func TestSeriesChaosReportE2E(t *testing.T) {
 		Dir:    dir,
 		Series: series.Options{Interval: 25 * time.Millisecond, Capacity: 4096},
 	})
+
+	sig := series.CrawlSignals()
+	sig.Objectives = []series.Objective{{
+		Name: "availability", Kind: series.ErrorRatio,
+		Bad:   []string{`gplusapi_responses_total{code="503"}`},
+		Total: []string{"gplusapi_responses_total"},
+		Max:   0.01,
+		// A short window keeps the violation span tight around the
+		// outage instead of smearing a minute past it.
+		Window: 500 * time.Millisecond,
+		Fast:   100 * time.Millisecond,
+	}}
+	var live *series.HealthReport // the latest; read once run.Close has stopped the sampling
+	series.Watch(run.Collector, sig, func(r *series.HealthReport) { live = r })
 
 	// Retries ride out the outage (cumulative backoff comfortably spans
 	// 400ms); politeness stretches the crawl so the collector records a
@@ -74,24 +92,30 @@ func TestSeriesChaosReportE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report := series.BuildReport(dump, series.ReportOptions{
-		Objectives: []series.Objective{{
-			Name: "availability", Kind: series.ErrorRatio,
-			Bad:   []string{`gplusapi_responses_total{code="503"}`},
-			Total: []string{"gplusapi_responses_total"},
-			Max:   0.01,
-			// A short window keeps the violation span tight around the
-			// outage instead of smearing a minute past it.
-			Window: 500 * time.Millisecond,
-			Fast:   100 * time.Millisecond,
-		}},
-	})
+	report := series.BuildReport(dump, sig)
 
 	if report.Ticks < 10 {
 		t.Fatalf("only %d ticks collected; crawl too fast for the 25ms cadence", report.Ticks)
 	}
-	if report.TotalProfiles == 0 || report.PeakThroughput == 0 {
-		t.Errorf("throughput curve empty: %+v", report)
+	if report.Total != float64(res.Stats.ProfilesCrawled) || report.PeakThroughput == 0 {
+		t.Errorf("report counts %.0f profiles (peak %.1f/s), the crawl %d", report.Total, report.PeakThroughput, res.Stats.ProfilesCrawled)
+	}
+	if want := fmt.Sprintf("crawl progress: crawled=%d ", res.Stats.ProfilesCrawled); !strings.HasPrefix(live.ProgressLine(), want) {
+		t.Errorf("last live progress line %q, want %q...", live.ProgressLine(), want)
+	}
+	// The watcher reads the trailing 120 ticks; a run that fit in them
+	// (this one does, short of a badly overloaded machine) must render
+	// the same live as offline, spans and all.
+	if live.Start.Equal(report.Start) {
+		var liveText, offlineText strings.Builder
+		live.WriteText(&liveText, 0)
+		report.WriteText(&offlineText, 0)
+		if liveText.String() != offlineText.String() || live.ProgressLine() != report.ProgressLine() {
+			t.Errorf("live report at the last tick:\n%s%s\noffline report of series.jsonl:\n%s%s",
+				&liveText, live.ProgressLine(), &offlineText, report.ProgressLine())
+		}
+	} else {
+		t.Logf("run outlasted the live window (%d of %d ticks): live and offline text not compared", live.Ticks, report.Ticks)
 	}
 	// Outage 503s are retried into successes, so the dataset is clean but
 	// the error timeline must still record them.

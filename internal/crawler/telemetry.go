@@ -2,21 +2,18 @@ package crawler
 
 import (
 	"fmt"
-	"log"
-	"time"
 
 	"gplus/internal/obs"
 )
 
-// telemetry holds the crawl's live counters. All handles come from one
-// obs.Registry; when the crawl runs without metrics or progress
-// reporting the registry is nil, every handle is nil, and each update is
-// a single pointer check — the zero-cost-when-off path the benchmarks
-// rely on.
+// telemetry holds the crawl's live counters — all the crawler does
+// about its own health is export them; rates, progress lines and the
+// stall rule are derived from their recorded series (package series).
+// All handles come from one obs.Registry; when the crawl runs without
+// metrics the registry is nil, every handle is nil, and each update is a
+// single pointer check — the zero-cost-when-off path the benchmarks rely
+// on.
 type telemetry struct {
-	reg     *obs.Registry
-	journal *Journal // for flush-lag in progress reports; may be nil
-
 	profiles   *obs.Counter // profiles successfully crawled
 	pages      *obs.Counter // circle pages fetched
 	edges      *obs.Counter // edge observations
@@ -26,14 +23,12 @@ type telemetry struct {
 	requeues   *obs.Counter // overloaded ids returned to the frontier
 	frontier   *obs.Gauge   // queued-but-unclaimed ids
 	discovered *obs.Gauge   // all ids ever seen
-	jrnlFailed *obs.Gauge   // 1 once the journal hits its sticky error
 	workers    []*obs.Counter
 }
 
 // newTelemetry registers the crawler series. reg may be nil.
 func newTelemetry(reg *obs.Registry, nWorkers int) *telemetry {
 	t := &telemetry{
-		reg:        reg,
 		profiles:   reg.Counter("crawler_profiles_crawled_total"),
 		pages:      reg.Counter("crawler_pages_fetched_total"),
 		edges:      reg.Counter("crawler_edges_observed_total"),
@@ -43,7 +38,6 @@ func newTelemetry(reg *obs.Registry, nWorkers int) *telemetry {
 		requeues:   reg.Counter("crawler_requeues_total"),
 		frontier:   reg.Gauge("crawler_frontier_depth"),
 		discovered: reg.Gauge("crawler_discovered_users"),
-		jrnlFailed: reg.Gauge("crawler_journal_failed"),
 		workers:    make([]*obs.Counter, nWorkers),
 	}
 	reg.Help("crawler_profiles_crawled_total", "Profiles fetched successfully.")
@@ -53,7 +47,6 @@ func newTelemetry(reg *obs.Registry, nWorkers int) *telemetry {
 	reg.Help("crawler_circle_errors_total", "Permanent circle-page-fetch failures.")
 	reg.Help("crawler_journal_torn_records_total", "Torn journal records dropped when loading resume state.")
 	reg.Help("crawler_requeues_total", "Overloaded ids returned to the frontier for a later retry.")
-	reg.Help("crawler_journal_failed", "1 once the journal hit its sticky write error (0 = healthy).")
 	reg.Help("crawler_frontier_depth", "Ids queued for crawling but not yet claimed.")
 	reg.Help("crawler_discovered_users", "All user ids ever seen, crawled or not.")
 	reg.Help("crawler_worker_profiles_total", "Profiles fetched per crawl machine.")
@@ -61,161 +54,4 @@ func newTelemetry(reg *obs.Registry, nWorkers int) *telemetry {
 		t.workers[i] = reg.Counter(fmt.Sprintf(`crawler_worker_profiles_total{worker="machine-%02d"}`, i))
 	}
 	return t
-}
-
-// Progress is a point-in-time view of a running crawl — the live signal
-// the paper's operators had over their 45-day collection. Rates are
-// computed over the interval since the previous report.
-type Progress struct {
-	Crawled        int
-	Discovered     int
-	Frontier       int
-	ProfileErrors  int
-	CircleErrors   int
-	PagesFetched   int64
-	EdgesObserved  int64
-	Elapsed        time.Duration
-	ProfilesPerSec float64
-	EdgesPerSec    float64
-	// JournalFlushLag is how long the oldest unflushed journal record has
-	// been waiting for its fsync (0 when the journal is clean or absent) —
-	// the window a crash right now would lose.
-	JournalFlushLag time.Duration
-	// TornRecords counts journal records dropped as torn when this
-	// session's resume state was loaded.
-	TornRecords int64
-	// Requeued counts overloaded ids returned to the frontier instead of
-	// being marked failed — the crawl's deferred-work signal during a
-	// server brownout.
-	Requeued int64
-	// JournalErr carries the journal's sticky error text once the writer
-	// has hit a write/flush/fsync failure ("" while healthy). From that
-	// point the journal silently drops records, so the operator must see
-	// it here rather than discover an unresumable file after a crash.
-	JournalErr string
-	// ETA estimates how long draining the current frontier will take at
-	// the smoothed crawl rate (an exponentially weighted average of
-	// profiles/s across reports, so one slow or fast interval does not
-	// whipsaw the estimate). Zero when the rate is zero or not yet
-	// established — an unknown ETA, not an imminent finish.
-	ETA time.Duration
-	// Final marks the end-of-crawl summary report, emitted exactly once
-	// when the crawl finishes regardless of ProgressInterval.
-	Final bool
-}
-
-// String renders the single structured progress line.
-func (p Progress) String() string {
-	eta := "?"
-	if p.ETA > 0 {
-		eta = p.ETA.Round(time.Second).String()
-	}
-	line := fmt.Sprintf(
-		"crawl progress: crawled=%d discovered=%d frontier=%d profile_errors=%d circle_errors=%d pages=%d edges=%d profiles/s=%.1f edges/s=%.1f eta=%s journal_lag=%s torn=%d requeues=%d elapsed=%s final=%t",
-		p.Crawled, p.Discovered, p.Frontier, p.ProfileErrors, p.CircleErrors,
-		p.PagesFetched, p.EdgesObserved, p.ProfilesPerSec, p.EdgesPerSec, eta,
-		p.JournalFlushLag.Round(time.Millisecond), p.TornRecords, p.Requeued,
-		p.Elapsed.Round(time.Second), p.Final)
-	if p.JournalErr != "" {
-		line += fmt.Sprintf(" journal_err=%q", p.JournalErr)
-	}
-	return line
-}
-
-// snapshot reads the live counters into a Progress, deriving rates from
-// the previous report.
-func (t *telemetry) snapshot(start time.Time, prev Progress, prevAt time.Time, now time.Time) Progress {
-	p := Progress{
-		Crawled:         int(t.profiles.Value()),
-		Discovered:      int(t.discovered.Value()),
-		Frontier:        int(t.frontier.Value()),
-		ProfileErrors:   int(t.profErrs.Value()),
-		CircleErrors:    int(t.circErrs.Value()),
-		PagesFetched:    t.pages.Value(),
-		EdgesObserved:   t.edges.Value(),
-		Elapsed:         now.Sub(start),
-		JournalFlushLag: t.journal.FlushLag(),
-		TornRecords:     t.torn.Value(),
-		Requeued:        t.requeues.Value(),
-	}
-	if err := t.journal.Err(); err != nil {
-		p.JournalErr = err.Error()
-		// Mirror the sticky failure into a gauge so alerting catches a
-		// crawl whose checkpoint stream has silently gone dark.
-		t.jrnlFailed.Set(1)
-	}
-	if dt := now.Sub(prevAt).Seconds(); dt > 0 {
-		p.ProfilesPerSec = float64(p.Crawled-prev.Crawled) / dt
-		p.EdgesPerSec = float64(p.EdgesObserved-prev.EdgesObserved) / dt
-	}
-	return p
-}
-
-// reportProgress emits a Progress every interval until done is closed,
-// then emits one final report (Final=true) so every crawl — even one
-// shorter than its interval, or one with no interval at all — leaves a
-// closing summary. interval <= 0 disables periodic reports but still
-// emits the final one.
-//
-// When stallAfter > 0 and onStall is non-nil, onStall fires once after
-// stallAfter consecutive intervals with zero profile throughput while
-// work remains queued — the in-flight-but-going-nowhere signal (every
-// worker wedged on a hung endpoint, a collapsed AIMD gate, a livelock)
-// that profile captures must catch in the act. The detector re-arms
-// once throughput resumes, so a crawl that stalls twice reports twice.
-func (t *telemetry) reportProgress(interval time.Duration, emit func(Progress), done <-chan struct{}, stallAfter int, onStall func(Progress)) {
-	if emit == nil {
-		emit = func(p Progress) { log.Print(p) }
-	}
-	start := time.Now()
-	prev, prevAt := Progress{}, start
-	// Smoothed profiles/s for the ETA: an EWMA across reports so a
-	// single bursty or stalled interval doesn't whipsaw the estimate.
-	const etaAlpha = 0.3
-	rate, haveRate := 0.0, false
-	finish := func(p *Progress) {
-		if haveRate {
-			rate = etaAlpha*p.ProfilesPerSec + (1-etaAlpha)*rate
-		} else if p.ProfilesPerSec > 0 {
-			rate, haveRate = p.ProfilesPerSec, true
-		}
-		if rate > 0 && p.Frontier > 0 {
-			p.ETA = time.Duration(float64(p.Frontier) / rate * float64(time.Second))
-		}
-	}
-	var tick <-chan time.Time
-	if interval > 0 {
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		tick = ticker.C
-	}
-	stalledFor := 0 // consecutive zero-throughput intervals
-	for {
-		select {
-		case <-done:
-			p := t.snapshot(start, prev, prevAt, time.Now())
-			finish(&p)
-			p.Final = true
-			emit(p)
-			return
-		case now := <-tick:
-			p := t.snapshot(start, prev, prevAt, now)
-			finish(&p)
-			emit(p)
-			if stallAfter > 0 && onStall != nil {
-				// Stalled: no profile completed this interval while ids
-				// remain queued. (A drained frontier with slow stragglers
-				// is a finishing crawl, not a stall.)
-				if p.Crawled == prev.Crawled && p.Frontier > 0 {
-					stalledFor++
-					if stalledFor == stallAfter {
-						onStall(p)
-					}
-				} else {
-					stalledFor = 0
-				}
-			}
-			prev, prevAt = p, now
-		}
-	}
 }

@@ -195,41 +195,6 @@ func TestHungRequestCapturedAsExemplar(t *testing.T) {
 	}
 }
 
-// TestFinalProgressWithoutInterval pins satellite behaviour: a crawl
-// whose ProgressInterval never elapses (or is zero) still emits exactly
-// one final summary, and the structured line carries the journal and
-// torn-record fields.
-func TestFinalProgressWithoutInterval(t *testing.T) {
-	u := crawlUniverse(t)
-	var reports []Progress
-	res, err := Crawl(context.Background(), Config{
-		BaseURL: startService(t, u, gplusd.Options{}),
-		Seeds:   []string{seedID(u)}, Workers: 4,
-		FetchIn: true, FetchOut: true,
-		MaxProfiles: 50,
-		OnProgress:  func(p Progress) { reports = append(reports, p) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 1 {
-		t.Fatalf("got %d reports with no interval, want exactly the final one", len(reports))
-	}
-	final := reports[0]
-	if !final.Final {
-		t.Error("closing report not marked Final")
-	}
-	if final.Crawled != res.Stats.ProfilesCrawled {
-		t.Errorf("final report crawled=%d, stats say %d", final.Crawled, res.Stats.ProfilesCrawled)
-	}
-	line := final.String()
-	for _, want := range []string{"journal_lag=", "torn=0", "final=true"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("progress line missing %q: %s", want, line)
-		}
-	}
-}
-
 // TestTraceDemo is the `make trace-demo` entrypoint: a short chaos crawl
 // with tracing on both sides that must produce a non-empty exemplar dump
 // and a critical-path analysis mentioning the crawl pipeline.

@@ -5,58 +5,9 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 	"time"
 )
-
-// ReportOptions configures BuildReport.
-type ReportOptions struct {
-	// Throughput is the counter family plotted as the crawl's
-	// profiles-per-second curve (default crawler_pages_fetched_total).
-	Throughput string
-	// Frontier is the gauge consulted by stall detection (default
-	// crawler_frontier_depth): zero throughput only counts as a stall
-	// while work remained queued.
-	Frontier string
-	// Errors are the counter selectors summed into the error-rate
-	// timeline (default: API 503 responses, transport errors, and
-	// permanent profile/circle failures).
-	Errors []string
-	// Objectives are evaluated at every tick of the dump to find SLO
-	// violation spans (default DefaultCrawlObjectives).
-	Objectives []Objective
-	// StallAfter is how many consecutive zero-throughput ticks (with a
-	// non-empty frontier) open a stall (default 3).
-	StallAfter int
-	// Width is the sparkline width of the text report (default 60).
-	Width int
-}
-
-func (o ReportOptions) withDefaults() ReportOptions {
-	if o.Throughput == "" {
-		o.Throughput = "crawler_pages_fetched_total"
-	}
-	if o.Frontier == "" {
-		o.Frontier = "crawler_frontier_depth"
-	}
-	if len(o.Errors) == 0 {
-		o.Errors = []string{
-			`gplusapi_responses_total{code="503"}`,
-			"gplusapi_transport_errors_total",
-			"crawler_profile_errors_total",
-			"crawler_circle_errors_total",
-		}
-	}
-	if o.Objectives == nil {
-		o.Objectives = DefaultCrawlObjectives()
-	}
-	if o.StallAfter <= 0 {
-		o.StallAfter = 3
-	}
-	if o.Width <= 0 {
-		o.Width = 60
-	}
-	return o
-}
 
 // Span is a contiguous run of ticks in some condition.
 type Span struct {
@@ -71,16 +22,35 @@ type Span struct {
 
 func (s Span) dur() time.Duration { return s.End.Sub(s.Start) }
 
-// HealthReport is the offline crawl health analysis built from a dump.
+// Row is one further plotted signal of a report: a counter as its
+// per-second rate (Title ends in "/s"), a gauge as sampled.
+type Row struct {
+	Title, Unit string
+	Rate        bool
+	Points      []Point
+}
+
+// HealthReport is the one place a run's health is derived: rates,
+// totals, error spikes, stalls and SLO status, from the series a Signals
+// value names, over any Source — a dump read back from series.jsonl, or
+// the live collector (Watch). Every surface renders it: the progress
+// line, the stall trigger, the dashboard frame, `gplusanalyze metrics`.
 type HealthReport struct {
+	Signals    Signals
 	Start, End time.Time
 	Ticks      int
 
-	// Throughput curve (per-second rates at each tick).
+	// Throughput is Signals.Work's per-second rate at each tick; Total
+	// is the counter's value at End, whatever part of the run the source
+	// still holds.
 	Throughput     []Point
 	AvgThroughput  float64
 	PeakThroughput float64
-	TotalProfiles  float64
+	Total          float64
+	// Rows are Activity, Also, Backlog and Lag, those the set names.
+	Rows []Row
+	// ETA is the backlog at End over AvgThroughput; 0 when unknown.
+	ETA time.Duration
 
 	// Error timeline (per-second error rates) and spikes: ticks where
 	// the rate exceeds max(5x the run average, 0.05/s).
@@ -88,74 +58,144 @@ type HealthReport struct {
 	TotalErrors float64
 	ErrorSpikes []Span
 
-	// Stalls: runs of >= StallAfter ticks with zero throughput while the
-	// frontier was non-empty.
-	Stalls []Span
+	// Stalls are runs of >= Signals.StallAfter ticks without activity
+	// while the backlog was non-empty. StallOnset marks End as the tick
+	// a stall reached that length — true at exactly one tick per stall,
+	// which is when a live watcher fires its capture.
+	Stalls     []Span
+	StallOnset bool
 
-	// SLO evaluation replayed over every tick.
-	Statuses   map[string]Status // final status per objective
+	// SLO evaluation replayed over every tick: each objective's status
+	// at End, in Signals.Objectives order, and the violation spans.
+	Statuses   []Status
 	Violations []Span
 }
 
-// BuildReport replays a dump into a crawl health report.
-func BuildReport(d *Dump, opts ReportOptions) *HealthReport {
-	opts = opts.withDefaults()
-	r := &HealthReport{Statuses: make(map[string]Status)}
-	ticks := d.Times()
+// BuildReport reads src through sig.
+func BuildReport(src Source, sig Signals) *HealthReport {
+	r := &HealthReport{Signals: sig}
+	ticks := Times(src)
 	r.Ticks = len(ticks)
 	if len(ticks) == 0 {
 		return r
 	}
 	r.Start, r.End = ticks[0], ticks[len(ticks)-1]
 
-	r.Throughput = sumRatePoints(d, []string{opts.Throughput}, ticks)
-	r.TotalProfiles = sumIncrease(d, []string{opts.Throughput}, time.Time{}, time.Time{})
+	work := []string{sig.Work.Selector}
+	r.Throughput = perTick(src, work, ticks)
+	r.Total = countAtEnd(src, work)
 	for _, p := range r.Throughput {
-		r.AvgThroughput += p.V
-		if p.V > r.PeakThroughput {
-			r.PeakThroughput = p.V
+		r.AvgThroughput += p.V / float64(len(r.Throughput))
+		r.PeakThroughput = math.Max(r.PeakThroughput, p.V)
+	}
+	row := func(s Signal, rate bool) []Point {
+		if s.Selector == "" {
+			return nil
+		}
+		title := s.Title
+		if rate {
+			title += "/s"
+		}
+		pts := perTick(src, []string{s.Selector}, ticks)
+		r.Rows = append(r.Rows, Row{Title: title, Unit: s.Unit, Rate: rate, Points: pts})
+		return pts
+	}
+	activity := r.Throughput
+	if sig.Activity.Selector != "" {
+		activity = row(sig.Activity, true)
+	}
+	for _, s := range sig.Also {
+		row(s, true)
+	}
+	if backlog := row(sig.Backlog, false); len(backlog) > 0 {
+		r.Stalls, r.StallOnset = stalls(activity, backlog, sig.StallAfter)
+		if queued := backlog[len(backlog)-1].V; queued > 0 && r.AvgThroughput > 0 {
+			r.ETA = time.Duration(queued / r.AvgThroughput * float64(time.Second))
 		}
 	}
-	if len(r.Throughput) > 0 {
-		r.AvgThroughput /= float64(len(r.Throughput))
-	}
+	row(sig.Lag, false)
 
-	r.Errors = sumRatePoints(d, opts.Errors, ticks)
-	r.TotalErrors = sumIncrease(d, opts.Errors, time.Time{}, time.Time{})
+	r.Errors = perTick(src, sig.Errors, ticks)
+	r.TotalErrors = countAtEnd(src, sig.Errors)
 	r.ErrorSpikes = errorSpikes(r.Errors)
-	r.Stalls = stalls(d, r.Throughput, opts)
-	r.Violations = ViolationSpans(d, opts.Objectives, ticks)
-	for _, o := range opts.Objectives {
-		r.Statuses[o.Name] = Evaluate(d, o, r.End)
-	}
+	r.Violations, r.Statuses = violationSpans(src, sig.Objectives, ticks)
 	return r
 }
 
-// sumRatePoints sums the per-interval rate series of every series
-// matching any selector, aligned on the dump's tick sequence.
-func sumRatePoints(src Source, selectors []string, ticks []time.Time) []Point {
+// Times returns the sorted, deduplicated union of every point's
+// timestamp — the collector samples all series at one instant per tick,
+// so this reconstructs the tick sequence.
+func Times(src Source) []time.Time {
+	seen := make(map[int64]time.Time)
+	for _, name := range src.Names() {
+		for _, p := range src.PointsSince(name, time.Time{}) {
+			seen[p.T.UnixNano()] = p.T
+		}
+	}
+	out := make([]time.Time, 0, len(seen))
+	for _, t := range seen {
+		out = append(out, t)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
+	return out
+}
+
+// perTick sums the series matching any selector at each tick: counters
+// and histograms as the per-second rate over the interval ending there,
+// gauges as sampled. Rates exist from the second tick on, so the result
+// is aligned on ticks[1:] for both.
+func perTick(src Source, selectors []string, ticks []time.Time) []Point {
 	byTick := make(map[int64]float64)
 	for _, name := range src.Names() {
-		if k, ok := src.SeriesKind(name); !ok || k == KindGauge {
+		if !matchesAny(selectors, name) {
 			continue
 		}
-		matched := false
-		for _, sel := range selectors {
-			if matchesSelector(sel, name) {
-				matched = true
-				break
-			}
+		pts := src.PointsSince(name, time.Time{})
+		if kind, _ := src.SeriesKind(name); kind != KindGauge {
+			pts = RatePoints(pts)
 		}
-		if !matched {
-			continue
-		}
-		for _, p := range RatePoints(src.PointsSince(name, time.Time{})) {
+		for _, p := range pts {
 			byTick[p.T.UnixNano()] += p.V
 		}
 	}
 	out := make([]Point, 0, len(ticks))
-	for _, t := range ticks[1:] { // rates exist from the second tick on
+	for _, t := range ticks[1:] {
 		out = append(out, Point{T: t, V: byTick[t.UnixNano()]})
+	}
+	return out
+}
+
+// countAtEnd sums the matching counters' values at the source's last
+// point: what the first retained point already carried plus the
+// reset-aware growth since, so a source that holds only the tail of a
+// run reports the same total as one that holds all of it.
+func countAtEnd(src Source, selectors []string) float64 {
+	var total float64
+	for _, name := range src.Names() {
+		if kind, _ := src.SeriesKind(name); kind == KindGauge || !matchesAny(selectors, name) {
+			continue
+		}
+		if pts := src.PointsSince(name, time.Time{}); len(pts) > 0 {
+			total += pts[0].V + Increase(pts)
+		}
+	}
+	return total
+}
+
+// runs returns the maximal runs [first, last] of indices below n at
+// which in holds.
+func runs(n int, in func(i int) bool) [][2]int {
+	var out [][2]int
+	first := -1
+	for i := 0; i <= n; i++ {
+		if i < n && in(i) {
+			if first < 0 {
+				first = i
+			}
+		} else if first >= 0 {
+			out = append(out, [2]int{first, i - 1})
+			first = -1
+		}
 	}
 	return out
 }
@@ -163,103 +203,90 @@ func sumRatePoints(src Source, selectors []string, ticks []time.Time) []Point {
 // errorSpikes finds contiguous runs where the error rate exceeds
 // max(5x the run average, 0.05/s).
 func errorSpikes(errs []Point) []Span {
-	if len(errs) == 0 {
-		return nil
-	}
 	var avg float64
 	for _, p := range errs {
-		avg += p.V
+		avg += p.V / float64(len(errs))
 	}
-	avg /= float64(len(errs))
 	threshold := math.Max(5*avg, 0.05)
 	var spans []Span
-	open := -1
-	peak := 0.0
-	for i, p := range errs {
-		if p.V > threshold {
-			if open < 0 {
-				open = i
-				peak = p.V
-			} else if p.V > peak {
-				peak = p.V
-			}
-			continue
+	for _, run := range runs(len(errs), func(i int) bool { return errs[i].V > threshold }) {
+		s := Span{Start: errs[run[0]].T, End: errs[run[1]].T}
+		for _, p := range errs[run[0] : run[1]+1] {
+			s.Peak = math.Max(s.Peak, p.V)
 		}
-		if open >= 0 {
-			spans = append(spans, Span{Start: errs[open].T, End: errs[i-1].T, Peak: peak})
-			open = -1
-		}
-	}
-	if open >= 0 {
-		spans = append(spans, Span{Start: errs[open].T, End: errs[len(errs)-1].T, Peak: peak})
+		spans = append(spans, s)
 	}
 	return spans
 }
 
-// stalls finds runs of >= StallAfter consecutive zero-throughput ticks
-// during which the frontier gauge stayed non-empty.
-func stalls(d *Dump, throughput []Point, opts ReportOptions) []Span {
-	frontierAt := make(map[int64]float64)
-	for _, name := range d.Names() {
-		if !matchesSelector(opts.Frontier, name) {
-			continue
-		}
-		for _, p := range d.PointsSince(name, time.Time{}) {
-			frontierAt[p.T.UnixNano()] += p.V
+// stalls is the stall rule: runs of at least after consecutive ticks
+// with zero activity while the backlog stayed non-empty (a drained
+// backlog with slow stragglers is a finishing run, not a stall). onset
+// reports that the run ending at the last tick is exactly after long.
+func stalls(activity, backlog []Point, after int) (spans []Span, onset bool) {
+	after = max(after, 1)
+	for _, run := range runs(len(activity), func(i int) bool { return activity[i].V == 0 && backlog[i].V > 0 }) {
+		if n := run[1] - run[0] + 1; n >= after {
+			start, end := activity[run[0]].T, activity[run[1]].T
+			spans = append(spans, Span{Start: start, End: end, Peak: end.Sub(start).Seconds()})
+			onset = n == after && run[1] == len(activity)-1
 		}
 	}
-	var spans []Span
-	run := make([]Point, 0, 8)
-	flush := func() {
-		if len(run) >= opts.StallAfter {
-			spans = append(spans, Span{
-				Start: run[0].T, End: run[len(run)-1].T,
-				Peak: run[len(run)-1].T.Sub(run[0].T).Seconds(),
-			})
-		}
-		run = run[:0]
-	}
-	for _, p := range throughput {
-		if p.V == 0 && frontierAt[p.T.UnixNano()] > 0 {
-			run = append(run, p)
-			continue
-		}
-		flush()
-	}
-	flush()
-	return spans
+	return spans, onset
 }
 
-// ViolationSpans replays the objectives over every tick and returns the
+// violationSpans replays the objectives over every tick and returns the
 // contiguous spans during which each objective's long-window SLI was out
-// of bounds (Status.Violating), sorted by start time.
-func ViolationSpans(src Source, objs []Objective, ticks []time.Time) []Span {
-	var spans []Span
+// of bounds (Status.Violating), sorted by start time, and each
+// objective's status at the last tick.
+func violationSpans(src Source, objs []Objective, ticks []time.Time) (spans []Span, final []Status) {
 	for _, o := range objs {
-		open := -1
-		peak := 0.0
+		at := make([]Status, len(ticks))
 		for i, t := range ticks {
-			st := Evaluate(src, o, t)
-			if st.Violating {
-				if open < 0 {
-					open = i
-					peak = st.BurnLong
-				} else if st.BurnLong > peak {
-					peak = st.BurnLong
-				}
-				continue
-			}
-			if open >= 0 {
-				spans = append(spans, Span{Start: ticks[open], End: ticks[i-1], Peak: peak, Name: o.Name})
-				open = -1
-			}
+			at[i] = Evaluate(src, o, t)
 		}
-		if open >= 0 {
-			spans = append(spans, Span{Start: ticks[open], End: ticks[len(ticks)-1], Peak: peak, Name: o.Name})
+		for _, run := range runs(len(ticks), func(i int) bool { return at[i].Violating }) {
+			s := Span{Start: ticks[run[0]], End: ticks[run[1]], Name: o.Name}
+			for _, st := range at[run[0] : run[1]+1] {
+				s.Peak = math.Max(s.Peak, st.BurnLong)
+			}
+			spans = append(spans, s)
 		}
+		final = append(final, at[len(at)-1])
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
-	return spans
+	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
+	return spans, final
+}
+
+// last formats the newest value of a row: rates to a decimal, gauges
+// whole with their unit.
+func last(pts []Point, rate bool, unit string) string {
+	if len(pts) == 0 {
+		return "-"
+	}
+	if rate {
+		return fmt.Sprintf("%.1f", pts[len(pts)-1].V)
+	}
+	return fmt.Sprintf("%.0f%s", pts[len(pts)-1].V, unit)
+}
+
+// ProgressLine renders where the report ends as one structured line —
+// gpluscrawl logs it every -progress. Totals are the run's, rates the
+// last tick's, and the ETA is smoothed over window=, the span the
+// report covers.
+func (r *HealthReport) ProgressLine() string {
+	sig := r.Signals
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s progress: %s=%.0f %s/s=%s", sig.Name, sig.Done, r.Total, sig.Work.Title, last(r.Throughput, true, ""))
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, " %s=%s", row.Title, last(row.Points, row.Rate, row.Unit))
+	}
+	eta := "?"
+	if r.ETA > 0 {
+		eta = r.ETA.Round(time.Second).String()
+	}
+	fmt.Fprintf(&b, " errors=%.0f eta=%s window=%s", r.TotalErrors, eta, r.End.Sub(r.Start).Round(time.Second))
+	return b.String()
 }
 
 // WriteText renders the report for terminals.
@@ -271,16 +298,20 @@ func (r *HealthReport) WriteText(w io.Writer, width int) {
 		fmt.Fprintln(w, "no samples in dump")
 		return
 	}
-	fmt.Fprintf(w, "crawl health  %s .. %s  (%s, %d ticks)\n\n",
+	sig := r.Signals
+	fmt.Fprintf(w, "%s health  %s .. %s  (%s, %d ticks)\n\n", sig.Name,
 		r.Start.Format(time.RFC3339), r.End.Format(time.RFC3339),
 		r.End.Sub(r.Start).Round(time.Second), r.Ticks)
 
-	fmt.Fprintf(w, "throughput   %s\n", Sparkline(values(r.Throughput), width))
-	fmt.Fprintf(w, "             avg %.2f/s  peak %.2f/s  total %.0f profiles\n\n",
-		r.AvgThroughput, r.PeakThroughput, r.TotalProfiles)
-
-	fmt.Fprintf(w, "errors       %s\n", Sparkline(values(r.Errors), width))
-	fmt.Fprintf(w, "             total %.0f errors\n", r.TotalErrors)
+	const line = "%-12s %s  %s\n"
+	fmt.Fprintf(w, line, sig.Work.Title+"/s", Sparkline(values(r.Throughput), width), last(r.Throughput, true, ""))
+	fmt.Fprintf(w, "%-12s avg %.2f/s  peak %.2f/s  total %.0f %s\n", "",
+		r.AvgThroughput, r.PeakThroughput, r.Total, sig.Work.Title)
+	for _, row := range r.Rows {
+		fmt.Fprintf(w, line, row.Title, Sparkline(values(row.Points), width), last(row.Points, row.Rate, row.Unit))
+	}
+	fmt.Fprintf(w, line, "errors/s", Sparkline(values(r.Errors), width), last(r.Errors, true, ""))
+	fmt.Fprintf(w, "%-12s total %.0f errors\n", "", r.TotalErrors)
 	for _, s := range r.ErrorSpikes {
 		fmt.Fprintf(w, "  spike  %s .. %s  peak %.2f err/s\n",
 			s.Start.Format("15:04:05"), s.End.Format("15:04:05"), s.Peak)
@@ -288,25 +319,15 @@ func (r *HealthReport) WriteText(w io.Writer, width int) {
 	if len(r.ErrorSpikes) == 0 {
 		fmt.Fprintln(w, "  no error spikes")
 	}
+	for _, s := range r.Stalls {
+		fmt.Fprintf(w, "  stall  %s .. %s  (%.0fs with work queued)\n",
+			s.Start.Format("15:04:05"), s.End.Format("15:04:05"), s.Peak)
+	}
 	fmt.Fprintln(w)
 
-	if len(r.Stalls) > 0 {
-		for _, s := range r.Stalls {
-			fmt.Fprintf(w, "stall  %s .. %s  (%.0fs with work queued)\n",
-				s.Start.Format("15:04:05"), s.End.Format("15:04:05"), s.Peak)
-		}
-		fmt.Fprintln(w)
-	}
-
 	fmt.Fprintln(w, "SLOs:")
-	names := make([]string, 0, len(r.Statuses))
-	for name := range r.Statuses {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		st := r.Statuses[name]
-		fmt.Fprintf(w, "  %-16s %-48s final burn=%.2f\n", name, st.Objective, st.BurnLong)
+	for _, st := range r.Statuses {
+		fmt.Fprintf(w, "  %-16s %-48s %-4s burn=%.2f\n", st.Name, st.Objective, st.State, st.BurnLong)
 	}
 	if len(r.Violations) == 0 {
 		fmt.Fprintln(w, "  no violation spans")

@@ -9,47 +9,62 @@ import (
 	"gplus/internal/obs"
 )
 
-// buildCrawlDump simulates a crawl's metric evolution through the
-// collector and round-trips it through the JSONL dump format: steady
-// throughput, an error spike with a throughput dip in the middle, and a
-// stall (zero throughput, non-empty frontier) near the end.
-func buildCrawlDump(t *testing.T) *Dump {
+// testSignals reads the recorded crawl below: the crawl's signals with
+// one availability objective whose window fits the recording.
+func testSignals() Signals {
+	sig := CrawlSignals()
+	sig.Objectives = []Objective{{
+		Name: "availability", Kind: ErrorRatio,
+		Bad: []string{apiOverloaded}, Total: []string{apiResponses},
+		Max: 0.01, Window: 15 * time.Second,
+	}}
+	return sig
+}
+
+// recordCrawl drives a crawl's metric evolution through the collector
+// tick by tick with the live watcher attached: steady throughput, an
+// error spike during which nothing is fetched, a worker paging through
+// one huge circle list (pages but no profile: not a stall), a stall
+// (zero pages, non-empty frontier) and a drain. It returns the collector
+// and the report the watcher built at each tick.
+func recordCrawl(t *testing.T) (*Collector, []*HealthReport) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	profiles := reg.Counter("crawler_pages_fetched_total")
+	profiles := reg.Counter("crawler_profiles_crawled_total")
+	pages := reg.Counter("crawler_pages_fetched_total")
 	errs := reg.Counter(`gplusapi_responses_total{code="503"}`)
 	oks := reg.Counter(`gplusapi_responses_total{code="200"}`)
 	frontier := reg.Gauge("crawler_frontier_depth")
 	c := NewCollector(reg, Options{Capacity: 256})
+	var live []*HealthReport
+	Watch(c, testSignals(), func(r *HealthReport) { live = append(live, r) })
 
 	n := 0
 	c.Sample(tick(n)) // zero baseline so increases count the first tick
 	n++
-	step := func(prof, bad, good, depth int64) {
-		profiles.Add(prof)
-		errs.Add(bad)
-		oks.Add(good)
-		frontier.Set(depth)
-		c.Sample(tick(n))
-		n++
+	step := func(times int, prof, page, bad, good, depth int64) {
+		for i := 0; i < times; i++ {
+			profiles.Add(prof)
+			pages.Add(page)
+			errs.Add(bad)
+			oks.Add(good)
+			frontier.Set(depth)
+			c.Sample(tick(n))
+			n++
+		}
 	}
+	step(20, 10, 20, 0, 30, 100) // healthy
+	step(10, 0, 0, 8, 2, 100)    // outage: errors spike, nothing fetched
+	step(15, 10, 20, 0, 30, 50)  // recovered
+	step(5, 0, 20, 0, 20, 50)    // one 10 000-entry circle list: pages, no profile
+	step(6, 0, 0, 0, 0, 40)      // stall: no page, work still queued
+	step(5, 10, 20, 0, 30, 0)    // drain out
+	return c, live
+}
 
-	for i := 0; i < 20; i++ { // healthy
-		step(10, 0, 10, 100)
-	}
-	for i := 0; i < 10; i++ { // outage: errors spike, throughput dies
-		step(0, 8, 2, 100)
-	}
-	for i := 0; i < 20; i++ { // recovered
-		step(10, 0, 10, 50)
-	}
-	for i := 0; i < 6; i++ { // stall: no throughput, work still queued
-		step(0, 0, 0, 40)
-	}
-	for i := 0; i < 5; i++ { // drain out
-		step(10, 0, 10, 0)
-	}
-
+// dumpOf round-trips the collector's rings through the JSONL dump.
+func dumpOf(t *testing.T, c *Collector) *Dump {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := c.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -103,7 +118,7 @@ func TestDumpRoundTrip(t *testing.T) {
 	if hp[0].Hist == nil || hp[0].Hist.Count != 1 {
 		t.Errorf("histogram snapshot lost in round trip: %+v", hp[0])
 	}
-	if ticks := d.Times(); len(ticks) != 2 || !ticks[0].Equal(tick(0)) {
+	if ticks := Times(d); len(ticks) != 2 || !ticks[0].Equal(tick(0)) {
 		t.Errorf("Times = %v", ticks)
 	}
 }
@@ -137,21 +152,16 @@ func TestReadDumpMergesAndRejectsGarbage(t *testing.T) {
 }
 
 func TestBuildReport(t *testing.T) {
-	d := buildCrawlDump(t)
-	r := BuildReport(d, ReportOptions{
-		Objectives: []Objective{{
-			Name: "availability", Kind: ErrorRatio,
-			Bad:   []string{`gplusapi_responses_total{code="503"}`},
-			Total: []string{"gplusapi_responses_total"},
-			Max:   0.01, Window: 15 * time.Second,
-		}},
-	})
+	c, _ := recordCrawl(t)
+	r := BuildReport(dumpOf(t, c), testSignals())
 
 	if r.Ticks != 62 {
 		t.Fatalf("Ticks = %d", r.Ticks)
 	}
-	if r.TotalProfiles != 450 {
-		t.Errorf("TotalProfiles = %g, want 450", r.TotalProfiles)
+	// Profiles, not pages: 40 ticks completed 10 profiles each while 45
+	// fetched 20 pages each.
+	if r.Total != 400 {
+		t.Errorf("Total = %g, want 400", r.Total)
 	}
 	if r.TotalErrors != 80 {
 		t.Errorf("TotalErrors = %g, want 80", r.TotalErrors)
@@ -160,31 +170,20 @@ func TestBuildReport(t *testing.T) {
 		t.Errorf("throughput stats: avg %g peak %g", r.AvgThroughput, r.PeakThroughput)
 	}
 
-	// The error spike must cover the outage ticks [20, 30).
+	// The error spike must cover the outage ticks [21, 30].
 	if len(r.ErrorSpikes) != 1 {
 		t.Fatalf("ErrorSpikes = %+v", r.ErrorSpikes)
 	}
-	spike := r.ErrorSpikes[0]
-	if spike.Start.Before(tick(19)) || spike.Start.After(tick(21)) || spike.End.Before(tick(28)) || spike.End.After(tick(30)) {
-		t.Errorf("spike span %v..%v, want ~[20, 29]", spike.Start, spike.End)
-	}
-	if spike.Peak != 8 {
-		t.Errorf("spike peak = %g err/s, want 8", spike.Peak)
+	if spike := r.ErrorSpikes[0]; !spike.Start.Equal(tick(21)) || !spike.End.Equal(tick(30)) || spike.Peak != 8 {
+		t.Errorf("spike %v..%v peak %g, want ticks 21..30 at 8 err/s", spike.Start, spike.End, spike.Peak)
 	}
 
-	// The outage also stalls throughput with a full frontier; the
-	// explicit stall phase at [50, 56) is the second stall.
-	if len(r.Stalls) < 1 {
-		t.Fatalf("Stalls = %+v", r.Stalls)
-	}
-	foundLate := false
-	for _, s := range r.Stalls {
-		if !s.Start.Before(tick(49)) && !s.End.After(tick(56)) {
-			foundLate = true
-		}
-	}
-	if !foundLate {
-		t.Errorf("late stall not detected: %+v", r.Stalls)
+	// The outage fetches nothing with a full frontier, the explicit
+	// stall is the second one; the five ticks of pages without a
+	// completed profile in between are not a stall.
+	if len(r.Stalls) != 2 || !r.Stalls[0].Start.Equal(tick(21)) || !r.Stalls[0].End.Equal(tick(30)) ||
+		!r.Stalls[1].Start.Equal(tick(51)) || !r.Stalls[1].End.Equal(tick(56)) {
+		t.Errorf("Stalls = %+v, want ticks 21..30 and 51..56", r.Stalls)
 	}
 
 	// SLO replay: the availability objective must violate during the
@@ -206,15 +205,50 @@ func TestBuildReport(t *testing.T) {
 	var sb strings.Builder
 	r.WriteText(&sb, 40)
 	out := sb.String()
-	for _, want := range []string{"crawl health", "throughput", "spike", "VIOLATION availability", "stall"} {
+	for _, want := range []string{"crawl health", "profiles/s", "pages/s", "frontier", "total 400 profiles", "spike", "VIOLATION availability", "stall"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report text missing %q:\n%s", want, out)
 		}
 	}
+	t.Logf("%s\n%s", out, r.ProgressLine())
+}
+
+// TestLiveEqualsOffline is the one proof that the live surfaces and the
+// post-mortem cannot disagree: the watcher's report at the last tick and
+// BuildReport over the dump written from the same rings render the same
+// text and the same progress line, and along the way the stall trigger
+// fired at exactly one tick per stall — the StallAfter-th of each.
+func TestLiveEqualsOffline(t *testing.T) {
+	c, live := recordCrawl(t)
+	offline := BuildReport(dumpOf(t, c), testSignals())
+	final := live[len(live)-1]
+
+	var want, got strings.Builder
+	offline.WriteText(&want, 0)
+	final.WriteText(&got, 0)
+	if got.String() != want.String() {
+		t.Errorf("live report at the last tick:\n%s\noffline report of the dump:\n%s", &got, &want)
+	}
+	if got, want := final.ProgressLine(), offline.ProgressLine(); got != want {
+		t.Errorf("progress lines differ:\nlive    %s\noffline %s", got, want)
+	}
+	if want := "crawl progress: crawled=400 profiles/s=10.0 pages/s=20.0 edges/s=0.0 frontier=0 journal_lag=0s errors=80 eta=? window=1m1s"; final.ProgressLine() != want {
+		t.Errorf("progress line:\n got %s\nwant %s", final.ProgressLine(), want)
+	}
+
+	var onsets []time.Time
+	for _, r := range live {
+		if r.StallOnset {
+			onsets = append(onsets, r.End)
+		}
+	}
+	if len(onsets) != 2 || !onsets[0].Equal(tick(23)) || !onsets[1].Equal(tick(53)) {
+		t.Errorf("stall trigger fired at %v, want once per stall: ticks 23 and 53", onsets)
+	}
 }
 
 func TestBuildReportEmptyDump(t *testing.T) {
-	r := BuildReport(NewDump(), ReportOptions{})
+	r := BuildReport(NewDump(), CrawlSignals())
 	if r.Ticks != 0 {
 		t.Fatalf("Ticks = %d", r.Ticks)
 	}

@@ -75,41 +75,46 @@ func BenchmarkEvaluateObjective(b *testing.B) {
 	}
 }
 
-// TestDashFrame exercises the dashboard renderer against a populated
-// collector: frames must carry the panels, headline, and SLO rows, and
-// repaint in place (cursor-home, per-line erase) rather than scrolling.
+// TestDashFrame draws a populated collector's live reports: every frame
+// is the report's text plus the progress line, repainted in place
+// (cursor-home, per-line erase) rather than scrolled.
 func TestDashFrame(t *testing.T) {
 	reg := obs.NewRegistry()
-	profiles := reg.Counter("crawler_pages_fetched_total")
+	profiles := reg.Counter("crawler_profiles_crawled_total")
 	reg.Counter("crawler_edges_observed_total").Add(10)
 	reg.Gauge("crawler_frontier_depth").Set(42)
 	c := NewCollector(reg, Options{Capacity: 64})
-	eng := NewEngine(c, DefaultCrawlObjectives(), reg)
 
-	var sb strings.Builder
-	d := NewDash(c, eng, &sb, DashOptions{Width: 20, Extra: func() []string {
-		return []string{"extra status line"}
-	}})
+	var sb, text strings.Builder
+	d := NewDash(&sb)
+	Watch(c, CrawlSignals(), func(r *HealthReport) {
+		d.Frame(r)
+		text.Reset()
+		r.WriteText(&text, 0)
+	})
 	for i := 0; i < 5; i++ {
 		profiles.Add(7)
 		c.Sample(tick(i))
-		eng.Eval(tick(i))
-		d.Frame(tick(i))
 	}
 	out := sb.String()
-	if !strings.HasPrefix(out, ansiClear) {
-		t.Error("first frame should clear the screen")
+	if !strings.HasPrefix(out, ansiClear) || strings.Count(out, ansiClear) != 1 {
+		t.Error("the first frame, and only it, should clear the screen")
 	}
 	if strings.Count(out, ansiHome) != 5 {
 		t.Errorf("every frame should home the cursor, got %d", strings.Count(out, ansiHome))
 	}
-	for _, want := range []string{"profiles/s", "frontier", "totals", "profiles=35", "slo availability", "extra status line"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("frame missing %q", want)
-		}
+	// The last frame, stripped of its framing, is the report itself:
+	// a -dash frame and `gplusanalyze metrics` print the same rows.
+	last := out[strings.LastIndex(out, ansiHome)+len(ansiHome):]
+	last = strings.NewReplacer(ansiEraseLine, "", ansiEraseBelow, "").Replace(last)
+	if !strings.HasPrefix(last, text.String()) {
+		t.Errorf("frame is not the report's text:\n%s\nreport:\n%s", last, &text)
 	}
-	// Rates render: 7 profiles per 1s tick.
-	if !strings.Contains(out, "7.00/s") {
-		t.Errorf("throughput rate not rendered:\n%s", out)
+	// Rates render (7 profiles per 1s tick), and the progress line
+	// closes the frame.
+	for _, want := range []string{"profiles/s", "7.0", "frontier", "total 35 profiles", "availability", "crawl progress: crawled=35 "} {
+		if !strings.Contains(last, want) {
+			t.Errorf("frame missing %q:\n%s", want, last)
+		}
 	}
 }

@@ -252,17 +252,3 @@ func (c *Collector) PointsSince(name string, since time.Time) []Point {
 	}
 	return s.ring.pointsSince(since)
 }
-
-// Latest returns a series' newest point.
-func (c *Collector) Latest(name string) (Point, bool) {
-	if c == nil {
-		return Point{}, false
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	s := c.series[name]
-	if s == nil || s.ring.len() == 0 {
-		return Point{}, false
-	}
-	return s.ring.at(s.ring.len() - 1), true
-}

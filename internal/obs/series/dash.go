@@ -1,198 +1,71 @@
 package series
 
 import (
-	"fmt"
 	"io"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
-// Panel is one sparkline row of the dashboard: a counter family drawn
-// as per-interval rate, or a gauge drawn as its raw values.
-type Panel struct {
-	// Title labels the row (kept short; the row budget is one line).
-	Title string
-	// Selector picks the series (family name, optionally with label
-	// constraints). Multiple matching series are summed per tick.
-	Selector string
-	// AsRate derives per-interval rates (counters); false plots raw
-	// values (gauges).
-	AsRate bool
-	// Unit suffixes the current-value readout ("/s", "", ...).
-	Unit string
+// liveTicks is how much history a live report spans (and each sparkline
+// of the dashboard shows) unless the stall rule needs more: two minutes
+// at the default cadence. Counted in ticks because the SLO replay costs
+// ticks x points-per-objective-window, whatever the cadence.
+const liveTicks = 120
+
+// trailing restricts a Source to its points at or after since (plus,
+// per the PointsSince contract, each series' baseline point before it).
+type trailing struct {
+	Source
+	since time.Time
 }
 
-// crawlPanels are the dashboard rows of a crawl: throughput, edge
-// discovery, frontier backlog, and API errors.
-var crawlPanels = []Panel{
-	{Title: "profiles/s", Selector: "crawler_pages_fetched_total", AsRate: true, Unit: "/s"},
-	{Title: "edges/s", Selector: "crawler_edges_observed_total", AsRate: true, Unit: "/s"},
-	{Title: "frontier", Selector: "crawler_frontier_depth"},
-	{Title: "errors/s", Selector: "gplusapi_responses_total{code=\"503\"}", AsRate: true, Unit: "/s"},
-}
-
-// DashOptions configures a Dash.
-type DashOptions struct {
-	// Width is the sparkline width in cells (default 60).
-	Width int
-	// Window is how much history each sparkline spans (default 2m).
-	Window time.Duration
-	// Extra, when non-nil, returns extra status lines appended under the
-	// panels each frame (the crawler's progress/ETA line plugs in here).
-	Extra func() []string
-}
-
-func (o DashOptions) width() int {
-	if o.Width <= 0 {
-		return 60
+func (t trailing) PointsSince(name string, since time.Time) []Point {
+	if since.Before(t.since) {
+		since = t.since
 	}
-	return o.Width
+	return t.Source.PointsSince(name, since)
 }
 
-func (o DashOptions) window() time.Duration {
-	if o.Window <= 0 {
-		return 2 * time.Minute
-	}
-	return o.Window
-}
-
-// Dash renders a live ANSI terminal dashboard from a collector's rings:
-// one sparkline panel per configured series, headline counters, SLO
-// states, and recent alert transitions. Attach it to the collector with
-// c.OnSample(d.Frame) — each sample redraws the screen. Rendering is a
-// single Write of a frame that starts with cursor-home and erases each
-// line as it goes, so frames replace each other without flicker.
-type Dash struct {
-	c    *Collector
-	eng  *Engine
-	w    io.Writer
-	opts DashOptions
-
-	mu    sync.Mutex
-	start time.Time // of the first frame; zero until then
-}
-
-// NewDash builds a dashboard over a collector (and optional SLO
-// engine) writing frames to w.
-func NewDash(c *Collector, eng *Engine, w io.Writer, opts DashOptions) *Dash {
-	return &Dash{c: c, eng: eng, w: w, opts: opts}
+// Watch is the live side of BuildReport: after every sample of c it
+// builds the report over the trailing window of the rings and hands it
+// to fn — to print a progress line from, fire a capture on StallOnset,
+// or draw as a dashboard frame. fn runs on the sampling goroutine, one
+// call at a time.
+func Watch(c *Collector, sig Signals, fn func(*HealthReport)) {
+	window := time.Duration(max(liveTicks, sig.StallAfter+1)) * c.Interval()
+	c.OnSample(func(now time.Time) {
+		fn(BuildReport(trailing{c, now.Add(-window)}, sig))
+	})
 }
 
 const (
-	ansiClear     = "\x1b[2J"
-	ansiHome      = "\x1b[H"
-	ansiEraseLine = "\x1b[K"
+	ansiClear      = "\x1b[2J"
+	ansiHome       = "\x1b[H"
+	ansiEraseLine  = "\x1b[K"
+	ansiEraseBelow = "\x1b[J"
 )
 
-// Frame renders one frame at now. Meant for Collector.OnSample.
-func (d *Dash) Frame(now time.Time) {
-	if d == nil || d.w == nil {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var b strings.Builder
-	if d.start.IsZero() {
-		d.start = now
-		b.WriteString(ansiClear)
-	}
-	b.WriteString(ansiHome)
-	line := func(format string, args ...any) {
-		fmt.Fprintf(&b, format, args...)
-		b.WriteString(ansiEraseLine + "\n")
-	}
-	line("gplus crawl  %s  elapsed %s  (tick %s)",
-		now.Format("15:04:05"), now.Sub(d.start).Round(time.Second), d.c.Interval())
-	line("%s", strings.Repeat("─", d.opts.width()+28))
-	since := now.Add(-d.opts.window())
-	for _, p := range crawlPanels {
-		values, cur := d.panelValues(p, since)
-		line("%-12s %s %s", p.Title, Sparkline(values, d.opts.width()), fmtValue(cur, p.Unit))
-	}
-	line("%s", strings.Repeat("─", d.opts.width()+28))
-	line("totals       %s", d.headline())
-	for _, st := range d.eng.Statuses() {
-		line("slo %-12s %-5s burn=%.2f (short %.2f) sli=%.3g%%",
-			st.Name, st.State, st.BurnLong, st.BurnShort, st.SLI*100)
-	}
-	if trs := d.eng.Transitions(); len(trs) > 0 {
-		tr := trs[len(trs)-1]
-		line("last alert   %s %s %s -> %s (burn %.2f)",
-			tr.Time.Format("15:04:05"), tr.Name, tr.From, tr.To, tr.Burn)
-	}
-	if d.opts.Extra != nil {
-		for _, s := range d.opts.Extra() {
-			line("%s", s)
-		}
-	}
-	b.WriteString(ansiEraseLine)
-	io.WriteString(d.w, b.String()) //nolint:errcheck — terminal write
+// Dash draws health reports as frames of a live ANSI terminal
+// dashboard: HealthReport.WriteText plus the progress line, each frame
+// one Write that homes the cursor and erases as it goes, so frames
+// replace each other without flicker. Feed it from Watch.
+type Dash struct {
+	w       io.Writer
+	started bool
 }
 
-// panelValues returns a panel's plotted values (summed across matching
-// series per tick) and the most recent value.
-func (d *Dash) panelValues(p Panel, since time.Time) (values []float64, cur float64) {
-	byTick := make(map[int64]float64)
-	for _, name := range d.c.Names() {
-		if !matchesSelector(p.Selector, name) {
-			continue
-		}
-		pts := d.c.PointsSince(name, since)
-		if p.AsRate {
-			pts = RatePoints(pts)
-		}
-		for _, pt := range pts {
-			byTick[pt.T.UnixNano()] += pt.V
-		}
-	}
-	if len(byTick) == 0 {
-		return nil, 0
-	}
-	ticks := make([]int64, 0, len(byTick))
-	for t := range byTick {
-		ticks = append(ticks, t)
-	}
-	sort.Slice(ticks, func(i, j int) bool { return ticks[i] < ticks[j] })
-	values = make([]float64, len(ticks))
-	for i, t := range ticks {
-		values[i] = byTick[t]
-	}
-	return values, values[len(values)-1]
-}
+// NewDash builds a dashboard writing frames to w.
+func NewDash(w io.Writer) *Dash { return &Dash{w: w} }
 
-// headline summarizes the crawl's cumulative counters.
-func (d *Dash) headline() string {
-	var profiles, edges, errs float64
-	for _, name := range d.c.Names() {
-		kind, _ := d.c.SeriesKind(name)
-		if kind != KindCounter {
-			continue
-		}
-		p, ok := d.c.Latest(name)
-		if !ok {
-			continue
-		}
-		switch familyOf(name) {
-		case "crawler_pages_fetched_total":
-			profiles += p.V
-		case "crawler_edges_observed_total":
-			edges += p.V
-		case "crawler_profile_errors_total", "crawler_circle_errors_total":
-			errs += p.V
-		}
+// Frame draws one report.
+func (d *Dash) Frame(r *HealthReport) {
+	var text strings.Builder
+	r.WriteText(&text, 0)
+	text.WriteString("\n" + r.ProgressLine() + "\n")
+	frame := ansiHome + strings.ReplaceAll(text.String(), "\n", ansiEraseLine+"\n") + ansiEraseBelow
+	if !d.started {
+		d.started = true
+		frame = ansiClear + frame
 	}
-	return fmt.Sprintf("profiles=%.0f edges=%.0f errors=%.0f", profiles, edges, errs)
-}
-
-func fmtValue(v float64, unit string) string {
-	switch {
-	case v >= 1000:
-		return fmt.Sprintf("%8.0f%s", v, unit)
-	case v >= 10:
-		return fmt.Sprintf("%8.1f%s", v, unit)
-	default:
-		return fmt.Sprintf("%8.2f%s", v, unit)
-	}
+	io.WriteString(d.w, frame) //nolint:errcheck — terminal write
 }

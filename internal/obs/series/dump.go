@@ -141,21 +141,3 @@ func (d *Dump) PointsSince(name string, since time.Time) []Point {
 	}
 	return append([]Point(nil), s.pts[start:]...)
 }
-
-// Times returns the sorted, deduplicated union of every point's
-// timestamp — the collector samples all series at one instant per tick,
-// so this reconstructs the tick sequence.
-func (d *Dump) Times() []time.Time {
-	seen := make(map[int64]time.Time)
-	for _, s := range d.series {
-		for _, p := range s.pts {
-			seen[p.T.UnixNano()] = p.T
-		}
-	}
-	out := make([]time.Time, 0, len(seen))
-	for _, t := range seen {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
-	return out
-}

@@ -134,12 +134,12 @@ func TestCollectorSamplesRegistry(t *testing.T) {
 	if len(pts) != 2 || pts[0].V != 5 || pts[1].V != 10 {
 		t.Errorf("counter points = %+v", pts)
 	}
-	hp, ok := c.Latest("h_seconds")
-	if !ok || hp.Hist == nil || hp.Hist.Count != 2 || hp.V != 2 {
+	hps := c.PointsSince("h_seconds", time.Time{})
+	if hp := hps[len(hps)-1]; hp.Hist == nil || hp.Hist.Count != 2 || hp.V != 2 {
 		t.Errorf("histogram latest = %+v", hp)
 	}
-	if _, ok := c.Latest("nope"); ok {
-		t.Error("Latest of unknown series should report !ok")
+	if pts := c.PointsSince("nope", time.Time{}); pts != nil {
+		t.Errorf("unknown series has points %+v", pts)
 	}
 
 	// OnSample hooks observe each tick's timestamp.
@@ -208,8 +208,7 @@ func TestCollectorNilSafety(t *testing.T) {
 	if e.Statuses() != nil || e.Transitions() != nil || e.Objectives() != nil {
 		t.Error("nil engine should be empty")
 	}
-	var d *Dash
-	d.Frame(tick(0))
+	Watch(c, CrawlSignals(), func(*HealthReport) { t.Error("nil collector built a report") })
 }
 
 func TestCollectorStartStop(t *testing.T) {

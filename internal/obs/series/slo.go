@@ -36,7 +36,7 @@ type Objective struct {
 	Kind ObjectiveKind
 	// Bad and Total select the counter series of an ErrorRatio
 	// objective. Each selector is a family name, optionally with label
-	// constraints (`gplusapi_responses_total{code="503"}`); matching
+	// constraints (`responses_total{code="503"}`); matching
 	// series are summed.
 	Bad, Total []string
 	// Hist selects the histogram family (label constraints allowed) and
@@ -109,8 +109,8 @@ func (o Objective) String() string {
 // ParseObjectives parses the -slo flag grammar: objectives separated by
 // ';', each `name,kind,key=value,...`:
 //
-//	availability,error_ratio,bad=gplusapi_responses_total{code="503"}+gplusapi_transport_errors_total,total=gplusapi_responses_total+gplusapi_transport_errors_total,max=1%,window=1m
-//	latency,latency,hist=gplusd_request_seconds,q=0.99,max=250ms,window=1m
+//	availability,error_ratio,bad=responses_total{code="503"}+transport_errors_total,total=responses_total+transport_errors_total,max=1%,window=1m
+//	latency,latency,hist=request_seconds,q=0.99,max=250ms,window=1m
 //
 // Selector lists join families with '+'; label constraints in a
 // selector narrow it to matching series. max accepts a percentage
@@ -253,48 +253,6 @@ func ObjectivesFlag(value string, def []Objective) ([]Objective, error) {
 		return []Objective{}, nil
 	}
 	return ParseObjectives(value)
-}
-
-// DefaultCrawlObjectives are the stock objectives of a crawl run, seen
-// from the client side: API availability (503 responses and transport
-// errors against all attempts — retries that eventually succeed still
-// burn budget, which is what surfaces a flapping service) and API
-// latency.
-func DefaultCrawlObjectives() []Objective {
-	return []Objective{
-		{
-			Name: "availability", Kind: ErrorRatio,
-			Bad:    []string{`gplusapi_responses_total{code="503"}`, "gplusapi_transport_errors_total"},
-			Total:  []string{"gplusapi_responses_total", "gplusapi_transport_errors_total"},
-			Max:    0.01,
-			Window: time.Minute,
-		},
-		{
-			Name: "api-latency", Kind: Latency,
-			Hist: "gplusapi_request_seconds", Q: 0.99, Max: 1.0,
-			Window: time.Minute,
-		},
-	}
-}
-
-// DefaultGplusdObjectives are the stock server-side objectives:
-// injected chaos faults against requests served, and
-// p99 request latency under 250ms.
-func DefaultGplusdObjectives() []Objective {
-	return []Objective{
-		{
-			Name: "availability", Kind: ErrorRatio,
-			Bad:    []string{"gplusd_chaos_faults_total"},
-			Total:  []string{"gplusd_requests_total"},
-			Max:    0.01,
-			Window: time.Minute,
-		},
-		{
-			Name: "latency", Kind: Latency,
-			Hist: "gplusd_request_seconds", Q: 0.99, Max: 0.25,
-			Window: time.Minute,
-		},
-	}
 }
 
 // State is an objective's alert severity.
