@@ -19,8 +19,9 @@ all: build vet test race
 # study's concurrent, memoised structure stages with the packages that
 # drive them (paper, report, gplusanalyze), the
 # short fuzz leg shakes the checkpoint/journal parser and the triad pass, the hygiene leg
-# gates the metric exposition, the one-durable-writer rule and the
-# every-flag-has-a-recipe rule, the
+# gates the metric exposition, the one-durable-writer rule, the
+# every-flag-has-a-recipe rule and the every-package-reaches-the-pipeline
+# rule, the
 # brownout leg proves kill-free convergence through a server overload,
 # staticcheck runs when the pinned version is installed, and the run
 # ends with the non-test line count per package.
@@ -29,7 +30,7 @@ check: all staticcheck hygiene brownout fuzz-short loc
 help:
 	@echo "make all            build + vet + test + race (default)"
 	@echo "make check          all + staticcheck + hygiene + brownout + fuzz-short"
-	@echo "make hygiene        metrics-hygiene gate (naming grammar + HELP lines) + durable-write gate + every-flag-has-a-recipe gate"
+	@echo "make hygiene        metrics-hygiene gate (naming grammar + HELP lines) + durable-write gate + every-flag-has-a-recipe gate + every-package-reaches-the-pipeline gate"
 	@echo "make loc            non-test Go lines per package (bench/ excluded)"
 	@echo "make chaos          kill/resume convergence under the fault suite"
 	@echo "make brownout       kill-free convergence through a server brownout"
@@ -66,13 +67,15 @@ race:
 # (and bench/) calls os.Rename or os.CreateTemp or opens a file
 # O_APPEND, so a second copy of the write-fsync-rename protocol or of
 # the append log cannot land unnoticed. The flags gate fails if
-# gpluscrawl, gplusd, gplusanalyze, gplusgen, gplusverify or gpluslab
+# gpluscrawl, gplusd, gplusanalyze, gplusgen or gplusverify
 # registers a flag that no README.md, EXPERIMENTS.md or Makefile recipe
-# names.
+# names. The reachability gate fails if a package under internal/ is a
+# non-test import of no cmd/ binary and not of bench (internal/growth,
+# driven through the crawler by two named tests, is the one exception).
 hygiene:
 	$(GO) test -count=1 -run TestMetricsHygiene ./internal/crawler/
 	$(GO) test -count=1 -run TestDurableWriteHygiene ./internal/durable/
-	$(GO) test -count=1 -run TestFlagsHaveRecipe .
+	$(GO) test -count=1 -run 'TestFlagsHaveRecipe|TestPackagesReachPipeline' .
 
 # Non-test Go lines per package, bench/ excluded: the size trend ROADMAP
 # aim 2 asks every PR to report.
@@ -187,9 +190,9 @@ paperscale:
 	    $(GO) test -count=1 -run TestPaperScale -v -timeout 120m ./internal/graph/diskcsr/
 	rm -rf /tmp/gplus-paperscale
 
-# Design-choice ablations and the methodology/future-work experiments.
+# Design-choice ablations and the seed-sensitivity and growth experiments.
 ablations:
-	$(GO) test -bench='Ablation|SamplingBias|SeedSensitivity|Growth|Stream|Recommendation' -benchtime=1x .
+	$(GO) test -bench='Ablation|SeedSensitivity|Growth' -benchtime=1x .
 
 fuzz:
 	$(GO) test -fuzz=FuzzParseProfileHTML -fuzztime=30s ./internal/gplusapi/
@@ -219,8 +222,6 @@ examples:
 	$(GO) run ./examples/privacystudy
 	$(GO) run ./examples/geostudy
 	$(GO) run ./examples/growthstudy
-	$(GO) run ./examples/streamstudy
-	$(GO) run ./examples/recommendstudy
 
 # Full Markdown report (EXPERIMENTS-style) from a fresh dataset.
 report:

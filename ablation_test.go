@@ -7,7 +7,6 @@ package gplus
 
 import (
 	"context"
-	"math/rand/v2"
 	"testing"
 
 	"gplus/internal/core"
@@ -16,9 +15,6 @@ import (
 	"gplus/internal/gplusd"
 	"gplus/internal/graph"
 	"gplus/internal/growth"
-	"gplus/internal/recommend"
-	"gplus/internal/sampling"
-	"gplus/internal/stream"
 	"gplus/internal/synth"
 	"net/http/httptest"
 )
@@ -152,30 +148,6 @@ func BenchmarkAblationUnidirectionalCrawl(b *testing.B) {
 	}
 }
 
-// BenchmarkSamplingBias reproduces the §2.2 methodology caveat: BFS and
-// plain random walks over-sample hubs; Metropolis-Hastings re-weighting
-// does not.
-func BenchmarkSamplingBias(b *testing.B) {
-	cfg := synth.DefaultConfig(ablationNodes)
-	u, err := synth.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	seed := graph.TopByInDegree(u.Graph, 1, 1)[0]
-	rng := rand.New(rand.NewPCG(2, 3))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bfs := sampling.MeasureBias(u.Graph, sampling.BFS, seed, 3000, rng)
-		mh := sampling.MeasureBias(u.Graph, sampling.MetropolisHastings, seed, 3000, rng)
-		uni := sampling.MeasureBias(u.Graph, sampling.Uniform, seed, 3000, rng)
-		if i == 0 {
-			b.ReportMetric(bfs.Inflation, "bfs-degree-inflation")
-			b.ReportMetric(mh.Inflation, "mh-degree-inflation")
-			b.ReportMetric(uni.Inflation, "uniform-degree-inflation")
-		}
-	}
-}
-
 // BenchmarkSeedSensitivity runs the comparison the paper could not
 // (§2.2: "We could not repeat the crawl with randomly chosen seed nodes,
 // because numeric user IDs were not supported"): two budget-limited
@@ -230,60 +202,6 @@ func BenchmarkSeedSensitivity(b *testing.B) {
 			b.ReportMetric(100*rOrd, "reciprocity-ordinary-seed-%")
 			b.ReportMetric(sPop.Topology(context.Background()).AvgDegree, "avgdeg-popular-seed")
 			b.ReportMetric(sOrd.Topology(context.Background()).AvgDegree, "avgdeg-ordinary-seed")
-		}
-	}
-}
-
-// BenchmarkStreamCascades regenerates the §7 content-sharing study:
-// prolific-user concentration, public-versus-circles reach, and the
-// reshare cascade tail.
-func BenchmarkStreamCascades(b *testing.B) {
-	cfg := synth.DefaultConfig(20_000)
-	u, err := synth.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ds := dataset.FromUniverse(u)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := stream.Simulate(ds, stream.DefaultConfig(20_000))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reach := res.ReachByVisibility()
-			b.ReportMetric(100*res.Concentration(1), "top1pct-posts-%")
-			b.ReportMetric(reach[stream.Public], "public-reach")
-			b.ReportMetric(reach[stream.Circles], "circles-reach")
-		}
-	}
-}
-
-// BenchmarkRecommendation regenerates the §6 implication: domestic
-// candidate restriction boosts friend-recommendation precision for
-// inward-looking countries far more than for outward-looking ones.
-func BenchmarkRecommendation(b *testing.B) {
-	u, err := synth.Generate(synth.DefaultConfig(20_000))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ds := dataset.FromUniverse(u)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run := func(mode recommend.Mode, countries []string) float64 {
-			res, err := recommend.Evaluate(ds, mode, recommend.EvalOptions{
-				Holdout: 400, K: 10, Seed: 17, Countries: countries, LocatedOnly: true,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return res.HitRate()
-		}
-		inGain := run(recommend.Domestic, []string{"BR", "IN"}) - run(recommend.Global, []string{"BR", "IN"})
-		outGain := run(recommend.Domestic, []string{"GB", "CA"}) - run(recommend.Global, []string{"GB", "CA"})
-		if i == 0 {
-			b.ReportMetric(inGain, "domestic-gain-inward")
-			b.ReportMetric(outGain, "domestic-gain-outward")
 		}
 	}
 }

@@ -183,8 +183,8 @@ func BenchmarkFig2FieldsCCDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fc := s.FieldsShared()
 		if i == 0 {
-			b.ReportMetric(ccdfAt(fc.All, 7), "all-over6")
-			b.ReportMetric(ccdfAt(fc.Tel, 7), "tel-over6")
+			b.ReportMetric(stats.CCDFAt(fc.All, 7), "all-over6")
+			b.ReportMetric(stats.CCDFAt(fc.Tel, 7), "tel-over6")
 		}
 	}
 }
@@ -412,16 +412,6 @@ func BenchmarkServerThroughput(b *testing.B) {
 			wg.Wait()
 		})
 	}
-}
-
-// ccdfAt returns P(X >= x) from CCDF points.
-func ccdfAt(pts []stats.Point, x float64) float64 {
-	for _, p := range pts {
-		if p.X >= x {
-			return p.Y
-		}
-	}
-	return 0
 }
 
 // cdfUnder returns P(X < x) from raw samples.

@@ -374,6 +374,24 @@ func run(stdout, stderr io.Writer, args []string) error {
 		}
 	}
 
+	switch *format {
+	case "text":
+	case "md":
+		// report.Markdown has one form: every section, no baselines, no
+		// lost-edge estimate.
+		var clash error
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "only" || f.Name == "baselines" || f.Name == "cap" {
+				clash = usageError{fmt.Errorf("-%s has no effect on -format md, which always prints the one whole report", f.Name)}
+			}
+		})
+		if clash != nil {
+			return clash
+		}
+	default:
+		return usageError{fmt.Errorf("unknown -format %q (available: text, md)", *format)}
+	}
+
 	logger := log.New(stderr, "", log.LstdFlags)
 	ds, err := dataset.LoadWith(*dataDir, dataset.Options{Mapped: *mmapGraph})
 	if err != nil {

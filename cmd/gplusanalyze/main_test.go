@@ -193,8 +193,9 @@ func TestCutDumpIsAnalyzedWithAWarning(t *testing.T) {
 
 // TestOnlyPaysForTheStagesItNames drives the study runner in-process:
 // the stage breakdown of an -only run lists exactly the stages behind
-// the experiments it names, and a mistyped id is a usage error that
-// lists the valid ones instead of an empty report.
+// the experiments it names, and a mistyped id, an unknown -format or a
+// flag -format md would ignore is a usage error instead of a report
+// the command line did not ask for.
 func TestOnlyPaysForTheStagesItNames(t *testing.T) {
 	u, err := synth.Generate(synth.DefaultConfig(2_000))
 	if err != nil {
@@ -233,12 +234,31 @@ func TestOnlyPaysForTheStagesItNames(t *testing.T) {
 		}
 	}
 
-	var stdout, stderr bytes.Buffer
-	err = run(&stdout, &stderr, []string{"-data", dir, "-only", "tabel4,fig33"})
-	if !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), `"tabel4"`) || !strings.Contains(err.Error(), "table4, table5, fig2") {
-		t.Errorf("-only tabel4,fig33: err = %v, want a usage error naming the id and the valid ones", err)
-	}
-	if stdout.Len() > 0 {
-		t.Errorf("-only tabel4,fig33 still printed:\n%s", stdout.String())
+	// A rejected command line is a usage error naming what was wrong with
+	// it, and prints no report.
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-only", "tabel4,fig33"}, []string{`"tabel4"`, "table4, table5, fig2"}},
+		{[]string{"-format", "json"}, []string{"-format", `"json"`, "text, md"}},
+		{[]string{"-format", "md", "-only", "table2"}, []string{"-only", "-format md"}},
+		{[]string{"-format", "md", "-baselines"}, []string{"-baselines", "-format md"}},
+		{[]string{"-format", "md", "-cap", "5000"}, []string{"-cap", "-format md"}},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(&stdout, &stderr, append([]string{"-data", dir}, tc.args...))
+		if !errors.As(err, new(usageError)) {
+			t.Errorf("%v: err = %v, want a usage error", tc.args, err)
+			continue
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%v: usage error %q does not mention %s", tc.args, err, want)
+			}
+		}
+		if stdout.Len() > 0 {
+			t.Errorf("%v still printed:\n%s", tc.args, stdout.String())
+		}
 	}
 }

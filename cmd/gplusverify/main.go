@@ -13,6 +13,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -22,27 +23,36 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the audit: everything main does. It returns an error exactly
+// when the dataset could not be audited or a row of the table says FAIL.
+func run(stdout io.Writer, args []string) error {
+	fs := flag.NewFlagSet("gplusverify", flag.ExitOnError)
 	var (
-		dataDir = flag.String("data", "data", "dataset directory")
-		seed    = flag.Uint64("analysis-seed", 2012, "seed for sampled analyses")
+		dataDir = fs.String("data", "data", "dataset directory")
+		seed    = fs.Uint64("analysis-seed", 2012, "seed for sampled analyses")
 	)
-	flag.Parse()
+	fs.Parse(args) //nolint:errcheck — ExitOnError
 
 	ds, err := dataset.Load(*dataDir)
 	if err != nil {
-		log.Fatalf("loading dataset: %v", err)
+		return fmt.Errorf("loading dataset: %w", err)
 	}
-	log.Printf("verifying dataset: %d users, %d edges", ds.NumUsers(), ds.Graph.NumEdges())
+	log.Printf("verifying dataset: %d users, %d edges", ds.NumUsers(), ds.View().NumEdges())
 
 	study := core.New(ds, core.Options{Seed: *seed})
 	results, err := paper.Collect(context.Background(), study)
 	if err != nil {
-		log.Fatalf("collecting analyses: %v", err)
+		return fmt.Errorf("collecting analyses: %w", err)
 	}
 
 	outcomes := paper.Evaluate(results)
 	failed := 0
-	fmt.Printf("%-26s %-8s %10s %10s  %s\n", "check", "status", "paper", "measured", "claim")
+	fmt.Fprintf(stdout, "%-26s %-8s %10s %10s  %s\n", "check", "status", "paper", "measured", "claim")
 	for _, o := range outcomes {
 		status := "PASS"
 		if !o.Pass {
@@ -50,15 +60,16 @@ func main() {
 			failed++
 		}
 		if o.Check.IsOrdering() {
-			fmt.Printf("%-26s %-8s %10s %10s  %s\n", o.Check.ID, status, "-", holds(o.Pass), o.Check.Claim)
+			fmt.Fprintf(stdout, "%-26s %-8s %10s %10s  %s\n", o.Check.ID, status, "-", holds(o.Pass), o.Check.Claim)
 		} else {
-			fmt.Printf("%-26s %-8s %10.4f %10.4f  %s\n", o.Check.ID, status, o.Check.Published, o.Measured, o.Check.Claim)
+			fmt.Fprintf(stdout, "%-26s %-8s %10.4f %10.4f  %s\n", o.Check.ID, status, o.Check.Published, o.Measured, o.Check.Claim)
 		}
 	}
-	fmt.Printf("\n%d/%d checks passed\n", len(outcomes)-failed, len(outcomes))
+	fmt.Fprintf(stdout, "\n%d/%d checks passed\n", len(outcomes)-failed, len(outcomes))
 	if failed > 0 {
-		os.Exit(1)
+		return fmt.Errorf("%d of %d checks failed", failed, len(outcomes))
 	}
+	return nil
 }
 
 func holds(pass bool) string {

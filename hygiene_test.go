@@ -3,7 +3,11 @@ package gplus
 import (
 	"flag"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"regexp"
+	"slices"
+	"strings"
 	"testing"
 
 	"gplus/internal/obs/rundir"
@@ -14,8 +18,7 @@ import (
 // README.md, EXPERIMENTS.md or Makefile recipe. A flag with no recipe
 // and no reader is a constant; delete it or document the run that needs
 // it. gplusanalyze's three sub-commands (traces, metrics, profiles)
-// declare theirs on one identifier, scanned as a row of its own, as do
-// gpluslab's five (calibrate, growth, stream, sampling, recommend).
+// declare theirs on one identifier, scanned as a row of its own.
 func TestFlagsHaveRecipe(t *testing.T) {
 	var docs []byte
 	for _, name := range []string{"README.md", "EXPERIMENTS.md", "Makefile"} {
@@ -42,8 +45,7 @@ func TestFlagsHaveRecipe(t *testing.T) {
 		{"cmd/gplusanalyze/main.go", "fs", false, 9},
 		{"cmd/gplusanalyze/main.go", "sub", false, 11},
 		{"cmd/gplusgen/main.go", "flag", false, 4},
-		{"cmd/gplusverify/main.go", "flag", false, 2},
-		{"cmd/gpluslab/main.go", "fs", false, 4},
+		{"cmd/gplusverify/main.go", "fs", false, 2},
 	} {
 		src, err := os.ReadFile(bin.main)
 		if err != nil {
@@ -69,5 +71,53 @@ func TestFlagsHaveRecipe(t *testing.T) {
 			t.Errorf("%s (%s): found only %d flags of its own, want at least %d; the scan no longer matches how flags are declared", bin.main, bin.set, len(own), bin.own)
 		}
 		t.Logf("%s registers %d flags on %s", bin.main, len(names), bin.set)
+	}
+}
+
+// TestPackagesReachPipeline is the `make check` gate against orphan
+// packages: every package under internal/ must be a non-test dependency
+// of a cmd/ binary or of bench, or be listed below beside the tests
+// that drive it through crawler → dataset → study. An exception that
+// has become reachable, or whose tests are gone, fails too.
+func TestPackagesReachPipeline(t *testing.T) {
+	exceptions := map[string][]string{
+		// The snapshot source of the parked longitudinal study (ROADMAP).
+		"gplus/internal/growth": {
+			"internal/crawler:TestCrawlOverGrowingService",
+			"internal/growth:TestSnapshotSeriesThroughCrawlPipeline",
+		},
+	}
+	goList := func(args ...string) []string {
+		t.Helper()
+		out, err := exec.Command("go", append([]string{"list"}, args...)...).Output()
+		if err != nil {
+			t.Fatalf("go list %v: %v", args, err)
+		}
+		return strings.Fields(string(out))
+	}
+	reachable := map[string]bool{}
+	for _, pkg := range goList("-deps", "./cmd/...", "./bench") {
+		reachable[pkg] = true
+	}
+	for _, pkg := range goList("./internal/...") {
+		if _, ok := exceptions[pkg]; !reachable[pkg] && !ok {
+			t.Errorf("%s is imported by no cmd/ binary and not by bench: wire it into the pipeline, list the pipeline tests that keep it, or delete it", pkg)
+		}
+	}
+	for pkg, tests := range exceptions {
+		if reachable[pkg] {
+			t.Errorf("%s is reachable from the pipeline now; drop its exception", pkg)
+		}
+		for _, ref := range tests {
+			dir, name, _ := strings.Cut(ref, ":")
+			files, _ := filepath.Glob(filepath.Join(dir, "*_test.go"))
+			found := slices.ContainsFunc(files, func(f string) bool {
+				src, _ := os.ReadFile(f)
+				return strings.Contains(string(src), "func "+name+"(t *testing.T)")
+			})
+			if !found {
+				t.Errorf("%s is kept by %s, which no longer exists", pkg, ref)
+			}
+		}
 	}
 }

@@ -264,7 +264,7 @@ func Checks() []Check {
 			ID:    "fig2/tel-dominates",
 			Claim: "66% of tel-users share >6 fields versus 10% of all users",
 			Holds: func(r *Results) bool {
-				return ccdfAt(r.Fields.Tel, 7) > 3*ccdfAt(r.Fields.All, 7)
+				return stats.CCDFAt(r.Fields.Tel, 7) > 3*stats.CCDFAt(r.Fields.All, 7)
 			},
 		},
 
@@ -294,15 +294,6 @@ func attrCheck(id string, a profile.Attr, published, tol float64) Check {
 		Max:       published + tol,
 		Measure:   func(r *Results) float64 { return r.Attr[a] },
 	}
-}
-
-func ccdfAt(pts []stats.Point, x float64) float64 {
-	for _, p := range pts {
-		if p.X >= x {
-			return p.Y
-		}
-	}
-	return 0
 }
 
 // Outcome is one evaluated check.

@@ -53,13 +53,3 @@ func (o Occupation) String() string {
 	}
 	return "unknown"
 }
-
-// CelebrityOccupations lists the occupations that appear among top users
-// in Tables 1 and 5.
-func CelebrityOccupations() []Occupation {
-	out := make([]Occupation, 0, NumOccupations-1)
-	for o := Comedian; o < NumOccupations; o++ {
-		out = append(out, o)
-	}
-	return out
-}

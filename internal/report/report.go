@@ -224,19 +224,9 @@ func Fig7(w io.Writer, pts []geo.PenetrationPoint) {
 func Fig8(w io.Writer, rows []core.CountryFieldCCDF) {
 	fmt.Fprintln(w, "Figure 8: #fields shared by country (CCDF at 6 and 10 fields)")
 	for _, r := range rows {
-		at6, at10 := ccdfAt(r.CCDF, 6), ccdfAt(r.CCDF, 10)
+		at6, at10 := stats.CCDFAt(r.CCDF, 6), stats.CCDFAt(r.CCDF, 10)
 		fmt.Fprintf(w, "  %-4s N=%-8d P(>=6)=%.3f  P(>=10)=%.3f\n", r.Country, r.N, at6, at10)
 	}
-}
-
-// ccdfAt returns P(X >= x) from a CCDF point series.
-func ccdfAt(pts []stats.Point, x float64) float64 {
-	for _, p := range pts {
-		if p.X >= x {
-			return p.Y
-		}
-	}
-	return 0
 }
 
 // Fig9 renders the path-mile distributions and per-country averages.

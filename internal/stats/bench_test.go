@@ -45,16 +45,6 @@ func BenchmarkFitPowerLawMLE(b *testing.B) {
 	}
 }
 
-func BenchmarkKSDistance(b *testing.B) {
-	a := benchSamples(50_000)
-	c := benchSamples(50_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = KSDistance(a, c)
-	}
-}
-
 func BenchmarkWeightedChooser(b *testing.B) {
 	weights := benchSamples(100_000)
 	ch := NewWeightedChooser(weights)

@@ -4,7 +4,6 @@
 package stats
 
 import (
-	"math"
 	"sort"
 )
 
@@ -53,6 +52,16 @@ func ccdfOwned(vals []float64) []Point {
 	return pts
 }
 
+// CCDFAt reads P(X >= x) off the points CCDF returned.
+func CCDFAt(pts []Point, x float64) float64 {
+	for _, p := range pts {
+		if p.X >= x {
+			return p.Y
+		}
+	}
+	return 0
+}
+
 // CDF returns the empirical cumulative distribution function: for each
 // distinct value x, P(X <= x). Points come out sorted by X ascending.
 func CDF(samples []float64) []Point {
@@ -73,20 +82,6 @@ func CDF(samples []float64) []Point {
 	return pts
 }
 
-// CCDFAt evaluates P(X >= x) directly from samples.
-func CCDFAt(samples []float64, x float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	count := 0
-	for _, s := range samples {
-		if s >= x {
-			count++
-		}
-	}
-	return float64(count) / float64(len(samples))
-}
-
 // CDFAt evaluates P(X <= x) directly from samples.
 func CDFAt(samples []float64, x float64) float64 {
 	if len(samples) == 0 {
@@ -99,41 +94,6 @@ func CDFAt(samples []float64, x float64) float64 {
 		}
 	}
 	return float64(count) / float64(len(samples))
-}
-
-// KSDistance returns the Kolmogorov-Smirnov distance between the empirical
-// CDFs of two sample sets: the maximum absolute difference between them.
-// Tests use it to compare measured distributions against calibration
-// targets.
-func KSDistance(a, b []float64) float64 {
-	sa, sb := sortedCopy(a), sortedCopy(b)
-	if len(sa) == 0 || len(sb) == 0 {
-		return 1
-	}
-	var (
-		i, j int
-		max  float64
-	)
-	for i < len(sa) && j < len(sb) {
-		var x float64
-		if sa[i] <= sb[j] {
-			x = sa[i]
-		} else {
-			x = sb[j]
-		}
-		for i < len(sa) && sa[i] <= x {
-			i++
-		}
-		for j < len(sb) && sb[j] <= x {
-			j++
-		}
-		fa := float64(i) / float64(len(sa))
-		fb := float64(j) / float64(len(sb))
-		if d := math.Abs(fa - fb); d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 func sortedCopy(samples []float64) []float64 {

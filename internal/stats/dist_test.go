@@ -78,7 +78,7 @@ func TestCCDFIntsMatchesCCDF(t *testing.T) {
 
 func TestCCDFAtCDFAt(t *testing.T) {
 	s := []float64{1, 2, 3, 4}
-	if got := CCDFAt(s, 3); got != 0.5 {
+	if got := CCDFAt(CCDF(s), 3); got != 0.5 {
 		t.Errorf("CCDFAt(3) = %v, want 0.5", got)
 	}
 	if got := CDFAt(s, 2); got != 0.5 {
@@ -131,44 +131,9 @@ func TestCDFPropertyComplementsCCDF(t *testing.T) {
 	}
 	for _, x := range []float64{0, 1, 2.5, 5, 9} {
 		lhs := CDFAt(samples, x)
-		rhs := 1 - CCDFAt(samples, math.Nextafter(x, math.Inf(1)))
+		rhs := 1 - CCDFAt(CCDF(samples), math.Nextafter(x, math.Inf(1)))
 		if math.Abs(lhs-rhs) > 1e-12 {
 			t.Errorf("x=%v: CDF %v vs 1-CCDF %v", x, lhs, rhs)
 		}
-	}
-}
-
-func TestKSDistance(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5}
-	if d := KSDistance(a, a); d != 0 {
-		t.Errorf("KS(a,a) = %v, want 0", d)
-	}
-	b := []float64{101, 102, 103}
-	if d := KSDistance(a, b); d != 1 {
-		t.Errorf("KS of disjoint supports = %v, want 1", d)
-	}
-	if d := KSDistance(nil, a); d != 1 {
-		t.Errorf("KS with empty = %v, want 1", d)
-	}
-}
-
-func TestKSDistancePropertySymmetricBounded(t *testing.T) {
-	f := func(a, b []float64) bool {
-		var ca, cb []float64
-		for _, v := range a {
-			if !math.IsNaN(v) {
-				ca = append(ca, v)
-			}
-		}
-		for _, v := range b {
-			if !math.IsNaN(v) {
-				cb = append(cb, v)
-			}
-		}
-		d1, d2 := KSDistance(ca, cb), KSDistance(cb, ca)
-		return math.Abs(d1-d2) < 1e-12 && d1 >= 0 && d1 <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -5,30 +5,6 @@ import (
 	"math/rand/v2"
 )
 
-// SampleWithoutReplacement returns k distinct integers drawn uniformly
-// from [0, n). If k >= n it returns the full range in random order.
-func SampleWithoutReplacement(n, k int, rng *rand.Rand) []int {
-	if n <= 0 || k <= 0 {
-		return nil
-	}
-	if k > n {
-		k = n
-	}
-	// Floyd's algorithm: O(k) expected work and memory.
-	chosen := make(map[int]struct{}, k)
-	out := make([]int, 0, k)
-	for j := n - k; j < n; j++ {
-		t := rng.IntN(j + 1)
-		if _, dup := chosen[t]; dup {
-			t = j
-		}
-		chosen[t] = struct{}{}
-		out = append(out, t)
-	}
-	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
-}
-
 // Reservoir maintains a uniform sample of up to k items from a stream of
 // unknown length (Algorithm R). It backs the pair-sampling used by the
 // path-mile analysis when the candidate set is too large to materialize.

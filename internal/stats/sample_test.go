@@ -4,57 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 )
-
-func TestSampleWithoutReplacement(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	got := SampleWithoutReplacement(100, 10, rng)
-	if len(got) != 10 {
-		t.Fatalf("len = %d, want 10", len(got))
-	}
-	seen := map[int]bool{}
-	for _, v := range got {
-		if v < 0 || v >= 100 {
-			t.Fatalf("out of range: %d", v)
-		}
-		if seen[v] {
-			t.Fatalf("duplicate: %d", v)
-		}
-		seen[v] = true
-	}
-	// k >= n returns a permutation of the full range.
-	all := SampleWithoutReplacement(5, 99, rng)
-	if len(all) != 5 {
-		t.Fatalf("len = %d, want 5", len(all))
-	}
-	if SampleWithoutReplacement(0, 3, rng) != nil {
-		t.Error("n=0 should return nil")
-	}
-}
-
-func TestSampleWithoutReplacementPropertyDistinct(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, seed+1))
-		n := 1 + rng.IntN(200)
-		k := 1 + rng.IntN(n)
-		got := SampleWithoutReplacement(n, k, rng)
-		if len(got) != k {
-			return false
-		}
-		seen := map[int]bool{}
-		for _, v := range got {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestReservoirSmallStream(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
