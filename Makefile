@@ -20,8 +20,8 @@ all: build vet test race
 # drive them (paper, report, gplusanalyze), the
 # short fuzz leg shakes the checkpoint/journal parser and the triad pass, the hygiene leg
 # gates the metric exposition, the one-durable-writer rule, the
-# every-flag-has-a-recipe rule and the every-package-reaches-the-pipeline
-# rule, the
+# every-flag-has-a-recipe rule and the every-package- and
+# every-exported-symbol-reaches-the-pipeline rules, the
 # brownout leg proves kill-free convergence through a server overload,
 # staticcheck runs when the pinned version is installed, and the run
 # ends with the non-test line count per package.
@@ -30,7 +30,7 @@ check: all staticcheck hygiene brownout fuzz-short loc
 help:
 	@echo "make all            build + vet + test + race (default)"
 	@echo "make check          all + staticcheck + hygiene + brownout + fuzz-short"
-	@echo "make hygiene        metrics-hygiene gate (naming grammar + HELP lines) + durable-write gate + every-flag-has-a-recipe gate + every-package-reaches-the-pipeline gate"
+	@echo "make hygiene        metrics-hygiene gate (naming grammar + HELP lines) + durable-write gate + every-flag-has-a-recipe gate + every-package- and every-exported-symbol-reaches-the-pipeline gates"
 	@echo "make loc            non-test Go lines per package (bench/ excluded)"
 	@echo "make chaos          kill/resume convergence under the fault suite"
 	@echo "make brownout       kill-free convergence through a server brownout"
@@ -68,14 +68,17 @@ race:
 # O_APPEND, so a second copy of the write-fsync-rename protocol or of
 # the append log cannot land unnoticed. The flags gate fails if
 # gpluscrawl, gplusd, gplusanalyze, gplusgen or gplusverify
-# registers a flag that no README.md, EXPERIMENTS.md or Makefile recipe
-# names. The reachability gate fails if a package under internal/ is a
-# non-test import of no cmd/ binary and not of bench (internal/growth,
-# driven through the crawler by two named tests, is the one exception).
+# registers a flag that no README.md, EXPERIMENTS.md or Makefile command
+# line passes to it. The reachability gates fail if a package under
+# internal/ is a non-test import of no cmd/ binary and not of bench
+# (internal/growth, driven through the crawler by two named tests, is
+# the one exception), or if an exported func, method, type, const or var
+# under internal/ is named by no non-test code those mains reach and is
+# not listed beside the test that keeps it.
 hygiene:
 	$(GO) test -count=1 -run TestMetricsHygiene ./internal/crawler/
 	$(GO) test -count=1 -run TestDurableWriteHygiene ./internal/durable/
-	$(GO) test -count=1 -run 'TestFlagsHaveRecipe|TestPackagesReachPipeline' .
+	$(GO) test -count=1 -run 'TestFlagsHaveRecipe|TestPackagesReachPipeline|TestSurfaceReachesPipeline' .
 
 # Non-test Go lines per package, bench/ excluded: the size trend ROADMAP
 # aim 2 asks every PR to report.
@@ -195,7 +198,6 @@ ablations:
 	$(GO) test -bench='Ablation|SeedSensitivity|Growth' -benchtime=1x .
 
 fuzz:
-	$(GO) test -fuzz=FuzzParseProfileHTML -fuzztime=30s ./internal/gplusapi/
 	$(GO) test -fuzz=FuzzToProfile -fuzztime=30s ./internal/gplusapi/
 	$(GO) test -fuzz=FuzzReadBinary -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzMultiSourceBFS -fuzztime=30s ./internal/graph/

@@ -100,30 +100,40 @@ func readEach(sources, names []string, read func(io.Reader) (torn int, err error
 }
 
 // sources parses a subcommand's arguments and returns the positional
-// ones, of which there must be at least one.
-func sources(fs *flag.FlagSet, usage string, args []string) []string {
+// ones, of which there must be at least one. A rejected command line is
+// a usageError carrying what flag would have printed: the complaint,
+// then the usage.
+func sources(fs *flag.FlagSet, usage string, args []string) ([]string, error) {
+	var msg strings.Builder
+	fs.SetOutput(&msg)
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: gplusanalyze %s %s\n", fs.Name(), usage)
+		fmt.Fprintf(&msg, "usage: gplusanalyze %s %s\n", fs.Name(), usage)
 		fs.PrintDefaults()
 	}
-	fs.Parse(args) //nolint:errcheck — ExitOnError
-	if fs.NArg() == 0 {
+	err := fs.Parse(args)
+	if err == nil && fs.NArg() == 0 {
+		fmt.Fprintln(&msg, "no source given")
 		fs.Usage()
-		os.Exit(2)
 	}
-	return fs.Args()
+	if msg.Len() > 0 {
+		return nil, usageError{errors.New(strings.TrimSpace(msg.String()))}
+	}
+	return fs.Args(), nil
 }
 
 // runTraces is the `gplusanalyze traces` subcommand: offline analysis of
 // trace dumps.
 func runTraces(w io.Writer, args []string) error {
-	sub := flag.NewFlagSet("traces", flag.ExitOnError)
+	sub := flag.NewFlagSet("traces", flag.ContinueOnError)
 	top := sub.Int("top", 10, "slowest traces to print with full span trees")
-	srcs := sources(sub, `[-top N] run-dir-or-dump.jsonl [more ...]
+	srcs, err := sources(sub, `[-top N] run-dir-or-dump.jsonl [more ...]
 a run directory (-obs-dir) stands for its traces.jsonl and exemplars.jsonl; dumps also
 come from /debug/traces?format=jsonl; client and server sides of one crawl merge by trace id`, args)
+	if err != nil {
+		return err
+	}
 	var all []*trace.Trace
-	err := readEach(srcs, []string{rundir.TracesFile, rundir.ExemplarsFile}, func(r io.Reader) (int, error) {
+	err = readEach(srcs, []string{rundir.TracesFile, rundir.ExemplarsFile}, func(r io.Reader) (int, error) {
 		trs, torn, err := trace.ReadTraces(r)
 		all = append(all, trs...)
 		return torn, err
@@ -137,20 +147,22 @@ come from /debug/traces?format=jsonl; client and server sides of one crawl merge
 // runMetrics is the `gplusanalyze metrics` subcommand: replay a run's
 // time-series dump into its health report.
 func runMetrics(w io.Writer, args []string) error {
-	sub := flag.NewFlagSet("metrics", flag.ExitOnError)
+	sub := flag.NewFlagSet("metrics", flag.ContinueOnError)
 	width := sub.Int("width", 60, "sparkline width")
 	sloSpec := sub.String("slo", "default", `SLO objectives to replay over the dump ("default" = those of the binary that wrote it, "" skips SLO replay)`)
 	stallAfter := sub.Int("stall-after", 3, "consecutive ticks without a page fetched (with work queued) that count as a stall")
-	srcs := sources(sub, `[-width N] [-slo spec] run-dir-or-series.jsonl [more ...]
+	srcs, err := sources(sub, `[-width N] [-slo spec] run-dir-or-series.jsonl [more ...]
 a run directory (-obs-dir) stands for its series.jsonl; dumps also come from
 /debug/timeseries?format=jsonl; multiple dumps (crawl shards) merge into one report`, args)
+	if err != nil {
+		return err
+	}
 	dump := series.NewDump()
 	if err := readEach(srcs, []string{rundir.SeriesFile}, dump.ReadJSONL); err != nil {
 		return err
 	}
 	sig := series.SignalsFor(dump) // a crawl's or a gplusd's, by the families in the dump: rows and default objectives follow
 	sig.StallAfter = *stallAfter
-	var err error
 	if sig.Objectives, err = series.ObjectivesFlag(*sloSpec, sig.Objectives); err != nil {
 		return fmt.Errorf("parsing -slo: %w", err)
 	}
@@ -162,18 +174,24 @@ a run directory (-obs-dir) stands for its series.jsonl; dumps also come from
 // of the continuous-profiling ring of a run directory, or of loose pprof
 // .pb.gz files.
 func runProfiles(w io.Writer, args []string) error {
-	sub := flag.NewFlagSet("profiles", flag.ExitOnError)
-	kind := sub.String("kind", "cpu", "capture kind to load from rings: cpu, heap, goroutine, mutex, or block")
+	sub := flag.NewFlagSet("profiles", flag.ContinueOnError)
+	kind := sub.String("kind", "cpu", "capture kind to load from rings: cpu, heap, goroutine or mutex")
 	trigger := sub.String("trigger", "", `only ring captures whose trigger starts with this prefix (e.g. "interval", "slo-page", "stall"); "" = all`)
 	top := sub.Int("top", 20, "rows to print (0 = all)")
 	by := sub.String("by", "flat", "ranking: flat (cost at the leaf), cum (cost anywhere on the stack), or label (aggregate by -label)")
 	label := sub.String("label", "phase", `pprof label key for -by label and labelled diffs (e.g. "phase", "endpoint", "chaos", "worker")`)
 	diffSrc := sub.String("diff", "", "diff mode: comma-separated B-side sources (run directories or .pb.gz files); the positional args are the A side")
 	diffTrig := sub.String("diff-trigger", "", "trigger prefix filter for the -diff B side (default: same as -trigger, so the same ring can be split by trigger)")
-	srcs := sources(sub, `[-kind K] [-trigger T] [-top N] [-by flat|cum|label] [-label key] [-diff sources [-diff-trigger T]] run-dir-or-file [more ...]
+	srcs, err := sources(sub, `[-kind K] [-trigger T] [-top N] [-by flat|cum|label] [-label key] [-diff sources [-diff-trigger T]] run-dir-or-file [more ...]
 sources are run directories (-obs-dir; the ring under profiles/, filtered via its manifest), bare ring
 directories, or single pprof .pb.gz files; e.g. diff steady state against the captures an SLO page triggered, by crawl phase:
   gplusanalyze profiles -by label -trigger interval -diff ./run -diff-trigger slo-page ./run`, args)
+	if err != nil {
+		return err
+	}
+	if !slices.Contains([]string{"flat", "cum", "label"}, *by) {
+		return usageError{fmt.Errorf("unknown -by %q (available: flat, cum, label)", *by)}
+	}
 	a, aDesc, err := loadProfileSet(srcs, *kind, *trigger)
 	if err != nil {
 		return err
@@ -270,20 +288,6 @@ func isDir(path string) bool {
 }
 
 func main() {
-	if len(os.Args) > 1 && !strings.HasPrefix(os.Args[1], "-") {
-		sub := map[string]func(io.Writer, []string) error{
-			"traces": runTraces, "metrics": runMetrics, "profiles": runProfiles,
-		}[os.Args[1]]
-		if sub == nil {
-			// A mistyped verb is not a request to analyze the default dataset.
-			fmt.Fprintf(os.Stderr, "gplusanalyze: unknown subcommand %q (available: traces, metrics, profiles)\n", os.Args[1])
-			os.Exit(2)
-		}
-		if err := sub(os.Stdout, os.Args[2:]); err != nil {
-			log.Fatalf("%s: %v", os.Args[1], err)
-		}
-		return
-	}
 	if err := run(os.Stdout, os.Stderr, os.Args[1:]); errors.As(err, new(usageError)) {
 		fmt.Fprintf(os.Stderr, "gplusanalyze: %v\n", err)
 		os.Exit(2)
@@ -295,8 +299,22 @@ func main() {
 // usageError is a rejected command line: main exits 2 on it, as flag does.
 type usageError struct{ error }
 
-// run is the study runner: everything main does without a subcommand.
+// run is everything main does but exit: a subcommand when the first
+// argument names one, the study otherwise.
 func run(stdout, stderr io.Writer, args []string) error {
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		sub := map[string]func(io.Writer, []string) error{
+			"traces": runTraces, "metrics": runMetrics, "profiles": runProfiles,
+		}[args[0]]
+		if sub == nil {
+			// A mistyped verb is not a request to analyze the default dataset.
+			return usageError{fmt.Errorf("unknown subcommand %q (available: traces, metrics, profiles)", args[0])}
+		}
+		if err := sub(stdout, args[1:]); err != nil {
+			return fmt.Errorf("%s: %w", args[0], err)
+		}
+		return nil
+	}
 	fs := flag.NewFlagSet("gplusanalyze", flag.ExitOnError)
 	var (
 		dataDir   = fs.String("data", "data", "dataset directory (from gpluscrawl or gplusgen)")

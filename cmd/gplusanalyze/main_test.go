@@ -236,18 +236,23 @@ func TestOnlyPaysForTheStagesItNames(t *testing.T) {
 
 	// A rejected command line is a usage error naming what was wrong with
 	// it, and prints no report.
+	study := func(args ...string) []string { return append([]string{"-data", dir}, args...) }
 	for _, tc := range []struct {
 		args []string
 		want []string
 	}{
-		{[]string{"-only", "tabel4,fig33"}, []string{`"tabel4"`, "table4, table5, fig2"}},
-		{[]string{"-format", "json"}, []string{"-format", `"json"`, "text, md"}},
-		{[]string{"-format", "md", "-only", "table2"}, []string{"-only", "-format md"}},
-		{[]string{"-format", "md", "-baselines"}, []string{"-baselines", "-format md"}},
-		{[]string{"-format", "md", "-cap", "5000"}, []string{"-cap", "-format md"}},
+		{study("-only", "tabel4,fig33"), []string{`"tabel4"`, "table4, table5, fig2"}},
+		{study("-format", "json"), []string{"-format", `"json"`, "text, md"}},
+		{study("-format", "md", "-only", "table2"), []string{"-only", "-format md"}},
+		{study("-format", "md", "-baselines"), []string{"-baselines", "-format md"}},
+		{study("-format", "md", "-cap", "5000"), []string{"-cap", "-format md"}},
+		{[]string{"trace", dir}, []string{`"trace"`, "traces, metrics, profiles"}},
+		{[]string{"traces"}, []string{"no source", "usage: gplusanalyze traces"}},
+		{[]string{"metrics", "-top", "3", dir}, []string{"-top", "usage: gplusanalyze metrics"}},
+		{[]string{"profiles", "-by", "cumulative", dir}, []string{"-by", `"cumulative"`, "flat, cum, label"}},
 	} {
 		var stdout, stderr bytes.Buffer
-		err := run(&stdout, &stderr, append([]string{"-data", dir}, tc.args...))
+		err := run(&stdout, &stderr, tc.args)
 		if !errors.As(err, new(usageError)) {
 			t.Errorf("%v: err = %v, want a usage error", tc.args, err)
 			continue

@@ -100,11 +100,8 @@ func run(ctx context.Context, args []string) error {
 		seeds       = fs.String("seeds", "", "comma-separated seed ids (default: ask /seed)")
 		workers     = fs.Int("workers", 11, "concurrent crawl machines")
 		max         = fs.Int("max", 0, "profile budget of this session (0 = crawl everything reachable)")
-		timeout     = fs.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
 		journal     = fs.String("journal", "", "append-only journal of the live crawl state (default <out>/crawl.journal); a non-empty one is resumed from, so a checkpoint copied here seeds the crawl")
 		flushEvery  = fs.Duration("flush-interval", time.Second, "journal flush+fsync interval (bounds what a crash can lose)")
-		scrapeHTML  = fs.Bool("html", false, "scrape HTML profile pages instead of the JSON API")
-		compress    = fs.Bool("compress", false, "gzip the dataset's profile column")
 		abortErrs   = fs.Int("abort-errors", 0, "stop after this many permanent fetch failures (0 = never)")
 		politeness  = fs.Duration("politeness", 0, "pause between requests per worker (e.g. 50ms)")
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof/ and /debug/traces on this address while crawling (empty disables)")
@@ -164,13 +161,9 @@ func run(ctx context.Context, args []string) error {
 			return fmt.Errorf("-seeds %q contains no usable ids", *seeds)
 		}
 	} else {
-		// The seed fetch deserves the same timeout and instrumentation
-		// as every crawl worker's client.
-		client := &gplusapi.Client{
-			BaseURL:    *url,
-			HTTPClient: &http.Client{Timeout: *timeout},
-			Metrics:    reg,
-		}
+		// The seed fetch deserves the same instrumentation as every
+		// crawl worker's client.
+		client := &gplusapi.Client{BaseURL: *url, Metrics: reg}
 		id, err := client.FetchSeed(ctx)
 		if err != nil {
 			return fmt.Errorf("fetching seed from %s: %w", *url, err)
@@ -274,8 +267,7 @@ func run(ctx context.Context, args []string) error {
 		MaxProfiles:      *max,
 		FetchIn:          true,
 		FetchOut:         true,
-		HTTPTimeout:      *timeout,
-		ScrapeHTML:       *scrapeHTML,
+		HTTPTimeout:      30 * time.Second,
 		AbortAfterErrors: *abortErrs,
 		Politeness:       *politeness,
 		Resume:           prev,
@@ -317,11 +309,7 @@ func run(ctx context.Context, args []string) error {
 
 	// Compact the segments straight into <out>/graph.v2 and open the
 	// result memory-mapped.
-	build := dataset.FromCrawlSegments
-	if *compress {
-		build = dataset.FromCrawlSegmentsCompressed
-	}
-	ds, err := build(res, sink, *out, diskMet)
+	ds, err := dataset.FromCrawlSegments(res, sink, *out, diskMet)
 	if err != nil {
 		return fmt.Errorf("compacting segment dataset: %w", err)
 	}

@@ -14,6 +14,7 @@ import (
 	"gplus/internal/crawler"
 	"gplus/internal/dataset"
 	"gplus/internal/gplusd"
+	"gplus/internal/obs"
 	"gplus/internal/synth"
 )
 
@@ -30,8 +31,8 @@ func TestRerunResumesToTheSameDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := gplusd.New(u, gplusd.Options{})
-	ts := httptest.NewServer(srv)
+	served := obs.NewRegistry()
+	ts := httptest.NewServer(gplusd.New(u, gplusd.Options{Metrics: served}))
 	defer ts.Close()
 
 	var logged bytes.Buffer
@@ -61,8 +62,7 @@ func TestRerunResumesToTheSameDataset(t *testing.T) {
 		if len(lines) == 0 || summary == nil || lines[len(lines)-1][1] != summary[1] {
 			t.Errorf("last progress line and closing summary disagree (%v vs %v):\n%s", lines, summary, &logged)
 		}
-		profileFetches, _, _ = srv.RequestStats()
-		return written, profileFetches
+		return written, served.Counter(`gplusd_requests_total{endpoint="profile"}`).Value()
 	}
 
 	first, fetched := session()

@@ -35,7 +35,6 @@
 // share one trace id; the rate itself applies to requests arriving
 // without a header. The flight recorder serves /debug/traces
 // (?format=jsonl for a dump that `gplusanalyze traces` reads).
-// -access-log-sample N logs every Nth request with its trace id.
 //
 // -obs-dir names the run directory (layout in package rundir): the
 // profile ring and exemplar traces are written while serving, the metric
@@ -71,12 +70,9 @@ func main() {
 		seed      = flag.Uint64("seed", 2011, "generation seed")
 		addr      = flag.String("addr", "127.0.0.1:8041", "listen address")
 		circleCap = flag.Int("cap", 10_000, "circle list cap (-1 disables)")
-		pageSize  = flag.Int("page", 1000, "circle page size")
 		rate      = flag.Float64("rate", 0, "per-crawler rate limit (req/s, 0 disables)")
 		chaosSpec = flag.String("chaos", "", `chaos-mode fault suite, rules separated by ';', e.g. "unavailable,endpoint=profile,rate=0.2;delay,rate=0.1,delay=150ms;hang,rate=0.01,delay=90s;reset,rate=0.05;outage,every=10m,down=45s;brownout,every=10m,down=45s,delay=100ms,squeeze=0.8"`)
 		admitMax  = flag.Int("admission", 0, "admission control: max concurrent requests (0 disables; sheds carry Retry-After, report at /debug/admission)")
-		admitWait = flag.Duration("admission-wait", 0, "admission control: max time a request may queue before being shed (0 = default 1s)")
-		alogEvery = flag.Int("access-log-sample", 0, "log 1 in N served requests, with trace id (0 disables)")
 	)
 	obsCfg := rundir.Config{Name: "gplusd", Objectives: series.DefaultGplusdObjectives()}
 	obsCfg.RegisterFlags(flag.CommandLine)
@@ -111,18 +107,16 @@ func main() {
 	}
 	var admission *resilience.AdmissionOptions
 	if *admitMax > 0 {
-		admission = &resilience.AdmissionOptions{MaxConcurrent: *admitMax, MaxWait: *admitWait}
-		log.Printf("admission control armed: %d concurrent, wait %v (report at /debug/admission)", *admitMax, *admitWait)
+		admission = &resilience.AdmissionOptions{MaxConcurrent: *admitMax}
+		log.Printf("admission control armed: %d concurrent (report at /debug/admission)", *admitMax)
 	}
 	srv := gplusd.New(u, gplusd.Options{
-		CircleCap:       *circleCap,
-		PageSize:        *pageSize,
-		RatePerSecond:   *rate,
-		Faults:          faults,
-		Metrics:         run.Registry,
-		Tracer:          run.Tracer,
-		AccessLogSample: *alogEvery,
-		Admission:       admission,
+		CircleCap:     *circleCap,
+		RatePerSecond: *rate,
+		Faults:        faults,
+		Metrics:       run.Registry,
+		Tracer:        run.Tracer,
+		Admission:     admission,
 	})
 
 	// The run's mux takes /metrics and the /debug/ endpoints; every other

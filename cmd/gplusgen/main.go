@@ -18,10 +18,9 @@ import (
 
 func main() {
 	var (
-		nodes    = flag.Int("nodes", 100_000, "users to generate")
-		seed     = flag.Uint64("seed", 2011, "generation seed")
-		out      = flag.String("out", "data", "output dataset directory")
-		compress = flag.Bool("compress", false, "gzip the profile column")
+		nodes = flag.Int("nodes", 100_000, "users to generate")
+		seed  = flag.Uint64("seed", 2011, "generation seed")
+		out   = flag.String("out", "data", "output dataset directory")
 	)
 	flag.Parse()
 
@@ -34,12 +33,7 @@ func main() {
 	}
 	log.Printf("generated %d users, %d edges in %v", u.NumUsers(), u.Graph.NumEdges(), time.Since(start))
 
-	ds := dataset.FromUniverse(u)
-	save := ds.SaveV2
-	if *compress {
-		save = ds.SaveV2Compressed
-	}
-	if err := save(*out); err != nil {
+	if err := dataset.FromUniverse(u).SaveV2(*out); err != nil {
 		log.Fatalf("saving dataset: %v", err)
 	}
 	log.Printf("wrote dataset -> %s", *out)

@@ -48,11 +48,6 @@ func main() {
 	// and Canada send most of their links abroad.
 	m := study.CountryLinks()
 	report.Fig10(w, m)
-	fmt.Fprintf(w, "\nself-loops: US=%.2f IN=%.2f GB=%.2f CA=%.2f (paper: 0.79 / 0.77 / 0.30 / 0.33)\n\n",
+	fmt.Fprintf(w, "\nself-loops: US=%.2f IN=%.2f GB=%.2f CA=%.2f (paper: 0.79 / 0.77 / 0.30 / 0.33)\n",
 		m.SelfLoop("US"), m.SelfLoop("IN"), m.SelfLoop("GB"), m.SelfLoop("CA"))
-
-	// Extension: structure of each country's domestic subgraph — the
-	// border cut leaves outward-looking countries with sparser domestic
-	// graphs.
-	report.CountryStructures(w, study.CountryStructures())
 }

@@ -2,11 +2,17 @@ package gplus
 
 import (
 	"flag"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -14,19 +20,57 @@ import (
 )
 
 // TestFlagsHaveRecipe is the `make check` gate against knobs nobody
-// turns: every flag a binary's main registers must be named in a
-// README.md, EXPERIMENTS.md or Makefile recipe. A flag with no recipe
-// and no reader is a constant; delete it or document the run that needs
-// it. gplusanalyze's three sub-commands (traces, metrics, profiles)
-// declare theirs on one identifier, scanned as a row of its own.
+// turns: every flag a binary's main registers must be passed to that
+// binary on a command line of README.md, EXPERIMENTS.md or the Makefile
+// — a fenced line, a `code span` or a recipe line, continuations
+// joined, cut at pipes and && — so neither prose nor another tool's
+// flag of the same name counts. A flag with no recipe and no reader is
+// a constant; delete it or document the run that needs it.
+// gplusanalyze's three sub-commands (traces, metrics, profiles) declare
+// theirs on one identifier, scanned as a row of its own; the shared
+// observability flags are one registration, so a recipe on either
+// binary that takes them keeps one.
 func TestFlagsHaveRecipe(t *testing.T) {
-	var docs []byte
+	var commands []string
+	codeSpan, chained := regexp.MustCompile("`[^`]+`"), regexp.MustCompile(`\|\|?|&&`)
 	for _, name := range []string{"README.md", "EXPERIMENTS.md", "Makefile"} {
 		b, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		docs = append(docs, b...)
+		doc := strings.ReplaceAll(string(b), "\\\n", " ")
+		var lines []string
+		if name == "Makefile" {
+			lines = regexp.MustCompile(`(?m)^\t.*`).FindAllString(doc, -1)
+		} else {
+			for i, part := range strings.Split(doc, "```") {
+				if i%2 == 1 { // fenced
+					lines = append(lines, strings.Split(part, "\n")...)
+				} else { // prose: its code spans, re-joined where the paragraph wrapped
+					lines = append(lines, codeSpan.FindAllString(strings.ReplaceAll(part, "\n", " "), -1)...)
+				}
+			}
+		}
+		for _, line := range lines {
+			commands = append(commands, chained.Split(strings.Trim(line, "`"), -1)...)
+		}
+	}
+	// check reports each flag that no command running one of the
+	// binaries (by path or through go run) passes.
+	check := func(row string, flags []string, binaries string) {
+		invoked := regexp.MustCompile(`(^|[\s/])(` + binaries + `)\s(.*)`)
+		var args []string
+		for _, c := range commands {
+			if m := invoked.FindStringSubmatch(c); m != nil {
+				args = append(args, m[3])
+			}
+		}
+		for _, name := range flags {
+			passed := regexp.MustCompile(`(^|\s)-` + name + `($|[\s=])`)
+			if !slices.ContainsFunc(args, passed.MatchString) {
+				t.Errorf("%s: flag -%s is on no README.md, EXPERIMENTS.md or Makefile command line that runs %s", row, name, binaries)
+			}
+		}
 	}
 	// The observability flags are read off the flag set itself; each
 	// main's own are scanned from its source.
@@ -34,43 +78,41 @@ func TestFlagsHaveRecipe(t *testing.T) {
 	fs := flag.NewFlagSet("shared", flag.ContinueOnError)
 	new(rundir.Config).RegisterFlags(fs)
 	fs.VisitAll(func(f *flag.Flag) { shared = append(shared, f.Name) })
+	check("rundir.Config.RegisterFlags", shared, "gpluscrawl|gplusd")
 	for _, bin := range []struct {
-		main string
+		name string
 		set  string // the identifier flags are declared on: flag.String("name", ...)
 		obs  bool   // registers the shared observability flags too
 		own  int    // fewest own flags the scan must find, or declarations changed shape
 	}{
-		{"cmd/gpluscrawl/main.go", "fs", true, 17},
-		{"cmd/gplusd/main.go", "flag", true, 10},
-		{"cmd/gplusanalyze/main.go", "fs", false, 9},
-		{"cmd/gplusanalyze/main.go", "sub", false, 11},
-		{"cmd/gplusgen/main.go", "flag", false, 4},
-		{"cmd/gplusverify/main.go", "fs", false, 2},
+		{"gpluscrawl", "fs", true, 14},
+		{"gplusd", "flag", true, 7},
+		{"gplusanalyze", "fs", false, 9},
+		{"gplusanalyze", "sub", false, 11},
+		{"gplusgen", "flag", false, 3},
+		{"gplusverify", "fs", false, 2},
 	} {
-		src, err := os.ReadFile(bin.main)
+		src, err := os.ReadFile(filepath.Join("cmd", bin.name, "main.go"))
 		if err != nil {
 			t.Fatal(err)
-		}
-		var names []string
-		if bin.obs {
-			names = append(names, shared...)
 		}
 		// flag.String("name", ...) and its siblings; flag.NewFlagSet("name",
 		// ...) is not one of them.
 		decl := regexp.MustCompile(`\b` + bin.set + `\.[A-Z][a-z0-9]*\("([a-z][a-z-]*)"`)
-		own := decl.FindAllSubmatch(src, -1)
-		for _, m := range own {
-			names = append(names, string(m[1]))
+		var own []string
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			own = append(own, string(m[1]))
 		}
-		for _, name := range names {
-			if !regexp.MustCompile(`(^|[^a-z-])-` + name + `($|[^a-z-])`).Match(docs) {
-				t.Errorf("%s (%s): flag -%s appears in no README.md, EXPERIMENTS.md or Makefile recipe", bin.main, bin.set, name)
-			}
-		}
+		row := bin.name + " (" + bin.set + ")"
+		check(row, own, bin.name)
 		if len(own) < bin.own {
-			t.Errorf("%s (%s): found only %d flags of its own, want at least %d; the scan no longer matches how flags are declared", bin.main, bin.set, len(own), bin.own)
+			t.Errorf("%s: found only %d flags of its own, want at least %d; the scan no longer matches how flags are declared", row, len(own), bin.own)
 		}
-		t.Logf("%s registers %d flags on %s", bin.main, len(names), bin.set)
+		total := len(own)
+		if bin.obs {
+			total += len(shared)
+		}
+		t.Logf("%s registers %d flags", row, total)
 	}
 }
 
@@ -80,13 +122,6 @@ func TestFlagsHaveRecipe(t *testing.T) {
 // that drive it through crawler → dataset → study. An exception that
 // has become reachable, or whose tests are gone, fails too.
 func TestPackagesReachPipeline(t *testing.T) {
-	exceptions := map[string][]string{
-		// The snapshot source of the parked longitudinal study (ROADMAP).
-		"gplus/internal/growth": {
-			"internal/crawler:TestCrawlOverGrowingService",
-			"internal/growth:TestSnapshotSeriesThroughCrawlPipeline",
-		},
-	}
 	goList := func(args ...string) []string {
 		t.Helper()
 		out, err := exec.Command("go", append([]string{"list"}, args...)...).Output()
@@ -100,24 +135,299 @@ func TestPackagesReachPipeline(t *testing.T) {
 		reachable[pkg] = true
 	}
 	for _, pkg := range goList("./internal/...") {
-		if _, ok := exceptions[pkg]; !reachable[pkg] && !ok {
+		if _, ok := packageExceptions[pkg]; !reachable[pkg] && !ok {
 			t.Errorf("%s is imported by no cmd/ binary and not by bench: wire it into the pipeline, list the pipeline tests that keep it, or delete it", pkg)
 		}
 	}
-	for pkg, tests := range exceptions {
+	for pkg, tests := range packageExceptions {
 		if reachable[pkg] {
 			t.Errorf("%s is reachable from the pipeline now; drop its exception", pkg)
 		}
 		for _, ref := range tests {
-			dir, name, _ := strings.Cut(ref, ":")
-			files, _ := filepath.Glob(filepath.Join(dir, "*_test.go"))
-			found := slices.ContainsFunc(files, func(f string) bool {
-				src, _ := os.ReadFile(f)
-				return strings.Contains(string(src), "func "+name+"(t *testing.T)")
-			})
-			if !found {
+			if !testExists(ref) {
 				t.Errorf("%s is kept by %s, which no longer exists", pkg, ref)
 			}
 		}
 	}
 }
+
+// packageExceptions lists the internal/ packages no pipeline binary
+// imports, each beside the pipeline tests that keep it.
+var packageExceptions = map[string][]string{
+	// The snapshot source of the parked longitudinal study (ROADMAP).
+	"gplus/internal/growth": {
+		"internal/crawler:TestCrawlOverGrowingService",
+		"internal/growth:TestSnapshotSeriesThroughCrawlPipeline",
+	},
+}
+
+// testExists reports whether "dir:TestName" names a test function
+// declared in a _test.go file of dir.
+func testExists(ref string) bool {
+	dir, name, _ := strings.Cut(ref, ":")
+	files, _ := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	return slices.ContainsFunc(files, func(f string) bool {
+		src, _ := os.ReadFile(f)
+		return strings.Contains(string(src), "func "+name+"(t *testing.T)")
+	})
+}
+
+// TestSurfaceReachesPipeline is TestPackagesReachPipeline one level
+// down: every exported package-level func, method, type, const and var
+// declared in a non-test file under internal/ must be named by non-test
+// code that a main of cmd/... or bench reaches, or be listed below
+// beside the test that keeps it. An entry keeps its symbol with whatever
+// only that symbol names, and a type's entry its methods; the packages
+// excepted above are skipped whole. An exception that has become
+// reachable, that names no declared symbol, or whose test is gone fails
+// too.
+func TestSurfaceReachesPipeline(t *testing.T) {
+	exceptions := map[string]string{
+		// Reference implementations the pipeline's own are compared against.
+		"dataset.FromCrawl":           "internal/dataset:TestSegmentCrawlMatchesFromCrawl",
+		"graph.FromEdges":             "internal/graph/diskcsr:TestKernelEquivalence",
+		"graph.BFSDistances":          "internal/graph:TestSamplePathLengthsMatchesExactAllPairs",
+		"graph.HasArc":                "internal/graph:TestMotifsAgainstBruteForce",
+		"graph.ClusteringCoefficient": "internal/graph:TestTrianglesMatchClusteringCoefficient",
+		// The paper's §4 place-resolution chain, run over a crawl of a
+		// service that serves no country codes (gplusd.Options.OmitGeocode)
+		// until the pipeline does the same by default.
+		"dataset.Dataset.ResolveCountries": "internal/dataset:TestResolveCountriesFromRawPlaces",
+		"geo.ResolvePlace":                 "internal/dataset:TestResolveCountriesFromRawPlaces",
+		"geo.CountryOf":                    "internal/dataset:TestResolveCountriesFromRawPlaces",
+		// The serving half of internal/growth, excepted above.
+		"gplusd.EvolvingServer": "internal/crawler:TestCrawlOverGrowingService",
+		"gplusd.NewEvolving":    "internal/crawler:TestCrawlOverGrowingService",
+	}
+	s := loadSurface(t)
+	if len(exceptions) > 20 {
+		t.Errorf("%d exceptions; the gate allows 20", len(exceptions))
+	}
+	for sym, ref := range exceptions {
+		switch obj := s.symbols[sym]; {
+		case obj == nil:
+			t.Errorf("exception %s names no exported symbol under internal/", sym)
+		case s.reached[obj]:
+			t.Errorf("%s is reachable from the pipeline now; drop its exception", sym)
+		}
+		if !testExists(ref) {
+			t.Errorf("%s is kept by %s, which no longer exists", sym, ref)
+		}
+	}
+	var syms []string
+	for sym, obj := range s.symbols {
+		syms = append(syms, sym)
+		for kept := range exceptions {
+			if sym == kept || strings.HasPrefix(sym, kept+".") { // a kept type's methods
+				s.reach(obj)
+			}
+		}
+	}
+	s.drain()
+	sort.Strings(syms)
+	for _, sym := range syms {
+		if !s.reached[s.symbols[sym]] {
+			t.Errorf("%s is exported but reached by no cmd/ binary and not by bench: wire it into the pipeline, unexport it, list the test that keeps it, or delete it", sym)
+		}
+	}
+}
+
+// surface is every non-test package of the module, type-checked, and
+// the declarations a walk has reached so far. A declaration is reached
+// when reached code names it, and a method also when its receiver type
+// is reached and satisfies an interface that declares it.
+type surface struct {
+	info    *types.Info
+	decl    map[types.Object]ast.Node // package-level object or method → its FuncDecl or Spec
+	ifaces  []*types.Interface        // every interface a method may be called through
+	symbols map[string]types.Object   // the exported ones under internal/, as pkg.Name or pkg.Type.Method
+	reached map[types.Object]bool
+	queue   []types.Object // reached, not yet walked
+}
+
+// loadSurface type-checks the module (go list for the file sets,
+// go/types for the rest: no network, no tool outside the Go
+// distribution) and walks it from what runs: the mains of cmd/... and
+// bench, and every init and package-level var initialiser — whether or
+// not anything names the var.
+func loadSurface(t *testing.T) *surface {
+	t.Helper()
+	out, err := exec.Command("go", "list", "-deps", "-f",
+		`{{if not .Standard}}{{.ImportPath}} {{.Name}} {{.Dir}} {{join .GoFiles ","}}{{end}}`,
+		"./cmd/...", "./bench", "./internal/...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	s := &surface{
+		info: &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		},
+		decl:    map[types.Object]ast.Node{},
+		symbols: map[string]types.Object{},
+		reached: map[types.Object]bool{},
+	}
+	fset := token.NewFileSet()
+	std := importer.Default()
+	module := map[string]*types.Package{}
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := module[path]; ok {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	var roots []ast.Node
+	// go list -deps prints dependencies first, so every module import is
+	// checked before its importer.
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		f := strings.Fields(line)
+		path, name, dir := f[0], f[1], f[2]
+		var files []*ast.File
+		for _, base := range strings.Split(f[3], ",") {
+			file, err := parser.ParseFile(fset, filepath.Join(dir, base), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, file)
+		}
+		pkg, err := conf.Check(path, fset, files, s.info)
+		if err != nil {
+			t.Fatalf("type-check %s: %v", path, err)
+		}
+		module[path] = pkg
+		if _, ok := packageExceptions[path]; ok {
+			continue
+		}
+		for _, file := range files {
+			for _, d := range file.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					s.decl[s.info.Defs[d.Name]] = d
+					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && name == "main") {
+						roots = append(roots, d)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							s.decl[s.info.Defs[spec.Name]] = spec
+						case *ast.ValueSpec:
+							for _, id := range spec.Names {
+								s.decl[s.info.Defs[id]] = spec
+							}
+							if d.Tok == token.VAR {
+								roots = append(roots, spec)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for obj := range s.decl {
+		if !obj.Exported() || !strings.HasPrefix(obj.Pkg().Path(), "gplus/internal/") {
+			continue
+		}
+		sym := obj.Pkg().Name() + "." + obj.Name()
+		if f, ok := obj.(*types.Func); ok {
+			if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+				typ := recv.Type()
+				if p, ok := typ.(*types.Pointer); ok {
+					typ = p.Elem()
+				}
+				named := typ.(*types.Named).Obj()
+				if !named.Exported() {
+					continue // nameable only through an interface
+				}
+				sym = obj.Pkg().Name() + "." + named.Name() + "." + obj.Name()
+			}
+		}
+		s.symbols[sym] = obj
+	}
+	// The interfaces: error, the named ones of each package in sight and
+	// the literals in module code.
+	s.ifaces = []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	seen := map[*types.Package]bool{}
+	var collect func(p *types.Package)
+	collect = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, n := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(n).(*types.TypeName); ok {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+					s.ifaces = append(s.ifaces, it)
+				}
+			}
+		}
+		for _, imp := range p.Imports() {
+			collect(imp)
+		}
+	}
+	for _, p := range module {
+		collect(p)
+	}
+	for e, tv := range s.info.Types {
+		if _, ok := e.(*ast.InterfaceType); ok {
+			if it, ok := tv.Type.(*types.Interface); ok && it.NumMethods() > 0 {
+				s.ifaces = append(s.ifaces, it)
+			}
+		}
+	}
+	for _, n := range roots {
+		s.walk(n)
+	}
+	s.drain()
+	return s
+}
+
+func (s *surface) reach(obj types.Object) {
+	if f, ok := obj.(*types.Func); ok {
+		obj = f.Origin() // the method of a generic type, not of its instance
+	}
+	if s.decl[obj] != nil && !s.reached[obj] {
+		s.reached[obj] = true
+		s.queue = append(s.queue, obj)
+	}
+}
+
+// walk reaches everything the declaration n names.
+func (s *surface) walk(n ast.Node) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && s.info.Uses[id] != nil {
+			s.reach(s.info.Uses[id])
+		}
+		return true
+	})
+}
+
+// drain walks reached declarations until none is left unwalked.
+func (s *surface) drain() {
+	for len(s.queue) > 0 {
+		obj := s.queue[len(s.queue)-1]
+		s.queue = s.queue[:len(s.queue)-1]
+		s.walk(s.decl[obj])
+		tn, ok := obj.(*types.TypeName)
+		if !ok || types.IsInterface(tn.Type()) {
+			continue
+		}
+		for _, recv := range []types.Type{tn.Type(), types.NewPointer(tn.Type())} {
+			for _, it := range s.ifaces {
+				if !types.Implements(recv, it) {
+					continue
+				}
+				for i := 0; i < it.NumMethods(); i++ {
+					if m, _, _ := types.LookupFieldOrMethod(recv, true, tn.Pkg(), it.Method(i).Name()); m != nil {
+						s.reach(m)
+					}
+				}
+			}
+		}
+	}
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -53,7 +53,10 @@ func TestTable1TopUsers(t *testing.T) {
 	}
 	// The paper's headline: IT figures dominate the top list (7/20) and
 	// generic users are absent.
-	mix := s.OccupationMix(20)
+	mix := make(map[profile.Occupation]int)
+	for _, row := range top {
+		mix[row.Occupation]++
+	}
 	if mix[profile.IT] < 2 {
 		t.Errorf("top-20 IT count = %d, want >= 2 (paper: 7)", mix[profile.IT])
 	}
@@ -257,8 +260,10 @@ func TestFig5PathLengths(t *testing.T) {
 	if pl.Directed.Mode() < pl.Undirected.Mode() {
 		t.Errorf("directed mode %d < undirected mode %d", pl.Directed.Mode(), pl.Undirected.Mode())
 	}
-	if pl.DiameterDirected < pl.Directed.MaxObserved() {
-		t.Errorf("diameter bound %d below observed max %d", pl.DiameterDirected, pl.Directed.MaxObserved())
+	for h, c := range pl.Directed.Counts {
+		if c > 0 && h > pl.DiameterDirected {
+			t.Errorf("diameter bound %d below an observed distance %d", pl.DiameterDirected, h)
+		}
 	}
 	if pl.DiameterUndirected > pl.DiameterDirected {
 		t.Errorf("undirected diameter %d exceeds directed %d", pl.DiameterUndirected, pl.DiameterDirected)
@@ -427,38 +432,6 @@ func TestFig9bAveragePathMiles(t *testing.T) {
 		if r.Mean < 0 || r.Stddev < 0 {
 			t.Errorf("%s summary invalid: %+v", r.Country, r.Summary)
 		}
-	}
-}
-
-func TestCountryStructures(t *testing.T) {
-	s := testStudy(t)
-	rows := s.CountryStructures()
-	if len(rows) != 10 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	byCountry := map[string]CountryStructure{}
-	for _, r := range rows {
-		byCountry[r.Country] = r
-		if r.Users == 0 {
-			t.Errorf("%s has no located users", r.Country)
-			continue
-		}
-		if r.Reciprocity < 0 || r.Reciprocity > 1 {
-			t.Errorf("%s reciprocity = %v", r.Country, r.Reciprocity)
-		}
-		if r.MeanCC < 0 || r.MeanCC > 1 {
-			t.Errorf("%s mean CC = %v", r.Country, r.MeanCC)
-		}
-	}
-	// The biggest populations retain the densest domestic subgraphs.
-	if byCountry["US"].Users <= byCountry["ES"].Users {
-		t.Errorf("US subgraph (%d) should exceed ES (%d)", byCountry["US"].Users, byCountry["ES"].Users)
-	}
-	// Outward-looking countries lose more of their edges to the border
-	// cut, so their domestic subgraphs are sparser than the US's.
-	if byCountry["GB"].AvgDegree >= byCountry["US"].AvgDegree {
-		t.Errorf("GB domestic degree %.2f should fall below US %.2f",
-			byCountry["GB"].AvgDegree, byCountry["US"].AvgDegree)
 	}
 }
 

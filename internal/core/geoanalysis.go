@@ -126,49 +126,6 @@ func (s *Study) TopOccupationsByCountry(k int) []CountryOccupations {
 	return rows
 }
 
-// CountryStructure extends the §4 cultural analysis to graph structure:
-// the topology of the subgraph induced by one country's located users.
-// The paper observes "different patterns of usages of the Google+
-// service across different cultures" through links and occupations; this
-// makes the same comparison for reciprocity, clustering and density.
-type CountryStructure struct {
-	Country     string
-	Users       int
-	Edges       int64
-	AvgDegree   float64
-	Reciprocity float64
-	MeanCC      float64
-}
-
-// CountryStructures computes the induced-subgraph topology of each
-// top-10 country's located users.
-func (s *Study) CountryStructures() []CountryStructure {
-	byCountry := make(map[string][]graph.NodeID, len(paperTop10))
-	want := make(map[string]bool, len(paperTop10))
-	for _, c := range paperTop10 {
-		want[c] = true
-	}
-	s.eachCrawled(func(node graph.NodeID) {
-		p := &s.ds.Profiles[node]
-		if p.HasLocation() && want[p.CountryCode] {
-			byCountry[p.CountryCode] = append(byCountry[p.CountryCode], node)
-		}
-	})
-	out := make([]CountryStructure, 0, len(paperTop10))
-	for _, c := range paperTop10 {
-		sub, _ := graph.Induced(s.g, byCountry[c])
-		out = append(out, CountryStructure{
-			Country:     c,
-			Users:       sub.NumNodes(),
-			Edges:       sub.NumEdges(),
-			AvgDegree:   graph.AvgDegree(sub),
-			Reciprocity: graph.GlobalReciprocity(sub, s.opts.Parallelism),
-			MeanCC:      mean(graph.AllClustering(sub, s.opts.Parallelism)),
-		})
-	}
-	return out
-}
-
 // PathMileResult is Figure 9(a): CDFs of the physical distance between
 // user pairs, in miles.
 type PathMileResult struct {

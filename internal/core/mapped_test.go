@@ -30,7 +30,6 @@ func TestStudyMappedMatchesRAM(t *testing.T) {
 		Miles     PathMileResult
 		AvgMiles  []CountryPathMile
 		Links     CountryLinkMatrix
-		Countries []CountryStructure
 	}
 	run := func(mapped bool) results {
 		ds, err := dataset.LoadWith(dir, dataset.Options{Mapped: mapped})
@@ -49,7 +48,6 @@ func TestStudyMappedMatchesRAM(t *testing.T) {
 			Miles:     s.PathMiles(),
 			AvgMiles:  s.AveragePathMiles(),
 			Links:     s.CountryLinks(),
-			Countries: s.CountryStructures(),
 		}
 	}
 	ram, mapped := run(false), run(true)

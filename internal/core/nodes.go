@@ -34,16 +34,6 @@ func (s *Study) TopUsers(k int) []TopUser {
 	return rows
 }
 
-// OccupationMix tallies the Table 1 "About" column: how many of the top
-// k users hold each occupation code.
-func (s *Study) OccupationMix(k int) map[profile.Occupation]int {
-	mix := make(map[profile.Occupation]int)
-	for _, row := range s.TopUsers(k) {
-		mix[row.Occupation]++
-	}
-	return mix
-}
-
 // AttrAvailability is one row of Table 2.
 type AttrAvailability struct {
 	Attr profile.Attr

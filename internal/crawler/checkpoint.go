@@ -51,8 +51,10 @@ func WriteResult(w io.Writer, res *Result) error {
 	return bw.Flush()
 }
 
-// ReadResult parses a checkpoint stream back into a Result. Statistics
-// are reconstructed from the stream contents (durations are lost).
+// readResult parses a checkpoint stream back into a Result; like Crawl
+// it hands edges to sink when there is one and accumulates Result.Edges
+// when there is not. Statistics are reconstructed from the stream
+// contents (durations are lost).
 //
 // The stream is read with durable.ReadLog: a final line with no
 // trailing newline — the signature of a mid-append crash (SIGKILL or
@@ -60,12 +62,6 @@ func WriteResult(w io.Writer, res *Result) error {
 // in Stats.TornRecords. A malformed line that *is* newline-terminated
 // was written whole and still fails the load: that is corruption, not a
 // torn append.
-func ReadResult(r io.Reader) (*Result, error) {
-	return readResult(r, nil)
-}
-
-// readResult is the one checkpoint parser; like Crawl it hands edges to
-// sink when there is one and accumulates Result.Edges when there is not.
 func readResult(r io.Reader, sink EdgeSink) (*Result, error) {
 	res := &Result{
 		Profiles:   make(map[string]profile.Profile),
@@ -123,7 +119,7 @@ func readResult(r io.Reader, sink EdgeSink) (*Result, error) {
 
 // LoadCheckpoint reads a checkpoint file or a live journal written by a
 // Journal (same format; a journal may additionally carry a torn final
-// line — see ReadResult and Stats.TornRecords).
+// line — see readResult and Stats.TornRecords).
 func LoadCheckpoint(path string) (*Result, error) {
 	return ReplayJournal(path, nil)
 }

@@ -14,6 +14,7 @@ import (
 
 	"gplus/internal/gplusd"
 	"gplus/internal/graph"
+	"gplus/internal/obs"
 	"gplus/internal/profile"
 )
 
@@ -58,7 +59,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := WriteResult(&buf, res); err != nil {
 		t.Fatalf("WriteResult: %v", err)
 	}
-	got, err := ReadResult(&buf)
+	got, err := readResult(&buf, nil)
 	if err != nil {
 		t.Fatalf("ReadResult: %v", err)
 	}
@@ -135,12 +136,12 @@ func TestReadResultRejectsGarbage(t *testing.T) {
 		"Z\n",
 	}
 	for _, c := range cases {
-		if _, err := ReadResult(bytes.NewBufferString(c)); err == nil {
+		if _, err := readResult(bytes.NewBufferString(c), nil); err == nil {
 			t.Errorf("garbage %q accepted", c)
 		}
 	}
 	// Empty stream is a valid empty crawl.
-	res, err := ReadResult(bytes.NewBuffer(nil))
+	res, err := readResult(bytes.NewBuffer(nil), nil)
 	if err != nil || len(res.Discovered) != 0 {
 		t.Errorf("empty stream: %v, %+v", err, res)
 	}
@@ -166,7 +167,7 @@ func TestReadResultTornTail(t *testing.T) {
 		{"empty", "", nil, 0},
 	}
 	for _, c := range cases {
-		res, err := ReadResult(bytes.NewBufferString(c.input))
+		res, err := readResult(bytes.NewBufferString(c.input), nil)
 		if err != nil {
 			t.Errorf("%s: %v", c.name, err)
 			continue
@@ -185,7 +186,7 @@ func TestReadResultTornTail(t *testing.T) {
 	}
 	// A malformed line that IS newline-terminated was written whole:
 	// that is corruption, not a torn append, and still fails the load.
-	if _, err := ReadResult(bytes.NewBufferString("D aa\nX junk\nD bb\n")); err == nil {
+	if _, err := readResult(bytes.NewBufferString("D aa\nX junk\nD bb\n"), nil); err == nil {
 		t.Error("terminated malformed line accepted as torn")
 	}
 }
@@ -289,7 +290,7 @@ func TestResumeCompletesCrawl(t *testing.T) {
 	if err := WriteResult(&buf, first); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := ReadResult(&buf)
+	restored, err := readResult(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,8 +335,9 @@ func TestResumeCompletesCrawl(t *testing.T) {
 
 func TestResumeDoesNotRefetch(t *testing.T) {
 	u := crawlUniverse(t)
-	srv := gplusd.New(u, gplusd.Options{})
-	ts := httptest.NewServer(srv)
+	reg := obs.NewRegistry()
+	served := reg.Counter(`gplusd_requests_total{endpoint="profile"}`)
+	ts := httptest.NewServer(gplusd.New(u, gplusd.Options{Metrics: reg}))
 	t.Cleanup(ts.Close)
 	url := ts.URL
 	ctx := context.Background()
@@ -347,7 +349,7 @@ func TestResumeDoesNotRefetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profilesBefore, _, _ := srv.RequestStats()
+	profilesBefore := served.Value()
 
 	if _, err := Crawl(ctx, Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,
@@ -356,8 +358,7 @@ func TestResumeDoesNotRefetch(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	profilesAfter, _, _ := srv.RequestStats()
-	fetched := profilesAfter - profilesBefore
+	fetched := served.Value() - profilesBefore
 	if fetched > 100 {
 		t.Errorf("resume refetched: %d profile requests for a 100-profile budget", fetched)
 	}

@@ -61,11 +61,6 @@ type Config struct {
 	// reported separately in Stats.ProfileErrors and Stats.CircleErrors.
 	// 0 disables the budget.
 	AbortAfterErrors int
-	// ScrapeHTML fetches profile pages as HTML and scrapes them instead
-	// of using the JSON API — the path the paper's crawler actually
-	// exercised. Circle lists remain JSON (the live service exposed
-	// those as structured data to its own frontend).
-	ScrapeHTML bool
 	// Resume continues a previous crawl: its discovered set seeds the
 	// visited set, its uncrawled frontier seeds the queue (in sorted
 	// order, approximating the interrupted BFS order), and its profiles
@@ -127,9 +122,6 @@ type ResilienceConfig struct {
 	// worker concurrency. Max defaults to the worker count: the gate can
 	// only ever shrink effective concurrency, never add workers.
 	AIMD resilience.AIMDOptions
-	// Budget shapes the retry budget shared by all workers, bounding
-	// fleet-wide retry amplification (default: 10% of requests).
-	Budget resilience.BudgetOptions
 	// Breaker shapes the per-endpoint circuit breakers shared by all
 	// workers, so one worker's discovery of a dead endpoint fails the
 	// whole fleet fast.
@@ -204,7 +196,7 @@ type Stats struct {
 	// non-zero with Config.Resilience armed.
 	Requeued int
 	// TornRecords counts trailing journal/checkpoint records dropped by
-	// ReadResult because a mid-append crash left the final line without
+	// LoadCheckpoint because a mid-append crash left the final line without
 	// its newline. At most one record can tear per load; it is only ever
 	// the last thing written, so dropping it keeps the stream a
 	// consistent resumable prefix.
@@ -256,7 +248,7 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 			ao.Max = cfg.Workers
 		}
 		gate = resilience.NewAIMD(ao, reg, "crawler")
-		budget = resilience.NewRetryBudget(cfg.Resilience.Budget, reg, "crawler")
+		budget = resilience.NewRetryBudget(resilience.BudgetOptions{}, reg, "crawler")
 		breakers = resilience.NewBreakerGroup(cfg.Resilience.Breaker, reg, "crawler")
 	}
 
@@ -464,11 +456,7 @@ func (w *worker) crawlOne(ctx context.Context, id string) {
 	)
 	fctx, fsp := w.cfg.Tracer.StartSpan(ctx, "fetch.profile")
 	pprof.Do(fctx, pprof.Labels("phase", "fetch.profile"), func(fctx context.Context) {
-		if w.cfg.ScrapeHTML {
-			doc, err = w.client.FetchProfileHTML(fctx, id)
-		} else {
-			doc, err = w.client.FetchProfile(fctx, id)
-		}
+		doc, err = w.client.FetchProfile(fctx, id)
 	})
 	fsp.SetError(err)
 	fsp.Finish()

@@ -294,43 +294,6 @@ func TestCrawlSurvivesFaultsAndRateLimits(t *testing.T) {
 	}
 }
 
-func TestCrawlHTMLScrapePathEquivalent(t *testing.T) {
-	u := crawlUniverse(t)
-	url := startService(t, u, gplusd.Options{})
-	ctx := context.Background()
-	base := Config{
-		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,
-		MaxProfiles: 300, FetchIn: true, FetchOut: true,
-	}
-	jsonRes, err := Crawl(ctx, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	htmlCfg := base
-	htmlCfg.ScrapeHTML = true
-	htmlRes, err := Crawl(ctx, htmlCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(htmlRes.Profiles) != len(jsonRes.Profiles) {
-		t.Fatalf("HTML crawl got %d profiles, JSON got %d", len(htmlRes.Profiles), len(jsonRes.Profiles))
-	}
-	// Every profile the HTML scrape collected must equal the JSON view.
-	for id, hp := range htmlRes.Profiles {
-		jp, ok := jsonRes.Profiles[id]
-		if !ok {
-			continue // scheduling differences under a budget are fine
-		}
-		if hp.Public != jp.Public || hp.Gender != jp.Gender || hp.Place != jp.Place ||
-			hp.CountryCode != jp.CountryCode || hp.DeclaredInDegree != jp.DeclaredInDegree {
-			t.Fatalf("scraped profile %s differs:\n html %+v\n json %+v", id, hp, jp)
-		}
-	}
-	if htmlRes.Stats.ProfileErrors != 0 {
-		t.Errorf("HTML scrape had %d profile errors", htmlRes.Stats.ProfileErrors)
-	}
-}
-
 // TestCrawlOverGrowingService reproduces the paper's 45-day collection
 // condition: the service grows while the crawl runs. The crawler must
 // absorb the moving target — discovering users who joined mid-crawl —

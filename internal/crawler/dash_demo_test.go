@@ -76,8 +76,8 @@ func TestDashDemo(t *testing.T) {
 	if err := collector.WriteJSONL(&dumpBuf); err != nil {
 		t.Fatal(err)
 	}
-	dump, err := series.ReadDump(&dumpBuf)
-	if err != nil {
+	dump := series.NewDump()
+	if _, err := dump.ReadJSONL(&dumpBuf); err != nil {
 		t.Fatal(err)
 	}
 	var report strings.Builder

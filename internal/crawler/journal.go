@@ -18,7 +18,7 @@ import (
 // crawl state once after Crawl returns (which a SIGKILL, OOM kill, or
 // reboot mid-crawl loses entirely), workers stream P/E/D records into an
 // append-only file as they crawl. The format is exactly the checkpoint
-// format, so ReadResult/LoadCheckpoint load a journal directly and
+// format, so LoadCheckpoint/ReplayJournal load a journal directly and
 // Config.Resume continues from it.
 //
 // Durability discipline:
@@ -28,7 +28,7 @@ import (
 //     writer lag) on the channel.
 //   - The writer flushes and fsyncs every FlushInterval, bounding loss
 //     to one interval's worth of records plus, at worst, one torn final
-//     line — which ReadResult drops with a counted warning
+//     line — which LoadCheckpoint drops with a counted warning
 //     (Stats.TornRecords) instead of failing the load.
 //   - A profile's P record is written only after its circle lists are
 //     fully fetched, and always after that profile's E and D records
@@ -93,7 +93,7 @@ type journalMsg struct {
 //
 // The file is a durable.Log: a torn final line left by a mid-append
 // crash is truncated away before appending (the torn record is already
-// dropped on load by ReadResult).
+// dropped on load by LoadCheckpoint).
 func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 	log, err := durable.OpenLog(path)
 	if err != nil {

@@ -87,7 +87,8 @@ func TestSeriesChaosReportE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dump, err := series.ReadDump(f)
+	dump := series.NewDump()
+	_, err = dump.ReadJSONL(f)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)

@@ -152,56 +152,65 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSaveCompressedRoundTrip(t *testing.T) {
-	_, res := fixtures(t)
-	d := FromCrawl(res)
-	dir := filepath.Join(t.TempDir(), "ds")
-	if err := d.SaveV2Compressed(dir); err != nil {
-		t.Fatalf("SaveV2Compressed: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "profiles.jsonl")); !os.IsNotExist(err) {
-		t.Fatal("plain profiles file should not exist in compressed form")
-	}
-	got, err := Load(dir)
+// goldenGz is the 64-user universe of testdata/v1 as the last build with
+// a gzip profile writer saved it: graph.v2 + profiles.jsonl.gz. Nothing
+// in the repo can regenerate it; it pins the reader that remains.
+const goldenGz = "testdata/gz"
+
+// copyGoldenGz copies the fixture's graph into a fresh directory and
+// puts gz there as its gzip profile column.
+func copyGoldenGz(t *testing.T, gz []byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	graph, err := os.ReadFile(filepath.Join(goldenGz, graphV2File))
 	if err != nil {
-		t.Fatalf("Load compressed: %v", err)
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.IDs, d.IDs) || !reflect.DeepEqual(got.Profiles, d.Profiles) {
-		t.Error("compressed round trip lost data")
+	for name, raw := range map[string][]byte{graphV2File: graph, profilesGzFile: gz} {
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !reflect.DeepEqual(got.Graph, d.Graph) {
-		t.Error("graph differs after compressed round trip")
+	return dir
+}
+
+func TestGzipDatasetStillLoads(t *testing.T) {
+	// The same universe with a plain profiles.jsonl: the v1 golden.
+	twin, err := Load("testdata/v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(d *Dataset) bool {
+		return reflect.DeepEqual(d.IDs, twin.IDs) && reflect.DeepEqual(d.Profiles, twin.Profiles) &&
+			reflect.DeepEqual(d.Crawled, twin.Crawled) && reflect.DeepEqual(d.Graph, twin.Graph)
+	}
+	got, err := Load(goldenGz)
+	if err != nil {
+		t.Fatalf("Load(%s): %v", goldenGz, err)
+	}
+	if !same(got) {
+		t.Error("gzip dataset differs from its plain twin")
 	}
 
-	// A compressed dataset must be smaller than the plain one.
-	plainDir := filepath.Join(t.TempDir(), "plain")
-	if err := d.SaveV2(plainDir); err != nil {
-		t.Fatal(err)
-	}
-	gzInfo, err := os.Stat(filepath.Join(dir, "profiles.jsonl.gz"))
+	// The plain form is preferred when both exist: beside it, a gzip
+	// column that cannot even be opened goes unread.
+	dir := copyGoldenGz(t, []byte("not gzip"))
+	plain, err := os.ReadFile(filepath.Join("testdata/v1", profilesFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainInfo, err := os.Stat(filepath.Join(plainDir, "profiles.jsonl"))
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, profilesFile), plain, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if gzInfo.Size() >= plainInfo.Size() {
-		t.Errorf("compressed %d bytes >= plain %d bytes", gzInfo.Size(), plainInfo.Size())
+	if both, err := Load(dir); err != nil {
+		t.Errorf("plain profiles beside a corrupt gzip column: %v", err)
+	} else if !same(both) {
+		t.Error("plain form not preferred when both exist")
 	}
 }
 
 func TestLoadRejectsCorruptGzip(t *testing.T) {
-	_, res := fixtures(t)
-	d := FromCrawl(res)
-	dir := filepath.Join(t.TempDir(), "ds")
-	if err := d.SaveV2Compressed(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "profiles.jsonl.gz"), []byte("not gzip"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(dir); err == nil {
+	if _, err := Load(copyGoldenGz(t, []byte("not gzip"))); err == nil {
 		t.Error("corrupt gzip accepted")
 	}
 }

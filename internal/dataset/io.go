@@ -17,13 +17,14 @@ import (
 
 // On-disk layout: <dir>/graph.v2 (varint/delta-compressed CSR, openable
 // via mmap without materializing — see internal/graph/diskcsr) plus
-// <dir>/profiles.jsonl (one JSON record per user in node-id order,
-// optionally gzipped). The JSONL form keeps the profile columns
-// greppable and diffable; the graph stays binary because edge lists
-// dominate the size. graph.v2 is the only graph form this package
-// writes; a directory holding only the legacy v1 graph.bin still loads
-// (LoadWith falls back to graph.ReadBinary), and a save over it leaves
-// graph.bin in place — Load prefers graph.v2 whenever it exists.
+// <dir>/profiles.jsonl (one JSON record per user in node-id order; a
+// profiles.jsonl.gz written by an earlier build is still read). The
+// JSONL form keeps the profile columns greppable and diffable; the graph
+// stays binary because edge lists dominate the size. graph.v2 is the
+// only graph form this package writes; a directory holding only the
+// legacy v1 graph.bin still loads (LoadWith falls back to
+// graph.ReadBinary), and a save over it leaves graph.bin in place — Load
+// prefers graph.v2 whenever it exists.
 
 const (
 	graphV1File    = "graph.bin"
@@ -56,21 +57,10 @@ type userRecord struct {
 // The graph is streamed from the dataset's View, so saving a mapped
 // dataset never materializes it.
 func (d *Dataset) SaveV2(dir string) error {
-	return d.saveV2(dir, false)
-}
-
-// SaveV2Compressed is SaveV2 with a gzip-compressed profile column
-// (profiles.jsonl.gz), roughly quartering the disk footprint of
-// million-user datasets. Load reads either form transparently.
-func (d *Dataset) SaveV2Compressed(dir string) error {
-	return d.saveV2(dir, true)
-}
-
-func (d *Dataset) saveV2(dir string, compress bool) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
-	return d.save(dir, compress, func(path string) error {
+	return d.save(dir, func(path string) error {
 		return diskcsr.WriteGraph(path, d.View())
 	})
 }
@@ -78,29 +68,14 @@ func (d *Dataset) saveV2(dir string, compress bool) error {
 // save is the one place a dataset directory is written: writeGraph
 // publishes graph.v2 (from a View, or by compacting crawl segments),
 // and only then is the profile column published.
-func (d *Dataset) save(dir string, compress bool, writeGraph func(path string) error) error {
+func (d *Dataset) save(dir string, writeGraph func(path string) error) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	if err := writeGraph(filepath.Join(dir, graphV2File)); err != nil {
 		return fmt.Errorf("dataset: writing v2 graph: %w", err)
 	}
-	return d.saveProfiles(dir, compress)
-}
-
-func (d *Dataset) saveProfiles(dir string, compress bool) error {
-	name := profilesFile
-	if compress {
-		name = profilesGzFile
-	}
-	err := durable.WriteFile(filepath.Join(dir, name), func(f *os.File) error {
-		if compress {
-			gz := gzip.NewWriter(f)
-			if err := d.writeProfiles(gz); err != nil {
-				return err
-			}
-			return gz.Close()
-		}
+	err := durable.WriteFile(filepath.Join(dir, profilesFile), func(f *os.File) error {
 		return d.writeProfiles(f)
 	})
 	if err != nil {

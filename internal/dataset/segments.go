@@ -69,13 +69,6 @@ func (s *SegmentSink) intern(id string) graph.NodeID {
 	return n
 }
 
-// NumIDs returns how many distinct service ids the sink has interned.
-func (s *SegmentSink) NumIDs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.names)
-}
-
 var _ crawler.EdgeSink = (*SegmentSink)(nil)
 
 // FromCrawlSegments finishes an out-of-core crawl: it flushes the sink,
@@ -85,16 +78,6 @@ var _ crawler.EdgeSink = (*SegmentSink)(nil)
 // opened over the memory-mapped graph. Call Close on the returned
 // dataset when done; the segment directory may be deleted afterwards.
 func FromCrawlSegments(res *crawler.Result, sink *SegmentSink, dir string, met *diskcsr.Metrics) (*Dataset, error) {
-	return fromCrawlSegments(res, sink, dir, met, false)
-}
-
-// FromCrawlSegmentsCompressed is FromCrawlSegments with a
-// gzip-compressed profile column.
-func FromCrawlSegmentsCompressed(res *crawler.Result, sink *SegmentSink, dir string, met *diskcsr.Metrics) (*Dataset, error) {
-	return fromCrawlSegments(res, sink, dir, met, true)
-}
-
-func fromCrawlSegments(res *crawler.Result, sink *SegmentSink, dir string, met *diskcsr.Metrics, compress bool) (*Dataset, error) {
 	sink.mu.Lock()
 	defer sink.mu.Unlock()
 	if err := sink.w.Flush(); err != nil {
@@ -110,7 +93,7 @@ func fromCrawlSegments(res *crawler.Result, sink *SegmentSink, dir string, met *
 	for prov, id := range sink.names {
 		remap[prov] = d.index[id]
 	}
-	err := d.save(dir, compress, func(path string) error {
+	err := d.save(dir, func(path string) error {
 		_, err := diskcsr.Compact(sink.dir, path, diskcsr.CompactOptions{
 			NumNodes: len(d.IDs),
 			Remap:    remap,

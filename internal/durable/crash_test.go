@@ -181,10 +181,14 @@ func reopenRing(t *testing.T, dir string, want []uint64) {
 		t.Fatalf("ring unopenable: %v", err)
 	}
 	defer s.Close()
-	if got := seqs(s.Entries()); !reflect.DeepEqual(got, want) {
+	es, err := prof.ReadManifest(dir)
+	if err != nil {
+		t.Fatalf("reopened ring's manifest unreadable: %v", err)
+	}
+	if got := seqs(es); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reopened ring lists captures %v, want %v", got, want)
 	}
-	for _, e := range s.Entries() {
+	for _, e := range es {
 		if _, err := os.Stat(e.Path(dir)); err != nil {
 			t.Fatalf("capture %d lost its file: %v", e.Seq, err)
 		}
@@ -332,7 +336,11 @@ var crashCases = []crashCase{
 		build: func(t *testing.T) (func() error, func(*testing.T) map[string]bool) {
 			s, dir := profileRing(t)
 			s.Close()
-			if err := os.Remove(s.Entries()[0].Path(dir)); err != nil {
+			es, err := prof.ReadManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Remove(es[0].Path(dir)); err != nil {
 				t.Fatal(err)
 			}
 			write := func() error {

@@ -1,7 +1,5 @@
 package geo
 
-import "sort"
-
 // Region groups countries the way Figure 7 labels its clusters.
 type Region string
 
@@ -69,15 +67,6 @@ var byCode = func() map[string]Country {
 	return m
 }()
 
-// Countries returns the embedded country table sorted by code. The slice
-// is a copy and may be modified by the caller.
-func Countries() []Country {
-	out := make([]Country, len(countries))
-	copy(out, countries)
-	sort.Slice(out, func(i, j int) bool { return out[i].Code < out[j].Code })
-	return out
-}
-
 // ByCode looks up a country by its ISO alpha-2 code.
 func ByCode(code string) (Country, bool) {
 	c, ok := byCode[code]
@@ -87,11 +76,3 @@ func ByCode(code string) (Country, bool) {
 // PaperTop10 lists the top-10 Google+ countries of Figure 6 in the
 // paper's order.
 var PaperTop10 = []string{"US", "IN", "BR", "GB", "CA", "DE", "ID", "MX", "IT", "ES"}
-
-// PaperTop10Shares gives each Figure-6 country's share of the users that
-// disclosed a location, used to calibrate the synthetic population. The
-// remainder (~0.405) belongs to "Other" countries.
-var PaperTop10Shares = map[string]float64{
-	"US": 0.3138, "IN": 0.1671, "BR": 0.0576, "GB": 0.0335, "CA": 0.0230,
-	"DE": 0.0205, "ID": 0.0190, "MX": 0.0170, "IT": 0.0160, "ES": 0.0150,
-}

@@ -62,7 +62,7 @@ func TestHaversinePropertySymmetricNonNegative(t *testing.T) {
 }
 
 func TestCountriesTable(t *testing.T) {
-	all := Countries()
+	all := countries
 	if len(all) != 20 {
 		t.Fatalf("country table has %d entries, want 20", len(all))
 	}
@@ -103,29 +103,6 @@ func TestByCode(t *testing.T) {
 	}
 	if _, ok := ByCode("ZZ"); ok {
 		t.Fatal("ByCode(ZZ) should not resolve")
-	}
-}
-
-func TestPaperTop10SharesSumBelowOne(t *testing.T) {
-	var sum float64
-	for _, code := range PaperTop10 {
-		share, ok := PaperTop10Shares[code]
-		if !ok {
-			t.Fatalf("missing share for %s", code)
-		}
-		if share <= 0 {
-			t.Errorf("share for %s = %v", code, share)
-		}
-		sum += share
-	}
-	if sum >= 1 {
-		t.Fatalf("shares sum to %v, must leave room for Other", sum)
-	}
-	// Figure 6's ordering: shares strictly decreasing.
-	for i := 1; i < len(PaperTop10); i++ {
-		if PaperTop10Shares[PaperTop10[i]] > PaperTop10Shares[PaperTop10[i-1]] {
-			t.Errorf("share order violated at %s", PaperTop10[i])
-		}
 	}
 }
 
@@ -172,7 +149,7 @@ func TestCitiesPerCountry(t *testing.T) {
 	}
 	// Every study country must have at least one city so the generator
 	// can place users.
-	for _, c := range Countries() {
+	for _, c := range countries {
 		if len(Cities(c.Code)) == 0 {
 			t.Errorf("country %s has no cities", c.Code)
 		}
@@ -214,7 +191,7 @@ func TestPenetrationRates(t *testing.T) {
 func TestIPRLinearWithGDPTrend(t *testing.T) {
 	// Figure 7(b): IPR correlates with GDP per capita. Verify a strong
 	// positive rank correlation over the embedded table (Spearman > 0.5).
-	all := Countries()
+	all := countries
 	n := len(all)
 	rank := func(vals []float64) []float64 {
 		idx := make([]int, n)

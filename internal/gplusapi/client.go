@@ -83,7 +83,7 @@ type Client struct {
 }
 
 // Instrumentation series names; the endpoint label is one of "profile",
-// "profile_html", "circle", "seed", or "stats".
+// "circle", or "seed".
 func (c *Client) latencyHist(op string) *obs.Histogram {
 	c.helpOnce.Do(func() {
 		c.Metrics.Help("gplusapi_request_seconds", "End-to-end API request latency, by endpoint.")
@@ -174,29 +174,6 @@ func (c *Client) FetchProfile(ctx context.Context, id string) (*ProfileDoc, erro
 	return &doc, nil
 }
 
-// FetchProfileHTML retrieves the profile as an HTML page and scrapes it,
-// exercising the same path as the paper's crawler (which parsed the
-// public profile pages rather than a JSON API).
-func (c *Client) FetchProfileHTML(ctx context.Context, id string) (*ProfileDoc, error) {
-	path := "/people/" + url.PathEscape(id) + "?alt=html"
-	var doc *ProfileDoc
-	err := c.withRetries(ctx, "profile_html", func(ctx context.Context) error {
-		body, err := c.tryGetRaw(ctx, "profile_html", path)
-		if err != nil {
-			return err
-		}
-		_, psp := c.Tracer.StartSpan(ctx, "parse.html")
-		doc, err = ParseProfileHTML(body)
-		psp.SetError(err)
-		psp.Finish()
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return doc, nil
-}
-
 // FetchCircle retrieves one page of a user's circle list. An empty
 // pageToken requests the first page; limit <= 0 uses the server default.
 func (c *Client) FetchCircle(ctx context.Context, id string, dir CircleDir, pageToken string, limit int) (*CirclePage, error) {
@@ -228,17 +205,8 @@ func (c *Client) FetchSeed(ctx context.Context) (string, error) {
 	return doc.ID, nil
 }
 
-// FetchStats retrieves the server's ground-truth summary.
-func (c *Client) FetchStats(ctx context.Context) (*StatsDoc, error) {
-	var doc StatsDoc
-	if err := c.getJSON(ctx, "stats", "/stats", &doc); err != nil {
-		return nil, err
-	}
-	return &doc, nil
-}
-
 func (c *Client) getJSON(ctx context.Context, op, path string, out any) error {
-	return c.withRetries(ctx, op, func(ctx context.Context) error { return c.tryGetJSON(ctx, op, path, out) })
+	return c.withRetries(ctx, op, func(ctx context.Context) error { return c.doGet(ctx, op, path, out) })
 }
 
 // withRetries runs fn with exponential backoff and jitter, honoring
@@ -314,7 +282,7 @@ func (c *Client) withRetries(ctx context.Context, op string, fn func(context.Con
 		}
 		// Label the attempt's CPU samples with the endpoint so the
 		// continuous profiler can attribute wire wait, body reads, and
-		// JSON/HTML decoding per endpoint (nesting under any crawl-phase
+		// JSON decoding per endpoint (nesting under any crawl-phase
 		// labels already on the context).
 		var err error
 		pprof.Do(actx, pprof.Labels("endpoint", op), func(actx context.Context) {
@@ -413,26 +381,9 @@ func IsOverload(err error) bool {
 	return false
 }
 
-func (c *Client) tryGetJSON(ctx context.Context, op, path string, out any) error {
-	return c.doGet(ctx, op, path, func(body io.Reader) error {
-		return json.NewDecoder(body).Decode(out)
-	})
-}
-
-// tryGetRaw performs one GET and returns the whole response body.
-func (c *Client) tryGetRaw(ctx context.Context, op, path string) ([]byte, error) {
-	var raw []byte
-	err := c.doGet(ctx, op, path, func(body io.Reader) error {
-		var err error
-		raw, err = io.ReadAll(body)
-		return err
-	})
-	return raw, err
-}
-
-// doGet performs one GET and hands a 200 body to consume; other statuses
+// doGet performs one GET and decodes a 200 body into out; other statuses
 // map to the client's error taxonomy.
-func (c *Client) doGet(ctx context.Context, op, path string, consume func(io.Reader) error) error {
+func (c *Client) doGet(ctx context.Context, op, path string, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
 	if err != nil {
 		return err
@@ -483,7 +434,7 @@ func (c *Client) doGet(ctx context.Context, op, path string, consume func(io.Rea
 	}()
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		if err := consume(resp.Body); err != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			if parentErr(ctx) != nil {
 				return err
 			}

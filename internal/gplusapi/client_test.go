@@ -37,9 +37,6 @@ func TestClientFetchEndpoints(t *testing.T) {
 		}
 		w.Write([]byte(`{"ids":["c"]}`))
 	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"users":7,"edges":9}`))
-	})
 	mux.HandleFunc("GET /seed", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`{"id":"top"}`))
 	})
@@ -59,10 +56,6 @@ func TestClientFetchEndpoints(t *testing.T) {
 	page, err = c.FetchCircle(ctx, "u1", CircleIn, "2", 0)
 	if err != nil || len(page.IDs) != 1 || page.NextPageToken != "" {
 		t.Fatalf("FetchCircle page 2 = %+v, %v", page, err)
-	}
-	st, err := c.FetchStats(ctx)
-	if err != nil || st.Users != 7 || st.Edges != 9 {
-		t.Fatalf("FetchStats = %+v, %v", st, err)
 	}
 	seed, err := c.FetchSeed(ctx)
 	if err != nil || seed != "top" {
@@ -153,33 +146,6 @@ func TestClientContextCancelDuringBackoff(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("cancellation ignored Retry-After sleep: %v", elapsed)
-	}
-}
-
-func TestClientFetchProfileHTMLParsesAndRetries(t *testing.T) {
-	var calls atomic.Int32
-	page := RenderProfileHTML(&ProfileDoc{ID: "u9", Name: "nine", Fields: []string{"name"}})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("alt") != "html" {
-			t.Errorf("missing alt=html: %s", r.URL)
-		}
-		if calls.Add(1) == 1 {
-			http.Error(w, "hiccup", http.StatusInternalServerError)
-			return
-		}
-		w.Write(page)
-	}))
-	defer ts.Close()
-	c := newTestClient(ts)
-	doc, err := c.FetchProfileHTML(context.Background(), "u9")
-	if err != nil {
-		t.Fatalf("FetchProfileHTML: %v", err)
-	}
-	if doc.ID != "u9" || doc.Name != "nine" {
-		t.Fatalf("doc = %+v", doc)
-	}
-	if calls.Load() != 2 {
-		t.Errorf("calls = %d, want 2 (one retry)", calls.Load())
 	}
 }
 

@@ -5,33 +5,6 @@ import (
 	"testing"
 )
 
-// FuzzParseProfileHTML checks that arbitrary markup never panics the
-// scraper and that valid renderings always round trip.
-func FuzzParseProfileHTML(f *testing.F) {
-	p := samplePublicProfile()
-	doc := FromProfile("1seed", &p)
-	f.Add(string(RenderProfileHTML(&doc)))
-	f.Add("")
-	f.Add("<html><body></body></html>")
-	f.Add(`<div id="profile" data-id="x" data-in="1" data-out="2"><h1 class="name">n</h1></body>`)
-	f.Add(`<div id="profile" data-id=`)
-	f.Fuzz(func(t *testing.T, page string) {
-		got, err := ParseProfileHTML([]byte(page))
-		if err != nil {
-			return // malformed input rejected: fine
-		}
-		// Anything accepted must re-render and re-parse identically
-		// (canonical-form idempotence).
-		again, err := ParseProfileHTML(RenderProfileHTML(got))
-		if err != nil {
-			t.Fatalf("re-parse of rendered doc failed: %v", err)
-		}
-		if got.ID != again.ID || got.Name != again.Name || len(got.Fields) != len(again.Fields) {
-			t.Fatalf("not idempotent:\n first %+v\n again %+v", got, again)
-		}
-	})
-}
-
 // FuzzToProfile checks the wire-to-model conversion tolerates arbitrary
 // field codes and labels.
 func FuzzToProfile(f *testing.F) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"gplus/internal/obs"
 	"gplus/internal/resilience"
 )
 
@@ -68,7 +69,7 @@ func TestClientFallsBackToBackoffOnGarbageRetryAfter(t *testing.T) {
 	defer ts.Close()
 	c := newTestClient(ts)
 	c.MaxRetries = 2
-	_, err := c.FetchStats(context.Background())
+	_, err := c.FetchSeed(context.Background())
 	if err == nil {
 		t.Fatal("want failure against an always-503 server")
 	}
@@ -160,7 +161,7 @@ func TestClientRetryBudgetExhaustion(t *testing.T) {
 	c.MaxRetries = 10
 	// Burst 2 with a negligible trickle: exactly two retries available.
 	c.RetryBudget = resilience.NewRetryBudget(resilience.BudgetOptions{Ratio: 0.1, MinPerSec: 1e-9, Burst: 2}, nil, "t")
-	_, err := c.FetchStats(context.Background())
+	_, err := c.FetchSeed(context.Background())
 	if err == nil {
 		t.Fatal("want failure")
 	}
@@ -181,17 +182,18 @@ func TestClientBudgetRefillsOnSuccess(t *testing.T) {
 	}))
 	defer ts.Close()
 	c := newTestClient(ts)
-	b := resilience.NewRetryBudget(resilience.BudgetOptions{Ratio: 0.5, MinPerSec: 1e-9, Burst: 4}, nil, "t")
+	reg := obs.NewRegistry()
+	b := resilience.NewRetryBudget(resilience.BudgetOptions{Ratio: 0.5, MinPerSec: 1e-9, Burst: 4}, reg, "t")
 	for b.TrySpend() { // drain
 	}
 	c.RetryBudget = b
 	for i := 0; i < 4; i++ {
-		if _, err := c.FetchStats(context.Background()); err != nil {
+		if _, err := c.FetchSeed(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := b.Tokens(); got < 1.9 {
-		t.Fatalf("tokens after 4 successes at ratio 0.5 = %v, want ≈2", got)
+	if got := reg.Gauge("t_retry_budget_tokens_milli").Value(); got < 1900 {
+		t.Fatalf("tokens after 4 successes at ratio 0.5 = %d milli, want ≈2000", got)
 	}
 }
 
@@ -206,23 +208,24 @@ func TestClientBreakerFailsFastAfterTrip(t *testing.T) {
 	defer ts.Close()
 	c := newTestClient(ts)
 	c.MaxBackoff = time.Millisecond // keep breaker-cooldown hints from stalling the test
+	reg := obs.NewRegistry()
 	c.Breakers = resilience.NewBreakerGroup(resilience.BreakerOptions{
 		ConsecutiveFailures: 2,
 		Cooldown:            time.Hour,
-	}, nil, "t")
+	}, reg, "t")
 	// Two wire failures trip the breaker; the remaining retries of the
 	// same operation are denied without touching the wire.
-	if _, err := c.FetchStats(context.Background()); err == nil {
+	if _, err := c.FetchSeed(context.Background()); err == nil {
 		t.Fatal("want failure")
 	}
-	if got := c.Breakers.Get("stats").State(); got != resilience.BreakerOpen {
+	if got := resilience.BreakerState(reg.Gauge(`t_breaker_state{name="seed"}`).Value()); got != resilience.BreakerOpen {
 		t.Fatalf("breaker state = %v, want open after 2 consecutive failures", got)
 	}
 	if got := calls.Load(); got != 2 {
 		t.Fatalf("wire attempts = %d, want 2 (breaker open stops the rest)", got)
 	}
 	before := calls.Load()
-	_, err := c.FetchStats(context.Background())
+	_, err := c.FetchSeed(context.Background())
 	if err == nil {
 		t.Fatal("open breaker must fail the call")
 	}
@@ -236,13 +239,13 @@ func TestClientBreakerFailsFastAfterTrip(t *testing.T) {
 	if got := calls.Load(); got != before {
 		t.Fatalf("open breaker made %d wire attempts, want 0", got-before)
 	}
-	// Endpoints break independently: /seed still works... fails, but is
-	// allowed on the wire.
-	if _, err := c.FetchSeed(context.Background()); err == nil {
-		t.Fatal("seed endpoint should still reach the failing server")
+	// Endpoints break independently: a profile fetch still works...
+	// fails, but is allowed on the wire.
+	if _, err := c.FetchProfile(context.Background(), "u1"); err == nil {
+		t.Fatal("profile endpoint should still reach the failing server")
 	}
 	if got := calls.Load(); got == before {
-		t.Fatal("seed endpoint should not share the stats breaker")
+		t.Fatal("profile endpoint should not share the seed breaker")
 	}
 }
 
@@ -260,19 +263,20 @@ func TestClientBreakerRecoversThroughProbe(t *testing.T) {
 	c := newTestClient(ts)
 	c.MaxRetries = 1
 	c.MaxBackoff = time.Millisecond
+	reg := obs.NewRegistry()
 	c.Breakers = resilience.NewBreakerGroup(resilience.BreakerOptions{
 		ConsecutiveFailures: 1,
 		Cooldown:            10 * time.Millisecond,
-	}, nil, "t")
-	if _, err := c.FetchStats(context.Background()); err == nil {
+	}, reg, "t")
+	if _, err := c.FetchSeed(context.Background()); err == nil {
 		t.Fatal("want failure")
 	}
 	broken.Store(false)
 	time.Sleep(15 * time.Millisecond) // cooldown elapses → probe allowed
-	if _, err := c.FetchStats(context.Background()); err != nil {
+	if _, err := c.FetchSeed(context.Background()); err != nil {
 		t.Fatalf("probe should succeed and close the breaker: %v", err)
 	}
-	if got := c.Breakers.Get("stats").State(); got != resilience.BreakerClosed {
+	if got := resilience.BreakerState(reg.Gauge(`t_breaker_state{name="seed"}`).Value()); got != resilience.BreakerClosed {
 		t.Fatalf("breaker state = %v, want closed after good probe", got)
 	}
 }
@@ -288,7 +292,7 @@ func TestClientSendsDeadlineHeader(t *testing.T) {
 	defer ts.Close()
 	c := newTestClient(ts)
 	c.AttemptTimeout = 250 * time.Millisecond
-	if _, err := c.FetchStats(context.Background()); err != nil {
+	if _, err := c.FetchSeed(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	v := <-headers
@@ -312,9 +316,8 @@ func TestClientAttemptTimeoutRetriesThenSucceeds(t *testing.T) {
 	c.MaxRetries = 3
 	var overloads atomic.Int32
 	c.Feedback = feedbackFunc{onOverload: func() { overloads.Add(1) }}
-	doc, err := c.FetchStats(context.Background())
-	if err != nil || doc == nil {
-		t.Fatalf("FetchStats = %v, %v; want success on retry", doc, err)
+	if _, err := c.FetchSeed(context.Background()); err != nil {
+		t.Fatalf("FetchSeed: %v; want success on retry", err)
 	}
 	if got := calls.Load(); got < 2 {
 		t.Fatalf("wire attempts = %d, want ≥ 2 (timeout then success)", got)
@@ -336,7 +339,7 @@ func TestClientParentCancelIsTerminal(t *testing.T) {
 	c.AttemptTimeout = time.Second
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := c.FetchStats(ctx)
+	_, err := c.FetchSeed(ctx)
 	if err == nil {
 		t.Fatal("want failure")
 	}
@@ -387,12 +390,12 @@ func TestClientFeedbackSignals(t *testing.T) {
 		onSuccess:  func() { successes.Add(1) },
 		onOverload: func() { overloads.Add(1) },
 	}
-	c.FetchStats(context.Background())
+	c.FetchSeed(context.Background())
 	if successes.Load() != 1 || overloads.Load() != 0 {
 		t.Fatalf("after 200: successes=%d overloads=%d", successes.Load(), overloads.Load())
 	}
 	mode.Store(1)
-	c.FetchStats(context.Background()) // 1 attempt + 1 retry, both 503
+	c.FetchSeed(context.Background()) // 1 attempt + 1 retry, both 503
 	if overloads.Load() != 2 {
 		t.Fatalf("each 503 should record overload, got %d", overloads.Load())
 	}
@@ -402,7 +405,7 @@ func TestClientFeedbackSignals(t *testing.T) {
 		t.Fatalf("404 should count as service health, successes=%d", successes.Load())
 	}
 	mode.Store(3)
-	c.FetchStats(context.Background())
+	c.FetchSeed(context.Background())
 	if overloads.Load() != 2 {
 		t.Fatalf("a plain 500 is failure, not congestion; overloads=%d", overloads.Load())
 	}

@@ -44,7 +44,7 @@ func TestFromProfileHidesPrivateFields(t *testing.T) {
 	p := samplePublicProfile()
 	// Withdraw gender and places lived from the public set; the values
 	// stay in the struct (the service knows them) but must not serialize.
-	p.Public = p.Public.Without(profile.AttrGender).Without(profile.AttrPlacesLived)
+	p.Public &^= 1<<profile.AttrGender | 1<<profile.AttrPlacesLived
 	doc := FromProfile("id", &p)
 	if doc.Gender != "" {
 		t.Errorf("private gender leaked: %q", doc.Gender)

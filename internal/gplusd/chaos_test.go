@@ -77,7 +77,7 @@ func TestChaosUnavailableScopedToEndpoint(t *testing.T) {
 	if _, err := c.FetchCircle(ctx, srv.content.IDs[0], "out", "", 5); err != nil {
 		t.Fatalf("circle fetch faulted outside its endpoint scope: %v", err)
 	}
-	snap := srv.Metrics().Snapshot()
+	snap := srv.metrics.Snapshot()
 	if snap.Counters[`gplusd_chaos_faults_total{kind="unavailable"}`] == 0 {
 		t.Error("chaos injection counter not incremented")
 	}
@@ -189,7 +189,7 @@ func TestChaosCrawlerRidesOutFaultSuite(t *testing.T) {
 			t.Fatalf("profile %d lost under chaos: %v", i, err)
 		}
 	}
-	snap := srv.Metrics().Snapshot()
+	snap := srv.metrics.Snapshot()
 	total := int64(0)
 	for name, v := range snap.Counters {
 		if strings.HasPrefix(name, "gplusd_chaos_faults_total") {

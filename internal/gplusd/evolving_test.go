@@ -36,20 +36,12 @@ func TestEvolvingServerAdvances(t *testing.T) {
 	client := &gplusapi.Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
 	ctx := context.Background()
 
-	first, err := client.FetchStats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := fetchStats(t, ts.URL)
 	// Drive enough requests to advance through every epoch.
 	for i := 0; i < 10*len(contents)+5; i++ {
-		if _, err := client.FetchStats(ctx); err != nil {
-			t.Fatal(err)
-		}
+		fetchStats(t, ts.URL)
 	}
-	last, err := client.FetchStats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	last := fetchStats(t, ts.URL)
 	if srv.Epoch() != len(contents)-1 {
 		t.Errorf("epoch = %d, want %d", srv.Epoch(), len(contents)-1)
 	}

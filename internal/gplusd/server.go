@@ -9,12 +9,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"log"
 	"net/http"
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"gplus/internal/gplusapi"
@@ -70,11 +68,6 @@ type Options struct {
 	// without a header start server-local traces under the tracer's own
 	// sampling rate.
 	Tracer *trace.Tracer
-	// AccessLogSample logs 1 in N served requests (method, path, client
-	// identity, trace id, duration) when positive; 0 disables access
-	// logging. Sampling is deterministic (every Nth request), so a rate
-	// of 1 logs everything. Lines go to the standard logger.
-	AccessLogSample int
 	// OmitGeocode strips the resolved country from served place markers,
 	// leaving only the free-text name and map coordinates — the view the
 	// paper's crawler actually had, forcing the analysis side to run its
@@ -122,7 +115,6 @@ type Server struct {
 	admission *resilience.Admission
 	limiter   *limiter
 	tracer    *trace.Tracer
-	alogSeq   atomic.Uint64 // access-log sampling sequence
 
 	metrics    *obs.Registry
 	mProfile   *obs.Counter
@@ -218,13 +210,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		"endpoint", endpointOf(r.URL.Path),
 		"chaos", s.chaos.stateLabel(),
 	), func(ctx context.Context) {
-		s.serve(w, r.WithContext(ctx), start)
+		s.serve(w, r.WithContext(ctx))
 	})
 }
 
 // serve is the post-bypass request path: tracing, admission, fault
 // injection, rate limiting, chaos, rendering.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, start time.Time) {
+func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 	// Join the crawler's trace (or start a server-local one) so the
 	// server-side story of this request — faults, rate limiting,
 	// rendering — lands under the same trace id the client recorded.
@@ -234,7 +226,6 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, start time.Time) 
 		r = r.WithContext(ctx)
 		defer sp.Finish()
 	}
-	defer s.logAccess(r, sp, start)
 	if s.admission != nil {
 		deadline, _ := resilience.DeadlineFromHeader(r)
 		release, shed := s.admission.Acquire(r.Context(), admissionPriority(r.URL.Path), deadline)
@@ -273,34 +264,6 @@ func admissionPriority(path string) resilience.Priority {
 	return resilience.PriorityHigh
 }
 
-// logAccess emits one access-log line for every AccessLogSample-th
-// request (all deferred work — faults, chaos sleeps, rendering — has
-// already happened, so the duration is end-to-end).
-func (s *Server) logAccess(r *http.Request, sp *trace.Span, start time.Time) {
-	n := s.opts.AccessLogSample
-	if n <= 0 {
-		return
-	}
-	if (s.alogSeq.Add(1)-1)%uint64(n) != 0 {
-		return
-	}
-	tid := "-"
-	if sp != nil {
-		tid = sp.TraceID
-	}
-	log.Printf("access: %s %s client=%s trace=%s dur=%s",
-		r.Method, r.URL.Path, clientKey(r), tid, time.Since(start).Round(time.Microsecond))
-}
-
-// Metrics returns the server's registry (never nil), for callers that
-// want to mount it elsewhere or publish it via expvar.
-func (s *Server) Metrics() *obs.Registry { return s.metrics }
-
-// RequestStats returns a snapshot of the request counters.
-func (s *Server) RequestStats() (profiles, circles, limited int64) {
-	return s.mProfile.Value(), s.mCircle.Value(), s.mRateLimit.Value()
-}
-
 func clientKey(r *http.Request) string {
 	if id := r.Header.Get("X-Crawler-Id"); id != "" {
 		return id
@@ -329,21 +292,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		place.Country = ""
 		doc.Place = &place
 	}
-	// The live service served profile pages as HTML; the scrape path is
-	// available via ?alt=html (or an HTML-preferring Accept header).
-	if r.URL.Query().Get("alt") == "html" || acceptsHTMLOnly(r) {
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		w.Write(gplusapi.RenderProfileHTML(&doc)) //nolint:errcheck — best effort to a dead client
-		return
-	}
 	writeJSON(w, &doc)
-}
-
-// acceptsHTMLOnly reports whether the request prefers HTML and does not
-// accept JSON (a browser-style Accept header).
-func acceptsHTMLOnly(r *http.Request) bool {
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "text/html") && !strings.Contains(accept, "application/json")
 }
 
 func (s *Server) handleCircles(w http.ResponseWriter, r *http.Request) {

@@ -173,13 +173,25 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-func TestStatsEndpoint(t *testing.T) {
-	u := serverUniverse(t)
-	_, client := startServer(t, Options{})
-	stats, err := client.FetchStats(context.Background())
+// fetchStats reads the ground-truth summary the service serves on /stats.
+func fetchStats(t *testing.T, baseURL string) gplusapi.StatsDoc {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer resp.Body.Close()
+	var doc gplusapi.StatsDoc
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatalf("GET /stats (%s): %v", resp.Status, err)
+	}
+	return doc
+}
+
+func TestStatsEndpoint(t *testing.T) {
+	u := serverUniverse(t)
+	_, client := startServer(t, Options{})
+	stats := fetchStats(t, client.BaseURL)
 	if stats.Users != u.NumUsers() || stats.Edges != u.Graph.NumEdges() {
 		t.Errorf("stats = %+v", stats)
 	}
@@ -218,7 +230,7 @@ func TestRateLimiting(t *testing.T) {
 	if code := get("worker-b"); code != http.StatusOK {
 		t.Fatalf("worker B got %d, want 200", code)
 	}
-	if _, _, limitedCount := srv.RequestStats(); limitedCount == 0 {
+	if srv.mRateLimit.Value() == 0 {
 		t.Error("rate-limited counter not incremented")
 	}
 }
@@ -247,70 +259,8 @@ func TestFaultInjectionAndRecovery(t *testing.T) {
 			t.Fatalf("fetch %d failed despite retries: %v", i, err)
 		}
 	}
-	if srv.Metrics().Counter(`gplusd_chaos_faults_total{kind="unavailable"}`).Value() == 0 {
+	if srv.metrics.Counter(`gplusd_chaos_faults_total{kind="unavailable"}`).Value() == 0 {
 		t.Error("no faults were injected at rate 0.3")
-	}
-}
-
-func TestServeProfileHTML(t *testing.T) {
-	u := serverUniverse(t)
-	_, client := startServer(t, Options{})
-	ctx := context.Background()
-
-	// The scrape path must see exactly what the JSON path sees.
-	for i := 0; i < 50; i++ {
-		jsonDoc, err := client.FetchProfile(ctx, u.IDs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		htmlDoc, err := client.FetchProfileHTML(ctx, u.IDs[i])
-		if err != nil {
-			t.Fatalf("FetchProfileHTML(%s): %v", u.IDs[i], err)
-		}
-		if !profilesEqual(jsonDoc, htmlDoc) {
-			t.Fatalf("HTML scrape diverges for %s:\n json %+v\n html %+v", u.IDs[i], jsonDoc, htmlDoc)
-		}
-	}
-}
-
-func profilesEqual(a, b *gplusapi.ProfileDoc) bool {
-	if a.ID != b.ID || a.Name != b.Name || a.Gender != b.Gender ||
-		a.Relationship != b.Relationship || a.Occupation != b.Occupation ||
-		a.InCircleCount != b.InCircleCount || a.OutCircleCount != b.OutCircleCount {
-		return false
-	}
-	if len(a.Fields) != len(b.Fields) {
-		return false
-	}
-	for i := range a.Fields {
-		if a.Fields[i] != b.Fields[i] {
-			return false
-		}
-	}
-	if (a.Place == nil) != (b.Place == nil) {
-		return false
-	}
-	if a.Place != nil && *a.Place != *b.Place {
-		return false
-	}
-	return true
-}
-
-func TestAcceptHeaderSelectsHTML(t *testing.T) {
-	u := serverUniverse(t)
-	srv := New(u, Options{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/people/"+u.IDs[0], nil)
-	req.Header.Set("Accept", "text/html")
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/html; charset=utf-8" {
-		t.Errorf("Content-Type = %q, want HTML", ct)
 	}
 }
 
@@ -366,7 +316,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := snap.Counters[`gplusd_requests_total{endpoint="profile"}`]; got != 3 {
 		t.Errorf("json snapshot profile requests = %d, want 3", got)
 	}
-	if srv.Metrics().Gauge("gplusd_in_flight_requests").Value() != 0 {
+	if srv.metrics.Gauge("gplusd_in_flight_requests").Value() != 0 {
 		t.Error("in-flight gauge nonzero at rest")
 	}
 }

@@ -195,8 +195,8 @@ func TestSamplePathLengths(t *testing.T) {
 	if dist.Sources == 0 || dist.Reachable == 0 {
 		t.Fatalf("no samples collected: %+v", dist)
 	}
-	if got := dist.MaxObserved(); got != 7 {
-		t.Errorf("MaxObserved = %d, want 7", got)
+	if len(dist.Counts) != 8 || dist.Counts[7] == 0 {
+		t.Errorf("hop counts = %v, want the largest observed distance to be 7", dist.Counts)
 	}
 	// Ring distances are uniform on 0..7 so the mean is 3.5.
 	if m := dist.Mean(); math.Abs(m-3.5) > 1e-9 {
@@ -284,8 +284,10 @@ func TestSamplePathLengthsMatchesExactAllPairs(t *testing.T) {
 				maxExact = h
 			}
 		}
-		if res.MaxObserved() > maxExact {
-			return false // sampled a distance that cannot exist
+		for h, c := range res.Counts {
+			if c > 0 && h > maxExact {
+				return false // sampled a distance that cannot exist
+			}
 		}
 		var sum int64
 		for _, c := range res.Counts {
@@ -367,22 +369,6 @@ func TestSampleClustering(t *testing.T) {
 	}
 }
 
-func TestRelationReciprocity(t *testing.T) {
-	// 0<->1 reciprocal, 0->2 one-way.
-	g := FromEdges(3, 0, 1, 1, 0, 0, 2)
-	rr, ok := RelationReciprocity(g, 0)
-	if !ok || math.Abs(rr-0.5) > 1e-12 {
-		t.Errorf("RR(0) = %v, want 0.5", rr)
-	}
-	rr, ok = RelationReciprocity(g, 1)
-	if !ok || rr != 1.0 {
-		t.Errorf("RR(1) = %v, want 1", rr)
-	}
-	if _, ok := RelationReciprocity(g, 2); ok {
-		t.Error("RR(2) should be undefined (no out-edges)")
-	}
-}
-
 func TestGlobalReciprocity(t *testing.T) {
 	// 3 edges, 2 of them in a mutual pair => 2/3.
 	g := FromEdges(3, 0, 1, 1, 0, 0, 2)
@@ -439,77 +425,6 @@ func TestFullyReciprocalGraph(t *testing.T) {
 	}
 }
 
-func TestInduced(t *testing.T) {
-	// Triangle {0,1,2} plus edges to/from outside node 3.
-	g := FromEdges(4, 0, 1, 1, 2, 2, 0, 0, 3, 3, 1)
-	sub, back := Induced(g, []NodeID{2, 0, 1, 0}) // duplicate 0 ignored
-	if sub.NumNodes() != 3 {
-		t.Fatalf("induced nodes = %d, want 3", sub.NumNodes())
-	}
-	if sub.NumEdges() != 3 {
-		t.Fatalf("induced edges = %d, want 3 (edges to node 3 dropped)", sub.NumEdges())
-	}
-	want := []NodeID{2, 0, 1}
-	for i, old := range back {
-		if old != want[i] {
-			t.Fatalf("mapping = %v, want %v", back, want)
-		}
-	}
-	// New id 0 is old node 2; its out-neighbor (old 0) is new id 1.
-	if !HasArc(sub, 0, 1) {
-		t.Error("edge 2->0 missing in induced subgraph")
-	}
-	// Empty selection.
-	empty, _ := Induced(g, nil)
-	if empty.NumNodes() != 0 || empty.NumEdges() != 0 {
-		t.Errorf("empty induction: %d nodes %d edges", empty.NumNodes(), empty.NumEdges())
-	}
-}
-
-func TestInducedPropertyEdgesSubset(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rand.New(rand.NewPCG(seed, seed^5))
-		n := 4 + r.IntN(40)
-		g := randomGraph(n, 3*n, r)
-		// Select roughly half the nodes.
-		var nodes []NodeID
-		for u := 0; u < n; u++ {
-			if r.IntN(2) == 0 {
-				nodes = append(nodes, NodeID(u))
-			}
-		}
-		sub, back := Induced(g, nodes)
-		if sub.NumNodes() != len(back) {
-			return false
-		}
-		// Every induced edge must exist in the original.
-		for u := 0; u < sub.NumNodes(); u++ {
-			for _, v := range sub.Out(NodeID(u)) {
-				if !HasArc(g, back[u], back[v]) {
-					return false
-				}
-			}
-		}
-		// Count original edges within the selection; must match.
-		sel := map[NodeID]bool{}
-		for _, u := range nodes {
-			sel[u] = true
-		}
-		var within int64
-		for _, u := range nodes {
-			for _, v := range g.Out(u) {
-				if sel[v] {
-					within++
-				}
-			}
-		}
-		return within == sub.NumEdges()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTopByInDegree(t *testing.T) {
 	// in-degrees: node0=0, node1=1, node2=2, node3=3.
 	g := FromEdges(4,
@@ -541,14 +456,6 @@ func TestTopByInDegreeTies(t *testing.T) {
 	top := TopByInDegree(g, 1, 1)
 	if len(top) != 1 || top[0] != 1 {
 		t.Fatalf("top = %v, want [1]", top)
-	}
-}
-
-func TestTopByOutDegree(t *testing.T) {
-	g := FromEdges(4, 0, 1, 0, 2, 0, 3, 1, 2)
-	top := TopByOutDegree(g, 2, 1)
-	if top[0] != 0 || top[1] != 1 {
-		t.Fatalf("top = %v, want [0 1]", top)
 	}
 }
 

@@ -137,17 +137,6 @@ func (p *PathLengthDist) Mode() int {
 	return best
 }
 
-// MaxObserved returns the largest distance seen in the sample, a lower
-// bound on the diameter.
-func (p *PathLengthDist) MaxObserved() int {
-	for h := len(p.Counts) - 1; h >= 0; h-- {
-		if p.Counts[h] > 0 {
-			return h
-		}
-	}
-	return 0
-}
-
 // PathLengthOptions controls SamplePathLengths.
 type PathLengthOptions struct {
 	// MinSources and MaxSources bound the number of BFS sources. The paper

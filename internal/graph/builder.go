@@ -30,9 +30,6 @@ func (b *Builder) EnsureNode(id NodeID) {
 // NumNodes returns the current node count.
 func (b *Builder) NumNodes() int { return b.n }
 
-// NumEdges returns the number of edges added so far (duplicates included).
-func (b *Builder) NumEdges() int { return len(b.edges) }
-
 // AddEdge records the directed edge u->v, growing the node count to cover
 // both endpoints. Self-loops and duplicates are accepted here and removed
 // by Build: the Google+ crawl data model has no self-circles and each user

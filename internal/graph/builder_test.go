@@ -21,7 +21,7 @@ func TestBuilderReuse(t *testing.T) {
 	if got, want := first.NumEdges(), int64(2); got != want {
 		t.Fatalf("first build: %d edges, want %d", got, want)
 	}
-	if got := b.NumEdges(); got != 2 {
+	if got := len(b.edges); got != 2 {
 		t.Fatalf("builder reports %d edges after Build, want the 2 kept", got)
 	}
 
@@ -37,7 +37,7 @@ func TestBuilderReuse(t *testing.T) {
 	if !reflect.DeepEqual(second, want) {
 		t.Fatalf("reused builder diverged from one-shot build:\n got %+v\nwant %+v", second, want)
 	}
-	if got := b.NumEdges(); got != 4 {
+	if got := len(b.edges); got != 4 {
 		t.Fatalf("builder reports %d edges after second Build, want 4", got)
 	}
 }

@@ -38,12 +38,6 @@ func TopByInDegree(g View, k, parallelism int) []NodeID {
 	return topBy(g.NumNodes(), k, parallelism, func(u NodeID) int { return g.InDegree(u) })
 }
 
-// TopByOutDegree returns the k nodes with the largest out-degree, in
-// descending order, breaking ties by node id.
-func TopByOutDegree(g View, k, parallelism int) []NodeID {
-	return topBy(g.NumNodes(), k, parallelism, func(u NodeID) int { return g.OutDegree(u) })
-}
-
 // topEntry orders candidates by degree, breaking ties toward the smaller
 // node id: a is "smaller" (worse) than b when its degree is lower, or
 // equal with a larger id.

@@ -193,7 +193,6 @@ func TestKernelEquivalence(t *testing.T) {
 		"InDegrees":         func(v graph.View, par int) any { return graph.InDegrees(v, par) },
 		"OutDegrees":        func(v graph.View, par int) any { return graph.OutDegrees(v, par) },
 		"TopByInDegree":     func(v graph.View, par int) any { return graph.TopByInDegree(v, 10, par) },
-		"TopByOutDegree":    func(v graph.View, par int) any { return graph.TopByOutDegree(v, 10, par) },
 		"WCC":               func(v graph.View, par int) any { return graph.WCC(v, par) },
 		"SCC":               func(v graph.View, _ int) any { return graph.SCC(v) },
 		"ReciprocalCounts":  func(v graph.View, par int) any { return graph.ReciprocalCounts(v, par) },
@@ -217,14 +216,6 @@ func TestKernelEquivalence(t *testing.T) {
 		},
 		"DiameterUndirected": func(v graph.View, par int) any {
 			return graph.DoubleSweepDiameter(v, graph.Undirected, 3, rand.New(rand.NewPCG(7, 8)), par)
-		},
-		"Induced": func(v graph.View, _ int) any {
-			var nodes []graph.NodeID
-			for u := 0; u < v.NumNodes(); u += 2 {
-				nodes = append(nodes, graph.NodeID(u))
-			}
-			sub, back := graph.Induced(v, nodes)
-			return []any{sub, back}
 		},
 		"HasArc": func(v graph.View, _ int) any {
 			rows, hits := v.Rows(), 0

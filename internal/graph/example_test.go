@@ -46,12 +46,3 @@ func ExampleBFSDistances() {
 	// Output:
 	// [0 1 2 3]
 }
-
-func ExampleRelationReciprocity() {
-	// 0 follows 1 and 2; only 1 follows back.
-	g := graph.FromEdges(3, 0, 1, 0, 2, 1, 0)
-	rr, _ := graph.RelationReciprocity(g, 0)
-	fmt.Printf("RR(0) = %.1f\n", rr)
-	// Output:
-	// RR(0) = 0.5
-}

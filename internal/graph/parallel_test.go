@@ -42,7 +42,6 @@ func TestParallelDeterminism(t *testing.T) {
 				"InDegrees":         func(par int) any { return InDegrees(g, par) },
 				"OutDegrees":        func(par int) any { return OutDegrees(g, par) },
 				"TopByInDegree":     func(par int) any { return TopByInDegree(g, 10, par) },
-				"TopByOutDegree":    func(par int) any { return TopByOutDegree(g, 10, par) },
 				"AllReciprocities":  func(par int) any { return AllReciprocities(g, par) },
 				"GlobalReciprocity": func(par int) any { return GlobalReciprocity(g, par) },
 				"SampleClustering": func(par int) any {

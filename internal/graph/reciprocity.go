@@ -1,20 +1,5 @@
 package graph
 
-// RelationReciprocity computes RR(u) of Equation 1: the fraction of u's
-// out-neighbors that also point back at u,
-//
-//	RR(u) = |OS(u) ∩ IS(u)| / |OS(u)|.
-//
-// It returns (0, false) for nodes with no out-edges, which have no defined
-// reciprocity.
-func RelationReciprocity(g View, u NodeID) (float64, bool) {
-	out := g.Out(u)
-	if len(out) == 0 {
-		return 0, false
-	}
-	return float64(sortedIntersectionSize(out, g.In(u))) / float64(len(out)), true
-}
-
 // ReciprocalCounts is the one scan behind Figure 4(a): for every node u,
 // the number of reciprocated out-edges |OS(u) ∩ IS(u)|, the integer
 // numerator of RR(u). Per-node ratios and the global figure are O(n)
@@ -34,9 +19,10 @@ func ReciprocalCounts(g View, parallelism int) []int {
 	return shared
 }
 
-// AllReciprocities returns RR(u) for every node with at least one
-// out-edge, in ascending node order: the population plotted in
-// Figure 4(a).
+// AllReciprocities returns the relation reciprocity of Equation 1,
+// RR(u) = |OS(u) ∩ IS(u)| / |OS(u)|, for every node with at least one
+// out-edge (the others have none defined), in ascending node order: the
+// population plotted in Figure 4(a).
 func AllReciprocities(g View, parallelism int) []float64 {
 	shared := ReciprocalCounts(g, parallelism)
 	rrs := make([]float64, 0, len(shared))

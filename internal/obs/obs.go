@@ -142,23 +142,6 @@ func (h *Histogram) Observe(v float64) {
 	hot.count.Add(1)
 }
 
-// Count returns the total number of observations (0 for nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return int64(h.countAndHotIdx.Load() & histCountMask)
-}
-
-// Sum returns the sum of all observed values (0 for nil), read from a
-// consistent snapshot.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.Snapshot().Sum
-}
-
 // Snapshot returns a consistent point-in-time view of the histogram:
 // Count always equals both the sum of Counts and the number of
 // observations contributing to Sum, even under concurrent Observe

@@ -23,7 +23,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	g.Add(-1)
 	h.Observe(0.5)
 	r.Help("c", "text")
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 || h.Snapshot().Sum != 0 {
 		t.Error("nil metrics must read as zero")
 	}
 	snap := r.Snapshot()
@@ -78,8 +78,8 @@ func TestConcurrentHammering(t *testing.T) {
 		t.Errorf("gauge = %d, want 0 after balanced add/sub", got)
 	}
 	h := r.Histogram("latency_seconds", nil)
-	if h.Count() != goroutines*iters {
-		t.Errorf("histogram count = %d, want %d", h.Count(), goroutines*iters)
+	if got := h.Snapshot().Count; got != goroutines*iters {
+		t.Errorf("histogram count = %d, want %d", got, goroutines*iters)
 	}
 	// Sum of 0..6 (*0.01) over iters/7 cycles per goroutine.
 	var want float64
@@ -87,7 +87,7 @@ func TestConcurrentHammering(t *testing.T) {
 		want += float64(j%7) * 0.01
 	}
 	want *= goroutines
-	if got := h.Sum(); got < want*0.999 || got > want*1.001 {
+	if got := h.Snapshot().Sum; got < want*0.999 || got > want*1.001 {
 		t.Errorf("histogram sum = %g, want ~%g", got, want)
 	}
 }
@@ -245,9 +245,6 @@ func TestHistogramSnapshotConsistentUnderConcurrentObserve(t *testing.T) {
 			check(final)
 			if final.Count != writers*iters {
 				t.Fatalf("final Count = %d, want %d", final.Count, writers*iters)
-			}
-			if h.Count() != writers*iters {
-				t.Fatalf("Count() = %d, want %d", h.Count(), writers*iters)
 			}
 			t.Logf("validated %d concurrent snapshots", snapshots)
 			return

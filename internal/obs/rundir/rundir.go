@@ -73,8 +73,8 @@ type Config struct {
 
 // RegisterFlags declares the observability flags gpluscrawl and gplusd
 // share, bound to c. -slo "default" keeps the Objectives the caller set
-// beforehand. The two runtime profiler rates are applied as they are
-// parsed, which is before any goroutine of the run exists.
+// beforehand. The mutex profiler rate is applied as it is parsed, which
+// is before any goroutine of the run exists.
 func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Dir, "obs-dir", "", "run directory: exemplar traces stream to <dir>/exemplars.jsonl and profiles to <dir>/profiles/ during the run, series.jsonl and traces.jsonl are written at exit (read it back with `gplusanalyze metrics|traces|profiles <dir>`); the profile ring keeps the CPU profiler on for a third of the run at the default -profile-interval — pass -profile-interval 0 for series and traces only")
 	fs.DurationVar(&c.Series.Interval, "sample-interval", time.Second, "metric time-series sampling cadence for /debug/timeseries, the SLO engine and series.jsonl (0 disables all three)")
@@ -83,18 +83,11 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 		return err
 	})
 	fs.Float64Var(&c.Trace.SampleRate, "trace-sample", 0, "head-sample this fraction of new request traces (0 disables tracing, 1 traces everything; traces propagated via X-Gplus-Trace are always joined); browse at /debug/traces")
-	fs.DurationVar(&c.Prof.Interval, "profile-interval", 30*time.Second, "capture cycle of the CPU/heap/goroutine/mutex/block profile ring under -obs-dir, with a CPU window of min(10s, interval/2) per cycle (0 disables the ring)")
+	fs.DurationVar(&c.Prof.Interval, "profile-interval", 30*time.Second, "capture cycle of the CPU/heap/goroutine/mutex profile ring under -obs-dir, with a CPU window of min(10s, interval/2) per cycle (0 disables the ring)")
 	fs.Func("mutex-profile", "runtime.SetMutexProfileFraction: sample 1/N of mutex contention events so mutex captures have data (0 = off)", func(v string) error {
 		n, err := strconv.Atoi(v)
 		if err == nil {
 			runtime.SetMutexProfileFraction(n)
-		}
-		return err
-	})
-	fs.Func("block-profile", "runtime.SetBlockProfileRate: sample blocking events >= N ns so block captures have data (0 = off)", func(v string) error {
-		n, err := strconv.Atoi(v)
-		if err == nil {
-			runtime.SetBlockProfileRate(n)
 		}
 		return err
 	})

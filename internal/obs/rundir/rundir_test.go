@@ -133,7 +133,8 @@ func TestRunDirectoryLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dump, err := series.ReadDump(f)
+	dump := series.NewDump()
+	_, err = dump.ReadJSONL(f)
 	f.Close()
 	if err != nil || len(dump.PointsSince("crawler_profiles_total", time.Time{})) == 0 {
 		t.Errorf("series.jsonl lacks the counter (err=%v)", err)

@@ -69,7 +69,8 @@ func dumpOf(t *testing.T, c *Collector) *Dump {
 	if err := c.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d, err := ReadDump(&buf)
+	d := NewDump()
+	_, err := d.ReadJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,8 @@ func TestDumpRoundTrip(t *testing.T) {
 	if err := c.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d, err := ReadDump(&buf)
+	d := NewDump()
+	_, err := d.ReadJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ type dumpRecord struct {
 
 // WriteJSONL dumps every retained point of every series, one JSON
 // object per line — series sorted by name, points oldest first. The
-// format round-trips through ReadDump for offline analysis.
+// format round-trips through Dump.ReadJSONL for offline analysis.
 func (c *Collector) WriteJSONL(w io.Writer) error {
 	if c == nil {
 		return nil
@@ -58,15 +58,6 @@ type dumpSeries struct {
 
 // NewDump returns an empty dump; feed it with ReadJSONL.
 func NewDump() *Dump { return &Dump{series: make(map[string]*dumpSeries)} }
-
-// ReadDump reads one JSONL stream into a fresh Dump.
-func ReadDump(r io.Reader) (*Dump, error) {
-	d := NewDump()
-	if _, err := d.ReadJSONL(r); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
 
 // ReadJSONL merges one JSONL stream into the dump (multiple files from
 // one crawl — or shards of a fleet — accumulate). A stream cut

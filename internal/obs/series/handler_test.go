@@ -84,7 +84,8 @@ func TestHandlerWindowQuery(t *testing.T) {
 func TestHandlerJSONLDump(t *testing.T) {
 	h := Handler{C: handlerFixture(t)}
 	rr := get(t, h, "/debug/timeseries?format=jsonl")
-	d, err := ReadDump(rr.Body)
+	d := NewDump()
+	_, err := d.ReadJSONL(rr.Body)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,19 +132,6 @@ func RatePoints(pts []Point) []Point {
 	return out
 }
 
-// Rate is the average per-second growth across pts (reset-aware), or 0
-// when the points span no time.
-func Rate(pts []Point) float64 {
-	if len(pts) < 2 {
-		return 0
-	}
-	dt := pts[len(pts)-1].T.Sub(pts[0].T).Seconds()
-	if dt <= 0 {
-		return 0
-	}
-	return Increase(pts) / dt
-}
-
 // HistIncrease accumulates the histogram observations recorded across
 // pts — the pairwise snapshot deltas, each reset-aware — into one
 // window-scoped snapshot. ok is false when fewer than two histogram

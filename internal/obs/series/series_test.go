@@ -1,7 +1,6 @@
 package series
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -52,12 +51,6 @@ func TestIncreaseCounterReset(t *testing.T) {
 	rates := RatePoints(pts)
 	if len(rates) != 3 || rates[0].V != 50 || rates[1].V != 10 || rates[2].V != 20 {
 		t.Errorf("RatePoints = %+v", rates)
-	}
-	if got := Rate(pts); math.Abs(got-80.0/3) > 1e-9 {
-		t.Errorf("Rate = %g, want %g", got, 80.0/3)
-	}
-	if got := Rate(pts[:1]); got != 0 {
-		t.Errorf("Rate of one point = %g, want 0", got)
 	}
 }
 
@@ -205,7 +198,7 @@ func TestCollectorNilSafety(t *testing.T) {
 	}
 	var e *Engine
 	e.Eval(tick(0))
-	if e.Statuses() != nil || e.Transitions() != nil || e.Objectives() != nil {
+	if e.Statuses() != nil || e.Transitions() != nil {
 		t.Error("nil engine should be empty")
 	}
 	Watch(c, CrawlSignals(), func(*HealthReport) { t.Error("nil collector built a report") })

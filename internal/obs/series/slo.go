@@ -399,14 +399,6 @@ func NewEngine(src Source, objs []Objective, reg *obs.Registry) *Engine {
 	return e
 }
 
-// Objectives returns the engine's objective set.
-func (e *Engine) Objectives() []Objective {
-	if e == nil {
-		return nil
-	}
-	return e.objs
-}
-
 // OnTransition registers fn to run after every recorded state change —
 // the hook the continuous profiler uses to fire an anomaly capture the
 // moment an objective pages. Callbacks run outside the engine's lock,

@@ -3,8 +3,8 @@ package profile
 // Occupation is the coded occupation-job title of Table 5.
 type Occupation uint8
 
-// Occupation codes from Table 5 plus Astronaut (Table 1's Ron Garan) and
-// OccupationOther for the general population.
+// Occupation codes from Table 5 plus OccupationOther for the general
+// population.
 const (
 	OccupationOther Occupation = iota
 	Comedian
@@ -22,20 +22,19 @@ const (
 	Politician
 	Photographer
 	Writer
-	Astronaut
 	NumOccupations // sentinel
 )
 
 var occupationCodes = [NumOccupations]string{
 	"--", "Co", "Mu", "IT", "Bu", "Mo", "Ac", "So", "TV", "Jo", "Bl",
-	"Ec", "Ar", "Po", "Ph", "Wr", "As",
+	"Ec", "Ar", "Po", "Ph", "Wr",
 }
 
 var occupationNames = [NumOccupations]string{
 	"Other", "Comedian", "Musician", "Information Technology Person",
 	"Businessman", "Model", "Actor", "Socialite", "Television Host",
 	"Journalist", "Blogger", "Economist", "Artist", "Politician",
-	"Photographer", "Writer", "Astronaut",
+	"Photographer", "Writer",
 }
 
 // Code returns the two-letter code used in Table 5 ("--" for Other).

@@ -66,9 +66,6 @@ func (s AttrSet) Has(a Attr) bool { return s&(1<<a) != 0 }
 // With returns the set with a added.
 func (s AttrSet) With(a Attr) AttrSet { return s | 1<<a }
 
-// Without returns the set with a removed.
-func (s AttrSet) Without(a Attr) AttrSet { return s &^ (1 << a) }
-
 // Count returns the number of attributes in the set.
 func (s AttrSet) Count() int {
 	n := 0
@@ -84,36 +81,6 @@ func (s AttrSet) Count() int {
 // define the group.
 func (s AttrSet) FieldCount() int {
 	return (s &^ (1<<AttrWorkContact | 1<<AttrHomeContact)).Count()
-}
-
-// Visibility is the privacy level a user can assign to a profile field
-// (§3.1). Only Public fields are observable by the crawler.
-type Visibility uint8
-
-// The five visibility options of the Google+ privacy selector.
-const (
-	VisibilityPublic Visibility = iota
-	VisibilityExtendedCircles
-	VisibilityYourCircles
-	VisibilityOnlyYou
-	VisibilityCustom
-)
-
-// String names the privacy level.
-func (v Visibility) String() string {
-	switch v {
-	case VisibilityPublic:
-		return "public"
-	case VisibilityExtendedCircles:
-		return "extended circles"
-	case VisibilityYourCircles:
-		return "your circles"
-	case VisibilityOnlyYou:
-		return "only you"
-	case VisibilityCustom:
-		return "custom"
-	}
-	return "unknown"
 }
 
 // Gender is the restricted-field gender selector.

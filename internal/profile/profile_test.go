@@ -17,14 +17,6 @@ func TestAttrSetBasics(t *testing.T) {
 	if s.Count() != 2 {
 		t.Fatalf("count = %d, want 2", s.Count())
 	}
-	s = s.Without(AttrGender)
-	if s.Has(AttrGender) || s.Count() != 1 {
-		t.Fatalf("after remove: %v count %d", s, s.Count())
-	}
-	// Removing an absent attribute is a no-op.
-	if s.Without(AttrPhrase) != s {
-		t.Fatal("Without of absent attr changed the set")
-	}
 }
 
 func TestFieldCountExcludesContact(t *testing.T) {
@@ -105,27 +97,6 @@ func TestRelationships(t *testing.T) {
 	}
 	if Relationship(99).String() != "Unknown" {
 		t.Errorf("out-of-range relationship = %q", Relationship(99).String())
-	}
-}
-
-func TestVisibilityString(t *testing.T) {
-	levels := []Visibility{
-		VisibilityPublic, VisibilityExtendedCircles, VisibilityYourCircles,
-		VisibilityOnlyYou, VisibilityCustom,
-	}
-	if len(levels) != 5 {
-		t.Fatal("the privacy selector has five options")
-	}
-	seen := map[string]bool{}
-	for _, v := range levels {
-		s := v.String()
-		if s == "unknown" || seen[s] {
-			t.Errorf("bad visibility label %q", s)
-		}
-		seen[s] = true
-	}
-	if Visibility(99).String() != "unknown" {
-		t.Error("out-of-range visibility should be unknown")
 	}
 }
 

@@ -268,17 +268,6 @@ func Fig10(w io.Writer, m core.CountryLinkMatrix) {
 	}
 }
 
-// CountryStructures renders the per-country induced-subgraph topology.
-func CountryStructures(w io.Writer, rows []core.CountryStructure) {
-	fmt.Fprintln(w, "Domestic subgraph structure per country")
-	fmt.Fprintf(w, "%-6s %8s %10s %9s %12s %8s\n",
-		"Code", "Users", "Edges", "AvgDeg", "Reciprocity", "MeanCC")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-6s %8d %10d %9.2f %11.0f%% %8.3f\n",
-			r.Country, r.Users, r.Edges, r.AvgDegree, 100*r.Reciprocity, r.MeanCC)
-	}
-}
-
 // LostEdges renders the §2.2 estimate.
 func LostEdges(w io.Writer, est core.LostEdgeEstimate) {
 	fmt.Fprintf(w, "Lost edges (cap %d): %d users over cap, declared %d vs found %d -> %.2f%% of edges lost\n",

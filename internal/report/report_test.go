@@ -130,11 +130,6 @@ func TestFigureRenderers(t *testing.T) {
 	if !strings.Contains(out, "WCC") || !strings.Contains(out, "SCC") {
 		t.Errorf("connectivity line malformed: %q", out)
 	}
-
-	out = render(t, func(sb *strings.Builder) { CountryStructures(sb, s.CountryStructures()) })
-	if !strings.Contains(out, "Reciprocity") || strings.Count(out, "\n") < 11 {
-		t.Errorf("country structures malformed:\n%s", out)
-	}
 }
 
 func TestMarkdownReport(t *testing.T) {

@@ -24,9 +24,6 @@ type AIMDOptions struct {
 	// Max is the ceiling and the starting limit (default 16). The
 	// crawler sets this to its worker count.
 	Max int
-	// DecreaseFactor is the multiplicative cut applied on overload
-	// (default 0.5).
-	DecreaseFactor float64
 	// Cooldown is the minimum spacing between cuts (default 200ms), so a
 	// single burst of rejections — N workers all seeing the same squeeze —
 	// counts as one congestion event, not N collapses to Min.
@@ -52,13 +49,6 @@ func (o AIMDOptions) maxLimit() int {
 	return 16
 }
 
-func (o AIMDOptions) decreaseFactor() float64 {
-	if o.DecreaseFactor > 0 && o.DecreaseFactor < 1 {
-		return o.DecreaseFactor
-	}
-	return 0.5
-}
-
 func (o AIMDOptions) cooldown() time.Duration {
 	if o.Cooldown > 0 {
 		return o.Cooldown
@@ -69,20 +59,19 @@ func (o AIMDOptions) cooldown() time.Duration {
 // AIMD is an additive-increase/multiplicative-decrease concurrency
 // gate: the whole worker fleet shares one, so overload signals from any
 // worker throttle everyone — the fleet backs off as one organism. The
-// limit starts at Max, is cut by DecreaseFactor on overload (at most
-// once per Cooldown), and creeps back up by one slot per limit-many
-// successes, exactly like TCP's congestion window in congestion
-// avoidance. A nil *AIMD gates nothing.
+// limit starts at Max, is halved on overload (at most once per
+// Cooldown), and creeps back up by one slot per limit-many successes,
+// exactly like TCP's congestion window in congestion avoidance. A nil
+// *AIMD gates nothing.
 type AIMD struct {
 	opts AIMDOptions
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	limit     int
-	active    int
-	credits   int // successes accumulated toward the next +1
-	lastCut   time.Time
-	decreases int64
+	mu      sync.Mutex
+	cond    *sync.Cond
+	limit   int
+	active  int
+	credits int // successes accumulated toward the next +1
+	lastCut time.Time
 
 	gLimit     *obs.Gauge
 	cDecreases *obs.Counter
@@ -171,11 +160,10 @@ func (g *AIMD) RecordOverload() {
 	if now.Sub(g.lastCut) >= g.opts.cooldown() {
 		g.lastCut = now
 		g.credits = 0
-		g.limit = int(float64(g.limit) * g.opts.decreaseFactor())
+		g.limit /= 2
 		if g.limit < g.opts.minLimit() {
 			g.limit = g.opts.minLimit()
 		}
-		g.decreases++
 		g.gLimit.Set(int64(g.limit))
 		g.cDecreases.Inc()
 		cut, limit = true, g.limit
@@ -184,24 +172,4 @@ func (g *AIMD) RecordOverload() {
 	if cut && g.opts.OnDecrease != nil {
 		g.opts.OnDecrease(limit)
 	}
-}
-
-// Limit reports the current concurrency limit (0 for nil).
-func (g *AIMD) Limit() int {
-	if g == nil {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.limit
-}
-
-// Decreases reports how many multiplicative cuts have been applied.
-func (g *AIMD) Decreases() int64 {
-	if g == nil {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.decreases
 }

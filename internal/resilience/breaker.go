@@ -177,16 +177,6 @@ func (b *Breaker) Allow() (done func(success bool), err error) {
 	}
 }
 
-// State reports the breaker's current position (closed for nil).
-func (b *Breaker) State() BreakerState {
-	if b == nil {
-		return BreakerClosed
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
 // probeDone resolves a half-open probe; the caller holds b.mu.
 func (b *Breaker) probeDone() func(bool) {
 	var once sync.Once
@@ -301,18 +291,4 @@ func (g *BreakerGroup) Get(name string) *Breaker {
 		g.set[name] = b
 	}
 	return b
-}
-
-// States snapshots every breaker's state, for debug reports.
-func (g *BreakerGroup) States() map[string]BreakerState {
-	if g == nil {
-		return nil
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make(map[string]BreakerState, len(g.set))
-	for name, b := range g.set {
-		out[name] = b.State()
-	}
-	return out
 }

@@ -133,17 +133,6 @@ func (b *RetryBudget) TrySpend() bool {
 	return true
 }
 
-// Tokens reports the currently banked tokens (full burst for nil).
-func (b *RetryBudget) Tokens() float64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.refillLocked(time.Now())
-	return b.tokens
-}
-
 // refillLocked applies the MinPerSec trickle; the caller holds b.mu.
 func (b *RetryBudget) refillLocked(now time.Time) {
 	if dt := now.Sub(b.last).Seconds(); dt > 0 {

@@ -33,12 +33,13 @@ func TestRetryBudgetSpendAndRefill(t *testing.T) {
 }
 
 func TestRetryBudgetBurstCap(t *testing.T) {
-	b := NewRetryBudget(BudgetOptions{Ratio: 1, Burst: 3}, nil, "t")
+	reg := obs.NewRegistry()
+	b := NewRetryBudget(BudgetOptions{Ratio: 1, Burst: 3}, reg, "t")
 	for i := 0; i < 100; i++ {
 		b.Deposit()
 	}
-	if got := b.Tokens(); got > 3 {
-		t.Fatalf("tokens = %v, want ≤ burst 3", got)
+	if got := reg.Gauge("t_retry_budget_tokens_milli").Value(); got > 3000 {
+		t.Fatalf("tokens = %d milli, want ≤ burst 3", got)
 	}
 }
 
@@ -48,6 +49,14 @@ func TestRetryBudgetNil(t *testing.T) {
 	if !b.TrySpend() {
 		t.Fatal("nil budget must always grant")
 	}
+}
+
+// stateOf reads the breaker's position (the gauge of the same name,
+// for breakers built without a registry).
+func stateOf(b *Breaker) BreakerState {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
 }
 
 func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
@@ -60,7 +69,7 @@ func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
 		}
 		done(false)
 	}
-	if got := b.State(); got != BreakerOpen {
+	if got := stateOf(b); got != BreakerOpen {
 		t.Fatalf("state = %v, want open", got)
 	}
 	if _, err := b.Allow(); err == nil {
@@ -88,7 +97,7 @@ func TestBreakerHalfOpenSingleFlightAndRecovery(t *testing.T) {
 	b := NewBreaker("x", BreakerOptions{ConsecutiveFailures: 1, Cooldown: 20 * time.Millisecond}, nil, "t")
 	done, _ := b.Allow()
 	done(false) // trip
-	if b.State() != BreakerOpen {
+	if stateOf(b) != BreakerOpen {
 		t.Fatal("breaker should be open")
 	}
 	time.Sleep(30 * time.Millisecond)
@@ -96,16 +105,16 @@ func TestBreakerHalfOpenSingleFlightAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cooldown elapsed, probe should be allowed: %v", err)
 	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state = %v, want half-open", b.State())
+	if stateOf(b) != BreakerHalfOpen {
+		t.Fatalf("state = %v, want half-open", stateOf(b))
 	}
 	// Second caller while the probe is in flight: denied.
 	if _, err := b.Allow(); err == nil {
 		t.Fatal("second half-open caller must be denied (single-flight)")
 	}
 	probe(true)
-	if b.State() != BreakerClosed {
-		t.Fatalf("state after good probe = %v, want closed", b.State())
+	if stateOf(b) != BreakerClosed {
+		t.Fatalf("state after good probe = %v, want closed", stateOf(b))
 	}
 	if done, err := b.Allow(); err != nil {
 		t.Fatalf("closed breaker should allow: %v", err)
@@ -124,8 +133,8 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe(false)
-	if b.State() != BreakerOpen {
-		t.Fatalf("state after failed probe = %v, want open", b.State())
+	if stateOf(b) != BreakerOpen {
+		t.Fatalf("state after failed probe = %v, want open", stateOf(b))
 	}
 }
 
@@ -144,8 +153,8 @@ func TestBreakerErrorRatioTrip(t *testing.T) {
 		}
 		done(i%2 == 0)
 	}
-	if b.State() != BreakerOpen {
-		t.Fatalf("state = %v, want open on 50%% error ratio", b.State())
+	if stateOf(b) != BreakerOpen {
+		t.Fatalf("state = %v, want open on 50%% error ratio", stateOf(b))
 	}
 }
 
@@ -153,15 +162,11 @@ func TestBreakerGroupPerEndpoint(t *testing.T) {
 	g := NewBreakerGroup(BreakerOptions{ConsecutiveFailures: 1}, nil, "t")
 	done, _ := g.Get("circles").Allow()
 	done(false)
-	if g.Get("circles").State() != BreakerOpen {
+	if stateOf(g.Get("circles")) != BreakerOpen {
 		t.Fatal("circles breaker should be open")
 	}
-	if g.Get("profile").State() != BreakerClosed {
+	if stateOf(g.Get("profile")) != BreakerClosed {
 		t.Fatal("profile breaker must be independent")
-	}
-	states := g.States()
-	if states["circles"] != BreakerOpen || states["profile"] != BreakerClosed {
-		t.Fatalf("States() = %v", states)
 	}
 }
 
@@ -397,49 +402,53 @@ func TestAdmissionServeHTTP(t *testing.T) {
 }
 
 func TestAIMDDecreaseAndRecovery(t *testing.T) {
-	g := NewAIMD(AIMDOptions{Min: 1, Max: 8, Cooldown: time.Millisecond}, nil, "t")
-	if g.Limit() != 8 {
-		t.Fatalf("initial limit = %d, want 8", g.Limit())
+	reg := obs.NewRegistry()
+	g := NewAIMD(AIMDOptions{Min: 1, Max: 8, Cooldown: time.Millisecond}, reg, "t")
+	limit := reg.Gauge("t_aimd_limit").Value
+	if limit() != 8 {
+		t.Fatalf("initial limit = %d, want 8", limit())
 	}
 	g.RecordOverload()
-	if g.Limit() != 4 {
-		t.Fatalf("limit after one cut = %d, want 4", g.Limit())
+	if limit() != 4 {
+		t.Fatalf("limit after one cut = %d, want 4", limit())
 	}
 	time.Sleep(2 * time.Millisecond)
 	g.RecordOverload()
-	if g.Limit() != 2 {
-		t.Fatalf("limit after two cuts = %d, want 2", g.Limit())
+	if limit() != 2 {
+		t.Fatalf("limit after two cuts = %d, want 2", limit())
 	}
-	if g.Decreases() != 2 {
-		t.Fatalf("decreases = %d, want 2", g.Decreases())
+	if n := reg.Counter("t_aimd_decreases_total").Value(); n != 2 {
+		t.Fatalf("decreases = %d, want 2", n)
 	}
 	// Additive increase: limit-many successes buy one slot.
 	for i := 0; i < 2; i++ {
 		g.RecordSuccess()
 	}
-	if g.Limit() != 3 {
-		t.Fatalf("limit after recovery credits = %d, want 3", g.Limit())
+	if limit() != 3 {
+		t.Fatalf("limit after recovery credits = %d, want 3", limit())
 	}
 }
 
 func TestAIMDCooldownCoalescesBurst(t *testing.T) {
-	g := NewAIMD(AIMDOptions{Min: 1, Max: 16, Cooldown: time.Hour}, nil, "t")
+	reg := obs.NewRegistry()
+	g := NewAIMD(AIMDOptions{Min: 1, Max: 16, Cooldown: time.Hour}, reg, "t")
 	for i := 0; i < 10; i++ {
 		g.RecordOverload()
 	}
-	if g.Limit() != 8 {
-		t.Fatalf("limit = %d: a burst inside the cooldown must count as one cut", g.Limit())
+	if limit := reg.Gauge("t_aimd_limit").Value(); limit != 8 {
+		t.Fatalf("limit = %d: a burst inside the cooldown must count as one cut", limit)
 	}
 }
 
 func TestAIMDFloor(t *testing.T) {
-	g := NewAIMD(AIMDOptions{Min: 2, Max: 4, Cooldown: 0}, nil, "t")
+	reg := obs.NewRegistry()
+	g := NewAIMD(AIMDOptions{Min: 2, Max: 4, Cooldown: 0}, reg, "t")
 	for i := 0; i < 10; i++ {
 		g.RecordOverload()
 		time.Sleep(300 * time.Microsecond)
 	}
-	if g.Limit() < 2 {
-		t.Fatalf("limit = %d fell below Min", g.Limit())
+	if limit := reg.Gauge("t_aimd_limit").Value(); limit < 2 {
+		t.Fatalf("limit = %d fell below Min", limit)
 	}
 }
 

@@ -55,15 +55,3 @@ func BenchmarkWeightedChooser(b *testing.B) {
 		_ = ch.Choose(rng)
 	}
 }
-
-func BenchmarkSpearman(b *testing.B) {
-	xs := benchSamples(10_000)
-	ys := benchSamples(10_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Spearman(xs, ys); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -33,12 +33,3 @@ func ExampleJaccard() {
 	// Output:
 	// 0.60
 }
-
-func ExampleSpearman() {
-	gdp := []float64{3700, 11900, 36100, 48100}
-	ipr := []float64{0.10, 0.40, 0.84, 0.78}
-	rho, _ := stats.Spearman(gdp, ipr)
-	fmt.Printf("rho = %.1f\n", rho)
-	// Output:
-	// rho = 0.8
-}

@@ -94,12 +94,6 @@ func FitPowerLawCCDF(ccdf []Point, xmin float64) (PowerLawFit, error) {
 	}, nil
 }
 
-// FitDegreeDistribution is a convenience that computes the CCDF of the
-// degrees and fits a power law with xmin = 1.
-func FitDegreeDistribution(degrees []int) (PowerLawFit, error) {
-	return FitPowerLawCCDF(CCDFInts(degrees), 1)
-}
-
 // FitPowerLawMLE estimates the CCDF tail exponent by the Hill / maximum
 // likelihood estimator of Clauset, Shalizi & Newman over samples >= xmin
 // (continuous approximation):

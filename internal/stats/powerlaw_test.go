@@ -52,7 +52,7 @@ func TestFitPowerLawRecoverExponent(t *testing.T) {
 	for i := range samples {
 		samples[i] = int(BoundedPareto(rng, alpha, 1, 1e7))
 	}
-	fit, err := FitDegreeDistribution(samples)
+	fit, err := FitPowerLawCCDF(CCDFInts(samples), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

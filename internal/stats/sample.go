@@ -35,9 +35,6 @@ func (r *Reservoir[T]) Add(item T) {
 // Items returns the current sample. The slice is owned by the reservoir.
 func (r *Reservoir[T]) Items() []T { return r.items }
 
-// Seen returns how many items were offered in total.
-func (r *Reservoir[T]) Seen() int64 { return r.seen }
-
 // BoundedPareto draws from a discrete bounded Pareto distribution on
 // [xmin, xmax] with tail exponent alpha (the CCDF decays like x^-alpha).
 // It is the degree-sequence sampler behind the synthetic generator.

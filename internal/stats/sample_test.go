@@ -12,8 +12,8 @@ func TestReservoirSmallStream(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Add(i)
 	}
-	if len(r.Items()) != 5 || r.Seen() != 5 {
-		t.Fatalf("items=%v seen=%d", r.Items(), r.Seen())
+	if len(r.Items()) != 5 || r.seen != 5 {
+		t.Fatalf("items=%v seen=%d", r.Items(), r.seen)
 	}
 }
 

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Summary holds the descriptive statistics used across the study's tables.
 type Summary struct {
@@ -67,30 +64,6 @@ func Quantile(samples []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Mode returns the most frequent value among integer samples, breaking
-// ties toward the smaller value. ok is false for empty input.
-func Mode(samples []int) (mode int, ok bool) {
-	if len(samples) == 0 {
-		return 0, false
-	}
-	counts := make(map[int]int, 64)
-	for _, v := range samples {
-		counts[v]++
-	}
-	keys := make([]int, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	best, bestCount := keys[0], counts[keys[0]]
-	for _, k := range keys[1:] {
-		if counts[k] > bestCount {
-			best, bestCount = k, counts[k]
-		}
-	}
-	return best, true
 }
 
 // Jaccard returns the Jaccard similarity |A ∩ B| / |A ∪ B| of two string

@@ -44,19 +44,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestMode(t *testing.T) {
-	if m, ok := Mode([]int{1, 2, 2, 3}); !ok || m != 2 {
-		t.Errorf("Mode = %d,%v want 2,true", m, ok)
-	}
-	// Tie between 1 and 2 resolves to the smaller value.
-	if m, _ := Mode([]int{2, 1, 2, 1}); m != 1 {
-		t.Errorf("tie Mode = %d, want 1", m)
-	}
-	if _, ok := Mode(nil); ok {
-		t.Error("Mode(nil) should report !ok")
-	}
-}
-
 func TestJaccard(t *testing.T) {
 	a := []string{"IT", "Mu", "IT"}
 	b := []string{"IT", "IT", "Bu"}

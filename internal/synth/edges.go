@@ -335,14 +335,3 @@ func paShareFor(cfg Config, d int) float64 {
 	frac := 1 - math.Pow(k/dd, 1.5)
 	return cfg.PAShareMin + (cfg.PAShareMax-cfg.PAShareMin)*frac
 }
-
-// TopOccupationCounts tallies the occupations of the k most-followed
-// users, the summary behind Table 1's "7 out of 20 are IT" observation.
-func (u *Universe) TopOccupationCounts(k int) map[profile.Occupation]int {
-	top := graph.TopByInDegree(u.Graph, k, 1)
-	counts := make(map[profile.Occupation]int)
-	for _, id := range top {
-		counts[u.Profiles[id].Occupation]++
-	}
-	return counts
-}

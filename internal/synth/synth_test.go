@@ -161,7 +161,7 @@ func TestCalibrationDegreeDistributions(t *testing.T) {
 	u := testUniverse(t)
 	g := u.Graph
 
-	fin, err := stats.FitDegreeDistribution(graph.InDegrees(g, 1))
+	fin, err := stats.FitPowerLawCCDF(stats.CCDFInts(graph.InDegrees(g, 1)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestCalibrationDegreeDistributions(t *testing.T) {
 	if fin.R2 < 0.85 {
 		t.Errorf("in-degree fit R2 = %.3f, want >= 0.85", fin.R2)
 	}
-	fout, err := stats.FitDegreeDistribution(graph.OutDegrees(g, 1))
+	fout, err := stats.FitPowerLawCCDF(stats.CCDFInts(graph.OutDegrees(g, 1)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,15 +275,16 @@ func TestTopUsersAreCelebrities(t *testing.T) {
 	u := testUniverse(t)
 	top := graph.TopByInDegree(u.Graph, 20, 1)
 	celebs := 0
+	counts := make(map[profile.Occupation]int)
 	for _, id := range top {
 		if u.Celebrity[id] {
 			celebs++
 		}
+		counts[u.Profiles[id].Occupation]++
 	}
 	if celebs < 14 {
 		t.Errorf("top-20 contains only %d celebrities, want >= 14", celebs)
 	}
-	counts := u.TopOccupationCounts(20)
 	if counts[profile.OccupationOther] > 5 {
 		t.Errorf("top-20 has %d uncoded occupations, want <= 5", counts[profile.OccupationOther])
 	}
