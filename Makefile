@@ -107,7 +107,8 @@ staticcheck:
 # convergence with a fault-free crawl — all under the race detector.
 # Once on the library's in-RAM reference path, once on the shape
 # gpluscrawl runs: journal + segment sink, stale segments cleared, the
-# journal replayed into a fresh sink, compacted.
+# journal replayed into a fresh sink, compacted. Both legs run the
+# crawler's one overload policy — the one `make brownout` squeezes.
 chaos:
 	$(GO) test -race -count=1 -run TestChaosKillResumeConvergence -v ./internal/crawler/
 	$(GO) test -race -count=1 -run TestSegmentCrawlKillResumeConvergence -v ./internal/dataset/

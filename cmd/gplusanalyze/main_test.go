@@ -72,7 +72,7 @@ func TestRunDirectoryEndToEnd(t *testing.T) {
 		Seeds:   []string{u.IDs[graph.TopByInDegree(u.Graph, 1, 1)[0]]},
 		Workers: 8, FetchIn: true, FetchOut: true,
 		MaxProfiles:      1000,
-		HTTPTimeout:      150 * time.Millisecond,
+		AttemptTimeout:   150 * time.Millisecond,
 		MaxRetries:       16,
 		RetryBackoffBase: 2 * time.Millisecond,
 		Metrics:          run.Registry,

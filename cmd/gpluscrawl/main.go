@@ -45,19 +45,21 @@
 // last traces plus every slow (>500ms), errored or retry-heavy (3+)
 // exemplar; browse it at /debug/traces on -metrics-addr.
 //
-// -resilience arms the adaptive overload path: an AIMD gate adapts
-// effective worker concurrency to 429/503/deadline feedback, a shared
-// retry budget caps fleet-wide retry amplification near 10%,
-// per-endpoint circuit breakers fail fast through dead endpoints, and
-// server sheds requeue the id to the frontier tail instead of counting
-// as failures — a crawl rides out a server brownout with an identical
-// final dataset.
+// Every crawl adapts to overload: an AIMD gate adapts effective worker
+// concurrency to 429/503/deadline feedback, a shared retry budget caps
+// fleet-wide retry amplification near 10%, per-endpoint circuit breakers
+// fail fast through dead endpoints, and server sheds requeue the id to
+// the frontier tail instead of counting as failures — a crawl rides out
+// a server brownout with an identical final dataset. -attempt-timeout is
+// the one request deadline, per wire attempt and propagated to gplusd.
+// -abort-errors counts ids that stayed failed (retries exhausted, or out
+// of requeues): the crawl then saves what it has and exits non-zero.
 //
 // Usage:
 //
 //	gpluscrawl -url http://127.0.0.1:8041 -out ./data -workers 11 -max 30000 \
 //	    -metrics-addr 127.0.0.1:8042 -progress 10s \
-//	    -trace-sample 0.05 -obs-dir ./run -resilience
+//	    -trace-sample 0.05 -obs-dir ./run
 package main
 
 import (
@@ -81,6 +83,7 @@ import (
 	"gplus/internal/graph/diskcsr"
 	"gplus/internal/obs/rundir"
 	"gplus/internal/obs/series"
+	"gplus/internal/resilience"
 )
 
 func main() {
@@ -102,22 +105,18 @@ func run(ctx context.Context, args []string) error {
 		max         = fs.Int("max", 0, "profile budget of this session (0 = crawl everything reachable)")
 		journal     = fs.String("journal", "", "append-only journal of the live crawl state (default <out>/crawl.journal); a non-empty one is resumed from, so a checkpoint copied here seeds the crawl")
 		flushEvery  = fs.Duration("flush-interval", time.Second, "journal flush+fsync interval (bounds what a crash can lose)")
-		abortErrs   = fs.Int("abort-errors", 0, "stop after this many permanent fetch failures (0 = never)")
+		abortErrs   = fs.Int("abort-errors", 0, "stop, save the partial dataset and exit non-zero after this many permanent fetch failures — retries exhausted or requeues spent, not sheds (0 = never)")
 		politeness  = fs.Duration("politeness", 0, "pause between requests per worker (e.g. 50ms)")
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof/ and /debug/traces on this address while crawling (empty disables)")
 		progress    = fs.Duration("progress", 10*time.Second, "interval between progress lines (0 logs only the closing summary); three intervals without a page fetched while ids stay queued is a stall and fires a profile capture")
 		dashOn      = fs.Bool("dash", false, "draw the live health report on stdout as a terminal dashboard (sparkline throughput/frontier/error rows, stalls, SLO state) instead of periodic progress lines")
-		resilient   = fs.Bool("resilience", false, "arm adaptive overload handling: AIMD worker-concurrency adaptation, a shared retry budget, per-endpoint circuit breakers, and requeue-on-overload instead of counting sheds as failures")
-		attemptTO   = fs.Duration("attempt-timeout", 0, "per-attempt request deadline, propagated to gplusd via X-Gplus-Deadline (0 disables; requires -resilience)")
+		attemptTO   = fs.Duration("attempt-timeout", 30*time.Second, "request deadline of each wire attempt, propagated to gplusd via X-Gplus-Deadline; an expired attempt is retried and counts as an overload signal")
 	)
 	sig := series.CrawlSignals()
 	obsCfg := rundir.Config{Objectives: sig.Objectives}
 	obsCfg.RegisterFlags(fs)
 	fs.Parse(args) //nolint:errcheck — ExitOnError
 
-	if *attemptTO > 0 && !*resilient {
-		return errors.New("-attempt-timeout requires -resilience")
-	}
 	watch := *progress > 0 || *dashOn
 	if watch && obsCfg.Series.Interval <= 0 {
 		return errors.New("-progress and -dash read the sampled series: they require -sample-interval > 0")
@@ -246,36 +245,29 @@ func run(ctx context.Context, args []string) error {
 		})
 	}
 
-	var resCfg *crawler.ResilienceConfig
-	if *resilient {
-		resCfg = &crawler.ResilienceConfig{AttemptTimeout: *attemptTO}
-		// An AIMD collapse — the fleet cut all the way to one concurrent
-		// fetch — is the crawl-side signature of a struggling service;
-		// capture it as it happens.
-		resCfg.AIMD.OnDecrease = func(limit int) {
-			if limit <= 1 {
-				obsRun.Profiler.Trigger("aimd-collapse")
-			}
-		}
-		log.Printf("resilience armed: AIMD concurrency gate, shared retry budget, per-endpoint breakers, requeue-on-overload (watch crawler_aimd_limit, crawler_retry_budget_tokens_milli, crawler_requeues_total)")
-	}
-
-	res, err := crawler.Crawl(ctx, crawler.Config{
+	res, crawlErr := crawler.Crawl(ctx, crawler.Config{
 		BaseURL:          *url,
 		Seeds:            seedList,
 		Workers:          *workers,
 		MaxProfiles:      *max,
 		FetchIn:          true,
 		FetchOut:         true,
-		HTTPTimeout:      30 * time.Second,
+		AttemptTimeout:   *attemptTO,
 		AbortAfterErrors: *abortErrs,
 		Politeness:       *politeness,
 		Resume:           prev,
 		Journal:          jrnl,
 		Metrics:          reg,
 		Tracer:           obsRun.Tracer,
-		Resilience:       resCfg,
 		EdgeSink:         sink,
+		// An AIMD collapse — the fleet cut all the way to one concurrent
+		// fetch — is the crawl-side signature of a struggling service;
+		// capture it as it happens.
+		AIMD: resilience.AIMDOptions{OnDecrease: func(limit int) {
+			if limit <= 1 {
+				obsRun.Profiler.Trigger("aimd-collapse")
+			}
+		}},
 	})
 	if cerr := jrnl.Close(); cerr != nil {
 		log.Printf("journal error (crawl state may be incomplete on disk): %v", cerr)
@@ -289,11 +281,8 @@ func run(ctx context.Context, args []string) error {
 	} else if dir := obsCfg.Dir; dir != "" {
 		log.Printf("run directory complete -> %s (read it with: gplusanalyze metrics|traces|profiles %s)", dir, dir)
 	}
-	if err != nil && res == nil {
-		return fmt.Errorf("crawl: %w", err)
-	}
-	if err != nil {
-		log.Printf("crawl interrupted (%v); saving partial results", err)
+	if res == nil {
+		return fmt.Errorf("crawl: %w", crawlErr)
 	}
 	resumed := ""
 	if res.Stats.ProfilesResumed > 0 {
@@ -306,6 +295,20 @@ func run(ctx context.Context, args []string) error {
 	log.Printf("crawled %d profiles%s (%d discovered), %d edge observations, %d pages, %d profile errors, %d circle errors%s in %v",
 		res.Stats.ProfilesCrawled, resumed, res.Stats.Discovered, res.Stats.EdgesObserved,
 		res.Stats.PagesFetched, res.Stats.ProfileErrors, res.Stats.CircleErrors, requeued, res.Stats.Duration)
+	var gaveUp error // returned once the partial dataset is saved
+	switch {
+	case crawlErr == nil:
+	case ctx.Err() != nil:
+		log.Printf("crawl interrupted (%v); saving partial results", crawlErr)
+	case errors.Is(crawlErr, crawler.ErrTooManyErrors):
+		log.Printf("crawl gave up (%v); saving partial results", crawlErr)
+		gaveUp = fmt.Errorf("crawl: %w", crawlErr)
+	default:
+		// The edge sink lost part of the stream: a dataset compacted from
+		// it would have holes. The journal took every edge; a rerun
+		// replays it into fresh segments.
+		return fmt.Errorf("crawl: %w; nothing published, rerun to resume from %s", crawlErr, *journal)
+	}
 
 	// Compact the segments straight into <out>/graph.v2 and open the
 	// result memory-mapped.
@@ -318,5 +321,5 @@ func run(ctx context.Context, args []string) error {
 		log.Printf("removing compacted segments: %v", err)
 	}
 	log.Printf("wrote dataset: %d users, %d edges -> %s", ds.NumUsers(), ds.View().NumEdges(), *out)
-	return nil
+	return gaveUp
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"log"
 	"net/http/httptest"
 	"os"
@@ -18,6 +19,19 @@ import (
 	"gplus/internal/synth"
 )
 
+// smallUniverse is a service's worth of users a test crawls in well
+// under a second.
+func smallUniverse(t *testing.T) *synth.Universe {
+	t.Helper()
+	cfg := synth.DefaultConfig(300)
+	cfg.Seed = 18
+	u, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
 // TestRerunResumesToTheSameDataset drives the command itself, twice,
 // into one -out: the first run crawls a small service to completion, the
 // second finds the journal, replays it into fresh segments, fetches no
@@ -25,12 +39,7 @@ import (
 // progress lines off the sampled series; the last one of a session must
 // count the profiles its closing summary does.
 func TestRerunResumesToTheSameDataset(t *testing.T) {
-	cfg := synth.DefaultConfig(300)
-	cfg.Seed = 18
-	u, err := synth.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := smallUniverse(t)
 	served := obs.NewRegistry()
 	ts := httptest.NewServer(gplusd.New(u, gplusd.Options{Metrics: served}))
 	defer ts.Close()
@@ -50,6 +59,7 @@ func TestRerunResumesToTheSameDataset(t *testing.T) {
 		}
 		written = make(map[string][]byte)
 		for _, name := range files {
+			var err error
 			if written[name], err = os.ReadFile(filepath.Join(out, name)); err != nil {
 				t.Fatal(err)
 			}
@@ -92,6 +102,64 @@ func TestRerunResumesToTheSameDataset(t *testing.T) {
 	for _, name := range files {
 		if !bytes.Equal(first[name], second[name]) {
 			t.Errorf("%s differs after the rerun (%d vs %d bytes)", name, len(first[name]), len(second[name]))
+		}
+	}
+}
+
+// TestGivingUpExitsNonZeroAndResumes: against a service that sheds every
+// request, -abort-errors ends the session with an error — after saving
+// what it has, so an unattended loop can tell "gave up" from "finished" —
+// and the journal it leaves resumes, against a healthy service, to the
+// dataset of a crawl that never met the outage.
+func TestGivingUpExitsNonZeroAndResumes(t *testing.T) {
+	u := smallUniverse(t)
+	healthy := httptest.NewServer(gplusd.New(u, gplusd.Options{}))
+	defer healthy.Close()
+	down := httptest.NewServer(gplusd.New(u, gplusd.Options{Faults: &gplusd.FaultSpec{
+		Seed: 1, Rules: []gplusd.FaultRule{{Kind: gplusd.FaultUnavailable, Rate: 1}},
+	}}))
+	defer down.Close()
+
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	dir := t.TempDir()
+	crawl := func(url, out string) error {
+		return run(context.Background(), []string{"-url", url, "-out", out, "-seeds", u.IDs[0] + "," + u.IDs[1],
+			"-workers", "4", "-abort-errors", "2", "-progress", "0"})
+	}
+	out, ref := filepath.Join(dir, "data"), filepath.Join(dir, "ref")
+	if err := crawl(healthy.URL, ref); err != nil {
+		t.Fatalf("reference crawl: %v\n%s", err, &logged)
+	}
+
+	if err := crawl(down.URL, out); !errors.Is(err, crawler.ErrTooManyErrors) {
+		t.Fatalf("crawl of a dead service returned %v, want ErrTooManyErrors\n%s", err, &logged)
+	}
+	if !strings.Contains(logged.String(), "saving partial results") || !strings.Contains(logged.String(), "wrote dataset: ") {
+		t.Errorf("giving up did not save what it had:\n%s", &logged)
+	}
+	if prev, err := crawler.LoadCheckpoint(filepath.Join(out, "crawl.journal")); err != nil {
+		t.Fatalf("journal of the abandoned session is not a loadable checkpoint: %v", err)
+	} else if len(prev.Profiles) != 0 || len(prev.Discovered) != 2 {
+		t.Errorf("journal holds %d profiles, %d discovered; want the two seeds, uncrawled", len(prev.Profiles), len(prev.Discovered))
+	}
+
+	if err := crawl(healthy.URL, out); err != nil {
+		t.Fatalf("rerun against the healthy service: %v\n%s", err, &logged)
+	}
+	for _, name := range []string{"graph.v2", "profiles.jsonl"} {
+		got, err := os.ReadFile(filepath.Join(out, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(ref, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from the reference crawl's (%d vs %d bytes)", name, len(got), len(want))
 		}
 	}
 }

@@ -85,7 +85,7 @@ func TestFlagsHaveRecipe(t *testing.T) {
 		obs  bool   // registers the shared observability flags too
 		own  int    // fewest own flags the scan must find, or declarations changed shape
 	}{
-		{"gpluscrawl", "fs", true, 14},
+		{"gpluscrawl", "fs", true, 13},
 		{"gplusd", "flag", true, 7},
 		{"gplusanalyze", "fs", false, 9},
 		{"gplusanalyze", "sub", false, 11},

@@ -147,15 +147,12 @@ func TestBrownoutConvergence(t *testing.T) {
 	res, err := Crawl(ctx, Config{
 		BaseURL: brownURL, Seeds: []string{seed}, Workers: 8,
 		FetchIn: true, FetchOut: true,
-		HTTPTimeout:      time.Second,
+		AttemptTimeout:   500 * time.Millisecond,
 		MaxRetries:       16,
 		RetryBackoffBase: 2 * time.Millisecond,
 		Metrics:          run.Registry,
 		Tracer:           run.Tracer,
-		Resilience: &ResilienceConfig{
-			AttemptTimeout: 500 * time.Millisecond,
-			Breaker:        resilience.BreakerOptions{Cooldown: 250 * time.Millisecond},
-		},
+		Breaker:          resilience.BreakerOptions{Cooldown: 250 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatalf("brownout crawl: %v", err)

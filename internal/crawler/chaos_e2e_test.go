@@ -44,7 +44,7 @@ func TestChaosKillResumeConvergence(t *testing.T) {
 	chaosCfg := Config{
 		BaseURL: chaosURL, Seeds: []string{seed}, Workers: 8,
 		FetchIn: true, FetchOut: true,
-		HTTPTimeout:      150 * time.Millisecond,
+		AttemptTimeout:   150 * time.Millisecond,
 		MaxRetries:       16,
 		RetryBackoffBase: 2 * time.Millisecond,
 	}

@@ -40,8 +40,12 @@ type Config struct {
 	// FetchIn and FetchOut select which circle lists to follow. The
 	// paper's crawl is bidirectional: both true. (Both false is rejected.)
 	FetchIn, FetchOut bool
-	// HTTPTimeout bounds individual requests (default 30s).
-	HTTPTimeout time.Duration
+	// AttemptTimeout is the one per-request deadline (default 30s): it
+	// bounds each wire attempt through the request context, so a hung
+	// response costs a worker one attempt — retryable, and an overload
+	// signal to the AIMD gate — and it is propagated to the server in
+	// X-Gplus-Deadline so gplusd can shed work already abandoned here.
+	AttemptTimeout time.Duration
 	// MaxRetries is handed to each worker's API client: retry attempts
 	// per request beyond the first (0 = client default of 5). Chaos
 	// testing raises it so probabilistic fault storms cannot manufacture
@@ -55,8 +59,10 @@ type Config struct {
 	// for 45 days without hammering the service. Zero disables it.
 	Politeness time.Duration
 	// AbortAfterErrors stops the crawl once this many fetches have failed
-	// permanently (after retries), so a dead or hostile service does not
-	// grind through the whole frontier at retry pace. The budget covers
+	// permanently (retries exhausted on a non-overload error, or an
+	// overloaded id out of requeues — a shed that requeues costs nothing),
+	// so a dead or hostile service does not grind through the whole
+	// frontier at retry pace. The budget covers
 	// the *sum* of profile-fetch and circle-fetch failures — the split is
 	// reported separately in Stats.ProfileErrors and Stats.CircleErrors.
 	// 0 disables the budget.
@@ -105,32 +111,16 @@ type Config struct {
 	// re-observed edge. Implementations must be safe for concurrent use
 	// by all workers. A sink write error aborts the crawl.
 	EdgeSink EdgeSink
-	// Resilience arms the overload machinery: a shared retry budget and
-	// per-endpoint circuit breakers on every worker's client, an AIMD
-	// gate that adapts how many workers may fetch concurrently to
-	// 429/503/deadline pressure, and requeue-on-overload so ids that hit
-	// a saturated server go back to the frontier instead of burning the
-	// error budget. nil keeps the pre-resilience behavior exactly.
-	Resilience *ResilienceConfig
-}
-
-// ResilienceConfig tunes the crawl's overload behavior. The zero value
-// of every field means "library default"; the zero value of the struct
-// as a whole is a fully armed, sensibly tuned configuration.
-type ResilienceConfig struct {
-	// AIMD shapes the additive-increase/multiplicative-decrease gate on
-	// worker concurrency. Max defaults to the worker count: the gate can
-	// only ever shrink effective concurrency, never add workers.
+	// AIMD shapes the additive-increase/multiplicative-decrease gate that
+	// adapts how many workers may fetch concurrently to 429/503/deadline
+	// pressure. Max defaults to the worker count: the gate can only ever
+	// shrink effective concurrency, never add workers. The zero value is
+	// the library default.
 	AIMD resilience.AIMDOptions
 	// Breaker shapes the per-endpoint circuit breakers shared by all
 	// workers, so one worker's discovery of a dead endpoint fails the
-	// whole fleet fast.
+	// whole fleet fast. The zero value is the library default.
 	Breaker resilience.BreakerOptions
-	// AttemptTimeout bounds each individual request attempt so one hung
-	// response cannot stall a worker for the whole HTTPTimeout; the
-	// deadline also propagates to the server via X-Gplus-Deadline.
-	// Zero disables per-attempt deadlines.
-	AttemptTimeout time.Duration
 }
 
 func (c *Config) withDefaults() (Config, error) {
@@ -152,6 +142,12 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if out.Workers <= 0 {
 		out.Workers = 11
+	}
+	if out.AttemptTimeout <= 0 {
+		out.AttemptTimeout = 30 * time.Second
+	}
+	if out.AIMD.Max <= 0 {
+		out.AIMD.Max = out.Workers
 	}
 	return out, nil
 }
@@ -192,8 +188,7 @@ type Stats struct {
 	EdgesObserved int64
 	Discovered    int
 	// Requeued counts overloaded ids that were returned to the frontier
-	// for a later retry instead of being marked failed. Only ever
-	// non-zero with Config.Resilience armed.
+	// for a later retry instead of being marked failed.
 	Requeued int
 	// TornRecords counts trailing journal/checkpoint records dropped by
 	// LoadCheckpoint because a mid-append crash left the final line without
@@ -237,27 +232,14 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 
 	// Overload machinery, shared across the worker fleet so one worker's
 	// overload signal protects every other worker's request stream.
-	var (
-		gate     *resilience.AIMD
-		budget   *resilience.RetryBudget
-		breakers *resilience.BreakerGroup
-	)
-	if cfg.Resilience != nil {
-		ao := cfg.Resilience.AIMD
-		if ao.Max <= 0 {
-			ao.Max = cfg.Workers
-		}
-		gate = resilience.NewAIMD(ao, reg, "crawler")
-		budget = resilience.NewRetryBudget(resilience.BudgetOptions{}, reg, "crawler")
-		breakers = resilience.NewBreakerGroup(cfg.Resilience.Breaker, reg, "crawler")
-	}
+	gate := resilience.NewAIMD(cfg.AIMD, reg, "crawler")
+	budget := resilience.NewRetryBudget(resilience.BudgetOptions{}, reg, "crawler")
+	breakers := resilience.NewBreakerGroup(cfg.Breaker, reg, "crawler")
 
 	sched := newScheduler(cfg.MaxProfiles)
 	sched.tel = tel
 	sched.errorBudget = cfg.AbortAfterErrors
-	if cfg.Resilience != nil {
-		sched.maxRequeues = 32
-	}
+	sched.maxRequeues = 32
 	// The scheduler journals D records centrally: it is the one place
 	// that knows which offered ids are genuinely new. Resume-preloaded
 	// ids are deliberately not journaled: a crawl resumes from the
@@ -280,29 +262,25 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 			self:  tel.workers[i],
 			gate:  gate,
 			client: &gplusapi.Client{
-				BaseURL:     cfg.BaseURL,
-				CrawlerID:   fmt.Sprintf("machine-%02d", i),
-				MaxRetries:  cfg.MaxRetries,
-				BackoffBase: cfg.RetryBackoffBase,
-				Metrics:     cfg.Metrics,
-				Tracer:      cfg.Tracer,
-				RetryBudget: budget,
-				Breakers:    breakers,
+				BaseURL:        cfg.BaseURL,
+				HTTPClient:     newWorkerHTTPClient(),
+				CrawlerID:      fmt.Sprintf("machine-%02d", i),
+				MaxRetries:     cfg.MaxRetries,
+				BackoffBase:    cfg.RetryBackoffBase,
+				Metrics:        cfg.Metrics,
+				Tracer:         cfg.Tracer,
+				RetryBudget:    budget,
+				Breakers:       breakers,
+				Feedback:       gate,
+				AttemptTimeout: cfg.AttemptTimeout,
 			},
 			profiles: make(map[string]profile.Profile),
-		}
-		if cfg.Resilience != nil {
-			w.client.Feedback = gate
-			w.client.AttemptTimeout = cfg.Resilience.AttemptTimeout
-			w.requeue = true
-		}
-		if cfg.HTTPTimeout > 0 {
-			w.client.HTTPClient = newTimeoutClient(cfg.HTTPTimeout)
 		}
 		workers[i] = w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer w.client.HTTPClient.CloseIdleConnections() // the transport is this worker's own
 			w.run(ctx)
 		}()
 	}
@@ -360,8 +338,7 @@ type worker struct {
 	sched       *scheduler
 	tel         *telemetry
 	self        *obs.Counter     // this worker's throughput series
-	gate        *resilience.AIMD // shared concurrency gate; nil when resilience is off
-	requeue     bool             // return overloaded ids to the frontier
+	gate        *resilience.AIMD // concurrency gate shared by the fleet
 	client      *gplusapi.Client
 	profiles    map[string]profile.Profile
 	edges       []Edge // accumulated only when cfg.EdgeSink is nil
@@ -412,10 +389,7 @@ const maxRequeuePause = 250 * time.Millisecond
 // time, not just reshuffle the queue — an instantly retried requeue
 // against a saturated server is a hot spin.
 func (w *worker) maybeRequeue(ctx context.Context, id string, err error) bool {
-	if !w.requeue || !gplusapi.IsOverload(err) {
-		return false
-	}
-	if !w.sched.requeue(id) {
+	if !gplusapi.IsOverload(err) || !w.sched.requeue(id) {
 		return false // requeue cap reached or crawl closing
 	}
 	w.tel.requeues.Inc()

@@ -16,6 +16,7 @@ import (
 	"gplus/internal/growth"
 	"gplus/internal/obs"
 	"gplus/internal/obs/rundir"
+	"gplus/internal/resilience"
 	"gplus/internal/synth"
 )
 
@@ -284,7 +285,7 @@ func TestCrawlSurvivesFaultsAndRateLimits(t *testing.T) {
 		Workers:     8,
 		MaxProfiles: 500,
 		FetchIn:     true, FetchOut: true,
-		HTTPTimeout: 10 * time.Second,
+		AttemptTimeout: 10 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +348,9 @@ func TestCrawlOverGrowingService(t *testing.T) {
 
 func TestCrawlAbortsOnErrorBudget(t *testing.T) {
 	u := crawlUniverse(t)
-	// A service that always fails: every fetch exhausts its retries.
+	// A service that always sheds: every fetch exhausts its retries and
+	// every id its requeue allowance, which is what the budget counts. The
+	// fast knobs keep 32 requeue rounds per id inside the bound below.
 	url := startService(t, u, gplusd.Options{Faults: &gplusd.FaultSpec{Seed: 1, Rules: []gplusd.FaultRule{{Kind: gplusd.FaultUnavailable, Rate: 1}}}})
 	start := time.Now()
 	res, err := Crawl(context.Background(), Config{
@@ -356,7 +359,10 @@ func TestCrawlAbortsOnErrorBudget(t *testing.T) {
 		Workers:          4,
 		AbortAfterErrors: 3,
 		FetchIn:          true, FetchOut: true,
-		HTTPTimeout: 5 * time.Second,
+		AttemptTimeout:   5 * time.Second,
+		MaxRetries:       1,
+		RetryBackoffBase: time.Millisecond,
+		Breaker:          resilience.BreakerOptions{Cooldown: 20 * time.Millisecond},
 	})
 	if !errors.Is(err, ErrTooManyErrors) {
 		t.Fatalf("err = %v, want ErrTooManyErrors", err)

@@ -2,10 +2,12 @@ package crawler
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -76,6 +78,76 @@ func TestJournalMirrorsCrawl(t *testing.T) {
 	}
 	if snap.Counters["crawler_journal_flushes_total"] == 0 {
 		t.Error("no flush cycles recorded")
+	}
+}
+
+// TestCrawlStopsOnEdgeSinkFailure: a sink that starts failing mid-crawl
+// ends the crawl with its error close to the page that hit it, and the
+// journal — which took every edge, the refused ones included — resumes to
+// the dataset of a crawl that never lost its sink.
+func TestCrawlStopsOnEdgeSinkFailure(t *testing.T) {
+	u := crawlUniverse(t)
+	ctx := context.Background()
+	cfg := Config{
+		BaseURL: startService(t, u, gplusd.Options{}), Seeds: []string{seedID(u)}, Workers: 4,
+		FetchIn: true, FetchOut: true,
+	}
+	reference, err := Crawl(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "crawl.journal")
+	j, err := OpenJournal(path, JournalOptions{})
+	if err != nil {
+		t.Fatalf("OpenJournal: %v", err)
+	}
+	diskFull := errors.New("disk full")
+	failAfter := reference.Stats.EdgesObserved / 10
+	var offered atomic.Int64
+	broken := cfg
+	broken.Journal = j
+	broken.EdgeSink = sinkFunc(func(string, string) error {
+		if offered.Add(1) > failAfter {
+			return diskFull
+		}
+		return nil
+	})
+	res, err := Crawl(ctx, broken)
+	if !errors.Is(err, diskFull) {
+		t.Fatalf("err = %v, want the sink's error wrapped", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatalf("journal close: %v", err)
+	}
+	// The crawl starts at the best-connected users, whose pages are full:
+	// a tenth of the edges is under a tenth of the pages, and past it each
+	// worker only finishes the user it holds.
+	if res.Stats.PagesFetched == 0 || res.Stats.PagesFetched > reference.Stats.PagesFetched/5 {
+		t.Errorf("fetched %d of %d pages after the sink failed at edge %d of %d",
+			res.Stats.PagesFetched, reference.Stats.PagesFetched, failAfter, reference.Stats.EdgesObserved)
+	}
+
+	prev, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatalf("loading journal: %v", err)
+	}
+	if int64(len(prev.Edges)) != res.Stats.EdgesObserved {
+		t.Errorf("journal holds %d edges, the crawl observed %d", len(prev.Edges), res.Stats.EdgesObserved)
+	}
+	resumed := cfg
+	resumed.Resume = prev
+	final, err := Crawl(ctx, resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(final.Profiles) != len(reference.Profiles) {
+		t.Errorf("resumed crawl has %d profiles, reference %d", len(final.Profiles), len(reference.Profiles))
+	}
+	gFinal, idsFinal := buildGraph(final)
+	gRef, idsRef := buildGraph(reference)
+	if !reflect.DeepEqual(idsFinal, idsRef) || !reflect.DeepEqual(gFinal, gRef) {
+		t.Error("graph resumed from the failed session's journal differs from the reference")
 	}
 }
 

@@ -70,10 +70,9 @@ func TestMetricsHygiene(t *testing.T) {
 		FetchIn: true, FetchOut: true,
 		MaxProfiles: 80,
 		MaxRetries:  16, RetryBackoffBase: time.Millisecond,
-		Metrics:    creg,
-		Journal:    jrnl,
-		Tracer:     run.Tracer,
-		Resilience: &ResilienceConfig{},
+		Metrics: creg,
+		Journal: jrnl,
+		Tracer:  run.Tracer,
 	})
 	if err != nil {
 		t.Fatal(err)

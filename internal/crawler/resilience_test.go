@@ -109,7 +109,6 @@ func TestCrawlRequeuesOnOverload(t *testing.T) {
 		MaxProfiles:      30,
 		MaxRetries:       2,
 		RetryBackoffBase: time.Millisecond,
-		Resilience:       &ResilienceConfig{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,33 +124,6 @@ func TestCrawlRequeuesOnOverload(t *testing.T) {
 	}
 }
 
-func TestCrawlWithoutResilienceCountsOverloadAsError(t *testing.T) {
-	u := crawlUniverse(t)
-	seed := seedID(u)
-	// The gate never relents for this profile: without resilience the
-	// old behavior must hold exactly — the fetch fails permanently and
-	// is counted, never requeued.
-	gate := &overloadGate{inner: gplusd.New(u, gplusd.Options{}), target: seed, rejects: 1 << 30}
-	ts := httptest.NewServer(gate)
-	defer ts.Close()
-
-	res, err := Crawl(context.Background(), Config{
-		BaseURL: ts.URL, Seeds: []string{seed}, Workers: 2,
-		FetchIn: true, FetchOut: true,
-		MaxRetries:       2,
-		RetryBackoffBase: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.ProfileErrors != 1 {
-		t.Errorf("ProfileErrors = %d, want 1", res.Stats.ProfileErrors)
-	}
-	if res.Stats.Requeued != 0 {
-		t.Errorf("Requeued = %d without Resilience armed", res.Stats.Requeued)
-	}
-}
-
 func TestCrawlResilienceMetricsRegistered(t *testing.T) {
 	u := crawlUniverse(t)
 	reg := obs.NewRegistry()
@@ -161,9 +133,7 @@ func TestCrawlResilienceMetricsRegistered(t *testing.T) {
 		FetchIn: true, FetchOut: true,
 		MaxProfiles: 10,
 		Metrics:     reg,
-		Resilience: &ResilienceConfig{
-			AIMD: resilience.AIMDOptions{Max: 2},
-		},
+		AIMD:        resilience.AIMDOptions{Max: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

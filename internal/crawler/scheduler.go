@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"time"
 )
 
 // scheduler is the shared BFS frontier: a FIFO queue with a visited set,
@@ -44,8 +43,9 @@ type scheduler struct {
 	// is the only place that knows which offered ids are new.
 	jrnl *Journal
 	// maxRequeues caps how many times one id may be returned to the
-	// frontier by requeue (0 disables requeueing entirely); requeues
-	// tracks the per-id count, allocated lazily on first use.
+	// frontier by requeue before its overload counts as a permanent
+	// failure (Crawl sets it; a bare scheduler requeues nothing);
+	// requeues tracks the per-id count, allocated lazily on first use.
 	maxRequeues int
 	requeues    map[string]int
 }
@@ -234,16 +234,12 @@ func (s *scheduler) next(ctx context.Context) (id string, ok bool) {
 // finish() for the abandoned claim as usual.
 func (s *scheduler) requeue(id string) bool {
 	s.mu.Lock()
-	if s.closed || s.maxRequeues <= 0 {
+	if s.closed || s.requeues[id] >= s.maxRequeues {
 		s.mu.Unlock()
 		return false
 	}
 	if s.requeues == nil {
 		s.requeues = make(map[string]int)
-	}
-	if s.requeues[id] >= s.maxRequeues {
-		s.mu.Unlock()
-		return false
 	}
 	s.requeues[id]++
 	s.claimed--
@@ -290,10 +286,12 @@ func (s *scheduler) discovered() map[string]bool {
 	return out
 }
 
-// newTimeoutClient builds an HTTP client with its own transport so
-// concurrent workers do not share connection pools unfairly.
-func newTimeoutClient(timeout time.Duration) *http.Client {
+// newWorkerHTTPClient builds an HTTP client with its own transport so
+// concurrent workers do not share connection pools unfairly. It carries
+// no Timeout: Config.AttemptTimeout, applied through each attempt's
+// context, is the one request deadline.
+func newWorkerHTTPClient() *http.Client {
 	t := http.DefaultTransport.(*http.Transport).Clone()
 	t.MaxIdleConnsPerHost = 16
-	return &http.Client{Timeout: timeout, Transport: t}
+	return &http.Client{Transport: t}
 }

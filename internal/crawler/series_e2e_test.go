@@ -66,7 +66,7 @@ func TestSeriesChaosReportE2E(t *testing.T) {
 		FetchIn: true, FetchOut: true,
 		MaxProfiles:      600,
 		Politeness:       time.Millisecond,
-		HTTPTimeout:      time.Second,
+		AttemptTimeout:   time.Second,
 		MaxRetries:       16,
 		RetryBackoffBase: 4 * time.Millisecond,
 		Metrics:          run.Registry,

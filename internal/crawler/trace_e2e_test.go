@@ -46,7 +46,7 @@ func TestTraceSpanPropagationUnderChaos(t *testing.T) {
 		Seeds:   []string{seedID(u)}, Workers: 8,
 		FetchIn: true, FetchOut: true,
 		MaxProfiles:      300,
-		HTTPTimeout:      150 * time.Millisecond,
+		AttemptTimeout:   150 * time.Millisecond,
 		MaxRetries:       16,
 		RetryBackoffBase: 2 * time.Millisecond,
 		Tracer:           clientTr,
@@ -155,7 +155,7 @@ func TestHungRequestCapturedAsExemplar(t *testing.T) {
 		BaseURL: url,
 		Seeds:   []string{seedID(u)}, Workers: 1,
 		FetchIn: true, FetchOut: true,
-		HTTPTimeout:      100 * time.Millisecond,
+		AttemptTimeout:   100 * time.Millisecond,
 		MaxRetries:       2,
 		RetryBackoffBase: time.Millisecond,
 		Tracer:           tracer,
@@ -218,7 +218,7 @@ func TestTraceDemo(t *testing.T) {
 		Seeds:   []string{seedID(u)}, Workers: 8,
 		FetchIn: true, FetchOut: true,
 		MaxProfiles:      200,
-		HTTPTimeout:      150 * time.Millisecond,
+		AttemptTimeout:   150 * time.Millisecond,
 		MaxRetries:       16,
 		RetryBackoffBase: 2 * time.Millisecond,
 		Tracer:           run.Tracer,

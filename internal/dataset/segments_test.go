@@ -207,7 +207,7 @@ func TestSegmentCrawlKillResumeConvergence(t *testing.T) {
 			Seeds:   []string{u.IDs[graph.TopByInDegree(u.Graph, 1, 1)[0]]},
 			Workers: 8,
 			FetchIn: true, FetchOut: true,
-			HTTPTimeout:      150 * time.Millisecond,
+			AttemptTimeout:   150 * time.Millisecond,
 			MaxRetries:       16,
 			RetryBackoffBase: 2 * time.Millisecond,
 			Journal:          j,

@@ -82,19 +82,21 @@ func (c *Collector) Interval() time.Duration {
 	return c.opts.interval()
 }
 
-// Start launches the sampling goroutine: one sample immediately, then
-// one per interval until Stop. Repeated calls are no-ops.
+// Start takes one sample — before it returns, so whatever the caller
+// does next is measured against that baseline tick, however late the
+// goroutine is scheduled — then launches the sampling goroutine: one
+// sample per interval until Stop. Repeated calls are no-ops.
 func (c *Collector) Start() {
 	if c == nil {
 		return
 	}
 	c.startOnce.Do(func() {
 		c.running = true
+		c.Sample(c.now())
 		go func() {
 			defer close(c.done)
 			ticker := time.NewTicker(c.opts.interval())
 			defer ticker.Stop()
-			c.Sample(c.now())
 			for {
 				select {
 				case <-c.stopc:
@@ -138,6 +140,9 @@ func (c *Collector) Sample(now time.Time) {
 	if c == nil {
 		return
 	}
+	// Wall clock only, as series.jsonl stores it: a live report and the
+	// post-mortem of its dump then divide by the same durations.
+	now = now.Round(0)
 	snap := c.reg.Snapshot()
 	c.mu.Lock()
 	// Registry counters and histograms are born at zero, so a series
