@@ -19,9 +19,9 @@ all: build vet test race
 # study's concurrent, memoised structure stages with the packages that
 # drive them (paper, report, gplusanalyze), the
 # short fuzz leg shakes the checkpoint/journal parser and the triad pass, the hygiene leg
-# gates the metric exposition, the one-durable-writer rule, the
-# every-flag-has-a-recipe rule and the every-package- and
-# every-exported-symbol-reaches-the-pipeline rules, the
+# gates the metric exposition and its label vocabulary, the
+# one-durable-writer rule, the every-flag-has-a-recipe rule and the
+# every-package- and every-exported-symbol-reaches-the-pipeline rules, the
 # brownout leg proves kill-free convergence through a server overload,
 # staticcheck runs when the pinned version is installed, and the run
 # ends with the non-test line count per package.
@@ -30,7 +30,7 @@ check: all staticcheck hygiene brownout fuzz-short loc
 help:
 	@echo "make all            build + vet + test + race (default)"
 	@echo "make check          all + staticcheck + hygiene + brownout + fuzz-short"
-	@echo "make hygiene        metrics-hygiene gate (naming grammar + HELP lines) + durable-write gate + every-flag-has-a-recipe gate + every-package- and every-exported-symbol-reaches-the-pipeline gates"
+	@echo "make hygiene        metrics-hygiene gate (naming grammar + HELP lines + label keys from the one vocabulary) + labels-are-data gate + durable-write gate + every-flag-has-a-recipe gate + every-package- and every-exported-symbol-reaches-the-pipeline gates"
 	@echo "make loc            non-test Go lines per package (bench/ excluded)"
 	@echo "make chaos          kill/resume convergence under the fault suite"
 	@echo "make brownout       kill-free convergence through a server brownout"
@@ -43,7 +43,7 @@ help:
 	@echo "make bench-storage  out-of-core CSR: segment/compact/load/scan -> BENCH_storage.json"
 	@echo "make paperscale     10M-node/200M-edge out-of-core acceptance run (slow; merges RSS rows into BENCH_storage.json)"
 	@echo "make ablations      design-choice ablation experiments"
-	@echo "make fuzz           long fuzz of every parser, the multi-source BFS and the triad pass (30s each)"
+	@echo "make fuzz           long fuzz of every parser (series names included), the multi-source BFS and the triad pass (30s each)"
 	@echo "make verify         generate a dataset and audit it against the paper"
 	@echo "make examples       run every example binary"
 	@echo "make report         full Markdown report from a fresh dataset"
@@ -62,7 +62,14 @@ race:
 
 # The metrics-hygiene gate: every family either registry exposes after a
 # faulted crawl must match the Prometheus naming grammar and carry a
-# HELP line, and every sample must belong to a declared TYPE. The
+# HELP line, every sample must belong to a declared TYPE, and every
+# label key on a sample must be a Key* constant of
+# internal/obs/labels.go. The labels-are-data gate fails if non-test
+# code outside bench/ passes a string literal holding '{' to
+# Counter/Gauge/Histogram, keys pprof.Labels with anything but those
+# constants, or re-spells one as a literal obs.Label or Span.Annotate
+# key, so metrics, pprof labels and span attributes keep one
+# vocabulary. The
 # durable-write gate fails if non-test code outside internal/durable
 # (and bench/) calls os.Rename or os.CreateTemp or opens a file
 # O_APPEND, so a second copy of the write-fsync-rename protocol or of
@@ -78,7 +85,7 @@ race:
 hygiene:
 	$(GO) test -count=1 -run TestMetricsHygiene ./internal/crawler/
 	$(GO) test -count=1 -run TestDurableWriteHygiene ./internal/durable/
-	$(GO) test -count=1 -run 'TestFlagsHaveRecipe|TestPackagesReachPipeline|TestSurfaceReachesPipeline' .
+	$(GO) test -count=1 -run 'TestLabelsAreData|TestFlagsHaveRecipe|TestPackagesReachPipeline|TestSurfaceReachesPipeline' .
 
 # Non-test Go lines per package, bench/ excluded: the size trend ROADMAP
 # aim 2 asks every PR to report.
@@ -206,6 +213,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzOpenV2 -fuzztime=30s ./internal/graph/diskcsr/
 	$(GO) test -fuzz=FuzzReadResult -fuzztime=30s ./internal/crawler/
 	$(GO) test -fuzz=FuzzParseFaultSpec -fuzztime=30s ./internal/gplusd/
+	$(GO) test -fuzz=FuzzSeriesName -fuzztime=30s ./internal/obs/
 
 # The quick fuzz leg of `make check`: the checkpoint/journal parser is
 # the one format a crash can hand arbitrary torn bytes to, and the triad

@@ -205,18 +205,27 @@ func TestOnlyPaysForTheStagesItNames(t *testing.T) {
 	if err := dataset.FromUniverse(u).SaveV2(dir); err != nil {
 		t.Fatal(err)
 	}
+	all := []string{"degrees", "fig9", "paths", "reciprocity", "scc", "triads", "wcc"}
 	for _, tc := range []struct {
-		only   string
-		stages []string
+		only    string
+		plotdir bool
+		stages  []string
 	}{
-		{"fig3", []string{"degrees"}},
-		{"table4", []string{"paths", "reciprocity"}},
-		{"table4,fig5,fig4", []string{"paths", "reciprocity", "scc", "triads"}},
-		{"table1,lostedges", nil},
-		{"", []string{"degrees", "paths", "reciprocity", "scc", "triads", "wcc"}},
+		{only: "fig3", stages: []string{"degrees"}},
+		{only: "table4", stages: []string{"paths", "reciprocity"}},
+		{only: "table4,fig5,fig4", stages: []string{"paths", "reciprocity", "scc", "triads"}},
+		{only: "table1,lostedges"},
+		{stages: all},
+		// -plotdir writes Figure 9's CDFs and the text report prints
+		// them: one pair sample serves both.
+		{plotdir: true, stages: all},
 	} {
+		args := []string{"-data", dir, "-only", tc.only}
+		if tc.plotdir {
+			args = append(args, "-plotdir", t.TempDir())
+		}
 		var stdout, stderr bytes.Buffer
-		if err := run(&stdout, &stderr, []string{"-data", dir, "-only", tc.only}); err != nil {
+		if err := run(&stdout, &stderr, args); err != nil {
 			t.Fatalf("-only %q: %v", tc.only, err)
 		}
 		if stdout.Len() == 0 {

@@ -72,7 +72,7 @@ func TestRerunResumesToTheSameDataset(t *testing.T) {
 		if len(lines) == 0 || summary == nil || lines[len(lines)-1][1] != summary[1] {
 			t.Errorf("last progress line and closing summary disagree (%v vs %v):\n%s", lines, summary, &logged)
 		}
-		return written, served.Counter(`gplusd_requests_total{endpoint="profile"}`).Value()
+		return written, served.Counter("gplusd_requests_total", obs.Label{Key: obs.KeyEndpoint, Value: obs.EndpointProfile}).Value()
 	}
 
 	first, fetched := session()

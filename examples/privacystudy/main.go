@@ -42,8 +42,15 @@ func main() {
 
 	// Figure 8: openness by culture — Indonesia and Mexico share the
 	// most, Germany the least.
-	report.Fig8(w, study.FieldsByCountry(nil))
-	fmt.Fprintf(w, "\nopenness P(>6 fields): ID=%.3f MX=%.3f US=%.3f DE=%.3f\n",
-		study.OpennessScore("ID", 6), study.OpennessScore("MX", 6),
-		study.OpennessScore("US", 6), study.OpennessScore("DE", 6))
+	byCountry := study.FieldsByCountry(nil)
+	report.Fig8(w, byCountry)
+	fmt.Fprint(w, "\nopenness P(>6 fields):")
+	for _, country := range []string{"ID", "MX", "US", "DE"} {
+		for _, row := range byCountry {
+			if row.Country == country {
+				fmt.Fprintf(w, " %s=%.3f", country, row.Openness(6))
+			}
+		}
+	}
+	fmt.Fprintln(w)
 }

@@ -13,6 +13,7 @@ import (
 	"regexp"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -431,3 +432,113 @@ func (s *surface) drain() {
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// TestLabelsAreData is the gate on the one label vocabulary
+// (internal/obs/labels.go): in non-test code outside bench/, no string
+// literal holding a '{' is passed to Registry.Counter/Gauge/Histogram —
+// labels are obs.Label values, the registry writes the braces — every
+// pprof.Labels key is one of the obs.Key* constants, and no obs.Label
+// key or Span.Annotate key re-spells one as a string literal. Syntax
+// only (go/parser): the metric exposition's side of the same vocabulary
+// is TestMetricsHygiene's.
+func TestLabelsAreData(t *testing.T) {
+	fset := token.NewFileSet()
+	vocabFile := filepath.Join("internal", "obs", "labels.go")
+	parsed, err := parser.ParseFile(fset, vocabFile, nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]string{} // constant name → the key it spells
+	ast.Inspect(parsed, func(n ast.Node) bool {
+		if spec, ok := n.(*ast.ValueSpec); ok && strings.HasPrefix(spec.Names[0].Name, "Key") {
+			keys[spec.Names[0].Name], _ = strconv.Unquote(spec.Values[0].(*ast.BasicLit).Value)
+		}
+		return true
+	})
+	if len(keys) < 10 {
+		t.Fatalf("read only %d Key* constants from %s", len(keys), vocabFile)
+	}
+	spelled := map[string]string{}
+	for name, key := range keys {
+		spelled[key] = name
+	}
+	// literalWith finds a string literal under e that ok accepts.
+	literalWith := func(e ast.Expr, ok func(string) bool) (found string) {
+		ast.Inspect(e, func(n ast.Node) bool {
+			if lit, isLit := n.(*ast.BasicLit); isLit && lit.Kind == token.STRING {
+				if s, _ := strconv.Unquote(lit.Value); ok(s) {
+					found = lit.Value
+				}
+			}
+			return found == ""
+		})
+		return found
+	}
+	isKeyConst := func(e ast.Expr) bool {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			e = sel.Sel // obs.KeyPhase
+		}
+		id, ok := e.(*ast.Ident)
+		return ok && keys[id.Name] != ""
+	}
+	calls := func(call *ast.CallExpr, names ...string) bool {
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		return ok && slices.Contains(names, sel.Sel.Name)
+	}
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || path == vocabFile {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			at := func() token.Position { return fset.Position(n.Pos()) }
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				switch {
+				case len(n.Args) == 0:
+				case calls(n, "Counter", "Gauge", "Histogram"):
+					if lit := literalWith(n.Args[0], func(s string) bool { return strings.Contains(s, "{") }); lit != "" {
+						t.Errorf("%s: series registered with labels inside the family string %s; pass obs.Label values", at(), lit)
+					}
+				case calls(n, "Labels") && types.ExprString(n.Fun) == "pprof.Labels":
+					for i := 0; i < len(n.Args); i += 2 {
+						if !isKeyConst(n.Args[i]) {
+							t.Errorf("%s: pprof.Labels key %s is not one of the obs.Key* constants of %s", at(), types.ExprString(n.Args[i]), vocabFile)
+						}
+					}
+				case calls(n, "Annotate"):
+					if lit := literalWith(n.Args[0], func(s string) bool { return spelled[s] != "" }); lit != "" {
+						t.Errorf("%s: span attribute key %s re-spells a vocabulary key; use obs.%s", at(), lit, spelled[strings.Trim(lit, "\"`")])
+					}
+				}
+			case *ast.CompositeLit:
+				if typ := types.ExprString(n.Type); (typ == "obs.Label" || typ == "Label") && len(n.Elts) > 0 {
+					key := n.Elts[0]
+					if kv, ok := key.(*ast.KeyValueExpr); ok {
+						key = kv.Value
+					}
+					if lit := literalWith(key, func(string) bool { return true }); lit != "" {
+						t.Errorf("%s: label key spelled as the literal %s; the keys live in %s", at(), lit, vocabFile)
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

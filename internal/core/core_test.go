@@ -494,9 +494,11 @@ func TestFig8OpennessByCountry(t *testing.T) {
 	}
 	// Figure 8 ordering: Indonesia and Mexico most open, Germany most
 	// conservative.
-	id := s.OpennessScore("ID", 6)
-	de := s.OpennessScore("DE", 6)
-	us := s.OpennessScore("US", 6)
+	openness := map[string]float64{}
+	for _, r := range rows {
+		openness[r.Country] = r.Openness(6)
+	}
+	id, de, us := openness["ID"], openness["DE"], openness["US"]
 	if id <= de {
 		t.Errorf("ID openness %.3f should exceed DE %.3f", id, de)
 	}

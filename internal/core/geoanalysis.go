@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 
 	"gplus/internal/geo"
@@ -138,8 +139,17 @@ type PathMileResult struct {
 
 // PathMiles computes Figure 9(a) over located crawled users: distances
 // between socially connected pairs, reciprocally connected pairs, and
-// random unconnected pairs.
+// random unconnected pairs. The pair sample is half a mapped study's
+// wall-clock, so it is memoised like the structural stages: the text
+// report and -plotdir share one analyze.fig9 computation.
 func (s *Study) PathMiles() PathMileResult {
+	res, _ := once(context.Background(), s, &s.pathMilesMemo, "fig9", func(context.Context) (PathMileResult, error) {
+		return s.pathMiles(), nil
+	})
+	return res
+}
+
+func (s *Study) pathMiles() PathMileResult {
 	rng := s.rng(11)
 	located := make([]graph.NodeID, 0, s.ds.NumUsers()/4)
 	isLocated := make([]bool, s.ds.NumUsers())

@@ -171,6 +171,28 @@ func TestStagesComputedOnceConcurrently(t *testing.T) {
 	}
 }
 
+// TestPathMilesComputedOnce: Figure 9(a)'s pair sample is drawn once,
+// whoever asks — the text report and -plotdir both do — and every
+// caller reads the same result.
+func TestPathMilesComputedOnce(t *testing.T) {
+	rec := trace.NewRecorder(0, trace.Rules{})
+	u, err := synth.Generate(synth.DefaultConfig(2_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.FromUniverse(u)
+	want := New(ds, Options{Seed: 7}).PathMiles()
+	s := New(ds, Options{Seed: 7, Tracer: trace.New(trace.Config{Recorder: rec})})
+	for range 2 {
+		if got := s.PathMiles(); !reflect.DeepEqual(got, want) {
+			t.Fatal("PathMiles differs from a lone Study's")
+		}
+	}
+	if got := stageSpans(rec); !reflect.DeepEqual(got, map[string]int{"analyze.fig9": 1}) {
+		t.Errorf("recorded spans %v, want one analyze.fig9", got)
+	}
+}
+
 // TestCancelledStageIsNotCached: a paths stage cut short by a cancelled
 // context is returned to that caller only; the next caller with a live
 // context gets the full distribution, and that one is kept.

@@ -160,23 +160,16 @@ func (s *Study) FieldsByCountry(countries []string) []CountryFieldCCDF {
 	return out
 }
 
-// OpennessScore summarizes one country's Figure 8 curve as the fraction
-// of its users sharing more than k fields, used to compare cultures
-// ("Germany is the most conservative...").
-func (s *Study) OpennessScore(country string, k int) float64 {
-	for _, row := range s.FieldsByCountry([]string{country}) {
-		if row.Country != country || row.N == 0 {
-			continue
+// Openness summarizes one country's Figure 8 curve as the fraction of
+// its users sharing more than k fields, used to compare cultures
+// ("Germany is the most conservative..."); 0 for a country with no
+// located users.
+func (row CountryFieldCCDF) Openness(k int) float64 {
+	// CCDF points are P(X >= x); P(X > k) = P(X >= k+1).
+	for _, pt := range row.CCDF {
+		if pt.X >= float64(k+1) {
+			return pt.Y
 		}
-		// CCDF points are P(X >= x); P(X > k) = P(X >= k+1).
-		var score float64
-		for _, pt := range row.CCDF {
-			if pt.X >= float64(k+1) {
-				score = pt.Y
-				break
-			}
-		}
-		return score
 	}
 	return 0
 }

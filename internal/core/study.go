@@ -23,9 +23,10 @@ import (
 // deterministic for a fixed Options.Seed and derive their own RNGs.
 //
 // The six structural stages (degrees, reciprocity, scc, wcc, paths,
-// triads) are memoised: each is computed at most once per Study, by
-// whichever of Structure, the per-figure methods and Topology asks
-// first, so Table 4 is Figures 4(a) and 5 and a caller pays only for the
+// triads) and Figure 9(a)'s pair sample (fig9) are memoised: each is
+// computed at most once per Study, by whichever of Structure, the
+// per-figure methods, Topology and the plot-data writer asks first, so
+// Table 4 is Figures 4(a) and 5 and a caller pays only for the
 // stages it names. Concurrent callers of one stage wait for the one
 // computation. The cached results are shared by every caller and must
 // not be mutated. A stage that ran under a cancelled ctx is returned but
@@ -46,6 +47,7 @@ type Study struct {
 	wccMemo         memo[WCCResult]
 	pathsMemo       memo[PathLengthResult]
 	triadsMemo      memo[triadResult]
+	pathMilesMemo   memo[PathMileResult]
 }
 
 // memo is one structural stage's result once it has been computed.

@@ -336,7 +336,7 @@ func TestResumeCompletesCrawl(t *testing.T) {
 func TestResumeDoesNotRefetch(t *testing.T) {
 	u := crawlUniverse(t)
 	reg := obs.NewRegistry()
-	served := reg.Counter(`gplusd_requests_total{endpoint="profile"}`)
+	served := reg.Counter("gplusd_requests_total", obs.Label{Key: obs.KeyEndpoint, Value: obs.EndpointProfile})
 	ts := httptest.NewServer(gplusd.New(u, gplusd.Options{Metrics: reg}))
 	t.Cleanup(ts.Close)
 	url := ts.URL

@@ -264,7 +264,7 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 			client: &gplusapi.Client{
 				BaseURL:        cfg.BaseURL,
 				HTTPClient:     newWorkerHTTPClient(),
-				CrawlerID:      fmt.Sprintf("machine-%02d", i),
+				CrawlerID:      workerName(i),
 				MaxRetries:     cfg.MaxRetries,
 				BackoffBase:    cfg.RetryBackoffBase,
 				Metrics:        cfg.Metrics,
@@ -353,7 +353,7 @@ func (w *worker) run(ctx context.Context) {
 	// Every CPU sample this worker produces carries its identity; the
 	// crawl phases below layer their own labels on top, so the
 	// continuous profiler can split cost by (worker, phase, endpoint).
-	pprof.Do(ctx, pprof.Labels("worker", w.client.CrawlerID), func(ctx context.Context) {
+	pprof.Do(ctx, pprof.Labels(obs.KeyWorker, w.client.CrawlerID), func(ctx context.Context) {
 		for {
 			id, ok := w.sched.next(ctx)
 			if !ok {
@@ -421,15 +421,15 @@ func (w *worker) crawlOne(ctx context.Context, id string) {
 	ctx, root := w.cfg.Tracer.StartSpan(ctx, "crawl.profile")
 	if root != nil {
 		root.Annotate("id", id)
-		root.Annotate("worker", w.client.CrawlerID)
+		root.Annotate(obs.KeyWorker, w.client.CrawlerID)
 		defer root.Finish()
 	}
 	var (
 		doc *gplusapi.ProfileDoc
 		err error
 	)
-	fctx, fsp := w.cfg.Tracer.StartSpan(ctx, "fetch.profile")
-	pprof.Do(fctx, pprof.Labels("phase", "fetch.profile"), func(fctx context.Context) {
+	fctx, fsp := w.cfg.Tracer.StartSpan(ctx, obs.PhaseFetchProfile)
+	pprof.Do(fctx, pprof.Labels(obs.KeyPhase, obs.PhaseFetchProfile), func(fctx context.Context) {
 		doc, err = w.client.FetchProfile(fctx, id)
 	})
 	fsp.SetError(err)
@@ -517,7 +517,7 @@ func (w *worker) fetchCircle(ctx context.Context, id string, dir gplusapi.Circle
 		if ctx.Err() != nil {
 			return nil // cancelled: don't issue (and miscount) a doomed fetch
 		}
-		pctx, psp := w.cfg.Tracer.StartSpan(ctx, "circle.page")
+		pctx, psp := w.cfg.Tracer.StartSpan(ctx, obs.PhaseCirclePage)
 		if psp != nil {
 			psp.Annotate("dir", string(dir))
 			psp.Annotate("page", strconv.Itoa(pageN))
@@ -529,7 +529,7 @@ func (w *worker) fetchCircle(ctx context.Context, id string, dir gplusapi.Circle
 		// The whole page pipeline — fetch, edge accounting, frontier
 		// offer, journal append — shares one phase label, so by-phase CPU
 		// attribution matches the trace span of the same name.
-		pprof.Do(pctx, pprof.Labels("phase", "circle.page"), func(pctx context.Context) {
+		pprof.Do(pctx, pprof.Labels(obs.KeyPhase, obs.PhaseCirclePage), func(pctx context.Context) {
 			page, err = w.client.FetchCircle(pctx, id, dir, token, 0)
 			if err != nil {
 				return

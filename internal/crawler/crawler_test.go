@@ -3,7 +3,6 @@ package crawler
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -475,7 +474,7 @@ func TestCrawlTelemetry(t *testing.T) {
 	// Per-worker throughput counters partition the total.
 	var perWorker int64
 	for i := 0; i < 6; i++ {
-		perWorker += reg.Counter(fmt.Sprintf(`crawler_worker_profiles_total{worker="machine-%02d"}`, i)).Value()
+		perWorker += reg.Counter("crawler_worker_profiles_total", obs.Label{Key: obs.KeyWorker, Value: workerName(i)}).Value()
 	}
 	if perWorker != int64(res.Stats.ProfilesCrawled) {
 		t.Errorf("per-worker counters sum to %d, want %d", perWorker, res.Stats.ProfilesCrawled)
@@ -485,7 +484,7 @@ func TestCrawlTelemetry(t *testing.T) {
 	if snap.Counters[`gplusapi_responses_total{endpoint="profile",code="200"}`] == 0 {
 		t.Error("client status counters missing from shared registry")
 	}
-	if snap.Histograms[`gplusapi_request_seconds{endpoint="circle"}`].Count == 0 {
+	if snap.Histograms[`gplusapi_request_seconds{endpoint="circles"}`].Count == 0 {
 		t.Error("client latency histogram missing from shared registry")
 	}
 }

@@ -113,9 +113,9 @@ func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 		ch:            make(chan journalMsg, 4096), // workers block only when the writer falls this far behind
 		done:          make(chan struct{}),
 		flushInterval: opts.FlushInterval,
-		recProfiles:   reg.Counter(`crawler_journal_records_total{kind="profile"}`),
-		recEdges:      reg.Counter(`crawler_journal_records_total{kind="edge"}`),
-		recDiscovered: reg.Counter(`crawler_journal_records_total{kind="discovered"}`),
+		recProfiles:   reg.Counter("crawler_journal_records_total", obs.Label{Key: obs.KeyKind, Value: "profile"}),
+		recEdges:      reg.Counter("crawler_journal_records_total", obs.Label{Key: obs.KeyKind, Value: "edge"}),
+		recDiscovered: reg.Counter("crawler_journal_records_total", obs.Label{Key: obs.KeyKind, Value: "discovered"}),
 		flushes:       reg.Counter("crawler_journal_flushes_total"),
 		fsyncSeconds:  reg.Histogram("crawler_journal_fsync_seconds", nil),
 		failed:        reg.Gauge("crawler_journal_failed"),
@@ -223,7 +223,7 @@ func (j *Journal) writeLoop() {
 	defer close(j.done)
 	// Rendering and fsync cost lands on this goroutine, not the workers
 	// that sent the records; label it so CPU profiles attribute it.
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("phase", "journal")))
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels(obs.KeyPhase, obs.PhaseJournal)))
 	flush := func() {
 		if j.dirtySince.Load() == 0 {
 			return

@@ -4,9 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"net/http/httptest"
 	"net/url"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -33,7 +37,9 @@ var promFamilyRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 // continuous profiler) — then parses the Prometheus
 // exposition of each and asserts every family matches the naming
 // grammar, carries a HELP line, and every sample belongs to a declared
-// TYPE. This is the `make check` gate against unparseable or
+// TYPE, and that every sample name parses as a series whose label keys
+// all come from the vocabulary of internal/obs/labels.go. This is the
+// `make check` gate against unparseable or
 // undocumented metrics sneaking in. It also resolves every selector the
 // health reports read — both Signals values and their default
 // objectives — against the series those two runs recorded, so a renamed
@@ -148,8 +154,31 @@ func checkSelectors(t *testing.T, side string, c *series.Collector, sig series.S
 	}
 }
 
+// labelVocabulary reads the Key* constants of internal/obs/labels.go —
+// the one file that spells label keys.
+func labelVocabulary(t *testing.T) map[string]bool {
+	t.Helper()
+	file, err := parser.ParseFile(token.NewFileSet(), "../obs/labels.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]bool{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		if spec, ok := n.(*ast.ValueSpec); ok && strings.HasPrefix(spec.Names[0].Name, "Key") {
+			key, _ := strconv.Unquote(spec.Values[0].(*ast.BasicLit).Value)
+			keys[key] = true
+		}
+		return true
+	})
+	if len(keys) < 10 {
+		t.Fatalf("read only %d Key* constants from labels.go", len(keys))
+	}
+	return keys
+}
+
 func checkExposition(t *testing.T, side string, reg *obs.Registry) {
 	t.Helper()
+	vocabulary := labelVocabulary(t)
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatalf("%s: WritePrometheus: %v", side, err)
@@ -202,6 +231,16 @@ func checkExposition(t *testing.T, side string, reg *obs.Registry) {
 			}
 			if _, ok := typed[base]; !ok {
 				t.Errorf("%s: sample %q has no TYPE declaration", side, line)
+			}
+			name := line[:strings.LastIndexByte(line, ' ')]
+			id, err := obs.ParseSeries(name)
+			if err != nil {
+				t.Errorf("%s: %v", side, err)
+			}
+			for _, l := range id.Labels {
+				if !vocabulary[l.Key] {
+					t.Errorf("%s: sample %s carries label key %q, which is not a Key* constant of internal/obs/labels.go", side, name, l.Key)
+				}
 			}
 		}
 	}

@@ -193,7 +193,28 @@ func TestContinuousProfilingE2E(t *testing.T) {
 	if labeled == 0 {
 		t.Fatal("no CPU samples carry a phase label; pprof.Do attribution is not reaching the profiler")
 	}
-	if topPhase != "circle.page" && topPhase != "fetch.profile" {
+	if topPhase != obs.PhaseCirclePage && topPhase != obs.PhaseFetchProfile {
 		t.Errorf("dominant labelled phase = %q, want a crawl fetch phase (circle.page or fetch.profile); rows: %+v", topPhase, rows)
+	}
+
+	// (4) One endpoint spelling: the client's attempts and the server's
+	// handlers both run in this process, so the captures are the merged
+	// profile of the two sides, and `-by label -label endpoint` must
+	// split it into the vocabulary's values only — a request is
+	// "circles" on both sides of the wire, never "circle" on one.
+	byEndpoint := map[string]int64{}
+	for _, r := range prof.ByLabel(cpuProfiles, obs.KeyEndpoint) {
+		byEndpoint[r.Value] = r.Cost
+	}
+	delete(byEndpoint, prof.Unlabeled)
+	if len(byEndpoint) == 0 {
+		t.Error("no CPU sample carries an endpoint label")
+	}
+	for v := range byEndpoint {
+		switch v {
+		case obs.EndpointProfile, obs.EndpointCircles, obs.EndpointStats, obs.EndpointSeed:
+		default:
+			t.Errorf("endpoint label value %q is not in the vocabulary; rows: %v", v, byEndpoint)
+		}
 	}
 }

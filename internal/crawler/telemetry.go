@@ -51,7 +51,12 @@ func newTelemetry(reg *obs.Registry, nWorkers int) *telemetry {
 	reg.Help("crawler_discovered_users", "All user ids ever seen, crawled or not.")
 	reg.Help("crawler_worker_profiles_total", "Profiles fetched per crawl machine.")
 	for i := range t.workers {
-		t.workers[i] = reg.Counter(fmt.Sprintf(`crawler_worker_profiles_total{worker="machine-%02d"}`, i))
+		t.workers[i] = reg.Counter("crawler_worker_profiles_total", obs.Label{Key: obs.KeyWorker, Value: workerName(i)})
 	}
 	return t
 }
+
+// workerName is worker i's identity everywhere it shows: the KeyWorker
+// value of its series, pprof samples and trace roots, and the
+// X-Crawler-Id gplusd rate-limits it under.
+func workerName(i int) string { return fmt.Sprintf("machine-%02d", i) }

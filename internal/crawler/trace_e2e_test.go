@@ -5,11 +5,13 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"gplus/internal/gplusd"
+	"gplus/internal/obs"
 	"gplus/internal/obs/rundir"
 	"gplus/internal/obs/trace"
 )
@@ -65,6 +67,8 @@ func TestTraceSpanPropagationUnderChaos(t *testing.T) {
 	clientIDs := map[string]bool{}
 	attemptSpans := map[string]bool{}
 	sawAttempt := false
+	// Both sides name a request's span after one endpoint vocabulary.
+	apiEndpoints, serverEndpoints := map[string]bool{}, map[string]bool{}
 	for _, tr := range clientTraces {
 		clientIDs[tr.TraceID] = true
 		if root := tr.Root(); root == nil || root.Name != "crawl.profile" {
@@ -74,6 +78,9 @@ func TestTraceSpanPropagationUnderChaos(t *testing.T) {
 			if sp.Name == "attempt" {
 				attemptSpans[sp.SpanID] = true
 				sawAttempt = true
+			}
+			if ep, ok := strings.CutPrefix(sp.Name, "api."); ok {
+				apiEndpoints[ep] = true
 			}
 		}
 	}
@@ -99,9 +106,14 @@ func TestTraceSpanPropagationUnderChaos(t *testing.T) {
 		if !attemptSpans[root.Parent] {
 			t.Fatalf("server root parent %s is not a client attempt span", root.Parent)
 		}
-		if !strings.HasPrefix(root.Name, "server.") {
+		ep, ok := strings.CutPrefix(root.Name, "server.")
+		if !ok {
 			t.Fatalf("server root named %q", root.Name)
 		}
+		serverEndpoints[ep] = true
+	}
+	if want := map[string]bool{obs.EndpointProfile: true, obs.EndpointCircles: true}; !reflect.DeepEqual(apiEndpoints, want) || !reflect.DeepEqual(serverEndpoints, want) {
+		t.Errorf("span endpoints: client api.%v, server server.%v; both want %v", apiEndpoints, serverEndpoints, want)
 	}
 
 	// Merging both dumps must nest the server spans into the client trees.

@@ -82,8 +82,10 @@ type Client struct {
 	helpOnce sync.Once // registers the HELP lines of the client families
 }
 
-// Instrumentation series names; the endpoint label is one of "profile",
-// "circle", or "seed".
+// Instrumentation series; op is one of the obs.Endpoint* values — the
+// same spelling gplusd labels its side of the request with.
+func endpoint(op string) obs.Label { return obs.Label{Key: obs.KeyEndpoint, Value: op} }
+
 func (c *Client) latencyHist(op string) *obs.Histogram {
 	c.helpOnce.Do(func() {
 		c.Metrics.Help("gplusapi_request_seconds", "End-to-end API request latency, by endpoint.")
@@ -91,11 +93,11 @@ func (c *Client) latencyHist(op string) *obs.Histogram {
 		c.Metrics.Help("gplusapi_retries_total", "Request retries burned, by endpoint.")
 		c.Metrics.Help("gplusapi_transport_errors_total", "Requests failing below HTTP (resets, timeouts, torn bodies), by endpoint.")
 	})
-	return c.Metrics.Histogram(`gplusapi_request_seconds{endpoint="`+op+`"}`, nil)
+	return c.Metrics.Histogram("gplusapi_request_seconds", nil, endpoint(op))
 }
 
 func (c *Client) statusCounter(op string, code int) *obs.Counter {
-	return c.Metrics.Counter(`gplusapi_responses_total{endpoint="` + op + `",code="` + strconv.Itoa(code) + `"}`)
+	return c.Metrics.Counter("gplusapi_responses_total", endpoint(op), obs.Label{Key: obs.KeyCode, Value: strconv.Itoa(code)})
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -168,7 +170,7 @@ func (c *Client) backoffDelay(attempt int, lastErr error) time.Duration {
 func (c *Client) FetchProfile(ctx context.Context, id string) (*ProfileDoc, error) {
 	var doc ProfileDoc
 	path := "/people/" + url.PathEscape(id)
-	if err := c.getJSON(ctx, "profile", path, &doc); err != nil {
+	if err := c.getJSON(ctx, obs.EndpointProfile, path, &doc); err != nil {
 		return nil, err
 	}
 	return &doc, nil
@@ -189,7 +191,7 @@ func (c *Client) FetchCircle(ctx context.Context, id string, dir CircleDir, page
 		path += "?" + q.Encode()
 	}
 	var page CirclePage
-	if err := c.getJSON(ctx, "circle", path, &page); err != nil {
+	if err := c.getJSON(ctx, obs.EndpointCircles, path, &page); err != nil {
 		return nil, err
 	}
 	return &page, nil
@@ -199,7 +201,7 @@ func (c *Client) FetchCircle(ctx context.Context, id string, dir CircleDir, page
 // crawl from.
 func (c *Client) FetchSeed(ctx context.Context) (string, error) {
 	var doc SeedDoc
-	if err := c.getJSON(ctx, "seed", "/seed", &doc); err != nil {
+	if err := c.getJSON(ctx, obs.EndpointSeed, "/seed", &doc); err != nil {
 		return "", err
 	}
 	return doc.ID, nil
@@ -244,7 +246,7 @@ func (c *Client) withRetries(ctx context.Context, op string, fn func(context.Con
 			if !c.RetryBudget.TrySpend() {
 				return finish(fmt.Errorf("gplusapi: %w (last error: %w)", resilience.ErrRetryBudgetExhausted, lastErr))
 			}
-			c.Metrics.Counter(`gplusapi_retries_total{endpoint="` + op + `"}`).Inc()
+			c.Metrics.Counter("gplusapi_retries_total", endpoint(op)).Inc()
 			delay = c.backoffDelay(attempt, lastErr)
 			select {
 			case <-ctx.Done():
@@ -285,7 +287,7 @@ func (c *Client) withRetries(ctx context.Context, op string, fn func(context.Con
 		// JSON decoding per endpoint (nesting under any crawl-phase
 		// labels already on the context).
 		var err error
-		pprof.Do(actx, pprof.Labels("endpoint", op), func(actx context.Context) {
+		pprof.Do(actx, pprof.Labels(obs.KeyEndpoint, op), func(actx context.Context) {
 			err = fn(actx)
 		})
 		cancel()
@@ -404,13 +406,13 @@ func (c *Client) doGet(ctx context.Context, op, path string, out any) error {
 	if c.Metrics != nil {
 		c.latencyHist(op).Observe(time.Since(start).Seconds())
 		if err != nil {
-			c.Metrics.Counter(`gplusapi_transport_errors_total{endpoint="` + op + `"}`).Inc()
+			c.Metrics.Counter("gplusapi_transport_errors_total", endpoint(op)).Inc()
 		} else {
 			c.statusCounter(op, resp.StatusCode).Inc()
 		}
 	}
 	if sp != nil && err == nil {
-		sp.Annotate("status", strconv.Itoa(resp.StatusCode))
+		sp.Annotate(obs.KeyCode, strconv.Itoa(resp.StatusCode))
 	}
 	if err != nil {
 		if parentErr(ctx) != nil {

@@ -218,7 +218,7 @@ func TestClientBreakerFailsFastAfterTrip(t *testing.T) {
 	if _, err := c.FetchSeed(context.Background()); err == nil {
 		t.Fatal("want failure")
 	}
-	if got := resilience.BreakerState(reg.Gauge(`t_breaker_state{name="seed"}`).Value()); got != resilience.BreakerOpen {
+	if got := resilience.BreakerState(reg.Gauge("t_breaker_state", obs.Label{Key: obs.KeyBreaker, Value: obs.EndpointSeed}).Value()); got != resilience.BreakerOpen {
 		t.Fatalf("breaker state = %v, want open after 2 consecutive failures", got)
 	}
 	if got := calls.Load(); got != 2 {
@@ -276,7 +276,7 @@ func TestClientBreakerRecoversThroughProbe(t *testing.T) {
 	if _, err := c.FetchSeed(context.Background()); err != nil {
 		t.Fatalf("probe should succeed and close the breaker: %v", err)
 	}
-	if got := resilience.BreakerState(reg.Gauge(`t_breaker_state{name="seed"}`).Value()); got != resilience.BreakerClosed {
+	if got := resilience.BreakerState(reg.Gauge("t_breaker_state", obs.Label{Key: obs.KeyBreaker, Value: obs.EndpointSeed}).Value()); got != resilience.BreakerClosed {
 		t.Fatalf("breaker state = %v, want closed after good probe", got)
 	}
 }

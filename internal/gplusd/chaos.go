@@ -212,7 +212,7 @@ func newChaos(spec *FaultSpec, reg *obs.Registry) *chaos {
 	for i, r := range spec.Rules {
 		cr := chaosRule{
 			FaultRule: r,
-			hits:      reg.Counter(`gplusd_chaos_faults_total{kind="` + string(r.Kind) + `"}`),
+			hits:      reg.Counter("gplusd_chaos_faults_total", obs.Label{Key: obs.KeyChaos, Value: string(r.Kind)}),
 		}
 		if r.Kind != FaultOutage {
 			// Distinct derived seed per rule keeps the rules' streams
@@ -282,20 +282,20 @@ func (c *chaos) admissionScale() float64 {
 // steady-state windows. Nil-safe.
 func (c *chaos) stateLabel() string {
 	if c == nil {
-		return "none"
+		return obs.ChaosNone
 	}
 	since := time.Since(c.start)
-	label := "none"
+	label := obs.ChaosNone
 	for i := range c.rules {
 		rule := &c.rules[i]
 		switch rule.Kind {
 		case FaultOutage:
 			if _, down := rule.outageRemaining(since); down {
-				return "outage" // a hard outage trumps any squeeze
+				return string(FaultOutage) // a hard outage trumps any squeeze
 			}
 		case FaultBrownout:
 			if rule.brownoutSeverity(since) > 0 {
-				label = "brownout"
+				label = string(FaultBrownout)
 			}
 		}
 	}
@@ -320,13 +320,13 @@ func (c *chaos) hasBrownout() bool {
 func endpointOf(path string) string {
 	switch {
 	case strings.HasPrefix(path, "/people/") && strings.Contains(path, "/circles/"):
-		return "circles"
+		return obs.EndpointCircles
 	case strings.HasPrefix(path, "/people/"):
-		return "profile"
+		return obs.EndpointProfile
 	case path == "/stats":
-		return "stats"
+		return obs.EndpointStats
 	case path == "/seed":
-		return "seed"
+		return obs.EndpointSeed
 	}
 	return path
 }
@@ -409,7 +409,7 @@ func (s *Server) serveChaos(w http.ResponseWriter, r *http.Request) {
 		case FaultReset:
 			if rule.src.hit() {
 				rule.hits.Inc()
-				trace.SpanFromContext(r.Context()).Annotate("chaos.reset", "true")
+				trace.SpanFromContext(r.Context()).Annotate(obs.KeyChaos, string(FaultReset))
 				out = &cutoffWriter{ResponseWriter: out, remaining: 1 + int(rule.src.draw()*31)}
 			}
 		}

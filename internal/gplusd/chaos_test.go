@@ -78,7 +78,7 @@ func TestChaosUnavailableScopedToEndpoint(t *testing.T) {
 		t.Fatalf("circle fetch faulted outside its endpoint scope: %v", err)
 	}
 	snap := srv.metrics.Snapshot()
-	if snap.Counters[`gplusd_chaos_faults_total{kind="unavailable"}`] == 0 {
+	if snap.Counters[`gplusd_chaos_faults_total{chaos="unavailable"}`] == 0 {
 		t.Error("chaos injection counter not incremented")
 	}
 }

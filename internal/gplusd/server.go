@@ -154,10 +154,13 @@ func NewContent(c Content, opts Options) *Server {
 	reg.Help("gplusd_rate_limiter_evictions_total", "Idle token buckets evicted by shard sweeps.")
 	reg.Help("gplusd_in_flight_requests", "Requests currently being served.")
 	reg.Help("gplusd_request_seconds", "End-to-end request latency.")
-	s.mProfile = reg.Counter(`gplusd_requests_total{endpoint="profile"}`)
-	s.mCircle = reg.Counter(`gplusd_requests_total{endpoint="circles"}`)
-	s.mStats = reg.Counter(`gplusd_requests_total{endpoint="stats"}`)
-	s.mSeed = reg.Counter(`gplusd_requests_total{endpoint="seed"}`)
+	served := func(endpoint string) *obs.Counter {
+		return reg.Counter("gplusd_requests_total", obs.Label{Key: obs.KeyEndpoint, Value: endpoint})
+	}
+	s.mProfile = served(obs.EndpointProfile)
+	s.mCircle = served(obs.EndpointCircles)
+	s.mStats = served(obs.EndpointStats)
+	s.mSeed = served(obs.EndpointSeed)
 	s.mRateLimit = reg.Counter("gplusd_rate_limited_total")
 	s.gInFlight = reg.Gauge("gplusd_in_flight_requests")
 	s.hLatency = reg.Histogram("gplusd_request_seconds", nil)
@@ -207,8 +210,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// server CPU captures split by endpoint and by whether the chaos
 	// clock had the service degraded when the sample landed.
 	pprof.Do(r.Context(), pprof.Labels(
-		"endpoint", endpointOf(r.URL.Path),
-		"chaos", s.chaos.stateLabel(),
+		obs.KeyEndpoint, endpointOf(r.URL.Path),
+		obs.KeyChaos, s.chaos.stateLabel(),
 	), func(ctx context.Context) {
 		s.serve(w, r.WithContext(ctx))
 	})
@@ -222,7 +225,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 	// rendering — lands under the same trace id the client recorded.
 	ctx, sp := s.tracer.Join(r.Context(), r.Header, "server."+endpointOf(r.URL.Path))
 	if sp != nil {
-		sp.Annotate("client", clientKey(r))
+		sp.Annotate(obs.KeyWorker, clientKey(r))
 		r = r.WithContext(ctx)
 		defer sp.Finish()
 	}
@@ -258,7 +261,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 // bodies) and shed first; profile fetches and the tiny operational
 // endpoints survive longer.
 func admissionPriority(path string) resilience.Priority {
-	if endpointOf(path) == "circles" {
+	if endpointOf(path) == obs.EndpointCircles {
 		return resilience.PriorityLow
 	}
 	return resilience.PriorityHigh

@@ -259,7 +259,7 @@ func TestFaultInjectionAndRecovery(t *testing.T) {
 			t.Fatalf("fetch %d failed despite retries: %v", i, err)
 		}
 	}
-	if srv.metrics.Counter(`gplusd_chaos_faults_total{kind="unavailable"}`).Value() == 0 {
+	if srv.metrics.Counter("gplusd_chaos_faults_total", obs.Label{Key: obs.KeyChaos, Value: string(FaultUnavailable)}).Value() == 0 {
 		t.Error("no faults were injected at rate 0.3")
 	}
 }

@@ -25,59 +25,54 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	r.mu.RUnlock()
 
-	type series struct {
+	// Registered names are canonical: they parse, and are written back
+	// verbatim; only a histogram's expansion builds new names.
+	type row struct {
+		id   Series
 		name string
-		emit func(io.Writer) error
+		typ  string
+		v    int64
+		hs   HistogramSnapshot
 	}
-	families := make(map[string]string) // family -> TYPE
-	byFamily := make(map[string][]series)
-
-	add := func(name, typ string, emit func(io.Writer) error) {
-		fam := familyOf(name)
-		families[fam] = typ
-		byFamily[fam] = append(byFamily[fam], series{name: name, emit: emit})
+	var rows []row
+	add := func(name, typ string, v int64, hs HistogramSnapshot) {
+		id, _ := ParseSeries(name)
+		rows = append(rows, row{id, name, typ, v, hs})
 	}
 	for name, v := range snap.Counters {
-		name, v := name, v
-		add(name, "counter", func(w io.Writer) error {
-			_, err := fmt.Fprintf(w, "%s %d\n", sanitizeSeries(name), v)
-			return err
-		})
+		add(name, "counter", v, HistogramSnapshot{})
 	}
 	for name, v := range snap.Gauges {
-		name, v := name, v
-		add(name, "gauge", func(w io.Writer) error {
-			_, err := fmt.Fprintf(w, "%s %d\n", sanitizeSeries(name), v)
-			return err
-		})
+		add(name, "gauge", v, HistogramSnapshot{})
 	}
 	for name, hs := range snap.Histograms {
-		name, hs := name, hs
-		add(name, "histogram", func(w io.Writer) error {
-			return writeHistogram(w, name, hs)
-		})
+		add(name, "histogram", 0, hs)
 	}
-
-	names := make([]string, 0, len(families))
-	for fam := range families {
-		names = append(names, fam)
-	}
-	sort.Strings(names)
-	for _, fam := range names {
-		if h := help[fam]; h != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", fam, escapeHelp(h)); err != nil {
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].id.Family != rows[j].id.Family {
+			return rows[i].id.Family < rows[j].id.Family
+		}
+		return rows[i].name < rows[j].name
+	})
+	for i, r := range rows {
+		if fam := r.id.Family; i == 0 || rows[i-1].id.Family != fam {
+			if h := help[fam]; h != "" {
+				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", fam, escapeHelp(h)); err != nil {
+					return err
+				}
+			}
+			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", fam, r.typ); err != nil {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", fam, families[fam]); err != nil {
+		var err error
+		if r.typ == "histogram" {
+			err = writeHistogram(w, r.id, r.hs)
+		} else {
+			_, err = fmt.Fprintf(w, "%s %d\n", r.name, r.v)
+		}
+		if err != nil {
 			return err
-		}
-		ss := byFamily[fam]
-		sort.Slice(ss, func(i, j int) bool { return ss[i].name < ss[j].name })
-		for _, s := range ss {
-			if err := s.emit(w); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -85,40 +80,27 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 // writeHistogram emits the _bucket (cumulative, with le labels), _sum,
 // and _count series of one histogram.
-func writeHistogram(w io.Writer, name string, hs HistogramSnapshot) error {
-	fam, labels := familyOf(name), sanitizeLabels(labelsOf(name))
+func writeHistogram(w io.Writer, id Series, hs HistogramSnapshot) error {
+	n := len(id.Labels)
+	bucket := func(le string) Series {
+		return Series{id.Family + "_bucket", append(id.Labels[:n:n], Label{KeyLE, le})}
+	}
 	cum := int64(0)
 	for i, bound := range hs.Bounds {
 		cum += hs.Counts[i]
-		le := strconv.FormatFloat(bound, 'g', -1, 64)
-		if _, err := fmt.Fprintf(w, "%s %d\n", seriesName(fam+"_bucket", labels, `le="`+le+`"`), cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s %d\n", bucket(strconv.FormatFloat(bound, 'g', -1, 64)), cum); err != nil {
 			return err
 		}
 	}
 	cum += hs.Counts[len(hs.Counts)-1]
-	if _, err := fmt.Fprintf(w, "%s %d\n", seriesName(fam+"_bucket", labels, `le="+Inf"`), cum); err != nil {
+	if _, err := fmt.Fprintf(w, "%s %d\n", bucket("+Inf"), cum); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s %s\n", seriesName(fam+"_sum", labels, ""), strconv.FormatFloat(hs.Sum, 'g', -1, 64)); err != nil {
+	if _, err := fmt.Fprintf(w, "%s %s\n", Series{id.Family + "_sum", id.Labels}, strconv.FormatFloat(hs.Sum, 'g', -1, 64)); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s %d\n", seriesName(fam+"_count", labels, ""), hs.Count)
+	_, err := fmt.Fprintf(w, "%s %d\n", Series{id.Family + "_count", id.Labels}, hs.Count)
 	return err
-}
-
-// seriesName joins a family name with existing labels and an optional
-// extra label into one series name.
-func seriesName(fam, labels, extra string) string {
-	switch {
-	case labels == "" && extra == "":
-		return fam
-	case labels == "":
-		return fam + "{" + extra + "}"
-	case extra == "":
-		return fam + "{" + labels + "}"
-	default:
-		return fam + "{" + labels + "," + extra + "}"
-	}
 }
 
 // escapeHelp escapes HELP text per the exposition format: backslash and
@@ -139,140 +121,6 @@ func escapeHelp(s string) string {
 		}
 	}
 	return b.String()
-}
-
-// escapeLabelValue escapes a (decoded) label value per the exposition
-// format: backslash, double-quote, and newline.
-func escapeLabelValue(s string) string {
-	if !strings.ContainsAny(s, "\\\"\n") {
-		return s
-	}
-	var b strings.Builder
-	for _, r := range s {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}
-
-// sanitizeSeries re-emits a registered series name with its label values
-// escaped per the exposition format. Series are registered as literal
-// `family{k="v",...}` strings, so adversarial values (quotes, newlines,
-// backslashes interpolated into the name) would otherwise be emitted raw
-// and produce unparseable exposition output.
-func sanitizeSeries(name string) string {
-	labels := labelsOf(name)
-	if labels == "" {
-		return name
-	}
-	return familyOf(name) + "{" + sanitizeLabels(labels) + "}"
-}
-
-// sanitizeLabels parses a label body (the text between the braces) and
-// re-emits it with every value escaped. The scanner decodes the valid
-// escapes (\\, \", \n) and treats everything else — including raw
-// newlines and interior quotes not followed by ',' or end-of-body — as
-// literal value content. A body that does not parse as k="v" pairs at
-// all is returned unchanged (never making output worse than the input).
-func sanitizeLabels(body string) string {
-	pairs, ok := parseLabelPairs(body)
-	if !ok {
-		return body
-	}
-	var b strings.Builder
-	for i, p := range pairs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(p.key)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(p.val))
-		b.WriteByte('"')
-	}
-	return b.String()
-}
-
-type labelPair struct{ key, val string }
-
-// parseLabelPairs tolerantly scans `k="v",k2="v2"` with escape handling;
-// val is the decoded value. ok is false when the body's structure is not
-// key="value" pairs.
-func parseLabelPairs(body string) ([]labelPair, bool) {
-	var pairs []labelPair
-	i := 0
-	for i < len(body) {
-		eq := strings.IndexByte(body[i:], '=')
-		if eq < 0 || eq+i+1 >= len(body) || body[i+eq+1] != '"' {
-			return nil, false
-		}
-		key := strings.TrimSpace(body[i : i+eq])
-		if key == "" {
-			return nil, false
-		}
-		j := i + eq + 2 // first value byte
-		var val strings.Builder
-		closed := false
-		for j < len(body) {
-			switch c := body[j]; c {
-			case '\\':
-				if j+1 < len(body) {
-					switch body[j+1] {
-					case '\\':
-						val.WriteByte('\\')
-					case '"':
-						val.WriteByte('"')
-					case 'n':
-						val.WriteByte('\n')
-					default:
-						// Unknown escape: keep the backslash literal; the
-						// re-escape doubles it.
-						val.WriteByte('\\')
-						val.WriteByte(body[j+1])
-					}
-					j += 2
-					continue
-				}
-				val.WriteByte('\\')
-				j++
-			case '"':
-				// Closing quote only at end-of-body or before ','; an
-				// interior raw quote is value content.
-				if j+1 == len(body) || body[j+1] == ',' {
-					closed = true
-					j++
-				} else {
-					val.WriteByte('"')
-					j++
-				}
-			default:
-				val.WriteByte(c)
-				j++
-			}
-			if closed {
-				break
-			}
-		}
-		if !closed {
-			return nil, false
-		}
-		pairs = append(pairs, labelPair{key: key, val: val.String()})
-		i = j
-		if i < len(body) {
-			if body[i] != ',' {
-				return nil, false
-			}
-			i++
-		}
-	}
-	return pairs, len(pairs) > 0
 }
 
 // ServeHTTP serves the registry: Prometheus text by default, the JSON

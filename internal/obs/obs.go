@@ -11,18 +11,21 @@
 // instrument unconditionally and callers that do not pass a registry pay
 // only a nil check.
 //
-// Series names may carry Prometheus-style labels inline, e.g.
+// A series is a metric family plus typed labels,
 //
-//	reg.Counter(`gplusd_requests_total{endpoint="profile"}`)
+//	reg.Counter("gplusd_requests_total", obs.Label{obs.KeyEndpoint, obs.EndpointProfile})
 //
-// The text before '{' is the metric family; exposition groups series by
-// family and emits one TYPE (and optional HELP) line per family.
+// whose keys are the constants of labels.go — the one vocabulary that
+// pprof labels and span attributes are built from too. The registry
+// renders the canonical name family{k="v",…} once, at registration;
+// exposition groups series by family and emits one TYPE (and optional
+// HELP) line per family.
 package obs
 
 import (
+	"fmt"
 	"math"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -215,85 +218,83 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Counter returns the counter registered under name, creating it on first
-// use. Returns nil (a no-op counter) when r is nil.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
+// lookup returns the metric of m registered under family and labels,
+// creating it with mk on first use. The canonical series name is built
+// here, once, with the label values escaped; a hit allocates nothing.
+// An invalid family or label key — a '{' pasted into the family, say —
+// is a programming error and panics.
+func lookup[M any](r *Registry, m map[string]*M, family string, labels []Label, mk func() *M) *M {
+	if !validName(family, true) {
+		panic(fmt.Sprintf("obs: invalid metric family %q (labels are passed as obs.Label values)", family))
 	}
+	for _, l := range labels {
+		if !validName(l.Key, false) {
+			panic(fmt.Sprintf("obs: invalid label key %q on %s", l.Key, family))
+		}
+	}
+	var buf [128]byte
+	name := appendSeries(buf[:0], family, labels)
 	r.mu.RLock()
-	c := r.counters[name]
+	v := m[string(name)]
 	r.mu.RUnlock()
-	if c != nil {
-		return c
+	if v != nil {
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
+	if v = m[string(name)]; v == nil {
+		v = mk()
+		m[string(name)] = v
 	}
-	return c
+	return v
 }
 
-// Gauge returns the gauge registered under name, creating it on first
-// use. Returns nil (a no-op gauge) when r is nil.
-func (r *Registry) Gauge(name string) *Gauge {
+// Counter returns the counter of the series family{labels…}, creating
+// it on first use. Returns nil (a no-op counter) when r is nil.
+func (r *Registry) Counter(family string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return lookup(r, r.counters, family, labels, func() *Counter { return new(Counter) })
 }
 
-// Histogram returns the histogram registered under name, creating it with
-// the given bucket upper bounds on first use (nil bounds means
-// DefBuckets; bounds must be sorted ascending). Later calls return the
-// existing histogram regardless of bounds. Returns nil when r is nil.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+// Gauge returns the gauge of the series family{labels…}, creating it on
+// first use. Returns nil (a no-op gauge) when r is nil.
+func (r *Registry) Gauge(family string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
+	return lookup(r, r.gauges, family, labels, func() *Gauge { return new(Gauge) })
+}
+
+// Histogram returns the histogram of the series family{labels…},
+// creating it with the given bucket upper bounds on first use (nil
+// bounds means DefBuckets; bounds must be sorted ascending). Later calls
+// return the existing histogram regardless of bounds. Returns nil when r
+// is nil.
+func (r *Registry) Histogram(family string, bounds []float64, labels ...Label) *Histogram {
+	if r == nil {
+		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
+	return lookup(r, r.hists, family, labels, func() *Histogram {
 		if bounds == nil {
 			bounds = DefBuckets
 		}
-		h = &Histogram{bounds: append([]float64(nil), bounds...)}
+		h := &Histogram{bounds: append([]float64(nil), bounds...)}
 		for i := range h.halves {
 			h.halves[i].counts = make([]atomic.Int64, len(bounds)+1)
 		}
-		r.hists[name] = h
-	}
-	return h
+		return h
+	})
 }
 
-// Help attaches a HELP line to a metric family (name may be a full series
-// name; only the part before '{' is used).
-func (r *Registry) Help(name, text string) {
+// Help attaches a HELP line to a metric family.
+func (r *Registry) Help(family, text string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.help[familyOf(name)] = text
+	r.help[family] = text
 	r.mu.Unlock()
 }
 
@@ -364,22 +365,4 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Histograms[name] = h.Snapshot()
 	}
 	return snap
-}
-
-// familyOf returns the metric family: the series name up to any '{'.
-func familyOf(name string) string {
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		return name[:i]
-	}
-	return name
-}
-
-// labelsOf returns the label body of a series name, without braces
-// ("" when unlabeled).
-func labelsOf(name string) string {
-	i := strings.IndexByte(name, '{')
-	if i < 0 {
-		return ""
-	}
-	return strings.TrimSuffix(name[i+1:], "}")
 }

@@ -131,11 +131,11 @@ func TestSnapshotConsistency(t *testing.T) {
 
 func TestPrometheusTextGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(`requests_total{endpoint="profile"}`).Add(7)
-	r.Counter(`requests_total{endpoint="circle"}`).Add(3)
+	r.Counter("requests_total", Label{KeyEndpoint, EndpointProfile}).Add(7)
+	r.Counter("requests_total", Label{KeyEndpoint, EndpointCircles}).Add(3)
 	r.Help("requests_total", "Requests served by endpoint.")
 	r.Gauge("in_flight").Set(2)
-	h := r.Histogram(`latency_seconds{endpoint="profile"}`, []float64{0.01, 0.1})
+	h := r.Histogram("latency_seconds", []float64{0.01, 0.1}, Label{KeyEndpoint, EndpointProfile})
 	h.Observe(0.005)
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -154,7 +154,7 @@ latency_seconds_sum{endpoint="profile"} 0.555
 latency_seconds_count{endpoint="profile"} 3
 # HELP requests_total Requests served by endpoint.
 # TYPE requests_total counter
-requests_total{endpoint="circle"} 3
+requests_total{endpoint="circles"} 3
 requests_total{endpoint="profile"} 7
 `
 	if got := buf.String(); got != want {

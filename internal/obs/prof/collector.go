@@ -134,7 +134,7 @@ func (c *Collector) run() {
 	defer c.snapshots("final")
 	// Label our own goroutine so collector overhead is attributable in
 	// the very profiles it captures.
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("phase", "obsprof")))
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels(obs.KeyPhase, obs.PhaseObsprof)))
 	for {
 		cycleStart := time.Now()
 		data, dur, reason, stopped := c.cpuWindow(c.opts.CPUDuration, true)

@@ -64,7 +64,7 @@ func TestStoreRetentionEvictsOldestFirst(t *testing.T) {
 	if got := reg.Counter("obsprof_evictions_total").Value(); got != 3 {
 		t.Errorf("obsprof_evictions_total = %d, want 3", got)
 	}
-	if got := reg.Counter(`obsprof_captures_total{kind="cpu",trigger="interval"}`).Value(); got != 6 {
+	if got := reg.Counter("obsprof_captures_total", obs.Label{Key: obs.KeyKind, Value: "cpu"}, obs.Label{Key: obs.KeyTrigger, Value: "interval"}).Value(); got != 6 {
 		t.Errorf("obsprof_captures_total = %d, want 6", got)
 	}
 }

@@ -98,7 +98,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 		reg.Help("obsprof_evictions_total", "Captures evicted from the ring by retention limits.")
 		reg.Help("obsprof_store_bytes", "Compressed profile bytes currently retained in the ring.")
 		s.captures = func(kind, trigger string) *obs.Counter {
-			return reg.Counter(fmt.Sprintf(`obsprof_captures_total{kind=%q,trigger=%q}`, kind, trigger))
+			return reg.Counter("obsprof_captures_total", obs.Label{Key: obs.KeyKind, Value: kind}, obs.Label{Key: obs.KeyTrigger, Value: trigger})
 		}
 		s.capBytes = reg.Counter("obsprof_capture_bytes_total")
 		s.evictions = reg.Counter("obsprof_evictions_total")

@@ -87,9 +87,9 @@ func TestCountBelow(t *testing.T) {
 	}{
 		{0, 0},
 		{1, 2},
-		{1.5, 4},  // 2 + half of the (1,2] bucket
-		{2, 6},    // everything finite
-		{100, 6},  // finite past the last bound: +Inf bucket excluded
+		{1.5, 4}, // 2 + half of the (1,2] bucket
+		{2, 6},   // everything finite
+		{100, 6}, // finite past the last bound: +Inf bucket excluded
 		{math.Inf(1), 7},
 	}
 	for _, c := range cases {
@@ -126,7 +126,7 @@ func TestSnapshotSub(t *testing.T) {
 func TestExpositionEscaping(t *testing.T) {
 	reg := NewRegistry()
 	reg.Help("esc_total", "line one\nline two with \\ backslash")
-	reg.Counter("esc_total{path=\"/a\\\"b\",q=\"x\ny\"}").Add(3)
+	reg.Counter("esc_total", Label{"path", `/a"b`}, Label{"q", "x\ny"}).Add(3)
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -138,7 +138,7 @@ func TestExpositionEscaping(t *testing.T) {
 		t.Errorf("HELP not escaped:\n%s", out)
 	}
 	// The raw newline inside the q value must be emitted as \n and the
-	// escaped quote must stay escaped.
+	// raw quote inside the path value as \".
 	if !strings.Contains(out, `esc_total{path="/a\"b",q="x\ny"} 3`) {
 		t.Errorf("label values not escaped:\n%s", out)
 	}
@@ -151,7 +151,7 @@ func TestExpositionEscaping(t *testing.T) {
 
 func TestExpositionEscapingHistogramLabels(t *testing.T) {
 	reg := NewRegistry()
-	reg.Histogram("esc_seconds{op=\"a\nb\"}", []float64{1}).Observe(0.5)
+	reg.Histogram("esc_seconds", []float64{1}, Label{"op", "a\nb"}).Observe(0.5)
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -159,15 +159,6 @@ func TestExpositionEscapingHistogramLabels(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, `esc_seconds_bucket{op="a\nb",le="1"} 1`) {
 		t.Errorf("histogram label not escaped:\n%s", out)
-	}
-}
-
-func TestSanitizeLabelsUnparseable(t *testing.T) {
-	// Not k="v" shaped: returned unchanged rather than mangled.
-	for _, body := range []string{"novalue", `k=unquoted`, `="x"`, `k="unterminated`} {
-		if got := sanitizeLabels(body); got != body {
-			t.Errorf("sanitizeLabels(%q) = %q, want unchanged", body, got)
-		}
 	}
 }
 

@@ -146,10 +146,7 @@ func Times(src Source) []time.Time {
 // is aligned on ticks[1:] for both.
 func perTick(src Source, selectors []string, ticks []time.Time) []Point {
 	byTick := make(map[int64]float64)
-	for _, name := range src.Names() {
-		if !matchesAny(selectors, name) {
-			continue
-		}
+	for _, name := range selectNames(src, selectors...) {
 		pts := src.PointsSince(name, time.Time{})
 		if kind, _ := src.SeriesKind(name); kind != KindGauge {
 			pts = RatePoints(pts)
@@ -171,8 +168,8 @@ func perTick(src Source, selectors []string, ticks []time.Time) []Point {
 // run reports the same total as one that holds all of it.
 func countAtEnd(src Source, selectors []string) float64 {
 	var total float64
-	for _, name := range src.Names() {
-		if kind, _ := src.SeriesKind(name); kind == KindGauge || !matchesAny(selectors, name) {
+	for _, name := range selectNames(src, selectors...) {
+		if kind, _ := src.SeriesKind(name); kind == KindGauge {
 			continue
 		}
 		if pts := src.PointsSince(name, time.Time{}); len(pts) > 0 {

@@ -32,8 +32,8 @@ func recordCrawl(t *testing.T) (*Collector, []*HealthReport) {
 	reg := obs.NewRegistry()
 	profiles := reg.Counter("crawler_profiles_crawled_total")
 	pages := reg.Counter("crawler_pages_fetched_total")
-	errs := reg.Counter(`gplusapi_responses_total{code="503"}`)
-	oks := reg.Counter(`gplusapi_responses_total{code="200"}`)
+	errs := reg.Counter("gplusapi_responses_total", obs.Label{Key: obs.KeyCode, Value: "503"})
+	oks := reg.Counter("gplusapi_responses_total", obs.Label{Key: obs.KeyCode, Value: "200"})
 	frontier := reg.Gauge("crawler_frontier_depth")
 	c := NewCollector(reg, Options{Capacity: 256})
 	var live []*HealthReport

@@ -14,7 +14,7 @@ import (
 func loadedRegistry() *obs.Registry {
 	reg := obs.NewRegistry()
 	for i := 0; i < 30; i++ {
-		reg.Counter(fmt.Sprintf(`bench_requests_total{endpoint="e%d"}`, i)).Add(int64(i))
+		reg.Counter("bench_requests_total", obs.Label{Key: obs.KeyEndpoint, Value: fmt.Sprint("e", i)}).Add(int64(i))
 	}
 	for i := 0; i < 10; i++ {
 		reg.Gauge(fmt.Sprintf("bench_depth_%d", i)).Set(int64(i))

@@ -10,8 +10,8 @@ import (
 // Handler serves a Collector's rings over HTTP at /debug/timeseries.
 //
 //	GET /debug/timeseries                 — series listing (name, kind, points, span)
-//	GET /debug/timeseries?name=X          — window query: points of X (exact series
-//	                                        name or family/label selector; repeatable)
+//	GET /debug/timeseries?name=X          — window query: points of X (a series name,
+//	                                        or a family with the labels to match; repeatable)
 //	GET /debug/timeseries?name=X&since=30s — only the last 30s (duration) or points
 //	                                        after an RFC3339 timestamp
 //	GET /debug/timeseries?name=X&rate=1   — derive per-interval rates (counters)
@@ -69,12 +69,13 @@ func (h Handler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	if _, err := parseSelectors(selectors); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	rate := q.Get("rate") != "" && q.Get("rate") != "0"
 	var out []seriesWindow
-	for _, name := range c.Names() {
-		if !matchesAny(selectors, name) {
-			continue
-		}
+	for _, name := range selectNames(c, selectors...) {
 		kind, _ := c.SeriesKind(name)
 		pts := c.PointsSince(name, since)
 		if rate && kind != KindGauge {
@@ -86,15 +87,6 @@ func (h Handler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		out = []seriesWindow{}
 	}
 	enc.Encode(out) //nolint:errcheck
-}
-
-func matchesAny(selectors []string, name string) bool {
-	for _, sel := range selectors {
-		if sel == name || matchesSelector(sel, name) {
-			return true
-		}
-	}
-	return false
 }
 
 // parseSince accepts a duration ("30s" — a lookback from now) or an

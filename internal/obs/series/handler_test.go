@@ -13,7 +13,7 @@ import (
 func handlerFixture(t *testing.T) *Collector {
 	t.Helper()
 	reg := obs.NewRegistry()
-	ctr := reg.Counter(`api_total{code="200"}`)
+	ctr := reg.Counter("api_total", obs.Label{Key: obs.KeyCode, Value: "200"})
 	reg.Gauge("depth")
 	c := NewCollector(reg, Options{Capacity: 32})
 	for i := 0; i < 5; i++ {
@@ -74,10 +74,11 @@ func TestHandlerWindowQuery(t *testing.T) {
 	if strings.TrimSpace(rr.Body.String()) != "[]" {
 		t.Errorf("unknown name: %q", rr.Body.String())
 	}
-	// A malformed since is a 400.
-	rr = get(t, h, "/debug/timeseries?name=api_total&since=wat")
-	if rr.Code != http.StatusBadRequest {
-		t.Errorf("bad since: code %d", rr.Code)
+	// A malformed since, or a selector that is not a series name, is a 400.
+	for _, q := range []string{"name=api_total&since=wat", "name=api_total%7Bcode%3D200%7D"} {
+		if rr = get(t, h, "/debug/timeseries?"+q); rr.Code != http.StatusBadRequest {
+			t.Errorf("%s: code %d", q, rr.Code)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ package series
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -176,51 +177,57 @@ func addHist(acc *obs.HistogramSnapshot, b obs.HistogramSnapshot) bool {
 	return true
 }
 
-// familyOf returns the metric family of a series name: the text before
-// any '{'.
-func familyOf(name string) string {
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		return name[:i]
-	}
-	return name
-}
-
-// matchesSelector reports whether a series name matches a selector: the
-// families must be equal and every label pair spelled in the selector
-// must appear verbatim in the series name. A bare family selects every
-// series of that family.
-func matchesSelector(selector, name string) bool {
-	if familyOf(selector) != familyOf(name) {
-		return false
-	}
-	i := strings.IndexByte(selector, '{')
-	if i < 0 {
-		return true
-	}
-	body := strings.TrimSuffix(selector[i+1:], "}")
-	nameBody := ""
-	if j := strings.IndexByte(name, '{'); j >= 0 {
-		nameBody = strings.TrimSuffix(name[j+1:], "}")
-	}
-	for _, pair := range strings.Split(body, ",") {
-		if pair = strings.TrimSpace(pair); pair == "" {
+// parseSelectors parses selectors — series names whose labels are the
+// subset a matching series must carry; a bare family selects every
+// series of it. It returns the ones that parse and the first error.
+func parseSelectors(selectors []string) ([]obs.Series, error) {
+	var first error
+	out := make([]obs.Series, 0, len(selectors))
+	for _, sel := range selectors {
+		s, err := obs.ParseSeries(sel)
+		if err != nil {
+			if first == nil {
+				first = err
+			}
 			continue
 		}
-		if !containsPair(nameBody, pair) {
+		out = append(out, s)
+	}
+	return out, first
+}
+
+// matches reports whether series s satisfies selector sel: the same
+// family, and every label of sel on s with the same value — compared as
+// label sets, whatever order or bytes the values hold.
+func matches(sel, s obs.Series) bool {
+	if sel.Family != s.Family {
+		return false
+	}
+	for _, want := range sel.Labels {
+		if !slices.Contains(s.Labels, want) {
 			return false
 		}
 	}
 	return true
 }
 
-// containsPair reports whether one k="v" pair appears in a label body.
-func containsPair(body, pair string) bool {
-	for _, p := range strings.Split(body, ",") {
-		if strings.TrimSpace(p) == pair {
-			return true
+// selectNames returns the series names of src that match any selector,
+// in src.Names order. A selector that does not parse selects nothing.
+func selectNames(src Source, selectors ...string) []string {
+	sels, _ := parseSelectors(selectors)
+	var out []string
+	for _, name := range src.Names() {
+		// Most names belong to none of the selected families; a prefix
+		// test spares them the parse.
+		if !slices.ContainsFunc(sels, func(sel obs.Series) bool { return strings.HasPrefix(name, sel.Family) }) {
+			continue
+		}
+		s, err := obs.ParseSeries(name)
+		if err == nil && slices.ContainsFunc(sels, func(sel obs.Series) bool { return matches(sel, s) }) {
+			out = append(out, name)
 		}
 	}
-	return false
+	return out
 }
 
 // clampUntil drops points after until (zero until keeps everything).
@@ -241,15 +248,9 @@ func clampUntil(pts []Point, until time.Time) []Point {
 // the selectors, over their points in (since, until].
 func sumIncrease(src Source, selectors []string, since, until time.Time) float64 {
 	var total float64
-	for _, name := range src.Names() {
-		if k, ok := src.SeriesKind(name); !ok || k == KindGauge {
-			continue
-		}
-		for _, sel := range selectors {
-			if matchesSelector(sel, name) {
-				total += Increase(clampUntil(src.PointsSince(name, since), until))
-				break
-			}
+	for _, name := range selectNames(src, selectors...) {
+		if k, ok := src.SeriesKind(name); ok && k != KindGauge {
+			total += Increase(clampUntil(src.PointsSince(name, since), until))
 		}
 	}
 	return total
@@ -260,11 +261,8 @@ func sumIncrease(src Source, selectors []string, since, until time.Time) float64
 func sumHistIncrease(src Source, selector string, since, until time.Time) (obs.HistogramSnapshot, bool) {
 	var acc obs.HistogramSnapshot
 	started := false
-	for _, name := range src.Names() {
+	for _, name := range selectNames(src, selector) {
 		if k, ok := src.SeriesKind(name); !ok || k != KindHistogram {
-			continue
-		}
-		if !matchesSelector(selector, name) {
 			continue
 		}
 		d, ok := HistIncrease(clampUntil(src.PointsSince(name, since), until))

@@ -1,6 +1,9 @@
 package series
 
 import (
+	"bytes"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -68,10 +71,20 @@ func TestMatchesSelector(t *testing.T) {
 		{"reqs_total", "other_total", false},
 		{`reqs_total{a="1",b="2"}`, `reqs_total{b="2",a="1"}`, true},
 		{`reqs_total{a="1",b="2"}`, `reqs_total{a="1"}`, false},
+		{`reqs_total{a="1"}`, `reqs_total{b="x,a=\"1\""}`, false},
+		{`reqs_total{b="x,a=\"1\""}`, `reqs_total{a="1",b="x,a=\"1\""}`, true},
 	}
 	for _, c := range cases {
-		if got := matchesSelector(c.sel, c.name); got != c.want {
-			t.Errorf("matchesSelector(%q, %q) = %v, want %v", c.sel, c.name, got, c.want)
+		sel, err := obs.ParseSeries(c.sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name, err := obs.ParseSeries(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := matches(sel, name); got != c.want {
+			t.Errorf("matches(%q, %q) = %v, want %v", c.sel, c.name, got, c.want)
 		}
 	}
 }
@@ -242,5 +255,75 @@ func TestHistIncrease(t *testing.T) {
 	}
 	if _, ok := HistIncrease(pts[:1]); ok {
 		t.Error("single point has no increase")
+	}
+}
+
+// promSampleRe is the text-format grammar of one sample line, spelled
+// without the code under test: values hold no raw quote, backslash or
+// newline outside the \\, \" and \n escapes.
+var promSampleRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*` +
+	`(\{[a-zA-Z_][a-zA-Z0-9_]*="([^"\\\n]|\\\\|\\"|\\n)*"(,[a-zA-Z_][a-zA-Z0-9_]*="([^"\\\n]|\\\\|\\"|\\n)*")*\})? [0-9]+$`)
+
+// TestHostileLabelValuesSelectable drives label values no comma-split
+// substring matcher could handle — an -slo objective name reaches
+// obsprof_captures_total's trigger label verbatim — through every
+// stage a series name passes: registration, the Prometheus exposition,
+// series.jsonl, Dump.ReadJSONL and selector matching. Each value must
+// select exactly its own series at the end.
+func TestHostileLabelValuesSelectable(t *testing.T) {
+	hostile := []string{
+		`a,b`, `say "hi"`, `back\slash`, "two\nlines", `ünï-cødé ✓`, `}`, `{x="y"}`,
+		`trailing\`, `x",kind="cpu`, `\"`, `a\nb`, ``, ` spaced , out `,
+	}
+	reg := obs.NewRegistry()
+	for i, v := range hostile {
+		reg.Counter("obsprof_captures_total", obs.Label{Key: obs.KeyKind, Value: "cpu"},
+			obs.Label{Key: obs.KeyTrigger, Value: "slo-page:" + v}).Add(int64(i + 1))
+	}
+
+	var expo strings.Builder
+	if err := reg.WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	samples := 0
+	for _, line := range strings.Split(strings.TrimSuffix(expo.String(), "\n"), "\n") {
+		if strings.HasPrefix(line, "# ") {
+			continue
+		}
+		samples++
+		if !promSampleRe.MatchString(line) {
+			t.Errorf("exposition line %q violates the text-format grammar", line)
+		}
+	}
+	if samples != len(hostile) {
+		t.Fatalf("%d sample lines for %d series:\n%s", samples, len(hostile), expo.String())
+	}
+
+	c := NewCollector(reg, Options{Capacity: 4})
+	c.Sample(tick(0))
+	c.Sample(tick(1))
+	var jsonl bytes.Buffer
+	if err := c.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	d := NewDump()
+	if _, err := d.ReadJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range hostile {
+		sel := obs.Series{Family: "obsprof_captures_total", Labels: []obs.Label{{Key: obs.KeyTrigger, Value: "slo-page:" + v}}}.String()
+		for _, src := range []Source{c, d} {
+			names := selectNames(src, sel)
+			if len(names) != 1 {
+				t.Errorf("%T: selector %s matched %q, want exactly its own series", src, sel, names)
+				continue
+			}
+			if pts := src.PointsSince(names[0], time.Time{}); len(pts) != 2 || pts[1].V != float64(i+1) {
+				t.Errorf("%T: selector %s read %+v, want the series counting %d", src, sel, pts, i+1)
+			}
+		}
+	}
+	if got := len(selectNames(d, `obsprof_captures_total{kind="cpu"}`)); got != len(hostile) {
+		t.Errorf(`{kind="cpu"} selected %d series, want all %d`, got, len(hostile))
 	}
 }

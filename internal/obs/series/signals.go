@@ -1,6 +1,10 @@
 package series
 
-import "time"
+import (
+	"time"
+
+	"gplus/internal/obs"
+)
 
 // Signal is one series a health report plots: the word the report
 // prints for it, the selector that reads it, and the unit of a gauge's
@@ -40,12 +44,13 @@ type Signals struct {
 }
 
 const (
-	apiResponses  = "gplusapi_responses_total"
-	apiOverloaded = apiResponses + `{code="503"}`
-	apiTransport  = "gplusapi_transport_errors_total"
-	gplusdServed  = "gplusd_requests_total"
-	gplusdFaults  = "gplusd_chaos_faults_total"
+	apiResponses = "gplusapi_responses_total"
+	apiTransport = "gplusapi_transport_errors_total"
+	gplusdServed = "gplusd_requests_total"
+	gplusdFaults = "gplusd_chaos_faults_total"
 )
+
+var apiOverloaded = obs.Series{Family: apiResponses, Labels: []obs.Label{{Key: obs.KeyCode, Value: "503"}}}.String()
 
 // CrawlSignals is how a crawl's health is read.
 func CrawlSignals() Signals {
@@ -77,10 +82,8 @@ func GplusdSignals() Signals {
 // Work family has a series in it, the crawl's when none does.
 func SignalsFor(src Source) Signals {
 	for _, sig := range []Signals{CrawlSignals(), GplusdSignals()} {
-		for _, name := range src.Names() {
-			if matchesSelector(sig.Work.Selector, name) {
-				return sig
-			}
+		if len(selectNames(src, sig.Work.Selector)) > 0 {
+			return sig
 		}
 	}
 	return CrawlSignals()

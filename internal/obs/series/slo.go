@@ -178,6 +178,13 @@ func ParseObjectives(spec string) ([]Objective, error) {
 				return nil, fmt.Errorf("series: unknown option %q in %q", key, raw)
 			}
 		}
+		sels := append(append([]string{}, o.Bad...), o.Total...)
+		if o.Hist != "" {
+			sels = append(sels, o.Hist)
+		}
+		if _, err := parseSelectors(sels); err != nil {
+			return nil, fmt.Errorf("series: objective %q: %w", raw, err)
+		}
 		switch o.Kind {
 		case ErrorRatio:
 			if len(o.Bad) == 0 || len(o.Total) == 0 || o.Max <= 0 || o.Max >= 1 {
@@ -391,10 +398,10 @@ func NewEngine(src Source, objs []Objective, reg *obs.Registry) *Engine {
 	reg.Help("slo_burn_rate_milli", "Long-window error-budget burn rate, x1000.")
 	reg.Help("slo_sli_ppm", "Long-window bad-event fraction, parts per million.")
 	for _, o := range objs {
-		label := `{slo="` + o.Name + `"}`
-		e.gState = append(e.gState, reg.Gauge("slo_state"+label))
-		e.gBurn = append(e.gBurn, reg.Gauge("slo_burn_rate_milli"+label))
-		e.gSLI = append(e.gSLI, reg.Gauge("slo_sli_ppm"+label))
+		label := obs.Label{Key: obs.KeySLO, Value: o.Name}
+		e.gState = append(e.gState, reg.Gauge("slo_state", label))
+		e.gBurn = append(e.gBurn, reg.Gauge("slo_burn_rate_milli", label))
+		e.gSLI = append(e.gSLI, reg.Gauge("slo_sli_ppm", label))
 	}
 	return e
 }

@@ -47,12 +47,14 @@ func TestParseObjectives(t *testing.T) {
 		"",
 		"nameonly",
 		"x,bogus_kind",
-		"x,error_ratio,bad=b,total=t",              // missing max
-		"x,error_ratio,bad=b,total=t,max=150%",     // ratio out of range
-		"x,latency,hist=h,q=1.5,max=250ms",         // q out of range
-		"x,latency,q=0.99,max=250ms",               // missing hist
-		"x,error_ratio,bad=b,total=t,max=1%,zz=1",  // unknown option
+		"x,error_ratio,bad=b,total=t",          // missing max
+		"x,error_ratio,bad=b,total=t,max=150%", // ratio out of range
+		"x,latency,hist=h,q=1.5,max=250ms",     // q out of range
+		"x,latency,q=0.99,max=250ms",           // missing hist
+		"x,error_ratio,bad=b,total=t,max=1%,zz=1", // unknown option
 		"x,error_ratio,bad=b,total=t,max=1%,window=-1s",
+		`x,error_ratio,bad=b{code=503},total=t,max=1%`, // selector is not a series name
+		`x,latency,hist=h{le="1"}x,q=0.99,max=250ms`,
 	}
 	for _, spec := range bad {
 		if _, err := ParseObjectives(spec); err == nil {

@@ -172,7 +172,7 @@ func (r *Recorder) record(tr *Trace) {
 	if rule != "" {
 		if len(r.exemplars) < MaxExemplars {
 			r.exemplars = append(r.exemplars, tr)
-			r.reg.Counter(`trace_exemplars_total{rule="` + rule + `"}`).Inc()
+			r.reg.Counter("trace_exemplars_total", obs.Label{Key: obs.KeyRule, Value: rule}).Inc()
 			sink = r.sink
 		} else {
 			r.dropped++

@@ -97,8 +97,8 @@ func Collect(ctx context.Context, s *core.Study) (*Results, error) {
 	}
 	r.Links = s.CountryLinks()
 	r.Fields = s.FieldsShared()
-	for _, country := range []string{"ID", "MX", "US", "DE"} {
-		r.Openness[country] = s.OpennessScore(country, 6)
+	for _, row := range s.FieldsByCountry([]string{"ID", "MX", "US", "DE"}) {
+		r.Openness[row.Country] = row.Openness(6)
 	}
 	return r, nil
 }

@@ -223,7 +223,7 @@ func TestPlotDataAndMarkdownShareOneStructure(t *testing.T) {
 	}
 	delete(spans, "analyze.structure") // the fan-out wrapper, once per caller
 	want := map[string]int{}
-	for _, stage := range []string{"degrees", "reciprocity", "scc", "wcc", "paths", "triads"} {
+	for _, stage := range []string{"degrees", "reciprocity", "scc", "wcc", "paths", "triads", "fig9"} {
 		want["analyze."+stage] = 1
 	}
 	if !reflect.DeepEqual(spans, want) {

@@ -144,11 +144,11 @@ func NewAdmission(opts AdmissionOptions, reg *obs.Registry, prefix string) *Admi
 		a.gQueued = reg.Gauge(prefix + "_queued")
 		a.gLimit = reg.Gauge(prefix + "_limit")
 		for p := PriorityHigh; p < numPriorities; p++ {
-			a.cAdmitted[p] = reg.Counter(prefix + `_admitted_total{priority="` + p.String() + `"}`)
+			a.cAdmitted[p] = reg.Counter(prefix+"_admitted_total", obs.Label{Key: obs.KeyPriority, Value: p.String()})
 		}
 		a.cShed = make(map[string]*obs.Counter)
 		for _, r := range []string{ShedQueueFull, ShedDeadline, ShedExpired, ShedDisplaced, ShedTimeout, ShedCanceled} {
-			a.cShed[r] = reg.Counter(prefix + `_shed_total{reason="` + r + `"}`)
+			a.cShed[r] = reg.Counter(prefix+"_shed_total", obs.Label{Key: obs.KeyReason, Value: r})
 		}
 		a.hWait = reg.Histogram(prefix+"_wait_seconds", obs.DefBuckets)
 		a.gLimit.Set(int64(a.limitLocked()))

@@ -136,10 +136,10 @@ func NewBreaker(name string, opts BreakerOptions, reg *obs.Registry, prefix stri
 		reg.Help(prefix+"_breaker_state", "Circuit breaker state: 0 closed, 1 open, 2 half-open.")
 		reg.Help(prefix+"_breaker_transitions_total", "Circuit breaker state transitions.")
 		reg.Help(prefix+"_breaker_denied_total", "Requests denied fast by an open circuit breaker.")
-		label := `{name="` + name + `"}`
-		b.gState = reg.Gauge(prefix + "_breaker_state" + label)
-		b.cTransitions = reg.Counter(prefix + "_breaker_transitions_total" + label)
-		b.cDenied = reg.Counter(prefix + "_breaker_denied_total" + label)
+		label := obs.Label{Key: obs.KeyBreaker, Value: name}
+		b.gState = reg.Gauge(prefix+"_breaker_state", label)
+		b.cTransitions = reg.Counter(prefix+"_breaker_transitions_total", label)
+		b.cDenied = reg.Counter(prefix+"_breaker_denied_total", label)
 	}
 	return b
 }
