@@ -18,7 +18,7 @@ all: build vet test race
 # covers the sharded rate limiter, the batched crawl frontier and the
 # study's concurrent, memoised structure stages with the packages that
 # drive them (paper, report, gplusanalyze), the
-# short fuzz leg shakes the checkpoint/journal parser and the triad pass, the hygiene leg
+# short fuzz leg shakes the checkpoint/journal parser, the triad pass and the edge sort, the hygiene leg
 # gates the metric exposition and its label vocabulary, the
 # one-durable-writer rule, the every-flag-has-a-recipe rule and the
 # every-package- and every-exported-symbol-reaches-the-pipeline rules, the
@@ -43,7 +43,7 @@ help:
 	@echo "make bench-storage  out-of-core CSR: segment/compact/load/scan -> BENCH_storage.json"
 	@echo "make paperscale     10M-node/200M-edge out-of-core acceptance run (slow; merges RSS rows into BENCH_storage.json)"
 	@echo "make ablations      design-choice ablation experiments"
-	@echo "make fuzz           long fuzz of every parser (series names included), the multi-source BFS and the triad pass (30s each)"
+	@echo "make fuzz           long fuzz of every parser (series names included), the multi-source BFS, the triad pass and the edge sort (30s each)"
 	@echo "make verify         generate a dataset and audit it against the paper"
 	@echo "make examples       run every example binary"
 	@echo "make report         full Markdown report from a fresh dataset"
@@ -210,17 +210,20 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadBinary -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzMultiSourceBFS -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzTriads -fuzztime=30s ./internal/graph/
+	$(GO) test -fuzz=FuzzSortEdges -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzOpenV2 -fuzztime=30s ./internal/graph/diskcsr/
 	$(GO) test -fuzz=FuzzReadResult -fuzztime=30s ./internal/crawler/
 	$(GO) test -fuzz=FuzzParseFaultSpec -fuzztime=30s ./internal/gplusd/
 	$(GO) test -fuzz=FuzzSeriesName -fuzztime=30s ./internal/obs/
 
 # The quick fuzz leg of `make check`: the checkpoint/journal parser is
-# the one format a crash can hand arbitrary torn bytes to, and the triad
-# pass is the one kernel three figures share.
+# the one format a crash can hand arbitrary torn bytes to, the triad
+# pass is the one kernel three figures share, and the radix edge sort is
+# the one order every segment, compaction and Builder graph rests on.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz=FuzzReadResult -fuzztime=10s ./internal/crawler/
 	$(GO) test -run '^$$' -fuzz=FuzzTriads -fuzztime=10s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz=FuzzSortEdges -fuzztime=10s ./internal/graph/
 
 # Generate a dataset and audit it against the paper's published claims.
 verify:

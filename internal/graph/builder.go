@@ -1,23 +1,18 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Builder accumulates edges and freezes them into an immutable Graph.
 // The zero value is ready to use. Builder is not safe for concurrent use.
 type Builder struct {
 	n     int
-	edges []edge
+	edges []uint64 // PackEdge(from, to)
 }
-
-type edge struct{ from, to NodeID }
 
 // NewBuilder returns a Builder pre-sized for n nodes and capacity for
 // edgeHint edges. Both arguments are hints; the builder grows as needed.
 func NewBuilder(n int, edgeHint int) *Builder {
-	return &Builder{n: n, edges: make([]edge, 0, edgeHint)}
+	return &Builder{n: n, edges: make([]uint64, 0, edgeHint)}
 }
 
 // EnsureNode grows the node count so that id is a valid node.
@@ -37,34 +32,18 @@ func (b *Builder) NumNodes() int { return b.n }
 func (b *Builder) AddEdge(u, v NodeID) {
 	b.EnsureNode(u)
 	b.EnsureNode(v)
-	b.edges = append(b.edges, edge{u, v})
+	b.edges = append(b.edges, PackEdge(u, v))
 }
 
 // Build freezes the accumulated edges into an immutable Graph, discarding
 // self-loops and duplicate edges. The Builder may be reused afterwards.
 func (b *Builder) Build() *Graph {
-	// Sort by (from, to) so duplicates are adjacent and CSR rows come out
-	// sorted, then dedup in place.
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].from != b.edges[j].from {
-			return b.edges[i].from < b.edges[j].from
-		}
-		return b.edges[i].to < b.edges[j].to
-	})
-	kept := b.edges[:0]
-	for _, e := range b.edges {
-		if e.from == e.to {
-			continue
-		}
-		if len(kept) > 0 && kept[len(kept)-1] == e {
-			continue
-		}
-		kept = append(kept, e)
-	}
-	// Truncate the builder to the compacted list. Without this the
-	// dropped-duplicate tail stays live past Build: a reused builder
-	// would re-sort and re-emit the stale records alongside any new
-	// edges, and the capacity pinned by duplicates never shrinks.
+	// Sorted by (from, to), CSR rows come out sorted. Truncate the
+	// builder to the kept list: without this the dropped-duplicate tail
+	// stays live past Build, a reused builder would re-sort and re-emit
+	// the stale records alongside any new edges, and the capacity pinned
+	// by duplicates never shrinks.
+	kept, _ := SortEdges(b.edges, make([]uint64, len(b.edges)))
 	b.edges = kept
 
 	n := b.n
@@ -76,32 +55,28 @@ func (b *Builder) Build() *Graph {
 	}
 
 	// Forward CSR straight from the sorted edge list.
-	for _, e := range kept {
-		g.outOff[e.from+1]++
+	for i, e := range kept {
+		from, to := UnpackEdge(e)
+		g.outOff[from+1]++
+		g.outAdj[i] = to
 	}
 	for u := 0; u < n; u++ {
 		g.outOff[u+1] += g.outOff[u]
 	}
-	cursor := make([]int64, n)
-	for _, e := range kept {
-		g.outAdj[g.outOff[e.from]+cursor[e.from]] = e.to
-		cursor[e.from]++
-	}
 
 	// Reverse CSR by counting sort on destination; rows come out sorted by
 	// source because the edge list is already source-ordered.
-	for _, e := range kept {
-		g.inOff[e.to+1]++
+	for _, to := range g.outAdj {
+		g.inOff[to+1]++
 	}
 	for u := 0; u < n; u++ {
 		g.inOff[u+1] += g.inOff[u]
 	}
-	for i := range cursor {
-		cursor[i] = 0
-	}
+	cursor := make([]int64, n)
 	for _, e := range kept {
-		g.inAdj[g.inOff[e.to]+cursor[e.to]] = e.from
-		cursor[e.to]++
+		from, to := UnpackEdge(e)
+		g.inAdj[g.inOff[to]+cursor[to]] = from
+		cursor[to]++
 	}
 	return g
 }

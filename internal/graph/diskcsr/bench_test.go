@@ -61,6 +61,7 @@ func reportEdges(b *testing.B, edges int64) {
 // streaming edges into sorted segment files.
 func BenchmarkStorageWriteSegments(b *testing.B) {
 	g, _ := benchSetup(b)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		dir := filepath.Join(b.TempDir(), "segs")
 		w, err := NewWriter(dir, 1<<18, nil)
@@ -81,32 +82,57 @@ func BenchmarkStorageWriteSegments(b *testing.B) {
 	reportEdges(b, g.NumEdges())
 }
 
-// BenchmarkStorageCompact prices the k-way segment merge into CSR v2.
+// BenchmarkStorageCompact prices the k-way segment merge into CSR v2:
+// "remap" is the path every production caller takes (segments under
+// provisional ids, rewritten through a permutation before the merge),
+// "identity" the bare merge.
 func BenchmarkStorageCompact(b *testing.B) {
 	g, _ := benchSetup(b)
-	segDir := filepath.Join(b.TempDir(), "segs")
-	w, err := NewWriter(segDir, 1<<18, nil)
-	if err != nil {
-		b.Fatal(err)
+	perm := rand.New(rand.NewPCG(26, 2)).Perm(g.NumNodes())
+	prov, remap := make([]graph.NodeID, len(perm)), make([]graph.NodeID, len(perm))
+	for node, p := range perm {
+		prov[node], remap[p] = graph.NodeID(p), graph.NodeID(node)
 	}
-	for u := 0; u < g.NumNodes(); u++ {
-		for _, v := range g.Out(graph.NodeID(u)) {
-			if err := w.Add(graph.NodeID(u), v); err != nil {
+	for _, mode := range []struct {
+		name  string
+		prov  []graph.NodeID // node → id it is written under; nil = itself
+		remap []graph.NodeID
+	}{{"remap", prov, remap}, {"identity", nil, nil}} {
+		b.Run(mode.name, func(b *testing.B) {
+			segDir := filepath.Join(b.TempDir(), "segs")
+			w, err := NewWriter(segDir, 1<<18, nil)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
+			for u := 0; u < g.NumNodes(); u++ {
+				for _, v := range g.Out(graph.NodeID(u)) {
+					src, dst := graph.NodeID(u), v
+					if mode.prov != nil {
+						src, dst = mode.prov[src], mode.prov[dst]
+					}
+					if err := w.Add(src, dst); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			if err := w.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out := filepath.Join(b.TempDir(), "graph.v2")
+				st, err := Compact(segDir, out, CompactOptions{NumNodes: g.NumNodes(), Remap: mode.remap})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st.Edges != g.NumEdges() {
+					b.Fatalf("compacted %d edges, want %d", st.Edges, g.NumEdges())
+				}
+			}
+			reportEdges(b, g.NumEdges())
+		})
 	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := filepath.Join(b.TempDir(), "graph.v2")
-		if _, err := Compact(segDir, out, CompactOptions{NumNodes: g.NumNodes()}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportEdges(b, g.NumEdges())
 }
 
 // BenchmarkStorageWriteV2 prices encoding an in-RAM graph to v2.

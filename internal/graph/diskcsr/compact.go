@@ -2,11 +2,12 @@ package diskcsr
 
 import (
 	"bufio"
-	"container/heap"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"gplus/internal/graph"
 )
@@ -46,15 +47,15 @@ func Compact(segDir, outPath string, opt CompactOptions) (*CompactStats, error) 
 	if err != nil {
 		return nil, err
 	}
+	// Everything that does not outlive the call — remapped segments, the
+	// two merged blobs — spills into one directory beside the output.
+	spillDir, err := os.MkdirTemp(filepath.Dir(outPath), ".compact-*")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(spillDir)
 	if opt.Remap != nil {
-		tmpDir, err := remapSegments(segs, opt.Remap)
-		if tmpDir != "" {
-			defer os.RemoveAll(tmpDir)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if segs, err = ListSegments(tmpDir); err != nil {
+		if segs, err = remapSegments(segs, opt.Remap, spillDir); err != nil {
 			return nil, err
 		}
 	}
@@ -66,11 +67,6 @@ func Compact(segDir, outPath string, opt CompactOptions) (*CompactStats, error) 
 
 	// One streaming merge per direction: blob bytes to a spill file,
 	// cnt/pos prefix arrays in RAM.
-	spillDir, err := os.MkdirTemp(filepath.Dir(outPath), ".compact-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(spillDir)
 	outCnt, outPos, mFwd, err := mergeDirection(segs, false, n, filepath.Join(spillDir, "out.blob"))
 	if err != nil {
 		return nil, err
@@ -136,88 +132,90 @@ func resolveNodeCount(segs []string, opt CompactOptions) (int, error) {
 }
 
 // remapSegments rewrites each segment with ids translated through
-// remap, re-sorted, into a temp directory beside the originals. Each
-// rewrite holds one segment's edges in RAM — bounded by the writer's
-// flush threshold, not the crawl.
-func remapSegments(segs []string, remap []graph.NodeID) (string, error) {
-	if len(segs) == 0 {
-		return os.MkdirTemp(".", ".remap-*")
-	}
-	tmpDir, err := os.MkdirTemp(filepath.Dir(segs[0]), ".remap-*")
-	if err != nil {
-		return "", err
-	}
-	for _, s := range segs {
-		edges, err := readSegmentEdges(s)
-		if err != nil {
-			return tmpDir, err
+// remap, re-sorted, into dir, and returns the rewritten files; the
+// originals are never modified. Each rewrite holds one segment's edges
+// in RAM, in two buffers shared by all of them — bounded by the
+// writer's flush threshold, not the crawl.
+func remapSegments(segs []string, remap []graph.NodeID, dir string) ([]string, error) {
+	var (
+		edges, scratch []uint64
+		seg            []byte
+		out            = make([]string, len(segs))
+	)
+	for i, s := range segs {
+		var err error
+		if edges, err = readRemapped(s, remap, edges[:0]); err != nil {
+			return nil, err
 		}
-		for i, e := range edges {
-			if int(e.a) >= len(remap) || int(e.b) >= len(remap) {
-				return tmpDir, fmt.Errorf("%s: node id outside remap table (len %d)", s, len(remap))
-			}
-			edges[i] = pair{remap[e.a], remap[e.b]}
+		if len(scratch) < len(edges) {
+			scratch = make([]uint64, len(edges))
 		}
-		if _, err := writeSegment(filepath.Join(tmpDir, filepath.Base(s)), edges); err != nil {
-			return tmpDir, err
+		seg, _ = encodeSegment(seg, edges, scratch)
+		out[i] = filepath.Join(dir, filepath.Base(s))
+		if err := os.WriteFile(out[i], seg, 0o644); err != nil {
+			return nil, err
 		}
 	}
-	return tmpDir, nil
+	return out, nil
 }
 
-// readSegmentEdges decodes a whole segment's forward direction.
-func readSegmentEdges(path string) ([]pair, error) {
+// readRemapped appends a whole segment's forward direction to edges,
+// each id translated through remap.
+func readRemapped(path string, remap []graph.NodeID, edges []uint64) ([]uint64, error) {
 	c, err := openSegCursor(path, false)
 	if err != nil {
 		return nil, err
 	}
 	defer c.close()
-	edges := make([]pair, 0, c.left)
+	edges = slices.Grow(edges, int(c.left))
 	for {
-		k, v, ok, err := c.next()
+		e, ok, err := c.next()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			return edges, nil
 		}
-		edges = append(edges, pair{k, v})
+		key, val := graph.UnpackEdge(e)
+		if int(key) >= len(remap) || int(val) >= len(remap) {
+			return nil, fmt.Errorf("%s: node id outside remap table (len %d)", path, len(remap))
+		}
+		edges = append(edges, graph.PackEdge(remap[key], remap[val]))
 	}
 }
 
-// cursorHeap orders segment cursors by their current (key, val) head;
-// ties break by cursor index so the merge order is deterministic.
-type cursorHead struct {
-	key, val graph.NodeID
-	idx      int
-	cur      *segCursor
+// mergeHead is a segment cursor and the packed edge it stands at.
+type mergeHead struct {
+	edge uint64
+	cur  *segCursor
 }
 
-type cursorHeap []cursorHead
-
-func (h cursorHeap) Len() int { return len(h) }
-func (h cursorHeap) Less(i, j int) bool {
-	if h[i].key != h[j].key {
-		return h[i].key < h[j].key
+// siftDown restores the min-heap order of h below i. Equal heads are
+// the same edge seen in two segments and collapse on emit, so their
+// relative order is immaterial.
+func siftDown(h []mergeHead, i int) {
+	top := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].edge < h[c].edge {
+			c++
+		}
+		if top.edge <= h[c].edge {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	if h[i].val != h[j].val {
-		return h[i].val < h[j].val
-	}
-	return h[i].idx < h[j].idx
-}
-func (h cursorHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *cursorHeap) Push(x any)   { *h = append(*h, x.(cursorHead)) }
-func (h *cursorHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
+	h[i] = top
 }
 
 // mergeDirection k-way merges one direction of every segment into a
 // varint/delta row blob at blobPath, returning the cnt and pos prefix
 // arrays and the number of distinct edges. The heap yields globally
-// (key, val)-sorted pairs; adjacent duplicates collapse and self-loops
+// (key, val)-sorted edges; adjacent duplicates collapse and self-loops
 // drop, so the emitted rows are exactly the Builder's.
 func mergeDirection(segs []string, reverse bool, n int, blobPath string) (cnt, pos []uint64, m uint64, err error) {
 	cursors := make([]*segCursor, 0, len(segs))
@@ -226,22 +224,24 @@ func mergeDirection(segs []string, reverse bool, n int, blobPath string) (cnt, p
 			c.close()
 		}
 	}()
-	h := make(cursorHeap, 0, len(segs))
-	for i, s := range segs {
+	h := make([]mergeHead, 0, len(segs))
+	for _, s := range segs {
 		c, err := openSegCursor(s, reverse)
 		if err != nil {
 			return nil, nil, 0, err
 		}
 		cursors = append(cursors, c)
-		k, v, ok, err := c.next()
+		e, ok, err := c.next()
 		if err != nil {
 			return nil, nil, 0, err
 		}
 		if ok {
-			h = append(h, cursorHead{k, v, i, c})
+			h = append(h, mergeHead{e, c})
 		}
 	}
-	heap.Init(&h)
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
 
 	f, err := os.Create(blobPath)
 	if err != nil {
@@ -271,39 +271,42 @@ func mergeDirection(segs []string, reverse bool, n int, blobPath string) (cnt, p
 			pos[r+1] = pos[r]
 		}
 	}
-	for h.Len() > 0 {
-		head := h[0]
-		k, v, ok, nerr := head.cur.next()
+	for len(h) > 0 {
+		key, val := graph.UnpackEdge(h[0].edge)
+		next, ok, nerr := h[0].cur.next()
 		if nerr != nil {
 			return nil, nil, 0, nerr
 		}
 		if ok {
-			h[0].key, h[0].val = k, v
-			heap.Fix(&h, 0)
+			h[0].edge = next
 		} else {
-			heap.Pop(&h)
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		if len(h) > 1 {
+			siftDown(h, 0)
 		}
 
-		if int(head.key) >= n || int(head.val) >= n {
-			return nil, nil, 0, fmt.Errorf("diskcsr: segment edge (%d,%d) outside %d-node graph", head.key, head.val, n)
+		if int(key) >= n || int(val) >= n {
+			return nil, nil, 0, fmt.Errorf("diskcsr: segment edge (%d,%d) outside %d-node graph", key, val, n)
 		}
-		if head.key == head.val {
+		if key == val {
 			continue
 		}
-		if int(head.key) != row {
-			closeRow(int(head.key))
-			row = int(head.key)
+		if int(key) != row {
+			closeRow(int(key))
+			row = int(key)
 			rowCount, rowBytes, havePrev = 0, 0, false
-		} else if havePrev && head.val == prevVal {
+		} else if havePrev && val == prevVal {
 			continue // duplicate across segments
 		}
-		if havePrev && head.val < prevVal {
-			return nil, nil, 0, fmt.Errorf("diskcsr: merge order violated at key %d", head.key)
+		if havePrev && val < prevVal {
+			return nil, nil, 0, fmt.Errorf("diskcsr: merge order violated at key %d", key)
 		}
 		if havePrev {
-			scratch = appendUvarint(scratch[:0], uint64(head.val-prevVal)-1)
+			scratch = binary.AppendUvarint(scratch[:0], uint64(val-prevVal)-1)
 		} else {
-			scratch = appendUvarint(scratch[:0], uint64(head.val))
+			scratch = binary.AppendUvarint(scratch[:0], uint64(val))
 		}
 		if _, err := bw.Write(scratch); err != nil {
 			return nil, nil, 0, err
@@ -311,7 +314,7 @@ func mergeDirection(segs []string, reverse bool, n int, blobPath string) (cnt, p
 		rowBytes += uint64(len(scratch))
 		rowCount++
 		m++
-		prevVal = head.val
+		prevVal = val
 		havePrev = true
 	}
 	closeRow(n)
@@ -332,14 +335,4 @@ func copyFileInto(w io.Writer, path string) error {
 	defer f.Close()
 	_, err = io.Copy(w, f)
 	return err
-}
-
-// appendUvarint is binary.AppendUvarint under a local name so the merge
-// loop reads symmetrically with encodeRuns.
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
 }

@@ -2,12 +2,17 @@ package diskcsr
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand/v2"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
+	"gplus/internal/durable"
 	"gplus/internal/graph"
 	"gplus/internal/synth"
 )
@@ -352,46 +357,59 @@ func TestPathSampleAllocationsIndependentOfRows(t *testing.T) {
 func TestSegmentCompactEquivalence(t *testing.T) {
 	for name, g := range testGraphs() {
 		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			segDir := filepath.Join(dir, "segs")
-			w, err := NewWriter(segDir, 64, nil) // tiny buffer: force many segments
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := g.NumNodes()
-			for u := 0; u < n; u++ {
-				for _, v := range g.Out(graph.NodeID(u)) {
-					if err := w.Add(graph.NodeID(u), v); err != nil {
+			// Tiny buffers force many segments; 1 is one segment per edge,
+			// the widest merge, and a buffer the stream never fills a merge
+			// of one.
+			for _, buffer := range []int{1, 64, 1 << 20} {
+				if buffer == 1 && g.NumEdges() > 256 {
+					continue // the merge holds every segment open: stay inside a 1024-descriptor limit
+				}
+				t.Run(fmt.Sprintf("buffer=%d", buffer), func(t *testing.T) {
+					dir := t.TempDir()
+					segDir := filepath.Join(dir, "segs")
+					w, err := NewWriter(segDir, buffer, nil)
+					if err != nil {
 						t.Fatal(err)
 					}
-					if u%3 == 0 {
-						// Duplicates and self-loops must vanish at compaction.
-						if err := w.Add(graph.NodeID(u), v); err != nil {
-							t.Fatal(err)
-						}
-						if err := w.Add(v, v); err != nil {
-							t.Fatal(err)
+					n := g.NumNodes()
+					for u := 0; u < n; u++ {
+						for _, v := range g.Out(graph.NodeID(u)) {
+							if err := w.Add(graph.NodeID(u), v); err != nil {
+								t.Fatal(err)
+							}
+							if u%3 == 0 {
+								// Duplicates and self-loops must vanish at compaction.
+								if err := w.Add(graph.NodeID(u), v); err != nil {
+									t.Fatal(err)
+								}
+								if err := w.Add(v, v); err != nil {
+									t.Fatal(err)
+								}
+							}
 						}
 					}
-				}
+					if err := w.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					out := filepath.Join(dir, "graph.v2")
+					stats, err := Compact(segDir, out, CompactOptions{NumNodes: n})
+					if err != nil {
+						t.Fatalf("Compact: %v", err)
+					}
+					if stats.Edges != g.NumEdges() {
+						t.Fatalf("compacted %d edges, want %d", stats.Edges, g.NumEdges())
+					}
+					if buffer > 3*int(g.NumEdges()) && stats.Segments > 1 {
+						t.Fatalf("a buffer larger than the stream made %d segments", stats.Segments)
+					}
+					m, err := Open(out, Options{})
+					if err != nil {
+						t.Fatalf("Open: %v", err)
+					}
+					defer m.Close()
+					viewsEqual(t, g, m)
+				})
 			}
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			out := filepath.Join(dir, "graph.v2")
-			stats, err := Compact(segDir, out, CompactOptions{NumNodes: n})
-			if err != nil {
-				t.Fatalf("Compact: %v", err)
-			}
-			if stats.Edges != g.NumEdges() {
-				t.Fatalf("compacted %d edges, want %d", stats.Edges, g.NumEdges())
-			}
-			m, err := Open(out, Options{})
-			if err != nil {
-				t.Fatalf("Open: %v", err)
-			}
-			defer m.Close()
-			viewsEqual(t, g, m)
 		})
 	}
 }
@@ -413,35 +431,133 @@ func TestCompactRemap(t *testing.T) {
 		edges = append(edges, edge{graph.NodeID(rng.IntN(n)), graph.NodeID(rng.IntN(n))})
 	}
 
-	dir := t.TempDir()
-	segDir := filepath.Join(dir, "segs")
-	w, err := NewWriter(segDir, 100, nil)
+	// One segment per edge is the widest merge; it runs over a prefix of
+	// the stream because the merge holds every segment open. A buffer the
+	// stream never fills is a merge of one.
+	for _, tc := range []struct {
+		buffer int
+		edges  []edge
+	}{{1, edges[:300]}, {100, edges}, {2 * len(edges), edges}} {
+		t.Run(fmt.Sprintf("buffer=%d", tc.buffer), func(t *testing.T) {
+			dir := t.TempDir()
+			segDir := filepath.Join(dir, "segs")
+			w, err := NewWriter(segDir, tc.buffer, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := graph.NewBuilder(n, len(tc.edges))
+			for _, e := range tc.edges {
+				if err := w.Add(e.u, e.v); err != nil {
+					t.Fatal(err)
+				}
+				b.AddEdge(remap[e.u], remap[e.v])
+			}
+			want := b.Build()
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			before := segmentBytes(t, segDir)
+
+			out := filepath.Join(dir, "graph.v2")
+			if _, err := Compact(segDir, out, CompactOptions{NumNodes: n, Remap: remap}); err != nil {
+				t.Fatalf("Compact: %v", err)
+			}
+			m, err := Open(out, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			viewsEqual(t, want, m)
+
+			// The caller's segments are read, never rewritten, and the
+			// remapped copies are gone with the rest of the spill.
+			if after := segmentBytes(t, segDir); !reflect.DeepEqual(after, before) {
+				t.Fatal("Compact with Remap modified the caller's segments")
+			}
+			if left := dirNames(t, dir); !slices.Equal(left, []string{"graph.v2", "segs"}) {
+				t.Fatalf("Compact left %v behind, want only the output beside the segments", left)
+			}
+		})
+	}
+}
+
+// segmentBytes reads every segment file under dir.
+func segmentBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	segs, err := ListSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := graph.NewBuilder(n, len(edges))
-	for _, e := range edges {
-		if err := w.Add(e.u, e.v); err != nil {
+	out := map[string]string{}
+	for _, s := range segs {
+		data, err := os.ReadFile(s)
+		if err != nil {
 			t.Fatal(err)
 		}
-		b.AddEdge(remap[e.u], remap[e.v])
+		out[filepath.Base(s)] = string(data)
 	}
-	if err := w.Flush(); err != nil {
+	return out
+}
+
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	b.EnsureNode(n - 1)
-	want := b.Build()
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
 
+// TestCompactRemapNoSegments is the crawl that observed no edges: a
+// remapping compaction of an empty segment directory must write an
+// n-node edgeless graph and create nothing outside the output's
+// directory — in particular not in the working directory, which here
+// nothing can be created in (it has been removed, which stops root too;
+// a read-only one would not).
+func TestCompactRemapNoSegments(t *testing.T) {
+	old, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cwd := filepath.Join(t.TempDir(), "cwd")
+	if err := os.Mkdir(cwd, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(cwd); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(old)
+	if err := os.Remove(cwd); err != nil {
+		t.Skipf("cannot remove the working directory here: %v", err)
+	}
+
+	const n = 7
+	dir := t.TempDir()
+	segDir := filepath.Join(dir, "segs")
+	if err := os.Mkdir(segDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	out := filepath.Join(dir, "graph.v2")
-	if _, err := Compact(segDir, out, CompactOptions{NumNodes: n, Remap: remap}); err != nil {
+	stats, err := Compact(segDir, out, CompactOptions{NumNodes: n, Remap: make([]graph.NodeID, n)})
+	if err != nil {
 		t.Fatalf("Compact: %v", err)
+	}
+	if stats.Segments != 0 || stats.Nodes != n || stats.Edges != 0 {
+		t.Fatalf("stats %+v, want 0 segments, %d nodes, 0 edges", stats, n)
 	}
 	m, err := Open(out, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	viewsEqual(t, want, m)
+	viewsEqual(t, graph.NewBuilder(n, 0).Build(), m)
+	if left := dirNames(t, dir); !slices.Equal(left, []string{"graph.v2", "segs"}) {
+		t.Fatalf("Compact left %v behind, want only the output beside the segments", left)
+	}
 }
 
 // TestWriterResume pins that a writer reopened over existing segments
@@ -482,5 +598,34 @@ func TestWriterResume(t *testing.T) {
 	}
 	if stats.Edges != 2 {
 		t.Fatalf("want both flushes' edges, got %d", stats.Edges)
+	}
+}
+
+// TestWriterFailedFlushIsFinal pins what a failed flush leaves behind:
+// the sort has already overwritten the buffered edges, so a retry must
+// fail again rather than publish whatever the buffers now hold.
+func TestWriterFailedFlushIsFinal(t *testing.T) {
+	dir := t.TempDir()
+	w, err := NewWriter(dir, 10, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := graph.NodeID(0); u < 5; u++ {
+		if err := w.Add(5-u, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	boom := errors.New("disk full")
+	durable.StepHook = func(string, string) error { return boom }
+	err = w.Flush()
+	durable.StepHook = nil
+	if !errors.Is(err, boom) {
+		t.Fatalf("Flush: %v, want the injected failure", err)
+	}
+	if err := w.Flush(); !errors.Is(err, boom) {
+		t.Fatalf("Flush after a failed flush: %v, want the first failure again", err)
+	}
+	if segs, _ := ListSegments(dir); len(segs) != 0 {
+		t.Fatalf("a failed writer published %v", segs)
 	}
 }

@@ -1,7 +1,6 @@
 package diskcsr
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -35,20 +34,24 @@ var segMagic = [8]byte{'G', 'P', 'L', 'S', 'E', 'G', '0', '1'}
 const segHeaderSize = 40
 
 // DefaultSegmentEdges is the flush threshold Writer uses when none is
-// given: 4M buffered edges ≈ 32 MB of buffer, a few MB per segment.
+// given: 4M buffered edges of 8 B each, and the same again for the
+// sort's second buffer — a 64 MB RAM bound (2 × threshold × 8 B), a few
+// MB per segment.
 const DefaultSegmentEdges = 4 << 20
-
-type pair struct{ a, b graph.NodeID }
 
 // Writer buffers edges and flushes them as sorted segment files named
 // seg-NNNNNN.seg under dir. Not safe for concurrent use; callers with
 // concurrent producers (the crawler's workers) serialize around it.
 type Writer struct {
-	dir   string
-	limit int
-	buf   []pair
-	seq   int
-	met   *Metrics
+	dir     string
+	limit   int
+	buf     []uint64 // graph.PackEdge(src, dst)
+	scratch []uint64 // the sort's second buffer, kept across flushes
+	seq     int
+	met     *Metrics
+	// err is the first failed flush. The sort had already overwritten the
+	// buffered edges, so a retry would write garbage: it fails instead.
+	err error
 }
 
 // NewWriter creates dir if needed and returns a Writer flushing every
@@ -74,13 +77,13 @@ func NewWriter(dir string, bufferEdges int, met *Metrics) (*Writer, error) {
 			seq = k + 1
 		}
 	}
-	return &Writer{dir: dir, limit: bufferEdges, buf: make([]pair, 0, bufferEdges), seq: seq, met: met}, nil
+	return &Writer{dir: dir, limit: bufferEdges, buf: make([]uint64, 0, bufferEdges), seq: seq, met: met}, nil
 }
 
 // Add buffers the directed edge src→dst, flushing a segment when the
 // buffer reaches the threshold.
 func (w *Writer) Add(src, dst graph.NodeID) error {
-	w.buf = append(w.buf, pair{src, dst})
+	w.buf = append(w.buf, graph.PackEdge(src, dst))
 	if len(w.buf) >= w.limit {
 		return w.Flush()
 	}
@@ -89,15 +92,23 @@ func (w *Writer) Add(src, dst graph.NodeID) error {
 
 // Flush writes the buffered edges as one segment file (atomically, via
 // durable.WriteFile) and empties the buffer. Flushing an empty buffer is
-// a no-op.
+// a no-op. After a failed flush the Writer is dead: every later flush
+// returns the same error.
 func (w *Writer) Flush() error {
-	if len(w.buf) == 0 {
-		return nil
+	if w.err != nil || len(w.buf) == 0 {
+		return w.err
 	}
+	if len(w.scratch) < len(w.buf) {
+		w.scratch = make([]uint64, len(w.buf))
+	}
+	seg, kept := encodeSegment(nil, w.buf, w.scratch)
 	path := filepath.Join(w.dir, fmt.Sprintf("seg-%06d.seg", w.seq))
-	kept, err := writeSegment(path, w.buf)
-	if err != nil {
+	w.err = durable.WriteFile(path, func(f *os.File) error {
+		_, err := f.Write(seg)
 		return err
+	})
+	if w.err != nil {
+		return w.err
 	}
 	w.seq++
 	w.buf = w.buf[:0]
@@ -118,106 +129,54 @@ func ListSegments(dir string) ([]string, error) {
 	return matches, nil
 }
 
-// writeSegment sorts, dedups, and drops self-loops from edges (in
-// place), then writes them as one segment. It returns the number of
-// edges kept. Dedup here is local hygiene — the global dedup happens
-// again at compaction, where duplicates across segments meet.
-func writeSegment(path string, edges []pair) (int, error) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].a != edges[j].a {
-			return edges[i].a < edges[j].a
-		}
-		return edges[i].b < edges[j].b
-	})
-	kept := edges[:0]
-	for _, e := range edges {
-		if e.a == e.b {
-			continue
-		}
-		if len(kept) > 0 && kept[len(kept)-1] == e {
-			continue
-		}
-		kept = append(kept, e)
-	}
-
+// encodeSegment sorts, dedups, and drops self-loops from edges (both
+// buffers are overwritten; scratch is at least as long), then appends
+// them to out[:0] as one encoded segment. It returns the segment and
+// the number of edges kept. Dedup here is local hygiene — the global
+// dedup happens again at compaction, where duplicates across segments
+// meet.
+func encodeSegment(out []byte, edges, scratch []uint64) ([]byte, int) {
+	kept, spare := graph.SortEdges(edges, scratch)
 	bound := uint64(0)
 	for _, e := range kept {
-		if uint64(e.a) >= bound {
-			bound = uint64(e.a) + 1
-		}
-		if uint64(e.b) >= bound {
-			bound = uint64(e.b) + 1
-		}
+		key, val := graph.UnpackEdge(e)
+		bound = max(bound, uint64(key)+1, uint64(val)+1)
 	}
-	fwd := encodeRuns(kept, func(e pair) (graph.NodeID, graph.NodeID) { return e.a, e.b })
+	out = append(out[:0], make([]byte, segHeaderSize)...)
+	out = appendRuns(out, kept)
+	fwdLen := len(out) - segHeaderSize
 
-	// Reverse view: re-sort by (dst, src) and encode with dst as key.
-	rev := make([]pair, len(kept))
-	copy(rev, kept)
-	sort.Slice(rev, func(i, j int) bool {
-		if rev[i].b != rev[j].b {
-			return rev[i].b < rev[j].b
-		}
-		return rev[i].a < rev[j].a
-	})
-	revBlob := encodeRuns(rev, func(e pair) (graph.NodeID, graph.NodeID) { return e.b, e.a })
+	// Reverse view: the same edges keyed by dst, in (dst, src) order.
+	rev, _ := graph.ReverseEdges(kept, spare)
+	out = appendRuns(out, rev)
 
-	err := durable.WriteFile(path, func(f *os.File) error {
-		var hdr [segHeaderSize]byte
-		copy(hdr[:], segMagic[:])
-		binary.LittleEndian.PutUint64(hdr[8:], bound)
-		binary.LittleEndian.PutUint64(hdr[16:], uint64(len(kept)))
-		binary.LittleEndian.PutUint64(hdr[24:], uint64(len(fwd)))
-		binary.LittleEndian.PutUint64(hdr[32:], uint64(len(revBlob)))
-		bw := bufio.NewWriterSize(f, 1<<20)
-		if _, err := bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(fwd); err != nil {
-			return err
-		}
-		if _, err := bw.Write(revBlob); err != nil {
-			return err
-		}
-		return bw.Flush()
-	})
-	if err != nil {
-		return 0, err
-	}
-	return len(kept), nil
+	copy(out, segMagic[:])
+	binary.LittleEndian.PutUint64(out[8:], bound)
+	binary.LittleEndian.PutUint64(out[16:], uint64(len(kept)))
+	binary.LittleEndian.PutUint64(out[24:], uint64(fwdLen))
+	binary.LittleEndian.PutUint64(out[32:], uint64(len(out)-segHeaderSize-fwdLen))
+	return out, len(kept)
 }
 
-// encodeRuns encodes edges — already sorted by (key, val) with no
-// duplicates — as the run format described above.
-func encodeRuns(edges []pair, keyVal func(pair) (graph.NodeID, graph.NodeID)) []byte {
-	var out []byte
-	prevKey := uint64(0)
-	first := true
+// appendRuns appends packed edges — already sorted by (key, val) with
+// no duplicates — to out in the run format described above.
+func appendRuns(out []byte, edges []uint64) []byte {
+	prevKey := graph.NodeID(0)
 	for i := 0; i < len(edges); {
-		key, _ := keyVal(edges[i])
-		j := i
-		for j < len(edges) {
-			if k, _ := keyVal(edges[j]); k != key {
-				break
-			}
+		key, val := graph.UnpackEdge(edges[i])
+		j := i + 1
+		for j < len(edges) && graph.NodeID(edges[j]>>32) == key {
 			j++
 		}
-		gap := uint64(key) - prevKey
-		if first {
-			gap = uint64(key)
-			first = false
-		}
-		out = binary.AppendUvarint(out, gap)
+		// The first run's gap is its key: prevKey starts at 0.
+		out = binary.AppendUvarint(out, uint64(key-prevKey))
 		out = binary.AppendUvarint(out, uint64(j-i))
-		_, v0 := keyVal(edges[i])
-		out = binary.AppendUvarint(out, uint64(v0))
-		prev := v0
+		out = binary.AppendUvarint(out, uint64(val))
 		for k := i + 1; k < j; k++ {
-			_, v := keyVal(edges[k])
-			out = binary.AppendUvarint(out, uint64(v-prev)-1)
-			prev = v
+			// Same key, ascending, distinct: the difference is the val gap.
+			out = binary.AppendUvarint(out, edges[k]-edges[k-1]-1)
 		}
-		prevKey = uint64(key)
+		prevKey = key
 		i = j
 	}
 	return out
@@ -251,18 +210,23 @@ func readSegHeader(f *os.File) (segHeader, error) {
 }
 
 // segCursor streams one direction of one segment as an ascending
-// (key, val) sequence.
+// sequence of packed (key, val) edges, decoding varints straight from a
+// window of the blob it refills as it drains.
 type segCursor struct {
-	f       *os.File
-	br      *bufio.Reader
-	name    string
-	left    uint64 // edges not yet yielded
-	started bool
-	key     uint64
-	run     uint64 // values left in the current run
-	prevVal uint64
-	bound   uint64
+	f        *os.File
+	name     string
+	off, end int64  // blob bytes not yet read into win
+	win      []byte // current window; win[pos:] is undecoded
+	pos      int
+	left     uint64 // edges not yet yielded
+	started  bool
+	key      uint64
+	run      uint64 // values left in the current run
+	prevVal  uint64
+	bound    uint64
 }
+
+const segWindow = 1 << 16
 
 // openSegCursor positions a cursor at the chosen direction's blob. The
 // torn-file check is structural: header-claimed blob lengths must match
@@ -292,57 +256,84 @@ func openSegCursor(path string, reverse bool) (*segCursor, error) {
 	if reverse {
 		offset, length = segHeaderSize+h.fwdLen, h.revLen
 	}
-	if _, err := f.Seek(int64(offset), io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
 	return &segCursor{
 		f:     f,
-		br:    bufio.NewReaderSize(io.LimitReader(f, int64(length)), 1<<16),
 		name:  path,
+		off:   int64(offset),
+		end:   int64(offset + length),
+		win:   make([]byte, 0, min(segWindow, length)),
 		left:  h.edges,
 		bound: h.nodeBound,
 	}, nil
 }
 
-// next yields the following (key, val) pair, or ok=false at the end.
-func (c *segCursor) next() (key, val graph.NodeID, ok bool, err error) {
+// uvarint decodes the next varint of the blob, refilling the window
+// first when what is left of it could cut one short.
+func (c *segCursor) uvarint() (uint64, error) {
+	if len(c.win)-c.pos < binary.MaxVarintLen64 && c.off < c.end {
+		if err := c.refill(); err != nil {
+			return 0, err
+		}
+	}
+	v, n := binary.Uvarint(c.win[c.pos:])
+	if n <= 0 {
+		return 0, io.ErrUnexpectedEOF
+	}
+	c.pos += n
+	return v, nil
+}
+
+// refill moves the undecoded tail to the front of the window and reads
+// the blob's next bytes in behind it.
+func (c *segCursor) refill() error {
+	n := copy(c.win[:cap(c.win)], c.win[c.pos:])
+	more := int(min(int64(cap(c.win)-n), c.end-c.off))
+	if _, err := c.f.ReadAt(c.win[n:n+more], c.off); err != nil {
+		return err
+	}
+	c.win, c.pos, c.off = c.win[:n+more], 0, c.off+int64(more)
+	return nil
+}
+
+// next yields the following edge, packed (key, val), or ok=false at the
+// end.
+func (c *segCursor) next() (edge uint64, ok bool, err error) {
 	if c.left == 0 {
-		return 0, 0, false, nil
+		return 0, false, nil
 	}
 	if c.run == 0 {
-		gap, e := binary.ReadUvarint(c.br)
+		gap, e := c.uvarint()
 		if e != nil {
-			return 0, 0, false, fmt.Errorf("%s: truncated run key: %w", c.name, e)
+			return 0, false, fmt.Errorf("%s: truncated run key: %w", c.name, e)
 		}
 		if c.started && gap == 0 {
-			return 0, 0, false, fmt.Errorf("%s: run keys not strictly ascending", c.name)
+			return 0, false, fmt.Errorf("%s: run keys not strictly ascending", c.name)
 		}
 		c.key += gap
 		c.started = true
-		count, e := binary.ReadUvarint(c.br)
+		count, e := c.uvarint()
 		if e != nil || count == 0 || count > c.left {
-			return 0, 0, false, fmt.Errorf("%s: bad run length", c.name)
+			return 0, false, fmt.Errorf("%s: bad run length", c.name)
 		}
 		c.run = count
-		v, e := binary.ReadUvarint(c.br)
+		v, e := c.uvarint()
 		if e != nil {
-			return 0, 0, false, fmt.Errorf("%s: truncated run value: %w", c.name, e)
+			return 0, false, fmt.Errorf("%s: truncated run value: %w", c.name, e)
 		}
 		c.prevVal = v
 	} else {
-		d, e := binary.ReadUvarint(c.br)
+		d, e := c.uvarint()
 		if e != nil {
-			return 0, 0, false, fmt.Errorf("%s: truncated run value: %w", c.name, e)
+			return 0, false, fmt.Errorf("%s: truncated run value: %w", c.name, e)
 		}
 		c.prevVal += d + 1
 	}
 	c.run--
 	c.left--
 	if c.key >= c.bound || c.prevVal >= c.bound {
-		return 0, 0, false, fmt.Errorf("%s: node id beyond segment bound %d", c.name, c.bound)
+		return 0, false, fmt.Errorf("%s: node id beyond segment bound %d", c.name, c.bound)
 	}
-	return graph.NodeID(c.key), graph.NodeID(c.prevVal), true, nil
+	return graph.PackEdge(graph.NodeID(c.key), graph.NodeID(c.prevVal)), true, nil
 }
 
 func (c *segCursor) close() error { return c.f.Close() }
