@@ -18,10 +18,11 @@ all: build vet test race
 # covers the sharded rate limiter, the batched crawl frontier and the
 # study's concurrent, memoised structure stages with the packages that
 # drive them (paper, report, gplusanalyze), the
-# short fuzz leg shakes the checkpoint/journal parser, the triad pass and the edge sort, the hygiene leg
+# short fuzz leg shakes the checkpoint/journal parser, the wire codec, the triad pass and the edge sort, the hygiene leg
 # gates the metric exposition and its label vocabulary, the
 # one-durable-writer rule, the every-flag-has-a-recipe rule and the
-# every-package- and every-exported-symbol-reaches-the-pipeline rules, the
+# every-package- and every-exported-symbol-reaches-the-pipeline rules and
+# the reflection-JSON-stays-cold rule, the
 # brownout leg proves kill-free convergence through a server overload,
 # staticcheck runs when the pinned version is installed, and the run
 # ends with the non-test line count per package.
@@ -30,7 +31,7 @@ check: all staticcheck hygiene brownout fuzz-short loc
 help:
 	@echo "make all            build + vet + test + race (default)"
 	@echo "make check          all + staticcheck + hygiene + brownout + fuzz-short"
-	@echo "make hygiene        metrics-hygiene gate (naming grammar + HELP lines + label keys from the one vocabulary) + labels-are-data gate + durable-write gate + every-flag-has-a-recipe gate + every-package- and every-exported-symbol-reaches-the-pipeline gates"
+	@echo "make hygiene        metrics-hygiene gate (naming grammar + HELP lines + label keys from the one vocabulary) + labels-are-data gate + durable-write gate + every-flag-has-a-recipe gate + every-package- and every-exported-symbol-reaches-the-pipeline gates + reflection-JSON-stays-cold gate"
 	@echo "make loc            non-test Go lines per package (bench/ excluded)"
 	@echo "make chaos          kill/resume convergence under the fault suite"
 	@echo "make brownout       kill-free convergence through a server brownout"
@@ -43,7 +44,7 @@ help:
 	@echo "make bench-storage  out-of-core CSR: segment/compact/load/scan -> BENCH_storage.json"
 	@echo "make paperscale     10M-node/200M-edge out-of-core acceptance run (slow; merges RSS rows into BENCH_storage.json)"
 	@echo "make ablations      design-choice ablation experiments"
-	@echo "make fuzz           long fuzz of every parser (series names included), the multi-source BFS, the triad pass and the edge sort (30s each)"
+	@echo "make fuzz           long fuzz of every parser (wire codec and series names included), the multi-source BFS, the triad pass and the edge sort (30s each)"
 	@echo "make verify         generate a dataset and audit it against the paper"
 	@echo "make examples       run every example binary"
 	@echo "make report         full Markdown report from a fresh dataset"
@@ -81,11 +82,14 @@ race:
 # (internal/growth, driven through the crawler by two named tests, is
 # the one exception), or if an exported func, method, type, const or var
 # under internal/ is named by no non-test code those mains reach and is
-# not listed beside the test that keeps it.
+# not listed beside the test that keeps it. The reflection gate fails if
+# non-test code of internal/gplusd, gplusapi, crawler or dataset calls
+# json.Marshal/Unmarshal/NewEncoder/NewDecoder outside the listed cold
+# sites, so encoding/json cannot grow back beside the wire codec.
 hygiene:
 	$(GO) test -count=1 -run TestMetricsHygiene ./internal/crawler/
 	$(GO) test -count=1 -run TestDurableWriteHygiene ./internal/durable/
-	$(GO) test -count=1 -run 'TestLabelsAreData|TestFlagsHaveRecipe|TestPackagesReachPipeline|TestSurfaceReachesPipeline' .
+	$(GO) test -count=1 -run 'TestLabelsAreData|TestFlagsHaveRecipe|TestPackagesReachPipeline|TestSurfaceReachesPipeline|TestReflectionJSONStaysCold' .
 
 # Non-test Go lines per package, bench/ excluded: the size trend ROADMAP
 # aim 2 asks every PR to report.
@@ -207,6 +211,7 @@ ablations:
 
 fuzz:
 	$(GO) test -fuzz=FuzzToProfile -fuzztime=30s ./internal/gplusapi/
+	$(GO) test -fuzz=FuzzWireCodec -fuzztime=30s ./internal/gplusapi/
 	$(GO) test -fuzz=FuzzReadBinary -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzMultiSourceBFS -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzTriads -fuzztime=30s ./internal/graph/
@@ -217,10 +222,13 @@ fuzz:
 	$(GO) test -fuzz=FuzzSeriesName -fuzztime=30s ./internal/obs/
 
 # The quick fuzz leg of `make check`: the checkpoint/journal parser is
-# the one format a crash can hand arbitrary torn bytes to, the triad
+# the one format a crash can hand arbitrary torn bytes to, the wire
+# codec is the parser every network byte and every dataset byte goes
+# through (held to encoding/json as its oracle), the triad
 # pass is the one kernel three figures share, and the radix edge sort is
 # the one order every segment, compaction and Builder graph rests on.
 fuzz-short:
+	$(GO) test -run '^$$' -fuzz=FuzzWireCodec -fuzztime=10s ./internal/gplusapi/
 	$(GO) test -run '^$$' -fuzz=FuzzReadResult -fuzztime=10s ./internal/crawler/
 	$(GO) test -run '^$$' -fuzz=FuzzTriads -fuzztime=10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz=FuzzSortEdges -fuzztime=10s ./internal/graph/

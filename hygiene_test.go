@@ -542,3 +542,66 @@ func TestLabelsAreData(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// reflectionJSONSites lists, per package that moves profile documents
+// and circle pages, the functions still allowed to call encoding/json's
+// reflection entry points, each with the reason it is cold. Everything
+// else in those packages goes through internal/gplusapi's wire codec.
+var reflectionJSONSites = map[string]string{
+	"internal/gplusd/server.go:writeJSON":   "/stats and /seed: two tiny documents, once per crawl",
+	"internal/gplusapi/client.go:FetchSeed": "one SeedDoc per crawl",
+}
+
+// TestReflectionJSONStaysCold is the gate that keeps reflection-driven
+// encoding/json from growing back beside the wire codec: in non-test
+// code of internal/gplusd, gplusapi, crawler and dataset, json.Marshal,
+// MarshalIndent, Unmarshal, NewEncoder and NewDecoder may be called only
+// from the functions of reflectionJSONSites. Syntax only (go/parser). A
+// listed function that no longer calls one fails too, so the list stays
+// the truth.
+func TestReflectionJSONStaysCold(t *testing.T) {
+	fset := token.NewFileSet()
+	used := map[string]bool{}
+	for _, dir := range []string{"gplusd", "gplusapi", "crawler", "dataset"} {
+		files, err := filepath.Glob(filepath.Join("internal", dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no Go files under internal/%s (err=%v)", dir, err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				site := filepath.ToSlash(path) + ":" + fn.Name.Name
+				ast.Inspect(fn, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					switch types.ExprString(call.Fun) {
+					case "json.Marshal", "json.MarshalIndent", "json.Unmarshal", "json.NewEncoder", "json.NewDecoder":
+						used[site] = true
+						if reflectionJSONSites[site] == "" {
+							t.Errorf("%s: %s calls %s; profile documents and circle pages go through gplusapi's wire codec (or list the site in reflectionJSONSites with the reason it is cold)",
+								fset.Position(call.Pos()), fn.Name.Name, types.ExprString(call.Fun))
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	for site := range reflectionJSONSites {
+		if !used[site] {
+			t.Errorf("reflectionJSONSites lists %s, which no longer calls encoding/json: drop the entry", site)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package crawler
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -25,26 +24,47 @@ import (
 // without a P record are the uncrawled frontier that Resume continues
 // from.
 
+// The three record renderers, shared by WriteResult and the Journal:
+// each appends one whole newline-terminated record.
+
+func appendProfileRecord(dst []byte, doc *gplusapi.ProfileDoc) ([]byte, error) {
+	dst, err := gplusapi.AppendProfileDoc(append(dst, 'P', ' '), doc)
+	return append(dst, '\n'), err
+}
+
+func appendEdgeRecord(dst []byte, from, to string) []byte {
+	dst = append(append(dst, 'E', ' '), from...)
+	dst = append(append(dst, ' '), to...)
+	return append(dst, '\n')
+}
+
+func appendDiscoveredRecord(dst []byte, id string) []byte {
+	return append(append(append(dst, 'D', ' '), id...), '\n')
+}
+
 // WriteResult serializes a crawl result as a checkpoint stream.
 func WriteResult(w io.Writer, res *Result) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
+	var rec []byte
 	for id, p := range res.Profiles {
 		doc := gplusapi.FromProfile(id, &p)
-		raw, err := json.Marshal(&doc)
-		if err != nil {
+		var err error
+		if rec, err = appendProfileRecord(rec[:0], &doc); err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(bw, "P %s\n", raw); err != nil {
+		if _, err := bw.Write(rec); err != nil {
 			return err
 		}
 	}
 	for _, e := range res.Edges {
-		if _, err := fmt.Fprintf(bw, "E %s %s\n", e.From, e.To); err != nil {
+		rec = appendEdgeRecord(rec[:0], e.From, e.To)
+		if _, err := bw.Write(rec); err != nil {
 			return err
 		}
 	}
 	for id := range res.Discovered {
-		if _, err := fmt.Fprintf(bw, "D %s\n", id); err != nil {
+		rec = appendDiscoveredRecord(rec[:0], id)
+		if _, err := bw.Write(rec); err != nil {
 			return err
 		}
 	}
@@ -78,15 +98,18 @@ func readResult(r io.Reader, sink EdgeSink) (*Result, error) {
 		}
 		switch body := rec[2:]; rec[0] {
 		case 'P':
-			var doc gplusapi.ProfileDoc
-			if err := json.Unmarshal(body, &doc); err != nil {
+			var (
+				id string
+				p  profile.Profile
+			)
+			if err := gplusapi.DecodeProfile(body, &id, &p, nil); err != nil {
 				return fmt.Errorf("crawler: checkpoint line %d: %w", line, err)
 			}
-			if doc.ID == "" {
+			if id == "" {
 				return fmt.Errorf("crawler: checkpoint line %d: profile without id", line)
 			}
-			res.Profiles[doc.ID] = doc.ToProfile()
-			res.Discovered[doc.ID] = true
+			res.Profiles[id] = p
+			res.Discovered[id] = true
 		case 'E':
 			from, to, ok := strings.Cut(string(body), " ")
 			if !ok || from == "" || to == "" {

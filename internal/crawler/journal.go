@@ -2,8 +2,6 @@ package crawler
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -59,6 +57,7 @@ type Journal struct {
 	ch            chan journalMsg
 	done          chan struct{}
 	flushInterval time.Duration
+	rec           []byte // the writer goroutine's record-rendering space
 
 	mu   sync.Mutex
 	werr error // first write/flush/sync error, sticky
@@ -262,55 +261,47 @@ func (j *Journal) writeLoop() {
 // After a sticky error, records are dropped rather than blocking the
 // crawl on a dead disk.
 func (j *Journal) handle(msg journalMsg) bool {
-	bw := j.log
 	if j.Err() != nil {
 		return false
 	}
+	// A message's records are rendered into j.rec and appended to the
+	// log in one Write.
+	rec := j.rec[:0]
 	switch msg.op {
 	case 'P':
-		raw, err := json.Marshal(msg.doc)
-		if err != nil {
+		var err error
+		if rec, err = appendProfileRecord(rec, msg.doc); err != nil {
 			j.fail(err)
 			return false
 		}
-		if _, err := fmt.Fprintf(bw, "P %s\n", raw); err != nil {
-			j.fail(err)
-			return true
-		}
 		j.recProfiles.Inc()
-		return true
 	case 'C':
 		for _, other := range msg.ids {
-			var err error
 			if msg.out {
-				_, err = fmt.Fprintf(bw, "E %s %s\n", msg.from, other)
+				rec = appendEdgeRecord(rec, msg.from, other)
 			} else {
-				_, err = fmt.Fprintf(bw, "E %s %s\n", other, msg.from)
-			}
-			if err != nil {
-				j.fail(err)
-				return true
+				rec = appendEdgeRecord(rec, other, msg.from)
 			}
 		}
 		j.recEdges.Add(int64(len(msg.ids)))
-		return true
 	case 'D':
 		for _, id := range msg.ids {
-			if _, err := fmt.Fprintf(bw, "D %s\n", id); err != nil {
-				j.fail(err)
-				return true
-			}
+			rec = appendDiscoveredRecord(rec, id)
 		}
 		j.recDiscovered.Add(int64(len(msg.ids)))
-		return true
 	case 'B':
-		// WriteResult layers its own buffered writer over bw and
-		// flushes it into bw before returning.
-		j.fail(WriteResult(bw, msg.res))
+		// WriteResult layers its own buffered writer over the log and
+		// flushes it into the log before returning.
+		j.fail(WriteResult(j.log, msg.res))
 		j.recProfiles.Add(int64(len(msg.res.Profiles)))
 		j.recEdges.Add(int64(len(msg.res.Edges)))
 		j.recDiscovered.Add(int64(len(msg.res.Discovered)))
 		return true
+	default:
+		return false
 	}
-	return false
+	j.rec = rec
+	_, err := j.log.Write(rec)
+	j.fail(err)
+	return true
 }

@@ -1,8 +1,11 @@
 package crawler
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"gplus/internal/geo"
 	"gplus/internal/gplusapi"
 	"gplus/internal/gplusd"
 	"gplus/internal/obs"
@@ -344,5 +348,68 @@ func TestJournalErrorSurfacedInProgress(t *testing.T) {
 	}
 	if err := full.Close(); err == nil {
 		t.Error("Close did not report the sticky error")
+	}
+}
+
+// TestJournalBytesMatchEncodingJSON pins the journal's bytes to the
+// rendering the wire codec replaced — json.Marshal for the document,
+// fmt.Fprintf for every record — across all record kinds, both circle
+// directions, a bootstrap, and strings the encoders must escape.
+func TestJournalBytesMatchEncodingJSON(t *testing.T) {
+	odd := profile.Profile{
+		Name:        "<Zoë> & \"co\" \x01",
+		Public:      profile.AttrSet(0).With(profile.AttrName).With(profile.AttrPlacesLived).With(profile.AttrGender),
+		Gender:      profile.GenderOther,
+		PlacesLived: []string{"São Paulo", "tab\there"},
+		Place:       "tab\there",
+		CountryCode: "BR",
+		Loc:         geo.Point{Lat: -23.5e-8, Lon: 1e21},
+	}
+	plain := profile.Profile{Name: "user-1", DeclaredInDegree: 12, DeclaredOutDegree: 3}
+	docOdd, docPlain := gplusapi.FromProfile("101", &odd), gplusapi.FromProfile("102", &plain)
+	boot := &Result{
+		Profiles:   map[string]profile.Profile{"101": odd},
+		Edges:      []Edge{{From: "101", To: "102"}, {From: "103", To: "101"}},
+		Discovered: map[string]bool{"101": true},
+	}
+
+	path := filepath.Join(t.TempDir(), "crawl.journal")
+	j, err := OpenJournal(path, JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Bootstrap(boot); err != nil {
+		t.Fatal(err)
+	}
+	j.circlePage("102", true, []string{"104", "105"})
+	j.circlePage("102", false, []string{"106"})
+	j.circlePage("102", true, nil)
+	j.discoveredIDs([]string{"104", "105", "106"})
+	j.profile(&docPlain)
+	j.profile(&docOdd)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var want bytes.Buffer
+	record := func(doc *gplusapi.ProfileDoc) {
+		raw, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&want, "P %s\n", raw)
+	}
+	record(&docOdd)
+	fmt.Fprintf(&want, "E %s %s\nE %s %s\nD %s\n", "101", "102", "103", "101", "101")
+	fmt.Fprintf(&want, "E %s %s\nE %s %s\nE %s %s\n", "102", "104", "102", "105", "106", "102")
+	fmt.Fprintf(&want, "D %s\nD %s\nD %s\n", "104", "105", "106")
+	record(&docPlain)
+	record(&docOdd)
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("journal bytes differ from the encoding/json + fmt rendering:\n got %q\nwant %q", got, want.Bytes())
 	}
 }

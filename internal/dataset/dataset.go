@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"gplus/internal/crawler"
 	"gplus/internal/graph"
@@ -31,7 +32,10 @@ type Dataset struct {
 	// datasets, where Close is a no-op.
 	closer io.Closer
 
-	index map[string]graph.NodeID
+	// index resolves service ids for NodeOf; it is built by the first
+	// caller, because a study that only reads tables never asks.
+	indexOnce sync.Once
+	index     map[string]graph.NodeID
 }
 
 // Close releases the dataset's graph mapping, if any. Datasets loaded
@@ -74,16 +78,19 @@ func (d *Dataset) NumCrawled() int {
 
 // NodeOf resolves a service id to the dense node id.
 func (d *Dataset) NodeOf(id string) (graph.NodeID, bool) {
-	n, ok := d.index[id]
+	n, ok := d.idIndex()[id]
 	return n, ok
 }
 
-// buildIndex populates the id lookup; called by constructors and Load.
-func (d *Dataset) buildIndex() {
-	d.index = make(map[string]graph.NodeID, len(d.IDs))
-	for i, id := range d.IDs {
-		d.index[id] = graph.NodeID(i)
-	}
+// idIndex returns the id lookup over IDs, building it on first use.
+func (d *Dataset) idIndex() map[string]graph.NodeID {
+	d.indexOnce.Do(func() {
+		d.index = make(map[string]graph.NodeID, len(d.IDs))
+		for i, id := range d.IDs {
+			d.index[id] = graph.NodeID(i)
+		}
+	})
+	return d.index
 }
 
 // Validate checks cross-field invariants.
@@ -124,9 +131,9 @@ func rosterFromCrawl(res *crawler.Result, extra []string) *Dataset {
 		Profiles: make([]profile.Profile, len(ids)),
 		Crawled:  make([]bool, len(ids)),
 	}
-	d.buildIndex()
+	index := d.idIndex()
 	for id, p := range res.Profiles {
-		node := d.index[id]
+		node := index[id]
 		d.Profiles[node] = p
 		d.Crawled[node] = true
 	}
@@ -139,10 +146,11 @@ func rosterFromCrawl(res *crawler.Result, extra []string) *Dataset {
 func FromCrawl(res *crawler.Result) *Dataset {
 	d := rosterFromCrawl(res, nil)
 	ids := d.IDs
+	index := d.idIndex()
 	b := graph.NewBuilder(len(ids), len(res.Edges))
 	for _, e := range res.Edges {
-		from, okFrom := d.index[e.From]
-		to, okTo := d.index[e.To]
+		from, okFrom := index[e.From]
+		to, okTo := index[e.To]
 		if !okFrom || !okTo {
 			continue // edge to an id outside the discovered set: impossible, but harmless
 		}
@@ -169,6 +177,5 @@ func FromUniverse(u *synth.Universe) *Dataset {
 	for i := range d.Crawled {
 		d.Crawled[i] = true
 	}
-	d.buildIndex()
 	return d
 }

@@ -2,12 +2,18 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
 
 	"gplus/internal/durable"
 	"gplus/internal/gplusapi"
@@ -18,8 +24,13 @@ import (
 // On-disk layout: <dir>/graph.v2 (varint/delta-compressed CSR, openable
 // via mmap without materializing — see internal/graph/diskcsr) plus
 // <dir>/profiles.jsonl (one JSON record per user in node-id order; a
-// profiles.jsonl.gz written by an earlier build is still read). The
-// JSONL form keeps the profile columns greppable and diffable; the graph
+// profiles.jsonl.gz written by an earlier build is still read). A
+// record is the wire document of internal/gplusapi — the same bytes
+// gplusd serves and the journal logs for that profile — with one more
+// member, "crawled", before the closing brace; it is written and read
+// by gplusapi's wire codec, not by reflection, and a record may be of
+// any length. The JSONL form keeps the profile columns greppable and
+// diffable; the graph
 // stays binary because edge lists dominate the size. graph.v2 is the
 // only graph form this package writes; a directory holding only the
 // legacy v1 graph.bin still loads (LoadWith falls back to
@@ -43,11 +54,9 @@ type Options struct {
 	Mapped bool
 }
 
-// userRecord is one line of profiles.jsonl.
-type userRecord struct {
-	gplusapi.ProfileDoc
-	Crawled bool `json:"crawled"`
-}
+// crawledKey is the member a profiles.jsonl record adds to the wire
+// document: whether the user's profile page was fetched.
+const crawledKey = "crawled"
 
 // SaveV2 writes the dataset under dir, creating it if needed: the graph
 // as graph.v2 (varint/delta-compressed adjacency with an O(1)-seek
@@ -86,13 +95,17 @@ func (d *Dataset) save(dir string, writeGraph func(path string) error) error {
 
 func (d *Dataset) writeProfiles(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	enc := json.NewEncoder(bw)
+	var rec []byte
 	for i := range d.IDs {
-		rec := userRecord{
-			ProfileDoc: gplusapi.FromProfile(d.IDs[i], &d.Profiles[i]),
-			Crawled:    d.Crawled[i],
+		doc := gplusapi.FromProfile(d.IDs[i], &d.Profiles[i])
+		var err error
+		if rec, err = gplusapi.AppendProfileDoc(rec[:0], &doc); err != nil {
+			return err
 		}
-		if err := enc.Encode(&rec); err != nil {
+		// Reopen the document's closing brace for the record's own member.
+		rec = append(rec[:len(rec)-1], `,"`+crawledKey+`":`...)
+		rec = append(strconv.AppendBool(rec, d.Crawled[i]), '}', '\n')
+		if _, err := bw.Write(rec); err != nil {
 			return err
 		}
 	}
@@ -143,7 +156,6 @@ func LoadWith(dir string, opt Options) (*Dataset, error) {
 		d.Close() //nolint:errcheck — unwinding a failed open
 		return nil, err
 	}
-	d.buildIndex()
 	if err := d.Validate(); err != nil {
 		d.Close() //nolint:errcheck — unwinding a failed open
 		return nil, err
@@ -153,11 +165,17 @@ func LoadWith(dir string, opt Options) (*Dataset, error) {
 
 func (d *Dataset) loadProfiles(dir string) error {
 	// Prefer the plain form; fall back to the gzip form.
-	var profiles io.Reader
+	var (
+		profiles io.Reader
+		size     int64 // of the plain column; unknown for the gzip form
+	)
 	pf, err := os.Open(filepath.Join(dir, profilesFile))
 	switch {
 	case err == nil:
 		profiles = pf
+		if fi, err := pf.Stat(); err == nil {
+			size = fi.Size()
+		}
 	case os.IsNotExist(err):
 		pf, err = os.Open(filepath.Join(dir, profilesGzFile))
 		if err != nil {
@@ -174,28 +192,137 @@ func (d *Dataset) loadProfiles(dir string) error {
 		return err
 	}
 	defer pf.Close()
-	if err := d.readProfiles(profiles); err != nil {
+	if err := d.readProfiles(profiles, size, runtime.GOMAXPROCS(0)); err != nil {
 		return fmt.Errorf("dataset: reading profiles: %w", err)
 	}
 	return nil
 }
 
-func (d *Dataset) readProfiles(r io.Reader) error {
-	scanner := bufio.NewScanner(bufio.NewReaderSize(r, 1<<16))
-	scanner.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	line := 0
-	for scanner.Scan() {
-		line++
-		var rec userRecord
-		if err := json.Unmarshal(scanner.Bytes(), &rec); err != nil {
-			return fmt.Errorf("line %d: %w", line, err)
+// profileChunk is how much of the profile column is read, and decoded
+// by all workers, at a time: the column is never resident whole.
+const profileChunk = 1 << 20
+
+// readProfiles appends the records of r to the three columns, a chunk
+// of whole lines at a time, each chunk decoded by up to par goroutines.
+// Placement is by line number whatever par is, and so is the error: the
+// lowest failing line's. size, when positive, is how many bytes r
+// holds: the columns are then allocated once, from the first chunk's
+// bytes per line, instead of growing chunk by chunk.
+func (d *Dataset) readProfiles(r io.Reader, size int64, par int) error {
+	buf := make([]byte, 0, profileChunk)
+	for eof := false; !eof; {
+		n, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		switch err {
+		case nil:
+		case io.EOF, io.ErrUnexpectedEOF:
+			eof = true
+		default:
+			return err
 		}
-		if rec.ID == "" {
-			return fmt.Errorf("line %d: record without id", line)
+		end := len(buf) // at EOF a last line needs no newline
+		if !eof {
+			if end = bytes.LastIndexByte(buf, '\n') + 1; end == 0 {
+				buf = slices.Grow(buf, 2*cap(buf)) // one record longer than the chunk
+				continue
+			}
 		}
-		d.IDs = append(d.IDs, rec.ID)
-		d.Profiles = append(d.Profiles, rec.ToProfile())
-		d.Crawled = append(d.Crawled, rec.Crawled)
+		if len(d.IDs) == 0 && int64(end) < size {
+			lines := bytes.Count(buf[:end], []byte{'\n'})
+			d.growColumns(int(float64(lines) * float64(size) / float64(end) * 1.02))
+		}
+		if err := d.decodeLines(buf[:end], par); err != nil {
+			return err
+		}
+		buf = append(buf[:0], buf[end:]...)
 	}
-	return scanner.Err()
+	return nil
+}
+
+// growColumns makes room for n more records in the three columns.
+func (d *Dataset) growColumns(n int) {
+	d.IDs = slices.Grow(d.IDs, n)
+	d.Profiles = slices.Grow(d.Profiles, n)
+	d.Crawled = slices.Grow(d.Crawled, n)
+}
+
+// decodeLines appends the records of lines, which holds whole lines,
+// split into up to par ranges decoded side by side.
+func (d *Dataset) decodeLines(lines []byte, par int) error {
+	n := bytes.Count(lines, []byte{'\n'})
+	if len(lines) > 0 && lines[len(lines)-1] != '\n' {
+		n++
+	}
+	first := len(d.IDs)
+	d.growColumns(n)
+	d.IDs, d.Profiles, d.Crawled = d.IDs[:first+n], d.Profiles[:first+n], d.Crawled[:first+n]
+
+	type failure struct {
+		line int
+		err  error
+	}
+	failures := make([]failure, max(par, 1))
+	var wg sync.WaitGroup
+	for w := 0; w < len(failures) && len(lines) > 0; w++ {
+		// An even share of what is left, up to the end of its last line.
+		end := len(lines) / (len(failures) - w)
+		if nl := bytes.IndexByte(lines[end:], '\n'); nl >= 0 {
+			end += nl + 1
+		} else {
+			end = len(lines)
+		}
+		part, at := lines[:end], first
+		lines = lines[end:]
+		first += bytes.Count(part, []byte{'\n'})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			failures[w].line, failures[w].err = d.decodeRange(part, at)
+		}()
+	}
+	wg.Wait()
+	for _, f := range failures { // ranges are in line order
+		if f.err != nil {
+			return fmt.Errorf("line %d: %w", f.line+1, f.err)
+		}
+	}
+	return nil
+}
+
+// decodeRange decodes the lines of part into the columns from index at
+// on, stopping at the first bad record, whose index it returns.
+func (d *Dataset) decodeRange(part []byte, at int) (int, error) {
+	var crawled bool
+	member := func(key, value []byte) error {
+		if !strings.EqualFold(string(key), crawledKey) { // keys match as encoding/json matched them
+			return nil
+		}
+		switch string(value) {
+		case "true":
+			crawled = true
+		case "false":
+			crawled = false
+		case "null": // leaves a bool as it is, as it does for reflection
+		default:
+			return fmt.Errorf("%s is %s, want true or false", crawledKey, value)
+		}
+		return nil
+	}
+	for ; len(part) > 0; at++ {
+		line := part
+		if nl := bytes.IndexByte(part, '\n'); nl >= 0 {
+			line, part = part[:nl], part[nl+1:]
+		} else {
+			part = nil
+		}
+		crawled = false
+		if err := gplusapi.DecodeProfile(line, &d.IDs[at], &d.Profiles[at], member); err != nil {
+			return at, err
+		}
+		if d.IDs[at] == "" {
+			return at, errors.New("record without id")
+		}
+		d.Crawled[at] = crawled
+	}
+	return at, nil
 }

@@ -1,0 +1,238 @@
+package dataset
+
+import (
+	"bufio"
+	"bytes"
+	"compress/gzip"
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"gplus/internal/gplusapi"
+	"gplus/internal/graph"
+	"gplus/internal/profile"
+)
+
+// referenceRecord, referenceWrite and referenceRead are the profile
+// column as reflection-driven encoding/json wrote and read it before the
+// wire codec: the oracle the codec's column must equal byte for byte and
+// value for value.
+type referenceRecord struct {
+	gplusapi.ProfileDoc
+	Crawled bool `json:"crawled"`
+}
+
+func referenceWrite(w io.Writer, d *Dataset) error {
+	enc := json.NewEncoder(w)
+	for i := range d.IDs {
+		rec := referenceRecord{ProfileDoc: gplusapi.FromProfile(d.IDs[i], &d.Profiles[i]), Crawled: d.Crawled[i]}
+		if err := enc.Encode(&rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func referenceRead(r io.Reader) (*Dataset, error) {
+	d := &Dataset{}
+	scanner := bufio.NewScanner(r)
+	scanner.Buffer(nil, 1<<30)
+	for line := 1; scanner.Scan(); line++ {
+		var rec referenceRecord
+		if err := json.Unmarshal(scanner.Bytes(), &rec); err != nil {
+			return nil, fmt.Errorf("line %d: %w", line, err)
+		}
+		if rec.ID == "" {
+			return nil, fmt.Errorf("line %d: record without id", line)
+		}
+		d.IDs = append(d.IDs, rec.ID)
+		d.Profiles = append(d.Profiles, rec.ToProfile())
+		d.Crawled = append(d.Crawled, rec.Crawled)
+	}
+	return d, scanner.Err()
+}
+
+// oneByteReader hands out its input a byte per Read, so every chunk
+// boundary logic in readProfiles sees short reads.
+type oneByteReader struct{ r io.Reader }
+
+func (o oneByteReader) Read(p []byte) (int, error) { return o.r.Read(p[:min(len(p), 1)]) }
+
+func sameColumns(a, b *Dataset) bool {
+	return reflect.DeepEqual(a.IDs, b.IDs) && reflect.DeepEqual(a.Profiles, b.Profiles) && reflect.DeepEqual(a.Crawled, b.Crawled)
+}
+
+// TestProfileColumnMatchesEncodingJSON reads the golden columns (bytes
+// no current writer influences), a crawled one and a hostile one with
+// the codec at several parallelisms and holds the columns to what
+// encoding/json reads; then writes them back and holds the bytes to
+// what encoding/json writes.
+func TestProfileColumnMatchesEncodingJSON(t *testing.T) {
+	columns := map[string][]byte{}
+	var err error
+	if columns["v1"], err = os.ReadFile(filepath.Join("testdata/v1", profilesFile)); err != nil {
+		t.Fatal(err)
+	}
+	gz, err := os.Open(filepath.Join("testdata/gz", profilesGzFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gz.Close()
+	zr, err := gzip.NewReader(gz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if columns["gz"], err = io.ReadAll(zr); err != nil {
+		t.Fatal(err)
+	}
+	_, res := fixtures(t)
+	var crawled bytes.Buffer
+	if err := FromCrawl(res).writeProfiles(&crawled); err != nil {
+		t.Fatal(err)
+	}
+	columns["crawled"] = crawled.Bytes()
+	// Several chunks' worth, so ranges and carried partial lines are in play.
+	columns["3 MiB"] = bytes.Repeat(columns["v1"], 3*profileChunk/len(columns["v1"])+1)
+	columns["no final newline"] = bytes.TrimSuffix(columns["v1"], []byte("\n"))
+	columns["hostile"] = []byte(strings.Join([]string{
+		`{"id":"a","name":"<b>&amp;</b> ` + "\u2028\u2029 caf\u00e9 \U0001F600" + `","fields":["name","places_lived"],"placesLived":["x\ty","\"q\""],"place":{"name":"\"q\"","lat":1e-7,"lon":-1e21},"inCircleCount":3,"outCircleCount":4,"crawled":true}`,
+		`  {"CRAWLED":true,"Id":"b","unknown":{"deep":[1,2,{"x":null}]},"fields":["gender"],"gender":"Female","crawled":null}  `,
+		`{"id":"c","name":"n","fields":["places_lived"],"placesLived":["p"],"placesLived":[null,"q"],"crawled":false}`,
+		"{\"id\":\"d\",\"name\":\"bad utf8 \xff\",\"fields\":null,\"inCircleCount\":0}\r",
+		`{"id":"e","fields":[],"crawled":true,"crawled":false}`,
+	}, "\n") + "\n")
+
+	for name, raw := range columns {
+		want, err := referenceRead(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: reference reader: %v", name, err)
+		}
+		for _, par := range []int{1, 2, 3, 8} {
+			got := &Dataset{}
+			if err := got.readProfiles(bytes.NewReader(raw), int64(len(raw))*int64(par%2), par); err != nil {
+				t.Fatalf("%s, P=%d: %v", name, par, err)
+			}
+			if !sameColumns(got, want) {
+				t.Fatalf("%s, P=%d: columns differ from encoding/json's", name, par)
+			}
+		}
+		got := &Dataset{}
+		if err := got.readProfiles(oneByteReader{bytes.NewReader(raw)}, 0, 2); err != nil || !sameColumns(got, want) {
+			t.Fatalf("%s read a byte at a time: err %v, same columns %v", name, err, err == nil)
+		}
+
+		var wantBytes, gotBytes bytes.Buffer
+		if err := referenceWrite(&wantBytes, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.writeProfiles(&gotBytes); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotBytes.Bytes(), wantBytes.Bytes()) {
+			t.Fatalf("%s: written column differs from encoding/json's", name)
+		}
+		if name == "v1" && !bytes.Equal(gotBytes.Bytes(), raw) {
+			t.Error("the v1 golden column does not re-save to its own bytes")
+		}
+	}
+}
+
+// TestReadProfilesReportsLowestFailingLine breaks several lines of a
+// multi-chunk column: whatever the parallelism, the error names the
+// first, as a serial reader's would.
+func TestReadProfilesReportsLowestFailingLine(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata/v1", profilesFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(bytes.Repeat(golden, 2*profileChunk/len(golden)), []byte("\n")), []byte("\n"))
+	breakLine := func(n int, with string) { lines[n-1] = []byte(with) }
+	cases := []struct {
+		name  string
+		setup func()
+		want  string
+	}{
+		{"late syntax error", func() { breakLine(len(lines)-3, `{"id":"x",}`) }, fmt.Sprintf("line %d:", len(lines)-3)},
+		{"second chunk", func() { breakLine(len(lines)/2+500, `{"id":"x","crawled":1}`) }, fmt.Sprintf("line %d: crawled is 1", len(lines)/2+500)},
+		{"empty line", func() { breakLine(4000, ``) }, "line 4000:"},
+		{"no id", func() { breakLine(700, `{"name":"anonymous","crawled":true}`) }, "line 700: record without id"},
+		{"type mismatch", func() { breakLine(31, `{"id":"x","inCircleCount":1.5}`) }, "line 31:"},
+		{"first line", func() { breakLine(1, `[]`) }, "line 1:"},
+	}
+	for _, c := range cases { // cumulative: each adds an earlier failure
+		c.setup()
+		raw := append(bytes.Join(lines, []byte("\n")), '\n')
+		if _, err := referenceRead(bytes.NewReader(raw)); err == nil || !strings.HasPrefix(err.Error(), strings.SplitN(c.want, ":", 2)[0]+":") {
+			t.Fatalf("%s: reference reader says %v, test expects %q", c.name, err, c.want)
+		}
+		for _, par := range []int{1, 2, 5} {
+			err := (&Dataset{}).readProfiles(bytes.NewReader(raw), int64(len(raw)), par)
+			if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+				t.Errorf("%s, P=%d: error %v, want prefix %q", c.name, par, err, c.want)
+			}
+		}
+	}
+}
+
+// TestLongProfileRecordRoundTrips is the regression test for the 16 MiB
+// line cap the bufio.Scanner reader had: a record SaveV2 wrote without
+// complaint came back as "token too long" on Load.
+func TestLongProfileRecordRoundTrips(t *testing.T) {
+	long := strings.Repeat("a very long place name ", (17<<20)/23)
+	public := profile.AttrSet(0).With(profile.AttrName).With(profile.AttrPlacesLived)
+	d := &Dataset{
+		Graph: graph.NewBuilder(3, 0).Build(),
+		IDs:   []string{"before", "long", "after"},
+		Profiles: []profile.Profile{
+			{Name: "b", Public: public},
+			{Name: "l", Public: public, PlacesLived: []string{"short", long}, Place: long, CountryCode: "XX"},
+			{Name: "a", Public: public, DeclaredInDegree: 7},
+		},
+		Crawled: []bool{true, true, false},
+	}
+	dir := filepath.Join(t.TempDir(), "ds")
+	if err := d.SaveV2(dir); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(dir)
+	if err != nil {
+		t.Fatalf("Load of a dataset with a %d MiB record: %v", len(long)>>20, err)
+	}
+	if !sameColumns(got, d) {
+		t.Error("columns differ after the round trip")
+	}
+}
+
+// TestNodeOfBuildsIndexOnFirstUse: a loaded dataset resolves ids (the
+// index is built lazily now) and concurrent first callers agree.
+func TestNodeOfBuildsIndexOnFirstUse(t *testing.T) {
+	d, err := Load("testdata/v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.index != nil {
+		t.Fatal("Load built the id index nobody asked for")
+	}
+	done := make(chan bool)
+	for w := 0; w < 4; w++ {
+		go func() {
+			ok := true
+			for i, id := range d.IDs {
+				n, found := d.NodeOf(id)
+				ok = ok && found && int(n) == i
+			}
+			_, ghost := d.NodeOf("nobody")
+			done <- ok && !ghost
+		}()
+	}
+	for w := 0; w < 4; w++ {
+		if !<-done {
+			t.Error("NodeOf misresolved an id")
+		}
+	}
+}

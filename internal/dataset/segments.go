@@ -90,8 +90,9 @@ func FromCrawlSegments(res *crawler.Result, sink *SegmentSink, dir string, met *
 	d := rosterFromCrawl(res, sink.names)
 
 	remap := make([]graph.NodeID, len(sink.names))
+	index := d.idIndex()
 	for prov, id := range sink.names {
-		remap[prov] = d.index[id]
+		remap[prov] = index[id]
 	}
 	err := d.save(dir, func(path string) error {
 		_, err := diskcsr.Compact(sink.dir, path, diskcsr.CompactOptions{

@@ -1,6 +1,7 @@
 package gplusapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -168,12 +169,16 @@ func (c *Client) backoffDelay(attempt int, lastErr error) time.Duration {
 
 // FetchProfile retrieves the public profile page of a user.
 func (c *Client) FetchProfile(ctx context.Context, id string) (*ProfileDoc, error) {
-	var doc ProfileDoc
+	doc := new(ProfileDoc)
 	path := "/people/" + url.PathEscape(id)
-	if err := c.getJSON(ctx, obs.EndpointProfile, path, &doc); err != nil {
+	err := c.get(ctx, obs.EndpointProfile, path, func(body []byte) error {
+		*doc = ProfileDoc{} // nothing of a body an earlier attempt rejected
+		return DecodeProfileDoc(body, doc)
+	})
+	if err != nil {
 		return nil, err
 	}
-	return &doc, nil
+	return doc, nil
 }
 
 // FetchCircle retrieves one page of a user's circle list. An empty
@@ -190,26 +195,40 @@ func (c *Client) FetchCircle(ctx context.Context, id string, dir CircleDir, page
 	if len(q) > 0 {
 		path += "?" + q.Encode()
 	}
-	var page CirclePage
-	if err := c.getJSON(ctx, obs.EndpointCircles, path, &page); err != nil {
+	page := new(CirclePage)
+	err := c.get(ctx, obs.EndpointCircles, path, func(body []byte) error {
+		*page = CirclePage{}
+		return DecodeCirclePage(body, page)
+	})
+	if err != nil {
 		return nil, err
 	}
-	return &page, nil
+	return page, nil
 }
 
 // FetchSeed retrieves the id of a well-known popular user to seed a
 // crawl from.
 func (c *Client) FetchSeed(ctx context.Context) (string, error) {
 	var doc SeedDoc
-	if err := c.getJSON(ctx, obs.EndpointSeed, "/seed", &doc); err != nil {
+	// Once per crawl: reflection is fine here.
+	if err := c.get(ctx, obs.EndpointSeed, "/seed", func(body []byte) error { return json.Unmarshal(body, &doc) }); err != nil {
 		return "", err
 	}
 	return doc.ID, nil
 }
 
-func (c *Client) getJSON(ctx context.Context, op, path string, out any) error {
-	return c.withRetries(ctx, op, func(ctx context.Context) error { return c.doGet(ctx, op, path, out) })
+// get fetches path with retries and hands the body of the 200 that ends
+// them to decode. The body sits in a pooled buffer: decode must copy
+// what it keeps (the wire decoders do), and may run once per attempt —
+// a body it rejects is a torn response and is fetched again.
+func (c *Client) get(ctx context.Context, op, path string, decode func(body []byte) error) error {
+	return c.withRetries(ctx, op, func(ctx context.Context) error { return c.doGet(ctx, op, path, decode) })
 }
+
+// bodyPool holds response-body buffers: a crawl worker's fetches run one
+// after another, so in steady state each worker keeps reusing one
+// buffer grown to its largest page.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // withRetries runs fn with exponential backoff and jitter, honoring
 // Retry-After hints surfaced through retryAfterError and breaker
@@ -383,9 +402,9 @@ func IsOverload(err error) bool {
 	return false
 }
 
-// doGet performs one GET and decodes a 200 body into out; other statuses
-// map to the client's error taxonomy.
-func (c *Client) doGet(ctx context.Context, op, path string, out any) error {
+// doGet performs one GET and decodes a 200 body with decode; other
+// statuses map to the client's error taxonomy.
+func (c *Client) doGet(ctx context.Context, op, path string, decode func(body []byte) error) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
 	if err != nil {
 		return err
@@ -436,7 +455,14 @@ func (c *Client) doGet(ctx context.Context, op, path string, out any) error {
 	}()
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		buf := bodyPool.Get().(*bytes.Buffer)
+		buf.Reset()
+		_, err := buf.ReadFrom(resp.Body)
+		if err == nil {
+			err = decode(buf.Bytes())
+		}
+		bodyPool.Put(buf)
+		if err != nil {
 			if parentErr(ctx) != nil {
 				return err
 			}

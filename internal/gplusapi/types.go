@@ -118,7 +118,10 @@ func FromProfile(id string, p *profile.Profile) ProfileDoc {
 		InCircleCount:  p.DeclaredInDegree,
 		OutCircleCount: p.DeclaredOutDegree,
 	}
-	for _, a := range profile.AllAttrs() {
+	if n := p.Public.Count(); n > 0 {
+		d.Fields = make([]string, 0, n)
+	}
+	for a := profile.Attr(0); a < profile.NumAttrs; a++ {
 		if p.Public.Has(a) {
 			d.Fields = append(d.Fields, a.WireCode())
 		}

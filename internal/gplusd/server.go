@@ -13,6 +13,7 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"gplus/internal/gplusapi"
@@ -295,7 +296,33 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		place.Country = ""
 		doc.Place = &place
 	}
-	writeJSON(w, &doc)
+	rb := renderPool.Get().(*renderBuf)
+	defer renderPool.Put(rb)
+	var err error
+	if rb.body, err = gplusapi.AppendProfileDoc(rb.body[:0], &doc); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	rb.write(w)
+}
+
+// renderBuf is the scratch space of one profile or circle-page render:
+// the response body, and the page's id column. Both documents are
+// rendered whole by the wire codec and leave in a single Write.
+type renderBuf struct {
+	body []byte
+	ids  []string
+}
+
+// ids starts empty, not nil: a page with no ids is "ids":[], not null.
+var renderPool = sync.Pool{New: func() any { return &renderBuf{ids: []string{}} }}
+
+// write sends the rendered document the way json.Encoder.Encode did:
+// as application/json, newline-terminated.
+func (rb *renderBuf) write(w http.ResponseWriter) {
+	rb.body = append(rb.body, '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(rb.body) //nolint:errcheck — the connection is gone; the client retries
 }
 
 func (s *Server) handleCircles(w http.ResponseWriter, r *http.Request) {
@@ -347,14 +374,18 @@ func (s *Server) handleCircles(w http.ResponseWriter, r *http.Request) {
 	if end > len(adj) {
 		end = len(adj)
 	}
-	page := gplusapi.CirclePage{IDs: make([]string, 0, end-offset)}
+	rb := renderPool.Get().(*renderBuf)
+	defer renderPool.Put(rb)
+	rb.ids = rb.ids[:0]
 	for _, v := range adj[offset:end] {
-		page.IDs = append(page.IDs, s.content.IDs[v])
+		rb.ids = append(rb.ids, s.content.IDs[v])
 	}
+	page := gplusapi.CirclePage{IDs: rb.ids}
 	if end < len(adj) {
 		page.NextPageToken = strconv.Itoa(end)
 	}
-	writeJSON(w, &page)
+	rb.body = gplusapi.AppendCirclePage(rb.body[:0], &page)
+	rb.write(w)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -385,13 +416,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ServeHTTP(w, r)
 }
 
+// writeJSON serves the two small operational documents (/stats, /seed)
+// through reflection; the documents a crawl is made of go through
+// renderBuf.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// The connection is gone; nothing useful to do beyond logging at
-		// a higher layer. Encoding of our own types cannot fail.
-		_ = err
-	}
+	json.NewEncoder(w).Encode(v) //nolint:errcheck — the connection is gone; the client retries
 }
 
 // String describes the server configuration, for logs.

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -357,5 +359,77 @@ func TestServerString(t *testing.T) {
 	srv := New(serverUniverse(t), Options{})
 	if s := srv.String(); s == "" {
 		t.Error("empty String()")
+	}
+}
+
+// TestResponsesMatchEncodingJSON pins the two hot responses to the bytes
+// json.Encoder produced before the wire codec rendered them: a profile
+// with a place, with and without geocode, and circle pages first, last,
+// empty and limited, headers included.
+func TestResponsesMatchEncodingJSON(t *testing.T) {
+	u := serverUniverse(t)
+	withPlace := -1
+	for i := range u.Profiles {
+		if u.Profiles[i].HasLocation() {
+			withPlace = i
+			break
+		}
+	}
+	if withPlace < 0 {
+		t.Fatal("universe has no located profile")
+	}
+	hub := graph.TopByInDegree(u.Graph, 1, 1)[0]
+	lonely := -1
+	for i := range u.IDs {
+		if u.Graph.OutDegree(graph.NodeID(i)) == 0 {
+			lonely = i
+			break
+		}
+	}
+	encode := func(v any) string {
+		var b strings.Builder
+		if err := json.NewEncoder(&b).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	page := func(adj []graph.NodeID, from, to int) *gplusapi.CirclePage {
+		p := &gplusapi.CirclePage{IDs: []string{}}
+		for _, v := range adj[from:to] {
+			p.IDs = append(p.IDs, u.IDs[v])
+		}
+		if to < len(adj) {
+			p.NextPageToken = strconv.Itoa(to)
+		}
+		return p
+	}
+	for _, omit := range []bool{false, true} {
+		srv := New(u, Options{OmitGeocode: omit, PageSize: 25})
+		doc := gplusapi.FromProfile(u.IDs[withPlace], &u.Profiles[withPlace])
+		if omit {
+			doc.Place.Country = ""
+		}
+		in := u.Graph.In(hub)
+		want := map[string]string{
+			"/people/" + u.IDs[withPlace]:                                            encode(&doc),
+			"/people/" + u.IDs[hub] + "/circles/in":                                  encode(page(in, 0, 25)),
+			"/people/" + u.IDs[hub] + "/circles/in?limit=7":                          encode(page(in, 0, 7)),
+			"/people/" + u.IDs[hub] + "/circles/in?pageToken=25":                     encode(page(in, 25, 50)),
+			fmt.Sprintf("/people/%s/circles/in?pageToken=%d", u.IDs[hub], len(in)-3): encode(page(in, len(in)-3, len(in))),
+			fmt.Sprintf("/people/%s/circles/in?pageToken=%d", u.IDs[hub], len(in)):   encode(page(in, len(in), len(in))),
+		}
+		if lonely >= 0 {
+			want["/people/"+u.IDs[lonely]+"/circles/out"] = `{"ids":[]}` + "\n"
+		}
+		for path, body := range want {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
+				t.Errorf("%s: status %d, content type %q", path, rec.Code, rec.Header().Get("Content-Type"))
+			}
+			if got := rec.Body.String(); got != body {
+				t.Errorf("%s (omit geocode %v):\n got %q\nwant %q", path, omit, got, body)
+			}
+		}
 	}
 }

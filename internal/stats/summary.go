@@ -1,6 +1,9 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Summary holds the descriptive statistics used across the study's tables.
 type Summary struct {
@@ -44,26 +47,86 @@ func Summarize(samples []float64) Summary {
 
 // Quantile returns the q-quantile (0 <= q <= 1) of the samples using
 // linear interpolation between closest ranks. The input is not modified.
+// The two ranks are found by selection on a copy, not by sorting it; the
+// result is the one a full sort would give.
 func Quantile(samples []float64, q float64) float64 {
 	n := len(samples)
 	if n == 0 {
 		return math.NaN()
 	}
-	sorted := sortedCopy(samples)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[n-1]
+	if q <= 0 || q >= 1 {
+		// The first or last element of the sorted order.
+		ext := samples[0]
+		for _, v := range samples[1:] {
+			if (q <= 0 && less(v, ext)) || (q >= 1 && !less(v, ext)) {
+				ext = v
+			}
+		}
+		return ext
 	}
 	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
+	work := slices.Clone(samples)
+	selectRank(work, hi)
 	if lo == hi {
-		return sorted[lo]
+		return work[hi]
+	}
+	// Rank hi-1 is the largest of what selection left below rank hi.
+	below := work[0]
+	for _, v := range work[1:hi] {
+		if !less(v, below) {
+			below = v
+		}
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return below*(1-frac) + work[hi]*frac
+}
+
+// less is sort.Float64s' order: ascending, NaNs first.
+func less(x, y float64) bool { return x < y || (x != x && y == y) }
+
+// selectRank partially orders a (Hoare's quickselect, median-of-three
+// pivots) so that a[k] holds the element of rank k in less order, with
+// nothing greater before it and nothing smaller after it.
+func selectRank(a []float64, k int) {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if less(a[mid], a[lo]) {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if less(a[hi], a[lo]) {
+			a[hi], a[lo] = a[lo], a[hi]
+		}
+		if less(a[hi], a[mid]) {
+			a[hi], a[mid] = a[mid], a[hi]
+		}
+		pivot := a[mid]
+		i, j := lo, hi
+		for i <= j {
+			for less(a[i], pivot) {
+				i++
+			}
+			for less(pivot, a[j]) {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// a[lo..j] <= pivot <= a[i..hi], and anything between is the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // Jaccard returns the Jaccard similarity |A ∩ B| / |A ∪ B| of two string

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -69,5 +70,61 @@ func TestJaccardPropertySymmetricBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQuantileMatchesFullSort holds the selection-based Quantile to the
+// definition it replaced — interpolate between two elements of the
+// sorted copy — bit for bit, on inputs that stress a quickselect: runs
+// of equal values, sorted and reversed input, NaNs and infinities.
+func TestQuantileMatchesFullSort(t *testing.T) {
+	bySort := func(samples []float64, q float64) float64 {
+		sorted := sortedCopy(samples)
+		n := len(sorted)
+		if q <= 0 {
+			return sorted[0]
+		}
+		if q >= 1 {
+			return sorted[n-1]
+		}
+		pos := q * float64(n-1)
+		lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
+		if lo == hi {
+			return sorted[lo]
+		}
+		frac := pos - float64(lo)
+		return sorted[lo]*(1-frac) + sorted[hi]*frac
+	}
+	rng := rand.New(rand.NewSource(9))
+	shapes := map[string]func(i, n int) float64{
+		"uniform":  func(i, n int) float64 { return rng.Float64() },
+		"few":      func(i, n int) float64 { return float64(rng.Intn(4)) },
+		"equal":    func(i, n int) float64 { return 7 },
+		"sorted":   func(i, n int) float64 { return float64(i) },
+		"reversed": func(i, n int) float64 { return float64(n - i) },
+		"organ":    func(i, n int) float64 { return math.Abs(float64(n/2 - i)) },
+		"special": func(i, n int) float64 {
+			return []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1, -1, 0.5}[rng.Intn(6)]
+		},
+	}
+	for name, shape := range shapes {
+		for _, n := range []int{1, 2, 3, 4, 5, 10, 101, 1000} {
+			samples := make([]float64, n)
+			for i := range samples {
+				samples[i] = shape(i, n)
+			}
+			before := append([]float64(nil), samples...)
+			for _, q := range []float64{-1, 0, 0.001, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1, 2, rng.Float64()} {
+				got, want := Quantile(samples, q), bySort(samples, q)
+				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("%s n=%d q=%v: Quantile = %v, full sort gives %v", name, n, q, got, want)
+				}
+			}
+			for i := range samples {
+				if math.Float64bits(samples[i]) != math.Float64bits(before[i]) {
+					t.Fatalf("%s n=%d: Quantile modified its input", name, n)
+				}
+			}
+		}
 	}
 }
