@@ -18,7 +18,7 @@ all: build vet test race
 # covers the sharded rate limiter, the batched crawl frontier and the
 # study's concurrent, memoised structure stages with the packages that
 # drive them (paper, report, gplusanalyze), the
-# short fuzz leg shakes the checkpoint/journal parser, the wire codec, the triad pass and the edge sort, the hygiene leg
+# short fuzz leg shakes the checkpoint/journal parser, the wire codec, the triad pass, the edge sort and the CDF sort, the hygiene leg
 # gates the metric exposition and its label vocabulary, the
 # one-durable-writer rule, the every-flag-has-a-recipe rule and the
 # every-package- and every-exported-symbol-reaches-the-pipeline rules and
@@ -44,7 +44,7 @@ help:
 	@echo "make bench-storage  out-of-core CSR: segment/compact/load/scan -> BENCH_storage.json"
 	@echo "make paperscale     10M-node/200M-edge out-of-core acceptance run (slow; merges RSS rows into BENCH_storage.json)"
 	@echo "make ablations      design-choice ablation experiments"
-	@echo "make fuzz           long fuzz of every parser (wire codec and series names included), the multi-source BFS, the triad pass and the edge sort (30s each)"
+	@echo "make fuzz           long fuzz of every parser (wire codec and series names included), the multi-source BFS, the triad pass, the edge sort and the CDF sort (30s each)"
 	@echo "make verify         generate a dataset and audit it against the paper"
 	@echo "make examples       run every example binary"
 	@echo "make report         full Markdown report from a fresh dataset"
@@ -216,6 +216,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzMultiSourceBFS -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzTriads -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzSortEdges -fuzztime=30s ./internal/graph/
+	$(GO) test -fuzz=FuzzSortedCopy -fuzztime=30s ./internal/stats/
 	$(GO) test -fuzz=FuzzOpenV2 -fuzztime=30s ./internal/graph/diskcsr/
 	$(GO) test -fuzz=FuzzReadResult -fuzztime=30s ./internal/crawler/
 	$(GO) test -fuzz=FuzzParseFaultSpec -fuzztime=30s ./internal/gplusd/
@@ -225,13 +226,16 @@ fuzz:
 # the one format a crash can hand arbitrary torn bytes to, the wire
 # codec is the parser every network byte and every dataset byte goes
 # through (held to encoding/json as its oracle), the triad
-# pass is the one kernel three figures share, and the radix edge sort is
-# the one order every segment, compaction and Builder graph rests on.
+# pass is the one kernel three figures share, the radix edge sort is
+# the one order every segment, compaction and Builder graph rests on, and
+# the same kernel under sortedCopy orders every CDF and CCDF (held to
+# sort.Float64s as its oracle).
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz=FuzzWireCodec -fuzztime=10s ./internal/gplusapi/
 	$(GO) test -run '^$$' -fuzz=FuzzReadResult -fuzztime=10s ./internal/crawler/
 	$(GO) test -run '^$$' -fuzz=FuzzTriads -fuzztime=10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz=FuzzSortEdges -fuzztime=10s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz=FuzzSortedCopy -fuzztime=10s ./internal/stats/
 
 # Generate a dataset and audit it against the paper's published claims.
 verify:

@@ -1,0 +1,142 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"gplus/internal/dataset"
+	"gplus/internal/geo"
+	"gplus/internal/graph"
+	"gplus/internal/profile"
+	"gplus/internal/stats"
+	"gplus/internal/synth"
+)
+
+// pathMilesSerial is the reference Figure 9(a): one question at a time.
+// It walks the profiles for locations, asks graph.HasArc about every
+// random attempt as it is drawn, and measures each pair with
+// geo.HaversineMiles — sharing only the RNG stream, the reservoir and
+// stats.CDF with Study.pathMiles.
+func pathMilesSerial(s *Study) PathMileResult {
+	rng := s.rng(11)
+	var located []graph.NodeID
+	isLocated := make([]bool, s.ds.NumUsers())
+	s.eachCrawled(func(node graph.NodeID) {
+		if s.ds.Profiles[node].HasLocation() {
+			located = append(located, node)
+			isLocated[node] = true
+		}
+	})
+	friends := stats.NewReservoir[[2]graph.NodeID](s.opts.PairSample, rng)
+	reciprocal := stats.NewReservoir[[2]graph.NodeID](s.opts.PairSample, rng)
+	for _, u := range located {
+		for _, v := range s.g.Out(u) {
+			if !isLocated[v] {
+				continue
+			}
+			friends.Add([2]graph.NodeID{u, v})
+			if graph.HasArc(s.g, v, u) {
+				reciprocal.Add([2]graph.NodeID{u, v})
+			}
+		}
+	}
+	res := PathMileResult{}
+	dist := func(pair [2]graph.NodeID) float64 {
+		return geo.HaversineMiles(s.ds.Profiles[pair[0]].Loc, s.ds.Profiles[pair[1]].Loc)
+	}
+	for _, pair := range friends.Items() {
+		res.Friends = append(res.Friends, dist(pair))
+	}
+	for _, pair := range reciprocal.Items() {
+		res.Reciprocal = append(res.Reciprocal, dist(pair))
+	}
+	if len(located) >= 2 {
+		for attempts := 0; len(res.Random) < s.opts.PairSample && attempts < 20*s.opts.PairSample; attempts++ {
+			u := located[rng.IntN(len(located))]
+			v := located[rng.IntN(len(located))]
+			if u == v || graph.HasArc(s.g, u, v) || graph.HasArc(s.g, v, u) {
+				continue
+			}
+			res.Random = append(res.Random, dist([2]graph.NodeID{u, v}))
+		}
+	}
+	res.FriendsCDF = stats.CDF(res.Friends)
+	res.ReciprocalCDF = stats.CDF(res.Reciprocal)
+	res.RandomCDF = stats.CDF(res.Random)
+	return res
+}
+
+// TestPathMilesMatchesSerial: the batched pair sample is the serial one,
+// to the bit, over RAM and the mapped dataset, at every parallelism, for
+// a sample smaller than, around and far above the located population.
+func TestPathMilesMatchesSerial(t *testing.T) {
+	u, err := synth.Generate(synth.DefaultConfig(3_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := dataset.FromUniverse(u).SaveV2(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, mapped := range []bool{false, true} {
+		ds, err := dataset.LoadWith(dir, dataset.Options{Mapped: mapped})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		for _, sample := range []int{50, 2_000, 0} {
+			want := pathMilesSerial(New(ds, Options{Seed: 7, PairSample: sample}))
+			if len(want.Reciprocal) == 0 || len(want.Random) == 0 {
+				t.Fatal("fixture has no reciprocal or random located pairs")
+			}
+			for _, par := range []int{1, 2, 3, 8} {
+				t.Run(fmt.Sprintf("mapped=%v/sample=%d/P=%d", mapped, sample, par), func(t *testing.T) {
+					got := New(ds, Options{Seed: 7, PairSample: sample, Parallelism: par}).PathMiles()
+					gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
+					for i := 0; i < gv.NumField(); i++ {
+						if !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
+							t.Errorf("%s differs from the serial reference", gv.Type().Field(i).Name)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestPathMilesAttemptCap: when every located pair is connected the
+// random population stays empty, and both the batched rounds and the
+// serial loop give up at the same 20×PairSample attempts — the friend
+// reservoirs, drawn from the same stream first, still agree.
+func TestPathMilesAttemptCap(t *testing.T) {
+	const n = 9
+	b := graph.NewBuilder(n, n*n)
+	ds := &dataset.Dataset{Profiles: make([]profile.Profile, n), IDs: make([]string, n), Crawled: make([]bool, n)}
+	for u := 0; u < n; u++ {
+		ds.IDs[u], ds.Crawled[u] = fmt.Sprint(u), true
+		ds.Profiles[u] = profile.Profile{
+			Public: profile.AttrSet(0).With(profile.AttrPlacesLived), CountryCode: "US",
+			Loc: geo.Point{Lat: float64(4 * u), Lon: float64(-9 * u)},
+		}
+		// One direction per pair is enough to link it.
+		for v := u + 1; v < n; v++ {
+			if (u+v)%2 == 0 {
+				b.AddEdge(graph.NodeID(u), graph.NodeID(v))
+			} else {
+				b.AddEdge(graph.NodeID(v), graph.NodeID(u))
+			}
+		}
+	}
+	ds.Graph = b.Build()
+	for _, par := range []int{1, 3} {
+		s := New(ds, Options{Seed: 7, PairSample: 50, Parallelism: par})
+		got, want := s.PathMiles(), pathMilesSerial(s)
+		if got.Random != nil || got.RandomCDF != nil || len(got.Friends) != n*(n-1)/2 {
+			t.Fatalf("P=%d: %d random and %d friend pairs, want none and %d", par, len(got.Random), len(got.Friends), n*(n-1)/2)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("P=%d: PathMiles differs from the serial reference", par)
+		}
+	}
+}

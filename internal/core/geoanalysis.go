@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"gplus/internal/geo"
@@ -127,6 +129,66 @@ func (s *Study) TopOccupationsByCountry(k int) []CountryOccupations {
 	return rows
 }
 
+// locatedColumn is the geographic attribute column of the crawled
+// users, by dense node id: what Figures 9 and 10 read in place of the
+// profiles. It is built once per Study and never mutated.
+type locatedColumn struct {
+	// nodes lists the located crawled users, ascending; is marks them.
+	nodes []graph.NodeID
+	is    []bool
+	// at holds a located user's coordinates beside their geo.CosLat,
+	// so measuring a pair touches one entry per endpoint; zero elsewhere.
+	at []locatedAt
+	// country indexes paperTop10, -1 for users outside the top ten and
+	// for users without a location.
+	country []int8
+}
+
+// locatedAt is where one located user lives.
+type locatedAt struct {
+	loc    geo.Point
+	cosLat float64
+}
+
+// located returns the Study's located column, building it on first use.
+func (s *Study) located() *locatedColumn {
+	s.locatedOnce.Do(func() {
+		n := s.ds.NumUsers()
+		col := &s.locatedCol
+		col.nodes = make([]graph.NodeID, 0, n/4)
+		col.is = make([]bool, n)
+		col.at = make([]locatedAt, n)
+		col.country = make([]int8, n)
+		for i := range col.country {
+			col.country[i] = -1
+		}
+		index := make(map[string]int8, len(paperTop10))
+		for i, c := range paperTop10 {
+			index[c] = int8(i)
+		}
+		s.eachCrawled(func(node graph.NodeID) {
+			p := &s.ds.Profiles[node]
+			if !p.HasLocation() {
+				return
+			}
+			col.nodes = append(col.nodes, node)
+			col.is[node] = true
+			col.at[node] = locatedAt{p.Loc, geo.CosLat(p.Loc)}
+			if ci, ok := index[p.CountryCode]; ok {
+				col.country[node] = ci
+			}
+		})
+	})
+	return &s.locatedCol
+}
+
+// miles is the path-mile distance between two located users: geo's
+// haversine on the column's cached cosines.
+func (c *locatedColumn) miles(u, v graph.NodeID) float64 {
+	a, b := &c.at[u], &c.at[v]
+	return geo.HaversineMilesCos(a.loc, b.loc, a.cosLat, b.cosLat)
+}
+
 // PathMileResult is Figure 9(a): CDFs of the physical distance between
 // user pairs, in miles.
 type PathMileResult struct {
@@ -139,9 +201,9 @@ type PathMileResult struct {
 
 // PathMiles computes Figure 9(a) over located crawled users: distances
 // between socially connected pairs, reciprocally connected pairs, and
-// random unconnected pairs. The pair sample is half a mapped study's
-// wall-clock, so it is memoised like the structural stages: the text
-// report and -plotdir share one analyze.fig9 computation.
+// random unconnected pairs. The pair sample is a large share of a
+// study's wall-clock, so it is memoised like the structural stages: the
+// text report and -plotdir share one analyze.fig9 computation.
 func (s *Study) PathMiles() PathMileResult {
 	res, _ := once(context.Background(), s, &s.pathMilesMemo, "fig9", func(context.Context) (PathMileResult, error) {
 		return s.pathMiles(), nil
@@ -149,21 +211,17 @@ func (s *Study) PathMiles() PathMileResult {
 	return res
 }
 
+// pair is one sampled pair of located users.
+type pair = [2]graph.NodeID
+
 func (s *Study) pathMiles() PathMileResult {
 	rng := s.rng(11)
-	located := make([]graph.NodeID, 0, s.ds.NumUsers()/4)
-	isLocated := make([]bool, s.ds.NumUsers())
-	s.eachCrawled(func(node graph.NodeID) {
-		if s.ds.Profiles[node].HasLocation() {
-			located = append(located, node)
-			isLocated[node] = true
-		}
-	})
+	col := s.located()
 
-	friends := stats.NewReservoir[[2]graph.NodeID](s.opts.PairSample, rng)
-	reciprocal := stats.NewReservoir[[2]graph.NodeID](s.opts.PairSample, rng)
+	friends := stats.NewReservoir[pair](s.opts.PairSample, rng)
+	reciprocal := stats.NewReservoir[pair](s.opts.PairSample, rng)
 	rows := s.g.Rows()
-	for _, u := range located {
+	for _, u := range col.nodes {
 		// v→u exists exactly when v is in u's in-row, which ascends
 		// with the out-row: one merge finds the reciprocal friends.
 		in := rows.In(u)
@@ -171,44 +229,88 @@ func (s *Study) pathMiles() PathMileResult {
 			for len(in) > 0 && in[0] < v {
 				in = in[1:]
 			}
-			if !isLocated[v] {
+			if !col.is[v] {
 				continue
 			}
-			pair := [2]graph.NodeID{u, v}
-			friends.Add(pair)
+			friends.Add(pair{u, v})
 			if len(in) > 0 && in[0] == v {
-				reciprocal.Add(pair)
+				reciprocal.Add(pair{u, v})
 			}
 		}
 	}
 
-	res := PathMileResult{}
-	dist := func(pair [2]graph.NodeID) float64 {
-		return geo.HaversineMiles(s.ds.Profiles[pair[0]].Loc, s.ds.Profiles[pair[1]].Loc)
-	}
-	for _, pair := range friends.Items() {
-		res.Friends = append(res.Friends, dist(pair))
-	}
-	for _, pair := range reciprocal.Items() {
-		res.Reciprocal = append(res.Reciprocal, dist(pair))
-	}
-	// Random pairs: uniformly sampled located users with no social link
-	// in either direction. The attempt cap guards degenerate datasets
-	// where almost every located pair is connected.
-	if len(located) >= 2 {
-		for attempts := 0; len(res.Random) < s.opts.PairSample && attempts < 20*s.opts.PairSample; attempts++ {
-			u := located[rng.IntN(len(located))]
-			v := located[rng.IntN(len(located))]
-			if u == v || graph.HasArcRows(s.g, rows, u, v) || graph.HasArcRows(s.g, rows, v, u) {
-				continue
-			}
-			res.Random = append(res.Random, dist([2]graph.NodeID{u, v}))
-		}
+	res := PathMileResult{
+		Friends:    s.pairMiles(friends.Items()),
+		Reciprocal: s.pairMiles(reciprocal.Items()),
+		Random:     s.pairMiles(s.randomPairs(rng)),
 	}
 	res.FriendsCDF = stats.CDF(res.Friends)
 	res.ReciprocalCDF = stats.CDF(res.Reciprocal)
 	res.RandomCDF = stats.CDF(res.Random)
 	return res
+}
+
+// randomPairs draws Figure 9(a)'s third population: uniformly sampled
+// located users with no social link in either direction, the first
+// PairSample such pairs of at most 20×PairSample attempts (the cap
+// guards degenerate datasets where almost every located pair is
+// connected). Attempts are drawn in rounds and each round's adjacency
+// questions go to graph.LinkedPairs together, which reads a user's rows
+// once per round instead of once per attempt; pairs are accepted in
+// attempt order, so the sample is the one a pair-by-pair loop over the
+// same stream draws. Nothing reads rng after the last round, so drawing
+// a round to its end is unobservable.
+func (s *Study) randomPairs(rng *rand.Rand) []pair {
+	located := s.located().nodes
+	if len(located) < 2 {
+		return nil
+	}
+	want, attempts := s.opts.PairSample, 20*s.opts.PairSample
+	// random holds the accepted pairs; each round is drawn into the
+	// space behind them and its accepted pairs move up to join them.
+	var random []pair
+	var linked []bool
+	for len(random) < want && attempts > 0 {
+		// Most attempts are accepted: a round sized a little over what
+		// is still missing is usually the last. maxRound bounds a
+		// round's scratch whatever PairSample is.
+		const maxRound = 1 << 22
+		need := want - len(random)
+		round := min(attempts, need+need/16+64, maxRound)
+		attempts -= round
+		random = slices.Grow(random, round)
+		drawn := random[len(random) : len(random)+round]
+		for i := range drawn {
+			u := located[rng.IntN(len(located))]
+			drawn[i] = pair{u, located[rng.IntN(len(located))]}
+		}
+		linked = slices.Grow(linked[:0], round)[:round]
+		graph.LinkedPairs(s.g, drawn, linked, s.opts.Parallelism)
+		for i, p := range drawn {
+			if p[0] == p[1] || linked[i] {
+				continue
+			}
+			if random = append(random, p); len(random) == want {
+				break
+			}
+		}
+	}
+	return random
+}
+
+// pairMiles measures every pair, over Parallelism shards.
+func (s *Study) pairMiles(pairs []pair) []float64 {
+	if len(pairs) == 0 {
+		return nil
+	}
+	col := s.located()
+	miles := make([]float64, len(pairs))
+	graph.Shards(len(pairs), s.opts.Parallelism, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			miles[i] = col.miles(pairs[i][0], pairs[i][1])
+		}
+	})
+	return miles
 }
 
 // CountryPathMile is one bar of Figure 9(b).
@@ -221,37 +323,23 @@ type CountryPathMile struct {
 // of friend-pair distances per top-10 country (pairs are attributed to
 // the source user's country).
 func (s *Study) AveragePathMiles() []CountryPathMile {
-	want := make(map[string][]float64, len(paperTop10))
-	for _, c := range paperTop10 {
-		want[c] = nil
-	}
-	isLocated := make([]bool, s.ds.NumUsers())
-	s.eachCrawled(func(node graph.NodeID) {
-		if s.ds.Profiles[node].HasLocation() {
-			isLocated[node] = true
-		}
-	})
+	col := s.located()
+	dists := make([][]float64, len(paperTop10))
 	rows := s.g.Rows()
-	s.eachCrawled(func(u graph.NodeID) {
-		p := &s.ds.Profiles[u]
-		if !p.HasLocation() {
-			return
-		}
-		dists, ok := want[p.CountryCode]
-		if !ok {
-			return
+	for _, u := range col.nodes {
+		cu := col.country[u]
+		if cu < 0 {
+			continue
 		}
 		for _, v := range rows.Out(u) {
-			if !isLocated[v] {
-				continue
+			if col.is[v] {
+				dists[cu] = append(dists[cu], col.miles(u, v))
 			}
-			dists = append(dists, geo.HaversineMiles(p.Loc, s.ds.Profiles[v].Loc))
 		}
-		want[p.CountryCode] = dists
-	})
+	}
 	out := make([]CountryPathMile, 0, len(paperTop10))
-	for _, c := range paperTop10 {
-		out = append(out, CountryPathMile{Country: c, Summary: stats.Summarize(want[c])})
+	for i, c := range paperTop10 {
+		out = append(out, CountryPathMile{Country: c, Summary: stats.Summarize(dists[i])})
 	}
 	return out
 }
@@ -282,10 +370,7 @@ func (m *CountryLinkMatrix) SelfLoop(country string) float64 {
 // CountryLinks computes Figure 10 over located crawled users of the
 // top-10 countries.
 func (s *Study) CountryLinks() CountryLinkMatrix {
-	index := make(map[string]int, len(paperTop10))
-	for i, c := range paperTop10 {
-		index[c] = i
-	}
+	col := s.located()
 	n := len(paperTop10)
 	m := CountryLinkMatrix{
 		Countries: append([]string(nil), paperTop10...),
@@ -296,22 +381,13 @@ func (s *Study) CountryLinks() CountryLinkMatrix {
 		m.Weight[i] = make([]float64, n)
 	}
 
-	countryOf := make([]int8, s.ds.NumUsers())
-	for i := range countryOf {
-		countryOf[i] = -1
-	}
 	totalUsers := 0
-	s.eachCrawled(func(node graph.NodeID) {
-		p := &s.ds.Profiles[node]
-		if !p.HasLocation() {
-			return
-		}
-		if ci, ok := index[p.CountryCode]; ok {
-			countryOf[node] = int8(ci)
-			m.UserShare[ci]++
+	for _, u := range col.nodes {
+		if cu := col.country[u]; cu >= 0 {
+			m.UserShare[cu]++
 			totalUsers++
 		}
-	})
+	}
 	if totalUsers > 0 {
 		for i := range m.UserShare {
 			m.UserShare[i] /= float64(totalUsers)
@@ -320,13 +396,13 @@ func (s *Study) CountryLinks() CountryLinkMatrix {
 
 	rowTotals := make([]float64, n)
 	rows := s.g.Rows()
-	for u := 0; u < s.ds.NumUsers(); u++ {
-		cu := countryOf[u]
+	for _, u := range col.nodes {
+		cu := col.country[u]
 		if cu < 0 {
 			continue
 		}
-		for _, v := range rows.Out(graph.NodeID(u)) {
-			cv := countryOf[v]
+		for _, v := range rows.Out(u) {
+			cv := col.country[v]
 			if cv < 0 {
 				continue
 			}

@@ -295,8 +295,19 @@ func (s *Study) PathLengths(ctx context.Context) PathLengthResult {
 		}
 		opt.Rand = s.rng(4)
 		res.Undirected = graph.SamplePathLengths(ctx, s.g, graph.Undirected, opt)
-		res.DiameterDirected = graph.DoubleSweepDiameter(s.g, graph.Directed, diameterSweeps, s.rng(5), s.opts.Parallelism)
-		res.DiameterUndirected = graph.DoubleSweepDiameter(s.g, graph.Undirected, diameterSweeps, s.rng(6), s.opts.Parallelism)
+		// Each bound's restarts share one multi-source search per sweep,
+		// a serial pass; the two bounds draw from their own streams, so
+		// they run side by side when Parallelism allows.
+		bounds := []struct {
+			dir    graph.Direction
+			stream uint64
+			bound  *int
+		}{{graph.Directed, 5, &res.DiameterDirected}, {graph.Undirected, 6, &res.DiameterUndirected}}
+		graph.Shards(len(bounds), s.opts.Parallelism, func(lo, hi int) {
+			for _, b := range bounds[lo:hi] {
+				*b.bound = graph.DoubleSweepDiameter(s.g, b.dir, diameterSweeps, s.rng(b.stream), s.opts.Parallelism)
+			}
+		})
 		return res, nil
 	})
 	return res

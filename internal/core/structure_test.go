@@ -181,7 +181,9 @@ func (r countingRows) In(u graph.NodeID) []graph.NodeID  { r.v.ins[u].Add(1); re
 // its in-row at most once; the triad pass reads every row of either
 // direction exactly three times — degrees, half-graph sizes, half-graph
 // fill — over RAM and over the mapped dataset alike, and never goes back
-// to the view while it enumerates.
+// to the view while it enumerates. Figure 9(a) and the diameter bounds
+// batch their questions, so their row reads count rounds and levels, not
+// pairs and restarts.
 func TestStagesScanOnce(t *testing.T) {
 	u, err := synth.Generate(synth.DefaultConfig(2_000))
 	if err != nil {
@@ -216,6 +218,56 @@ func TestStagesScanOnce(t *testing.T) {
 		for v := 0; v < n; v++ {
 			if outs, ins := cv.outs[v].Load(), cv.ins[v].Load(); outs != 3 || ins != 3 {
 				t.Fatalf("mapped=%v: the triad pass read node %d's out-row %d times and in-row %d times, want 3 and 3", mapped, v, outs, ins)
+			}
+		}
+
+		// Figure 9(a) reads a located user's rows once for the friend
+		// pairs and once per round of random attempts — one round here,
+		// where the 100 000 attempts the old loop answered one by one
+		// decoded each row about 400 times — and nobody else's.
+		cv = newCountingView(g)
+		s.g = cv
+		s.pathMiles()
+		col := s.located()
+		for v := 0; v < n; v++ {
+			outs, ins := cv.outs[v].Load(), cv.ins[v].Load()
+			if !col.is[v] && outs+ins > 0 || outs > 2 || ins > 2 {
+				t.Fatalf("mapped=%v: Figure 9 read node %d's (located: %v) out-row %d times and in-row %d times, want at most 2 of a located user's and none of another's",
+					mapped, v, col.is[v], outs, ins)
+			}
+		}
+
+		// The diameter bound's restarts share a multi-source search per
+		// hop: a row is read once per level at which some restart first
+		// reaches it, never more often than one search per restart would,
+		// and on the undirected bound — where every search covers its
+		// start's whole component — less than half as often all told.
+		for _, dir := range []graph.Direction{graph.Directed, graph.Undirected} {
+			cv = newCountingView(g)
+			graph.DoubleSweepDiameter(cv, dir, diameterSweeps, s.rng(6), 3)
+			perHop := int32(diameterSweeps)
+			if dir == graph.Undirected {
+				perHop *= 2
+			}
+			var total int64
+			for v := 0; v < n; v++ {
+				outs, ins := cv.outs[v].Load(), cv.ins[v].Load()
+				if total += int64(outs + ins); outs > perHop || ins > perHop {
+					t.Fatalf("mapped=%v: the %v diameter bound read node %d's out-row %d times and in-row %d times, want at most %d", mapped, dir, v, outs, ins, perHop)
+				}
+			}
+			if dir == graph.Undirected {
+				var perSource int64
+				for rng, i := s.rng(6), 0; i < diameterSweeps; i++ {
+					for _, d := range graph.BFSDistances(g, graph.NodeID(rng.IntN(n)), dir, nil) {
+						if d >= 0 {
+							perSource += 2 * 2 // two hops over the component, two rows a node
+						}
+					}
+				}
+				if 2*total > perSource {
+					t.Fatalf("mapped=%v: the undirected diameter bound made %d row reads, per-source sweeps make %d: want less than half", mapped, total, perSource)
+				}
 			}
 		}
 	}

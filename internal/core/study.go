@@ -30,7 +30,8 @@ import (
 // stages it names. Concurrent callers of one stage wait for the one
 // computation. The cached results are shared by every caller and must
 // not be mutated. A stage that ran under a cancelled ctx is returned but
-// not cached: the next call computes it in full. Everything else is
+// not cached: the next call computes it in full. The located column
+// under Figures 9 and 10 is built once as well. Everything else is
 // recomputed per call and touches no shared state.
 type Study struct {
 	ds   *dataset.Dataset
@@ -48,6 +49,10 @@ type Study struct {
 	pathsMemo       memo[PathLengthResult]
 	triadsMemo      memo[triadResult]
 	pathMilesMemo   memo[PathMileResult]
+
+	// The located column, shared by Figures 9(a), 9(b) and 10.
+	locatedOnce sync.Once
+	locatedCol  locatedColumn
 }
 
 // memo is one structural stage's result once it has been computed.

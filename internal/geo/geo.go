@@ -16,17 +16,27 @@ type Point struct {
 // computations.
 const EarthRadiusMiles = 3958.7613
 
+const degToRad = math.Pi / 180
+
+// CosLat is the cosine of p's latitude, the one factor of the haversine
+// that depends on a single endpoint: a caller measuring many pairs over
+// few points computes it once per point.
+func CosLat(p Point) float64 { return math.Cos(p.Lat * degToRad) }
+
 // HaversineMiles returns the great-circle distance between two points in
 // miles, the "path mile" metric of §4.4.
 func HaversineMiles(a, b Point) float64 {
-	const degToRad = math.Pi / 180
-	lat1 := a.Lat * degToRad
-	lat2 := b.Lat * degToRad
+	return HaversineMilesCos(a, b, CosLat(a), CosLat(b))
+}
+
+// HaversineMilesCos is HaversineMiles given cosA = CosLat(a) and cosB =
+// CosLat(b), to the bit.
+func HaversineMilesCos(a, b Point, cosA, cosB float64) float64 {
 	dLat := (b.Lat - a.Lat) * degToRad
 	dLon := (b.Lon - a.Lon) * degToRad
 	s1 := math.Sin(dLat / 2)
 	s2 := math.Sin(dLon / 2)
-	h := s1*s1 + math.Cos(lat1)*math.Cos(lat2)*s2*s2
+	h := s1*s1 + cosA*cosB*s2*s2
 	if h > 1 {
 		h = 1
 	}

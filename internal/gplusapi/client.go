@@ -185,15 +185,15 @@ func (c *Client) FetchProfile(ctx context.Context, id string) (*ProfileDoc, erro
 // pageToken requests the first page; limit <= 0 uses the server default.
 func (c *Client) FetchCircle(ctx context.Context, id string, dir CircleDir, pageToken string, limit int) (*CirclePage, error) {
 	path := "/people/" + url.PathEscape(id) + "/circles/" + string(dir)
-	q := url.Values{}
-	if pageToken != "" {
-		q.Set("pageToken", pageToken)
-	}
+	// The query url.Values.Encode would build (keys in sorted order),
+	// without the map.
+	sep := "?"
 	if limit > 0 {
-		q.Set("limit", strconv.Itoa(limit))
+		path += sep + "limit=" + strconv.Itoa(limit)
+		sep = "&"
 	}
-	if len(q) > 0 {
-		path += "?" + q.Encode()
+	if pageToken != "" {
+		path += sep + "pageToken=" + url.QueryEscape(pageToken)
 	}
 	page := new(CirclePage)
 	err := c.get(ctx, obs.EndpointCircles, path, func(body []byte) error {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -60,6 +62,37 @@ func TestClientFetchEndpoints(t *testing.T) {
 	seed, err := c.FetchSeed(ctx)
 	if err != nil || seed != "top" {
 		t.Fatalf("FetchSeed = %q, %v", seed, err)
+	}
+}
+
+// TestFetchCircleQueryIsValuesEncode: the query FetchCircle appends by
+// hand is byte for byte what url.Values.Encode sent before it — key
+// order and escaping included — and absent when there is nothing to say.
+func TestFetchCircleQueryIsValuesEncode(t *testing.T) {
+	var got string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got = r.URL.RawQuery
+		w.Write([]byte(`{"ids":[]}`))
+	}))
+	defer ts.Close()
+	c := newTestClient(ts)
+	for _, tc := range []struct {
+		token string
+		limit int
+	}{{"", 0}, {"25", 0}, {"", 10}, {"25", 10}, {"a b&c=d/é", 3}} {
+		want := url.Values{}
+		if tc.token != "" {
+			want.Set("pageToken", tc.token)
+		}
+		if tc.limit > 0 {
+			want.Set("limit", strconv.Itoa(tc.limit))
+		}
+		if _, err := c.FetchCircle(context.Background(), "u1", CircleOut, tc.token, tc.limit); err != nil {
+			t.Fatal(err)
+		}
+		if got != want.Encode() {
+			t.Errorf("token %q limit %d: query %q, url.Values.Encode gives %q", tc.token, tc.limit, got, want.Encode())
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"runtime/pprof"
 	"strconv"
 	"strings"
@@ -349,8 +350,13 @@ func (s *Server) handleCircles(w http.ResponseWriter, r *http.Request) {
 		adj = adj[:cap]
 	}
 
+	// Most requests carry no query: parse it once, and only then.
+	var query url.Values
+	if r.URL.RawQuery != "" {
+		query = r.URL.Query()
+	}
 	offset := 0
-	if tok := r.URL.Query().Get("pageToken"); tok != "" {
+	if tok := query.Get("pageToken"); tok != "" {
 		v, err := strconv.Atoi(tok)
 		if err != nil || v < 0 || v > len(adj) {
 			http.Error(w, "invalid page token", http.StatusBadRequest)
@@ -359,7 +365,7 @@ func (s *Server) handleCircles(w http.ResponseWriter, r *http.Request) {
 		offset = v
 	}
 	limit := s.opts.pageSize()
-	if v := r.URL.Query().Get("limit"); v != "" {
+	if v := query.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
 			http.Error(w, "invalid limit", http.StatusBadRequest)

@@ -314,6 +314,81 @@ func TestDoubleSweepDiameter(t *testing.T) {
 	}
 }
 
+// farthest scans one BFS's distances for the lowest-id node at the
+// greatest distance, src itself when nothing else is reachable.
+func farthest(dist []int32, src NodeID) (far NodeID, farD int32) {
+	far = src
+	for v, d := range dist {
+		if d > farD {
+			far, farD = NodeID(v), d
+		}
+	}
+	return far, farD
+}
+
+// doubleSweepPerSource is the reference double sweep: one BFS per
+// restart and hop.
+func doubleSweepPerSource(g View, dir Direction, sweeps int, rng *rand.Rand) int {
+	starts := make([]NodeID, sweeps)
+	for i := range starts {
+		starts[i] = NodeID(rng.IntN(g.NumNodes()))
+	}
+	scratch, best := newBFSScratch(g, nil), int32(0)
+	for _, src := range starts {
+		for hop := 0; hop < 2; hop++ {
+			back := dir == Directed && hop == 1
+			far, farD := farthest(scratch.run(src, !back, back || dir == Undirected), src)
+			best, src = max(best, farD), far
+		}
+	}
+	return int(best)
+}
+
+// TestDoubleSweepMatchesPerSourceBFS: riding the multi-source kernel
+// changes no bound. Sparse seeded random graphs keep isolated nodes
+// (restarts that go nowhere), several components and ties for the far
+// node; 70 restarts cross the 64-lane boundary. The lanes' own far
+// nodes and eccentricities are held to the scan as well, since the
+// bound is a max that could hide one wrong lane.
+func TestDoubleSweepMatchesPerSourceBFS(t *testing.T) {
+	isolatedStart := false
+	for seed := uint64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 28))
+		n := 1 + rng.IntN(80)
+		g := randomGraph(n, rng.IntN(2*n), rng)
+		for _, dir := range []Direction{Directed, Undirected} {
+			for _, sweeps := range []int{1, 4, 70} {
+				want := doubleSweepPerSource(g, dir, sweeps, rand.New(rand.NewPCG(seed, 5)))
+				for _, par := range []int{1, 3} {
+					if got := DoubleSweepDiameter(g, dir, sweeps, rand.New(rand.NewPCG(seed, 5)), par); got != want {
+						t.Fatalf("seed %d, %d nodes, %v, %d sweeps, P=%d: bound %d, per-source reference %d", seed, n, dir, sweeps, par, got, want)
+					}
+				}
+			}
+		}
+		ms, scratch := newMSBFS(g), newBFSScratch(g, nil)
+		ms.trackFar()
+		sources := make([]NodeID, msLanes)
+		for i := range sources {
+			sources[i] = NodeID(rng.IntN(n))
+		}
+		for _, mode := range [][2]bool{{true, false}, {false, true}, {true, true}} {
+			ms.run(context.Background(), sources, 0, len(sources), mode[0], mode[1])
+			for lane, src := range sources {
+				if far, ecc := farthest(scratch.run(src, mode[0], mode[1]), src); ms.far[lane] != far || ms.ecc[lane] != ecc {
+					t.Fatalf("seed %d, out=%v in=%v, lane %d from %d: far %d at %d, the scan finds %d at %d",
+						seed, mode[0], mode[1], lane, src, ms.far[lane], ms.ecc[lane], far, ecc)
+				}
+			}
+		}
+		first := NodeID(rand.New(rand.NewPCG(seed, 5)).IntN(n))
+		isolatedStart = isolatedStart || g.OutDegree(first)+g.InDegree(first) == 0
+	}
+	if !isolatedStart {
+		t.Fatal("no graph started a sweep on an isolated node")
+	}
+}
+
 func TestClusteringCoefficient(t *testing.T) {
 	// 0 points at 1,2,3; among them only 1->2 exists.
 	// C(0) = 1 / (3*2) = 1/6.

@@ -226,7 +226,7 @@ func pathLengthsFrom(ctx context.Context, g View, dir Direction, sources []NodeI
 		runShards(uniformBounds(round, round), func(w, _, _ int) {
 			lo := (pass + w) * msLanes
 			hi := min(lo+msLanes, len(sources))
-			scratch[w].run(ctx, sources[lo:hi], lo, opt.BatchSize, dir == Undirected)
+			scratch[w].run(ctx, sources[lo:hi], lo, opt.BatchSize, true, dir == Undirected)
 		})
 		covered, cancelled := pass*msLanes, false
 		for _, s := range scratch[:round] {
@@ -312,6 +312,13 @@ type msBFS struct {
 	hist       []int64
 	firstBatch int
 	done       bool
+
+	// Set by trackFar, for the double sweep: after a run, ecc[i] is the
+	// last level lane i's search reached — its source's eccentricity —
+	// and far[i] the lowest-id node at that level. nil on the path
+	// sample's workers, which skip the per-lane bookkeeping.
+	ecc []int32
+	far []NodeID
 }
 
 func newMSBFS(g View) *msBFS {
@@ -324,11 +331,16 @@ func newMSBFS(g View) *msBFS {
 	}
 }
 
-// run searches from up to 64 sources at once, following out-edges, or
-// both directions when undirected. base is the position of sources[0]
-// in the whole sample, which decides how the lanes split into batches
-// of batchSize. ctx is consulted once per level.
-func (s *msBFS) run(ctx context.Context, sources []NodeID, base, batchSize int, undirected bool) {
+// trackFar makes every later run record each lane's ecc and far.
+func (s *msBFS) trackFar() {
+	s.ecc, s.far = make([]int32, msLanes), make([]NodeID, msLanes)
+}
+
+// run searches from up to 64 sources at once, following out-edges,
+// in-edges (the transpose graph), or both. base is the position of
+// sources[0] in the whole sample, which decides how the lanes split
+// into batches of batchSize. ctx is consulted once per level.
+func (s *msBFS) run(ctx context.Context, sources []NodeID, base, batchSize int, out, in bool) {
 	s.masks, s.firstBatch = s.masks[:0], base/batchSize
 	for lo := 0; lo < len(sources); {
 		hi := min(len(sources), (base+lo)/batchSize*batchSize+batchSize-base)
@@ -336,6 +348,9 @@ func (s *msBFS) run(ctx context.Context, sources []NodeID, base, batchSize int, 
 		lo = hi
 	}
 	clear(s.seen)
+	for lane := range s.ecc {
+		s.ecc[lane] = -1
+	}
 	cur, nxt, hist := s.cur[:0], s.nxt[:0], s.hist[:0]
 	for lane, src := range sources {
 		// Sampling is with replacement: lanes may share a source.
@@ -362,8 +377,18 @@ func (s *msBFS) run(ctx context.Context, sources []NodeID, base, batchSize int, 
 			for k, m := range s.masks {
 				hist[level+k] += int64(bits.OnesCount64(f & m))
 			}
-			nxt = s.expand(f, s.rows.Out(u), nxt)
-			if undirected {
+			if s.far != nil {
+				hop := int32(level / len(s.masks))
+				for m := f; m != 0; m &= m - 1 {
+					if lane := bits.TrailingZeros64(m); s.ecc[lane] != hop || u < s.far[lane] {
+						s.ecc[lane], s.far[lane] = hop, u
+					}
+				}
+			}
+			if out {
+				nxt = s.expand(f, s.rows.Out(u), nxt)
+			}
+			if in {
 				nxt = s.expand(f, s.rows.In(u), nxt)
 			}
 		}
@@ -417,12 +442,16 @@ func linfDelta(a, b []float64) float64 {
 
 // DoubleSweepDiameter returns a lower bound on the diameter (longest
 // shortest path) using repeated double sweeps: BFS from a node, then BFS
-// again from the farthest node found. For directed graphs the second sweep
-// runs backwards over in-edges, the standard directed variant, so that a
-// path ending at the far node is measured end to end. sweeps controls how
-// many restarts are tried from random nodes. The restarts are drawn from
-// rng up front and are independent, so they run on parallelism workers
-// and merge by max: the bound is the same at any parallelism.
+// again from the farthest node found (the lowest-id one among equals).
+// For directed graphs the second sweep runs backwards over in-edges, the
+// standard directed variant, so that a path ending at the far node is
+// measured end to end. sweeps controls how many restarts are tried from
+// random nodes. The restarts are drawn from rng up front and are
+// independent, so they ride the multi-source kernel 64 to a pass — every
+// first sweep of a pass in one search, then every return sweep in
+// another, a row read once per level for all of them — with the passes
+// spread over parallelism workers and merged by max: the bound is the
+// same at any parallelism.
 func DoubleSweepDiameter(g View, dir Direction, sweeps int, rng *rand.Rand, parallelism int) int {
 	n := g.NumNodes()
 	if n == 0 {
@@ -435,23 +464,19 @@ func DoubleSweepDiameter(g View, dir Direction, sweeps int, rng *rand.Rand, para
 	for i := range starts {
 		starts[i] = NodeID(rng.IntN(n))
 	}
-	bounds := uniformBounds(sweeps, parallelism)
+	bounds := uniformBounds((sweeps+msLanes-1)/msLanes, parallelism)
 	best := make([]int32, len(bounds)-1)
 	runShards(bounds, func(shard, lo, hi int) {
-		scratch := newBFSScratch(g, nil)
-		for _, src := range starts[lo:hi] {
+		s := newMSBFS(g)
+		s.trackFar()
+		for pass := lo; pass < hi; pass++ {
+			lanes := starts[pass*msLanes : min(pass*msLanes+msLanes, sweeps)]
 			for hop := 0; hop < 2; hop++ {
 				// The directed return sweep runs over the transpose graph.
 				back := dir == Directed && hop == 1
-				dist := scratch.run(src, !back, back || dir == Undirected)
-				far, farD := src, int32(0)
-				for v, d := range dist {
-					if d > farD {
-						far, farD = NodeID(v), d
-					}
-				}
-				best[shard] = max(best[shard], farD)
-				src = far
+				s.run(context.TODO(), lanes, 0, len(lanes), !back, back || dir == Undirected)
+				best[shard] = max(best[shard], slices.Max(s.ecc[:len(lanes)]))
+				copy(lanes, s.far)
 			}
 		}
 	})

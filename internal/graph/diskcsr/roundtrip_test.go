@@ -222,14 +222,18 @@ func TestKernelEquivalence(t *testing.T) {
 		"DiameterUndirected": func(v graph.View, par int) any {
 			return graph.DoubleSweepDiameter(v, graph.Undirected, 3, rand.New(rand.NewPCG(7, 8)), par)
 		},
-		"HasArc": func(v graph.View, _ int) any {
-			rows, hits := v.Rows(), 0
+		"LinkedPairs": func(v graph.View, par int) any {
+			// Every node asked about its next three, so each bucket
+			// holds several questions and rows interleave across buckets.
+			var pairs [][2]graph.NodeID
 			for u := 0; u < v.NumNodes(); u++ {
-				if graph.HasArcRows(v, rows, graph.NodeID(u), graph.NodeID((u+1)%v.NumNodes())) {
-					hits++
+				for d := 1; d <= 3; d++ {
+					pairs = append(pairs, [2]graph.NodeID{graph.NodeID(u), graph.NodeID((u + d) % v.NumNodes())})
 				}
 			}
-			return hits
+			linked := make([]bool, len(pairs))
+			graph.LinkedPairs(v, pairs, linked, par)
+			return linked
 		},
 	}
 	for name, g := range testGraphs() {

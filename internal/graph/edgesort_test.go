@@ -6,6 +6,8 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"gplus/internal/stats"
 )
 
 // TestRadixPasses pins the pass count at the digit boundaries: an id
@@ -32,7 +34,7 @@ func TestRadixPasses(t *testing.T) {
 // ReverseEdges a comparison sort by (val, key). The input is 8 bytes
 // per edge, ids masked to a 1-, 2- or 3-pass width.
 func FuzzSortEdges(f *testing.F) {
-	masks := []NodeID{1<<radixBits - 1, 1<<(2*radixBits) - 1, math.MaxUint32}
+	masks := []NodeID{1<<stats.RadixBits - 1, 1<<(2*stats.RadixBits) - 1, math.MaxUint32}
 	encode := func(ids ...NodeID) []byte {
 		var data []byte
 		for _, id := range ids {

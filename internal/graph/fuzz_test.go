@@ -88,7 +88,7 @@ func FuzzMultiSourceBFS(f *testing.F) {
 		s := newMSBFS(g)
 		var dist []int32
 		for rerun := 0; rerun < 2; rerun++ {
-			s.run(context.Background(), sources, 0, 1, undirected)
+			s.run(context.Background(), sources, 0, 1, true, undirected)
 			if !s.done || len(s.masks) != len(sources) {
 				t.Fatalf("run %d: done=%v with %d lane masks for %d sources", rerun, s.done, len(s.masks), len(sources))
 			}

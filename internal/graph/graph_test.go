@@ -149,3 +149,27 @@ func TestHasArc(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkedPairsMatchesHasArc: the batched kernel answers every pair
+// as two HasArc probes do — repeated pairs, self pairs and nodes that
+// are never asked about included — at any parallelism.
+func TestLinkedPairsMatchesHasArc(t *testing.T) {
+	for seed := uint64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 29))
+		n := 1 + rng.IntN(60)
+		g := randomGraph(n, rng.IntN(4*n), rng)
+		pairs := make([][2]NodeID, rng.IntN(6*n))
+		for i := range pairs {
+			pairs[i] = [2]NodeID{NodeID(rng.IntN(n)), NodeID(rng.IntN(n))}
+		}
+		for _, par := range []int{1, 2, 5} {
+			linked := make([]bool, len(pairs))
+			LinkedPairs(g, pairs, linked, par)
+			for i, p := range pairs {
+				if want := HasArc(g, p[0], p[1]) || HasArc(g, p[1], p[0]); linked[i] != want {
+					t.Fatalf("seed %d P=%d: pair %d %v linked=%v, HasArc says %v", seed, par, i, p, linked[i], want)
+				}
+			}
+		}
+	}
+}

@@ -92,6 +92,14 @@ func runShards(bounds []int, fn func(shard, lo, hi int)) {
 	wg.Wait()
 }
 
+// Shards is the fan-out for callers outside the package: fn(lo, hi) runs
+// over [0, n) cut into at most parallelism contiguous near-equal ranges,
+// concurrently, and Shards waits for all of them. fn must confine its
+// writes to its own range.
+func Shards(n, parallelism int, fn func(lo, hi int)) {
+	runShards(uniformBounds(n, parallelism), func(_, lo, hi int) { fn(lo, hi) })
+}
+
 // concatShards merges per-shard result slices in shard order, so the
 // output is identical to a serial left-to-right scan.
 func concatShards[T any](parts [][]T) []T {

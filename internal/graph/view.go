@@ -67,23 +67,74 @@ func viewWorkBounds(g View, parallelism int) []int {
 	return uniformBounds(g.NumNodes(), parallelism)
 }
 
-// HasArc reports whether the directed edge u->v exists. It is the
-// convenience form of HasArcRows, reading through View.Out/In.
-func HasArc(g View, u, v NodeID) bool { return HasArcRows(g, g, u, v) }
-
-// HasArcRows is HasArc reading through the caller's cursor. It probes
-// the shorter of u's out-row and v's in-row so celebrity endpoints
-// don't slow the test, and so replaces the cursor's current row of
-// either direction.
-func HasArcRows(g View, rows Rows, u, v NodeID) bool {
+// HasArc reports whether the directed edge u->v exists. It probes the
+// shorter of u's out-row and v's in-row so celebrity endpoints don't
+// slow the test. It reads through View.Out/In, one row per question;
+// a batch of questions belongs to LinkedPairs.
+func HasArc(g View, u, v NodeID) bool {
 	if g.OutDegree(u) <= g.InDegree(v) {
-		adj := rows.Out(u)
+		adj := g.Out(u)
 		i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
 		return i < len(adj) && adj[i] == v
 	}
-	adj := rows.In(v)
+	adj := g.In(v)
 	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= u })
 	return i < len(adj) && adj[i] == u
+}
+
+// LinkedPairs answers a batch of adjacency questions with one read of
+// each row it needs: linked[i] reports whether an arc joins pairs[i]'s
+// u and v in either direction, HasArc(u, v) || HasArc(v, u). The pairs
+// are counting-sorted by u; each distinct u's out- and in-row is then
+// read once and stamped into a per-worker array that answers every v
+// asked of it in O(1). Buckets are cut into parallelism node ranges of
+// near-equal pair count, one Rows cursor each. linked must be as long
+// as pairs, at most math.MaxInt32.
+func LinkedPairs(g View, pairs [][2]NodeID, linked []bool, parallelism int) {
+	n := g.NumNodes()
+	// order lists the pair indices bucket by bucket. end[u] counts up
+	// from where u's bucket starts as the bucket fills, and is left
+	// where it ends — which is where u+1's starts.
+	end := make([]int32, n+1)
+	for _, p := range pairs {
+		end[p[0]+1]++
+	}
+	for u := 0; u < n; u++ {
+		end[u+1] += end[u]
+	}
+	order := make([]int32, len(pairs))
+	for i, p := range pairs {
+		order[end[p[0]]] = int32(i)
+		end[p[0]]++
+	}
+	bucketStart := func(u int) int64 {
+		if u == 0 {
+			return 0
+		}
+		return int64(end[u-1])
+	}
+	runShards(prefixWorkBounds(n, parallelism, bucketStart), func(_, lo, hi int) {
+		rows := g.Rows()
+		// stamp[v] == u+1 only ever marks a neighbour of u, so the array
+		// needs no clearing between buckets.
+		stamp := make([]NodeID, n)
+		for u := lo; u < hi; u++ {
+			bucket := order[bucketStart(u):end[u]]
+			if len(bucket) == 0 {
+				continue
+			}
+			mark := NodeID(u) + 1
+			for _, v := range rows.Out(NodeID(u)) {
+				stamp[v] = mark
+			}
+			for _, v := range rows.In(NodeID(u)) {
+				stamp[v] = mark
+			}
+			for _, i := range bucket {
+				linked[i] = stamp[pairs[i][1]] == mark
+			}
+		}
+	})
 }
 
 // AvgDegree returns the average degree (edges / nodes). Because every

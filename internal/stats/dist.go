@@ -4,6 +4,8 @@
 package stats
 
 import (
+	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -18,7 +20,8 @@ type Point struct {
 // than or equal to x is plotted at x, i.e. P(X >= x). The input slice is
 // not modified. Points come out sorted by X ascending.
 func CCDF(samples []float64) []Point {
-	return ccdfOwned(sortedCopy(samples))
+	// P(X >= the run's value) = (n - i) / n.
+	return curve(sortedCopy(samples), func(i, _, n int) float64 { return float64(n-i) / float64(n) })
 }
 
 // CCDFInts is CCDF for integer-valued samples such as node degrees. It
@@ -28,25 +31,30 @@ func CCDFInts(samples []int) []Point {
 	for i, s := range samples {
 		vals[i] = float64(s)
 	}
-	return ccdfOwned(vals)
+	return CCDF(vals)
 }
 
-// ccdfOwned is the one shared CCDF path: it sorts vals in place (the
-// caller must own the slice) and scans out one point per distinct value.
-func ccdfOwned(vals []float64) []Point {
-	sort.Float64s(vals)
-	n := len(vals)
+// curve is the one scan under CDF and CCDF: a point per distinct value
+// of sorted, its Y computed by y from the value's run sorted[i:j] and
+// the sample count. The points are sized by counting the runs first.
+func curve(sorted []float64, y func(i, j, n int) float64) []Point {
+	n := len(sorted)
 	if n == 0 {
 		return nil
 	}
-	var pts []Point
+	distinct := 1
+	for i := 1; i < n; i++ {
+		if sorted[i] != sorted[i-1] {
+			distinct++
+		}
+	}
+	pts := make([]Point, 0, distinct)
 	for i := 0; i < n; {
 		j := i
-		for j < n && vals[j] == vals[i] {
+		for j < n && sorted[j] == sorted[i] {
 			j++
 		}
-		// P(X >= vals[i]) = (n - i) / n.
-		pts = append(pts, Point{X: vals[i], Y: float64(n-i) / float64(n)})
+		pts = append(pts, Point{X: sorted[i], Y: y(i, j, n)})
 		i = j
 	}
 	return pts
@@ -65,21 +73,7 @@ func CCDFAt(pts []Point, x float64) float64 {
 // CDF returns the empirical cumulative distribution function: for each
 // distinct value x, P(X <= x). Points come out sorted by X ascending.
 func CDF(samples []float64) []Point {
-	sorted := sortedCopy(samples)
-	n := len(sorted)
-	if n == 0 {
-		return nil
-	}
-	var pts []Point
-	for i := 0; i < n; {
-		j := i
-		for j < n && sorted[j] == sorted[i] {
-			j++
-		}
-		pts = append(pts, Point{X: sorted[i], Y: float64(j) / float64(n)})
-		i = j
-	}
-	return pts
+	return curve(sortedCopy(samples), func(_, j, n int) float64 { return float64(j) / float64(n) })
 }
 
 // CDFAt evaluates P(X <= x) directly from samples.
@@ -96,8 +90,35 @@ func CDFAt(samples []float64, x float64) float64 {
 	return float64(count) / float64(len(samples))
 }
 
+// radixMinLen is the sample count from which sortedCopy's radix passes
+// beat a comparison sort: below it the per-pass digit tables cost more
+// than they save.
+const radixMinLen = 2048
+
+// sortedCopy returns the samples in sort.Float64s' order without
+// touching the input; it is the single sort under CDF and CCDF. Floats
+// that are all +0 or above and not NaN order as their bit patterns do,
+// so a long run of them goes through RadixSort; anything else keeps
+// the comparison sort, which alone knows where NaNs and -0 belong.
 func sortedCopy(samples []float64) []float64 {
 	out := make([]float64, len(samples))
+	if len(samples) >= radixMinLen {
+		keys := make([]uint64, 2*len(samples))
+		var hi uint64
+		for i, x := range samples {
+			keys[i] = math.Float64bits(x)
+			hi = max(hi, keys[i])
+		}
+		// A set sign bit (negatives, -0) and a NaN both lie above +Inf's
+		// pattern; the largest key also bounds the digits in use.
+		if hi <= math.Float64bits(math.Inf(1)) {
+			sorted, _ := RadixSort(keys[:len(samples)], keys[len(samples):], 0, RadixPasses(bits.Len64(hi)))
+			for i, k := range sorted {
+				out[i] = math.Float64frombits(k)
+			}
+			return out
+		}
+	}
 	copy(out, samples)
 	sort.Float64s(out)
 	return out

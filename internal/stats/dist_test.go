@@ -1,8 +1,11 @@
 package stats
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -136,4 +139,89 @@ func TestCDFPropertyComplementsCCDF(t *testing.T) {
 			t.Errorf("x=%v: CDF %v vs 1-CCDF %v", x, lhs, rhs)
 		}
 	}
+}
+
+// checkSortedCopy holds sortedCopy to sort.Float64s on the same input,
+// element for element by bits, and checks the input came back untouched.
+func checkSortedCopy(t *testing.T, samples []float64) {
+	t.Helper()
+	orig := append([]float64(nil), samples...)
+	want := append([]float64(nil), samples...)
+	sort.Float64s(want)
+	got := sortedCopy(samples)
+	if len(got) != len(want) {
+		t.Fatalf("sortedCopy returned %d of %d samples", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("n=%d: element %d is %v (%#x), sort.Float64s has %v (%#x)",
+				len(samples), i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+		if math.Float64bits(samples[i]) != math.Float64bits(orig[i]) {
+			t.Fatalf("sortedCopy modified its input at %d", i)
+		}
+	}
+}
+
+// TestSortedCopyMatchesSortFloat64s is the sort's property test: over
+// every class of float a caller could hand CDF — the radix-eligible
+// ones and each kind that must fall back — and at lengths on both sides
+// of radixMinLen.
+func TestSortedCopyMatchesSortFloat64s(t *testing.T) {
+	rng := rand.New(rand.NewPCG(28, 1))
+	subnormal := math.Float64frombits(1)
+	classes := map[string]func() float64{
+		"miles":      func() float64 { return rng.Float64() * 12_450 },
+		"degrees":    func() float64 { return float64(rng.IntN(50)) },
+		"all-equal":  func() float64 { return 7.5 },
+		"all-zero":   func() float64 { return 0 },
+		"subnormals": func() float64 { return subnormal * float64(rng.IntN(1000)) },
+		"wide":       func() float64 { return math.Float64frombits(rng.Uint64() >> 1 % math.Float64bits(math.Inf(1))) },
+		"+inf":       func() float64 { return []float64{math.Inf(1), 1.5, math.MaxFloat64, 0}[rng.IntN(4)] },
+		"negatives":  func() float64 { return rng.NormFloat64() * 1e3 },
+		"-inf":       func() float64 { return []float64{math.Inf(-1), math.Inf(1), 0, -1}[rng.IntN(4)] },
+		"signed-0":   func() float64 { return []float64{0, math.Copysign(0, -1), 1}[rng.IntN(3)] },
+		"nan":        func() float64 { return []float64{math.NaN(), 1, 2, math.Inf(1)}[rng.IntN(4)] },
+		"any-bits":   func() float64 { return math.Float64frombits(rng.Uint64()) },
+	}
+	for name, draw := range classes {
+		for _, n := range []int{0, 1, 17, radixMinLen - 1, radixMinLen, 100_000} {
+			samples := make([]float64, n)
+			for i := range samples {
+				samples[i] = draw()
+			}
+			t.Run(fmt.Sprintf("%s/n=%d", name, n), func(t *testing.T) { checkSortedCopy(t, samples) })
+		}
+	}
+}
+
+// FuzzSortedCopy feeds sortedCopy arbitrary bit patterns, eight bytes a
+// float, repeated past radixMinLen so both sorts meet every input.
+func FuzzSortedCopy(f *testing.F) {
+	seed := func(vals ...float64) []byte {
+		var data []byte
+		for _, v := range vals {
+			data = binary.LittleEndian.AppendUint64(data, math.Float64bits(v))
+		}
+		return data
+	}
+	f.Add([]byte{})
+	f.Add(seed(3, 1, 2, 1, 0))
+	f.Add(seed(1, math.Copysign(0, -1), 0))
+	f.Add(seed(math.Inf(1), 1, math.NaN()))
+	f.Add(seed(math.Float64frombits(1), math.MaxFloat64, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var samples []float64
+		for ; len(data) >= 8; data = data[8:] {
+			samples = append(samples, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+		}
+		checkSortedCopy(t, samples)
+		if len(samples) > 0 {
+			long := make([]float64, 0, radixMinLen+len(samples))
+			for len(long) < radixMinLen {
+				long = append(long, samples...)
+			}
+			checkSortedCopy(t, long)
+		}
+	})
 }

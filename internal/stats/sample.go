@@ -15,15 +15,22 @@ type Reservoir[T any] struct {
 	rng   *rand.Rand
 }
 
-// NewReservoir returns a reservoir holding at most k items.
+// NewReservoir returns a reservoir holding at most k items. The sample
+// grows with the stream, so a short stream never pays for k slots.
 func NewReservoir[T any](k int, rng *rand.Rand) *Reservoir[T] {
-	return &Reservoir[T]{k: k, items: make([]T, 0, k), rng: rng}
+	return &Reservoir[T]{k: k, rng: rng}
 }
 
 // Add offers one item to the reservoir.
 func (r *Reservoir[T]) Add(item T) {
 	r.seen++
 	if len(r.items) < r.k {
+		if len(r.items) == cap(r.items) {
+			// Double, but never past the k slots a long stream ends with.
+			grown := make([]T, len(r.items), min(r.k, max(64, 2*cap(r.items))))
+			copy(grown, r.items)
+			r.items = grown
+		}
 		r.items = append(r.items, item)
 		return
 	}

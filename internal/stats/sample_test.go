@@ -17,6 +17,19 @@ func TestReservoirSmallStream(t *testing.T) {
 	}
 }
 
+// TestReservoirGrowsOnDemand: a stream far shorter than k must not pay
+// for k slots (Figure 9 keeps ~10k pairs in 100k-slot reservoirs).
+func TestReservoirGrowsOnDemand(t *testing.T) {
+	const k = 100_000
+	r := NewReservoir[int](k, rand.New(rand.NewPCG(3, 4)))
+	for i := 0; i < 100; i++ {
+		r.Add(i)
+	}
+	if got := cap(r.Items()); len(r.Items()) != 100 || got > k/100 {
+		t.Fatalf("100 items of a %d-slot reservoir: len %d, cap %d", k, len(r.Items()), got)
+	}
+}
+
 func TestReservoirUniformity(t *testing.T) {
 	// Each of 20 items should land in a k=5 reservoir with p = 1/4.
 	rng := rand.New(rand.NewPCG(5, 6))
