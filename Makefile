@@ -37,7 +37,7 @@ help:
 	@echo "make brownout       kill-free convergence through a server brownout"
 	@echo "make trace-demo     chaos crawl with request tracing on both sides"
 	@echo "make dash-demo      short chaos crawl rendered on the live dashboard"
-	@echo "make prof-demo      brownout crawl -> profile ring -> offline analysis + diff"
+	@echo "make prof-demo      brownout crawl -> profile ring -> go tool pprof: CPU by label + steady-vs-page diff"
 	@echo "make bench          one benchmark per table/figure"
 	@echo "make bench-hotpath  serving/crawling hot paths -> BENCH_hotpath.json"
 	@echo "make bench-analysis graph analytics at P=1/4/8/NumCPU -> BENCH_analysis.json"
@@ -151,16 +151,19 @@ dash-demo:
 
 # The continuous-profiling demo, end to end: a brownout chaos crawl
 # fills the profile ring of a run directory (interval captures plus the
-# anomaly capture the SLO page triggers, phase-label attribution
-# asserted in-test), then the offline analyzer, given only that
-# directory, decodes <dir>/profiles — CPU cost by crawl phase, and a
-# steady-state vs anomaly-window diff.
+# anomaly capture the SLO page triggers, every CPU capture read and its
+# phase-label attribution asserted in-test by `go tool pprof`), then
+# `go tool pprof`, given only the files under <dir>/profiles, prints CPU
+# cost by pprof label (phase, endpoint, worker, chaos) and the
+# steady-state vs SLO-page comparison by crawl phase: the interval
+# captures merged into one baseline, each side normalised to its total.
 prof-demo:
 	rm -rf /tmp/gplus-prof-demo
 	PROF_DEMO_DIR=/tmp/gplus-prof-demo $(GO) test -count=1 -run TestContinuousProfilingE2E -v ./internal/crawler/
-	$(GO) run ./cmd/gplusanalyze profiles -by label -label phase /tmp/gplus-prof-demo
-	$(GO) run ./cmd/gplusanalyze profiles -by label -label phase -trigger interval \
-	    -diff /tmp/gplus-prof-demo -diff-trigger slo-page -top 10 /tmp/gplus-prof-demo
+	$(GO) tool pprof -tags /tmp/gplus-prof-demo/profiles/cpu-*.pb.gz
+	$(GO) tool pprof -proto /tmp/gplus-prof-demo/profiles/cpu-*-interval.pb.gz > /tmp/gplus-prof-demo/steady.pb.gz
+	$(GO) tool pprof -symbolize=none -top -cum -nodecount=20 -tagroot=phase -normalize \
+	    -diff_base /tmp/gplus-prof-demo/steady.pb.gz /tmp/gplus-prof-demo/profiles/cpu-*-slo-page_*.pb.gz
 
 # One benchmark per table and figure, headline values as custom metrics.
 bench:

@@ -8,10 +8,12 @@
 //	gplusanalyze -data ./data -only motifs     # exact triangle + triad census
 //	gplusanalyze -data ./data -baselines       # include Table 4 baselines
 //
-// Three subcommands read the run directory gpluscrawl/gplusd write
-// under -obs-dir (series.jsonl, traces.jsonl, exemplars.jsonl,
-// profiles/); each also accepts the individual files, e.g. dumps saved
-// from /debug/traces?format=jsonl or /debug/timeseries?format=jsonl.
+// Two subcommands read the run directory gpluscrawl/gplusd write under
+// -obs-dir (series.jsonl, traces.jsonl, exemplars.jsonl); each also
+// accepts the individual files, e.g. dumps saved from
+// /debug/traces?format=jsonl or /debug/timeseries?format=jsonl. The
+// directory's profiles/ ring is plain pprof files, read with `go tool
+// pprof` (README "Continuous profiling").
 //
 // traces merges client- and server-side spans sharing a trace id and
 // prints the critical-path breakdown of where request wall-clock went,
@@ -26,16 +28,6 @@
 // and the SLO objectives' violation spans re-evaluated at every tick.
 //
 //	gplusanalyze metrics [-width N] [-slo spec] run-dir [shard2-run-dir ...]
-//
-// profiles analyzes the continuous-profiling ring (or loose pprof .pb.gz
-// files): top-N functions by flat or cumulative cost, aggregation by
-// pprof label (phase, endpoint, chaos, ...), and A-vs-B diffs — e.g.
-// steady-state interval captures against the anomaly captures an SLO
-// page triggered.
-//
-//	gplusanalyze profiles [-kind cpu] [-top N] [-by flat|cum|label] run-dir
-//	gplusanalyze profiles -by label -label phase run-dir
-//	gplusanalyze profiles -trigger interval -diff run-dir -diff-trigger slo-page run-dir
 package main
 
 import (
@@ -54,7 +46,6 @@ import (
 
 	"gplus/internal/core"
 	"gplus/internal/dataset"
-	"gplus/internal/obs/prof"
 	"gplus/internal/obs/rundir"
 	"gplus/internal/obs/series"
 	"gplus/internal/obs/trace"
@@ -170,118 +161,6 @@ a run directory (-obs-dir) stands for its series.jsonl; dumps also come from
 	return nil
 }
 
-// runProfiles is the `gplusanalyze profiles` subcommand: offline analysis
-// of the continuous-profiling ring of a run directory, or of loose pprof
-// .pb.gz files.
-func runProfiles(w io.Writer, args []string) error {
-	sub := flag.NewFlagSet("profiles", flag.ContinueOnError)
-	kind := sub.String("kind", "cpu", "capture kind to load from rings: cpu, heap, goroutine or mutex")
-	trigger := sub.String("trigger", "", `only ring captures whose trigger starts with this prefix (e.g. "interval", "slo-page", "stall"); "" = all`)
-	top := sub.Int("top", 20, "rows to print (0 = all)")
-	by := sub.String("by", "flat", "ranking: flat (cost at the leaf), cum (cost anywhere on the stack), or label (aggregate by -label)")
-	label := sub.String("label", "phase", `pprof label key for -by label and labelled diffs (e.g. "phase", "endpoint", "chaos", "worker")`)
-	diffSrc := sub.String("diff", "", "diff mode: comma-separated B-side sources (run directories or .pb.gz files); the positional args are the A side")
-	diffTrig := sub.String("diff-trigger", "", "trigger prefix filter for the -diff B side (default: same as -trigger, so the same ring can be split by trigger)")
-	srcs, err := sources(sub, `[-kind K] [-trigger T] [-top N] [-by flat|cum|label] [-label key] [-diff sources [-diff-trigger T]] run-dir-or-file [more ...]
-sources are run directories (-obs-dir; the ring under profiles/, filtered via its manifest), bare ring
-directories, or single pprof .pb.gz files; e.g. diff steady state against the captures an SLO page triggered, by crawl phase:
-  gplusanalyze profiles -by label -trigger interval -diff ./run -diff-trigger slo-page ./run`, args)
-	if err != nil {
-		return err
-	}
-	if !slices.Contains([]string{"flat", "cum", "label"}, *by) {
-		return usageError{fmt.Errorf("unknown -by %q (available: flat, cum, label)", *by)}
-	}
-	a, aDesc, err := loadProfileSet(srcs, *kind, *trigger)
-	if err != nil {
-		return err
-	}
-	if *diffSrc != "" {
-		bTrig := *diffTrig
-		if bTrig == "" {
-			bTrig = *trigger
-		}
-		b, bDesc, err := loadProfileSet(strings.Split(*diffSrc, ","), *kind, bTrig)
-		if err != nil {
-			return err
-		}
-		key, name := "", "function (flat)"
-		if *by == "label" {
-			key, name = *label, "label "+*label
-		}
-		fmt.Fprintf(w, "profile diff (%s): A = %s; B = %s\n", *kind, aDesc, bDesc)
-		fmt.Fprint(w, prof.FormatDiff(prof.Diff(a, b, key, *top), name))
-		return nil
-	}
-	unit := prof.SampleUnit(a)
-	fmt.Fprintf(w, "profiles (%s): %s\n", *kind, aDesc)
-	if *by == "label" {
-		fmt.Fprint(w, prof.FormatByLabel(prof.ByLabel(a, *label), *label, unit))
-		return nil
-	}
-	fmt.Fprint(w, prof.FormatTop(prof.TopFuncs(a, *by, *top), unit))
-	return nil
-}
-
-// loadProfileSet decodes every source into profiles: a directory is a
-// run directory (its profiles/ ring) or a bare ring, whose manifest is
-// filtered by kind and trigger prefix; anything else is read as a single
-// pprof .pb.gz file.
-func loadProfileSet(sources []string, kind, trigger string) ([]*prof.Profile, string, error) {
-	var ps []*prof.Profile
-	for _, src := range sources {
-		src = strings.TrimSpace(src)
-		if src == "" {
-			continue
-		}
-		st, err := os.Stat(src)
-		if err != nil {
-			return nil, "", err
-		}
-		if !st.IsDir() {
-			p, err := prof.ReadFile(src)
-			if err != nil {
-				return nil, "", fmt.Errorf("decoding %s: %w", src, err)
-			}
-			ps = append(ps, p)
-			continue
-		}
-		ring := src
-		if sub := filepath.Join(src, rundir.ProfilesDir); isDir(sub) {
-			ring = sub
-		}
-		entries, err := prof.ReadManifest(ring)
-		if err != nil {
-			return nil, "", fmt.Errorf("reading capture manifest in %s: %w", ring, err)
-		}
-		for _, e := range entries {
-			if e.Kind != kind {
-				continue
-			}
-			if trigger != "" && !strings.HasPrefix(e.Trigger, trigger) {
-				continue
-			}
-			p, err := prof.ReadFile(e.Path(ring))
-			if err != nil {
-				return nil, "", fmt.Errorf("decoding %s: %w", e.Path(ring), err)
-			}
-			ps = append(ps, p)
-		}
-	}
-	if len(ps) == 0 {
-		filter := kind
-		if trigger != "" {
-			filter += ", trigger " + trigger + "*"
-		}
-		return nil, "", fmt.Errorf("profiles: no captures matched (%s) in %s", filter, strings.Join(sources, ", "))
-	}
-	desc := fmt.Sprintf("%d capture(s) from %s", len(ps), strings.Join(sources, ", "))
-	if trigger != "" {
-		desc += fmt.Sprintf(", trigger %s*", trigger)
-	}
-	return ps, desc, nil
-}
-
 func isDir(path string) bool {
 	st, err := os.Stat(path)
 	return err == nil && st.IsDir()
@@ -304,11 +183,11 @@ type usageError struct{ error }
 func run(stdout, stderr io.Writer, args []string) error {
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		sub := map[string]func(io.Writer, []string) error{
-			"traces": runTraces, "metrics": runMetrics, "profiles": runProfiles,
+			"traces": runTraces, "metrics": runMetrics,
 		}[args[0]]
 		if sub == nil {
 			// A mistyped verb is not a request to analyze the default dataset.
-			return usageError{fmt.Errorf("unknown subcommand %q (available: traces, metrics, profiles)", args[0])}
+			return usageError{fmt.Errorf("unknown subcommand %q (available: traces, metrics)", args[0])}
 		}
 		if err := sub(stdout, args[1:]); err != nil {
 			return fmt.Errorf("%s: %w", args[0], err)

@@ -20,7 +20,6 @@ import (
 	"gplus/internal/dataset"
 	"gplus/internal/gplusd"
 	"gplus/internal/graph"
-	"gplus/internal/obs/prof"
 	"gplus/internal/obs/rundir"
 	"gplus/internal/obs/series"
 	"gplus/internal/obs/trace"
@@ -30,9 +29,9 @@ import (
 // TestRunDirectoryEndToEnd is the loop the binaries ship, in one
 // process: the stack gpluscrawl wires (rundir.Start on a run directory)
 // rides a short chaos crawl against an in-process gplusd, Close
-// completes the directory, and all three analyzers — given the
-// directory and nothing else — must have something to say: a
-// throughput curve, a critical-path table, and CPU cost by crawl phase.
+// completes the directory, and both analyzers — given the directory and
+// nothing else — must have something to say: a throughput curve and a
+// critical-path table.
 func TestRunDirectoryEndToEnd(t *testing.T) {
 	cfg := synth.DefaultConfig(2_500)
 	cfg.Seed = 1234
@@ -60,9 +59,6 @@ func TestRunDirectoryEndToEnd(t *testing.T) {
 		Series:     series.Options{Interval: 25 * time.Millisecond, Capacity: 4096},
 		Objectives: series.DefaultCrawlObjectives(),
 		Trace:      trace.Config{SampleRate: 1},
-		// A CPU window covering most of each cycle, as in the profiling
-		// e2e: a one-second crawl must leave phase-labelled samples.
-		Prof: prof.Options{Interval: 250 * time.Millisecond, CPUDuration: 200 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,15 +101,7 @@ func TestRunDirectoryEndToEnd(t *testing.T) {
 			t.Errorf("traces: analysis lacks %q:\n%s", want, traces)
 		}
 	}
-
-	profiles := analyze(func(w *bytes.Buffer) error {
-		return runProfiles(w, []string{"-by", "label", "-label", "phase", dir})
-	})
-	if !regexp.MustCompile(`(?m)^ +[1-9][0-9]* +[0-9.]+%  (circle\.page|fetch\.profile)$`).MatchString(profiles) {
-		t.Errorf("profiles: no CPU attributed to a crawl phase:\n%s", profiles)
-	}
 	t.Logf("gplusanalyze metrics %s:\n%s", dir, metrics)
-	t.Logf("gplusanalyze profiles -by label -label phase %s:\n%s", dir, profiles)
 }
 
 // TestMetricsOnAGplusdRunDirectory: the directory a gplusd -obs-dir run
@@ -255,10 +243,10 @@ func TestOnlyPaysForTheStagesItNames(t *testing.T) {
 		{study("-format", "md", "-only", "table2"), []string{"-only", "-format md"}},
 		{study("-format", "md", "-baselines"), []string{"-baselines", "-format md"}},
 		{study("-format", "md", "-cap", "5000"), []string{"-cap", "-format md"}},
-		{[]string{"trace", dir}, []string{`"trace"`, "traces, metrics, profiles"}},
+		{[]string{"trace", dir}, []string{`"trace"`, "traces, metrics"}},
+		{[]string{"profiles", dir}, []string{`"profiles"`, "traces, metrics"}},
 		{[]string{"traces"}, []string{"no source", "usage: gplusanalyze traces"}},
 		{[]string{"metrics", "-top", "3", dir}, []string{"-top", "usage: gplusanalyze metrics"}},
-		{[]string{"profiles", "-by", "cumulative", dir}, []string{"-by", `"cumulative"`, "flat, cum, label"}},
 	} {
 		var stdout, stderr bytes.Buffer
 		err := run(&stdout, &stderr, tc.args)

@@ -27,8 +27,8 @@ import (
 // joined, cut at pipes and && — so neither prose nor another tool's
 // flag of the same name counts. A flag with no recipe and no reader is
 // a constant; delete it or document the run that needs it.
-// gplusanalyze's three sub-commands (traces, metrics, profiles) declare
-// theirs on one identifier, scanned as a row of its own; the shared
+// gplusanalyze's two sub-commands (traces, metrics) declare theirs on
+// one identifier, scanned as a row of its own; the shared
 // observability flags are one registration, so a recipe on either
 // binary that takes them keeps one.
 func TestFlagsHaveRecipe(t *testing.T) {
@@ -89,7 +89,7 @@ func TestFlagsHaveRecipe(t *testing.T) {
 		{"gpluscrawl", "fs", true, 13},
 		{"gplusd", "flag", true, 7},
 		{"gplusanalyze", "fs", false, 9},
-		{"gplusanalyze", "sub", false, 11},
+		{"gplusanalyze", "sub", false, 4},
 		{"gplusgen", "flag", false, 3},
 		{"gplusverify", "fs", false, 2},
 	} {

@@ -376,23 +376,26 @@ func (w *worker) run(ctx context.Context) {
 }
 
 // maxRequeuePause caps how long a worker honors a server pacing hint
-// after requeueing, so one huge Retry-After cannot idle a worker for
+// before requeueing, so one huge Retry-After cannot idle a worker for
 // the rest of the crawl.
 const maxRequeuePause = 250 * time.Millisecond
 
 // maybeRequeue returns an overloaded id to the frontier instead of
 // counting it failed, so a brownout's worth of shed requests turns into
-// deferred work rather than holes in the dataset. It reports whether the
-// id was requeued; a false return means the caller must count the error.
-// Before picking up new work the worker honors the overload's pacing
-// hint (Retry-After, breaker cooldown): requeueing must defer load in
-// time, not just reshuffle the queue — an instantly retried requeue
-// against a saturated server is a hot spin.
+// deferred work rather than holes in the dataset. A false return means
+// the caller must count the error; true means the id was requeued, or
+// the crawl was cancelled while it waited.
+// The worker first honors the overload's pacing hint (Retry-After,
+// breaker cooldown) while still holding the id's claim: requeueing must
+// defer load in time, not just reshuffle the queue. Handing the id back
+// before the pause lets every idle worker re-claim it at once, so at a
+// crawl's tail, where it is the only id left, the fleet spends its
+// requeue allowance in a few hints and a passing overload becomes a
+// lost profile.
 func (w *worker) maybeRequeue(ctx context.Context, id string, err error) bool {
-	if !gplusapi.IsOverload(err) || !w.sched.requeue(id) {
-		return false // requeue cap reached or crawl closing
+	if !gplusapi.IsOverload(err) {
+		return false
 	}
-	w.tel.requeues.Inc()
 	var hinted interface{ RetryAfterHint() time.Duration }
 	if errors.As(err, &hinted) {
 		if d := hinted.RetryAfterHint(); d > 0 {
@@ -401,10 +404,15 @@ func (w *worker) maybeRequeue(ctx context.Context, id string, err error) bool {
 			}
 			select {
 			case <-ctx.Done():
+				return true // stopped, not failed: no phantom error
 			case <-time.After(d):
 			}
 		}
 	}
+	if !w.sched.requeue(id) {
+		return false // requeue cap reached or crawl closing
+	}
+	w.tel.requeues.Inc()
 	return true
 }
 

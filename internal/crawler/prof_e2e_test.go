@@ -1,10 +1,12 @@
 package crawler
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -24,16 +26,18 @@ import (
 // server brownout with the continuous profiler armed, and afterwards
 // the on-disk ring must tell the story on its own —
 //
-//  1. the manifest holds steady-state interval captures AND an
+//  1. the ring's file names show steady-state interval captures AND an
 //     anomaly capture fired by the SLO engine paging mid-brownout;
-//  2. every capture decodes with the dependency-free pprof reader;
+//  2. every CPU capture decodes with `go tool pprof`, the toolchain's
+//     reader and the ring's only one;
 //  3. aggregating the CPU captures by the "phase" pprof label pins the
 //     dominant labelled cost to a real crawl phase — the attribution
-//     a 3am operator needs to see where a wedged crawl's cycles went.
+//     a 3am operator needs to see where a wedged crawl's cycles went;
+//  4. the endpoint label holds only the vocabulary's spellings.
 //
-// Set PROF_DEMO_DIR to keep the run directory on disk so `gplusanalyze
-// profiles` can be demonstrated against it (the Makefile's prof-demo
-// target does exactly that).
+// Set PROF_DEMO_DIR to keep the run directory on disk so `go tool pprof`
+// can be demonstrated against it (the Makefile's prof-demo target does
+// exactly that).
 func TestContinuousProfilingE2E(t *testing.T) {
 	u := crawlUniverse(t)
 	seed := seedID(u)
@@ -134,87 +138,77 @@ func TestContinuousProfilingE2E(t *testing.T) {
 		t.Fatal("crawl fetched nothing; the fixture is broken")
 	}
 
-	// (1) The manifest tells the story: interval captures plus at least
-	// one capture the SLO page triggered, stamped with the paging state.
-	entries, err := prof.ReadManifest(ring)
-	if err != nil {
-		t.Fatalf("reading manifest: %v", err)
-	}
-	var cpuInterval, pageTriggered int
-	for _, e := range entries {
-		if e.Kind == "cpu" && e.Trigger == "interval" {
-			cpuInterval++
+	// (1) The file names tell the story: interval captures plus at least
+	// one capture the SLO page triggered.
+	glob := func(pattern string) []string {
+		names, err := filepath.Glob(filepath.Join(ring, pattern))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if strings.HasPrefix(e.Trigger, "slo-page:") {
-			pageTriggered++
-			// The stamp records the engine's state at append time — which
-			// may already read OK again if the objective recovered during
-			// the trigger's CPU burst — so assert only that the SLOState
-			// hook was wired, not which state it caught.
-			if e.SLO == "" {
-				t.Errorf("slo-page capture %s-%06d has no SLO stamp", e.Kind, e.Seq)
-			}
-		}
+		return names
 	}
-	if cpuInterval == 0 {
-		t.Errorf("no interval CPU captures in %d manifest entries", len(entries))
+	if len(glob("cpu-*-interval.pb.gz")) == 0 {
+		t.Errorf("no interval CPU captures in %s", ring)
 	}
-	if pageTriggered == 0 {
-		t.Errorf("no slo-page-triggered captures in %d manifest entries; engine transitions: %d", len(entries), len(eng.Transitions()))
+	if len(glob("*-slo-page_*.pb.gz")) == 0 {
+		t.Errorf("no slo-page-triggered captures in %s; engine transitions: %d", ring, len(eng.Transitions()))
 	}
 
-	// (2) Every capture decodes.
-	var cpuProfiles []*prof.Profile
-	for _, e := range entries {
-		p, err := prof.ReadFile(e.Path(ring))
-		if err != nil {
-			t.Fatalf("decoding %s-%06d (%s): %v", e.Kind, e.Seq, e.Trigger, err)
-		}
-		if e.Kind == "cpu" {
-			cpuProfiles = append(cpuProfiles, p)
-		}
+	// (2) Every CPU capture decodes: one `go tool pprof -tags` over all of
+	// them, which names any source it cannot parse ("parsing profile")
+	// and then fetches fewer than it was given ("... out of N").
+	cpu := glob("cpu-*.pb.gz")
+	out, err := exec.Command("go", append([]string{"tool", "pprof", "-tags"}, cpu...)...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go tool pprof -tags over %d CPU captures: %v\n%s", len(cpu), err, out)
 	}
+	if bytes.Contains(out, []byte("out of")) || bytes.Contains(out, []byte("parsing profile")) {
+		t.Fatalf("a CPU capture does not decode:\n%s", out)
+	}
+	tags := pprofTags(string(out))
 
 	// (3) Label attribution: across all CPU windows, the dominant
 	// labelled phase must be a crawl phase — the circle-page fetch/decode
 	// loop dominates a full crawl's CPU, with profile fetches next.
-	rows := prof.ByLabel(cpuProfiles, "phase")
-	var topPhase string
-	var labeled int64
-	for _, r := range rows {
-		if r.Value == prof.Unlabeled {
-			continue
-		}
-		labeled += r.Cost
-		if topPhase == "" {
-			topPhase = r.Value // rows are sorted by cost descending
-		}
+	phases := tags[obs.KeyPhase]
+	if len(phases) == 0 {
+		t.Fatalf("no CPU samples carry a phase label; pprof.Do attribution is not reaching the profiler:\n%s", out)
 	}
-	if labeled == 0 {
-		t.Fatal("no CPU samples carry a phase label; pprof.Do attribution is not reaching the profiler")
-	}
-	if topPhase != obs.PhaseCirclePage && topPhase != obs.PhaseFetchProfile {
-		t.Errorf("dominant labelled phase = %q, want a crawl fetch phase (circle.page or fetch.profile); rows: %+v", topPhase, rows)
+	if top := phases[0]; top != obs.PhaseCirclePage && top != obs.PhaseFetchProfile {
+		t.Errorf("dominant labelled phase = %q, want a crawl fetch phase (circle.page or fetch.profile):\n%s", top, out)
 	}
 
 	// (4) One endpoint spelling: the client's attempts and the server's
 	// handlers both run in this process, so the captures are the merged
-	// profile of the two sides, and `-by label -label endpoint` must
-	// split it into the vocabulary's values only — a request is
-	// "circles" on both sides of the wire, never "circle" on one.
-	byEndpoint := map[string]int64{}
-	for _, r := range prof.ByLabel(cpuProfiles, obs.KeyEndpoint) {
-		byEndpoint[r.Value] = r.Cost
-	}
-	delete(byEndpoint, prof.Unlabeled)
-	if len(byEndpoint) == 0 {
+	// profile of the two sides, and their endpoint tag must split it into
+	// the vocabulary's values only — a request is "circles" on both sides
+	// of the wire, never "circle" on one.
+	if len(tags[obs.KeyEndpoint]) == 0 {
 		t.Error("no CPU sample carries an endpoint label")
 	}
-	for v := range byEndpoint {
+	for _, v := range tags[obs.KeyEndpoint] {
 		switch v {
 		case obs.EndpointProfile, obs.EndpointCircles, obs.EndpointStats, obs.EndpointSeed:
 		default:
-			t.Errorf("endpoint label value %q is not in the vocabulary; rows: %v", v, byEndpoint)
+			t.Errorf("endpoint label value %q is not in the vocabulary:\n%s", v, out)
 		}
 	}
+}
+
+// pprofTags parses `go tool pprof -tags` output into each label key's
+// values, heaviest first as pprof prints them:
+//
+//	phase: Total 610.0ms
+//	       320.0ms (52.46%): circle.page
+func pprofTags(out string) map[string][]string {
+	tags := map[string][]string{}
+	key := ""
+	for _, line := range strings.Split(out, "\n") {
+		if k, _, ok := strings.Cut(strings.TrimSpace(line), ": Total "); ok {
+			key = k
+		} else if _, v, ok := strings.Cut(line, "%): "); ok && key != "" {
+			tags[key] = append(tags[key], v)
+		}
+	}
+	return tags
 }

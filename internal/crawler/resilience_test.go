@@ -124,6 +124,59 @@ func TestCrawlRequeuesOnOverload(t *testing.T) {
 	}
 }
 
+// shedWindow 503s every request for one profile, with a Retry-After
+// hint, until its deadline passes.
+type shedWindow struct {
+	inner  http.Handler
+	target string
+	until  time.Time
+}
+
+func (g *shedWindow) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/people/"+g.target && time.Now().Before(g.until) {
+		w.Header().Set("Retry-After", "0.1")
+		http.Error(w, "synthetic overload", http.StatusServiceUnavailable)
+		return
+	}
+	g.inner.ServeHTTP(w, r)
+}
+
+// TestCrawlRequeuePacesTheID pins the tail of a chaos crawl: the one id
+// left in the frontier is shed for 2s. A worker that requeues it must
+// sit out the pacing hint before the id is handed back, or the idle
+// workers re-claim it at once and eight of them spend its requeue
+// allowance (32) within a few hints, turning a passing overload into a
+// lost profile.
+func TestCrawlRequeuePacesTheID(t *testing.T) {
+	u := crawlUniverse(t)
+	seed := seedID(u)
+	gate := &shedWindow{inner: gplusd.New(u, gplusd.Options{}), target: seed, until: time.Now().Add(2 * time.Second)}
+	ts := httptest.NewServer(gate)
+	defer ts.Close()
+
+	res, err := Crawl(context.Background(), Config{
+		BaseURL: ts.URL, Seeds: []string{seed}, Workers: 8,
+		FetchIn: true, FetchOut: true,
+		MaxProfiles:      30,
+		MaxRetries:       1,
+		RetryBackoffBase: time.Millisecond,
+		// Keep the breaker shut and the AIMD gate open, as successes on
+		// the rest of the frontier do mid-crawl: the 503s alone must
+		// drive the requeues, and all eight workers may hold the id.
+		Breaker: resilience.BreakerOptions{ConsecutiveFailures: 1 << 20, MinSamples: 1 << 20},
+		AIMD:    resilience.AIMDOptions{Min: 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.ProfileErrors != 0 {
+		t.Errorf("ProfileErrors = %d after %d requeues; a paced id must outlast a 2s shed", res.Stats.ProfileErrors, res.Stats.Requeued)
+	}
+	if _, ok := res.Profiles[seed]; !ok {
+		t.Error("the shed profile never made it into the dataset")
+	}
+}
+
 func TestCrawlResilienceMetricsRegistered(t *testing.T) {
 	u := crawlUniverse(t)
 	reg := obs.NewRegistry()

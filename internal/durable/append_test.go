@@ -13,7 +13,6 @@ import (
 
 	"gplus/internal/crawler"
 	"gplus/internal/durable"
-	"gplus/internal/obs/prof"
 	"gplus/internal/obs/rundir"
 	"gplus/internal/obs/trace"
 )
@@ -164,40 +163,6 @@ var appendCases = []appendCase{
 				got = append(got, id)
 			}
 			sort.Strings(got)
-			return got
-		},
-	},
-	{
-		// Capture files are written before their manifest line, so a cut
-		// manifest leaves orphans the reopen must sweep, not adopt.
-		name: "profile manifest",
-		log:  "manifest.jsonl",
-		session: func(t *testing.T, dir string, names []string) {
-			s, err := prof.OpenStore(dir, prof.StoreOptions{})
-			if err != nil {
-				t.Fatalf("ring unopenable: %v", err)
-			}
-			for _, name := range names {
-				if _, err := s.Append("heap", name, "", 0, []byte("capture")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-		},
-		read: func(t *testing.T, dir string) []string {
-			es, err := prof.ReadManifest(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []string
-			for _, e := range es {
-				if _, err := os.Stat(e.Path(dir)); err != nil {
-					t.Fatalf("capture %s lost its file: %v", e.Trigger, err)
-				}
-				got = append(got, e.Trigger)
-			}
 			return got
 		},
 	},

@@ -1,11 +1,15 @@
 package durable_test
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
+	"strconv"
 	"testing"
 
 	"gplus/internal/crawler"
@@ -158,49 +162,40 @@ func observeDataset(dir string, old, new *dataset.Dataset) func(*testing.T) map[
 	}
 }
 
-// profileRing opens a three-capture ring in a fresh directory.
-func profileRing(t *testing.T) (*prof.Store, string) {
-	dir := t.TempDir()
-	s, err := prof.OpenStore(dir, prof.StoreOptions{MaxCaptures: 3})
+// captureBody is what the ring's capture seq holds.
+func captureBody(seq int) []byte { return []byte(fmt.Sprintf("capture %d", seq)) }
+
+var captureSeq = regexp.MustCompile(`^[a-z]+-([0-9]+)(-.*)?\.pb\.gz$`)
+
+// reopenRing reopens the three-capture profile ring at dir, as a
+// restarted process does, and returns the seqs of its capture files in
+// order, failing the test if a file is not the whole capture of its seq
+// or two files share a seq.
+func reopenRing(t *testing.T, dir string) []int {
+	if _, err := prof.OpenStore(dir, prof.StoreOptions{MaxCaptures: 3}); err != nil {
+		t.Fatalf("ring unopenable: %v", err)
+	}
+	des, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if _, err := s.Append("heap", "interval", "", 0, []byte("capture")); err != nil {
-			t.Fatal(err)
+	var seqs []int
+	for _, de := range des {
+		m := captureSeq.FindStringSubmatch(de.Name())
+		if m == nil {
+			continue
+		}
+		seq, _ := strconv.Atoi(m[1])
+		if slices.Contains(seqs, seq) {
+			t.Fatalf("two capture files share seq %d", seq)
+		}
+		seqs = append(seqs, seq)
+		if b, err := os.ReadFile(filepath.Join(dir, de.Name())); err != nil || !bytes.Equal(b, captureBody(seq)) {
+			t.Fatalf("%s is not the whole capture %d: %q (err=%v)", de.Name(), seq, b, err)
 		}
 	}
-	return s, dir
-}
-
-// reopenRing reopens the ring at dir and requires exactly the captures
-// want, each with its file still on disk.
-func reopenRing(t *testing.T, dir string, want []uint64) {
-	s, err := prof.OpenStore(dir, prof.StoreOptions{MaxCaptures: 3})
-	if err != nil {
-		t.Fatalf("ring unopenable: %v", err)
-	}
-	defer s.Close()
-	es, err := prof.ReadManifest(dir)
-	if err != nil {
-		t.Fatalf("reopened ring's manifest unreadable: %v", err)
-	}
-	if got := seqs(es); !reflect.DeepEqual(got, want) {
-		t.Fatalf("reopened ring lists captures %v, want %v", got, want)
-	}
-	for _, e := range es {
-		if _, err := os.Stat(e.Path(dir)); err != nil {
-			t.Fatalf("capture %d lost its file: %v", e.Seq, err)
-		}
-	}
-}
-
-func seqs(es []prof.Entry) []uint64 {
-	out := make([]uint64, len(es))
-	for i, e := range es {
-		out[i] = e.Seq
-	}
-	return out
+	slices.Sort(seqs)
+	return seqs
 }
 
 var crashCases = []crashCase{
@@ -302,62 +297,27 @@ var crashCases = []crashCase{
 		},
 	},
 	{
-		// A fourth capture in a three-capture ring evicts the oldest and
-		// rewrites the manifest. Whatever the manifest says at the crash,
-		// the reopened ring lists the three survivors and has all their
-		// files: an empty or torn manifest here would make the orphan
-		// sweep delete every capture.
-		name: "prof.Store manifest rewrite",
+		// A fourth capture into a three-capture ring. The directory is the
+		// ring's only index, so a crash before the rename leaves captures
+		// {0,1,2} and one after it {1,2,3} — the reopen re-applies the
+		// eviction the crash cut off.
+		name: "prof.Store capture",
 		build: func(t *testing.T) (func() error, func(*testing.T) map[string]bool) {
-			s, dir := profileRing(t)
-			write := func() error {
-				_, err := s.Append("heap", "interval", "", 0, []byte("capture"))
-				return err
-			}
-			observe := func(t *testing.T) map[string]bool {
-				s.Close()
-				es, err := prof.ReadManifest(dir)
-				if err != nil {
-					t.Fatalf("manifest unreadable: %v", err)
-				}
-				rewritten := isNew(t, "manifest", seqs(es), []uint64{0, 1, 2, 3}, []uint64{1, 2, 3})
-				reopenRing(t, dir, []uint64{1, 2, 3})
-				return map[string]bool{"manifest.jsonl": rewritten}
-			}
-			return write, observe
-		},
-	},
-	{
-		// Reopening a ring that lost a capture file drops that entry and
-		// makes it stick by rewriting the manifest; a crash inside the
-		// rewrite must leave the old manifest, from which the next reopen
-		// reaches the same two survivors.
-		name: "prof.Store recovery rewrite",
-		build: func(t *testing.T) (func() error, func(*testing.T) map[string]bool) {
-			s, dir := profileRing(t)
-			s.Close()
-			es, err := prof.ReadManifest(dir)
+			dir := t.TempDir()
+			s, err := prof.OpenStore(dir, prof.StoreOptions{MaxCaptures: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.Remove(es[0].Path(dir)); err != nil {
-				t.Fatal(err)
-			}
-			write := func() error {
-				s, err := prof.OpenStore(dir, prof.StoreOptions{MaxCaptures: 3})
-				if err != nil {
-					return err
+			for seq := 0; seq < 3; seq++ {
+				if err := s.Append("heap", "interval", captureBody(seq)); err != nil {
+					t.Fatal(err)
 				}
-				return s.Close()
 			}
+			write := func() error { return s.Append("heap", "interval", captureBody(3)) }
 			observe := func(t *testing.T) map[string]bool {
-				es, err := prof.ReadManifest(dir)
-				if err != nil {
-					t.Fatalf("manifest unreadable: %v", err)
+				return map[string]bool{
+					"heap-000003-interval.pb.gz": isNew(t, "ring", reopenRing(t, dir), []int{0, 1, 2}, []int{1, 2, 3}),
 				}
-				rewritten := isNew(t, "manifest", seqs(es), []uint64{0, 1, 2}, []uint64{1, 2})
-				reopenRing(t, dir, []uint64{1, 2})
-				return map[string]bool{"manifest.jsonl": rewritten}
 			}
 			return write, observe
 		},

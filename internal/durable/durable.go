@@ -1,10 +1,10 @@
 // Package durable is the repo's one crash contract for files on disk.
 // Every whole-file write (dataset columns, v2 graphs, edge segments,
-// crawl checkpoints, profile-ring manifest rewrites, the at-exit series
-// and trace spools) goes through WriteFile; every file that is appended
-// to in place (the crawl journal, the profile ring's manifest, the live
-// exemplar stream) is written through a Log and read back with ReadLog,
-// which between them hold the one torn-tail rule.
+// crawl checkpoints, profile-ring captures, the at-exit series and trace
+// spools) goes through WriteFile; every file that is appended to in
+// place (the crawl journal, the live exemplar stream) is written through
+// a Log and read back with ReadLog, which between them hold the one
+// torn-tail rule.
 package durable
 
 import (

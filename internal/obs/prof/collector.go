@@ -23,10 +23,6 @@ type Options struct {
 	// TriggerCooldown suppresses triggers arriving within this window
 	// of the last accepted one (default 30s).
 	TriggerCooldown time.Duration
-	// SLOState, when set, is sampled at each capture to stamp the
-	// manifest with the active SLO state (e.g. "OK" or
-	// "PAGE:availability").
-	SLOState func() string
 	// Metrics receives the obsprof_* capture series; nil disables them.
 	Metrics *obs.Registry
 }
@@ -96,15 +92,13 @@ func (c *Collector) Start() {
 }
 
 // Stop ends the capture loop, flushing the in-flight CPU window and a
-// final set of snapshots, and closes the store. Safe to call more than
-// once.
+// final set of snapshots. Safe to call more than once.
 func (c *Collector) Stop() {
 	if c == nil {
 		return
 	}
 	c.stopOnce.Do(func() { close(c.stopCh) })
 	<-c.done
-	c.store.Close()
 }
 
 // Trigger requests an immediate anomaly capture (goroutine dump + CPU
@@ -137,9 +131,9 @@ func (c *Collector) run() {
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels(obs.KeyPhase, obs.PhaseObsprof)))
 	for {
 		cycleStart := time.Now()
-		data, dur, reason, stopped := c.cpuWindow(c.opts.CPUDuration, true)
+		data, reason, stopped := c.cpuWindow(c.opts.CPUDuration, true)
 		if data != nil {
-			c.append("cpu", "interval", dur, data)
+			c.append("cpu", "interval", data)
 		}
 		if !stopped && reason != "" {
 			stopped = c.burst(reason)
@@ -169,9 +163,9 @@ func (c *Collector) run() {
 // reason. It reports whether the collector was stopped mid-burst.
 func (c *Collector) burst(reason string) (stopped bool) {
 	c.snapshot("goroutine", reason)
-	data, dur, _, stopped := c.cpuWindow(c.opts.TriggerCPUDuration, false)
+	data, _, stopped := c.cpuWindow(c.opts.TriggerCPUDuration, false)
 	if data != nil {
-		c.append("cpu", reason, dur, data)
+		c.append("cpu", reason, data)
 	}
 	return stopped
 }
@@ -198,19 +192,17 @@ func (c *Collector) wait(d time.Duration, interruptible bool) (reason string, st
 // what ends it early). Returns the profile bytes (nil when starting
 // the profile failed — e.g. a concurrent /debug/pprof/profile request
 // owns the profiler — in which case the window still paces the loop),
-// the actual window length, the interrupting trigger reason (""), and
-// whether Stop was observed.
-func (c *Collector) cpuWindow(d time.Duration, interruptible bool) (data []byte, dur time.Duration, reason string, stopped bool) {
+// the interrupting trigger reason (""), and whether Stop was observed.
+func (c *Collector) cpuWindow(d time.Duration, interruptible bool) (data []byte, reason string, stopped bool) {
 	var buf bytes.Buffer
-	start := time.Now()
 	if err := pprof.StartCPUProfile(&buf); err != nil {
 		c.capErrors.Inc()
 		reason, stopped = c.wait(d, interruptible)
-		return nil, 0, reason, stopped
+		return nil, reason, stopped
 	}
 	reason, stopped = c.wait(d, interruptible)
 	pprof.StopCPUProfile()
-	return buf.Bytes(), time.Since(start), reason, stopped
+	return buf.Bytes(), reason, stopped
 }
 
 // snapshots writes the non-CPU profile kinds with the given trigger.
@@ -228,24 +220,19 @@ func (c *Collector) snapshot(kind, trigger string) {
 		c.capErrors.Inc()
 		return
 	}
-	start := time.Now()
 	var buf bytes.Buffer
 	if err := p.WriteTo(&buf, 0); err != nil {
 		c.capErrors.Inc()
 		return
 	}
-	c.append(kind, trigger, time.Since(start), buf.Bytes())
+	c.append(kind, trigger, buf.Bytes())
 }
 
-// append stamps the SLO state and records the capture, charging the
-// wall-clock cost to obsprof_capture_seconds.
-func (c *Collector) append(kind, trigger string, dur time.Duration, data []byte) {
-	slo := ""
-	if c.opts.SLOState != nil {
-		slo = c.opts.SLOState()
-	}
+// append records the capture, charging the wall-clock cost to
+// obsprof_capture_seconds.
+func (c *Collector) append(kind, trigger string, data []byte) {
 	start := time.Now()
-	if _, err := c.store.Append(kind, trigger, slo, dur, data); err != nil {
+	if err := c.store.Append(kind, trigger, data); err != nil {
 		c.capErrors.Inc()
 		return
 	}

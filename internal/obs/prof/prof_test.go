@@ -2,13 +2,14 @@ package prof
 
 import (
 	"bytes"
-	"context"
+	"cmp"
+	"compress/gzip"
+	"io"
 	"os"
 	"path/filepath"
-	"runtime/pprof"
-	"strings"
-	"sync"
-	"sync/atomic"
+	"regexp"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -22,44 +23,63 @@ func testStore(t *testing.T, opts StoreOptions) (*Store, string) {
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
-	t.Cleanup(func() { s.Close() })
 	return s, dir
 }
 
-// manifest reads the ring's capture list the way offline analysis does.
-func manifest(t *testing.T, dir string) []Entry {
+// ring lists the capture files in dir, oldest seq first: the ring as an
+// operator's shell glob sees it.
+func ring(t *testing.T, dir string) []string {
 	t.Helper()
-	es, err := ReadManifest(dir)
+	des, err := os.ReadDir(dir)
 	if err != nil {
-		t.Fatalf("ReadManifest: %v", err)
+		t.Fatal(err)
 	}
-	return es
+	var names []string
+	for _, de := range des {
+		if captureName.MatchString(de.Name()) {
+			names = append(names, de.Name())
+		}
+	}
+	slices.SortFunc(names, func(a, b string) int { return cmp.Compare(seqOf(t, a), seqOf(t, b)) })
+	return names
+}
+
+func seqOf(t *testing.T, name string) uint64 {
+	t.Helper()
+	seq, err := strconv.ParseUint(captureName.FindStringSubmatch(name)[1], 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seq
+}
+
+func appendN(t *testing.T, s *Store, kind string, data ...[]byte) {
+	t.Helper()
+	for _, d := range data {
+		if err := s.Append(kind, "interval", d); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
 }
 
 func TestStoreRetentionEvictsOldestFirst(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, dir := testStore(t, StoreOptions{MaxCaptures: 3, Metrics: reg})
 	for i := 0; i < 6; i++ {
-		if _, err := s.Append("cpu", "interval", "OK", time.Millisecond, []byte{byte(i)}); err != nil {
-			t.Fatalf("Append %d: %v", i, err)
-		}
+		appendN(t, s, "cpu", []byte{byte(i)})
 	}
-	es := manifest(t, dir)
-	if len(es) != 3 {
-		t.Fatalf("entries after eviction = %d, want 3", len(es))
+	want := []string{"cpu-000003-interval.pb.gz", "cpu-000004-interval.pb.gz", "cpu-000005-interval.pb.gz"}
+	if got := ring(t, dir); !slices.Equal(got, want) {
+		t.Fatalf("ring after eviction = %v, want %v (oldest must go first)", got, want)
 	}
-	for i, e := range es {
-		wantSeq := uint64(3 + i)
-		if e.Seq != wantSeq {
-			t.Errorf("entry %d seq = %d, want %d (oldest must go first)", i, e.Seq, wantSeq)
+	for i, name := range want {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || !bytes.Equal(b, []byte{byte(3 + i)}) {
+			t.Errorf("%s holds %v (err=%v), want capture %d", name, b, err, 3+i)
 		}
-		if _, err := os.Stat(e.Path(dir)); err != nil {
-			t.Errorf("capture %s missing: %v", e.File, err)
+		if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Mode().Perm() != 0o644 {
+			t.Errorf("%s mode = %v (err=%v), want 0644", name, fi.Mode().Perm(), err)
 		}
-	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*.pb.gz"))
-	if len(files) != 3 {
-		t.Errorf("capture files on disk = %d, want 3", len(files))
 	}
 	if got := reg.Counter("obsprof_evictions_total").Value(); got != 3 {
 		t.Errorf("obsprof_evictions_total = %d, want 3", got)
@@ -72,213 +92,130 @@ func TestStoreRetentionEvictsOldestFirst(t *testing.T) {
 func TestStoreMaxBytesEviction(t *testing.T) {
 	s, dir := testStore(t, StoreOptions{MaxCaptures: 100, MaxBytes: 1000})
 	big := bytes.Repeat([]byte{0xab}, 400)
-	for i := 0; i < 4; i++ {
-		if _, err := s.Append("heap", "interval", "", 0, big); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-	}
-	es := manifest(t, dir)
-	if len(es) != 2 {
-		t.Fatalf("entries = %d, want 2 (2x400 fits in 1000, 3x400 does not)", len(es))
-	}
-	if es[0].Seq != 2 || es[1].Seq != 3 {
-		t.Errorf("kept seqs = %d,%d, want 2,3", es[0].Seq, es[1].Seq)
+	appendN(t, s, "heap", big, big, big, big)
+	want := []string{"heap-000002-interval.pb.gz", "heap-000003-interval.pb.gz"}
+	if got := ring(t, dir); !slices.Equal(got, want) {
+		t.Fatalf("ring = %v, want %v (2x400 fits in 1000, 3x400 does not)", got, want)
 	}
 }
 
+// TestStoreTornTailRecovery: a crash inside durable.WriteFile leaves the
+// capture's dot-prefixed temp file and no capture. Reopen removes it and
+// continues the seq after the last whole capture.
 func TestStoreTornTailRecovery(t *testing.T) {
 	s, dir := testStore(t, StoreOptions{})
-	for i := 0; i < 3; i++ {
-		if _, err := s.Append("goroutine", "interval", "OK", 0, []byte("dump")); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	// A crash mid-append leaves a torn (newline-less) final record.
-	mf := filepath.Join(dir, manifestName)
-	f, err := os.OpenFile(mf, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"seq":3,"kind":"cpu","file":"cpu-0000`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	// Plus an orphan capture file that never made the manifest.
-	orphan := filepath.Join(dir, "cpu-000099.pb.gz")
-	if err := os.WriteFile(orphan, []byte("orphan"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// And the temp file of a manifest rewrite that crashed before its rename.
-	staleTmp := filepath.Join(dir, "."+manifestName+"-123456")
-	if err := os.WriteFile(staleTmp, []byte("{"), 0o600); err != nil {
+	appendN(t, s, "goroutine", []byte("a"), []byte("b"), []byte("c"))
+	staleTmp := filepath.Join(dir, ".cpu-000003-slo-page_availability.pb.gz-123456")
+	if err := os.WriteFile(staleTmp, []byte("torn"), 0o600); err != nil {
 		t.Fatal(err)
 	}
 
 	s2, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
-		t.Fatalf("reopen after torn tail: %v", err)
-	}
-	defer s2.Close()
-	es := manifest(t, dir)
-	if len(es) != 3 {
-		t.Fatalf("entries after recovery = %d, want 3", len(es))
-	}
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Errorf("orphan capture survived reopen: %v", err)
+		t.Fatalf("reopen after torn capture: %v", err)
 	}
 	if _, err := os.Stat(staleTmp); !os.IsNotExist(err) {
-		t.Errorf("stale manifest temp file survived reopen: %v", err)
+		t.Errorf("temp file of the interrupted capture survived reopen: %v", err)
 	}
-	if fi, err := os.Stat(mf); err != nil || fi.Mode().Perm() != 0o644 {
-		t.Errorf("rewritten manifest mode = %v (err=%v), want 0644", fi.Mode().Perm(), err)
-	}
-	raw, err := os.ReadFile(mf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasSuffix(raw, []byte("\n")) {
-		t.Error("repaired manifest does not end in newline")
-	}
-	if bytes.Contains(raw, []byte(`cpu-0000`)) {
-		t.Error("torn record survived repair")
-	}
-	// The ring must keep working after repair: next seq continues.
-	e, err := s2.Append("heap", "interval", "", 0, []byte("x"))
-	if err != nil {
-		t.Fatalf("Append after recovery: %v", err)
-	}
-	if e.Seq != 3 {
-		t.Errorf("seq after recovery = %d, want 3", e.Seq)
+	appendN(t, s2, "heap", []byte("x"))
+	want := []string{"goroutine-000000-interval.pb.gz", "goroutine-000001-interval.pb.gz", "goroutine-000002-interval.pb.gz", "heap-000003-interval.pb.gz"}
+	if got := ring(t, dir); !slices.Equal(got, want) {
+		t.Errorf("ring after reopen = %v, want %v", got, want)
 	}
 }
 
+// TestStoreDropsEntriesWithMissingFiles: a capture deleted by hand is
+// gone from the reopened ring's retention and byte accounting.
 func TestStoreDropsEntriesWithMissingFiles(t *testing.T) {
-	s, dir := testStore(t, StoreOptions{})
-	for i := 0; i < 3; i++ {
-		if _, err := s.Append("heap", "interval", "", 0, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
+	s, dir := testStore(t, StoreOptions{MaxCaptures: 3})
+	appendN(t, s, "heap", []byte("xx"), []byte("yy"), []byte("zz"))
+	if err := os.Remove(filepath.Join(dir, "heap-000001-interval.pb.gz")); err != nil {
+		t.Fatal(err)
 	}
-	es := manifest(t, dir)
-	s.Close()
-	os.Remove(es[1].Path(dir))
-	s2, err := OpenStore(dir, StoreOptions{})
+	reg := obs.NewRegistry()
+	s2, err := OpenStore(dir, StoreOptions{MaxCaptures: 3, Metrics: reg})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	defer s2.Close()
-	got := manifest(t, dir)
-	if len(got) != 2 {
-		t.Fatalf("entries = %d, want 2 after a capture file vanished", len(got))
+	if got := reg.Gauge("obsprof_store_bytes").Value(); got != 4 {
+		t.Errorf("obsprof_store_bytes = %d after a capture vanished, want 4", got)
 	}
-	for _, e := range got {
-		if e.Seq == es[1].Seq {
-			t.Errorf("entry %d kept despite missing file", e.Seq)
-		}
+	appendN(t, s2, "heap", []byte("ww"))
+	want := []string{"heap-000000-interval.pb.gz", "heap-000002-interval.pb.gz", "heap-000003-interval.pb.gz"}
+	if got := ring(t, dir); !slices.Equal(got, want) {
+		t.Errorf("ring = %v, want %v (the vanished capture must not count)", got, want)
 	}
 }
 
-func TestDecodeHeapProfile(t *testing.T) {
-	sink := make([][]byte, 0, 64)
-	for i := 0; i < 64; i++ {
-		sink = append(sink, make([]byte, 4096))
+func TestStoreReopenReappliesRetention(t *testing.T) {
+	s, dir := testStore(t, StoreOptions{MaxCaptures: 10})
+	appendN(t, s, "cpu", []byte("0"), []byte("1"), []byte("2"), []byte("3"), []byte("4"))
+	reg := obs.NewRegistry()
+	if _, err := OpenStore(dir, StoreOptions{MaxCaptures: 2, Metrics: reg}); err != nil {
+		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := pprof.Lookup("heap").WriteTo(&buf, 0); err != nil {
-		t.Fatalf("capture heap: %v", err)
+	want := []string{"cpu-000003-interval.pb.gz", "cpu-000004-interval.pb.gz"}
+	if got := ring(t, dir); !slices.Equal(got, want) {
+		t.Errorf("ring reopened under a tighter bound = %v, want %v", got, want)
 	}
-	p, err := Decode(bytes.NewReader(buf.Bytes()))
+	if got := reg.Counter("obsprof_evictions_total").Value(); got != 3 {
+		t.Errorf("obsprof_evictions_total = %d, want 3", got)
+	}
+}
+
+// TestStoreAdoptsLegacyNamesAndLeavesForeignFiles: a pre-PR ring named
+// its captures <kind>-<seq>.pb.gz beside a manifest.jsonl. Reopened, its
+// captures join the ring (and its retention) and the seq continues after
+// them; the manifest and any other file are not the ring's.
+func TestStoreAdoptsLegacyNamesAndLeavesForeignFiles(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"cpu-000007.pb.gz":  "legacy cpu",
+		"heap-000008.pb.gz": "legacy heap",
+		"manifest.jsonl":    `{"seq":7,"kind":"cpu","file":"cpu-000007.pb.gz"}` + "\n",
+		"notes.txt":         "mine",
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := OpenStore(dir, StoreOptions{MaxCaptures: 2})
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatal(err)
 	}
-	if p.ValueIndex("inuse_space") < 0 {
-		t.Fatalf("heap profile sample types = %v, want inuse_space present", p.SampleTypes)
+	appendN(t, s, "cpu", []byte("new"))
+	want := []string{"heap-000008.pb.gz", "cpu-000009-interval.pb.gz"}
+	if got := ring(t, dir); !slices.Equal(got, want) {
+		t.Errorf("ring = %v, want %v (legacy captures adopted, oldest evicted)", got, want)
 	}
-	if len(p.Samples) == 0 {
-		t.Fatal("heap profile decoded to zero samples")
-	}
-	var foundStack bool
-	for i := range p.Samples {
-		if len(p.Samples[i].Stack) > 0 && p.Samples[i].Stack[0].Func != "" {
-			foundStack = true
-			break
-		}
-	}
-	if !foundStack {
-		t.Error("no sample carries a resolved function name")
-	}
-	_ = sink
-}
-
-// spin burns CPU until done is closed, in a form the compiler cannot
-// elide.
-func spin(done <-chan struct{}) uint64 {
-	var acc uint64 = 1
-	for {
-		select {
-		case <-done:
-			return acc
-		default:
-		}
-		for i := 0; i < 1<<14; i++ {
-			acc = acc*6364136223846793005 + 1442695040888963407
+	for _, name := range []string{"manifest.jsonl", "notes.txt"} {
+		if b, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(b) != files[name] {
+			t.Errorf("foreign file %s changed: %q (err=%v)", name, b, err)
 		}
 	}
 }
 
-func TestLabelAttributionPinsSpinPhase(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CPU-profile timing test")
-	}
-	var buf bytes.Buffer
-	if err := pprof.StartCPUProfile(&buf); err != nil {
-		t.Fatalf("StartCPUProfile: %v", err)
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pprof.Do(context.Background(), pprof.Labels("phase", "spin"), func(context.Context) {
-				spin(done)
-			})
-		}()
-	}
-	time.Sleep(500 * time.Millisecond)
-	close(done)
-	wg.Wait()
-	pprof.StopCPUProfile()
-
-	p, err := Decode(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if p.ValueIndex("cpu") < 0 {
-		t.Fatalf("cpu profile sample types = %v, want cpu present", p.SampleTypes)
-	}
-	rows := ByLabel([]*Profile{p}, "phase")
-	var spinCost, total int64
-	for _, r := range rows {
-		total += r.Cost
-		if r.Value == "spin" {
-			spinCost = r.Cost
+func TestCaptureFileNames(t *testing.T) {
+	for _, tc := range []struct {
+		kind, trigger string
+		seq           uint64
+		want          string
+	}{
+		{"cpu", "interval", 0, "cpu-000000-interval.pb.gz"},
+		{"cpu", "slo-page:availability", 42, "cpu-000042-slo-page_availability.pb.gz"},
+		{"goroutine", "slo-page:a/b c", 7, "goroutine-000007-slo-page_a_b_c.pb.gz"},
+		{"mutex", "aimd-collapse", 1234567, "mutex-1234567-aimd-collapse.pb.gz"},
+		{"heap", "v1.2_x", 3, "heap-000003-v1.2_x.pb.gz"},
+	} {
+		got := fileName(tc.kind, tc.seq, tc.trigger)
+		if got != tc.want {
+			t.Errorf("fileName(%q, %d, %q) = %q, want %q", tc.kind, tc.seq, tc.trigger, got, tc.want)
+			continue
 		}
-	}
-	if total == 0 {
-		t.Fatal("cpu profile captured zero cost")
-	}
-	if share := float64(spinCost) / float64(total); share < 0.5 {
-		t.Errorf("phase=spin share = %.2f (%d/%d), want >= 0.5\nby-label:\n%s",
-			share, spinCost, total, FormatByLabel(rows, "phase", SampleUnit([]*Profile{p})))
-	}
-	// The spin function itself must dominate the flat top.
-	top := TopFuncs([]*Profile{p}, "flat", 5)
-	if len(top) == 0 || !strings.Contains(top[0].Func, "spin") {
-		t.Errorf("top flat function = %+v, want the spin loop", top)
+		if !captureName.MatchString(got) || seqOf(t, got) != tc.seq {
+			t.Errorf("%q does not parse back to seq %d", got, tc.seq)
+		}
 	}
 }
 
@@ -289,38 +226,48 @@ func TestCollectorIntervalAndTriggerCaptures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var state atomic.Value
-	state.Store("OK")
 	c := NewCollector(store, Options{
 		Interval:           120 * time.Millisecond,
 		CPUDuration:        60 * time.Millisecond,
 		TriggerCPUDuration: 40 * time.Millisecond,
 		TriggerCooldown:    time.Millisecond,
-		SLOState:           func() string { return state.Load().(string) },
 		Metrics:            reg,
 	})
 	c.Start()
 	time.Sleep(150 * time.Millisecond) // at least one full interval cycle
-	state.Store("PAGE:availability")
 	c.Trigger("slo-page:availability")
 	time.Sleep(100 * time.Millisecond)
 	c.Stop()
 
+	kindTrigger := regexp.MustCompile(`^([a-z]+)-[0-9]+-(.*)\.pb\.gz$`)
 	byKindTrigger := make(map[[2]string]int)
-	var pageSLO bool
-	for _, e := range manifest(t, dir) {
-		byKindTrigger[[2]string{e.Kind, e.Trigger}]++
-		if e.Trigger == "slo-page:availability" && e.SLO == "PAGE:availability" {
-			pageSLO = true
+	for _, name := range ring(t, dir) {
+		m := kindTrigger.FindStringSubmatch(name)
+		byKindTrigger[[2]string{m[1], m[2]}]++
+		if m[1] != "cpu" {
+			continue
+		}
+		// Every CPU capture is a whole gzip stream (a pprof file).
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(f)
+		if err == nil {
+			_, err = io.Copy(io.Discard, zr)
+		}
+		f.Close()
+		if err != nil {
+			t.Errorf("%s is not a whole gzip stream: %v", name, err)
 		}
 	}
 	if byKindTrigger[[2]string{"cpu", "interval"}] == 0 {
 		t.Errorf("no interval cpu capture: %v", byKindTrigger)
 	}
-	if byKindTrigger[[2]string{"goroutine", "slo-page:availability"}] == 0 {
+	if byKindTrigger[[2]string{"goroutine", "slo-page_availability"}] == 0 {
 		t.Errorf("no trigger goroutine dump: %v", byKindTrigger)
 	}
-	if byKindTrigger[[2]string{"cpu", "slo-page:availability"}] == 0 {
+	if byKindTrigger[[2]string{"cpu", "slo-page_availability"}] == 0 {
 		t.Errorf("no trigger cpu burst: %v", byKindTrigger)
 	}
 	for _, kind := range []string{"heap", "mutex"} {
@@ -328,21 +275,8 @@ func TestCollectorIntervalAndTriggerCaptures(t *testing.T) {
 			t.Errorf("no %s snapshot captured: %v", kind, byKindTrigger)
 		}
 	}
-	if !pageSLO {
-		t.Error("trigger capture not stamped with active SLO state")
-	}
-	// Triggered captures decode and carry the cpu dimension.
-	for _, e := range manifest(t, dir) {
-		if e.Kind != "cpu" {
-			continue
-		}
-		p, err := ReadFile(e.Path(dir))
-		if err != nil {
-			t.Fatalf("decode %s: %v", e.File, err)
-		}
-		if p.ValueIndex("cpu") < 0 {
-			t.Errorf("%s: sample types %v missing cpu", e.File, p.SampleTypes)
-		}
+	if got := reg.Counter("obsprof_captures_total", obs.Label{Key: obs.KeyKind, Value: "cpu"}, obs.Label{Key: obs.KeyTrigger, Value: "slo-page:availability"}).Value(); got == 0 {
+		t.Error("obsprof_captures_total lost the unsanitised trigger label")
 	}
 	if got := reg.Counter("obsprof_capture_errors_total").Value(); got != 0 {
 		t.Errorf("obsprof_capture_errors_total = %d, want 0", got)
@@ -369,48 +303,7 @@ func TestNilCollectorAndStoreAreNoOps(t *testing.T) {
 	c.Trigger("x")
 	c.Stop()
 	var s *Store
-	if _, err := s.Append("cpu", "interval", "", 0, nil); err != nil {
+	if err := s.Append("cpu", "interval", nil); err != nil {
 		t.Errorf("nil store Append: %v", err)
-	}
-	if s.Close() != nil {
-		t.Error("nil store methods not no-ops")
-	}
-}
-
-func TestDiffHighlightsShiftedCost(t *testing.T) {
-	mk := func(phaseCosts map[string]int64) *Profile {
-		p := &Profile{
-			SampleTypes:       []ValueType{{Type: "cpu", Unit: "nanoseconds"}},
-			DefaultSampleType: "cpu",
-		}
-		for phase, cost := range phaseCosts {
-			p.Samples = append(p.Samples, Sample{
-				Stack:  []Frame{{Func: "work." + phase}},
-				Value:  []int64{cost},
-				Labels: map[string]string{"phase": phase},
-			})
-		}
-		return p
-	}
-	a := mk(map[string]int64{"fetch": 80, "decode": 20})
-	b := mk(map[string]int64{"fetch": 30, "decode": 70, "retry": 100})
-	rows := Diff([]*Profile{a}, []*Profile{b}, "phase", 0)
-	if len(rows) != 3 {
-		t.Fatalf("diff rows = %d, want 3", len(rows))
-	}
-	if rows[0].Name != "fetch" && rows[0].Name != "retry" {
-		t.Errorf("largest shift = %q, want fetch or retry", rows[0].Name)
-	}
-	for _, r := range rows {
-		if r.Name == "retry" {
-			if r.ShareA != 0 || r.ShareB == 0 {
-				t.Errorf("retry shares = %.2f/%.2f, want 0/nonzero", r.ShareA, r.ShareB)
-			}
-		}
-	}
-	// Function-level diff over the same data.
-	frows := Diff([]*Profile{a}, []*Profile{b}, "", 2)
-	if len(frows) != 2 {
-		t.Fatalf("function diff rows = %d, want 2 (truncated)", len(frows))
 	}
 }

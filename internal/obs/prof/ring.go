@@ -1,42 +1,27 @@
 // Package prof is the reproduction's stdlib-only continuous-profiling
 // layer: a Collector that periodically (and on anomaly triggers) writes
-// labelled runtime/pprof captures into a bounded on-disk ring, plus a
-// dependency-free profile.proto decoder and analyzer so the captures
-// can be read back — top-N, by-label, A-vs-B diff — without `go tool
-// pprof`. The paper's multi-week crawl makes "the crawl is slow" a
-// question that must be answerable per phase and per endpoint long
-// after the fact; prof is the layer that keeps that evidence.
+// labelled runtime/pprof captures into a bounded on-disk ring of plain
+// pprof files, which `go tool pprof` reads back — top, by label (-tags,
+// -tagfocus), A-vs-B diff (-diff_base). The paper's multi-week crawl
+// makes "the crawl is slow" a question that must be answerable per phase
+// and per endpoint long after the fact; prof is the layer that keeps
+// that evidence.
 package prof
 
 import (
-	"bytes"
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"gplus/internal/durable"
 	"gplus/internal/obs"
 )
-
-// Entry is one manifest line describing a capture in the ring.
-type Entry struct {
-	Seq       uint64    `json:"seq"`
-	Kind      string    `json:"kind"` // cpu, heap, goroutine, mutex
-	File      string    `json:"file"` // basename within the ring dir
-	Time      time.Time `json:"time"`
-	Trigger   string    `json:"trigger"` // interval, final, slo-page:..., stall, aimd-collapse
-	SLO       string    `json:"slo"`     // SLO engine state at capture time ("" when unwired)
-	Bytes     int64     `json:"bytes"`
-	CaptureMS int64     `json:"capture_ms"`
-}
-
-// Path returns the absolute path of the capture file within dir.
-func (e Entry) Path(dir string) string { return filepath.Join(dir, e.File) }
 
 // StoreOptions bounds the ring.
 type StoreOptions struct {
@@ -52,24 +37,34 @@ type StoreOptions struct {
 const (
 	defaultMaxCaptures = 64
 	defaultMaxBytes    = 256 << 20
-	manifestName       = "manifest.jsonl"
 )
 
-// Store is the bounded on-disk profile ring: capture files named
-// <kind>-<seq>.pb.gz beside a manifest.jsonl with one Entry per line.
-// The manifest is appended to through a durable.Log: a crash can leave
-// at most one torn final line, which reopen truncates away.
-// Methods are safe for concurrent use; a nil *Store is a no-op.
+// captureName is the grammar of a capture file: <kind>-<seq>-<trigger>.pb.gz,
+// or <kind>-<seq>.pb.gz as rings written before triggers were named.
+var captureName = regexp.MustCompile(`^[a-z]+-([0-9]{6,})(-[A-Za-z0-9._-]*)?\.pb\.gz$`)
+
+// capture is one file of the ring.
+type capture struct {
+	seq   uint64
+	name  string
+	bytes int64
+}
+
+// Store is the bounded on-disk profile ring: one pprof file per capture,
+// named <kind>-<seq>-<trigger>.pb.gz, so the directory listing is the
+// ring's only index. Each capture is written with durable.WriteFile: a
+// crash leaves either the whole file or a dot-prefixed temp file, which
+// the next OpenStore removes. Methods are safe for concurrent use; a nil
+// *Store is a no-op.
 type Store struct {
 	dir string
 	max int
 	cap int64
 
-	mu      sync.Mutex
-	log     *durable.Log // nil once closed
-	entries []Entry
-	seq     uint64
-	bytes   int64
+	mu    sync.Mutex
+	ring  []capture // oldest first
+	seq   uint64
+	bytes int64
 
 	captures   func(kind, trigger string) *obs.Counter
 	capBytes   *obs.Counter
@@ -77,10 +72,10 @@ type Store struct {
 	storeBytes *obs.Gauge
 }
 
-// OpenStore opens (creating if needed) the profile ring at dir,
-// recovering the manifest: a torn final line is truncated away, entries
-// whose capture files vanished are dropped, and capture files missing
-// from the manifest are deleted as orphans.
+// OpenStore opens (creating if needed) the profile ring at dir. It adopts
+// every file named by the capture grammar, removes the temp files of
+// writes a crash interrupted, continues the seq after the highest one
+// found and re-applies retention. Any other file is left alone.
 func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	if opts.MaxCaptures <= 0 {
 		opts.MaxCaptures = defaultMaxCaptures
@@ -104,206 +99,91 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 		s.evictions = reg.Counter("obsprof_evictions_total")
 		s.storeBytes = reg.Gauge("obsprof_store_bytes")
 	}
-	err := s.recover()
-	if err == nil {
-		s.log, err = durable.OpenLog(s.manifestPath())
-	}
+	des, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("prof: open store: %w", err)
 	}
+	for _, de := range des {
+		name := de.Name()
+		// durable.WriteFile names its temp file "."+base+"-"+random.
+		if cut := strings.LastIndexByte(name, '-'); strings.HasPrefix(name, ".") && cut > 0 && captureName.MatchString(name[1:cut]) {
+			os.Remove(filepath.Join(dir, name))
+			continue
+		}
+		m := captureName.FindStringSubmatch(name)
+		fi, err := de.Info()
+		if m == nil || err != nil || !fi.Mode().IsRegular() {
+			continue
+		}
+		seq, err := strconv.ParseUint(m[1], 10, 64)
+		if err != nil {
+			continue // past uint64: no ring wrote it
+		}
+		s.ring = append(s.ring, capture{seq: seq, name: name, bytes: fi.Size()})
+		s.bytes += fi.Size()
+		s.seq = max(s.seq, seq+1)
+	}
+	slices.SortFunc(s.ring, func(a, b capture) int { return cmp.Compare(a.seq, b.seq) })
+	s.evict()
 	s.storeBytes.Set(s.bytes)
 	return s, nil
 }
 
-func (s *Store) manifestPath() string { return filepath.Join(s.dir, manifestName) }
-
-// recover loads the manifest, reconciling it against the capture files
-// actually on disk. (A torn final line is not its business: ReadManifest
-// never sees it and OpenLog truncates it away.)
-func (s *Store) recover() error {
-	listed, err := ReadManifest(s.dir)
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("prof: read manifest: %w", err)
-	}
-	known := make(map[string]bool)
-	for _, e := range listed {
-		fi, err := os.Stat(e.Path(s.dir))
-		if err != nil {
-			continue // capture file gone; drop the entry
-		}
-		e.Bytes = fi.Size()
-		s.entries = append(s.entries, e)
-		s.bytes += e.Bytes
-		if e.Seq >= s.seq {
-			s.seq = e.Seq + 1
-		}
-		known[e.File] = true
-	}
-	// Dropped entries must stay dropped: rewrite the manifest to match
-	// what we kept (atomically, so a crash inside the rewrite leaves the
-	// old file), then delete capture files no entry references.
-	if len(s.entries) < len(listed) {
-		if err := s.rewriteManifest(); err != nil {
-			return err
+// fileName is the capture file for one capture: any trigger byte outside
+// [A-Za-z0-9._-] becomes '_', so the name survives a shell glob.
+func fileName(kind string, seq uint64, trigger string) string {
+	safe := []byte(trigger)
+	for i, c := range safe {
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '.' || c == '_' || c == '-') {
+			safe[i] = '_'
 		}
 	}
-	return s.sweepOrphans(known)
+	return fmt.Sprintf("%s-%06d-%s.pb.gz", kind, seq, safe)
 }
 
-// sweepOrphans deletes capture files not referenced by any manifest
-// entry (e.g. written just before a crash that lost the append) and the
-// temp file a crash inside a manifest rewrite leaves behind.
-func (s *Store) sweepOrphans(known map[string]bool) error {
-	des, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("prof: sweep ring dir: %w", err)
+// Append writes one capture into the ring as <kind>-<seq>-<trigger>.pb.gz,
+// then evicts the oldest captures until both retention bounds hold. A
+// seq is spent even when the write fails, so no two files share one.
+func (s *Store) Append(kind, trigger string, data []byte) error {
+	if s == nil {
+		return nil
 	}
-	for _, de := range des {
-		name := de.Name()
-		stale := strings.HasPrefix(name, "."+manifestName+"-") ||
-			strings.HasSuffix(name, ".pb.gz") && !known[name]
-		if stale && !de.IsDir() {
-			os.Remove(filepath.Join(s.dir, name))
-		}
-	}
-	return nil
-}
-
-// rewriteManifest atomically and durably replaces the manifest with the
-// current entry list (durable.WriteFile), reopening the append log if
-// one was live.
-func (s *Store) rewriteManifest() error {
-	var buf bytes.Buffer
-	for _, e := range s.entries {
-		b, err := json.Marshal(e)
-		if err != nil {
-			return fmt.Errorf("prof: marshal manifest entry: %w", err)
-		}
-		buf.Write(b)
-		buf.WriteByte('\n')
-	}
-	err := durable.WriteFile(s.manifestPath(), func(f *os.File) error {
-		// The temp file is created 0600; the manifest stays world-readable
-		// like the captures beside it.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := capture{seq: s.seq, name: fileName(kind, s.seq, trigger), bytes: int64(len(data))}
+	s.seq++
+	err := durable.WriteFile(filepath.Join(s.dir, c.name), func(f *os.File) error {
+		// The temp file is created 0600; captures are world-readable.
 		if err := f.Chmod(0o644); err != nil {
 			return err
 		}
-		_, err := f.Write(buf.Bytes())
+		_, err := f.Write(data)
 		return err
 	})
 	if err != nil {
-		return fmt.Errorf("prof: rewrite manifest: %w", err)
+		return fmt.Errorf("prof: write capture: %w", err)
 	}
-	if s.log != nil {
-		// The rename replaced the file the append handle points at.
-		s.log.Close() //nolint:errcheck — every append was synced; the handle holds nothing
-		if s.log, err = durable.OpenLog(s.manifestPath()); err != nil {
-			return fmt.Errorf("prof: reopen manifest: %w", err)
-		}
-	}
-	return nil
-}
-
-// Append writes one capture into the ring: the profile bytes to
-// <kind>-<seq>.pb.gz, then the manifest line (append + sync), then any
-// retention eviction. Returns the completed entry.
-func (s *Store) Append(kind, trigger, slo string, captureDur time.Duration, data []byte) (Entry, error) {
-	if s == nil {
-		return Entry{}, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := Entry{
-		Seq:       s.seq,
-		Kind:      kind,
-		File:      fmt.Sprintf("%s-%06d.pb.gz", kind, s.seq),
-		Time:      time.Now().UTC(),
-		Trigger:   trigger,
-		SLO:       slo,
-		Bytes:     int64(len(data)),
-		CaptureMS: captureDur.Milliseconds(),
-	}
-	if err := os.WriteFile(e.Path(s.dir), data, 0o644); err != nil {
-		return Entry{}, fmt.Errorf("prof: write capture: %w", err)
-	}
-	line, err := json.Marshal(e)
-	if err != nil {
-		return Entry{}, fmt.Errorf("prof: marshal entry: %w", err)
-	}
-	if _, err := s.log.Write(append(line, '\n')); err != nil {
-		return Entry{}, fmt.Errorf("prof: append manifest: %w", err)
-	}
-	if err := s.log.Sync(); err != nil {
-		return Entry{}, fmt.Errorf("prof: sync manifest: %w", err)
-	}
-	s.seq++
-	s.entries = append(s.entries, e)
-	s.bytes += e.Bytes
+	s.ring = append(s.ring, c)
+	s.bytes += c.bytes
 	if s.captures != nil {
 		s.captures(kind, trigger).Inc()
 	}
-	s.capBytes.Add(e.Bytes)
-	if err := s.evict(); err != nil {
-		return Entry{}, err
-	}
+	s.capBytes.Add(c.bytes)
+	s.evict()
 	s.storeBytes.Set(s.bytes)
-	return e, nil
+	return nil
 }
 
-// evict drops oldest captures until both retention bounds hold.
-// Called with s.mu held.
-func (s *Store) evict() error {
+// evict deletes the oldest captures until both retention bounds hold.
+// Called with s.mu held, or before the Store is shared.
+func (s *Store) evict() {
 	n := 0
-	for len(s.entries)-n > s.max || (n < len(s.entries) && s.bytes > s.cap) {
-		victim := s.entries[n]
-		os.Remove(victim.Path(s.dir))
-		s.bytes -= victim.Bytes
+	for len(s.ring)-n > s.max || (n < len(s.ring) && s.bytes > s.cap) {
+		victim := s.ring[n]
+		os.Remove(filepath.Join(s.dir, victim.name))
+		s.bytes -= victim.bytes
 		n++
 		s.evictions.Inc()
 	}
-	if n == 0 {
-		return nil
-	}
-	s.entries = append([]Entry(nil), s.entries[n:]...)
-	return s.rewriteManifest()
-}
-
-// Close closes the manifest log. Safe to call more than once.
-func (s *Store) Close() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.log == nil {
-		return nil
-	}
-	err := s.log.Close()
-	s.log = nil
-	return err
-}
-
-// ReadManifest loads the manifest of a ring directory read-only (no
-// repair, no orphan sweep) for offline analysis, oldest first. A torn
-// final line is dropped by durable.ReadLog; a complete line that does
-// not decode loses that one capture record, not the ring.
-func ReadManifest(dir string) ([]Entry, error) {
-	f, err := os.Open(filepath.Join(dir, manifestName))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var out []Entry
-	_, err = durable.ReadLog(f, func(rec []byte) error {
-		var e Entry
-		if json.Unmarshal(rec, &e) == nil {
-			out = append(out, e)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out, nil
+	s.ring = slices.Delete(s.ring, 0, n)
 }

@@ -6,11 +6,12 @@
 //	<dir>/series.jsonl     every retained metric point, written at Close
 //	<dir>/traces.jsonl     every retained trace, written at Close
 //	<dir>/exemplars.jsonl  exemplar traces, appended as they trip, fsynced at Close
-//	<dir>/profiles/        the continuous-profiling ring
+//	<dir>/profiles/        the continuous-profiling ring: <kind>-<seq>-<trigger>.pb.gz
 //
 // gpluscrawl, gplusd and the crawler's end-to-end tests all build their
 // stack here, so the wiring that ships is the wiring that is tested.
-// `gplusanalyze metrics|traces|profiles <dir>` read the directory back.
+// `gplusanalyze metrics|traces <dir>` read the directory back, and `go
+// tool pprof` the captures under profiles/.
 package rundir
 
 import (
@@ -44,8 +45,8 @@ const (
 
 // Config is the option structs of the signals side by side. Unlike in
 // those structs, a zero interval or rate here switches the signal off
-// rather than selecting its default; Start fills in the Metrics, SLOState
-// and (unless set) Recorder fields inside them, and under Dir takes over
+// rather than selecting its default; Start fills in the Metrics and
+// (unless set) Recorder fields inside them, and under Dir takes over
 // the Recorder's sink.
 type Config struct {
 	// Name is the expvar variable the registry is published under; like
@@ -76,7 +77,7 @@ type Config struct {
 // beforehand. The mutex profiler rate is applied as it is parsed, which
 // is before any goroutine of the run exists.
 func (c *Config) RegisterFlags(fs *flag.FlagSet) {
-	fs.StringVar(&c.Dir, "obs-dir", "", "run directory: exemplar traces stream to <dir>/exemplars.jsonl and profiles to <dir>/profiles/ during the run, series.jsonl and traces.jsonl are written at exit (read it back with `gplusanalyze metrics|traces|profiles <dir>`); the profile ring keeps the CPU profiler on for a third of the run at the default -profile-interval — pass -profile-interval 0 for series and traces only")
+	fs.StringVar(&c.Dir, "obs-dir", "", "run directory: exemplar traces stream to <dir>/exemplars.jsonl and profiles to <dir>/profiles/ during the run, series.jsonl and traces.jsonl are written at exit (read it back with `gplusanalyze metrics|traces <dir>` and `go tool pprof <dir>/profiles/cpu-*.pb.gz`); the profile ring keeps the CPU profiler on for a third of the run at the default -profile-interval — pass -profile-interval 0 for series and traces only")
 	fs.DurationVar(&c.Series.Interval, "sample-interval", time.Second, "metric time-series sampling cadence for /debug/timeseries, the SLO engine and series.jsonl (0 disables all three)")
 	fs.Func("slo", `SLO objectives evaluated over the metric time series: "default" (the binary's availability + latency pair), "" for none, or a spec like "avail,error_ratio,bad=gplusd_chaos_faults_total,total=gplusd_requests_total,max=1%,window=1m"; report at /debug/slo`, func(v string) (err error) {
 		c.Objectives, err = series.ObjectivesFlag(v, c.Objectives)
@@ -161,7 +162,6 @@ func Start(cfg Config) (*Run, error) {
 			return nil, fmt.Errorf("rundir: %w", err)
 		}
 		cfg.Prof.Metrics = r.Registry
-		cfg.Prof.SLOState = r.Engine.StateSummary
 		r.Profiler = prof.NewCollector(store, cfg.Prof)
 		// A PAGE transition fires an immediate capture tagged with the
 		// objective: a CPU burst and goroutine dump from inside the incident.

@@ -151,9 +151,8 @@ func TestRunDirectoryLayout(t *testing.T) {
 	if got := readExemplars(t, dir); !slices.Equal(got, []string{"req"}) {
 		t.Errorf("exemplars.jsonl holds %v", got)
 	}
-	entries, err := prof.ReadManifest(filepath.Join(dir, rundir.ProfilesDir))
-	if err != nil || len(entries) == 0 {
-		t.Errorf("profiles/ ring is empty (err=%v)", err)
+	if captures, _ := filepath.Glob(filepath.Join(dir, rundir.ProfilesDir, "*.pb.gz")); len(captures) == 0 {
+		t.Error("profiles/ ring is empty")
 	}
 
 	off, err := rundir.Start(rundir.Config{})

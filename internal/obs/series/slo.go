@@ -326,6 +326,8 @@ func Evaluate(src Source, o Objective, now time.Time) Status {
 		st.State = StatePage
 	case st.BurnLong >= o.warnFactor() && st.BurnShort >= o.warnFactor():
 		st.State = StateWarn
+	default:
+		st.State = StateOK
 	}
 	return st
 }
@@ -421,28 +423,6 @@ func (e *Engine) OnTransition(fn func(Transition)) {
 	e.mu.Unlock()
 }
 
-// StateSummary renders the engine's worst current objective state for
-// capture manifests: "OK" when everything is healthy, else the worst
-// severity and the name of the first objective at it, e.g.
-// "PAGE:availability". A nil engine reports "".
-func (e *Engine) StateSummary() string {
-	if e == nil {
-		return ""
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	worst, name := StateOK, ""
-	for _, st := range e.cur {
-		if st.State > worst {
-			worst, name = st.State, st.Name
-		}
-	}
-	if worst == StateOK {
-		return "OK"
-	}
-	return worst.String() + ":" + name
-}
-
 // Eval evaluates every objective at now. Meant to be registered via
 // Collector.OnSample so evaluation follows each fresh sample.
 func (e *Engine) Eval(now time.Time) {
@@ -474,7 +454,7 @@ func (e *Engine) Eval(now time.Time) {
 	callbacks := e.onTrans
 	e.mu.Unlock()
 	// Outside the lock: a callback may call back into the engine (e.g.
-	// StateSummary from a capture trigger) without deadlocking.
+	// Statuses from a capture trigger) without deadlocking.
 	for _, tr := range fired {
 		for _, fn := range callbacks {
 			fn(tr)

@@ -75,12 +75,7 @@ func MergeByTraceID(traces []*Trace) []*Trace {
 		if tr.Start.Before(got.Start) {
 			got.Start, got.RootID, got.Dur = tr.Start, tr.RootID, tr.Dur
 		}
-		if tr.Exemplar != "" && !strings.Contains(got.Exemplar, tr.Exemplar) {
-			if got.Exemplar != "" {
-				got.Exemplar += ","
-			}
-			got.Exemplar += tr.Exemplar
-		}
+		got.Exemplar = unionRules(got.Exemplar, tr.Exemplar)
 	}
 	out := make([]*Trace, 0, len(order))
 	for _, id := range order {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -98,8 +99,20 @@ func TestMergeByTraceID(t *testing.T) {
 	if joined.RootID != "c1" || joined.Dur != 100*time.Millisecond {
 		t.Fatalf("merge picked wrong root: %+v", joined)
 	}
-	if !strings.Contains(joined.Exemplar, "latency") || !strings.Contains(joined.Exemplar, "error") {
-		t.Fatalf("exemplar tags not unioned: %q", joined.Exemplar)
+	if joined.Exemplar != "latency,error" {
+		t.Fatalf("exemplar tags = %q, want the union in rule order latency,error", joined.Exemplar)
+	}
+
+	// Halves that share a rule carry it once: the union is by rule name,
+	// so Analyze counts one retries exemplar for one trace.
+	client.Exemplar, server.Exemplar = "latency,retries", "error,retries"
+	merged = MergeByTraceID([]*Trace{client, server})
+	if got := merged[0].Exemplar; got != "latency,error,retries" {
+		t.Fatalf("exemplar tags = %q, want latency,error,retries", got)
+	}
+	a := Analyze([]*Trace{client, server}, 1)
+	if want := map[string]int{"latency": 1, "error": 1, "retries": 1}; !reflect.DeepEqual(a.Exemplars, want) {
+		t.Fatalf("Analyze counted exemplar rules %v, want %v", a.Exemplars, want)
 	}
 }
 

@@ -3,15 +3,14 @@ package trace
 import (
 	"fmt"
 	"net/http"
-	"sort"
-	"time"
 )
 
-// ServeHTTP serves the flight recorder at /debug/traces: a human
-// summary by default, the machine-readable JSONL dump with ?format=jsonl
-// (one Trace per line — feed it to `gplusanalyze traces`). A nil
-// recorder serves an empty summary, so the handler can be mounted
-// before deciding whether tracing is on.
+// ServeHTTP serves the flight recorder at /debug/traces: the recorder's
+// counts, then the report `gplusanalyze traces` prints offline over the
+// retained traces (Analysis.WriteText, slowest 10); the machine-readable
+// JSONL dump with ?format=jsonl (one Trace per line — feed it to
+// `gplusanalyze traces`). A nil recorder serves an empty summary, so the
+// handler can be mounted before deciding whether tracing is on.
 func (r *Recorder) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	if req.URL.Query().Get("format") == "jsonl" {
 		w.Header().Set("Content-Type", "application/x-ndjson")
@@ -28,43 +27,5 @@ func (r *Recorder) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	st := r.Stats()
 	fmt.Fprintf(w, "flight recorder: %d traces completed, %d in ring, %d exemplars retained, %d exemplars dropped\n",
 		st.Completed, st.Ring, st.Exemplars, st.Dropped)
-	byRule := map[string]int{}
-	for _, tr := range r.Exemplars() {
-		byRule[tr.Exemplar]++
-	}
-	if len(byRule) > 0 {
-		rules := make([]string, 0, len(byRule))
-		for k := range byRule {
-			rules = append(rules, k)
-		}
-		sort.Strings(rules)
-		fmt.Fprint(w, "exemplars by rule:")
-		for _, k := range rules {
-			fmt.Fprintf(w, " %s=%d", k, byRule[k])
-		}
-		fmt.Fprintln(w)
-	}
-	traces := r.Traces()
-	sort.Slice(traces, func(i, j int) bool { return traces[i].Dur > traces[j].Dur })
-	n := len(traces)
-	if n > 10 {
-		n = 10
-	}
-	fmt.Fprintf(w, "\nslowest %d traces (of %d retained; ?format=jsonl for the full dump):\n", n, len(traces))
-	for _, tr := range traces[:n] {
-		name := "?"
-		if root := tr.Root(); root != nil {
-			name = root.Name
-		}
-		tags := ""
-		if tr.Exemplar != "" {
-			tags = " [" + tr.Exemplar + "]"
-		}
-		fmt.Fprintf(w, "  %s  %-18s %10v  %d spans, %d errors, %d retries%s\n",
-			tr.TraceID, name, tr.Dur.Round(time.Microsecond), len(tr.Spans), tr.Errors(), tr.MaxRetries(), tags)
-	}
-	if len(traces) > 0 {
-		fmt.Fprintln(w, "\nspan tree of the slowest trace:")
-		WriteSpanTree(w, traces[0]) //nolint:errcheck — best effort to a dead client
-	}
+	Analyze(r.Traces(), 10).WriteText(w) //nolint:errcheck — best effort to a dead client
 }

@@ -3,7 +3,9 @@ package trace
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -73,25 +75,45 @@ type Rules struct {
 	MinRetries int
 }
 
+// ruleNames are the exemplar rules in the order match names them.
+var ruleNames = [...]string{"latency", "error", "retries"}
+
 // match names the rules the trace trips, comma-joined ("" = none).
 func (r Rules) match(tr *Trace) string {
+	tripped := [len(ruleNames)]bool{
+		r.SlowerThan > 0 && tr.Dur > r.SlowerThan,
+		r.Errors && tr.Errors() > 0,
+		r.MinRetries > 0 && tr.MaxRetries() >= r.MinRetries,
+	}
 	out := ""
-	add := func(name string) {
-		if out != "" {
-			out += ","
+	for i, name := range ruleNames {
+		if tripped[i] {
+			if out != "" {
+				out += ","
+			}
+			out += name
 		}
-		out += name
-	}
-	if r.SlowerThan > 0 && tr.Dur > r.SlowerThan {
-		add("latency")
-	}
-	if r.Errors && tr.Errors() > 0 {
-		add("error")
-	}
-	if r.MinRetries > 0 && tr.MaxRetries() >= r.MinRetries {
-		add("retries")
 	}
 	return out
+}
+
+// unionRules merges two comma-joined rule sets: each rule once, in
+// match's order (a name match does not know goes last).
+func unionRules(a, b string) string {
+	var names []string
+	for _, name := range strings.Split(a+","+b, ",") {
+		if name != "" && !slices.Contains(names, name) {
+			names = append(names, name)
+		}
+	}
+	rank := func(name string) int {
+		if i := slices.Index(ruleNames[:], name); i >= 0 {
+			return i
+		}
+		return len(ruleNames)
+	}
+	slices.SortStableFunc(names, func(x, y string) int { return rank(x) - rank(y) })
+	return strings.Join(names, ",")
 }
 
 // MaxExemplars bounds exemplar retention; beyond it, new exemplars are
