@@ -52,8 +52,11 @@ help:
 build:
 	$(GO) build ./...
 
+# vet also fails when any file is not gofmt-clean, listing the files.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

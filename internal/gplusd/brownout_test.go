@@ -62,8 +62,8 @@ func TestBrownoutSeverityTriangle(t *testing.T) {
 		{5 * time.Second, 0.5},
 		{10 * time.Second, 1},
 		{15 * time.Second, 0.5},
-		{20 * time.Second, 0},  // window just closed
-		{40 * time.Second, 0},  // quiet part of the period
+		{20 * time.Second, 0},   // window just closed
+		{40 * time.Second, 0},   // quiet part of the period
 		{65 * time.Second, 0.5}, // second period, ramping again
 		{70 * time.Second, 1},
 	}

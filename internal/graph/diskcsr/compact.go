@@ -40,8 +40,14 @@ type CompactStats struct {
 // at outPath (atomically). Duplicate edges across segments collapse and
 // self-loops drop, matching Builder semantics, so a graph built through
 // segments equals the graph built in RAM from the same edge stream.
-// Memory stays O(NumNodes) for the index arrays plus a small buffer
-// per segment — adjacency never materializes.
+// Adjacency never materializes. The forward and reverse merges run side
+// by side, so memory is O(NumNodes) for both directions' index arrays
+// plus, live at once, an open file and a cursor window of up to 64 KB
+// per segment per direction. With Remap, the segments are first
+// rewritten by up to GOMAXPROCS workers, each holding one segment's
+// edges at a time in buffers of its own. The bytes written are the same
+// at any GOMAXPROCS, and so is the error: the lowest failing segment's,
+// the forward direction's before the reverse's.
 func Compact(segDir, outPath string, opt CompactOptions) (*CompactStats, error) {
 	segs, err := ListSegments(segDir)
 	if err != nil {
@@ -65,28 +71,32 @@ func Compact(segDir, outPath string, opt CompactOptions) (*CompactStats, error) 
 		return nil, err
 	}
 
-	// One streaming merge per direction: blob bytes to a spill file,
-	// cnt/pos prefix arrays in RAM.
-	outCnt, outPos, mFwd, err := mergeDirection(segs, false, n, filepath.Join(spillDir, "out.blob"))
+	// One streaming merge per direction, the two side by side: blob bytes
+	// to a spill file, cnt/pos prefix arrays in RAM.
+	var (
+		cnt, pos [2][]uint64
+		m        [2]uint64
+		blob     = [2]string{filepath.Join(spillDir, "out.blob"), filepath.Join(spillDir, "in.blob")}
+	)
+	err = bothDirections(func(d int) (err error) {
+		cnt[d], pos[d], m[d], err = mergeDirection(segs, d == 1, n, blob[d])
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	inCnt, inPos, mRev, err := mergeDirection(segs, true, n, filepath.Join(spillDir, "in.blob"))
-	if err != nil {
-		return nil, err
+	if m[0] != m[1] {
+		return nil, fmt.Errorf("diskcsr: segment directions disagree: %d forward edges, %d reverse", m[0], m[1])
 	}
-	if mFwd != mRev {
-		return nil, fmt.Errorf("diskcsr: segment directions disagree: %d forward edges, %d reverse", mFwd, mRev)
-	}
-	if mFwd > maxEdges {
-		return nil, fmt.Errorf("diskcsr: merged graph too large (%d edges)", mFwd)
+	if m[0] > maxEdges {
+		return nil, fmt.Errorf("diskcsr: merged graph too large (%d edges)", m[0])
 	}
 
-	err = writeV2(outPath, mFwd, outCnt, outPos, inCnt, inPos, func(bw *bufio.Writer) error {
-		if err := copyFileInto(bw, filepath.Join(spillDir, "out.blob")); err != nil {
+	err = writeV2(outPath, m[0], cnt[0], pos[0], cnt[1], pos[1], func(bw *bufio.Writer) error {
+		if err := copyFileInto(bw, blob[0]); err != nil {
 			return err
 		}
-		return copyFileInto(bw, filepath.Join(spillDir, "in.blob"))
+		return copyFileInto(bw, blob[1])
 	})
 	if err != nil {
 		return nil, err
@@ -95,7 +105,7 @@ func Compact(segDir, outPath string, opt CompactOptions) (*CompactStats, error) 
 	if err != nil {
 		return nil, err
 	}
-	stats := &CompactStats{Segments: len(segs), Nodes: n, Edges: int64(mFwd), Bytes: st.Size()}
+	stats := &CompactStats{Segments: len(segs), Nodes: n, Edges: int64(m[0]), Bytes: st.Size()}
 	if opt.Metrics != nil {
 		opt.Metrics.compactions.Inc()
 		opt.Metrics.compactionSegments.Add(int64(len(segs)))
@@ -132,29 +142,36 @@ func resolveNodeCount(segs []string, opt CompactOptions) (int, error) {
 }
 
 // remapSegments rewrites each segment with ids translated through
-// remap, re-sorted, into dir, and returns the rewritten files; the
-// originals are never modified. Each rewrite holds one segment's edges
-// in RAM, in two buffers shared by all of them — bounded by the
+// remap, re-sorted, into dir, and returns the rewritten files in the
+// order of segs; the originals are never modified. The segments are cut
+// into contiguous runs, one per worker; a worker holds one segment's
+// edges at a time in buffers it reuses across its run — bounded by the
 // writer's flush threshold, not the crawl.
 func remapSegments(segs []string, remap []graph.NodeID, dir string) ([]string, error) {
-	var (
-		edges, scratch []uint64
-		seg            []byte
-		out            = make([]string, len(segs))
-	)
-	for i, s := range segs {
-		var err error
-		if edges, err = readRemapped(s, remap, edges[:0]); err != nil {
-			return nil, err
+	out := make([]string, len(segs))
+	err := inParallel(len(segs), func(lo, hi int) error {
+		var (
+			edges, scratch []uint64
+			seg            []byte
+		)
+		for i := lo; i < hi; i++ {
+			var err error
+			if edges, err = readRemapped(segs[i], remap, edges[:0]); err != nil {
+				return err
+			}
+			if len(scratch) < len(edges) {
+				scratch = make([]uint64, len(edges))
+			}
+			seg, _ = encodeSegment(seg, edges, scratch)
+			out[i] = filepath.Join(dir, filepath.Base(segs[i]))
+			if err := os.WriteFile(out[i], seg, 0o644); err != nil {
+				return err
+			}
 		}
-		if len(scratch) < len(edges) {
-			scratch = make([]uint64, len(edges))
-		}
-		seg, _ = encodeSegment(seg, edges, scratch)
-		out[i] = filepath.Join(dir, filepath.Base(s))
-		if err := os.WriteFile(out[i], seg, 0o644); err != nil {
-			return nil, err
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

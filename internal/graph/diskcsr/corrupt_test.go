@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -153,6 +155,33 @@ func TestOpenRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestBothBlobsCorruptReportsOut: Open's verification and Materialize
+// decode the two directions side by side, and when both are corrupt the
+// error is the out direction's, as a serial decode would report it.
+func TestBothBlobsCorruptReportsOut(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	data := v2Bytes(t)
+	h, err := parseHeader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outBlobStart := headerSize + 4*8*(h.n+1)
+	data[outBlobStart] = 0x7f              // node 0's first out-neighbor out of range
+	data[outBlobStart+h.outBlobLen] = 0x7f // and its first in-neighbor
+	for range 20 {
+		if _, err := openBytes(data, Options{}); err == nil || !strings.HasPrefix(err.Error(), "out row 0") {
+			t.Fatalf("Open: %v, want the out direction's error", err)
+		}
+		m, err := openBytes(data, Options{SkipVerify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Materialize(); err == nil || !strings.Contains(err.Error(), "out direction") {
+			t.Fatalf("Materialize: %v, want the out direction's error", err)
+		}
+	}
+}
+
 // TestCompactRejectsTornSegment pins the crash-mid-flush story: a
 // segment truncated partway (as a torn write would leave it) must fail
 // compaction loudly instead of silently dropping edges.
@@ -186,6 +215,56 @@ func TestCompactRejectsTornSegment(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "torn segment") {
 		t.Fatalf("want torn-segment error, got %v", err)
 	}
+
+	// With four remap workers and both merges side by side, a torn
+	// segment is reported by name whichever worker meets it, and the
+	// failed compaction leaves nothing beside its output: no graph, no
+	// .compact-* spill.
+	t.Run("procs=4", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+		remap := make([]graph.NodeID, 64)
+		for i := range remap {
+			remap[i] = graph.NodeID(63 - i)
+		}
+		for _, torn := range []int{0, 5, 11} {
+			for _, r := range [][]graph.NodeID{nil, remap} {
+				t.Run(fmt.Sprintf("torn=%d/remap=%t", torn, r != nil), func(t *testing.T) {
+					dir := t.TempDir()
+					w, err := NewWriter(dir, 5, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < 60; i++ {
+						if err := w.Add(graph.NodeID(i), graph.NodeID(i+1)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := w.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					segs, err := ListSegments(dir)
+					if err != nil || len(segs) != 12 {
+						t.Fatalf("segments: %v %v, want 12", segs, err)
+					}
+					data, err := os.ReadFile(segs[torn])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(segs[torn], data[:len(data)-3], 0o644); err != nil {
+						t.Fatal(err)
+					}
+					outDir := t.TempDir()
+					_, err = Compact(dir, filepath.Join(outDir, "g.v2"), CompactOptions{NumNodes: 64, Remap: r})
+					if err == nil || !strings.Contains(err.Error(), "torn segment") || !strings.Contains(err.Error(), filepath.Base(segs[torn])) {
+						t.Fatalf("want a torn-segment error naming %s, got %v", filepath.Base(segs[torn]), err)
+					}
+					if left, err := os.ReadDir(outDir); err != nil || len(left) != 0 {
+						t.Fatalf("a failed compaction left %v (%v) beside its output", left, err)
+					}
+				})
+			}
+		}
+	})
 }
 
 // FuzzOpenV2 feeds arbitrary bytes through the full Open validation:

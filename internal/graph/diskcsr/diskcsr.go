@@ -31,6 +31,7 @@ package diskcsr
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 
 	"gplus/internal/graph"
 )
@@ -159,4 +160,36 @@ func uvarintLen(v uint64) int {
 		n++
 	}
 	return n
+}
+
+// inParallel cuts [0, n) into at most GOMAXPROCS contiguous ranges and
+// runs do on each, one goroutine per range. do works through its range
+// in order and stops at its first failure, so the error returned — the
+// lowest range's — is the one a serial loop over [0, n) would stop at.
+func inParallel(n int, do func(lo, hi int) error) error {
+	if n == 0 {
+		return nil
+	}
+	errs := make([]error, n)
+	graph.Shards(n, runtime.GOMAXPROCS(0), func(lo, hi int) { errs[lo] = do(lo, hi) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// bothDirections runs do(0) for the out direction and do(1) for the in
+// direction, side by side when GOMAXPROCS allows. When both fail, the
+// out direction's error is the one returned.
+func bothDirections(do func(d int) error) error {
+	return inParallel(2, func(lo, hi int) error {
+		for d := lo; d < hi; d++ {
+			if err := do(d); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }

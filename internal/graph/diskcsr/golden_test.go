@@ -3,9 +3,11 @@ package diskcsr
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"gplus/internal/graph"
@@ -60,37 +62,45 @@ func goldenStream(t *testing.T, w *Writer) (n int, remap []graph.NodeID) {
 	return n, remap
 }
 
+// TestIngestBytesGolden holds the bytes at every parallelism: flushes,
+// remap rewrites and the two direction merges run on as many goroutines
+// as GOMAXPROCS allows, and none of that may show on disk.
 func TestIngestBytesGolden(t *testing.T) {
-	dir := t.TempDir()
-	segDir := filepath.Join(dir, "segs")
-	w, err := NewWriter(segDir, 4096, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, remap := goldenStream(t, w)
-	out := filepath.Join(dir, "graph.v2")
-	if _, err := Compact(segDir, out, CompactOptions{NumNodes: n, Remap: remap}); err != nil {
-		t.Fatal(err)
-	}
-	files, err := ListSegments(segDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) < 3 {
-		t.Fatalf("golden stream made %d segments, want at least 3", len(files))
-	}
-	files = append(files, out)
-	if len(files) != len(ingestGolden) {
-		t.Errorf("ingest wrote %d files, golden has %d", len(files), len(ingestGolden))
-	}
-	for _, path := range files {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(data)
-		if got, want := hex.EncodeToString(sum[:]), ingestGolden[filepath.Base(path)]; got != want {
-			t.Errorf("%s: sha256 %s, golden %s", filepath.Base(path), got, want)
-		}
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			dir := t.TempDir()
+			segDir := filepath.Join(dir, "segs")
+			w, err := NewWriter(segDir, 4096, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, remap := goldenStream(t, w)
+			out := filepath.Join(dir, "graph.v2")
+			if _, err := Compact(segDir, out, CompactOptions{NumNodes: n, Remap: remap}); err != nil {
+				t.Fatal(err)
+			}
+			files, err := ListSegments(segDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(files) < 3 {
+				t.Fatalf("golden stream made %d segments, want at least 3", len(files))
+			}
+			files = append(files, out)
+			if len(files) != len(ingestGolden) {
+				t.Errorf("ingest wrote %d files, golden has %d", len(files), len(ingestGolden))
+			}
+			for _, path := range files {
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(data)
+				if got, want := hex.EncodeToString(sum[:]), ingestGolden[filepath.Base(path)]; got != want {
+					t.Errorf("%s: sha256 %s, golden %s", filepath.Base(path), got, want)
+				}
+			}
+		})
 	}
 }

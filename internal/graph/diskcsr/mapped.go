@@ -48,9 +48,10 @@ type Mapped struct {
 }
 
 // Open maps the v2 file at path and validates it. By default every
-// byte of both blobs is decoded once (sequentially — the cheap access
-// pattern for a fresh map) so that corrupt files fail here rather than
-// as garbage analysis results later.
+// byte of both blobs is decoded once (each blob sequentially — the cheap
+// access pattern for a fresh map — and the two side by side) so that
+// corrupt files fail here rather than as garbage analysis results
+// later; when both are corrupt, the out blob's error is reported.
 func Open(path string, opt Options) (*Mapped, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -103,14 +104,20 @@ func newMapped(data []byte, unmap func() error, opt Options) (*Mapped, error) {
 		return nil, err
 	}
 	if !opt.SkipVerify {
-		if err := m.verifyBlob("out", m.outCnt, m.outPos, m.outBlob); err != nil {
-			return nil, err
-		}
-		if err := m.verifyBlob("in", m.inCnt, m.inPos, m.inBlob); err != nil {
+		if err := bothDirections(m.verifyBlob); err != nil {
 			return nil, err
 		}
 	}
 	return m, nil
+}
+
+// direction returns the name, index arrays and blob of the out (d = 0)
+// or the in (d = 1) direction.
+func (m *Mapped) direction(d int) (name string, cnt, pos, blob []byte) {
+	if d == 0 {
+		return "out", m.outCnt, m.outPos, m.outBlob
+	}
+	return "in", m.inCnt, m.inPos, m.inBlob
 }
 
 // validateIndex checks the O(n) invariants of one direction's index:
@@ -140,10 +147,11 @@ func (m *Mapped) validateIndex(name string, cnt, pos []byte, blobLen uint64) err
 	return nil
 }
 
-// verifyBlob decodes a whole blob once, checking each row against its
-// index entries: exact byte length, exact count, strictly ascending,
-// all targets below n.
-func (m *Mapped) verifyBlob(name string, cnt, pos, blob []byte) error {
+// verifyBlob decodes direction d's whole blob once, checking each row
+// against its index entries: exact byte length, exact count, strictly
+// ascending, all targets below n.
+func (m *Mapped) verifyBlob(d int) error {
+	name, cnt, pos, blob := m.direction(d)
 	n := m.h.n
 	var scratch []graph.NodeID
 	for u := uint64(0); u < n; u++ {
@@ -257,27 +265,31 @@ func (m *Mapped) WorkPrefix(u int) int64 {
 
 // Materialize decodes the whole file into an in-RAM graph.Graph — the
 // escape hatch when RAM affords it and repeated random access makes
-// decode-per-row too slow.
+// decode-per-row too slow. The two directions decode side by side.
 func (m *Mapped) Materialize() (*graph.Graph, error) {
-	outOff, outAdj, err := m.materializeDir(m.outCnt, m.outPos, m.outBlob)
+	var (
+		off [2][]int64
+		adj [2][]graph.NodeID
+	)
+	err := bothDirections(func(d int) (err error) {
+		off[d], adj[d], err = m.materializeDir(d)
+		return err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("diskcsr: out direction: %w", err)
+		return nil, err
 	}
-	inOff, inAdj, err := m.materializeDir(m.inCnt, m.inPos, m.inBlob)
-	if err != nil {
-		return nil, fmt.Errorf("diskcsr: in direction: %w", err)
-	}
-	return graph.FromCSR(outOff, outAdj, inOff, inAdj)
+	return graph.FromCSR(off[0], adj[0], off[1], adj[1])
 }
 
-func (m *Mapped) materializeDir(cnt, pos, blob []byte) ([]int64, []graph.NodeID, error) {
+func (m *Mapped) materializeDir(d int) ([]int64, []graph.NodeID, error) {
+	name, cnt, pos, blob := m.direction(d)
 	n := m.h.n
 	off := make([]int64, n+1)
 	adj := make([]graph.NodeID, m.h.m)
 	for u := uint64(0); u < n; u++ {
 		off[u+1] = int64(u64at(cnt, u+1))
 		if _, err := decodeRow(blob[u64at(pos, u):u64at(pos, u+1)], n, adj[off[u]:off[u+1]]); err != nil {
-			return nil, nil, fmt.Errorf("row %d: %w", u, err)
+			return nil, nil, fmt.Errorf("diskcsr: %s direction: row %d: %w", name, u, err)
 		}
 	}
 	return off, adj, nil

@@ -357,8 +357,17 @@ func TestPathSampleAllocationsIndependentOfRows(t *testing.T) {
 // TestSegmentCompactEquivalence drives the LSM path: the same edge
 // stream pushed through tiny segments and compacted must equal the
 // Builder's graph — including cross-segment duplicate collapse and
-// self-loop dropping.
+// self-loop dropping — at the default parallelism and with four flushes
+// in flight, four remap workers and both direction merges side by side.
 func TestSegmentCompactEquivalence(t *testing.T) {
+	segmentCompactEquivalence(t)
+	t.Run("procs=4", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+		segmentCompactEquivalence(t)
+	})
+}
+
+func segmentCompactEquivalence(t *testing.T) {
 	for name, g := range testGraphs() {
 		t.Run(name, func(t *testing.T) {
 			// Tiny buffers force many segments; 1 is one segment per edge,
@@ -366,7 +375,7 @@ func TestSegmentCompactEquivalence(t *testing.T) {
 			// of one.
 			for _, buffer := range []int{1, 64, 1 << 20} {
 				if buffer == 1 && g.NumEdges() > 256 {
-					continue // the merge holds every segment open: stay inside a 1024-descriptor limit
+					continue // both merges hold every segment open: stay inside a 1024-descriptor limit
 				}
 				t.Run(fmt.Sprintf("buffer=%d", buffer), func(t *testing.T) {
 					dir := t.TempDir()
@@ -419,7 +428,8 @@ func TestSegmentCompactEquivalence(t *testing.T) {
 }
 
 // TestCompactRemap checks the crawl scenario: segments written under
-// provisional ids, compacted through a permutation into final ids.
+// provisional ids, compacted through a permutation into final ids — at
+// the default parallelism and at four.
 func TestCompactRemap(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 10))
 	const n = 200
@@ -438,51 +448,58 @@ func TestCompactRemap(t *testing.T) {
 	// One segment per edge is the widest merge; it runs over a prefix of
 	// the stream because the merge holds every segment open. A buffer the
 	// stream never fills is a merge of one.
-	for _, tc := range []struct {
-		buffer int
-		edges  []edge
-	}{{1, edges[:300]}, {100, edges}, {2 * len(edges), edges}} {
-		t.Run(fmt.Sprintf("buffer=%d", tc.buffer), func(t *testing.T) {
-			dir := t.TempDir()
-			segDir := filepath.Join(dir, "segs")
-			w, err := NewWriter(segDir, tc.buffer, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b := graph.NewBuilder(n, len(tc.edges))
-			for _, e := range tc.edges {
-				if err := w.Add(e.u, e.v); err != nil {
+	run := func(t *testing.T) {
+		for _, tc := range []struct {
+			buffer int
+			edges  []edge
+		}{{1, edges[:300]}, {100, edges}, {2 * len(edges), edges}} {
+			t.Run(fmt.Sprintf("buffer=%d", tc.buffer), func(t *testing.T) {
+				dir := t.TempDir()
+				segDir := filepath.Join(dir, "segs")
+				w, err := NewWriter(segDir, tc.buffer, nil)
+				if err != nil {
 					t.Fatal(err)
 				}
-				b.AddEdge(remap[e.u], remap[e.v])
-			}
-			want := b.Build()
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			before := segmentBytes(t, segDir)
+				b := graph.NewBuilder(n, len(tc.edges))
+				for _, e := range tc.edges {
+					if err := w.Add(e.u, e.v); err != nil {
+						t.Fatal(err)
+					}
+					b.AddEdge(remap[e.u], remap[e.v])
+				}
+				want := b.Build()
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				before := segmentBytes(t, segDir)
 
-			out := filepath.Join(dir, "graph.v2")
-			if _, err := Compact(segDir, out, CompactOptions{NumNodes: n, Remap: remap}); err != nil {
-				t.Fatalf("Compact: %v", err)
-			}
-			m, err := Open(out, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer m.Close()
-			viewsEqual(t, want, m)
+				out := filepath.Join(dir, "graph.v2")
+				if _, err := Compact(segDir, out, CompactOptions{NumNodes: n, Remap: remap}); err != nil {
+					t.Fatalf("Compact: %v", err)
+				}
+				m, err := Open(out, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer m.Close()
+				viewsEqual(t, want, m)
 
-			// The caller's segments are read, never rewritten, and the
-			// remapped copies are gone with the rest of the spill.
-			if after := segmentBytes(t, segDir); !reflect.DeepEqual(after, before) {
-				t.Fatal("Compact with Remap modified the caller's segments")
-			}
-			if left := dirNames(t, dir); !slices.Equal(left, []string{"graph.v2", "segs"}) {
-				t.Fatalf("Compact left %v behind, want only the output beside the segments", left)
-			}
-		})
+				// The caller's segments are read, never rewritten, and the
+				// remapped copies are gone with the rest of the spill.
+				if after := segmentBytes(t, segDir); !reflect.DeepEqual(after, before) {
+					t.Fatal("Compact with Remap modified the caller's segments")
+				}
+				if left := dirNames(t, dir); !slices.Equal(left, []string{"graph.v2", "segs"}) {
+					t.Fatalf("Compact left %v behind, want only the output beside the segments", left)
+				}
+			})
+		}
 	}
+	run(t)
+	t.Run("procs=4", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+		run(t)
+	})
 }
 
 // segmentBytes reads every segment file under dir.
@@ -631,5 +648,133 @@ func TestWriterFailedFlushIsFinal(t *testing.T) {
 	}
 	if segs, _ := ListSegments(dir); len(segs) != 0 {
 		t.Fatalf("a failed writer published %v", segs)
+	}
+
+	// A flush that fails in the background surfaces from a later Add or
+	// from Flush, and every call after that returns the same error. The
+	// hook fails one named segment, whichever goroutine writes it.
+	t.Run("background", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+		const buffer, segments, failing = 8, 40, 3
+		dir := t.TempDir()
+		w, err := NewWriter(dir, buffer, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		durable.StepHook = func(path, step string) error {
+			if filepath.Base(path) == fmt.Sprintf("seg-%06d.seg", failing) {
+				return boom
+			}
+			return nil
+		}
+		defer func() { durable.StepHook = nil }()
+		edge := func(i int) (graph.NodeID, graph.NodeID) { return graph.NodeID(i % 50), graph.NodeID(i%50 + 1) }
+		var first error
+		sameFailure := func(call string, err error) {
+			t.Helper()
+			if first == nil {
+				first = err
+			} else if err != first {
+				t.Fatalf("%s after the failure returned %v, want %v", call, err, first)
+			}
+		}
+		for i := 0; i < buffer*segments; i++ {
+			sameFailure("Add", w.Add(edge(i)))
+		}
+		sameFailure("Flush", w.Flush())
+		if !errors.Is(first, boom) {
+			t.Fatalf("the writer reported %v, want the injected failure", first)
+		}
+		sameFailure("Flush", w.Flush())
+		sameFailure("Add", w.Add(edge(0)))
+		durable.StepHook = nil
+
+		// Segments are a set: whatever was published compacts, holding
+		// exactly the edges of the buffers it was written from.
+		segs, err := ListSegments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[[2]graph.NodeID]bool{}
+		for _, s := range segs {
+			var k int
+			if _, err := fmt.Sscanf(filepath.Base(s), "seg-%d.seg", &k); err != nil {
+				t.Fatal(err)
+			}
+			if k == failing {
+				t.Fatalf("the failed segment %s was published", s)
+			}
+			for i := k * buffer; i < (k+1)*buffer; i++ {
+				u, v := edge(i)
+				want[[2]graph.NodeID{u, v}] = true
+			}
+		}
+		if len(segs) < failing {
+			t.Fatalf("%d segments published, want at least the %d handed off before the failing one", len(segs), failing)
+		}
+		stats, err := Compact(dir, filepath.Join(t.TempDir(), "graph.v2"), CompactOptions{NumNodes: 51})
+		if err != nil {
+			t.Fatalf("Compact over the published segments: %v", err)
+		}
+		if stats.Edges != int64(len(want)) {
+			t.Fatalf("compacted %d edges, the published segments hold %d", stats.Edges, len(want))
+		}
+	})
+}
+
+// edgeBuffers adds edges edges to w, flushes it, and returns how many
+// distinct edge buffers Add filled: every edge buffer the Writer
+// allocates is filled by Add before it is flushed.
+func edgeBuffers(t *testing.T, w *Writer, edges int) int {
+	t.Helper()
+	seen := map[*uint64]bool{&w.buf[:1][0]: true}
+	for i := 0; i < edges; i++ {
+		if err := w.Add(graph.NodeID(i%97), graph.NodeID(i%89)); err != nil {
+			t.Fatal(err)
+		}
+		seen[&w.buf[:1][0]] = true
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return len(seen)
+}
+
+// TestWriterEdgeBufferBound pins the Writer's RAM bound: with four
+// flushes in flight, a 40-segment stream runs through at most five edge
+// buffers and four flush slots.
+func TestWriterEdgeBufferBound(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const buffer, segments = 64, 40
+	dir := t.TempDir()
+	w, err := NewWriter(dir, buffer, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := edgeBuffers(t, w, buffer*segments); got < 2 || got > 4+1 {
+		t.Fatalf("the writer filled %d edge buffers, want between 2 and GOMAXPROCS+1 = 5", got)
+	}
+	if w.slots > 4 {
+		t.Fatalf("the writer made %d flush slots, want at most GOMAXPROCS = 4", w.slots)
+	}
+	if segs, err := ListSegments(dir); err != nil || len(segs) != segments {
+		t.Fatalf("%d segments (%v), want %d", len(segs), err, segments)
+	}
+}
+
+// TestWriterSmallStreamHoldsOneBuffer: a stream that never fills the
+// buffer holds what a Writer held before flushes left the caller's
+// goroutine — one edge buffer, and one slot for the final flush.
+func TestWriterSmallStreamHoldsOneBuffer(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	w, err := NewWriter(t.TempDir(), 1000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := edgeBuffers(t, w, 999); got != 1 {
+		t.Fatalf("the writer filled %d edge buffers, want 1", got)
+	}
+	if w.slots != 1 {
+		t.Fatalf("the writer made %d flush slots, want 1", w.slots)
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"sync"
 
 	"gplus/internal/durable"
 	"gplus/internal/graph"
@@ -34,24 +36,48 @@ var segMagic = [8]byte{'G', 'P', 'L', 'S', 'E', 'G', '0', '1'}
 const segHeaderSize = 40
 
 // DefaultSegmentEdges is the flush threshold Writer uses when none is
-// given: 4M buffered edges of 8 B each, and the same again for the
-// sort's second buffer — a 64 MB RAM bound (2 × threshold × 8 B), a few
-// MB per segment.
+// given: 4M buffered edges of 8 B each (32 MB), a few MB per segment.
+// Writer documents what it holds in multiples of it.
 const DefaultSegmentEdges = 4 << 20
 
 // Writer buffers edges and flushes them as sorted segment files named
-// seg-NNNNNN.seg under dir. Not safe for concurrent use; callers with
-// concurrent producers (the crawler's workers) serialize around it.
+// seg-NNNNNN.seg under dir. A full buffer is flushed on a goroutine of
+// its own while Add fills another, at most GOMAXPROCS (read at the
+// first flush) flushes in flight at once, so the Writer holds at most
+// GOMAXPROCS+1 edge buffers and GOMAXPROCS flush slots — with P =
+// GOMAXPROCS, (2P+1) × threshold × 8 B plus P encoded segments. A stream
+// that never fills the buffer holds one edge buffer and, after Flush,
+// one slot. Segment k holds the k-th buffer's edges whatever the
+// parallelism, so the files are the same at any core count.
+//
+// Not safe for concurrent use; callers with concurrent producers (the
+// crawler's workers) serialize around it.
 type Writer struct {
-	dir     string
-	limit   int
-	buf     []uint64 // graph.PackEdge(src, dst)
-	scratch []uint64 // the sort's second buffer, kept across flushes
-	seq     int
-	met     *Metrics
-	// err is the first failed flush. The sort had already overwritten the
-	// buffered edges, so a retry would write garbage: it fails instead.
+	dir   string
+	limit int
+	buf   []uint64 // the edges Add is filling, graph.PackEdge(src, dst)
+	seq   int      // the sequence number the next flush is written under
+	met   *Metrics
+	// idle holds the flush slots no flush is using; it is made at the
+	// first flush with room for GOMAXPROCS of them, and slots counts how
+	// many exist.
+	idle     chan *flushSlot
+	slots    int
+	inFlight sync.WaitGroup
+	mu       sync.Mutex
+	failed   error // the first background flush failure, under mu
+	// err is the first failure Add or Flush returned. A failed flush's
+	// sort had already overwritten its edges, so a retry would write
+	// garbage: every later call returns err instead.
 	err error
+}
+
+// flushSlot is what one flush works in: the edges it writes, the sort's
+// second buffer and the encoded segment, all kept for the slot's next
+// flush.
+type flushSlot struct {
+	edges, scratch []uint64
+	seg            []byte
 }
 
 // NewWriter creates dir if needed and returns a Writer flushing every
@@ -80,38 +106,114 @@ func NewWriter(dir string, bufferEdges int, met *Metrics) (*Writer, error) {
 	return &Writer{dir: dir, limit: bufferEdges, buf: make([]uint64, 0, bufferEdges), seq: seq, met: met}, nil
 }
 
-// Add buffers the directed edge src→dst, flushing a segment when the
-// buffer reaches the threshold.
+// Add buffers the directed edge src→dst. When the buffer reaches the
+// threshold it is handed to a flush goroutine and Add goes on with an
+// empty one. The first failure of a flush in the background is returned
+// by the next Add that hands a buffer off, or by Flush.
 func (w *Writer) Add(src, dst graph.NodeID) error {
+	if w.err != nil {
+		return w.err
+	}
 	w.buf = append(w.buf, graph.PackEdge(src, dst))
 	if len(w.buf) >= w.limit {
-		return w.Flush()
+		w.err = w.handOff()
 	}
+	return w.err
+}
+
+// handOff starts flushing the full buffer under the next sequence
+// number, waiting first while GOMAXPROCS flushes are in flight. Add
+// carries on with the slot's edge buffer, or with a new one the first
+// time the slot is used.
+func (w *Writer) handOff() error {
+	if err := w.backgroundFailure(); err != nil {
+		return err
+	}
+	s, seq := w.slot(), w.seq
+	w.seq++
+	s.edges, w.buf = w.buf, s.edges[:0]
+	if w.buf == nil {
+		w.buf = make([]uint64, 0, w.limit)
+	}
+	w.inFlight.Add(1)
+	go func() {
+		defer w.inFlight.Done()
+		if err := w.write(s, s.edges, seq); err != nil {
+			w.mu.Lock()
+			if w.failed == nil {
+				w.failed = err
+			}
+			w.mu.Unlock()
+		}
+		w.idle <- s
+	}()
 	return nil
 }
 
-// Flush writes the buffered edges as one segment file (atomically, via
-// durable.WriteFile) and empties the buffer. Flushing an empty buffer is
-// a no-op. After a failed flush the Writer is dead: every later flush
-// returns the same error.
+// slot returns an idle flush slot: a free one, a new one while fewer
+// than the first flush's GOMAXPROCS exist, or else the first one a
+// flush in flight releases.
+func (w *Writer) slot() *flushSlot {
+	if w.idle == nil {
+		w.idle = make(chan *flushSlot, runtime.GOMAXPROCS(0))
+	}
+	select {
+	case s := <-w.idle:
+		return s
+	default:
+	}
+	if w.slots < cap(w.idle) {
+		w.slots++
+		return &flushSlot{}
+	}
+	return <-w.idle
+}
+
+func (w *Writer) backgroundFailure() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.failed
+}
+
+// Flush waits for every flush in flight, then writes the buffered edges
+// as one segment file and empties the buffer; flushing an empty buffer
+// writes nothing. After a failed flush, in the background or here, the
+// Writer is dead: every later Add and Flush returns the same error.
 func (w *Writer) Flush() error {
+	w.inFlight.Wait()
+	if w.err == nil {
+		w.err = w.backgroundFailure()
+	}
 	if w.err != nil || len(w.buf) == 0 {
 		return w.err
 	}
-	if len(w.scratch) < len(w.buf) {
-		w.scratch = make([]uint64, len(w.buf))
-	}
-	seg, kept := encodeSegment(nil, w.buf, w.scratch)
-	path := filepath.Join(w.dir, fmt.Sprintf("seg-%06d.seg", w.seq))
-	w.err = durable.WriteFile(path, func(f *os.File) error {
-		_, err := f.Write(seg)
-		return err
-	})
+	s := w.slot()
+	w.err = w.write(s, w.buf, w.seq)
+	w.idle <- s
 	if w.err != nil {
 		return w.err
 	}
 	w.seq++
 	w.buf = w.buf[:0]
+	return nil
+}
+
+// write sorts and encodes edges in slot s (both are overwritten) and
+// writes them as segment seq, atomically, through durable.WriteFile.
+func (w *Writer) write(s *flushSlot, edges []uint64, seq int) error {
+	if len(s.scratch) < len(edges) {
+		s.scratch = make([]uint64, len(edges))
+	}
+	var kept int
+	s.seg, kept = encodeSegment(s.seg, edges, s.scratch)
+	path := filepath.Join(w.dir, fmt.Sprintf("seg-%06d.seg", seq))
+	err := durable.WriteFile(path, func(f *os.File) error {
+		_, err := f.Write(s.seg)
+		return err
+	})
+	if err != nil {
+		return err
+	}
 	if w.met != nil {
 		w.met.segmentsFlushed.Inc()
 		w.met.segmentEdges.Add(int64(kept))
