@@ -8,7 +8,7 @@ GO ?= go
 # the rule set). It is never downloaded — no network access is required.
 STATICCHECK_VERSION ?= 2024.1
 
-.PHONY: all check help build vet test race staticcheck hygiene loc chaos brownout trace-demo dash-demo prof-demo bench bench-hotpath bench-analysis bench-storage paperscale ablations fuzz fuzz-short verify examples report clean
+.PHONY: all check help build vet test race staticcheck hygiene loc chaos brownout trace-demo dash-demo prof-demo bench bench-hotpath bench-analysis bench-storage paperscale ablations fuzz fuzz-short verify report clean
 
 # Default check path: the tier-1 verify (build + test) plus vet and the
 # race suite over the concurrent packages.
@@ -46,7 +46,6 @@ help:
 	@echo "make ablations      design-choice ablation experiments"
 	@echo "make fuzz           long fuzz of every parser (wire codec and series names included), the multi-source BFS, the triad pass, the edge sort and the CDF sort (30s each)"
 	@echo "make verify         generate a dataset and audit it against the paper"
-	@echo "make examples       run every example binary"
 	@echo "make report         full Markdown report from a fresh dataset"
 
 build:
@@ -80,10 +79,11 @@ race:
 # the append log cannot land unnoticed. The flags gate fails if
 # gpluscrawl, gplusd, gplusanalyze, gplusgen or gplusverify
 # registers a flag that no README.md, EXPERIMENTS.md or Makefile command
-# line passes to it. The reachability gates fail if a package under
-# internal/ is a non-test import of no cmd/ binary and not of bench
-# (internal/growth, driven through the crawler by two named tests, is
-# the one exception), or if an exported func, method, type, const or var
+# line passes to it, if a `go run ./<dir>` in those files names no
+# package main, or if a `gplusanalyze <word>` there or in a string of
+# a cmd/*/main.go names no sub-command it has. The reachability gates fail if a package under
+# internal/ is a non-test import of no cmd/ binary and not of bench,
+# or if an exported func, method, type, const or var
 # under internal/ is named by no non-test code those mains reach and is
 # not listed beside the test that keeps it. The reflection gate fails if
 # non-test code of internal/gplusd, gplusapi, crawler or dataset calls
@@ -119,8 +119,8 @@ staticcheck:
 # The robustness gate: crawl under the full chaos fault suite, kill the
 # crawl mid-flight, tear the journal tail, resume, and require exact
 # convergence with a fault-free crawl — all under the race detector.
-# Once on the library's in-RAM reference path, once on the shape
-# gpluscrawl runs: journal + segment sink, stale segments cleared, the
+# Once with the edge stream kept in RAM by the crawler tests' sink, once
+# on the shape gpluscrawl runs: journal + segment sink, stale segments cleared, the
 # journal replayed into a fresh sink, compacted. Both legs run the
 # crawler's one overload policy — the one `make brownout` squeezes.
 chaos:
@@ -211,9 +211,9 @@ paperscale:
 	    $(GO) test -count=1 -run TestPaperScale -v -timeout 120m ./internal/graph/diskcsr/
 	rm -rf /tmp/gplus-paperscale
 
-# Design-choice ablations and the seed-sensitivity and growth experiments.
+# Design-choice ablations and the seed-sensitivity experiment.
 ablations:
-	$(GO) test -bench='Ablation|SeedSensitivity|Growth' -benchtime=1x .
+	$(GO) test -run '^$$' -bench='Ablation|SeedSensitivity' -benchtime=1x .
 
 fuzz:
 	$(GO) test -fuzz=FuzzToProfile -fuzztime=30s ./internal/gplusapi/
@@ -247,13 +247,6 @@ fuzz-short:
 verify:
 	$(GO) run ./cmd/gplusgen -nodes 100000 -out /tmp/gplus-verify-data
 	$(GO) run ./cmd/gplusverify -data /tmp/gplus-verify-data
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/crawlpipeline
-	$(GO) run ./examples/privacystudy
-	$(GO) run ./examples/geostudy
-	$(GO) run ./examples/growthstudy
 
 # Full Markdown report (EXPERIMENTS-style) from a fresh dataset.
 report:

@@ -7,6 +7,7 @@ package gplus
 
 import (
 	"context"
+	"path/filepath"
 	"testing"
 
 	"gplus/internal/core"
@@ -14,7 +15,6 @@ import (
 	"gplus/internal/dataset"
 	"gplus/internal/gplusd"
 	"gplus/internal/graph"
-	"gplus/internal/growth"
 	"gplus/internal/synth"
 	"net/http/httptest"
 )
@@ -109,6 +109,29 @@ func BenchmarkAblationEdgeTypeReciprocation(b *testing.B) {
 	}
 }
 
+// crawlDataset runs cfg the way gpluscrawl does: edges stream into a
+// segment sink and are compacted into a mapped dataset under a temporary
+// directory. The dataset is closed when the benchmark ends.
+func crawlDataset(b *testing.B, cfg crawler.Config) *dataset.Dataset {
+	b.Helper()
+	dir := b.TempDir()
+	sink, err := dataset.NewSegmentSink(filepath.Join(dir, ".segments"), 0, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.EdgeSink = sink
+	res, err := crawler.Crawl(context.Background(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, err := dataset.FromCrawlSegments(res, sink, filepath.Join(dir, "data"), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { ds.Close() })
+	return ds
+}
+
 // BenchmarkAblationUnidirectionalCrawl reproduces §2.2's motivation for
 // the *bidirectional* BFS: crawling only out-circles loses the edges the
 // in-circle lists would have recovered under the cap.
@@ -124,16 +147,12 @@ func BenchmarkAblationUnidirectionalCrawl(b *testing.B) {
 	seed := u.IDs[graph.TopByInDegree(u.Graph, 1, 1)[0]]
 
 	crawlEdges := func(fetchIn bool) int64 {
-		res, err := crawler.Crawl(context.Background(), crawler.Config{
+		return crawlDataset(b, crawler.Config{
 			BaseURL: ts.URL,
 			Seeds:   []string{seed},
 			Workers: 8,
 			FetchIn: fetchIn, FetchOut: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return dataset.FromCrawl(res).Graph.NumEdges()
+		}).View().NumEdges()
 	}
 
 	b.ResetTimer()
@@ -177,17 +196,13 @@ func BenchmarkSeedSensitivity(b *testing.B) {
 	}
 
 	crawlStudy := func(seed string) *core.Study {
-		res, err := crawler.Crawl(context.Background(), crawler.Config{
+		return core.New(crawlDataset(b, crawler.Config{
 			BaseURL:     ts.URL,
 			Seeds:       []string{seed},
 			Workers:     8,
 			MaxProfiles: 3_000,
 			FetchIn:     true, FetchOut: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return core.New(dataset.FromCrawl(res), core.Options{
+		}), core.Options{
 			Seed: 3, PathSources: 32, PairSample: 5_000,
 		})
 	}
@@ -202,27 +217,6 @@ func BenchmarkSeedSensitivity(b *testing.B) {
 			b.ReportMetric(100*rOrd, "reciprocity-ordinary-seed-%")
 			b.ReportMetric(sPop.Topology(context.Background()).AvgDegree, "avgdeg-popular-seed")
 			b.ReportMetric(sOrd.Topology(context.Background()).AvgDegree, "avgdeg-ordinary-seed")
-		}
-	}
-}
-
-// BenchmarkGrowthDensification regenerates the §7 future-work study: the
-// densification exponent and the phase-transition epoch.
-func BenchmarkGrowthDensification(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		snaps, err := growth.Simulate(growth.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		fit, err := growth.DensificationFit(snaps)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(fit.Slope, "densification-exponent")
-			if epoch, ok := growth.TippingPoint(snaps); ok {
-				b.ReportMetric(float64(epoch), "tipping-epoch")
-			}
 		}
 	}
 }

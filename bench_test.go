@@ -343,16 +343,12 @@ func BenchmarkLostEdges(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := crawler.Crawl(context.Background(), crawler.Config{
+		ds := crawlDataset(b, crawler.Config{
 			BaseURL: ts.URL,
 			Seeds:   []string{seed},
 			Workers: 8,
 			FetchIn: true, FetchOut: true,
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ds := dataset.FromCrawl(res)
 		est := core.New(ds, core.Options{Seed: 1}).LostEdges(cap)
 		if i == 0 {
 			b.ReportMetric(100*est.LostFraction, "lost-edges-%")

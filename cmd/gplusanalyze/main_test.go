@@ -63,6 +63,10 @@ func TestRunDirectoryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sink, err := dataset.NewSegmentSink(filepath.Join(t.TempDir(), ".segments"), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := crawler.Crawl(context.Background(), crawler.Config{
 		BaseURL: srv.URL,
 		Seeds:   []string{u.IDs[graph.TopByInDegree(u.Graph, 1, 1)[0]]},
@@ -73,6 +77,7 @@ func TestRunDirectoryEndToEnd(t *testing.T) {
 		RetryBackoffBase: 2 * time.Millisecond,
 		Metrics:          run.Registry,
 		Tracer:           run.Tracer,
+		EdgeSink:         sink,
 	})
 	if cerr := run.Close(); cerr != nil {
 		t.Fatal(cerr)

@@ -35,7 +35,8 @@
 // -obs-dir names the run directory every signal is spooled into (layout
 // in package rundir): exemplar traces and the profile ring as the crawl
 // runs, the metric series and every retained trace at exit.
-// `gplusanalyze metrics|traces|profiles <dir>` read it back.
+// `gplusanalyze metrics|traces <dir>` read it back, and
+// `go tool pprof <dir>/profiles/*.pb.gz` the profile captures.
 //
 // With -trace-sample the crawler records request-scoped span traces: one
 // root per crawled profile with children for the profile fetch, each
@@ -279,7 +280,7 @@ func run(ctx context.Context, args []string) error {
 	if obsErr != nil {
 		log.Printf("completing -obs-dir: %v", obsErr)
 	} else if dir := obsCfg.Dir; dir != "" {
-		log.Printf("run directory complete -> %s (read it with: gplusanalyze metrics|traces|profiles %s)", dir, dir)
+		log.Printf("run directory complete -> %s (read it with: gplusanalyze metrics|traces %s; profile captures: go tool pprof %s/profiles/*.pb.gz)", dir, dir, dir)
 	}
 	if res == nil {
 		return fmt.Errorf("crawl: %w", crawlErr)

@@ -39,7 +39,8 @@
 // -obs-dir names the run directory (layout in package rundir): the
 // profile ring and exemplar traces are written while serving, the metric
 // series and retained traces on SIGINT/SIGTERM, when the server drains
-// and exits. `gplusanalyze metrics|traces|profiles <dir>` read it back.
+// and exits. `gplusanalyze metrics|traces <dir>` read it back, and
+// `go tool pprof <dir>/profiles/*.pb.gz` the profile captures.
 //
 // Usage:
 //

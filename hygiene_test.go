@@ -31,8 +31,15 @@ import (
 // one identifier, scanned as a row of its own; the shared
 // observability flags are one registration, so a recipe on either
 // binary that takes them keeps one.
+//
+// The same scan keeps those command lines runnable, and with them the
+// Go string literals of every cmd/*/main.go (log lines and usage text,
+// where a retired command otherwise lives on): each `go run ./<dir>`
+// must name a directory holding package main, and each `gplusanalyze
+// <word>` whose word is neither a flag nor a path must be one of the
+// sub-commands gplusanalyze dispatches (a|b alternatives each).
 func TestFlagsHaveRecipe(t *testing.T) {
-	var commands []string
+	var lines, commands []string
 	codeSpan, chained := regexp.MustCompile("`[^`]+`"), regexp.MustCompile(`\|\|?|&&`)
 	for _, name := range []string{"README.md", "EXPERIMENTS.md", "Makefile"} {
 		b, err := os.ReadFile(name)
@@ -40,22 +47,37 @@ func TestFlagsHaveRecipe(t *testing.T) {
 			t.Fatal(err)
 		}
 		doc := strings.ReplaceAll(string(b), "\\\n", " ")
-		var lines []string
 		if name == "Makefile" {
-			lines = regexp.MustCompile(`(?m)^\t.*`).FindAllString(doc, -1)
-		} else {
-			for i, part := range strings.Split(doc, "```") {
-				if i%2 == 1 { // fenced
-					lines = append(lines, strings.Split(part, "\n")...)
-				} else { // prose: its code spans, re-joined where the paragraph wrapped
-					lines = append(lines, codeSpan.FindAllString(strings.ReplaceAll(part, "\n", " "), -1)...)
-				}
+			lines = append(lines, regexp.MustCompile(`(?m)^\t.*`).FindAllString(doc, -1)...)
+			continue
+		}
+		for i, part := range strings.Split(doc, "```") {
+			if i%2 == 1 { // fenced
+				lines = append(lines, strings.Split(part, "\n")...)
+			} else { // prose: its code spans, re-joined where the paragraph wrapped
+				lines = append(lines, codeSpan.FindAllString(strings.ReplaceAll(part, "\n", " "), -1)...)
 			}
 		}
-		for _, line := range lines {
-			commands = append(commands, chained.Split(strings.Trim(line, "`"), -1)...)
-		}
 	}
+	for _, line := range lines {
+		commands = append(commands, chained.Split(strings.Trim(line, "`"), -1)...)
+	}
+	mains, _ := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
+	fset := token.NewFileSet()
+	for _, path := range mains {
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				s, _ := strconv.Unquote(lit.Value)
+				lines = append(lines, strings.Split(s, "\n")...)
+			}
+			return true
+		})
+	}
+	checkCommandsRun(t, lines)
 	// check reports each flag that no command running one of the
 	// binaries (by path or through go run) passes.
 	check := func(row string, flags []string, binaries string) {
@@ -117,11 +139,55 @@ func TestFlagsHaveRecipe(t *testing.T) {
 	}
 }
 
+// checkCommandsRun is TestFlagsHaveRecipe's check that the command
+// lines it scans still run: go run names a main package, gplusanalyze a
+// sub-command it dispatches.
+func checkCommandsRun(t *testing.T, lines []string) {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("cmd", "gplusanalyze", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dispatch := regexp.MustCompile(`(?s)sub := map\[string\]func\(io\.Writer, \[\]string\) error\{(.*?)\}`).FindSubmatch(src)
+	if dispatch == nil {
+		t.Fatal("gplusanalyze's sub-command map not found; the scan no longer matches how it dispatches")
+	}
+	subs := map[string]bool{}
+	for _, m := range regexp.MustCompile(`"([a-z]+)":`).FindAllSubmatch(dispatch[1], -1) {
+		subs[string(m[1])] = true
+	}
+	if len(subs) < 2 {
+		t.Fatalf("found %d gplusanalyze sub-commands, want at least 2", len(subs))
+	}
+	goRun := regexp.MustCompile(`(?:^|\s)(?:go|\$\(GO\)) run\s+(\./\S*)`)
+	// Bare, or by a path from . or / (./cmd/gplusanalyze, /tmp/gplusanalyze);
+	// cmd/gplusanalyze alone names the directory, not a command.
+	analyze := regexp.MustCompile("(?:^|[\\s`])(?:[./]\\S*/)?gplusanalyze\\s+([^\\s`]+)")
+	for _, line := range lines {
+		for _, m := range goRun.FindAllStringSubmatch(line, -1) {
+			dir := strings.TrimSuffix(m[1], "/")
+			files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+			if !slices.ContainsFunc(files, func(f string) bool {
+				file, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.PackageClauseOnly)
+				return err == nil && file.Name.Name == "main" && !strings.HasSuffix(f, "_test.go")
+			}) {
+				t.Errorf("%q runs %s, which holds no package main", strings.TrimSpace(line), m[1])
+			}
+		}
+		for _, m := range analyze.FindAllStringSubmatch(line, -1) {
+			for _, word := range strings.Split(m[1], "|") {
+				if word == "" || strings.HasPrefix(word, "-") || strings.ContainsAny(word, "/.<$%") || subs[word] {
+					continue
+				}
+				t.Errorf("%q runs gplusanalyze %s, which is not one of its sub-commands", strings.TrimSpace(line), word)
+			}
+		}
+	}
+}
+
 // TestPackagesReachPipeline is the `make check` gate against orphan
 // packages: every package under internal/ must be a non-test dependency
-// of a cmd/ binary or of bench, or be listed below beside the tests
-// that drive it through crawler → dataset → study. An exception that
-// has become reachable, or whose tests are gone, fails too.
+// of a cmd/ binary or of bench.
 func TestPackagesReachPipeline(t *testing.T) {
 	goList := func(args ...string) []string {
 		t.Helper()
@@ -136,30 +202,10 @@ func TestPackagesReachPipeline(t *testing.T) {
 		reachable[pkg] = true
 	}
 	for _, pkg := range goList("./internal/...") {
-		if _, ok := packageExceptions[pkg]; !reachable[pkg] && !ok {
-			t.Errorf("%s is imported by no cmd/ binary and not by bench: wire it into the pipeline, list the pipeline tests that keep it, or delete it", pkg)
+		if !reachable[pkg] {
+			t.Errorf("%s is imported by no cmd/ binary and not by bench: wire it into the pipeline or delete it", pkg)
 		}
 	}
-	for pkg, tests := range packageExceptions {
-		if reachable[pkg] {
-			t.Errorf("%s is reachable from the pipeline now; drop its exception", pkg)
-		}
-		for _, ref := range tests {
-			if !testExists(ref) {
-				t.Errorf("%s is kept by %s, which no longer exists", pkg, ref)
-			}
-		}
-	}
-}
-
-// packageExceptions lists the internal/ packages no pipeline binary
-// imports, each beside the pipeline tests that keep it.
-var packageExceptions = map[string][]string{
-	// The snapshot source of the parked longitudinal study (ROADMAP).
-	"gplus/internal/growth": {
-		"internal/crawler:TestCrawlOverGrowingService",
-		"internal/growth:TestSnapshotSeriesThroughCrawlPipeline",
-	},
 }
 
 // testExists reports whether "dir:TestName" names a test function
@@ -178,14 +224,12 @@ func testExists(ref string) bool {
 // declared in a non-test file under internal/ must be named by non-test
 // code that a main of cmd/... or bench reaches, or be listed below
 // beside the test that keeps it. An entry keeps its symbol with whatever
-// only that symbol names, and a type's entry its methods; the packages
-// excepted above are skipped whole. An exception that has become
-// reachable, that names no declared symbol, or whose test is gone fails
-// too.
+// only that symbol names, and a type's entry its methods. An exception
+// that has become reachable, that names no declared symbol, or whose
+// test is gone fails too.
 func TestSurfaceReachesPipeline(t *testing.T) {
 	exceptions := map[string]string{
 		// Reference implementations the pipeline's own are compared against.
-		"dataset.FromCrawl":           "internal/dataset:TestSegmentCrawlMatchesFromCrawl",
 		"graph.FromEdges":             "internal/graph/diskcsr:TestKernelEquivalence",
 		"graph.BFSDistances":          "internal/graph:TestSamplePathLengthsMatchesExactAllPairs",
 		"graph.HasArc":                "internal/graph:TestMotifsAgainstBruteForce",
@@ -196,9 +240,6 @@ func TestSurfaceReachesPipeline(t *testing.T) {
 		"dataset.Dataset.ResolveCountries": "internal/dataset:TestResolveCountriesFromRawPlaces",
 		"geo.ResolvePlace":                 "internal/dataset:TestResolveCountriesFromRawPlaces",
 		"geo.CountryOf":                    "internal/dataset:TestResolveCountriesFromRawPlaces",
-		// The serving half of internal/growth, excepted above.
-		"gplusd.EvolvingServer": "internal/crawler:TestCrawlOverGrowingService",
-		"gplusd.NewEvolving":    "internal/crawler:TestCrawlOverGrowingService",
 	}
 	s := loadSurface(t)
 	if len(exceptions) > 20 {
@@ -297,9 +338,6 @@ func loadSurface(t *testing.T) *surface {
 			t.Fatalf("type-check %s: %v", path, err)
 		}
 		module[path] = pkg
-		if _, ok := packageExceptions[path]; ok {
-			continue
-		}
 		for _, file := range files {
 			for _, d := range file.Decls {
 				switch d := d.(type) {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
 	"gplus/internal/crawler"
@@ -30,17 +31,27 @@ func TestPartialCrawlReproducesPaperSCCShape(t *testing.T) {
 	defer ts.Close()
 
 	seed := u.IDs[graph.TopByInDegree(u.Graph, 1, 1)[0]]
+	tmp := t.TempDir()
+	sink, err := dataset.NewSegmentSink(filepath.Join(tmp, ".segments"), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := crawler.Crawl(context.Background(), crawler.Config{
 		BaseURL:     ts.URL,
 		Seeds:       []string{seed},
 		Workers:     8,
 		MaxProfiles: 1_800, // ~15% of the population; most stays frontier
 		FetchIn:     true, FetchOut: true,
+		EdgeSink: sink,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := dataset.FromCrawl(res)
+	ds, err := dataset.FromCrawlSegments(res, sink, filepath.Join(tmp, "data"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
 	s := New(ds, Options{Seed: 9, PathSources: 32, PairSample: 5_000})
 
 	if ds.NumCrawled() >= ds.NumUsers() {

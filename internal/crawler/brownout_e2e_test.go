@@ -37,7 +37,7 @@ func TestBrownoutConvergence(t *testing.T) {
 	ctx := context.Background()
 
 	// Ground truth: a fault-free, unbudgeted crawl.
-	ref, err := Crawl(ctx, Config{
+	ref, err := crawlInRAM(ctx, Config{
 		BaseURL: startService(t, u, gplusd.Options{}),
 		Seeds:   []string{seed}, Workers: 8,
 		FetchIn: true, FetchOut: true,
@@ -144,7 +144,7 @@ func TestBrownoutConvergence(t *testing.T) {
 		burnMu.Unlock()
 	})
 
-	res, err := Crawl(ctx, Config{
+	res, err := crawlInRAM(ctx, Config{
 		BaseURL: brownURL, Seeds: []string{seed}, Workers: 8,
 		FetchIn: true, FetchOut: true,
 		AttemptTimeout:   500 * time.Millisecond,

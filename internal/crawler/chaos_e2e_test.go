@@ -22,7 +22,7 @@ func TestChaosKillResumeConvergence(t *testing.T) {
 	ctx := context.Background()
 
 	// The ground truth: a fault-free, unbudgeted crawl.
-	ref, err := Crawl(ctx, Config{
+	ref, err := crawlInRAM(ctx, Config{
 		BaseURL: startService(t, u, gplusd.Options{}),
 		Seeds:   []string{seed}, Workers: 8,
 		FetchIn: true, FetchOut: true,
@@ -73,7 +73,7 @@ func TestChaosKillResumeConvergence(t *testing.T) {
 	}()
 	cfg1 := chaosCfg
 	cfg1.Journal = j1
-	if _, err := Crawl(killCtx, cfg1); err == nil {
+	if _, err := crawlInRAM(killCtx, cfg1); err == nil {
 		t.Fatal("session 1 finished before the kill; universe too small for this test")
 	}
 	kill()
@@ -110,7 +110,7 @@ func TestChaosKillResumeConvergence(t *testing.T) {
 	cfg2 := chaosCfg
 	cfg2.Resume = prev
 	cfg2.Journal = j2
-	res, err := Crawl(ctx, cfg2)
+	res, err := crawlInRAM(ctx, cfg2)
 	if err != nil {
 		t.Fatalf("session 2: %v", err)
 	}

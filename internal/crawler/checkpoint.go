@@ -72,9 +72,8 @@ func WriteResult(w io.Writer, res *Result) error {
 }
 
 // readResult parses a checkpoint stream back into a Result; like Crawl
-// it hands edges to sink when there is one and accumulates Result.Edges
-// when there is not. Statistics are reconstructed from the stream
-// contents (durations are lost).
+// it hands every edge to sink and leaves Result.Edges empty. Statistics
+// are reconstructed from the stream contents (durations are lost).
 //
 // The stream is read with durable.ReadLog: a final line with no
 // trailing newline — the signature of a mid-append crash (SIGKILL or
@@ -116,9 +115,7 @@ func readResult(r io.Reader, sink EdgeSink) (*Result, error) {
 				return fmt.Errorf("crawler: checkpoint line %d: bad edge", line)
 			}
 			res.Stats.EdgesObserved++
-			if sink == nil {
-				res.Edges = append(res.Edges, Edge{From: from, To: to})
-			} else if err := sink.ObserveEdge(from, to); err != nil {
+			if err := sink.ObserveEdge(from, to); err != nil {
 				return fmt.Errorf("crawler: replaying checkpoint line %d into the edge sink: %w", line, err)
 			}
 		case 'D':
@@ -142,9 +139,25 @@ func readResult(r io.Reader, sink EdgeSink) (*Result, error) {
 
 // LoadCheckpoint reads a checkpoint file or a live journal written by a
 // Journal (same format; a journal may additionally carry a torn final
-// line — see readResult and Stats.TornRecords).
+// line — see readResult and Stats.TornRecords) wholly into memory:
+// Result.Edges holds every E record, in file order.
 func LoadCheckpoint(path string) (*Result, error) {
-	return ReplayJournal(path, nil)
+	var edges edgeList
+	res, err := ReplayJournal(path, &edges)
+	if err != nil {
+		return nil, err
+	}
+	res.Edges = edges
+	return res, nil
+}
+
+// edgeList is the EdgeSink LoadCheckpoint collects Result.Edges with.
+// A replay calls it from one goroutine, so it takes no lock.
+type edgeList []Edge
+
+func (l *edgeList) ObserveEdge(from, to string) error {
+	*l = append(*l, Edge{From: from, To: to})
+	return nil
 }
 
 // ReplayJournal is LoadCheckpoint for a crawl that streams its edges out

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -41,10 +42,22 @@ func buildGraph(res *Result) (*graph.Graph, []string) {
 	return b.Build(), ids
 }
 
+// loadResult is LoadCheckpoint over a stream: readResult into the
+// edgeList sink LoadCheckpoint collects Result.Edges with.
+func loadResult(r io.Reader) (*Result, error) {
+	var edges edgeList
+	res, err := readResult(r, &edges)
+	if err != nil {
+		return nil, err
+	}
+	res.Edges = edges
+	return res, nil
+}
+
 func TestCheckpointRoundTrip(t *testing.T) {
 	u := crawlUniverse(t)
 	url := startService(t, u, gplusd.Options{})
-	res, err := Crawl(context.Background(), Config{
+	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL:     url,
 		Seeds:       []string{seedID(u)},
 		Workers:     4,
@@ -59,7 +72,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := WriteResult(&buf, res); err != nil {
 		t.Fatalf("WriteResult: %v", err)
 	}
-	got, err := readResult(&buf, nil)
+	got, err := loadResult(&buf)
 	if err != nil {
 		t.Fatalf("ReadResult: %v", err)
 	}
@@ -104,7 +117,7 @@ func saveCheckpoint(t *testing.T, path string, res *Result) {
 func TestCheckpointFileAtomic(t *testing.T) {
 	u := crawlUniverse(t)
 	url := startService(t, u, gplusd.Options{})
-	res, err := Crawl(context.Background(), Config{
+	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 2,
 		MaxProfiles: 50, FetchIn: true, FetchOut: true,
 	})
@@ -136,12 +149,12 @@ func TestReadResultRejectsGarbage(t *testing.T) {
 		"Z\n",
 	}
 	for _, c := range cases {
-		if _, err := readResult(bytes.NewBufferString(c), nil); err == nil {
+		if _, err := loadResult(bytes.NewBufferString(c)); err == nil {
 			t.Errorf("garbage %q accepted", c)
 		}
 	}
 	// Empty stream is a valid empty crawl.
-	res, err := readResult(bytes.NewBuffer(nil), nil)
+	res, err := loadResult(bytes.NewBuffer(nil))
 	if err != nil || len(res.Discovered) != 0 {
 		t.Errorf("empty stream: %v, %+v", err, res)
 	}
@@ -167,7 +180,7 @@ func TestReadResultTornTail(t *testing.T) {
 		{"empty", "", nil, 0},
 	}
 	for _, c := range cases {
-		res, err := readResult(bytes.NewBufferString(c.input), nil)
+		res, err := loadResult(bytes.NewBufferString(c.input))
 		if err != nil {
 			t.Errorf("%s: %v", c.name, err)
 			continue
@@ -186,7 +199,7 @@ func TestReadResultTornTail(t *testing.T) {
 	}
 	// A malformed line that IS newline-terminated was written whole:
 	// that is corruption, not a torn append, and still fails the load.
-	if _, err := readResult(bytes.NewBufferString("D aa\nX junk\nD bb\n"), nil); err == nil {
+	if _, err := loadResult(bytes.NewBufferString("D aa\nX junk\nD bb\n")); err == nil {
 		t.Error("terminated malformed line accepted as torn")
 	}
 }
@@ -201,7 +214,7 @@ func TestCheckpointResumeCycleStability(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 
-	reference, err := Crawl(ctx, Config{
+	reference, err := crawlInRAM(ctx, Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,
 		FetchIn: true, FetchOut: true,
 	})
@@ -219,7 +232,7 @@ func TestCheckpointResumeCycleStability(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, err := Crawl(ctx, Config{
+		res, err := crawlInRAM(ctx, Config{
 			BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,
 			MaxProfiles: budget, FetchIn: true, FetchOut: true,
 			Resume: resume,
@@ -274,7 +287,7 @@ func TestResumeCompletesCrawl(t *testing.T) {
 	ctx := context.Background()
 
 	// Session 1: budget-limited.
-	first, err := Crawl(ctx, Config{
+	first, err := crawlInRAM(ctx, Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,
 		MaxProfiles: 400, FetchIn: true, FetchOut: true,
 	})
@@ -290,13 +303,13 @@ func TestResumeCompletesCrawl(t *testing.T) {
 	if err := WriteResult(&buf, first); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := readResult(&buf, nil)
+	restored, err := loadResult(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Session 2: resume with no budget — crawl everything left.
-	second, err := Crawl(ctx, Config{
+	second, err := crawlInRAM(ctx, Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,
 		FetchIn: true, FetchOut: true,
 		Resume: restored,
@@ -306,7 +319,7 @@ func TestResumeCompletesCrawl(t *testing.T) {
 	}
 
 	// A fresh unbudgeted crawl is the reference.
-	reference, err := Crawl(ctx, Config{
+	reference, err := crawlInRAM(ctx, Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,
 		FetchIn: true, FetchOut: true,
 	})
@@ -342,7 +355,7 @@ func TestResumeDoesNotRefetch(t *testing.T) {
 	url := ts.URL
 	ctx := context.Background()
 
-	first, err := Crawl(ctx, Config{
+	first, err := crawlInRAM(ctx, Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,
 		MaxProfiles: 300, FetchIn: true, FetchOut: true,
 	})
@@ -351,7 +364,7 @@ func TestResumeDoesNotRefetch(t *testing.T) {
 	}
 	profilesBefore := served.Value()
 
-	if _, err := Crawl(ctx, Config{
+	if _, err := crawlInRAM(ctx, Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,
 		MaxProfiles: 100, FetchIn: true, FetchOut: true,
 		Resume: first,
@@ -372,7 +385,7 @@ func TestResumeStatsCountSessionOnly(t *testing.T) {
 	url := startService(t, u, gplusd.Options{})
 	ctx := context.Background()
 
-	first, err := Crawl(ctx, Config{
+	first, err := crawlInRAM(ctx, Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,
 		MaxProfiles: 300, FetchIn: true, FetchOut: true,
 	})
@@ -383,7 +396,7 @@ func TestResumeStatsCountSessionOnly(t *testing.T) {
 		t.Errorf("fresh crawl reports %d resumed profiles", first.Stats.ProfilesResumed)
 	}
 
-	second, err := Crawl(ctx, Config{
+	second, err := crawlInRAM(ctx, Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,
 		MaxProfiles: 100, FetchIn: true, FetchOut: true,
 		Resume: first,
@@ -418,7 +431,7 @@ func TestResumeHandBuiltProfilesImplicitlyDiscovered(t *testing.T) {
 		},
 		Discovered: map[string]bool{},
 	}
-	res, err := Crawl(context.Background(), Config{
+	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 2,
 		MaxProfiles: 20, FetchIn: true, FetchOut: true,
 		Resume: prev,
@@ -440,37 +453,31 @@ func TestResumeValidation(t *testing.T) {
 	_, err := Crawl(context.Background(), Config{
 		BaseURL: "http://x", Seeds: []string{"a"},
 		FetchIn: true, FetchOut: true,
-		Resume: &Result{}, // missing maps
+		Resume:   &Result{}, // missing maps
+		EdgeSink: &edgeLog{},
 	})
 	if err == nil {
 		t.Error("resume with nil maps accepted")
-	}
-	// Crawl forwards nothing into a sink: in-RAM resume edges beside one
-	// would silently be a hole in the streamed graph.
-	_, err = Crawl(context.Background(), Config{
-		BaseURL: "http://x", Seeds: []string{"a"},
-		FetchIn: true, FetchOut: true,
-		Resume: &Result{
-			Profiles:   map[string]profile.Profile{},
-			Discovered: map[string]bool{"a": true, "b": true},
-			Edges:      []Edge{{From: "a", To: "b"}},
-		},
-		EdgeSink: sinkFunc(func(from, to string) error { return nil }),
-	})
-	if err == nil {
-		t.Error("resume edges in RAM accepted beside an EdgeSink")
 	}
 }
 
 // TestReplayJournalStreamsEdges: the sink form of the load hands over
 // every E record in file order and keeps none; a sink that fails stops
-// the load instead of resuming over a hole.
+// the load instead of resuming over a hole. LoadCheckpoint, the in-RAM
+// form, returns the same records, in the same order, in Result.Edges.
 func TestReplayJournalStreamsEdges(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "crawl.ckpt")
 	saveCheckpoint(t, path, &Result{
 		Discovered: map[string]bool{"a": true, "b": true, "c": true},
 		Edges:      []Edge{{"a", "b"}, {"c", "a"}, {"a", "b"}},
 	})
+	loaded, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Edge{{"a", "b"}, {"c", "a"}, {"a", "b"}}; !reflect.DeepEqual(loaded.Edges, want) {
+		t.Errorf("LoadCheckpoint returned edges %v, want %v", loaded.Edges, want)
+	}
 	var seen []Edge
 	res, err := ReplayJournal(path, sinkFunc(func(from, to string) error {
 		seen = append(seen, Edge{from, to})
@@ -502,14 +509,14 @@ func TestGraphFromPartialPlusResumeEqualsWhole(t *testing.T) {
 	u := crawlUniverse(t)
 	url := startService(t, u, gplusd.Options{})
 	ctx := context.Background()
-	full, err := Crawl(ctx, Config{
+	full, err := crawlInRAM(ctx, Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,
 		FetchIn: true, FetchOut: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Crawl(ctx, Config{
+	again, err := crawlInRAM(ctx, Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,
 		FetchIn: true, FetchOut: true,
 		Resume: full,

@@ -75,9 +75,9 @@ type Config struct {
 	// profiles fetched in this session, and Stats.ProfilesCrawled
 	// likewise counts only this session's fetches — carried-over
 	// profiles are reported in Stats.ProfilesResumed, and
-	// Resume.Stats.EdgesObserved carries into Stats.EdgesObserved. Beside
-	// an EdgeSink, Resume.Edges must be empty: Crawl forwards nothing, the
-	// caller replayed them into the sink while loading (ReplayJournal).
+	// Resume.Stats.EdgesObserved carries into Stats.EdgesObserved.
+	// Resume.Edges must be empty: Crawl forwards nothing, the caller
+	// replayed them into the EdgeSink while loading (ReplayJournal).
 	Resume *Result
 	// Metrics receives live crawl telemetry when non-nil: frontier and
 	// discovered gauges, profiles/pages/edges counters, the
@@ -100,16 +100,15 @@ type Config struct {
 	// X-Gplus-Trace. nil disables tracing at the cost of a pointer check
 	// per span site.
 	Tracer *trace.Tracer
-	// EdgeSink, when non-nil, receives every observed edge live as circle
-	// pages stream in, instead of accumulating them in Result.Edges — the
-	// out-of-core path for crawls whose edge list would not fit in RAM
-	// (dataset.SegmentSink spools them into compactable disk segments).
-	// The sink sees this session's observations; under Config.Resume the
-	// caller already streamed the earlier sessions' edges into it
-	// (ReplayJournal), so the sink alone holds the complete edge stream;
-	// duplicates between sessions collapse at compaction like any other
-	// re-observed edge. Implementations must be safe for concurrent use
-	// by all workers. A sink write error aborts the crawl.
+	// EdgeSink receives every observed edge live as circle pages stream
+	// in; it is required (dataset.SegmentSink spools them into
+	// compactable disk segments). The sink sees this session's
+	// observations; under Config.Resume the caller already streamed the
+	// earlier sessions' edges into it (ReplayJournal), so the sink alone
+	// holds the complete edge stream; duplicates between sessions
+	// collapse at compaction like any other re-observed edge.
+	// Implementations must be safe for concurrent use by all workers. A
+	// sink write error aborts the crawl.
 	EdgeSink EdgeSink
 	// AIMD shapes the additive-increase/multiplicative-decrease gate that
 	// adapts how many workers may fetch concurrently to 429/503/deadline
@@ -128,6 +127,9 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.BaseURL == "" {
 		return out, errors.New("crawler: BaseURL required")
 	}
+	if out.EdgeSink == nil {
+		return out, errors.New("crawler: EdgeSink required")
+	}
 	if len(out.Seeds) == 0 {
 		return out, errors.New("crawler: at least one seed required")
 	}
@@ -137,7 +139,7 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.Resume != nil && (out.Resume.Profiles == nil || out.Resume.Discovered == nil) {
 		return out, errors.New("crawler: Resume result is missing its profile or discovered maps")
 	}
-	if out.Resume != nil && out.EdgeSink != nil && len(out.Resume.Edges) > 0 {
+	if out.Resume != nil && len(out.Resume.Edges) > 0 {
 		return out, errors.New("crawler: Resume.Edges would never reach the EdgeSink (a hole in the graph); load the journal with ReplayJournal")
 	}
 	if out.Workers <= 0 {
@@ -203,9 +205,11 @@ type Stats struct {
 type Result struct {
 	// Profiles maps user id to the public profile collected.
 	Profiles map[string]profile.Profile
-	// Edges lists every observed relationship, possibly with duplicates
-	// (the same edge can be seen from both endpoints' lists — that is
-	// what recovers links truncated by the circle cap).
+	// Edges lists every E record LoadCheckpoint read, in file order,
+	// possibly with duplicates (the same edge can be seen from both
+	// endpoints' lists — that is what recovers links truncated by the
+	// circle cap). Crawl streams its edges to Config.EdgeSink instead and
+	// leaves Edges empty.
 	Edges []Edge
 	// Discovered holds every user id seen, crawled or not.
 	Discovered map[string]bool
@@ -294,7 +298,6 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 		for id, p := range cfg.Resume.Profiles {
 			res.Profiles[id] = p
 		}
-		res.Edges = append(res.Edges, cfg.Resume.Edges...)
 		res.Stats.EdgesObserved = cfg.Resume.Stats.EdgesObserved
 		res.Stats.ProfilesResumed = len(cfg.Resume.Profiles)
 	}
@@ -303,7 +306,7 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 		if w.sinkErr != nil && sinkErr == nil {
 			sinkErr = w.sinkErr
 		}
-		res.Stats.EdgesObserved += w.edgesSeen
+		res.Stats.EdgesObserved += w.observedEdges
 		for id, p := range w.profiles {
 			res.Profiles[id] = p
 		}
@@ -312,7 +315,6 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 		// each other and from the resumed set: summing their sizes
 		// yields the exact session-only crawl count.
 		res.Stats.ProfilesCrawled += len(w.profiles)
-		res.Edges = append(res.Edges, w.edges...)
 		res.Stats.PagesFetched += w.pages
 		res.Stats.ProfileErrors += w.profileErrs
 		res.Stats.CircleErrors += w.circleErrs
@@ -334,19 +336,18 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 type worker struct {
-	cfg         Config
-	sched       *scheduler
-	tel         *telemetry
-	self        *obs.Counter     // this worker's throughput series
-	gate        *resilience.AIMD // concurrency gate shared by the fleet
-	client      *gplusapi.Client
-	profiles    map[string]profile.Profile
-	edges       []Edge // accumulated only when cfg.EdgeSink is nil
-	edgesSeen   int64
-	sinkErr     error // first EdgeSink failure; set at most once
-	pages       int64
-	profileErrs int
-	circleErrs  int
+	cfg           Config
+	sched         *scheduler
+	tel           *telemetry
+	self          *obs.Counter     // this worker's throughput series
+	gate          *resilience.AIMD // concurrency gate shared by the fleet
+	client        *gplusapi.Client
+	profiles      map[string]profile.Profile
+	observedEdges int64
+	sinkErr       error // first EdgeSink failure; set at most once
+	pages         int64
+	profileErrs   int
+	circleErrs    int
 }
 
 func (w *worker) run(ctx context.Context) {
@@ -546,23 +547,19 @@ func (w *worker) fetchCircle(ctx context.Context, id string, dir gplusapi.Circle
 			w.tel.pages.Inc()
 			w.tel.edges.Add(int64(len(page.IDs)))
 			for _, other := range page.IDs {
-				e := Edge{From: id, To: other}
+				from, to := id, other
 				if dir == gplusapi.CircleIn {
-					e = Edge{From: other, To: id}
+					from, to = other, id
 				}
-				w.edgesSeen++
-				if sink := w.cfg.EdgeSink; sink != nil {
-					if w.sinkErr == nil {
-						if serr := sink.ObserveEdge(e.From, e.To); serr != nil {
-							// A sink that cannot persist edges has already
-							// dropped part of the graph; close the crawl
-							// rather than widen the hole.
-							w.sinkErr = serr
-							w.sched.abort()
-						}
+				w.observedEdges++
+				if w.sinkErr == nil {
+					if serr := w.cfg.EdgeSink.ObserveEdge(from, to); serr != nil {
+						// A sink that cannot persist edges has already
+						// dropped part of the graph; close the crawl
+						// rather than widen the hole.
+						w.sinkErr = serr
+						w.sched.abort()
 					}
-				} else {
-					w.edges = append(w.edges, e)
 				}
 			}
 			// One frontier lock round-trip per page, not one per edge. The

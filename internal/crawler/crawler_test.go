@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,9 +13,9 @@ import (
 
 	"gplus/internal/gplusd"
 	"gplus/internal/graph"
-	"gplus/internal/growth"
 	"gplus/internal/obs"
 	"gplus/internal/obs/rundir"
+	"gplus/internal/profile"
 	"gplus/internal/resilience"
 	"gplus/internal/synth"
 )
@@ -46,6 +47,41 @@ func startService(t *testing.T, u *synth.Universe, opts gplusd.Options) string {
 	return ts.URL
 }
 
+// edgeLog is the tests' EdgeSink: it keeps every observed edge, in
+// arrival order. Safe for concurrent use.
+type edgeLog struct {
+	mu    sync.Mutex
+	edges []Edge
+}
+
+func (l *edgeLog) ObserveEdge(from, to string) error {
+	l.mu.Lock()
+	l.edges = append(l.edges, Edge{From: from, To: to})
+	l.mu.Unlock()
+	return nil
+}
+
+// crawlInRAM is Crawl as gpluscrawl drives it, with the edge stream
+// kept in an edgeLog for the assertions: a resumed result's edges are
+// replayed into the sink first, as ReplayJournal does, and the returned
+// Result carries the sink's whole stream in Edges, as LoadCheckpoint
+// reads a journal back, so two crawls compare by their graphs.
+func crawlInRAM(ctx context.Context, cfg Config) (*Result, error) {
+	sink := &edgeLog{}
+	if cfg.Resume != nil {
+		sink.edges = slices.Clone(cfg.Resume.Edges)
+		resume := *cfg.Resume
+		resume.Edges = nil
+		cfg.Resume = &resume
+	}
+	cfg.EdgeSink = sink
+	res, err := Crawl(ctx, cfg)
+	if res != nil {
+		res.Edges = sink.edges
+	}
+	return res, err
+}
+
 // startRun builds the crawl-side observability stack through the one
 // wiring call gpluscrawl uses. Tests Close the run themselves before
 // reading what it spooled; the cleanup covers early exits.
@@ -68,14 +104,27 @@ func seedID(u *synth.Universe) string {
 
 func TestConfigValidation(t *testing.T) {
 	ctx := context.Background()
-	if _, err := Crawl(ctx, Config{}); err == nil {
-		t.Error("empty config accepted")
+	sink := &edgeLog{}
+	resumed := &Result{
+		Profiles:   map[string]profile.Profile{},
+		Discovered: map[string]bool{"a": true, "b": true},
+		Edges:      []Edge{{From: "a", To: "b"}},
 	}
-	if _, err := Crawl(ctx, Config{BaseURL: "http://x"}); err == nil {
-		t.Error("config without seeds accepted")
-	}
-	if _, err := Crawl(ctx, Config{BaseURL: "http://x", Seeds: []string{"a"}}); err == nil {
-		t.Error("config without directions accepted")
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"empty config", Config{}},
+		{"config without an edge sink", Config{BaseURL: "http://x", Seeds: []string{"a"}, FetchIn: true, FetchOut: true}},
+		{"config without seeds", Config{BaseURL: "http://x", EdgeSink: sink}},
+		{"config without directions", Config{BaseURL: "http://x", Seeds: []string{"a"}, EdgeSink: sink}},
+		// Crawl forwards nothing into the sink: resume edges held in RAM
+		// would silently be a hole in the streamed graph.
+		{"resume carrying edges", Config{BaseURL: "http://x", Seeds: []string{"a"}, FetchIn: true, FetchOut: true, EdgeSink: sink, Resume: resumed}},
+	} {
+		if _, err := Crawl(ctx, c.cfg); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 
@@ -83,7 +132,7 @@ func TestFullCrawlRecoversWCC(t *testing.T) {
 	u := crawlUniverse(t)
 	url := startService(t, u, gplusd.Options{CircleCap: -1})
 
-	res, err := Crawl(context.Background(), Config{
+	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL: url,
 		Seeds:   []string{seedID(u)},
 		Workers: 8,
@@ -132,7 +181,7 @@ func TestCrawlEdgesMatchGroundTruth(t *testing.T) {
 	u := crawlUniverse(t)
 	url := startService(t, u, gplusd.Options{CircleCap: -1})
 
-	res, err := Crawl(context.Background(), Config{
+	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL: url,
 		Seeds:   []string{seedID(u)},
 		Workers: 4,
@@ -163,7 +212,7 @@ func TestCrawlBudgetLeavesFrontier(t *testing.T) {
 	url := startService(t, u, gplusd.Options{})
 
 	const budget = 300
-	res, err := Crawl(context.Background(), Config{
+	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL:     url,
 		Seeds:       []string{seedID(u)},
 		Workers:     6,
@@ -194,7 +243,7 @@ func TestCrawlWithCircleCapAndRecovery(t *testing.T) {
 	// out-lists.
 	url := startService(t, u, gplusd.Options{CircleCap: 50})
 
-	res, err := Crawl(context.Background(), Config{
+	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL: url,
 		Seeds:   []string{seedID(u)},
 		Workers: 8,
@@ -231,7 +280,7 @@ func TestCrawlPoliteness(t *testing.T) {
 		delay  = 20 * time.Millisecond
 	)
 	start := time.Now()
-	res, err := Crawl(context.Background(), Config{
+	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL:     url,
 		Seeds:       []string{seedID(u)},
 		Workers:     1,
@@ -258,7 +307,7 @@ func TestCrawlCancellation(t *testing.T) {
 	url := startService(t, u, gplusd.Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Crawl(ctx, Config{
+	res, err := crawlInRAM(ctx, Config{
 		BaseURL: url,
 		Seeds:   []string{seedID(u)},
 		FetchIn: true, FetchOut: true,
@@ -278,7 +327,7 @@ func TestCrawlSurvivesFaultsAndRateLimits(t *testing.T) {
 		RatePerSecond: 2000,
 		BurstSize:     200,
 	})
-	res, err := Crawl(context.Background(), Config{
+	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL:     url,
 		Seeds:       []string{seedID(u)},
 		Workers:     8,
@@ -294,57 +343,6 @@ func TestCrawlSurvivesFaultsAndRateLimits(t *testing.T) {
 	}
 }
 
-// TestCrawlOverGrowingService reproduces the paper's 45-day collection
-// condition: the service grows while the crawl runs. The crawler must
-// absorb the moving target — discovering users who joined mid-crawl —
-// and still produce a coherent dataset.
-func TestCrawlOverGrowingService(t *testing.T) {
-	gcfg := growth.DefaultConfig()
-	gcfg.Epochs = 5
-	gcfg.InvitationEpochs = 3
-	gcfg.SeedUsers = 200
-	gcfg.MaxUsers = 8_000
-	snaps, err := growth.Simulate(gcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	contents := make([]gplusd.Content, len(snaps))
-	for i := range snaps {
-		ids, profiles := snaps[i].ServableUsers()
-		contents[i] = gplusd.Content{IDs: ids, Profiles: profiles, Graph: snaps[i].Graph}
-	}
-	srv := gplusd.NewEvolving(contents, gplusd.Options{}, 200)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	res, err := Crawl(context.Background(), Config{
-		BaseURL: ts.URL,
-		Seeds:   []string{contents[0].IDs[0]},
-		Workers: 4,
-		FetchIn: true, FetchOut: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	epoch0 := len(contents[0].IDs)
-	final := len(contents[len(contents)-1].IDs)
-	if res.Stats.Discovered <= epoch0 {
-		t.Errorf("crawl discovered %d users, no more than epoch 0's %d — it missed the growth",
-			res.Stats.Discovered, epoch0)
-	}
-	if res.Stats.Discovered > final {
-		t.Errorf("discovered %d users, beyond the final population %d", res.Stats.Discovered, final)
-	}
-	if srv.Epoch() == 0 {
-		t.Error("service never advanced during the crawl")
-	}
-	// The inconsistent snapshots must still yield a valid graph.
-	g, _ := buildGraph(res)
-	if err := g.Validate(); err != nil {
-		t.Fatalf("graph from moving-target crawl invalid: %v", err)
-	}
-}
-
 func TestCrawlAbortsOnErrorBudget(t *testing.T) {
 	u := crawlUniverse(t)
 	// A service that always sheds: every fetch exhausts its retries and
@@ -352,7 +350,7 @@ func TestCrawlAbortsOnErrorBudget(t *testing.T) {
 	// fast knobs keep 32 requeue rounds per id inside the bound below.
 	url := startService(t, u, gplusd.Options{Faults: &gplusd.FaultSpec{Seed: 1, Rules: []gplusd.FaultRule{{Kind: gplusd.FaultUnavailable, Rate: 1}}}})
 	start := time.Now()
-	res, err := Crawl(context.Background(), Config{
+	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL:          url,
 		Seeds:            []string{seedID(u), "x1", "x2", "x3", "x4", "x5", "x6", "x7"},
 		Workers:          4,
@@ -379,7 +377,7 @@ func TestCrawlAbortsOnErrorBudget(t *testing.T) {
 func TestCrawlErrorBudgetDisabledByDefault(t *testing.T) {
 	u := crawlUniverse(t)
 	url := startService(t, u, gplusd.Options{})
-	res, err := Crawl(context.Background(), Config{
+	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL: url,
 		Seeds:   []string{"missing-1", "missing-2", "missing-3", seedID(u)},
 		Workers: 2, MaxProfiles: 50,
@@ -396,7 +394,7 @@ func TestCrawlErrorBudgetDisabledByDefault(t *testing.T) {
 func TestCrawlUnknownSeedSkipped(t *testing.T) {
 	u := crawlUniverse(t)
 	url := startService(t, u, gplusd.Options{})
-	res, err := Crawl(context.Background(), Config{
+	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL:  url,
 		Seeds:    []string{"no-such-user", seedID(u)},
 		Workers:  4,
@@ -438,7 +436,7 @@ func TestCrawlTelemetry(t *testing.T) {
 	url := startService(t, u, gplusd.Options{CircleCap: -1})
 
 	reg := obs.NewRegistry()
-	res, err := Crawl(context.Background(), Config{
+	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL: url,
 		Seeds:   []string{seedID(u)},
 		Workers: 6,
@@ -496,7 +494,7 @@ func TestCrawlErrorSplit(t *testing.T) {
 	defer ts.Close()
 
 	reg := obs.NewRegistry()
-	res, err := Crawl(context.Background(), Config{
+	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL: ts.URL,
 		// One missing seed forces a profile error alongside the injected
 		// circle failures.
@@ -533,7 +531,7 @@ func TestCrawlErrorBudgetCoversBothKinds(t *testing.T) {
 	// Profiles succeed, so only circle errors can exhaust the budget.
 	// Broken circles mean no discovery, so several seeds are needed to
 	// generate enough failures (two per crawled profile).
-	res, err := Crawl(context.Background(), Config{
+	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL:          ts.URL,
 		Seeds:            []string{u.IDs[0], u.IDs[1], u.IDs[2], u.IDs[3]},
 		Workers:          2,
@@ -559,7 +557,7 @@ func TestCrawlCancellationDoesNotInflateErrors(t *testing.T) {
 		time.Sleep(75 * time.Millisecond)
 		cancel()
 	}()
-	res, err := Crawl(ctx, Config{
+	res, err := crawlInRAM(ctx, Config{
 		BaseURL:    url,
 		Seeds:      []string{seedID(u)},
 		Workers:    4,

@@ -38,7 +38,7 @@ func TestDashDemo(t *testing.T) {
 	var screen bytes.Buffer
 	series.Watch(collector, series.CrawlSignals(), series.NewDash(&screen).Frame)
 
-	res, err := Crawl(context.Background(), Config{
+	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,
 		FetchIn: true, FetchOut: true,
 		MaxProfiles:      400,

@@ -18,7 +18,7 @@ func FuzzReadResult(f *testing.F) {
 	f.Add("P {\"id\":\"a\",\"name\":\"n\"}\nD b")
 	f.Add("E a b\nE a")
 	f.Fuzz(func(t *testing.T, data string) {
-		res, err := readResult(bytes.NewBufferString(data), nil)
+		res, err := loadResult(bytes.NewBufferString(data))
 		if err != nil {
 			return // rejected: fine
 		}
@@ -26,7 +26,7 @@ func FuzzReadResult(f *testing.F) {
 		if err := WriteResult(&buf, res); err != nil {
 			t.Fatalf("re-serialize failed: %v", err)
 		}
-		again, err := readResult(&buf, nil)
+		again, err := loadResult(&buf)
 		if err != nil {
 			t.Fatalf("re-parse failed: %v", err)
 		}

@@ -41,7 +41,7 @@ func TestJournalMirrorsCrawl(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenJournal: %v", err)
 	}
-	res, err := Crawl(context.Background(), Config{
+	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,
 		MaxProfiles: 200, FetchIn: true, FetchOut: true,
 		Journal: j,
@@ -96,7 +96,7 @@ func TestCrawlStopsOnEdgeSinkFailure(t *testing.T) {
 		BaseURL: startService(t, u, gplusd.Options{}), Seeds: []string{seedID(u)}, Workers: 4,
 		FetchIn: true, FetchOut: true,
 	}
-	reference, err := Crawl(ctx, cfg)
+	reference, err := crawlInRAM(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCrawlStopsOnEdgeSinkFailure(t *testing.T) {
 	}
 	resumed := cfg
 	resumed.Resume = prev
-	final, err := Crawl(ctx, resumed)
+	final, err := crawlInRAM(ctx, resumed)
 	if err != nil {
 		t.Fatal(err)
 	}

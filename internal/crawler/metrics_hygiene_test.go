@@ -71,7 +71,7 @@ func TestMetricsHygiene(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Crawl(context.Background(), Config{
+	_, err = crawlInRAM(context.Background(), Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,
 		FetchIn: true, FetchOut: true,
 		MaxProfiles: 80,

@@ -117,7 +117,7 @@ func TestContinuousProfilingE2E(t *testing.T) {
 	creg, eng := run.Registry, run.Engine
 	ring := filepath.Join(dir, rundir.ProfilesDir)
 
-	res, err := Crawl(ctx, Config{
+	res, err := crawlInRAM(ctx, Config{
 		BaseURL: brownURL, Seeds: []string{seed}, Workers: 8,
 		FetchIn: true, FetchOut: true,
 		AttemptTimeout:   500 * time.Millisecond,

@@ -103,7 +103,7 @@ func TestCrawlRequeuesOnOverload(t *testing.T) {
 	ts := httptest.NewServer(gate)
 	defer ts.Close()
 
-	res, err := Crawl(context.Background(), Config{
+	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL: ts.URL, Seeds: []string{seed}, Workers: 4,
 		FetchIn: true, FetchOut: true,
 		MaxProfiles:      30,
@@ -154,7 +154,7 @@ func TestCrawlRequeuePacesTheID(t *testing.T) {
 	ts := httptest.NewServer(gate)
 	defer ts.Close()
 
-	res, err := Crawl(context.Background(), Config{
+	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL: ts.URL, Seeds: []string{seed}, Workers: 8,
 		FetchIn: true, FetchOut: true,
 		MaxProfiles:      30,
@@ -180,7 +180,7 @@ func TestCrawlRequeuePacesTheID(t *testing.T) {
 func TestCrawlResilienceMetricsRegistered(t *testing.T) {
 	u := crawlUniverse(t)
 	reg := obs.NewRegistry()
-	_, err := Crawl(context.Background(), Config{
+	_, err := crawlInRAM(context.Background(), Config{
 		BaseURL: startService(t, u, gplusd.Options{}),
 		Seeds:   []string{seedID(u)}, Workers: 2,
 		FetchIn: true, FetchOut: true,

@@ -61,7 +61,7 @@ func TestSeriesChaosReportE2E(t *testing.T) {
 	// Retries ride out the outage (cumulative backoff comfortably spans
 	// 400ms); politeness stretches the crawl so the collector records a
 	// healthy recovery phase after the outage.
-	res, err := Crawl(context.Background(), Config{
+	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,
 		FetchIn: true, FetchOut: true,
 		MaxProfiles:      600,

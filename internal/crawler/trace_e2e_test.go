@@ -43,7 +43,7 @@ func TestTraceSpanPropagationUnderChaos(t *testing.T) {
 	serverRec := trace.NewRecorder(100_000, trace.Rules{})
 	serverTr := trace.New(trace.Config{Recorder: serverRec})
 
-	res, err := Crawl(context.Background(), Config{
+	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL: startService(t, u, traceChaosOptions(serverTr)),
 		Seeds:   []string{seedID(u)}, Workers: 8,
 		FetchIn: true, FetchOut: true,
@@ -163,7 +163,7 @@ func TestHungRequestCapturedAsExemplar(t *testing.T) {
 			{Kind: gplusd.FaultHang, Rate: 1, Endpoint: "profile", Delay: 2 * time.Second},
 		}},
 	})
-	res, err := Crawl(context.Background(), Config{
+	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL: url,
 		Seeds:   []string{seedID(u)}, Workers: 1,
 		FetchIn: true, FetchOut: true,
@@ -225,7 +225,7 @@ func TestTraceDemo(t *testing.T) {
 	serverRec := trace.NewRecorder(100_000, trace.Rules{})
 	serverTr := trace.New(trace.Config{Recorder: serverRec})
 
-	if _, err := Crawl(context.Background(), Config{
+	if _, err := crawlInRAM(context.Background(), Config{
 		BaseURL: startService(t, u, traceChaosOptions(serverTr)),
 		Seeds:   []string{seedID(u)}, Workers: 8,
 		FetchIn: true, FetchOut: true,

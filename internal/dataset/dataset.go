@@ -140,30 +140,6 @@ func rosterFromCrawl(res *crawler.Result, extra []string) *Dataset {
 	return d
 }
 
-// FromCrawl builds a dataset from raw crawl output. Node ids are
-// assigned in sorted service-id order so the construction is
-// deterministic regardless of worker scheduling.
-func FromCrawl(res *crawler.Result) *Dataset {
-	d := rosterFromCrawl(res, nil)
-	ids := d.IDs
-	index := d.idIndex()
-	b := graph.NewBuilder(len(ids), len(res.Edges))
-	for _, e := range res.Edges {
-		from, okFrom := index[e.From]
-		to, okTo := index[e.To]
-		if !okFrom || !okTo {
-			continue // edge to an id outside the discovered set: impossible, but harmless
-		}
-		b.AddEdge(from, to)
-	}
-	if b.NumNodes() < len(ids) {
-		// No edges touched the last ids (isolated seeds).
-		b.EnsureNode(graph.NodeID(len(ids) - 1))
-	}
-	d.Graph = b.Build()
-	return d
-}
-
 // FromUniverse builds a ground-truth dataset directly from a synthetic
 // universe, bypassing HTTP. This is the fast path used by benchmarks and
 // by cmd/gplusgen for large-scale runs.

@@ -35,7 +35,7 @@ func fixtures(t *testing.T) (*synth.Universe, *crawler.Result) {
 		ts := httptest.NewServer(gplusd.New(u, gplusd.Options{}))
 		defer ts.Close()
 		seed := u.IDs[graph.TopByInDegree(u.Graph, 1, 1)[0]]
-		res, err := crawler.Crawl(context.Background(), crawler.Config{
+		res, err := crawlInRAM(context.Background(), crawler.Config{
 			BaseURL: ts.URL,
 			Seeds:   []string{seed},
 			Workers: 4,

@@ -3,6 +3,7 @@ package dataset
 import (
 	"context"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
 	"gplus/internal/crawler"
@@ -26,14 +27,24 @@ func TestResolveCountriesFromRawPlaces(t *testing.T) {
 	ts := httptest.NewServer(gplusd.New(u, gplusd.Options{OmitGeocode: true}))
 	defer ts.Close()
 	seed := u.IDs[graph.TopByInDegree(u.Graph, 1, 1)[0]]
+	tmp := t.TempDir()
+	sink, err := NewSegmentSink(filepath.Join(tmp, ".segments"), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := crawler.Crawl(context.Background(), crawler.Config{
 		BaseURL: ts.URL, Seeds: []string{seed}, Workers: 6,
 		FetchIn: true, FetchOut: true,
+		EdgeSink: sink,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := FromCrawl(res)
+	ds, err := FromCrawlSegments(res, sink, filepath.Join(tmp, "data"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
 
 	// The served data carries no country identifiers.
 	unresolvedBefore := 0

@@ -16,7 +16,8 @@ import (
 // ids are interned to provisional dense ids in first-seen order; the
 // provisional→final permutation is applied when FromCrawlSegments
 // compacts the segments, so the finished dataset is byte-identical to
-// one built by FromCrawl over the same observations.
+// one built in RAM over the same observations (the tests' FromCrawl
+// reference).
 //
 // The interning table lives only in memory, which is why a sink refuses
 // a directory that already holds segments: a crashed crawl resumes by
@@ -73,10 +74,11 @@ var _ crawler.EdgeSink = (*SegmentSink)(nil)
 
 // FromCrawlSegments finishes an out-of-core crawl: it flushes the sink,
 // compacts its segments into <dir>/graph.v2 — remapped from the sink's
-// first-seen interning order to the same sorted-service-id order
-// FromCrawl assigns — writes the profile column, and returns the dataset
-// opened over the memory-mapped graph. Call Close on the returned
-// dataset when done; the segment directory may be deleted afterwards.
+// first-seen interning order to sorted-service-id order, so node ids do
+// not depend on worker scheduling — writes the profile column, and
+// returns the dataset opened over the memory-mapped graph. Call Close on
+// the returned dataset when done; the segment directory may be deleted
+// afterwards.
 func FromCrawlSegments(res *crawler.Result, sink *SegmentSink, dir string, met *diskcsr.Metrics) (*Dataset, error) {
 	sink.mu.Lock()
 	defer sink.mu.Unlock()

@@ -84,7 +84,7 @@ func TestSegmentCrawlMatchesFromCrawl(t *testing.T) {
 		FetchIn: true, FetchOut: true,
 	}
 
-	plainRes, err := crawler.Crawl(context.Background(), base)
+	plainRes, err := crawlInRAM(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}

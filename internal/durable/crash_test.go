@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"regexp"
 	"slices"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -148,6 +149,29 @@ func crawlResult(version string) *crawler.Result {
 	return res
 }
 
+// inRAM builds the dataset res describes, numbered the way the pipeline
+// numbers it (ids in sorted order) with every profile crawled: the
+// reference the saves under test are read back against.
+func inRAM(res *crawler.Result) *dataset.Dataset {
+	d := &dataset.Dataset{}
+	for id := range res.Discovered {
+		d.IDs = append(d.IDs, id)
+	}
+	sort.Strings(d.IDs)
+	node := make(map[string]graph.NodeID, len(d.IDs))
+	for i, id := range d.IDs {
+		node[id] = graph.NodeID(i)
+		d.Profiles = append(d.Profiles, res.Profiles[id])
+		d.Crawled = append(d.Crawled, true)
+	}
+	var pairs []graph.NodeID
+	for _, e := range res.Edges {
+		pairs = append(pairs, node[e.From], node[e.To])
+	}
+	d.Graph = graph.FromEdges(len(d.IDs), pairs...)
+	return d
+}
+
 // observeDataset reloads dir and classifies its graph and profile files.
 func observeDataset(dir string, old, new *dataset.Dataset) func(*testing.T) map[string]bool {
 	return func(t *testing.T) map[string]bool {
@@ -204,7 +228,7 @@ var crashCases = []crashCase{
 		order: []string{"graph.v2", "profiles.jsonl"},
 		build: func(t *testing.T) (func() error, func(*testing.T) map[string]bool) {
 			dir := t.TempDir()
-			old, new := dataset.FromCrawl(crawlResult("old")), dataset.FromCrawl(crawlResult("new"))
+			old, new := inRAM(crawlResult("old")), inRAM(crawlResult("new"))
 			if err := old.SaveV2(dir); err != nil {
 				t.Fatal(err)
 			}
@@ -219,7 +243,7 @@ var crashCases = []crashCase{
 		build: func(t *testing.T) (func() error, func(*testing.T) map[string]bool) {
 			dir := t.TempDir()
 			oldRes, newRes := crawlResult("old"), crawlResult("new")
-			old, new := dataset.FromCrawl(oldRes), dataset.FromCrawl(newRes)
+			old, new := inRAM(oldRes), inRAM(newRes)
 			if err := old.SaveV2(dir); err != nil {
 				t.Fatal(err)
 			}

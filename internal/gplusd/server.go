@@ -21,7 +21,6 @@ import (
 	"gplus/internal/graph"
 	"gplus/internal/obs"
 	"gplus/internal/obs/trace"
-	"gplus/internal/profile"
 	"gplus/internal/resilience"
 	"gplus/internal/synth"
 )
@@ -96,19 +95,10 @@ func (o Options) pageSize() int {
 	return o.PageSize
 }
 
-// Content is what a Server exposes: parallel columns of user ids and
-// public profiles plus the circle graph. synth.Universe and any
-// dataset-shaped source can be served by filling this struct.
-type Content struct {
-	IDs      []string
-	Profiles []profile.Profile
-	Graph    *graph.Graph
-}
-
 // Server serves a synthetic universe. It implements http.Handler and is
 // safe for concurrent use.
 type Server struct {
-	content Content
+	content *synth.Universe
 	opts    Options
 	index   map[string]graph.NodeID
 	mux     *http.ServeMux
@@ -130,19 +120,13 @@ type Server struct {
 
 // New builds a server over a synthetic universe.
 func New(u *synth.Universe, opts Options) *Server {
-	return NewContent(Content{IDs: u.IDs, Profiles: u.Profiles, Graph: u.Graph}, opts)
-}
-
-// NewContent builds a server over arbitrary content — a growth-model
-// snapshot, a previously collected dataset, or a hand-built world.
-func NewContent(c Content, opts Options) *Server {
 	s := &Server{
-		content: c,
+		content: u,
 		opts:    opts,
-		index:   make(map[string]graph.NodeID, len(c.IDs)),
+		index:   make(map[string]graph.NodeID, len(u.IDs)),
 		tracer:  opts.Tracer,
 	}
-	for i, id := range c.IDs {
+	for i, id := range u.IDs {
 		s.index[id] = graph.NodeID(i)
 	}
 	reg := opts.Metrics

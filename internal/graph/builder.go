@@ -22,9 +22,6 @@ func (b *Builder) EnsureNode(id NodeID) {
 	}
 }
 
-// NumNodes returns the current node count.
-func (b *Builder) NumNodes() int { return b.n }
-
 // AddEdge records the directed edge u->v, growing the node count to cover
 // both endpoints. Self-loops and duplicates are accepted here and removed
 // by Build: the Google+ crawl data model has no self-circles and each user
