@@ -8,7 +8,7 @@ GO ?= go
 # the rule set). It is never downloaded — no network access is required.
 STATICCHECK_VERSION ?= 2024.1
 
-.PHONY: all check help build vet test race staticcheck hygiene loc chaos brownout trace-demo dash-demo prof-demo bench bench-hotpath bench-analysis bench-storage paperscale ablations fuzz fuzz-short verify report clean
+.PHONY: all check help build vet test race staticcheck hygiene loc chaos brownout trace-demo dash-demo prof-demo bench-hotpath bench-analysis bench-storage paperscale ablations fuzz fuzz-short verify experiments clean
 
 # Default check path: the tier-1 verify (build + test) plus vet and the
 # race suite over the concurrent packages.
@@ -38,15 +38,14 @@ help:
 	@echo "make trace-demo     chaos crawl with request tracing on both sides"
 	@echo "make dash-demo      short chaos crawl rendered on the live dashboard"
 	@echo "make prof-demo      brownout crawl -> profile ring -> go tool pprof: CPU by label + steady-vs-page diff"
-	@echo "make bench          one benchmark per table/figure"
 	@echo "make bench-hotpath  serving/crawling hot paths -> BENCH_hotpath.json"
 	@echo "make bench-analysis graph analytics at P=1/4/8/NumCPU -> BENCH_analysis.json"
 	@echo "make bench-storage  out-of-core CSR: segment/compact/load/scan -> BENCH_storage.json"
 	@echo "make paperscale     10M-node/200M-edge out-of-core acceptance run (slow; merges RSS rows into BENCH_storage.json)"
-	@echo "make ablations      design-choice ablation experiments"
+	@echo "make ablations      design-choice ablations, seed sensitivity and the lost-edge crawl"
 	@echo "make fuzz           long fuzz of every parser (wire codec and series names included), the multi-source BFS, the triad pass, the edge sort and the CDF sort (30s each)"
 	@echo "make verify         generate a dataset and audit it against the paper"
-	@echo "make report         full Markdown report from a fresh dataset"
+	@echo "make experiments    regenerate the measured half of EXPERIMENTS.md from a fresh dataset"
 
 build:
 	$(GO) build ./...
@@ -168,10 +167,6 @@ prof-demo:
 	$(GO) tool pprof -symbolize=none -top -cum -nodecount=20 -tagroot=phase -normalize \
 	    -diff_base /tmp/gplus-prof-demo/steady.pb.gz /tmp/gplus-prof-demo/profiles/cpu-*-slo-page_*.pb.gz
 
-# One benchmark per table and figure, headline values as custom metrics.
-bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x .
-
 # Serving/crawling hot-path benchmarks (server throughput by client
 # count, scheduler offer/next by worker count, rate limiter, fault
 # injection), recorded as a JSON baseline future PRs can diff against.
@@ -211,9 +206,11 @@ paperscale:
 	    $(GO) test -count=1 -run TestPaperScale -v -timeout 120m ./internal/graph/diskcsr/
 	rm -rf /tmp/gplus-paperscale
 
-# Design-choice ablations and the seed-sensitivity experiment.
+# Design-choice ablations, the seed-sensitivity experiment and the §2.2
+# lost-edge crawl: the experiments of EXPERIMENTS.md that crawl or
+# regenerate a universe, so `make experiments` does not print them.
 ablations:
-	$(GO) test -run '^$$' -bench='Ablation|SeedSensitivity' -benchtime=1x .
+	$(GO) test -run '^$$' -bench='Ablation|SeedSensitivity|LostEdges' -benchtime=1x .
 
 fuzz:
 	$(GO) test -fuzz=FuzzToProfile -fuzztime=30s ./internal/gplusapi/
@@ -248,10 +245,21 @@ verify:
 	$(GO) run ./cmd/gplusgen -nodes 100000 -out /tmp/gplus-verify-data
 	$(GO) run ./cmd/gplusverify -data /tmp/gplus-verify-data
 
-# Full Markdown report (EXPERIMENTS-style) from a fresh dataset.
-report:
-	$(GO) run ./cmd/gplusgen -nodes 100000 -out /tmp/gplus-report-data
-	$(GO) run ./cmd/gplusanalyze -data /tmp/gplus-report-data -format md
+# The measured half of EXPERIMENTS.md: a dataset at the documented size
+# and seeds, the whole study over it as Markdown (audit, every table and
+# figure, Table 4's baselines), written in place between the document's
+# two "generated" marker lines. TestExperimentsGenerated runs these same
+# lines into a temporary directory and fails unless the document's block
+# is what they print.
+EXPERIMENTS_DATA = /tmp/gplus-experiments-data
+
+experiments:
+	$(GO) run ./cmd/gplusgen -nodes 100000 -out $(EXPERIMENTS_DATA)
+	$(GO) run ./cmd/gplusanalyze -data $(EXPERIMENTS_DATA) -format md -baselines > $(EXPERIMENTS_DATA)/measured.md
+	awk -v measured=$(EXPERIMENTS_DATA)/measured.md \
+	    '/^<!-- end generated/ { skip = 0 } !skip { print } /^<!-- begin generated/ { while ((getline line < measured) > 0) print line; skip = 1 }' \
+	    EXPERIMENTS.md > $(EXPERIMENTS_DATA)/EXPERIMENTS.md
+	cp $(EXPERIMENTS_DATA)/EXPERIMENTS.md EXPERIMENTS.md
 
 clean:
-	rm -rf /tmp/gplus-verify-data /tmp/gplus-report-data /tmp/gplus-prof-demo /tmp/gplus-paperscale
+	rm -rf /tmp/gplus-verify-data $(EXPERIMENTS_DATA) /tmp/gplus-prof-demo /tmp/gplus-paperscale

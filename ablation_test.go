@@ -3,7 +3,7 @@ package gplus
 // Ablation benchmarks: each one disables a single mechanism of the
 // synthetic-universe generator and reports how the corresponding paper
 // observable degrades. They document *why* the generator has each knob —
-// run with `go test -bench=Ablation -benchtime=1x`.
+// run with `make ablations`.
 
 import (
 	"context"

@@ -1,329 +1,26 @@
 package gplus
 
-// The benchmark harness: one benchmark per table and figure of the
-// paper. Each benchmark times the analysis that regenerates the
-// experiment and attaches its headline measurements as custom metrics,
-// so a `go test -bench=. -benchmem` run reproduces the study's numbers
-// alongside the cost of computing them.
-//
-// Scale: benchmarks run on a benchNodes-user universe (override with
-// GPLUS_BENCH_NODES). Absolute numbers therefore differ from the paper's
-// 35M-node crawl; EXPERIMENTS.md records the shape comparison.
+// The two root benchmarks that run a service: the §2.2 lost-edge crawl
+// (`make ablations`, beside the ablations and the seed-sensitivity
+// crawls) and the serving hot path (`make bench-hotpath`). Every table
+// and figure of the study is printed by `gplusanalyze`, and
+// `make experiments` writes what it prints into EXPERIMENTS.md.
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strconv"
 	"sync"
 	"testing"
 
 	"gplus/internal/core"
 	"gplus/internal/crawler"
-	"gplus/internal/dataset"
 	"gplus/internal/gplusd"
 	"gplus/internal/graph"
-	"gplus/internal/stats"
 	"gplus/internal/synth"
 )
-
-func benchNodes() int {
-	if v := os.Getenv("GPLUS_BENCH_NODES"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 50_000
-}
-
-var (
-	benchOnce  sync.Once
-	benchStudy *core.Study
-	benchOpts  = core.Options{Seed: 2012, PathSources: 128, PairSample: 50_000}
-)
-
-// study lazily builds the shared ground-truth dataset and Study.
-func study(b *testing.B) *core.Study {
-	b.Helper()
-	benchOnce.Do(func() {
-		u, err := synth.Generate(synth.DefaultConfig(benchNodes()))
-		if err != nil {
-			panic(err)
-		}
-		benchStudy = core.New(dataset.FromUniverse(u), benchOpts)
-	})
-	return benchStudy
-}
-
-// freshStudy is a new Study over the shared dataset. A Study computes
-// each structural stage once, so a benchmark of one builds its Study
-// inside the loop or it times a cache hit.
-func freshStudy(b *testing.B) *core.Study {
-	return core.New(study(b).Dataset(), benchOpts)
-}
-
-func BenchmarkGenerateUniverse(b *testing.B) {
-	cfg := synth.DefaultConfig(20_000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i) + 1
-		u, err := synth.Generate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(graph.AvgDegree(u.Graph), "avg-degree")
-		}
-	}
-}
-
-func BenchmarkTable1TopUsers(b *testing.B) {
-	s := study(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		top := s.TopUsers(20)
-		if i == 0 {
-			it := 0
-			for _, row := range top {
-				if row.Occupation.Code() == "IT" {
-					it++
-				}
-			}
-			b.ReportMetric(float64(it), "IT-of-top20")
-			b.ReportMetric(float64(top[0].InDegree), "top-indegree")
-		}
-	}
-}
-
-func BenchmarkTable2Attributes(b *testing.B) {
-	s := study(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows := s.AttributeTable()
-		if i == 0 {
-			for _, r := range rows {
-				if r.Attr.WireCode() == "places_lived" {
-					b.ReportMetric(100*r.Fraction, "places-lived-%")
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkTable3TelUsers(b *testing.B) {
-	s := study(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cmp := s.TelUsers()
-		if i == 0 {
-			b.ReportMetric(100*float64(cmp.TotalTel)/float64(cmp.TotalAll), "tel-users-%")
-			b.ReportMetric(100*cmp.GenderTel.Share["Male"], "tel-male-%")
-			b.ReportMetric(100*cmp.RelationshipTel.Share["Single"], "tel-single-%")
-		}
-	}
-}
-
-func BenchmarkTable4Topology(b *testing.B) {
-	ctx := context.Background()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		row := freshStudy(b).Topology(ctx)
-		if i == 0 {
-			b.ReportMetric(row.PathLength, "path-length")
-			b.ReportMetric(100*row.Reciprocity, "reciprocity-%")
-			b.ReportMetric(row.AvgDegree, "avg-degree")
-			b.ReportMetric(float64(row.Diameter), "diameter")
-		}
-	}
-}
-
-func BenchmarkTable4Baselines(b *testing.B) {
-	s := study(b)
-	ctx := context.Background()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for _, kind := range []synth.Baseline{synth.TwitterLike, synth.FacebookLike, synth.OrkutLike} {
-			g, err := synth.GenerateBaseline(kind, 20_000, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			row := s.BaselineTopology(ctx, kind.String(), g)
-			if i == 0 && kind == synth.TwitterLike {
-				b.ReportMetric(100*row.Reciprocity, "twitter-reciprocity-%")
-			}
-		}
-	}
-}
-
-func BenchmarkTable5Occupations(b *testing.B) {
-	s := study(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows := s.TopOccupationsByCountry(10)
-		if i == 0 {
-			for _, r := range rows {
-				if r.Country == "CA" {
-					b.ReportMetric(r.Jaccard, "CA-jaccard")
-				}
-				if r.Country == "BR" {
-					b.ReportMetric(r.Jaccard, "BR-jaccard")
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkFig2FieldsCCDF(b *testing.B) {
-	s := study(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		fc := s.FieldsShared()
-		if i == 0 {
-			b.ReportMetric(stats.CCDFAt(fc.All, 7), "all-over6")
-			b.ReportMetric(stats.CCDFAt(fc.Tel, 7), "tel-over6")
-		}
-	}
-}
-
-func BenchmarkFig3DegreeDist(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		dd, err := freshStudy(b).Degrees()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(dd.InFit.Alpha, "in-alpha")
-			b.ReportMetric(dd.OutFit.Alpha, "out-alpha")
-			b.ReportMetric(dd.InFit.R2, "in-R2")
-		}
-	}
-}
-
-func BenchmarkFig4aReciprocity(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rec := freshStudy(b).Reciprocity()
-		if i == 0 {
-			b.ReportMetric(100*rec.Global, "reciprocity-%")
-			b.ReportMetric(100*rec.FractionAbove06, "RR-over-0.6-%")
-		}
-	}
-}
-
-func BenchmarkFig4bClustering(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cl := freshStudy(b).Clustering()
-		if i == 0 {
-			b.ReportMetric(cl.Mean, "mean-CC")
-			b.ReportMetric(100*cl.FractionAbove02, "CC-over-0.2-%")
-		}
-	}
-}
-
-func BenchmarkFig4cSCC(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		scc := freshStudy(b).SCC()
-		if i == 0 {
-			b.ReportMetric(float64(scc.Count), "scc-count")
-			b.ReportMetric(100*scc.GiantFraction, "giant-%")
-		}
-	}
-}
-
-func BenchmarkFig5PathLength(b *testing.B) {
-	ctx := context.Background()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pl := freshStudy(b).PathLengths(ctx)
-		if i == 0 {
-			b.ReportMetric(pl.Directed.Mean(), "directed-avg")
-			b.ReportMetric(pl.Undirected.Mean(), "undirected-avg")
-			b.ReportMetric(float64(pl.Directed.Mode()), "directed-mode")
-		}
-	}
-}
-
-func BenchmarkFig6Countries(b *testing.B) {
-	s := study(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		top := s.TopCountries(10)
-		if i == 0 {
-			for _, c := range top {
-				if c.Country == "US" {
-					b.ReportMetric(100*c.Fraction, "US-share-%")
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkFig7Penetration(b *testing.B) {
-	s := study(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pts := s.Penetration()
-		if i == 0 {
-			var in, us float64
-			for _, p := range pts {
-				switch p.Code {
-				case "IN":
-					in = p.GPR
-				case "US":
-					us = p.GPR
-				}
-			}
-			if us > 0 {
-				b.ReportMetric(in/us, "IN-GPR-over-US")
-			}
-		}
-	}
-}
-
-func BenchmarkFig8CountryOpenness(b *testing.B) {
-	s := study(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows := s.FieldsByCountry(nil)
-		if i == 0 {
-			for _, row := range rows {
-				if row.Country == "ID" || row.Country == "DE" {
-					b.ReportMetric(row.Openness(6), row.Country+"-over6")
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkFig9PathMiles(b *testing.B) {
-	s := study(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pm := s.PathMiles()
-		if i == 0 {
-			b.ReportMetric(cdfUnder(pm.Friends, 1000), "friends-under-1000mi")
-			b.ReportMetric(cdfUnder(pm.Random, 1000), "random-under-1000mi")
-		}
-	}
-}
-
-func BenchmarkFig10CountryLinks(b *testing.B) {
-	s := study(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m := s.CountryLinks()
-		if i == 0 {
-			b.ReportMetric(m.SelfLoop("US"), "US-selfloop")
-			b.ReportMetric(m.SelfLoop("GB"), "GB-selfloop")
-		}
-	}
-}
 
 // BenchmarkLostEdges runs the §2.2 experiment end to end: a budgeted
 // bidirectional crawl through a cap-enforcing HTTP service, then the
@@ -409,18 +106,4 @@ func BenchmarkServerThroughput(b *testing.B) {
 			wg.Wait()
 		})
 	}
-}
-
-// cdfUnder returns P(X < x) from raw samples.
-func cdfUnder(vals []float64, x float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range vals {
-		if v < x {
-			n++
-		}
-	}
-	return float64(n) / float64(len(vals))
 }

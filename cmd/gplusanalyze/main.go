@@ -7,6 +7,12 @@
 //	gplusanalyze -data ./data -only table4,fig5
 //	gplusanalyze -data ./data -only motifs     # exact triangle + triad census
 //	gplusanalyze -data ./data -baselines       # include Table 4 baselines
+//	gplusanalyze -data ./data -format md       # the audit, then each experiment as a Markdown section
+//
+// -format md prints what text prints, one "## <id>" section and fenced
+// block per experiment, under a title, the dataset line and (when -only
+// is not given) the audit table as gplusverify prints it; `make
+// experiments` writes its output into EXPERIMENTS.md.
 //
 // Two subcommands read the run directory gpluscrawl/gplusd write under
 // -obs-dir (series.jsonl, traces.jsonl, exemplars.jsonl); each also
@@ -50,7 +56,6 @@ import (
 	"gplus/internal/obs/series"
 	"gplus/internal/obs/trace"
 	"gplus/internal/report"
-	"gplus/internal/synth"
 )
 
 // readEach hands every source to read, opened. A source that is a
@@ -200,63 +205,12 @@ func run(stdout, stderr io.Writer, args []string) error {
 		baselines = fs.Bool("baselines", false, "regenerate Twitter/Facebook/Orkut-like baselines for Table 4")
 		seed      = fs.Uint64("analysis-seed", 2012, "seed for sampled analyses")
 		circleCap = fs.Int("cap", 10_000, "assumed circle cap for the lost-edge estimate")
-		format    = fs.String("format", "text", "output format: text or md (full Markdown report with audit)")
+		format    = fs.String("format", "text", "output format: text, or md (the text report as Markdown sections, after the audit when -only is not given)")
 		plotDir   = fs.String("plotdir", "", "also write gnuplot-ready figure data + plots.gp here")
 		par       = fs.Int("parallelism", 0, "worker goroutines per graph analysis; results are identical for any value (0 = auto: GOMAXPROCS capped at 8)")
 		mmapGraph = fs.Bool("mmap", false, "serve the graph from the memory-mapped v2 file instead of loading it into RAM; results are byte-identical (a legacy dataset holding only a v1 graph.bin loads in RAM instead)")
 	)
-
-	// The text experiments, in print order. Each calls the per-figure
-	// methods it renders, and a Study computes each structural stage at
-	// most once, so -only pays for exactly the stages its ids name.
-	ctx, w := context.Background(), stdout
-	var study *core.Study // set once the dataset is loaded
-	experiments := []struct {
-		id  string
-		run func() error
-	}{
-		{"table1", func() error { report.Table1(w, study.TopUsers(20)); return nil }},
-		{"table2", func() error { report.Table2(w, study.AttributeTable()); return nil }},
-		{"table3", func() error { report.Table3(w, study.TelUsers()); return nil }},
-		{"table4", func() error {
-			rows := []core.TopologyRow{study.Topology(ctx)}
-			if *baselines {
-				n := max(study.Dataset().NumUsers()/3, 1000)
-				for _, kind := range []synth.Baseline{synth.TwitterLike, synth.FacebookLike, synth.OrkutLike} {
-					g, err := synth.GenerateBaseline(kind, n, *seed)
-					if err != nil {
-						return fmt.Errorf("baseline %v: %w", kind, err)
-					}
-					rows = append(rows, study.BaselineTopology(ctx, kind.String(), g))
-				}
-			}
-			report.Table4(w, rows)
-			return nil
-		}},
-		{"table5", func() error { report.Table5(w, study.TopOccupationsByCountry(10)); return nil }},
-		{"fig2", func() error { report.Fig2(w, study.FieldsShared()); return nil }},
-		{"fig3", func() error {
-			dd, err := study.Degrees()
-			if err == nil {
-				report.Fig3(w, dd)
-			}
-			return err
-		}},
-		{"fig4", func() error { report.Fig4(w, study.Reciprocity(), study.Clustering(), study.SCC()); return nil }},
-		{"fig5", func() error { report.Fig5(w, study.PathLengths(ctx)); return nil }},
-		{"fig6", func() error { report.Fig6(w, study.TopCountries(11)); return nil }},
-		{"fig7", func() error { report.Fig7(w, study.Penetration()); return nil }},
-		{"fig8", func() error { report.Fig8(w, study.FieldsByCountry(nil)); return nil }},
-		{"fig9", func() error { report.Fig9(w, study.PathMiles(), study.AveragePathMiles()); return nil }},
-		{"fig10", func() error { report.Fig10(w, study.CountryLinks()); return nil }},
-		{"connectivity", func() error { report.Connectivity(w, study.WCC(), study.SCC()); return nil }},
-		{"motifs", func() error { m, err := study.Motifs(); report.Motifs(w, m); return err }},
-		{"lostedges", func() error { report.LostEdges(w, study.LostEdges(*circleCap)); return nil }},
-	}
-	ids := make([]string, len(experiments))
-	for i, e := range experiments {
-		ids[i] = e.id
-	}
+	ids := report.ExperimentIDs()
 	only := fs.String("only", "", "comma-separated experiment ids ("+strings.Join(ids, ", ")+"); empty = all")
 	fs.Parse(args) //nolint:errcheck — ExitOnError
 
@@ -270,23 +224,14 @@ func run(stdout, stderr io.Writer, args []string) error {
 			want[id] = true
 		}
 	}
-
-	switch *format {
-	case "text":
-	case "md":
-		// report.Markdown has one form: every section, no baselines, no
-		// lost-edge estimate.
-		var clash error
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "only" || f.Name == "baselines" || f.Name == "cap" {
-				clash = usageError{fmt.Errorf("-%s has no effect on -format md, which always prints the one whole report", f.Name)}
-			}
-		})
-		if clash != nil {
-			return clash
-		}
-	default:
+	if *format != "text" && *format != "md" {
 		return usageError{fmt.Errorf("unknown -format %q (available: text, md)", *format)}
+	}
+	var experiments []report.Experiment
+	for _, e := range report.Experiments(*baselines, *seed, *circleCap) {
+		if len(want) == 0 || want[e.ID] {
+			experiments = append(experiments, e)
+		}
 	}
 
 	logger := log.New(stderr, "", log.LstdFlags)
@@ -308,17 +253,15 @@ func run(stdout, stderr io.Writer, args []string) error {
 	// the recorder collects them so the per-stage wall-clock breakdown can
 	// be printed after the experiments run.
 	rec := trace.NewRecorder(0, trace.Rules{})
-	study = core.New(ds, core.Options{Seed: *seed, Parallelism: *par, Tracer: trace.New(trace.Config{Recorder: rec})})
+	study := core.New(ds, core.Options{Seed: *seed, Parallelism: *par, Tracer: trace.New(trace.Config{Recorder: rec})})
 	defer printStageBreakdown(stderr, rec)
 
+	ctx := context.Background()
 	if *plotDir != "" {
 		if err := report.WritePlotData(*plotDir, study); err != nil {
 			return fmt.Errorf("plot data: %w", err)
 		}
 		logger.Printf("wrote figure data + plots.gp -> %s", *plotDir)
-	}
-	if *format == "md" {
-		return report.Markdown(ctx, w, study)
 	}
 	if len(want) == 0 {
 		// Every stage is wanted, and Structure is what overlaps them.
@@ -326,16 +269,7 @@ func run(stdout, stderr io.Writer, args []string) error {
 			return fmt.Errorf("structural analyses: %w", err)
 		}
 	}
-	for _, e := range experiments {
-		if len(want) > 0 && !want[e.id] {
-			continue
-		}
-		if err := e.run(); err != nil {
-			return fmt.Errorf("%s: %w", e.id, err)
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
+	return report.Print(ctx, stdout, study, experiments, *format == "md", len(want) == 0)
 }
 
 // printStageBreakdown prints where the analysis wall-clock went, slowest

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -186,9 +187,9 @@ func TestCutDumpIsAnalyzedWithAWarning(t *testing.T) {
 
 // TestOnlyPaysForTheStagesItNames drives the study runner in-process:
 // the stage breakdown of an -only run lists exactly the stages behind
-// the experiments it names, and a mistyped id, an unknown -format or a
-// flag -format md would ignore is a usage error instead of a report
-// the command line did not ask for.
+// the experiments it names, -format md honours -only, -baselines and
+// -cap as text does, and a mistyped id or an unknown -format is a usage
+// error instead of a report the command line did not ask for.
 func TestOnlyPaysForTheStagesItNames(t *testing.T) {
 	u, err := synth.Generate(synth.DefaultConfig(2_000))
 	if err != nil {
@@ -202,7 +203,9 @@ func TestOnlyPaysForTheStagesItNames(t *testing.T) {
 	for _, tc := range []struct {
 		only    string
 		plotdir bool
+		more    []string // further arguments
 		stages  []string
+		prints  []string // what stdout must hold
 	}{
 		{only: "fig3", stages: []string{"degrees"}},
 		{only: "table4", stages: []string{"paths", "reciprocity"}},
@@ -212,17 +215,30 @@ func TestOnlyPaysForTheStagesItNames(t *testing.T) {
 		// -plotdir writes Figure 9's CDFs and the text report prints
 		// them: one pair sample serves both.
 		{plotdir: true, stages: all},
+		// md takes -only, -baselines and -cap as text does; the audit
+		// comes with the whole report only.
+		{only: "table2", more: []string{"-format", "md"}, prints: []string{"## table2\n\n```\nTable 2:"}},
+		{more: []string{"-format", "md", "-baselines"}, stages: all, prints: []string{"## audit\n", "Twitter-like", "## lostedges\n"}},
+		{only: "lostedges", more: []string{"-format", "md", "-cap", "5000"}, prints: []string{"Lost edges (cap 5000)"}},
 	} {
-		args := []string{"-data", dir, "-only", tc.only}
+		args := append([]string{"-data", dir, "-only", tc.only}, tc.more...)
 		if tc.plotdir {
 			args = append(args, "-plotdir", t.TempDir())
 		}
 		var stdout, stderr bytes.Buffer
 		if err := run(&stdout, &stderr, args); err != nil {
-			t.Fatalf("-only %q: %v", tc.only, err)
+			t.Fatalf("%v: %v", args, err)
 		}
 		if stdout.Len() == 0 {
 			t.Errorf("-only %q printed nothing", tc.only)
+		}
+		for _, want := range tc.prints {
+			if !strings.Contains(stdout.String(), want) {
+				t.Errorf("%v: output lacks %q:\n%s", args, want, stdout.String())
+			}
+		}
+		if audit := strings.Contains(stdout.String(), "## audit"); audit != (tc.only == "" && slices.Contains(tc.more, "md")) {
+			t.Errorf("%v: audit printed = %v", args, audit)
 		}
 		var stages []string
 		if _, breakdown, ok := strings.Cut(stderr.String(), "analysis stage wall-clock:\n"); ok {
@@ -245,9 +261,6 @@ func TestOnlyPaysForTheStagesItNames(t *testing.T) {
 	}{
 		{study("-only", "tabel4,fig33"), []string{`"tabel4"`, "table4, table5, fig2"}},
 		{study("-format", "json"), []string{"-format", `"json"`, "text, md"}},
-		{study("-format", "md", "-only", "table2"), []string{"-only", "-format md"}},
-		{study("-format", "md", "-baselines"), []string{"-baselines", "-format md"}},
-		{study("-format", "md", "-cap", "5000"), []string{"-cap", "-format md"}},
 		{[]string{"trace", dir}, []string{`"trace"`, "traces, metrics"}},
 		{[]string{"profiles", dir}, []string{`"profiles"`, "traces, metrics"}},
 		{[]string{"traces"}, []string{"no source", "usage: gplusanalyze traces"}},

@@ -20,6 +20,7 @@ import (
 	"gplus/internal/core"
 	"gplus/internal/dataset"
 	"gplus/internal/paper"
+	"gplus/internal/report"
 )
 
 func main() {
@@ -51,30 +52,8 @@ func run(stdout io.Writer, args []string) error {
 	}
 
 	outcomes := paper.Evaluate(results)
-	failed := 0
-	fmt.Fprintf(stdout, "%-26s %-8s %10s %10s  %s\n", "check", "status", "paper", "measured", "claim")
-	for _, o := range outcomes {
-		status := "PASS"
-		if !o.Pass {
-			status = "FAIL"
-			failed++
-		}
-		if o.Check.IsOrdering() {
-			fmt.Fprintf(stdout, "%-26s %-8s %10s %10s  %s\n", o.Check.ID, status, "-", holds(o.Pass), o.Check.Claim)
-		} else {
-			fmt.Fprintf(stdout, "%-26s %-8s %10.4f %10.4f  %s\n", o.Check.ID, status, o.Check.Published, o.Measured, o.Check.Claim)
-		}
-	}
-	fmt.Fprintf(stdout, "\n%d/%d checks passed\n", len(outcomes)-failed, len(outcomes))
-	if failed > 0 {
+	if failed := report.Audit(stdout, outcomes); failed > 0 {
 		return fmt.Errorf("%d of %d checks failed", failed, len(outcomes))
 	}
 	return nil
-}
-
-func holds(pass bool) string {
-	if pass {
-		return "holds"
-	}
-	return "violated"
 }

@@ -4,8 +4,13 @@
 // bidirectional BFS crawler, and the full analysis suite behind every
 // table and figure of the study.
 //
-// The root package holds the benchmark harness (bench_test.go): one
-// benchmark per table and figure, each reporting its headline
-// measurements as benchmark metrics. See DESIGN.md for the system
-// inventory and EXPERIMENTS.md for paper-versus-measured results.
+// The root package holds the repository's gates and its crawl
+// experiments: TestExperimentsGenerated runs `make experiments` and
+// holds EXPERIMENTS.md's generated block to its output byte for byte,
+// hygiene_test.go holds the recipe, heading, package, surface, label
+// and JSON gates, and the benchmarks are the ablations, the
+// seed-sensitivity and lost-edge crawls (`make ablations`) and the
+// serving hot path. Every table and figure is printed by
+// cmd/gplusanalyze. See DESIGN.md for the system inventory and
+// EXPERIMENTS.md for paper-versus-measured results.
 package gplus

@@ -2,6 +2,7 @@ package gplus
 
 import (
 	"flag"
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -18,6 +19,7 @@ import (
 	"testing"
 
 	"gplus/internal/obs/rundir"
+	"gplus/internal/report"
 )
 
 // TestFlagsHaveRecipe is the `make check` gate against knobs nobody
@@ -38,9 +40,14 @@ import (
 // must name a directory holding package main, and each `gplusanalyze
 // <word>` whose word is neither a flag nor a path must be one of the
 // sub-commands gplusanalyze dispatches (a|b alternatives each).
+//
+// EXPERIMENTS.md's sections are held to the recipes they name: every
+// `## ` heading outside the generated block names at least one in
+// backticks, and each must exist (recipes.exists).
 func TestFlagsHaveRecipe(t *testing.T) {
 	var lines, commands []string
 	codeSpan, chained := regexp.MustCompile("`[^`]+`"), regexp.MustCompile(`\|\|?|&&`)
+	have := loadRecipes(t)
 	for _, name := range []string{"README.md", "EXPERIMENTS.md", "Makefile"} {
 		b, err := os.ReadFile(name)
 		if err != nil {
@@ -50,6 +57,11 @@ func TestFlagsHaveRecipe(t *testing.T) {
 		if name == "Makefile" {
 			lines = append(lines, regexp.MustCompile(`(?m)^\t.*`).FindAllString(doc, -1)...)
 			continue
+		}
+		if name == "EXPERIMENTS.md" {
+			for _, msg := range have.staleHeadings(doc) {
+				t.Errorf("EXPERIMENTS.md: %s", msg)
+			}
 		}
 		for i, part := range strings.Split(doc, "```") {
 			if i%2 == 1 { // fenced
@@ -78,6 +90,25 @@ func TestFlagsHaveRecipe(t *testing.T) {
 		})
 	}
 	checkCommandsRun(t, lines)
+	// The heading rule fails a section whose recipe is gone.
+	for _, tc := range []struct {
+		heading string
+		stale   bool
+	}{
+		{"## Figure 2 — fields shared (`gplusanalyze -only fig2`)", false},
+		{"## Figure 2 — fields shared (`BenchmarkFig2FieldsCCDF`)", true},
+		{"## Figures 2 and 99 (`gplusanalyze -only fig2,fig99`)", true},
+		{"## Lost edges (`gplusanalyze -only lostedges`, `BenchmarkLostEdges`)", false},
+		{"## The chaos crawl (`make chaos`)", false},
+		{"## A Markdown report (`make report`)", true},
+		{"## Crawl telemetry (`internal/obs`)", false},
+		{"## Ablations (`go test -bench=Ablation`)", true},
+		{"## Automated audit", true},
+	} {
+		if stale := len(have.staleHeadings("# Doc\n\n"+tc.heading+"\n\nText.\n")) > 0; stale != tc.stale {
+			t.Errorf("heading %q: stale = %v, want %v", tc.heading, stale, tc.stale)
+		}
+	}
 	// check reports each flag that no command running one of the
 	// binaries (by path or through go run) passes.
 	check := func(row string, flags []string, binaries string) {
@@ -137,6 +168,99 @@ func TestFlagsHaveRecipe(t *testing.T) {
 		}
 		t.Logf("%s registers %d flags", row, total)
 	}
+}
+
+// recipes is what a heading of EXPERIMENTS.md may name: the Makefile's
+// targets, the Test, Benchmark and Fuzz functions of the repo, and
+// gplusanalyze's experiment ids.
+type recipes struct {
+	targets, funcs map[string]bool
+	ids            []string
+}
+
+func loadRecipes(t *testing.T) recipes {
+	t.Helper()
+	r := recipes{targets: map[string]bool{}, funcs: map[string]bool{}, ids: report.ExperimentIDs()}
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`).FindAllSubmatch(mk, -1) {
+		r.targets[string(m[1])] = true
+	}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir // .git, .bench_work and the like
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			r.funcs[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// exists reports whether a heading's code span names a recipe that
+// exists: `make <target>`, `gplusanalyze -only <id>,…`, a Test,
+// Benchmark or Fuzz function, or a path in the repo.
+func (r recipes) exists(span string) bool {
+	if target, ok := strings.CutPrefix(span, "make "); ok {
+		return r.targets[target]
+	}
+	if list, ok := strings.CutPrefix(span, "gplusanalyze -only "); ok {
+		for _, id := range strings.Split(list, ",") {
+			if !slices.Contains(r.ids, id) {
+				return false
+			}
+		}
+		return true
+	}
+	if r.funcs[span] {
+		return true
+	}
+	_, err := os.Stat(span)
+	return err == nil
+}
+
+// staleHeadings lists each `## ` heading of doc, outside its fences and
+// its generated block, that names no recipe in backticks or one that
+// does not exist.
+func (r recipes) staleHeadings(doc string) []string {
+	if begin := strings.Index(doc, "\n<!-- begin generated"); begin >= 0 {
+		if end := strings.Index(doc, "\n<!-- end generated"); end > begin {
+			doc = doc[:begin] + doc[end:]
+		}
+	}
+	var stale []string
+	codeSpan := regexp.MustCompile("`([^`]+)`")
+	for i, part := range strings.Split(doc, "```") {
+		if i%2 == 1 {
+			continue // fenced
+		}
+		for _, line := range strings.Split(part, "\n") {
+			if !strings.HasPrefix(line, "## ") {
+				continue
+			}
+			spans := codeSpan.FindAllStringSubmatch(line, -1)
+			if len(spans) == 0 {
+				stale = append(stale, fmt.Sprintf("heading %q names no recipe in backticks", line))
+			}
+			for _, m := range spans {
+				if !r.exists(m[1]) {
+					stale = append(stale, fmt.Sprintf("heading %q names `%s`, which is no Makefile target, gplusanalyze -only list of experiment ids, Test/Benchmark/Fuzz function or repo path", line, m[1]))
+				}
+			}
+		}
+	}
+	return stale
 }
 
 // checkCommandsRun is TestFlagsHaveRecipe's check that the command
@@ -234,12 +358,6 @@ func TestSurfaceReachesPipeline(t *testing.T) {
 		"graph.BFSDistances":          "internal/graph:TestSamplePathLengthsMatchesExactAllPairs",
 		"graph.HasArc":                "internal/graph:TestMotifsAgainstBruteForce",
 		"graph.ClusteringCoefficient": "internal/graph:TestTrianglesMatchClusteringCoefficient",
-		// The paper's §4 place-resolution chain, run over a crawl of a
-		// service that serves no country codes (gplusd.Options.OmitGeocode)
-		// until the pipeline does the same by default.
-		"dataset.Dataset.ResolveCountries": "internal/dataset:TestResolveCountriesFromRawPlaces",
-		"geo.ResolvePlace":                 "internal/dataset:TestResolveCountriesFromRawPlaces",
-		"geo.CountryOf":                    "internal/dataset:TestResolveCountriesFromRawPlaces",
 	}
 	s := loadSurface(t)
 	if len(exceptions) > 20 {

@@ -59,6 +59,8 @@ func TestPartialCrawlReproducesPaperSCCShape(t *testing.T) {
 	}
 
 	scc := s.SCC()
+	t.Logf("crawled %d of %d discovered users: %d SCCs, giant %.1f%% of the nodes",
+		ds.NumCrawled(), ds.NumUsers(), scc.Count, 100*scc.GiantFraction)
 	if scc.GiantFraction >= 0.92 || scc.GiantFraction <= 0.4 {
 		t.Errorf("partial-crawl giant SCC = %.2f, want a substantial but partial fraction (paper 0.70)",
 			scc.GiantFraction)

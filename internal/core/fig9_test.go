@@ -16,8 +16,8 @@ import (
 // pathMilesSerial is the reference Figure 9(a): one question at a time.
 // It walks the profiles for locations, asks graph.HasArc about every
 // random attempt as it is drawn, and measures each pair with
-// geo.HaversineMiles — sharing only the RNG stream, the reservoir and
-// stats.CDF with Study.pathMiles.
+// geo.HaversineMilesCos from the profiles' own coordinates — sharing only
+// the RNG stream, the reservoir and stats.CDF with Study.pathMiles.
 func pathMilesSerial(s *Study) PathMileResult {
 	rng := s.rng(11)
 	var located []graph.NodeID
@@ -43,7 +43,8 @@ func pathMilesSerial(s *Study) PathMileResult {
 	}
 	res := PathMileResult{}
 	dist := func(pair [2]graph.NodeID) float64 {
-		return geo.HaversineMiles(s.ds.Profiles[pair[0]].Loc, s.ds.Profiles[pair[1]].Loc)
+		a, b := s.ds.Profiles[pair[0]].Loc, s.ds.Profiles[pair[1]].Loc
+		return geo.HaversineMilesCos(a, b, geo.CosLat(a), geo.CosLat(b))
 	}
 	for _, pair := range friends.Items() {
 		res.Friends = append(res.Friends, dist(pair))

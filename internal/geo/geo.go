@@ -1,7 +1,7 @@
 // Package geo supplies the geographic machinery of Section 4: haversine
 // distances ("path miles"), a 2011 country reference table (population,
-// Internet users, GDP per capita PPP), place-name resolution for the
-// "places lived" profile field, and the penetration-rate definitions.
+// Internet users, GDP per capita PPP), the gazetteer the synthetic
+// universe places users at, and the penetration-rate definitions.
 package geo
 
 import "math"
@@ -23,14 +23,9 @@ const degToRad = math.Pi / 180
 // few points computes it once per point.
 func CosLat(p Point) float64 { return math.Cos(p.Lat * degToRad) }
 
-// HaversineMiles returns the great-circle distance between two points in
-// miles, the "path mile" metric of §4.4.
-func HaversineMiles(a, b Point) float64 {
-	return HaversineMilesCos(a, b, CosLat(a), CosLat(b))
-}
-
-// HaversineMilesCos is HaversineMiles given cosA = CosLat(a) and cosB =
-// CosLat(b), to the bit.
+// HaversineMilesCos returns the great-circle distance between two points
+// in miles, the "path mile" metric of §4.4, given cosA = CosLat(a) and
+// cosB = CosLat(b).
 func HaversineMilesCos(a, b Point, cosA, cosB float64) float64 {
 	dLat := (b.Lat - a.Lat) * degToRad
 	dLon := (b.Lon - a.Lon) * degToRad

@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 )
 
+// haversineMiles is the distance between a and b with nothing cached.
+func haversineMiles(a, b Point) float64 { return HaversineMilesCos(a, b, CosLat(a), CosLat(b)) }
+
 func TestHaversineKnownDistances(t *testing.T) {
 	ny := Point{40.71, -74.01}
 	la := Point{34.05, -118.24}
@@ -21,7 +24,7 @@ func TestHaversineKnownDistances(t *testing.T) {
 		{"same point", ny, ny, 0, 1e-9},
 	}
 	for _, c := range cases {
-		got := HaversineMiles(c.a, c.b)
+		got := haversineMiles(c.a, c.b)
 		if math.Abs(got-c.want) > c.tol {
 			t.Errorf("%s: got %.1f, want %.1f ± %.1f", c.name, got, c.want, c.tol)
 		}
@@ -30,7 +33,7 @@ func TestHaversineKnownDistances(t *testing.T) {
 
 func TestHaversineAntipodal(t *testing.T) {
 	// Half the Earth's circumference ≈ π * R.
-	got := HaversineMiles(Point{0, 0}, Point{0, 180})
+	got := haversineMiles(Point{0, 0}, Point{0, 180})
 	want := math.Pi * EarthRadiusMiles
 	if math.Abs(got-want) > 1 {
 		t.Errorf("antipodal distance = %v, want %v", got, want)
@@ -47,7 +50,7 @@ func TestHaversinePropertySymmetricNonNegative(t *testing.T) {
 		}
 		a := Point{clamp(lat1, -90, 90), clamp(lon1, -180, 180)}
 		b := Point{clamp(lat2, -90, 90), clamp(lon2, -180, 180)}
-		d1, d2 := HaversineMiles(a, b), HaversineMiles(b, a)
+		d1, d2 := haversineMiles(a, b), haversineMiles(b, a)
 		if math.IsNaN(d1) || d1 < 0 {
 			return false
 		}
@@ -106,40 +109,6 @@ func TestByCode(t *testing.T) {
 	}
 }
 
-func TestResolvePlace(t *testing.T) {
-	cases := []struct {
-		place   string
-		country string
-		ok      bool
-	}{
-		{"Belo Horizonte", "BR", true},
-		{"belo horizonte", "BR", true},
-		{"  London ", "GB", true},
-		{"London, United Kingdom", "GB", true},
-		{"Springfield, United States", "US", true},
-		{"Germany", "DE", true},
-		{"Atlantis", "", false},
-		{"", "", false},
-		{"Nowhere, Atlantis", "", false},
-	}
-	for _, c := range cases {
-		_, code, ok := ResolvePlace(c.place)
-		if ok != c.ok || code != c.country {
-			t.Errorf("ResolvePlace(%q) = %q,%v want %q,%v", c.place, code, ok, c.country, c.ok)
-		}
-	}
-}
-
-func TestResolvePlaceCoordinates(t *testing.T) {
-	loc, _, ok := ResolvePlace("Tokyo")
-	if !ok {
-		t.Fatal("Tokyo should resolve")
-	}
-	if math.Abs(loc.Lat-35.68) > 0.01 || math.Abs(loc.Lon-139.69) > 0.01 {
-		t.Errorf("Tokyo at %+v", loc)
-	}
-}
-
 func TestCitiesPerCountry(t *testing.T) {
 	if got := Cities("US"); len(got) < 3 {
 		t.Errorf("US has %d gazetteer cities, want >= 3", len(got))
@@ -153,17 +122,6 @@ func TestCitiesPerCountry(t *testing.T) {
 		if len(Cities(c.Code)) == 0 {
 			t.Errorf("country %s has no cities", c.Code)
 		}
-	}
-}
-
-func TestCountryOf(t *testing.T) {
-	code, ok := CountryOf(Point{48.9, 2.3}, 500) // near Paris
-	if !ok || code != "FR" {
-		t.Errorf("CountryOf(Paris-ish) = %q,%v", code, ok)
-	}
-	// Middle of the Pacific: nothing within 500 miles.
-	if code, ok := CountryOf(Point{-40, -140}, 500); ok {
-		t.Errorf("Pacific resolved to %q", code)
 	}
 }
 

@@ -1,9 +1,7 @@
 package geo
 
-import "strings"
-
-// City is one entry of the embedded gazetteer used to resolve the
-// free-text "places lived" field into coordinates and a country.
+// City is one entry of the embedded gazetteer the synthetic universe
+// places its users' "places lived" markers at.
 type City struct {
 	Name        string
 	CountryCode string
@@ -11,8 +9,7 @@ type City struct {
 }
 
 // cities is a small gazetteer covering major cities in the study's
-// countries. Free-text resolution only needs to be good enough to mirror
-// the paper's pipeline (place string -> coordinates -> country).
+// countries.
 var cities = []City{
 	{"New York", "US", Point{40.71, -74.01}},
 	{"Los Angeles", "US", Point{34.05, -118.24}},
@@ -58,26 +55,6 @@ var cities = []City{
 	{"Tehran", "IR", Point{35.69, 51.39}},
 }
 
-var cityIndex = func() map[string]City {
-	m := make(map[string]City, len(cities))
-	for _, c := range cities {
-		m[normalizePlace(c.Name)] = c
-	}
-	return m
-}()
-
-var countryNameIndex = func() map[string]Country {
-	m := make(map[string]Country, len(countries))
-	for _, c := range countries {
-		m[normalizePlace(c.Name)] = c
-	}
-	return m
-}()
-
-func normalizePlace(s string) string {
-	return strings.ToLower(strings.TrimSpace(s))
-}
-
 // Cities returns the gazetteer entries for a country code.
 func Cities(countryCode string) []City {
 	var out []City
@@ -87,47 +64,4 @@ func Cities(countryCode string) []City {
 		}
 	}
 	return out
-}
-
-// ResolvePlace maps a free-text "places lived" entry to coordinates and a
-// country code. It accepts "City", "City, Country", or "Country" forms,
-// case-insensitively. ok is false when the place is unknown, mirroring
-// users whose location string the paper's pipeline could not geocode.
-func ResolvePlace(place string) (loc Point, countryCode string, ok bool) {
-	norm := normalizePlace(place)
-	if norm == "" {
-		return Point{}, "", false
-	}
-	if c, found := cityIndex[norm]; found {
-		return c.Loc, c.CountryCode, true
-	}
-	if c, found := countryNameIndex[norm]; found {
-		return c.Centroid, c.Code, true
-	}
-	// "City, Country" or "City, Region, Country": try the first and last
-	// comma-separated components.
-	if i := strings.IndexByte(norm, ','); i >= 0 {
-		first := strings.TrimSpace(norm[:i])
-		last := strings.TrimSpace(norm[strings.LastIndexByte(norm, ',')+1:])
-		if c, found := cityIndex[first]; found {
-			return c.Loc, c.CountryCode, true
-		}
-		if c, found := countryNameIndex[last]; found {
-			return c.Centroid, c.Code, true
-		}
-	}
-	return Point{}, "", false
-}
-
-// CountryOf maps coordinates to the country with the nearest centroid
-// within maxMiles, the fallback the study uses when a profile carries raw
-// coordinates. ok is false when nothing is close enough.
-func CountryOf(loc Point, maxMiles float64) (string, bool) {
-	bestCode, bestDist := "", maxMiles
-	for _, c := range countries {
-		if d := HaversineMiles(loc, c.Centroid); d <= bestDist {
-			bestCode, bestDist = c.Code, d
-		}
-	}
-	return bestCode, bestCode != ""
 }

@@ -69,12 +69,6 @@ type Options struct {
 	// without a header start server-local traces under the tracer's own
 	// sampling rate.
 	Tracer *trace.Tracer
-	// OmitGeocode strips the resolved country from served place markers,
-	// leaving only the free-text name and map coordinates — the view the
-	// paper's crawler actually had, forcing the analysis side to run its
-	// own place resolution (§4: "extracted the coordinates ... and
-	// translated the coordinates into a valid country identifier").
-	OmitGeocode bool
 }
 
 func (o Options) circleCap() int {
@@ -276,11 +270,6 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mProfile.Inc()
 	doc := gplusapi.FromProfile(s.content.IDs[node], &s.content.Profiles[node])
-	if s.opts.OmitGeocode && doc.Place != nil {
-		place := *doc.Place
-		place.Country = ""
-		doc.Place = &place
-	}
 	rb := renderPool.Get().(*renderBuf)
 	defer renderPool.Put(rb)
 	var err error

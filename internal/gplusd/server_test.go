@@ -364,7 +364,7 @@ func TestServerString(t *testing.T) {
 
 // TestResponsesMatchEncodingJSON pins the two hot responses to the bytes
 // json.Encoder produced before the wire codec rendered them: a profile
-// with a place, with and without geocode, and circle pages first, last,
+// with a place, and circle pages first, last,
 // empty and limited, headers included.
 func TestResponsesMatchEncodingJSON(t *testing.T) {
 	u := serverUniverse(t)
@@ -403,33 +403,28 @@ func TestResponsesMatchEncodingJSON(t *testing.T) {
 		}
 		return p
 	}
-	for _, omit := range []bool{false, true} {
-		srv := New(u, Options{OmitGeocode: omit, PageSize: 25})
-		doc := gplusapi.FromProfile(u.IDs[withPlace], &u.Profiles[withPlace])
-		if omit {
-			doc.Place.Country = ""
+	srv := New(u, Options{PageSize: 25})
+	doc := gplusapi.FromProfile(u.IDs[withPlace], &u.Profiles[withPlace])
+	in := u.Graph.In(hub)
+	want := map[string]string{
+		"/people/" + u.IDs[withPlace]:                                            encode(&doc),
+		"/people/" + u.IDs[hub] + "/circles/in":                                  encode(page(in, 0, 25)),
+		"/people/" + u.IDs[hub] + "/circles/in?limit=7":                          encode(page(in, 0, 7)),
+		"/people/" + u.IDs[hub] + "/circles/in?pageToken=25":                     encode(page(in, 25, 50)),
+		fmt.Sprintf("/people/%s/circles/in?pageToken=%d", u.IDs[hub], len(in)-3): encode(page(in, len(in)-3, len(in))),
+		fmt.Sprintf("/people/%s/circles/in?pageToken=%d", u.IDs[hub], len(in)):   encode(page(in, len(in), len(in))),
+	}
+	if lonely >= 0 {
+		want["/people/"+u.IDs[lonely]+"/circles/out"] = `{"ids":[]}` + "\n"
+	}
+	for path, body := range want {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("%s: status %d, content type %q", path, rec.Code, rec.Header().Get("Content-Type"))
 		}
-		in := u.Graph.In(hub)
-		want := map[string]string{
-			"/people/" + u.IDs[withPlace]:                                            encode(&doc),
-			"/people/" + u.IDs[hub] + "/circles/in":                                  encode(page(in, 0, 25)),
-			"/people/" + u.IDs[hub] + "/circles/in?limit=7":                          encode(page(in, 0, 7)),
-			"/people/" + u.IDs[hub] + "/circles/in?pageToken=25":                     encode(page(in, 25, 50)),
-			fmt.Sprintf("/people/%s/circles/in?pageToken=%d", u.IDs[hub], len(in)-3): encode(page(in, len(in)-3, len(in))),
-			fmt.Sprintf("/people/%s/circles/in?pageToken=%d", u.IDs[hub], len(in)):   encode(page(in, len(in), len(in))),
-		}
-		if lonely >= 0 {
-			want["/people/"+u.IDs[lonely]+"/circles/out"] = `{"ids":[]}` + "\n"
-		}
-		for path, body := range want {
-			rec := httptest.NewRecorder()
-			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-			if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
-				t.Errorf("%s: status %d, content type %q", path, rec.Code, rec.Header().Get("Content-Type"))
-			}
-			if got := rec.Body.String(); got != body {
-				t.Errorf("%s (omit geocode %v):\n got %q\nwant %q", path, omit, got, body)
-			}
+		if got := rec.Body.String(); got != body {
+			t.Errorf("%s:\n got %q\nwant %q", path, got, body)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 
 	"gplus/internal/core"
+	"gplus/internal/durable"
 	"gplus/internal/graph"
 	"gplus/internal/stats"
 )
@@ -40,160 +42,130 @@ func WritePlotData(dir string, s *core.Study) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	writeSeries := func(name string, pts []stats.Point) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		fmt.Fprintf(f, "# x y\n")
-		for _, p := range pts {
-			fmt.Fprintf(f, "%g %g\n", p.X, p.Y)
-		}
-		return f.Close()
-	}
-
 	fc, pm := s.FieldsShared(), s.PathMiles()
-	for _, series := range []struct {
-		name string
-		pts  []stats.Point
-	}{
-		{"fig2_all.dat", fc.All}, {"fig2_tel.dat", fc.Tel},
-		{"fig3_in.dat", st.Degrees.In}, {"fig3_out.dat", st.Degrees.Out},
-		{"fig4a_rr.dat", st.Reciprocity.CDF}, {"fig4b_cc.dat", st.Clustering.CDF}, {"fig4c_scc.dat", st.SCC.SizeCCDF},
-		{"fig9a_friends.dat", pm.FriendsCDF}, {"fig9a_reciprocal.dat", pm.ReciprocalCDF}, {"fig9a_random.dat", pm.RandomCDF},
-	} {
-		if err := writeSeries(series.name, series.pts); err != nil {
-			return err
-		}
+	files := []plotFile{
+		{"fig2_all.dat", points(fc.All)}, {"fig2_tel.dat", points(fc.Tel)},
+		{"fig3_in.dat", points(st.Degrees.In)}, {"fig3_out.dat", points(st.Degrees.Out)},
+		{"fig4a_rr.dat", points(st.Reciprocity.CDF)}, {"fig4b_cc.dat", points(st.Clustering.CDF)}, {"fig4c_scc.dat", points(st.SCC.SizeCCDF)},
+		{"fig9a_friends.dat", points(pm.FriendsCDF)}, {"fig9a_reciprocal.dat", points(pm.ReciprocalCDF)}, {"fig9a_random.dat", points(pm.RandomCDF)},
+		{"fig5_directed.dat", hops(st.Paths.Directed.Probability())},
+		{"fig5_undirected.dat", hops(st.Paths.Undirected.Probability())},
+		{"fig6_countries.dat", countries(s.TopCountries(11))},
 	}
-
-	if err := writeHops(filepath.Join(dir, "fig5_directed.dat"), st.Paths.Directed.Probability()); err != nil {
-		return err
-	}
-	if err := writeHops(filepath.Join(dir, "fig5_undirected.dat"), st.Paths.Undirected.Probability()); err != nil {
-		return err
-	}
-
-	if err := writeCountries(filepath.Join(dir, "fig6_countries.dat"), s.TopCountries(11)); err != nil {
-		return err
-	}
-
 	for _, row := range s.FieldsByCountry(nil) {
-		if err := writeSeries(fmt.Sprintf("fig8_%s.dat", row.Country), row.CCDF); err != nil {
+		files = append(files, plotFile{fmt.Sprintf("fig8_%s.dat", row.Country), points(row.CCDF)})
+	}
+	files = append(files,
+		plotFile{"fig10_matrix.dat", matrix(s.CountryLinks())},
+		plotFile{"fig4b_ck.dat", ck(st.Clustering.ByDegree)},
+		plotFile{"motifs.dat", motifs(st.Motifs)},
+		plotFile{"plots.gp", func(w io.Writer) { fmt.Fprint(w, gnuplotScript) }},
+	)
+	for _, f := range files {
+		if err := f.write(dir); err != nil {
 			return err
 		}
 	}
-
-	if err := writeMatrix(filepath.Join(dir, "fig10_matrix.dat"), s.CountryLinks()); err != nil {
-		return err
-	}
-
-	if err := writeCk(filepath.Join(dir, "fig4b_ck.dat"), st.Clustering.ByDegree); err != nil {
-		return err
-	}
-	if err := writeMotifs(filepath.Join(dir, "motifs.dat"), st.Motifs); err != nil {
-		return err
-	}
-
-	return writeGnuplotScript(filepath.Join(dir, "plots.gp"))
+	return nil
 }
 
-// writeCk writes the exact mean-clustering-by-out-degree curve.
-func writeCk(path string, curve []graph.DegreeClustering) error {
-	f, err := os.Create(path)
+// plotFile is one file of WritePlotData and what it holds.
+type plotFile struct {
+	name  string
+	print func(w io.Writer)
+}
+
+// write writes the file under dir through durable.WriteFile, buffered:
+// it appears whole or not at all, and a failed write (a full disk) is
+// returned, naming the file.
+func (f plotFile) write(dir string) error {
+	path := filepath.Join(dir, f.name)
+	err := durable.WriteFile(path, func(file *os.File) error {
+		bw := bufio.NewWriter(file)
+		f.print(bw)
+		return bw.Flush() // a bufio.Writer keeps its first error
+	})
 	if err != nil {
-		return err
+		return fmt.Errorf("writing %s: %w", path, err)
 	}
-	defer f.Close()
-	fmt.Fprintf(f, "# degree nodes meanCC\n")
-	for _, d := range curve {
-		fmt.Fprintf(f, "%d %d %g\n", d.Degree, d.N, d.Mean)
-	}
-	return f.Close()
+	return nil
 }
 
-// writeMotifs writes the triad census, one class per row. A count that
+func points(pts []stats.Point) func(w io.Writer) {
+	return func(w io.Writer) {
+		fmt.Fprintf(w, "# x y\n")
+		for _, p := range pts {
+			fmt.Fprintf(w, "%g %g\n", p.X, p.Y)
+		}
+	}
+}
+
+// ck prints the exact mean-clustering-by-out-degree curve.
+func ck(curve []graph.DegreeClustering) func(w io.Writer) {
+	return func(w io.Writer) {
+		fmt.Fprintf(w, "# degree nodes meanCC\n")
+		for _, d := range curve {
+			fmt.Fprintf(w, "%d %d %g\n", d.Degree, d.N, d.Mean)
+		}
+	}
+}
+
+// motifs prints the triad census, one class per row. A count that
 // overflowed (Counts[Triad003] == -1) stays out of the plot, behind a
 // comment.
-func writeMotifs(path string, m core.MotifResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "# index triad count\n")
-	if m.Census == nil {
-		return f.Close()
-	}
-	for cls, n := range m.Census.Counts {
-		if n < 0 {
-			fmt.Fprintf(f, "# %d %s overflow\n", cls, graph.TriadClass(cls))
-			continue
+func motifs(m core.MotifResult) func(w io.Writer) {
+	return func(w io.Writer) {
+		fmt.Fprintf(w, "# index triad count\n")
+		if m.Census == nil {
+			return
 		}
-		fmt.Fprintf(f, "%d %s %d\n", cls, graph.TriadClass(cls), n)
-	}
-	return f.Close()
-}
-
-func writeHops(path string, prob []float64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "# hops probability\n")
-	for h, p := range prob {
-		fmt.Fprintf(f, "%d %g\n", h, p)
-	}
-	return f.Close()
-}
-
-func writeCountries(path string, shares []core.CountryShare) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "# index country fraction\n")
-	for i, c := range shares {
-		fmt.Fprintf(f, "%d %s %g\n", i, c.Country, c.Fraction)
-	}
-	return f.Close()
-}
-
-func writeMatrix(path string, m core.CountryLinkMatrix) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "# row-normalized link weights; columns:")
-	for _, c := range m.Countries {
-		fmt.Fprintf(f, " %s", c)
-	}
-	fmt.Fprintln(f)
-	for i, row := range m.Weight {
-		fmt.Fprintf(f, "%s", m.Countries[i])
-		for _, v := range row {
-			fmt.Fprintf(f, " %.4f", v)
+		for cls, n := range m.Census.Counts {
+			if n < 0 {
+				fmt.Fprintf(w, "# %d %s overflow\n", cls, graph.TriadClass(cls))
+				continue
+			}
+			fmt.Fprintf(w, "%d %s %d\n", cls, graph.TriadClass(cls), n)
 		}
-		fmt.Fprintln(f)
 	}
-	return f.Close()
 }
 
-func writeGnuplotScript(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+func hops(prob []float64) func(w io.Writer) {
+	return func(w io.Writer) {
+		fmt.Fprintf(w, "# hops probability\n")
+		for h, p := range prob {
+			fmt.Fprintf(w, "%d %g\n", h, p)
+		}
 	}
-	defer f.Close()
-	return writeScriptBody(f)
 }
 
-func writeScriptBody(w io.Writer) error {
-	_, err := fmt.Fprint(w, `# Render the study's figures: gnuplot plots.gp
+func countries(shares []core.CountryShare) func(w io.Writer) {
+	return func(w io.Writer) {
+		fmt.Fprintf(w, "# index country fraction\n")
+		for i, c := range shares {
+			fmt.Fprintf(w, "%d %s %g\n", i, c.Country, c.Fraction)
+		}
+	}
+}
+
+func matrix(m core.CountryLinkMatrix) func(w io.Writer) {
+	return func(w io.Writer) {
+		fmt.Fprintf(w, "# row-normalized link weights; columns:")
+		for _, c := range m.Countries {
+			fmt.Fprintf(w, " %s", c)
+		}
+		fmt.Fprintln(w)
+		for i, row := range m.Weight {
+			fmt.Fprintf(w, "%s", m.Countries[i])
+			for _, v := range row {
+				fmt.Fprintf(w, " %.4f", v)
+			}
+			fmt.Fprintln(w)
+		}
+	}
+}
+
+// gnuplotScript renders the figures from the files beside it.
+const gnuplotScript = `# Render the study's figures: gnuplot plots.gp
 set terminal pngcairo size 800,600
 
 set output 'fig2.png'
@@ -239,6 +211,4 @@ set logscale y
 set xlabel 'Triad class'; set ylabel 'Count'
 plot 'motifs.dat' using 1:($3 > 0 ? $3 : 1/0):xtic(2) with boxes notitle
 unset logscale
-`)
-	return err
-}
+`

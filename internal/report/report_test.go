@@ -2,6 +2,8 @@ package report
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 
 	"gplus/internal/core"
 	"gplus/internal/dataset"
+	"gplus/internal/durable"
 	"gplus/internal/graph"
 	"gplus/internal/obs/trace"
 	"gplus/internal/paper"
@@ -132,32 +135,52 @@ func TestFigureRenderers(t *testing.T) {
 	}
 }
 
+// TestMarkdownReport: -format md is the text report, section by
+// section: after the title and the dataset line (and the audit table as
+// gplusverify prints it, when every experiment is asked for), each
+// experiment is a "## <id>" heading over a fenced block holding exactly
+// the lines the text report prints for it.
 func TestMarkdownReport(t *testing.T) {
-	var sb strings.Builder
-	if err := Markdown(context.Background(), &sb, study(t)); err != nil {
+	s, ctx := study(t), context.Background()
+	report := func(exps []Experiment, md, audit bool) string {
+		t.Helper()
+		var sb strings.Builder
+		if err := Print(ctx, &sb, s, exps, md, audit); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	results, err := paper.Collect(ctx, s)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{
-		"# Google+ reproduction report",
-		"## Audit against the published findings",
-		"checks passed",
-		"## Table 2",
-		"| Gender |",
-		"## Table 5",
-		"Fig 4(a): global reciprocity",
-		"## Motif census — exact directed triads",
-		"| 030T |",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("markdown missing %q", want)
+	var audit strings.Builder
+	Audit(&audit, paper.Evaluate(results))
+	ds := s.Dataset()
+	header := fmt.Sprintf("# Google+ reproduction report\n\nDataset: %d users (%d crawled), %d edges.\n\n",
+		ds.NumUsers(), ds.NumCrawled(), ds.View().NumEdges())
+
+	exps := Experiments(true, 1, 150)
+	var text, sections strings.Builder
+	for _, e := range exps {
+		one := report([]Experiment{e}, false, false)
+		if !strings.HasSuffix(one, "\n\n") {
+			t.Fatalf("%s: text does not end in a blank line: %q", e.ID, one)
 		}
+		text.WriteString(one)
+		sections.WriteString("## " + e.ID + "\n\n```\n" + strings.TrimSuffix(one, "\n") + "```\n\n")
 	}
-	// Markdown tables must be well-formed: every table line has pipes.
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "| ") && !strings.HasSuffix(line, "|") {
-			t.Errorf("broken table row: %q", line)
-		}
+	if got := report(exps, false, false); got != text.String() {
+		t.Errorf("the text report is not its experiments one after another:\n%s", got)
+	}
+	if got, want := report(exps, true, true), header+"## audit\n\n```\n"+audit.String()+"```\n\n"+sections.String(); got != want {
+		t.Errorf("md report:\n%s\nwant:\n%s", got, want)
+	}
+	if got, want := report(exps[3:4], true, false), header+"## table4\n\n```\n"+strings.TrimSuffix(report(exps[3:4], false, false), "\n")+"```\n\n"; got != want {
+		t.Errorf("md report of table4 alone:\n%s\nwant:\n%s", got, want)
+	}
+	if !strings.Contains(audit.String(), "checks passed") || !strings.Contains(sections.String(), "Twitter-like") {
+		t.Errorf("audit or baselines missing:\n%s%s", audit.String(), sections.String())
 	}
 }
 
@@ -185,6 +208,34 @@ func TestWritePlotData(t *testing.T) {
 	}
 }
 
+// TestWritePlotDataReportsAFailedFile: a plot file whose write fails (a
+// full disk, here a failed durability step) is WritePlotData's error,
+// naming the file, and leaves neither that file nor its temp file
+// behind.
+func TestWritePlotDataReportsAFailedFile(t *testing.T) {
+	dir := t.TempDir()
+	failed := filepath.Join(dir, "fig5_directed.dat")
+	boom := errors.New("no space left on device")
+	durable.StepHook = func(path, step string) error {
+		if path == failed && step == "written" {
+			return boom
+		}
+		return nil
+	}
+	defer func() { durable.StepHook = nil }()
+	err := WritePlotData(dir, study(t))
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), failed) {
+		t.Fatalf("WritePlotData = %v, want %v naming %s", err, boom, failed)
+	}
+	left, _ := filepath.Glob(filepath.Join(dir, "*fig5_directed.dat*"))
+	if len(left) > 0 {
+		t.Errorf("a failed write left %v behind", left)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "fig2_all.dat")); err != nil {
+		t.Errorf("the files before the failed one are missing: %v", err)
+	}
+}
+
 // TestPlotDataAndMarkdownShareOneStructure pins the -plotdir fix: plot
 // data, the audit's Collect and the Markdown report (audit included) of
 // one study, in any order and beside the per-figure calls of the text
@@ -209,7 +260,7 @@ func TestPlotDataAndMarkdownShareOneStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Markdown(ctx, io.Discard, s); err != nil {
+	if err := Print(ctx, io.Discard, s, Experiments(false, 3, 10_000), true, true); err != nil {
 		t.Fatal(err)
 	}
 	if results.Topology != row || row.PathLength != results.Paths.Directed.Mean() || row.Reciprocity != results.Reciprocity.Global {
@@ -237,11 +288,11 @@ func TestMotifsDatSkipsOverflow(t *testing.T) {
 	census := &graph.MotifCensus{}
 	census.Counts[graph.Triad003] = -1
 	census.Counts[graph.Triad012] = 7
-	path := filepath.Join(t.TempDir(), "motifs.dat")
-	if err := writeMotifs(path, core.MotifResult{Census: census}); err != nil {
+	dir := t.TempDir()
+	if err := (plotFile{"motifs.dat", motifs(core.MotifResult{Census: census})}).write(dir); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join(dir, "motifs.dat"))
 	if err != nil {
 		t.Fatal(err)
 	}
