@@ -43,7 +43,7 @@ help:
 	@echo "make bench-storage  out-of-core CSR: segment/compact/load/scan -> BENCH_storage.json"
 	@echo "make paperscale     10M-node/200M-edge out-of-core acceptance run (slow; merges RSS rows into BENCH_storage.json)"
 	@echo "make ablations      design-choice ablations, seed sensitivity and the lost-edge crawl"
-	@echo "make fuzz           long fuzz of every parser (wire codec and series names included), the multi-source BFS, the triad pass, the edge sort and the CDF sort (30s each)"
+	@echo "make fuzz           long fuzz of every parser (wire codec and series names included), the client's request URLs, the multi-source BFS, the triad pass, the edge sort and the CDF sort (30s each)"
 	@echo "make verify         generate a dataset and audit it against the paper"
 	@echo "make experiments    regenerate the measured half of EXPERIMENTS.md from a fresh dataset"
 
@@ -215,6 +215,7 @@ ablations:
 fuzz:
 	$(GO) test -fuzz=FuzzToProfile -fuzztime=30s ./internal/gplusapi/
 	$(GO) test -fuzz=FuzzWireCodec -fuzztime=30s ./internal/gplusapi/
+	$(GO) test -fuzz=FuzzRequestURL -fuzztime=30s ./internal/gplusapi/
 	$(GO) test -fuzz=FuzzReadBinary -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzMultiSourceBFS -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzTriads -fuzztime=30s ./internal/graph/

@@ -1,7 +1,6 @@
 package crawler
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"sync"
@@ -20,7 +19,6 @@ const benchPageSize = 100
 func benchSchedulerOffer(b *testing.B, workers int, single bool) {
 	s := newScheduler(0)
 	s.tel = newTelemetry(nil, 0)
-	ctx := context.Background()
 	per := b.N/workers + 1
 	var wg sync.WaitGroup
 	b.ReportAllocs()
@@ -43,7 +41,7 @@ func benchSchedulerOffer(b *testing.B, workers int, single bool) {
 				} else {
 					s.offerBatch(page)
 				}
-				if _, ok := s.next(ctx); ok {
+				if _, ok := s.next(); ok {
 					s.finish()
 				}
 			}

@@ -255,10 +255,14 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 		tel.torn.Add(int64(cfg.Resume.Stats.TornRecords))
 	}
 	sched.offerBatch(cfg.Seeds)
+	// Cancellation closes the frontier, waking every worker blocked in
+	// next: one registration for the whole crawl.
+	defer context.AfterFunc(ctx, sched.abort)()
 
 	workers := make([]*worker, cfg.Workers)
 	var wg sync.WaitGroup
 	for i := range workers {
+		transport := newWorkerTransport()
 		w := &worker{
 			cfg:   cfg,
 			sched: sched,
@@ -267,7 +271,7 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 			gate:  gate,
 			client: &gplusapi.Client{
 				BaseURL:        cfg.BaseURL,
-				HTTPClient:     newWorkerHTTPClient(),
+				Transport:      transport,
 				CrawlerID:      workerName(i),
 				MaxRetries:     cfg.MaxRetries,
 				BackoffBase:    cfg.RetryBackoffBase,
@@ -284,7 +288,7 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer w.client.HTTPClient.CloseIdleConnections() // the transport is this worker's own
+			defer transport.CloseIdleConnections() // the transport is this worker's own
 			w.run(ctx)
 		}()
 	}
@@ -342,6 +346,7 @@ type worker struct {
 	self          *obs.Counter     // this worker's throughput series
 	gate          *resilience.AIMD // concurrency gate shared by the fleet
 	client        *gplusapi.Client
+	labels        workerLabels
 	profiles      map[string]profile.Profile
 	observedEdges int64
 	sinkErr       error // first EdgeSink failure; set at most once
@@ -350,30 +355,45 @@ type worker struct {
 	circleErrs    int
 }
 
+// workerLabels are a worker's pprof label sets, built once: its identity
+// alone, and its identity plus the phase and endpoint of each fetch. The
+// contexts only carry labels for pprof.SetGoroutineLabels; requests run
+// under the crawl's context.
+type workerLabels struct {
+	idle, profile, circles context.Context
+}
+
 func (w *worker) run(ctx context.Context) {
-	// Every CPU sample this worker produces carries its identity; the
-	// crawl phases below layer their own labels on top, so the
-	// continuous profiler can split cost by (worker, phase, endpoint).
-	pprof.Do(ctx, pprof.Labels(obs.KeyWorker, w.client.CrawlerID), func(ctx context.Context) {
-		for {
-			id, ok := w.sched.next(ctx)
-			if !ok {
-				return
-			}
-			// The AIMD gate is acquired only after an id is claimed: a worker
-			// blocked here holds a claim, so the scheduler's completion
-			// detection (inflight > 0) stays correct while the gate throttles.
-			if w.gate.Acquire(ctx) {
-				before := w.profileErrs + w.circleErrs
-				w.crawlOne(ctx, id)
-				w.gate.Release()
-				if after := w.profileErrs + w.circleErrs; after > before {
-					w.sched.recordErrors(after - before)
-				}
-			}
-			w.sched.finish()
+	// Every CPU sample this worker produces carries its identity, and a
+	// fetch's samples its phase and endpoint too, so the continuous
+	// profiler can split cost by (worker, phase, endpoint). The server
+	// labels its side of a request with the same endpoint spelling.
+	idle := pprof.WithLabels(ctx, pprof.Labels(obs.KeyWorker, w.client.CrawlerID))
+	w.labels = workerLabels{
+		idle:    idle,
+		profile: pprof.WithLabels(idle, pprof.Labels(obs.KeyPhase, obs.PhaseFetchProfile, obs.KeyEndpoint, obs.EndpointProfile)),
+		circles: pprof.WithLabels(idle, pprof.Labels(obs.KeyPhase, obs.PhaseCirclePage, obs.KeyEndpoint, obs.EndpointCircles)),
+	}
+	pprof.SetGoroutineLabels(idle)
+	defer pprof.SetGoroutineLabels(ctx)
+	for {
+		id, ok := w.sched.next()
+		if !ok {
+			return
 		}
-	})
+		// The AIMD gate is acquired only after an id is claimed: a worker
+		// blocked here holds a claim, so the scheduler's completion
+		// detection (inflight > 0) stays correct while the gate throttles.
+		if w.gate.Acquire(ctx) {
+			before := w.profileErrs + w.circleErrs
+			w.crawlOne(ctx, id)
+			w.gate.Release()
+			if after := w.profileErrs + w.circleErrs; after > before {
+				w.sched.recordErrors(after - before)
+			}
+		}
+		w.sched.finish()
+	}
 }
 
 // maxRequeuePause caps how long a worker honors a server pacing hint
@@ -433,14 +453,10 @@ func (w *worker) crawlOne(ctx context.Context, id string) {
 		root.Annotate(obs.KeyWorker, w.client.CrawlerID)
 		defer root.Finish()
 	}
-	var (
-		doc *gplusapi.ProfileDoc
-		err error
-	)
 	fctx, fsp := w.cfg.Tracer.StartSpan(ctx, obs.PhaseFetchProfile)
-	pprof.Do(fctx, pprof.Labels(obs.KeyPhase, obs.PhaseFetchProfile), func(fctx context.Context) {
-		doc, err = w.client.FetchProfile(fctx, id)
-	})
+	pprof.SetGoroutineLabels(w.labels.profile)
+	doc, err := w.client.FetchProfile(fctx, id)
+	pprof.SetGoroutineLabels(w.labels.idle)
 	fsp.SetError(err)
 	fsp.Finish()
 	if err != nil {
@@ -531,47 +547,15 @@ func (w *worker) fetchCircle(ctx context.Context, id string, dir gplusapi.Circle
 			psp.Annotate("dir", string(dir))
 			psp.Annotate("page", strconv.Itoa(pageN))
 		}
-		var (
-			page *gplusapi.CirclePage
-			err  error
-		)
 		// The whole page pipeline — fetch, edge accounting, frontier
 		// offer, journal append — shares one phase label, so by-phase CPU
 		// attribution matches the trace span of the same name.
-		pprof.Do(pctx, pprof.Labels(obs.KeyPhase, obs.PhaseCirclePage), func(pctx context.Context) {
-			page, err = w.client.FetchCircle(pctx, id, dir, token, 0)
-			if err != nil {
-				return
-			}
-			w.pages++
-			w.tel.pages.Inc()
-			w.tel.edges.Add(int64(len(page.IDs)))
-			for _, other := range page.IDs {
-				from, to := id, other
-				if dir == gplusapi.CircleIn {
-					from, to = other, id
-				}
-				w.observedEdges++
-				if w.sinkErr == nil {
-					if serr := w.cfg.EdgeSink.ObserveEdge(from, to); serr != nil {
-						// A sink that cannot persist edges has already
-						// dropped part of the graph; close the crawl
-						// rather than widen the hole.
-						w.sinkErr = serr
-						w.sched.abort()
-					}
-				}
-			}
-			// One frontier lock round-trip per page, not one per edge. The
-			// scheduler journals the page's newly-discovered ids; the edges
-			// are journaled here, where the direction is known.
-			_, osp := w.cfg.Tracer.StartSpan(pctx, "sched.offer")
-			w.sched.offerBatch(page.IDs)
-			osp.Finish()
-			_, jsp := w.cfg.Tracer.StartSpan(pctx, "journal.append")
-			w.cfg.Journal.circlePage(id, dir == gplusapi.CircleOut, page.IDs)
-			jsp.Finish()
-		})
+		pprof.SetGoroutineLabels(w.labels.circles)
+		page, err := w.client.FetchCircle(pctx, id, dir, token, 0)
+		if err == nil {
+			w.observePage(pctx, id, dir, page)
+		}
+		pprof.SetGoroutineLabels(w.labels.idle)
 		if err != nil {
 			psp.SetError(err)
 			psp.Finish()
@@ -586,4 +570,37 @@ func (w *worker) fetchCircle(ctx context.Context, id string, dir gplusapi.Circle
 		}
 		token = page.NextPageToken
 	}
+}
+
+// observePage streams one fetched circle page of id out of the crawl:
+// into the edge sink, the frontier and the journal.
+func (w *worker) observePage(ctx context.Context, id string, dir gplusapi.CircleDir, page *gplusapi.CirclePage) {
+	w.pages++
+	w.tel.pages.Inc()
+	w.tel.edges.Add(int64(len(page.IDs)))
+	for _, other := range page.IDs {
+		from, to := id, other
+		if dir == gplusapi.CircleIn {
+			from, to = other, id
+		}
+		w.observedEdges++
+		if w.sinkErr == nil {
+			if serr := w.cfg.EdgeSink.ObserveEdge(from, to); serr != nil {
+				// A sink that cannot persist edges has already dropped
+				// part of the graph; close the crawl rather than widen
+				// the hole.
+				w.sinkErr = serr
+				w.sched.abort()
+			}
+		}
+	}
+	// One frontier lock round-trip per page, not one per edge. The
+	// scheduler journals the page's newly-discovered ids; the edges are
+	// journaled here, where the direction is known.
+	_, osp := w.cfg.Tracer.StartSpan(ctx, "sched.offer")
+	w.sched.offerBatch(page.IDs)
+	osp.Finish()
+	_, jsp := w.cfg.Tracer.StartSpan(ctx, "journal.append")
+	w.cfg.Journal.circlePage(id, dir == gplusapi.CircleOut, page.IDs)
+	jsp.Finish()
 }

@@ -33,7 +33,10 @@ import (
 //  3. aggregating the CPU captures by the "phase" pprof label pins the
 //     dominant labelled cost to a real crawl phase — the attribution
 //     a 3am operator needs to see where a wedged crawl's cycles went;
-//  4. the endpoint label holds only the vocabulary's spellings.
+//  4. the endpoint label holds only the vocabulary's spellings, and
+//     both fetch endpoints and the worker identity reach the samples:
+//     labels set once per worker and per server endpoint still tag
+//     both sides of the wire.
 //
 // Set PROF_DEMO_DIR to keep the run directory on disk so `go tool pprof`
 // can be demonstrated against it (the Makefile's prof-demo target does
@@ -172,7 +175,7 @@ func TestContinuousProfilingE2E(t *testing.T) {
 	// loop dominates a full crawl's CPU, with profile fetches next.
 	phases := tags[obs.KeyPhase]
 	if len(phases) == 0 {
-		t.Fatalf("no CPU samples carry a phase label; pprof.Do attribution is not reaching the profiler:\n%s", out)
+		t.Fatalf("no CPU samples carry a phase label; the fetch label sets are not reaching the profiler:\n%s", out)
 	}
 	if top := phases[0]; top != obs.PhaseCirclePage && top != obs.PhaseFetchProfile {
 		t.Errorf("dominant labelled phase = %q, want a crawl fetch phase (circle.page or fetch.profile):\n%s", top, out)
@@ -183,15 +186,22 @@ func TestContinuousProfilingE2E(t *testing.T) {
 	// profile of the two sides, and their endpoint tag must split it into
 	// the vocabulary's values only — a request is "circles" on both sides
 	// of the wire, never "circle" on one.
-	if len(tags[obs.KeyEndpoint]) == 0 {
-		t.Error("no CPU sample carries an endpoint label")
-	}
+	endpoints := map[string]bool{}
 	for _, v := range tags[obs.KeyEndpoint] {
 		switch v {
-		case obs.EndpointProfile, obs.EndpointCircles, obs.EndpointStats, obs.EndpointSeed:
+		case obs.EndpointProfile, obs.EndpointCircles, obs.EndpointStats, obs.EndpointSeed, obs.EndpointOther:
+			endpoints[v] = true
 		default:
 			t.Errorf("endpoint label value %q is not in the vocabulary:\n%s", v, out)
 		}
+	}
+	for _, want := range []string{obs.EndpointProfile, obs.EndpointCircles} {
+		if !endpoints[want] {
+			t.Errorf("no CPU sample carries endpoint %q:\n%s", want, out)
+		}
+	}
+	if len(tags[obs.KeyWorker]) == 0 {
+		t.Errorf("no CPU sample carries a worker label:\n%s", out)
 	}
 }
 

@@ -18,9 +18,8 @@ func TestSchedulerRequeue(t *testing.T) {
 	s.tel = newTelemetry(nil, 0)
 	s.maxRequeues = 2
 	s.offer("u1")
-	ctx := context.Background()
 
-	id, ok := s.next(ctx)
+	id, ok := s.next()
 	if !ok || id != "u1" {
 		t.Fatalf("next = %q, %t", id, ok)
 	}
@@ -28,14 +27,14 @@ func TestSchedulerRequeue(t *testing.T) {
 		t.Fatal("first requeue refused")
 	}
 	s.finish()
-	if id, ok = s.next(ctx); !ok || id != "u1" {
+	if id, ok = s.next(); !ok || id != "u1" {
 		t.Fatalf("re-claim = %q, %t, want u1 again", id, ok)
 	}
 	if !s.requeue("u1") {
 		t.Fatal("second requeue refused")
 	}
 	s.finish()
-	if id, ok = s.next(ctx); !ok || id != "u1" {
+	if id, ok = s.next(); !ok || id != "u1" {
 		t.Fatalf("re-claim = %q, %t", id, ok)
 	}
 	if s.requeue("u1") {
@@ -46,7 +45,7 @@ func TestSchedulerRequeue(t *testing.T) {
 	}
 	s.finish()
 	// The id stays claimed, the queue is empty: the crawl completes.
-	if _, ok := s.next(ctx); ok {
+	if _, ok := s.next(); ok {
 		t.Fatal("scheduler should report completion")
 	}
 }
@@ -55,7 +54,7 @@ func TestSchedulerRequeueDisabledByDefault(t *testing.T) {
 	s := newScheduler(0)
 	s.tel = newTelemetry(nil, 0)
 	s.offer("u1")
-	if _, ok := s.next(context.Background()); !ok {
+	if _, ok := s.next(); !ok {
 		t.Fatal("claim failed")
 	}
 	if s.requeue("u1") {

@@ -1,7 +1,6 @@
 package crawler
 
 import (
-	"context"
 	"net/http"
 	"sort"
 	"sync"
@@ -188,19 +187,10 @@ func (s *scheduler) pop() string {
 	return id
 }
 
-// next blocks until an id is available, the crawl is complete, or ctx is
-// cancelled. ok is false when the worker should exit.
-func (s *scheduler) next(ctx context.Context) (id string, ok bool) {
-	// Wake all waiters on cancellation; Cond has no channel integration,
-	// so a helper goroutine broadcasts once.
-	stop := context.AfterFunc(ctx, func() {
-		s.mu.Lock()
-		s.closed = true
-		s.mu.Unlock()
-		s.cond.Broadcast()
-	})
-	defer stop()
-
+// next blocks until an id is available, the crawl is complete, or it is
+// closed (abort, which Crawl also runs when its context ends). ok is
+// false when the worker should exit.
+func (s *scheduler) next() (id string, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -286,12 +276,11 @@ func (s *scheduler) discovered() map[string]bool {
 	return out
 }
 
-// newWorkerHTTPClient builds an HTTP client with its own transport so
-// concurrent workers do not share connection pools unfairly. It carries
-// no Timeout: Config.AttemptTimeout, applied through each attempt's
-// context, is the one request deadline.
-func newWorkerHTTPClient() *http.Client {
+// newWorkerTransport builds a worker its own transport so concurrent
+// workers do not share connection pools unfairly. Config.AttemptTimeout,
+// applied through each attempt's context, is the one request deadline.
+func newWorkerTransport() *http.Transport {
 	t := http.DefaultTransport.(*http.Transport).Clone()
 	t.MaxIdleConnsPerHost = 16
-	return &http.Client{Transport: t}
+	return t
 }

@@ -1,7 +1,6 @@
 package crawler
 
 import (
-	"context"
 	"strconv"
 	"sync"
 	"testing"
@@ -19,10 +18,9 @@ func newTestScheduler(budget int) *scheduler {
 // (single goroutine, so next returns false once the queue empties).
 func drain(t *testing.T, s *scheduler) []string {
 	t.Helper()
-	ctx := context.Background()
 	var ids []string
 	for {
-		id, ok := s.next(ctx)
+		id, ok := s.next()
 		if !ok {
 			return ids
 		}
@@ -108,7 +106,6 @@ func TestSchedulerConcurrentClaimsExactlyOnce(t *testing.T) {
 		nodes   = 5000
 	)
 	s := newTestScheduler(0)
-	ctx := context.Background()
 	var mu sync.Mutex
 	claims := make(map[string]int, nodes)
 
@@ -119,7 +116,7 @@ func TestSchedulerConcurrentClaimsExactlyOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				id, ok := s.next(ctx)
+				id, ok := s.next()
 				if !ok {
 					return
 				}
@@ -165,9 +162,8 @@ func TestSchedulerQueueCompaction(t *testing.T) {
 		batch[i] = strconv.Itoa(i)
 	}
 	s.offerBatch(batch)
-	ctx := context.Background()
 	for i := 0; i < n/2; i++ {
-		id, ok := s.next(ctx)
+		id, ok := s.next()
 		if !ok || id != strconv.Itoa(i) {
 			t.Fatalf("claim %d = %q, %v", i, id, ok)
 		}

@@ -11,8 +11,8 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/url"
-	"runtime/pprof"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -29,10 +29,13 @@ var ErrNotFound = errors.New("gplusapi: profile not found")
 // response bodies — with exponential backoff and honors Retry-After
 // hints. A Client is safe for concurrent use.
 type Client struct {
-	// BaseURL is the server root, e.g. "http://127.0.0.1:8041".
+	// BaseURL is the server root, e.g. "http://127.0.0.1:8041", with or
+	// without a path prefix. It is parsed once, on the first request.
 	BaseURL string
-	// HTTPClient defaults to a client with a 30s timeout.
-	HTTPClient *http.Client
+	// Transport carries every wire attempt (nil: http.DefaultTransport).
+	// The client calls its RoundTrip directly: there are no redirects and
+	// no cookies, and AttemptTimeout is the one deadline.
+	Transport http.RoundTripper
 	// CrawlerID identifies the crawl worker ("machine") to the service's
 	// per-client rate limiter, standing in for the distinct source IPs of
 	// the paper's 11 crawl machines.
@@ -73,14 +76,23 @@ type Client struct {
 	// per 200/404, RecordOverload per 429/503 or per-attempt deadline
 	// expiry. The crawler plugs its AIMD gate in here.
 	Feedback resilience.Feedback
-	// AttemptTimeout, when positive, bounds each wire attempt separately
-	// from the operation's context; an expired attempt is retryable (and
-	// an overload signal) where an expired operation is terminal. The
-	// remaining budget is propagated to the server in X-Gplus-Deadline so
-	// it can shed work this client has already abandoned.
+	// AttemptTimeout bounds each wire attempt separately from the
+	// operation's context (default 30s); it is the client's one request
+	// deadline, so a bare Client cannot hang either. An expired attempt
+	// is retryable (and an overload signal) where an expired operation is
+	// terminal. The remaining budget is propagated to the server in
+	// X-Gplus-Deadline so it can shed work this client has already
+	// abandoned.
 	AttemptTimeout time.Duration
 
 	helpOnce sync.Once // registers the HELP lines of the client families
+
+	// Set once, on the first request, by prepare.
+	prepOnce  sync.Once
+	prepErr   error
+	base      url.URL  // BaseURL parsed; Host without an empty port
+	basePath  string   // base's path as escaped on the wire
+	crawlerID []string // the X-Crawler-Id header value, shared by every request
 }
 
 // Instrumentation series; op is one of the obs.Endpoint* values — the
@@ -101,11 +113,51 @@ func (c *Client) statusCounter(op string, code int) *obs.Counter {
 	return c.Metrics.Counter("gplusapi_responses_total", endpoint(op), obs.Label{Key: obs.KeyCode, Value: strconv.Itoa(code)})
 }
 
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
+func (c *Client) transport() http.RoundTripper {
+	if c.Transport != nil {
+		return c.Transport
 	}
-	return &http.Client{Timeout: 30 * time.Second}
+	return http.DefaultTransport
+}
+
+func (c *Client) attemptTimeout() time.Duration {
+	if c.AttemptTimeout > 0 {
+		return c.AttemptTimeout
+	}
+	return 30 * time.Second
+}
+
+// prepare parses BaseURL and builds the header values every request
+// shares, once per Client.
+func (c *Client) prepare() error {
+	c.prepOnce.Do(func() {
+		u, err := url.Parse(c.BaseURL)
+		if err != nil {
+			c.prepErr = err
+			return
+		}
+		u.Host = strings.TrimSuffix(u.Host, ":") // as http.NewRequest does
+		c.base, c.basePath = *u, u.EscapedPath()
+		if c.CrawlerID != "" {
+			c.crawlerID = []string{c.CrawlerID}
+		}
+	})
+	return c.prepErr
+}
+
+// target is the URL http.NewRequest parses out of BaseURL + prefix +
+// url.PathEscape(id) + suffix [+ "?" + query], built field by field
+// without parsing. RawPath is set only when the wire spelling differs
+// from the path's, i.e. when id or the base path carry escapes of their
+// own.
+func (c *Client) target(prefix, id, suffix, query string) *url.URL {
+	u := c.base
+	u.Path = c.base.Path + prefix + id + suffix
+	if esc := url.PathEscape(id); esc != id || c.base.RawPath != "" {
+		u.RawPath = c.basePath + prefix + esc + suffix
+	}
+	u.RawQuery = query
+	return &u
 }
 
 func (c *Client) maxRetries() int {
@@ -169,9 +221,11 @@ func (c *Client) backoffDelay(attempt int, lastErr error) time.Duration {
 
 // FetchProfile retrieves the public profile page of a user.
 func (c *Client) FetchProfile(ctx context.Context, id string) (*ProfileDoc, error) {
+	if err := c.prepare(); err != nil {
+		return nil, err
+	}
 	doc := new(ProfileDoc)
-	path := "/people/" + url.PathEscape(id)
-	err := c.get(ctx, obs.EndpointProfile, path, func(body []byte) error {
+	err := c.get(ctx, obs.EndpointProfile, c.target("/people/", id, "", ""), func(body []byte) error {
 		*doc = ProfileDoc{} // nothing of a body an earlier attempt rejected
 		return DecodeProfileDoc(body, doc)
 	})
@@ -184,19 +238,23 @@ func (c *Client) FetchProfile(ctx context.Context, id string) (*ProfileDoc, erro
 // FetchCircle retrieves one page of a user's circle list. An empty
 // pageToken requests the first page; limit <= 0 uses the server default.
 func (c *Client) FetchCircle(ctx context.Context, id string, dir CircleDir, pageToken string, limit int) (*CirclePage, error) {
-	path := "/people/" + url.PathEscape(id) + "/circles/" + string(dir)
+	if err := c.prepare(); err != nil {
+		return nil, err
+	}
 	// The query url.Values.Encode would build (keys in sorted order),
 	// without the map.
-	sep := "?"
+	var query string
 	if limit > 0 {
-		path += sep + "limit=" + strconv.Itoa(limit)
-		sep = "&"
+		query = "limit=" + strconv.Itoa(limit)
 	}
 	if pageToken != "" {
-		path += sep + "pageToken=" + url.QueryEscape(pageToken)
+		if query != "" {
+			query += "&"
+		}
+		query += "pageToken=" + url.QueryEscape(pageToken)
 	}
 	page := new(CirclePage)
-	err := c.get(ctx, obs.EndpointCircles, path, func(body []byte) error {
+	err := c.get(ctx, obs.EndpointCircles, c.target("/people/", id, "/circles/"+string(dir), query), func(body []byte) error {
 		*page = CirclePage{}
 		return DecodeCirclePage(body, page)
 	})
@@ -209,20 +267,23 @@ func (c *Client) FetchCircle(ctx context.Context, id string, dir CircleDir, page
 // FetchSeed retrieves the id of a well-known popular user to seed a
 // crawl from.
 func (c *Client) FetchSeed(ctx context.Context) (string, error) {
+	if err := c.prepare(); err != nil {
+		return "", err
+	}
 	var doc SeedDoc
 	// Once per crawl: reflection is fine here.
-	if err := c.get(ctx, obs.EndpointSeed, "/seed", func(body []byte) error { return json.Unmarshal(body, &doc) }); err != nil {
+	if err := c.get(ctx, obs.EndpointSeed, c.target("/seed", "", "", ""), func(body []byte) error { return json.Unmarshal(body, &doc) }); err != nil {
 		return "", err
 	}
 	return doc.ID, nil
 }
 
-// get fetches path with retries and hands the body of the 200 that ends
+// get fetches u with retries and hands the body of the 200 that ends
 // them to decode. The body sits in a pooled buffer: decode must copy
 // what it keeps (the wire decoders do), and may run once per attempt —
 // a body it rejects is a torn response and is fetched again.
-func (c *Client) get(ctx context.Context, op, path string, decode func(body []byte) error) error {
-	return c.withRetries(ctx, op, func(ctx context.Context) error { return c.doGet(ctx, op, path, decode) })
+func (c *Client) get(ctx context.Context, op string, u *url.URL, decode func(body []byte) error) error {
+	return c.withRetries(ctx, op, func(actx context.Context) error { return c.doGet(ctx, actx, op, u, decode) })
 }
 
 // bodyPool holds response-body buffers: a crawl worker's fetches run one
@@ -239,11 +300,12 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // breaker; a denial is retryable, costs no wire attempt, and reuses the
 // breaker's cooldown as its backoff hint. fn receives the per-attempt
 // context, which carries that attempt's span so doGet can propagate it
-// to the service — and, when AttemptTimeout is set, a per-attempt
-// deadline (the operation context stays visible through parentErr so an
-// expired attempt retries while an expired operation aborts).
+// to the service, and the attempt's deadline.
 func (c *Client) withRetries(ctx context.Context, op string, fn func(context.Context) error) error {
-	ctx, osp := c.Tracer.StartSpan(ctx, "api."+op)
+	var osp *trace.Span
+	if c.Tracer != nil {
+		ctx, osp = c.Tracer.StartSpan(ctx, "api."+op)
+	}
 	breaker := c.Breakers.Get(op)
 	attempts, denials := 0, 0
 	finish := func(err error) error {
@@ -296,19 +358,8 @@ func (c *Client) withRetries(ctx context.Context, op string, fn func(context.Con
 			}
 		}
 		attempts++
-		cancel := func() {}
-		if c.AttemptTimeout > 0 {
-			actx = context.WithValue(actx, parentCtxKey{}, ctx)
-			actx, cancel = context.WithTimeout(actx, c.AttemptTimeout)
-		}
-		// Label the attempt's CPU samples with the endpoint so the
-		// continuous profiler can attribute wire wait, body reads, and
-		// JSON decoding per endpoint (nesting under any crawl-phase
-		// labels already on the context).
-		var err error
-		pprof.Do(actx, pprof.Labels(obs.KeyEndpoint, op), func(actx context.Context) {
-			err = fn(actx)
-		})
+		actx, cancel := context.WithTimeout(actx, c.attemptTimeout())
+		err := fn(actx)
 		cancel()
 		asp.SetError(err)
 		asp.Finish()
@@ -325,20 +376,6 @@ func (c *Client) withRetries(ctx context.Context, op string, fn func(context.Con
 		lastErr = err
 	}
 	return finish(fmt.Errorf("gplusapi: giving up after %d attempts: %w", c.maxRetries()+1, lastErr))
-}
-
-// parentCtxKey carries the operation-level context through a
-// per-attempt timeout wrapper, so doGet can tell "this attempt expired"
-// (retryable, an overload signal) from "the caller gave up" (terminal).
-type parentCtxKey struct{}
-
-// parentErr reports the operation-level context error: the parent's
-// when an attempt timeout wrapper is present, ctx's own otherwise.
-func parentErr(ctx context.Context) error {
-	if parent, ok := ctx.Value(parentCtxKey{}).(context.Context); ok {
-		return parent.Err()
-	}
-	return ctx.Err()
 }
 
 type retryAfterError struct {
@@ -402,15 +439,24 @@ func IsOverload(err error) bool {
 	return false
 }
 
-// doGet performs one GET and decodes a 200 body with decode; other
-// statuses map to the client's error taxonomy.
-func (c *Client) doGet(ctx context.Context, op, path string, decode func(body []byte) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return err
-	}
-	if c.CrawlerID != "" {
-		req.Header.Set("X-Crawler-Id", c.CrawlerID)
+// doGet performs one GET of u under the attempt context ctx and decodes
+// a 200 body with decode; other statuses map to the client's error
+// taxonomy. opCtx is the operation's context: its end is terminal, where
+// the end of ctx alone is an attempt that expired and may be retried.
+func (c *Client) doGet(opCtx, ctx context.Context, op string, u *url.URL, decode func(body []byte) error) error {
+	// The request http.NewRequestWithContext would build, without parsing
+	// the URL again: u is the operation's, shared by its attempts.
+	req := (&http.Request{
+		Method:     http.MethodGet,
+		URL:        u,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     make(http.Header, 3),
+		Host:       u.Host,
+	}).WithContext(ctx)
+	if c.crawlerID != nil {
+		req.Header["X-Crawler-Id"] = c.crawlerID
 	}
 	// Propagate this attempt's remaining budget so the server can shed
 	// work we will have abandoned by the time it leaves the queue.
@@ -421,7 +467,7 @@ func (c *Client) doGet(ctx context.Context, op, path string, decode func(body []
 	sp := trace.SpanFromContext(ctx)
 	trace.Inject(sp, req.Header)
 	start := time.Now()
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.transport().RoundTrip(req)
 	if c.Metrics != nil {
 		c.latencyHist(op).Observe(time.Since(start).Seconds())
 		if err != nil {
@@ -434,7 +480,7 @@ func (c *Client) doGet(ctx context.Context, op, path string, decode func(body []
 		sp.Annotate(obs.KeyCode, strconv.Itoa(resp.StatusCode))
 	}
 	if err != nil {
-		if parentErr(ctx) != nil {
+		if opCtx.Err() != nil {
 			// The caller cancelled or timed out the whole operation;
 			// retrying would only delay the shutdown.
 			return err
@@ -463,7 +509,7 @@ func (c *Client) doGet(ctx context.Context, op, path string, decode func(body []
 		}
 		bodyPool.Put(buf)
 		if err != nil {
-			if parentErr(ctx) != nil {
+			if opCtx.Err() != nil {
 				return err
 			}
 			// A 200 whose body cannot be read or decoded is a torn
@@ -489,7 +535,7 @@ func (c *Client) doGet(ctx context.Context, op, path string, decode func(body []
 		after, _ := parseRetryAfter(resp.Header.Get("Retry-After"))
 		return &retryAfterError{status: resp.StatusCode, after: after}
 	default:
-		return fmt.Errorf("gplusapi: unexpected status %d for %s", resp.StatusCode, path)
+		return fmt.Errorf("gplusapi: unexpected status %d for %s", resp.StatusCode, u.RequestURI())
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 func newTestClient(ts *httptest.Server) *Client {
 	return &Client{
 		BaseURL:     ts.URL,
-		HTTPClient:  ts.Client(),
+		Transport:   ts.Client().Transport,
 		CrawlerID:   "test-worker",
 		BackoffBase: time.Millisecond,
 		MaxRetries:  3,
@@ -184,8 +184,11 @@ func TestClientContextCancelDuringBackoff(t *testing.T) {
 
 func TestClientDefaults(t *testing.T) {
 	c := &Client{}
-	if c.httpClient() == nil || c.maxRetries() != 5 || c.backoffBase() != 50*time.Millisecond {
+	if c.transport() != http.DefaultTransport || c.maxRetries() != 5 || c.backoffBase() != 50*time.Millisecond {
 		t.Error("defaults not applied")
+	}
+	if c.attemptTimeout() != 30*time.Second {
+		t.Errorf("default AttemptTimeout = %v, want 30s", c.attemptTimeout())
 	}
 	if c.maxBackoff() != 30*time.Second {
 		t.Errorf("default MaxBackoff = %v, want 30s", c.maxBackoff())
@@ -306,7 +309,7 @@ func TestClientRetriesConnectionReset(t *testing.T) {
 	defer ts.Close()
 	c := newTestClient(ts)
 	// Hijacked connections must not be reused; force fresh dials.
-	c.HTTPClient = &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	c.Transport = &http.Transport{DisableKeepAlives: true}
 	doc, err := c.FetchProfile(context.Background(), "u")
 	if err != nil {
 		t.Fatalf("FetchProfile did not survive connection resets: %v", err)

@@ -1,7 +1,11 @@
 package gplusapi
 
 import (
+	"context"
+	"net/http"
+	"net/url"
 	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -31,6 +35,71 @@ func FuzzToProfile(f *testing.F) {
 		p2 := back.ToProfile()
 		if !reflect.DeepEqual(p, p2) {
 			t.Fatalf("profile round trip unstable:\n %+v\n %+v", p, p2)
+		}
+	})
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// FuzzRequestURL checks the requests the client builds field by field,
+// without parsing, against http.NewRequest of one concatenated string:
+// BaseURL, the escaped path, and the query url.Values.Encode would
+// write. Both must name the same URL, request line and Host. The
+// BaseURL carries an arbitrary path prefix, written as it goes on the
+// wire.
+func FuzzRequestURL(f *testing.F) {
+	f.Add("", "u123", "", 0)
+	f.Add("/api/v1", "a b/c;d,e?f#g%", "25", 10)
+	f.Add("/a%2Fb/", "é", "a b&c=d/é", -3)
+	f.Add("/%41", "x/y", "", 1)
+	f.Fuzz(func(t *testing.T, prefix, id, token string, limit int) {
+		base := "http://127.0.0.1:8041" + prefix
+		if bu, err := url.Parse(base); err != nil || bu.EscapedPath() != prefix ||
+			bu.RawQuery != "" || bu.ForceQuery || bu.Fragment != "" {
+			t.Skip("prefix is not a path as written on the wire")
+		}
+		var got *http.Request
+		c := &Client{BaseURL: base, Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			got = r
+			return &http.Response{StatusCode: http.StatusNotFound, Body: http.NoBody}, nil
+		})}
+		query := ""
+		sep := "?"
+		if limit > 0 {
+			query += sep + "limit=" + strconv.Itoa(limit)
+			sep = "&"
+		}
+		if token != "" {
+			query += sep + "pageToken=" + url.QueryEscape(token)
+		}
+		ctx := context.Background()
+		for _, tc := range []struct {
+			path  string
+			fetch func() error
+		}{
+			{"/people/" + url.PathEscape(id), func() error { _, err := c.FetchProfile(ctx, id); return err }},
+			{"/people/" + url.PathEscape(id) + "/circles/in" + query, func() error {
+				_, err := c.FetchCircle(ctx, id, CircleIn, token, limit)
+				return err
+			}},
+			{"/seed", func() error { _, err := c.FetchSeed(ctx); return err }},
+		} {
+			want, err := http.NewRequest(http.MethodGet, base+tc.path, nil)
+			if err != nil {
+				t.Fatalf("http.NewRequest(%q): %v", base+tc.path, err)
+			}
+			got = nil
+			if err := tc.fetch(); err != ErrNotFound || got == nil {
+				t.Fatalf("%s: fetch = %v, want the stub's 404", tc.path, err)
+			}
+			if got.URL.String() != want.URL.String() || got.URL.RequestURI() != want.URL.RequestURI() || got.Host != want.Host {
+				t.Fatalf("%s:\nbuilt   %q %q host %q\nparsed  %q %q host %q", base+tc.path,
+					got.URL.String(), got.URL.RequestURI(), got.Host,
+					want.URL.String(), want.URL.RequestURI(), want.Host)
+			}
 		}
 	})
 }

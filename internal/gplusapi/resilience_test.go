@@ -290,15 +290,22 @@ func TestClientSendsDeadlineHeader(t *testing.T) {
 		w.Write([]byte(`{"users":1,"edges":1}`))
 	}))
 	defer ts.Close()
-	c := newTestClient(ts)
-	c.AttemptTimeout = 250 * time.Millisecond
-	if _, err := c.FetchSeed(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	v := <-headers
-	ms, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || ms <= 0 || ms > 250 {
-		t.Fatalf("deadline header = %q, want 0 < ms ≤ 250", v)
+	// A bare client (zero AttemptTimeout) still bounds each attempt, by
+	// the 30s default, and tells the server so.
+	for _, tc := range []struct {
+		timeout time.Duration
+		maxMS   int64
+	}{{250 * time.Millisecond, 250}, {0, 30_000}} {
+		c := newTestClient(ts)
+		c.AttemptTimeout = tc.timeout
+		if _, err := c.FetchSeed(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		v := <-headers
+		ms, err := strconv.ParseInt(v, 10, 64)
+		if err != nil || ms <= 0 || ms > tc.maxMS {
+			t.Errorf("AttemptTimeout %v: deadline header = %q, want 0 < ms ≤ %d", tc.timeout, v, tc.maxMS)
+		}
 	}
 }
 

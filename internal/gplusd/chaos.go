@@ -316,7 +316,8 @@ func (c *chaos) hasBrownout() bool {
 	return false
 }
 
-// endpointOf classifies a request path for per-endpoint fault scoping.
+// endpointOf classifies a request path into the endpoint vocabulary, for
+// per-endpoint fault scoping, span names and pprof labels.
 func endpointOf(path string) string {
 	switch {
 	case strings.HasPrefix(path, "/people/") && strings.Contains(path, "/circles/"):
@@ -328,16 +329,15 @@ func endpointOf(path string) string {
 	case path == "/seed":
 		return obs.EndpointSeed
 	}
-	return path
+	return obs.EndpointOther
 }
 
-// serveChaos evaluates the fault suite for one request and then serves
-// it. Terminal faults (outage, unavailable, hang) end the request here;
-// delay falls through after sleeping; reset wraps the response writer so
-// the real handler's body is cut mid-stream.
-func (s *Server) serveChaos(w http.ResponseWriter, r *http.Request) {
+// serveChaos evaluates the fault suite for one request of endpoint ep
+// and then serves it. Terminal faults (outage, unavailable, hang) end
+// the request here; delay falls through after sleeping; reset wraps the
+// response writer so the real handler's body is cut mid-stream.
+func (s *Server) serveChaos(w http.ResponseWriter, r *http.Request, ep string) {
 	out := w
-	ep := endpointOf(r.URL.Path)
 	for i := range s.chaos.rules {
 		rule := &s.chaos.rules[i]
 		if rule.Endpoint != "" && rule.Endpoint != ep {

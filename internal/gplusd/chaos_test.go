@@ -208,7 +208,8 @@ func TestChaosEndpointOf(t *testing.T) {
 		"/people/u123/circles/out": "circles",
 		"/stats":                   "stats",
 		"/seed":                    "seed",
-		"/debug/pprof/":            "/debug/pprof/",
+		"/debug/pprof/":            "other",
+		"/people":                  "other",
 	}
 	for path, want := range cases {
 		if got := endpointOf(path); got != want {

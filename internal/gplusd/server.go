@@ -101,6 +101,9 @@ type Server struct {
 	admission *resilience.Admission
 	limiter   *limiter
 	tracer    *trace.Tracer
+	// labels holds the pprof label context of each pair of endpoint and
+	// chaos regime, built once; ServeHTTP switches to one per request.
+	labels map[[2]string]context.Context
 
 	metrics    *obs.Registry
 	mProfile   *obs.Counter
@@ -155,6 +158,12 @@ func New(u *synth.Universe, opts Options) *Server {
 		}
 		s.admission = resilience.NewAdmission(ao, reg, "gplusd_admission")
 	}
+	s.labels = make(map[[2]string]context.Context)
+	for _, ep := range []string{obs.EndpointProfile, obs.EndpointCircles, obs.EndpointStats, obs.EndpointSeed, obs.EndpointOther} {
+		for _, regime := range []string{obs.ChaosNone, string(FaultOutage), string(FaultBrownout)} {
+			s.labels[[2]string{ep, regime}] = pprof.WithLabels(context.Background(), pprof.Labels(obs.KeyEndpoint, ep, obs.KeyChaos, regime))
+		}
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /people/{id}", s.handleProfile)
 	mux.HandleFunc("GET /people/{id}/circles/{dir}", s.handleCircles)
@@ -188,26 +197,30 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	// Handling runs under pprof labels mirroring the trace dimensions:
 	// server CPU captures split by endpoint and by whether the chaos
-	// clock had the service degraded when the sample landed.
-	pprof.Do(r.Context(), pprof.Labels(
-		obs.KeyEndpoint, endpointOf(r.URL.Path),
-		obs.KeyChaos, s.chaos.stateLabel(),
-	), func(ctx context.Context) {
-		s.serve(w, r.WithContext(ctx))
-	})
+	// clock had the service degraded when the sample landed. The table
+	// is total, so the goroutine switches to a prebuilt label set, and
+	// back to the request context's labels as pprof.Do would.
+	ep := endpointOf(r.URL.Path)
+	pprof.SetGoroutineLabels(s.labels[[2]string{ep, s.chaos.stateLabel()}])
+	defer pprof.SetGoroutineLabels(r.Context())
+	s.serve(w, r, ep)
 }
 
-// serve is the post-bypass request path: tracing, admission, fault
-// injection, rate limiting, chaos, rendering.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
+// serve is the post-bypass request path of endpoint ep: tracing,
+// admission, fault injection, rate limiting, chaos, rendering.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, ep string) {
 	// Join the crawler's trace (or start a server-local one) so the
 	// server-side story of this request — faults, rate limiting,
 	// rendering — lands under the same trace id the client recorded.
-	ctx, sp := s.tracer.Join(r.Context(), r.Header, "server."+endpointOf(r.URL.Path))
-	if sp != nil {
-		sp.Annotate(obs.KeyWorker, clientKey(r))
-		r = r.WithContext(ctx)
-		defer sp.Finish()
+	var sp *trace.Span
+	if s.tracer != nil {
+		var ctx context.Context
+		ctx, sp = s.tracer.Join(r.Context(), r.Header, "server."+ep)
+		if sp != nil {
+			sp.Annotate(obs.KeyWorker, clientKey(r))
+			r = r.WithContext(ctx)
+			defer sp.Finish()
+		}
 	}
 	if s.admission != nil {
 		deadline, _ := resilience.DeadlineFromHeader(r)
@@ -220,7 +233,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 		}
 		defer release()
 	}
-	if !s.allow(clientKey(r)) {
+	if !s.allow(r) {
 		s.mRateLimit.Inc()
 		sp.Fail("rate limited")
 		w.Header().Set("Retry-After", "0.2")
@@ -228,12 +241,15 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.chaos != nil {
-		s.serveChaos(w, r)
+		s.serveChaos(w, r, ep)
 		return
 	}
 	rctx, rsp := s.tracer.StartSpan(r.Context(), "render")
 	defer rsp.Finish()
-	s.mux.ServeHTTP(w, r.WithContext(rctx))
+	if rctx != r.Context() {
+		r = r.WithContext(rctx)
+	}
+	s.mux.ServeHTTP(w, r)
 }
 
 // admissionPriority classifies a request path for admission control:
@@ -258,8 +274,10 @@ func clientKey(r *http.Request) string {
 	return host
 }
 
-func (s *Server) allow(key string) bool {
-	return s.limiter.allow(key)
+// allow asks the rate limiter to admit r; with no limiter it does not
+// look the client up.
+func (s *Server) allow(r *http.Request) bool {
+	return s.limiter == nil || s.limiter.allow(clientKey(r))
 }
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
@@ -291,11 +309,16 @@ type renderBuf struct {
 // ids starts empty, not nil: a page with no ids is "ids":[], not null.
 var renderPool = sync.Pool{New: func() any { return &renderBuf{ids: []string{}} }}
 
+// jsonContentType is the Content-Type value of every rendered document,
+// one slice for all responses: net/http only reads it.
+var jsonContentType = []string{"application/json"}
+
 // write sends the rendered document the way json.Encoder.Encode did:
 // as application/json, newline-terminated.
 func (rb *renderBuf) write(w http.ResponseWriter) {
 	rb.body = append(rb.body, '\n')
-	w.Header().Set("Content-Type", "application/json")
+	// The key is canonical already; Set would only re-check it.
+	w.Header()["Content-Type"] = jsonContentType
 	w.Write(rb.body) //nolint:errcheck — the connection is gone; the client retries
 }
 

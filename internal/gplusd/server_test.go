@@ -44,7 +44,7 @@ func startServer(t *testing.T, opts Options) (*Server, *gplusapi.Client) {
 	srv := New(serverUniverse(t), opts)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return srv, &gplusapi.Client{BaseURL: ts.URL, HTTPClient: ts.Client(), BackoffBase: time.Millisecond}
+	return srv, &gplusapi.Client{BaseURL: ts.URL, Transport: ts.Client().Transport, BackoffBase: time.Millisecond}
 }
 
 func TestServeProfile(t *testing.T) {

@@ -33,11 +33,14 @@ const (
 
 // Endpoint values, spelled as the wire spells them; "api."+v and
 // "server."+v are the client and server span names of a request.
+// EndpointOther is the server's one name for any other path, so a
+// client-chosen path never becomes a label value or a span name.
 const (
 	EndpointProfile = "profile"
 	EndpointCircles = "circles"
 	EndpointStats   = "stats"
 	EndpointSeed    = "seed"
+	EndpointOther   = "other"
 )
 
 // Phase values; the two fetch phases are also the names of their spans.

@@ -98,20 +98,23 @@ func (g *AIMD) Acquire(ctx context.Context) bool {
 	if g == nil {
 		return true
 	}
-	// Wake all waiters when ctx ends so none are stranded in Wait.
-	stop := context.AfterFunc(ctx, func() {
-		g.mu.Lock()
-		g.cond.Broadcast()
-		g.mu.Unlock()
-	})
-	defer stop()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for g.active >= g.limit {
-		if ctx.Err() != nil {
-			return false
+	if g.active >= g.limit && ctx.Err() == nil {
+		// About to wait: wake all waiters when ctx ends so none are
+		// stranded in Wait. A free slot is taken without registering.
+		stop := context.AfterFunc(ctx, func() {
+			g.mu.Lock()
+			g.cond.Broadcast()
+			g.mu.Unlock()
+		})
+		defer stop()
+		for g.active >= g.limit {
+			if ctx.Err() != nil {
+				return false
+			}
+			g.cond.Wait()
 		}
-		g.cond.Wait()
 	}
 	if ctx.Err() != nil {
 		return false

@@ -120,6 +120,9 @@ type Breaker struct {
 	rotated     time.Time // when cur last became current
 	openedAt    time.Time
 	probing     bool // a half-open probe is in flight
+	// closedDone is the done callback of every closed-state request,
+	// bound once so Allow allocates nothing on the common path.
+	closedDone func(success bool)
 
 	gState       *obs.Gauge
 	cTransitions *obs.Counter
@@ -132,6 +135,7 @@ type Breaker struct {
 // <prefix>_breaker_denied_total{name=...}.
 func NewBreaker(name string, opts BreakerOptions, reg *obs.Registry, prefix string) *Breaker {
 	b := &Breaker{name: name, opts: opts, rotated: time.Now()}
+	b.closedDone = b.recordClosed
 	if reg != nil {
 		reg.Help(prefix+"_breaker_state", "Circuit breaker state: 0 closed, 1 open, 2 half-open.")
 		reg.Help(prefix+"_breaker_transitions_total", "Circuit breaker state transitions.")
@@ -145,7 +149,7 @@ func NewBreaker(name string, opts BreakerOptions, reg *obs.Registry, prefix stri
 }
 
 // Allow asks to issue one request. On success it returns a done
-// callback the caller must invoke with the request's outcome; on denial
+// callback the caller must invoke once with the request's outcome; on denial
 // it returns an *OpenError whose RetryIn hints when to try again. A nil
 // breaker always allows with a no-op callback.
 func (b *Breaker) Allow() (done func(success bool), err error) {
@@ -173,7 +177,7 @@ func (b *Breaker) Allow() (done func(success bool), err error) {
 		b.probing = true
 		return b.probeDone(), nil
 	default:
-		return b.closedDone(), nil
+		return b.closedDone, nil
 	}
 }
 
@@ -199,33 +203,29 @@ func (b *Breaker) probeDone() func(bool) {
 	}
 }
 
-// closedDone records a closed-state outcome; the caller holds b.mu.
-func (b *Breaker) closedDone() func(bool) {
-	var once sync.Once
-	return func(success bool) {
-		once.Do(func() {
-			b.mu.Lock()
-			defer b.mu.Unlock()
-			now := time.Now()
-			b.rotateLocked(now)
-			if b.state != BreakerClosed {
-				return // a concurrent outcome already tripped the breaker
-			}
-			if success {
-				b.consecutive = 0
-				b.cur.good++
-				return
-			}
-			b.consecutive++
-			b.cur.bad++
-			good, bad := b.cur.good+b.prev.good, b.cur.bad+b.prev.bad
-			ratioTrip := good+bad >= b.opts.minSamples() &&
-				float64(bad)/float64(good+bad) >= b.opts.errorRatio()
-			if b.consecutive >= b.opts.consecutive() || ratioTrip {
-				b.openedAt = now
-				b.setStateLocked(BreakerOpen)
-			}
-		})
+// recordClosed records the outcome of a request Allow admitted in the
+// closed state. Each such request reports exactly once.
+func (b *Breaker) recordClosed(success bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	now := time.Now()
+	b.rotateLocked(now)
+	if b.state != BreakerClosed {
+		return // a concurrent outcome already tripped the breaker
+	}
+	if success {
+		b.consecutive = 0
+		b.cur.good++
+		return
+	}
+	b.consecutive++
+	b.cur.bad++
+	good, bad := b.cur.good+b.prev.good, b.cur.bad+b.prev.bad
+	ratioTrip := good+bad >= b.opts.minSamples() &&
+		float64(bad)/float64(good+bad) >= b.opts.errorRatio()
+	if b.consecutive >= b.opts.consecutive() || ratioTrip {
+		b.openedAt = now
+		b.setStateLocked(BreakerOpen)
 	}
 }
 

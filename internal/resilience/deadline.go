@@ -26,7 +26,8 @@ func SetDeadlineHeader(ctx context.Context, req *http.Request) {
 	if ms < 1 {
 		ms = 1
 	}
-	req.Header.Set(DeadlineHeader, strconv.FormatInt(ms, 10))
+	// DeadlineHeader is already canonical: Set would only re-check it.
+	req.Header[DeadlineHeader] = []string{strconv.FormatInt(ms, 10)}
 }
 
 // DeadlineFromHeader reads the propagated budget off an inbound request,
