@@ -129,25 +129,25 @@ chaos:
 # The overload-resilience gate: crawl straight through a server brownout
 # (latency ramp + admission squeeze) with no kill and no resume, and
 # require an identical dataset, retry amplification <= 1.1x, Retry-After
-# on every shed, and an SLO engine that pages and recovers — all under
-# the race detector.
+# on every shed, and health reports whose SLO state leaves OK and
+# recovers — all under the race detector.
 brownout:
 	$(GO) test -race -count=1 -run TestBrownoutConvergence -v ./internal/crawler/
 
 # The tracing demo: a short chaos crawl with request tracing on both
 # sides of the wire, the client side streaming exemplars into a run
-# directory as gpluscrawl -obs-dir does. Fails if <dir>/exemplars.jsonl
-# comes out empty or the critical-path analysis is missing; -v prints
+# directory as gpluscrawl -obs-dir does. Fails if <dir>/traces.jsonl
+# holds no exemplar or the critical-path analysis is missing; -v prints
 # the merged span trees (client attempt spans with gplusd server spans
 # joined under them).
 trace-demo:
 	$(GO) test -count=1 -run TestTraceDemo -v ./internal/crawler/
 
 # The dashboard demo: a short chaos crawl rendered frame-by-frame on the
-# live dashboard, over the same rundir.Start stack `gpluscrawl -dash`
-# runs on; -v prints the
-# final frame and the offline health report replayed from the same
-# rings (outage spike, SLO violation span, alert transition).
+# live dashboard, subscribed to the report of the same rundir.Start
+# watcher `gpluscrawl -dash` draws; -v prints the final frame and the
+# offline health report replayed from the same rings (outage spike,
+# stall, SLO states and violation spans).
 dash-demo:
 	$(GO) test -count=1 -run TestDashDemo -v ./internal/crawler/
 

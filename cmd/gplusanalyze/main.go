@@ -15,8 +15,8 @@
 // experiments` writes its output into EXPERIMENTS.md.
 //
 // Two subcommands read the run directory gpluscrawl/gplusd write under
-// -obs-dir (series.jsonl, traces.jsonl, exemplars.jsonl); each also
-// accepts the individual files, e.g. dumps saved from
+// -obs-dir (series.jsonl, traces.jsonl — and the separate exemplars.jsonl
+// an older build spooled, still read); each also accepts the individual files, e.g. dumps saved from
 // /debug/traces?format=jsonl or /debug/timeseries?format=jsonl. The
 // directory's profiles/ ring is plain pprof files, read with `go tool
 // pprof` (README "Continuous profiling").
@@ -29,9 +29,10 @@
 //	gplusanalyze traces [-top N] run-dir [server-run-dir | dump.jsonl ...]
 //
 // metrics replays the metric time series of a gpluscrawl or gplusd run
-// into the health report gpluscrawl's progress line and -dash render
-// live: throughput curve, error-rate timeline with spike spans, stalls,
-// and the SLO objectives' violation spans re-evaluated at every tick.
+// into the health report its live surfaces (gpluscrawl's progress line
+// and -dash, /debug/slo) rendered: throughput curve, error-rate timeline
+// with spike spans, stalls, and the SLO objectives' violation spans
+// evaluated at every tick.
 //
 //	gplusanalyze metrics [-width N] [-slo spec] run-dir [shard2-run-dir ...]
 package main
@@ -123,13 +124,15 @@ func runTraces(w io.Writer, args []string) error {
 	sub := flag.NewFlagSet("traces", flag.ContinueOnError)
 	top := sub.Int("top", 10, "slowest traces to print with full span trees")
 	srcs, err := sources(sub, `[-top N] run-dir-or-dump.jsonl [more ...]
-a run directory (-obs-dir) stands for its traces.jsonl and exemplars.jsonl; dumps also
+a run directory (-obs-dir) stands for its traces.jsonl (and an older build's exemplars.jsonl); dumps also
 come from /debug/traces?format=jsonl; client and server sides of one crawl merge by trace id`, args)
 	if err != nil {
 		return err
 	}
 	var all []*trace.Trace
-	err = readEach(srcs, []string{rundir.TracesFile, rundir.ExemplarsFile}, func(r io.Reader) (int, error) {
+	// Older builds streamed exemplars to their own file, beside an
+	// at-exit traces.jsonl; MergeByTraceID folds the traces in both.
+	err = readEach(srcs, []string{rundir.TracesFile, "exemplars.jsonl"}, func(r io.Reader) (int, error) {
 		trs, torn, err := trace.ReadTraces(r)
 		all = append(all, trs...)
 		return torn, err

@@ -56,10 +56,10 @@ func TestRunDirectoryEndToEnd(t *testing.T) {
 
 	dir := t.TempDir()
 	run, err := rundir.Start(rundir.Config{
-		Dir:        dir,
-		Series:     series.Options{Interval: 25 * time.Millisecond, Capacity: 4096},
-		Objectives: series.DefaultCrawlObjectives(),
-		Trace:      trace.Config{SampleRate: 1},
+		Dir:     dir,
+		Series:  series.Options{Interval: 25 * time.Millisecond, Capacity: 4096},
+		Signals: series.CrawlSignals(),
+		Trace:   trace.Config{SampleRate: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,9 +123,9 @@ func TestMetricsOnAGplusdRunDirectory(t *testing.T) {
 	}
 	dir := t.TempDir()
 	run, err := rundir.Start(rundir.Config{
-		Dir:        dir,
-		Series:     series.Options{Interval: 10 * time.Millisecond},
-		Objectives: series.DefaultGplusdObjectives(),
+		Dir:     dir,
+		Series:  series.Options{Interval: 10 * time.Millisecond},
+		Signals: series.GplusdSignals(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,6 +160,31 @@ func TestMetricsOnAGplusdRunDirectory(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "mine") || strings.Contains(out.String(), "availability") {
 		t.Errorf("-slo did not replace the default objectives:\n%s", &out)
+	}
+}
+
+// TestOldRunDirectoryGolden reads a run directory an earlier build
+// wrote — series.jsonl, an at-exit traces.jsonl and a separate
+// exemplars.jsonl — and requires both analyzers to print exactly what
+// that build printed over it: old directories stay readable, and the
+// offline reports do not move by a byte.
+func TestOldRunDirectoryGolden(t *testing.T) {
+	dir := filepath.Join("testdata", "old-run")
+	for sub, analyze := range map[string]func(*bytes.Buffer) error{
+		"metrics": func(w *bytes.Buffer) error { return runMetrics(w, []string{dir}) },
+		"traces":  func(w *bytes.Buffer) error { return runTraces(w, []string{dir}) },
+	} {
+		want, err := os.ReadFile(dir + "." + sub + ".txt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := analyze(&got); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != string(want) {
+			t.Errorf("gplusanalyze %s %s:\n%s\nwant:\n%s", sub, dir, &got, want)
+		}
 	}
 }
 

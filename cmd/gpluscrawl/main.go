@@ -19,13 +19,15 @@
 // from an old one, copy it to <out>/crawl.journal.
 //
 // With -metrics-addr it serves live crawler telemetry (/metrics in
-// Prometheus text, /debug/vars, /debug/pprof/, and /debug/timeseries —
-// in-process metric history sampled every -sample-interval) while the
-// crawl runs. Every sample, one health report (series.BuildReport) is
-// built over the trailing window of that history; -progress logs its
+// Prometheus text, /debug/vars, /debug/pprof/, /debug/timeseries —
+// in-process metric history sampled every -sample-interval — and
+// /debug/slo) while the crawl runs. Every sample, the run's watcher
+// (package rundir) builds one health report over the trailing window of
+// that history, evaluating each -slo objective once; -progress logs its
 // last tick as a structured line with a frontier-drain ETA — the
 // operational view the paper's 45-day crawl depended on — and a report
-// that shows a stall beginning fires a profile capture.
+// that shows a stall beginning or an objective paging fires a profile
+// capture.
 //
 // -dash draws the same report on stdout as a live ANSI dashboard
 // instead: what `gplusanalyze metrics` prints of the run afterwards
@@ -34,7 +36,7 @@
 //
 // -obs-dir names the run directory every signal is spooled into (layout
 // in package rundir): exemplar traces and the profile ring as the crawl
-// runs, the metric series and every retained trace at exit.
+// runs, the metric series and the rest of the trace ring at exit.
 // `gplusanalyze metrics|traces <dir>` read it back, and
 // `go tool pprof <dir>/profiles/*.pb.gz` the profile captures.
 //
@@ -113,14 +115,19 @@ func run(ctx context.Context, args []string) error {
 		dashOn      = fs.Bool("dash", false, "draw the live health report on stdout as a terminal dashboard (sparkline throughput/frontier/error rows, stalls, SLO state) instead of periodic progress lines")
 		attemptTO   = fs.Duration("attempt-timeout", 30*time.Second, "request deadline of each wire attempt, propagated to gplusd via X-Gplus-Deadline; an expired attempt is retried and counts as an overload signal")
 	)
-	sig := series.CrawlSignals()
-	obsCfg := rundir.Config{Objectives: sig.Objectives}
+	obsCfg := rundir.Config{Signals: series.CrawlSignals()}
 	obsCfg.RegisterFlags(fs)
 	fs.Parse(args) //nolint:errcheck — ExitOnError
 
 	watch := *progress > 0 || *dashOn
 	if watch && obsCfg.Series.Interval <= 0 {
 		return errors.New("-progress and -dash read the sampled series: they require -sample-interval > 0")
+	}
+	if *progress > 0 {
+		// The stall rule counts ticks: as many as three progress intervals span.
+		if n := int(3 * *progress / obsCfg.Series.Interval); n > obsCfg.Signals.StallAfter {
+			obsCfg.Signals.StallAfter = n
+		}
 	}
 	if *metricsAddr != "" {
 		obsCfg.Name = "gpluscrawl" // the expvar name: /debug/vars is served on -metrics-addr only
@@ -133,7 +140,7 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return fmt.Errorf("starting observability: %w", err)
 	}
-	reg, collector := obsRun.Registry, obsRun.Collector
+	reg := obsRun.Registry
 
 	if *metricsAddr != "" {
 		ln, err := net.Listen("tcp", *metricsAddr)
@@ -218,23 +225,18 @@ func run(ctx context.Context, args []string) error {
 	}
 	log.Printf("journaling live crawl state -> %s (flush+fsync every %v), edges -> %s", *journal, *flushEvery, segDir)
 
-	// The live view: one report per sample, rendered as a progress line
-	// every -progress or as a dashboard frame (which would be scribbled
-	// over by progress lines; the log goes to stderr, the frame to stdout).
+	// The live view: the run's report of each sample, rendered as a
+	// progress line every -progress or as a dashboard frame (which would be
+	// scribbled over by progress lines; the log goes to stderr, the frame
+	// to stdout). The run fires the stall capture itself.
 	var health *series.HealthReport // the latest; main reads it once sampling has stopped
 	printed := time.Now()           // the tick of the last progress line logged
 	if watch {
-		sig.Objectives = obsCfg.Objectives
-		// The stall rule counts ticks: as many as three progress intervals span.
-		if n := int(3 * *progress / collector.Interval()); n > sig.StallAfter {
-			sig.StallAfter = n
-		}
 		dash := series.NewDash(os.Stdout)
-		series.Watch(collector, sig, func(r *series.HealthReport) {
+		obsRun.Watch(func(r *series.HealthReport) {
 			health = r
 			if r.StallOnset {
-				log.Printf("crawl stalled (no page fetched for %d ticks with ids queued); capturing profile dump", sig.StallAfter)
-				obsRun.Profiler.Trigger("stall")
+				log.Printf("crawl stalled (no page fetched for %d ticks with ids queued); capturing profile dump", obsCfg.Signals.StallAfter)
 			}
 			switch {
 			case *dashOn:

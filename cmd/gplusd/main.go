@@ -7,7 +7,8 @@
 // text; ?format=json for the snapshot), /debug/vars (expvar), the
 // /debug/pprof/ suite for go tool pprof, /debug/timeseries (in-process
 // metric history at -sample-interval cadence; ?format=jsonl dumps it),
-// and /debug/slo (burn-rate state of the -slo objectives).
+// and /debug/slo (the server's health report, rebuilt every sample with
+// the burn-rate state and violation spans of the -slo objectives).
 //
 // The hot path holds no global locks: fault injection draws from
 // per-goroutine RNG streams and the per-crawler rate limiter is striped
@@ -38,8 +39,8 @@
 //
 // -obs-dir names the run directory (layout in package rundir): the
 // profile ring and exemplar traces are written while serving, the metric
-// series and retained traces on SIGINT/SIGTERM, when the server drains
-// and exits. `gplusanalyze metrics|traces <dir>` read it back, and
+// series and the rest of the trace ring on SIGINT/SIGTERM, when the
+// server drains and exits. `gplusanalyze metrics|traces <dir>` read it back, and
 // `go tool pprof <dir>/profiles/*.pb.gz` the profile captures.
 //
 // Usage:
@@ -75,7 +76,7 @@ func main() {
 		chaosSpec = flag.String("chaos", "", `chaos-mode fault suite, rules separated by ';', e.g. "unavailable,endpoint=profile,rate=0.2;delay,rate=0.1,delay=150ms;hang,rate=0.01,delay=90s;reset,rate=0.05;outage,every=10m,down=45s;brownout,every=10m,down=45s,delay=100ms,squeeze=0.8"`)
 		admitMax  = flag.Int("admission", 0, "admission control: max concurrent requests (0 disables; sheds carry Retry-After, report at /debug/admission)")
 	)
-	obsCfg := rundir.Config{Name: "gplusd", Objectives: series.DefaultGplusdObjectives()}
+	obsCfg := rundir.Config{Name: "gplusd", Signals: series.GplusdSignals()}
 	obsCfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 

@@ -30,13 +30,13 @@ func TestDashDemo(t *testing.T) {
 	})
 
 	run := startRun(t, rundir.Config{
-		Series:     series.Options{Interval: 25 * time.Millisecond, Capacity: 4096},
-		Objectives: series.DefaultCrawlObjectives(),
+		Series:  series.Options{Interval: 25 * time.Millisecond, Capacity: 4096},
+		Signals: series.CrawlSignals(),
 	})
 	collector := run.Collector
 
 	var screen bytes.Buffer
-	series.Watch(collector, series.CrawlSignals(), series.NewDash(&screen).Frame)
+	run.Watch(series.NewDash(&screen).Frame)
 
 	res, err := crawlInRAM(context.Background(), Config{
 		BaseURL: url, Seeds: []string{seedID(u)}, Workers: 4,

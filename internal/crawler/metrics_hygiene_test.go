@@ -33,8 +33,8 @@ var promFamilyRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
 // TestMetricsHygiene populates both registries the way a real chaos
 // crawl does — server with faults armed, client crawl with the full
-// rundir stack (runtime metrics, collector, SLO engine, tracer, and the
-// continuous profiler) — then parses the Prometheus
+// rundir stack (runtime metrics, collector and its health watcher with
+// the SLO gauges, tracer, and the continuous profiler) — then parses the Prometheus
 // exposition of each and asserts every family matches the naming
 // grammar, carries a HELP line, and every sample belongs to a declared
 // TYPE, and that every sample name parses as a series whose label keys
@@ -60,11 +60,11 @@ func TestMetricsHygiene(t *testing.T) {
 	})
 
 	run := startRun(t, rundir.Config{
-		Dir:        t.TempDir(),
-		Series:     series.Options{Interval: 10 * time.Millisecond, Capacity: 256},
-		Objectives: series.DefaultCrawlObjectives(),
-		Trace:      trace.Config{SampleRate: 1},
-		Prof:       prof.Options{Interval: 50 * time.Millisecond, CPUDuration: 20 * time.Millisecond},
+		Dir:     t.TempDir(),
+		Series:  series.Options{Interval: 10 * time.Millisecond, Capacity: 256},
+		Signals: series.CrawlSignals(),
+		Trace:   trace.Config{SampleRate: 1},
+		Prof:    prof.Options{Interval: 50 * time.Millisecond, CPUDuration: 20 * time.Millisecond},
 	})
 	creg := run.Registry
 	jrnl, err := OpenJournal(t.TempDir()+"/crawl.journal", JournalOptions{Metrics: creg})

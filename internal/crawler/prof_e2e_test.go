@@ -27,7 +27,7 @@ import (
 // the on-disk ring must tell the story on its own —
 //
 //  1. the ring's file names show steady-state interval captures AND an
-//     anomaly capture fired by the SLO engine paging mid-brownout;
+//     anomaly capture fired by an SLO objective paging mid-brownout;
 //  2. every CPU capture decodes with `go tool pprof`, the toolchain's
 //     reader and the ring's only one;
 //  3. aggregating the CPU captures by the "phase" pprof label pins the
@@ -85,7 +85,7 @@ func TestContinuousProfilingE2E(t *testing.T) {
 	}
 
 	// The whole crawl-side stack in one wiring call, as gpluscrawl makes
-	// it. Burn-rate engine over a short, twitchy availability objective so
+	// it. The watcher reads a short, twitchy availability objective so
 	// the brownout's shed burst reliably pages within the test's runtime
 	// (a 1% budget burning at 2x pages on a few-percent 503 ratio).
 	// The profiler runs at test-speed cadence: a capture cycle every
@@ -100,7 +100,7 @@ func TestContinuousProfilingE2E(t *testing.T) {
 	run := startRun(t, rundir.Config{
 		Dir:    dir,
 		Series: series.Options{Interval: 25 * time.Millisecond, Capacity: 8192},
-		Objectives: []series.Objective{{
+		Signals: series.Signals{Objectives: []series.Objective{{
 			Name: "availability", Kind: series.ErrorRatio,
 			Bad:        []string{`gplusapi_responses_total{code="503"}`},
 			Total:      []string{"gplusapi_responses_total"},
@@ -108,7 +108,7 @@ func TestContinuousProfilingE2E(t *testing.T) {
 			Window:     500 * time.Millisecond,
 			Fast:       100 * time.Millisecond,
 			WarnFactor: 1, PageFactor: 2,
-		}},
+		}}},
 		Prof: prof.Options{
 			Interval:           250 * time.Millisecond,
 			CPUDuration:        200 * time.Millisecond,
@@ -117,8 +117,10 @@ func TestContinuousProfilingE2E(t *testing.T) {
 		},
 		ProfStore: prof.StoreOptions{MaxCaptures: 4096},
 	})
-	creg, eng := run.Registry, run.Engine
+	creg := run.Registry
 	ring := filepath.Join(dir, rundir.ProfilesDir)
+	pages := 0 // PAGE onsets the reports carried; read once run.Close has stopped the sampling
+	run.Watch(func(r *series.HealthReport) { pages += len(r.PageOnset) })
 
 	res, err := crawlInRAM(ctx, Config{
 		BaseURL: brownURL, Seeds: []string{seed}, Workers: 8,
@@ -154,7 +156,7 @@ func TestContinuousProfilingE2E(t *testing.T) {
 		t.Errorf("no interval CPU captures in %s", ring)
 	}
 	if len(glob("*-slo-page_*.pb.gz")) == 0 {
-		t.Errorf("no slo-page-triggered captures in %s; engine transitions: %d", ring, len(eng.Transitions()))
+		t.Errorf("no slo-page-triggered captures in %s; PAGE onsets reported: %d", ring, pages)
 	}
 
 	// (2) Every CPU capture decodes: one `go tool pprof -tags` over all of

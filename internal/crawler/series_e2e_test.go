@@ -38,12 +38,6 @@ func TestSeriesChaosReportE2E(t *testing.T) {
 	})
 	outageEnd := t0.Add(outageDown)
 
-	dir := t.TempDir()
-	run := startRun(t, rundir.Config{
-		Dir:    dir,
-		Series: series.Options{Interval: 25 * time.Millisecond, Capacity: 4096},
-	})
-
 	sig := series.CrawlSignals()
 	sig.Objectives = []series.Objective{{
 		Name: "availability", Kind: series.ErrorRatio,
@@ -55,8 +49,14 @@ func TestSeriesChaosReportE2E(t *testing.T) {
 		Window: 500 * time.Millisecond,
 		Fast:   100 * time.Millisecond,
 	}}
+	dir := t.TempDir()
+	run := startRun(t, rundir.Config{
+		Dir:     dir,
+		Series:  series.Options{Interval: 25 * time.Millisecond, Capacity: 4096},
+		Signals: sig,
+	})
 	var live *series.HealthReport // the latest; read once run.Close has stopped the sampling
-	series.Watch(run.Collector, sig, func(r *series.HealthReport) { live = r })
+	run.Watch(func(r *series.HealthReport) { live = r })
 
 	// Retries ride out the outage (cumulative backoff comfortably spans
 	// 400ms); politeness stretches the crawl so the collector records a

@@ -167,10 +167,10 @@ var appendCases = []appendCase{
 		},
 	},
 	{
-		// The live exemplar stream of a run directory: every failed
-		// trace trips the production exemplar rules.
+		// The live exemplar stream into a run directory's trace log:
+		// every failed trace trips the production exemplar rules.
 		name: "exemplar stream",
-		log:  rundir.ExemplarsFile,
+		log:  rundir.TracesFile,
 		session: func(t *testing.T, dir string, names []string) {
 			run, err := rundir.Start(rundir.Config{Dir: dir, Trace: trace.Config{SampleRate: 1}})
 			if err != nil {
@@ -186,14 +186,14 @@ var appendCases = []appendCase{
 			}
 		},
 		read: func(t *testing.T, dir string) []string {
-			f, err := os.Open(filepath.Join(dir, rundir.ExemplarsFile))
+			f, err := os.Open(filepath.Join(dir, rundir.TracesFile))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer f.Close()
 			trs, _, err := trace.ReadTraces(f)
 			if err != nil {
-				t.Fatalf("reopened exemplar stream: %v", err)
+				t.Fatalf("reopened trace log: %v", err)
 			}
 			var got []string
 			for _, tr := range trs {

@@ -1,30 +1,39 @@
 // Package rundir assembles the observability stack of one run — metrics
-// registry, time-series collector, SLO engine, request tracer, profile
-// ring — in one call, and spools what it gathered into one run
-// directory:
+// registry, time-series collector and its health watcher, request
+// tracer, profile ring — in one call, and spools what it gathered into
+// one run directory:
 //
-//	<dir>/series.jsonl     every retained metric point, written at Close
-//	<dir>/traces.jsonl     every retained trace, written at Close
-//	<dir>/exemplars.jsonl  exemplar traces, appended as they trip, fsynced at Close
-//	<dir>/profiles/        the continuous-profiling ring: <kind>-<seq>-<trigger>.pb.gz
+//	<dir>/series.jsonl  every retained metric point, written at Close
+//	<dir>/traces.jsonl  exemplar traces appended as they trip; at Close the
+//	                    ring's other traces, then an fsync
+//	<dir>/profiles/     the continuous-profiling ring: <kind>-<seq>-<trigger>.pb.gz
+//
+// The watcher builds one series.HealthReport per collector tick, and
+// every live surface reads that report: the slo_* gauges, /debug/slo,
+// the stall and slo-page:<objective> profile captures, and whatever
+// subscribes through Run.Watch (gpluscrawl's progress line and -dash).
 //
 // gpluscrawl, gplusd and the crawler's end-to-end tests all build their
 // stack here, so the wiring that ships is the wiring that is tested.
 // `gplusanalyze metrics|traces <dir>` read the directory back, and `go
-// tool pprof` the captures under profiles/.
+// tool pprof` the captures under profiles/. A resumed run appends to
+// traces.jsonl.
 package rundir
 
 import (
+	"encoding/json"
 	"errors"
 	"expvar"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -37,10 +46,9 @@ import (
 
 // The files of a run directory.
 const (
-	SeriesFile    = "series.jsonl"
-	TracesFile    = "traces.jsonl"
-	ExemplarsFile = "exemplars.jsonl"
-	ProfilesDir   = "profiles"
+	SeriesFile  = "series.jsonl"
+	TracesFile  = "traces.jsonl"
+	ProfilesDir = "profiles"
 )
 
 // Config is the option structs of the signals side by side. Unlike in
@@ -58,10 +66,12 @@ type Config struct {
 	Dir string
 
 	// Series configures the collector; Interval 0 leaves it — and with
-	// it the SLO engine and series.jsonl — off.
+	// it the watcher, /debug/slo and series.jsonl — off.
 	Series series.Options
-	// Objectives are evaluated on every collector tick; none, no engine.
-	Objectives []series.Objective
+	// Signals are what the watcher reads the run's health from on every
+	// collector tick: the stall rule, and the objectives behind the slo_*
+	// gauges and the slo-page captures.
+	Signals series.Signals
 	// Trace configures the tracer; SampleRate 0 leaves tracing off. A
 	// nil Recorder gets a 64-trace ring with the production exemplar
 	// rules (root slower than 500ms, any failed span, 3+ retries).
@@ -73,14 +83,14 @@ type Config struct {
 }
 
 // RegisterFlags declares the observability flags gpluscrawl and gplusd
-// share, bound to c. -slo "default" keeps the Objectives the caller set
-// beforehand. The mutex profiler rate is applied as it is parsed, which
-// is before any goroutine of the run exists.
+// share, bound to c. -slo "default" keeps the Signals.Objectives the
+// caller set beforehand. The mutex profiler rate is applied as it is
+// parsed, which is before any goroutine of the run exists.
 func (c *Config) RegisterFlags(fs *flag.FlagSet) {
-	fs.StringVar(&c.Dir, "obs-dir", "", "run directory: exemplar traces stream to <dir>/exemplars.jsonl and profiles to <dir>/profiles/ during the run, series.jsonl and traces.jsonl are written at exit (read it back with `gplusanalyze metrics|traces <dir>` and `go tool pprof <dir>/profiles/cpu-*.pb.gz`); the profile ring keeps the CPU profiler on for a third of the run at the default -profile-interval — pass -profile-interval 0 for series and traces only")
-	fs.DurationVar(&c.Series.Interval, "sample-interval", time.Second, "metric time-series sampling cadence for /debug/timeseries, the SLO engine and series.jsonl (0 disables all three)")
+	fs.StringVar(&c.Dir, "obs-dir", "", "run directory: exemplar traces stream to <dir>/traces.jsonl and profiles to <dir>/profiles/ during the run, series.jsonl and the rest of the trace ring are written at exit (read it back with `gplusanalyze metrics|traces <dir>` and `go tool pprof <dir>/profiles/cpu-*.pb.gz`); the profile ring keeps the CPU profiler on for a third of the run at the default -profile-interval — pass -profile-interval 0 for series and traces only")
+	fs.DurationVar(&c.Series.Interval, "sample-interval", time.Second, "metric time-series sampling cadence for /debug/timeseries, series.jsonl and the health report read off them once per tick (progress, /debug/slo, slo_* gauges, stall and SLO-page captures); 0 disables all of them")
 	fs.Func("slo", `SLO objectives evaluated over the metric time series: "default" (the binary's availability + latency pair), "" for none, or a spec like "avail,error_ratio,bad=gplusd_chaos_faults_total,total=gplusd_requests_total,max=1%,window=1m"; report at /debug/slo`, func(v string) (err error) {
-		c.Objectives, err = series.ObjectivesFlag(v, c.Objectives)
+		c.Signals.Objectives, err = series.ObjectivesFlag(v, c.Signals.Objectives)
 		return err
 	})
 	fs.Float64Var(&c.Trace.SampleRate, "trace-sample", 0, "head-sample this fraction of new request traces (0 disables tracing, 1 traces everything; traces propagated via X-Gplus-Trace are always joined); browse at /debug/traces")
@@ -100,14 +110,17 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 type Run struct {
 	Registry  *obs.Registry
 	Collector *series.Collector
-	Engine    *series.Engine
 	Tracer    *trace.Tracer
 	Profiler  *prof.Collector
 
 	dir string
 
-	mu        sync.Mutex   // the exemplar sink runs on whichever worker finished the trace
-	exemplars *durable.Log // nil when not streaming, and after Close
+	// mu guards what the trace sink (on whichever worker finished the
+	// trace), the watcher (on the sampling goroutine) and callers share.
+	mu       sync.Mutex
+	traces   *durable.Log         // nil when not spooling traces, and after Close
+	latest   *series.HealthReport // the watcher's newest report
+	watchers []func(*series.HealthReport)
 }
 
 // Start builds and starts the stack cfg describes; sampling and
@@ -126,10 +139,7 @@ func Start(cfg Config) (*Run, error) {
 
 	if cfg.Series.Interval > 0 {
 		r.Collector = series.NewCollector(r.Registry, cfg.Series)
-		if len(cfg.Objectives) > 0 {
-			r.Engine = series.NewEngine(r.Collector, cfg.Objectives, r.Registry)
-			r.Collector.OnSample(r.Engine.Eval)
-		}
+		series.Watch(r.Collector, cfg.Signals, r.observer(cfg.Signals.Objectives))
 	}
 
 	if cfg.Trace.SampleRate > 0 {
@@ -141,11 +151,11 @@ func Start(cfg Config) (*Run, error) {
 			})
 		}
 		if cfg.Dir != "" {
-			log, err := durable.OpenLog(filepath.Join(cfg.Dir, ExemplarsFile))
+			log, err := durable.OpenLog(filepath.Join(cfg.Dir, TracesFile))
 			if err != nil {
-				return nil, fmt.Errorf("rundir: exemplar stream: %w", err)
+				return nil, fmt.Errorf("rundir: trace log: %w", err)
 			}
-			r.exemplars = log
+			r.traces = log
 			cfg.Trace.Recorder.SetSink(r.streamExemplar)
 		}
 		cfg.Trace.Metrics = r.Registry
@@ -156,20 +166,13 @@ func Start(cfg Config) (*Run, error) {
 		cfg.ProfStore.Metrics = r.Registry
 		store, err := prof.OpenStore(filepath.Join(cfg.Dir, ProfilesDir), cfg.ProfStore)
 		if err != nil {
-			if r.exemplars != nil {
-				r.exemplars.Close() //nolint:errcheck — unwinding; nothing was written
+			if r.traces != nil {
+				r.traces.Close() //nolint:errcheck — unwinding; nothing was written
 			}
 			return nil, fmt.Errorf("rundir: %w", err)
 		}
 		cfg.Prof.Metrics = r.Registry
 		r.Profiler = prof.NewCollector(store, cfg.Prof)
-		// A PAGE transition fires an immediate capture tagged with the
-		// objective: a CPU burst and goroutine dump from inside the incident.
-		r.Engine.OnTransition(func(tr series.Transition) {
-			if tr.To == series.StatePage {
-				r.Profiler.Trigger("slo-page:" + tr.Name)
-			}
-		})
 	}
 
 	r.Collector.Start()
@@ -177,19 +180,70 @@ func Start(cfg Config) (*Run, error) {
 	return r, nil
 }
 
-// streamExemplar appends one exemplar trace to exemplars.jsonl and hands
-// it to the kernel, so it outlives a SIGKILL — exemplars exist to explain
+// observer returns what the watcher hands each report to. It publishes,
+// per objective, slo_state (0 ok, 1 warn, 2 page), slo_burn_rate_milli
+// (long-window burn rate x1000) and slo_sli_ppm (long-window bad
+// fraction, parts per million) — sampled on the next tick, so SLO health
+// is itself a time series — and fires a capture when a stall begins or an
+// objective pages: a CPU burst and goroutine dump from inside the
+// incident. Then the report is the latest, and goes to every subscriber.
+func (r *Run) observer(objs []series.Objective) func(*series.HealthReport) {
+	var gauges [][3]*obs.Gauge
+	if len(objs) > 0 {
+		r.Registry.Help("slo_state", "Objective alert state: 0 ok, 1 warn, 2 page.")
+		r.Registry.Help("slo_burn_rate_milli", "Long-window error-budget burn rate, x1000.")
+		r.Registry.Help("slo_sli_ppm", "Long-window bad-event fraction, parts per million.")
+	}
+	for _, o := range objs {
+		label := obs.Label{Key: obs.KeySLO, Value: o.Name}
+		gauges = append(gauges, [3]*obs.Gauge{r.Registry.Gauge("slo_state", label),
+			r.Registry.Gauge("slo_burn_rate_milli", label), r.Registry.Gauge("slo_sli_ppm", label)})
+	}
+	return func(rep *series.HealthReport) {
+		for i, st := range rep.Statuses {
+			gauges[i][0].Set(int64(st.State))
+			gauges[i][1].Set(int64(math.Round(st.BurnLong * 1000)))
+			gauges[i][2].Set(int64(math.Round(st.SLI * 1e6)))
+		}
+		if rep.StallOnset {
+			r.Profiler.Trigger("stall")
+		}
+		for _, name := range rep.PageOnset {
+			r.Profiler.Trigger("slo-page:" + name)
+		}
+		r.mu.Lock()
+		r.latest = rep
+		watchers := r.watchers
+		r.mu.Unlock()
+		for _, fn := range watchers {
+			fn(rep)
+		}
+	}
+}
+
+// Watch hands fn every health report the run's watcher builds — one per
+// collector tick, on the sampling goroutine, one call at a time, after
+// the run's own gauges and captures have read it. Without a collector
+// there are none.
+func (r *Run) Watch(fn func(*series.HealthReport)) {
+	r.mu.Lock()
+	r.watchers = append(r.watchers, fn)
+	r.mu.Unlock()
+}
+
+// streamExemplar appends one exemplar trace to traces.jsonl and hands it
+// to the kernel, so it outlives a SIGKILL — exemplars exist to explain
 // the run that was killed. No fsync: this runs on the crawl worker that
 // finished the trace, and in a brownout every failed request is one.
 // Best effort — a failed diagnostics write must not fail that request.
 func (r *Run) streamExemplar(tr *trace.Trace) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.exemplars == nil {
+	if r.traces == nil {
 		return
 	}
-	if trace.WriteTraceJSONL(r.exemplars, tr) == nil {
-		r.exemplars.Flush() //nolint:errcheck — best effort, see above
+	if trace.WriteTraceJSONL(r.traces, tr) == nil {
+		r.traces.Flush() //nolint:errcheck — best effort, see above
 	}
 }
 
@@ -209,35 +263,64 @@ func (r *Run) Mux() *http.ServeMux {
 	mux.Handle("/debug/traces", r.Tracer.Recorder())
 	if r.Collector != nil {
 		mux.Handle("/debug/timeseries", series.Handler{C: r.Collector})
-	}
-	if r.Engine != nil {
-		mux.Handle("/debug/slo", r.Engine)
+		mux.HandleFunc("/debug/slo", r.serveSLO)
 	}
 	return mux
 }
 
+// serveSLO serves the watcher's latest report: as the text `gplusanalyze
+// metrics` prints, or with ?format=json the objectives' statuses and the
+// violation spans.
+func (r *Run) serveSLO(w http.ResponseWriter, req *http.Request) {
+	r.mu.Lock()
+	rep := r.latest
+	r.mu.Unlock()
+	if req.URL.Query().Get("format") == "json" ||
+		strings.Contains(req.Header.Get("Accept"), "application/json") {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(struct { //nolint:errcheck — best effort to a dead client
+			Objectives []series.Status `json:"objectives"`
+			Violations []series.Span   `json:"violations"`
+		}{rep.Statuses, rep.Violations})
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	rep.WriteText(w, 0)
+}
+
 // Close stops the stack and completes the run directory: the profile
-// ring takes its final captures and the collector a last sample, the
-// exemplar stream is closed, and traces.jsonl and series.jsonl are
-// written atomically. The Run's fields stay readable afterwards.
+// ring takes its final captures and the collector a last sample (and the
+// watcher its last report), the ring's traces the exemplar stream did not
+// carry are appended to traces.jsonl before it is fsynced and closed, and
+// series.jsonl is written atomically. The Run's fields stay readable
+// afterwards.
 func (r *Run) Close() error {
 	r.Profiler.Stop()
 	r.Collector.Stop()
 
-	r.mu.Lock()
 	var errs []error
-	if r.exemplars != nil {
-		errs = append(errs, r.exemplars.Close())
-		r.exemplars = nil
+	r.mu.Lock()
+	if r.traces != nil {
+		// The sink was handed exactly the retained exemplars, so those are
+		// the streamed ones; an exemplar dropped past trace.MaxExemplars is
+		// tagged but was never streamed.
+		rec := r.Tracer.Recorder()
+		streamed := make(map[*trace.Trace]bool)
+		for _, tr := range rec.Exemplars() {
+			streamed[tr] = true
+		}
+		for _, tr := range rec.Completed() {
+			if !streamed[tr] {
+				errs = append(errs, trace.WriteTraceJSONL(r.traces, tr))
+			}
+		}
+		errs = append(errs, r.traces.Close())
+		r.traces = nil
 	}
 	r.mu.Unlock()
-	if r.dir == "" {
-		return nil
-	}
-	if rec := r.Tracer.Recorder(); rec != nil {
-		errs = append(errs, durable.WriteFile(filepath.Join(r.dir, TracesFile), func(f *os.File) error { return rec.WriteJSONL(f) }))
-	}
-	if r.Collector != nil {
+	if r.dir != "" && r.Collector != nil {
 		errs = append(errs, durable.WriteFile(filepath.Join(r.dir, SeriesFile), func(f *os.File) error { return r.Collector.WriteJSONL(f) }))
 	}
 	return errors.Join(errs...)

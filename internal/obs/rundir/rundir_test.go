@@ -2,11 +2,13 @@ package rundir_test
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,16 +26,17 @@ func exemplar(run *rundir.Run, name string) {
 	sp.Finish()
 }
 
-func readExemplars(t *testing.T, dir string) []string {
+// readTraces returns the root span names of the traces in traces.jsonl.
+func readTraces(t *testing.T, dir string) []string {
 	t.Helper()
-	f, err := os.Open(filepath.Join(dir, rundir.ExemplarsFile))
+	f, err := os.Open(filepath.Join(dir, rundir.TracesFile))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	trs, _, err := trace.ReadTraces(f)
 	if err != nil {
-		t.Fatalf("exemplar stream unreadable: %v", err)
+		t.Fatalf("trace log unreadable: %v", err)
 	}
 	var names []string
 	for _, tr := range trs {
@@ -43,15 +46,15 @@ func readExemplars(t *testing.T, dir string) []string {
 }
 
 // TestExemplarStreamSurvivesKillAndResume is the regression test for
-// the two events the stream exists for. A crawl killed mid-append
-// leaves a torn last line, and resuming into the same directory opens
-// the stream again: the second session must neither truncate the first
-// session's exemplars nor fuse its own onto the torn tail, and a reader
-// must get every complete trace of both sessions.
+// the two events the exemplar stream into traces.jsonl exists for. A
+// crawl killed mid-append leaves a torn last line, and resuming into the
+// same directory opens the log again: the second session must neither
+// truncate the first session's traces nor fuse its own onto the torn
+// tail, and a reader must get every complete trace of both sessions.
 func TestExemplarStreamSurvivesKillAndResume(t *testing.T) {
 	dir := t.TempDir()
 	cfg := rundir.Config{Dir: dir, Trace: trace.Config{SampleRate: 1}}
-	path := filepath.Join(dir, rundir.ExemplarsFile)
+	path := filepath.Join(dir, rundir.TracesFile)
 
 	first, err := rundir.Start(cfg)
 	if err != nil {
@@ -61,7 +64,7 @@ func TestExemplarStreamSurvivesKillAndResume(t *testing.T) {
 	// Each exemplar is handed to the kernel as it trips: it is in the
 	// file before the session ends, which is what lets it outlive a
 	// SIGKILL.
-	if got := readExemplars(t, dir); !slices.Equal(got, []string{"one"}) {
+	if got := readTraces(t, dir); !slices.Equal(got, []string{"one"}) {
 		t.Fatalf("live stream holds %v after one exemplar, want it in the file already", got)
 	}
 	exemplar(first, "two")
@@ -76,7 +79,7 @@ func TestExemplarStreamSurvivesKillAndResume(t *testing.T) {
 	if err := os.Truncate(path, st.Size()-20); err != nil {
 		t.Fatal(err)
 	}
-	if got := readExemplars(t, dir); !slices.Equal(got, []string{"one"}) {
+	if got := readTraces(t, dir); !slices.Equal(got, []string{"one"}) {
 		t.Fatalf("killed stream reads back %v, want the one complete trace", got)
 	}
 
@@ -88,8 +91,34 @@ func TestExemplarStreamSurvivesKillAndResume(t *testing.T) {
 	if err := second.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := readExemplars(t, dir); !slices.Equal(got, []string{"one", "three"}) {
-		t.Fatalf("resumed stream reads back %v, want [one three]", got)
+	if got := readTraces(t, dir); !slices.Equal(got, []string{"one", "three"}) {
+		t.Fatalf("resumed log reads back %v, want [one three]", got)
+	}
+}
+
+// TestTraceLogKeepsUnstreamedRingTraces: Close appends the ring's traces
+// the exemplar stream did not carry — plain traces, and an exemplar
+// dropped past trace.MaxExemplars, which keeps its rule tag but never
+// reached the stream — and none the stream already carried.
+func TestTraceLogKeepsUnstreamedRingTraces(t *testing.T) {
+	dir := t.TempDir()
+	run, err := rundir.Start(rundir.Config{Dir: dir, Trace: trace.Config{SampleRate: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < trace.MaxExemplars; i++ {
+		exemplar(run, "kept")
+	}
+	exemplar(run, "dropped")
+	_, sp := run.Tracer.StartSpan(context.Background(), "plain")
+	sp.Finish()
+	if err := run.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := readTraces(t, dir)
+	if n := len(got); n != trace.MaxExemplars+2 || got[n-2] != "dropped" || got[n-1] != "plain" {
+		t.Errorf("trace log holds %d traces ending %v, want the %d streamed exemplars, then dropped and plain",
+			n, got[max(n-3, 0):], trace.MaxExemplars)
 	}
 }
 
@@ -99,17 +128,19 @@ func TestExemplarStreamSurvivesKillAndResume(t *testing.T) {
 func TestRunDirectoryLayout(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "run") // Start creates it
 	run, err := rundir.Start(rundir.Config{
-		Dir:        dir,
-		Series:     series.Options{Interval: 5 * time.Millisecond},
-		Objectives: series.DefaultCrawlObjectives(),
-		Trace:      trace.Config{SampleRate: 1},
-		Prof:       prof.Options{Interval: 20 * time.Millisecond},
+		Dir:     dir,
+		Series:  series.Options{Interval: 5 * time.Millisecond},
+		Signals: series.CrawlSignals(),
+		Trace:   trace.Config{SampleRate: 1},
+		Prof:    prof.Options{Interval: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	run.Registry.Counter("crawler_profiles_total").Inc()
 	exemplar(run, "req")
+	_, sp := run.Tracer.StartSpan(context.Background(), "ok")
+	sp.Finish()
 	srv := httptest.NewServer(run.Mux())
 	defer srv.Close()
 	for _, path := range []string{"/metrics", "/debug/vars", "/debug/pprof/", "/debug/traces", "/debug/timeseries", "/debug/slo"} {
@@ -139,17 +170,12 @@ func TestRunDirectoryLayout(t *testing.T) {
 	if err != nil || len(dump.PointsSince("crawler_profiles_total", time.Time{})) == 0 {
 		t.Errorf("series.jsonl lacks the counter (err=%v)", err)
 	}
-	f, err = os.Open(filepath.Join(dir, rundir.TracesFile))
-	if err != nil {
-		t.Fatal(err)
+	// The exemplar streamed as it tripped, the plain trace at Close.
+	if got := readTraces(t, dir); !slices.Equal(got, []string{"req", "ok"}) {
+		t.Errorf("traces.jsonl holds %v, want [req ok]", got)
 	}
-	trs, torn, err := trace.ReadTraces(f)
-	f.Close()
-	if err != nil || torn != 0 || len(trs) != 1 {
-		t.Errorf("traces.jsonl holds %d traces (err=%v), want 1", len(trs), err)
-	}
-	if got := readExemplars(t, dir); !slices.Equal(got, []string{"req"}) {
-		t.Errorf("exemplars.jsonl holds %v", got)
+	if entries, _ := os.ReadDir(dir); len(entries) != 3 {
+		t.Errorf("run directory holds %v, want series.jsonl, traces.jsonl and profiles/", entries)
 	}
 	if captures, _ := filepath.Glob(filepath.Join(dir, rundir.ProfilesDir, "*.pb.gz")); len(captures) == 0 {
 		t.Error("profiles/ ring is empty")
@@ -159,14 +185,17 @@ func TestRunDirectoryLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.Registry == nil || off.Collector != nil || off.Engine != nil || off.Tracer != nil || off.Profiler != nil {
+	if off.Registry == nil || off.Collector != nil || off.Tracer != nil || off.Profiler != nil {
 		t.Errorf("zero Config started %+v, want a registry and nothing else", off)
 	}
 	off.Profiler.Trigger("stall")
-	rr := httptest.NewRecorder()
-	off.Mux().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/timeseries", nil))
-	if rr.Code != 404 {
-		t.Errorf("/debug/timeseries without a collector = %d, want 404", rr.Code)
+	off.Watch(func(*series.HealthReport) { t.Error("a run without a collector built a report") })
+	for _, path := range []string{"/debug/timeseries", "/debug/slo"} {
+		rr := httptest.NewRecorder()
+		off.Mux().ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+		if rr.Code != 404 {
+			t.Errorf("%s without a collector = %d, want 404", path, rr.Code)
+		}
 	}
 	if err := off.Close(); err != nil {
 		t.Fatal(err)
@@ -179,7 +208,7 @@ func TestRunDirectoryLayout(t *testing.T) {
 func TestRegisterFlags(t *testing.T) {
 	parse := func(args ...string) rundir.Config {
 		t.Helper()
-		cfg := rundir.Config{Objectives: series.DefaultGplusdObjectives()}
+		cfg := rundir.Config{Signals: series.GplusdSignals()}
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		cfg.RegisterFlags(fs)
 		if err := fs.Parse(args); err != nil {
@@ -189,19 +218,81 @@ func TestRegisterFlags(t *testing.T) {
 	}
 	def := parse()
 	if def.Dir != "" || def.Series.Interval != time.Second || def.Trace.SampleRate != 0 ||
-		def.Prof.Interval != 30*time.Second || len(def.Objectives) != len(series.DefaultGplusdObjectives()) {
+		def.Prof.Interval != 30*time.Second || len(def.Signals.Objectives) != len(series.DefaultGplusdObjectives()) {
 		t.Errorf("defaults: %+v", def)
 	}
-	if got := parse("-slo", "default"); len(got.Objectives) != len(def.Objectives) {
-		t.Errorf("-slo default changed the objectives: %v", got.Objectives)
+	if got := parse("-slo", "default"); len(got.Signals.Objectives) != len(def.Signals.Objectives) {
+		t.Errorf("-slo default changed the objectives: %v", got.Signals.Objectives)
 	}
-	if got := parse("-slo", ""); len(got.Objectives) != 0 {
-		t.Errorf(`-slo "" kept %v`, got.Objectives)
+	if got := parse("-slo", ""); len(got.Signals.Objectives) != 0 {
+		t.Errorf(`-slo "" kept %v`, got.Signals.Objectives)
 	}
 	got := parse("-obs-dir", "d", "-trace-sample", "0.5", "-sample-interval", "0", "-profile-interval", "10s",
 		"-slo", "avail,error_ratio,bad=gplusd_chaos_faults_total,total=gplusd_requests_total,max=1%,window=1m")
 	if got.Dir != "d" || got.Trace.SampleRate != 0.5 || got.Series.Interval != 0 || got.Prof.Interval != 10*time.Second ||
-		len(got.Objectives) != 1 || got.Objectives[0].Name != "avail" {
+		len(got.Signals.Objectives) != 1 || got.Signals.Objectives[0].Name != "avail" {
 		t.Errorf("parsed: %+v", got)
+	}
+}
+
+// TestSLOEndpoint: /debug/slo serves the watcher's latest report — its
+// text, or the objectives' statuses and violation spans as JSON — and
+// the slo_* gauges publish the same statuses.
+func TestSLOEndpoint(t *testing.T) {
+	run, err := rundir.Start(rundir.Config{
+		// Ticks are taken by hand below; the sampling goroutine never fires.
+		Series: series.Options{Interval: time.Hour},
+		Signals: series.Signals{Name: "test", Objectives: []series.Objective{{
+			Name: "avail", Kind: series.ErrorRatio,
+			Bad: []string{"errs_total"}, Total: []string{"reqs_total"}, Max: 0.01,
+		}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer run.Close()
+	errs, reqs := run.Registry.Counter("errs_total"), run.Registry.Counter("reqs_total")
+	var reports []*series.HealthReport
+	run.Watch(func(r *series.HealthReport) { reports = append(reports, r) })
+	get := func(path string) string {
+		t.Helper()
+		rr := httptest.NewRecorder()
+		run.Mux().ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+		if rr.Code != 200 {
+			t.Fatalf("GET %s = %d", path, rr.Code)
+		}
+		return rr.Body.String()
+	}
+	sample := func(bad, total int64) {
+		time.Sleep(time.Millisecond)
+		errs.Add(bad)
+		reqs.Add(total)
+		run.Collector.Sample(time.Now())
+	}
+
+	sample(0, 100)
+	if text := get("/debug/slo"); !strings.Contains(text, "test health") || !strings.Contains(text, "avail") ||
+		!strings.Contains(text, "OK") || !strings.Contains(text, "no violation spans") {
+		t.Errorf("healthy text report:\n%s", text)
+	}
+	sample(50, 100)
+	if text := get("/debug/slo"); !strings.Contains(text, "PAGE") || !strings.Contains(text, "VIOLATION avail") {
+		t.Errorf("paging text report:\n%s", text)
+	}
+	var doc struct {
+		Objectives []series.Status `json:"objectives"`
+		Violations []series.Span   `json:"violations"`
+	}
+	if err := json.Unmarshal([]byte(get("/debug/slo?format=json")), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Objectives) != 1 || doc.Objectives[0].State != series.StatePage || len(doc.Violations) != 1 {
+		t.Errorf("json report: %+v", doc)
+	}
+	if r := reports[len(reports)-1]; !slices.Equal(r.PageOnset, []string{"avail"}) {
+		t.Errorf("the paging tick's report has PageOnset %v", r.PageOnset)
+	}
+	if v := run.Registry.Snapshot().Gauges[`slo_state{slo="avail"}`]; v != int64(series.StatePage) {
+		t.Errorf("slo_state gauge = %d, want %d", v, series.StatePage)
 	}
 }

@@ -34,7 +34,8 @@ type Row struct {
 // totals, error spikes, stalls and SLO status, from the series a Signals
 // value names, over any Source — a dump read back from series.jsonl, or
 // the live collector (Watch). Every surface renders it: the progress
-// line, the stall trigger, the dashboard frame, `gplusanalyze metrics`.
+// line, the dashboard frame, the stall and SLO-page captures, the slo_*
+// gauges, /debug/slo, `gplusanalyze metrics`.
 type HealthReport struct {
 	Signals    Signals
 	Start, End time.Time
@@ -65,14 +66,33 @@ type HealthReport struct {
 	Stalls     []Span
 	StallOnset bool
 
-	// SLO evaluation replayed over every tick: each objective's status
-	// at End, in Signals.Objectives order, and the violation spans.
+	// SLO status at every tick: each objective's status at End, in
+	// Signals.Objectives order, and the violation spans. PageOnset names
+	// the objectives whose state became PAGE at End, from any other state
+	// at the tick before — what a live watcher fires a capture on.
 	Statuses   []Status
 	Violations []Span
+	PageOnset  []string
 }
 
-// BuildReport reads src through sig.
+// BuildReport reads src through sig, evaluating the objectives at every
+// tick it holds.
 func BuildReport(src Source, sig Signals) *HealthReport {
+	return buildReport(src, sig, func(t time.Time) []Status { return evaluateAll(src, sig.Objectives, t) })
+}
+
+// evaluateAll evaluates every objective at now.
+func evaluateAll(src Source, objs []Objective, now time.Time) []Status {
+	out := make([]Status, len(objs))
+	for i, o := range objs {
+		out[i] = Evaluate(src, o, now)
+	}
+	return out
+}
+
+// buildReport is BuildReport with the objectives' statuses at each tick
+// taken from statusAt, which returns them in sig.Objectives order.
+func buildReport(src Source, sig Signals, statusAt func(time.Time) []Status) *HealthReport {
 	r := &HealthReport{Signals: sig}
 	ticks := Times(src)
 	r.Ticks = len(ticks)
@@ -118,7 +138,9 @@ func BuildReport(src Source, sig Signals) *HealthReport {
 	r.Errors = perTick(src, sig.Errors, ticks)
 	r.TotalErrors = countAtEnd(src, sig.Errors)
 	r.ErrorSpikes = errorSpikes(r.Errors)
-	r.Violations, r.Statuses = violationSpans(src, sig.Objectives, ticks)
+	if len(sig.Objectives) > 0 {
+		r.slo(ticks, statusAt)
+	}
 	return r
 }
 
@@ -232,27 +254,30 @@ func stalls(activity, backlog []Point, after int) (spans []Span, onset bool) {
 	return spans, onset
 }
 
-// violationSpans replays the objectives over every tick and returns the
-// contiguous spans during which each objective's long-window SLI was out
-// of bounds (Status.Violating), sorted by start time, and each
-// objective's status at the last tick.
-func violationSpans(src Source, objs []Objective, ticks []time.Time) (spans []Span, final []Status) {
-	for _, o := range objs {
-		at := make([]Status, len(ticks))
-		for i, t := range ticks {
-			at[i] = Evaluate(src, o, t)
-		}
-		for _, run := range runs(len(ticks), func(i int) bool { return at[i].Violating }) {
+// slo fills the SLO half of the report from the statuses at every tick:
+// the contiguous spans during which each objective's long-window SLI was
+// out of bounds (Status.Violating), sorted by start time, each
+// objective's status at the last tick, and the PAGE onsets there.
+func (r *HealthReport) slo(ticks []time.Time, statusAt func(time.Time) []Status) {
+	at := make([][]Status, len(ticks))
+	for i, t := range ticks {
+		at[i] = statusAt(t)
+	}
+	end := len(ticks) - 1
+	for j, o := range r.Signals.Objectives {
+		for _, run := range runs(len(ticks), func(i int) bool { return at[i][j].Violating }) {
 			s := Span{Start: ticks[run[0]], End: ticks[run[1]], Name: o.Name}
 			for _, st := range at[run[0] : run[1]+1] {
-				s.Peak = math.Max(s.Peak, st.BurnLong)
+				s.Peak = math.Max(s.Peak, st[j].BurnLong)
 			}
-			spans = append(spans, s)
+			r.Violations = append(r.Violations, s)
 		}
-		final = append(final, at[len(at)-1])
+		r.Statuses = append(r.Statuses, at[end][j])
+		if end > 0 && at[end][j].State == StatePage && at[end-1][j].State != StatePage {
+			r.PageOnset = append(r.PageOnset, o.Name)
+		}
 	}
-	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
-	return spans, final
+	sort.SliceStable(r.Violations, func(i, j int) bool { return r.Violations[i].Start.Before(r.Violations[j].Start) })
 }
 
 // last formats the newest value of a row: rates to a decimal, gauges

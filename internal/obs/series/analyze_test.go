@@ -247,6 +247,80 @@ func TestLiveEqualsOffline(t *testing.T) {
 	if len(onsets) != 2 || !onsets[0].Equal(tick(23)) || !onsets[1].Equal(tick(53)) {
 		t.Errorf("stall trigger fired at %v, want once per stall: ticks 23 and 53", onsets)
 	}
+
+	// An objective whose window reaches far past the live view, over an
+	// uneven error pattern: the watcher's final status must count what
+	// Evaluate over the dump counts at the last tick, not the view's share.
+	reg := obs.NewRegistry()
+	errs := reg.Counter("gplusapi_responses_total", obs.Label{Key: obs.KeyCode, Value: "503"})
+	oks := reg.Counter("gplusapi_responses_total", obs.Label{Key: obs.KeyCode, Value: "200"})
+	long := Objective{
+		Name: "availability", Kind: ErrorRatio,
+		Bad: []string{apiOverloaded}, Total: []string{apiResponses},
+		Max: 0.01, Window: 5 * time.Minute,
+	}
+	c = NewCollector(reg, Options{Capacity: 512})
+	var last *HealthReport
+	Watch(c, Signals{Objectives: []Objective{long}}, func(r *HealthReport) { last = r })
+	const ticks = 320
+	for n := 0; n < ticks; n++ {
+		switch {
+		case n >= 40 && n < 70: // an outage the live view has long scrolled past
+			errs.Add(9)
+		case n >= 290:
+			errs.Add(1)
+		case n%17 == 0:
+			errs.Add(2)
+		}
+		oks.Add(30 + int64(n%7))
+		c.Sample(tick(n))
+	}
+	if span := last.End.Sub(last.Start); span >= long.Window {
+		t.Fatalf("live view spans %v, not shorter than the %v window", span, long.Window)
+	}
+	off, on := Evaluate(dumpOf(t, c), long, tick(ticks-1)), last.Statuses[0]
+	if on.Bad != off.Bad || on.Total != off.Total || on.BurnLong != off.BurnLong || on.State != off.State {
+		t.Errorf("live status bad=%g total=%g burn=%g %v, Evaluate over the dump bad=%g total=%g burn=%g %v",
+			on.Bad, on.Total, on.BurnLong, on.State, off.Bad, off.Total, off.BurnLong, off.State)
+	}
+}
+
+// countingSource counts PointsSince calls per series.
+type countingSource struct {
+	Source
+	calls map[string]int
+}
+
+func (s countingSource) PointsSince(name string, since time.Time) []Point {
+	s.calls[name]++
+	return s.Source.PointsSince(name, since)
+}
+
+// TestWatchEvaluatesOncePerTick: a live tick reads an objective's series
+// as often with 300 ticks of history as with one — each objective is
+// evaluated once per tick, at the tick, never replayed over the view.
+func TestWatchEvaluatesOncePerTick(t *testing.T) {
+	reg := obs.NewRegistry()
+	bad, total := reg.Counter("errs_total"), reg.Counter("reqs_total")
+	c := NewCollector(reg, Options{Capacity: 512})
+	src := countingSource{c, map[string]int{}}
+	o := Objective{Name: "avail", Kind: ErrorRatio, Bad: []string{"errs_total"}, Total: []string{"reqs_total"}, Max: 0.01, Window: 10 * time.Minute}
+	watch(c, src, Signals{Objectives: []Objective{o}}, func(*HealthReport) {})
+	var reads []int
+	for n := 0; n < 300; n++ {
+		before := src.calls["errs_total"]
+		bad.Add(int64(n % 3))
+		total.Add(100)
+		c.Sample(tick(n))
+		reads = append(reads, src.calls["errs_total"]-before)
+	}
+	// One read lists the tick's points (Times), two are the evaluation's
+	// long and short windows.
+	for n, r := range reads {
+		if r != 3 {
+			t.Fatalf("tick %d read errs_total %d times, want 3 at every tick (reads per tick: %v)", n, r, reads)
+		}
+	}
 }
 
 func TestBuildReportEmptyDump(t *testing.T) {

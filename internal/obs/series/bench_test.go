@@ -75,6 +75,67 @@ func BenchmarkEvaluateObjective(b *testing.B) {
 	}
 }
 
+// crawlRegistry is loadedRegistry plus every family CrawlSignals reads —
+// 63 series, the shape of a crawl's registry — and advance, which moves
+// them by one tick of a healthy crawl with a trickle of 503s.
+func crawlRegistry() (reg *obs.Registry, advance func()) {
+	reg = loadedRegistry()
+	code := func(c string) obs.Label { return obs.Label{Key: obs.KeyCode, Value: c} }
+	endpoint := func(e string) obs.Label { return obs.Label{Key: obs.KeyEndpoint, Value: e} }
+	var counters []*obs.Counter
+	for _, name := range []string{"crawler_profiles_crawled_total", "crawler_pages_fetched_total",
+		"crawler_edges_observed_total", "crawler_discovered_total", "crawler_requeued_total",
+		"gplusapi_retries_total", "crawler_profile_errors_total", "crawler_circle_errors_total",
+		"gplusapi_transport_errors_total"} {
+		counters = append(counters, reg.Counter(name))
+	}
+	ok, shed, limited := reg.Counter("gplusapi_responses_total", code("200")),
+		reg.Counter("gplusapi_responses_total", code("503")), reg.Counter("gplusapi_responses_total", code("429"))
+	hists := []*obs.Histogram{
+		reg.Histogram("gplusapi_request_seconds", nil, endpoint("profile")),
+		reg.Histogram("gplusapi_request_seconds", nil, endpoint("circles")),
+	}
+	frontier, lag := reg.Gauge("crawler_frontier_depth"), reg.Gauge("crawler_journal_flush_lag_seconds")
+	reg.Gauge("crawler_workers").Set(11)
+	n := int64(0)
+	return reg, func() {
+		n++
+		for i, c := range counters {
+			c.Add(int64(10 - i))
+		}
+		ok.Add(100)
+		shed.Add(n % 3)
+		limited.Add(n % 2)
+		for i, h := range hists {
+			for j := 0; j < 20; j++ {
+				h.Observe(float64(i+j) * 0.01)
+			}
+		}
+		frontier.Set(1000 - n%100)
+		lag.Set(n % 2)
+	}
+}
+
+// BenchmarkWatchTick is one live tick as rundir runs it: a sample of a
+// crawl-sized registry, then the watcher's health report under the
+// crawl's signals and default objectives, with 120 ticks of history.
+func BenchmarkWatchTick(b *testing.B) {
+	reg, advance := crawlRegistry()
+	c := NewCollector(reg, Options{})
+	Watch(c, CrawlSignals(), func(*HealthReport) {})
+	n := 0
+	for ; n < liveTicks; n++ {
+		advance()
+		c.Sample(tick(n))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		advance()
+		c.Sample(tick(n))
+		n++
+	}
+}
+
 // TestDashFrame draws a populated collector's live reports: every frame
 // is the report's text plus the progress line, repainted in place
 // (cursor-home, per-line erase) rather than scrolled.

@@ -194,8 +194,8 @@ func (c *Collector) buf(name string, kind Kind) (s *bufSeries, born bool) {
 }
 
 // OnSample registers fn to run after every sample with the sample's
-// timestamp — the attachment point for the SLO engine and the live
-// dashboard. Hooks run on the sampling goroutine; keep them brief.
+// timestamp — the attachment point for the live health watcher (Watch).
+// Hooks run on the sampling goroutine; keep them brief.
 func (c *Collector) OnSample(fn func(now time.Time)) {
 	if c == nil || fn == nil {
 		return

@@ -2,14 +2,16 @@ package series
 
 import (
 	"io"
+	"slices"
+	"sort"
 	"strings"
 	"time"
 )
 
 // liveTicks is how much history a live report spans (and each sparkline
 // of the dashboard shows) unless the stall rule needs more: two minutes
-// at the default cadence. Counted in ticks because the SLO replay costs
-// ticks x points-per-objective-window, whatever the cadence.
+// at the default cadence. Counted in ticks because the rows cost ticks x
+// series, whatever the cadence.
 const liveTicks = 120
 
 // trailing restricts a Source to its points at or after since (plus,
@@ -28,13 +30,36 @@ func (t trailing) PointsSince(name string, since time.Time) []Point {
 
 // Watch is the live side of BuildReport: after every sample of c it
 // builds the report over the trailing window of the rings and hands it
-// to fn — to print a progress line from, fire a capture on StallOnset,
-// or draw as a dashboard frame. fn runs on the sampling goroutine, one
-// call at a time.
-func Watch(c *Collector, sig Signals, fn func(*HealthReport)) {
+// to fn — to print a progress line from, fire a capture on StallOnset or
+// PageOnset, or draw as a dashboard frame. fn runs on the sampling
+// goroutine, one call at a time.
+//
+// Each objective is evaluated once per tick, at the tick, over the whole
+// collector — so its windows count what Evaluate over the dump counts,
+// however far past the trailing window they reach — and the statuses are
+// kept for as long as the report still shows their tick.
+func Watch(c *Collector, sig Signals, fn func(*HealthReport)) { watch(c, c, sig, fn) }
+
+// watch is Watch reading every point through src, which views c.
+func watch(c *Collector, src Source, sig Signals, fn func(*HealthReport)) {
+	type memo struct {
+		t  time.Time
+		at []Status
+	}
+	var kept []memo // oldest first
+	statusAt := func(t time.Time) []Status {
+		i := sort.Search(len(kept), func(i int) bool { return !kept[i].t.Before(t) })
+		if i == len(kept) || !kept[i].t.Equal(t) {
+			// The new tick — or one sampled before the watcher was attached.
+			kept = slices.Insert(kept, i, memo{t, evaluateAll(src, sig.Objectives, t)})
+		}
+		return kept[i].at
+	}
 	window := time.Duration(max(liveTicks, sig.StallAfter+1)) * c.Interval()
 	c.OnSample(func(now time.Time) {
-		fn(BuildReport(trailing{c, now.Add(-window)}, sig))
+		r := buildReport(trailing{src, now.Add(-window)}, sig, statusAt)
+		kept = slices.DeleteFunc(kept, func(m memo) bool { return m.t.Before(r.Start) })
+		fn(r)
 	})
 }
 

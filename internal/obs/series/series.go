@@ -3,9 +3,10 @@
 // into per-series bounded ring buffers; counter rates and histogram
 // quantiles are derived from successive samples on demand. The rings
 // back a JSON window-query endpoint (/debug/timeseries), a JSONL dump
-// for offline analysis (`gplusanalyze metrics`), a live ANSI terminal
-// dashboard, and an SLO engine evaluating declarative objectives with
-// multi-window burn-rate alerting.
+// for offline analysis (`gplusanalyze metrics`), and the health report
+// both of those and the live watcher (Watch) build — throughput, stalls,
+// and declarative objectives with multi-window burn-rate alerting — which
+// a live ANSI terminal dashboard draws.
 //
 // The paper's 45-day, 11-machine crawl was operable because its
 // operators could watch throughput and error rates *over time*; a
@@ -46,8 +47,7 @@ type Point struct {
 }
 
 // Source is a queryable set of series — the live Collector or an
-// offline Dump — shared by the SLO engine, the dashboard, and the
-// analyzers.
+// offline Dump — shared by the health report and the analyzers.
 type Source interface {
 	// Names lists every series, sorted.
 	Names() []string

@@ -209,11 +209,6 @@ func TestCollectorNilSafety(t *testing.T) {
 	if _, ok := c.SeriesKind("x"); ok {
 		t.Error("nil collector has no kinds")
 	}
-	var e *Engine
-	e.Eval(tick(0))
-	if e.Statuses() != nil || e.Transitions() != nil {
-		t.Error("nil engine should be empty")
-	}
 	Watch(c, CrawlSignals(), func(*HealthReport) { t.Error("nil collector built a report") })
 }
 

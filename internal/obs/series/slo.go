@@ -1,13 +1,9 @@
 package series
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
-	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"gplus/internal/obs"
@@ -301,7 +297,7 @@ type Status struct {
 	Bad   float64 `json:"bad"`
 	Total float64 `json:"total"`
 	// Violating reports the SLI itself out of bounds over the long
-	// window (burn > 1) — the offline violation-span criterion.
+	// window (burn > 1) — the violation-span criterion.
 	Violating bool  `json:"violating"`
 	State     State `json:"state"`
 }
@@ -309,16 +305,14 @@ type Status struct {
 // Evaluate computes one objective's Status at now from any Source.
 func Evaluate(src Source, o Objective, now time.Time) Status {
 	st := Status{Name: o.Name, Kind: o.Kind, Objective: o.String(), Time: now}
-	badL, totalL := o.counts(src, now.Add(-o.window()), now)
-	badS, totalS := o.counts(src, now.Add(-o.fast()), now)
+	badL, totalL, hist := o.counts(src, now.Add(-o.window()), now)
+	badS, totalS, _ := o.counts(src, now.Add(-o.fast()), now)
 	st.Bad, st.Total = badL, totalL
 	st.SLI = ratio(badL, totalL)
 	st.BurnLong = st.SLI / o.budget()
 	st.BurnShort = ratio(badS, totalS) / o.budget()
-	if o.Kind == Latency {
-		if delta, ok := sumHistIncrease(src, o.Hist, now.Add(-o.window()), now); ok && delta.Count > 0 {
-			st.Quantile = delta.Quantile(o.Q)
-		}
+	if hist.Count > 0 {
+		st.Quantile = hist.Quantile(o.Q)
 	}
 	st.Violating = totalL > 0 && st.BurnLong > 1
 	switch {
@@ -333,23 +327,15 @@ func Evaluate(src Source, o Objective, now time.Time) Status {
 }
 
 // counts returns the (bad, total) event counts of the objective over
-// points in (since, until].
-func (o Objective) counts(src Source, since, until time.Time) (bad, total float64) {
-	switch o.Kind {
-	case Latency:
-		delta, ok := sumHistIncrease(src, o.Hist, since, until)
-		if !ok || delta.Count == 0 {
-			return 0, 0
-		}
-		total = float64(delta.Count)
-		bad = total - delta.CountBelow(o.Max)
-		if bad < 0 {
-			bad = 0
-		}
-		return bad, total
-	default:
-		return sumIncrease(src, o.Bad, since, until), sumIncrease(src, o.Total, since, until)
+// points in (since, until] and, for a Latency objective, the histogram
+// delta they were counted from (empty for ErrorRatio).
+func (o Objective) counts(src Source, since, until time.Time) (bad, total float64, hist obs.HistogramSnapshot) {
+	if o.Kind != Latency {
+		return sumIncrease(src, o.Bad, since, until), sumIncrease(src, o.Total, since, until), hist
 	}
+	hist, _ = sumHistIncrease(src, o.Hist, since, until)
+	total = float64(hist.Count)
+	return max(total-hist.CountBelow(o.Max), 0), total, hist
 }
 
 func ratio(num, den float64) float64 {
@@ -357,161 +343,4 @@ func ratio(num, den float64) float64 {
 		return 0
 	}
 	return num / den
-}
-
-// Transition is one recorded alert-state change.
-type Transition struct {
-	Time     time.Time `json:"time"`
-	Name     string    `json:"name"`
-	From, To State     `json:"-"`
-	FromS    string    `json:"from"`
-	ToS      string    `json:"to"`
-	Burn     float64   `json:"burn"`
-}
-
-const maxTransitions = 256
-
-// Engine evaluates a set of objectives against a Source on every
-// collector tick, exports slo_* gauges, records state transitions, and
-// serves the /debug/slo report. Attach it with
-// collector.OnSample(engine.Eval). A nil Engine is a no-op.
-type Engine struct {
-	src  Source
-	objs []Objective
-
-	mu          sync.Mutex
-	cur         []Status
-	transitions []Transition
-	onTrans     []func(Transition)
-
-	gState []*obs.Gauge
-	gBurn  []*obs.Gauge
-	gSLI   []*obs.Gauge
-}
-
-// NewEngine builds an engine over src. When reg is non-nil the engine
-// exports, per objective: slo_state (0 ok, 1 warn, 2 page),
-// slo_burn_rate_milli (long-window burn rate x1000), and slo_sli_ppm
-// (long-window bad fraction, parts per million) — sampled by the same
-// collector on the next tick, so SLO health is itself a time series.
-func NewEngine(src Source, objs []Objective, reg *obs.Registry) *Engine {
-	e := &Engine{src: src, objs: objs, cur: make([]Status, len(objs))}
-	reg.Help("slo_state", "Objective alert state: 0 ok, 1 warn, 2 page.")
-	reg.Help("slo_burn_rate_milli", "Long-window error-budget burn rate, x1000.")
-	reg.Help("slo_sli_ppm", "Long-window bad-event fraction, parts per million.")
-	for _, o := range objs {
-		label := obs.Label{Key: obs.KeySLO, Value: o.Name}
-		e.gState = append(e.gState, reg.Gauge("slo_state", label))
-		e.gBurn = append(e.gBurn, reg.Gauge("slo_burn_rate_milli", label))
-		e.gSLI = append(e.gSLI, reg.Gauge("slo_sli_ppm", label))
-	}
-	return e
-}
-
-// OnTransition registers fn to run after every recorded state change —
-// the hook the continuous profiler uses to fire an anomaly capture the
-// moment an objective pages. Callbacks run outside the engine's lock,
-// after the Eval pass that produced them, in registration order; they
-// must not block for long (they run on the collector's sample tick).
-// Nil engine or fn is a no-op.
-func (e *Engine) OnTransition(fn func(Transition)) {
-	if e == nil || fn == nil {
-		return
-	}
-	e.mu.Lock()
-	e.onTrans = append(e.onTrans, fn)
-	e.mu.Unlock()
-}
-
-// Eval evaluates every objective at now. Meant to be registered via
-// Collector.OnSample so evaluation follows each fresh sample.
-func (e *Engine) Eval(now time.Time) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	var fired []Transition
-	for i, o := range e.objs {
-		st := Evaluate(e.src, o, now)
-		if prev := e.cur[i]; prev.State != st.State && !prev.Time.IsZero() {
-			tr := Transition{
-				Time: now, Name: o.Name,
-				From: prev.State, To: st.State,
-				FromS: prev.State.String(), ToS: st.State.String(),
-				Burn: st.BurnLong,
-			}
-			e.transitions = append(e.transitions, tr)
-			if len(e.transitions) > maxTransitions {
-				e.transitions = e.transitions[len(e.transitions)-maxTransitions:]
-			}
-			fired = append(fired, tr)
-		}
-		e.cur[i] = st
-		e.gState[i].Set(int64(st.State))
-		e.gBurn[i].Set(int64(math.Round(st.BurnLong * 1000)))
-		e.gSLI[i].Set(int64(math.Round(st.SLI * 1e6)))
-	}
-	callbacks := e.onTrans
-	e.mu.Unlock()
-	// Outside the lock: a callback may call back into the engine (e.g.
-	// Statuses from a capture trigger) without deadlocking.
-	for _, tr := range fired {
-		for _, fn := range callbacks {
-			fn(tr)
-		}
-	}
-}
-
-// Statuses returns the most recent evaluation of every objective.
-func (e *Engine) Statuses() []Status {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]Status(nil), e.cur...)
-}
-
-// Transitions returns the recorded state changes, oldest first.
-func (e *Engine) Transitions() []Transition {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]Transition(nil), e.transitions...)
-}
-
-// ServeHTTP serves the SLO report: a text summary by default, JSON with
-// ?format=json. A nil engine serves an empty report.
-func (e *Engine) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	statuses, transitions := e.Statuses(), e.Transitions()
-	if req.URL.Query().Get("format") == "json" ||
-		strings.Contains(req.Header.Get("Accept"), "application/json") {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct { //nolint:errcheck — best effort to a dead client
-			Objectives  []Status     `json:"objectives"`
-			Transitions []Transition `json:"transitions"`
-		}{statuses, transitions})
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	for _, st := range statuses {
-		fmt.Fprintf(w, "%-20s %-50s state=%-4s burn=%.2f (short %.2f) sli=%.4g%%",
-			st.Name, st.Objective, st.State, st.BurnLong, st.BurnShort, st.SLI*100)
-		if st.Kind == Latency && st.Quantile > 0 && !math.IsNaN(st.Quantile) {
-			fmt.Fprintf(w, " measured=%s",
-				time.Duration(st.Quantile*float64(time.Second)).Round(time.Microsecond))
-		}
-		fmt.Fprintln(w)
-	}
-	if len(transitions) > 0 {
-		fmt.Fprintln(w, "\nrecent transitions:")
-		for _, tr := range transitions {
-			fmt.Fprintf(w, "  %s  %-20s %s -> %s (burn %.2f)\n",
-				tr.Time.Format(time.RFC3339), tr.Name, tr.From, tr.To, tr.Burn)
-		}
-	}
 }

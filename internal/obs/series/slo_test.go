@@ -2,8 +2,6 @@ package series
 
 import (
 	"math"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -85,8 +83,10 @@ func TestParseThreshold(t *testing.T) {
 }
 
 // TestBurnRateStateTransitions drives an error-ratio objective through
-// healthy traffic, an outage, and recovery, asserting the multi-window
-// state machine pages during the outage and resolves after it.
+// healthy traffic, an outage, and recovery under the live watcher,
+// asserting the multi-window state machine pages during the outage and
+// resolves after it, and that PageOnset names the objective at exactly
+// the ticks its state became PAGE.
 func TestBurnRateStateTransitions(t *testing.T) {
 	reg := obs.NewRegistry()
 	bad := reg.Counter("errs_total")
@@ -97,67 +97,44 @@ func TestBurnRateStateTransitions(t *testing.T) {
 		Bad: []string{"errs_total"}, Total: []string{"reqs_total"},
 		Max: 0.01, Window: 20 * time.Second, Fast: 5 * time.Second,
 	}
-	eng := NewEngine(c, []Objective{o}, reg)
-	c.OnSample(eng.Eval)
-
-	states := make(map[int]State)
-	step := func(n int, errs, reqs int64) {
-		bad.Add(errs)
-		total.Add(reqs)
-		c.Sample(tick(n))
-		eng.Eval(tick(n))
-		states[n] = eng.Statuses()[0].State
-	}
+	var reports []*HealthReport
+	Watch(c, Signals{Objectives: []Objective{o}}, func(r *HealthReport) { reports = append(reports, r) })
+	now := func() Status { return reports[len(reports)-1].Statuses[0] }
 
 	n := 0
-	for i := 0; i < 10; i++ { // healthy: 100 req/s, no errors
-		step(n, 0, 100)
-		n++
-	}
-	if states[n-1] != StateOK {
-		t.Fatalf("healthy traffic: state = %v", states[n-1])
-	}
-	for i := 0; i < 10; i++ { // outage: 50% errors
-		step(n, 50, 100)
-		n++
-	}
-	if states[n-1] != StatePage {
-		st := eng.Statuses()[0]
-		t.Fatalf("outage: state = %v (burn long %.2f short %.2f)", st.State, st.BurnLong, st.BurnShort)
-	}
-	if !eng.Statuses()[0].Violating {
-		t.Error("outage: SLI should be violating")
-	}
-	for i := 0; i < 30; i++ { // recovery: long window drains
-		step(n, 0, 100)
-		n++
-	}
-	if states[n-1] != StateOK {
-		t.Fatalf("recovered: state = %v", states[n-1])
-	}
-
-	// Transition log must show the escalation to PAGE and the final
-	// resolution back to OK.
-	var seq []string
-	paged := false
-	for _, tr := range eng.Transitions() {
-		seq = append(seq, tr.From.String()+">"+tr.To.String())
-		if tr.To == StatePage {
-			paged = true
+	step := func(times int, errs, reqs int64) {
+		for i := 0; i < times; i++ {
+			bad.Add(errs)
+			total.Add(reqs)
+			c.Sample(tick(n))
+			n++
 		}
 	}
-	if !paged {
-		t.Errorf("transitions %v never reached PAGE", seq)
+	step(10, 0, 100) // healthy: 100 req/s, no errors
+	if st := now(); st.State != StateOK {
+		t.Fatalf("healthy traffic: state = %v", st.State)
 	}
-	last := eng.Transitions()[len(eng.Transitions())-1]
-	if last.To != StateOK {
-		t.Errorf("final transition should resolve to OK, got %v", seq)
+	step(10, 50, 100) // outage: 50% errors
+	if st := now(); st.State != StatePage || !st.Violating {
+		t.Fatalf("outage: state = %v violating=%v (burn long %.2f short %.2f)", st.State, st.Violating, st.BurnLong, st.BurnShort)
+	}
+	step(30, 0, 100) // recovery: long window drains
+	if st := now(); st.State != StateOK {
+		t.Fatalf("recovered: state = %v", st.State)
 	}
 
-	// The engine exports its own state as gauges, sampled next tick.
-	snap := reg.Snapshot()
-	if v, ok := snap.Gauges[`slo_state{slo="avail"}`]; !ok || v != 0 {
-		t.Errorf("slo_state gauge = %d (ok=%v), want 0", v, ok)
+	onsets := 0
+	for i, r := range reports {
+		paged := r.Statuses[0].State == StatePage && i > 0 && reports[i-1].Statuses[0].State != StatePage
+		if got := len(r.PageOnset) > 0; got != paged || got && r.PageOnset[0] != "avail" {
+			t.Errorf("tick %d: PageOnset = %v, want an onset iff the state became PAGE there", i, r.PageOnset)
+		}
+		if paged {
+			onsets++
+		}
+	}
+	if onsets == 0 {
+		t.Error("the outage never paged")
 	}
 }
 
@@ -171,23 +148,22 @@ func TestLatencyObjective(t *testing.T) {
 		Hist: "svc_seconds", Q: 0.99, Max: 0.25,
 		Window: 20 * time.Second, Fast: 5 * time.Second,
 	}
-	eng := NewEngine(c, []Objective{o}, reg)
 
 	n := 0
-	step := func(observe float64, count int) {
+	step := func(observe float64, count int) Status {
 		for i := 0; i < count; i++ {
 			h.Observe(observe)
 		}
 		c.Sample(tick(n))
-		eng.Eval(tick(n))
 		n++
+		return Evaluate(c, o, tick(n-1))
 	}
 
 	step(0.01, 100) // baseline tick so increases exist
+	var st Status
 	for i := 0; i < 5; i++ {
-		step(0.01, 100)
+		st = step(0.01, 100)
 	}
-	st := eng.Statuses()[0]
 	if st.State != StateOK || st.Violating {
 		t.Fatalf("fast traffic: %+v", st)
 	}
@@ -195,9 +171,8 @@ func TestLatencyObjective(t *testing.T) {
 		t.Errorf("fast p99 = %g, want within the 10ms bucket's neighborhood", st.Quantile)
 	}
 	for i := 0; i < 8; i++ { // every request slower than the bound
-		step(0.5, 100)
+		st = step(0.5, 100)
 	}
-	st = eng.Statuses()[0]
 	if st.State != StatePage || !st.Violating {
 		t.Fatalf("slow traffic: %+v", st)
 	}
@@ -208,29 +183,6 @@ func TestLatencyObjective(t *testing.T) {
 	}
 	if st.Quantile < 0.25 {
 		t.Errorf("slow p99 = %g, want above the bound", st.Quantile)
-	}
-}
-
-func TestEngineServeHTTP(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Counter("errs_total")
-	reg.Counter("reqs_total").Add(100)
-	c := NewCollector(reg, Options{Capacity: 16})
-	o := Objective{Name: "avail", Kind: ErrorRatio, Bad: []string{"errs_total"}, Total: []string{"reqs_total"}, Max: 0.01}
-	eng := NewEngine(c, []Objective{o}, reg)
-	c.Sample(tick(0))
-	c.Sample(tick(1))
-	eng.Eval(tick(1))
-
-	rr := httptest.NewRecorder()
-	eng.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/slo", nil))
-	if !strings.Contains(rr.Body.String(), "avail") || !strings.Contains(rr.Body.String(), "state=OK") {
-		t.Errorf("text report: %q", rr.Body.String())
-	}
-	rr = httptest.NewRecorder()
-	eng.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/slo?format=json", nil))
-	if !strings.Contains(rr.Body.String(), `"objectives"`) {
-		t.Errorf("json report: %q", rr.Body.String())
 	}
 }
 

@@ -154,7 +154,7 @@ func NewRecorder(ringSize int, rules Rules) *Recorder {
 }
 
 // SetSink installs a callback invoked (outside the recorder lock) with
-// every exemplar trace as it completes — a run directory's exemplars.jsonl is
+// every exemplar trace as it completes — a run directory's traces.jsonl is
 // streamed through it.
 func (r *Recorder) SetSink(fn func(*Trace)) {
 	if r == nil {
