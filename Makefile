@@ -230,14 +230,17 @@ fuzz:
 # the one format a crash can hand arbitrary torn bytes to, the wire
 # codec is the parser every network byte and every dataset byte goes
 # through (held to encoding/json as its oracle), the triad
-# pass is the one kernel three figures share, the radix edge sort is
-# the one order every segment, compaction and Builder graph rests on, and
-# the same kernel under sortedCopy orders every CDF and CCDF (held to
-# sort.Float64s as its oracle).
+# pass is the one kernel three figures share, the multi-source BFS is
+# the one kernel behind Figure 5 and both diameter bounds (held lane by
+# lane to the single-source BFS, in both step kinds), the radix edge
+# sort is the one order every segment, compaction and Builder graph
+# rests on, and the same kernel under sortedCopy orders every CDF and
+# CCDF (held to sort.Float64s as its oracle).
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz=FuzzWireCodec -fuzztime=10s ./internal/gplusapi/
 	$(GO) test -run '^$$' -fuzz=FuzzReadResult -fuzztime=10s ./internal/crawler/
 	$(GO) test -run '^$$' -fuzz=FuzzTriads -fuzztime=10s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz=FuzzMultiSourceBFS -fuzztime=10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz=FuzzSortEdges -fuzztime=10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz=FuzzSortedCopy -fuzztime=10s ./internal/stats/
 

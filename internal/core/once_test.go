@@ -195,7 +195,9 @@ func TestPathMilesComputedOnce(t *testing.T) {
 
 // TestCancelledStageIsNotCached: a paths stage cut short by a cancelled
 // context is returned to that caller only; the next caller with a live
-// context gets the full distribution, and that one is kept.
+// context gets the full distribution, and that one is kept. A context
+// cancelled before the call stops the path samples and the diameter
+// sweeps alike before their first level, so the call reads no row.
 func TestCancelledStageIsNotCached(t *testing.T) {
 	u, err := synth.Generate(synth.DefaultConfig(2_000))
 	if err != nil {
@@ -208,8 +210,15 @@ func TestCancelledStageIsNotCached(t *testing.T) {
 	s := New(ds, Options{Seed: 7, PathSources: 32, Tracer: trace.New(trace.Config{Recorder: rec})})
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
+	cv := newCountingView(s.g)
+	s.g = cv
 	if cut := s.PathLengths(cancelled); reflect.DeepEqual(cut, want) {
 		t.Fatal("a cancelled context did not cut the path sample short; the test needs a larger graph")
+	}
+	for v := range cv.outs {
+		if outs, ins := cv.outs[v].Load(), cv.ins[v].Load(); outs+ins > 0 {
+			t.Fatalf("the cancelled call read node %d's out-row %d times and in-row %d times, want none", v, outs, ins)
+		}
 	}
 	if _, err := s.Structure(cancelled); err != nil {
 		t.Fatal(err)

@@ -305,7 +305,7 @@ func (s *Study) PathLengths(ctx context.Context) PathLengthResult {
 		}{{graph.Directed, 5, &res.DiameterDirected}, {graph.Undirected, 6, &res.DiameterUndirected}}
 		graph.Shards(len(bounds), s.opts.Parallelism, func(lo, hi int) {
 			for _, b := range bounds[lo:hi] {
-				*b.bound = graph.DoubleSweepDiameter(s.g, b.dir, diameterSweeps, s.rng(b.stream), s.opts.Parallelism)
+				*b.bound = graph.DoubleSweepDiameter(ctx, s.g, b.dir, diameterSweeps, s.rng(b.stream), s.opts.Parallelism)
 			}
 		})
 		return res, nil

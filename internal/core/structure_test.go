@@ -111,6 +111,44 @@ func TestStructureTimingsAndSpans(t *testing.T) {
 	}
 }
 
+// TestFigure5MatchesPerSourceBFS holds Figure 5 on the 2 000-user
+// fixture, a graph whose multi-source searches switch from pushing to
+// pulling mid-search, to one graph.BFSDistances per drawn source: each
+// histogram is the sum of the single-source histograms of the first
+// Sources sources its stream draws.
+func TestFigure5MatchesPerSourceBFS(t *testing.T) {
+	u, err := synth.Generate(synth.DefaultConfig(2_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(dataset.FromUniverse(u), Options{Seed: 7, Parallelism: 3})
+	paths := s.PathLengths(context.Background())
+	n := s.g.NumNodes()
+	for _, fig := range []struct {
+		dir    graph.Direction
+		stream uint64
+		got    *graph.PathLengthDist
+	}{{graph.Directed, 3, paths.Directed}, {graph.Undirected, 4, paths.Undirected}} {
+		want := &graph.PathLengthDist{Sources: fig.got.Sources}
+		rng := s.rng(fig.stream)
+		for range fig.got.Sources {
+			for _, d := range graph.BFSDistances(s.g, graph.NodeID(rng.IntN(n)), fig.dir, nil) {
+				if d < 0 {
+					continue
+				}
+				for int(d) >= len(want.Counts) {
+					want.Counts = append(want.Counts, 0)
+				}
+				want.Counts[d]++
+				want.Reachable++
+			}
+		}
+		if fig.got.Sources == 0 || !reflect.DeepEqual(fig.got, want) {
+			t.Errorf("%v Figure 5:\n got %+v\nwant %+v (one BFSDistances per source)", fig.dir, fig.got, want)
+		}
+	}
+}
+
 // TestClusteringExactPathAndMotifs checks the two per-figure entry
 // points over the triad pass on study data: Figure 4(b) covers every
 // eligible node, its numerators are
@@ -238,22 +276,21 @@ func TestStagesScanOnce(t *testing.T) {
 		}
 
 		// The diameter bound's restarts share a multi-source search per
-		// hop: a row is read once per level at which some restart first
-		// reaches it, never more often than one search per restart would,
-		// and on the undirected bound — where every search covers its
-		// start's whole component — less than half as often all told.
+		// hop, and each level of a search either pushes from its frontier
+		// or pulls into the nodes some restart has not reached: a row is
+		// read at most once per level of each of the two searches, which
+		// run at most bound+1 levels each, and on the undirected bound —
+		// where every search covers its start's whole component — less
+		// than half as often all told as one search per restart would.
 		for _, dir := range []graph.Direction{graph.Directed, graph.Undirected} {
 			cv = newCountingView(g)
-			graph.DoubleSweepDiameter(cv, dir, diameterSweeps, s.rng(6), 3)
-			perHop := int32(diameterSweeps)
-			if dir == graph.Undirected {
-				perHop *= 2
-			}
+			bound := graph.DoubleSweepDiameter(context.Background(), cv, dir, diameterSweeps, s.rng(6), 3)
+			perRow := 2 * int32(bound+1)
 			var total int64
 			for v := 0; v < n; v++ {
 				outs, ins := cv.outs[v].Load(), cv.ins[v].Load()
-				if total += int64(outs + ins); outs > perHop || ins > perHop {
-					t.Fatalf("mapped=%v: the %v diameter bound read node %d's out-row %d times and in-row %d times, want at most %d", mapped, dir, v, outs, ins, perHop)
+				if total += int64(outs + ins); outs > perRow || ins > perRow {
+					t.Fatalf("mapped=%v: the %v diameter bound %d read node %d's out-row %d times and in-row %d times, want at most %d", mapped, dir, bound, v, outs, ins, perRow)
 				}
 			}
 			if dir == graph.Undirected {

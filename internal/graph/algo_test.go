@@ -305,10 +305,10 @@ func TestDoubleSweepDiameter(t *testing.T) {
 	g := FromEdges(5, 0, 1, 1, 2, 2, 3, 3, 4)
 	rng := rand.New(rand.NewPCG(9, 9))
 	for _, par := range []int{1, 3} {
-		if got := DoubleSweepDiameter(g, Undirected, 4, rng, par); got != 4 {
+		if got := DoubleSweepDiameter(context.Background(), g, Undirected, 4, rng, par); got != 4 {
 			t.Errorf("undirected diameter bound at P=%d = %d, want 4", par, got)
 		}
-		if got := DoubleSweepDiameter(g, Directed, 4, rng, par); got != 4 {
+		if got := DoubleSweepDiameter(context.Background(), g, Directed, 4, rng, par); got != 4 {
 			t.Errorf("directed diameter bound at P=%d = %d, want 4", par, got)
 		}
 	}
@@ -349,9 +349,11 @@ func doubleSweepPerSource(g View, dir Direction, sweeps int, rng *rand.Rand) int
 // (restarts that go nowhere), several components and ties for the far
 // node; 70 restarts cross the 64-lane boundary. The lanes' own far
 // nodes and eccentricities are held to the scan as well, since the
-// bound is a max that could hide one wrong lane.
+// bound is a max that could hide one wrong lane; those runs must have
+// both pushed and pulled.
 func TestDoubleSweepMatchesPerSourceBFS(t *testing.T) {
 	isolatedStart := false
+	var steps levelTally
 	for seed := uint64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 28))
 		n := 1 + rng.IntN(80)
@@ -360,7 +362,7 @@ func TestDoubleSweepMatchesPerSourceBFS(t *testing.T) {
 			for _, sweeps := range []int{1, 4, 70} {
 				want := doubleSweepPerSource(g, dir, sweeps, rand.New(rand.NewPCG(seed, 5)))
 				for _, par := range []int{1, 3} {
-					if got := DoubleSweepDiameter(g, dir, sweeps, rand.New(rand.NewPCG(seed, 5)), par); got != want {
+					if got := DoubleSweepDiameter(context.Background(), g, dir, sweeps, rand.New(rand.NewPCG(seed, 5)), par); got != want {
 						t.Fatalf("seed %d, %d nodes, %v, %d sweeps, P=%d: bound %d, per-source reference %d", seed, n, dir, sweeps, par, got, want)
 					}
 				}
@@ -374,6 +376,7 @@ func TestDoubleSweepMatchesPerSourceBFS(t *testing.T) {
 		}
 		for _, mode := range [][2]bool{{true, false}, {false, true}, {true, true}} {
 			ms.run(context.Background(), sources, 0, len(sources), mode[0], mode[1])
+			steps.add(ms)
 			for lane, src := range sources {
 				if far, ecc := farthest(scratch.run(src, mode[0], mode[1]), src); ms.far[lane] != far || ms.ecc[lane] != ecc {
 					t.Fatalf("seed %d, out=%v in=%v, lane %d from %d: far %d at %d, the scan finds %d at %d",
@@ -387,6 +390,7 @@ func TestDoubleSweepMatchesPerSourceBFS(t *testing.T) {
 	if !isolatedStart {
 		t.Fatal("no graph started a sweep on an isolated node")
 	}
+	steps.check(t)
 }
 
 func TestClusteringCoefficient(t *testing.T) {

@@ -292,14 +292,18 @@ const msLanes = 64
 // belongs to the pass's i-th source: seen[v] has the lanes that have
 // reached v, frontier[v] the lanes that reached it at the current
 // level, next[v] those reaching it at the following one. cur and nxt
-// list the nodes whose frontier/next word is non-zero, so a level costs
-// its frontier, not the graph. Each frontier row is read through the
-// cursor once per level for all lanes together, where a per-source BFS
-// reads it once per source.
+// list the nodes whose frontier/next word is non-zero. Each level takes
+// one of two steps (direction-optimising BFS, Beamer et al., SC 2012):
+// a push reads the frontier's rows, a pull the reverse rows of the
+// nodes some lane has not reached yet, whichever sum of row lengths is
+// smaller. Either way a row is read through the cursor at most once per
+// level for all lanes together, where a per-source BFS reads it once
+// per source.
 //
 // frontier and next are all-zero between runs; only seen needs
 // clearing.
 type msBFS struct {
+	g                    View
 	rows                 Rows
 	seen, frontier, next []uint64
 	cur, nxt             []NodeID
@@ -319,13 +323,17 @@ type msBFS struct {
 	// sample's workers, which skip the per-lane bookkeeping.
 	ecc []int32
 	far []NodeID
+
+	// pulls is how many of the last run's levels pulled. It steers
+	// nothing; tests read it to prove both step kinds ran.
+	pulls int
 }
 
 func newMSBFS(g View) *msBFS {
 	n := g.NumNodes()
 	words := make([]uint64, 3*n)
 	return &msBFS{
-		rows: g.Rows(),
+		g: g, rows: g.Rows(),
 		seen: words[:n:n], frontier: words[n : 2*n : 2*n], next: words[2*n:],
 		cur: make([]NodeID, 0, n), nxt: make([]NodeID, 0, n),
 	}
@@ -340,6 +348,12 @@ func (s *msBFS) trackFar() {
 // in-edges (the transpose graph), or both. base is the position of
 // sources[0] in the whole sample, which decides how the lanes split
 // into batches of batchSize. ctx is consulted once per level.
+//
+// A level pulls when its frontier's rows are together longer than the
+// reverse rows of the unfilled nodes — those whose seen word lacks some
+// lane of the pass — and pushes otherwise. Neither step's result
+// depends on the order it visits nodes in, so the choice changes which
+// rows are read, never hist, ecc or far.
 func (s *msBFS) run(ctx context.Context, sources []NodeID, base, batchSize int, out, in bool) {
 	s.masks, s.firstBatch = s.masks[:0], base/batchSize
 	for lo := 0; lo < len(sources); {
@@ -351,6 +365,14 @@ func (s *msBFS) run(ctx context.Context, sources []NodeID, base, batchSize int, 
 	for lane := range s.ecc {
 		s.ecc[lane] = -1
 	}
+	full := ^uint64(0) >> (msLanes - len(sources))
+	// pullLen is what a pull would read: the unfilled nodes' reverse
+	// rows, at first every node's, so one direction's edges per direction
+	// walked. pushLen is what a push would read: the frontier's rows.
+	pullLen := s.g.NumEdges()
+	if out && in {
+		pullLen *= 2
+	}
 	cur, nxt, hist := s.cur[:0], s.nxt[:0], s.hist[:0]
 	for lane, src := range sources {
 		// Sampling is with replacement: lanes may share a source.
@@ -360,6 +382,8 @@ func (s *msBFS) run(ctx context.Context, sources []NodeID, base, batchSize int, 
 		s.frontier[src] |= 1 << lane
 		s.seen[src] |= 1 << lane
 	}
+	pushLen, pullLen := s.tally(cur, full, out, in, pullLen)
+	s.pulls = 0
 	for len(cur) > 0 {
 		if ctx.Err() != nil {
 			for _, u := range cur {
@@ -370,6 +394,11 @@ func (s *msBFS) run(ctx context.Context, sources []NodeID, base, batchSize int, 
 		level := len(hist)
 		for range s.masks {
 			hist = append(hist, 0)
+		}
+		pull := pushLen > pullLen
+		if pull {
+			s.pulls++
+			nxt = s.pull(full, out, in, nxt)
 		}
 		for _, u := range cur {
 			f := s.frontier[u]
@@ -385,6 +414,9 @@ func (s *msBFS) run(ctx context.Context, sources []NodeID, base, batchSize int, 
 					}
 				}
 			}
+			if pull {
+				continue
+			}
 			if out {
 				nxt = s.expand(f, s.rows.Out(u), nxt)
 			}
@@ -392,11 +424,40 @@ func (s *msBFS) run(ctx context.Context, sources []NodeID, base, batchSize int, 
 				nxt = s.expand(f, s.rows.In(u), nxt)
 			}
 		}
+		pushLen, pullLen = s.tally(nxt, full, out, in, pullLen)
 		cur, nxt = nxt, cur[:0]
 		s.frontier, s.next = s.next, s.frontier
 	}
 	// The loop ends on an empty frontier unless cancellation broke it.
 	s.cur, s.nxt, s.hist, s.done = cur, nxt, hist, len(cur) == 0
+}
+
+// tally prices the next level from its frontier, the nodes that just
+// gained lanes: pushLen is their summed row length, and pullLen drops
+// the reverse rows of those whose seen word the gain filled. A full
+// word gains nothing more, so each node is dropped once.
+func (s *msBFS) tally(frontier []NodeID, full uint64, out, in bool, pullLen int64) (int64, int64) {
+	var pushLen int64
+	for _, v := range frontier {
+		pushLen += s.rowLen(v, out, in)
+		if s.seen[v] == full {
+			pullLen -= s.rowLen(v, in, out) // the reverse rows
+		}
+	}
+	return pushLen, pullLen
+}
+
+// rowLen is the length of v's out-row, in-row or both, from the view's
+// degrees.
+func (s *msBFS) rowLen(v NodeID, out, in bool) int64 {
+	var n int
+	if out {
+		n += s.g.OutDegree(v)
+	}
+	if in {
+		n += s.g.InDegree(v)
+	}
+	return int64(n)
 }
 
 // expand carries the frontier lanes f along one row: each neighbour
@@ -413,6 +474,44 @@ func (s *msBFS) expand(f uint64, row []NodeID, nxt []NodeID) []NodeID {
 		}
 	}
 	return nxt
+}
+
+// pull is the bottom-up step: every unfilled node v ORs the frontier
+// words over its reverse rows — In(v) of an out-search, Out(v) of an
+// in-search, both of a search that walks both — stopping as soon as
+// every lane it lacked has turned up, then gains what it found and
+// joins nxt, in id order.
+func (s *msBFS) pull(full uint64, out, in bool, nxt []NodeID) []NodeID {
+	for v, seen := range s.seen {
+		if seen == full {
+			continue
+		}
+		var acc uint64
+		if out {
+			acc = s.gather(seen, full, s.rows.In(NodeID(v)))
+		}
+		if in && seen|acc != full {
+			acc |= s.gather(seen|acc, full, s.rows.Out(NodeID(v)))
+		}
+		if gain := acc &^ seen; gain != 0 {
+			s.next[v] = gain
+			s.seen[v] = seen | gain
+			nxt = append(nxt, NodeID(v))
+		}
+	}
+	return nxt
+}
+
+// gather ORs the frontier words of row until, with have, they cover
+// full.
+func (s *msBFS) gather(have, full uint64, row []NodeID) uint64 {
+	var acc uint64
+	for _, u := range row {
+		if acc |= s.frontier[u]; have|acc == full {
+			break
+		}
+	}
+	return acc
 }
 
 func linfDelta(a, b []float64) float64 {
@@ -449,10 +548,12 @@ func linfDelta(a, b []float64) float64 {
 // random nodes. The restarts are drawn from rng up front and are
 // independent, so they ride the multi-source kernel 64 to a pass — every
 // first sweep of a pass in one search, then every return sweep in
-// another, a row read once per level for all of them — with the passes
-// spread over parallelism workers and merged by max: the bound is the
-// same at any parallelism.
-func DoubleSweepDiameter(g View, dir Direction, sweeps int, rng *rand.Rand, parallelism int) int {
+// another, a row read at most once per level for all of them — with the
+// passes spread over parallelism workers and merged by max: the bound is
+// the same at any parallelism. ctx is consulted once per level; once it
+// is cancelled the sweeps stop and the bound covers only the searches
+// that finished.
+func DoubleSweepDiameter(ctx context.Context, g View, dir Direction, sweeps int, rng *rand.Rand, parallelism int) int {
 	n := g.NumNodes()
 	if n == 0 {
 		return 0
@@ -474,7 +575,10 @@ func DoubleSweepDiameter(g View, dir Direction, sweeps int, rng *rand.Rand, para
 			for hop := 0; hop < 2; hop++ {
 				// The directed return sweep runs over the transpose graph.
 				back := dir == Directed && hop == 1
-				s.run(context.TODO(), lanes, 0, len(lanes), !back, back || dir == Undirected)
+				s.run(ctx, lanes, 0, len(lanes), !back, back || dir == Undirected)
+				if !s.done {
+					return
+				}
 				best[shard] = max(best[shard], slices.Max(s.ecc[:len(lanes)]))
 				copy(lanes, s.far)
 			}

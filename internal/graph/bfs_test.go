@@ -58,9 +58,13 @@ func pathLengthsOracle(g View, dir Direction, sources []NodeID, opt PathLengthOp
 // does. Sources are drawn with replacement, so on the small graphs many
 // lanes of a pass start on the same node. The loose tolerance lets some
 // configurations converge early (dropping speculative passes) while
-// others run to MaxSources; the test checks it saw both.
+// others run to MaxSources; the test checks it saw both. It also
+// checks that the table's levels both pushed and pulled, tallied on
+// each configuration's first pass run on its own — the kernel is
+// deterministic, so that is the sample's own first pass.
 func TestPathLengthsMatchPerSourceBFS(t *testing.T) {
 	early, full := 0, 0
+	var steps levelTally
 	for name, g := range testGraphs() {
 		for _, dir := range []Direction{Directed, Undirected} {
 			for _, maxSrc := range []int{1, 31, 32, 33, 64, 65, 100, 256} {
@@ -84,6 +88,9 @@ func TestPathLengthsMatchPerSourceBFS(t *testing.T) {
 						} else {
 							full++
 						}
+						ms := newMSBFS(g)
+						ms.run(context.Background(), sources[:min(msLanes, maxSrc)], 0, def.BatchSize, true, dir == Undirected)
+						steps.add(ms)
 					}
 					for _, par := range []int{1, 2, 4, 7} {
 						opt.Parallelism = par
@@ -100,6 +107,23 @@ func TestPathLengthsMatchPerSourceBFS(t *testing.T) {
 	}
 	if early == 0 || full == 0 {
 		t.Fatalf("table is one-sided: %d configurations converged early, %d ran to MaxSources", early, full)
+	}
+	steps.check(t)
+}
+
+// levelTally counts the levels of msBFS runs by step kind.
+type levelTally struct{ pushes, pulls int }
+
+func (l *levelTally) add(s *msBFS) {
+	l.pulls += s.pulls
+	l.pushes += len(s.hist)/len(s.masks) - s.pulls
+}
+
+// check fails a table whose levels never pushed or never pulled.
+func (l *levelTally) check(t *testing.T) {
+	t.Helper()
+	if l.pushes == 0 || l.pulls == 0 {
+		t.Fatalf("table is one-sided: %d levels pushed, %d pulled", l.pushes, l.pulls)
 	}
 }
 

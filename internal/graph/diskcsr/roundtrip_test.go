@@ -217,10 +217,10 @@ func TestKernelEquivalence(t *testing.T) {
 		"PathsDirected":   func(v graph.View, par int) any { return paths(v, graph.Directed, par) },
 		"PathsUndirected": func(v graph.View, par int) any { return paths(v, graph.Undirected, par) },
 		"DiameterDirected": func(v graph.View, par int) any {
-			return graph.DoubleSweepDiameter(v, graph.Directed, 3, rand.New(rand.NewPCG(7, 8)), par)
+			return graph.DoubleSweepDiameter(context.Background(), v, graph.Directed, 3, rand.New(rand.NewPCG(7, 8)), par)
 		},
 		"DiameterUndirected": func(v graph.View, par int) any {
-			return graph.DoubleSweepDiameter(v, graph.Undirected, 3, rand.New(rand.NewPCG(7, 8)), par)
+			return graph.DoubleSweepDiameter(context.Background(), v, graph.Undirected, 3, rand.New(rand.NewPCG(7, 8)), par)
 		},
 		"LinkedPairs": func(v graph.View, par int) any {
 			// Every node asked about its next three, so each bucket

@@ -43,11 +43,13 @@ func FuzzReadBinary(f *testing.F) {
 
 // FuzzMultiSourceBFS checks the multi-source kernel lane by lane: with
 // a batch size of one every lane reports its own histogram, which must
-// be the histogram of a single-source BFSDistances from that lane's
-// source. The graph is decoded from the input (node ids as
-// little-endian uint16 pairs, reduced mod n), seeded with the
-// testGraphs shapes, and the scratch runs twice to prove it comes out
-// of a pass clean.
+// be the histogram of a single-source BFS from that lane's source over
+// the same edges — out-edges, in-edges or both, by mode. The second
+// run tracks far nodes, and each lane's ecc and far must be the
+// single-source scan's eccentricity and lowest-id farthest node. The
+// graph is decoded from the input (node ids as little-endian uint16
+// pairs, reduced mod n), seeded with the testGraphs shapes, and the
+// scratch runs twice to prove it comes out of a pass clean.
 func FuzzMultiSourceBFS(f *testing.F) {
 	for _, g := range testGraphs() {
 		n := g.NumNodes()
@@ -65,10 +67,11 @@ func FuzzMultiSourceBFS(f *testing.F) {
 				srcs = binary.LittleEndian.AppendUint16(srcs, uint16(u/2)) // some lanes share a node
 			}
 		}
-		f.Add(uint16(n-1), edges, srcs, false)
-		f.Add(uint16(n-1), edges, srcs, true)
+		for mode := range uint8(3) {
+			f.Add(uint16(n-1), edges, srcs, mode)
+		}
 	}
-	f.Fuzz(func(t *testing.T, nodes uint16, edges, srcs []byte, undirected bool) {
+	f.Fuzz(func(t *testing.T, nodes uint16, edges, srcs []byte, mode uint8) {
 		n := int(nodes)%600 + 1
 		b := NewBuilder(n, len(edges)/4)
 		for ; len(edges) >= 4; edges = edges[4:] {
@@ -81,28 +84,31 @@ func FuzzMultiSourceBFS(f *testing.F) {
 		for ; len(srcs) >= 2 && len(sources) < msLanes; srcs = srcs[2:] {
 			sources = append(sources, NodeID(int(binary.LittleEndian.Uint16(srcs))%n))
 		}
-		dir := Directed
-		if undirected {
-			dir = Undirected
-		}
-		s := newMSBFS(g)
-		var dist []int32
+		// mode 0 follows out-edges, 1 in-edges, 2 both.
+		out, in := mode%3 != 1, mode%3 != 0
+		s, scratch := newMSBFS(g), newBFSScratch(g, nil)
 		for rerun := 0; rerun < 2; rerun++ {
-			s.run(context.Background(), sources, 0, 1, true, undirected)
+			if rerun == 1 {
+				s.trackFar()
+			}
+			s.run(context.Background(), sources, 0, 1, out, in)
 			if !s.done || len(s.masks) != len(sources) {
 				t.Fatalf("run %d: done=%v with %d lane masks for %d sources", rerun, s.done, len(s.masks), len(sources))
 			}
 			for lane, src := range sources {
-				dist = BFSDistances(g, src, dir, dist)
+				dist := scratch.run(src, out, in)
+				if far, ecc := farthest(dist, src); s.far != nil && (s.far[lane] != far || s.ecc[lane] != ecc) {
+					t.Fatalf("out=%v in=%v lane %d (source %d): far %d at %d, the scan finds %d at %d", out, in, lane, src, s.far[lane], s.ecc[lane], far, ecc)
+				}
 				want := addHops(nil, dist)
 				for hop := 0; hop*len(sources) < len(s.hist); hop++ {
 					got := s.hist[hop*len(sources)+lane]
 					if hop < len(want) && got != want[hop] || hop >= len(want) && got != 0 {
-						t.Fatalf("run %d lane %d (source %d) hop %d: %d nodes, BFSDistances histogram is %v", rerun, lane, src, hop, got, want)
+						t.Fatalf("run %d lane %d (source %d) hop %d: %d nodes, the scan's histogram is %v", rerun, lane, src, hop, got, want)
 					}
 				}
 				if len(want)*len(sources) > len(s.hist) {
-					t.Fatalf("run %d lane %d (source %d): kernel stopped after %d levels, BFSDistances histogram is %v", rerun, lane, src, len(s.hist)/len(sources), want)
+					t.Fatalf("run %d lane %d (source %d): kernel stopped after %d levels, the scan's histogram is %v", rerun, lane, src, len(s.hist)/len(sources), want)
 				}
 			}
 		}
