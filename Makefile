@@ -18,7 +18,7 @@ all: build vet test race
 # covers the sharded rate limiter, the batched crawl frontier and the
 # study's concurrent, memoised structure stages with the packages that
 # drive them (paper, report, gplusanalyze), the
-# short fuzz leg shakes the checkpoint/journal parser, the wire codec, the triad pass, the edge sort and the CDF sort, the hygiene leg
+# short fuzz leg shakes the checkpoint/journal parser, the wire codec, the graph.v2 reader, the triad pass, the edge sort and the CDF sort, the hygiene leg
 # gates the metric exposition and its label vocabulary, the
 # one-durable-writer rule, the every-flag-has-a-recipe rule and the
 # every-package- and every-exported-symbol-reaches-the-pipeline rules and
@@ -216,7 +216,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzToProfile -fuzztime=30s ./internal/gplusapi/
 	$(GO) test -fuzz=FuzzWireCodec -fuzztime=30s ./internal/gplusapi/
 	$(GO) test -fuzz=FuzzRequestURL -fuzztime=30s ./internal/gplusapi/
-	$(GO) test -fuzz=FuzzReadBinary -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzMultiSourceBFS -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzTriads -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzSortEdges -fuzztime=30s ./internal/graph/
@@ -228,8 +227,10 @@ fuzz:
 
 # The quick fuzz leg of `make check`: the checkpoint/journal parser is
 # the one format a crash can hand arbitrary torn bytes to, the wire
-# codec is the parser every network byte and every dataset byte goes
-# through (held to encoding/json as its oracle), the triad
+# codec is the parser every network byte and every profile-column byte
+# goes through (held to encoding/json as its oracle), diskcsr.Open is
+# the one graph reader, so every graph.v2 byte of every dataset goes
+# through it (seeded with the dataset package's golden graph.v2), the triad
 # pass is the one kernel three figures share, the multi-source BFS is
 # the one kernel behind Figure 5 and both diameter bounds (held lane by
 # lane to the single-source BFS, in both step kinds), the radix edge
@@ -239,6 +240,7 @@ fuzz:
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz=FuzzWireCodec -fuzztime=10s ./internal/gplusapi/
 	$(GO) test -run '^$$' -fuzz=FuzzReadResult -fuzztime=10s ./internal/crawler/
+	$(GO) test -run '^$$' -fuzz=FuzzOpenV2 -fuzztime=10s ./internal/graph/diskcsr/
 	$(GO) test -run '^$$' -fuzz=FuzzTriads -fuzztime=10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz=FuzzMultiSourceBFS -fuzztime=10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz=FuzzSortEdges -fuzztime=10s ./internal/graph/

@@ -15,8 +15,8 @@
 // experiments` writes its output into EXPERIMENTS.md.
 //
 // Two subcommands read the run directory gpluscrawl/gplusd write under
-// -obs-dir (series.jsonl, traces.jsonl — and the separate exemplars.jsonl
-// an older build spooled, still read); each also accepts the individual files, e.g. dumps saved from
+// -obs-dir (series.jsonl, traces.jsonl); each also accepts the
+// individual files, e.g. dumps saved from
 // /debug/traces?format=jsonl or /debug/timeseries?format=jsonl. The
 // directory's profiles/ ring is plain pprof files, read with `go tool
 // pprof` (README "Continuous profiling").
@@ -60,37 +60,25 @@ import (
 )
 
 // readEach hands every source to read, opened. A source that is a
-// directory is a run directory and stands for those of names that exist
-// in it, of which there must be at least one. A source that ends in an
-// unterminated record (a cut dump) is analyzed without it, with a warning.
-func readEach(sources, names []string, read func(io.Reader) (torn int, err error)) error {
-	for _, src := range sources {
-		paths := []string{src}
-		if isDir(src) {
-			paths = nil
-			for _, name := range names {
-				path := filepath.Join(src, name)
-				if _, err := os.Stat(path); err == nil {
-					paths = append(paths, path)
-				}
-			}
-			if paths == nil {
-				return fmt.Errorf("%s holds none of %s", src, strings.Join(names, ", "))
-			}
+// directory is a run directory and stands for its file name. A source
+// that ends in an unterminated record (a cut dump) is analyzed without
+// it, with a warning.
+func readEach(sources []string, name string, read func(io.Reader) (torn int, err error)) error {
+	for _, path := range sources {
+		if isDir(path) {
+			path = filepath.Join(path, name)
 		}
-		for _, path := range paths {
-			f, err := os.Open(path)
-			if err != nil {
-				return err
-			}
-			torn, err := read(f)
-			f.Close()
-			if err != nil {
-				return fmt.Errorf("reading %s: %w", path, err)
-			}
-			if torn > 0 {
-				log.Printf("warning: dropped %d unterminated trailing record from %s (cut mid-write, or saved without a final newline)", torn, path)
-			}
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		torn, err := read(f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("reading %s: %w", path, err)
+		}
+		if torn > 0 {
+			log.Printf("warning: dropped %d unterminated trailing record from %s (cut mid-write, or saved without a final newline)", torn, path)
 		}
 	}
 	return nil
@@ -124,15 +112,13 @@ func runTraces(w io.Writer, args []string) error {
 	sub := flag.NewFlagSet("traces", flag.ContinueOnError)
 	top := sub.Int("top", 10, "slowest traces to print with full span trees")
 	srcs, err := sources(sub, `[-top N] run-dir-or-dump.jsonl [more ...]
-a run directory (-obs-dir) stands for its traces.jsonl (and an older build's exemplars.jsonl); dumps also
+a run directory (-obs-dir) stands for its traces.jsonl; dumps also
 come from /debug/traces?format=jsonl; client and server sides of one crawl merge by trace id`, args)
 	if err != nil {
 		return err
 	}
 	var all []*trace.Trace
-	// Older builds streamed exemplars to their own file, beside an
-	// at-exit traces.jsonl; MergeByTraceID folds the traces in both.
-	err = readEach(srcs, []string{rundir.TracesFile, "exemplars.jsonl"}, func(r io.Reader) (int, error) {
+	err = readEach(srcs, rundir.TracesFile, func(r io.Reader) (int, error) {
 		trs, torn, err := trace.ReadTraces(r)
 		all = append(all, trs...)
 		return torn, err
@@ -157,7 +143,7 @@ a run directory (-obs-dir) stands for its series.jsonl; dumps also come from
 		return err
 	}
 	dump := series.NewDump()
-	if err := readEach(srcs, []string{rundir.SeriesFile}, dump.ReadJSONL); err != nil {
+	if err := readEach(srcs, rundir.SeriesFile, dump.ReadJSONL); err != nil {
 		return err
 	}
 	sig := series.SignalsFor(dump) // a crawl's or a gplusd's, by the families in the dump: rows and default objectives follow
@@ -211,7 +197,7 @@ func run(stdout, stderr io.Writer, args []string) error {
 		format    = fs.String("format", "text", "output format: text, or md (the text report as Markdown sections, after the audit when -only is not given)")
 		plotDir   = fs.String("plotdir", "", "also write gnuplot-ready figure data + plots.gp here")
 		par       = fs.Int("parallelism", 0, "worker goroutines per graph analysis; results are identical for any value (0 = auto: GOMAXPROCS capped at 8)")
-		mmapGraph = fs.Bool("mmap", false, "serve the graph from the memory-mapped v2 file instead of loading it into RAM; results are byte-identical (a legacy dataset holding only a v1 graph.bin loads in RAM instead)")
+		mmapGraph = fs.Bool("mmap", false, "serve the graph from the memory-mapped v2 file instead of loading it into RAM; results are byte-identical")
 	)
 	ids := report.ExperimentIDs()
 	only := fs.String("only", "", "comma-separated experiment ids ("+strings.Join(ids, ", ")+"); empty = all")
@@ -246,8 +232,6 @@ func run(stdout, stderr io.Writer, args []string) error {
 	backend := "in-RAM"
 	if ds.Graph == nil {
 		backend = "mmap"
-	} else if *mmapGraph {
-		logger.Printf("warning: -mmap requested but %s holds only a v1 graph.bin; loaded in RAM (re-save with dataset.SaveV2)", *dataDir)
 	}
 	logger.Printf("dataset: %d users (%d crawled), %d edges (%s graph)",
 		ds.NumUsers(), ds.NumCrawled(), ds.View().NumEdges(), backend)

@@ -164,10 +164,10 @@ func TestMetricsOnAGplusdRunDirectory(t *testing.T) {
 }
 
 // TestOldRunDirectoryGolden reads a run directory an earlier build
-// wrote — series.jsonl, an at-exit traces.jsonl and a separate
-// exemplars.jsonl — and requires both analyzers to print exactly what
-// that build printed over it: old directories stay readable, and the
-// offline reports do not move by a byte.
+// wrote — series.jsonl, and a traces.jsonl holding the streamed
+// exemplar first, then the ring traces the stream did not carry — and
+// requires both analyzers to print exactly what that build printed over
+// it: the offline reports do not move by a byte.
 func TestOldRunDirectoryGolden(t *testing.T) {
 	dir := filepath.Join("testdata", "old-run")
 	for sub, analyze := range map[string]func(*bytes.Buffer) error{

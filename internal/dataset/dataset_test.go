@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -152,69 +153,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// goldenGz is the 64-user universe of testdata/v1 as the last build with
-// a gzip profile writer saved it: graph.v2 + profiles.jsonl.gz. Nothing
-// in the repo can regenerate it; it pins the reader that remains.
-const goldenGz = "testdata/gz"
-
-// copyGoldenGz copies the fixture's graph into a fresh directory and
-// puts gz there as its gzip profile column.
-func copyGoldenGz(t *testing.T, gz []byte) string {
-	t.Helper()
-	dir := t.TempDir()
-	graph, err := os.ReadFile(filepath.Join(goldenGz, graphV2File))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, raw := range map[string][]byte{graphV2File: graph, profilesGzFile: gz} {
-		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir
-}
-
-func TestGzipDatasetStillLoads(t *testing.T) {
-	// The same universe with a plain profiles.jsonl: the v1 golden.
-	twin, err := Load("testdata/v1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := func(d *Dataset) bool {
-		return reflect.DeepEqual(d.IDs, twin.IDs) && reflect.DeepEqual(d.Profiles, twin.Profiles) &&
-			reflect.DeepEqual(d.Crawled, twin.Crawled) && reflect.DeepEqual(d.Graph, twin.Graph)
-	}
-	got, err := Load(goldenGz)
-	if err != nil {
-		t.Fatalf("Load(%s): %v", goldenGz, err)
-	}
-	if !same(got) {
-		t.Error("gzip dataset differs from its plain twin")
-	}
-
-	// The plain form is preferred when both exist: beside it, a gzip
-	// column that cannot even be opened goes unread.
-	dir := copyGoldenGz(t, []byte("not gzip"))
-	plain, err := os.ReadFile(filepath.Join("testdata/v1", profilesFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, profilesFile), plain, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if both, err := Load(dir); err != nil {
-		t.Errorf("plain profiles beside a corrupt gzip column: %v", err)
-	} else if !same(both) {
-		t.Error("plain form not preferred when both exist")
-	}
-}
-
-func TestLoadRejectsCorruptGzip(t *testing.T) {
-	if _, err := Load(copyGoldenGz(t, []byte("not gzip"))); err == nil {
-		t.Error("corrupt gzip accepted")
-	}
-}
-
 func TestLoadRejectsCorruptProfiles(t *testing.T) {
 	u, res := fixtures(t)
 	_ = u
@@ -238,26 +176,33 @@ func TestLoadRejectsCorruptProfiles(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsCorruptGraph: a dataset directory whose graph.v2 is
+// garbage, or that lacks one of its two files, fails to load with an
+// error naming the file the loader wanted.
 func TestLoadRejectsCorruptGraph(t *testing.T) {
 	_, res := fixtures(t)
-	d := FromCrawl(res)
-	dir := filepath.Join(t.TempDir(), "ds")
-	if err := d.SaveV2(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, graphV2File), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(dir); err == nil {
-		t.Error("corrupt v2 graph accepted")
-	}
-	// The legacy reader rejects garbage too: with graph.v2 gone the
-	// directory is a v1 dataset whose graph.bin does not parse.
-	if err := os.Rename(filepath.Join(dir, graphV2File), filepath.Join(dir, graphV1File)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(dir); err == nil {
-		t.Error("corrupt v1 graph accepted")
+	for _, tc := range []struct {
+		name  string
+		spoil func(dir string) error
+		want  string // the file the error must name
+	}{
+		{"garbage graph", func(dir string) error {
+			return os.WriteFile(filepath.Join(dir, graphV2File), []byte("garbage"), 0o644)
+		}, graphV2File},
+		{"no graph", func(dir string) error { return os.Remove(filepath.Join(dir, graphV2File)) }, graphV2File},
+		{"no profiles", func(dir string) error { return os.Remove(filepath.Join(dir, profilesFile)) }, profilesFile},
+	} {
+		dir := t.TempDir()
+		if err := FromCrawl(res).SaveV2(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.spoil(dir); err != nil {
+			t.Fatal(err)
+		}
+		// The name must end at ": ": a longer name it prefixes does not pass.
+		if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), filepath.Join(dir, tc.want)+": ") {
+			t.Errorf("%s: Load says %v, want an error naming %s", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -1,0 +1,69 @@
+package dataset_test
+
+import (
+	"bytes"
+	"context"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"gplus/internal/core"
+	"gplus/internal/dataset"
+)
+
+// golden is a 64-user dataset in the current layout (graph.v2 +
+// profiles.jsonl), written once by an earlier build. Nothing in the repo
+// regenerates it, which is the point: it pins both readers against bytes
+// no current writer influences, and the writers against reproducing
+// them.
+const golden = "testdata/golden"
+
+// TestGoldenDatasetRoundTrips loads the golden dataset in RAM and
+// mapped, requires the same study structure results from both, and
+// re-saves each: the files written must be the golden bytes.
+func TestGoldenDatasetRoundTrips(t *testing.T) {
+	ram, err := dataset.Load(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ram.NumUsers() != 64 || ram.NumCrawled() != 64 || ram.Graph.NumEdges() != 819 {
+		t.Fatalf("golden loaded as %d users, %d crawled, %d edges; want 64, 64, 819",
+			ram.NumUsers(), ram.NumCrawled(), ram.Graph.NumEdges())
+	}
+	mapped, err := dataset.LoadWith(golden, dataset.Options{Mapped: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	if mapped.Graph != nil {
+		t.Fatal("golden dataset did not open memory-mapped")
+	}
+
+	structure := func(d *dataset.Dataset) *core.StructureResult {
+		res, err := core.New(d, core.Options{}).Structure(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if !reflect.DeepEqual(structure(mapped), structure(ram)) {
+		t.Error("study structure results differ between the RAM and the mapped load")
+	}
+
+	for backend, d := range map[string]*dataset.Dataset{"RAM": ram, "mapped": mapped} {
+		dir := t.TempDir()
+		if err := d.SaveV2(dir); err != nil {
+			t.Fatalf("SaveV2 of the %s load: %v", backend, err)
+		}
+		for _, name := range []string{"graph.v2", "profiles.jsonl"} {
+			want, err := os.ReadFile(filepath.Join(golden, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s re-saved from the %s load differs from the golden file (err=%v)", name, backend, err)
+			}
+		}
+	}
+}

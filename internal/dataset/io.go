@@ -3,7 +3,6 @@ package dataset
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"errors"
 	"fmt"
 	"io"
@@ -17,31 +16,24 @@ import (
 
 	"gplus/internal/durable"
 	"gplus/internal/gplusapi"
-	"gplus/internal/graph"
 	"gplus/internal/graph/diskcsr"
 )
 
 // On-disk layout: <dir>/graph.v2 (varint/delta-compressed CSR, openable
 // via mmap without materializing — see internal/graph/diskcsr) plus
-// <dir>/profiles.jsonl (one JSON record per user in node-id order; a
-// profiles.jsonl.gz written by an earlier build is still read). A
+// <dir>/profiles.jsonl (one JSON record per user in node-id order). A
 // record is the wire document of internal/gplusapi — the same bytes
 // gplusd serves and the journal logs for that profile — with one more
 // member, "crawled", before the closing brace; it is written and read
 // by gplusapi's wire codec, not by reflection, and a record may be of
 // any length. The JSONL form keeps the profile columns greppable and
 // diffable; the graph
-// stays binary because edge lists dominate the size. graph.v2 is the
-// only graph form this package writes; a directory holding only the
-// legacy v1 graph.bin still loads (LoadWith falls back to
-// graph.ReadBinary), and a save over it leaves graph.bin in place — Load
-// prefers graph.v2 whenever it exists.
+// stays binary because edge lists dominate the size. A dataset is
+// written and read in these two files only.
 
 const (
-	graphV1File    = "graph.bin"
-	graphV2File    = "graph.v2"
-	profilesFile   = "profiles.jsonl"
-	profilesGzFile = "profiles.jsonl.gz"
+	graphV2File  = "graph.v2"
+	profilesFile = "profiles.jsonl"
 )
 
 // Options controls how LoadWith opens a dataset.
@@ -49,8 +41,7 @@ type Options struct {
 	// Mapped serves the graph straight from the memory-mapped v2 file
 	// instead of materializing it into RAM: analyses then fault in only
 	// the pages they touch, bounding resident memory far below the edge
-	// count. A legacy dataset holding only v1 graph.bin loads in RAM
-	// regardless.
+	// count.
 	Mapped bool
 }
 
@@ -119,37 +110,21 @@ func Load(dir string) (*Dataset, error) {
 
 // LoadWith reads a dataset with explicit backend options. With
 // Options.Mapped the v2 graph is served memory-mapped and the caller
-// must Close the returned dataset. A directory without graph.v2 is a
-// legacy v1 dataset: its graph.bin is read through graph.ReadBinary
-// (the migration reader) into RAM.
+// must Close the returned dataset.
 func LoadWith(dir string, opt Options) (*Dataset, error) {
 	d := &Dataset{}
-	v2Path := filepath.Join(dir, graphV2File)
-	if _, err := os.Stat(v2Path); err == nil {
-		m, err := diskcsr.Open(v2Path, diskcsr.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("dataset: opening v2 graph: %w", err)
-		}
-		if opt.Mapped {
-			d.view = m
-			d.closer = m
-		} else {
-			d.Graph, err = m.Materialize()
-			m.Close() //nolint:errcheck — read-only mapping
-			if err != nil {
-				return nil, fmt.Errorf("dataset: materializing v2 graph: %w", err)
-			}
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, err
+	m, err := diskcsr.Open(filepath.Join(dir, graphV2File), diskcsr.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("dataset: opening v2 graph: %w", err)
+	}
+	if opt.Mapped {
+		d.view = m
+		d.closer = m
 	} else {
-		gf, err := os.Open(filepath.Join(dir, graphV1File))
+		d.Graph, err = m.Materialize()
+		m.Close() //nolint:errcheck — read-only mapping
 		if err != nil {
-			return nil, err
-		}
-		defer gf.Close()
-		if d.Graph, err = graph.ReadBinary(gf); err != nil {
-			return nil, fmt.Errorf("dataset: reading graph: %w", err)
+			return nil, fmt.Errorf("dataset: materializing v2 graph: %w", err)
 		}
 	}
 	if err := d.loadProfiles(dir); err != nil {
@@ -164,35 +139,16 @@ func LoadWith(dir string, opt Options) (*Dataset, error) {
 }
 
 func (d *Dataset) loadProfiles(dir string) error {
-	// Prefer the plain form; fall back to the gzip form.
-	var (
-		profiles io.Reader
-		size     int64 // of the plain column; unknown for the gzip form
-	)
 	pf, err := os.Open(filepath.Join(dir, profilesFile))
-	switch {
-	case err == nil:
-		profiles = pf
-		if fi, err := pf.Stat(); err == nil {
-			size = fi.Size()
-		}
-	case os.IsNotExist(err):
-		pf, err = os.Open(filepath.Join(dir, profilesGzFile))
-		if err != nil {
-			return err
-		}
-		gz, err := gzip.NewReader(pf)
-		if err != nil {
-			pf.Close()
-			return fmt.Errorf("dataset: opening compressed profiles: %w", err)
-		}
-		defer gz.Close()
-		profiles = gz
-	default:
+	if err != nil {
 		return err
 	}
 	defer pf.Close()
-	if err := d.readProfiles(profiles, size, runtime.GOMAXPROCS(0)); err != nil {
+	var size int64
+	if fi, err := pf.Stat(); err == nil {
+		size = fi.Size()
+	}
+	if err := d.readProfiles(pf, size, runtime.GOMAXPROCS(0)); err != nil {
 		return fmt.Errorf("dataset: reading profiles: %w", err)
 	}
 	return nil

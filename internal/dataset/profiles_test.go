@@ -3,7 +3,6 @@ package dataset
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,6 +16,10 @@ import (
 	"gplus/internal/graph"
 	"gplus/internal/profile"
 )
+
+// goldenDir is a 64-user dataset in the current layout, written by an
+// earlier build; nothing in the repo regenerates it.
+const goldenDir = "testdata/golden"
 
 // referenceRecord, referenceWrite and referenceRead are the profile
 // column as reflection-driven encoding/json wrote and read it before the
@@ -75,19 +78,7 @@ func sameColumns(a, b *Dataset) bool {
 func TestProfileColumnMatchesEncodingJSON(t *testing.T) {
 	columns := map[string][]byte{}
 	var err error
-	if columns["v1"], err = os.ReadFile(filepath.Join("testdata/v1", profilesFile)); err != nil {
-		t.Fatal(err)
-	}
-	gz, err := os.Open(filepath.Join("testdata/gz", profilesGzFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gz.Close()
-	zr, err := gzip.NewReader(gz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if columns["gz"], err = io.ReadAll(zr); err != nil {
+	if columns["golden"], err = os.ReadFile(filepath.Join(goldenDir, profilesFile)); err != nil {
 		t.Fatal(err)
 	}
 	_, res := fixtures(t)
@@ -97,8 +88,8 @@ func TestProfileColumnMatchesEncodingJSON(t *testing.T) {
 	}
 	columns["crawled"] = crawled.Bytes()
 	// Several chunks' worth, so ranges and carried partial lines are in play.
-	columns["3 MiB"] = bytes.Repeat(columns["v1"], 3*profileChunk/len(columns["v1"])+1)
-	columns["no final newline"] = bytes.TrimSuffix(columns["v1"], []byte("\n"))
+	columns["3 MiB"] = bytes.Repeat(columns["golden"], 3*profileChunk/len(columns["golden"])+1)
+	columns["no final newline"] = bytes.TrimSuffix(columns["golden"], []byte("\n"))
 	columns["hostile"] = []byte(strings.Join([]string{
 		`{"id":"a","name":"<b>&amp;</b> ` + "\u2028\u2029 caf\u00e9 \U0001F600" + `","fields":["name","places_lived"],"placesLived":["x\ty","\"q\""],"place":{"name":"\"q\"","lat":1e-7,"lon":-1e21},"inCircleCount":3,"outCircleCount":4,"crawled":true}`,
 		`  {"CRAWLED":true,"Id":"b","unknown":{"deep":[1,2,{"x":null}]},"fields":["gender"],"gender":"Female","crawled":null}  `,
@@ -136,8 +127,8 @@ func TestProfileColumnMatchesEncodingJSON(t *testing.T) {
 		if !bytes.Equal(gotBytes.Bytes(), wantBytes.Bytes()) {
 			t.Fatalf("%s: written column differs from encoding/json's", name)
 		}
-		if name == "v1" && !bytes.Equal(gotBytes.Bytes(), raw) {
-			t.Error("the v1 golden column does not re-save to its own bytes")
+		if name == "golden" && !bytes.Equal(gotBytes.Bytes(), raw) {
+			t.Error("the golden column does not re-save to its own bytes")
 		}
 	}
 }
@@ -146,7 +137,7 @@ func TestProfileColumnMatchesEncodingJSON(t *testing.T) {
 // multi-chunk column: whatever the parallelism, the error names the
 // first, as a serial reader's would.
 func TestReadProfilesReportsLowestFailingLine(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata/v1", profilesFile))
+	golden, err := os.ReadFile(filepath.Join(goldenDir, profilesFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +202,7 @@ func TestLongProfileRecordRoundTrips(t *testing.T) {
 // TestNodeOfBuildsIndexOnFirstUse: a loaded dataset resolves ids (the
 // index is built lazily now) and concurrent first callers agree.
 func TestNodeOfBuildsIndexOnFirstUse(t *testing.T) {
-	d, err := Load("testdata/v1")
+	d, err := Load(goldenDir)
 	if err != nil {
 		t.Fatal(err)
 	}

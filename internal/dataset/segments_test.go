@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -24,11 +25,16 @@ func TestSaveV2LoadRoundTrip(t *testing.T) {
 	if err := d.SaveV2(dir); err != nil {
 		t.Fatalf("SaveV2: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, graphV2File)); err != nil {
-		t.Fatalf("graph.v2 missing: %v", err)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, graphV1File)); !os.IsNotExist(err) {
-		t.Fatal("a save wrote a v1 graph.bin")
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if !slices.Equal(names, []string{graphV2File, profilesFile}) {
+		t.Fatalf("a save wrote %v, want exactly %s and %s", names, graphV2File, profilesFile)
 	}
 
 	got, err := Load(dir)

@@ -267,10 +267,17 @@ func TestCompactRejectsTornSegment(t *testing.T) {
 	})
 }
 
-// FuzzOpenV2 feeds arbitrary bytes through the full Open validation:
-// it must never panic, and anything accepted must materialize into a
-// graph that passes Validate and round-trips through WriteGraph.
+// FuzzOpenV2 feeds arbitrary bytes through the full Open validation,
+// the one reader every dataset graph goes through: it must never panic,
+// and anything accepted must materialize into a graph that passes
+// Validate and round-trips through WriteGraph. The dataset package's
+// golden graph.v2 seeds it with bytes no current writer influences.
 func FuzzOpenV2(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "dataset", "testdata", "golden", "graph.v2"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
 	f.Add(v2Bytes(f))
 	f.Add([]byte{})
 	f.Add([]byte("GPLGRPH2"))

@@ -38,8 +38,8 @@ import (
 
 const (
 	headerSize = 48
-	// maxNodes/maxEdges bound header claims before any allocation, the
-	// same hostile-input caps graph.ReadBinary applies to v1.
+	// maxNodes/maxEdges are the hostile-input caps: a header claiming
+	// more is rejected before it sizes any allocation.
 	maxNodes = 1 << 31
 	maxEdges = 1 << 33
 )

@@ -1,45 +1,11 @@
 package graph
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"reflect"
 	"testing"
 )
-
-// FuzzReadBinary checks the binary decoder never panics on arbitrary
-// bytes and that anything it accepts round-trips exactly.
-func FuzzReadBinary(f *testing.F) {
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, FromEdges(4, 0, 1, 1, 2, 2, 3, 3, 0)); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte("GPLGRPH1"))
-	f.Add(bytes.Repeat([]byte{0xff}, 64))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return // rejected input: fine
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("accepted graph fails validation: %v", err)
-		}
-		var out bytes.Buffer
-		if err := WriteBinary(&out, g); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		again, err := ReadBinary(&out)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !reflect.DeepEqual(g, again) {
-			t.Fatal("accepted graph does not round trip")
-		}
-	})
-}
 
 // FuzzMultiSourceBFS checks the multi-source kernel lane by lane: with
 // a batch size of one every lane reports its own histogram, which must

@@ -69,10 +69,9 @@ func (g *Graph) InDegree(u NodeID) int {
 
 // FromCSR assembles a Graph directly from prebuilt CSR arrays — offsets
 // plus sorted adjacency for both directions — validating the invariants
-// the Builder would have established. It is the constructor used by the
-// on-disk decoders (graph.ReadBinary's sibling in diskcsr), which
-// already hold the arrays and must not pay the Builder's edge-list
-// resort. The arrays are retained, not copied; the caller must not
+// the Builder would have established. It is the constructor the
+// on-disk decoder (diskcsr's Materialize) uses: it already holds the
+// arrays and must not pay the Builder's edge-list resort. The arrays are retained, not copied; the caller must not
 // modify them afterwards.
 func FromCSR(outOff []int64, outAdj []NodeID, inOff []int64, inAdj []NodeID) (*Graph, error) {
 	g := &Graph{outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}
@@ -82,8 +81,8 @@ func FromCSR(outOff []int64, outAdj []NodeID, inOff []int64, inAdj []NodeID) (*G
 	return g, nil
 }
 
-// Validate checks internal CSR invariants. It is used by tests and by the
-// binary decoder to reject corrupt inputs.
+// Validate checks internal CSR invariants. It is used by tests and by
+// FromCSR to reject corrupt inputs.
 func (g *Graph) Validate() error {
 	n := g.NumNodes()
 	if len(g.outOff) == 0 {

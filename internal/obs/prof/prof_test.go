@@ -163,34 +163,43 @@ func TestStoreReopenReappliesRetention(t *testing.T) {
 	}
 }
 
-// TestStoreAdoptsLegacyNamesAndLeavesForeignFiles: a pre-PR ring named
-// its captures <kind>-<seq>.pb.gz beside a manifest.jsonl. Reopened, its
-// captures join the ring (and its retention) and the seq continues after
-// them; the manifest and any other file are not the ring's.
-func TestStoreAdoptsLegacyNamesAndLeavesForeignFiles(t *testing.T) {
+// TestStoreLeavesForeignFiles: a file outside the capture grammar —
+// a <kind>-<seq>.pb.gz without a trigger among them — is not the ring's.
+// It survives OpenStore and retention byte for byte, adds nothing to
+// obsprof_store_bytes and does not advance the seq.
+func TestStoreLeavesForeignFiles(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
-		"cpu-000007.pb.gz":  "legacy cpu",
-		"heap-000008.pb.gz": "legacy heap",
-		"manifest.jsonl":    `{"seq":7,"kind":"cpu","file":"cpu-000007.pb.gz"}` + "\n",
-		"notes.txt":         "mine",
+		"cpu-000007.pb.gz": "no trigger",
+		"manifest.jsonl":   `{"seq":7,"kind":"cpu","file":"cpu-000007.pb.gz"}` + "\n",
+		"notes.txt":        "mine",
 	}
 	for name, body := range files {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s, err := OpenStore(dir, StoreOptions{MaxCaptures: 2})
+	reg := obs.NewRegistry()
+	s, err := OpenStore(dir, StoreOptions{MaxCaptures: 1, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendN(t, s, "cpu", []byte("new"))
-	want := []string{"heap-000008.pb.gz", "cpu-000009-interval.pb.gz"}
-	if got := ring(t, dir); !slices.Equal(got, want) {
-		t.Errorf("ring = %v, want %v (legacy captures adopted, oldest evicted)", got, want)
+	if got := reg.Gauge("obsprof_store_bytes").Value(); got != 0 {
+		t.Errorf("obsprof_store_bytes = %d over foreign files alone, want 0", got)
 	}
-	for _, name := range []string{"manifest.jsonl", "notes.txt"} {
-		if b, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(b) != files[name] {
+	appendN(t, s, "cpu", []byte("first"))
+	if got, want := ring(t, dir), []string{"cpu-000000-interval.pb.gz"}; !slices.Equal(got, want) {
+		t.Errorf("ring = %v, want %v (the seq starts at 0)", got, want)
+	}
+	appendN(t, s, "cpu", []byte("second"))
+	if got, want := ring(t, dir), []string{"cpu-000001-interval.pb.gz"}; !slices.Equal(got, want) {
+		t.Errorf("ring = %v, want %v (retention evicts captures only)", got, want)
+	}
+	if got := reg.Gauge("obsprof_store_bytes").Value(); got != int64(len("second")) {
+		t.Errorf("obsprof_store_bytes = %d, want %d (the one retained capture)", got, len("second"))
+	}
+	for name, body := range files {
+		if b, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(b) != body {
 			t.Errorf("foreign file %s changed: %q (err=%v)", name, b, err)
 		}
 	}

@@ -39,9 +39,8 @@ const (
 	defaultMaxBytes    = 256 << 20
 )
 
-// captureName is the grammar of a capture file: <kind>-<seq>-<trigger>.pb.gz,
-// or <kind>-<seq>.pb.gz as rings written before triggers were named.
-var captureName = regexp.MustCompile(`^[a-z]+-([0-9]{6,})(-[A-Za-z0-9._-]*)?\.pb\.gz$`)
+// captureName is the grammar of a capture file: <kind>-<seq>-<trigger>.pb.gz.
+var captureName = regexp.MustCompile(`^[a-z]+-([0-9]{6,})-[A-Za-z0-9._-]*\.pb\.gz$`)
 
 // capture is one file of the ring.
 type capture struct {

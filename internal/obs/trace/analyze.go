@@ -42,11 +42,10 @@ func ReadTraces(r io.Reader) (out []*Trace, torn int, err error) {
 // MergeByTraceID combines traces sharing a trace id — the client-side
 // and server-side halves of one propagated request — into a single
 // trace whose span set is the union, keyed by span id. The dedup matters
-// beyond the client/server stitch: in a run directory an older build
-// wrote, an exemplar trace appears in both the at-exit ring dump
-// (traces.jsonl) and the exemplar spool (exemplars.jsonl), and feeding
-// both to `gplusanalyze traces` must not double its spans. The
-// root is the earliest local root; exemplar tags are unioned.
+// beyond the client/server stitch: a run directory analyzed together
+// with a /debug/traces dump of the same run holds the same trace twice,
+// and `gplusanalyze traces` must not double its spans. The root is the
+// earliest local root; exemplar tags are unioned.
 func MergeByTraceID(traces []*Trace) []*Trace {
 	byID := make(map[string]*Trace)
 	seen := make(map[string]map[string]bool)

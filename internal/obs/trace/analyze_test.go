@@ -116,11 +116,10 @@ func TestMergeByTraceID(t *testing.T) {
 	}
 }
 
-// TestMergeDeduplicatesSpans pins the overlapping-dump case: an exemplar
-// trace shows up in both traces.jsonl and exemplars.jsonl of an older
-// run directory (or in a run directory and a /debug/traces dump), and analyzing
-// the two files together must not double its spans (or its attempt
-// counts, which would inflate retry amplification).
+// TestMergeDeduplicatesSpans pins the overlapping-dump case: a trace
+// shows up in both a run directory's traces.jsonl and a /debug/traces
+// dump, and analyzing the two files together must not double its spans
+// (or its attempt counts, which would inflate retry amplification).
 func TestMergeDeduplicatesSpans(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	mk := func() *Trace {
