@@ -18,7 +18,7 @@ all: build vet test race
 # covers the sharded rate limiter, the batched crawl frontier and the
 # study's concurrent, memoised structure stages with the packages that
 # drive them (paper, report, gplusanalyze), the
-# short fuzz leg shakes the checkpoint/journal parser, the wire codec, the graph.v2 reader, the triad pass, the edge sort and the CDF sort, the hygiene leg
+# short fuzz leg shakes the checkpoint/journal parser, the series.jsonl tick decoder, the wire codec, the graph.v2 reader, the triad pass, the edge sort and the CDF sort, the hygiene leg
 # gates the metric exposition and its label vocabulary, the
 # one-durable-writer rule, the every-flag-has-a-recipe rule and the
 # every-package- and every-exported-symbol-reaches-the-pipeline rules and
@@ -43,7 +43,7 @@ help:
 	@echo "make bench-storage  out-of-core CSR: segment/compact/load/scan -> BENCH_storage.json"
 	@echo "make paperscale     10M-node/200M-edge out-of-core acceptance run (slow; merges RSS rows into BENCH_storage.json)"
 	@echo "make ablations      design-choice ablations, seed sensitivity and the lost-edge crawl"
-	@echo "make fuzz           long fuzz of every parser (wire codec and series names included), the client's request URLs, the multi-source BFS, the triad pass, the edge sort and the CDF sort (30s each)"
+	@echo "make fuzz           long fuzz of every parser (wire codec, series names and the series.jsonl tick decoder included), the client's request URLs, the multi-source BFS, the triad pass, the edge sort and the CDF sort (30s each)"
 	@echo "make verify         generate a dataset and audit it against the paper"
 	@echo "make experiments    regenerate the measured half of EXPERIMENTS.md from a fresh dataset"
 
@@ -146,7 +146,7 @@ trace-demo:
 # The dashboard demo: a short chaos crawl rendered frame-by-frame on the
 # live dashboard, subscribed to the report of the same rundir.Start
 # watcher `gpluscrawl -dash` draws; -v prints the final frame and the
-# offline health report replayed from the same rings (outage spike,
+# offline health report replayed from the same store (outage spike,
 # stall, SLO states and violation spans).
 dash-demo:
 	$(GO) test -count=1 -run TestDashDemo -v ./internal/crawler/
@@ -224,9 +224,12 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadResult -fuzztime=30s ./internal/crawler/
 	$(GO) test -fuzz=FuzzParseFaultSpec -fuzztime=30s ./internal/gplusd/
 	$(GO) test -fuzz=FuzzSeriesName -fuzztime=30s ./internal/obs/
+	$(GO) test -fuzz=FuzzSeriesLog -fuzztime=30s ./internal/obs/series/
 
-# The quick fuzz leg of `make check`: the checkpoint/journal parser is
-# the one format a crash can hand arbitrary torn bytes to, the wire
+# The quick fuzz leg of `make check`: the checkpoint/journal parser and
+# the series.jsonl tick decoder read the formats a crash can hand
+# arbitrary torn bytes to (the crawl journal, a run directory's series
+# log, appended every sample), the wire
 # codec is the parser every network byte and every profile-column byte
 # goes through (held to encoding/json as its oracle), diskcsr.Open is
 # the one graph reader, so every graph.v2 byte of every dataset goes
@@ -240,6 +243,7 @@ fuzz:
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz=FuzzWireCodec -fuzztime=10s ./internal/gplusapi/
 	$(GO) test -run '^$$' -fuzz=FuzzReadResult -fuzztime=10s ./internal/crawler/
+	$(GO) test -run '^$$' -fuzz=FuzzSeriesLog -fuzztime=10s ./internal/obs/series/
 	$(GO) test -run '^$$' -fuzz=FuzzOpenV2 -fuzztime=10s ./internal/graph/diskcsr/
 	$(GO) test -run '^$$' -fuzz=FuzzTriads -fuzztime=10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz=FuzzMultiSourceBFS -fuzztime=10s ./internal/graph/

@@ -15,11 +15,12 @@
 // experiments` writes its output into EXPERIMENTS.md.
 //
 // Two subcommands read the run directory gpluscrawl/gplusd write under
-// -obs-dir (series.jsonl, traces.jsonl); each also accepts the
-// individual files, e.g. dumps saved from
-// /debug/traces?format=jsonl or /debug/timeseries?format=jsonl. The
-// directory's profiles/ ring is plain pprof files, read with `go tool
-// pprof` (README "Continuous profiling").
+// -obs-dir (series.jsonl, traces.jsonl) — during the run too, since both
+// files are appended as the run goes; each also accepts the individual
+// files, e.g. dumps saved from /debug/traces?format=jsonl or
+// /debug/timeseries?format=jsonl. The directory's profiles/ ring is
+// plain pprof files, read with `go tool pprof` (README "Continuous
+// profiling").
 //
 // traces merges client- and server-side spans sharing a trace id and
 // prints the critical-path breakdown of where request wall-clock went,
@@ -32,9 +33,11 @@
 // into the health report its live surfaces (gpluscrawl's progress line
 // and -dash, /debug/slo) rendered: throughput curve, error-rate timeline
 // with spike spans, stalls, and the SLO objectives' violation spans
-// evaluated at every tick.
+// evaluated at every tick. It reads one run: the same counters of two
+// processes would interleave in time, and every drop between them would
+// read as a restart.
 //
-//	gplusanalyze metrics [-width N] [-slo spec] run-dir [shard2-run-dir ...]
+//	gplusanalyze metrics [-width N] [-slo spec] run-dir
 package main
 
 import (
@@ -85,10 +88,10 @@ func readEach(sources []string, name string, read func(io.Reader) (torn int, err
 }
 
 // sources parses a subcommand's arguments and returns the positional
-// ones, of which there must be at least one. A rejected command line is
-// a usageError carrying what flag would have printed: the complaint,
-// then the usage.
-func sources(fs *flag.FlagSet, usage string, args []string) ([]string, error) {
+// ones, of which there must be at least one — exactly one when one is
+// set. A rejected command line is a usageError carrying what flag would
+// have printed: the complaint, then the usage.
+func sources(fs *flag.FlagSet, usage string, args []string, one bool) ([]string, error) {
 	var msg strings.Builder
 	fs.SetOutput(&msg)
 	fs.Usage = func() {
@@ -96,8 +99,13 @@ func sources(fs *flag.FlagSet, usage string, args []string) ([]string, error) {
 		fs.PrintDefaults()
 	}
 	err := fs.Parse(args)
-	if err == nil && fs.NArg() == 0 {
+	switch {
+	case err != nil: // flag has written the complaint and the usage
+	case fs.NArg() == 0:
 		fmt.Fprintln(&msg, "no source given")
+		fs.Usage()
+	case one && fs.NArg() > 1:
+		fmt.Fprintf(&msg, "%d sources given; %s reads one run\n", fs.NArg(), fs.Name())
 		fs.Usage()
 	}
 	if msg.Len() > 0 {
@@ -113,7 +121,7 @@ func runTraces(w io.Writer, args []string) error {
 	top := sub.Int("top", 10, "slowest traces to print with full span trees")
 	srcs, err := sources(sub, `[-top N] run-dir-or-dump.jsonl [more ...]
 a run directory (-obs-dir) stands for its traces.jsonl; dumps also
-come from /debug/traces?format=jsonl; client and server sides of one crawl merge by trace id`, args)
+come from /debug/traces?format=jsonl; client and server sides of one crawl merge by trace id`, args, false)
 	if err != nil {
 		return err
 	}
@@ -136,14 +144,19 @@ func runMetrics(w io.Writer, args []string) error {
 	width := sub.Int("width", 60, "sparkline width")
 	sloSpec := sub.String("slo", "default", `SLO objectives to replay over the dump ("default" = those of the binary that wrote it, "" skips SLO replay)`)
 	stallAfter := sub.Int("stall-after", 3, "consecutive ticks without a page fetched (with work queued) that count as a stall")
-	srcs, err := sources(sub, `[-width N] [-slo spec] run-dir-or-series.jsonl [more ...]
-a run directory (-obs-dir) stands for its series.jsonl; dumps also come from
-/debug/timeseries?format=jsonl; multiple dumps (crawl shards) merge into one report`, args)
+	srcs, err := sources(sub, `[-width N] [-slo spec] run-dir-or-series.jsonl
+a run directory (-obs-dir) stands for its series.jsonl; a dump also comes from
+/debug/timeseries?format=jsonl; one run only: the same series of two processes
+(crawl shards, a crawler and its gplusd) would interleave in time`, args, true)
 	if err != nil {
 		return err
 	}
-	dump := series.NewDump()
-	if err := readEach(srcs, rundir.SeriesFile, dump.ReadJSONL); err != nil {
+	var dump *series.Store
+	err = readEach(srcs, rundir.SeriesFile, func(r io.Reader) (torn int, err error) {
+		dump, torn, err = series.ReadTicks(r)
+		return torn, err
+	})
+	if err != nil {
 		return err
 	}
 	sig := series.SignalsFor(dump) // a crawl's or a gplusd's, by the families in the dump: rows and default objectives follow

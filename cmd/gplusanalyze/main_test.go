@@ -290,6 +290,9 @@ func TestOnlyPaysForTheStagesItNames(t *testing.T) {
 		{[]string{"profiles", dir}, []string{`"profiles"`, "traces, metrics"}},
 		{[]string{"traces"}, []string{"no source", "usage: gplusanalyze traces"}},
 		{[]string{"metrics", "-top", "3", dir}, []string{"-top", "usage: gplusanalyze metrics"}},
+		// Two runs' counters would interleave in time, every drop between
+		// them read as a restart: metrics takes one source.
+		{[]string{"metrics", dir, dir}, []string{"2 sources given", "metrics reads one run", "usage: gplusanalyze metrics"}},
 	} {
 		var stdout, stderr bytes.Buffer
 		err := run(&stdout, &stderr, tc.args)

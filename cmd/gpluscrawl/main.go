@@ -35,10 +35,11 @@
 // objectives), as it happens (logs keep flowing to stderr).
 //
 // -obs-dir names the run directory every signal is spooled into (layout
-// in package rundir): exemplar traces and the profile ring as the crawl
-// runs, the metric series and the rest of the trace ring at exit.
-// `gplusanalyze metrics|traces <dir>` read it back, and
-// `go tool pprof <dir>/profiles/*.pb.gz` the profile captures.
+// in package rundir): each metric tick, exemplar trace and profile
+// capture as the crawl runs — so a killed crawl keeps them — and the
+// rest of the trace ring at exit. `gplusanalyze metrics|traces <dir>`
+// read it back, during the crawl too, and `go tool pprof
+// <dir>/profiles/*.pb.gz` the profile captures.
 //
 // With -trace-sample the crawler records request-scoped span traces: one
 // root per crawled profile with children for the profile fetch, each

@@ -37,10 +37,10 @@
 // without a header. The flight recorder serves /debug/traces
 // (?format=jsonl for a dump that `gplusanalyze traces` reads).
 //
-// -obs-dir names the run directory (layout in package rundir): the
-// profile ring and exemplar traces are written while serving, the metric
-// series and the rest of the trace ring on SIGINT/SIGTERM, when the
-// server drains and exits. `gplusanalyze metrics|traces <dir>` read it back, and
+// -obs-dir names the run directory (layout in package rundir): metric
+// ticks, the profile ring and exemplar traces are written while serving,
+// the rest of the trace ring on SIGINT/SIGTERM, when the server drains
+// and exits. `gplusanalyze metrics|traces <dir>` read it back, and
 // `go tool pprof <dir>/profiles/*.pb.gz` the profile captures.
 //
 // Usage:
@@ -133,7 +133,7 @@ func main() {
 	log.Printf("serving %s on http://%s (metrics at /metrics, pprof at /debug/pprof/)", srv, ln.Addr())
 
 	// Serve until SIGINT/SIGTERM, then drain; run.Close completes the run
-	// directory (final captures, last sample, series/trace spools).
+	// directory (final captures, last sample, the trace ring's rest).
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	hs := &http.Server{Handler: root}

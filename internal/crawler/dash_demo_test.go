@@ -20,7 +20,7 @@ var ansiRe = regexp.MustCompile(`\x1b\[[0-9;]*[A-Za-z]`)
 // TestDashDemo is the `make dash-demo` entry point: a short chaos crawl
 // rendered through the live dashboard, frame by frame, exactly as
 // `gpluscrawl -dash` wires it. -v prints the final frame and the
-// offline health report rebuilt from the same rings.
+// offline health report rebuilt from the same store.
 func TestDashDemo(t *testing.T) {
 	u := crawlUniverse(t)
 	url := startService(t, u, gplusd.Options{
@@ -71,13 +71,14 @@ func TestDashDemo(t *testing.T) {
 	}
 	t.Logf("dashboard: %d frames rendered; final frame:\n%s", rendered, ansiRe.ReplaceAllString(lastFrame(screen.String()), ""))
 
-	// The same rings replay into the offline health report.
+	// The same store replays, through series.jsonl lines, into the
+	// offline health report.
 	var dumpBuf bytes.Buffer
-	if err := collector.WriteJSONL(&dumpBuf); err != nil {
+	if err := series.WriteTicks(&dumpBuf, collector.Ticks()); err != nil {
 		t.Fatal(err)
 	}
-	dump := series.NewDump()
-	if _, err := dump.ReadJSONL(&dumpBuf); err != nil {
+	dump, _, err := series.ReadTicks(&dumpBuf)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var report strings.Builder
@@ -85,7 +86,7 @@ func TestDashDemo(t *testing.T) {
 	if !strings.Contains(report.String(), "crawl health") {
 		t.Fatalf("health report missing:\n%s", report.String())
 	}
-	t.Logf("offline replay of the same rings:\n%s", report.String())
+	t.Logf("offline replay of the same store:\n%s", report.String())
 }
 
 // lastFrame returns everything after the final cursor-home sequence —

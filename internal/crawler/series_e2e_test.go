@@ -16,8 +16,8 @@ import (
 
 // TestSeriesChaosReportE2E is the observability pipeline proof: a crawl
 // against a service with a scheduled outage runs under the time-series
-// collector with the live watcher attached, the rings are spooled into
-// the run directory, and the offline health report built from that dump
+// collector with the live watcher attached, every tick is appended to
+// the run directory, and the offline health report built from that log
 // must surface the injected outage as both an error-rate spike and an
 // SLO violation span whose timestamps match the chaos schedule — and
 // must be the report the watcher built at the last tick: the live
@@ -81,14 +81,13 @@ func TestSeriesChaosReportE2E(t *testing.T) {
 		t.Fatal("crawl made no progress")
 	}
 
-	// Close spooled the rings to <dir>/series.jsonl, as gpluscrawl
-	// -obs-dir does; rebuild the report offline from that file.
+	// Every tick went to <dir>/series.jsonl as it was sampled, as under
+	// gpluscrawl -obs-dir; rebuild the report offline from that file.
 	f, err := os.Open(filepath.Join(dir, rundir.SeriesFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dump := series.NewDump()
-	_, err = dump.ReadJSONL(f)
+	dump, _, err := series.ReadTicks(f)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)

@@ -10,10 +10,12 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"gplus/internal/crawler"
 	"gplus/internal/durable"
 	"gplus/internal/obs/rundir"
+	"gplus/internal/obs/series"
 	"gplus/internal/obs/trace"
 )
 
@@ -201,5 +203,55 @@ var appendCases = []appendCase{
 			}
 			return got
 		},
+	}, {
+		// A run directory's series log, one line per collector tick. Each
+		// record is a tick stamped with its name: Start takes the first,
+		// Close the last and Sample any between, so a one-record session
+		// writes its record twice, and the reader folds repeats.
+		name: "series log",
+		log:  rundir.SeriesFile,
+		session: func(t *testing.T, dir string, names []string) {
+			at := func(name string) time.Time { return time.Unix(int64(name[0]), 0) }
+			clock := names[0]
+			run, err := rundir.Start(rundir.Config{Dir: dir, Series: series.Options{
+				Interval: time.Hour, // the sampling goroutine never fires
+				Now:      func() time.Time { return at(clock) },
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i < len(names)-1; i++ {
+				run.Collector.Sample(at(names[i]))
+			}
+			clock = names[len(names)-1]
+			if err := run.Close(); err != nil {
+				t.Fatal(err)
+			}
+		},
+		read: func(t *testing.T, dir string) []string {
+			var got []string
+			for _, tick := range readTicks(t, dir) {
+				if name := string(rune(tick.T.Unix())); len(got) == 0 || got[len(got)-1] != name {
+					got = append(got, name)
+				}
+			}
+			return got
+		},
 	},
+}
+
+// readTicks reads a run directory's series.jsonl the way `gplusanalyze
+// metrics` does, failing the test on a torn or malformed line.
+func readTicks(t *testing.T, dir string) []series.Tick {
+	t.Helper()
+	f, err := os.Open(filepath.Join(dir, rundir.SeriesFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	s, torn, err := series.ReadTicks(f)
+	if err != nil || torn != 0 {
+		t.Fatalf("reopened series log: torn=%d err=%v", torn, err)
+	}
+	return s.Ticks()
 }

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"testing"
+	"time"
 
 	"gplus/internal/crawler"
 	"gplus/internal/dataset"
@@ -19,6 +20,8 @@ import (
 	"gplus/internal/graph"
 	"gplus/internal/graph/diskcsr"
 	"gplus/internal/obs/prof"
+	"gplus/internal/obs/rundir"
+	"gplus/internal/obs/series"
 	"gplus/internal/profile"
 )
 
@@ -344,6 +347,35 @@ var crashCases = []crashCase{
 				}
 			}
 			return write, observe
+		},
+	}, {
+		// The retention rewrite of a run directory's series log: a store
+		// of capacity 2 holds ticks 1..3, and Close's last sample, tick 4,
+		// takes it to 2 x 2, so it drops back to ticks 3 and 4 and
+		// series.jsonl is rewritten to exactly those.
+		name: "rundir series retention",
+		build: func(t *testing.T) (func() error, func(*testing.T) map[string]bool) {
+			dir := t.TempDir()
+			n := 0
+			clock := func() time.Time { n++; return time.Unix(int64(n), 0) }
+			run, err := rundir.Start(rundir.Config{Dir: dir, Series: series.Options{
+				Interval: time.Hour, // the sampling goroutine never fires
+				Capacity: 2,
+				Now:      clock,
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			run.Collector.Sample(clock())
+			run.Collector.Sample(clock())
+			observe := func(t *testing.T) map[string]bool {
+				var got []int64
+				for _, tick := range readTicks(t, dir) {
+					got = append(got, tick.T.Unix())
+				}
+				return map[string]bool{rundir.SeriesFile: isNew(t, "series log", got, []int64{1, 2, 3}, []int64{3, 4})}
+			}
+			return run.Close, observe
 		},
 	},
 }

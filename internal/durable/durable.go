@@ -1,10 +1,10 @@
 // Package durable is the repo's one crash contract for files on disk.
 // Every whole-file write (dataset columns, v2 graphs, edge segments,
-// crawl checkpoints, profile-ring captures, the at-exit series spool)
-// goes through WriteFile; every file that is appended to in place (the
-// crawl journal, a run directory's trace log) is written through
-// a Log and read back with ReadLog, which between them hold the one
-// torn-tail rule.
+// crawl checkpoints, profile-ring captures, the retention rewrite of a
+// run directory's series log) goes through WriteFile; every file that is
+// appended to in place (the crawl journal, a run directory's series and
+// trace logs) is written through a Log and read back with ReadLog, which
+// between them hold the one torn-tail rule.
 package durable
 
 import (

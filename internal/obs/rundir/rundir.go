@@ -1,9 +1,12 @@
 // Package rundir assembles the observability stack of one run — metrics
 // registry, time-series collector and its health watcher, request
-// tracer, profile ring — in one call, and spools what it gathered into
-// one run directory:
+// tracer, profile ring — in one call, and spools what it gathers into
+// one run directory as it goes:
 //
-//	<dir>/series.jsonl  every retained metric point, written at Close
+//	<dir>/series.jsonl  one line per collector tick, appended as it is
+//	                    sampled; rewritten to the store's newest
+//	                    Capacity ticks whenever the store drops back to
+//	                    them, and fsynced at Close
 //	<dir>/traces.jsonl  exemplar traces appended as they trip; at Close the
 //	                    ring's other traces, then an fsync
 //	<dir>/profiles/     the continuous-profiling ring: <kind>-<seq>-<trigger>.pb.gz
@@ -16,8 +19,10 @@
 // gpluscrawl, gplusd and the crawler's end-to-end tests all build their
 // stack here, so the wiring that ships is the wiring that is tested.
 // `gplusanalyze metrics|traces <dir>` read the directory back, and `go
-// tool pprof` the captures under profiles/. A resumed run appends to
-// traces.jsonl.
+// tool pprof` the captures under profiles/ — during the run as well as
+// after it, and after a SIGKILL. A resumed run appends to series.jsonl
+// (its counters restart from zero, which the reset rule of
+// series.Increase absorbs) and to traces.jsonl.
 package rundir
 
 import (
@@ -62,7 +67,7 @@ type Config struct {
 	// publishes nothing.
 	Name string
 	// Dir is the run directory; empty keeps everything in memory (no
-	// spool, no exemplar stream, no profile ring).
+	// series log, no exemplar stream, no profile ring).
 	Dir string
 
 	// Series configures the collector; Interval 0 leaves it — and with
@@ -87,8 +92,8 @@ type Config struct {
 // caller set beforehand. The mutex profiler rate is applied as it is
 // parsed, which is before any goroutine of the run exists.
 func (c *Config) RegisterFlags(fs *flag.FlagSet) {
-	fs.StringVar(&c.Dir, "obs-dir", "", "run directory: exemplar traces stream to <dir>/traces.jsonl and profiles to <dir>/profiles/ during the run, series.jsonl and the rest of the trace ring are written at exit (read it back with `gplusanalyze metrics|traces <dir>` and `go tool pprof <dir>/profiles/cpu-*.pb.gz`); the profile ring keeps the CPU profiler on for a third of the run at the default -profile-interval — pass -profile-interval 0 for series and traces only")
-	fs.DurationVar(&c.Series.Interval, "sample-interval", time.Second, "metric time-series sampling cadence for /debug/timeseries, series.jsonl and the health report read off them once per tick (progress, /debug/slo, slo_* gauges, stall and SLO-page captures); 0 disables all of them")
+	fs.StringVar(&c.Dir, "obs-dir", "", "run directory: every metric sample is appended to <dir>/series.jsonl, exemplar traces stream to <dir>/traces.jsonl and profiles to <dir>/profiles/ during the run, and the rest of the trace ring is appended at exit (read it back, mid-run too, with `gplusanalyze metrics|traces <dir>` and `go tool pprof <dir>/profiles/cpu-*.pb.gz`); the profile ring keeps the CPU profiler on for a third of the run at the default -profile-interval — pass -profile-interval 0 for series and traces only")
+	fs.DurationVar(&c.Series.Interval, "sample-interval", time.Second, "metric time-series sampling cadence for /debug/timeseries, the ticks appended to series.jsonl and the health report read off them once per tick (progress, /debug/slo, slo_* gauges, stall and SLO-page captures); 0 disables all of them")
 	fs.Func("slo", `SLO objectives evaluated over the metric time series: "default" (the binary's availability + latency pair), "" for none, or a spec like "avail,error_ratio,bad=gplusd_chaos_faults_total,total=gplusd_requests_total,max=1%,window=1m"; report at /debug/slo`, func(v string) (err error) {
 		c.Signals.Objectives, err = series.ObjectivesFlag(v, c.Signals.Objectives)
 		return err
@@ -116,9 +121,11 @@ type Run struct {
 	dir string
 
 	// mu guards what the trace sink (on whichever worker finished the
-	// trace), the watcher (on the sampling goroutine) and callers share.
+	// trace), the sampling goroutine and callers share.
 	mu       sync.Mutex
 	traces   *durable.Log         // nil when not spooling traces, and after Close
+	ticks    *durable.Log         // nil when not spooling ticks, after a failed write, and after Close
+	ticksErr error                // the failed write that ended the series log
 	latest   *series.HealthReport // the watcher's newest report
 	watchers []func(*series.HealthReport)
 }
@@ -131,14 +138,31 @@ func Start(cfg Config) (*Run, error) {
 		expvar.Publish(cfg.Name, expvar.Func(func() any { return r.Registry.Snapshot() }))
 	}
 	obs.RegisterRuntimeMetrics(r.Registry)
+	// fail unwinds the logs opened so far; nothing was written to them.
+	fail := func(err error) (*Run, error) {
+		for _, l := range []*durable.Log{r.ticks, r.traces} {
+			if l != nil {
+				l.Close() //nolint:errcheck — unwinding
+			}
+		}
+		return nil, fmt.Errorf("rundir: %w", err)
+	}
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("rundir: %w", err)
+			return fail(err)
 		}
 	}
 
 	if cfg.Series.Interval > 0 {
 		r.Collector = series.NewCollector(r.Registry, cfg.Series)
+		if cfg.Dir != "" {
+			log, err := durable.OpenLog(filepath.Join(cfg.Dir, SeriesFile))
+			if err != nil {
+				return fail(fmt.Errorf("series log: %w", err))
+			}
+			r.ticks = log
+			r.Collector.OnSample(r.appendTick)
+		}
 		series.Watch(r.Collector, cfg.Signals, r.observer(cfg.Signals.Objectives))
 	}
 
@@ -153,7 +177,7 @@ func Start(cfg Config) (*Run, error) {
 		if cfg.Dir != "" {
 			log, err := durable.OpenLog(filepath.Join(cfg.Dir, TracesFile))
 			if err != nil {
-				return nil, fmt.Errorf("rundir: trace log: %w", err)
+				return fail(fmt.Errorf("trace log: %w", err))
 			}
 			r.traces = log
 			cfg.Trace.Recorder.SetSink(r.streamExemplar)
@@ -166,10 +190,7 @@ func Start(cfg Config) (*Run, error) {
 		cfg.ProfStore.Metrics = r.Registry
 		store, err := prof.OpenStore(filepath.Join(cfg.Dir, ProfilesDir), cfg.ProfStore)
 		if err != nil {
-			if r.traces != nil {
-				r.traces.Close() //nolint:errcheck — unwinding; nothing was written
-			}
-			return nil, fmt.Errorf("rundir: %w", err)
+			return fail(err)
 		}
 		cfg.Prof.Metrics = r.Registry
 		r.Profiler = prof.NewCollector(store, cfg.Prof)
@@ -229,6 +250,49 @@ func (r *Run) Watch(fn func(*series.HealthReport)) {
 	r.mu.Lock()
 	r.watchers = append(r.watchers, fn)
 	r.mu.Unlock()
+}
+
+// appendTick appends the collector's new tick to series.jsonl and hands
+// it to the kernel, so the run's metric history outlives a SIGKILL. When
+// the tick made the store drop back to its newest Capacity ticks, the
+// file is rewritten to exactly those instead (durable.WriteFile: a crash
+// leaves the whole old list or the whole new one) and reopened, so
+// within a session the file holds the ticks the live watcher reads. A
+// failed write ends the log for the rest of the session; Close reports
+// it.
+func (r *Run) appendTick(t series.Tick, dropped bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.ticks == nil {
+		return
+	}
+	var err error
+	if dropped {
+		err = r.rewriteSeries()
+	} else if err = series.WriteTicks(r.ticks, []series.Tick{t}); err == nil {
+		err = r.ticks.Flush()
+	}
+	if err != nil {
+		if r.ticks != nil {
+			r.ticks.Close() //nolint:errcheck — err is the one reported
+		}
+		r.ticks, r.ticksErr = nil, fmt.Errorf("series log: %w", err)
+	}
+}
+
+// rewriteSeries replaces series.jsonl with the store's ticks and reopens
+// it for appending. Caller holds r.mu.
+func (r *Run) rewriteSeries() error {
+	path := filepath.Join(r.dir, SeriesFile)
+	err := r.ticks.Close()
+	r.ticks = nil
+	if err == nil {
+		err = durable.WriteFile(path, func(f *os.File) error { return series.WriteTicks(f, r.Collector.Ticks()) })
+	}
+	if err == nil {
+		r.ticks, err = durable.OpenLog(path)
+	}
+	return err
 }
 
 // streamExemplar appends one exemplar trace to traces.jsonl and hands it
@@ -292,10 +356,10 @@ func (r *Run) serveSLO(w http.ResponseWriter, req *http.Request) {
 
 // Close stops the stack and completes the run directory: the profile
 // ring takes its final captures and the collector a last sample (and the
-// watcher its last report), the ring's traces the exemplar stream did not
-// carry are appended to traces.jsonl before it is fsynced and closed, and
-// series.jsonl is written atomically. The Run's fields stay readable
-// afterwards.
+// watcher its last report), series.jsonl is fsynced and closed, and the
+// ring's traces the exemplar stream did not carry are appended to
+// traces.jsonl before it is fsynced and closed. The Run's fields stay
+// readable afterwards.
 func (r *Run) Close() error {
 	r.Profiler.Stop()
 	r.Collector.Stop()
@@ -319,9 +383,11 @@ func (r *Run) Close() error {
 		errs = append(errs, r.traces.Close())
 		r.traces = nil
 	}
-	r.mu.Unlock()
-	if r.dir != "" && r.Collector != nil {
-		errs = append(errs, durable.WriteFile(filepath.Join(r.dir, SeriesFile), func(f *os.File) error { return r.Collector.WriteJSONL(f) }))
+	if r.ticks != nil {
+		errs = append(errs, r.ticks.Close())
+		r.ticks = nil
 	}
+	errs = append(errs, r.ticksErr)
+	r.mu.Unlock()
 	return errors.Join(errs...)
 }

@@ -45,6 +45,60 @@ func readTraces(t *testing.T, dir string) []string {
 	return names
 }
 
+// readSeries reads series.jsonl the way `gplusanalyze metrics` does.
+func readSeries(t *testing.T, dir string) *series.Store {
+	t.Helper()
+	f, err := os.Open(filepath.Join(dir, rundir.SeriesFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	s, _, err := series.ReadTicks(f)
+	if err != nil {
+		t.Fatalf("series log unreadable: %v", err)
+	}
+	return s
+}
+
+// TestKilledRunKeepsItsSeries: each tick reaches series.jsonl as it is
+// sampled, so a run that never gets to Close — a SIGKILLed crawl —
+// leaves every tick it took. A second session in the same directory
+// appends, and the report over the file counts both sessions' profiles:
+// the second one's counter restarts from zero, which the reset rule
+// absorbs.
+func TestKilledRunKeepsItsSeries(t *testing.T) {
+	dir := t.TempDir()
+	// Ticks are taken by hand below; the sampling goroutine never fires.
+	cfg := rundir.Config{Dir: dir, Series: series.Options{Interval: time.Hour}, Signals: series.CrawlSignals()}
+	const crawled = "crawler_profiles_crawled_total"
+
+	killed, err := rundir.Start(cfg) // Start takes the first tick
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ticks = 5
+	for i := 1; i < ticks; i++ {
+		killed.Registry.Counter(crawled).Add(10)
+		killed.Collector.Sample(time.Now())
+	}
+	if got := readSeries(t, dir).TimesSince(time.Time{}); len(got) != ticks {
+		t.Fatalf("series.jsonl of a run killed after %d ticks holds %d", ticks, len(got))
+	}
+
+	resumed, err := rundir.Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed.Registry.Counter(crawled).Add(7)
+	if err := resumed.Close(); err != nil { // Start's tick and Close's
+		t.Fatal(err)
+	}
+	r := series.BuildReport(readSeries(t, dir), series.CrawlSignals())
+	if r.Ticks != ticks+2 || r.Total != 47 {
+		t.Errorf("both sessions read back as %d ticks counting %.0f profiles, want %d ticks and 40+7", r.Ticks, r.Total, ticks+2)
+	}
+}
+
 // TestExemplarStreamSurvivesKillAndResume is the regression test for
 // the two events the exemplar stream into traces.jsonl exists for. A
 // crawl killed mid-append leaves a torn last line, and resuming into the
@@ -160,15 +214,8 @@ func TestRunDirectoryLayout(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 
-	f, err := os.Open(filepath.Join(dir, rundir.SeriesFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dump := series.NewDump()
-	_, err = dump.ReadJSONL(f)
-	f.Close()
-	if err != nil || len(dump.PointsSince("crawler_profiles_total", time.Time{})) == 0 {
-		t.Errorf("series.jsonl lacks the counter (err=%v)", err)
+	if len(readSeries(t, dir).PointsSince("crawler_profiles_total", time.Time{})) == 0 {
+		t.Errorf("series.jsonl lacks the counter")
 	}
 	// The exemplar streamed as it tripped, the plain trace at Close.
 	if got := readTraces(t, dir); !slices.Equal(got, []string{"req", "ok"}) {

@@ -32,8 +32,8 @@ type Row struct {
 
 // HealthReport is the one place a run's health is derived: rates,
 // totals, error spikes, stalls and SLO status, from the series a Signals
-// value names, over any Source — a dump read back from series.jsonl, or
-// the live collector (Watch). Every surface renders it: the progress
+// value names, over any Source — the Store read back from series.jsonl,
+// or the live collector's (Watch). Every surface renders it: the progress
 // line, the dashboard frame, the stall and SLO-page captures, the slo_*
 // gauges, /debug/slo, `gplusanalyze metrics`.
 type HealthReport struct {
@@ -94,7 +94,7 @@ func evaluateAll(src Source, objs []Objective, now time.Time) []Status {
 // taken from statusAt, which returns them in sig.Objectives order.
 func buildReport(src Source, sig Signals, statusAt func(time.Time) []Status) *HealthReport {
 	r := &HealthReport{Signals: sig}
-	ticks := Times(src)
+	ticks := src.TimesSince(time.Time{})
 	r.Ticks = len(ticks)
 	if len(ticks) == 0 {
 		return r
@@ -142,24 +142,6 @@ func buildReport(src Source, sig Signals, statusAt func(time.Time) []Status) *He
 		r.slo(ticks, statusAt)
 	}
 	return r
-}
-
-// Times returns the sorted, deduplicated union of every point's
-// timestamp — the collector samples all series at one instant per tick,
-// so this reconstructs the tick sequence.
-func Times(src Source) []time.Time {
-	seen := make(map[int64]time.Time)
-	for _, name := range src.Names() {
-		for _, p := range src.PointsSince(name, time.Time{}) {
-			seen[p.T.UnixNano()] = p.T
-		}
-	}
-	out := make([]time.Time, 0, len(seen))
-	for _, t := range seen {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
-	return out
 }
 
 // perTick sums the series matching any selector at each tick: counters

@@ -62,19 +62,18 @@ func recordCrawl(t *testing.T) (*Collector, []*HealthReport) {
 	return c, live
 }
 
-// dumpOf round-trips the collector's rings through the JSONL dump.
-func dumpOf(t *testing.T, c *Collector) *Dump {
+// dumpOf round-trips the collector's store through series.jsonl.
+func dumpOf(t *testing.T, c *Collector) *Store {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := c.WriteJSONL(&buf); err != nil {
+	if err := WriteTicks(&buf, c.Ticks()); err != nil {
 		t.Fatal(err)
 	}
-	d := NewDump()
-	_, err := d.ReadJSONL(&buf)
+	s, _, err := ReadTicks(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d
+	return s
 }
 
 func TestDumpRoundTrip(t *testing.T) {
@@ -87,15 +86,7 @@ func TestDumpRoundTrip(t *testing.T) {
 	reg.Counter("c_total").Add(3)
 	c.Sample(tick(1))
 
-	var buf bytes.Buffer
-	if err := c.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d := NewDump()
-	_, err := d.ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := dumpOf(t, c)
 	if got, want := d.Names(), c.Names(); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("names: %v vs %v", got, want)
 	}
@@ -120,36 +111,26 @@ func TestDumpRoundTrip(t *testing.T) {
 	if hp[0].Hist == nil || hp[0].Hist.Count != 1 {
 		t.Errorf("histogram snapshot lost in round trip: %+v", hp[0])
 	}
-	if ticks := Times(d); len(ticks) != 2 || !ticks[0].Equal(tick(0)) {
-		t.Errorf("Times = %v", ticks)
+	if ticks := d.TimesSince(time.Time{}); len(ticks) != 2 || !ticks[0].Equal(tick(0)) {
+		t.Errorf("TimesSince = %v", ticks)
 	}
 }
 
-func TestReadDumpMergesAndRejectsGarbage(t *testing.T) {
-	d := NewDump()
-	if torn, err := d.ReadJSONL(strings.NewReader(`{"name":"a_total","kind":"counter","t":"2026-01-01T00:00:00Z","v":1}` + "\n")); err != nil || torn != 0 {
-		t.Fatal(err)
+func TestReadTicksRejectsGarbage(t *testing.T) {
+	const a = `{"t":"2026-01-01T00:00:00Z","counters":{"a_total":1}}` + "\n"
+	for _, bad := range []string{a + "not json\n", a + `{"counters":{"a_total":1}}` + "\n"} {
+		if _, _, err := ReadTicks(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("%q: err = %v, want one naming line 2", bad, err)
+		}
 	}
-	if _, err := d.ReadJSONL(strings.NewReader(`{"name":"a_total","kind":"counter","t":"2026-01-01T00:00:01Z","v":2}` + "\n")); err != nil {
-		t.Fatal(err)
+	// A log cut mid-line (a killed writer, a truncated download) loads up
+	// to its last whole tick instead of failing whole, and says so.
+	cut, torn, err := ReadTicks(strings.NewReader(a + `{"t":"2026-01-01T00:00:01Z","coun`))
+	if err != nil || torn != 1 {
+		t.Errorf("cut log: torn=%d err=%v, want torn=1", torn, err)
 	}
-	if pts := d.PointsSince("a_total", time.Time{}); len(pts) != 2 || pts[1].V != 2 {
-		t.Errorf("merge: %+v", pts)
-	}
-	if _, err := NewDump().ReadJSONL(strings.NewReader("not json\n")); err == nil {
-		t.Error("garbage line should error")
-	}
-	if _, err := NewDump().ReadJSONL(strings.NewReader(`{"kind":"counter","v":1}` + "\n")); err == nil {
-		t.Error("missing name should error")
-	}
-	// A dump cut mid-record (a killed writer, a truncated download) loads
-	// up to its last complete point instead of failing whole, and says so.
-	cut := NewDump()
-	if torn, err := cut.ReadJSONL(strings.NewReader(`{"name":"a_total","kind":"counter","t":"2026-01-01T00:00:00Z","v":1}` + "\n" + `{"name":"a_total","kind":"cou`)); err != nil || torn != 1 {
-		t.Errorf("cut dump: torn=%d err=%v, want torn=1", torn, err)
-	}
-	if pts := cut.PointsSince("a_total", time.Time{}); len(pts) != 1 {
-		t.Errorf("cut dump holds %d points, want the 1 complete one", len(pts))
+	if pts := cut.PointsSince("a_total", time.Time{}); len(pts) != 1 || pts[0].V != 1 {
+		t.Errorf("cut log holds %+v, want the 1 whole tick", pts)
 	}
 }
 
@@ -217,7 +198,7 @@ func TestBuildReport(t *testing.T) {
 
 // TestLiveEqualsOffline is the one proof that the live surfaces and the
 // post-mortem cannot disagree: the watcher's report at the last tick and
-// BuildReport over the dump written from the same rings render the same
+// BuildReport over the log written from the same store render the same
 // text and the same progress line, and along the way the stall trigger
 // fired at exactly one tick per stall — the StallAfter-th of each.
 func TestLiveEqualsOffline(t *testing.T) {
@@ -314,17 +295,17 @@ func TestWatchEvaluatesOncePerTick(t *testing.T) {
 		c.Sample(tick(n))
 		reads = append(reads, src.calls["errs_total"]-before)
 	}
-	// One read lists the tick's points (Times), two are the evaluation's
-	// long and short windows.
+	// The evaluation's long and short windows; the tick list is read off
+	// the store's time axis, not off any series.
 	for n, r := range reads {
-		if r != 3 {
-			t.Fatalf("tick %d read errs_total %d times, want 3 at every tick (reads per tick: %v)", n, r, reads)
+		if r != 2 {
+			t.Fatalf("tick %d read errs_total %d times, want 2 at every tick (reads per tick: %v)", n, r, reads)
 		}
 	}
 }
 
 func TestBuildReportEmptyDump(t *testing.T) {
-	r := BuildReport(NewDump(), CrawlSignals())
+	r := BuildReport(newStore(0), CrawlSignals())
 	if r.Ticks != 0 {
 		t.Fatalf("Ticks = %d", r.Ticks)
 	}

@@ -1,8 +1,8 @@
 package series
 
 import (
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gplus/internal/obs"
@@ -12,8 +12,9 @@ import (
 type Options struct {
 	// Interval is the sampling cadence (default 1s).
 	Interval time.Duration
-	// Capacity bounds how many points each series ring retains (default
-	// 720 — 12 minutes at the default interval).
+	// Capacity is how many ticks the store keeps (default 720 — 12
+	// minutes at the default interval): on reaching 2 × Capacity it drops
+	// back to the newest Capacity.
 	Capacity int
 	// Now overrides the clock, for tests (default time.Now).
 	Now func() time.Time
@@ -33,21 +34,20 @@ func (o Options) capacity() int {
 	return o.Capacity
 }
 
-// Collector samples a Registry.Snapshot() at a fixed interval into
-// per-series bounded ring buffers. Start launches the sampling
-// goroutine; Sample takes one sample synchronously (tests and offline
-// replay drive it directly). All methods are safe for concurrent use;
-// a nil Collector is a no-op on every method, so wiring can be
+// Collector samples a Registry.Snapshot() at a fixed interval into its
+// Store, one tick per sample. Start launches the sampling goroutine;
+// Sample takes one sample synchronously (tests drive it directly). All
+// methods are safe for concurrent use; a nil Collector is a no-op on
+// every method it does not take from the Store, so wiring can be
 // unconditional.
 type Collector struct {
-	reg  *obs.Registry
-	opts Options
+	*Store
+	reg     *obs.Registry
+	opts    Options
+	samples atomic.Int64
 
-	mu       sync.RWMutex
-	series   map[string]*bufSeries
-	hooks    []func(time.Time)
-	samples  int64
-	lastTick time.Time
+	mu    sync.Mutex
+	hooks []func(t Tick, dropped bool)
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -56,21 +56,16 @@ type Collector struct {
 	done      chan struct{}
 }
 
-type bufSeries struct {
-	kind Kind
-	ring *ring
-}
-
 // NewCollector builds a collector over reg. The registry's sampler
 // hooks (runtime metrics and friends) run on every tick, since Sample
 // goes through Registry.Snapshot.
 func NewCollector(reg *obs.Registry, opts Options) *Collector {
 	return &Collector{
-		reg:    reg,
-		opts:   opts,
-		series: make(map[string]*bufSeries),
-		stopc:  make(chan struct{}),
-		done:   make(chan struct{}),
+		Store: newStore(opts.capacity()),
+		reg:   reg,
+		opts:  opts,
+		stopc: make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 }
 
@@ -110,7 +105,7 @@ func (c *Collector) Start() {
 }
 
 // Stop halts the sampling goroutine and waits for it to exit, then
-// takes one final sample so the rings (and any dump written from them)
+// takes one final sample so the store (and the run directory's log)
 // include the very end of the run. Safe to call without Start, and
 // repeatedly.
 func (c *Collector) Stop() {
@@ -133,70 +128,31 @@ func (c *Collector) now() time.Time {
 	return time.Now()
 }
 
-// Sample takes one sample of every registered metric at the given
-// timestamp and then runs the OnSample hooks. The registry snapshot is
-// taken outside the collector lock.
+// Sample takes one tick of every registered metric at the given
+// timestamp, adds it to the store, and then runs the OnSample hooks.
 func (c *Collector) Sample(now time.Time) {
 	if c == nil {
 		return
 	}
 	// Wall clock only, as series.jsonl stores it: a live report and the
-	// post-mortem of its dump then divide by the same durations.
-	now = now.Round(0)
-	snap := c.reg.Snapshot()
+	// post-mortem of its log then divide by the same durations.
+	t := Tick{T: now.Round(0), Snapshot: c.reg.Snapshot()}
+	dropped := c.add(t)
+	c.samples.Add(1)
 	c.mu.Lock()
-	// Registry counters and histograms are born at zero, so a series
-	// first seen mid-collection accumulated its whole value since the
-	// previous tick. Without a synthetic zero baseline at that tick,
-	// Increase would use the first recorded point as its baseline and
-	// swallow the initial burst — exactly the points an outage at the
-	// start of a crawl produces.
-	prev := c.lastTick
-	for name, v := range snap.Counters {
-		s, born := c.buf(name, KindCounter)
-		if born && !prev.IsZero() {
-			s.ring.push(Point{T: prev, V: 0})
-		}
-		s.ring.push(Point{T: now, V: float64(v)})
-	}
-	for name, v := range snap.Gauges {
-		s, _ := c.buf(name, KindGauge)
-		s.ring.push(Point{T: now, V: float64(v)})
-	}
-	for name, hs := range snap.Histograms {
-		hs := hs
-		s, born := c.buf(name, KindHistogram)
-		if born && !prev.IsZero() {
-			zero := obs.HistogramSnapshot{Bounds: hs.Bounds, Counts: make([]int64, len(hs.Counts))}
-			s.ring.push(Point{T: prev, V: 0, Hist: &zero})
-		}
-		s.ring.push(Point{T: now, V: float64(hs.Count), Hist: &hs})
-	}
-	c.lastTick = now
-	c.samples++
 	hooks := c.hooks
 	c.mu.Unlock()
 	for _, fn := range hooks {
-		fn(now)
+		fn(t, dropped)
 	}
 }
 
-// buf returns the ring of one series, creating it if needed; born
-// reports whether this call created it. Caller holds the write lock.
-func (c *Collector) buf(name string, kind Kind) (s *bufSeries, born bool) {
-	s = c.series[name]
-	if s == nil {
-		s = &bufSeries{kind: kind, ring: newRing(c.opts.capacity())}
-		c.series[name] = s
-		born = true
-	}
-	return s, born
-}
-
-// OnSample registers fn to run after every sample with the sample's
-// timestamp — the attachment point for the live health watcher (Watch).
+// OnSample registers fn to run after every sample with the new tick;
+// dropped reports that the tick took the store to 2 × Capacity, so it
+// now holds only the newest Capacity. It is the attachment point for
+// the live health watcher (Watch) and the run directory's series log.
 // Hooks run on the sampling goroutine; keep them brief.
-func (c *Collector) OnSample(fn func(now time.Time)) {
+func (c *Collector) OnSample(fn func(t Tick, dropped bool)) {
 	if c == nil || fn == nil {
 		return
 	}
@@ -210,50 +166,5 @@ func (c *Collector) Samples() int64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.samples
-}
-
-// Names implements Source.
-func (c *Collector) Names() []string {
-	if c == nil {
-		return nil
-	}
-	c.mu.RLock()
-	names := make([]string, 0, len(c.series))
-	for name := range c.series {
-		names = append(names, name)
-	}
-	c.mu.RUnlock()
-	sort.Strings(names)
-	return names
-}
-
-// SeriesKind implements Source.
-func (c *Collector) SeriesKind(name string) (Kind, bool) {
-	if c == nil {
-		return "", false
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	s := c.series[name]
-	if s == nil {
-		return "", false
-	}
-	return s.kind, true
-}
-
-// PointsSince implements Source.
-func (c *Collector) PointsSince(name string, since time.Time) []Point {
-	if c == nil {
-		return nil
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	s := c.series[name]
-	if s == nil {
-		return nil
-	}
-	return s.ring.pointsSince(since)
+	return c.samples.Load()
 }

@@ -14,28 +14,36 @@ import (
 // series, whatever the cadence.
 const liveTicks = 120
 
-// trailing restricts a Source to its points at or after since (plus,
-// per the PointsSince contract, each series' baseline point before it).
+// trailing restricts a Source to its ticks at or after since (plus, per
+// the TimesSince contract, the baseline tick before it).
 type trailing struct {
 	Source
 	since time.Time
 }
 
+func (t trailing) TimesSince(since time.Time) []time.Time {
+	return t.Source.TimesSince(t.clamp(since))
+}
+
 func (t trailing) PointsSince(name string, since time.Time) []Point {
+	return t.Source.PointsSince(name, t.clamp(since))
+}
+
+func (t trailing) clamp(since time.Time) time.Time {
 	if since.Before(t.since) {
-		since = t.since
+		return t.since
 	}
-	return t.Source.PointsSince(name, since)
+	return since
 }
 
 // Watch is the live side of BuildReport: after every sample of c it
-// builds the report over the trailing window of the rings and hands it
+// builds the report over the trailing window of its store and hands it
 // to fn — to print a progress line from, fire a capture on StallOnset or
 // PageOnset, or draw as a dashboard frame. fn runs on the sampling
 // goroutine, one call at a time.
 //
 // Each objective is evaluated once per tick, at the tick, over the whole
-// collector — so its windows count what Evaluate over the dump counts,
+// collector — so its windows count what Evaluate over series.jsonl counts,
 // however far past the trailing window they reach — and the statuses are
 // kept for as long as the report still shows their tick.
 func Watch(c *Collector, sig Signals, fn func(*HealthReport)) { watch(c, c, sig, fn) }
@@ -56,8 +64,8 @@ func watch(c *Collector, src Source, sig Signals, fn func(*HealthReport)) {
 		return kept[i].at
 	}
 	window := time.Duration(max(liveTicks, sig.StallAfter+1)) * c.Interval()
-	c.OnSample(func(now time.Time) {
-		r := buildReport(trailing{src, now.Add(-window)}, sig, statusAt)
+	c.OnSample(func(t Tick, _ bool) {
+		r := buildReport(trailing{src, t.T.Add(-window)}, sig, statusAt)
 		kept = slices.DeleteFunc(kept, func(m memo) bool { return m.t.Before(r.Start) })
 		fn(r)
 	})

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Handler serves a Collector's rings over HTTP at /debug/timeseries.
+// Handler serves a Collector's store over HTTP at /debug/timeseries.
 //
 //	GET /debug/timeseries                 — series listing (name, kind, points, span)
 //	GET /debug/timeseries?name=X          — window query: points of X (a series name,
@@ -15,7 +15,7 @@ import (
 //	GET /debug/timeseries?name=X&since=30s — only the last 30s (duration) or points
 //	                                        after an RFC3339 timestamp
 //	GET /debug/timeseries?name=X&rate=1   — derive per-interval rates (counters)
-//	GET /debug/timeseries?format=jsonl    — full JSONL dump (the series.jsonl format)
+//	GET /debug/timeseries?format=jsonl    — every retained tick, as series.jsonl lines
 type Handler struct {
 	C *Collector
 }
@@ -39,7 +39,7 @@ func (h Handler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	q := req.URL.Query()
 	if q.Get("format") == "jsonl" {
 		w.Header().Set("Content-Type", "application/jsonl")
-		c.WriteJSONL(w) //nolint:errcheck — best effort to a dead client
+		WriteTicks(w, c.Ticks()) //nolint:errcheck — best effort to a dead client
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

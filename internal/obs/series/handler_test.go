@@ -85,8 +85,7 @@ func TestHandlerWindowQuery(t *testing.T) {
 func TestHandlerJSONLDump(t *testing.T) {
 	h := Handler{C: handlerFixture(t)}
 	rr := get(t, h, "/debug/timeseries?format=jsonl")
-	d := NewDump()
-	_, err := d.ReadJSONL(rr.Body)
+	d, _, err := ReadTicks(rr.Body)
 	if err != nil {
 		t.Fatal(err)
 	}

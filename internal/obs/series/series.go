@@ -1,12 +1,16 @@
 // Package series adds the time dimension to the obs metrics layer. A
 // Collector goroutine samples a Registry.Snapshot() at a fixed interval
-// into per-series bounded ring buffers; counter rates and histogram
-// quantiles are derived from successive samples on demand. The rings
-// back a JSON window-query endpoint (/debug/timeseries), a JSONL dump
-// for offline analysis (`gplusanalyze metrics`), and the health report
-// both of those and the live watcher (Watch) build — throughput, stalls,
-// and declarative objectives with multi-window burn-rate alerting — which
-// a live ANSI terminal dashboard draws.
+// into a Store: ticks on one shared time axis, each the snapshot taken
+// at that instant, bounded by a retention rule. Counter rates and
+// histogram quantiles are derived from successive ticks on demand. The
+// store backs a JSON window-query endpoint (/debug/timeseries) and the
+// tick log series.jsonl (WriteTicks, one line per tick, appended by a
+// run directory as it is sampled); ReadTicks fills the same Store type
+// from that log for offline analysis (`gplusanalyze metrics`). The
+// health report both the live watcher (Watch) and the offline read
+// build — throughput, stalls, and declarative objectives with
+// multi-window burn-rate alerting — is what a live ANSI terminal
+// dashboard draws.
 //
 // The paper's 45-day, 11-machine crawl was operable because its
 // operators could watch throughput and error rates *over time*; a
@@ -18,7 +22,6 @@ package series
 import (
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -46,57 +49,20 @@ type Point struct {
 	Hist *obs.HistogramSnapshot `json:"hist,omitempty"`
 }
 
-// Source is a queryable set of series — the live Collector or an
-// offline Dump — shared by the health report and the analyzers.
+// Source is what the health report and the analyzers read: a Store, or
+// a view of one (the live watcher's trailing window).
 type Source interface {
 	// Names lists every series, sorted.
 	Names() []string
 	// SeriesKind reports a series' kind.
 	SeriesKind(name string) (Kind, bool)
-	// PointsSince returns the series' points at or after since (oldest
-	// first) plus the closest retained point before since — the baseline
-	// a windowed increase needs. A zero since returns everything
-	// retained.
+	// TimesSince returns the tick times at or after since (oldest first)
+	// plus the closest retained one before since — the baseline a
+	// windowed increase needs. A zero since returns every retained tick.
+	TimesSince(since time.Time) []time.Time
+	// PointsSince returns the series' points at the ticks TimesSince
+	// returns.
 	PointsSince(name string, since time.Time) []Point
-}
-
-// ring is a bounded circular buffer of Points; pushing past capacity
-// overwrites the oldest.
-type ring struct {
-	buf     []Point
-	head, n int
-}
-
-func newRing(capacity int) *ring { return &ring{buf: make([]Point, capacity)} }
-
-func (r *ring) push(p Point) {
-	if r.n < len(r.buf) {
-		r.buf[(r.head+r.n)%len(r.buf)] = p
-		r.n++
-		return
-	}
-	r.buf[r.head] = p
-	r.head = (r.head + 1) % len(r.buf)
-}
-
-func (r *ring) at(i int) Point { return r.buf[(r.head+i)%len(r.buf)] }
-func (r *ring) len() int       { return r.n }
-
-// pointsSince implements the Source contract for one ring.
-func (r *ring) pointsSince(since time.Time) []Point {
-	start := 0
-	if !since.IsZero() {
-		// First index at or after since, minus one for the baseline.
-		start = sort.Search(r.n, func(i int) bool { return !r.at(i).T.Before(since) })
-		if start > 0 {
-			start--
-		}
-	}
-	out := make([]Point, 0, r.n-start)
-	for i := start; i < r.n; i++ {
-		out = append(out, r.at(i))
-	}
-	return out
 }
 
 // Increase sums a cumulative counter's growth across pts, applying the
@@ -145,6 +111,9 @@ func HistIncrease(pts []Point) (obs.HistogramSnapshot, bool) {
 			continue
 		}
 		d := pts[i].Hist.Sub(*pts[i-1].Hist)
+		if len(d.Counts) == 0 {
+			continue // the histogram is absent from both ticks
+		}
 		if !started {
 			acc = obs.HistogramSnapshot{
 				Bounds: d.Bounds,

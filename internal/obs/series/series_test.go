@@ -12,32 +12,32 @@ import (
 
 func tick(n int) time.Time { return time.Unix(1_000_000, 0).Add(time.Duration(n) * time.Second) }
 
-func TestRingWraparound(t *testing.T) {
-	r := newRing(4)
-	for i := 0; i < 10; i++ {
-		r.push(Point{T: tick(i), V: float64(i)})
-	}
-	if r.len() != 4 {
-		t.Fatalf("len = %d, want 4", r.len())
-	}
-	// The ring retains the newest 4 points: 6, 7, 8, 9.
-	for i := 0; i < 4; i++ {
-		if got := r.at(i).V; got != float64(6+i) {
-			t.Errorf("at(%d) = %g, want %g", i, got, float64(6+i))
+// TestStoreRetention: a store of capacity 4 keeps growing to 7 ticks,
+// and the 8th drops it back to the newest 4 — the one retention rule the
+// run directory's series.jsonl follows.
+func TestStoreRetention(t *testing.T) {
+	s := newStore(4)
+	for i := 0; i < 8; i++ {
+		snap := obs.Snapshot{Counters: map[string]int64{"c_total": int64(i)}}
+		if dropped := s.add(Tick{T: tick(i), Snapshot: snap}); dropped != (i == 7) {
+			t.Errorf("tick %d: dropped = %v", i, dropped)
+		}
+		if n := len(s.Ticks()); i < 7 && n != i+1 {
+			t.Errorf("after tick %d the store holds %d ticks, want %d", i, n, i+1)
 		}
 	}
-	// pointsSince returns the window plus one baseline point before it.
-	pts := r.pointsSince(tick(8))
-	if len(pts) != 3 || pts[0].V != 7 || pts[2].V != 9 {
-		t.Errorf("pointsSince(8) = %+v, want baseline 7 then 8, 9", pts)
+	// The store retains the newest 4 ticks: 4, 5, 6, 7.
+	if ticks := s.TimesSince(time.Time{}); len(ticks) != 4 || !ticks[0].Equal(tick(4)) {
+		t.Fatalf("retained %v, want ticks 4..7", ticks)
+	}
+	// PointsSince returns the window plus one baseline point before it.
+	pts := s.PointsSince("c_total", tick(6))
+	if len(pts) != 3 || pts[0].V != 5 || pts[2].V != 7 {
+		t.Errorf("PointsSince(6) = %+v, want baseline 5 then 6, 7", pts)
 	}
 	// since before everything retained: all points, no phantom baseline.
-	if pts := r.pointsSince(tick(0)); len(pts) != 4 {
-		t.Errorf("pointsSince(0) returned %d points, want 4", len(pts))
-	}
-	// zero since: everything.
-	if pts := r.pointsSince(time.Time{}); len(pts) != 4 {
-		t.Errorf("pointsSince(zero) returned %d points, want 4", len(pts))
+	if pts := s.PointsSince("c_total", tick(0)); len(pts) != 4 {
+		t.Errorf("PointsSince(0) returned %d points, want 4", len(pts))
 	}
 }
 
@@ -148,9 +148,9 @@ func TestCollectorSamplesRegistry(t *testing.T) {
 		t.Errorf("unknown series has points %+v", pts)
 	}
 
-	// OnSample hooks observe each tick's timestamp.
+	// OnSample hooks observe each tick.
 	var seen []time.Time
-	c.OnSample(func(now time.Time) { seen = append(seen, now) })
+	c.OnSample(func(t Tick, _ bool) { seen = append(seen, t.T) })
 	c.Sample(tick(2))
 	if len(seen) != 1 || !seen[0].Equal(tick(2)) {
 		t.Errorf("hook saw %v", seen)
@@ -158,35 +158,36 @@ func TestCollectorSamplesRegistry(t *testing.T) {
 }
 
 // A counter born after sampling has begun accumulated its whole value
-// since the previous tick; the collector must synthesize a zero
-// baseline there so Increase sees the initial burst (an outage's 503s
-// all land in the first few samples and then never grow again).
+// since the previous tick; it reads as zero at the ticks before it was
+// born, so Increase sees the initial burst (an outage's 503s all land in
+// the first few samples and then never grow again).
 func TestCollectorSeriesBornMidCollection(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := NewCollector(reg, Options{Capacity: 8})
 	c.Sample(tick(0)) // empty registry: no series yet
+	c.Sample(tick(1))
 
 	reg.Counter("late_total").Add(7)
 	reg.Histogram("late_seconds", []float64{1}).Observe(0.5)
-	c.Sample(tick(1))
 	c.Sample(tick(2))
+	c.Sample(tick(3))
 
 	pts := c.PointsSince("late_total", time.Time{})
-	if len(pts) != 3 || !pts[0].T.Equal(tick(0)) || pts[0].V != 0 {
-		t.Fatalf("counter points = %+v, want zero baseline at tick 0", pts)
+	if len(pts) != 4 || !pts[0].T.Equal(tick(0)) || pts[0].V != 0 || pts[1].V != 0 {
+		t.Fatalf("counter points = %+v, want zeros at ticks 0 and 1", pts)
 	}
 	if got := Increase(pts); got != 7 {
 		t.Errorf("Increase = %v, want the full first-seen value 7", got)
 	}
 	hp := c.PointsSince("late_seconds", time.Time{})
-	if len(hp) != 3 || hp[0].V != 0 || hp[0].Hist == nil || hp[0].Hist.Count != 0 {
-		t.Fatalf("histogram points = %+v, want zero baseline", hp)
+	if len(hp) != 4 || hp[1].V != 0 || hp[1].Hist == nil || hp[1].Hist.Count != 0 {
+		t.Fatalf("histogram points = %+v, want zeros before birth", hp)
 	}
 	if d, ok := HistIncrease(hp); !ok || d.Count != 1 {
 		t.Errorf("HistIncrease = %+v (ok=%v), want the full first-seen count 1", d, ok)
 	}
 
-	// Series present from the very first sample get no synthetic point:
+	// Series present from the very first sample start at their value:
 	// whatever they accumulated before collection started is history.
 	reg2 := obs.NewRegistry()
 	reg2.Counter("early_total").Add(3)
@@ -203,12 +204,10 @@ func TestCollectorNilSafety(t *testing.T) {
 	c.Start()
 	c.Stop()
 	c.Sample(tick(0))
-	if c.Names() != nil || c.Samples() != 0 {
+	if c.Samples() != 0 || c.Interval() != 0 {
 		t.Error("nil collector should be empty")
 	}
-	if _, ok := c.SeriesKind("x"); ok {
-		t.Error("nil collector has no kinds")
-	}
+	c.OnSample(func(Tick, bool) { t.Error("nil collector ran a hook") })
 	Watch(c, CrawlSignals(), func(*HealthReport) { t.Error("nil collector built a report") })
 }
 
@@ -263,7 +262,7 @@ var promSampleRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*` +
 // substring matcher could handle — an -slo objective name reaches
 // obsprof_captures_total's trigger label verbatim — through every
 // stage a series name passes: registration, the Prometheus exposition,
-// series.jsonl, Dump.ReadJSONL and selector matching. Each value must
+// series.jsonl, ReadTicks and selector matching. Each value must
 // select exactly its own series at the end.
 func TestHostileLabelValuesSelectable(t *testing.T) {
 	hostile := []string{
@@ -298,11 +297,11 @@ func TestHostileLabelValuesSelectable(t *testing.T) {
 	c.Sample(tick(0))
 	c.Sample(tick(1))
 	var jsonl bytes.Buffer
-	if err := c.WriteJSONL(&jsonl); err != nil {
+	if err := WriteTicks(&jsonl, c.Ticks()); err != nil {
 		t.Fatal(err)
 	}
-	d := NewDump()
-	if _, err := d.ReadJSONL(&jsonl); err != nil {
+	d, _, err := ReadTicks(&jsonl)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range hostile {

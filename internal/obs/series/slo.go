@@ -24,7 +24,7 @@ const (
 )
 
 // Objective is one declarative service-level objective evaluated over
-// rolling windows of the time-series rings.
+// rolling windows of the time-series store.
 type Objective struct {
 	// Name labels the objective in gauges and reports.
 	Name string
