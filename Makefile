@@ -224,12 +224,15 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadResult -fuzztime=30s ./internal/crawler/
 	$(GO) test -fuzz=FuzzParseFaultSpec -fuzztime=30s ./internal/gplusd/
 	$(GO) test -fuzz=FuzzSeriesName -fuzztime=30s ./internal/obs/
-	$(GO) test -fuzz=FuzzSeriesLog -fuzztime=30s ./internal/obs/series/
+	$(GO) test -fuzz=FuzzSeriesLog -fuzztime=30s -fuzzminimizetime=1s ./internal/obs/series/
 
 # The quick fuzz leg of `make check`: the checkpoint/journal parser and
 # the series.jsonl tick decoder read the formats a crash can hand
 # arbitrary torn bytes to (the crawl journal, a run directory's series
-# log, appended every sample), the wire
+# log, appended every sample; the health report is built over every log
+# the decoder reads, duplicated, unsorted and sparse ticks included, which
+# costs about a millisecond an input, so a 1 s cap on minimising each new
+# input keeps the default 60 s minimisation from eating the leg), the wire
 # codec is the parser every network byte and every profile-column byte
 # goes through (held to encoding/json as its oracle), diskcsr.Open is
 # the one graph reader, so every graph.v2 byte of every dataset goes
@@ -243,7 +246,7 @@ fuzz:
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz=FuzzWireCodec -fuzztime=10s ./internal/gplusapi/
 	$(GO) test -run '^$$' -fuzz=FuzzReadResult -fuzztime=10s ./internal/crawler/
-	$(GO) test -run '^$$' -fuzz=FuzzSeriesLog -fuzztime=10s ./internal/obs/series/
+	$(GO) test -run '^$$' -fuzz=FuzzSeriesLog -fuzztime=10s -fuzzminimizetime=1s ./internal/obs/series/
 	$(GO) test -run '^$$' -fuzz=FuzzOpenV2 -fuzztime=10s ./internal/graph/diskcsr/
 	$(GO) test -run '^$$' -fuzz=FuzzTriads -fuzztime=10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz=FuzzMultiSourceBFS -fuzztime=10s ./internal/graph/

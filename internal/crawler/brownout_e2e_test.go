@@ -122,6 +122,9 @@ func TestBrownoutConvergence(t *testing.T) {
 			// windows; with a 500ms window one tick of recovery dilutes the
 			// long burn below 6x before the short window confirms it. 2x/4x
 			// still means "burning budget at least twice as fast as allowed".
+			// The -slo grammar has no key for Fast or the burn factors: only
+			// sub-second windows like this test's need them, so they are set
+			// here in Go.
 			WarnFactor: 2, PageFactor: 4,
 		}}},
 		Trace: trace.Config{SampleRate: 1, Recorder: rec},

@@ -21,8 +21,8 @@
 // `gplusanalyze metrics|traces <dir>` read the directory back, and `go
 // tool pprof` the captures under profiles/ — during the run as well as
 // after it, and after a SIGKILL. A resumed run appends to series.jsonl
-// (its counters restart from zero, which the reset rule of
-// series.Increase absorbs) and to traces.jsonl.
+// (its counters restart from zero, which the series reset rule
+// absorbs) and to traces.jsonl.
 package rundir
 
 import (

@@ -81,7 +81,7 @@ func TestKilledRunKeepsItsSeries(t *testing.T) {
 		killed.Registry.Counter(crawled).Add(10)
 		killed.Collector.Sample(time.Now())
 	}
-	if got := readSeries(t, dir).TimesSince(time.Time{}); len(got) != ticks {
+	if got := readSeries(t, dir).Ticks(); len(got) != ticks {
 		t.Fatalf("series.jsonl of a run killed after %d ticks holds %d", ticks, len(got))
 	}
 
@@ -214,7 +214,10 @@ func TestRunDirectoryLayout(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 
-	if len(readSeries(t, dir).PointsSince("crawler_profiles_total", time.Time{})) == 0 {
+	if !slices.ContainsFunc(readSeries(t, dir).Ticks(), func(tk series.Tick) bool {
+		_, ok := tk.Counters["crawler_profiles_total"]
+		return ok
+	}) {
 		t.Errorf("series.jsonl lacks the counter")
 	}
 	// The exemplar streamed as it tripped, the plain trace at Close.

@@ -32,18 +32,19 @@ type Row struct {
 
 // HealthReport is the one place a run's health is derived: rates,
 // totals, error spikes, stalls and SLO status, from the series a Signals
-// value names, over any Source — the Store read back from series.jsonl,
-// or the live collector's (Watch). Every surface renders it: the progress
-// line, the dashboard frame, the stall and SLO-page captures, the slo_*
-// gauges, /debug/slo, `gplusanalyze metrics`.
+// value names, over a run of a Store's ticks: all of the Store read back
+// from series.jsonl, or the live collector's newest ones (Watch). Every
+// surface renders it: the progress line, the dashboard frame, the stall
+// and SLO-page captures, the slo_* gauges, /debug/slo, `gplusanalyze
+// metrics`.
 type HealthReport struct {
 	Signals    Signals
 	Start, End time.Time
 	Ticks      int
 
 	// Throughput is Signals.Work's per-second rate at each tick; Total
-	// is the counter's value at End, whatever part of the run the source
-	// still holds.
+	// is the counter's value at End, whatever part of the run the ticks
+	// still hold.
 	Throughput     []Point
 	AvgThroughput  float64
 	PeakThroughput float64
@@ -75,57 +76,60 @@ type HealthReport struct {
 	PageOnset  []string
 }
 
-// BuildReport reads src through sig, evaluating the objectives at every
+// BuildReport reads s through sig, evaluating the objectives at every
 // tick it holds.
-func BuildReport(src Source, sig Signals) *HealthReport {
-	return buildReport(src, sig, func(t time.Time) []Status { return evaluateAll(src, sig.Objectives, t) })
+func BuildReport(s *Store, sig Signals) *HealthReport {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return buildReport(s, s.ticks, sig, func(t time.Time) []Status { return evaluateAll(s, sig.Objectives, t, evaluate) })
 }
 
-// evaluateAll evaluates every objective at now.
-func evaluateAll(src Source, objs []Objective, now time.Time) []Status {
+// evaluateAll evaluates every objective at now through eval. Caller
+// holds the lock.
+func evaluateAll(s *Store, objs []Objective, now time.Time, eval func(*Store, Objective, time.Time) Status) []Status {
 	out := make([]Status, len(objs))
 	for i, o := range objs {
-		out[i] = Evaluate(src, o, now)
+		out[i] = eval(s, o, now)
 	}
 	return out
 }
 
-// buildReport is BuildReport with the objectives' statuses at each tick
-// taken from statusAt, which returns them in sig.Objectives order.
-func buildReport(src Source, sig Signals, statusAt func(time.Time) []Status) *HealthReport {
+// buildReport reads ticks, a run of the ticks of s, through sig, taking
+// the objectives' statuses at each tick from statusAt, which returns them
+// in sig.Objectives order. Caller holds the lock.
+func buildReport(s *Store, ticks []Tick, sig Signals, statusAt func(time.Time) []Status) *HealthReport {
 	r := &HealthReport{Signals: sig}
-	ticks := src.TimesSince(time.Time{})
 	r.Ticks = len(ticks)
 	if len(ticks) == 0 {
 		return r
 	}
-	r.Start, r.End = ticks[0], ticks[len(ticks)-1]
+	r.Start, r.End = ticks[0].T, ticks[len(ticks)-1].T
 
 	work := []string{sig.Work.Selector}
-	r.Throughput = perTick(src, work, ticks)
-	r.Total = countAtEnd(src, work)
+	r.Throughput = s.perTick(ticks, work)
+	r.Total = s.countAtEnd(ticks, work)
 	for _, p := range r.Throughput {
 		r.AvgThroughput += p.V / float64(len(r.Throughput))
 		r.PeakThroughput = math.Max(r.PeakThroughput, p.V)
 	}
-	row := func(s Signal, rate bool) []Point {
-		if s.Selector == "" {
+	row := func(sg Signal, rate bool) []Point {
+		if sg.Selector == "" {
 			return nil
 		}
-		title := s.Title
+		title := sg.Title
 		if rate {
 			title += "/s"
 		}
-		pts := perTick(src, []string{s.Selector}, ticks)
-		r.Rows = append(r.Rows, Row{Title: title, Unit: s.Unit, Rate: rate, Points: pts})
+		pts := s.perTick(ticks, []string{sg.Selector})
+		r.Rows = append(r.Rows, Row{Title: title, Unit: sg.Unit, Rate: rate, Points: pts})
 		return pts
 	}
 	activity := r.Throughput
 	if sig.Activity.Selector != "" {
 		activity = row(sig.Activity, true)
 	}
-	for _, s := range sig.Also {
-		row(s, true)
+	for _, sg := range sig.Also {
+		row(sg, true)
 	}
 	if backlog := row(sig.Backlog, false); len(backlog) > 0 {
 		r.Stalls, r.StallOnset = stalls(activity, backlog, sig.StallAfter)
@@ -135,8 +139,8 @@ func buildReport(src Source, sig Signals, statusAt func(time.Time) []Status) *He
 	}
 	row(sig.Lag, false)
 
-	r.Errors = perTick(src, sig.Errors, ticks)
-	r.TotalErrors = countAtEnd(src, sig.Errors)
+	r.Errors = s.perTick(ticks, sig.Errors)
+	r.TotalErrors = s.countAtEnd(ticks, sig.Errors)
 	r.ErrorSpikes = errorSpikes(r.Errors)
 	if len(sig.Objectives) > 0 {
 		r.slo(ticks, statusAt)
@@ -144,40 +148,48 @@ func buildReport(src Source, sig Signals, statusAt func(time.Time) []Status) *He
 	return r
 }
 
-// perTick sums the series matching any selector at each tick: counters
-// and histograms as the per-second rate over the interval ending there,
-// gauges as sampled. Rates exist from the second tick on, so the result
-// is aligned on ticks[1:] for both.
-func perTick(src Source, selectors []string, ticks []time.Time) []Point {
-	byTick := make(map[int64]float64)
-	for _, name := range selectNames(src, selectors...) {
-		pts := src.PointsSince(name, time.Time{})
-		if kind, _ := src.SeriesKind(name); kind != KindGauge {
-			pts = RatePoints(pts)
-		}
-		for _, p := range pts {
-			byTick[p.T.UnixNano()] += p.V
+// perTick sums the series of s matching any selector at each tick after
+// the first: counters and histograms as the per-second rate over the
+// interval ending there, gauges as sampled. Ticks that share a time are
+// one instant, and each of them reads the instant's sum — the rate of
+// the one interval into it, the gauges' samples added. Caller holds the
+// lock.
+func (s *Store) perTick(ticks []Tick, selectors []string) []Point {
+	at := make([]float64, len(ticks))
+	for _, name := range s.selectNames(selectors...) {
+		kind := s.kinds[name]
+		for i := range ticks {
+			if kind == KindGauge {
+				at[i] += ticks[i].value(name, kind)
+			} else if i > 0 {
+				v, _ := perSecond(ticks, i, name, kind)
+				at[i] += v
+			}
 		}
 	}
-	out := make([]Point, 0, len(ticks))
-	for _, t := range ticks[1:] {
-		out = append(out, Point{T: t, V: byTick[t.UnixNano()]})
+	out := make([]Point, 0, max(len(ticks)-1, 0))
+	for a := 0; a < len(ticks); {
+		b, sum := a, 0.0
+		for ; b < len(ticks) && ticks[b].T.Equal(ticks[a].T); b++ {
+			sum += at[b]
+		}
+		for i := max(a, 1); i < b; i++ {
+			out = append(out, Point{T: ticks[i].T, V: sum})
+		}
+		a = b
 	}
 	return out
 }
 
-// countAtEnd sums the matching counters' values at the source's last
-// point: what the first retained point already carried plus the
-// reset-aware growth since, so a source that holds only the tail of a
-// run reports the same total as one that holds all of it.
-func countAtEnd(src Source, selectors []string) float64 {
+// countAtEnd sums the matching counters' values at the last tick: what
+// the first tick already carried plus the reset-aware growth since, so
+// ticks that hold only the tail of a run report the same total as ticks
+// that hold all of it. Caller holds the lock.
+func (s *Store) countAtEnd(ticks []Tick, selectors []string) float64 {
 	var total float64
-	for _, name := range selectNames(src, selectors...) {
-		if kind, _ := src.SeriesKind(name); kind == KindGauge {
-			continue
-		}
-		if pts := src.PointsSince(name, time.Time{}); len(pts) > 0 {
-			total += pts[0].V + Increase(pts)
+	for _, name := range s.selectNames(selectors...) {
+		if kind := s.kinds[name]; kind != KindGauge {
+			total += ticks[0].value(name, kind) + increase(ticks, name, kind)
 		}
 	}
 	return total
@@ -240,15 +252,15 @@ func stalls(activity, backlog []Point, after int) (spans []Span, onset bool) {
 // the contiguous spans during which each objective's long-window SLI was
 // out of bounds (Status.Violating), sorted by start time, each
 // objective's status at the last tick, and the PAGE onsets there.
-func (r *HealthReport) slo(ticks []time.Time, statusAt func(time.Time) []Status) {
+func (r *HealthReport) slo(ticks []Tick, statusAt func(time.Time) []Status) {
 	at := make([][]Status, len(ticks))
-	for i, t := range ticks {
-		at[i] = statusAt(t)
+	for i := range ticks {
+		at[i] = statusAt(ticks[i].T)
 	}
 	end := len(ticks) - 1
 	for j, o := range r.Signals.Objectives {
 		for _, run := range runs(len(ticks), func(i int) bool { return at[i][j].Violating }) {
-			s := Span{Start: ticks[run[0]], End: ticks[run[1]], Name: o.Name}
+			s := Span{Start: ticks[run[0]].T, End: ticks[run[1]].T, Name: o.Name}
 			for _, st := range at[run[0] : run[1]+1] {
 				s.Peak = math.Max(s.Peak, st[j].BurnLong)
 			}

@@ -2,6 +2,7 @@ package series
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -87,32 +88,29 @@ func TestDumpRoundTrip(t *testing.T) {
 	c.Sample(tick(1))
 
 	d := dumpOf(t, c)
-	if got, want := d.Names(), c.Names(); strings.Join(got, ",") != strings.Join(want, ",") {
+	if got, want := d.names, c.names; strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("names: %v vs %v", got, want)
 	}
-	for _, name := range d.Names() {
-		dk, _ := d.SeriesKind(name)
-		ck, _ := c.SeriesKind(name)
+	dt, ct := d.Ticks(), c.Ticks()
+	if len(dt) != len(ct) {
+		t.Fatalf("%d vs %d ticks", len(dt), len(ct))
+	}
+	for _, name := range d.names {
+		dk, ck := d.kinds[name], c.kinds[name]
 		if dk != ck {
 			t.Errorf("%s kind %q vs %q", name, dk, ck)
 		}
-		dp := d.PointsSince(name, time.Time{})
-		cp := c.PointsSince(name, time.Time{})
-		if len(dp) != len(cp) {
-			t.Fatalf("%s: %d vs %d points", name, len(dp), len(cp))
-		}
-		for i := range dp {
-			if !dp[i].T.Equal(cp[i].T) || dp[i].V != cp[i].V {
-				t.Errorf("%s[%d]: %+v vs %+v", name, i, dp[i], cp[i])
+		for i := range dt {
+			if dv, cv := dt[i].value(name, dk), ct[i].value(name, ck); !dt[i].T.Equal(ct[i].T) || dv != cv {
+				t.Errorf("%s[%d]: %v %g vs %v %g", name, i, dt[i].T, dv, ct[i].T, cv)
 			}
 		}
 	}
-	hp := d.PointsSince("h_seconds", time.Time{})
-	if hp[0].Hist == nil || hp[0].Hist.Count != 1 {
-		t.Errorf("histogram snapshot lost in round trip: %+v", hp[0])
+	if h := dt[0].Histograms["h_seconds"]; h.Count != 1 || len(h.Counts) != 2 {
+		t.Errorf("histogram snapshot lost in round trip: %+v", h)
 	}
-	if ticks := d.TimesSince(time.Time{}); len(ticks) != 2 || !ticks[0].Equal(tick(0)) {
-		t.Errorf("TimesSince = %v", ticks)
+	if len(dt) != 2 || !dt[0].T.Equal(tick(0)) {
+		t.Errorf("ticks = %+v", dt)
 	}
 }
 
@@ -129,8 +127,8 @@ func TestReadTicksRejectsGarbage(t *testing.T) {
 	if err != nil || torn != 1 {
 		t.Errorf("cut log: torn=%d err=%v, want torn=1", torn, err)
 	}
-	if pts := cut.PointsSince("a_total", time.Time{}); len(pts) != 1 || pts[0].V != 1 {
-		t.Errorf("cut log holds %+v, want the 1 whole tick", pts)
+	if ticks := cut.Ticks(); len(ticks) != 1 || ticks[0].Counters["a_total"] != 1 {
+		t.Errorf("cut log holds %+v, want the 1 whole tick", ticks)
 	}
 }
 
@@ -259,48 +257,96 @@ func TestLiveEqualsOffline(t *testing.T) {
 	if span := last.End.Sub(last.Start); span >= long.Window {
 		t.Fatalf("live view spans %v, not shorter than the %v window", span, long.Window)
 	}
-	off, on := Evaluate(dumpOf(t, c), long, tick(ticks-1)), last.Statuses[0]
+	off, on := evaluate(dumpOf(t, c), long, tick(ticks-1)), last.Statuses[0]
 	if on.Bad != off.Bad || on.Total != off.Total || on.BurnLong != off.BurnLong || on.State != off.State {
 		t.Errorf("live status bad=%g total=%g burn=%g %v, Evaluate over the dump bad=%g total=%g burn=%g %v",
 			on.Bad, on.Total, on.BurnLong, on.State, off.Bad, off.Total, off.BurnLong, off.State)
 	}
 }
 
-// countingSource counts PointsSince calls per series.
-type countingSource struct {
-	Source
-	calls map[string]int
-}
-
-func (s countingSource) PointsSince(name string, since time.Time) []Point {
-	s.calls[name]++
-	return s.Source.PointsSince(name, since)
-}
-
-// TestWatchEvaluatesOncePerTick: a live tick reads an objective's series
-// as often with 300 ticks of history as with one — each objective is
-// evaluated once per tick, at the tick, never replayed over the view.
+// TestWatchEvaluatesOncePerTick: a live tick evaluates an objective as
+// often with 300 ticks of history as with one — once per tick, at the
+// tick, never replayed over the trailing window.
 func TestWatchEvaluatesOncePerTick(t *testing.T) {
 	reg := obs.NewRegistry()
 	bad, total := reg.Counter("errs_total"), reg.Counter("reqs_total")
 	c := NewCollector(reg, Options{Capacity: 512})
-	src := countingSource{c, map[string]int{}}
 	o := Objective{Name: "avail", Kind: ErrorRatio, Bad: []string{"errs_total"}, Total: []string{"reqs_total"}, Max: 0.01, Window: 10 * time.Minute}
-	watch(c, src, Signals{Objectives: []Objective{o}}, func(*HealthReport) {})
-	var reads []int
+	var evals []time.Time // the instant of every evaluation
+	counted := func(s *Store, o Objective, now time.Time) Status {
+		evals = append(evals, now)
+		return evaluate(s, o, now)
+	}
+	watch(c, Signals{Objectives: []Objective{o}}, counted, func(*HealthReport) {})
 	for n := 0; n < 300; n++ {
-		before := src.calls["errs_total"]
+		before := len(evals)
 		bad.Add(int64(n % 3))
 		total.Add(100)
 		c.Sample(tick(n))
-		reads = append(reads, src.calls["errs_total"]-before)
-	}
-	// The evaluation's long and short windows; the tick list is read off
-	// the store's time axis, not off any series.
-	for n, r := range reads {
-		if r != 2 {
-			t.Fatalf("tick %d read errs_total %d times, want 2 at every tick (reads per tick: %v)", n, r, reads)
+		if got := evals[before:]; len(got) != 1 || !got[0].Equal(tick(n)) {
+			t.Fatalf("tick %d evaluated the objective at %v, want once, at the tick", n, got)
 		}
+	}
+}
+
+// TestDuplicateAndSwappedTicks reads a series.jsonl whose tick times are
+// not a clean axis: the tick at 12:00:05 is written twice, the counters
+// having moved between the two, and the ticks at 12:00:07 and 12:00:08
+// are swapped. ReadTicks puts the file in time order. The two samples at
+// 12:00:05 are one instant: a rate at either reads the one interval into
+// that instant (not zero), and a gauge the instant's samples summed.
+func TestDuplicateAndSwappedTicks(t *testing.T) {
+	var log strings.Builder
+	for _, r := range []struct{ sec, profiles, pages, ok, shed, frontier int64 }{
+		{0, 0, 0, 0, 0, 5},
+		{1, 10, 20, 30, 0, 8},
+		{2, 20, 40, 60, 1, 9},
+		{3, 30, 60, 90, 1, 9},
+		{4, 40, 80, 120, 5, 9},
+		{5, 50, 100, 150, 5, 7},
+		{5, 55, 110, 160, 6, 6}, // the same tick time again
+		{6, 60, 120, 180, 6, 6},
+		{8, 80, 160, 240, 6, 3}, // swapped with the next
+		{7, 70, 140, 210, 6, 4},
+		{9, 90, 180, 270, 6, 0},
+	} {
+		fmt.Fprintf(&log, `{"t":"2026-01-01T12:00:%02dZ","counters":{"crawler_pages_fetched_total":%d,"crawler_profiles_crawled_total":%d,`+
+			`"gplusapi_responses_total{code=\"200\"}":%d,"gplusapi_responses_total{code=\"503\"}":%d},"gauges":{"crawler_frontier_depth":%d},`+
+			`"histograms":{"gplusapi_request_seconds":{"bounds":[0.25,1],"counts":[%d,%d,0],"count":%d,"sum":0}}}`+"\n",
+			r.sec, r.pages, r.profiles, r.ok, r.shed, r.frontier, r.ok, r.shed, r.ok+r.shed)
+	}
+	s, _, err := ReadTicks(strings.NewReader(log.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := BuildReport(s, CrawlSignals())
+	var text strings.Builder
+	r.WriteText(&text, 40)
+	// The tick after the duplicate (12:00:06) reads 5/s: its interval
+	// starts from the second sample at 12:00:05.
+	const want = `crawl health  2026-01-01T12:00:00Z .. 2026-01-01T12:00:09Z  (9s, 11 ticks)
+
+profiles/s   ██████▄███  10.0
+             avg 9.50/s  peak 10.00/s  total 90 profiles
+pages/s      ██████▄███  20.0
+edges/s      ▁▁▁▁▁▁▁▁▁▁  0.0
+frontier     ▅▅▅▅██▄▃▂▁  0
+journal_lag  ▁▁▁▁▁▁▁▁▁▁  0s
+errors/s     ▁▂▁█▁▁▁▁▁▁  0.0
+             total 6 errors
+  spike  12:00:04 .. 12:00:04  peak 4.00 err/s
+
+SLOs:
+  availability     error_ratio(gplusapi_responses_total{code="503"}+gplusapi_transport_errors_total / gplusapi_responses_total+gplusapi_transport_errors_total) < 1% @1m0s OK   burn=2.17
+  api-latency      p99(gplusapi_request_seconds) < 1s @1m0s         OK   burn=0.00
+  VIOLATION availability 12:00:02 .. 12:00:09  (7s, peak burn 4.00)
+`
+	if text.String() != want {
+		t.Errorf("report:\n%s\nwant:\n%s", &text, want)
+	}
+	const progress = "crawl progress: crawled=90 profiles/s=10.0 pages/s=20.0 edges/s=0.0 frontier=0 journal_lag=0s errors=6 eta=? window=9s"
+	if got, want := r.ProgressLine(), progress; got != want {
+		t.Errorf("progress line:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -44,7 +44,7 @@ func TestCollectorOverheadBudget(t *testing.T) {
 	if mean > budget {
 		t.Errorf("mean Sample() cost %v exceeds 1%% of the %v interval (%v)", mean, c.Interval(), budget)
 	}
-	t.Logf("mean Sample() cost %v over %d series (budget %v)", mean, len(c.Names()), budget)
+	t.Logf("mean Sample() cost %v over %d series (budget %v)", mean, len(c.names), budget)
 }
 
 func BenchmarkCollectorSample(b *testing.B) {
@@ -71,7 +71,7 @@ func BenchmarkEvaluateObjective(b *testing.B) {
 		Max: 0.01, Window: time.Minute}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Evaluate(c, o, tick(120))
+		evaluate(c.Store, o, tick(120))
 	}
 }
 

@@ -14,42 +14,20 @@ import (
 // series, whatever the cadence.
 const liveTicks = 120
 
-// trailing restricts a Source to its ticks at or after since (plus, per
-// the TimesSince contract, the baseline tick before it).
-type trailing struct {
-	Source
-	since time.Time
-}
-
-func (t trailing) TimesSince(since time.Time) []time.Time {
-	return t.Source.TimesSince(t.clamp(since))
-}
-
-func (t trailing) PointsSince(name string, since time.Time) []Point {
-	return t.Source.PointsSince(name, t.clamp(since))
-}
-
-func (t trailing) clamp(since time.Time) time.Time {
-	if since.Before(t.since) {
-		return t.since
-	}
-	return since
-}
-
 // Watch is the live side of BuildReport: after every sample of c it
-// builds the report over the trailing window of its store and hands it
-// to fn — to print a progress line from, fire a capture on StallOnset or
-// PageOnset, or draw as a dashboard frame. fn runs on the sampling
-// goroutine, one call at a time.
+// builds the report over the store's last liveTicks intervals (and the
+// baseline tick before them) and hands it to fn, to print a progress
+// line from, fire a capture on StallOnset or PageOnset, or draw as a
+// dashboard frame. fn runs on the sampling goroutine, one call at a time.
 //
 // Each objective is evaluated once per tick, at the tick, over the whole
-// collector — so its windows count what Evaluate over series.jsonl counts,
-// however far past the trailing window they reach — and the statuses are
+// store — so its windows count what BuildReport over series.jsonl counts,
+// however far past the report's ticks they reach — and the statuses are
 // kept for as long as the report still shows their tick.
-func Watch(c *Collector, sig Signals, fn func(*HealthReport)) { watch(c, c, sig, fn) }
+func Watch(c *Collector, sig Signals, fn func(*HealthReport)) { watch(c, sig, evaluate, fn) }
 
-// watch is Watch reading every point through src, which views c.
-func watch(c *Collector, src Source, sig Signals, fn func(*HealthReport)) {
+// watch is Watch with every objective evaluated through eval.
+func watch(c *Collector, sig Signals, eval func(*Store, Objective, time.Time) Status, fn func(*HealthReport)) {
 	type memo struct {
 		t  time.Time
 		at []Status
@@ -59,13 +37,16 @@ func watch(c *Collector, src Source, sig Signals, fn func(*HealthReport)) {
 		i := sort.Search(len(kept), func(i int) bool { return !kept[i].t.Before(t) })
 		if i == len(kept) || !kept[i].t.Equal(t) {
 			// The new tick — or one sampled before the watcher was attached.
-			kept = slices.Insert(kept, i, memo{t, evaluateAll(src, sig.Objectives, t)})
+			kept = slices.Insert(kept, i, memo{t, evaluateAll(c.Store, sig.Objectives, t, eval)})
 		}
 		return kept[i].at
 	}
 	window := time.Duration(max(liveTicks, sig.StallAfter+1)) * c.Interval()
 	c.OnSample(func(t Tick, _ bool) {
-		r := buildReport(trailing{src, t.T.Add(-window)}, sig, statusAt)
+		s := c.Store
+		s.mu.RLock()
+		r := buildReport(s, s.window(t.T.Add(-window), time.Time{}), sig, statusAt)
+		s.mu.RUnlock()
 		kept = slices.DeleteFunc(kept, func(m memo) bool { return m.t.Before(r.Start) })
 		fn(r)
 	})

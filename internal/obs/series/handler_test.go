@@ -69,6 +69,16 @@ func TestHandlerWindowQuery(t *testing.T) {
 	if len(windows[0].Points) != 4 || windows[0].Points[0].V != 10 {
 		t.Errorf("rate query: %+v", windows[0].Points)
 	}
+	// since=<duration> counts back from the newest tick, tick 4 of the
+	// fixture's clock: ticks 3 and 4, and the baseline tick 2 before them.
+	rr = get(t, h, "/debug/timeseries?name=api_total&since=1500ms")
+	windows = nil
+	if err := json.Unmarshal(rr.Body.Bytes(), &windows); err != nil {
+		t.Fatal(err)
+	}
+	if pts := windows[0].Points; len(pts) != 3 || !pts[0].T.Equal(tick(2)) || pts[2].V != 50 {
+		t.Errorf("since=1500ms: %+v, want the points at ticks 2..4", pts)
+	}
 	// An unknown name returns an empty array, not null.
 	rr = get(t, h, "/debug/timeseries?name=nope")
 	if strings.TrimSpace(rr.Body.String()) != "[]" {
@@ -89,7 +99,7 @@ func TestHandlerJSONLDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Names()) != 2 {
-		t.Errorf("dump names: %v", d.Names())
+	if len(d.names) != 2 {
+		t.Errorf("dump names: %v", d.names)
 	}
 }

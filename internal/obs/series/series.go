@@ -1,10 +1,13 @@
 // Package series adds the time dimension to the obs metrics layer. A
 // Collector goroutine samples a Registry.Snapshot() at a fixed interval
 // into a Store: ticks on one shared time axis, each the snapshot taken
-// at that instant, bounded by a retention rule. Counter rates and
-// histogram quantiles are derived from successive ticks on demand. The
-// store backs a JSON window-query endpoint (/debug/timeseries) and the
-// tick log series.jsonl (WriteTicks, one line per tick, appended by a
+// at that instant, bounded by a retention rule. Every reader takes a run
+// of those ticks by index — a window is the ticks from a binary search
+// on their times to the end, plus the one baseline tick before it — and
+// reads each series at each tick by name and kind, so counter increases
+// and rates and histogram deltas are differences of neighbouring ticks.
+// The store backs a JSON window-query endpoint (/debug/timeseries) and
+// the tick log series.jsonl (WriteTicks, one line per tick, appended by a
 // run directory as it is sampled); ReadTicks fills the same Store type
 // from that log for offline analysis (`gplusanalyze metrics`). The
 // health report both the live watcher (Watch) and the offline read
@@ -31,7 +34,7 @@ import (
 // Kind classifies a series for derivation: counters accumulate (rates
 // come from successive deltas, resets detected by decreases), gauges are
 // instantaneous, histograms carry their full cumulative snapshot per
-// point.
+// tick.
 type Kind string
 
 const (
@@ -40,97 +43,67 @@ const (
 	KindHistogram Kind = "histogram"
 )
 
-// Point is one sample of one series. V holds the counter value, gauge
-// value, or — for histogram series — the cumulative observation count;
-// Hist is set only on histogram points.
+// Point is one rendered value of one series: a report row's value at a
+// tick, or a /debug/timeseries point. V holds the counter value, gauge
+// value, rate, or — for histogram series — the cumulative observation
+// count; Hist is set only on a histogram's sampled points.
 type Point struct {
 	T    time.Time              `json:"t"`
 	V    float64                `json:"v"`
 	Hist *obs.HistogramSnapshot `json:"hist,omitempty"`
 }
 
-// Source is what the health report and the analyzers read: a Store, or
-// a view of one (the live watcher's trailing window).
-type Source interface {
-	// Names lists every series, sorted.
-	Names() []string
-	// SeriesKind reports a series' kind.
-	SeriesKind(name string) (Kind, bool)
-	// TimesSince returns the tick times at or after since (oldest first)
-	// plus the closest retained one before since — the baseline a
-	// windowed increase needs. A zero since returns every retained tick.
-	TimesSince(since time.Time) []time.Time
-	// PointsSince returns the series' points at the ticks TimesSince
-	// returns.
-	PointsSince(name string, since time.Time) []Point
+// delta is series name's growth from ticks[i-1] to ticks[i], under the
+// Prometheus reset rule: a decrease means the process restarted, and the
+// post-reset value counts as new growth in full.
+func delta(ticks []Tick, i int, name string, kind Kind) float64 {
+	v := ticks[i].value(name, kind)
+	d := v - ticks[i-1].value(name, kind)
+	if d < 0 {
+		d = v
+	}
+	return d
 }
 
-// Increase sums a cumulative counter's growth across pts, applying the
-// Prometheus reset rule: a decrease means the process restarted and the
-// post-reset value counts as new growth in full.
-func Increase(pts []Point) float64 {
+// perSecond is delta over the interval's duration; ok is false for an
+// interval of none (a duplicated or out-of-order tick time).
+func perSecond(ticks []Tick, i int, name string, kind Kind) (v float64, ok bool) {
+	dt := ticks[i].T.Sub(ticks[i-1].T).Seconds()
+	if dt <= 0 {
+		return 0, false
+	}
+	return delta(ticks, i, name, kind) / dt, true
+}
+
+// increase sums series name's growth across ticks.
+func increase(ticks []Tick, name string, kind Kind) float64 {
 	var inc float64
-	for i := 1; i < len(pts); i++ {
-		d := pts[i].V - pts[i-1].V
-		if d < 0 {
-			d = pts[i].V
-		}
-		inc += d
+	for i := 1; i < len(ticks); i++ {
+		inc += delta(ticks, i, name, kind)
 	}
 	return inc
 }
 
-// RatePoints derives a per-interval rate series from cumulative counter
-// points: one point per consecutive pair, timestamped at the later
-// sample, reset-aware. Zero-duration intervals are skipped.
-func RatePoints(pts []Point) []Point {
-	out := make([]Point, 0, len(pts))
-	for i := 1; i < len(pts); i++ {
-		dt := pts[i].T.Sub(pts[i-1].T).Seconds()
-		if dt <= 0 {
-			continue
-		}
-		d := pts[i].V - pts[i-1].V
-		if d < 0 {
-			d = pts[i].V
-		}
-		out = append(out, Point{T: pts[i].T, V: d / dt})
-	}
-	return out
-}
-
-// HistIncrease accumulates the histogram observations recorded across
-// pts — the pairwise snapshot deltas, each reset-aware — into one
-// window-scoped snapshot. ok is false when fewer than two histogram
-// points exist (no interval to difference).
-func HistIncrease(pts []Point) (obs.HistogramSnapshot, bool) {
-	var acc obs.HistogramSnapshot
-	started := false
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Hist == nil || pts[i-1].Hist == nil {
-			continue
-		}
-		d := pts[i].Hist.Sub(*pts[i-1].Hist)
+// histIncrease accumulates the observations histogram name recorded
+// across ticks — each interval's snapshot delta, reset-aware
+// (obs.HistogramSnapshot.Sub) — into one window-scoped snapshot. ok is
+// false when no interval holds the histogram.
+func histIncrease(ticks []Tick, name string) (acc obs.HistogramSnapshot, ok bool) {
+	for i := 1; i < len(ticks); i++ {
+		d := ticks[i].Histograms[name].Sub(ticks[i-1].Histograms[name])
 		if len(d.Counts) == 0 {
 			continue // the histogram is absent from both ticks
 		}
-		if !started {
-			acc = obs.HistogramSnapshot{
-				Bounds: d.Bounds,
-				Counts: append([]int64(nil), d.Counts...),
-				Count:  d.Count,
-				Sum:    d.Sum,
-			}
-			started = true
-			continue
-		}
-		if !addHist(&acc, d) {
+		if !ok {
+			acc = obs.HistogramSnapshot{Bounds: d.Bounds, Counts: slices.Clone(d.Counts), Count: d.Count, Sum: d.Sum}
+			ok = true
+		} else if !addHist(&acc, d) {
 			// Bucket layouts diverge (should not happen within one
 			// series); keep what accumulated so far.
 			break
 		}
 	}
-	return acc, started
+	return acc, ok
 }
 
 // addHist folds b into acc; false when the bucket layouts differ.
@@ -180,67 +153,51 @@ func matches(sel, s obs.Series) bool {
 	return true
 }
 
-// selectNames returns the series names of src that match any selector,
-// in src.Names order. A selector that does not parse selects nothing.
-func selectNames(src Source, selectors ...string) []string {
+// selectNames returns the names of the series of s that match any
+// selector, sorted. A selector that does not parse selects nothing.
+// Caller holds the lock.
+func (s *Store) selectNames(selectors ...string) []string {
 	sels, _ := parseSelectors(selectors)
 	var out []string
-	for _, name := range src.Names() {
+	for _, name := range s.names {
 		// Most names belong to none of the selected families; a prefix
 		// test spares them the parse.
 		if !slices.ContainsFunc(sels, func(sel obs.Series) bool { return strings.HasPrefix(name, sel.Family) }) {
 			continue
 		}
-		s, err := obs.ParseSeries(name)
-		if err == nil && slices.ContainsFunc(sels, func(sel obs.Series) bool { return matches(sel, s) }) {
+		ser, err := obs.ParseSeries(name)
+		if err == nil && slices.ContainsFunc(sels, func(sel obs.Series) bool { return matches(sel, ser) }) {
 			out = append(out, name)
 		}
 	}
 	return out
 }
 
-// clampUntil drops points after until (zero until keeps everything).
-// Live sources never have future points, but offline replay evaluates
-// at historical ticks and must not see past them.
-func clampUntil(pts []Point, until time.Time) []Point {
-	if until.IsZero() {
-		return pts
-	}
-	n := len(pts)
-	for n > 0 && pts[n-1].T.After(until) {
-		n--
-	}
-	return pts[:n]
-}
-
-// sumIncrease sums Increase over every series of src matching any of
-// the selectors, over their points in (since, until].
-func sumIncrease(src Source, selectors []string, since, until time.Time) float64 {
+// sumIncrease sums increase across ticks over every counter or histogram
+// of s matching any selector. Caller holds the lock.
+func (s *Store) sumIncrease(ticks []Tick, selectors []string) float64 {
 	var total float64
-	for _, name := range selectNames(src, selectors...) {
-		if k, ok := src.SeriesKind(name); ok && k != KindGauge {
-			total += Increase(clampUntil(src.PointsSince(name, since), until))
+	for _, name := range s.selectNames(selectors...) {
+		if kind := s.kinds[name]; kind != KindGauge {
+			total += increase(ticks, name, kind)
 		}
 	}
 	return total
 }
 
-// sumHistIncrease accumulates HistIncrease over every histogram series
-// matching the selector, over their points in (since, until].
-func sumHistIncrease(src Source, selector string, since, until time.Time) (obs.HistogramSnapshot, bool) {
-	var acc obs.HistogramSnapshot
-	started := false
-	for _, name := range selectNames(src, selector) {
-		if k, ok := src.SeriesKind(name); !ok || k != KindHistogram {
+// sumHistIncrease accumulates histIncrease across ticks over every
+// histogram of s matching the selector. Caller holds the lock.
+func (s *Store) sumHistIncrease(ticks []Tick, selector string) (acc obs.HistogramSnapshot, started bool) {
+	for _, name := range s.selectNames(selector) {
+		if s.kinds[name] != KindHistogram {
 			continue
 		}
-		d, ok := HistIncrease(clampUntil(src.PointsSince(name, since), until))
+		d, ok := histIncrease(ticks, name)
 		if !ok {
 			continue
 		}
 		if !started {
-			acc = d
-			started = true
+			acc, started = d, true
 			continue
 		}
 		addHist(&acc, d)

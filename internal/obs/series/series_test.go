@@ -27,33 +27,40 @@ func TestStoreRetention(t *testing.T) {
 		}
 	}
 	// The store retains the newest 4 ticks: 4, 5, 6, 7.
-	if ticks := s.TimesSince(time.Time{}); len(ticks) != 4 || !ticks[0].Equal(tick(4)) {
-		t.Fatalf("retained %v, want ticks 4..7", ticks)
+	if ticks := s.Ticks(); len(ticks) != 4 || !ticks[0].T.Equal(tick(4)) {
+		t.Fatalf("retained %d ticks from %v, want ticks 4..7", len(ticks), ticks[0].T)
 	}
-	// PointsSince returns the window plus one baseline point before it.
-	pts := s.PointsSince("c_total", tick(6))
-	if len(pts) != 3 || pts[0].V != 5 || pts[2].V != 7 {
-		t.Errorf("PointsSince(6) = %+v, want baseline 5 then 6, 7", pts)
+	// A window holds its ticks plus one baseline tick before them.
+	w := s.window(tick(6), time.Time{})
+	if len(w) != 3 || w[0].Counters["c_total"] != 5 || w[2].Counters["c_total"] != 7 {
+		t.Errorf("window(6) = %+v, want baseline 5 then 6, 7", w)
 	}
-	// since before everything retained: all points, no phantom baseline.
-	if pts := s.PointsSince("c_total", tick(0)); len(pts) != 4 {
-		t.Errorf("PointsSince(0) returned %d points, want 4", len(pts))
+	// since before everything retained: all ticks, no phantom baseline.
+	if w := s.window(tick(0), time.Time{}); len(w) != 4 {
+		t.Errorf("window(0) holds %d ticks, want 4", len(w))
 	}
 }
 
 func TestIncreaseCounterReset(t *testing.T) {
-	pts := []Point{
-		{T: tick(0), V: 100},
-		{T: tick(1), V: 150}, // +50
-		{T: tick(2), V: 10},  // reset: the post-reset value counts in full
-		{T: tick(3), V: 30},  // +20
+	var ticks []Tick
+	for i, v := range []int64{
+		100,
+		150, // +50
+		10,  // reset: the post-reset value counts in full
+		30,  // +20
+	} {
+		ticks = append(ticks, Tick{T: tick(i), Snapshot: obs.Snapshot{Counters: map[string]int64{"c_total": v}}})
 	}
-	if got := Increase(pts); got != 80 {
-		t.Errorf("Increase = %g, want 80", got)
+	if got := increase(ticks, "c_total", KindCounter); got != 80 {
+		t.Errorf("increase = %g, want 80", got)
 	}
-	rates := RatePoints(pts)
-	if len(rates) != 3 || rates[0].V != 50 || rates[1].V != 10 || rates[2].V != 20 {
-		t.Errorf("RatePoints = %+v", rates)
+	var rates []float64
+	for i := 1; i < len(ticks); i++ {
+		v, _ := perSecond(ticks, i, "c_total", KindCounter)
+		rates = append(rates, v)
+	}
+	if len(rates) != 3 || rates[0] != 50 || rates[1] != 10 || rates[2] != 20 {
+		t.Errorf("rates = %v", rates)
 	}
 }
 
@@ -129,23 +136,21 @@ func TestCollectorSamplesRegistry(t *testing.T) {
 	if n := c.Samples(); n != 2 {
 		t.Fatalf("Samples = %d, want 2", n)
 	}
-	names := c.Names()
-	if len(names) != 3 {
-		t.Fatalf("Names = %v", names)
+	if len(c.names) != 3 {
+		t.Fatalf("names = %v", c.names)
 	}
-	if k, _ := c.SeriesKind("c_total"); k != KindCounter {
+	if k := c.kinds["c_total"]; k != KindCounter {
 		t.Errorf("c_total kind = %q", k)
 	}
-	pts := c.PointsSince("c_total", time.Time{})
-	if len(pts) != 2 || pts[0].V != 5 || pts[1].V != 10 {
-		t.Errorf("counter points = %+v", pts)
+	ticks := c.Ticks()
+	if len(ticks) != 2 || ticks[0].Counters["c_total"] != 5 || ticks[1].Counters["c_total"] != 10 {
+		t.Errorf("counter ticks = %+v", ticks)
 	}
-	hps := c.PointsSince("h_seconds", time.Time{})
-	if hp := hps[len(hps)-1]; hp.Hist == nil || hp.Hist.Count != 2 || hp.V != 2 {
-		t.Errorf("histogram latest = %+v", hp)
+	if hp := ticks[len(ticks)-1]; hp.Histograms["h_seconds"].Count != 2 || hp.value("h_seconds", KindHistogram) != 2 {
+		t.Errorf("histogram latest = %+v", hp.Histograms)
 	}
-	if pts := c.PointsSince("nope", time.Time{}); pts != nil {
-		t.Errorf("unknown series has points %+v", pts)
+	if names := c.selectNames("nope"); names != nil {
+		t.Errorf("unknown series selects %v", names)
 	}
 
 	// OnSample hooks observe each tick.
@@ -172,19 +177,18 @@ func TestCollectorSeriesBornMidCollection(t *testing.T) {
 	c.Sample(tick(2))
 	c.Sample(tick(3))
 
-	pts := c.PointsSince("late_total", time.Time{})
-	if len(pts) != 4 || !pts[0].T.Equal(tick(0)) || pts[0].V != 0 || pts[1].V != 0 {
-		t.Fatalf("counter points = %+v, want zeros at ticks 0 and 1", pts)
+	ticks := c.Ticks()
+	if len(ticks) != 4 || !ticks[0].T.Equal(tick(0)) || ticks[0].value("late_total", KindCounter) != 0 || ticks[1].value("late_total", KindCounter) != 0 {
+		t.Fatalf("counter ticks = %+v, want zeros at ticks 0 and 1", ticks)
 	}
-	if got := Increase(pts); got != 7 {
-		t.Errorf("Increase = %v, want the full first-seen value 7", got)
+	if got := increase(ticks, "late_total", KindCounter); got != 7 {
+		t.Errorf("increase = %v, want the full first-seen value 7", got)
 	}
-	hp := c.PointsSince("late_seconds", time.Time{})
-	if len(hp) != 4 || hp[1].V != 0 || hp[1].Hist == nil || hp[1].Hist.Count != 0 {
-		t.Fatalf("histogram points = %+v, want zeros before birth", hp)
+	if ticks[1].value("late_seconds", KindHistogram) != 0 || ticks[1].Histograms["late_seconds"].Count != 0 {
+		t.Fatalf("histogram at tick 1 = %+v, want zeros before birth", ticks[1].Histograms)
 	}
-	if d, ok := HistIncrease(hp); !ok || d.Count != 1 {
-		t.Errorf("HistIncrease = %+v (ok=%v), want the full first-seen count 1", d, ok)
+	if d, ok := histIncrease(ticks, "late_seconds"); !ok || d.Count != 1 {
+		t.Errorf("histIncrease = %+v (ok=%v), want the full first-seen count 1", d, ok)
 	}
 
 	// Series present from the very first sample start at their value:
@@ -194,8 +198,8 @@ func TestCollectorSeriesBornMidCollection(t *testing.T) {
 	c2 := NewCollector(reg2, Options{Capacity: 8})
 	c2.Sample(tick(0))
 	c2.Sample(tick(1))
-	if pts := c2.PointsSince("early_total", time.Time{}); len(pts) != 2 {
-		t.Errorf("early counter points = %+v, want exactly the 2 samples", pts)
+	if ticks := c2.Ticks(); len(ticks) != 2 || ticks[0].Counters["early_total"] != 3 {
+		t.Errorf("early counter ticks = %+v, want exactly the 2 samples", ticks)
 	}
 }
 
@@ -230,25 +234,25 @@ func TestCollectorStartStop(t *testing.T) {
 }
 
 func TestHistIncrease(t *testing.T) {
-	mk := func(c0, c1 int64) *obs.HistogramSnapshot {
-		return &obs.HistogramSnapshot{
+	mk := func(n int, c0, c1 int64) Tick {
+		return Tick{T: tick(n), Snapshot: obs.Snapshot{Histograms: map[string]obs.HistogramSnapshot{"h": {
 			Bounds: []float64{1},
 			Counts: []int64{c0, c1},
 			Count:  c0 + c1,
 			Sum:    float64(c0)*0.5 + float64(c1)*2,
-		}
+		}}}}
 	}
-	pts := []Point{
-		{T: tick(0), Hist: mk(2, 0)},
-		{T: tick(1), Hist: mk(5, 1)}, // +3, +1
-		{T: tick(2), Hist: mk(6, 1)}, // +1, +0
+	ticks := []Tick{
+		mk(0, 2, 0),
+		mk(1, 5, 1), // +3, +1
+		mk(2, 6, 1), // +1, +0
 	}
-	d, ok := HistIncrease(pts)
+	d, ok := histIncrease(ticks, "h")
 	if !ok || d.Count != 5 || d.Counts[0] != 4 || d.Counts[1] != 1 {
-		t.Errorf("HistIncrease = %+v ok=%v", d, ok)
+		t.Errorf("histIncrease = %+v ok=%v", d, ok)
 	}
-	if _, ok := HistIncrease(pts[:1]); ok {
-		t.Error("single point has no increase")
+	if _, ok := histIncrease(ticks[:1], "h"); ok {
+		t.Error("single tick has no increase")
 	}
 }
 
@@ -306,18 +310,18 @@ func TestHostileLabelValuesSelectable(t *testing.T) {
 	}
 	for i, v := range hostile {
 		sel := obs.Series{Family: "obsprof_captures_total", Labels: []obs.Label{{Key: obs.KeyTrigger, Value: "slo-page:" + v}}}.String()
-		for _, src := range []Source{c, d} {
-			names := selectNames(src, sel)
+		for side, s := range map[string]*Store{"live": c.Store, "read back": d} {
+			names := s.selectNames(sel)
 			if len(names) != 1 {
-				t.Errorf("%T: selector %s matched %q, want exactly its own series", src, sel, names)
+				t.Errorf("%s: selector %s matched %q, want exactly its own series", side, sel, names)
 				continue
 			}
-			if pts := src.PointsSince(names[0], time.Time{}); len(pts) != 2 || pts[1].V != float64(i+1) {
-				t.Errorf("%T: selector %s read %+v, want the series counting %d", src, sel, pts, i+1)
+			if ticks := s.Ticks(); len(ticks) != 2 || ticks[1].Counters[names[0]] != int64(i+1) {
+				t.Errorf("%s: selector %s read %+v, want the series counting %d", side, sel, ticks, i+1)
 			}
 		}
 	}
-	if got := len(selectNames(d, `obsprof_captures_total{kind="cpu"}`)); got != len(hostile) {
+	if got := len(d.selectNames(`obsprof_captures_total{kind="cpu"}`)); got != len(hostile) {
 		t.Errorf(`{kind="cpu"} selected %d series, want all %d`, got, len(hostile))
 	}
 }

@@ -78,11 +78,13 @@ func GplusdSignals() Signals {
 	}
 }
 
-// SignalsFor picks the set a source was recorded under: the first whose
+// SignalsFor picks the set a store was recorded under: the first whose
 // Work family has a series in it, the crawl's when none does.
-func SignalsFor(src Source) Signals {
+func SignalsFor(s *Store) Signals {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	for _, sig := range []Signals{CrawlSignals(), GplusdSignals()} {
-		if len(selectNames(src, sig.Work.Selector)) > 0 {
+		if len(s.selectNames(sig.Work.Selector)) > 0 {
 			return sig
 		}
 	}

@@ -2,6 +2,7 @@ package series
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -111,8 +112,8 @@ func (o Objective) String() string {
 // Selector lists join families with '+'; label constraints in a
 // selector narrow it to matching series. max accepts a percentage
 // ("1%"), a bare ratio ("0.01"), or — for latency objectives — a
-// duration ("250ms"). Optional keys: fast= (short burn window), page=
-// and warn= (burn-rate factors).
+// duration ("250ms"). The short window and the burn-rate factors keep
+// their defaults; only a struct literal sets them.
 func ParseObjectives(spec string) ([]Objective, error) {
 	var out []Objective
 	for _, raw := range strings.Split(spec, ";") {
@@ -157,18 +158,6 @@ func ParseObjectives(spec string) ([]Objective, error) {
 			case "window":
 				if o.Window, err = time.ParseDuration(val); err != nil || o.Window <= 0 {
 					return nil, fmt.Errorf("series: bad window %q in %q", val, raw)
-				}
-			case "fast":
-				if o.Fast, err = time.ParseDuration(val); err != nil || o.Fast <= 0 {
-					return nil, fmt.Errorf("series: bad fast window %q in %q", val, raw)
-				}
-			case "page":
-				if o.PageFactor, err = strconv.ParseFloat(val, 64); err != nil || o.PageFactor <= 0 {
-					return nil, fmt.Errorf("series: bad page factor %q in %q", val, raw)
-				}
-			case "warn":
-				if o.WarnFactor, err = strconv.ParseFloat(val, 64); err != nil || o.WarnFactor <= 0 {
-					return nil, fmt.Errorf("series: bad warn factor %q in %q", val, raw)
 				}
 			default:
 				return nil, fmt.Errorf("series: unknown option %q in %q", key, raw)
@@ -287,7 +276,7 @@ type Status struct {
 	// SLI is the bad fraction over the long window (0 when no events).
 	SLI float64 `json:"sli"`
 	// Quantile is the measured latency quantile over the long window
-	// (latency objectives only; NaN serialized as 0 when unobserved).
+	// (latency objectives only; 0 when the window observed nothing).
 	Quantile float64 `json:"quantile,omitempty"`
 	// BurnLong and BurnShort are SLI/budget over the two windows: 1.0
 	// burns the error budget exactly as fast as the objective allows.
@@ -302,17 +291,18 @@ type Status struct {
 	State     State `json:"state"`
 }
 
-// Evaluate computes one objective's Status at now from any Source.
-func Evaluate(src Source, o Objective, now time.Time) Status {
+// evaluate computes one objective's Status at now from the ticks of s
+// up to now. Caller holds the lock.
+func evaluate(s *Store, o Objective, now time.Time) Status {
 	st := Status{Name: o.Name, Kind: o.Kind, Objective: o.String(), Time: now}
-	badL, totalL, hist := o.counts(src, now.Add(-o.window()), now)
-	badS, totalS, _ := o.counts(src, now.Add(-o.fast()), now)
+	badL, totalL, hist := o.counts(s, s.window(now.Add(-o.window()), now))
+	badS, totalS, _ := o.counts(s, s.window(now.Add(-o.fast()), now))
 	st.Bad, st.Total = badL, totalL
 	st.SLI = ratio(badL, totalL)
 	st.BurnLong = st.SLI / o.budget()
 	st.BurnShort = ratio(badS, totalS) / o.budget()
-	if hist.Count > 0 {
-		st.Quantile = hist.Quantile(o.Q)
+	if q := hist.Quantile(o.Q); !math.IsNaN(q) {
+		st.Quantile = q
 	}
 	st.Violating = totalL > 0 && st.BurnLong > 1
 	switch {
@@ -326,14 +316,15 @@ func Evaluate(src Source, o Objective, now time.Time) Status {
 	return st
 }
 
-// counts returns the (bad, total) event counts of the objective over
-// points in (since, until] and, for a Latency objective, the histogram
-// delta they were counted from (empty for ErrorRatio).
-func (o Objective) counts(src Source, since, until time.Time) (bad, total float64, hist obs.HistogramSnapshot) {
+// counts returns the (bad, total) event counts of the objective across
+// ticks, a window of the ticks of s, and, for a Latency objective, the
+// histogram delta they were counted from (empty for ErrorRatio). Caller
+// holds the lock.
+func (o Objective) counts(s *Store, ticks []Tick) (bad, total float64, hist obs.HistogramSnapshot) {
 	if o.Kind != Latency {
-		return sumIncrease(src, o.Bad, since, until), sumIncrease(src, o.Total, since, until), hist
+		return s.sumIncrease(ticks, o.Bad), s.sumIncrease(ticks, o.Total), hist
 	}
-	hist, _ = sumHistIncrease(src, o.Hist, since, until)
+	hist, _ = s.sumHistIncrease(ticks, o.Hist)
 	total = float64(hist.Count)
 	return max(total-hist.CountBelow(o.Max), 0), total, hist
 }

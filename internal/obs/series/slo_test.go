@@ -9,8 +9,8 @@ import (
 )
 
 func TestParseObjectives(t *testing.T) {
-	spec := `availability,error_ratio,bad=api_responses_total{code="503"}+api_transport_errors_total,total=api_responses_total,max=1%,window=2m,fast=10s;` +
-		`latency,latency,hist=svc_seconds,q=0.99,max=250ms,page=10,warn=5`
+	spec := `availability,error_ratio,bad=api_responses_total{code="503"}+api_transport_errors_total,total=api_responses_total,max=1%,window=2m;` +
+		`latency,latency,hist=svc_seconds,q=0.99,max=250ms`
 	objs, err := ParseObjectives(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -26,16 +26,21 @@ func TestParseObjectives(t *testing.T) {
 	if len(a.Bad) != 2 || a.Bad[0] != `api_responses_total{code="503"}` {
 		t.Errorf("bad selectors: %v", a.Bad)
 	}
-	if a.Max != 0.01 || a.Window != 2*time.Minute || a.Fast != 10*time.Second {
+	if a.Max != 0.01 || a.Window != 2*time.Minute {
 		t.Errorf("options: %+v", a)
 	}
 	l := objs[1]
-	if l.Kind != Latency || l.Q != 0.99 || l.Max != 0.25 || l.PageFactor != 10 || l.WarnFactor != 5 {
+	if l.Kind != Latency || l.Q != 0.99 || l.Max != 0.25 {
 		t.Errorf("latency objective: %+v", l)
 	}
 	// Defaults.
 	if a.fast() != a.window()/12 || a.pageFactor() != 14.4 || a.warnFactor() != 6 {
 		t.Errorf("defaults: fast=%v page=%g warn=%g", a.fast(), a.pageFactor(), a.warnFactor())
+	}
+	// The short window and the burn-rate factors are set in Go only.
+	set := Objective{Fast: 10 * time.Second, PageFactor: 10, WarnFactor: 5}
+	if set.fast() != 10*time.Second || set.pageFactor() != 10 || set.warnFactor() != 5 {
+		t.Errorf("set: fast=%v page=%g warn=%g", set.fast(), set.pageFactor(), set.warnFactor())
 	}
 	if b := l.budget(); math.Abs(b-0.01) > 1e-9 {
 		t.Errorf("latency budget = %g, want 1-q", b)
@@ -53,6 +58,9 @@ func TestParseObjectives(t *testing.T) {
 		"x,error_ratio,bad=b,total=t,max=1%,window=-1s",
 		`x,error_ratio,bad=b{code=503},total=t,max=1%`, // selector is not a series name
 		`x,latency,hist=h{le="1"}x,q=0.99,max=250ms`,
+		"x,error_ratio,bad=b,total=t,max=1%,fast=10s", // not in the grammar
+		"x,latency,hist=h,q=0.99,max=250ms,page=10",
+		"x,latency,hist=h,q=0.99,max=250ms,warn=5",
 	}
 	for _, spec := range bad {
 		if _, err := ParseObjectives(spec); err == nil {
@@ -156,7 +164,7 @@ func TestLatencyObjective(t *testing.T) {
 		}
 		c.Sample(tick(n))
 		n++
-		return Evaluate(c, o, tick(n-1))
+		return evaluate(c.Store, o, tick(n-1))
 	}
 
 	step(0.01, 100) // baseline tick so increases exist

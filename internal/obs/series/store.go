@@ -22,12 +22,26 @@ type Tick struct {
 	obs.Snapshot
 }
 
+// value reads series name, of the given kind, at t: a counter's or a
+// gauge's value, a histogram's observation count. A series missing from
+// the tick reads zero.
+func (t *Tick) value(name string, kind Kind) float64 {
+	switch kind {
+	case KindCounter:
+		return float64(t.Counters[name])
+	case KindGauge:
+		return float64(t.Gauges[name])
+	}
+	return float64(t.Histograms[name].Count)
+}
+
 // Store is the one home of metric history, live and offline: ticks on
 // one shared time axis, oldest first. The Collector fills it on every
-// sample, ReadTicks from series.jsonl. A series missing from a tick
-// reads as zero there — registry metrics are born at zero, so a counter
-// first seen mid-run counts its whole first value as growth. All methods
-// are safe for concurrent use.
+// sample, ReadTicks from series.jsonl. Every reader takes a run of ticks
+// by index and reads each series at each tick by name and kind; a series
+// missing from a tick reads as zero there — registry metrics are born at
+// zero, so a counter first seen mid-run counts its whole first value as
+// growth. All methods are safe for concurrent use.
 type Store struct {
 	mu       sync.RWMutex
 	capacity int // 0 keeps every tick
@@ -79,70 +93,19 @@ func (s *Store) Ticks() []Tick {
 	return slices.Clone(s.ticks)
 }
 
-// from is the index of the first tick at or after since, minus one for
-// the baseline; zero since is 0. Caller holds the lock.
-func (s *Store) from(since time.Time) int {
-	if since.IsZero() {
-		return 0
+// window returns the ticks at times in [since, until] plus the one
+// before since — the baseline a windowed increase starts from. A zero
+// since starts at the first tick, a zero until ends at the last. Caller
+// holds the lock, and the result is valid only while it does.
+func (s *Store) window(since, until time.Time) []Tick {
+	lo, hi := 0, len(s.ticks)
+	if !since.IsZero() {
+		lo = max(sort.Search(hi, func(i int) bool { return !s.ticks[i].T.Before(since) })-1, 0)
 	}
-	i := sort.Search(len(s.ticks), func(i int) bool { return !s.ticks[i].T.Before(since) })
-	return max(i-1, 0)
-}
-
-// Names implements Source.
-func (s *Store) Names() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.names
-}
-
-// SeriesKind implements Source.
-func (s *Store) SeriesKind(name string) (Kind, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	k, ok := s.kinds[name]
-	return k, ok
-}
-
-// TimesSince implements Source.
-func (s *Store) TimesSince(since time.Time) []time.Time {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ticks := s.ticks[s.from(since):]
-	out := make([]time.Time, len(ticks))
-	for i, t := range ticks {
-		out[i] = t.T
+	if !until.IsZero() {
+		hi = sort.Search(hi, func(i int) bool { return s.ticks[i].T.After(until) })
 	}
-	return out
-}
-
-// PointsSince implements Source: one point per tick.
-func (s *Store) PointsSince(name string, since time.Time) []Point {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	kind, ok := s.kinds[name]
-	if !ok {
-		return nil
-	}
-	ticks := s.ticks[s.from(since):]
-	out := make([]Point, len(ticks))
-	var hists []obs.HistogramSnapshot
-	if kind == KindHistogram {
-		hists = make([]obs.HistogramSnapshot, len(ticks))
-	}
-	for i, t := range ticks {
-		out[i].T = t.T
-		switch kind {
-		case KindCounter:
-			out[i].V = float64(t.Counters[name])
-		case KindGauge:
-			out[i].V = float64(t.Gauges[name])
-		default:
-			hists[i] = t.Histograms[name]
-			out[i].V, out[i].Hist = float64(hists[i].Count), &hists[i]
-		}
-	}
-	return out
+	return s.ticks[lo:hi]
 }
 
 // WriteTicks writes ticks as series.jsonl lines, one JSON object — one
