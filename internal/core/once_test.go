@@ -193,18 +193,20 @@ func TestPathMilesComputedOnce(t *testing.T) {
 	}
 }
 
-// TestCancelledStageIsNotCached: a paths stage cut short by a cancelled
-// context is returned to that caller only; the next caller with a live
-// context gets the full distribution, and that one is kept. A context
-// cancelled before the call stops the path samples and the diameter
-// sweeps alike before their first level, so the call reads no row.
+// TestCancelledStageIsNotCached: a paths or triads stage cut short by a
+// cancelled context is returned to that caller only; the next caller
+// with a live context gets the full result, and that one is kept. A
+// context cancelled before the call stops the path samples and the
+// diameter sweeps alike before their first level, and the triad pass
+// before its first, so the call reads no row.
 func TestCancelledStageIsNotCached(t *testing.T) {
 	u, err := synth.Generate(synth.DefaultConfig(2_000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ds := dataset.FromUniverse(u)
-	want := New(ds, Options{Seed: 7, PathSources: 32}).PathLengths(context.Background())
+	lone := New(ds, Options{Seed: 7, PathSources: 32})
+	want, wantTriads := lone.PathLengths(context.Background()), lone.triads(context.Background())
 
 	rec := trace.NewRecorder(0, trace.Rules{})
 	s := New(ds, Options{Seed: 7, PathSources: 32, Tracer: trace.New(trace.Config{Recorder: rec})})
@@ -215,9 +217,12 @@ func TestCancelledStageIsNotCached(t *testing.T) {
 	if cut := s.PathLengths(cancelled); reflect.DeepEqual(cut, want) {
 		t.Fatal("a cancelled context did not cut the path sample short; the test needs a larger graph")
 	}
+	if cut := s.triads(cancelled); reflect.DeepEqual(cut, wantTriads) {
+		t.Fatal("a cancelled context did not cut the triad pass short")
+	}
 	for v := range cv.outs {
 		if outs, ins := cv.outs[v].Load(), cv.ins[v].Load(); outs+ins > 0 {
-			t.Fatalf("the cancelled call read node %d's out-row %d times and in-row %d times, want none", v, outs, ins)
+			t.Fatalf("the cancelled calls read node %d's out-row %d times and in-row %d times, want none", v, outs, ins)
 		}
 	}
 	if _, err := s.Structure(cancelled); err != nil {
@@ -227,9 +232,16 @@ func TestCancelledStageIsNotCached(t *testing.T) {
 		if got := s.PathLengths(context.Background()); !reflect.DeepEqual(got, want) {
 			t.Fatal("PathLengths after a cancelled call is not the full distribution")
 		}
+		if got := s.triads(context.Background()); !reflect.DeepEqual(got, wantTriads) {
+			t.Fatal("the triads stage after a cancelled call is not the full result")
+		}
 	}
-	// Three computations: the two cut short, and the one that was kept.
-	if got := stageSpans(rec)["analyze.paths"]; got != 3 {
-		t.Errorf("%d analyze.paths spans, want 3", got)
+	// Three computations of each: the two cut short, and the one that
+	// was kept.
+	spans := stageSpans(rec)
+	for _, stage := range []string{"analyze.paths", "analyze.triads"} {
+		if spans[stage] != 3 {
+			t.Errorf("%d %s spans, want 3", spans[stage], stage)
+		}
 	}
 }

@@ -193,10 +193,13 @@ func (s *Study) Motifs() (MotifResult, error) {
 // triads is the one stage behind Figure 4(b) and the motif census: one
 // closed-triple enumeration yields the clustering numerator of every
 // node, in id order, and the triangle and triad counts; every figure is
-// a ratio of them.
+// a ratio of them. A cancelled call returns the zero result, unkept.
 func (s *Study) triads(ctx context.Context) triadResult {
-	res, _ := once(ctx, s, &s.triadsMemo, "triads", func(context.Context) (triadResult, error) {
-		res := graph.Triads(s.g, s.opts.Parallelism)
+	res, _ := once(ctx, s, &s.triadsMemo, "triads", func(ctx context.Context) (triadResult, error) {
+		res, err := graph.Triads(ctx, s.g, s.opts.Parallelism)
+		if err != nil {
+			return triadResult{}, err
+		}
 
 		nodes := graph.ClusteringNodes(s.g, 0, nil, s.opts.Parallelism)
 		links := make([]int64, len(nodes))

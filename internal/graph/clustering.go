@@ -41,7 +41,7 @@ func clusteringLinks(own, nbr Rows, u NodeID) int64 {
 // sortedIntersectionSize returns |a ∩ b| for two sorted lists.
 func sortedIntersectionSize(a, b []NodeID) int {
 	count := 0
-	intersectSorted(a, b, func(int, int) { count++ })
+	intersectSorted(a, b, 0, func(int, int) { count++ })
 	return count
 }
 
@@ -52,38 +52,50 @@ func sortedIntersectionSize(a, b []NodeID) int {
 // branch-predictable merge.
 const gallopSkewFactor = 16
 
-// intersectSorted calls emit(i, j) for every common element a[i] ==
-// b[j], in ascending order; positions rather than values, so a caller
-// holding data parallel to either list can index it. Near-equal lengths
-// use a linear merge; when one list dwarfs the other — a celebrity
-// adjacency list against an ordinary one — it gallops through the long
-// list instead, costing O(short·log(long)) rather than O(short+long).
-// Exact triangle counting on a heavy-tailed graph intersects the head's
-// list once per incident edge, so without this the kernel goes
-// quadratic on exactly the nodes the paper's degree distribution
-// promises exist.
-func intersectSorted(a, b []NodeID, emit func(i, j int)) {
+// skewed reports whether lists of lengths a and b, neither empty, are
+// far enough apart in length to gallop.
+func skewed(a, b int) bool {
+	if a > b {
+		a, b = b, a
+	}
+	return a > 0 && b >= gallopSkewFactor*a
+}
+
+// intersectSorted calls emit(i, j) for every common key a[i]>>shift ==
+// b[j]>>shift, in ascending order, for two lists sorted by that key:
+// NodeIDs are their own keys (shift 0), a half-graph entry's key is its
+// rank (shift kindBits). It reports positions rather than values, so a
+// caller holding data parallel to either list, or in an entry's low
+// bits, can read it. Near-equal lengths use a linear merge; when one
+// list dwarfs the other — a celebrity adjacency list against an
+// ordinary one — it gallops through the long list instead, costing
+// O(short·log(long)) rather than O(short+long). Exact triangle counting
+// on a heavy-tailed graph intersects the head's list once per incident
+// edge, so without this the kernel goes quadratic on exactly the nodes
+// the paper's degree distribution promises exist.
+func intersectSorted(a, b []uint32, shift uint, emit func(i, j int)) {
 	if len(a) > len(b) {
-		intersectSorted(b, a, func(j, i int) { emit(i, j) })
+		intersectSorted(b, a, shift, func(j, i int) { emit(i, j) })
 		return
 	}
-	if len(b) >= gallopSkewFactor*len(a) && len(a) > 0 {
+	if skewed(len(a), len(b)) {
 		base := 0 // b[:base] is consumed
 		for i, x := range a {
 			// Gallop: double the probe distance until past x, binary
 			// search the bracketed window, then drop the consumed
 			// prefix so one full pass costs O(|a| log |b|).
+			x >>= shift
 			rest := b[base:]
 			hi := 1
-			for hi < len(rest) && rest[hi] < x {
+			for hi < len(rest) && rest[hi]>>shift < x {
 				hi *= 2
 			}
 			if hi > len(rest) {
 				hi = len(rest)
 			}
 			lo := hi / 2
-			k := lo + sort.Search(hi-lo, func(k int) bool { return rest[lo+k] >= x })
-			if k < len(rest) && rest[k] == x {
+			k := lo + sort.Search(hi-lo, func(k int) bool { return rest[lo+k]>>shift >= x })
+			if k < len(rest) && rest[k]>>shift == x {
 				emit(i, base+k)
 				k++
 			}
@@ -96,10 +108,10 @@ func intersectSorted(a, b []NodeID, emit func(i, j int)) {
 	}
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
+		switch x, y := a[i]>>shift, b[j]>>shift; {
+		case x < y:
 			i++
-		case a[i] > b[j]:
+		case x > y:
 			j++
 		default:
 			emit(i, j)

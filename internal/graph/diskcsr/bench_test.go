@@ -1,6 +1,8 @@
 package diskcsr
 
 import (
+	"context"
+	"fmt"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -8,6 +10,7 @@ import (
 	"testing"
 
 	"gplus/internal/graph"
+	"gplus/internal/synth"
 )
 
 // The storage benchmark fixture: one mid-sized graph shared by every
@@ -247,4 +250,33 @@ func BenchmarkStorageRandomOut(b *testing.B) {
 	b.Run("ram", func(b *testing.B) { random(b, g) })
 	b.Run("mmap", func(b *testing.B) { random(b, openBench(b, v2)) })
 	b.Run("mmap-cursor", func(b *testing.B) { random(b, openBench(b, v2).Rows()) })
+}
+
+// BenchmarkTriads prices the closed-triple enumeration behind Figure
+// 4(b), the triangle count and the triad census on the study-sized
+// graph (synth.DefaultConfig(18_750), seed 2011), over RAM and the
+// mapped file, at P = 1 and 2.
+func BenchmarkTriads(b *testing.B) {
+	cfg := synth.DefaultConfig(18_750)
+	cfg.Seed = 2011
+	u, err := synth.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	views := []struct {
+		name string
+		v    graph.View
+	}{{"ram", u.Graph}, {"mapped", mustOpen(b, b.TempDir(), u.Graph)}}
+	for _, view := range views {
+		for _, par := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/P=%d", view.name, par), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := graph.Triads(context.Background(), view.v, par); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

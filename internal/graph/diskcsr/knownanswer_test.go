@@ -179,7 +179,7 @@ func TestKnownAnswers(t *testing.T) {
 			views["ram"] = ka.g
 			for vname, v := range views {
 				for _, par := range matrixParallelisms {
-					triads := graph.Triads(v, par)
+					triads := triadsOf(v, par)
 					for _, res := range []*graph.TriangleResult{&triads.Triangles, graph.Triangles(v, graph.TriangleCohen, par)} {
 						if res.Total != ka.triangles || !reflect.DeepEqual(res.PerNode, ka.perNode) {
 							t.Errorf("%s P=%d %v: %d triangles %v, want %d %v", vname, par, res.Method, res.Total, res.PerNode, ka.triangles, ka.perNode)

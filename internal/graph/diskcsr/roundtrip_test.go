@@ -53,7 +53,7 @@ func randomGraph(n, m int, rng *rand.Rand) *graph.Graph {
 }
 
 // mustOpen writes g as v2 under dir and opens it fully verified.
-func mustOpen(t *testing.T, dir string, g *graph.Graph) *Mapped {
+func mustOpen(t testing.TB, dir string, g *graph.Graph) *Mapped {
 	t.Helper()
 	path := filepath.Join(dir, "graph.v2")
 	if err := WriteGraph(path, g); err != nil {
@@ -204,7 +204,7 @@ func TestKernelEquivalence(t *testing.T) {
 		"AllReciprocities":  func(v graph.View, par int) any { return graph.AllReciprocities(v, par) },
 		"GlobalReciprocity": func(v graph.View, par int) any { return graph.GlobalReciprocity(v, par) },
 		"AllClustering":     func(v graph.View, par int) any { return graph.AllClustering(v, par) },
-		"Triads":            func(v graph.View, par int) any { return graph.Triads(v, par) },
+		"Triads":            func(v graph.View, par int) any { return triadsOf(v, par) },
 		"TrianglesCohen":    func(v graph.View, par int) any { return graph.Triangles(v, graph.TriangleCohen, par) },
 		"ClusteringByDegree": func(v graph.View, par int) any {
 			nodes := graph.ClusteringNodes(v, 0, nil, par)
@@ -238,7 +238,7 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 	for name, g := range testGraphs() {
 		t.Run(name, func(t *testing.T) {
-			triads, cohen := graph.Triads(g, 1), graph.Triangles(g, graph.TriangleCohen, 1)
+			triads, cohen := triadsOf(g, 1), graph.Triangles(g, graph.TriangleCohen, 1)
 			all := make([]graph.NodeID, g.NumNodes())
 			for u := range all {
 				all[u] = graph.NodeID(u)
@@ -265,10 +265,20 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 }
 
+// triadsOf is graph.Triads under a context that is never cancelled.
+func triadsOf(v graph.View, par int) *graph.TriadResult {
+	res, err := graph.Triads(context.Background(), v, par)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
 // TestTriadsAllocationShape pins what the triad pass holds: the ranked
-// half of the projection at five bytes an edge (rank id + dyad kind)
-// and a handful of per-node arrays, never the projection itself. The
-// bound is in bytes allocated by one call at P=1, over RAM and mapped.
+// half of the projection, filled at degree offsets into one 4-byte word
+// per projection degree (8 bytes an undirected edge), and a handful of
+// per-node arrays, never the projection itself. The bound is in bytes
+// allocated by one call at P=1, over RAM and mapped.
 func TestTriadsAllocationShape(t *testing.T) {
 	u, err := synth.Generate(synth.DefaultConfig(20_000))
 	if err != nil {
@@ -280,7 +290,7 @@ func TestTriadsAllocationShape(t *testing.T) {
 	for name, v := range map[string]graph.View{"ram": g, "mapped": mustOpen(t, t.TempDir(), g)} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		graph.Triads(v, 1)
+		triadsOf(v, 1)
 		runtime.ReadMemStats(&after)
 		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
 			t.Errorf("%s: one Triads call allocated %d bytes, over 8·m_u + 64·n = %d", name, got, bound)

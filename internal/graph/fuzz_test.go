@@ -85,12 +85,15 @@ func FuzzMultiSourceBFS(f *testing.F) {
 // routes that share nothing with it — the isomorphism census, cubic
 // triangle enumeration and ClusteringLinks — on digraphs of up to 64
 // nodes decoded from the input (one byte per endpoint, reduced mod n),
-// at P=1 and P=3. Seeds: the 3-cycle, the transitive triangle and a
-// mutual K4, the three shapes the kind tables tell apart.
+// at P = 1, 2, 3 and 8. Seeds: the 3-cycle, the transitive triangle and
+// a mutual K4, the three shapes the kind tables tell apart, and a graph
+// whose half graph pairs a row 16× longer than its partner, so the
+// galloping intersection runs.
 func FuzzTriads(f *testing.F) {
 	f.Add(uint8(2), []byte{0, 1, 1, 2, 2, 0})
 	f.Add(uint8(2), []byte{0, 1, 0, 2, 1, 2})
 	f.Add(uint8(3), []byte{0, 1, 1, 0, 0, 2, 2, 0, 0, 3, 3, 0, 1, 2, 2, 1, 1, 3, 3, 1, 2, 3, 3, 2})
+	f.Add(uint8(18), skewedTriads())
 	f.Fuzz(func(t *testing.T, nodes uint8, edges []byte) {
 		n := int(nodes)%64 + 1
 		b := NewBuilder(n, len(edges)/2)
@@ -106,8 +109,8 @@ func FuzzTriads(f *testing.F) {
 			all[u] = NodeID(u)
 		}
 		links := ClusteringLinks(g, all, 1)
-		for _, par := range []int{1, 3} {
-			got := Triads(g, par)
+		for _, par := range []int{1, 2, 3, 8} {
+			got := triads(g, par)
 			if got.Census.Counts != census {
 				t.Errorf("P=%d: census %v, isomorphism oracle %v", par, got.Census.Counts, census)
 			}
@@ -119,4 +122,26 @@ func FuzzTriads(f *testing.F) {
 			}
 		}
 	})
+}
+
+// skewedTriads is a FuzzTriads input on 19 nodes: a 17-clique {0..16}
+// (some of its pairs mutual) whose members all but 0 also point at a
+// node 17 outside it, and a node 18 tied to 0 and 16 alone. Degree
+// ranks put 18 first, and 0 lowest of the clique, so 18's half row is
+// (0, 16) while 0's holds the 16 other clique members: the triangle
+// {18, 0, 16} closes in a one-entry suffix against a 16-entry row.
+func skewedTriads() []byte {
+	var edges []byte
+	for i := byte(0); i <= 16; i++ {
+		for j := i + 1; j <= 16; j++ {
+			edges = append(edges, i, j)
+			if (i+j)%3 == 0 {
+				edges = append(edges, j, i)
+			}
+		}
+	}
+	for w := byte(1); w <= 16; w++ {
+		edges = append(edges, w, 17)
+	}
+	return append(edges, 18, 0, 16, 18)
 }

@@ -1,5 +1,7 @@
 package graph
 
+import "context"
+
 // Directed 3-node motif census: every unordered node triple classified
 // into one of the 16 isomorphism classes of directed triads, in the
 // standard M-A-N (mutual/asymmetric/null dyad) numbering. This is the
@@ -200,7 +202,8 @@ func choose3(n int64) int64 {
 // Motifs runs the exact directed triad census of g: the Census of Triads.
 // The result is byte-identical for any parallelism.
 func Motifs(g View, parallelism int) *MotifCensus {
-	census := Triads(g, parallelism).Census // a copy: the result must not pin the per-node arrays
+	res, _ := Triads(context.Background(), g, parallelism) // never cancelled
+	census := res.Census                                   // a copy: the result must not pin the per-node arrays
 	return &census
 }
 

@@ -1,8 +1,11 @@
 package graph
 
 import (
+	"context"
+	"math"
 	"math/rand/v2"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -148,6 +151,59 @@ func TestMotifsCountsSumToTriples(t *testing.T) {
 	}
 }
 
+// triads is Triads under a context that is never cancelled.
+func triads(g View, par int) *TriadResult {
+	res, err := Triads(context.Background(), g, par)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// errAfter is a context whose Err starts reporting cancellation at its
+// limit-th call, counting every call.
+type errAfter struct {
+	context.Context
+	calls, limit atomic.Int32
+}
+
+func (c *errAfter) Err() error {
+	if c.calls.Add(1) >= c.limit.Load() {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestTriadsCancellation: every look Triads takes at its context — before
+// each pass and once per chunk of rank rows — ends the call with the
+// context's error and no result once the context says so, and a
+// context that never does gets the full result.
+func TestTriadsCancellation(t *testing.T) {
+	g := randomGraph(3*triadChunk, 12*triadChunk, rand.New(rand.NewPCG(3, 9)))
+	want := triads(g, 1)
+	for _, par := range []int{1, 2} {
+		live := &errAfter{Context: context.Background()}
+		live.limit.Store(math.MaxInt32)
+		if got, err := Triads(live, g, par); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("P=%d: a live context got error %v or a different result", par, err)
+		}
+		looks := live.calls.Load()
+		// One look before each of the three passes and one after the
+		// last, and one per chunk of rank rows: at least one a shard,
+		// and three at P=1 over 3·triadChunk rows.
+		if looks < 4+int32(par) || par == 1 && looks != 7 {
+			t.Fatalf("P=%d: Triads looked at its context %d times", par, looks)
+		}
+		for limit := int32(1); limit <= looks; limit++ {
+			ctx := &errAfter{Context: context.Background()}
+			ctx.limit.Store(limit)
+			if got, err := Triads(ctx, g, par); err != context.Canceled || got != nil {
+				t.Fatalf("P=%d: cancelled at look %d of %d: result %v, error %v", par, limit, looks, got != nil, err)
+			}
+		}
+	}
+}
+
 // TestMotifsTransitiveClosuresMatchClustering ties the enumeration to
 // the §3.3.3 clustering pipeline node by node: the numerator Triads
 // assembles from closed triples must be every node's clusteringLinks,
@@ -155,7 +211,7 @@ func TestMotifsCountsSumToTriples(t *testing.T) {
 func TestMotifsTransitiveClosuresMatchClustering(t *testing.T) {
 	for name, g := range testGraphs() {
 		for _, par := range []int{1, 2, 3, 8} {
-			res := Triads(g, par)
+			res := triads(g, par)
 			var sum int64
 			for u := 0; u < g.NumNodes(); u++ {
 				want := clusteringLinks(g, g, NodeID(u))

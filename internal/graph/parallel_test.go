@@ -55,7 +55,7 @@ func TestParallelDeterminism(t *testing.T) {
 				},
 				"ReciprocalCounts": func(par int) any { return ReciprocalCounts(g, par) },
 				"TrianglesCohen":   func(par int) any { return Triangles(g, TriangleCohen, par) },
-				"Triads":           func(par int) any { return Triads(g, par) },
+				"Triads":           func(par int) any { return triads(g, par) },
 			}
 			for algo, run := range runs {
 				base := run(1)

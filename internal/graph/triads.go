@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"context"
+	"fmt"
 	"slices"
-	"sync/atomic"
 )
 
 // Everything triangle-shaped comes from one enumeration of the closed
@@ -11,8 +12,9 @@ import (
 // §3.3.3, the 16-class directed triad census of Schiöberg et al.
 // (PAPERS.md), and the integer numerator of every node's clustering
 // coefficient behind Figure 4(b). The projection itself is never held:
-// three passes over the view's rows build the degree-ranked half of it,
-// and the Sandia lowest-rank intersection walks that half once.
+// two passes over the view's rows build the degree-ranked half of it,
+// one packed 4-byte word per kept edge, and the Sandia lowest-rank
+// intersection walks that half once, tallying per shard in rank space.
 
 // TriadResult is what one closed-triple enumeration of a graph yields.
 type TriadResult struct {
@@ -55,42 +57,61 @@ func eachDyad(out, in []NodeID, emit func(w NodeID, k dyadKind)) {
 	}
 }
 
+// A packed half-graph entry is rank<<kindBits | kind: entries sort by
+// rank and compare by entry>>kindBits, and ranks must stay below
+// maxTriadNodes.
+const (
+	kindBits      = 2
+	kindMask      = 1<<kindBits - 1
+	maxTriadNodes = 1 << (32 - kindBits)
+)
+
 // halfGraph is the projection with each edge kept once, at its endpoint
 // of lower degree rank (degree ascending, ties by id — a total order, so
 // the orientation is canonical), in rank space: row r lists the
-// higher-ranked neighbors of node perm[r], ascending, and kind holds
-// each entry's dyad as seen from the row's node. Every row is O(√m) long
-// whatever the degree distribution.
+// higher-ranked neighbors of node perm[r], ascending, each packed as
+// rank<<kindBits | kind with the dyad seen from the row's node. Every
+// row is O(√m) long whatever the degree distribution.
 type halfGraph struct {
 	off  []int64
-	adj  []NodeID // rank ids
-	kind []dyadKind
+	adj  []uint32 // packed entries
 	perm []NodeID // perm[rank] = node id
 }
 
-func (h *halfGraph) row(r NodeID) ([]NodeID, []dyadKind) {
-	lo, hi := h.off[r], h.off[r+1]
-	return h.adj[lo:hi], h.kind[lo:hi]
-}
+func (h *halfGraph) row(r uint32) []uint32 { return h.adj[h.off[r]:h.off[r+1]] }
+
+// triadChunk is how many rank rows the enumeration walks between two
+// looks at its context.
+const triadChunk = 1024
 
 // Triads enumerates every closed triple of g once and returns the
 // triangle counts, the triad census and the clustering numerators, all
 // byte-identical for any parallelism: every tally is an exact integer
-// sum, and atomic adds commute.
-func Triads(g View, parallelism int) *TriadResult {
+// sum. ctx is consulted before each pass and once per chunk of rank
+// rows; a cancelled call returns nil and the context's error, and a
+// call cancelled before it starts reads no row. A graph of
+// maxTriadNodes (2^30) nodes or more does not fit the packed half
+// graph, and Triads panics on one.
+func Triads(ctx context.Context, g View, parallelism int) (*TriadResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	n := g.NumNodes()
+	if n >= maxTriadNodes {
+		panic(fmt.Sprintf("graph: Triads packs ranks into %d bits; %d nodes do not fit", 32-kindBits, n))
+	}
 	res := &TriadResult{
 		Triangles: TriangleResult{Method: TriangleSandiaLL, PerNode: make([]int64, n)},
 		Census:    MotifCensus{Nodes: n},
 		Links:     make([]int64, n),
 	}
 	if n == 0 {
-		return res
+		return res, nil
 	}
 	bounds := viewWorkBounds(g, parallelism)
 
 	// Pass 1, every node as the center of its own dyads: the projection
-	// degree (kept in rank until the sort below), and from the
+	// degree (kept in rank until buildHalfGraph ranks it), and from the
 	// mutual/out-only/in-only split the dyad totals, the wedge total and
 	// the open-triad combinatorics — each unordered pair of v's dyads is
 	// a triple whose class, *assuming the far pair is unconnected*,
@@ -135,52 +156,70 @@ func Triads(g View, parallelism int) *TriadResult {
 	}
 	res.Census.MutualDyads = mutual / 2 // both endpoints counted it
 
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	h := buildHalfGraph(g, rank, bounds)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
 	// For each kept edge (r, s), every common higher-ranked neighbor t
 	// closes the triple {r, s, t}, found exactly once, at its
 	// lowest-rank corner, with its three dyad kinds at the positions the
-	// intersection reports. Per-node tallies go to the original id
-	// space; r's and s's are summed locally first.
-	add := func(to []int64, r NodeID, v int64) {
-		if v != 0 {
-			atomic.AddInt64(&to[h.perm[r]], v)
-		}
-	}
+	// intersection reports. Each shard tallies in rank space, in its own
+	// arrays; the shards are summed and mapped to node ids once, at the
+	// end.
 	ebounds := prefixWorkBounds(n, parallelism, func(r int) int64 { return h.off[r] + int64(r) })
-	closed := make([][len(triadTable)]int64, len(ebounds)-1)
+	tallies := make([]triadTally, len(ebounds)-1)
 	runShards(ebounds, func(shard, lo, hi int) {
-		tally := &closed[shard]
-		for r := NodeID(lo); r < NodeID(hi); r++ {
-			row, kinds := h.row(r)
-			var rTri, rLinks int64
-			for i, s := range row {
-				rest, restKinds := row[i+1:], kinds[i+1:]
-				srow, sKinds := h.row(s)
-				rs := 9 * int(kinds[i])
-				var sTri, sLinks int64
-				intersectSorted(rest, srow, func(p, q int) {
-					k := rs + 3*int(restKinds[p]) + int(sKinds[q])
-					tally[k]++
-					links := &linkTable[k]
-					rLinks += links[0]
-					sLinks += links[1]
-					sTri++
-					add(res.Triangles.PerNode, rest[p], 1)
-					add(res.Links, rest[p], links[2])
-				})
-				rTri += sTri
-				add(res.Triangles.PerNode, s, sTri)
-				add(res.Links, s, sLinks)
+		t := &tallies[shard]
+		t.perRank = make([][2]int64, n)
+		for r := uint32(lo); r < uint32(hi); r++ {
+			if (r-uint32(lo))%triadChunk == 0 && ctx.Err() != nil {
+				return
 			}
-			add(res.Triangles.PerNode, r, rTri)
-			add(res.Links, r, rLinks)
+			row := h.row(r)
+			for i, e := range row {
+				s := e >> kindBits
+				rest, srow := row[i+1:], h.row(s)
+				rs := 9 * int(e&kindMask)
+				if skewed(len(rest), len(srow)) {
+					intersectSorted(rest, srow, kindBits, func(p, q int) {
+						t.closed(r, s, rs, rest[p], srow[q])
+					})
+					continue
+				}
+				// Branch-free steps: only a match takes a branch.
+				for p, q := 0, 0; p < len(rest) && q < len(srow); {
+					a, b := rest[p], srow[q]
+					d := int64(a>>kindBits) - int64(b>>kindBits)
+					if d == 0 {
+						t.closed(r, s, rs, a, b)
+						p++
+						q++
+						continue
+					}
+					p += int(uint64(d) >> 63)
+					q += int(uint64(-d) >> 63)
+				}
+			}
 		}
 	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	for r, v := range h.perm {
+		for i := range tallies {
+			c := &tallies[i].perRank[r]
+			res.Triangles.PerNode[v] += c[0]
+			res.Links[v] += c[1]
+		}
+	}
 	// A closed triple counts once in its own class and retracts the open
 	// class each of its three corners credited it with in pass 1.
-	for i := range closed {
-		for k, v := range closed[i] {
+	for i := range tallies {
+		for k, v := range tallies[i].byKind {
 			e := &triadTable[k]
 			res.Census.Counts[e.closed] += v
 			for _, class := range e.open {
@@ -190,18 +229,42 @@ func Triads(g View, parallelism int) *TriadResult {
 		}
 	}
 	res.Census.countDyadTriples()
-	return res
+	return res, nil
 }
 
-// buildHalfGraph streams the rows of g twice more — sizes, then fill —
-// so the CSR arrays are allocated exactly once. rank arrives holding
-// every node's projection degree and leaves holding its rank. Both
-// passes walk nodes in id order (sequential over a mapped file) and each
-// node writes only its own rank row.
+// triadTally is what one shard of the enumeration counts: closed
+// triples by kind index, and per rank the triangles and clustering
+// links of the node holding it.
+type triadTally struct {
+	byKind  [len(triadTable)]int64
+	perRank [][2]int64
+}
+
+// closed tallies the triple of ranks r < s < t, met where the entries a
+// (t in r's row) and b (t in s's row) agree; rs is 9·kind(r, s).
+func (c *triadTally) closed(r, s uint32, rs int, a, b uint32) {
+	k := rs + 3*int(a&kindMask) + int(b&kindMask)
+	c.byKind[k]++
+	links := &linkTable[k]
+	for corner, x := range [3]uint32{r, s, a >> kindBits} {
+		t := &c.perRank[x]
+		t[0]++
+		t[1] += links[corner]
+	}
+}
+
+// buildHalfGraph ranks the nodes and streams the rows of g once more to
+// fill the half graph. rank arrives holding every node's projection
+// degree and leaves holding its rank. A node's degree bounds its kept
+// row, so every row is filled at its degree-prefix offset and sorted in
+// place; one serial sweep then closes the gaps, moving each row down to
+// its final offset. The fill walks nodes in id order (sequential over a
+// mapped file) and each node writes only its own rank row.
 func buildHalfGraph(g View, rank []uint32, bounds []int) *halfGraph {
 	n := len(rank)
 	h := &halfGraph{off: make([]int64, n+1), perm: make([]NodeID, n)}
-	// Counting sort by degree; a stable pass in id order breaks ties by id.
+	// Counting sort by degree; a stable pass in id order breaks ties by
+	// id. The rank-ordered degrees are the rows' capacities.
 	var maxDeg uint32
 	for _, d := range rank {
 		maxDeg = max(maxDeg, d)
@@ -214,45 +277,41 @@ func buildHalfGraph(g View, rank []uint32, bounds []int) *halfGraph {
 		start[d] += start[d-1]
 	}
 	for v, d := range rank {
-		rank[v] = start[d]
+		r := start[d]
 		start[d]++
-		h.perm[rank[v]] = NodeID(v)
+		rank[v] = r
+		h.perm[r] = NodeID(v)
+		h.off[r+1] = int64(d)
 	}
-
-	runShards(bounds, func(_, lo, hi int) {
-		rows := g.Rows()
-		for v := lo; v < hi; v++ {
-			r, kept := rank[v], int64(0)
-			eachDyad(rows.Out(NodeID(v)), rows.In(NodeID(v)), func(w NodeID, _ dyadKind) {
-				if rank[w] > r {
-					kept++
-				}
-			})
-			h.off[r+1] = kept
-		}
-	})
 	for r := 0; r < n; r++ {
 		h.off[r+1] += h.off[r]
 	}
-	h.adj = make([]NodeID, h.off[n])
-	h.kind = make([]dyadKind, h.off[n])
+
+	// Every kept entry outranks its row, so none is zero, and the zeroed
+	// slack past a row's kept entries marks where the row ends.
+	h.adj = make([]uint32, h.off[n])
 	runShards(bounds, func(_, lo, hi int) {
 		rows := g.Rows()
-		var buf []uint64 // rank<<2 | kind: one sort orders both
 		for v := lo; v < hi; v++ {
 			r := rank[v]
-			buf = buf[:0]
+			row := h.adj[h.off[r]:h.off[r]:h.off[r+1]]
 			eachDyad(rows.Out(NodeID(v)), rows.In(NodeID(v)), func(w NodeID, k dyadKind) {
 				if rw := rank[w]; rw > r {
-					buf = append(buf, uint64(rw)<<2|uint64(k))
+					row = append(row, rw<<kindBits|uint32(k))
 				}
 			})
-			slices.Sort(buf)
-			row, kinds := h.row(r)
-			for i, x := range buf {
-				row[i], kinds[i] = NodeID(x>>2), dyadKind(x&3)
-			}
+			slices.Sort(row)
 		}
 	})
+	var kept, lo int64 // lo: row r's fill offset, before off[r] moved
+	for r := 0; r < n; r++ {
+		hi, end := h.off[r+1], lo
+		for end < hi && h.adj[end] != 0 {
+			end++
+		}
+		kept += int64(copy(h.adj[kept:], h.adj[lo:end]))
+		h.off[r+1], lo = kept, hi
+	}
+	h.adj = h.adj[:kept]
 	return h
 }

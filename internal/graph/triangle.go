@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"fmt"
 	"sort"
 )
@@ -138,7 +139,8 @@ func buildUndirected(g View, parallelism int) *undirected {
 func Triangles(g View, method TriangleMethod, parallelism int) *TriangleResult {
 	switch method {
 	case TriangleAuto, TriangleSandiaLL:
-		tri := Triads(g, parallelism).Triangles // a copy: the result must not pin Links
+		res, _ := Triads(context.Background(), g, parallelism) // never cancelled
+		tri := res.Triangles                                   // a copy: the result must not pin Links
 		return &tri
 	case TriangleCohen:
 		return triCohen(buildUndirected(g, parallelism), parallelism)

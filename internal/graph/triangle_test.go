@@ -215,7 +215,8 @@ func TestBuildUndirected(t *testing.T) {
 }
 
 // TestIntersectSortedGallop pins the galloping path against the linear
-// merge on skewed, overlapping, and disjoint list pairs.
+// merge on skewed, overlapping, and disjoint list pairs, of NodeIDs and
+// of packed half-graph entries.
 func TestIntersectSortedGallop(t *testing.T) {
 	linear := func(a, b []NodeID) []NodeID {
 		var out []NodeID
@@ -255,19 +256,32 @@ func TestIntersectSortedGallop(t *testing.T) {
 			return out
 		}
 		short, long = sortDedup(short), sortDedup(long)
-		// Both argument orders: positions must come back in the order
-		// the lists went in, whichever one gallops.
-		for _, pair := range [][2][]NodeID{{short, long}, {long, short}} {
-			a, b := pair[0], pair[1]
-			var got []NodeID
-			intersectSorted(a, b, func(i, j int) {
-				if a[i] != b[j] {
-					t.Errorf("emitted positions (%d, %d) hold %d and %d", i, j, a[i], b[j])
+		want := linear(short, long)
+		// Half-graph entries carry a kind below the key: the lists must
+		// meet on keys alone, whatever the kinds.
+		pack := func(s []NodeID, shift uint) []uint32 {
+			out := make([]uint32, len(s))
+			for i, v := range s {
+				out[i] = v<<shift | r.Uint32()&(1<<shift-1)
+			}
+			return out
+		}
+		for _, shift := range []uint{0, kindBits} {
+			ps, pl := pack(short, shift), pack(long, shift)
+			// Both argument orders: positions must come back in the
+			// order the lists went in, whichever one gallops.
+			for _, pair := range [][2][]uint32{{ps, pl}, {pl, ps}} {
+				a, b := pair[0], pair[1]
+				var got []NodeID
+				intersectSorted(a, b, shift, func(i, j int) {
+					if a[i]>>shift != b[j]>>shift {
+						t.Errorf("shift %d: emitted positions (%d, %d) hold %d and %d", shift, i, j, a[i], b[j])
+					}
+					got = append(got, a[i]>>shift)
+				})
+				if !reflect.DeepEqual(got, want) {
+					return false
 				}
-				got = append(got, a[i])
-			})
-			if !reflect.DeepEqual(got, linear(short, long)) {
-				return false
 			}
 		}
 		return true
