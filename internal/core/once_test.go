@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -193,20 +194,22 @@ func TestPathMilesComputedOnce(t *testing.T) {
 	}
 }
 
-// TestCancelledStageIsNotCached: a paths or triads stage cut short by a
-// cancelled context is returned to that caller only; the next caller
-// with a live context gets the full result, and that one is kept. A
-// context cancelled before the call stops the path samples and the
-// diameter sweeps alike before their first level, and the triad pass
-// before its first, so the call reads no row.
+// TestCancelledStageIsNotCached: a stage called under a cancelled
+// context is that caller's alone; the next caller with a live context
+// gets the full result, and that one is kept. A context cancelled before
+// the call computes nothing — none of the six stages, nor Table 4 built
+// from two of them, reads a row — and Structure under it returns the
+// context's error rather than zeroed figures.
 func TestCancelledStageIsNotCached(t *testing.T) {
 	u, err := synth.Generate(synth.DefaultConfig(2_000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ds := dataset.FromUniverse(u)
-	lone := New(ds, Options{Seed: 7, PathSources: 32})
-	want, wantTriads := lone.PathLengths(context.Background()), lone.triads(context.Background())
+	want, err := New(ds, Options{Seed: 7, PathSources: 32}).Structure(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	rec := trace.NewRecorder(0, trace.Rules{})
 	s := New(ds, Options{Seed: 7, PathSources: 32, Tracer: trace.New(trace.Config{Recorder: rec})})
@@ -214,34 +217,34 @@ func TestCancelledStageIsNotCached(t *testing.T) {
 	cancel()
 	cv := newCountingView(s.g)
 	s.g = cv
-	if cut := s.PathLengths(cancelled); reflect.DeepEqual(cut, want) {
-		t.Fatal("a cancelled context did not cut the path sample short; the test needs a larger graph")
+	if _, err := s.degrees(cancelled); !errors.Is(err, context.Canceled) {
+		t.Errorf("degrees under a cancelled context: error %v, want context.Canceled", err)
 	}
-	if cut := s.triads(cancelled); reflect.DeepEqual(cut, wantTriads) {
-		t.Fatal("a cancelled context did not cut the triad pass short")
+	s.scc(cancelled)
+	s.wcc(cancelled)
+	s.triads(cancelled)
+	if row := s.Topology(cancelled); row.PathLength != 0 || row.Reciprocity != 0 {
+		t.Errorf("Table 4 under a cancelled context = %+v, want no paths or reciprocity figure", row)
+	}
+	if _, err := s.Structure(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Structure under a cancelled context: error %v, want context.Canceled", err)
 	}
 	for v := range cv.outs {
 		if outs, ins := cv.outs[v].Load(), cv.ins[v].Load(); outs+ins > 0 {
 			t.Fatalf("the cancelled calls read node %d's out-row %d times and in-row %d times, want none", v, outs, ins)
 		}
 	}
-	if _, err := s.Structure(cancelled); err != nil {
-		t.Fatal(err)
-	}
 	for range 2 {
-		if got := s.PathLengths(context.Background()); !reflect.DeepEqual(got, want) {
-			t.Fatal("PathLengths after a cancelled call is not the full distribution")
-		}
-		if got := s.triads(context.Background()); !reflect.DeepEqual(got, wantTriads) {
-			t.Fatal("the triads stage after a cancelled call is not the full result")
+		if got, err := s.Structure(context.Background()); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("Structure after cancelled calls is not the full result (error %v)", err)
 		}
 	}
-	// Three computations of each: the two cut short, and the one that
-	// was kept.
+	// Three spans of each stage: the two cancelled calls, and the one
+	// that was kept.
 	spans := stageSpans(rec)
-	for _, stage := range []string{"analyze.paths", "analyze.triads"} {
-		if spans[stage] != 3 {
-			t.Errorf("%d %s spans, want 3", spans[stage], stage)
+	for _, stage := range []string{"degrees", "reciprocity", "scc", "wcc", "paths", "triads"} {
+		if spans["analyze."+stage] != 3 {
+			t.Errorf("%d analyze.%s spans, want 3", spans["analyze."+stage], stage)
 		}
 	}
 }

@@ -201,23 +201,18 @@ func (s *Study) triads(ctx context.Context) triadResult {
 			return triadResult{}, err
 		}
 
-		nodes := graph.ClusteringNodes(s.g, 0, nil, s.opts.Parallelism)
-		links := make([]int64, len(nodes))
-		coeffs := make([]float64, len(nodes))
+		coeffs := graph.ClusteringFromLinks(s.g, res.Links)
 		over := 0
-		for i, u := range nodes {
-			k := s.g.OutDegree(u)
-			links[i] = res.Links[u]
-			coeffs[i] = float64(links[i]) / float64(k*(k-1))
-			if coeffs[i] > 0.2 {
+		for _, c := range coeffs {
+			if c > 0.2 {
 				over++
 			}
 		}
 		cl := ClusteringResult{
 			CDF:      stats.CDF(coeffs),
 			Mean:     mean(coeffs),
-			Sampled:  len(nodes),
-			ByDegree: graph.ClusteringByDegree(s.g, nodes, links),
+			Sampled:  len(coeffs),
+			ByDegree: graph.ClusteringByDegree(s.g, res.Links),
 		}
 		if len(coeffs) > 0 {
 			cl.FractionAbove02 = float64(over) / float64(len(coeffs))
@@ -383,7 +378,9 @@ type StructureResult struct {
 // yet computed out concurrently under a worker budget of min(Parallelism,
 // #stages); each stage additionally parallelizes internally. Every stage
 // derives its own RNG stream, so the results are identical for any
-// Parallelism — the same contract the graph package promises.
+// Parallelism — the same contract the graph package promises. A ctx
+// cancelled before the fan-out ends returns its error, not the cut-short
+// figures.
 func (s *Study) Structure(ctx context.Context) (*StructureResult, error) {
 	ctx, sp := s.opts.Tracer.StartSpan(ctx, "analyze.structure")
 	defer sp.Finish()
@@ -411,6 +408,9 @@ func (s *Study) Structure(ctx context.Context) (*StructureResult, error) {
 		}()
 	}
 	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if degErr != nil {
 		return nil, degErr
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -151,9 +152,9 @@ func TestFigure5MatchesPerSourceBFS(t *testing.T) {
 
 // TestClusteringExactPathAndMotifs checks the two per-figure entry
 // points over the triad pass on study data: Figure 4(b) covers every
-// eligible node, its numerators are
-// graph.ClusteringLinks's, the C(k) curve is filled, and the census and
-// the triangle total describe the same graph.
+// eligible node with the coefficient graph.ClusteringCoefficient's own
+// wedge scan gives it, the C(k) curve is that of those numerators, and
+// the census and the triangle total describe the same graph.
 func TestClusteringExactPathAndMotifs(t *testing.T) {
 	u, err := synth.Generate(synth.DefaultConfig(3_000))
 	if err != nil {
@@ -162,16 +163,25 @@ func TestClusteringExactPathAndMotifs(t *testing.T) {
 	ds := dataset.FromUniverse(u)
 	s := New(ds, Options{Seed: 11})
 	cl := s.Clustering()
-	nodes := graph.ClusteringNodes(ds.Graph, 0, nil, 1)
-	if cl.Sampled != len(nodes) {
-		t.Fatalf("Figure 4(b) covers %d nodes, want every eligible node (%d)", cl.Sampled, len(nodes))
+	var coeffs []float64
+	links := make([]int64, ds.Graph.NumNodes())
+	for u := range links {
+		c, ok := graph.ClusteringCoefficient(ds.Graph, graph.NodeID(u))
+		if !ok {
+			continue
+		}
+		k := ds.Graph.OutDegree(graph.NodeID(u))
+		coeffs = append(coeffs, c)
+		links[u] = int64(math.Round(c * float64(k*(k-1))))
 	}
-	if want := stats.CDF(graph.AllClustering(ds.Graph, 1)); !reflect.DeepEqual(cl.CDF, want) {
-		t.Fatal("Figure 4(b) CDF is not that of graph.AllClustering")
+	if cl.Sampled != len(coeffs) {
+		t.Fatalf("Figure 4(b) covers %d nodes, want every eligible node (%d)", cl.Sampled, len(coeffs))
 	}
-	links := graph.ClusteringLinks(ds.Graph, nodes, 1)
-	if want := graph.ClusteringByDegree(ds.Graph, nodes, links); len(want) == 0 || !reflect.DeepEqual(cl.ByDegree, want) {
-		t.Fatal("C(k) curve is not that of graph.ClusteringLinks")
+	if want := stats.CDF(coeffs); !reflect.DeepEqual(cl.CDF, want) {
+		t.Fatal("Figure 4(b) CDF is not that of the per-node coefficients")
+	}
+	if want := graph.ClusteringByDegree(ds.Graph, links); len(want) == 0 || !reflect.DeepEqual(cl.ByDegree, want) {
+		t.Fatal("C(k) curve is not that of the per-node numerators")
 	}
 	m, err := s.Motifs()
 	if err != nil {

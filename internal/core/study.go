@@ -64,7 +64,9 @@ type memo[T any] struct {
 }
 
 // once returns the stage's cached result, or computes it inside one
-// analyze.<name> span while later callers wait on the lock.
+// analyze.<name> span while later callers wait on the lock. A context
+// already cancelled when the span opens computes nothing: the caller
+// gets the zero value and the context's error, and nothing is kept.
 func once[T any](ctx context.Context, s *Study, m *memo[T], name string, compute func(context.Context) (T, error)) (T, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -73,6 +75,10 @@ func once[T any](ctx context.Context, s *Study, m *memo[T], name string, compute
 	}
 	ctx, sp := s.opts.Tracer.StartSpan(ctx, "analyze."+name)
 	defer sp.Finish()
+	if err := ctx.Err(); err != nil {
+		var zero T
+		return zero, err
+	}
 	val, err := compute(ctx)
 	if ctx.Err() == nil {
 		m.val, m.err, m.done = val, err, true

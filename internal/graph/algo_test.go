@@ -435,19 +435,6 @@ func TestClusteringPropertyBounds(t *testing.T) {
 	}
 }
 
-func TestSampleClustering(t *testing.T) {
-	g := FromEdges(4, 0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3)
-	rng := rand.New(rand.NewPCG(3, 3))
-	all := SampleClustering(g, 0, rng, 1) // 0 => all eligible nodes
-	if len(all) != 2 {                    // only nodes 0 and 1 have out-degree >= 2
-		t.Fatalf("eligible sample size = %d, want 2", len(all))
-	}
-	some := SampleClustering(g, 1, rng, 1)
-	if len(some) != 1 {
-		t.Fatalf("sample size = %d, want 1", len(some))
-	}
-}
-
 func TestGlobalReciprocity(t *testing.T) {
 	// 3 edges, 2 of them in a mutual pair => 2/3.
 	g := FromEdges(3, 0, 1, 1, 0, 0, 2)

@@ -88,6 +88,7 @@ func (s *bfsScratch) run(src NodeID, out, in bool) []int32 {
 }
 
 // PathLengthDist is an estimated distribution of pairwise hop distances.
+// A nil *PathLengthDist reads as the empty distribution.
 type PathLengthDist struct {
 	// Counts[h] is the number of sampled (source, node) pairs at distance h.
 	Counts []int64
@@ -100,6 +101,9 @@ type PathLengthDist struct {
 // Probability returns the fraction of reachable pairs at each hop count,
 // i.e. the series plotted in Figure 5.
 func (p *PathLengthDist) Probability() []float64 {
+	if p == nil {
+		return nil
+	}
 	out := make([]float64, len(p.Counts))
 	if p.Reachable == 0 {
 		return out
@@ -112,7 +116,7 @@ func (p *PathLengthDist) Probability() []float64 {
 
 // Mean returns the average path length over sampled reachable pairs.
 func (p *PathLengthDist) Mean() float64 {
-	if p.Reachable == 0 {
+	if p == nil || p.Reachable == 0 {
 		return 0
 	}
 	var sum float64
@@ -125,6 +129,9 @@ func (p *PathLengthDist) Mean() float64 {
 // Mode returns the most common path length (the paper reports mode 6
 // directed, 5 undirected). Distance 0 (source to itself) is excluded.
 func (p *PathLengthDist) Mode() int {
+	if p == nil {
+		return 0
+	}
 	best, bestCount := 0, int64(-1)
 	for h, c := range p.Counts {
 		if h == 0 {

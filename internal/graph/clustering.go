@@ -1,7 +1,7 @@
 package graph
 
 import (
-	"math/rand/v2"
+	"context"
 	"sort"
 )
 
@@ -121,94 +121,26 @@ func intersectSorted(a, b []uint32, shift uint, emit func(i, j int)) {
 	}
 }
 
-// ClusteringNodes selects the nodes Figure 4(b) scans: nodes with
-// out-degree > 1, mirroring the paper's one-million-node sample. The
-// sampleSize contract is explicit:
-//
-//   - sampleSize < 0 selects nothing: the caller asked for fewer than
-//     zero nodes, so the result is nil and rng is not consumed;
-//   - sampleSize == 0 is a full scan: every eligible node, in ascending
-//     node-id order, with rng not consumed (it may be nil);
-//   - 0 < sampleSize <= #eligible draws a uniform sample without
-//     replacement via a partial Fisher-Yates (at equality, all of them
-//     in a seeded order);
-//   - sampleSize > #eligible degenerates to the full scan (all
-//     eligible nodes, id order, rng not consumed).
-//
-// The eligibility scan fans out over parallelism workers; the
-// Fisher-Yates draw stays serial so the RNG stream is consumed in a fixed
-// order. For a fixed rng seed the result is identical for any
-// parallelism.
-func ClusteringNodes(g View, sampleSize int, rng *rand.Rand, parallelism int) []NodeID {
-	if sampleSize < 0 {
-		return nil
-	}
-	bounds := uniformBounds(g.NumNodes(), parallelism)
-	parts := make([][]NodeID, len(bounds)-1)
-	runShards(bounds, func(shard, lo, hi int) {
-		part := make([]NodeID, 0, hi-lo)
-		for u := lo; u < hi; u++ {
-			if g.OutDegree(NodeID(u)) > 1 {
-				part = append(part, NodeID(u))
-			}
+// ClusteringFromLinks derives Figure 4(b) from TriadResult.Links: the
+// clustering coefficient of every node with out-degree > 1, in ascending
+// node-id order — every node the paper's one-million-node sample drew
+// from.
+func ClusteringFromLinks(g View, links []int64) []float64 {
+	var coeffs []float64
+	for u, l := range links {
+		if k := g.OutDegree(NodeID(u)); k > 1 {
+			coeffs = append(coeffs, coefficient(l, k))
 		}
-		parts[shard] = part
-	})
-	eligible := concatShards(parts)
-	if sampleSize == 0 || sampleSize > len(eligible) {
-		return eligible
-	}
-	// Partial Fisher-Yates: the first sampleSize entries become a
-	// uniform sample without replacement.
-	for i := 0; i < sampleSize; i++ {
-		j := i + rng.IntN(len(eligible)-i)
-		eligible[i], eligible[j] = eligible[j], eligible[i]
-	}
-	return eligible[:sampleSize]
-}
-
-// ClusteringLinks is the one scan behind Figure 4(b): for each listed
-// node, the number of directed edges among its out-neighbors, the
-// integer numerator of C(u). Coefficients and the C(k) curve are O(n)
-// derivations of it. Shards are contiguous runs of the list balanced on
-// out-degree, and each node's count lands in its own slot, so the output
-// is identical for any parallelism.
-func ClusteringLinks(g View, nodes []NodeID, parallelism int) []int64 {
-	work := make([]int64, len(nodes)+1)
-	for i, u := range nodes {
-		work[i+1] = work[i] + int64(g.OutDegree(u)) + 1
-	}
-	links := make([]int64, len(nodes))
-	bounds := prefixWorkBounds(len(nodes), parallelism, func(i int) int64 { return work[i] })
-	runShards(bounds, func(_, lo, hi int) {
-		own, nbr := g.Rows(), g.Rows()
-		for i := lo; i < hi; i++ {
-			links[i] = clusteringLinks(own, nbr, nodes[i])
-		}
-	})
-	return links
-}
-
-// SampleClustering computes the clustering coefficient of every node
-// ClusteringNodes selects for sampleSize, in its order.
-func SampleClustering(g View, sampleSize int, rng *rand.Rand, parallelism int) []float64 {
-	nodes := ClusteringNodes(g, sampleSize, rng, parallelism)
-	if nodes == nil {
-		return nil
-	}
-	links := ClusteringLinks(g, nodes, parallelism)
-	coeffs := make([]float64, len(nodes))
-	for i, u := range nodes {
-		coeffs[i] = coefficient(links[i], g.OutDegree(u))
 	}
 	return coeffs
 }
 
 // AllClustering computes the exact clustering coefficient of every
-// eligible node (out-degree > 1), in ascending node-id order: the
-// full-scan form of SampleClustering under the name of the exact path.
+// eligible node (out-degree > 1), in ascending node-id order: one Triads
+// pass read through ClusteringFromLinks.
 func AllClustering(g View, parallelism int) []float64 {
-	return SampleClustering(g, 0, nil, parallelism)
+	res, _ := Triads(context.Background(), g, parallelism) // never cancelled
+	return ClusteringFromLinks(g, res.Links)
 }
 
 // DegreeClustering is one point of the C(k) curve: the mean clustering
@@ -221,18 +153,20 @@ type DegreeClustering struct {
 	Mean float64
 }
 
-// ClusteringByDegree derives the C(k) curve from the ClusteringLinks of a
-// node list: for every out-degree k present in it, the mean coefficient
-// over the listed nodes of that out-degree, ascending by k. The link
-// numerators are summed as integers per degree, so the curve is exact
-// when the list is the full scan.
-func ClusteringByDegree(g View, nodes []NodeID, links []int64) []DegreeClustering {
+// ClusteringByDegree derives the C(k) curve from TriadResult.Links: for
+// every out-degree k > 1, the mean coefficient over the nodes of that
+// out-degree, ascending by k. The link numerators are summed as integers
+// per degree, so the curve is exact.
+func ClusteringByDegree(g View, links []int64) []DegreeClustering {
 	type acc struct{ links, n int64 }
 	byDeg := map[int]acc{}
-	for i, u := range nodes {
-		k := g.OutDegree(u)
+	for u, l := range links {
+		k := g.OutDegree(NodeID(u))
+		if k < 2 {
+			continue
+		}
 		a := byDeg[k]
-		a.links += links[i]
+		a.links += l
 		a.n++
 		byDeg[k] = a
 	}

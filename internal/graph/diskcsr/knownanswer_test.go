@@ -151,12 +151,12 @@ func bruteFigure4(g *graph.Graph) (perNode, links []int64, shared []int) {
 
 // TestKnownAnswers runs the known-answer fixtures through the kernel
 // matrix: the triad pass (triangles, census and the numerator of every
-// node at once), the Cohen reference and the two Figure 4 numerator
-// scans must each reproduce the pinned integers — which brute-force
-// enumeration confirms first, the census apart — over RAM, the mapped
-// form and the hostile view of both, at every parallelism. An error
-// shared by every kernel of the package would pass TestKernelEquivalence
-// and fail here.
+// node at once), the Cohen reference and the reciprocity scan must each
+// reproduce the pinned integers — which brute-force enumeration confirms
+// first, the census apart — and AllClustering and the per-node
+// ClusteringCoefficient their ratios, over RAM, the mapped form and the
+// hostile view of both, at every parallelism. An error shared by every
+// kernel of the package would pass TestKernelEquivalence and fail here.
 func TestKnownAnswers(t *testing.T) {
 	for _, ka := range knownAnswers() {
 		t.Run(ka.name, func(t *testing.T) {
@@ -167,17 +167,18 @@ func TestKnownAnswers(t *testing.T) {
 			}
 			// coeffs are the pinned numerators over k(k-1): 30/30 for
 			// every node of K7.
-			all := make([]graph.NodeID, n)
 			var coeffs []float64
-			for u := range all {
-				all[u] = graph.NodeID(u)
-				if k := ka.g.OutDegree(all[u]); k > 1 {
+			for u := range n {
+				if k := ka.g.OutDegree(graph.NodeID(u)); k > 1 {
 					coeffs = append(coeffs, float64(ka.links[u])/float64(k*(k-1)))
 				}
 			}
 			views := matrixViews(t, ka.g)
 			views["ram"] = ka.g
 			for vname, v := range views {
+				if got := coefficientsOf(v); !slices.Equal(got, coeffs) {
+					t.Errorf("%s: ClusteringCoefficient = %v, want %v", vname, got, coeffs)
+				}
 				for _, par := range matrixParallelisms {
 					triads := triadsOf(v, par)
 					for _, res := range []*graph.TriangleResult{&triads.Triangles, graph.Triangles(v, graph.TriangleCohen, par)} {
@@ -190,9 +191,6 @@ func TestKnownAnswers(t *testing.T) {
 					}
 					if triads.Census.Counts != ka.census {
 						t.Errorf("%s P=%d: census %v, want %v", vname, par, triads.Census.Counts, ka.census)
-					}
-					if got := graph.ClusteringLinks(v, all, par); !reflect.DeepEqual(got, ka.links) {
-						t.Errorf("%s P=%d: ClusteringLinks = %v, want %v", vname, par, got, ka.links)
 					}
 					if got := graph.ReciprocalCounts(v, par); !reflect.DeepEqual(got, ka.shared) {
 						t.Errorf("%s P=%d: ReciprocalCounts = %v, want %v", vname, par, got, ka.shared)

@@ -186,7 +186,7 @@ var matrixParallelisms = []int{1, 2, 3, 8}
 // backend, and over both backends behind staleView, at every
 // parallelism level. The triad pass must also give, on each graph, the
 // answers of the routes that share nothing with it: Cohen's triangles
-// and the ClusteringLinks of every node.
+// and the per-node ClusteringCoefficient of every node.
 func TestKernelEquivalence(t *testing.T) {
 	paths := func(v graph.View, dir graph.Direction, par int) any {
 		return graph.SamplePathLengths(context.Background(), v, dir, graph.PathLengthOptions{
@@ -207,15 +207,11 @@ func TestKernelEquivalence(t *testing.T) {
 		"Triads":            func(v graph.View, par int) any { return triadsOf(v, par) },
 		"TrianglesCohen":    func(v graph.View, par int) any { return graph.Triangles(v, graph.TriangleCohen, par) },
 		"ClusteringByDegree": func(v graph.View, par int) any {
-			nodes := graph.ClusteringNodes(v, 0, nil, par)
-			links := graph.ClusteringLinks(v, nodes, par)
-			return []any{nodes, links, graph.ClusteringByDegree(v, nodes, links)}
+			return graph.ClusteringByDegree(v, triadsOf(v, par).Links)
 		},
-		"SampleClustering": func(v graph.View, par int) any {
-			return graph.SampleClustering(v, 50, rand.New(rand.NewPCG(5, 6)), par)
-		},
-		"PathsDirected":   func(v graph.View, par int) any { return paths(v, graph.Directed, par) },
-		"PathsUndirected": func(v graph.View, par int) any { return paths(v, graph.Undirected, par) },
+		"ClusteringCoefficient": func(v graph.View, _ int) any { return coefficientsOf(v) },
+		"PathsDirected":         func(v graph.View, par int) any { return paths(v, graph.Directed, par) },
+		"PathsUndirected":       func(v graph.View, par int) any { return paths(v, graph.Undirected, par) },
 		"DiameterDirected": func(v graph.View, par int) any {
 			return graph.DoubleSweepDiameter(context.Background(), v, graph.Directed, 3, rand.New(rand.NewPCG(7, 8)), par)
 		},
@@ -239,16 +235,12 @@ func TestKernelEquivalence(t *testing.T) {
 	for name, g := range testGraphs() {
 		t.Run(name, func(t *testing.T) {
 			triads, cohen := triadsOf(g, 1), graph.Triangles(g, graph.TriangleCohen, 1)
-			all := make([]graph.NodeID, g.NumNodes())
-			for u := range all {
-				all[u] = graph.NodeID(u)
-			}
 			cohen.Method = triads.Triangles.Method
 			if !reflect.DeepEqual(&triads.Triangles, cohen) {
 				t.Errorf("Triads counts triangles %+v, the Cohen reference %+v", triads.Triangles, cohen)
 			}
-			if links := graph.ClusteringLinks(g, all, 1); !reflect.DeepEqual(triads.Links, links) {
-				t.Errorf("Triads.Links = %v, ClusteringLinks = %v", triads.Links, links)
+			if got, want := graph.ClusteringFromLinks(g, triads.Links), coefficientsOf(g); !slices.Equal(got, want) {
+				t.Errorf("coefficients of Triads.Links = %v, ClusteringCoefficient = %v", got, want)
 			}
 			views := matrixViews(t, g)
 			for kname, run := range kernels {
@@ -272,6 +264,19 @@ func triadsOf(v graph.View, par int) *graph.TriadResult {
 		panic(err)
 	}
 	return res
+}
+
+// coefficientsOf is Figure 4(b) node by node: the ClusteringCoefficient
+// of every node with out-degree > 1, in id order, by a wedge scan that
+// shares nothing with Triads.
+func coefficientsOf(v graph.View) []float64 {
+	var cs []float64
+	for u := range v.NumNodes() {
+		if c, ok := graph.ClusteringCoefficient(v, graph.NodeID(u)); ok {
+			cs = append(cs, c)
+		}
+	}
+	return cs
 }
 
 // TestTriadsAllocationShape pins what the triad pass holds: the ranked

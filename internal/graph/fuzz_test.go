@@ -83,7 +83,7 @@ func FuzzMultiSourceBFS(f *testing.F) {
 
 // FuzzTriads holds the one closed-triple enumeration against the three
 // routes that share nothing with it — the isomorphism census, cubic
-// triangle enumeration and ClusteringLinks — on digraphs of up to 64
+// triangle enumeration and the per-node clusteringLinks — on digraphs of up to 64
 // nodes decoded from the input (one byte per endpoint, reduced mod n),
 // at P = 1, 2, 3 and 8. Seeds: the 3-cycle, the transitive triangle and
 // a mutual K4, the three shapes the kind tables tell apart, and a graph
@@ -104,11 +104,10 @@ func FuzzTriads(f *testing.F) {
 		g := b.Build()
 		census := bruteMotifs(t, g)
 		total, perNode := bruteTriangles(g)
-		all := make([]NodeID, n)
-		for u := range all {
-			all[u] = NodeID(u)
+		links := make([]int64, n)
+		for u := range links {
+			links[u] = clusteringLinks(g, g, NodeID(u))
 		}
-		links := ClusteringLinks(g, all, 1)
 		for _, par := range []int{1, 2, 3, 8} {
 			got := triads(g, par)
 			if got.Census.Counts != census {
@@ -118,7 +117,7 @@ func FuzzTriads(f *testing.F) {
 				t.Errorf("P=%d: %d triangles %v, enumeration finds %d %v", par, got.Triangles.Total, got.Triangles.PerNode, total, perNode)
 			}
 			if !reflect.DeepEqual(got.Links, links) {
-				t.Errorf("P=%d: Links %v, ClusteringLinks %v", par, got.Links, links)
+				t.Errorf("P=%d: Links %v, clusteringLinks %v", par, got.Links, links)
 			}
 		}
 	})

@@ -100,20 +100,6 @@ func Shards(n, parallelism int, fn func(lo, hi int)) {
 	runShards(uniformBounds(n, parallelism), func(_, lo, hi int) { fn(lo, hi) })
 }
 
-// concatShards merges per-shard result slices in shard order, so the
-// output is identical to a serial left-to-right scan.
-func concatShards[T any](parts [][]T) []T {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]T, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
 // relabelByFirstAppearance rewrites the component labels in comp to the
 // package's canonical numbering — ids count up in order of each
 // component's first appearance by node id — and returns the component

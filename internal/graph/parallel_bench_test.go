@@ -93,15 +93,6 @@ func BenchmarkAnalysisGlobalReciprocity(b *testing.B) {
 	})
 }
 
-func BenchmarkAnalysisSampleClustering(b *testing.B) {
-	g := analysisGraphOnce(b)
-	benchOverParallelisms(b, func(b *testing.B, par int) {
-		for i := 0; i < b.N; i++ {
-			_ = SampleClustering(g, 100_000, rand.New(rand.NewPCG(7, 8)), par)
-		}
-	})
-}
-
 func BenchmarkAnalysisWCC(b *testing.B) {
 	g := analysisGraphOnce(b)
 	benchOverParallelisms(b, func(b *testing.B, par int) {

@@ -44,18 +44,12 @@ func TestParallelDeterminism(t *testing.T) {
 				"TopByInDegree":     func(par int) any { return TopByInDegree(g, 10, par) },
 				"AllReciprocities":  func(par int) any { return AllReciprocities(g, par) },
 				"GlobalReciprocity": func(par int) any { return GlobalReciprocity(g, par) },
-				"SampleClustering": func(par int) any {
-					return SampleClustering(g, 50, rand.New(rand.NewPCG(5, 6)), par)
-				},
-				"WCC":           func(par int) any { return WCC(g, par) },
-				"SCC":           func(int) any { return SCC(g) },
-				"AllClustering": func(par int) any { return AllClustering(g, par) },
-				"ClusteringLinks": func(par int) any {
-					return ClusteringLinks(g, ClusteringNodes(g, 0, nil, par), par)
-				},
-				"ReciprocalCounts": func(par int) any { return ReciprocalCounts(g, par) },
-				"TrianglesCohen":   func(par int) any { return Triangles(g, TriangleCohen, par) },
-				"Triads":           func(par int) any { return triads(g, par) },
+				"WCC":               func(par int) any { return WCC(g, par) },
+				"SCC":               func(int) any { return SCC(g) },
+				"AllClustering":     func(par int) any { return AllClustering(g, par) },
+				"ReciprocalCounts":  func(par int) any { return ReciprocalCounts(g, par) },
+				"TrianglesCohen":    func(par int) any { return Triangles(g, TriangleCohen, par) },
+				"Triads":            func(par int) any { return triads(g, par) },
 			}
 			for algo, run := range runs {
 				base := run(1)

@@ -23,8 +23,8 @@ type TriadResult struct {
 	// Census is the directed triad census.
 	Census MotifCensus
 	// Links[u] is the number of directed edges among u's out-neighbors,
-	// the numerator of C(u): ClusteringLinks of every node at once (0
-	// where the out-degree is below two).
+	// the numerator of C(u) (0 where the out-degree is below two);
+	// ClusteringFromLinks and ClusteringByDegree read Figure 4(b) off it.
 	Links []int64
 }
 

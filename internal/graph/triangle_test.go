@@ -291,28 +291,27 @@ func TestIntersectSortedGallop(t *testing.T) {
 	}
 }
 
-// TestClusteringEntryPoints pins what each clustering entry point is of
-// the one scan: the sampleSize contract of ClusteringNodes (negative
-// selects nothing, zero and anything past the eligible count are the
-// full id-ordered scan, in-range sizes return exactly that many distinct
-// eligible nodes), AllClustering and SampleClustering as ratios of
-// ClusteringLinks, and the C(k) curve against a serial recomputation.
+// TestClusteringEntryPoints pins both Figure 4(b) derivations against
+// the per-node reference: ClusteringFromLinks over every node's
+// clusteringLinks and AllClustering are the id-ordered coefficients of
+// the nodes with out-degree > 1, and ClusteringByDegree is the C(k)
+// curve a serial recomputation averages from them.
 func TestClusteringEntryPoints(t *testing.T) {
 	for name, g := range testGraphs() {
-		var eligible []NodeID
 		var want []float64
+		links := make([]int64, g.NumNodes())
 		type agg struct {
 			sum float64
 			n   int
 		}
 		byDeg := map[int]*agg{}
 		for u := 0; u < g.NumNodes(); u++ {
+			links[u] = clusteringLinks(g, g, NodeID(u))
 			k := g.OutDegree(NodeID(u))
 			c, ok := ClusteringCoefficient(g, NodeID(u))
 			if !ok {
 				continue
 			}
-			eligible = append(eligible, NodeID(u))
 			want = append(want, c)
 			if byDeg[k] == nil {
 				byDeg[k] = &agg{}
@@ -320,48 +319,13 @@ func TestClusteringEntryPoints(t *testing.T) {
 			byDeg[k].sum += c
 			byDeg[k].n++
 		}
-		if got := ClusteringNodes(g, -1, nil, 4); got != nil {
-			t.Errorf("%s: sampleSize=-1 selected %d nodes, want nil", name, len(got))
-		}
-		if got := SampleClustering(g, -1, nil, 4); got != nil {
-			t.Errorf("%s: sampleSize=-1: got %d coefficients, want nil", name, len(got))
-		}
-		// rng must be unused on the full-scan forms: nil would panic if
-		// consulted.
-		for _, size := range []int{0, len(eligible) + 1, len(eligible) + 100} {
-			if got := ClusteringNodes(g, size, nil, 4); !slices.Equal(got, eligible) {
-				t.Errorf("%s: sampleSize=%d selected %v, want every eligible node in id order", name, size, got)
-			}
-			if got := SampleClustering(g, size, nil, 4); !slices.Equal(got, want) {
-				t.Errorf("%s: sampleSize=%d differs from the per-node coefficients", name, size)
-			}
+		if got := ClusteringFromLinks(g, links); !slices.Equal(got, want) {
+			t.Errorf("%s: ClusteringFromLinks differs from the per-node coefficients", name)
 		}
 		if got := AllClustering(g, 4); !slices.Equal(got, want) {
 			t.Errorf("%s: AllClustering differs from the per-node coefficients", name)
 		}
-		for _, size := range []int{1, 7, len(eligible)} {
-			if size > len(eligible) || size == 0 {
-				continue
-			}
-			nodes := ClusteringNodes(g, size, rand.New(rand.NewPCG(1, 2)), 4)
-			seen := map[NodeID]bool{}
-			for _, u := range nodes {
-				if g.OutDegree(u) < 2 || seen[u] {
-					t.Fatalf("%s: sampleSize=%d drew %d twice or ineligible", name, size, u)
-				}
-				seen[u] = true
-			}
-			if len(nodes) != size {
-				t.Errorf("%s: sampleSize=%d selected %d nodes", name, size, len(nodes))
-			}
-			coeffs := SampleClustering(g, size, rand.New(rand.NewPCG(1, 2)), 4)
-			for i, u := range nodes {
-				if c, _ := ClusteringCoefficient(g, u); coeffs[i] != c {
-					t.Fatalf("%s: sampleSize=%d: coefficient %d is not node %d's", name, size, i, u)
-				}
-			}
-		}
-		curve := ClusteringByDegree(g, eligible, ClusteringLinks(g, eligible, 4))
+		curve := ClusteringByDegree(g, links)
 		if len(curve) != len(byDeg) {
 			t.Fatalf("%s: %d degree buckets, want %d", name, len(curve), len(byDeg))
 		}

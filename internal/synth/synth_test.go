@@ -2,7 +2,6 @@ package synth
 
 import (
 	"math"
-	"math/rand/v2"
 	"reflect"
 	"sync"
 	"testing"
@@ -136,8 +135,7 @@ func TestCalibrationStructural(t *testing.T) {
 	}
 
 	// Figure 4(b): a large minority of users with CC > 0.2.
-	rng := rand.New(rand.NewPCG(7, 7))
-	ccs := graph.SampleClustering(g, 10_000, rng, 1)
+	ccs := graph.AllClustering(g, 1)
 	over = 0
 	for _, c := range ccs {
 		if c > 0.2 {
