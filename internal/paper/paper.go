@@ -58,6 +58,7 @@ type Results struct {
 	Countries   map[string]float64
 	Penetration map[string]float64 // GPR by country
 	Links       core.CountryLinkMatrix
+	PathMiles   core.PathMileResult
 	Fields      core.FieldCCDF
 	Openness    map[string]float64 // P(>6 fields) by country
 }
@@ -96,6 +97,7 @@ func Collect(ctx context.Context, s *core.Study) (*Results, error) {
 		r.Penetration[p.Code] = p.GPR
 	}
 	r.Links = s.CountryLinks()
+	r.PathMiles = s.PathMiles()
 	r.Fields = s.FieldsShared()
 	for _, row := range s.FieldsByCountry([]string{"ID", "MX", "US", "DE"}) {
 		r.Openness[row.Country] = row.Openness(6)
@@ -265,6 +267,27 @@ func Checks() []Check {
 			Claim: "66% of tel-users share >6 fields versus 10% of all users",
 			Holds: func(r *Results) bool {
 				return stats.CCDFAt(r.Fields.Tel, 7) > 3*stats.CCDFAt(r.Fields.All, 7)
+			},
+		},
+
+		// Figure 9(a) — path miles. An empty population fails both.
+		{
+			ID:    "fig9/friends-closer",
+			Claim: "friends live closer than random pairs (58% of friend pairs within 1,000 mi)",
+			Holds: func(r *Results) bool {
+				pm := &r.PathMiles
+				return len(pm.Friends) > 0 && len(pm.Random) > 0 &&
+					stats.CDFAt(pm.FriendsCDF, 1000) > stats.CDFAt(pm.RandomCDF, 1000)
+			},
+		},
+		{
+			ID:    "fig9/reciprocal-closest",
+			Claim: "reciprocal friends live closest: their median path mile is below friends'",
+			Holds: func(r *Results) bool {
+				pm := &r.PathMiles
+				return len(pm.Friends) > 0 && len(pm.Reciprocal) > 0 &&
+					stats.CDFQuantile(pm.ReciprocalCDF, len(pm.Reciprocal), 0.5) <
+						stats.CDFQuantile(pm.FriendsCDF, len(pm.Friends), 0.5)
 			},
 		},
 
