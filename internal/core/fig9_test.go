@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -17,7 +18,8 @@ import (
 // It walks the profiles for locations, asks graph.HasArc about every
 // random attempt as it is drawn, and measures each pair with
 // geo.HaversineMilesCos from the profiles' own coordinates — sharing only
-// the RNG stream, the reservoir and stats.CDF with Study.pathMiles.
+// the RNG stream, the reservoir, stats.CDF and stats.DKWEpsilon with
+// Study.pathMiles.
 func pathMilesSerial(s *Study) PathMileResult {
 	rng := s.rng(11)
 	var located []graph.NodeID
@@ -65,6 +67,13 @@ func pathMilesSerial(s *Study) PathMileResult {
 	res.FriendsCDF = stats.CDF(res.Friends)
 	res.ReciprocalCDF = stats.CDF(res.Reciprocal)
 	res.RandomCDF = stats.CDF(res.Random)
+	if friends.Seen() > int64(len(res.Friends)) {
+		res.FriendsEps = stats.DKWEpsilon(len(res.Friends), PairSampleAlpha)
+	}
+	if reciprocal.Seen() > int64(len(res.Reciprocal)) {
+		res.ReciprocalEps = stats.DKWEpsilon(len(res.Reciprocal), PairSampleAlpha)
+	}
+	res.RandomEps = stats.DKWEpsilon(len(res.Random), PairSampleAlpha)
 	return res
 }
 
@@ -140,4 +149,60 @@ func TestPathMilesAttemptCap(t *testing.T) {
 			t.Errorf("P=%d: PathMiles differs from the serial reference", par)
 		}
 	}
+}
+
+// TestPathMilesStatedError: the default sample is the DKW size, a
+// population taken whole states no error and a sampled one the DKW ε of
+// its size; and on the 3 000-user fixture the default-size random-pair
+// CDF lies within 2ε of an independent 20× larger sample's CDF. A miss
+// needs one of the two samples to stray from the population's CDF: the
+// default one by more than 1.63ε or the large one (its own ε is ε/√20)
+// by more than 0.37ε, each below 1.1·10⁻⁴ by DKW — no seed is picked.
+func TestPathMilesStatedError(t *testing.T) {
+	u, err := synth.Generate(synth.DefaultConfig(3_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.FromUniverse(u)
+	want := stats.DKWSize(PairSampleEps, PairSampleAlpha)
+	eps := stats.DKWEpsilon(want, PairSampleAlpha)
+
+	def := New(ds, Options{Seed: 2012})
+	pm := def.PathMiles()
+	if def.opts.PairSample != want || len(pm.Random) != want {
+		t.Fatalf("default PairSample %d drew %d random pairs, want the DKW size %d", def.opts.PairSample, len(pm.Random), want)
+	}
+	if pm.RandomEps != eps {
+		t.Errorf("random ε = %v, want %v", pm.RandomEps, eps)
+	}
+	// The fixture's friend arcs between located users number fewer than
+	// the DKW size: both reservoirs take their population whole.
+	if len(pm.Friends) >= want || pm.FriendsEps != 0 || pm.ReciprocalEps != 0 {
+		t.Errorf("%d friend pairs with ε %v, reciprocal ε %v: want a whole population with ε 0",
+			len(pm.Friends), pm.FriendsEps, pm.ReciprocalEps)
+	}
+	small := New(ds, Options{Seed: 2012, PairSample: 50}).PathMiles()
+	if e := stats.DKWEpsilon(50, PairSampleAlpha); small.FriendsEps != e || small.ReciprocalEps != e || small.RandomEps != e {
+		t.Errorf("50-pair samples state ε %v/%v/%v, want %v", small.FriendsEps, small.ReciprocalEps, small.RandomEps, e)
+	}
+
+	large := New(ds, Options{Seed: 7, PairSample: 20 * want}).PathMiles()
+	if len(large.Random) != 20*want {
+		t.Fatalf("large sample drew %d random pairs, want %d", len(large.Random), 20*want)
+	}
+	if d := supDistance(pm.RandomCDF, large.RandomCDF); d > 2*eps {
+		t.Errorf("random-pair CDFs of %d and %d pairs are %.4f apart, beyond 2ε = %.4f", want, 20*want, d, 2*eps)
+	}
+}
+
+// supDistance is the largest gap between two empirical CDFs, which
+// both step only at their own points.
+func supDistance(a, b []stats.Point) float64 {
+	var d float64
+	for _, pts := range [][]stats.Point{a, b} {
+		for _, p := range pts {
+			d = max(d, math.Abs(stats.CDFAt(a, p.X)-stats.CDFAt(b, p.X)))
+		}
+	}
+	return d
 }

@@ -189,6 +189,27 @@ func (c *locatedColumn) miles(u, v graph.NodeID) float64 {
 	return geo.HaversineMilesCos(a.loc, b.loc, a.cosLat, b.cosLat)
 }
 
+// Figure 9(a) draws each pair population to a stated CDF error: the
+// Dvoretzky–Kiefer–Wolfowitz size (stats.DKWSize, 18 445 pairs) at which
+// the sample's empirical CDF lies within PairSampleEps of the
+// population's everywhere with probability at least 1 − PairSampleAlpha.
+// Options.PairSample defaults to that size. A population that is
+// smaller is taken whole and has no sampling error.
+//
+// DKW is proven for i.i.d. draws. The random pairs are i.i.d. as
+// written: each attempt draws both users uniformly with replacement and
+// rejection keeps the unlinked pairs, so every accepted pair is an
+// independent uniform draw of the unlinked population. The friend and
+// reciprocal reservoirs instead hold a uniform sample without
+// replacement of every qualifying arc. For one threshold, Hoeffding
+// (1963) shows such a sample concentrates at least as tightly as i.i.d.
+// draws; that the uniform DKW bound, constant 2 included, carries over
+// too is assumed here, not proven.
+const (
+	PairSampleEps   = 0.01
+	PairSampleAlpha = 0.05
+)
+
 // PathMileResult is Figure 9(a): CDFs of the physical distance between
 // user pairs, in miles.
 type PathMileResult struct {
@@ -197,6 +218,10 @@ type PathMileResult struct {
 	Friends, Reciprocal, Random []float64
 	// FriendsCDF etc. are their empirical CDFs.
 	FriendsCDF, ReciprocalCDF, RandomCDF []stats.Point
+	// FriendsEps etc. are each CDF's stated error: the DKW ε at
+	// confidence 1 − PairSampleAlpha for the sample's size, or 0 for a
+	// population taken whole.
+	FriendsEps, ReciprocalEps, RandomEps float64
 }
 
 // PathMiles computes Figure 9(a) over located crawled users: distances
@@ -247,7 +272,19 @@ func (s *Study) pathMiles() PathMileResult {
 	res.FriendsCDF = stats.CDF(res.Friends)
 	res.ReciprocalCDF = stats.CDF(res.Reciprocal)
 	res.RandomCDF = stats.CDF(res.Random)
+	res.FriendsEps = reservoirEps(friends)
+	res.ReciprocalEps = reservoirEps(reciprocal)
+	res.RandomEps = stats.DKWEpsilon(len(res.Random), PairSampleAlpha)
 	return res
+}
+
+// reservoirEps is a reservoir population's stated CDF error: 0 when the
+// reservoir holds the whole stream.
+func reservoirEps(r *stats.Reservoir[pair]) float64 {
+	if n := len(r.Items()); r.Seen() > int64(n) {
+		return stats.DKWEpsilon(n, PairSampleAlpha)
+	}
+	return 0
 }
 
 // randomPairs draws Figure 9(a)'s third population: uniformly sampled

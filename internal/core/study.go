@@ -17,6 +17,7 @@ import (
 	"gplus/internal/dataset"
 	"gplus/internal/graph"
 	"gplus/internal/obs/trace"
+	"gplus/internal/stats"
 )
 
 // Study computes the paper's analyses over one dataset. All methods are
@@ -94,8 +95,9 @@ type Options struct {
 	// PathSources bounds the BFS sources of the Figure 5 estimate
 	// (default 256; the paper used up to 10,000 on a 35M-node graph).
 	PathSources int
-	// PairSample bounds each Figure 9 pair population (default 100,000;
-	// the paper used 13-60 million pairs).
+	// PairSample bounds each Figure 9 pair population. The default,
+	// 18,445, is the DKW size for a CDF error of PairSampleEps at
+	// confidence 1 − PairSampleAlpha; the paper used 13-60 million pairs.
 	PairSample int
 	// Parallelism fans every graph analysis except the serial SCC
 	// (degrees, reciprocity, clustering, WCC, triangles, BFS sampling) out
@@ -116,7 +118,7 @@ func (o Options) withDefaults() Options {
 		o.PathSources = 256
 	}
 	if o.PairSample <= 0 {
-		o.PairSample = 100_000
+		o.PairSample = stats.DKWSize(PairSampleEps, PairSampleAlpha)
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)

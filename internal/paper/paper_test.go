@@ -2,10 +2,12 @@ package paper
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"gplus/internal/core"
 	"gplus/internal/dataset"
+	"gplus/internal/stats"
 	"gplus/internal/synth"
 )
 
@@ -101,5 +103,47 @@ func TestEvaluateDetectsBrokenWorld(t *testing.T) {
 	}
 	if failed < 3 {
 		t.Errorf("broken world failed only %d checks; the audit is too lax", failed)
+	}
+}
+
+// TestFig9RowsFailOnEmptyPopulation: a Figure 9(a) row whose population
+// is empty says FAIL, never PASS and never a panic.
+func TestFig9RowsFailOnEmptyPopulation(t *testing.T) {
+	full := func() core.PathMileResult {
+		pm := core.PathMileResult{Friends: []float64{300, 2000}, Reciprocal: []float64{100}, Random: []float64{5000}}
+		pm.FriendsCDF, pm.ReciprocalCDF, pm.RandomCDF = stats.CDF(pm.Friends), stats.CDF(pm.Reciprocal), stats.CDF(pm.Random)
+		return pm
+	}
+	rows := map[string]func(*Results) bool{}
+	for _, c := range Checks() {
+		if strings.HasPrefix(c.ID, "fig9/") {
+			rows[c.ID] = c.Holds
+		}
+	}
+	if len(rows) != 2 {
+		t.Fatalf("%d fig9 rows, want 2", len(rows))
+	}
+	for id, holds := range rows {
+		if !holds(&Results{PathMiles: full()}) {
+			t.Errorf("%s fails on populations that satisfy it", id)
+		}
+	}
+	empty := map[string]func(*core.PathMileResult){
+		"friends":    func(pm *core.PathMileResult) { pm.Friends, pm.FriendsCDF = nil, nil },
+		"reciprocal": func(pm *core.PathMileResult) { pm.Reciprocal, pm.ReciprocalCDF = nil, nil },
+		"random":     func(pm *core.PathMileResult) { pm.Random, pm.RandomCDF = nil, nil },
+	}
+	reads := map[string][]string{
+		"fig9/friends-closer":     {"friends", "random"},
+		"fig9/reciprocal-closest": {"friends", "reciprocal"},
+	}
+	for id, pops := range reads {
+		for _, pop := range pops {
+			pm := full()
+			empty[pop](&pm)
+			if rows[id](&Results{PathMiles: pm}) {
+				t.Errorf("%s passes with no %s pairs", id, pop)
+			}
+		}
 	}
 }

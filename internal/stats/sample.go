@@ -42,6 +42,10 @@ func (r *Reservoir[T]) Add(item T) {
 // Items returns the current sample. The slice is owned by the reservoir.
 func (r *Reservoir[T]) Items() []T { return r.items }
 
+// Seen returns how many items the stream has offered; the sample is the
+// whole stream exactly when Seen is at most len(Items()).
+func (r *Reservoir[T]) Seen() int64 { return r.seen }
+
 // BoundedPareto draws from a discrete bounded Pareto distribution on
 // [xmin, xmax] with tail exponent alpha (the CCDF decays like x^-alpha).
 // It is the degree-sequence sampler behind the synthetic generator.
