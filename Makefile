@@ -43,7 +43,7 @@ help:
 	@echo "make bench-storage  out-of-core CSR: segment/compact/load/scan -> BENCH_storage.json"
 	@echo "make paperscale     10M-node/200M-edge out-of-core acceptance run (slow; merges RSS rows into BENCH_storage.json)"
 	@echo "make ablations      design-choice ablations, seed sensitivity and the lost-edge crawl"
-	@echo "make fuzz           long fuzz of every parser (wire codec, series names and the series.jsonl tick decoder included), the client's request URLs, the multi-source BFS, the triad pass, the edge sort and the CDF sort (30s each)"
+	@echo "make fuzz           long fuzz of every parser (wire codec, series names and the series.jsonl tick decoder included), the client's request URLs, the multi-source BFS, the triad pass, the edge sort, the segment compaction and the CDF sort (30s each)"
 	@echo "make verify         generate a dataset and audit it against the paper at two analysis seeds"
 	@echo "make experiments    regenerate the measured half of EXPERIMENTS.md from a fresh dataset"
 
@@ -183,7 +183,7 @@ bench-analysis:
 	$(GO) test -run '^$$' -bench 'BenchmarkAnalysis' -benchmem -benchtime=1x -count=1 -timeout 30m ./internal/graph \
 	    | $(GO) run ./cmd/benchjson -out BENCH_analysis.json
 
-# The out-of-core storage suite: segment ingest, k-way compaction, v2
+# The out-of-core storage suite: segment ingest, compaction, v2
 # encode, load (materialize vs verified mmap vs unverified mmap), and
 # the two kernel access patterns (sequential sweep, random row probes)
 # over both backends, recorded as a JSON baseline future PRs can diff
@@ -221,6 +221,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSortEdges -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzSortedCopy -fuzztime=30s ./internal/stats/
 	$(GO) test -fuzz=FuzzOpenV2 -fuzztime=30s ./internal/graph/diskcsr/
+	$(GO) test -fuzz=FuzzCompact -fuzztime=30s ./internal/graph/diskcsr/
 	$(GO) test -fuzz=FuzzReadResult -fuzztime=30s ./internal/crawler/
 	$(GO) test -fuzz=FuzzParseFaultSpec -fuzztime=30s ./internal/gplusd/
 	$(GO) test -fuzz=FuzzSeriesName -fuzztime=30s ./internal/obs/
@@ -236,7 +237,9 @@ fuzz:
 # codec is the parser every network byte and every profile-column byte
 # goes through (held to encoding/json as its oracle), diskcsr.Open is
 # the one graph reader, so every graph.v2 byte of every dataset goes
-# through it (seeded with the dataset package's golden graph.v2), the triad
+# through it (seeded with the dataset package's golden graph.v2), Compact
+# is the one writer of every crawled graph.v2 (held byte for byte to
+# WriteGraph of the Builder's graph at GOMAXPROCS 1, 2 and 3), the triad
 # pass is the one kernel three figures share, the multi-source BFS is
 # the one kernel behind Figure 5 and both diameter bounds (held lane by
 # lane to the single-source BFS, in both step kinds), the radix edge
@@ -248,6 +251,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz=FuzzReadResult -fuzztime=10s ./internal/crawler/
 	$(GO) test -run '^$$' -fuzz=FuzzSeriesLog -fuzztime=10s -fuzzminimizetime=1s ./internal/obs/series/
 	$(GO) test -run '^$$' -fuzz=FuzzOpenV2 -fuzztime=10s ./internal/graph/diskcsr/
+	$(GO) test -run '^$$' -fuzz=FuzzCompact -fuzztime=10s ./internal/graph/diskcsr/
 	$(GO) test -run '^$$' -fuzz=FuzzTriads -fuzztime=10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz=FuzzMultiSourceBFS -fuzztime=10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz=FuzzSortEdges -fuzztime=10s ./internal/graph/

@@ -40,7 +40,7 @@ func (b *Builder) Build() *Graph {
 	// stays live past Build, a reused builder would re-sort and re-emit
 	// the stale records alongside any new edges, and the capacity pinned
 	// by duplicates never shrinks.
-	kept, _ := SortEdges(b.edges, make([]uint64, len(b.edges)))
+	kept := SortEdges(b.edges, make([]uint64, len(b.edges)))
 	b.edges = kept
 
 	n := b.n

@@ -85,10 +85,10 @@ func BenchmarkStorageWriteSegments(b *testing.B) {
 	reportEdges(b, g.NumEdges())
 }
 
-// BenchmarkStorageCompact prices the k-way segment merge into CSR v2:
+// BenchmarkStorageCompact prices the segment compaction into CSR v2:
 // "remap" is the path every production caller takes (segments under
-// provisional ids, rewritten through a permutation before the merge),
-// "identity" the bare merge.
+// provisional ids, translated through a permutation as they are read),
+// "identity" the same compaction without one.
 func BenchmarkStorageCompact(b *testing.B) {
 	g, _ := benchSetup(b)
 	perm := rand.New(rand.NewPCG(26, 2)).Perm(g.NumNodes())

@@ -2,12 +2,13 @@ package diskcsr
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
-	"path/filepath"
-	"slices"
+	"sync/atomic"
 
 	"gplus/internal/graph"
 )
@@ -20,7 +21,7 @@ type CompactOptions struct {
 	// know the roster (the dataset layer does) should always set it.
 	NumNodes int
 	// Remap, when non-nil, translates every segment node id through
-	// Remap[id] before merging. The crawl path needs this: segments are
+	// Remap[id] as it is read. The crawl path needs this: segments are
 	// written under provisional interning order, while dataset node ids
 	// are assigned in sorted service-id order only once the crawl ends.
 	Remap []graph.NodeID
@@ -30,141 +31,102 @@ type CompactOptions struct {
 
 // CompactStats reports what a compaction did.
 type CompactStats struct {
-	Segments int   // input segment files merged
+	Segments int   // input segment files read
 	Nodes    int   // nodes in the output graph
 	Edges    int64 // distinct edges written (after global dedup)
 	Bytes    int64 // size of the v2 output file
 }
 
-// Compact k-way merges every segment under segDir into one v2 CSR file
-// at outPath (atomically). Duplicate edges across segments collapse and
-// self-loops drop, matching Builder semantics, so a graph built through
-// segments equals the graph built in RAM from the same edge stream.
-// Adjacency never materializes. The forward and reverse merges run side
-// by side, so memory is O(NumNodes) for both directions' index arrays
-// plus, live at once, an open file and a cursor window of up to 64 KB
-// per segment per direction. With Remap, the segments are first
-// rewritten by up to GOMAXPROCS workers, each holding one segment's
-// edges at a time in buffers of its own. The bytes written are the same
-// at any GOMAXPROCS, and so is the error: the lowest failing segment's,
-// the forward direction's before the reverse's.
+const (
+	// bucketTarget is the most edges a compaction worker sorts at once.
+	// Buckets are planned to hold half of it.
+	bucketTarget = 1 << 16
+	// A bucket is spilled in chunks of maxChunk edges, fewer when
+	// chunkBudget edges would not buffer one per bucket, never fewer
+	// than minChunk.
+	maxChunk, minChunk, chunkBudget = 1 << 11, 1 << 7, 1 << 17
+)
+
+// compactSortHook, when set, is told the length of every edge list a
+// compaction worker sorts.
+var compactSortHook func(edges int)
+
+// Compact writes one v2 CSR file at outPath (atomically) holding the
+// edges of every segment under segDir, by a distribution sort over key
+// ranges. Duplicate edges across segments collapse and self-loops drop,
+// matching Builder semantics, so a graph built through segments equals
+// the graph built in RAM from the same edge stream.
+//
+// Two passes run on up to P = GOMAXPROCS workers each. The scatter: a
+// worker decodes a contiguous run of segments, one mapped at a time,
+// translates each edge through Remap, and appends (src,dst) to the
+// forward bucket of src's key range and (dst,src) to the reverse bucket
+// of dst's, in chunks spilled to one scratch file, outPath + ".spill",
+// and indexed in RAM. The encode: a worker reads a bucket back, sorts it
+// with graph.SortEdges and encodes its rows; the encoded pieces are
+// copied into outPath in key order. The bucket count follows from the
+// segments' edge totals, so a worker holds at most bucketTarget edges
+// to sort — a fuller bucket, as hub rows make, is first cut into
+// narrower ranges, down to one edge value — plus its chunk buffers.
+// Beside that the call holds both directions' O(NumNodes) index arrays;
+// adjacency never materializes, and only outPath outlives the call.
+//
+// The bytes written are the same at any GOMAXPROCS, and so is the
+// error: a segment's structure (header, size) is checked serially
+// before any edge is read, then the lowest failing segment's.
 func Compact(segDir, outPath string, opt CompactOptions) (*CompactStats, error) {
 	segs, err := ListSegments(segDir)
 	if err != nil {
 		return nil, err
 	}
-	// Everything that does not outlive the call — remapped segments, the
-	// two merged blobs — spills into one directory beside the output.
-	spillDir, err := os.MkdirTemp(filepath.Dir(outPath), ".compact-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(spillDir)
-	if opt.Remap != nil {
-		if segs, err = remapSegments(segs, opt.Remap, spillDir); err != nil {
+	// limit bounds every id an edge may carry after Remap.
+	var total, limit uint64
+	for _, path := range segs {
+		s, err := openSegment(path)
+		if err != nil {
 			return nil, err
 		}
+		s.close()
+		total, limit = total+s.edges, max(limit, s.bound)
 	}
+	if opt.Remap != nil {
+		limit = maxNodes
+	}
+	limit = cmp.Or(uint64(opt.NumNodes), limit)
 
-	n, err := resolveNodeCount(segs, opt)
+	f, err := os.Create(outPath + ".spill")
 	if err != nil {
 		return nil, err
 	}
+	defer os.Remove(f.Name())
+	defer f.Close()
+	sp := &spill{f: f}
 
-	// One streaming merge per direction, the two side by side: blob bytes
-	// to a spill file, cnt/pos prefix arrays in RAM.
-	var (
-		cnt, pos [2][]uint64
-		m        [2]uint64
-		blob     = [2]string{filepath.Join(spillDir, "out.blob"), filepath.Join(spillDir, "in.blob")}
-	)
-	err = bothDirections(func(d int) (err error) {
-		cnt[d], pos[d], m[d], err = mergeDirection(segs, d == 1, n, blob[d])
-		return err
-	})
+	plan := newBucketPlan(limit, total)
+	buckets, seen, err := scatter(segs, opt.Remap, limit, plan, sp)
 	if err != nil {
 		return nil, err
 	}
-	if m[0] != m[1] {
-		return nil, fmt.Errorf("diskcsr: segment directions disagree: %d forward edges, %d reverse", m[0], m[1])
-	}
-	if m[0] > maxEdges {
-		return nil, fmt.Errorf("diskcsr: merged graph too large (%d edges)", m[0])
-	}
-
-	err = writeV2(outPath, m[0], cnt[0], pos[0], cnt[1], pos[1], func(bw *bufio.Writer) error {
-		if err := copyFileInto(bw, blob[0]); err != nil {
-			return err
-		}
-		return copyFileInto(bw, blob[1])
-	})
+	n := cmp.Or(opt.NumNodes, int(seen))
+	cnt := [2][]uint64{make([]uint64, n+1), make([]uint64, n+1)}
+	pos := [2][]uint64{make([]uint64, n+1), make([]uint64, n+1)}
+	pieces, err := encodeBuckets(buckets, plan, n, cnt, pos, sp)
 	if err != nil {
 		return nil, err
 	}
-	st, err := os.Stat(outPath)
-	if err != nil {
-		return nil, err
-	}
-	stats := &CompactStats{Segments: len(segs), Nodes: n, Edges: int64(m[0]), Bytes: st.Size()}
-	if opt.Metrics != nil {
-		opt.Metrics.compactions.Inc()
-		opt.Metrics.compactionSegments.Add(int64(len(segs)))
-		opt.Metrics.compactionEdges.Add(stats.Edges)
-	}
-	return stats, nil
-}
-
-// resolveNodeCount returns the output node count, checking it covers
-// every segment.
-func resolveNodeCount(segs []string, opt CompactOptions) (int, error) {
-	bound := uint64(0)
-	for _, s := range segs {
-		f, err := os.Open(s)
-		if err != nil {
-			return 0, err
-		}
-		h, err := readSegHeader(f)
-		f.Close()
-		if err != nil {
-			return 0, fmt.Errorf("%s: %w", s, err)
-		}
-		if h.nodeBound > bound {
-			bound = h.nodeBound
+	for d := range cnt {
+		for u := range n {
+			cnt[d][u+1] += cnt[d][u]
+			pos[d][u+1] += pos[d][u]
 		}
 	}
-	if opt.NumNodes == 0 {
-		return int(bound), nil
+	h := header{n: uint64(n), m: cnt[0][n], outBlobLen: pos[0][n], inBlobLen: pos[1][n]}
+	if h.m > maxEdges {
+		return nil, fmt.Errorf("diskcsr: merged graph too large (%d edges)", h.m)
 	}
-	if uint64(opt.NumNodes) < bound {
-		return 0, fmt.Errorf("diskcsr: NumNodes %d below segment node bound %d", opt.NumNodes, bound)
-	}
-	return opt.NumNodes, nil
-}
-
-// remapSegments rewrites each segment with ids translated through
-// remap, re-sorted, into dir, and returns the rewritten files in the
-// order of segs; the originals are never modified. The segments are cut
-// into contiguous runs, one per worker; a worker holds one segment's
-// edges at a time in buffers it reuses across its run — bounded by the
-// writer's flush threshold, not the crawl.
-func remapSegments(segs []string, remap []graph.NodeID, dir string) ([]string, error) {
-	out := make([]string, len(segs))
-	err := inParallel(len(segs), func(lo, hi int) error {
-		var (
-			edges, scratch []uint64
-			seg            []byte
-		)
-		for i := lo; i < hi; i++ {
-			var err error
-			if edges, err = readRemapped(segs[i], remap, edges[:0]); err != nil {
-				return err
-			}
-			if len(scratch) < len(edges) {
-				scratch = make([]uint64, len(edges))
-			}
-			seg, _ = encodeSegment(seg, edges, scratch)
-			out[i] = filepath.Join(dir, filepath.Base(segs[i]))
-			if err := os.WriteFile(out[i], seg, 0o644); err != nil {
+	err = writeV2(outPath, h.m, cnt[0], pos[0], cnt[1], pos[1], func(bw *bufio.Writer) error {
+		for _, p := range pieces {
+			if _, err := io.Copy(bw, io.NewSectionReader(f, p.off, p.n)); err != nil {
 				return err
 			}
 		}
@@ -173,183 +135,297 @@ func remapSegments(segs []string, remap []graph.NodeID, dir string) ([]string, e
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	stats := &CompactStats{Segments: len(segs), Nodes: n, Edges: int64(h.m), Bytes: int64(h.fileSize())}
+	if opt.Metrics != nil {
+		opt.Metrics.compactions.Inc()
+		opt.Metrics.compactionSegments.Add(int64(len(segs)))
+		opt.Metrics.compactionEdges.Add(stats.Edges)
+	}
+	return stats, nil
 }
 
-// readRemapped appends a whole segment's forward direction to edges,
-// each id translated through remap.
-func readRemapped(path string, remap []graph.NodeID, edges []uint64) ([]uint64, error) {
-	c, err := openSegCursor(path, false)
+// bucketPlan cuts the key space [0, limit) into buckets of 1<<shift
+// keys, holding about half of bucketTarget edges each (0.35 to 0.71 of
+// it) were total edges spread evenly.
+type bucketPlan struct {
+	shift   uint
+	buckets int
+}
+
+func newBucketPlan(limit, total uint64) bucketPlan {
+	want := max(1, 2*total/bucketTarget)
+	width := max(1, limit/want)
+	shift := uint(bits.Len64(width) - 1)
+	if width*width >= 1<<(2*shift+1) {
+		shift++ // the nearer power of two
+	}
+	return bucketPlan{shift: shift, buckets: int((limit + 1<<shift - 1) >> shift)}
+}
+
+// spill is the compaction's scratch file. Workers append to it side by
+// side, each at a range it reserves, and read back by offset.
+type spill struct {
+	f   *os.File
+	end atomic.Int64
+}
+
+// extent is n bytes of the spill at off.
+type extent struct{ off, n int64 }
+
+func (s *spill) append(p []byte) (extent, error) {
+	off := s.end.Add(int64(len(p))) - int64(len(p))
+	_, err := s.f.WriteAt(p, off)
+	return extent{off, int64(len(p))}, err
+}
+
+// bucket indexes the spilled chunks of one bucket's packed edges.
+type bucket struct {
+	chunks []extent
+	edges  int
+}
+
+// partition spreads packed edges over buckets, buffering a chunk per
+// bucket and spilling each chunk as it fills.
+type partition struct {
+	sp      *spill
+	per     int    // edges per chunk
+	buf     []byte // one chunk buffer per bucket, end to end
+	fill    []int
+	buckets []bucket
+}
+
+func newPartition(sp *spill, buckets int) *partition {
+	per := max(minChunk, min(maxChunk, chunkBudget/max(1, buckets)))
+	return &partition{sp: sp, per: per, buf: make([]byte, 8*per*buckets), fill: make([]int, buckets), buckets: make([]bucket, buckets)}
+}
+
+func (p *partition) add(b int, e uint64) error {
+	binary.LittleEndian.PutUint64(p.buf[8*(b*p.per+p.fill[b]):], e)
+	if p.fill[b]++; p.fill[b] == p.per {
+		return p.spill(b)
+	}
+	return nil
+}
+
+func (p *partition) spill(b int) error {
+	start := 8 * b * p.per
+	c, err := p.sp.append(p.buf[start : start+8*p.fill[b]])
+	p.buckets[b].chunks = append(p.buckets[b].chunks, c)
+	p.buckets[b].edges += p.fill[b]
+	p.fill[b] = 0
+	return err
+}
+
+// flush spills every partly filled chunk.
+func (p *partition) flush() error {
+	for b, n := range p.fill {
+		if n > 0 {
+			if err := p.spill(b); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// scatter is the first pass: it reads every segment, translates its
+// edges through remap (when non-nil), drops self-loops, checks every id
+// against limit, and spreads each edge's forward and reverse copies
+// over the plan's buckets. It returns the two directions' bucket
+// indexes and the largest id seen + 1.
+func scatter(segs []string, remap []graph.NodeID, limit uint64, plan bucketPlan, sp *spill) (buckets [2][]bucket, seen uint64, err error) {
+	parts := make([][2]*partition, len(segs))
+	seens := make([]uint64, len(segs))
+	err = inParallel(len(segs), func(lo, hi int) error {
+		fwd, rev := newPartition(sp, plan.buckets), newPartition(sp, plan.buckets)
+		parts[lo] = [2]*partition{fwd, rev}
+		for _, path := range segs[lo:hi] {
+			s, err := openSegment(path)
+			if err != nil {
+				return err
+			}
+			err = s.each(func(k, v graph.NodeID) error {
+				if remap != nil {
+					if int(k) >= len(remap) || int(v) >= len(remap) {
+						return fmt.Errorf("%s: node id outside remap table (len %d)", path, len(remap))
+					}
+					k, v = remap[k], remap[v]
+				}
+				if k == v {
+					return nil
+				}
+				if uint64(k) >= limit || uint64(v) >= limit {
+					return fmt.Errorf("%s: edge (%d,%d) outside the %d-node graph", path, k, v, limit)
+				}
+				seens[lo] = max(seens[lo], uint64(max(k, v))+1)
+				if err := fwd.add(int(k>>plan.shift), graph.PackEdge(k, v)); err != nil {
+					return err
+				}
+				return rev.add(int(v>>plan.shift), graph.PackEdge(v, k))
+			})
+			s.close()
+			if err != nil {
+				return err
+			}
+		}
+		if err := fwd.flush(); err != nil {
+			return err
+		}
+		return rev.flush()
+	})
 	if err != nil {
-		return nil, err
+		return buckets, 0, err
 	}
-	defer c.close()
-	edges = slices.Grow(edges, int(c.left))
-	for {
-		e, ok, err := c.next()
-		if err != nil {
-			return nil, err
+	for d := range buckets {
+		buckets[d] = make([]bucket, plan.buckets)
+		for lo, p := range parts {
+			if p[d] == nil {
+				continue
+			}
+			seen = max(seen, seens[lo])
+			for b, pb := range p[d].buckets {
+				buckets[d][b].chunks = append(buckets[d][b].chunks, pb.chunks...)
+				buckets[d][b].edges += pb.edges
+			}
 		}
-		if !ok {
-			return edges, nil
-		}
-		key, val := graph.UnpackEdge(e)
-		if int(key) >= len(remap) || int(val) >= len(remap) {
-			return nil, fmt.Errorf("%s: node id outside remap table (len %d)", path, len(remap))
-		}
-		edges = append(edges, graph.PackEdge(remap[key], remap[val]))
 	}
+	return buckets, seen, nil
 }
 
-// mergeHead is a segment cursor and the packed edge it stands at.
-type mergeHead struct {
-	edge uint64
-	cur  *segCursor
+// encodeBuckets is the second pass: it encodes every bucket into v2
+// rows and returns the encoded pieces in output order — forward buckets
+// then reverse, each in key order. Row u's edge count and byte length
+// land in cnt[d][u+1] and pos[d][u+1], for the caller to sum.
+func encodeBuckets(buckets [2][]bucket, plan bucketPlan, n int, cnt, pos [2][]uint64, sp *spill) ([]extent, error) {
+	largest := 0
+	for d := range buckets {
+		for _, b := range buckets[d] {
+			largest = max(largest, min(b.edges, bucketTarget))
+		}
+	}
+	out := make([][]extent, 2*plan.buckets)
+	err := inParallel(len(out), func(lo, hi int) error {
+		e := &encoder{sp: sp, n: uint64(n), edges: make([]uint64, 0, largest), scratch: make([]uint64, largest)}
+		for j := lo; j < hi; j++ {
+			d, b := j/plan.buckets, j%plan.buckets
+			e.cnt, e.pos, e.open, e.pieces = cnt[d], pos[d], false, nil
+			keys := uint64(b) << plan.shift << 32
+			if err := e.encode(buckets[d][b], keys, keys+1<<plan.shift<<32); err != nil {
+				return err
+			}
+			out[j] = e.pieces
+		}
+		return nil
+	})
+	var pieces []extent
+	for _, p := range out {
+		pieces = append(pieces, p...)
+	}
+	return pieces, err
 }
 
-// siftDown restores the min-heap order of h below i. Equal heads are
-// the same edge seen in two segments and collapse on emit, so their
-// relative order is immaterial.
-func siftDown(h []mergeHead, i int) {
-	top := h[i]
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			break
-		}
-		if c+1 < len(h) && h[c+1].edge < h[c].edge {
-			c++
-		}
-		if top.edge <= h[c].edge {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	h[i] = top
+// encoder is one worker of the encode pass, with buffers kept across
+// buckets: the sort's two, sized once from the largest bucket, and the
+// rows encoded since the last spill.
+type encoder struct {
+	sp             *spill
+	n              uint64
+	edges, scratch []uint64
+	raw, row       []byte
+	cnt, pos       []uint64
+	// The row being encoded, which the next range of a cut bucket may
+	// continue.
+	open      bool
+	key, prev graph.NodeID
+	pieces    []extent
 }
 
-// mergeDirection k-way merges one direction of every segment into a
-// varint/delta row blob at blobPath, returning the cnt and pos prefix
-// arrays and the number of distinct edges. The heap yields globally
-// (key, val)-sorted edges; adjacent duplicates collapse and self-loops
-// drop, so the emitted rows are exactly the Builder's.
-func mergeDirection(segs []string, reverse bool, n int, blobPath string) (cnt, pos []uint64, m uint64, err error) {
-	cursors := make([]*segCursor, 0, len(segs))
-	defer func() {
-		for _, c := range cursors {
-			c.close()
+// each calls fn on every edge spilled for bkt.
+func (e *encoder) each(bkt bucket, fn func(x uint64) error) error {
+	for _, c := range bkt.chunks {
+		e.raw = append(e.raw[:0], make([]byte, c.n)...)
+		if _, err := e.sp.f.ReadAt(e.raw, c.off); err != nil {
+			return err
 		}
-	}()
-	h := make([]mergeHead, 0, len(segs))
-	for _, s := range segs {
-		c, err := openSegCursor(s, reverse)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		cursors = append(cursors, c)
-		e, ok, err := c.next()
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		if ok {
-			h = append(h, mergeHead{e, c})
+		for i := 0; i < len(e.raw); i += 8 {
+			if err := fn(binary.LittleEndian.Uint64(e.raw[i:])); err != nil {
+				return err
+			}
 		}
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
+	return nil
+}
 
-	f, err := os.Create(blobPath)
-	if err != nil {
-		return nil, nil, 0, err
+// encode encodes bkt, whose edges all lie in the packed range [lo, hi),
+// into rows: in one sort when they fit bucketTarget, else by cutting
+// the range into equal sub-ranges, as many as put half of bucketTarget
+// in each were the edges spread evenly — whole keys while it spans
+// several, values below n within one — re-spilling the edges over them
+// and encoding each in turn.
+func (e *encoder) encode(bkt bucket, lo, hi uint64) error {
+	if bkt.edges <= bucketTarget {
+		edges := e.edges[:0]
+		err := e.each(bkt, func(x uint64) error {
+			edges = append(edges, x)
+			return nil
+		})
+		if err != nil || len(edges) == 0 {
+			return err
+		}
+		if compactSortHook != nil {
+			compactSortHook(len(edges))
+		}
+		e.emit(graph.SortEdges(edges, e.scratch[:len(edges)]))
+		return e.spillRows()
 	}
-	defer f.Close()
-	bw := bufio.NewWriterSize(f, 1<<20)
+	var shift uint
+	cut := bits.Len(uint(2 * bkt.edges / bucketTarget))
+	if hi-lo > 1<<32 {
+		shift = 32 + uint(max(0, bits.Len64((hi-lo)>>32-1)-cut))
+	} else if hi = min(hi, lo&^(1<<32-1)|e.n); hi-lo == 1 {
+		e.emit([]uint64{lo}) // one edge, seen more than bucketTarget times
+		return e.spillRows()
+	} else {
+		shift = uint(max(0, bits.Len64(hi-lo-1)-cut))
+	}
+	p := newPartition(e.sp, int((hi-lo-1)>>shift)+1)
+	err := e.each(bkt, func(x uint64) error { return p.add(int((x-lo)>>shift), x) })
+	if err == nil {
+		err = p.flush()
+	}
+	for i, sub := range p.buckets {
+		if err != nil {
+			return err
+		}
+		sublo := lo + uint64(i)<<shift
+		err = e.encode(sub, sublo, min(hi, sublo+1<<shift))
+	}
+	return err
+}
 
-	cnt = make([]uint64, n+1)
-	pos = make([]uint64, n+1)
-	var (
-		scratch  []byte
-		row      = -1 // current key being assembled; -1 before the first
-		prevVal  graph.NodeID
-		rowCount uint64
-		rowBytes uint64
-		havePrev bool
-	)
-	closeRow := func(upto int) {
-		// Seal rows row..upto-1: the assembled one, then empties.
-		if row >= 0 {
-			cnt[row+1] = cnt[row] + rowCount
-			pos[row+1] = pos[row] + rowBytes
-		}
-		for r := row + 1; r < upto; r++ {
-			cnt[r+1] = cnt[r]
-			pos[r+1] = pos[r]
-		}
-	}
-	for len(h) > 0 {
-		key, val := graph.UnpackEdge(h[0].edge)
-		next, ok, nerr := h[0].cur.next()
-		if nerr != nil {
-			return nil, nil, 0, nerr
-		}
-		if ok {
-			h[0].edge = next
+// emit encodes kept — sorted, distinct, no self-loops — onto e.row,
+// continuing the open row when the first edge shares its key, and
+// counts each row's edges and bytes.
+func (e *encoder) emit(kept []uint64) {
+	for _, x := range kept {
+		k, v := graph.UnpackEdge(x)
+		size := len(e.row)
+		if e.open && k == e.key {
+			e.row = binary.AppendUvarint(e.row, uint64(v-e.prev)-1)
 		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
+			e.row = binary.AppendUvarint(e.row, uint64(v))
+			e.open, e.key = true, k
 		}
-		if len(h) > 1 {
-			siftDown(h, 0)
-		}
-
-		if int(key) >= n || int(val) >= n {
-			return nil, nil, 0, fmt.Errorf("diskcsr: segment edge (%d,%d) outside %d-node graph", key, val, n)
-		}
-		if key == val {
-			continue
-		}
-		if int(key) != row {
-			closeRow(int(key))
-			row = int(key)
-			rowCount, rowBytes, havePrev = 0, 0, false
-		} else if havePrev && val == prevVal {
-			continue // duplicate across segments
-		}
-		if havePrev && val < prevVal {
-			return nil, nil, 0, fmt.Errorf("diskcsr: merge order violated at key %d", key)
-		}
-		if havePrev {
-			scratch = binary.AppendUvarint(scratch[:0], uint64(val-prevVal)-1)
-		} else {
-			scratch = binary.AppendUvarint(scratch[:0], uint64(val))
-		}
-		if _, err := bw.Write(scratch); err != nil {
-			return nil, nil, 0, err
-		}
-		rowBytes += uint64(len(scratch))
-		rowCount++
-		m++
-		prevVal = val
-		havePrev = true
+		e.prev = v
+		e.cnt[k+1]++
+		e.pos[k+1] += uint64(len(e.row) - size)
 	}
-	closeRow(n)
-	if err := bw.Flush(); err != nil {
-		return nil, nil, 0, err
-	}
-	if err := f.Close(); err != nil {
-		return nil, nil, 0, err
-	}
-	return cnt, pos, m, nil
 }
 
-func copyFileInto(w io.Writer, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	_, err = io.Copy(w, f)
+// spillRows appends the rows encoded so far to the spill as a piece.
+func (e *encoder) spillRows() error {
+	c, err := e.sp.append(e.row)
+	e.pieces = append(e.pieces, c)
+	e.row = e.row[:0]
 	return err
 }

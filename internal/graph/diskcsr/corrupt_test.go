@@ -216,10 +216,10 @@ func TestCompactRejectsTornSegment(t *testing.T) {
 		t.Fatalf("want torn-segment error, got %v", err)
 	}
 
-	// With four remap workers and both merges side by side, a torn
-	// segment is reported by name whichever worker meets it, and the
+	// With four workers in each compaction pass, a torn segment is
+	// reported by name whichever worker would meet it, and the
 	// failed compaction leaves nothing beside its output: no graph, no
-	// .compact-* spill.
+	// .spill file.
 	t.Run("procs=4", func(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 		remap := make([]graph.NodeID, 64)

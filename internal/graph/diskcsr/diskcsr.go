@@ -11,9 +11,12 @@
 //     in-RAM Graph.
 //
 //   - LSM-style edge segments: bounded in-memory batches of edges
-//     flushed to sorted segment files during a live crawl and k-way
-//     merged into a v2 file by Compact. Ingest RAM is bounded by the
-//     flush threshold, not the crawl size.
+//     flushed to sorted segment files (forward runs only) during a live
+//     crawl, and compacted into a v2 file by Compact, a distribution
+//     sort over key-range buckets. Ingest RAM is bounded by the flush
+//     threshold and compaction RAM, beside the O(n) index arrays, by
+//     one bucket and its chunk buffers per worker: neither grows with
+//     the crawl.
 //
 // v2 layout (all integers little-endian):
 //

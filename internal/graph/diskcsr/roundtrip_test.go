@@ -171,11 +171,52 @@ func handOut(last, row []graph.NodeID) []graph.NodeID {
 }
 
 // matrixViews is the view axis of the kernel matrix: g behind the
-// hostile view, g written out and mapped, and the mapped form behind the
-// hostile view.
+// hostile view, g written out and mapped, the mapped form behind the
+// hostile view, and g built the way a crawl builds it — segments under
+// provisional ids, compacted through a Remap — and mapped.
 func matrixViews(t *testing.T, g *graph.Graph) map[string]graph.View {
 	m := mustOpen(t, t.TempDir(), g)
-	return map[string]graph.View{"ram/stale": staleView{g}, "mapped": m, "mapped/stale": staleView{m}}
+	return map[string]graph.View{"ram/stale": staleView{g}, "mapped": m, "mapped/stale": staleView{m}, "compacted": compactedView(t, g)}
+}
+
+// compactedView streams g's edges, each twice, into small segments
+// under a seeded permutation of its ids, compacts them with the inverse
+// permutation as Remap, and opens the result fully verified.
+func compactedView(t *testing.T, g *graph.Graph) *Mapped {
+	t.Helper()
+	n := g.NumNodes()
+	prov, remap := make([]graph.NodeID, n), make([]graph.NodeID, n)
+	for node, p := range rand.New(rand.NewPCG(5, 6)).Perm(n) {
+		prov[node], remap[p] = graph.NodeID(p), graph.NodeID(node)
+	}
+	dir := t.TempDir()
+	segDir := filepath.Join(dir, "segs")
+	w, err := NewWriter(segDir, 32, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for u := 0; u < n; u++ {
+			for _, v := range g.Out(graph.NodeID(u)) {
+				if err := w.Add(prov[u], prov[v]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "graph.v2")
+	if _, err := Compact(segDir, out, CompactOptions{NumNodes: n, Remap: remap}); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	m, err := Open(out, Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return m
 }
 
 // matrixParallelisms is the parallelism axis of the kernel matrix.
@@ -183,8 +224,8 @@ var matrixParallelisms = []int{1, 2, 3, 8}
 
 // TestKernelEquivalence is the differential kernel matrix: every
 // analysis kernel must give the in-RAM graph's answer over the mapped
-// backend, and over both backends behind staleView, at every
-// parallelism level. The triad pass must also give, on each graph, the
+// backend — written directly or compacted from segments — and over
+// both backends behind staleView, at every parallelism level. The triad pass must also give, on each graph, the
 // answers of the routes that share nothing with it: Cohen's triangles
 // and the per-node ClusteringCoefficient of every node.
 func TestKernelEquivalence(t *testing.T) {
@@ -373,7 +414,7 @@ func TestPathSampleAllocationsIndependentOfRows(t *testing.T) {
 // stream pushed through tiny segments and compacted must equal the
 // Builder's graph — including cross-segment duplicate collapse and
 // self-loop dropping — at the default parallelism and with four flushes
-// in flight, four remap workers and both direction merges side by side.
+// in flight and four workers in each compaction pass.
 func TestSegmentCompactEquivalence(t *testing.T) {
 	segmentCompactEquivalence(t)
 	t.Run("procs=4", func(t *testing.T) {
@@ -385,13 +426,10 @@ func TestSegmentCompactEquivalence(t *testing.T) {
 func segmentCompactEquivalence(t *testing.T) {
 	for name, g := range testGraphs() {
 		t.Run(name, func(t *testing.T) {
-			// Tiny buffers force many segments; 1 is one segment per edge,
-			// the widest merge, and a buffer the stream never fills a merge
-			// of one.
+			// Tiny buffers force many segments; 1 is one segment per edge
+			// — past a thousand of them for the random graph — and a buffer
+			// the stream never fills is a compaction of one.
 			for _, buffer := range []int{1, 64, 1 << 20} {
-				if buffer == 1 && g.NumEdges() > 256 {
-					continue // both merges hold every segment open: stay inside a 1024-descriptor limit
-				}
 				t.Run(fmt.Sprintf("buffer=%d", buffer), func(t *testing.T) {
 					dir := t.TempDir()
 					segDir := filepath.Join(dir, "segs")
@@ -460,9 +498,9 @@ func TestCompactRemap(t *testing.T) {
 		edges = append(edges, edge{graph.NodeID(rng.IntN(n)), graph.NodeID(rng.IntN(n))})
 	}
 
-	// One segment per edge is the widest merge; it runs over a prefix of
-	// the stream because the merge holds every segment open. A buffer the
-	// stream never fills is a merge of one.
+	// One segment per edge is the widest fan-in; it runs over a prefix of
+	// the stream to keep the file count down. A buffer the stream never
+	// fills is a compaction of one.
 	run := func(t *testing.T) {
 		for _, tc := range []struct {
 			buffer int
@@ -500,7 +538,7 @@ func TestCompactRemap(t *testing.T) {
 				viewsEqual(t, want, m)
 
 				// The caller's segments are read, never rewritten, and the
-				// remapped copies are gone with the rest of the spill.
+				// scratch spill is gone.
 				if after := segmentBytes(t, segDir); !reflect.DeepEqual(after, before) {
 					t.Fatal("Compact with Remap modified the caller's segments")
 				}

@@ -3,7 +3,6 @@ package diskcsr
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -15,39 +14,38 @@ import (
 )
 
 // LSM-style ingest: edges accumulate in a bounded buffer and flush as
-// immutable sorted segment files; Compact later k-way merges every
-// segment into one v2 CSR. Each segment stores the same edge set twice
-// — forward runs sorted by (src, dst) and reverse runs sorted by
-// (dst, src) — so compaction builds both CSR directions as pure
-// streaming merges with RAM bounded by the flush threshold, never the
-// crawl size.
+// immutable sorted segment files; Compact later distributes every
+// segment's edges over key-range buckets and encodes them into one v2
+// CSR. A segment stores its edges once, as forward runs sorted by
+// (src, dst): compaction builds the reverse direction itself while it
+// scatters, so the reverse order never needs to be on disk.
 //
 // Segment layout (little-endian):
 //
-//	magic "GPLSEG01" | u64 nodeBound | u64 edges | u64 fwdLen | u64 revLen
-//	fwd blob | rev blob
+//	magic "GPLSEG02" | u64 nodeBound | u64 edges | u64 blobLen | blob
 //
-// A blob is a sequence of runs, one per distinct key (src for fwd, dst
-// for rev), keys strictly ascending: varint(keyGap) varint(count)
-// varint(firstVal) varint(valDelta−1)... where keyGap is the distance
-// from the previous run's key (the first run's key is the gap itself).
-var segMagic = [8]byte{'G', 'P', 'L', 'S', 'E', 'G', '0', '1'}
+// The blob is a sequence of runs, one per distinct src, srcs strictly
+// ascending: varint(keyGap) varint(count) varint(firstDst)
+// varint(dstDelta−1)... where keyGap is the distance from the previous
+// run's src (the first run's src is the gap itself).
+var segMagic = [8]byte{'G', 'P', 'L', 'S', 'E', 'G', '0', '2'}
 
-const segHeaderSize = 40
+const segHeaderSize = 32
 
 // DefaultSegmentEdges is the flush threshold Writer uses when none is
 // given: 4M buffered edges of 8 B each (32 MB), a few MB per segment.
 // Writer documents what it holds in multiples of it.
 const DefaultSegmentEdges = 4 << 20
 
-// Writer buffers edges and flushes them as sorted segment files named
-// seg-NNNNNN.seg under dir. A full buffer is flushed on a goroutine of
-// its own while Add fills another, at most GOMAXPROCS (read at the
-// first flush) flushes in flight at once, so the Writer holds at most
-// GOMAXPROCS+1 edge buffers and GOMAXPROCS flush slots — with P =
-// GOMAXPROCS, (2P+1) × threshold × 8 B plus P encoded segments. A stream
-// that never fills the buffer holds one edge buffer and, after Flush,
-// one slot. Segment k holds the k-th buffer's edges whatever the
+// Writer buffers edges and flushes them as segment files named
+// seg-NNNNNN.seg under dir, each holding its buffer's edges once, as
+// forward runs in (src, dst) order. A full buffer is flushed on a
+// goroutine of its own while Add fills another, at most GOMAXPROCS
+// (read at the first flush) flushes in flight at once, so the Writer
+// holds at most GOMAXPROCS+1 edge buffers and GOMAXPROCS flush slots —
+// with P = GOMAXPROCS, (2P+1) × threshold × 8 B plus P encoded
+// segments. A stream that never fills the buffer holds one edge buffer
+// and, after Flush, one slot. Segment k holds the k-th buffer's edges whatever the
 // parallelism, so the files are the same at any core count.
 //
 // Not safe for concurrent use; callers with concurrent producers (the
@@ -238,36 +236,18 @@ func ListSegments(dir string) ([]string, error) {
 // dedup happens again at compaction, where duplicates across segments
 // meet.
 func encodeSegment(out []byte, edges, scratch []uint64) ([]byte, int) {
-	kept, spare := graph.SortEdges(edges, scratch)
+	kept := graph.SortEdges(edges, scratch)
 	bound := uint64(0)
 	for _, e := range kept {
 		key, val := graph.UnpackEdge(e)
 		bound = max(bound, uint64(key)+1, uint64(val)+1)
 	}
 	out = append(out[:0], make([]byte, segHeaderSize)...)
-	out = appendRuns(out, kept)
-	fwdLen := len(out) - segHeaderSize
-
-	// Reverse view: the same edges keyed by dst, in (dst, src) order.
-	rev, _ := graph.ReverseEdges(kept, spare)
-	out = appendRuns(out, rev)
-
-	copy(out, segMagic[:])
-	binary.LittleEndian.PutUint64(out[8:], bound)
-	binary.LittleEndian.PutUint64(out[16:], uint64(len(kept)))
-	binary.LittleEndian.PutUint64(out[24:], uint64(fwdLen))
-	binary.LittleEndian.PutUint64(out[32:], uint64(len(out)-segHeaderSize-fwdLen))
-	return out, len(kept)
-}
-
-// appendRuns appends packed edges — already sorted by (key, val) with
-// no duplicates — to out in the run format described above.
-func appendRuns(out []byte, edges []uint64) []byte {
 	prevKey := graph.NodeID(0)
-	for i := 0; i < len(edges); {
-		key, val := graph.UnpackEdge(edges[i])
+	for i := 0; i < len(kept); {
+		key, val := graph.UnpackEdge(kept[i])
 		j := i + 1
-		for j < len(edges) && graph.NodeID(edges[j]>>32) == key {
+		for j < len(kept) && graph.NodeID(kept[j]>>32) == key {
 			j++
 		}
 		// The first run's gap is its key: prevKey starts at 0.
@@ -276,166 +256,107 @@ func appendRuns(out []byte, edges []uint64) []byte {
 		out = binary.AppendUvarint(out, uint64(val))
 		for k := i + 1; k < j; k++ {
 			// Same key, ascending, distinct: the difference is the val gap.
-			out = binary.AppendUvarint(out, edges[k]-edges[k-1]-1)
+			out = binary.AppendUvarint(out, kept[k]-kept[k-1]-1)
 		}
 		prevKey = key
 		i = j
 	}
-	return out
+	copy(out, segMagic[:])
+	binary.LittleEndian.PutUint64(out[8:], bound)
+	binary.LittleEndian.PutUint64(out[16:], uint64(len(kept)))
+	binary.LittleEndian.PutUint64(out[24:], uint64(len(out)-segHeaderSize))
+	return out, len(kept)
 }
 
-// segHeader is a parsed segment header.
-type segHeader struct {
-	nodeBound uint64
-	edges     uint64
-	fwdLen    uint64
-	revLen    uint64
+// segment is one segment file, mapped.
+type segment struct {
+	name         string
+	bound, edges uint64
+	blob         []byte
+	unmap        func() error
 }
 
-func readSegHeader(f *os.File) (segHeader, error) {
-	var buf [segHeaderSize]byte
-	var h segHeader
-	if _, err := io.ReadFull(f, buf[:]); err != nil {
-		return h, fmt.Errorf("reading segment header: %w", err)
-	}
-	if [8]byte(buf[:8]) != segMagic {
-		return h, fmt.Errorf("bad segment magic %q", buf[:8])
-	}
-	h.nodeBound = binary.LittleEndian.Uint64(buf[8:])
-	h.edges = binary.LittleEndian.Uint64(buf[16:])
-	h.fwdLen = binary.LittleEndian.Uint64(buf[24:])
-	h.revLen = binary.LittleEndian.Uint64(buf[32:])
-	if h.nodeBound > maxNodes || h.edges > maxEdges {
-		return h, fmt.Errorf("segment header out of bounds (%d nodes, %d edges)", h.nodeBound, h.edges)
-	}
-	return h, nil
-}
-
-// segCursor streams one direction of one segment as an ascending
-// sequence of packed (key, val) edges, decoding varints straight from a
-// window of the blob it refills as it drains.
-type segCursor struct {
-	f        *os.File
-	name     string
-	off, end int64  // blob bytes not yet read into win
-	win      []byte // current window; win[pos:] is undecoded
-	pos      int
-	left     uint64 // edges not yet yielded
-	started  bool
-	key      uint64
-	run      uint64 // values left in the current run
-	prevVal  uint64
-	bound    uint64
-}
-
-const segWindow = 1 << 16
-
-// openSegCursor positions a cursor at the chosen direction's blob. The
-// torn-file check is structural: header-claimed blob lengths must match
-// the file size exactly, so a segment cut short by a crash is rejected
-// before any run decodes.
-func openSegCursor(path string, reverse bool) (*segCursor, error) {
+// openSegment maps the segment at path and parses its header. The
+// torn-file check is structural: the header-claimed blob length must
+// match the file size exactly, so a segment cut short by a crash is
+// rejected before any run decodes.
+func openSegment(path string) (*segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	h, err := readSegHeader(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
+	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	if uint64(st.Size()) != segHeaderSize+h.fwdLen+h.revLen {
-		f.Close()
-		return nil, fmt.Errorf("%s: torn segment: %d bytes, header implies %d",
-			path, st.Size(), segHeaderSize+h.fwdLen+h.revLen)
+	if st.Size() < segHeaderSize {
+		return nil, fmt.Errorf("%s: torn segment: %d bytes, shorter than a header", path, st.Size())
 	}
-	offset, length := uint64(segHeaderSize), h.fwdLen
-	if reverse {
-		offset, length = segHeaderSize+h.fwdLen, h.revLen
+	data, unmap, err := mapFile(f, st.Size())
+	if err != nil {
+		return nil, fmt.Errorf("diskcsr: mapping %s: %w", path, err)
 	}
-	return &segCursor{
-		f:     f,
+	s := &segment{
 		name:  path,
-		off:   int64(offset),
-		end:   int64(offset + length),
-		win:   make([]byte, 0, min(segWindow, length)),
-		left:  h.edges,
-		bound: h.nodeBound,
-	}, nil
+		bound: binary.LittleEndian.Uint64(data[8:]),
+		edges: binary.LittleEndian.Uint64(data[16:]),
+		blob:  data[segHeaderSize:],
+		unmap: unmap,
+	}
+	blobLen := binary.LittleEndian.Uint64(data[24:])
+	switch {
+	case [8]byte(data[:8]) != segMagic:
+		err = fmt.Errorf("%s: bad segment magic %q", path, data[:8])
+	case s.bound > maxNodes || s.edges > maxEdges:
+		err = fmt.Errorf("%s: segment header out of bounds (%d nodes, %d edges)", path, s.bound, s.edges)
+	case uint64(len(s.blob)) != blobLen:
+		err = fmt.Errorf("%s: torn segment: %d bytes, header implies %d", path, st.Size(), segHeaderSize+blobLen)
+	}
+	if err != nil {
+		unmap()
+		return nil, err
+	}
+	return s, nil
 }
 
-// uvarint decodes the next varint of the blob, refilling the window
-// first when what is left of it could cut one short.
-func (c *segCursor) uvarint() (uint64, error) {
-	if len(c.win)-c.pos < binary.MaxVarintLen64 && c.off < c.end {
-		if err := c.refill(); err != nil {
-			return 0, err
+// each calls fn on every edge of the segment in (src, dst) order,
+// stopping at fn's first error. Runs are decoded as they are read, so a
+// malformed blob is an error here: keys or values out of order, a run
+// longer than the edges left, a varint cut short, an id at or past the
+// header's node bound.
+func (s *segment) each(fn func(src, dst graph.NodeID) error) error {
+	blob, left, key := s.blob, s.edges, uint64(0)
+	next := func() uint64 {
+		v, n := binary.Uvarint(blob)
+		if n <= 0 {
+			blob = nil
+			return 1 << 63 // out of any bound
 		}
+		blob = blob[n:]
+		return v
 	}
-	v, n := binary.Uvarint(c.win[c.pos:])
-	if n <= 0 {
-		return 0, io.ErrUnexpectedEOF
+	for started := false; left > 0; started = true {
+		gap, count, val := next(), next(), next()
+		if started && gap == 0 || count == 0 || count > left {
+			return fmt.Errorf("%s: corrupt run at key %d", s.name, key)
+		}
+		key += gap
+		for i := uint64(0); ; {
+			if key >= s.bound || val >= s.bound {
+				return fmt.Errorf("%s: run at key %d runs past the segment bound %d", s.name, key, s.bound)
+			}
+			if err := fn(graph.NodeID(key), graph.NodeID(val)); err != nil {
+				return err
+			}
+			if i++; i == count {
+				break
+			}
+			val += next() + 1
+		}
+		left -= count
 	}
-	c.pos += n
-	return v, nil
-}
-
-// refill moves the undecoded tail to the front of the window and reads
-// the blob's next bytes in behind it.
-func (c *segCursor) refill() error {
-	n := copy(c.win[:cap(c.win)], c.win[c.pos:])
-	more := int(min(int64(cap(c.win)-n), c.end-c.off))
-	if _, err := c.f.ReadAt(c.win[n:n+more], c.off); err != nil {
-		return err
-	}
-	c.win, c.pos, c.off = c.win[:n+more], 0, c.off+int64(more)
 	return nil
 }
 
-// next yields the following edge, packed (key, val), or ok=false at the
-// end.
-func (c *segCursor) next() (edge uint64, ok bool, err error) {
-	if c.left == 0 {
-		return 0, false, nil
-	}
-	if c.run == 0 {
-		gap, e := c.uvarint()
-		if e != nil {
-			return 0, false, fmt.Errorf("%s: truncated run key: %w", c.name, e)
-		}
-		if c.started && gap == 0 {
-			return 0, false, fmt.Errorf("%s: run keys not strictly ascending", c.name)
-		}
-		c.key += gap
-		c.started = true
-		count, e := c.uvarint()
-		if e != nil || count == 0 || count > c.left {
-			return 0, false, fmt.Errorf("%s: bad run length", c.name)
-		}
-		c.run = count
-		v, e := c.uvarint()
-		if e != nil {
-			return 0, false, fmt.Errorf("%s: truncated run value: %w", c.name, e)
-		}
-		c.prevVal = v
-	} else {
-		d, e := c.uvarint()
-		if e != nil {
-			return 0, false, fmt.Errorf("%s: truncated run value: %w", c.name, e)
-		}
-		c.prevVal += d + 1
-	}
-	c.run--
-	c.left--
-	if c.key >= c.bound || c.prevVal >= c.bound {
-		return 0, false, fmt.Errorf("%s: node id beyond segment bound %d", c.name, c.bound)
-	}
-	return graph.PackEdge(graph.NodeID(c.key), graph.NodeID(c.prevVal)), true, nil
-}
-
-func (c *segCursor) close() error { return c.f.Close() }
+func (s *segment) close() error { return s.unmap() }

@@ -24,30 +24,32 @@ func radixPasses(maxID NodeID) int {
 	return stats.RadixPasses(bits.Len32(maxID))
 }
 
-// idPasses is radixPasses of the largest id in edges, either half.
-func idPasses(edges []uint64) int {
-	var or uint64
+// halfPasses is the number of digits each half of edges is sorted on:
+// those covering the bits in which its ids differ. Ids that share their
+// high bits — the keys of one compaction bucket — need fewer passes
+// than the largest id alone would ask for.
+func halfPasses(edges []uint64) (val, key int) {
+	var diff uint64
 	for _, e := range edges {
-		or |= e
+		diff |= e ^ edges[0]
 	}
-	return radixPasses(NodeID(or>>32) | NodeID(or))
+	return radixPasses(NodeID(diff)), radixPasses(NodeID(diff >> 32))
 }
 
 // sortPacked sorts packed edges ascending, using scratch (at least as
 // long) as the second buffer.
 func sortPacked(edges, scratch []uint64) (sorted, spare []uint64) {
-	p := idPasses(edges)
-	edges, scratch = stats.RadixSort(edges, scratch[:len(edges)], 0, p)
-	return stats.RadixSort(edges, scratch, 32, p)
+	val, key := halfPasses(edges)
+	edges, scratch = stats.RadixSort(edges, scratch[:len(edges)], 0, val)
+	return stats.RadixSort(edges, scratch, 32, key)
 }
 
 // SortEdges puts packed edges into the canonical form every edge store
 // here keeps: ascending by (key, val), self-loops and duplicates
 // dropped. scratch must be at least as long as edges; both buffers are
-// overwritten, kept aliases one of them and spare is the other, cut to
-// the input length, for ReverseEdges.
-func SortEdges(edges, scratch []uint64) (kept, spare []uint64) {
-	sorted, spare := sortPacked(edges, scratch)
+// overwritten, and kept aliases one of them.
+func SortEdges(edges, scratch []uint64) (kept []uint64) {
+	sorted, _ := sortPacked(edges, scratch)
 	kept = sorted[:0]
 	for _, e := range sorted {
 		if key, val := UnpackEdge(e); key == val {
@@ -58,17 +60,5 @@ func SortEdges(edges, scratch []uint64) (kept, spare []uint64) {
 		}
 		kept = append(kept, e)
 	}
-	return kept, spare
-}
-
-// ReverseEdges turns edges sorted by (key, val) into the same edges
-// packed val<<32 | key and sorted by (val, key), at half a sort's cost:
-// swapping the halves leaves the new low half ascending, and a stable
-// sort on the new key alone keeps it ascending within each key. Both
-// buffers are overwritten; scratch must be at least as long as sorted.
-func ReverseEdges(sorted, scratch []uint64) (reversed, spare []uint64) {
-	for i, e := range sorted {
-		sorted[i] = bits.RotateLeft64(e, 32)
-	}
-	return stats.RadixSort(sorted, scratch[:len(sorted)], 32, idPasses(sorted))
+	return kept
 }
