@@ -18,7 +18,7 @@ all: build vet test race
 # covers the sharded rate limiter, the batched crawl frontier and the
 # study's concurrent, memoised structure stages with the packages that
 # drive them (paper, report, gplusanalyze), the
-# short fuzz leg shakes the checkpoint/journal parser, the series.jsonl tick decoder, the wire codec, the graph.v2 reader, the triad pass, the edge sort and the CDF sort, the hygiene leg
+# short fuzz leg shakes the checkpoint/journal parser, the series.jsonl tick decoder, the wire codec, the graph.v2 reader, the segment reader, the triad pass, the edge sort and the CDF sort, the hygiene leg
 # gates the metric exposition and its label vocabulary, the
 # one-durable-writer rule, the every-flag-has-a-recipe rule and the
 # every-package- and every-exported-symbol-reaches-the-pipeline rules and
@@ -43,7 +43,7 @@ help:
 	@echo "make bench-storage  out-of-core CSR: segment/compact/load/scan -> BENCH_storage.json"
 	@echo "make paperscale     10M-node/200M-edge out-of-core acceptance run (slow; merges RSS rows into BENCH_storage.json)"
 	@echo "make ablations      design-choice ablations, seed sensitivity and the lost-edge crawl"
-	@echo "make fuzz           long fuzz of every parser (wire codec, series names and the series.jsonl tick decoder included), the client's request URLs, the multi-source BFS, the triad pass, the edge sort, the segment compaction and the CDF sort (30s each)"
+	@echo "make fuzz           long fuzz of every parser (wire codec, series names and the series.jsonl tick decoder included), the client's request URLs, the multi-source BFS, the triad pass, the edge sort, the segment compaction, the segment reader and the CDF sort (30s each)"
 	@echo "make verify         generate a dataset and audit it against the paper at two analysis seeds"
 	@echo "make experiments    regenerate the measured half of EXPERIMENTS.md from a fresh dataset"
 
@@ -194,7 +194,7 @@ bench-storage:
 	    | $(GO) run ./cmd/benchjson -out BENCH_storage.json
 
 # The paper-scale acceptance run for the out-of-core pipeline: stream a
-# >=10M-node/>=200M-edge synthetic edge list into sorted segments,
+# >=10M-node/>=200M-edge synthetic edge list into segments,
 # compact them into one CSR v2 file, run degrees/WCC/triangles over the
 # memory-mapped form, then materialize and require byte-identical
 # results in RAM. Stage timings and peak-RSS checkpoints are merged
@@ -222,6 +222,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSortedCopy -fuzztime=30s ./internal/stats/
 	$(GO) test -fuzz=FuzzOpenV2 -fuzztime=30s ./internal/graph/diskcsr/
 	$(GO) test -fuzz=FuzzCompact -fuzztime=30s ./internal/graph/diskcsr/
+	$(GO) test -fuzz=FuzzSegment -fuzztime=30s ./internal/graph/diskcsr/
 	$(GO) test -fuzz=FuzzReadResult -fuzztime=30s ./internal/crawler/
 	$(GO) test -fuzz=FuzzParseFaultSpec -fuzztime=30s ./internal/gplusd/
 	$(GO) test -fuzz=FuzzSeriesName -fuzztime=30s ./internal/obs/
@@ -239,11 +240,14 @@ fuzz:
 # the one graph reader, so every graph.v2 byte of every dataset goes
 # through it (seeded with the dataset package's golden graph.v2), Compact
 # is the one writer of every crawled graph.v2 (held byte for byte to
-# WriteGraph of the Builder's graph at GOMAXPROCS 1, 2 and 3), the triad
+# WriteGraph of the Builder's graph at GOMAXPROCS 1, 2 and 3) and the
+# one reader of segment files, which a crash or a leftover older format
+# can hand any bytes (fuzzed bytes as a segment must fail naming it or
+# compact to a graph Open verifies), the triad
 # pass is the one kernel three figures share, the multi-source BFS is
 # the one kernel behind Figure 5 and both diameter bounds (held lane by
 # lane to the single-source BFS, in both step kinds), the radix edge
-# sort is the one order every segment, compaction and Builder graph
+# sort is the one order every compaction and Builder graph
 # rests on, and the same kernel under sortedCopy orders every CDF and
 # CCDF (held to sort.Float64s as its oracle).
 fuzz-short:
@@ -252,6 +256,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz=FuzzSeriesLog -fuzztime=10s -fuzzminimizetime=1s ./internal/obs/series/
 	$(GO) test -run '^$$' -fuzz=FuzzOpenV2 -fuzztime=10s ./internal/graph/diskcsr/
 	$(GO) test -run '^$$' -fuzz=FuzzCompact -fuzztime=10s ./internal/graph/diskcsr/
+	$(GO) test -run '^$$' -fuzz=FuzzSegment -fuzztime=10s ./internal/graph/diskcsr/
 	$(GO) test -run '^$$' -fuzz=FuzzTriads -fuzztime=10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz=FuzzMultiSourceBFS -fuzztime=10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz=FuzzSortEdges -fuzztime=10s ./internal/graph/

@@ -6,7 +6,8 @@
 // <out>/crawl.journal), flushed and fsynced every -flush-interval: a
 // crawl killed mid-flight (SIGKILL, OOM, reboot) loses at most one flush
 // interval of records plus one torn final line. Observed edges also
-// stream into sorted segments under <out>/.segments, so resident memory
+// stream into segments under <out>/.segments, raw logs of 8 bytes per
+// observation that only compaction sorts, so resident memory
 // follows the node count, not the edge count; when the crawl ends the
 // segments are compacted into <out>/graph.v2 and removed. Running the
 // same command again resumes: one pass over the journal restores the

@@ -10,10 +10,12 @@ import (
 	"gplus/internal/graph/diskcsr"
 )
 
-// SegmentSink streams crawl edges straight to disk as sorted, compacted
-// diskcsr segments instead of accumulating them in RAM — the out-of-core
-// collection path for crawls whose edge list outgrows memory. Service
-// ids are interned to provisional dense ids in first-seen order; the
+// SegmentSink streams crawl edges straight to disk as diskcsr segments
+// instead of accumulating them in RAM — the out-of-core collection path
+// for crawls whose edge list outgrows memory. A segment is a raw log of
+// the observations, 8 bytes each, both sightings of an edge included:
+// compaction alone sorts and deduplicates them. Service ids are
+// interned to provisional dense ids in first-seen order; the
 // provisional→final permutation is applied when FromCrawlSegments
 // compacts the segments, so the finished dataset is byte-identical to
 // one built in RAM over the same observations (the tests' FromCrawl

@@ -61,7 +61,7 @@ func reportEdges(b *testing.B, edges int64) {
 }
 
 // BenchmarkStorageWriteSegments prices the crawl-time ingest path:
-// streaming edges into sorted segment files.
+// streaming edges into segment files, one 8-byte record per edge.
 func BenchmarkStorageWriteSegments(b *testing.B) {
 	g, _ := benchSetup(b)
 	b.ReportAllocs()

@@ -8,6 +8,8 @@ import (
 	"io"
 	"math/bits"
 	"os"
+	"runtime"
+	"sort"
 	"sync/atomic"
 
 	"gplus/internal/graph"
@@ -53,13 +55,15 @@ var compactSortHook func(edges int)
 
 // Compact writes one v2 CSR file at outPath (atomically) holding the
 // edges of every segment under segDir, by a distribution sort over key
-// ranges. Duplicate edges across segments collapse and self-loops drop,
-// matching Builder semantics, so a graph built through segments equals
-// the graph built in RAM from the same edge stream.
+// ranges. It is the one place segment edges are sorted: duplicate edges
+// collapse and self-loops drop, matching Builder semantics, so a graph
+// built through segments equals the graph built in RAM from the same
+// edge stream.
 //
 // Two passes run on up to P = GOMAXPROCS workers each. The scatter: a
-// worker decodes a contiguous run of segments, one mapped at a time,
-// translates each edge through Remap, and appends (src,dst) to the
+// worker reads a contiguous range of records, a P-th of all segments'
+// records, cut across segment borders and mapping one segment at a
+// time, translates each edge through Remap, and appends (src,dst) to the
 // forward bucket of src's key range and (dst,src) to the reverse bucket
 // of dst's, in chunks spilled to one scratch file, outPath + ".spill",
 // and indexed in RAM. The encode: a worker reads a bucket back, sorts it
@@ -73,22 +77,26 @@ var compactSortHook func(edges int)
 //
 // The bytes written are the same at any GOMAXPROCS, and so is the
 // error: a segment's structure (header, size) is checked serially
-// before any edge is read, then the lowest failing segment's.
+// before any record is read, then the lowest failing range's, which is
+// the first failing record's.
 func Compact(segDir, outPath string, opt CompactOptions) (*CompactStats, error) {
 	segs, err := ListSegments(segDir)
 	if err != nil {
 		return nil, err
 	}
-	// limit bounds every id an edge may carry after Remap.
-	var total, limit uint64
-	for _, path := range segs {
+	// limit bounds every id an edge may carry after Remap; starts[i] is
+	// the index of segment i's first record among all segments' records.
+	var limit uint64
+	starts := make([]uint64, len(segs)+1)
+	for i, path := range segs {
 		s, err := openSegment(path)
 		if err != nil {
 			return nil, err
 		}
 		s.close()
-		total, limit = total+s.edges, max(limit, s.bound)
+		starts[i+1], limit = starts[i]+s.edges, max(limit, s.bound)
 	}
+	total := starts[len(segs)]
 	if opt.Remap != nil {
 		limit = maxNodes
 	}
@@ -103,7 +111,7 @@ func Compact(segDir, outPath string, opt CompactOptions) (*CompactStats, error) 
 	sp := &spill{f: f}
 
 	plan := newBucketPlan(limit, total)
-	buckets, seen, err := scatter(segs, opt.Remap, limit, plan, sp)
+	buckets, seen, err := scatter(segs, starts, opt.Remap, limit, plan, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -228,46 +236,69 @@ func (p *partition) flush() error {
 	return nil
 }
 
-// scatter is the first pass: it reads every segment, translates its
-// edges through remap (when non-nil), drops self-loops, checks every id
+// scatter is the first pass: it reads every segment's records, split
+// into one contiguous record range per worker across segment borders,
+// checks each id against its segment's bound, translates the edge
+// through remap (when non-nil), drops self-loops, checks every id
 // against limit, and spreads each edge's forward and reverse copies
 // over the plan's buckets. It returns the two directions' bucket
 // indexes and the largest id seen + 1.
-func scatter(segs []string, remap []graph.NodeID, limit uint64, plan bucketPlan, sp *spill) (buckets [2][]bucket, seen uint64, err error) {
-	parts := make([][2]*partition, len(segs))
-	seens := make([]uint64, len(segs))
-	err = inParallel(len(segs), func(lo, hi int) error {
+func scatter(segs []string, starts []uint64, remap []graph.NodeID, limit uint64, plan bucketPlan, sp *spill) (buckets [2][]bucket, seen uint64, err error) {
+	total := starts[len(segs)]
+	workers := int(min(uint64(runtime.GOMAXPROCS(0)), total))
+	parts := make([][2]*partition, workers)
+	seens := make([]uint64, workers)
+	err = inParallel(workers, func(lo, hi int) error {
 		fwd, rev := newPartition(sp, plan.buckets), newPartition(sp, plan.buckets)
 		parts[lo] = [2]*partition{fwd, rev}
-		for _, path := range segs[lo:hi] {
-			s, err := openSegment(path)
-			if err != nil {
-				return err
-			}
-			err = s.each(func(k, v graph.NodeID) error {
+		var top uint64 // the largest id seen + 1
+		// records scatters records [from, to) of s.
+		records := func(s *segment, from, to uint64) error {
+			for r := from; r < to; r++ {
+				k, v := graph.UnpackEdge(binary.LittleEndian.Uint64(s.blob[8*r:]))
+				if uint64(k) >= s.bound || uint64(v) >= s.bound {
+					return fmt.Errorf("%s: record %d, edge (%d,%d), at or past the segment bound %d", s.name, r, k, v, s.bound)
+				}
 				if remap != nil {
 					if int(k) >= len(remap) || int(v) >= len(remap) {
-						return fmt.Errorf("%s: node id outside remap table (len %d)", path, len(remap))
+						return fmt.Errorf("%s: node id outside remap table (len %d)", s.name, len(remap))
 					}
 					k, v = remap[k], remap[v]
 				}
 				if k == v {
-					return nil
+					continue
 				}
 				if uint64(k) >= limit || uint64(v) >= limit {
-					return fmt.Errorf("%s: edge (%d,%d) outside the %d-node graph", path, k, v, limit)
+					return fmt.Errorf("%s: edge (%d,%d) outside the %d-node graph", s.name, k, v, limit)
 				}
-				seens[lo] = max(seens[lo], uint64(max(k, v))+1)
+				top = max(top, uint64(max(k, v))+1)
 				if err := fwd.add(int(k>>plan.shift), graph.PackEdge(k, v)); err != nil {
 					return err
 				}
-				return rev.add(int(v>>plan.shift), graph.PackEdge(v, k))
-			})
+				if err := rev.add(int(v>>plan.shift), graph.PackEdge(v, k)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		// This worker's records are [begin, end) of all segments'.
+		begin, end := total*uint64(lo)/uint64(workers), total*uint64(hi)/uint64(workers)
+		for i := sort.Search(len(segs), func(i int) bool { return starts[i+1] > begin }); i < len(segs) && starts[i] < end; i++ {
+			s, err := openSegment(segs[i])
+			if err != nil {
+				return err
+			}
+			if s.edges != starts[i+1]-starts[i] {
+				err = fmt.Errorf("%s: segment changed during compaction", s.name)
+			} else {
+				err = records(s, max(begin, starts[i])-starts[i], min(end, starts[i+1])-starts[i])
+			}
 			s.close()
 			if err != nil {
 				return err
 			}
 		}
+		seens[lo] = top
 		if err := fwd.flush(); err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -97,6 +98,88 @@ func FuzzCompact(f *testing.F) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("Compact at GOMAXPROCS %d wrote %d bytes that differ from WriteGraph's %d", procs, len(got), len(want))
 			}
+		}
+	})
+}
+
+// FuzzSegment writes fuzzed bytes as one segment file, after a valid
+// one, and compacts the directory at GOMAXPROCS 1 and 3, with a Remap
+// or without (mode bit 0): Compact must return an error naming the
+// fuzzed file and leave nothing beside its output, or write a graph
+// that Open verifies. NumNodes is set, as every production caller sets
+// it, so no header can size the output.
+func FuzzSegment(f *testing.F) {
+	seg := func(magic string, bound, edges, blobLen uint64, blob ...byte) []byte {
+		data := []byte(magic)
+		data = binary.LittleEndian.AppendUint64(data, bound)
+		data = binary.LittleEndian.AppendUint64(data, edges)
+		data = binary.LittleEndian.AppendUint64(data, blobLen)
+		return append(data, blob...)
+	}
+	records := func(edges ...graph.NodeID) []byte {
+		var blob []byte
+		for i := 0; i+1 < len(edges); i += 2 {
+			blob = binary.LittleEndian.AppendUint64(blob, graph.PackEdge(edges[i], edges[i+1]))
+		}
+		return blob
+	}
+	for mode := uint8(0); mode < 2; mode++ {
+		f.Add(mode, []byte{})
+		f.Add(mode, seg("GPLSEG03", 0, 0, 0))
+		f.Add(mode, seg("GPLSEG03", 9, 3, 24, records(1, 2, 2, 2, 8, 0)...)) // a self-loop
+		f.Add(mode, seg("GPLSEG03", 9, 2, 16, records(1, 2, 1, 2)...))       // a duplicate
+		f.Add(mode, seg("GPLSEG03", 99, 1, 8, records(98, 3)...))            // past NumNodes
+		f.Add(mode, seg("GPLSEG03", 4, 2, 16, records(1, 2, 4, 0)...))       // at the bound
+		f.Add(mode, seg("GPLSEG03", 9, 3, 16, records(1, 2, 2, 3)...))       // 8 × edges > blob
+		f.Add(mode, seg("GPLSEG03", 9, 1, 12, records(1, 2, 2, 3)[:12]...))  // ragged
+		f.Add(mode, seg("GPLSEG02", 3, 2, 6, 0, 1, 1, 1, 1, 2))              // the old format
+		f.Add(mode, seg("GPLSEG03", 1<<40, 1<<40, 1<<43, records(1, 2)...))  // hostile header
+	}
+	valid := seg("GPLSEG03", 10, 3, 24, records(0, 1, 1, 0, 5, 9)...)
+	f.Fuzz(func(t *testing.T, mode uint8, data []byte) {
+		const n = 16
+		var remap []graph.NodeID
+		if mode&1 != 0 {
+			remap = make([]graph.NodeID, n)
+			for i := range remap {
+				remap[i] = graph.NodeID(n - 1 - i)
+			}
+		}
+		dir := t.TempDir()
+		segDir := filepath.Join(dir, "segs")
+		if err := os.Mkdir(segDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(segDir, "seg-000000.seg"), valid, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fuzzed := filepath.Join(segDir, "seg-000001.seg")
+		if err := os.WriteFile(fuzzed, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{1, 3} {
+			prev := runtime.GOMAXPROCS(procs)
+			outDir := filepath.Join(dir, fmt.Sprintf("out-%d", procs))
+			if err := os.Mkdir(outDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			out := filepath.Join(outDir, "graph.v2")
+			_, err := Compact(segDir, out, CompactOptions{NumNodes: n, Remap: remap})
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				if !strings.Contains(err.Error(), fuzzed) {
+					t.Fatalf("Compact at GOMAXPROCS %d: %v, want an error naming %s", procs, err, fuzzed)
+				}
+				if left, err := os.ReadDir(outDir); err != nil || len(left) != 0 {
+					t.Fatalf("a failed compaction left %v (%v) beside its output", left, err)
+				}
+				continue
+			}
+			m, err := Open(out, Options{})
+			if err != nil {
+				t.Fatalf("Compact at GOMAXPROCS %d wrote a graph Open rejects: %v", procs, err)
+			}
+			m.Close()
 		}
 	})
 }

@@ -265,6 +265,77 @@ func TestCompactRejectsTornSegment(t *testing.T) {
 			}
 		}
 	})
+
+	// Segments whose header and size agree but are still not what a
+	// Writer writes: each must fail Compact naming the segment, at one
+	// worker and at four, and leave nothing beside the output.
+	for _, tc := range []struct {
+		name, want string
+		bad        func([]byte) []byte
+	}{
+		{"blob-not-8-per-edge", "corrupt segment header", func(data []byte) []byte {
+			// One edge fewer in the header than the blob holds.
+			binary.LittleEndian.PutUint64(data[16:], binary.LittleEndian.Uint64(data[16:])-1)
+			return data
+		}},
+		{"blob-ragged", "torn segment", func(data []byte) []byte {
+			return append(data, 0, 0, 0, 0)
+		}},
+		{"id-at-bound", "at or past the segment bound", func(data []byte) []byte {
+			bound := graph.NodeID(binary.LittleEndian.Uint64(data[8:]))
+			binary.LittleEndian.PutUint64(data[segHeaderSize+8*3:], graph.PackEdge(2, bound))
+			return data
+		}},
+		{"leftover-GPLSEG02", "bad segment magic", func([]byte) []byte {
+			// Two sorted runs, (0,1) and (1,2), as a GPLSEG02 Writer
+			// encoded them.
+			blob := []byte{0, 1, 1, 1, 1, 2}
+			old := append([]byte("GPLSEG02"), make([]byte, 24)...)
+			binary.LittleEndian.PutUint64(old[8:], 3)
+			binary.LittleEndian.PutUint64(old[16:], 2)
+			binary.LittleEndian.PutUint64(old[24:], uint64(len(blob)))
+			return append(old, blob...)
+		}},
+	} {
+		for _, procs := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/procs=%d", tc.name, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				dir := t.TempDir()
+				w, err := NewWriter(dir, 6, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 24; i++ {
+					if err := w.Add(graph.NodeID(i), graph.NodeID(i+1)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				segs, err := ListSegments(dir)
+				if err != nil || len(segs) != 4 {
+					t.Fatalf("segments: %v %v, want 4", segs, err)
+				}
+				bad := segs[2]
+				data, err := os.ReadFile(bad)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(bad, tc.bad(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				outDir := t.TempDir()
+				_, err = Compact(dir, filepath.Join(outDir, "graph.v2"), CompactOptions{NumNodes: 64})
+				if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), bad) {
+					t.Fatalf("want a %q error naming %s, got %v", tc.want, bad, err)
+				}
+				if left, err := os.ReadDir(outDir); err != nil || len(left) != 0 {
+					t.Fatalf("a failed compaction left %v (%v) beside its output", left, err)
+				}
+			})
+		}
+	}
 }
 
 // FuzzOpenV2 feeds arbitrary bytes through the full Open validation,

@@ -11,9 +11,11 @@
 //     in-RAM Graph.
 //
 //   - LSM-style edge segments: bounded in-memory batches of edges
-//     flushed to sorted segment files (forward runs only) during a live
-//     crawl, and compacted into a v2 file by Compact, a distribution
-//     sort over key-range buckets. Ingest RAM is bounded by the flush
+//     flushed during a live crawl to segment files, each a raw log of
+//     8-byte records in the order the edges were added, and compacted
+//     into a v2 file by Compact, a distribution sort over key-range
+//     buckets and the one place edges are sorted, deduplicated and
+//     stripped of self-loops. Ingest RAM is bounded by the flush
 //     threshold and compaction RAM, beside the O(n) index arrays, by
 //     one bucket and its chunk buffers per worker: neither grows with
 //     the crawl.

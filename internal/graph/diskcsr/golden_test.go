@@ -18,18 +18,19 @@ import (
 // sort replaced the comparison sorts, and it has held since through the
 // sort, the dedup and the compaction being rewritten: how the graph is
 // built may change, its bytes may not. The seg-*.seg hashes were
-// re-recorded when segments dropped their reverse (dst,src) copy and
-// became forward runs only (magic GPLSEG02): the segment format is
-// private to Writer and Compact and may change with them, but a change
-// to it must show here.
+// re-recorded when segments became raw edge logs (magic GPLSEG03): one
+// 8-byte record per Add, in Add order, the stream's duplicates and
+// self-loops included, where GPLSEG02 held sorted, deduplicated forward
+// runs. The segment format is private to Writer and Compact and may
+// change with them, but a change to it must show here.
 var ingestGolden = map[string]string{
-	"seg-000000.seg": "079b16343c15761421605680a3fddc78ef0f343b1a6a2d38c36bfc9ab7fc3015",
-	"seg-000001.seg": "0688f9095aa05a4b23c7ba56845aa91b4d49002018aad5e5760d80cda9f195bf",
-	"seg-000002.seg": "9b7b201bcee59a03da293bdd9860c83565da1749070290283c400da352e5fb61",
-	"seg-000003.seg": "f6050d7b8e771372a609b3eb55eb9b60887029ea3370f3ae78da74d56a00b9f5",
-	"seg-000004.seg": "fea304b04abc2ff4c725ce8a3cd07c2c153225d8f37d13311748ad4172b2ff29",
-	"seg-000005.seg": "d7e6312c185886652e3665c82c200ee8b168e04f3bae7b352d2915c6d4a0271a",
-	"seg-000006.seg": "32a2d4373b8e404fff21f3e28dc849d7bf3ca10dec4eeb39605efa26d3edf5e3",
+	"seg-000000.seg": "c01a546c2db936850ff4a0807315f745411698d2327d349ea96ba14446358fca",
+	"seg-000001.seg": "b9247564d2071e66ca114e919e6abd04aac706ec83525e0d3c4faa92e320659d",
+	"seg-000002.seg": "134c81c1dd2e76991ba0ec2c5d18195bfe0f872607461e8ccb2bea79a2ad8348",
+	"seg-000003.seg": "f5461f2d343d6e9d2271ced1762c5df6ae1ff62d36163cf899d9dca84af0df46",
+	"seg-000004.seg": "10b253a178c3f6b8a1194ba99ab3dccc810007860921ee4b9dfa0b4f7ea25749",
+	"seg-000005.seg": "550ccb4894d53008cf37895859a5c5745df254bb17037f50bda7acc2a22847b4",
+	"seg-000006.seg": "50e9e672e99bdb6319e3e82f2867d60f2cdc64d4c017746e595de9c56d7f6fe8",
 	"graph.v2":       "1f35d84ab74a1c9be48aa9de05edde9a7b048dfaa3b2673ac4117d4b492e57e5",
 }
 

@@ -28,7 +28,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		mappedBytes:        reg.Gauge("diskcsr_mapped_bytes"),
 	}
 	reg.Help("diskcsr_segments_flushed_total", "Edge segment files flushed to disk.")
-	reg.Help("diskcsr_segment_edges_total", "Edges written into segment files (after per-segment dedup).")
+	reg.Help("diskcsr_segment_edges_total", "Edges written into segment files, one per Add (duplicates and self-loops included).")
 	reg.Help("diskcsr_compactions_total", "Segment compactions into CSR v2 files.")
 	reg.Help("diskcsr_compaction_input_segments_total", "Segment files consumed by compactions.")
 	reg.Help("diskcsr_compaction_edges_total", "Distinct edges written by compactions.")

@@ -77,7 +77,7 @@ func TestPaperScale(t *testing.T) {
 		}
 	}
 
-	// Stage 1: stream the edge list into sorted segments, the way a
+	// Stage 1: stream the edge list into segments, the way a
 	// crawl's EdgeSink would (no in-RAM graph exists at this point).
 	stage("write_segments", m, func() {
 		w, err := NewWriter(segDir, 16<<20, nil)

@@ -1,7 +1,9 @@
 package diskcsr
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -10,6 +12,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"gplus/internal/durable"
@@ -634,6 +637,115 @@ func TestCompactRemapNoSegments(t *testing.T) {
 	}
 }
 
+// TestSegmentIsALog pins what a segment holds: every Add, in Add
+// order, duplicates and self-loops included — a header saying N edges
+// and a file of 32 + 8N bytes. The stream is the crawl's shape, held in
+// one buffer and flushed once, so its one segment is split by record
+// range in the scatter: at GOMAXPROCS 1, 2 and 8 it must compact to
+// WriteGraph's bytes, with every record scattered exactly once.
+func TestSegmentIsALog(t *testing.T) {
+	const n, pairs = 3000, 20_000
+	rng := rand.New(rand.NewPCG(43, 3))
+	remap := make([]graph.NodeID, n)
+	for i, p := range rng.Perm(n) {
+		remap[i] = graph.NodeID(p)
+	}
+	dir := t.TempDir()
+	segDir := filepath.Join(dir, "segs")
+	w, err := NewWriter(segDir, 1<<20, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := graph.NewBuilder(n, 0)
+	var added []uint64
+	kept, top := 0, graph.NodeID(0)
+	add := func(u, v graph.NodeID) {
+		if err := w.Add(u, v); err != nil {
+			t.Fatal(err)
+		}
+		added = append(added, graph.PackEdge(u, v))
+		top = max(top, u, v)
+		if u != v {
+			b.AddEdge(remap[u], remap[v])
+			kept++
+		}
+	}
+	for i := 0; i < pairs; i++ {
+		u, v := graph.NodeID(rng.IntN(n)), graph.NodeID(rng.IntN(n))
+		add(u, v)
+		switch i % 5 {
+		case 0:
+			add(u, v) // a duplicate
+		case 1:
+			add(v, v) // a self-loop
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	segs, err := ListSegments(segDir)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments: %v %v, want one", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := uint64(len(added))
+	if got, want := len(data), segHeaderSize+8*len(added); got != want {
+		t.Fatalf("segment of %d Adds is %d bytes, want 32 + 8N = %d", len(added), got, want)
+	}
+	header := []uint64{binary.LittleEndian.Uint64(data[8:]), binary.LittleEndian.Uint64(data[16:]), binary.LittleEndian.Uint64(data[24:])}
+	if string(data[:8]) != "GPLSEG03" || !slices.Equal(header, []uint64{uint64(top) + 1, edges, 8 * edges}) {
+		t.Fatalf("header %q %v, want GPLSEG03 [%d %d %d]", data[:8], header, top+1, edges, 8*edges)
+	}
+	for i, e := range added {
+		if got := binary.LittleEndian.Uint64(data[segHeaderSize+8*i:]); got != e {
+			t.Fatalf("record %d is %#x, want Add number %d, %#x", i, got, i, e)
+		}
+	}
+
+	refPath := filepath.Join(dir, "ref.v2")
+	if err := WriteGraph(refPath, b.Build()); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(refPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu     sync.Mutex
+		sorted int
+	)
+	compactSortHook = func(edges int) {
+		mu.Lock()
+		sorted += edges
+		mu.Unlock()
+	}
+	defer func() { compactSortHook = nil }()
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			sorted = 0
+			out := filepath.Join(t.TempDir(), "graph.v2")
+			if _, err := Compact(segDir, out, CompactOptions{NumNodes: n, Remap: remap}); err != nil {
+				t.Fatal(err)
+			}
+			if sorted != 2*kept {
+				t.Fatalf("the buckets sorted %d edge copies, want 2 × %d: a record was scattered more or less than once", sorted, kept)
+			}
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("the one-segment stream compacted to bytes that differ from WriteGraph's")
+			}
+		})
+	}
+}
+
 // TestWriterResume pins that a writer reopened over existing segments
 // continues the sequence instead of clobbering flushed edges.
 func TestWriterResume(t *testing.T) {
@@ -676,8 +788,10 @@ func TestWriterResume(t *testing.T) {
 }
 
 // TestWriterFailedFlushIsFinal pins what a failed flush leaves behind:
-// the sort has already overwritten the buffered edges, so a retry must
-// fail again rather than publish whatever the buffers now hold.
+// a dead Writer. A background failure is seen only after Add has moved
+// past the failed buffer, so no retry could make the segments whole; a
+// failed Flush is final too, so that the caller has one rule, and a
+// retry must fail again rather than publish part of the stream.
 func TestWriterFailedFlushIsFinal(t *testing.T) {
 	dir := t.TempDir()
 	w, err := NewWriter(dir, 10, nil)
@@ -795,7 +909,7 @@ func edgeBuffers(t *testing.T, w *Writer, edges int) int {
 
 // TestWriterEdgeBufferBound pins the Writer's RAM bound: with four
 // flushes in flight, a 40-segment stream runs through at most five edge
-// buffers and four flush slots.
+// buffers, four of them spares.
 func TestWriterEdgeBufferBound(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const buffer, segments = 64, 40
@@ -807,8 +921,8 @@ func TestWriterEdgeBufferBound(t *testing.T) {
 	if got := edgeBuffers(t, w, buffer*segments); got < 2 || got > 4+1 {
 		t.Fatalf("the writer filled %d edge buffers, want between 2 and GOMAXPROCS+1 = 5", got)
 	}
-	if w.slots > 4 {
-		t.Fatalf("the writer made %d flush slots, want at most GOMAXPROCS = 4", w.slots)
+	if w.spares > 4 {
+		t.Fatalf("the writer made %d spare edge buffers, want at most GOMAXPROCS = 4", w.spares)
 	}
 	if segs, err := ListSegments(dir); err != nil || len(segs) != segments {
 		t.Fatalf("%d segments (%v), want %d", len(segs), err, segments)
@@ -817,7 +931,7 @@ func TestWriterEdgeBufferBound(t *testing.T) {
 
 // TestWriterSmallStreamHoldsOneBuffer: a stream that never fills the
 // buffer holds what a Writer held before flushes left the caller's
-// goroutine — one edge buffer, and one slot for the final flush.
+// goroutine — one edge buffer, which the final flush writes from.
 func TestWriterSmallStreamHoldsOneBuffer(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	w, err := NewWriter(t.TempDir(), 1000, nil)
@@ -827,7 +941,7 @@ func TestWriterSmallStreamHoldsOneBuffer(t *testing.T) {
 	if got := edgeBuffers(t, w, 999); got != 1 {
 		t.Fatalf("the writer filled %d edge buffers, want 1", got)
 	}
-	if w.slots != 1 {
-		t.Fatalf("the writer made %d flush slots, want 1", w.slots)
+	if w.spares != 0 {
+		t.Fatalf("the writer made %d spare edge buffers, want 0", w.spares)
 	}
 }
