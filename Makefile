@@ -79,8 +79,10 @@ race:
 # gpluscrawl, gplusd, gplusanalyze, gplusgen or gplusverify
 # registers a flag that no README.md, EXPERIMENTS.md or Makefile command
 # line passes to it, if a `go run ./<dir>` in those files names no
-# package main, or if a `gplusanalyze <word>` there or in a string of
-# a cmd/*/main.go names no sub-command it has. The reachability gates fail if a package under
+# package main, if a `gplusanalyze <word>` there or in a string of
+# a cmd/*/main.go names no sub-command it has, or if a curl of
+# 127.0.0.1 in README.md or EXPERIMENTS.md fetches a path that both the
+# run mux and gplusd answer with 404. The reachability gates fail if a package under
 # internal/ is a non-test import of no cmd/ binary and not of bench,
 # or if an exported func, method, type, const or var
 # under internal/ is named by no non-test code those mains reach and is

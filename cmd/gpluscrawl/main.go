@@ -20,7 +20,7 @@
 // from an old one, copy it to <out>/crawl.journal.
 //
 // With -metrics-addr it serves live crawler telemetry (/metrics in
-// Prometheus text, /debug/vars, /debug/pprof/, /debug/timeseries —
+// Prometheus text, /debug/pprof/, /debug/traces, /debug/timeseries —
 // in-process metric history sampled every -sample-interval — and
 // /debug/slo) while the crawl runs. Every sample, the run's watcher
 // (package rundir) builds one health report over the trailing window of
@@ -112,7 +112,7 @@ func run(ctx context.Context, args []string) error {
 		flushEvery  = fs.Duration("flush-interval", time.Second, "journal flush+fsync interval (bounds what a crash can lose)")
 		abortErrs   = fs.Int("abort-errors", 0, "stop, save the partial dataset and exit non-zero after this many permanent fetch failures — retries exhausted or requeues spent, not sheds (0 = never)")
 		politeness  = fs.Duration("politeness", 0, "pause between requests per worker (e.g. 50ms)")
-		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof/ and /debug/traces on this address while crawling (empty disables)")
+		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/pprof/, /debug/traces, /debug/timeseries and /debug/slo on this address while crawling (empty disables)")
 		progress    = fs.Duration("progress", 10*time.Second, "interval between progress lines (0 logs only the closing summary); three intervals without a page fetched while ids stay queued is a stall and fires a profile capture")
 		dashOn      = fs.Bool("dash", false, "draw the live health report on stdout as a terminal dashboard (sparkline throughput/frontier/error rows, stalls, SLO state) instead of periodic progress lines")
 		attemptTO   = fs.Duration("attempt-timeout", 30*time.Second, "request deadline of each wire attempt, propagated to gplusd via X-Gplus-Deadline; an expired attempt is retried and counts as an overload signal")
@@ -131,10 +131,6 @@ func run(ctx context.Context, args []string) error {
 			obsCfg.Signals.StallAfter = n
 		}
 	}
-	if *metricsAddr != "" {
-		obsCfg.Name = "gpluscrawl" // the expvar name: /debug/vars is served on -metrics-addr only
-	}
-
 	// The whole observability stack and its spool into -obs-dir. Sampling
 	// starts here, before the seed fetch: a service that is down when the
 	// crawl launches shows up as 503/retry series from the first request.
@@ -181,9 +177,10 @@ func run(ctx context.Context, args []string) error {
 		log.Printf("seeding crawl at most popular user %s", id)
 	}
 
-	// Observed edges stream into sorted disk segments; the edge list never
-	// exists in this process's RAM. Segments left by a killed session are
-	// unusable — their ids index an interning table that died with it.
+	// Observed edges stream into raw disk segments, sorted only when they
+	// are compacted; the edge list never exists in this process's RAM.
+	// Segments left by a killed session are unusable — their ids index
+	// an interning table that died with it.
 	segDir := filepath.Join(*out, ".segments")
 	if stale, err := diskcsr.ListSegments(segDir); err != nil {
 		return err

@@ -4,11 +4,11 @@
 // /seed endpoint naming a popular user to start crawls from.
 //
 // Operational endpoints ride on the same listener: /metrics (Prometheus
-// text; ?format=json for the snapshot), /debug/vars (expvar), the
-// /debug/pprof/ suite for go tool pprof, /debug/timeseries (in-process
-// metric history at -sample-interval cadence; ?format=jsonl dumps it),
-// and /debug/slo (the server's health report, rebuilt every sample with
-// the burn-rate state and violation spans of the -slo objectives).
+// text), the /debug/pprof/ suite for go tool pprof, /debug/timeseries
+// (in-process metric history at -sample-interval cadence; ?format=jsonl
+// dumps it), and /debug/slo (the server's health report, rebuilt every
+// sample with the burn-rate state and violation spans of the -slo
+// objectives).
 //
 // The hot path holds no global locks: fault injection draws from
 // per-goroutine RNG streams and the per-crawler rate limiter is striped
@@ -27,8 +27,8 @@
 // shedding (503 + Retry-After, honoring the client's X-Gplus-Deadline),
 // and per-endpoint priority (circle listings shed before profile
 // fetches). A -chaos brownout rule squeezes the admission capacity
-// during its windows. State rides on /debug/admission and the
-// gplusd_admission_* series.
+// during its windows. Its state is the gplusd_admission_* series on
+// /metrics, which bypasses admission.
 //
 // -trace-sample > 0 records server-side request spans — the request root
 // plus chaos delays/hangs and page rendering — joining crawler traces
@@ -74,9 +74,9 @@ func main() {
 		circleCap = flag.Int("cap", 10_000, "circle list cap (-1 disables)")
 		rate      = flag.Float64("rate", 0, "per-crawler rate limit (req/s, 0 disables)")
 		chaosSpec = flag.String("chaos", "", `chaos-mode fault suite, rules separated by ';', e.g. "unavailable,endpoint=profile,rate=0.2;delay,rate=0.1,delay=150ms;hang,rate=0.01,delay=90s;reset,rate=0.05;outage,every=10m,down=45s;brownout,every=10m,down=45s,delay=100ms,squeeze=0.8"`)
-		admitMax  = flag.Int("admission", 0, "admission control: max concurrent requests (0 disables; sheds carry Retry-After, report at /debug/admission)")
+		admitMax  = flag.Int("admission", 0, "admission control: max concurrent requests (0 disables; sheds carry Retry-After, state in the gplusd_admission_* series on /metrics)")
 	)
-	obsCfg := rundir.Config{Name: "gplusd", Signals: series.GplusdSignals()}
+	obsCfg := rundir.Config{Signals: series.GplusdSignals()}
 	obsCfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -110,7 +110,7 @@ func main() {
 	var admission *resilience.AdmissionOptions
 	if *admitMax > 0 {
 		admission = &resilience.AdmissionOptions{MaxConcurrent: *admitMax}
-		log.Printf("admission control armed: %d concurrent (report at /debug/admission)", *admitMax)
+		log.Printf("admission control armed: %d concurrent (state in gplusd_admission_* on /metrics)", *admitMax)
 	}
 	srv := gplusd.New(u, gplusd.Options{
 		CircleCap:     *circleCap,

@@ -8,6 +8,8 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -17,9 +19,15 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"gplus/internal/gplusd"
 	"gplus/internal/obs/rundir"
+	"gplus/internal/obs/series"
+	"gplus/internal/obs/trace"
 	"gplus/internal/report"
+	"gplus/internal/resilience"
+	"gplus/internal/synth"
 )
 
 // TestFlagsHaveRecipe is the `make check` gate against knobs nobody
@@ -39,14 +47,17 @@ import (
 // where a retired command otherwise lives on): each `go run ./<dir>`
 // must name a directory holding package main, and each `gplusanalyze
 // <word>` whose word is neither a flag nor a path must be one of the
-// sub-commands gplusanalyze dispatches (a|b alternatives each).
+// sub-commands gplusanalyze dispatches (a|b alternatives each). Each
+// `curl …127.0.0.1:<port>/<path>` of README.md or EXPERIMENTS.md must
+// name a route one of the two live surfaces serves (checkCurlRoutes).
 //
 // EXPERIMENTS.md's sections are held to the recipes they name: every
 // `## ` heading outside the generated block names at least one in
 // backticks, and each must exist (recipes.exists).
 func TestFlagsHaveRecipe(t *testing.T) {
-	var lines, commands []string
+	var lines, commands, curled []string
 	codeSpan, chained := regexp.MustCompile("`[^`]+`"), regexp.MustCompile(`\|\|?|&&`)
+	curl := regexp.MustCompile("curl\\s[^\\n]*?127\\.0\\.0\\.1:\\d+(/[^\\s'\"?#`]*)")
 	have := loadRecipes(t)
 	for _, name := range []string{"README.md", "EXPERIMENTS.md", "Makefile"} {
 		b, err := os.ReadFile(name)
@@ -62,6 +73,9 @@ func TestFlagsHaveRecipe(t *testing.T) {
 			for _, msg := range have.staleHeadings(doc) {
 				t.Errorf("EXPERIMENTS.md: %s", msg)
 			}
+		}
+		for _, m := range curl.FindAllStringSubmatch(doc, -1) {
+			curled = append(curled, m[1])
 		}
 		for i, part := range strings.Split(doc, "```") {
 			if i%2 == 1 { // fenced
@@ -90,6 +104,7 @@ func TestFlagsHaveRecipe(t *testing.T) {
 		})
 	}
 	checkCommandsRun(t, lines)
+	checkCurlRoutes(t, curled)
 	// The heading rule fails a section whose recipe is gone.
 	for _, tc := range []struct {
 		heading string
@@ -305,6 +320,51 @@ func checkCommandsRun(t *testing.T, lines []string) {
 				}
 				t.Errorf("%q runs gplusanalyze %s, which is not one of its sub-commands", strings.TrimSpace(line), word)
 			}
+		}
+	}
+}
+
+// checkCurlRoutes is TestFlagsHaveRecipe's check that every path the
+// docs curl is served: a GET of it, query dropped, must not be a 404
+// from both the run mux of a rundir.Run with its collector and tracer
+// on and a gplusd.Server with admission armed. Two retired views pin
+// that the check can fail.
+func checkCurlRoutes(t *testing.T, paths []string) {
+	t.Helper()
+	if len(paths) == 0 {
+		t.Fatal("no curl recipe found in README.md or EXPERIMENTS.md; the scan no longer matches how they are written")
+	}
+	run, err := rundir.Start(rundir.Config{
+		Series: series.Options{Interval: time.Hour},
+		Trace:  trace.Config{SampleRate: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer run.Close()
+	u, err := synth.Generate(synth.DefaultConfig(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := gplusd.New(u, gplusd.Options{Admission: &resilience.AdmissionOptions{}})
+	served := func(path string) bool {
+		for _, h := range []http.Handler{run.Mux(), srv} {
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+			if rr.Code != http.StatusNotFound {
+				return true
+			}
+		}
+		return false
+	}
+	for _, path := range paths {
+		if !served(path) {
+			t.Errorf("a curl recipe fetches %s, which neither the run mux nor gplusd serves", path)
+		}
+	}
+	for _, gone := range []string{"/debug/vars", "/debug/admission"} {
+		if served(gone) {
+			t.Errorf("%s is served; the check cannot tell a retired route", gone)
 		}
 	}
 }

@@ -1,16 +1,17 @@
 package gplusd
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"gplus/internal/obs"
 	"gplus/internal/resilience"
 )
 
@@ -140,67 +141,75 @@ func TestAdmissionDeadlineSheds(t *testing.T) {
 	wg.Wait()
 }
 
-func TestDebugAdmissionEndpoint(t *testing.T) {
-	srv := New(serverUniverse(t), Options{
-		// /debug/admission must bypass fault injection
-		Faults:    &FaultSpec{Rules: []FaultRule{{Kind: FaultUnavailable, Rate: 1}}},
-		Admission: &resilience.AdmissionOptions{MaxConcurrent: 3},
-	})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/debug/admission")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
-	}
-	var rep resilience.AdmissionReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		t.Fatalf("bad JSON: %v", err)
-	}
-	if rep.MaxConcurrent != 3 || rep.Limit != 3 {
-		t.Fatalf("report = %+v, want max_concurrent=3", rep)
-	}
-}
-
-func TestDebugAdmissionWithoutController(t *testing.T) {
-	srv := New(serverUniverse(t), Options{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/debug/admission")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status = %d, want 404 when admission is disabled", resp.StatusCode)
-	}
-}
-
+// TestAdmissionMetricsExported: the admission state is read off
+// /metrics, and /metrics bypasses admission — it answers while the one
+// slot is held and a request waits for it.
 func TestAdmissionMetricsExported(t *testing.T) {
-	srv := New(serverUniverse(t), Options{
-		Admission: &resilience.AdmissionOptions{MaxConcurrent: 2},
+	u := serverUniverse(t)
+	srv := New(u, Options{
+		Faults: &FaultSpec{Seed: 7, Rules: []FaultRule{
+			{Kind: FaultDelay, Endpoint: obs.EndpointStats, Rate: 1, Delay: time.Second},
+		}},
+		Admission: &resilience.AdmissionOptions{MaxConcurrent: 1, MaxWait: 10 * time.Second},
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	if _, err := ts.Client().Get(ts.URL + "/stats"); err != nil {
-		t.Fatal(err)
+	get := func(path string) {
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
 	}
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, want := range []string{
-		"gplusd_admission_limit",
-		"gplusd_admission_inflight",
-		"gplusd_admission_admitted_total",
-	} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("/metrics missing %q", want)
+	// waitFor polls /metrics until it shows every line of want; each
+	// poll must answer 200 at once, whatever admission is doing.
+	waitFor := func(want ...string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; {
+			start := time.Now()
+			resp, err := ts.Client().Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("/metrics = %d while admission is full", resp.StatusCode)
+			}
+			if took := time.Since(start); took > 500*time.Millisecond {
+				t.Fatalf("/metrics took %v while admission is full; it must bypass the queue", took)
+			}
+			missing := slices.DeleteFunc(slices.Clone(want), func(line string) bool {
+				return slices.Contains(strings.Split(string(body), "\n"), line)
+			})
+			if len(missing) == 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("/metrics never showed %q:\n%s", missing, body)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
 	}
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); get("/stats") }() // holds the one slot for a second
+	waitFor("gplusd_admission_inflight 1")
+	go func() { defer wg.Done(); get("/people/" + u.IDs[0] + "/circles/out") }() // waits for it
+	waitFor(
+		"gplusd_admission_limit 1",
+		"gplusd_admission_inflight 1",
+		`gplusd_admission_queued{priority="low"} 1`,
+		`gplusd_admission_queued{priority="high"} 0`,
+	)
+	wg.Wait()
+	waitFor(
+		"gplusd_admission_inflight 0",
+		`gplusd_admission_queued{priority="low"} 0`,
+		`gplusd_admission_admitted_total{priority="high"} 1`,
+		`gplusd_admission_admitted_total{priority="low"} 1`,
+	)
 }

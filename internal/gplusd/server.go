@@ -52,15 +52,15 @@ type Options struct {
 	// X-Gplus-Deadline would expire in queue, and per-endpoint priority —
 	// expensive circle pages shed before cheap profile fetches, and
 	// /metrics bypasses admission entirely. Shed responses are 503s with
-	// a Retry-After capacity estimate. State is exported as
-	// gplusd_admission_* series and served on /debug/admission. When the
-	// chaos suite contains brownout rules with a squeeze, the
-	// controller's capacity follows the brownout schedule automatically
-	// (unless Admission.Scale is already set).
+	// a Retry-After capacity estimate. State is exported as the
+	// gplusd_admission_* series on /metrics. When the chaos suite
+	// contains brownout rules with a squeeze, the controller's capacity
+	// follows the brownout schedule automatically (unless
+	// Admission.Scale is already set).
 	Admission *resilience.AdmissionOptions
 	// Metrics receives server telemetry. When nil the server creates a
 	// private registry, so /metrics always works; pass one to share the
-	// registry with other subsystems (pprof wiring, expvar publication).
+	// registry with other subsystems (a run's collector and its mux).
 	Metrics *obs.Registry
 	// Tracer, when non-nil, joins traces the crawler propagates via the
 	// X-Gplus-Trace header and records server-side spans — the request
@@ -169,7 +169,6 @@ func New(u *synth.Universe, opts Options) *Server {
 	mux.HandleFunc("GET /people/{id}/circles/{dir}", s.handleCircles)
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /seed", s.handleSeed)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux = mux
 	return s
 }
@@ -187,12 +186,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// injection, and rate limiting: monitoring must keep working
 		// exactly when the service is misbehaving.
 		s.metrics.ServeHTTP(w, r)
-		return
-	}
-	if r.URL.Path == "/debug/admission" {
-		// Same reasoning: the overload report must be readable while the
-		// server is overloaded.
-		s.admission.ServeHTTP(w, r)
 		return
 	}
 	// Handling runs under pprof labels mirroring the trace dimensions:
@@ -409,13 +402,6 @@ func (s *Server) handleSeed(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, &gplusapi.SeedDoc{ID: s.content.IDs[top[0]]})
-}
-
-// handleMetrics serves the registry: Prometheus text exposition by
-// default, the JSON snapshot with ?format=json — observability for long
-// crawls (the paper's ran for 45 days).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.metrics.ServeHTTP(w, r)
 }
 
 // writeJSON serves the two small operational documents (/stats, /seed)

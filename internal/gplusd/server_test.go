@@ -305,19 +305,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// The JSON snapshot view serves the same counters.
-	resp, err = http.Get(ts.URL + "/metrics?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if got := snap.Counters[`gplusd_requests_total{endpoint="profile"}`]; got != 3 {
-		t.Errorf("json snapshot profile requests = %d, want 3", got)
-	}
 	if srv.metrics.Gauge("gplusd_in_flight_requests").Value() != 0 {
 		t.Error("in-flight gauge nonzero at rest")
 	}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -123,19 +122,10 @@ func escapeHelp(s string) string {
 	return b.String()
 }
 
-// ServeHTTP serves the registry: Prometheus text by default, the JSON
-// Snapshot with ?format=json (or an Accept header preferring JSON). A
-// nil registry serves an empty exposition, so wiring the handler is safe
-// before deciding whether telemetry is on.
-func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	if req.URL.Query().Get("format") == "json" ||
-		strings.Contains(req.Header.Get("Accept"), "application/json") {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(r.Snapshot()) //nolint:errcheck — best effort to a dead client
-		return
-	}
+// ServeHTTP serves the registry in Prometheus text. A nil registry
+// serves an empty exposition, so wiring the handler is safe before
+// deciding whether telemetry is on.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	r.WritePrometheus(w) //nolint:errcheck — best effort to a dead client
 }

@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -162,27 +162,29 @@ requests_total{endpoint="profile"} 7
 	}
 }
 
+// TestHandlerFormats: /metrics has one exposition. A JSON query or
+// Accept header still gets Prometheus text.
 func TestHandlerFormats(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Inc()
 
-	rec := httptest.NewRecorder()
-	r.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("default Content-Type = %q", ct)
-	}
-	if !strings.Contains(rec.Body.String(), "c 1") {
-		t.Errorf("text body = %q", rec.Body.String())
-	}
-
-	rec = httptest.NewRecorder()
-	r.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=json", nil))
-	var snap Snapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("json body: %v", err)
-	}
-	if snap.Counters["c"] != 1 {
-		t.Errorf("json snapshot = %+v", snap)
+	for _, req := range []*http.Request{
+		httptest.NewRequest("GET", "/metrics", nil),
+		httptest.NewRequest("GET", "/metrics?format=json", nil),
+		func() *http.Request {
+			req := httptest.NewRequest("GET", "/metrics", nil)
+			req.Header.Set("Accept", "application/json")
+			return req
+		}(),
+	} {
+		rec := httptest.NewRecorder()
+		r.ServeHTTP(rec, req)
+		if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+			t.Errorf("%s (Accept %q): Content-Type = %q", req.URL, req.Header.Get("Accept"), ct)
+		}
+		if rec.Body.String() != "# TYPE c counter\nc 1\n" {
+			t.Errorf("%s (Accept %q): body = %q", req.URL, req.Header.Get("Accept"), rec.Body.String())
+		}
 	}
 }
 

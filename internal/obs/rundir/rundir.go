@@ -26,9 +26,7 @@
 package rundir
 
 import (
-	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"math"
@@ -38,7 +36,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -62,10 +59,6 @@ const (
 // (unless set) Recorder fields inside them, and under Dir takes over
 // the Recorder's sink.
 type Config struct {
-	// Name is the expvar variable the registry is published under; like
-	// expvar.Publish, at most one Start per name per process. Empty
-	// publishes nothing.
-	Name string
 	// Dir is the run directory; empty keeps everything in memory (no
 	// series log, no exemplar stream, no profile ring).
 	Dir string
@@ -134,9 +127,6 @@ type Run struct {
 // profiling begin before it returns.
 func Start(cfg Config) (*Run, error) {
 	r := &Run{Registry: obs.NewRegistry(), dir: cfg.Dir}
-	if cfg.Name != "" {
-		expvar.Publish(cfg.Name, expvar.Func(func() any { return r.Registry.Snapshot() }))
-	}
 	obs.RegisterRuntimeMetrics(r.Registry)
 	// fail unwinds the logs opened so far; nothing was written to them.
 	fail := func(err error) (*Run, error) {
@@ -311,14 +301,13 @@ func (r *Run) streamExemplar(tr *trace.Trace) {
 	}
 }
 
-// Mux returns the operational endpoints of the run: /metrics,
-// /debug/vars (expvar), the net/http/pprof suite under /debug/pprof/,
-// the flight recorder at /debug/traces, and — with a collector —
+// Mux returns the operational endpoints of the run: /metrics
+// (Prometheus text), the net/http/pprof suite under /debug/pprof/, the
+// flight recorder at /debug/traces, and — with a collector —
 // /debug/timeseries and /debug/slo.
 func (r *Run) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", r.Registry)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -332,24 +321,12 @@ func (r *Run) Mux() *http.ServeMux {
 	return mux
 }
 
-// serveSLO serves the watcher's latest report: as the text `gplusanalyze
-// metrics` prints, or with ?format=json the objectives' statuses and the
-// violation spans.
-func (r *Run) serveSLO(w http.ResponseWriter, req *http.Request) {
+// serveSLO serves the watcher's latest report as the text
+// `gplusanalyze metrics` prints.
+func (r *Run) serveSLO(w http.ResponseWriter, _ *http.Request) {
 	r.mu.Lock()
 	rep := r.latest
 	r.mu.Unlock()
-	if req.URL.Query().Get("format") == "json" ||
-		strings.Contains(req.Header.Get("Accept"), "application/json") {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct { //nolint:errcheck — best effort to a dead client
-			Objectives []series.Status `json:"objectives"`
-			Violations []series.Span   `json:"violations"`
-		}{rep.Statuses, rep.Violations})
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	rep.WriteText(w, 0)
 }

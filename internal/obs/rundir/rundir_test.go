@@ -2,8 +2,9 @@ package rundir_test
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -197,14 +198,28 @@ func TestRunDirectoryLayout(t *testing.T) {
 	sp.Finish()
 	srv := httptest.NewServer(run.Mux())
 	defer srv.Close()
-	for _, path := range []string{"/metrics", "/debug/vars", "/debug/pprof/", "/debug/traces", "/debug/timeseries", "/debug/slo"} {
+	for path, want := range map[string]int{"/metrics": 200, "/debug/pprof/": 200, "/debug/traces": 200,
+		"/debug/timeseries": 200, "/debug/slo": 200, "/debug/vars": 404} {
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Errorf("GET %s = %d", path, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
+		}
+	}
+	// /metrics has one exposition, whatever the request asks for.
+	req, _ := http.NewRequest("GET", srv.URL+"/metrics?format=json", nil)
+	req.Header.Set("Accept", "application/json")
+	if resp, err := srv.Client().Do(req); err != nil {
+		t.Fatal(err)
+	} else {
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") ||
+			!strings.Contains(string(body), "\ncrawler_profiles_total 1\n") {
+			t.Errorf("/metrics asked for JSON served %q:\n%s", ct, body)
 		}
 	}
 	if err := run.Close(); err != nil {
@@ -285,9 +300,9 @@ func TestRegisterFlags(t *testing.T) {
 	}
 }
 
-// TestSLOEndpoint: /debug/slo serves the watcher's latest report — its
-// text, or the objectives' statuses and violation spans as JSON — and
-// the slo_* gauges publish the same statuses.
+// TestSLOEndpoint: /debug/slo serves the watcher's latest report as
+// the text `gplusanalyze metrics` prints, and the slo_* gauges publish
+// the same statuses.
 func TestSLOEndpoint(t *testing.T) {
 	run, err := rundir.Start(rundir.Config{
 		// Ticks are taken by hand below; the sampling goroutine never fires.
@@ -319,27 +334,33 @@ func TestSLOEndpoint(t *testing.T) {
 		reqs.Add(total)
 		run.Collector.Sample(time.Now())
 	}
+	// served checks that /debug/slo is the latest report's text, byte for
+	// byte, and returns it.
+	served := func() string {
+		t.Helper()
+		text := get("/debug/slo")
+		var want strings.Builder
+		reports[len(reports)-1].WriteText(&want, 0)
+		if text != want.String() {
+			t.Errorf("/debug/slo differs from the latest report:\n%s\n--- report:\n%s", text, want.String())
+		}
+		return text
+	}
 
 	sample(0, 100)
-	if text := get("/debug/slo"); !strings.Contains(text, "test health") || !strings.Contains(text, "avail") ||
+	if text := served(); !strings.Contains(text, "test health") || !strings.Contains(text, "avail") ||
 		!strings.Contains(text, "OK") || !strings.Contains(text, "no violation spans") {
 		t.Errorf("healthy text report:\n%s", text)
 	}
 	sample(50, 100)
-	if text := get("/debug/slo"); !strings.Contains(text, "PAGE") || !strings.Contains(text, "VIOLATION avail") {
+	if text := served(); !strings.Contains(text, "PAGE") || !strings.Contains(text, "VIOLATION avail") {
 		t.Errorf("paging text report:\n%s", text)
 	}
-	var doc struct {
-		Objectives []series.Status `json:"objectives"`
-		Violations []series.Span   `json:"violations"`
+	r := reports[len(reports)-1]
+	if len(r.Statuses) != 1 || r.Statuses[0].State != series.StatePage || len(r.Violations) != 1 {
+		t.Errorf("paging report: statuses %+v, violations %+v", r.Statuses, r.Violations)
 	}
-	if err := json.Unmarshal([]byte(get("/debug/slo?format=json")), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Objectives) != 1 || doc.Objectives[0].State != series.StatePage || len(doc.Violations) != 1 {
-		t.Errorf("json report: %+v", doc)
-	}
-	if r := reports[len(reports)-1]; !slices.Equal(r.PageOnset, []string{"avail"}) {
+	if !slices.Equal(r.PageOnset, []string{"avail"}) {
 		t.Errorf("the paging tick's report has PageOnset %v", r.PageOnset)
 	}
 	if v := run.Registry.Snapshot().Gauges[`slo_state{slo="avail"}`]; v != int64(series.StatePage) {

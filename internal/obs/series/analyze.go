@@ -11,13 +11,13 @@ import (
 
 // Span is a contiguous run of ticks in some condition.
 type Span struct {
-	Start time.Time `json:"start"`
-	End   time.Time `json:"end"`
+	Start time.Time
+	End   time.Time
 	// Peak is the condition's worst value inside the span (error rate
 	// for spikes, burn rate for SLO violations, seconds for stalls).
-	Peak float64 `json:"peak"`
+	Peak float64
 	// Name tags SLO spans with the violated objective.
-	Name string `json:"name,omitempty"`
+	Name string
 }
 
 func (s Span) dur() time.Duration { return s.End.Sub(s.Start) }

@@ -269,26 +269,26 @@ func (s State) String() string {
 
 // Status is one objective's evaluation at an instant.
 type Status struct {
-	Name      string        `json:"name"`
-	Kind      ObjectiveKind `json:"kind"`
-	Objective string        `json:"objective"`
-	Time      time.Time     `json:"time"`
+	Name      string
+	Kind      ObjectiveKind
+	Objective string
+	Time      time.Time
 	// SLI is the bad fraction over the long window (0 when no events).
-	SLI float64 `json:"sli"`
+	SLI float64
 	// Quantile is the measured latency quantile over the long window
 	// (latency objectives only; 0 when the window observed nothing).
-	Quantile float64 `json:"quantile,omitempty"`
+	Quantile float64
 	// BurnLong and BurnShort are SLI/budget over the two windows: 1.0
 	// burns the error budget exactly as fast as the objective allows.
-	BurnLong  float64 `json:"burn_long"`
-	BurnShort float64 `json:"burn_short"`
+	BurnLong  float64
+	BurnShort float64
 	// Bad and Total are the long-window event counts behind SLI.
-	Bad   float64 `json:"bad"`
-	Total float64 `json:"total"`
+	Bad   float64
+	Total float64
 	// Violating reports the SLI itself out of bounds over the long
 	// window (burn > 1) — the violation-span criterion.
-	Violating bool  `json:"violating"`
-	State     State `json:"state"`
+	Violating bool
+	State     State
 }
 
 // evaluate computes one objective's Status at now from the ticks of s

@@ -15,8 +15,7 @@ import (
 
 // Tick is one sample of a registry: the instant it was taken and every
 // metric's value then. It is also one line of series.jsonl — {"t":…}
-// plus the snapshot's counters, gauges and histograms, the shape
-// /debug/vars serves for the registry.
+// plus the registry Snapshot's counters, gauges and histograms.
 type Tick struct {
 	T time.Time `json:"t"`
 	obs.Snapshot

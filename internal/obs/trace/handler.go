@@ -5,12 +5,13 @@ import (
 	"net/http"
 )
 
-// ServeHTTP serves the flight recorder at /debug/traces: the recorder's
-// counts, then the report `gplusanalyze traces` prints offline over the
-// retained traces (Analysis.WriteText, slowest 10); the machine-readable
-// JSONL dump with ?format=jsonl (one Trace per line — feed it to
-// `gplusanalyze traces`). A nil recorder serves an empty summary, so the
-// handler can be mounted before deciding whether tracing is on.
+// ServeHTTP serves the flight recorder at /debug/traces: the report
+// `gplusanalyze traces` prints offline over the retained traces
+// (Analysis.WriteText, slowest 10); the machine-readable JSONL dump with
+// ?format=jsonl (one Trace per line — feed it to `gplusanalyze traces`).
+// A nil recorder serves an empty summary, so the handler can be mounted
+// before deciding whether tracing is on. The recorder's counts are the
+// trace_* series on /metrics.
 func (r *Recorder) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	if req.URL.Query().Get("format") == "jsonl" {
 		w.Header().Set("Content-Type", "application/x-ndjson")
@@ -24,8 +25,5 @@ func (r *Recorder) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		fmt.Fprintln(w, "tracing disabled")
 		return
 	}
-	st := r.Stats()
-	fmt.Fprintf(w, "flight recorder: %d traces completed, %d in ring, %d exemplars retained, %d exemplars dropped\n",
-		st.Completed, st.Ring, st.Exemplars, st.Dropped)
 	Analyze(r.Traces(), 10).WriteText(w) //nolint:errcheck — best effort to a dead client
 }

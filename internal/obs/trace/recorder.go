@@ -117,8 +117,8 @@ func unionRules(a, b string) string {
 }
 
 // MaxExemplars bounds exemplar retention; beyond it, new exemplars are
-// counted as dropped rather than growing without limit over a 46-day
-// crawl.
+// counted in trace_exemplars_dropped_total rather than growing without
+// limit over a 46-day crawl.
 const MaxExemplars = 4096
 
 // Recorder is the bounded flight recorder: a ring of the last N
@@ -132,8 +132,6 @@ type Recorder struct {
 	ring      []*Trace // fixed-capacity circular buffer
 	next      int      // ring write cursor
 	exemplars []*Trace
-	completed int64
-	dropped   int64
 	sink      func(*Trace)
 
 	cTraces  *obs.Counter
@@ -187,7 +185,6 @@ func (r *Recorder) record(tr *Trace) {
 	tr.Exemplar = rule
 	var sink func(*Trace)
 	r.mu.Lock()
-	r.completed++
 	r.cTraces.Inc()
 	r.ring[r.next] = tr
 	r.next = (r.next + 1) % len(r.ring)
@@ -197,7 +194,6 @@ func (r *Recorder) record(tr *Trace) {
 			r.reg.Counter("trace_exemplars_total", obs.Label{Key: obs.KeyRule, Value: rule}).Inc()
 			sink = r.sink
 		} else {
-			r.dropped++
 			r.cDropped.Inc()
 		}
 	}
@@ -246,35 +242,6 @@ func (r *Recorder) Traces() []*Trace {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
 	return out
-}
-
-// Stats summarizes the recorder.
-type RecorderStats struct {
-	Completed int64 `json:"completed"`
-	Ring      int   `json:"ring"`
-	Exemplars int   `json:"exemplars"`
-	Dropped   int64 `json:"dropped"`
-}
-
-// Stats returns completion and retention counts.
-func (r *Recorder) Stats() RecorderStats {
-	if r == nil {
-		return RecorderStats{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, tr := range r.ring {
-		if tr != nil {
-			n++
-		}
-	}
-	return RecorderStats{
-		Completed: r.completed,
-		Ring:      n,
-		Exemplars: len(r.exemplars),
-		Dropped:   r.dropped,
-	}
 }
 
 // WriteJSONL dumps every retained trace as one JSON object per line —

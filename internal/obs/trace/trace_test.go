@@ -11,9 +11,18 @@ import (
 	"gplus/internal/obs"
 )
 
+// newCounted builds a tracer from cfg with its counters in a fresh
+// registry, and returns it with that registry and a reader of
+// trace_traces_total.
+func newCounted(cfg Config) (*Tracer, *obs.Registry, func() int64) {
+	cfg.Metrics = obs.NewRegistry()
+	completed := cfg.Metrics.Counter("trace_traces_total")
+	return New(cfg), cfg.Metrics, completed.Value
+}
+
 func TestSpanTreeAndRecording(t *testing.T) {
 	rec := NewRecorder(8, Rules{})
-	tr := New(Config{Recorder: rec})
+	tr, _, completed := newCounted(Config{Recorder: rec})
 
 	ctx, root := tr.StartSpan(context.Background(), "crawl.profile")
 	if root == nil {
@@ -34,7 +43,7 @@ func TestSpanTreeAndRecording(t *testing.T) {
 	grand.Finish()
 	child.Finish()
 
-	if got := rec.Stats().Completed; got != 0 {
+	if got := completed(); got != 0 {
 		t.Fatalf("trace flushed with root still open (completed=%d)", got)
 	}
 	root.Finish()
@@ -59,16 +68,16 @@ func TestSpanTreeAndRecording(t *testing.T) {
 
 func TestChildFinishingAfterRootStillFlushesOnce(t *testing.T) {
 	rec := NewRecorder(8, Rules{})
-	tr := New(Config{Recorder: rec})
+	tr, _, completed := newCounted(Config{Recorder: rec})
 	ctx, root := tr.StartSpan(context.Background(), "op")
 	_, child := tr.StartSpan(ctx, "late")
 	root.Finish()
-	if rec.Stats().Completed != 0 {
+	if completed() != 0 {
 		t.Fatal("trace flushed before its last span finished")
 	}
 	child.Finish()
 	child.Finish() // idempotent: must not double-count or re-flush
-	if got := rec.Stats().Completed; got != 1 {
+	if got := completed(); got != 1 {
 		t.Fatalf("completed = %d, want 1", got)
 	}
 }
@@ -102,7 +111,7 @@ func TestNilSafety(t *testing.T) {
 
 func TestHeadSamplingIsPerTraceNotPerSpan(t *testing.T) {
 	rec := NewRecorder(4096, Rules{})
-	tr := New(Config{SampleRate: 0.5, Recorder: rec})
+	tr, _, completed := newCounted(Config{SampleRate: 0.5, Recorder: rec})
 	sampled := 0
 	const n = 500
 	for i := 0; i < n; i++ {
@@ -120,7 +129,7 @@ func TestHeadSamplingIsPerTraceNotPerSpan(t *testing.T) {
 	if sampled == 0 || sampled == n {
 		t.Fatalf("sampled %d/%d traces at rate 0.5; head sampling is not probabilistic", sampled, n)
 	}
-	if got := int(rec.Stats().Completed); got != sampled {
+	if got := int(completed()); got != sampled {
 		t.Fatalf("recorder saw %d traces, %d were sampled", got, sampled)
 	}
 	// Every recorded trace must have exactly 2 spans: an unsampled root
@@ -260,18 +269,17 @@ func TestExemplarBoundAndSink(t *testing.T) {
 		sunk = append(sunk, tr.TraceID)
 		mu.Unlock()
 	})
-	tr := New(Config{Recorder: rec})
+	tr, reg, _ := newCounted(Config{Recorder: rec})
 	for i := 0; i < MaxExemplars+2; i++ {
 		_, sp := tr.StartSpan(context.Background(), "bad")
 		sp.Fail("x")
 		sp.Finish()
 	}
-	st := rec.Stats()
-	if st.Exemplars != MaxExemplars {
-		t.Fatalf("retained %d exemplars past the bound of %d", st.Exemplars, MaxExemplars)
+	if n := len(rec.Exemplars()); n != MaxExemplars {
+		t.Fatalf("retained %d exemplars past the bound of %d", n, MaxExemplars)
 	}
-	if st.Dropped != 2 {
-		t.Fatalf("dropped = %d, want 2", st.Dropped)
+	if got := reg.Counter("trace_exemplars_dropped_total").Value(); got != 2 {
+		t.Fatalf("trace_exemplars_dropped_total = %d, want 2", got)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -303,7 +311,7 @@ func TestTracerMetrics(t *testing.T) {
 
 func TestConcurrentSpans(t *testing.T) {
 	rec := NewRecorder(64, Rules{})
-	tr := New(Config{Recorder: rec})
+	tr, _, completed := newCounted(Config{Recorder: rec})
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -328,7 +336,7 @@ func TestConcurrentSpans(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := rec.Stats().Completed; got != workers*50 {
+	if got := completed(); got != workers*50 {
 		t.Fatalf("completed = %d, want %d", got, workers*50)
 	}
 	for _, trc := range rec.Traces() {

@@ -2,10 +2,8 @@ package resilience
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
-	"net/http"
 	"sync"
 	"time"
 
@@ -116,11 +114,9 @@ type Admission struct {
 	inflight int
 	queues   [numPriorities][]*admitWaiter // LIFO stacks: admit from the top, displace from the bottom
 	ewma     float64                       // smoothed service seconds
-	admitted [numPriorities]int64
-	shed     map[string]int64
 
 	gInflight *obs.Gauge
-	gQueued   *obs.Gauge
+	gQueued   [numPriorities]*obs.Gauge
 	gLimit    *obs.Gauge
 	cAdmitted [numPriorities]*obs.Counter
 	cShed     map[string]*obs.Counter
@@ -128,23 +124,24 @@ type Admission struct {
 }
 
 // NewAdmission builds an admission controller. When reg is non-nil it
-// exports <prefix>_inflight, _queued, _limit gauges,
+// exports <prefix>_inflight, _limit and _queued{priority=...} gauges,
 // _admitted_total{priority=...} and _shed_total{reason=...} counters,
 // and a _wait_seconds histogram.
 func NewAdmission(opts AdmissionOptions, reg *obs.Registry, prefix string) *Admission {
-	a := &Admission{opts: opts, shed: make(map[string]int64)}
+	a := &Admission{opts: opts}
 	if reg != nil {
 		reg.Help(prefix+"_inflight", "Requests currently admitted and executing.")
-		reg.Help(prefix+"_queued", "Requests waiting in the admission queue.")
+		reg.Help(prefix+"_queued", "Requests waiting in the admission queue, by priority class.")
 		reg.Help(prefix+"_limit", "Current effective concurrency limit (after brownout scaling).")
 		reg.Help(prefix+"_admitted_total", "Requests admitted, by priority class.")
 		reg.Help(prefix+"_shed_total", "Requests shed by the admission controller, by reason.")
 		reg.Help(prefix+"_wait_seconds", "Time spent queued before admission.")
 		a.gInflight = reg.Gauge(prefix + "_inflight")
-		a.gQueued = reg.Gauge(prefix + "_queued")
 		a.gLimit = reg.Gauge(prefix + "_limit")
 		for p := PriorityHigh; p < numPriorities; p++ {
-			a.cAdmitted[p] = reg.Counter(prefix+"_admitted_total", obs.Label{Key: obs.KeyPriority, Value: p.String()})
+			class := obs.Label{Key: obs.KeyPriority, Value: p.String()}
+			a.gQueued[p] = reg.Gauge(prefix+"_queued", class)
+			a.cAdmitted[p] = reg.Counter(prefix+"_admitted_total", class)
 		}
 		a.cShed = make(map[string]*obs.Counter)
 		for _, r := range []string{ShedQueueFull, ShedDeadline, ShedExpired, ShedDisplaced, ShedTimeout, ShedCanceled} {
@@ -179,6 +176,14 @@ func (a *Admission) queuedLocked() int {
 		n += len(a.queues[p])
 	}
 	return n
+}
+
+// setQueuedLocked publishes each priority's queue depth; the caller
+// holds a.mu.
+func (a *Admission) setQueuedLocked() {
+	for p := range a.queues {
+		a.gQueued[p].Set(int64(len(a.queues[p])))
+	}
 }
 
 // retryAfterLocked estimates when a shed request could succeed: the
@@ -237,7 +242,6 @@ func (a *Admission) Acquire(ctx context.Context, pri Priority, deadline time.Tim
 			a.queues[PriorityLow] = a.queues[PriorityLow][1:]
 			victim.decided = true
 			victim.ch <- &ShedError{Reason: ShedDisplaced, RetryAfter: a.retryAfterLocked(limit)}
-			a.shed[ShedDisplaced]++
 			a.cShed[ShedDisplaced].Inc()
 		} else {
 			return nil, a.shedLocked(ShedQueueFull, limit)
@@ -246,7 +250,7 @@ func (a *Admission) Acquire(ctx context.Context, pri Priority, deadline time.Tim
 
 	w := &admitWaiter{pri: pri, deadline: deadline, enqueued: now, ch: make(chan *ShedError, 1)}
 	a.queues[pri] = append(a.queues[pri], w)
-	a.gQueued.Set(int64(a.queuedLocked()))
+	a.setQueuedLocked()
 	a.mu.Unlock()
 
 	maxWait := a.opts.maxWait()
@@ -291,7 +295,7 @@ func (a *Admission) abandonWait(w *admitWaiter, reason string) (func(), *ShedErr
 			break
 		}
 	}
-	a.gQueued.Set(int64(a.queuedLocked()))
+	a.setQueuedLocked()
 	shed := a.shedLocked(reason, a.limitLocked())
 	return nil, shed
 }
@@ -299,10 +303,7 @@ func (a *Admission) abandonWait(w *admitWaiter, reason string) (func(), *ShedErr
 // shedLocked records a rejection and unlocks; the caller holds a.mu.
 func (a *Admission) shedLocked(reason string, limit int) *ShedError {
 	e := &ShedError{Reason: reason, RetryAfter: a.retryAfterLocked(limit)}
-	a.shed[reason]++
-	if c := a.cShed[reason]; c != nil {
-		c.Inc()
-	}
+	a.cShed[reason].Inc()
 	a.mu.Unlock()
 	return e
 }
@@ -310,7 +311,6 @@ func (a *Admission) shedLocked(reason string, limit int) *ShedError {
 // admitLockedFast admits a request without queueing; caller holds a.mu.
 func (a *Admission) admitLockedFast(pri Priority, enqueued, now time.Time) {
 	a.inflight++
-	a.admitted[pri]++
 	a.cAdmitted[pri].Inc()
 	a.gInflight.Set(int64(a.inflight))
 	a.hWait.Observe(now.Sub(enqueued).Seconds())
@@ -336,7 +336,7 @@ func (a *Admission) releaseFunc() func() {
 			a.inflight--
 			a.drainLocked()
 			a.gInflight.Set(int64(a.inflight))
-			a.gQueued.Set(int64(a.queuedLocked()))
+			a.setQueuedLocked()
 		})
 	}
 }
@@ -357,7 +357,6 @@ func (a *Admission) drainLocked() {
 				if !cand.deadline.IsZero() && !now.Before(cand.deadline) {
 					cand.decided = true
 					cand.ch <- &ShedError{Reason: ShedExpired, RetryAfter: a.retryAfterLocked(limit)}
-					a.shed[ShedExpired]++
 					a.cShed[ShedExpired].Inc()
 					continue
 				}
@@ -373,62 +372,8 @@ func (a *Admission) drainLocked() {
 		}
 		w.decided = true
 		a.inflight++
-		a.admitted[w.pri]++
 		a.cAdmitted[w.pri].Inc()
 		a.hWait.Observe(now.Sub(w.enqueued).Seconds())
 		w.ch <- nil
 	}
-}
-
-// AdmissionReport is the /debug/admission JSON shape.
-type AdmissionReport struct {
-	Limit         int              `json:"limit"`
-	MaxConcurrent int              `json:"max_concurrent"`
-	MaxQueue      int              `json:"max_queue"`
-	Inflight      int              `json:"inflight"`
-	QueuedHigh    int              `json:"queued_high"`
-	QueuedLow     int              `json:"queued_low"`
-	EWMAServiceMS float64          `json:"ewma_service_ms"`
-	Admitted      map[string]int64 `json:"admitted"`
-	Shed          map[string]int64 `json:"shed"`
-}
-
-// Report snapshots the controller state for debugging. Nil-safe.
-func (a *Admission) Report() AdmissionReport {
-	if a == nil {
-		return AdmissionReport{}
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	rep := AdmissionReport{
-		Limit:         a.limitLocked(),
-		MaxConcurrent: a.opts.maxConcurrent(),
-		MaxQueue:      a.opts.maxQueue(),
-		Inflight:      a.inflight,
-		QueuedHigh:    len(a.queues[PriorityHigh]),
-		QueuedLow:     len(a.queues[PriorityLow]),
-		EWMAServiceMS: a.ewma * 1000,
-		Admitted: map[string]int64{
-			"high": a.admitted[PriorityHigh],
-			"low":  a.admitted[PriorityLow],
-		},
-		Shed: make(map[string]int64, len(a.shed)),
-	}
-	for r, n := range a.shed {
-		rep.Shed[r] = n
-	}
-	return rep
-}
-
-// ServeHTTP renders the controller state as indented JSON, for
-// /debug/admission.
-func (a *Admission) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	if a == nil {
-		http.Error(w, "admission control disabled", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(a.Report())
 }

@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -335,6 +334,7 @@ func TestAdmissionDeadlineShedding(t *testing.T) {
 func TestAdmissionScaleSqueezesLimit(t *testing.T) {
 	scale := 1.0
 	var mu sync.Mutex
+	reg := obs.NewRegistry()
 	a := NewAdmission(AdmissionOptions{
 		MaxConcurrent: 4,
 		MaxWait:       30 * time.Millisecond,
@@ -343,7 +343,7 @@ func TestAdmissionScaleSqueezesLimit(t *testing.T) {
 			defer mu.Unlock()
 			return scale
 		},
-	}, nil, "t")
+	}, reg, "t")
 	var rels []func()
 	for i := 0; i < 4; i++ {
 		r, shed := a.Acquire(context.Background(), PriorityHigh, time.Time{})
@@ -366,8 +366,8 @@ func TestAdmissionScaleSqueezesLimit(t *testing.T) {
 	if _, shed := a.Acquire(context.Background(), PriorityHigh, time.Time{}); shed == nil {
 		t.Fatal("second acquire should shed under a 0.25 squeeze of 4")
 	}
-	if rep := a.Report(); rep.Limit != 1 {
-		t.Fatalf("report limit = %d, want 1", rep.Limit)
+	if limit := reg.Gauge("t_limit").Value(); limit != 1 {
+		t.Fatalf("t_limit = %d, want 1", limit)
 	}
 }
 
@@ -378,27 +378,6 @@ func TestAdmissionNil(t *testing.T) {
 		t.Fatal("nil admission must admit")
 	}
 	release()
-}
-
-func TestAdmissionServeHTTP(t *testing.T) {
-	a := NewAdmission(AdmissionOptions{MaxConcurrent: 2}, nil, "t")
-	release, _ := a.Acquire(context.Background(), PriorityHigh, time.Time{})
-	defer release()
-	rec := httptest.NewRecorder()
-	a.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/admission", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	var rep AdmissionReport
-	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, rec.Body.String())
-	}
-	if rep.Inflight != 1 || rep.Limit != 2 {
-		t.Fatalf("report = %+v", rep)
-	}
-	if !strings.Contains(rec.Header().Get("Content-Type"), "application/json") {
-		t.Fatalf("content-type = %q", rec.Header().Get("Content-Type"))
-	}
 }
 
 func TestAIMDDecreaseAndRecovery(t *testing.T) {
