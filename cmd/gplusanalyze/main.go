@@ -18,7 +18,7 @@
 // -obs-dir (series.jsonl, traces.jsonl) — during the run too, since both
 // files are appended as the run goes; each also accepts the individual
 // files, e.g. dumps saved from /debug/traces?format=jsonl or
-// /debug/timeseries?format=jsonl. The directory's profiles/ ring is
+// /debug/timeseries. The directory's profiles/ ring is
 // plain pprof files, read with `go tool pprof` (README "Continuous
 // profiling").
 //
@@ -146,7 +146,7 @@ func runMetrics(w io.Writer, args []string) error {
 	stallAfter := sub.Int("stall-after", 3, "consecutive ticks without a page fetched (with work queued) that count as a stall")
 	srcs, err := sources(sub, `[-width N] [-slo spec] run-dir-or-series.jsonl
 a run directory (-obs-dir) stands for its series.jsonl; a dump also comes from
-/debug/timeseries?format=jsonl; one run only: the same series of two processes
+/debug/timeseries; one run only: the same series of two processes
 (crawl shards, a crawler and its gplusd) would interleave in time`, args, true)
 	if err != nil {
 		return err

@@ -21,8 +21,8 @@
 //
 // With -metrics-addr it serves live crawler telemetry (/metrics in
 // Prometheus text, /debug/pprof/, /debug/traces, /debug/timeseries —
-// in-process metric history sampled every -sample-interval — and
-// /debug/slo) while the crawl runs. Every sample, the run's watcher
+// in-process metric history sampled every -sample-interval, as
+// series.jsonl lines — and /debug/slo) while the crawl runs. Every sample, the run's watcher
 // (package rundir) builds one health report over the trailing window of
 // that history, evaluating each -slo objective once; -progress logs its
 // last tick as a structured line with a frontier-drain ETA — the

@@ -5,10 +5,10 @@
 //
 // Operational endpoints ride on the same listener: /metrics (Prometheus
 // text), the /debug/pprof/ suite for go tool pprof, /debug/timeseries
-// (in-process metric history at -sample-interval cadence; ?format=jsonl
-// dumps it), and /debug/slo (the server's health report, rebuilt every
-// sample with the burn-rate state and violation spans of the -slo
-// objectives).
+// (the in-process metric history, sampled every -sample-interval, as the
+// series.jsonl lines `gplusanalyze metrics` reads), and /debug/slo (the
+// server's health report, rebuilt every sample with the burn-rate state
+// and violation spans of the -slo objectives).
 //
 // The hot path holds no global locks: fault injection draws from
 // per-goroutine RNG streams and the per-crawler rate limiter is striped

@@ -10,6 +10,7 @@ import (
 	"go/types"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -48,8 +49,9 @@ import (
 // must name a directory holding package main, and each `gplusanalyze
 // <word>` whose word is neither a flag nor a path must be one of the
 // sub-commands gplusanalyze dispatches (a|b alternatives each). Each
-// `curl …127.0.0.1:<port>/<path>` of README.md or EXPERIMENTS.md must
-// name a route one of the two live surfaces serves (checkCurlRoutes).
+// `curl …127.0.0.1:<port>/<path>[?query]` of README.md or EXPERIMENTS.md
+// must name a route one of the two live surfaces serves, with only the
+// query keys that route reads (checkCurlRoutes).
 //
 // EXPERIMENTS.md's sections are held to the recipes they name: every
 // `## ` heading outside the generated block names at least one in
@@ -57,7 +59,7 @@ import (
 func TestFlagsHaveRecipe(t *testing.T) {
 	var lines, commands, curled []string
 	codeSpan, chained := regexp.MustCompile("`[^`]+`"), regexp.MustCompile(`\|\|?|&&`)
-	curl := regexp.MustCompile("curl\\s[^\\n]*?127\\.0\\.0\\.1:\\d+(/[^\\s'\"?#`]*)")
+	curl := regexp.MustCompile("curl\\s[^\\n]*?127\\.0\\.0\\.1:\\d+(/[^\\s'\"#`]*)")
 	have := loadRecipes(t)
 	for _, name := range []string{"README.md", "EXPERIMENTS.md", "Makefile"} {
 		b, err := os.ReadFile(name)
@@ -325,13 +327,19 @@ func checkCommandsRun(t *testing.T, lines []string) {
 }
 
 // checkCurlRoutes is TestFlagsHaveRecipe's check that every path the
-// docs curl is served: a GET of it, query dropped, must not be a 404
-// from both the run mux of a rundir.Run with its collector and tracer
-// on and a gplusd.Server with admission armed. Two retired views pin
-// that the check can fail.
-func checkCurlRoutes(t *testing.T, paths []string) {
+// docs curl is served and every query key they pass is read: a GET of
+// the path must not be a 404 from both the run mux of a rundir.Run with
+// its collector and tracer on and a gplusd.Server with admission armed,
+// and each key must be one the route reads (reads, below). Retired
+// routes and query keys pin that the check can fail.
+func checkCurlRoutes(t *testing.T, recipes []string) {
 	t.Helper()
-	if len(paths) == 0 {
+	// reads is the query keys each route reads; every other route reads none.
+	reads := map[string][]string{
+		"/debug/timeseries": {"name"},
+		"/debug/traces":     {"format"},
+	}
+	if len(recipes) == 0 {
 		t.Fatal("no curl recipe found in README.md or EXPERIMENTS.md; the scan no longer matches how they are written")
 	}
 	run, err := rundir.Start(rundir.Config{
@@ -357,14 +365,36 @@ func checkCurlRoutes(t *testing.T, paths []string) {
 		}
 		return false
 	}
-	for _, path := range paths {
-		if !served(path) {
-			t.Errorf("a curl recipe fetches %s, which neither the run mux nor gplusd serves", path)
+	// stale says what is wrong with a recipe's path and query, or "".
+	stale := func(recipe string) string {
+		u, err := url.Parse(recipe)
+		if err != nil {
+			return err.Error()
+		}
+		if !served(u.Path) {
+			return "which neither the run mux nor gplusd serves"
+		}
+		var unread []string
+		for key := range u.Query() {
+			if !slices.Contains(reads[u.Path], key) {
+				unread = append(unread, "?"+key+"=")
+			}
+		}
+		if len(unread) > 0 {
+			sort.Strings(unread)
+			return fmt.Sprintf("but %s reads no %s", u.Path, strings.Join(unread, ", "))
+		}
+		return ""
+	}
+	for _, recipe := range recipes {
+		if why := stale(recipe); why != "" {
+			t.Errorf("a curl recipe fetches %s, %s", recipe, why)
 		}
 	}
-	for _, gone := range []string{"/debug/vars", "/debug/admission"} {
-		if served(gone) {
-			t.Errorf("%s is served; the check cannot tell a retired route", gone)
+	for _, gone := range []string{"/debug/vars", "/debug/admission", "/metrics?format=json",
+		"/debug/timeseries?name=x&since=5m", "/debug/timeseries?format=jsonl"} {
+		if stale(gone) == "" {
+			t.Errorf("%s passes; the check cannot tell a retired recipe", gone)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -33,8 +34,8 @@ var promFamilyRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
 // TestMetricsHygiene populates both registries the way a real chaos
 // crawl does — server with faults armed, client crawl with the full
-// rundir stack (runtime metrics, collector and its health watcher with
-// the SLO gauges, tracer, and the continuous profiler) — then parses the Prometheus
+// rundir stack (runtime metrics, collector and its health watcher,
+// tracer, and the continuous profiler) — then parses the Prometheus
 // exposition of each and asserts every family matches the naming
 // grammar, carries a HELP line, and every sample belongs to a declared
 // TYPE, and that every sample name parses as a series whose label keys
@@ -131,8 +132,10 @@ func TestMetricsHygiene(t *testing.T) {
 	checkExposition(t, "crawl", creg)
 }
 
-// checkSelectors asks the collector's own window query — the matcher the
-// reports use — for each selector of sig; every one must find a series.
+// checkSelectors asks the collector's /debug/timeseries for each
+// selector of sig — its ?name= filter is the matcher the reports use —
+// and reads the dump back as `gplusanalyze metrics` would; every one
+// must hold a series.
 func checkSelectors(t *testing.T, side string, c *series.Collector, sig series.Signals) {
 	t.Helper()
 	selectors := append([]string{sig.Work.Selector, sig.Activity.Selector, sig.Backlog.Selector, sig.Lag.Selector}, sig.Errors...)
@@ -148,7 +151,14 @@ func checkSelectors(t *testing.T, side string, c *series.Collector, sig series.S
 		}
 		rec := httptest.NewRecorder()
 		series.Handler{C: c}.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/timeseries?name="+url.QueryEscape(sel), nil))
-		if strings.TrimSpace(rec.Body.String()) == "[]" {
+		dump, _, err := series.ReadTicks(rec.Body)
+		if err != nil {
+			t.Errorf("%s: health selector %s: %d %v", side, sel, rec.Code, err)
+			continue
+		}
+		if !slices.ContainsFunc(dump.Ticks(), func(tk series.Tick) bool {
+			return len(tk.Counters)+len(tk.Gauges)+len(tk.Histograms) > 0
+		}) {
 			t.Errorf("%s: health selector %s matches no recorded series", side, sel)
 		}
 	}

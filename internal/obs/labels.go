@@ -27,7 +27,6 @@ const (
 	KeyRule     = "rule"     // exemplar rule(s) a retained trace tripped
 	KeyTrigger  = "trigger"  // what fired a profile capture: interval, stall, slo-page:<name>, …
 	KeyBreaker  = "name"     // circuit breaker, named after the endpoint it guards
-	KeySLO      = "slo"      // objective name on the slo_* gauges
 	KeyLE       = "le"       // histogram bucket upper bound (exposition only)
 )
 

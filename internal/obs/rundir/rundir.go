@@ -12,9 +12,10 @@
 //	<dir>/profiles/     the continuous-profiling ring: <kind>-<seq>-<trigger>.pb.gz
 //
 // The watcher builds one series.HealthReport per collector tick, and
-// every live surface reads that report: the slo_* gauges, /debug/slo,
-// the stall and slo-page:<objective> profile captures, and whatever
-// subscribes through Run.Watch (gpluscrawl's progress line and -dash).
+// every live surface reads that report: /debug/slo, the stall and
+// slo-page:<objective> profile captures, and whatever subscribes through
+// Run.Watch (gpluscrawl's progress line and -dash). /debug/timeseries
+// serves the collector's retained ticks as series.jsonl lines.
 //
 // gpluscrawl, gplusd and the crawler's end-to-end tests all build their
 // stack here, so the wiring that ships is the wiring that is tested.
@@ -29,7 +30,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -67,8 +67,8 @@ type Config struct {
 	// it the watcher, /debug/slo and series.jsonl — off.
 	Series series.Options
 	// Signals are what the watcher reads the run's health from on every
-	// collector tick: the stall rule, and the objectives behind the slo_*
-	// gauges and the slo-page captures.
+	// collector tick: the stall rule, and the objectives behind
+	// /debug/slo and the slo-page captures.
 	Signals series.Signals
 	// Trace configures the tracer; SampleRate 0 leaves tracing off. A
 	// nil Recorder gets a 64-trace ring with the production exemplar
@@ -86,7 +86,7 @@ type Config struct {
 // parsed, which is before any goroutine of the run exists.
 func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Dir, "obs-dir", "", "run directory: every metric sample is appended to <dir>/series.jsonl, exemplar traces stream to <dir>/traces.jsonl and profiles to <dir>/profiles/ during the run, and the rest of the trace ring is appended at exit (read it back, mid-run too, with `gplusanalyze metrics|traces <dir>` and `go tool pprof <dir>/profiles/cpu-*.pb.gz`); the profile ring keeps the CPU profiler on for a third of the run at the default -profile-interval — pass -profile-interval 0 for series and traces only")
-	fs.DurationVar(&c.Series.Interval, "sample-interval", time.Second, "metric time-series sampling cadence for /debug/timeseries, the ticks appended to series.jsonl and the health report read off them once per tick (progress, /debug/slo, slo_* gauges, stall and SLO-page captures); 0 disables all of them")
+	fs.DurationVar(&c.Series.Interval, "sample-interval", time.Second, "metric time-series sampling cadence for /debug/timeseries, the ticks appended to series.jsonl and the health report read off them once per tick (progress, /debug/slo, stall and SLO-page captures); 0 disables all of them")
 	fs.Func("slo", `SLO objectives evaluated over the metric time series: "default" (the binary's availability + latency pair), "" for none, or a spec like "avail,error_ratio,bad=gplusd_chaos_faults_total,total=gplusd_requests_total,max=1%,window=1m"; report at /debug/slo`, func(v string) (err error) {
 		c.Signals.Objectives, err = series.ObjectivesFlag(v, c.Signals.Objectives)
 		return err
@@ -153,7 +153,7 @@ func Start(cfg Config) (*Run, error) {
 			r.ticks = log
 			r.Collector.OnSample(r.appendTick)
 		}
-		series.Watch(r.Collector, cfg.Signals, r.observer(cfg.Signals.Objectives))
+		series.Watch(r.Collector, cfg.Signals, r.observe)
 	}
 
 	if cfg.Trace.SampleRate > 0 {
@@ -191,51 +191,30 @@ func Start(cfg Config) (*Run, error) {
 	return r, nil
 }
 
-// observer returns what the watcher hands each report to. It publishes,
-// per objective, slo_state (0 ok, 1 warn, 2 page), slo_burn_rate_milli
-// (long-window burn rate x1000) and slo_sli_ppm (long-window bad
-// fraction, parts per million) — sampled on the next tick, so SLO health
-// is itself a time series — and fires a capture when a stall begins or an
-// objective pages: a CPU burst and goroutine dump from inside the
-// incident. Then the report is the latest, and goes to every subscriber.
-func (r *Run) observer(objs []series.Objective) func(*series.HealthReport) {
-	var gauges [][3]*obs.Gauge
-	if len(objs) > 0 {
-		r.Registry.Help("slo_state", "Objective alert state: 0 ok, 1 warn, 2 page.")
-		r.Registry.Help("slo_burn_rate_milli", "Long-window error-budget burn rate, x1000.")
-		r.Registry.Help("slo_sli_ppm", "Long-window bad-event fraction, parts per million.")
+// observe is what the watcher hands each report to. It fires a capture
+// when a stall begins or an objective pages — a CPU burst and goroutine
+// dump from inside the incident — then makes the report the latest, the
+// one /debug/slo serves, and hands it to every subscriber.
+func (r *Run) observe(rep *series.HealthReport) {
+	if rep.StallOnset {
+		r.Profiler.Trigger("stall")
 	}
-	for _, o := range objs {
-		label := obs.Label{Key: obs.KeySLO, Value: o.Name}
-		gauges = append(gauges, [3]*obs.Gauge{r.Registry.Gauge("slo_state", label),
-			r.Registry.Gauge("slo_burn_rate_milli", label), r.Registry.Gauge("slo_sli_ppm", label)})
+	for _, name := range rep.PageOnset {
+		r.Profiler.Trigger("slo-page:" + name)
 	}
-	return func(rep *series.HealthReport) {
-		for i, st := range rep.Statuses {
-			gauges[i][0].Set(int64(st.State))
-			gauges[i][1].Set(int64(math.Round(st.BurnLong * 1000)))
-			gauges[i][2].Set(int64(math.Round(st.SLI * 1e6)))
-		}
-		if rep.StallOnset {
-			r.Profiler.Trigger("stall")
-		}
-		for _, name := range rep.PageOnset {
-			r.Profiler.Trigger("slo-page:" + name)
-		}
-		r.mu.Lock()
-		r.latest = rep
-		watchers := r.watchers
-		r.mu.Unlock()
-		for _, fn := range watchers {
-			fn(rep)
-		}
+	r.mu.Lock()
+	r.latest = rep
+	watchers := r.watchers
+	r.mu.Unlock()
+	for _, fn := range watchers {
+		fn(rep)
 	}
 }
 
 // Watch hands fn every health report the run's watcher builds — one per
 // collector tick, on the sampling goroutine, one call at a time, after
-// the run's own gauges and captures have read it. Without a collector
-// there are none.
+// the run's own captures have read it. Without a collector there are
+// none.
 func (r *Run) Watch(fn func(*series.HealthReport)) {
 	r.mu.Lock()
 	r.watchers = append(r.watchers, fn)
@@ -303,8 +282,8 @@ func (r *Run) streamExemplar(tr *trace.Trace) {
 
 // Mux returns the operational endpoints of the run: /metrics
 // (Prometheus text), the net/http/pprof suite under /debug/pprof/, the
-// flight recorder at /debug/traces, and — with a collector —
-// /debug/timeseries and /debug/slo.
+// flight recorder at /debug/traces, and — with a collector — the tick
+// log at /debug/timeseries and the health report at /debug/slo.
 func (r *Run) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", r.Registry)

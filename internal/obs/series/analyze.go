@@ -35,8 +35,7 @@ type Row struct {
 // value names, over a run of a Store's ticks: all of the Store read back
 // from series.jsonl, or the live collector's newest ones (Watch). Every
 // surface renders it: the progress line, the dashboard frame, the stall
-// and SLO-page captures, the slo_* gauges, /debug/slo, `gplusanalyze
-// metrics`.
+// and SLO-page captures, /debug/slo, `gplusanalyze metrics`.
 type HealthReport struct {
 	Signals    Signals
 	Start, End time.Time

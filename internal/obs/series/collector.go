@@ -2,7 +2,6 @@ package series
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gplus/internal/obs"
@@ -42,9 +41,8 @@ func (o Options) capacity() int {
 // unconditional.
 type Collector struct {
 	*Store
-	reg     *obs.Registry
-	opts    Options
-	samples atomic.Int64
+	reg  *obs.Registry
+	opts Options
 
 	mu    sync.Mutex
 	hooks []func(t Tick, dropped bool)
@@ -138,7 +136,6 @@ func (c *Collector) Sample(now time.Time) {
 	// post-mortem of its log then divide by the same durations.
 	t := Tick{T: now.Round(0), Snapshot: c.reg.Snapshot()}
 	dropped := c.add(t)
-	c.samples.Add(1)
 	c.mu.Lock()
 	hooks := c.hooks
 	c.mu.Unlock()
@@ -159,12 +156,4 @@ func (c *Collector) OnSample(fn func(t Tick, dropped bool)) {
 	c.mu.Lock()
 	c.hooks = append(c.hooks, fn)
 	c.mu.Unlock()
-}
-
-// Samples returns how many ticks have been taken.
-func (c *Collector) Samples() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.samples.Load()
 }

@@ -1,23 +1,29 @@
 package series
 
 import (
-	"encoding/json"
+	"bytes"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"net/url"
+	"slices"
 	"testing"
 
 	"gplus/internal/obs"
 )
 
+// handlerFixture samples six ticks: a counter and a gauge present from
+// the first, and a labelled counter born at the fourth.
 func handlerFixture(t *testing.T) *Collector {
 	t.Helper()
 	reg := obs.NewRegistry()
 	ctr := reg.Counter("api_total", obs.Label{Key: obs.KeyCode, Value: "200"})
-	reg.Gauge("depth")
+	reg.Gauge("depth").Set(4)
 	c := NewCollector(reg, Options{Capacity: 32})
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 6; i++ {
 		ctr.Add(10)
+		if i >= 3 {
+			reg.Counter("late_total", obs.Label{Key: obs.KeyCode, Value: "503"}).Add(int64(7 * i))
+		}
 		c.Sample(tick(i))
 	}
 	return c
@@ -30,76 +36,53 @@ func get(t *testing.T, h http.Handler, url string) *httptest.ResponseRecorder {
 	return rr
 }
 
-func TestHandlerListing(t *testing.T) {
-	h := Handler{C: handlerFixture(t)}
-	rr := get(t, h, "/debug/timeseries")
-	var listing struct {
-		Interval string `json:"interval"`
-		Samples  int64  `json:"samples"`
-		Series   []struct {
-			Name   string `json:"name"`
-			Kind   Kind   `json:"kind"`
-			Points int    `json:"points"`
-		} `json:"series"`
-	}
-	if err := json.Unmarshal(rr.Body.Bytes(), &listing); err != nil {
-		t.Fatalf("listing not JSON: %v\n%s", err, rr.Body.String())
-	}
-	if listing.Samples != 5 || len(listing.Series) != 2 {
-		t.Errorf("listing: %+v", listing)
-	}
-}
-
-func TestHandlerWindowQuery(t *testing.T) {
-	h := Handler{C: handlerFixture(t)}
-	rr := get(t, h, "/debug/timeseries?name=api_total")
-	var windows []seriesWindow
-	if err := json.Unmarshal(rr.Body.Bytes(), &windows); err != nil {
-		t.Fatal(err)
-	}
-	if len(windows) != 1 || len(windows[0].Points) != 5 {
-		t.Fatalf("window: %+v", windows)
-	}
-	// rate=1 derives per-interval rates: 10/s for each pair.
-	rr = get(t, h, "/debug/timeseries?name=api_total&rate=1")
-	windows = nil
-	if err := json.Unmarshal(rr.Body.Bytes(), &windows); err != nil {
-		t.Fatal(err)
-	}
-	if len(windows[0].Points) != 4 || windows[0].Points[0].V != 10 {
-		t.Errorf("rate query: %+v", windows[0].Points)
-	}
-	// since=<duration> counts back from the newest tick, tick 4 of the
-	// fixture's clock: ticks 3 and 4, and the baseline tick 2 before them.
-	rr = get(t, h, "/debug/timeseries?name=api_total&since=1500ms")
-	windows = nil
-	if err := json.Unmarshal(rr.Body.Bytes(), &windows); err != nil {
-		t.Fatal(err)
-	}
-	if pts := windows[0].Points; len(pts) != 3 || !pts[0].T.Equal(tick(2)) || pts[2].V != 50 {
-		t.Errorf("since=1500ms: %+v, want the points at ticks 2..4", pts)
-	}
-	// An unknown name returns an empty array, not null.
-	rr = get(t, h, "/debug/timeseries?name=nope")
-	if strings.TrimSpace(rr.Body.String()) != "[]" {
-		t.Errorf("unknown name: %q", rr.Body.String())
-	}
-	// A malformed since, or a selector that is not a series name, is a 400.
-	for _, q := range []string{"name=api_total&since=wat", "name=api_total%7Bcode%3D200%7D"} {
-		if rr = get(t, h, "/debug/timeseries?"+q); rr.Code != http.StatusBadRequest {
-			t.Errorf("%s: code %d", q, rr.Code)
-		}
-	}
-}
-
+// TestHandlerJSONLDump: the body is the retained ticks exactly as
+// WriteTicks writes them to series.jsonl.
 func TestHandlerJSONLDump(t *testing.T) {
-	h := Handler{C: handlerFixture(t)}
-	rr := get(t, h, "/debug/timeseries?format=jsonl")
+	c := handlerFixture(t)
+	rr := get(t, Handler{C: c}, "/debug/timeseries")
+	var want bytes.Buffer
+	if err := WriteTicks(&want, c.Ticks()); err != nil {
+		t.Fatal(err)
+	}
+	if rr.Code != http.StatusOK || rr.Header().Get("Content-Type") != "application/jsonl" || !bytes.Equal(rr.Body.Bytes(), want.Bytes()) {
+		t.Errorf("GET /debug/timeseries = %d %q:\n%s\nwant the tick log:\n%s", rr.Code, rr.Header().Get("Content-Type"), rr.Body, &want)
+	}
+}
+
+// TestHandlerNameFilter: ?name= keeps every tick and cuts each to the
+// selected series, so a counter born mid-run increases by as much in the
+// filtered dump as in the whole store. An unknown name keeps the ticks
+// and no series; a selector that is not a series name is a 400.
+func TestHandlerNameFilter(t *testing.T) {
+	c := handlerFixture(t)
+	h := Handler{C: c}
+	full := c.Ticks()
+	rr := get(t, h, "/debug/timeseries?name=late_total&name=depth")
 	d, _, err := ReadTicks(rr.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.names) != 2 {
-		t.Errorf("dump names: %v", d.names)
+	late := `late_total{code="503"}`
+	if len(d.ticks) != len(full) || !slices.Equal(d.names, []string{"depth", late}) {
+		t.Fatalf("?name= dump holds %d ticks of %v, want %d ticks of [depth %s]", len(d.ticks), d.names, len(full), late)
+	}
+	if got, want := increase(d.ticks, late, KindCounter), increase(full, late, KindCounter); got != want || want != 7*(3+4+5) {
+		t.Errorf("%s increases by %g in the ?name= dump, %g in the store; want both 84", late, got, want)
+	}
+	for i := 1; i < len(full); i++ {
+		got, _ := perSecond(d.ticks, i, late, KindCounter)
+		want, _ := perSecond(full, i, late, KindCounter)
+		if got != want {
+			t.Errorf("tick %d: rate %g in the ?name= dump, %g in the store", i, got, want)
+		}
+	}
+
+	rr = get(t, h, "/debug/timeseries?name=nope")
+	if d, _, err := ReadTicks(rr.Body); err != nil || len(d.ticks) != len(full) || len(d.names) != 0 {
+		t.Errorf("unknown name: %v, want %d ticks and no series", err, len(full))
+	}
+	if rr = get(t, h, "/debug/timeseries?name="+url.QueryEscape("api_total{code=200}")); rr.Code != http.StatusBadRequest {
+		t.Errorf("a selector that is not a series name: code %d, want 400", rr.Code)
 	}
 }

@@ -6,10 +6,11 @@
 // on their times to the end, plus the one baseline tick before it — and
 // reads each series at each tick by name and kind, so counter increases
 // and rates and histogram deltas are differences of neighbouring ticks.
-// The store backs a JSON window-query endpoint (/debug/timeseries) and
-// the tick log series.jsonl (WriteTicks, one line per tick, appended by a
-// run directory as it is sampled); ReadTicks fills the same Store type
-// from that log for offline analysis (`gplusanalyze metrics`). The
+// The store has one exposition, the tick log series.jsonl (WriteTicks,
+// one line per tick): a run directory appends it as it is sampled, and
+// /debug/timeseries serves the retained ticks in it. ReadTicks fills the
+// same Store type from that log for offline analysis (`gplusanalyze
+// metrics`). The
 // health report both the live watcher (Watch) and the offline read
 // build — throughput, stalls, and declarative objectives with
 // multi-window burn-rate alerting — is what a live ANSI terminal
@@ -43,14 +44,11 @@ const (
 	KindHistogram Kind = "histogram"
 )
 
-// Point is one rendered value of one series: a report row's value at a
-// tick, or a /debug/timeseries point. V holds the counter value, gauge
-// value, rate, or — for histogram series — the cumulative observation
-// count; Hist is set only on a histogram's sampled points.
+// Point is one value of a report row at a tick: a rate, a sum, or a
+// gauge reading.
 type Point struct {
-	T    time.Time              `json:"t"`
-	V    float64                `json:"v"`
-	Hist *obs.HistogramSnapshot `json:"hist,omitempty"`
+	T time.Time
+	V float64
 }
 
 // delta is series name's growth from ticks[i-1] to ticks[i], under the

@@ -27,7 +27,8 @@ const (
 // Objective is one declarative service-level objective evaluated over
 // rolling windows of the time-series store.
 type Objective struct {
-	// Name labels the objective in gauges and reports.
+	// Name labels the objective in reports and in the slo-page:<name>
+	// capture it fires.
 	Name string
 	// Kind selects the evaluation.
 	Kind ObjectiveKind
@@ -148,7 +149,7 @@ func ParseObjectives(spec string) ([]Objective, error) {
 			case "hist":
 				o.Hist = val
 			case "q":
-				if o.Q, err = strconv.ParseFloat(val, 64); err != nil || o.Q <= 0 || o.Q >= 1 {
+				if o.Q, err = strconv.ParseFloat(val, 64); err != nil || !finite(o.Q) || o.Q <= 0 || o.Q >= 1 {
 					return nil, fmt.Errorf("series: quantile %q outside (0,1) in %q", val, raw)
 				}
 			case "max":
@@ -216,16 +217,17 @@ func splitTopLevel(s string) []string {
 }
 
 // parseThreshold accepts "1%", "0.01", or a duration like "250ms"
-// (returned in seconds).
+// (returned in seconds). NaN and the infinities, which ParseFloat
+// accepts, are not thresholds: every range check passes NaN.
 func parseThreshold(val string) (float64, error) {
 	if strings.HasSuffix(val, "%") {
 		p, err := strconv.ParseFloat(strings.TrimSuffix(val, "%"), 64)
-		if err != nil {
+		if err != nil || !finite(p) {
 			return 0, fmt.Errorf("bad percentage %q", val)
 		}
 		return p / 100, nil
 	}
-	if f, err := strconv.ParseFloat(val, 64); err == nil {
+	if f, err := strconv.ParseFloat(val, 64); err == nil && finite(f) {
 		return f, nil
 	}
 	if d, err := time.ParseDuration(val); err == nil && d > 0 {
@@ -233,6 +235,8 @@ func parseThreshold(val string) (float64, error) {
 	}
 	return 0, fmt.Errorf("bad threshold %q", val)
 }
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // ObjectivesFlag resolves the value of a -slo flag: "default" keeps def,
 // "" selects no objectives (an empty, non-nil set), anything else is a

@@ -61,6 +61,12 @@ func TestParseObjectives(t *testing.T) {
 		"x,error_ratio,bad=b,total=t,max=1%,fast=10s", // not in the grammar
 		"x,latency,hist=h,q=0.99,max=250ms,page=10",
 		"x,latency,hist=h,q=0.99,max=250ms,warn=5",
+		// Non-finite numbers parse as floats, and NaN passes every range check.
+		"x,latency,hist=h,q=NaN,max=250ms",
+		"x,error_ratio,bad=b,total=t,max=NaN",
+		"x,error_ratio,bad=b,total=t,max=NaN%",
+		"x,latency,hist=h,q=0.99,max=+Inf",
+		"x,latency,hist=h,q=0.99,max=Inf%",
 	}
 	for _, spec := range bad {
 		if _, err := ParseObjectives(spec); err == nil {
@@ -85,8 +91,10 @@ func TestParseThreshold(t *testing.T) {
 			t.Errorf("parseThreshold(%q) = %g, %v; want %g", c.in, got, err, c.want)
 		}
 	}
-	if _, err := parseThreshold("wat"); err == nil {
-		t.Error("parseThreshold(wat) should fail")
+	for _, in := range []string{"wat", "NaN", "nan", "+Inf", "-Inf", "inf", "NaN%", "Inf%", "1e400"} {
+		if got, err := parseThreshold(in); err == nil {
+			t.Errorf("parseThreshold(%q) = %g, should fail", in, got)
+		}
 	}
 }
 

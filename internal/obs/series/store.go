@@ -109,7 +109,7 @@ func (s *Store) window(since, until time.Time) []Tick {
 
 // WriteTicks writes ticks as series.jsonl lines, one JSON object — one
 // Write — per tick. It is the one encoder of the format: the run
-// directory's log and /debug/timeseries?format=jsonl both go through it.
+// directory's log and /debug/timeseries both go through it.
 func WriteTicks(w io.Writer, ticks []Tick) error {
 	enc := json.NewEncoder(w)
 	for i := range ticks {

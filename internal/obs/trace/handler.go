@@ -14,7 +14,7 @@ import (
 // trace_* series on /metrics.
 func (r *Recorder) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	if req.URL.Query().Get("format") == "jsonl" {
-		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.Header().Set("Content-Type", "application/jsonl")
 		if r != nil {
 			r.WriteJSONL(w) //nolint:errcheck — best effort to a dead client
 		}
