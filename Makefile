@@ -8,7 +8,7 @@ GO ?= go
 # the rule set). It is never downloaded — no network access is required.
 STATICCHECK_VERSION ?= 2024.1
 
-.PHONY: all check help build vet test race staticcheck hygiene loc chaos brownout trace-demo dash-demo prof-demo bench-hotpath bench-analysis bench-storage paperscale ablations fuzz fuzz-short verify experiments clean
+.PHONY: all check help build vet test race staticcheck hygiene loc chaos brownout trace-demo dash-demo prof-demo paperscale ablations fuzz fuzz-short verify experiments clean
 
 # Default check path: the tier-1 verify (build + test) plus vet and the
 # race suite over the concurrent packages.
@@ -18,7 +18,7 @@ all: build vet test race
 # covers the sharded rate limiter, the batched crawl frontier and the
 # study's concurrent, memoised structure stages with the packages that
 # drive them (paper, report, gplusanalyze), the
-# short fuzz leg shakes the checkpoint/journal parser, the series.jsonl tick decoder, the wire codec, the graph.v2 reader, the segment reader, the triad pass, the edge sort and the CDF sort, the hygiene leg
+# short fuzz leg shakes the checkpoint/journal parser, the series.jsonl tick decoder, the wire codec (canonical form in, encoding/json as the oracle, round-trip identity), the graph.v2 reader, the segment reader, the triad pass, the edge sort and the CDF sort, the hygiene leg
 # gates the metric exposition and its label vocabulary, the
 # one-durable-writer rule, the every-flag-has-a-recipe rule and the
 # every-package- and every-exported-symbol-reaches-the-pipeline rules and
@@ -38,10 +38,7 @@ help:
 	@echo "make trace-demo     chaos crawl with request tracing on both sides"
 	@echo "make dash-demo      short chaos crawl rendered on the live dashboard"
 	@echo "make prof-demo      brownout crawl -> profile ring -> go tool pprof: CPU by label + steady-vs-page diff"
-	@echo "make bench-hotpath  serving/crawling hot paths -> BENCH_hotpath.json"
-	@echo "make bench-analysis graph analytics at P=1/4/8/NumCPU -> BENCH_analysis.json"
-	@echo "make bench-storage  out-of-core CSR: segment/compact/load/scan -> BENCH_storage.json"
-	@echo "make paperscale     10M-node/200M-edge out-of-core acceptance run (slow; merges RSS rows into BENCH_storage.json)"
+	@echo "make paperscale     10M-node/200M-edge out-of-core acceptance run (slow; logs stage timings and peak RSS)"
 	@echo "make ablations      design-choice ablations, seed sensitivity and the lost-edge crawl"
 	@echo "make fuzz           long fuzz of every parser (wire codec, series names and the series.jsonl tick decoder included), the client's request URLs, the multi-source BFS, the triad pass, the edge sort, the segment compaction, the segment reader and the CDF sort (30s each)"
 	@echo "make verify         generate a dataset and audit it against the paper at two analysis seeds"
@@ -169,42 +166,15 @@ prof-demo:
 	$(GO) tool pprof -symbolize=none -top -cum -nodecount=20 -tagroot=phase -normalize \
 	    -diff_base /tmp/gplus-prof-demo/steady.pb.gz /tmp/gplus-prof-demo/profiles/cpu-*-slo-page_*.pb.gz
 
-# Serving/crawling hot-path benchmarks (server throughput by client
-# count, scheduler offer/next by worker count, rate limiter, fault
-# injection), recorded as a JSON baseline future PRs can diff against.
-bench-hotpath:
-	$(GO) test -run '^$$' -bench 'ServerThroughput|SchedulerOffer|RateLimiterAllow|FaultInjection|CollectorSample' \
-	    -benchmem -count=1 . ./internal/crawler ./internal/gplusd ./internal/obs/series \
-	    | $(GO) run ./cmd/benchjson -out BENCH_hotpath.json
-
-# The graph-analytics suite behind the parallelized analysis stage: every
-# algorithm on a ~1M-node heavy-tailed synth graph at P in {1,4,8,NumCPU},
-# recorded as a JSON baseline future PRs can diff against. Results are
-# byte-identical across P (tested); only wall-clock should move.
-bench-analysis:
-	$(GO) test -run '^$$' -bench 'BenchmarkAnalysis' -benchmem -benchtime=1x -count=1 -timeout 30m ./internal/graph \
-	    | $(GO) run ./cmd/benchjson -out BENCH_analysis.json
-
-# The out-of-core storage suite: segment ingest, compaction, v2
-# encode, load (materialize vs verified mmap vs unverified mmap), and
-# the two kernel access patterns (sequential sweep, random row probes)
-# over both backends, recorded as a JSON baseline future PRs can diff
-# against. `make paperscale` later merges its rows into the same file
-# without disturbing these.
-bench-storage:
-	$(GO) test -run '^$$' -bench 'BenchmarkStorage' -benchmem -benchtime=1x -count=1 -timeout 30m ./internal/graph/diskcsr \
-	    | $(GO) run ./cmd/benchjson -out BENCH_storage.json
-
 # The paper-scale acceptance run for the out-of-core pipeline: stream a
 # >=10M-node/>=200M-edge synthetic edge list into segments,
 # compact them into one CSR v2 file, run degrees/WCC/triangles over the
 # memory-mapped form, then materialize and require byte-identical
-# results in RAM. Stage timings and peak-RSS checkpoints are merged
-# into BENCH_storage.json as PaperScale/* rows. Needs a few GB of disk
+# results in RAM. Stage timings and peak-RSS checkpoints go to the -v
+# log. Needs a few GB of disk
 # in GPLUS_PAPERSCALE_DIR (default /tmp) and tens of minutes.
 paperscale:
 	GPLUS_PAPERSCALE=1 GPLUS_PAPERSCALE_DIR=/tmp/gplus-paperscale \
-	    GPLUS_BENCH_OUT=$(CURDIR)/BENCH_storage.json \
 	    $(GO) test -count=1 -run TestPaperScale -v -timeout 120m ./internal/graph/diskcsr/
 	rm -rf /tmp/gplus-paperscale
 
@@ -238,7 +208,9 @@ fuzz:
 # costs about a millisecond an input, so a 1 s cap on minimising each new
 # input keeps the default 60 s minimisation from eating the leg), the wire
 # codec is the parser every network byte and every profile-column byte
-# goes through (held to encoding/json as its oracle), diskcsr.Open is
+# goes through (it reads only the canonical form its encoders write;
+# encoding/json is the oracle on what it accepts, and what it accepts
+# re-encodes to the same bytes), diskcsr.Open is
 # the one graph reader, so every graph.v2 byte of every dataset goes
 # through it (seeded with the dataset package's golden graph.v2), Compact
 # is the one writer of every crawled graph.v2 (held byte for byte to

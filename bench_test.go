@@ -2,7 +2,7 @@ package gplus
 
 // The two root benchmarks that run a service: the §2.2 lost-edge crawl
 // (`make ablations`, beside the ablations and the seed-sensitivity
-// crawls) and the serving hot path (`make bench-hotpath`). Every table
+// crawls) and the serving hot path (`BenchmarkServerThroughput`). Every table
 // and figure of the study is printed by `gplusanalyze`, and
 // `make experiments` writes what it prints into EXPERIMENTS.md.
 

@@ -107,6 +107,28 @@ func TestFlagsHaveRecipe(t *testing.T) {
 	}
 	checkCommandsRun(t, lines)
 	checkCurlRoutes(t, curled)
+	// Every Test, Benchmark or Fuzz name the documents cite in backticks
+	// is a function of some _test.go file.
+	testName := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	for _, name := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", filepath.Join("bench", "README.md")} {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, part := range strings.Split(string(b), "```") {
+			spans := []string{part} // fenced
+			if i%2 == 0 {
+				spans = codeSpan.FindAllString(strings.ReplaceAll(part, "\n", " "), -1)
+			}
+			for _, span := range spans {
+				for _, fn := range testName.FindAllString(span, -1) {
+					if !have.funcs[fn] {
+						t.Errorf("%s cites `%s`, which is no Test, Benchmark or Fuzz function", name, fn)
+					}
+				}
+			}
+		}
+	}
 	// The heading rule fails a section whose recipe is gone.
 	for _, tc := range []struct {
 		heading string
@@ -444,10 +466,11 @@ func testExists(ref string) bool {
 func TestSurfaceReachesPipeline(t *testing.T) {
 	exceptions := map[string]string{
 		// Reference implementations the pipeline's own are compared against.
-		"graph.FromEdges":             "internal/graph/diskcsr:TestKernelEquivalence",
-		"graph.BFSDistances":          "internal/graph:TestSamplePathLengthsMatchesExactAllPairs",
-		"graph.HasArc":                "internal/graph:TestMotifsAgainstBruteForce",
-		"graph.ClusteringCoefficient": "internal/graph:TestTrianglesMatchClusteringCoefficient",
+		"graph.FromEdges":               "internal/graph/diskcsr:TestKernelEquivalence",
+		"graph.BFSDistances":            "internal/graph:TestSamplePathLengthsMatchesExactAllPairs",
+		"graph.HasArc":                  "internal/graph:TestMotifsAgainstBruteForce",
+		"graph.ClusteringCoefficient":   "internal/graph:TestTrianglesMatchClusteringCoefficient",
+		"gplusapi.ProfileDoc.ToProfile": "internal/dataset:TestProfileColumnMatchesEncodingJSON",
 	}
 	s := loadSurface(t)
 	if len(exceptions) > 20 {

@@ -455,7 +455,7 @@ func (w *worker) crawlOne(ctx context.Context, id string) {
 	}
 	fctx, fsp := w.cfg.Tracer.StartSpan(ctx, obs.PhaseFetchProfile)
 	pprof.SetGoroutineLabels(w.labels.profile)
-	doc, err := w.client.FetchProfile(fctx, id)
+	p, err := w.client.FetchProfile(fctx, id)
 	pprof.SetGoroutineLabels(w.labels.idle)
 	fsp.SetError(err)
 	fsp.Finish()
@@ -505,7 +505,7 @@ func (w *worker) crawlOne(ctx context.Context, id string) {
 		w.circleErrs += len(circleErrs)
 		w.tel.circErrs.Add(int64(len(circleErrs)))
 	}
-	w.profiles[id] = doc.ToProfile()
+	w.profiles[id] = p
 	w.tel.profiles.Inc()
 	w.self.Inc()
 	if ctx.Err() == nil && len(circleErrs) == 0 {
@@ -514,7 +514,8 @@ func (w *worker) crawlOne(ctx context.Context, id string) {
 		// from any journal prefix then refetches half-crawled users
 		// instead of losing their remaining circle pages.
 		_, jsp := w.cfg.Tracer.StartSpan(ctx, "journal.profile")
-		w.cfg.Journal.profile(doc)
+		doc := gplusapi.FromProfile(id, &p)
+		w.cfg.Journal.profile(&doc)
 		jsp.Finish()
 	}
 }

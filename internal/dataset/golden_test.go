@@ -10,6 +10,8 @@ import (
 
 	"gplus/internal/core"
 	"gplus/internal/dataset"
+	"gplus/internal/gplusapi"
+	"gplus/internal/profile"
 )
 
 // golden is a 64-user dataset in the current layout (graph.v2 +
@@ -64,6 +66,33 @@ func TestGoldenDatasetRoundTrips(t *testing.T) {
 			if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
 				t.Errorf("%s re-saved from the %s load differs from the golden file (err=%v)", name, backend, err)
 			}
+		}
+	}
+
+	// The fixed point line by line, as the crawl journal renders a
+	// profile: decoded to the model, FromProfile, encoded, with the
+	// crawled member kept.
+	raw, err := os.ReadFile(filepath.Join(golden, "profiles.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n")) {
+		var (
+			id      string
+			p       profile.Profile
+			crawled []byte
+		)
+		err := gplusapi.DecodeProfile(line, &id, &p, func(key, value []byte) error {
+			crawled = append([]byte(`,"`+string(key)+`":`), value...)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		doc := gplusapi.FromProfile(id, &p)
+		again, err := gplusapi.AppendProfileDoc(nil, &doc)
+		if err != nil || !bytes.Equal(append(append(again[:len(again)-1], crawled...), '}'), line) {
+			t.Fatalf("%s re-renders as %s (%v)", line, again, err)
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 
 	"gplus/internal/durable"
@@ -250,15 +249,14 @@ func (d *Dataset) decodeLines(lines []byte, par int) error {
 func (d *Dataset) decodeRange(part []byte, at int) (int, error) {
 	var crawled bool
 	member := func(key, value []byte) error {
-		if !strings.EqualFold(string(key), crawledKey) { // keys match as encoding/json matched them
-			return nil
+		if string(key) != crawledKey {
+			return fmt.Errorf("member %q where %s belongs", key, crawledKey)
 		}
 		switch string(value) {
 		case "true":
 			crawled = true
 		case "false":
 			crawled = false
-		case "null": // leaves a bool as it is, as it does for reflection
 		default:
 			return fmt.Errorf("%s is %s, want true or false", crawledKey, value)
 		}
@@ -271,7 +269,6 @@ func (d *Dataset) decodeRange(part []byte, at int) (int, error) {
 		} else {
 			part = nil
 		}
-		crawled = false
 		if err := gplusapi.DecodeProfile(line, &d.IDs[at], &d.Profiles[at], member); err != nil {
 			return at, err
 		}

@@ -90,12 +90,14 @@ func TestProfileColumnMatchesEncodingJSON(t *testing.T) {
 	// Several chunks' worth, so ranges and carried partial lines are in play.
 	columns["3 MiB"] = bytes.Repeat(columns["golden"], 3*profileChunk/len(columns["golden"])+1)
 	columns["no final newline"] = bytes.TrimSuffix(columns["golden"], []byte("\n"))
+	// Canonical lines, as the writer writes them, holding what strings
+	// and values can hold: escapes, runes, unlisted values, empty arrays.
 	columns["hostile"] = []byte(strings.Join([]string{
-		`{"id":"a","name":"<b>&amp;</b> ` + "\u2028\u2029 caf\u00e9 \U0001F600" + `","fields":["name","places_lived"],"placesLived":["x\ty","\"q\""],"place":{"name":"\"q\"","lat":1e-7,"lon":-1e21},"inCircleCount":3,"outCircleCount":4,"crawled":true}`,
-		`  {"CRAWLED":true,"Id":"b","unknown":{"deep":[1,2,{"x":null}]},"fields":["gender"],"gender":"Female","crawled":null}  `,
-		`{"id":"c","name":"n","fields":["places_lived"],"placesLived":["p"],"placesLived":[null,"q"],"crawled":false}`,
-		"{\"id\":\"d\",\"name\":\"bad utf8 \xff\",\"fields\":null,\"inCircleCount\":0}\r",
-		`{"id":"e","fields":[],"crawled":true,"crawled":false}`,
+		`{"id":"a","name":"\u003cb\u003e\u0026amp;\u003c/b\u003e \u2028\u2029 ` + "caf\u00e9 \U0001F600 \ufffd" + `","fields":["name","places_lived"],"placesLived":["x\ty","\"q\""],"place":{"name":"\"q\"","lat":1e-7,"lon":-1e+21},"inCircleCount":3,"outCircleCount":4,"crawled":true}`,
+		`{"id":"b","name":"","fields":["gender"],"gender":"Female","relationship":"Single","placesLived":["p"],"place":{"name":"p","lat":1,"lon":2,"country":"BR"},"occupation":"IT","inCircleCount":0,"outCircleCount":0,"crawled":false}`,
+		`{"id":"c","name":"n","fields":["places_lived","hovercraft"],"placesLived":["p","q"],"inCircleCount":-1,"outCircleCount":9223372036854775807,"crawled":false}`,
+		`{"id":"d","name":"ctl \u0000\u001f\b\f\n\r","fields":null,"inCircleCount":0,"outCircleCount":0,"crawled":true}`,
+		`{"id":"e","name":"","fields":[],"inCircleCount":0,"outCircleCount":0,"crawled":true}`,
 	}, "\n") + "\n")
 
 	for name, raw := range columns {
@@ -148,11 +150,19 @@ func TestReadProfilesReportsLowestFailingLine(t *testing.T) {
 		setup func()
 		want  string
 	}{
-		{"late syntax error", func() { breakLine(len(lines)-3, `{"id":"x",}`) }, fmt.Sprintf("line %d:", len(lines)-3)},
-		{"second chunk", func() { breakLine(len(lines)/2+500, `{"id":"x","crawled":1}`) }, fmt.Sprintf("line %d: crawled is 1", len(lines)/2+500)},
+		{"late syntax error", func() {
+			breakLine(len(lines)-3, `{"id":"x","name":"","fields":null,"inCircleCount":0,"outCircleCount":0,"crawled":true,}`)
+		}, fmt.Sprintf("line %d: crawled is true,", len(lines)-3)},
+		{"second chunk", func() {
+			breakLine(len(lines)/2+500, `{"id":"x","name":"","fields":null,"inCircleCount":0,"outCircleCount":0,"crawled":1}`)
+		}, fmt.Sprintf("line %d: crawled is 1", len(lines)/2+500)},
 		{"empty line", func() { breakLine(4000, ``) }, "line 4000:"},
-		{"no id", func() { breakLine(700, `{"name":"anonymous","crawled":true}`) }, "line 700: record without id"},
-		{"type mismatch", func() { breakLine(31, `{"id":"x","inCircleCount":1.5}`) }, "line 31:"},
+		{"no id", func() {
+			breakLine(700, `{"id":"","name":"anonymous","fields":null,"inCircleCount":0,"outCircleCount":0,"crawled":true}`)
+		}, "line 700: record without id"},
+		{"type mismatch", func() {
+			breakLine(31, `{"id":"x","name":"","fields":null,"inCircleCount":1.5,"outCircleCount":0,"crawled":true}`)
+		}, "line 31: gplusapi: invalid document at byte 50:"},
 		{"first line", func() { breakLine(1, `[]`) }, "line 1:"},
 	}
 	for _, c := range cases { // cumulative: each adds an earlier failure

@@ -18,6 +18,7 @@ import (
 
 	"gplus/internal/obs"
 	"gplus/internal/obs/trace"
+	"gplus/internal/profile"
 	"gplus/internal/resilience"
 )
 
@@ -219,20 +220,23 @@ func (c *Client) backoffDelay(attempt int, lastErr error) time.Duration {
 	return max(delay, 0)
 }
 
-// FetchProfile retrieves the public profile page of a user.
-func (c *Client) FetchProfile(ctx context.Context, id string) (*ProfileDoc, error) {
+// FetchProfile retrieves the public profile page of a user, decoded
+// straight to the analysis model.
+func (c *Client) FetchProfile(ctx context.Context, id string) (profile.Profile, error) {
 	if err := c.prepare(); err != nil {
-		return nil, err
+		return profile.Profile{}, err
 	}
-	doc := new(ProfileDoc)
+	var (
+		docID string
+		p     profile.Profile
+	)
 	err := c.get(ctx, obs.EndpointProfile, c.target("/people/", id, "", ""), func(body []byte) error {
-		*doc = ProfileDoc{} // nothing of a body an earlier attempt rejected
-		return DecodeProfileDoc(body, doc)
+		return DecodeProfile(body, &docID, &p, nil)
 	})
 	if err != nil {
-		return nil, err
+		return profile.Profile{}, err
 	}
-	return doc, nil
+	return p, nil
 }
 
 // FetchCircle retrieves one page of a user's circle list. An empty
@@ -255,7 +259,6 @@ func (c *Client) FetchCircle(ctx context.Context, id string, dir CircleDir, page
 	}
 	page := new(CirclePage)
 	err := c.get(ctx, obs.EndpointCircles, c.target("/people/", id, "/circles/"+string(dir), query), func(body []byte) error {
-		*page = CirclePage{}
 		return DecodeCirclePage(body, page)
 	})
 	if err != nil {

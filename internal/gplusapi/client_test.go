@@ -47,9 +47,9 @@ func TestClientFetchEndpoints(t *testing.T) {
 	c := newTestClient(ts)
 	ctx := context.Background()
 
-	doc, err := c.FetchProfile(ctx, "u1")
-	if err != nil || doc.ID != "u1" || doc.InCircleCount != 3 {
-		t.Fatalf("FetchProfile = %+v, %v", doc, err)
+	p, err := c.FetchProfile(ctx, "u1")
+	if err != nil || p.Name != "n" || p.DeclaredInDegree != 3 {
+		t.Fatalf("FetchProfile = %+v, %v", p, err)
 	}
 	page, err := c.FetchCircle(ctx, "u1", CircleOut, "", 10)
 	if err != nil || len(page.IDs) != 2 || page.NextPageToken != "2" {
@@ -104,16 +104,16 @@ func TestClientRetriesTransientThenSucceeds(t *testing.T) {
 			http.Error(w, "flaky", http.StatusServiceUnavailable)
 			return
 		}
-		w.Write([]byte(`{"id":"u","name":"n","inCircleCount":0,"outCircleCount":0}`))
+		w.Write([]byte(`{"id":"u","name":"n","fields":null,"inCircleCount":0,"outCircleCount":0}`))
 	}))
 	defer ts.Close()
 	c := newTestClient(ts)
-	doc, err := c.FetchProfile(context.Background(), "u")
+	p, err := c.FetchProfile(context.Background(), "u")
 	if err != nil {
 		t.Fatalf("FetchProfile: %v", err)
 	}
-	if doc.ID != "u" || calls.Load() != 3 {
-		t.Fatalf("doc=%+v calls=%d", doc, calls.Load())
+	if p.Name != "n" || calls.Load() != 3 {
+		t.Fatalf("profile=%+v calls=%d", p, calls.Load())
 	}
 }
 
@@ -259,7 +259,7 @@ func TestClientMetrics(t *testing.T) {
 			http.Error(w, "flaky", http.StatusServiceUnavailable)
 			return
 		}
-		w.Write([]byte(`{"id":"u1"}`))
+		w.Write([]byte(`{"id":"u1","name":"","fields":null,"inCircleCount":0,"outCircleCount":0}`))
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
@@ -304,18 +304,18 @@ func TestClientRetriesConnectionReset(t *testing.T) {
 			conn.Close()
 			return
 		}
-		w.Write([]byte(`{"id":"u","name":"n","inCircleCount":0,"outCircleCount":0}`))
+		w.Write([]byte(`{"id":"u","name":"n","fields":null,"inCircleCount":0,"outCircleCount":0}`))
 	}))
 	defer ts.Close()
 	c := newTestClient(ts)
 	// Hijacked connections must not be reused; force fresh dials.
 	c.Transport = &http.Transport{DisableKeepAlives: true}
-	doc, err := c.FetchProfile(context.Background(), "u")
+	p, err := c.FetchProfile(context.Background(), "u")
 	if err != nil {
 		t.Fatalf("FetchProfile did not survive connection resets: %v", err)
 	}
-	if doc.ID != "u" || calls.Load() != 3 {
-		t.Fatalf("doc=%+v calls=%d", doc, calls.Load())
+	if p.Name != "n" || calls.Load() != 3 {
+		t.Fatalf("profile=%+v calls=%d", p, calls.Load())
 	}
 }
 
@@ -329,16 +329,16 @@ func TestClientRetriesTornBody(t *testing.T) {
 			w.Write([]byte(`{"id":"u","na`))
 			return
 		}
-		w.Write([]byte(`{"id":"u","name":"n","inCircleCount":0,"outCircleCount":0}`))
+		w.Write([]byte(`{"id":"u","name":"n","fields":null,"inCircleCount":0,"outCircleCount":0}`))
 	}))
 	defer ts.Close()
 	c := newTestClient(ts)
-	doc, err := c.FetchProfile(context.Background(), "u")
+	p, err := c.FetchProfile(context.Background(), "u")
 	if err != nil {
 		t.Fatalf("FetchProfile did not survive a torn body: %v", err)
 	}
-	if doc.ID != "u" || calls.Load() != 2 {
-		t.Fatalf("doc=%+v calls=%d", doc, calls.Load())
+	if p.Name != "n" || calls.Load() != 2 {
+		t.Fatalf("profile=%+v calls=%d", p, calls.Load())
 	}
 }
 
@@ -378,7 +378,7 @@ func TestClientCancellationIsNotRetried(t *testing.T) {
 func TestClientNilMetricsIsNoOp(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /people/{id}", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"id":"u1"}`))
+		w.Write([]byte(`{"id":"u1","name":"","fields":null,"inCircleCount":0,"outCircleCount":0}`))
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()

@@ -78,7 +78,9 @@ type SeedDoc struct {
 // ToProfile converts a wire document back into the analysis model.
 // Values are only taken for fields the document also lists as public;
 // an inconsistent document (value present, field not listed) degrades to
-// the private view rather than leaking the value.
+// the private view rather than leaking the value. DecodeProfile applies
+// the same rule while it scans; ToProfile is the reference the tests
+// hold it to.
 func (d *ProfileDoc) ToProfile() profile.Profile {
 	p := profile.Profile{
 		Name:              d.Name,

@@ -2,13 +2,10 @@ package gplusapi
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
-	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
 
 	"gplus/internal/geo"
@@ -19,61 +16,52 @@ import (
 // documents every stage of the pipeline moves — ProfileDoc and
 // CirclePage — in place of reflection-driven encoding/json.
 //
-// The contract is agreement with encoding/json on every input:
+// AppendProfileDoc and AppendCirclePage emit byte for byte what
+// json.Marshal emits (HTML and U+2028/9 escaping, invalid UTF-8 as
+// \ufffd, ES6 float formatting, omitempty, nil slice as null), and fail
+// where it fails (a NaN or infinite coordinate).
 //
-//   - AppendProfileDoc and AppendCirclePage emit byte for byte what
-//     json.Marshal emits (HTML and U+2028/9 escaping, invalid UTF-8 as
-//     \ufffd, ES6 float formatting, omitempty, nil slice as null), and
-//     fail where it fails (a NaN or infinite coordinate).
-//   - DecodeProfileDoc and DecodeCirclePage accept exactly the inputs
-//     json.Unmarshal accepts into a zero document and produce a
-//     reflect.DeepEqual value: case-folded key matching, duplicate keys
-//     merging the way reflection merges them, null as a no-op on
-//     scalars, unknown members skipped but still syntax-checked, the
-//     10 000-level nesting limit, strings coerced to valid UTF-8.
-//   - DecodeProfile yields what DecodeProfileDoc followed by ToProfile
-//     yields, without building the document.
+// Every byte the decoders read was written by those encoders: gplusd's
+// bodies, the crawl journal's P records, profiles.jsonl. So
+// DecodeProfile and DecodeCirclePage read only the canonical form the
+// encoders write:
 //
-// On a rejected input the destination is left in an unspecified state.
-// FuzzWireCodec holds all three against encoding/json as the oracle.
+//   - no white space;
+//   - members in encoding order, each at most once, an omitempty member
+//     present only with a non-empty value;
+//   - null only for a nil fields or ids slice;
+//   - only the escapes the encoder writes, and valid UTF-8;
+//   - numbers as the encoder formats them;
+//   - at most one newline after the document (gplusd ends a body so).
+//
+// Anything else is an error naming its byte offset. encoding/json is the
+// oracle on what is accepted: json.Unmarshal accepts every accepted
+// document and yields the same value (DecodeProfile: what ToProfile
+// makes of it), and encoding that value gives back the document byte
+// for byte — a document of the pipeline also through DecodeProfile and
+// FromProfile. On a rejected input the destination is left in an
+// unspecified state. FuzzWireCodec holds all of it.
 
-// Member names of the documents, in encoding order. The decoders
-// dispatch on the index, the encoders spell keys through the same
-// tables, so a name exists once.
+// Member names of the documents, in encoding order (a place's name is
+// keyName). The encoders and decoders spell keys through these, so a
+// name exists once.
 const (
-	kID = iota
-	kName
-	kFields
-	kGender
-	kRelationship
-	kPlacesLived
-	kPlace
-	kOccupation
-	kInCircleCount
-	kOutCircleCount
+	keyID             = "id"
+	keyName           = "name"
+	keyFields         = "fields"
+	keyGender         = "gender"
+	keyRelationship   = "relationship"
+	keyPlacesLived    = "placesLived"
+	keyPlace          = "place"
+	keyLat            = "lat"
+	keyLon            = "lon"
+	keyCountry        = "country"
+	keyOccupation     = "occupation"
+	keyInCircleCount  = "inCircleCount"
+	keyOutCircleCount = "outCircleCount"
+	keyIDs            = "ids"
+	keyNextPageToken  = "nextPageToken"
 )
-
-var profileKeys = [...]string{
-	kID: "id", kName: "name", kFields: "fields", kGender: "gender",
-	kRelationship: "relationship", kPlacesLived: "placesLived", kPlace: "place",
-	kOccupation: "occupation", kInCircleCount: "inCircleCount", kOutCircleCount: "outCircleCount",
-}
-
-const (
-	kPlaceName = iota
-	kLat
-	kLon
-	kCountry
-)
-
-var placeKeys = [...]string{kPlaceName: "name", kLat: "lat", kLon: "lon", kCountry: "country"}
-
-const (
-	kIDs = iota
-	kNextPageToken
-)
-
-var pageKeys = [...]string{kIDs: "ids", kNextPageToken: "nextPageToken"}
 
 // ---- encoding ----
 
@@ -81,45 +69,45 @@ var pageKeys = [...]string{kIDs: "ids", kNextPageToken: "nextPageToken"}
 // json.Marshal(d) returns. It fails, as json.Marshal does, only on a
 // place coordinate that is NaN or infinite.
 func AppendProfileDoc(dst []byte, d *ProfileDoc) ([]byte, error) {
-	dst = appendString(appendKey(dst, '{', profileKeys[kID]), d.ID)
-	dst = appendString(appendKey(dst, ',', profileKeys[kName]), d.Name)
-	dst = appendStrings(appendKey(dst, ',', profileKeys[kFields]), d.Fields)
+	dst = appendString(appendKey(dst, '{', keyID), d.ID)
+	dst = appendString(appendKey(dst, ',', keyName), d.Name)
+	dst = appendStrings(appendKey(dst, ',', keyFields), d.Fields)
 	if d.Gender != "" {
-		dst = appendString(appendKey(dst, ',', profileKeys[kGender]), d.Gender)
+		dst = appendString(appendKey(dst, ',', keyGender), d.Gender)
 	}
 	if d.Relationship != "" {
-		dst = appendString(appendKey(dst, ',', profileKeys[kRelationship]), d.Relationship)
+		dst = appendString(appendKey(dst, ',', keyRelationship), d.Relationship)
 	}
 	if len(d.PlacesLived) > 0 {
-		dst = appendStrings(appendKey(dst, ',', profileKeys[kPlacesLived]), d.PlacesLived)
+		dst = appendStrings(appendKey(dst, ',', keyPlacesLived), d.PlacesLived)
 	}
 	if p := d.Place; p != nil {
 		if !finite(p.Lat) || !finite(p.Lon) {
 			return dst, fmt.Errorf("gplusapi: place of %q has an unencodable coordinate (%v, %v)", d.ID, p.Lat, p.Lon)
 		}
-		dst = appendKey(dst, ',', profileKeys[kPlace])
-		dst = appendString(appendKey(dst, '{', placeKeys[kPlaceName]), p.Name)
-		dst = appendFloat(appendKey(dst, ',', placeKeys[kLat]), p.Lat)
-		dst = appendFloat(appendKey(dst, ',', placeKeys[kLon]), p.Lon)
+		dst = appendKey(dst, ',', keyPlace)
+		dst = appendString(appendKey(dst, '{', keyName), p.Name)
+		dst = appendFloat(appendKey(dst, ',', keyLat), p.Lat)
+		dst = appendFloat(appendKey(dst, ',', keyLon), p.Lon)
 		if p.Country != "" {
-			dst = appendString(appendKey(dst, ',', placeKeys[kCountry]), p.Country)
+			dst = appendString(appendKey(dst, ',', keyCountry), p.Country)
 		}
 		dst = append(dst, '}')
 	}
 	if d.Occupation != "" {
-		dst = appendString(appendKey(dst, ',', profileKeys[kOccupation]), d.Occupation)
+		dst = appendString(appendKey(dst, ',', keyOccupation), d.Occupation)
 	}
-	dst = strconv.AppendInt(appendKey(dst, ',', profileKeys[kInCircleCount]), int64(d.InCircleCount), 10)
-	dst = strconv.AppendInt(appendKey(dst, ',', profileKeys[kOutCircleCount]), int64(d.OutCircleCount), 10)
+	dst = strconv.AppendInt(appendKey(dst, ',', keyInCircleCount), int64(d.InCircleCount), 10)
+	dst = strconv.AppendInt(appendKey(dst, ',', keyOutCircleCount), int64(d.OutCircleCount), 10)
 	return append(dst, '}'), nil
 }
 
 // AppendCirclePage appends the JSON encoding of p to dst: the bytes
 // json.Marshal(p) returns.
 func AppendCirclePage(dst []byte, p *CirclePage) []byte {
-	dst = appendStrings(appendKey(dst, '{', pageKeys[kIDs]), p.IDs)
+	dst = appendStrings(appendKey(dst, '{', keyIDs), p.IDs)
 	if p.NextPageToken != "" {
-		dst = appendString(appendKey(dst, ',', pageKeys[kNextPageToken]), p.NextPageToken)
+		dst = appendString(appendKey(dst, ',', keyNextPageToken), p.NextPageToken)
 	}
 	return append(dst, '}')
 }
@@ -160,6 +148,26 @@ var plainByte = func() (t [256]bool) {
 
 const hexDigits = "0123456789abcdef"
 
+// shortEscapes are the escapes JSON spells with one character after the
+// backslash; shortEscaped holds the bytes they stand for.
+const shortEscapes, shortEscaped = `"\bfnrt`, "\"\\\b\f\n\r\t"
+
+// asciiEscape is the escape encoding/json writes for each ASCII byte a
+// string literal does not carry verbatim: the two-character forms where
+// JSON has one, \u00xx for the other control bytes and for < > &.
+var asciiEscape = func() (t [utf8.RuneSelf]string) {
+	for c := range t {
+		switch i := strings.IndexByte(shortEscaped, byte(c)); {
+		case plainByte[c]:
+		case i >= 0:
+			t[c] = `\` + shortEscapes[i:i+1]
+		default:
+			t[c] = `\u00` + hexDigits[c>>4:c>>4+1] + hexDigits[c&0xF:c&0xF+1]
+		}
+	}
+	return t
+}()
+
 // appendString appends s as a JSON string literal with encoding/json's
 // default (HTML-safe) escaping.
 func appendString(dst []byte, s string) []byte {
@@ -173,22 +181,7 @@ func appendString(dst []byte, s string) []byte {
 		}
 		if c < utf8.RuneSelf {
 			dst = append(dst, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				dst = append(dst, '\\', c)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default: // other control bytes, and < > &
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
+			dst = append(dst, asciiEscape[c]...)
 			i++
 			start = i
 			continue
@@ -230,230 +223,108 @@ func appendFloat(dst []byte, f float64) []byte {
 
 // ---- decoding ----
 
-// DecodeProfileDoc decodes one profile document into d, which must be
-// a zero ProfileDoc for the agreement with json.Unmarshal to hold
-// (members present in data overwrite or merge into what d holds).
-func DecodeProfileDoc(data []byte, d *ProfileDoc) error {
-	s := scanner{data: data}
-	if err := s.profileDoc(d, nil); err != nil {
-		return err
-	}
-	return s.end()
-}
-
-// DecodeCirclePage decodes one circle page into p; see DecodeProfileDoc
-// for the contract. Every string of the page is a copy: nothing in p
-// aliases data.
+// DecodeCirclePage decodes one canonical circle page into p, overwriting
+// it. Every string of the page is a copy: nothing in p aliases data.
 func DecodeCirclePage(data []byte, p *CirclePage) error {
 	s := scanner{data: data}
-	_, err := s.object(pageKeys[:], func(k int, _ []byte) error {
-		switch k {
-		case kIDs:
-			return s.strs(&p.IDs, nil)
-		case kNextPageToken:
-			return s.str(&p.NextPageToken)
-		}
-		return s.skip(1)
-	})
-	if err != nil {
-		return err
+	s.key('{', keyIDs)
+	if s.null() {
+		p.IDs = nil
+	} else {
+		s.strs(&p.IDs)
 	}
-	return s.end()
+	p.NextPageToken = ""
+	if s.member(',', keyNextPageToken) {
+		p.NextPageToken = string(s.label())
+	}
+	s.end()
+	return s.err
 }
 
-// DecodeProfile decodes one profile document straight into the
-// analysis model: id and *p receive what DecodeProfileDoc followed by
-// ToProfile would yield — field codes become AttrSet bits and labels
-// enums as they are scanned, values of unlisted fields are dropped —
-// with no ProfileDoc built. *id and *p are overwritten.
+// DecodeProfile decodes one canonical profile document straight into
+// the analysis model, overwriting *id and *p: field codes become AttrSet
+// bits and labels enums as they are scanned, and — ToProfile's rule — a
+// value counts only if its field is listed, so an unlisted value never
+// leaks. Nothing in *id or *p aliases data.
 //
-// extra, when non-nil, receives every member the document does not
-// define: its unquoted key and the raw JSON text of its value (valid
-// only during the call). That is how a container format adds members to
-// the document — the dataset's "crawled" flag — without a second copy
-// of the field table. A document that repeats an array or object member
-// is decoded a second time from the start by the general decoder, so
-// extra may see the members of one document twice, in the same order.
+// extra, when non-nil, is a container format's one member after the
+// document's own — the dataset's "crawled" flag — which must then be
+// there: it receives the member's key and the raw text of its value, up
+// to the closing brace (both valid only during the call), and rejects
+// what its format does not write.
 func DecodeProfile(data []byte, id *string, p *profile.Profile, extra func(key, value []byte) error) error {
 	s := scanner{data: data}
-	err := s.profile(id, p, extra)
-	if err == errRepeatedMember {
-		// Reflection decodes a repeated array into the first one's
-		// storage (a null element keeps the stale one) and merges a
-		// repeated object; only the document form can reproduce that.
-		var d ProfileDoc
-		s = scanner{data: data}
-		if err = s.profileDoc(&d, extra); err == nil {
-			*id, *p = d.ID, d.ToProfile()
-		}
+	s.profile(id, p)
+	if extra != nil {
+		s.trailer(extra)
 	}
-	if err != nil {
-		return err
-	}
-	return s.end()
+	s.end()
+	return s.err
 }
 
-// errRepeatedMember aborts DecodeProfile's direct scan; never returned.
-var errRepeatedMember = errors.New("gplusapi: repeated member")
-
-// maxDepth is encoding/json's nesting limit: a document whose arrays
-// and objects nest deeper is rejected, not skipped.
-const maxDepth = 10000
-
-// scanner is a cursor over one JSON document. Its methods each consume
-// one value (or one token) and report the first reason encoding/json
-// would reject the document; none of them looks back.
+// scanner is a cursor over one document. Each method consumes one piece
+// of the canonical form; the first byte that departs from it sets err,
+// naming its offset, and every method is a no-op from then on.
 type scanner struct {
-	data     []byte
-	pos      int
-	scratch  []byte // unquoting space of the slow string path
-	unquoted bool   // the last stringBytes result sits in scratch
+	data    []byte
+	pos     int
+	err     error
+	scratch []byte // unquoting space of the slow string path
 }
 
-func (s *scanner) errorf(format string, args ...any) error {
-	return fmt.Errorf("gplusapi: invalid document at byte %d: %s", s.pos, fmt.Sprintf(format, args...))
-}
-
-// peek skips white space and returns the next byte without consuming
-// it, 0 at the end of the input.
-func (s *scanner) peek() byte {
-	for ; s.pos < len(s.data); s.pos++ {
-		switch c := s.data[s.pos]; c {
-		case ' ', '\t', '\r', '\n':
-		default:
-			return c
-		}
+func (s *scanner) fail(format string, args ...any) {
+	if s.err == nil {
+		s.err = fmt.Errorf("gplusapi: invalid document at byte %d: %s", s.pos, fmt.Sprintf(format, args...))
 	}
-	return 0
 }
 
-// end checks that only white space follows the top-level value.
-func (s *scanner) end() error {
-	if s.peek(); s.pos < len(s.data) {
-		return s.errorf("unexpected %q after the top-level value", s.data[s.pos])
-	}
-	return nil
-}
-
-// literal consumes the keyword word, whose first byte peek just saw.
-func (s *scanner) literal(word string) error {
-	if end := s.pos + len(word); end > len(s.data) || string(s.data[s.pos:end]) != word {
-		return s.errorf("invalid literal, want %s", word)
-	}
-	s.pos += len(word)
-	return nil
-}
-
-// object consumes an object, calling field for every member — k is the
-// index in keys of the name the member's key matches the way
-// encoding/json matches (exactly, else under Unicode case folding), -1
-// for none; key is the unquoted key, valid until the next string is
-// read — and field must consume the member's value. A null in the
-// object's place is not an error and is reported.
-func (s *scanner) object(keys []string, field func(k int, key []byte) error) (null bool, err error) {
-	switch s.peek() {
-	case '{':
-	case 'n':
-		return true, s.literal("null")
-	default:
-		return false, s.errorf("want an object")
+// next consumes the byte c if it comes next.
+func (s *scanner) next(c byte) bool {
+	if s.err != nil || s.pos >= len(s.data) || s.data[s.pos] != c {
+		return false
 	}
 	s.pos++
-	if s.peek() == '}' {
-		s.pos++
-		return false, nil
-	}
-	for next := 0; ; {
-		if s.peek() != '"' {
-			return false, s.errorf("want a member name")
-		}
-		key, err := s.stringBytes()
-		if err != nil {
-			return false, err
-		}
-		if s.peek() != ':' {
-			return false, s.errorf("want ':' after a member name")
-		}
-		s.pos++
-		// Members mostly come in the encoder's order: try the name
-		// after the last match before searching.
-		k := next
-		if k >= len(keys) || string(key) != keys[k] {
-			k = lookupKey(keys, key)
-		}
-		if k >= 0 {
-			next = k + 1
-		}
-		if err := field(k, key); err != nil {
-			return false, err
-		}
-		switch s.peek() {
-		case ',':
-			s.pos++
-		case '}':
-			s.pos++
-			return false, nil
-		default:
-			return false, s.errorf("want ',' or '}' after a member")
-		}
+	return true
+}
+
+func (s *scanner) expect(c byte) {
+	if !s.next(c) {
+		s.fail("want %q", c)
 	}
 }
 
-// lookupKey resolves a member key against a document's names: an exact
-// match wins, then the first name equal under simple Unicode case
-// folding (so "ID", and "fieldſ" with a long s, both resolve).
-func lookupKey(keys []string, key []byte) int {
-	for i, name := range keys {
-		if string(key) == name {
-			return i
-		}
+// null consumes a null if one comes next.
+func (s *scanner) null() bool {
+	if s.err != nil || !bytes.HasPrefix(s.data[s.pos:], []byte("null")) {
+		return false
 	}
-	// Names are ASCII, and an ASCII key folds only onto a name of its
-	// own length; only a key with multi-byte runes needs every name tried.
-	ascii := true
-	for _, c := range key {
-		if c >= utf8.RuneSelf {
-			ascii = false
-			break
-		}
-	}
-	for i, name := range keys {
-		if (!ascii || len(key) == len(name)) && strings.EqualFold(string(key), name) {
-			return i
-		}
-	}
-	return -1
+	s.pos += 4
+	return true
 }
 
-// array consumes an array, calling elem to consume each element, and
-// returns how many there were. A null in its place is reported.
-func (s *scanner) array(elem func(i int) error) (n int, null bool, err error) {
-	switch s.peek() {
-	case '[':
-	case 'n':
-		return 0, true, s.literal("null")
-	default:
-		return 0, false, s.errorf("want an array")
+// member consumes sep (the opening brace or the comma) and the quoted
+// member name with its colon, if they come next.
+func (s *scanner) member(sep byte, name string) bool {
+	rest, n := s.data[s.pos:], len(name)+4
+	if s.err != nil || len(rest) < n || rest[0] != sep || rest[1] != '"' || string(rest[2:n-2]) != name || rest[n-2] != '"' || rest[n-1] != ':' {
+		return false
 	}
-	s.pos++
-	if s.peek() == ']' {
-		s.pos++
-		return 0, false, nil
+	s.pos += n
+	return true
+}
+
+// key is member for a member the encoder always writes.
+func (s *scanner) key(sep byte, name string) {
+	if !s.member(sep, name) {
+		s.fail("want %c%q:", sep, name)
 	}
-	for {
-		if err := elem(n); err != nil {
-			return n, false, err
-		}
-		n++
-		switch s.peek() {
-		case ',':
-			s.pos++
-		case ']':
-			s.pos++
-			return n, false, nil
-		default:
-			return n, false, s.errorf("want ',' or ']' after an array element")
-		}
+}
+
+// end consumes the closing brace, after which only gplusd's newline may
+// follow.
+func (s *scanner) end() {
+	if rest := string(s.data[s.pos:]); rest != "}" && rest != "}\n" {
+		s.fail("want the closing brace and the end of the document")
 	}
 }
 
@@ -461,463 +332,226 @@ func (s *scanner) array(elem func(i int) error) (n int, null bool, err error) {
 // content: a sub-slice of the input when the literal is plain ASCII
 // with no escape, the scanner's scratch space otherwise. Either way the
 // bytes are only valid until the next string is read and must be copied
-// to be kept. peek must have seen the opening quote.
-func (s *scanner) stringBytes() ([]byte, error) {
-	start := s.pos + 1
-	rest := s.data[start:]
-	for i, c := range rest {
-		if plainByte[c] {
-			continue
-		}
-		if c == '"' {
-			s.pos, s.unquoted = start+i+1, false
-			return rest[:i], nil
-		}
-		s.unquoted = true
-		return s.unquote(start, start+i)
+// to be kept.
+func (s *scanner) stringBytes() []byte {
+	if !s.next('"') {
+		s.fail("want a string")
+		return nil
 	}
-	s.unquoted = true
-	return s.unquote(start, len(s.data))
-}
-
-// unquote is the slow path of stringBytes: the literal starting at
-// start holds, at offset i, an escape, a multi-byte rune, a control
-// byte or one of < > & (or ends there, unterminated). Invalid UTF-8 and
-// unpaired surrogate escapes become U+FFFD, as in encoding/json.
-func (s *scanner) unquote(start, i int) ([]byte, error) {
-	b := append(s.scratch[:0], s.data[start:i]...)
-	defer func() { s.scratch = b[:0] }()
-	for i < len(s.data) {
-		switch c := s.data[i]; {
-		case c == '"':
+	for i := s.pos; i < len(s.data); i++ {
+		if c := s.data[i]; c == '"' {
+			b := s.data[s.pos:i]
 			s.pos = i + 1
-			return b, nil
-		case c == '\\':
-			i++
-			if i >= len(s.data) {
-				s.pos = i
-				return nil, s.errorf("unterminated escape")
-			}
-			switch c := s.data[i]; c {
-			case '"', '\\', '/':
-				b = append(b, c)
-			case 'b':
-				b = append(b, '\b')
-			case 'f':
-				b = append(b, '\f')
-			case 'n':
-				b = append(b, '\n')
-			case 'r':
-				b = append(b, '\r')
-			case 't':
-				b = append(b, '\t')
-			case 'u':
-				r := s.hex4(i + 1)
-				if r < 0 {
-					s.pos = i
-					return nil, s.errorf("invalid \\u escape")
-				}
-				i += 4
-				if utf16.IsSurrogate(r) {
-					// A high surrogate pairs with a \u low surrogate
-					// right behind it; anything else is replaced and
-					// what follows is read on its own.
-					if i+2 < len(s.data) && s.data[i+1] == '\\' && s.data[i+2] == 'u' {
-						if dec := utf16.DecodeRune(r, s.hex4(i+3)); dec != unicode.ReplacementChar {
-							i += 6
-							r = dec
-						}
-					}
-					if utf16.IsSurrogate(r) {
-						r = unicode.ReplacementChar
-					}
-				}
-				b = utf8.AppendRune(b, r)
-			default:
-				s.pos = i
-				return nil, s.errorf("invalid escape %q", c)
-			}
-			i++
-		case c < ' ':
-			s.pos = i
-			return nil, s.errorf("control byte in a string")
-		case c < utf8.RuneSelf:
+			return b
+		} else if !plainByte[c] {
+			return s.unquote(i)
+		}
+	}
+	s.pos = len(s.data)
+	s.fail("unterminated string")
+	return nil
+}
+
+// unquote is the slow path of stringBytes: the literal that started at
+// s.pos holds, at offset i, an escape, a multi-byte rune, a control byte
+// or one of < > &. What the encoder writes verbatim is copied; escapes
+// are read only in the form appendString writes them.
+func (s *scanner) unquote(i int) []byte {
+	b := append(s.scratch[:0], s.data[s.pos:i]...)
+	for s.pos = i; s.pos < len(s.data); {
+		switch c := s.data[s.pos]; {
+		case c == '"':
+			s.pos++
+			s.scratch = b
+			return b
+		case plainByte[c]:
 			b = append(b, c)
-			i++
-		default:
-			r, size := utf8.DecodeRune(s.data[i:])
+			s.pos++
+		case c == '\\':
+			r, n := unescape(s.data[s.pos:])
+			if n == 0 {
+				s.fail("an escape the encoder does not write")
+				return nil
+			}
 			b = utf8.AppendRune(b, r)
-			i += size
-		}
-	}
-	s.pos = i
-	return nil, s.errorf("unterminated string")
-}
-
-// hex4 reads four hex digits at offset i, -1 if there are not four.
-func (s *scanner) hex4(i int) rune {
-	if i+4 > len(s.data) {
-		return -1
-	}
-	var r rune
-	for _, c := range s.data[i : i+4] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
+			s.pos += n
+		case c >= utf8.RuneSelf:
+			r, n := utf8.DecodeRune(s.data[s.pos:])
+			if r == utf8.RuneError && n == 1 || r == '\u2028' || r == '\u2029' {
+				s.fail("invalid UTF-8 or an unescaped line separator")
+				return nil
+			}
+			b = append(b, s.data[s.pos:s.pos+n]...)
+			s.pos += n
 		default:
-			return -1
+			s.fail("unescaped %q in a string", c)
+			return nil
 		}
-		r = r<<4 | rune(c)
 	}
-	return r
+	s.fail("unterminated string")
+	return nil
 }
 
-// number consumes a number literal and returns its text. peek must have
-// seen its first byte ('-' or a digit).
-func (s *scanner) number() ([]byte, error) {
-	data, i := s.data, s.pos
-	digits := func() bool { // consumes a run of digits; false if empty
-		from := i
-		for i < len(data) && '0' <= data[i] && data[i] <= '9' {
-			i++
+// unescape reads the escape at the start of lit: the character it
+// stands for and its length, or n = 0 unless it is the escape
+// appendString writes for that character.
+func unescape(lit []byte) (r rune, n int) {
+	switch {
+	case len(lit) >= 6 && lit[1] == 'u':
+		n = 6
+		for _, c := range lit[2:6] {
+			d := strings.IndexByte(hexDigits, c)
+			if d < 0 {
+				return 0, 0
+			}
+			r = r<<4 | rune(d)
 		}
-		return i > from
-	}
-	if data[i] == '-' {
-		i++
-	}
-	if i < len(data) && data[i] == '0' {
-		i++ // a leading zero stands alone
-	} else if !digits() {
-		s.pos = i
-		return nil, s.errorf("invalid number")
-	}
-	if i < len(data) && data[i] == '.' {
-		if i++; !digits() {
-			s.pos = i
-			return nil, s.errorf("invalid number: want a digit after '.'")
+		if r == '\u2028' || r == '\u2029' {
+			return r, n
 		}
-	}
-	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
-		if i++; i < len(data) && (data[i] == '+' || data[i] == '-') {
-			i++
+	case len(lit) >= 2:
+		i := strings.IndexByte(shortEscapes, lit[1])
+		if i < 0 {
+			return 0, 0
 		}
-		if !digits() {
-			s.pos = i
-			return nil, s.errorf("invalid number: want a digit in the exponent")
-		}
+		r, n = rune(shortEscaped[i]), 2
 	}
-	lit := data[s.pos:i]
-	s.pos = i
-	return lit, nil
+	if n == 0 || r >= utf8.RuneSelf || asciiEscape[r] != string(lit[:n]) {
+		return 0, 0
+	}
+	return r, n
 }
 
-func isNumberStart(c byte) bool { return c == '-' || '0' <= c && c <= '9' }
+// str consumes a string into dst.
+func (s *scanner) str(dst *string) { *dst = string(s.stringBytes()) }
 
-// numberOrNull consumes a value for a numeric field: the text of a
-// number literal, or nil for a null (which leaves the field alone) and
-// for an error.
-func (s *scanner) numberOrNull() ([]byte, error) {
-	switch c := s.peek(); {
-	case isNumberStart(c):
-		return s.number()
-	case c == 'n':
-		return nil, s.literal("null")
+// label consumes the string of an omitempty member, which the encoder
+// writes only when it is not empty; b is valid until the next string is
+// read.
+func (s *scanner) label() (b []byte) {
+	if b = s.stringBytes(); len(b) == 0 {
+		s.fail("an empty value the encoder omits")
 	}
-	return nil, s.errorf("want a number")
+	return b
 }
 
-// str consumes a value for a string field: a string sets it, null
-// leaves it alone, anything else is a type mismatch.
-func (s *scanner) str(dst *string) error {
-	b, null, err := s.strBytes()
-	if err == nil && !null {
-		*dst = string(b)
+// array consumes an array, calling elem to consume each element.
+func (s *scanner) array(elem func()) {
+	s.expect('[')
+	if s.next(']') {
+		return
 	}
-	return err
-}
-
-// strBytes is str for callers that map the text instead of keeping it;
-// b is valid until the next string is read.
-func (s *scanner) strBytes() (b []byte, null bool, err error) {
-	switch s.peek() {
-	case '"':
-		b, err = s.stringBytes()
-		return b, false, err
-	case 'n':
-		return nil, true, s.literal("null")
+	for s.err == nil {
+		elem()
+		if s.next(']') {
+			return
+		}
+		s.expect(',')
 	}
-	return nil, false, s.errorf("want a string")
 }
 
 // maxPresize bounds the slice strs makes before it has seen the
 // elements, so a body of commas cannot ask for 16 times its size.
 const maxPresize = 4096
 
-// strs consumes a value for a []string field the way reflection fills
-// one: null makes it nil; an array is decoded element by element into
-// the slice's existing storage — a null element keeps whatever that
-// slot held, which is the empty string unless the member is a repeat —
-// and an empty array yields an empty, non-nil slice. conv, when
-// non-nil, builds each string from its bytes in place of a plain copy.
-func (s *scanner) strs(dst *[]string, conv func([]byte) string) error {
-	full := (*dst)[:cap(*dst)]
-	n, null, err := s.array(func(i int) error {
-		switch {
-		case full == nil:
-			// Size a fresh slice by the commas up to the first ']':
-			// exact unless an element holds one of the two, a hint then.
-			rest := s.data[s.pos:]
-			if end := bytes.IndexByte(rest, ']'); end >= 0 {
-				rest = rest[:end]
-			}
-			full = make([]string, min(bytes.Count(rest, []byte{','})+1, maxPresize))
-		case i == len(full):
-			full = append(full, "")
-			full = full[:cap(full)]
-		}
-		b, null, err := s.strBytes()
-		if err != nil || null {
-			return err
-		}
-		if conv != nil {
-			full[i] = conv(b)
-		} else {
-			full[i] = string(b)
-		}
-		return nil
-	})
-	switch {
-	case err != nil:
-		return err
-	case null:
-		*dst = nil
-	case n == 0:
-		*dst = []string{}
-	default:
-		*dst = full[:n]
+// strs consumes a string array into a fresh slice; an empty array
+// yields an empty, non-nil slice.
+func (s *scanner) strs(dst *[]string) {
+	// Size the slice by the commas up to the first ']': exact unless an
+	// element holds one of the two, a hint then.
+	rest := s.data[s.pos:]
+	if end := bytes.IndexByte(rest, ']'); end >= 0 {
+		rest = rest[:end]
 	}
-	return nil
+	ss := make([]string, 0, min(bytes.Count(rest, []byte{','})+1, maxPresize))
+	s.array(func() { ss = append(ss, string(s.stringBytes())) })
+	*dst = ss
 }
 
-// integer consumes a value for an int field: a number literal that is
-// an integer in range sets it (1e2 and 1.0 are mismatches, as for
-// reflection), null leaves it alone.
-func (s *scanner) integer(dst *int) error {
-	lit, err := s.numberOrNull()
-	if lit == nil {
-		return err
-	}
-	if len(lit) <= 9 && lit[0] != '-' { // fits any int
-		n := 0
-		for _, c := range lit {
-			if c < '0' || c > '9' {
-				return s.errorf("number %s is not an integer", lit)
-			}
-			n = n*10 + int(c-'0')
+// numberText consumes the characters a number literal is made of.
+func (s *scanner) numberText() []byte {
+	start := s.pos
+	for s.err == nil && s.pos < len(s.data) {
+		if c := s.data[s.pos]; ('0' > c || c > '9') && c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' {
+			break
 		}
-		*dst = n
-		return nil
+		s.pos++
 	}
+	return s.data[start:s.pos]
+}
+
+// integer consumes an int member's value, as strconv.AppendInt writes it.
+func (s *scanner) integer(dst *int) {
+	lit := s.numberText()
 	n, err := strconv.ParseInt(string(lit), 10, 0)
-	if err != nil {
-		return s.errorf("number %s is not an int", lit)
+	var buf [20]byte
+	if err != nil || string(strconv.AppendInt(buf[:0], n, 10)) != string(lit) {
+		s.pos -= len(lit)
+		s.fail("want an integer as the encoder writes it")
 	}
 	*dst = int(n)
-	return nil
 }
 
-// float consumes a value for a float64 field.
-func (s *scanner) float(dst *float64) error {
-	lit, err := s.numberOrNull()
-	if lit == nil {
-		return err
-	}
+// float consumes a float64 member's value, as appendFloat writes it.
+func (s *scanner) float(dst *float64) {
+	lit := s.numberText()
 	f, err := strconv.ParseFloat(string(lit), 64)
-	if err != nil {
-		return s.errorf("number %s overflows float64", lit)
+	var buf [32]byte
+	if err != nil || string(appendFloat(buf[:0], f)) != string(lit) {
+		s.pos -= len(lit)
+		s.fail("want a number as the encoder writes it")
 	}
 	*dst = f
-	return nil
 }
 
-// skip consumes any value without decoding it, checking its syntax;
-// depth is the number of arrays and objects the value sits in.
-func (s *scanner) skip(depth int) error {
-	switch c := s.peek(); {
-	case c == '"':
-		_, err := s.stringBytes()
-		return err
-	case c == '{' || c == '[':
-		if depth >= maxDepth {
-			return s.errorf("exceeded max depth")
-		}
-		if c == '[' {
-			_, _, err := s.array(func(int) error { return s.skip(depth + 1) })
-			return err
-		}
-		_, err := s.object(nil, func(int, []byte) error { return s.skip(depth + 1) })
-		return err
-	case c == 't':
-		return s.literal("true")
-	case c == 'f':
-		return s.literal("false")
-	case c == 'n':
-		return s.literal("null")
-	case isNumberStart(c):
-		_, err := s.number()
-		return err
-	}
-	return s.errorf("want a value")
-}
-
-// unknown consumes the value of a member the document does not define,
-// handing it to extra when there is one.
-func (s *scanner) unknown(key []byte, extra func(key, value []byte) error) error {
-	if extra != nil && s.unquoted {
-		key = bytes.Clone(key) // skipping the value may unquote over it
-	}
-	s.peek()
-	start := s.pos
-	if err := s.skip(1); err != nil || extra == nil {
-		return err
-	}
-	return extra(key, s.data[start:s.pos])
-}
-
-// place consumes the members of a place object into p.
-func (s *scanner) place(p *PlaceDoc) (null bool, err error) {
-	return s.object(placeKeys[:], func(k int, _ []byte) error {
-		switch k {
-		case kPlaceName:
-			return s.str(&p.Name)
-		case kLat:
-			return s.float(&p.Lat)
-		case kLon:
-			return s.float(&p.Lon)
-		case kCountry:
-			return s.str(&p.Country)
-		}
-		return s.skip(2)
-	})
-}
-
-// fieldCode builds the string of one "fields" element: the attribute's
-// own constant for a known wire code, so a fetched profile does not
-// allocate a copy of every code it lists.
-func fieldCode(b []byte) string {
-	if a, ok := profile.AttrFromWireCode(string(b)); ok {
-		return a.WireCode()
-	}
-	return string(b)
-}
-
-// profileDoc consumes a profile document (or a null) into d.
-func (s *scanner) profileDoc(d *ProfileDoc, extra func(key, value []byte) error) error {
-	_, err := s.object(profileKeys[:], func(k int, key []byte) error {
-		switch k {
-		case kID:
-			return s.str(&d.ID)
-		case kName:
-			return s.str(&d.Name)
-		case kFields:
-			return s.strs(&d.Fields, fieldCode)
-		case kGender:
-			return s.str(&d.Gender)
-		case kRelationship:
-			return s.str(&d.Relationship)
-		case kPlacesLived:
-			return s.strs(&d.PlacesLived, nil)
-		case kPlace:
-			if d.Place == nil && s.peek() == '{' {
-				d.Place = new(PlaceDoc)
+// profile consumes the members of a profile document, all but its
+// closing brace, into *id and *p.
+func (s *scanner) profile(id *string, p *profile.Profile) {
+	*p = profile.Profile{}
+	s.key('{', keyID)
+	s.str(id)
+	s.key(',', keyName)
+	s.str(&p.Name)
+	s.key(',', keyFields)
+	if !s.null() {
+		s.array(func() {
+			if a, ok := profile.AttrFromWireCode(string(s.stringBytes())); ok {
+				p.Public = p.Public.With(a)
 			}
-			null, err := s.place(d.Place)
-			if null {
-				d.Place = nil
-			}
-			return err
-		case kOccupation:
-			return s.str(&d.Occupation)
-		case kInCircleCount:
-			return s.integer(&d.InCircleCount)
-		case kOutCircleCount:
-			return s.integer(&d.OutCircleCount)
-		}
-		return s.unknown(key, extra)
-	})
-	return err
-}
-
-// profile is DecodeProfile's direct scan: profileDoc and ToProfile in
-// one pass. It gives up with errRepeatedMember where only the document
-// form reproduces reflection's result.
-func (s *scanner) profile(id *string, p *profile.Profile, extra func(key, value []byte) error) error {
-	*id, *p = "", profile.Profile{}
-	var (
-		place    PlaceDoc
-		hasPlace bool
-		seen     uint // bit k set once member k was read
-	)
-	_, err := s.object(profileKeys[:], func(k int, key []byte) error {
-		if k < 0 {
-			return s.unknown(key, extra)
-		}
-		if repeatable := uint(1<<kFields | 1<<kPlacesLived | 1<<kPlace); seen&repeatable&(1<<k) != 0 {
-			return errRepeatedMember
-		}
-		seen |= 1 << k
-		switch k {
-		case kID:
-			return s.str(id)
-		case kName:
-			return s.str(&p.Name)
-		case kFields:
-			_, _, err := s.array(func(int) error {
-				b, _, err := s.strBytes()
-				if a, ok := profile.AttrFromWireCode(string(b)); ok {
-					p.Public = p.Public.With(a)
-				}
-				return err
-			})
-			return err
-		case kGender:
-			b, null, err := s.strBytes()
-			if !null {
-				p.Gender = profile.ParseGender(string(b))
-			}
-			return err
-		case kRelationship:
-			b, null, err := s.strBytes()
-			if !null {
-				p.Relationship = profile.ParseRelationship(string(b))
-			}
-			return err
-		case kPlacesLived:
-			return s.strs(&p.PlacesLived, nil)
-		case kPlace:
-			null, err := s.place(&place)
-			hasPlace = !null
-			return err
-		case kOccupation:
-			b, null, err := s.strBytes()
-			if !null {
-				p.Occupation = profile.ParseOccupation(string(b))
-			}
-			return err
-		case kInCircleCount:
-			return s.integer(&p.DeclaredInDegree)
-		default: // kOutCircleCount
-			return s.integer(&p.DeclaredOutDegree)
-		}
-	})
-	if err != nil {
-		return err
+		})
 	}
+	if s.member(',', keyGender) {
+		p.Gender = profile.ParseGender(string(s.label()))
+	}
+	if s.member(',', keyRelationship) {
+		p.Relationship = profile.ParseRelationship(string(s.label()))
+	}
+	if s.member(',', keyPlacesLived) {
+		if s.strs(&p.PlacesLived); len(p.PlacesLived) == 0 {
+			s.fail("an empty value the encoder omits")
+		}
+	}
+	var place PlaceDoc
+	hasPlace := s.member(',', keyPlace)
+	if hasPlace {
+		s.key('{', keyName)
+		s.str(&place.Name)
+		s.key(',', keyLat)
+		s.float(&place.Lat)
+		s.key(',', keyLon)
+		s.float(&place.Lon)
+		if s.member(',', keyCountry) {
+			place.Country = string(s.label())
+		}
+		s.expect('}')
+	}
+	if s.member(',', keyOccupation) {
+		p.Occupation = profile.ParseOccupation(string(s.label()))
+	}
+	s.key(',', keyInCircleCount)
+	s.integer(&p.DeclaredInDegree)
+	s.key(',', keyOutCircleCount)
+	s.integer(&p.DeclaredOutDegree)
 	// ToProfile's rule: a value counts only if its field is listed.
 	if !p.Public.Has(profile.AttrGender) {
 		p.Gender = profile.GenderUnknown
@@ -928,12 +562,31 @@ func (s *scanner) profile(id *string, p *profile.Profile, extra func(key, value 
 	if !p.Public.Has(profile.AttrOccupation) {
 		p.Occupation = profile.OccupationOther
 	}
-	if !p.Public.Has(profile.AttrPlacesLived) || len(p.PlacesLived) == 0 {
+	if !p.Public.Has(profile.AttrPlacesLived) {
 		p.PlacesLived = nil
-	}
-	if p.Public.Has(profile.AttrPlacesLived) && hasPlace {
+	} else if hasPlace {
 		p.Place, p.CountryCode = place.Name, place.Country
 		p.Loc = geo.Point{Lat: place.Lat, Lon: place.Lon}
 	}
-	return nil
+}
+
+// trailer consumes a container's member after the document's own,
+// `,"key":value` with the value running to the closing brace, and hands
+// it to extra, whose error is the scanner's.
+func (s *scanner) trailer(extra func(key, value []byte) error) {
+	s.expect(',')
+	key := s.stringBytes()
+	s.expect(':')
+	end := len(s.data) - 1 // the closing brace, before gplusd's newline if there is one
+	if end > s.pos && s.data[end] == '\n' {
+		end--
+	}
+	if end <= s.pos {
+		s.fail("want a value")
+	}
+	if s.err == nil {
+		value := s.data[s.pos:end]
+		s.pos = end
+		s.err = extra(key, value)
+	}
 }

@@ -17,6 +17,7 @@ import (
 	"gplus/internal/gplusapi"
 	"gplus/internal/graph"
 	"gplus/internal/obs"
+	"gplus/internal/profile"
 	"gplus/internal/synth"
 )
 
@@ -52,18 +53,17 @@ func TestServeProfile(t *testing.T) {
 	_, client := startServer(t, Options{})
 	ctx := context.Background()
 
-	doc, err := client.FetchProfile(ctx, u.IDs[0])
+	got, err := client.FetchProfile(ctx, u.IDs[0])
 	if err != nil {
 		t.Fatalf("FetchProfile: %v", err)
 	}
-	if doc.ID != u.IDs[0] || doc.Name != u.Profiles[0].Name {
-		t.Errorf("doc = %+v", doc)
+	if got.Name != u.Profiles[0].Name {
+		t.Errorf("profile = %+v", got)
 	}
-	if doc.InCircleCount != u.Graph.InDegree(0) || doc.OutCircleCount != u.Graph.OutDegree(0) {
+	if got.DeclaredInDegree != u.Graph.InDegree(0) || got.DeclaredOutDegree != u.Graph.OutDegree(0) {
 		t.Errorf("declared degrees %d/%d, want %d/%d",
-			doc.InCircleCount, doc.OutCircleCount, u.Graph.InDegree(0), u.Graph.OutDegree(0))
+			got.DeclaredInDegree, got.DeclaredOutDegree, u.Graph.InDegree(0), u.Graph.OutDegree(0))
 	}
-	got := doc.ToProfile()
 	if got.Public != u.Profiles[0].Public {
 		t.Errorf("public set %v, want %v", got.Public, u.Profiles[0].Public)
 	}
@@ -141,12 +141,12 @@ func TestCircleCapTruncatesSilently(t *testing.T) {
 	}
 	// The profile page still declares the full count — the lost-edge
 	// estimation signal of §2.2.
-	doc, err := client.FetchProfile(context.Background(), u.IDs[node])
+	p, err := client.FetchProfile(context.Background(), u.IDs[node])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.OutCircleCount != u.Graph.OutDegree(node) {
-		t.Errorf("declared %d, want full %d", doc.OutCircleCount, u.Graph.OutDegree(node))
+	if p.DeclaredOutDegree != u.Graph.OutDegree(node) {
+		t.Errorf("declared %d, want full %d", p.DeclaredOutDegree, u.Graph.OutDegree(node))
 	}
 }
 
@@ -412,6 +412,25 @@ func TestResponsesMatchEncodingJSON(t *testing.T) {
 		}
 		if got := rec.Body.String(); got != body {
 			t.Errorf("%s:\n got %q\nwant %q", path, got, body)
+		}
+	}
+
+	// The journal's fixed point: every profile body, decoded to the
+	// model and rendered back as the crawler journals it, is the body.
+	for _, id := range u.IDs {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/people/"+id, nil))
+		body := rec.Body.Bytes()
+		var (
+			docID string
+			p     profile.Profile
+		)
+		if err := gplusapi.DecodeProfile(body, &docID, &p, nil); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		doc := gplusapi.FromProfile(docID, &p)
+		if again, err := gplusapi.AppendProfileDoc(nil, &doc); err != nil || string(again)+"\n" != string(body) {
+			t.Fatalf("%s: body %q re-renders as %q (%v)", id, body, again, err)
 		}
 	}
 }

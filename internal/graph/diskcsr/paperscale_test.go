@@ -2,7 +2,6 @@ package diskcsr
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"os"
@@ -29,9 +28,8 @@ import (
 //
 // GPLUS_PAPERSCALE can also be "nodes,edges" to override the scale.
 // GPLUS_PAPERSCALE_DIR chooses the scratch directory (default: the
-// test's temp dir). When GPLUS_BENCH_OUT names a benchjson baseline
-// file, the stage timings and the peak-RSS checkpoints are merged into
-// it as PaperScale/* rows.
+// test's temp dir). Stage timings, edge rates and the peak-RSS
+// checkpoints go to the test log (-v).
 func TestPaperScale(t *testing.T) {
 	spec := os.Getenv("GPLUS_PAPERSCALE")
 	if spec == "" {
@@ -57,22 +55,14 @@ func TestPaperScale(t *testing.T) {
 	v2Path := filepath.Join(workDir, "graph.v2")
 	par := runtime.GOMAXPROCS(0)
 
-	var rows []benchRow
 	stage := func(name string, edges int64, fn func()) {
 		start := time.Now()
 		fn()
 		el := time.Since(start)
-		met := map[string]float64{"ns/op": float64(el.Nanoseconds())}
-		if edges > 0 {
-			met["edges/s"] = float64(edges) / el.Seconds()
-		}
-		rows = append(rows, benchRow{Name: "PaperScale/" + name, Iters: 1, Metrics: met})
-		t.Logf("%s: %v", name, el.Round(time.Millisecond))
+		t.Logf("%s: %v (%.0f edges/s)", name, el.Round(time.Millisecond), float64(edges)/el.Seconds())
 	}
-	rssRow := func(name string) {
+	rssCheckpoint := func(name string) {
 		if rss := vmHWMBytes(); rss > 0 {
-			rows = append(rows, benchRow{Name: "PaperScale/" + name, Iters: 1,
-				Metrics: map[string]float64{"peak_rss_bytes": float64(rss)}})
 			t.Logf("%s: peak RSS %.2f GiB", name, float64(rss)/(1<<30))
 		}
 	}
@@ -105,10 +95,6 @@ func TestPaperScale(t *testing.T) {
 	t.Logf("compacted %d segments -> %d nodes, %d distinct edges, %d bytes",
 		stats.Segments, stats.Nodes, stats.Edges, stats.Bytes)
 	os.RemoveAll(segDir) // free the disk before analysis
-	if fi, err := os.Stat(v2Path); err == nil {
-		rows = append(rows, benchRow{Name: "PaperScale/v2_file", Iters: 1,
-			Metrics: map[string]float64{"file_bytes": float64(fi.Size())}})
-	}
 
 	var mapped *Mapped
 	stage("open_mmap_verified", stats.Edges, func() {
@@ -132,9 +118,9 @@ func TestPaperScale(t *testing.T) {
 		inDeg = graph.InDegrees(mapped, par)
 	})
 	stage("mmap_wcc", stats.Edges, func() { wcc = graph.WCC(mapped, par) })
-	rssRow("rss_after_mmap_core")
+	rssCheckpoint("rss_after_mmap_core")
 	stage("mmap_triangles", stats.Edges, func() { tri = graph.Triangles(mapped, graph.TriangleAuto, par) })
-	rssRow("rss_after_mmap_triangles")
+	rssCheckpoint("rss_after_mmap_triangles")
 
 	// Stage 4: materialize and re-run in RAM; every result must match
 	// exactly — same counts, same component labels, same triangles.
@@ -159,47 +145,7 @@ func TestPaperScale(t *testing.T) {
 			t.Fatalf("triangles diverge: mmap %+v, RAM %+v", tri, got)
 		}
 	})
-	rssRow("rss_after_ram")
-
-	if out := os.Getenv("GPLUS_BENCH_OUT"); out != "" {
-		if err := mergeBenchRows(out, rows); err != nil {
-			t.Errorf("writing %s: %v", out, err)
-		} else {
-			t.Logf("merged %d PaperScale rows -> %s", len(rows), out)
-		}
-	}
-}
-
-// benchRow matches cmd/benchjson's output schema so paperscale rows can
-// live in the same baseline file as `go test -bench` results.
-type benchRow struct {
-	Name    string             `json:"name"`
-	Iters   int64              `json:"iterations"`
-	Metrics map[string]float64 `json:"metrics"`
-}
-
-// mergeBenchRows replaces any previous PaperScale/* rows in path with
-// rows, preserving whatever else the baseline holds.
-func mergeBenchRows(path string, rows []benchRow) error {
-	var all []benchRow
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &all); err != nil {
-			return fmt.Errorf("existing baseline unparseable: %w", err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	kept := all[:0]
-	for _, r := range all {
-		if !strings.HasPrefix(r.Name, "PaperScale/") {
-			kept = append(kept, r)
-		}
-	}
-	out, err := json.MarshalIndent(append(kept, rows...), "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
+	rssCheckpoint("rss_after_ram")
 }
 
 // vmHWMBytes reads the process's peak resident set from /proc (Linux);

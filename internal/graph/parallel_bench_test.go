@@ -9,7 +9,7 @@ import (
 )
 
 // analysisBenchG is the shared graph of the BenchmarkAnalysis* suite
-// (make bench-analysis): ~1M nodes with a preferential-attachment-style
+// (go test -bench BenchmarkAnalysis): ~1M nodes with a preferential-attachment-style
 // heavy tail, the regime the degree-balanced sharding exists for. Built
 // lazily so ordinary `go test` runs never pay for it.
 var analysisBenchG *Graph
@@ -103,7 +103,7 @@ func BenchmarkAnalysisWCC(b *testing.B) {
 }
 
 // SCC is serial (Tarjan), so the suite has one row for it; the p=1
-// suffix keeps the row diffable against earlier BENCH_analysis baselines.
+// suffix keeps it named like the other rows' serial column.
 func BenchmarkAnalysisSCC(b *testing.B) {
 	g := analysisGraphOnce(b)
 	b.Run("p=1", func(b *testing.B) {
