@@ -117,11 +117,11 @@ func benchmarkPaths(b *testing.B, par int) {
 	}
 }
 
-// BenchmarkIntersect pits intersectSorted (which gallops once one list
-// is gallopSkewFactor× the other) against a pure linear merge on the
-// shape the skew matters for: a short adjacency list probed against a
-// celebrity-sized one. The "balanced" case pins that the galloping
-// branch costs nothing when it does not trigger.
+// BenchmarkIntersect pits sortedIntersectionSize (which gallops once
+// one list is gallopSkewFactor× the other) against a pure linear merge
+// on the shape the skew matters for: a node's short out-row counted
+// against a celebrity-sized in-row. The "balanced" case pins that the
+// galloping branch costs nothing when it does not trigger.
 func BenchmarkIntersect(b *testing.B) {
 	mk := func(n, stride int) []NodeID {
 		s := make([]NodeID, n)

@@ -38,87 +38,63 @@ func clusteringLinks(own, nbr Rows, u NodeID) int64 {
 	return links
 }
 
-// sortedIntersectionSize returns |a ∩ b| for two sorted lists.
-func sortedIntersectionSize(a, b []NodeID) int {
-	count := 0
-	intersectSorted(a, b, 0, func(int, int) { count++ })
-	return count
-}
-
-// gallopSkewFactor is the length ratio beyond which intersectSorted
-// abandons the linear merge for galloping probes of the longer list.
-// The microbenchmarks (BenchmarkIntersection*) put the crossover well
-// below 16x; the conservative factor keeps near-balanced pairs on the
-// branch-predictable merge.
+// gallopSkewFactor is the length ratio beyond which
+// sortedIntersectionSize abandons the linear merge for galloping probes
+// of the longer list. The microbenchmarks (BenchmarkIntersect) put the
+// crossover well below 16x; the conservative factor keeps near-balanced
+// pairs on the branch-predictable merge.
 const gallopSkewFactor = 16
 
-// skewed reports whether lists of lengths a and b, neither empty, are
-// far enough apart in length to gallop.
-func skewed(a, b int) bool {
-	if a > b {
+// sortedIntersectionSize returns |a ∩ b| for two sorted lists.
+// Near-equal lengths use a linear merge; when one list dwarfs the
+// other it gallops through the long list instead, costing
+// O(short·log(long)) rather than O(short+long). Most callers intersect
+// one node's out-row with its in-row, and on a celebrity the in-row is
+// orders of magnitude the longer, so each node of the heavy-tailed head
+// the paper's degree distribution promises costs O(out·log(in)), not a
+// walk of all its followers.
+func sortedIntersectionSize(a, b []NodeID) int {
+	if len(a) > len(b) {
 		a, b = b, a
 	}
-	return a > 0 && b >= gallopSkewFactor*a
-}
-
-// intersectSorted calls emit(i, j) for every common key a[i]>>shift ==
-// b[j]>>shift, in ascending order, for two lists sorted by that key:
-// NodeIDs are their own keys (shift 0), a half-graph entry's key is its
-// rank (shift kindBits). It reports positions rather than values, so a
-// caller holding data parallel to either list, or in an entry's low
-// bits, can read it. Near-equal lengths use a linear merge; when one
-// list dwarfs the other — a celebrity adjacency list against an
-// ordinary one — it gallops through the long list instead, costing
-// O(short·log(long)) rather than O(short+long). Exact triangle counting
-// on a heavy-tailed graph intersects the head's list once per incident
-// edge, so without this the kernel goes quadratic on exactly the nodes
-// the paper's degree distribution promises exist.
-func intersectSorted(a, b []uint32, shift uint, emit func(i, j int)) {
-	if len(a) > len(b) {
-		intersectSorted(b, a, shift, func(j, i int) { emit(i, j) })
-		return
-	}
-	if skewed(len(a), len(b)) {
+	count := 0
+	if len(a) > 0 && len(b) >= gallopSkewFactor*len(a) {
 		base := 0 // b[:base] is consumed
-		for i, x := range a {
+		for _, x := range a {
 			// Gallop: double the probe distance until past x, binary
 			// search the bracketed window, then drop the consumed
 			// prefix so one full pass costs O(|a| log |b|).
-			x >>= shift
 			rest := b[base:]
 			hi := 1
-			for hi < len(rest) && rest[hi]>>shift < x {
+			for hi < len(rest) && rest[hi] < x {
 				hi *= 2
 			}
-			if hi > len(rest) {
-				hi = len(rest)
-			}
+			hi = min(hi, len(rest))
 			lo := hi / 2
-			k := lo + sort.Search(hi-lo, func(k int) bool { return rest[lo+k]>>shift >= x })
-			if k < len(rest) && rest[k]>>shift == x {
-				emit(i, base+k)
+			k := lo + sort.Search(hi-lo, func(k int) bool { return rest[lo+k] >= x })
+			if k < len(rest) && rest[k] == x {
+				count++
 				k++
 			}
-			base += k
-			if base == len(b) {
-				return
+			if base += k; base == len(b) {
+				break
 			}
 		}
-		return
+		return count
 	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch x, y := a[i]>>shift, b[j]>>shift; {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch x, y := a[i], b[j]; {
 		case x < y:
 			i++
 		case x > y:
 			j++
 		default:
-			emit(i, j)
+			count++
 			i++
 			j++
 		}
 	}
+	return count
 }
 
 // ClusteringFromLinks derives Figure 4(b) from TriadResult.Links: the

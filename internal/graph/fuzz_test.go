@@ -86,9 +86,10 @@ func FuzzMultiSourceBFS(f *testing.F) {
 // triangle enumeration and the per-node clusteringLinks — on digraphs of up to 64
 // nodes decoded from the input (one byte per endpoint, reduced mod n),
 // at P = 1, 2, 3 and 8. Seeds: the 3-cycle, the transitive triangle and
-// a mutual K4, the three shapes the kind tables tell apart, and a graph
-// whose half graph pairs a row 16× longer than its partner, so the
-// galloping intersection runs.
+// a mutual K4, the three shapes the kind tables tell apart, and a
+// hub-shaped graph whose half graph pairs a two-entry row with a
+// sixteen-entry one, so a long row is scanned against a short marked
+// one, and a long marked row against many.
 func FuzzTriads(f *testing.F) {
 	f.Add(uint8(2), []byte{0, 1, 1, 2, 2, 0})
 	f.Add(uint8(2), []byte{0, 1, 0, 2, 1, 2})
@@ -128,7 +129,8 @@ func FuzzTriads(f *testing.F) {
 // node 17 outside it, and a node 18 tied to 0 and 16 alone. Degree
 // ranks put 18 first, and 0 lowest of the clique, so 18's half row is
 // (0, 16) while 0's holds the 16 other clique members: the triangle
-// {18, 0, 16} closes in a one-entry suffix against a 16-entry row.
+// {18, 0, 16} closes where the scan of 0's 16-entry row meets one of
+// 18's two marks, and 0's own 16 marks then meet every clique row.
 func skewedTriads() []byte {
 	var edges []byte
 	for i := byte(0); i <= 16; i++ {

@@ -118,6 +118,19 @@ func BenchmarkAnalysisSCC(b *testing.B) {
 // 1M-node graph: its probe count is the full wedge total (~1e9 here), an
 // order of magnitude past what the production kernel pays.
 
+// BenchmarkAnalysisTriads times the one closed-triple enumeration
+// alone, without the Triangles, Motifs or AllClustering views over it.
+func BenchmarkAnalysisTriads(b *testing.B) {
+	g := analysisGraphOnce(b)
+	benchOverParallelisms(b, func(b *testing.B, par int) {
+		for i := 0; i < b.N; i++ {
+			if _, err := Triads(context.Background(), g, par); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func BenchmarkAnalysisTrianglesSandiaLL(b *testing.B) {
 	g := analysisGraphOnce(b)
 	benchOverParallelisms(b, func(b *testing.B, par int) {

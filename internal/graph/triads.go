@@ -3,7 +3,6 @@ package graph
 import (
 	"context"
 	"fmt"
-	"slices"
 )
 
 // Everything triangle-shaped comes from one enumeration of the closed
@@ -14,7 +13,8 @@ import (
 // coefficient behind Figure 4(b). The projection itself is never held:
 // two passes over the view's rows build the degree-ranked half of it,
 // one packed 4-byte word per kept edge, and the Sandia lowest-rank
-// intersection walks that half once, tallying per shard in rank space.
+// enumeration walks that half once, marking each row and scanning its
+// neighbors' rows against the marks, tallying per shard in rank space.
 
 // TriadResult is what one closed-triple enumeration of a graph yields.
 type TriadResult struct {
@@ -57,9 +57,8 @@ func eachDyad(out, in []NodeID, emit func(w NodeID, k dyadKind)) {
 	}
 }
 
-// A packed half-graph entry is rank<<kindBits | kind: entries sort by
-// rank and compare by entry>>kindBits, and ranks must stay below
-// maxTriadNodes.
+// A packed half-graph entry is rank<<kindBits | kind: entry>>kindBits
+// is the neighbor's rank, and ranks must stay below maxTriadNodes.
 const (
 	kindBits      = 2
 	kindMask      = 1<<kindBits - 1
@@ -69,9 +68,9 @@ const (
 // halfGraph is the projection with each edge kept once, at its endpoint
 // of lower degree rank (degree ascending, ties by id — a total order, so
 // the orientation is canonical), in rank space: row r lists the
-// higher-ranked neighbors of node perm[r], ascending, each packed as
-// rank<<kindBits | kind with the dyad seen from the row's node. Every
-// row is O(√m) long whatever the degree distribution.
+// higher-ranked neighbors of node perm[r], in the view's id order, each
+// packed as rank<<kindBits | kind with the dyad seen from the row's
+// node. Every row is O(√m) long whatever the degree distribution.
 type halfGraph struct {
 	off  []int64
 	adj  []uint32 // packed entries
@@ -166,43 +165,37 @@ func Triads(ctx context.Context, g View, parallelism int) (*TriadResult, error) 
 
 	// For each kept edge (r, s), every common higher-ranked neighbor t
 	// closes the triple {r, s, t}, found exactly once, at its
-	// lowest-rank corner, with its three dyad kinds at the positions the
-	// intersection reports. Each shard tallies in rank space, in its own
-	// arrays; the shards are summed and mapped to node ids once, at the
-	// end.
+	// lowest-rank corner. Every entry of row(s) outranks s, so the
+	// common neighbors are the entries of row(s) that r's row marks:
+	// mark[t] holds kind(r, t)+1 while row r is walked, and the word
+	// t<<kindBits | mark[t]-1 is r's entry for t. Each shard tallies in
+	// rank space, in its own arrays; the shards are summed and mapped to
+	// node ids once, at the end.
 	ebounds := prefixWorkBounds(n, parallelism, func(r int) int64 { return h.off[r] + int64(r) })
 	tallies := make([]triadTally, len(ebounds)-1)
 	runShards(ebounds, func(shard, lo, hi int) {
 		t := &tallies[shard]
 		t.perRank = make([][2]int64, n)
+		mark := make([]uint8, n)
 		for r := uint32(lo); r < uint32(hi); r++ {
 			if (r-uint32(lo))%triadChunk == 0 && ctx.Err() != nil {
 				return
 			}
 			row := h.row(r)
-			for i, e := range row {
+			for _, e := range row {
+				mark[e>>kindBits] = uint8(e&kindMask) + 1
+			}
+			for _, e := range row {
 				s := e >> kindBits
-				rest, srow := row[i+1:], h.row(s)
 				rs := 9 * int(e&kindMask)
-				if skewed(len(rest), len(srow)) {
-					intersectSorted(rest, srow, kindBits, func(p, q int) {
-						t.closed(r, s, rs, rest[p], srow[q])
-					})
-					continue
-				}
-				// Branch-free steps: only a match takes a branch.
-				for p, q := 0, 0; p < len(rest) && q < len(srow); {
-					a, b := rest[p], srow[q]
-					d := int64(a>>kindBits) - int64(b>>kindBits)
-					if d == 0 {
-						t.closed(r, s, rs, a, b)
-						p++
-						q++
-						continue
+				for _, b := range h.row(s) {
+					if m := mark[b>>kindBits]; m != 0 {
+						t.closed(r, s, rs, b>>kindBits<<kindBits|uint32(m-1), b)
 					}
-					p += int(uint64(d) >> 63)
-					q += int(uint64(-d) >> 63)
 				}
+			}
+			for _, e := range row {
+				mark[e>>kindBits] = 0
 			}
 		}
 	})
@@ -240,8 +233,8 @@ type triadTally struct {
 	perRank [][2]int64
 }
 
-// closed tallies the triple of ranks r < s < t, met where the entries a
-// (t in r's row) and b (t in s's row) agree; rs is 9·kind(r, s).
+// closed tallies the triple of ranks r < s < t, where a is r's entry
+// for t (rebuilt from the mark) and b is s's; rs is 9·kind(r, s).
 func (c *triadTally) closed(r, s uint32, rs int, a, b uint32) {
 	k := rs + 3*int(a&kindMask) + int(b&kindMask)
 	c.byKind[k]++
@@ -256,10 +249,11 @@ func (c *triadTally) closed(r, s uint32, rs int, a, b uint32) {
 // buildHalfGraph ranks the nodes and streams the rows of g once more to
 // fill the half graph. rank arrives holding every node's projection
 // degree and leaves holding its rank. A node's degree bounds its kept
-// row, so every row is filled at its degree-prefix offset and sorted in
-// place; one serial sweep then closes the gaps, moving each row down to
-// its final offset. The fill walks nodes in id order (sequential over a
-// mapped file) and each node writes only its own rank row.
+// row, so every row is filled at its degree-prefix offset, unsorted:
+// the enumeration marks rows and needs no order. One serial sweep then
+// closes the gaps, moving each row down to its final offset. The fill
+// walks nodes in id order (sequential over a mapped file) and each node
+// writes only its own rank row.
 func buildHalfGraph(g View, rank []uint32, bounds []int) *halfGraph {
 	n := len(rank)
 	h := &halfGraph{off: make([]int64, n+1), perm: make([]NodeID, n)}
@@ -300,7 +294,6 @@ func buildHalfGraph(g View, rank []uint32, bounds []int) *halfGraph {
 					row = append(row, rw<<kindBits|uint32(k))
 				}
 			})
-			slices.Sort(row)
 		}
 	})
 	var kept, lo int64 // lo: row r's fill offset, before off[r] moved

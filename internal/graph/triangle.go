@@ -13,7 +13,7 @@ import (
 // streamed from the view. This file holds the result type and the
 // reference the tests compare the kernel against: Cohen's wedge-check
 // over the materialized projection, which shares neither the
-// orientation nor intersectSorted with it. Both honor the package
+// orientation nor the marking enumeration with it. Both honor the package
 // determinism contract: results are byte-identical at any parallelism.
 
 // TriangleMethod selects a triangle-counting kernel.
