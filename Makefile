@@ -40,7 +40,7 @@ help:
 	@echo "make prof-demo      brownout crawl -> profile ring -> go tool pprof: CPU by label + steady-vs-page diff"
 	@echo "make paperscale     10M-node/200M-edge out-of-core acceptance run (slow; logs stage timings and peak RSS)"
 	@echo "make ablations      design-choice ablations, seed sensitivity and the lost-edge crawl"
-	@echo "make fuzz           long fuzz of every parser (wire codec, series names and the series.jsonl tick decoder included), the client's request URLs, the multi-source BFS, the triad pass, the edge sort, the segment compaction, the segment reader and the CDF sort (30s each)"
+	@echo "make fuzz           long fuzz of every parser (wire codec, series names and the series.jsonl tick decoder included), the client's request URLs, the multi-source BFS, the triad pass, the connectivity kernels (WCC, SCC, reciprocity), the edge sort, the segment compaction, the segment reader and the CDF sort (30s each)"
 	@echo "make verify         generate a dataset and audit it against the paper at two analysis seeds"
 	@echo "make experiments    regenerate the measured half of EXPERIMENTS.md from a fresh dataset"
 
@@ -190,6 +190,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRequestURL -fuzztime=30s ./internal/gplusapi/
 	$(GO) test -fuzz=FuzzMultiSourceBFS -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzTriads -fuzztime=30s ./internal/graph/
+	$(GO) test -fuzz=FuzzComponents -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzSortEdges -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzSortedCopy -fuzztime=30s ./internal/stats/
 	$(GO) test -fuzz=FuzzOpenV2 -fuzztime=30s ./internal/graph/diskcsr/

@@ -15,20 +15,37 @@ import (
 // Checkpoint format: a line-oriented stream that can be appended to and
 // scanned without loading everything at once.
 //
-//	P {"id":...,"name":...}   one crawled profile (gplusapi.ProfileDoc)
+//	P {"id":...,"name":...}   one crawled profile (gplusapi.AppendProfile's document)
 //	E <from> <to>             one observed edge
 //	D <id>                    one discovered id (crawled or not)
+//
+// E and D records carry ids raw, so an id there is never empty and holds
+// no space (an E record splits at its first) and no newline (which ends
+// a record). The crawler refuses a seed list carrying any other id, and
+// a circle page carrying one counts as a circle error (checkIDs), so
+// none reaches the journal.
 //
 // WriteResult always emits D records for every discovered id, so a
 // checkpoint alone reconstructs the crawl frontier: discovered ids
 // without a P record are the uncrawled frontier that Resume continues
 // from.
 
+// checkIDs rejects a list of ids (what names it) holding one that E and
+// D records cannot carry.
+func checkIDs(what string, ids []string) error {
+	for _, id := range ids {
+		if id == "" || strings.ContainsAny(id, " \n") {
+			return fmt.Errorf("crawler: %s carries id %q, which no journal record can hold", what, id)
+		}
+	}
+	return nil
+}
+
 // The three record renderers, shared by WriteResult and the Journal:
 // each appends one whole newline-terminated record.
 
-func appendProfileRecord(dst []byte, doc *gplusapi.ProfileDoc) ([]byte, error) {
-	dst, err := gplusapi.AppendProfileDoc(append(dst, 'P', ' '), doc)
+func appendProfileRecord(dst []byte, id string, p *profile.Profile) ([]byte, error) {
+	dst, err := gplusapi.AppendProfile(append(dst, 'P', ' '), id, p)
 	return append(dst, '\n'), err
 }
 
@@ -47,9 +64,8 @@ func WriteResult(w io.Writer, res *Result) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var rec []byte
 	for id, p := range res.Profiles {
-		doc := gplusapi.FromProfile(id, &p)
 		var err error
-		if rec, err = appendProfileRecord(rec[:0], &doc); err != nil {
+		if rec, err = appendProfileRecord(rec[:0], id, &p); err != nil {
 			return err
 		}
 		if _, err := bw.Write(rec); err != nil {

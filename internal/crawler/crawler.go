@@ -133,6 +133,9 @@ func (c *Config) withDefaults() (Config, error) {
 	if len(out.Seeds) == 0 {
 		return out, errors.New("crawler: at least one seed required")
 	}
+	if err := checkIDs("seed list", out.Seeds); err != nil {
+		return out, err
+	}
 	if !out.FetchIn && !out.FetchOut {
 		return out, errors.New("crawler: at least one circle direction must be enabled")
 	}
@@ -514,8 +517,7 @@ func (w *worker) crawlOne(ctx context.Context, id string) {
 		// from any journal prefix then refetches half-crawled users
 		// instead of losing their remaining circle pages.
 		_, jsp := w.cfg.Tracer.StartSpan(ctx, "journal.profile")
-		doc := gplusapi.FromProfile(id, &p)
-		w.cfg.Journal.profile(&doc)
+		w.cfg.Journal.profile(id, p)
 		jsp.Finish()
 	}
 }
@@ -553,6 +555,9 @@ func (w *worker) fetchCircle(ctx context.Context, id string, dir gplusapi.Circle
 		// attribution matches the trace span of the same name.
 		pprof.SetGoroutineLabels(w.labels.circles)
 		page, err := w.client.FetchCircle(pctx, id, dir, token, 0)
+		if err == nil {
+			err = checkIDs("circle page", page.IDs)
+		}
 		if err == nil {
 			w.observePage(pctx, id, dir, page)
 		}

@@ -3,11 +3,14 @@ package crawler
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -117,6 +120,8 @@ func TestConfigValidation(t *testing.T) {
 		{"empty config", Config{}},
 		{"config without an edge sink", Config{BaseURL: "http://x", Seeds: []string{"a"}, FetchIn: true, FetchOut: true}},
 		{"config without seeds", Config{BaseURL: "http://x", EdgeSink: sink}},
+		{"seed a journal record cannot hold", Config{BaseURL: "http://x", Seeds: []string{"a", "b c"}, FetchIn: true, FetchOut: true, EdgeSink: sink}},
+		{"empty seed", Config{BaseURL: "http://x", Seeds: []string{""}, FetchIn: true, FetchOut: true, EdgeSink: sink}},
 		{"config without directions", Config{BaseURL: "http://x", Seeds: []string{"a"}, EdgeSink: sink}},
 		// Crawl forwards nothing into the sink: resume edges held in RAM
 		// would silently be a hole in the streamed graph.
@@ -429,6 +434,89 @@ func (c circleBreaker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.inner.ServeHTTP(w, r)
+}
+
+// hostilePages answers every third circle-list request with one of
+// hostileBodies, and hands the rest to the inner service.
+type hostilePages struct {
+	inner http.Handler
+	n     atomic.Int64
+}
+
+// hostileBodies are canonical circle pages whose ids a journal record
+// cannot carry: an empty id, an id with a space after one that would
+// be fine on its own, and an id whose newline would forge a P record.
+var hostileBodies = []string{
+	`{"ids":[""]}`,
+	`{"ids":["ghost-1","a b"]}`,
+	`{"ids":["x\nP {\"id\":\"forged\",\"name\":\"\",\"fields\":null,\"inCircleCount\":0,\"outCircleCount\":0}"]}`,
+}
+
+func (h *hostilePages) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if strings.Contains(r.URL.Path, "/circles/") {
+		if n := h.n.Add(1); n%3 == 0 {
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, hostileBodies[n/3%int64(len(hostileBodies))]+"\n") //nolint:errcheck — the client sees a short body
+			return
+		}
+	}
+	h.inner.ServeHTTP(w, r)
+}
+
+// TestCrawlRefusesIDsTheJournalCannotHold serves circle pages carrying
+// ids an E or D record cannot hold: each page counts as a circle error,
+// none of its ids reaches the sink, the frontier or the journal, and the
+// journal still loads.
+func TestCrawlRefusesIDsTheJournalCannotHold(t *testing.T) {
+	u := crawlUniverse(t)
+	ts := httptest.NewServer(&hostilePages{inner: gplusd.New(u, gplusd.Options{})})
+	defer ts.Close()
+	path := filepath.Join(t.TempDir(), "crawl.journal")
+	j, err := OpenJournal(path, JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := crawlInRAM(context.Background(), Config{
+		BaseURL:     ts.URL,
+		Seeds:       []string{seedID(u)},
+		Workers:     2,
+		MaxProfiles: 60,
+		FetchIn:     true, FetchOut: true,
+		Journal: j,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.CircleErrors == 0 {
+		t.Errorf("stats = %+v: no hostile page was refused", res.Stats)
+	}
+	loaded, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatalf("journal does not load: %v", err)
+	}
+	bad := func(id string) bool {
+		return id == "" || strings.ContainsAny(id, " \n") || id == "ghost-1" || id == "forged"
+	}
+	for _, r := range []*Result{res, loaded} {
+		for _, e := range r.Edges {
+			if bad(e.From) || bad(e.To) {
+				t.Errorf("edge %q -> %q from a refused page", e.From, e.To)
+			}
+		}
+		for id := range r.Discovered {
+			if bad(id) {
+				t.Errorf("id %q from a refused page discovered", id)
+			}
+		}
+		for id := range r.Profiles {
+			if bad(id) {
+				t.Errorf("profile %q from a refused page", id)
+			}
+		}
+	}
 }
 
 func TestCrawlTelemetry(t *testing.T) {

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"gplus/internal/durable"
-	"gplus/internal/gplusapi"
 	"gplus/internal/obs"
+	"gplus/internal/profile"
 )
 
 // The journal is the live form of the checkpoint: instead of writing
@@ -76,13 +76,13 @@ type Journal struct {
 }
 
 type journalMsg struct {
-	op   byte // 'P' profile, 'C' circle page, 'D' discovered ids, 'B' bootstrap, 'S' sync barrier
-	doc  *gplusapi.ProfileDoc
-	from string
-	out  bool     // circle direction: true = out-list (from -> id)
-	ids  []string // 'C': the full page (E records); 'D': discovered ids
-	res  *Result  // 'B'
-	ack  chan error
+	op  byte            // 'P' profile, 'C' circle page, 'D' discovered ids, 'B' bootstrap, 'S' sync barrier
+	id  string          // 'P': the profile's user; 'C': the circle list's owner
+	p   profile.Profile // 'P'
+	out bool            // circle direction: true = out-list (id -> ids[i])
+	ids []string        // 'C': the full page (E records); 'D': discovered ids
+	res *Result         // 'B'
+	ack chan error
 }
 
 // OpenJournal opens (creating or appending to) a journal file and starts
@@ -133,11 +133,11 @@ func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 
 // profile records one fully crawled profile. Callers must only record a
 // profile whose circle lists were completely fetched (see crawlOne).
-func (j *Journal) profile(doc *gplusapi.ProfileDoc) {
+func (j *Journal) profile(id string, p profile.Profile) {
 	if j == nil {
 		return
 	}
-	j.ch <- journalMsg{op: 'P', doc: doc}
+	j.ch <- journalMsg{op: 'P', id: id, p: p}
 }
 
 // circlePage records the edges of one fetched circle page.
@@ -145,7 +145,7 @@ func (j *Journal) circlePage(from string, out bool, ids []string) {
 	if j == nil || len(ids) == 0 {
 		return
 	}
-	j.ch <- journalMsg{op: 'C', from: from, out: out, ids: ids}
+	j.ch <- journalMsg{op: 'C', id: from, out: out, ids: ids}
 }
 
 // discoveredIDs records never-before-seen user ids.
@@ -270,7 +270,7 @@ func (j *Journal) handle(msg journalMsg) bool {
 	switch msg.op {
 	case 'P':
 		var err error
-		if rec, err = appendProfileRecord(rec, msg.doc); err != nil {
+		if rec, err = appendProfileRecord(rec, msg.id, &msg.p); err != nil {
 			j.fail(err)
 			return false
 		}
@@ -278,9 +278,9 @@ func (j *Journal) handle(msg journalMsg) bool {
 	case 'C':
 		for _, other := range msg.ids {
 			if msg.out {
-				rec = appendEdgeRecord(rec, msg.from, other)
+				rec = appendEdgeRecord(rec, msg.id, other)
 			} else {
-				rec = appendEdgeRecord(rec, other, msg.from)
+				rec = appendEdgeRecord(rec, other, msg.id)
 			}
 		}
 		j.recEdges.Add(int64(len(msg.ids)))

@@ -3,7 +3,6 @@ package crawler
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -15,7 +14,6 @@ import (
 	"time"
 
 	"gplus/internal/geo"
-	"gplus/internal/gplusapi"
 	"gplus/internal/gplusd"
 	"gplus/internal/obs"
 	"gplus/internal/profile"
@@ -167,7 +165,7 @@ func TestJournalSyncMakesRecordsLoadable(t *testing.T) {
 	j.discoveredIDs([]string{"a", "b", "c"})
 	j.circlePage("a", true, []string{"b"})  // out-list: a -> b
 	j.circlePage("a", false, []string{"c"}) // in-list: c -> a
-	j.profile(&gplusapi.ProfileDoc{ID: "a", Name: "alice"})
+	j.profile("a", profile.Profile{Name: "alice"})
 	if err := j.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
@@ -234,7 +232,7 @@ func TestJournalBootstrapCopiesCheckpoint(t *testing.T) {
 
 func TestJournalNilIsSafe(t *testing.T) {
 	var j *Journal
-	j.profile(&gplusapi.ProfileDoc{ID: "x"})
+	j.profile("x", profile.Profile{})
 	j.circlePage("x", true, []string{"y"})
 	j.discoveredIDs([]string{"z"})
 	if err := j.Bootstrap(&Result{}); err != nil {
@@ -352,9 +350,10 @@ func TestJournalErrorSurfacedInProgress(t *testing.T) {
 }
 
 // TestJournalBytesMatchEncodingJSON pins the journal's bytes to the
-// rendering the wire codec replaced — json.Marshal for the document,
-// fmt.Fprintf for every record — across all record kinds, both circle
-// directions, a bootstrap, and strings the encoders must escape.
+// rendering the wire codec replaced — json.Marshal for the document (the
+// two P records below are its bytes), fmt.Fprintf for every record —
+// across all record kinds, both circle directions, a bootstrap, and
+// strings the encoders must escape.
 func TestJournalBytesMatchEncodingJSON(t *testing.T) {
 	odd := profile.Profile{
 		Name:        "<Zoë> & \"co\" \x01",
@@ -366,7 +365,6 @@ func TestJournalBytesMatchEncodingJSON(t *testing.T) {
 		Loc:         geo.Point{Lat: -23.5e-8, Lon: 1e21},
 	}
 	plain := profile.Profile{Name: "user-1", DeclaredInDegree: 12, DeclaredOutDegree: 3}
-	docOdd, docPlain := gplusapi.FromProfile("101", &odd), gplusapi.FromProfile("102", &plain)
 	boot := &Result{
 		Profiles:   map[string]profile.Profile{"101": odd},
 		Edges:      []Edge{{From: "101", To: "102"}, {From: "103", To: "101"}},
@@ -385,8 +383,8 @@ func TestJournalBytesMatchEncodingJSON(t *testing.T) {
 	j.circlePage("102", false, []string{"106"})
 	j.circlePage("102", true, nil)
 	j.discoveredIDs([]string{"104", "105", "106"})
-	j.profile(&docPlain)
-	j.profile(&docOdd)
+	j.profile("102", plain)
+	j.profile("101", odd)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -396,19 +394,15 @@ func TestJournalBytesMatchEncodingJSON(t *testing.T) {
 	}
 
 	var want bytes.Buffer
-	record := func(doc *gplusapi.ProfileDoc) {
-		raw, err := json.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(&want, "P %s\n", raw)
-	}
-	record(&docOdd)
+	const (
+		recOdd   = `P {"id":"101","name":"\u003cZoë\u003e \u0026 \"co\"\u2028\u0001","fields":["name","gender","places_lived"],"gender":"Other","placesLived":["São Paulo","tab\there"],"place":{"name":"tab\there","lat":-2.35e-7,"lon":1e+21,"country":"BR"},"inCircleCount":0,"outCircleCount":0}` + "\n"
+		recPlain = `P {"id":"102","name":"user-1","fields":null,"inCircleCount":12,"outCircleCount":3}` + "\n"
+	)
+	want.WriteString(recOdd)
 	fmt.Fprintf(&want, "E %s %s\nE %s %s\nD %s\n", "101", "102", "103", "101", "101")
 	fmt.Fprintf(&want, "E %s %s\nE %s %s\nE %s %s\n", "102", "104", "102", "105", "106", "102")
 	fmt.Fprintf(&want, "D %s\nD %s\nD %s\n", "104", "105", "106")
-	record(&docPlain)
-	record(&docOdd)
+	want.WriteString(recPlain + recOdd)
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("journal bytes differ from the encoding/json + fmt rendering:\n got %q\nwant %q", got, want.Bytes())
 	}

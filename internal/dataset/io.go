@@ -87,9 +87,8 @@ func (d *Dataset) writeProfiles(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var rec []byte
 	for i := range d.IDs {
-		doc := gplusapi.FromProfile(d.IDs[i], &d.Profiles[i])
 		var err error
-		if rec, err = gplusapi.AppendProfileDoc(rec[:0], &doc); err != nil {
+		if rec, err = gplusapi.AppendProfile(rec[:0], d.IDs[i], &d.Profiles[i]); err != nil {
 			return err
 		}
 		// Reopen the document's closing brace for the record's own member.

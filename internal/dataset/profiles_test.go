@@ -12,7 +12,7 @@ import (
 	"strings"
 	"testing"
 
-	"gplus/internal/gplusapi"
+	"gplus/internal/geo"
 	"gplus/internal/graph"
 	"gplus/internal/profile"
 )
@@ -26,14 +26,93 @@ const goldenDir = "testdata/golden"
 // wire codec: the oracle the codec's column must equal byte for byte and
 // value for value.
 type referenceRecord struct {
-	gplusapi.ProfileDoc
+	referenceDoc
 	Crawled bool `json:"crawled"`
+}
+
+// referenceDoc and referencePlace are the profile document through
+// encoding/json's struct tags; referenceDocOf and
+// (*referenceDoc).profile convert between it and the model, as the
+// column did before gplusapi.AppendProfile and gplusapi.DecodeProfile.
+type referenceDoc struct {
+	ID             string          `json:"id"`
+	Name           string          `json:"name"`
+	Fields         []string        `json:"fields"`
+	Gender         string          `json:"gender,omitempty"`
+	Relationship   string          `json:"relationship,omitempty"`
+	PlacesLived    []string        `json:"placesLived,omitempty"`
+	Place          *referencePlace `json:"place,omitempty"`
+	Occupation     string          `json:"occupation,omitempty"`
+	InCircleCount  int             `json:"inCircleCount"`
+	OutCircleCount int             `json:"outCircleCount"`
+}
+
+type referencePlace struct {
+	Name    string  `json:"name"`
+	Lat     float64 `json:"lat"`
+	Lon     float64 `json:"lon"`
+	Country string  `json:"country,omitempty"`
+}
+
+// referenceDocOf is the public view of user id's profile p.
+func referenceDocOf(id string, p *profile.Profile) referenceDoc {
+	d := referenceDoc{ID: id, Name: p.Name, InCircleCount: p.DeclaredInDegree, OutCircleCount: p.DeclaredOutDegree}
+	if n := p.Public.Count(); n > 0 {
+		d.Fields = make([]string, 0, n)
+	}
+	for a := profile.Attr(0); a < profile.NumAttrs; a++ {
+		if p.Public.Has(a) {
+			d.Fields = append(d.Fields, a.WireCode())
+		}
+	}
+	if p.Public.Has(profile.AttrGender) && p.Gender != profile.GenderUnknown {
+		d.Gender = p.Gender.String()
+	}
+	if p.Public.Has(profile.AttrRelationship) && p.Relationship != profile.RelUnknown {
+		d.Relationship = p.Relationship.String()
+	}
+	if p.Public.Has(profile.AttrPlacesLived) {
+		d.PlacesLived = append([]string(nil), p.PlacesLived...)
+		d.Place = &referencePlace{Name: p.Place, Lat: p.Loc.Lat, Lon: p.Loc.Lon, Country: p.CountryCode}
+	}
+	if p.Public.Has(profile.AttrOccupation) {
+		d.Occupation = p.Occupation.Code()
+	}
+	return d
+}
+
+// profile reads d into the model, taking a value only when d also lists
+// its field as public.
+func (d *referenceDoc) profile() profile.Profile {
+	p := profile.Profile{Name: d.Name, DeclaredInDegree: d.InCircleCount, DeclaredOutDegree: d.OutCircleCount}
+	for _, code := range d.Fields {
+		if a, ok := profile.AttrFromWireCode(code); ok {
+			p.Public = p.Public.With(a)
+		}
+	}
+	if p.Public.Has(profile.AttrGender) {
+		p.Gender = profile.ParseGender(d.Gender)
+	}
+	if p.Public.Has(profile.AttrRelationship) {
+		p.Relationship = profile.ParseRelationship(d.Relationship)
+	}
+	if p.Public.Has(profile.AttrOccupation) {
+		p.Occupation = profile.ParseOccupation(d.Occupation)
+	}
+	if p.Public.Has(profile.AttrPlacesLived) {
+		p.PlacesLived = append([]string(nil), d.PlacesLived...)
+		if d.Place != nil {
+			p.Place, p.CountryCode = d.Place.Name, d.Place.Country
+			p.Loc = geo.Point{Lat: d.Place.Lat, Lon: d.Place.Lon}
+		}
+	}
+	return p
 }
 
 func referenceWrite(w io.Writer, d *Dataset) error {
 	enc := json.NewEncoder(w)
 	for i := range d.IDs {
-		rec := referenceRecord{ProfileDoc: gplusapi.FromProfile(d.IDs[i], &d.Profiles[i]), Crawled: d.Crawled[i]}
+		rec := referenceRecord{referenceDoc: referenceDocOf(d.IDs[i], &d.Profiles[i]), Crawled: d.Crawled[i]}
 		if err := enc.Encode(&rec); err != nil {
 			return err
 		}
@@ -54,7 +133,7 @@ func referenceRead(r io.Reader) (*Dataset, error) {
 			return nil, fmt.Errorf("line %d: record without id", line)
 		}
 		d.IDs = append(d.IDs, rec.ID)
-		d.Profiles = append(d.Profiles, rec.ToProfile())
+		d.Profiles = append(d.Profiles, rec.profile())
 		d.Crawled = append(d.Crawled, rec.Crawled)
 	}
 	return d, scanner.Err()

@@ -2,39 +2,61 @@ package gplusapi
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/url"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
+
+	"gplus/internal/profile"
 )
 
 // FuzzToProfile checks the wire-to-model conversion tolerates arbitrary
-// field codes and labels.
+// field codes and labels: a document carrying them, as encoding/json
+// writes it, decodes, and what it decodes to is stable through the
+// encoder.
 func FuzzToProfile(f *testing.F) {
 	f.Add("name", "Male", "Single", "IT")
 	f.Add("", "", "", "")
 	f.Add("work_contact", "Blorp", "Whatever", "zz")
 	f.Fuzz(func(t *testing.T, field, gender, rel, occ string) {
-		doc := ProfileDoc{
+		// The codec reads only valid UTF-8 back: json.Marshal's \ufffd
+		// for an invalid byte would not re-encode to itself.
+		valid := func(s string) string { return strings.ToValidUTF8(s, "\ufffd") }
+		doc := profileDoc{
 			ID:           "1x",
 			Name:         "n",
-			Fields:       []string{field},
-			Gender:       gender,
-			Relationship: rel,
-			Occupation:   occ,
+			Fields:       []string{valid(field)},
+			Gender:       valid(gender),
+			Relationship: valid(rel),
+			Occupation:   valid(occ),
 		}
-		p := doc.ToProfile()
+		data, err := json.Marshal(&doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			id string
+			p  profile.Profile
+		)
+		if err := DecodeProfile(data, &id, &p, nil); err != nil {
+			t.Fatalf("%s: %v", data, err)
+		}
 		// Unknown inputs must degrade to zero values, never panic.
 		if p.Public.Count() > 1 {
 			t.Fatalf("one field code produced %d public attrs", p.Public.Count())
 		}
 		_ = p.IsTelUser()
 		// Round-tripping the parsed profile must be stable.
-		back := FromProfile(doc.ID, &p)
-		p2 := back.ToProfile()
-		if !reflect.DeepEqual(p, p2) {
-			t.Fatalf("profile round trip unstable:\n %+v\n %+v", p, p2)
+		back, err := AppendProfile(nil, id, &p)
+		var p2 profile.Profile
+		if err == nil {
+			err = DecodeProfile(back, &id, &p2, nil)
+		}
+		if err != nil || !reflect.DeepEqual(p, p2) {
+			t.Fatalf("profile round trip unstable (%v):\n %+v\n %+v", err, p, p2)
 		}
 	})
 }

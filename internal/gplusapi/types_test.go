@@ -1,6 +1,7 @@
 package gplusapi
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -33,11 +34,35 @@ func samplePublicProfile() profile.Profile {
 
 func TestProfileRoundTrip(t *testing.T) {
 	p := samplePublicProfile()
-	doc := FromProfile("10000000000000000042X", &p)
-	got := doc.ToProfile()
-	if !reflect.DeepEqual(got, p) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, p)
+	data, err := AppendProfile(nil, "10000000000000000042X", &p)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var (
+		id  string
+		got profile.Profile
+	)
+	if err := DecodeProfile(data, &id, &got, nil); err != nil {
+		t.Fatal(err)
+	}
+	if id != "10000000000000000042X" || !reflect.DeepEqual(got, p) {
+		t.Fatalf("round trip mismatch:\n got %q %+v\nwant %+v", id, got, p)
+	}
+}
+
+// wireDoc is what encoding/json reads from the document AppendProfile
+// writes for user id's profile p.
+func wireDoc(t *testing.T, id string, p *profile.Profile) profileDoc {
+	t.Helper()
+	data, err := AppendProfile(nil, id, p)
+	var d profileDoc
+	if err == nil {
+		err = json.Unmarshal(data, &d)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 func TestFromProfileHidesPrivateFields(t *testing.T) {
@@ -45,12 +70,12 @@ func TestFromProfileHidesPrivateFields(t *testing.T) {
 	// Withdraw gender and places lived from the public set; the values
 	// stay in the struct (the service knows them) but must not serialize.
 	p.Public &^= 1<<profile.AttrGender | 1<<profile.AttrPlacesLived
-	doc := FromProfile("id", &p)
+	doc := wireDoc(t, "id", &p)
 	if doc.Gender != "" {
 		t.Errorf("private gender leaked: %q", doc.Gender)
 	}
-	if doc.Place != nil {
-		t.Errorf("private place leaked: %+v", doc.Place)
+	if doc.Place != nil || doc.PlacesLived != nil {
+		t.Errorf("private places leaked: %+v %q", doc.Place, doc.PlacesLived)
 	}
 	for _, f := range doc.Fields {
 		if f == profile.AttrGender.WireCode() || f == profile.AttrPlacesLived.WireCode() {
@@ -61,7 +86,7 @@ func TestFromProfileHidesPrivateFields(t *testing.T) {
 
 func TestFromProfileFieldCodes(t *testing.T) {
 	p := samplePublicProfile()
-	doc := FromProfile("id", &p)
+	doc := wireDoc(t, "id", &p)
 	want := map[string]bool{
 		"name": true, "gender": true, "relationship": true,
 		"places_lived": true, "occupation": true, "work_contact": true,
@@ -77,13 +102,14 @@ func TestFromProfileFieldCodes(t *testing.T) {
 }
 
 func TestToProfileUnknownCodesIgnored(t *testing.T) {
-	doc := ProfileDoc{
-		ID:     "x",
-		Name:   "n",
-		Fields: []string{"name", "hovercraft", "gender"},
-		Gender: "Blorp",
+	data := []byte(`{"id":"x","name":"n","fields":["name","hovercraft","gender"],"gender":"Blorp","inCircleCount":0,"outCircleCount":0}`)
+	var (
+		id string
+		p  profile.Profile
+	)
+	if err := DecodeProfile(data, &id, &p, nil); err != nil {
+		t.Fatal(err)
 	}
-	p := doc.ToProfile()
 	if p.Public.Count() != 2 {
 		t.Errorf("public count = %d, want 2", p.Public.Count())
 	}

@@ -13,13 +13,18 @@ import (
 )
 
 // The wire codec: hand-written encoders and decoders for the two
-// documents every stage of the pipeline moves — ProfileDoc and
-// CirclePage — in place of reflection-driven encoding/json.
+// documents every stage of the pipeline moves — a user's profile
+// document and a CirclePage — in place of reflection-driven
+// encoding/json. A profile document has no Go type of its own: it is
+// written from the analysis model (profile.Profile and the user id) and
+// read back into it.
 //
-// AppendProfileDoc and AppendCirclePage emit byte for byte what
-// json.Marshal emits (HTML and U+2028/9 escaping, invalid UTF-8 as
-// \ufffd, ES6 float formatting, omitempty, nil slice as null), and fail
-// where it fails (a NaN or infinite coordinate).
+// AppendProfile writes the public view of a profile; AppendCirclePage a
+// page. Both emit byte for byte what json.Marshal emits for the
+// document (HTML and U+2028/9 escaping, invalid UTF-8 as \ufffd, ES6
+// float formatting, members left out when empty, a nil slice as null),
+// and AppendProfile fails where json.Marshal would: on a NaN or
+// infinite coordinate.
 //
 // Every byte the decoders read was written by those encoders: gplusd's
 // bodies, the crawl journal's P records, profiles.jsonl. So
@@ -27,20 +32,22 @@ import (
 // encoders write:
 //
 //   - no white space;
-//   - members in encoding order, each at most once, an omitempty member
+//   - members in encoding order, each at most once, an optional member
 //     present only with a non-empty value;
-//   - null only for a nil fields or ids slice;
+//   - null only as the fields of a profile whose public set is empty,
+//     or the ids of a nil page;
 //   - only the escapes the encoder writes, and valid UTF-8;
 //   - numbers as the encoder formats them;
 //   - at most one newline after the document (gplusd ends a body so).
 //
 // Anything else is an error naming its byte offset. encoding/json is the
 // oracle on what is accepted: json.Unmarshal accepts every accepted
-// document and yields the same value (DecodeProfile: what ToProfile
-// makes of it), and encoding that value gives back the document byte
-// for byte — a document of the pipeline also through DecodeProfile and
-// FromProfile. On a rejected input the destination is left in an
-// unspecified state. FuzzWireCodec holds all of it.
+// document, and json.Marshal writes what it read back as the same
+// bytes; DecodeProfile yields the profile the document shows, and
+// AppendProfile of it is the document again for every document the
+// pipeline writes. On a rejected input the destination is left in an
+// unspecified state. FuzzWireCodec holds all of it, against a
+// test-local struct carrying the documents' JSON tags.
 
 // Member names of the documents, in encoding order (a place's name is
 // keyName). The encoders and decoders spell keys through these, so a
@@ -65,40 +72,58 @@ const (
 
 // ---- encoding ----
 
-// AppendProfileDoc appends the JSON encoding of d to dst: the bytes
-// json.Marshal(d) returns. It fails, as json.Marshal does, only on a
-// place coordinate that is NaN or infinite.
-func AppendProfileDoc(dst []byte, d *ProfileDoc) ([]byte, error) {
-	dst = appendString(appendKey(dst, '{', keyID), d.ID)
-	dst = appendString(appendKey(dst, ',', keyName), d.Name)
-	dst = appendStrings(appendKey(dst, ',', keyFields), d.Fields)
-	if d.Gender != "" {
-		dst = appendString(appendKey(dst, ',', keyGender), d.Gender)
+// AppendProfile appends to dst the profile document of user id: the
+// public view of p. A field's value is written only when the field is
+// public — gender and relationship also only when known, places lived
+// only when not empty — and the geocoded place whenever places lived is
+// public. It fails only on a place coordinate that is NaN or infinite.
+func AppendProfile(dst []byte, id string, p *profile.Profile) ([]byte, error) {
+	pub := p.Public
+	dst = appendString(appendKey(dst, '{', keyID), id)
+	dst = appendString(appendKey(dst, ',', keyName), p.Name)
+	dst = appendKey(dst, ',', keyFields)
+	if pub == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		// A set holding only bits past the attributes is an empty list.
+		dst = append(dst, '[')
+		for a := profile.Attr(0); a < profile.NumAttrs; a++ {
+			if pub.Has(a) {
+				if dst[len(dst)-1] != '[' {
+					dst = append(dst, ',')
+				}
+				dst = appendString(dst, a.WireCode())
+			}
+		}
+		dst = append(dst, ']')
 	}
-	if d.Relationship != "" {
-		dst = appendString(appendKey(dst, ',', keyRelationship), d.Relationship)
+	if pub.Has(profile.AttrGender) && p.Gender != profile.GenderUnknown {
+		dst = appendString(appendKey(dst, ',', keyGender), p.Gender.String())
 	}
-	if len(d.PlacesLived) > 0 {
-		dst = appendStrings(appendKey(dst, ',', keyPlacesLived), d.PlacesLived)
+	if pub.Has(profile.AttrRelationship) && p.Relationship != profile.RelUnknown {
+		dst = appendString(appendKey(dst, ',', keyRelationship), p.Relationship.String())
 	}
-	if p := d.Place; p != nil {
-		if !finite(p.Lat) || !finite(p.Lon) {
-			return dst, fmt.Errorf("gplusapi: place of %q has an unencodable coordinate (%v, %v)", d.ID, p.Lat, p.Lon)
+	if pub.Has(profile.AttrPlacesLived) {
+		if len(p.PlacesLived) > 0 {
+			dst = appendStrings(appendKey(dst, ',', keyPlacesLived), p.PlacesLived)
+		}
+		if !finite(p.Loc.Lat) || !finite(p.Loc.Lon) {
+			return dst, fmt.Errorf("gplusapi: place of %q has an unencodable coordinate (%v, %v)", id, p.Loc.Lat, p.Loc.Lon)
 		}
 		dst = appendKey(dst, ',', keyPlace)
-		dst = appendString(appendKey(dst, '{', keyName), p.Name)
-		dst = appendFloat(appendKey(dst, ',', keyLat), p.Lat)
-		dst = appendFloat(appendKey(dst, ',', keyLon), p.Lon)
-		if p.Country != "" {
-			dst = appendString(appendKey(dst, ',', keyCountry), p.Country)
+		dst = appendString(appendKey(dst, '{', keyName), p.Place)
+		dst = appendFloat(appendKey(dst, ',', keyLat), p.Loc.Lat)
+		dst = appendFloat(appendKey(dst, ',', keyLon), p.Loc.Lon)
+		if p.CountryCode != "" {
+			dst = appendString(appendKey(dst, ',', keyCountry), p.CountryCode)
 		}
 		dst = append(dst, '}')
 	}
-	if d.Occupation != "" {
-		dst = appendString(appendKey(dst, ',', keyOccupation), d.Occupation)
+	if pub.Has(profile.AttrOccupation) {
+		dst = appendString(appendKey(dst, ',', keyOccupation), p.Occupation.Code())
 	}
-	dst = strconv.AppendInt(appendKey(dst, ',', keyInCircleCount), int64(d.InCircleCount), 10)
-	dst = strconv.AppendInt(appendKey(dst, ',', keyOutCircleCount), int64(d.OutCircleCount), 10)
+	dst = strconv.AppendInt(appendKey(dst, ',', keyInCircleCount), int64(p.DeclaredInDegree), 10)
+	dst = strconv.AppendInt(appendKey(dst, ',', keyOutCircleCount), int64(p.DeclaredOutDegree), 10)
 	return append(dst, '}'), nil
 }
 
@@ -243,9 +268,10 @@ func DecodeCirclePage(data []byte, p *CirclePage) error {
 
 // DecodeProfile decodes one canonical profile document straight into
 // the analysis model, overwriting *id and *p: field codes become AttrSet
-// bits and labels enums as they are scanned, and — ToProfile's rule — a
-// value counts only if its field is listed, so an unlisted value never
-// leaks. Nothing in *id or *p aliases data.
+// bits and labels enums as they are scanned, and a value counts only if
+// its field is listed, so an inconsistent document degrades to the
+// private view rather than leaking the value. Nothing in *id or *p
+// aliases data.
 //
 // extra, when non-nil, is a container format's one member after the
 // document's own — the dataset's "crawled" flag — which must then be
@@ -531,17 +557,15 @@ func (s *scanner) profile(id *string, p *profile.Profile) {
 			s.fail("an empty value the encoder omits")
 		}
 	}
-	var place PlaceDoc
-	hasPlace := s.member(',', keyPlace)
-	if hasPlace {
+	if s.member(',', keyPlace) {
 		s.key('{', keyName)
-		s.str(&place.Name)
+		s.str(&p.Place)
 		s.key(',', keyLat)
-		s.float(&place.Lat)
+		s.float(&p.Loc.Lat)
 		s.key(',', keyLon)
-		s.float(&place.Lon)
+		s.float(&p.Loc.Lon)
 		if s.member(',', keyCountry) {
-			place.Country = string(s.label())
+			p.CountryCode = string(s.label())
 		}
 		s.expect('}')
 	}
@@ -552,7 +576,7 @@ func (s *scanner) profile(id *string, p *profile.Profile) {
 	s.integer(&p.DeclaredInDegree)
 	s.key(',', keyOutCircleCount)
 	s.integer(&p.DeclaredOutDegree)
-	// ToProfile's rule: a value counts only if its field is listed.
+	// A value counts only if its field is listed.
 	if !p.Public.Has(profile.AttrGender) {
 		p.Gender = profile.GenderUnknown
 	}
@@ -563,10 +587,7 @@ func (s *scanner) profile(id *string, p *profile.Profile) {
 		p.Occupation = profile.OccupationOther
 	}
 	if !p.Public.Has(profile.AttrPlacesLived) {
-		p.PlacesLived = nil
-	} else if hasPlace {
-		p.Place, p.CountryCode = place.Name, place.Country
-		p.Loc = geo.Point{Lat: place.Lat, Lon: place.Lon}
+		p.PlacesLived, p.Place, p.Loc, p.CountryCode = nil, "", geo.Point{}, ""
 	}
 }
 

@@ -10,14 +10,95 @@ import (
 	"testing"
 	"unicode/utf8"
 
+	"gplus/internal/geo"
 	"gplus/internal/profile"
 )
+
+// profileDoc and placeDoc are the profile document as encoding/json
+// writes and reads it, through its struct tags: the oracle the codec is
+// held to. docOf and (*profileDoc).profile are the two conversions
+// between it and the model that AppendProfile and DecodeProfile each
+// fuse with the codec.
+type profileDoc struct {
+	ID             string    `json:"id"`
+	Name           string    `json:"name"`
+	Fields         []string  `json:"fields"`
+	Gender         string    `json:"gender,omitempty"`
+	Relationship   string    `json:"relationship,omitempty"`
+	PlacesLived    []string  `json:"placesLived,omitempty"`
+	Place          *placeDoc `json:"place,omitempty"`
+	Occupation     string    `json:"occupation,omitempty"`
+	InCircleCount  int       `json:"inCircleCount"`
+	OutCircleCount int       `json:"outCircleCount"`
+}
+
+type placeDoc struct {
+	Name    string  `json:"name"`
+	Lat     float64 `json:"lat"`
+	Lon     float64 `json:"lon"`
+	Country string  `json:"country,omitempty"`
+}
+
+// docOf is the document of user id's profile p: its public view.
+func docOf(id string, p *profile.Profile) profileDoc {
+	d := profileDoc{ID: id, Name: p.Name, InCircleCount: p.DeclaredInDegree, OutCircleCount: p.DeclaredOutDegree}
+	if n := p.Public.Count(); n > 0 {
+		d.Fields = make([]string, 0, n)
+	}
+	for a := profile.Attr(0); a < profile.NumAttrs; a++ {
+		if p.Public.Has(a) {
+			d.Fields = append(d.Fields, a.WireCode())
+		}
+	}
+	if p.Public.Has(profile.AttrGender) && p.Gender != profile.GenderUnknown {
+		d.Gender = p.Gender.String()
+	}
+	if p.Public.Has(profile.AttrRelationship) && p.Relationship != profile.RelUnknown {
+		d.Relationship = p.Relationship.String()
+	}
+	if p.Public.Has(profile.AttrPlacesLived) {
+		d.PlacesLived = append([]string(nil), p.PlacesLived...)
+		d.Place = &placeDoc{Name: p.Place, Lat: p.Loc.Lat, Lon: p.Loc.Lon, Country: p.CountryCode}
+	}
+	if p.Public.Has(profile.AttrOccupation) {
+		d.Occupation = p.Occupation.Code()
+	}
+	return d
+}
+
+// profile is the model's reading of d: a value is taken only when d
+// also lists its field as public.
+func (d *profileDoc) profile() profile.Profile {
+	p := profile.Profile{Name: d.Name, DeclaredInDegree: d.InCircleCount, DeclaredOutDegree: d.OutCircleCount}
+	for _, code := range d.Fields {
+		if a, ok := profile.AttrFromWireCode(code); ok {
+			p.Public = p.Public.With(a)
+		}
+	}
+	if p.Public.Has(profile.AttrGender) {
+		p.Gender = profile.ParseGender(d.Gender)
+	}
+	if p.Public.Has(profile.AttrRelationship) {
+		p.Relationship = profile.ParseRelationship(d.Relationship)
+	}
+	if p.Public.Has(profile.AttrOccupation) {
+		p.Occupation = profile.ParseOccupation(d.Occupation)
+	}
+	if p.Public.Has(profile.AttrPlacesLived) {
+		p.PlacesLived = append([]string(nil), d.PlacesLived...)
+		if d.Place != nil {
+			p.Place, p.CountryCode = d.Place.Name, d.Place.Country
+			p.Loc = geo.Point{Lat: d.Place.Lat, Lon: d.Place.Lon}
+		}
+	}
+	return p
+}
 
 // flaggedDoc is the oracle's view of a container line: the profile
 // document plus one extra member, as internal/dataset's profiles.jsonl
 // has.
 type flaggedDoc struct {
-	ProfileDoc
+	profileDoc
 	Flag bool `json:"flag"`
 }
 
@@ -60,11 +141,11 @@ func checkDecoders(t *testing.T, data []byte) (accepted bool) {
 	var (
 		id   string
 		p    profile.Profile
-		want ProfileDoc
+		want profileDoc
 	)
 	if DecodeProfile(data, &id, &p, nil) == nil {
 		oracle("profile", &want)
-		if wantP := want.ToProfile(); id != want.ID || !reflect.DeepEqual(p, wantP) {
+		if wantP := want.profile(); id != want.ID || !reflect.DeepEqual(p, wantP) {
 			t.Fatalf("profile %q:\n  got %q %#v\n want %q %#v", data, id, p, want.ID, wantP)
 		}
 	}
@@ -75,34 +156,34 @@ func checkDecoders(t *testing.T, data []byte) (accepted bool) {
 	)
 	if DecodeProfile(data, &id, &p, flagHook(&flag)) == nil {
 		oracle("profile line", &wantLine)
-		if wantP := wantLine.ToProfile(); id != wantLine.ID || flag != wantLine.Flag || !reflect.DeepEqual(p, wantP) {
+		if wantP := wantLine.profile(); id != wantLine.ID || flag != wantLine.Flag || !reflect.DeepEqual(p, wantP) {
 			t.Fatalf("profile line %q:\n  got %q %v %#v\n want %q %v %#v", data, id, flag, p, wantLine.ID, wantLine.Flag, wantP)
 		}
 	}
 	return accepted
 }
 
-// checkEncoders holds the two encoders against json.Marshal on one
-// document each — the same bytes, or both fail — and the decoders to
-// accepting what they write: the documents, a container line, a gplusd
-// body. That needs valid UTF-8 strings: the encoder writes an invalid
-// byte as \ufffd, which reads back as a different string.
-func checkEncoders(t *testing.T, d *ProfileDoc, p *CirclePage) {
+// checkEncoders holds the two encoders against json.Marshal, each on
+// one document — user id's profile p as docOf sees it, and page — to
+// the same bytes, or both fail; and the decoders to accepting what they
+// write: the documents, a container line, a gplusd body. That needs
+// valid UTF-8 strings: the encoder writes an invalid byte as \ufffd,
+// which reads back as a different string. A profile of the model's own
+// values decodes back to one that AppendProfile writes as the same
+// bytes: the journal's fixed point.
+func checkEncoders(t *testing.T, id string, p *profile.Profile, page *CirclePage) {
 	t.Helper()
-	want, wantErr := json.Marshal(d)
-	got, gotErr := AppendProfileDoc(nil, d)
+	d := docOf(id, p)
+	want, wantErr := json.Marshal(&d)
+	got, gotErr := AppendProfile(nil, id, p)
 	if (wantErr == nil) != (gotErr == nil) {
-		t.Fatalf("ProfileDoc %#v: json error %v, codec error %v", d, wantErr, gotErr)
+		t.Fatalf("profile %q %#v: json error %v, codec error %v", id, p, wantErr, gotErr)
 	}
 	if wantErr == nil && !bytes.Equal(got, want) {
-		t.Fatalf("ProfileDoc %#v:\n  got %s\n want %s", d, got, want)
+		t.Fatalf("profile %q %#v:\n  got %s\n want %s", id, p, got, want)
 	}
-	strs := append(append([]string{d.ID, d.Name, d.Gender, d.Relationship, d.Occupation}, d.Fields...), d.PlacesLived...)
-	if d.Place != nil {
-		strs = append(strs, d.Place.Name, d.Place.Country)
-	}
-	if wantErr == nil && validUTF8(strs...) {
-		line, err := json.Marshal(flaggedDoc{ProfileDoc: *d, Flag: true})
+	if wantErr == nil && validUTF8(append([]string{id, p.Name, p.Place, p.CountryCode}, p.PlacesLived...)...) {
+		line, err := json.Marshal(flaggedDoc{profileDoc: d, Flag: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,19 +192,37 @@ func checkEncoders(t *testing.T, d *ProfileDoc, p *CirclePage) {
 				t.Fatalf("no decoder accepts the encoder's %q", doc)
 			}
 		}
+		var (
+			backID string
+			back   profile.Profile
+		)
+		if err := DecodeProfile(got, &backID, &back, nil); err != nil {
+			t.Fatal(err)
+		}
+		if again, err := AppendProfile(nil, backID, &back); known(p) && (err != nil || !bytes.Equal(again, got)) {
+			t.Fatalf("profile %q %#v: %s decodes to %#v, which re-encodes as %s (%v)", id, p, got, back, again, err)
+		}
 	}
 
-	want, err := json.Marshal(p)
+	want, err := json.Marshal(page)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = AppendCirclePage(nil, p)
+	got = AppendCirclePage(nil, page)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("CirclePage %#v:\n  got %s\n want %s", p, got, want)
+		t.Fatalf("CirclePage %#v:\n  got %s\n want %s", page, got, want)
 	}
-	if validUTF8(append([]string{p.NextPageToken}, p.IDs...)...) && !checkDecoders(t, append(got, '\n')) {
+	if validUTF8(append([]string{page.NextPageToken}, page.IDs...)...) && !checkDecoders(t, append(got, '\n')) {
 		t.Fatalf("no decoder accepts the encoder's %q", got)
 	}
+}
+
+// known reports whether p holds only values the model defines, as every
+// profile the pipeline writes does: no attribute bit past the last, no
+// label past the last of its kind.
+func known(p *profile.Profile) bool {
+	return p.Public < 1<<profile.NumAttrs && p.Gender <= profile.GenderOther &&
+		p.Relationship < profile.NumRelationships && p.Occupation < profile.NumOccupations
 }
 
 func validUTF8(strs ...string) bool {
@@ -292,46 +391,59 @@ func TestWireCodecAgreesWithEncodingJSON(t *testing.T) {
 
 	odd := []string{"", "plain", "<script>&amp;</script>", "line\u2028sep\u2029", "q\"b\\s/", "\x00\x01\b\f\n\r\t\x1f\x7f", "caf\u00e9", "\xff\xc3", "\xe2\x80", "\U0001F600", "\ufffd"}
 	floats := []float64{0, math.Copysign(0, -1), 1, -1.5, 1e-7, 1e-6, 9.99e-7, 1e20, 1e21, -1e21, 1.5e300, 5e-324, 123456789.125, math.NaN(), math.Inf(1), math.Inf(-1)}
+	// Nothing, everything, a bit past the attributes alone, and a mix.
+	publics := []profile.AttrSet{0, 1<<profile.NumAttrs - 1, 1 << 31, 1<<profile.AttrGender | 1<<profile.AttrOccupation | 1<<profile.AttrHomeContact}
 	for i, s := range odd {
 		for j, f := range floats {
-			d := &ProfileDoc{ID: s, Name: odd[(i+1)%len(odd)], Fields: odd[:i], Gender: s, Relationship: odd[(i+2)%len(odd)], Occupation: s, InCircleCount: i - 3, OutCircleCount: j << 40}
-			if j%2 == 0 {
-				d.PlacesLived = odd[i:]
-				d.Place = &PlaceDoc{Name: s, Lat: f, Lon: floats[(j+1)%len(floats)], Country: odd[(i+3)%len(odd)]}
+			p := &profile.Profile{
+				Name:   odd[(i+1)%len(odd)],
+				Public: publics[(i+j)%len(publics)],
+				Gender: profile.Gender(i % 5), Relationship: profile.Relationship(j % 12), Occupation: profile.Occupation((i + j) % 18),
+				Place: s, Loc: geo.Point{Lat: f, Lon: floats[(j+1)%len(floats)]}, CountryCode: odd[(i+3)%len(odd)],
+				DeclaredInDegree: i - 3, DeclaredOutDegree: j << 40,
 			}
-			checkEncoders(t, d, &CirclePage{IDs: d.Fields, NextPageToken: s})
+			if j%2 == 0 {
+				p.PlacesLived = odd[i:]
+				p.Public |= 1 << profile.AttrPlacesLived
+			}
+			checkEncoders(t, s, p, &CirclePage{IDs: odd[:i], NextPageToken: s})
 		}
 	}
-	checkEncoders(t, &ProfileDoc{Fields: []string{}, PlacesLived: []string{}, Place: &PlaceDoc{}}, &CirclePage{IDs: []string{}})
-	checkEncoders(t, &ProfileDoc{}, &CirclePage{})
+	checkEncoders(t, "", &profile.Profile{Public: 1 << profile.AttrPlacesLived, PlacesLived: []string{}}, &CirclePage{IDs: []string{}})
+	checkEncoders(t, "", &profile.Profile{}, &CirclePage{})
 }
 
 // FuzzWireCodec is the codec's contract: for arbitrary bytes, what a
 // decoder accepts json.Unmarshal reads as the same value, and
-// json.Marshal writes back as the same bytes; for arbitrary documents —
-// built from the fuzzed strings, and whatever json.Unmarshal makes of
-// the fuzzed bytes — the encoders and json.Marshal agree on every byte,
-// and the decoders accept what the encoders write.
+// json.Marshal writes back as the same bytes; for arbitrary profiles
+// and pages — built from the fuzzed strings, bits and labels, and from
+// whatever json.Unmarshal makes of the fuzzed bytes — the encoders and
+// json.Marshal of the oracle's document agree on every byte, and the
+// decoders accept what the encoders write.
 func FuzzWireCodec(f *testing.F) {
-	for _, seed := range append(canonicalSeeds, nonCanonicalSeeds...) {
-		f.Add([]byte(seed), "name", "<i>&", 1e-7, 1e21)
+	all := uint32(1<<profile.NumAttrs - 1)
+	for i, seed := range append(canonicalSeeds, nonCanonicalSeeds...) {
+		f.Add([]byte(seed), "name", "<i>&", 1e-7, 1e21, all>>(i%8), uint32(i)*0x9E3779B9)
 	}
-	f.Add([]byte(profileSeed), "line\u2028sep\u2029", "\xff\x00", math.Copysign(0, -1), math.Inf(1))
-	f.Fuzz(func(t *testing.T, data []byte, a, b string, lat, lon float64) {
+	f.Add([]byte(profileSeed), "line\u2028sep\u2029", "\xff\x00", math.Copysign(0, -1), math.Inf(1), ^uint32(0), ^uint32(0))
+	f.Fuzz(func(t *testing.T, data []byte, a, b string, lat, lon float64, public, labels uint32) {
 		checkDecoders(t, data)
 
-		d := &ProfileDoc{ID: a, Name: b, Fields: strings.Split(a, "e"), Gender: b, Relationship: a, PlacesLived: strings.Split(b, " "),
-			Place: &PlaceDoc{Name: a, Lat: lat, Lon: lon, Country: b}, Occupation: b, InCircleCount: len(data), OutCircleCount: -len(a)}
-		checkEncoders(t, d, &CirclePage{IDs: d.PlacesLived, NextPageToken: a})
+		p := &profile.Profile{Name: b, Public: profile.AttrSet(public),
+			Gender: profile.Gender(labels & 7), Relationship: profile.Relationship(labels >> 3 & 15), Occupation: profile.Occupation(labels >> 7 & 31),
+			PlacesLived: strings.Split(b, " "), Place: a, Loc: geo.Point{Lat: lat, Lon: lon}, CountryCode: b,
+			DeclaredInDegree: len(data), DeclaredOutDegree: -len(a)}
+		checkEncoders(t, a, p, &CirclePage{IDs: p.PlacesLived, NextPageToken: a})
 
 		// Documents of any shape json.Unmarshal builds from the bytes:
 		// nil and empty slices, no place, large counts. Its strings are
 		// valid UTF-8, so the decoders must take the encoders' output.
-		var doc ProfileDoc
+		var doc profileDoc
 		var page CirclePage
 		docErr, pageErr := json.Unmarshal(data, &doc), json.Unmarshal(data, &page)
 		if docErr == nil || pageErr == nil {
-			checkEncoders(t, &doc, &page)
+			back := doc.profile()
+			checkEncoders(t, doc.ID, &back, &page)
 		}
 	})
 }
@@ -377,14 +489,14 @@ func TestDecodeAllocs(t *testing.T) {
 	}); n > 7 {
 		t.Errorf("DecodeProfile: %v allocs per line, want <= 7", n)
 	}
+	// The whole model-to-bytes path of every writer.
 	buf := make([]byte, 0, 1024)
-	doc := FromProfile(id, &p)
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := AppendProfileDoc(buf, &doc); err != nil {
+		if _, err := AppendProfile(buf, id, &p); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("AppendProfileDoc: %v allocs per document, want 0", n)
+		t.Errorf("AppendProfile: %v allocs per document, want 0", n)
 	}
 }
 

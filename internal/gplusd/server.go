@@ -280,11 +280,10 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mProfile.Inc()
-	doc := gplusapi.FromProfile(s.content.IDs[node], &s.content.Profiles[node])
 	rb := renderPool.Get().(*renderBuf)
 	defer renderPool.Put(rb)
 	var err error
-	if rb.body, err = gplusapi.AppendProfileDoc(rb.body[:0], &doc); err != nil {
+	if rb.body, err = gplusapi.AppendProfile(rb.body[:0], s.content.IDs[node], &s.content.Profiles[node]); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}

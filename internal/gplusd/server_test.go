@@ -351,8 +351,9 @@ func TestServerString(t *testing.T) {
 
 // TestResponsesMatchEncodingJSON pins the two hot responses to the bytes
 // json.Encoder produced before the wire codec rendered them: a profile
-// with a place, and circle pages first, last,
-// empty and limited, headers included.
+// with a place (its document as gplusapi.AppendProfile writes it, which
+// gplusapi's FuzzWireCodec holds to json.Marshal), and circle pages
+// first, last, empty and limited, headers included.
 func TestResponsesMatchEncodingJSON(t *testing.T) {
 	u := serverUniverse(t)
 	withPlace := -1
@@ -391,10 +392,13 @@ func TestResponsesMatchEncodingJSON(t *testing.T) {
 		return p
 	}
 	srv := New(u, Options{PageSize: 25})
-	doc := gplusapi.FromProfile(u.IDs[withPlace], &u.Profiles[withPlace])
+	doc, err := gplusapi.AppendProfile(nil, u.IDs[withPlace], &u.Profiles[withPlace])
+	if err != nil {
+		t.Fatal(err)
+	}
 	in := u.Graph.In(hub)
 	want := map[string]string{
-		"/people/" + u.IDs[withPlace]:                                            encode(&doc),
+		"/people/" + u.IDs[withPlace]:                                            string(doc) + "\n",
 		"/people/" + u.IDs[hub] + "/circles/in":                                  encode(page(in, 0, 25)),
 		"/people/" + u.IDs[hub] + "/circles/in?limit=7":                          encode(page(in, 0, 7)),
 		"/people/" + u.IDs[hub] + "/circles/in?pageToken=25":                     encode(page(in, 25, 50)),
@@ -428,8 +432,7 @@ func TestResponsesMatchEncodingJSON(t *testing.T) {
 		if err := gplusapi.DecodeProfile(body, &docID, &p, nil); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		doc := gplusapi.FromProfile(docID, &p)
-		if again, err := gplusapi.AppendProfileDoc(nil, &doc); err != nil || string(again)+"\n" != string(body) {
+		if again, err := gplusapi.AppendProfile(nil, docID, &p); err != nil || string(again)+"\n" != string(body) {
 			t.Fatalf("%s: body %q re-renders as %q (%v)", id, body, again, err)
 		}
 	}

@@ -96,13 +96,8 @@ func FuzzTriads(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 1, 1, 0, 0, 2, 2, 0, 0, 3, 3, 0, 1, 2, 2, 1, 1, 3, 3, 1, 2, 3, 3, 2})
 	f.Add(uint8(18), skewedTriads())
 	f.Fuzz(func(t *testing.T, nodes uint8, edges []byte) {
-		n := int(nodes)%64 + 1
-		b := NewBuilder(n, len(edges)/2)
-		for ; len(edges) >= 2; edges = edges[2:] {
-			b.AddEdge(NodeID(int(edges[0])%n), NodeID(int(edges[1])%n))
-		}
-		b.EnsureNode(NodeID(n - 1))
-		g := b.Build()
+		g := byteGraph(nodes, edges)
+		n := g.NumNodes()
 		census := bruteMotifs(t, g)
 		total, perNode := bruteTriangles(g)
 		links := make([]int64, n)
@@ -120,6 +115,87 @@ func FuzzTriads(f *testing.F) {
 			if !reflect.DeepEqual(got.Links, links) {
 				t.Errorf("P=%d: Links %v, clusteringLinks %v", par, got.Links, links)
 			}
+		}
+	})
+}
+
+// byteGraph decodes a FuzzTriads or FuzzComponents input: a digraph on
+// nodes%64+1 nodes whose edges are byte pairs, each byte reduced mod n.
+func byteGraph(nodes uint8, edges []byte) *Graph {
+	n := int(nodes)%64 + 1
+	b := NewBuilder(n, len(edges)/2)
+	for ; len(edges) >= 2; edges = edges[2:] {
+		b.AddEdge(NodeID(int(edges[0])%n), NodeID(int(edges[1])%n))
+	}
+	b.EnsureNode(NodeID(n - 1))
+	return b.Build()
+}
+
+// FuzzComponents holds the connectivity kernels against brute force on
+// FuzzTriads' graphs: WCC against undirected BFSDistances reachability,
+// component labels in order of first appearance and Sizes included;
+// SCC against sccRefCheck's mutual reachability, with the same
+// labelling; ReciprocalCounts against a HasArc count per out-edge. WCC
+// and ReciprocalCounts run at P = 1, 2, 3 and 8; SCC takes no
+// parallelism and runs once.
+func FuzzComponents(f *testing.F) {
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(5), []byte{0, 1, 1, 0, 2, 3, 4, 4})
+	f.Add(uint8(7), []byte{0, 1, 1, 2, 2, 0, 2, 3, 4, 5, 5, 4, 6, 5})
+	f.Add(uint8(18), skewedTriads())
+	f.Fuzz(func(t *testing.T, nodes uint8, edges []byte) {
+		g := byteGraph(nodes, edges)
+		n := g.NumNodes()
+		comp := make([]int32, n)
+		for u := range comp {
+			comp[u] = -1
+		}
+		var sizes []int32
+		var dist []int32
+		for u := range comp {
+			if comp[u] >= 0 {
+				continue
+			}
+			dist = BFSDistances(g, NodeID(u), Undirected, dist)
+			sizes = append(sizes, 0)
+			for v, d := range dist {
+				if d >= 0 {
+					comp[v] = int32(len(sizes) - 1)
+					sizes[len(sizes)-1]++
+				}
+			}
+		}
+		recip := make([]int, n)
+		for u := range recip {
+			for _, v := range g.Out(NodeID(u)) {
+				if HasArc(g, v, NodeID(u)) {
+					recip[u]++
+				}
+			}
+		}
+		for _, par := range []int{1, 2, 3, 8} {
+			if got := WCC(g, par); !reflect.DeepEqual(got.Comp, comp) || !reflect.DeepEqual(got.Sizes, sizes) || got.Count != len(sizes) {
+				t.Errorf("P=%d: WCC %v sizes %v count %d, reachability %v sizes %v", par, got.Comp, got.Sizes, got.Count, comp, sizes)
+			}
+			if got := ReciprocalCounts(g, par); !reflect.DeepEqual(got, recip) {
+				t.Errorf("P=%d: ReciprocalCounts %v, HasArc count %v", par, got, recip)
+			}
+		}
+		scc := SCC(g)
+		if !sccRefCheck(g, scc) {
+			t.Errorf("SCC %v is not the mutual-reachability partition", scc.Comp)
+		}
+		var sccSizes []int32
+		for u, c := range scc.Comp {
+			if int(c) == len(sccSizes) {
+				sccSizes = append(sccSizes, 0)
+			} else if int(c) > len(sccSizes) || c < 0 {
+				t.Fatalf("SCC labels %v: node %d opens component %d out of first-appearance order", scc.Comp, u, c)
+			}
+			sccSizes[c]++
+		}
+		if !reflect.DeepEqual(scc.Sizes, sccSizes) || scc.Count != len(sccSizes) {
+			t.Errorf("SCC sizes %v count %d, labels give %v", scc.Sizes, scc.Count, sccSizes)
 		}
 	})
 }
