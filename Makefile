@@ -18,7 +18,7 @@ all: build vet test race
 # covers the sharded rate limiter, the batched crawl frontier and the
 # study's concurrent, memoised structure stages with the packages that
 # drive them (paper, report, gplusanalyze), the
-# short fuzz leg shakes the checkpoint/journal parser, the series.jsonl tick decoder, the wire codec (canonical form in, encoding/json as the oracle, round-trip identity), the graph.v2 reader, the segment reader, the triad pass, the edge sort and the CDF sort, the hygiene leg
+# short fuzz leg shakes the checkpoint/journal parser, the series.jsonl tick decoder, the wire codec (canonical form in, encoding/json as the oracle, round-trip identity), the graph.v2 reader, the segment reader, the triad pass, the connectivity kernels, the edge sort and the CDF sort, the hygiene leg
 # gates the metric exposition and its label vocabulary, the
 # one-durable-writer rule, the every-flag-has-a-recipe rule and the
 # every-package- and every-exported-symbol-reaches-the-pipeline rules and
@@ -40,6 +40,7 @@ help:
 	@echo "make prof-demo      brownout crawl -> profile ring -> go tool pprof: CPU by label + steady-vs-page diff"
 	@echo "make paperscale     10M-node/200M-edge out-of-core acceptance run (slow; logs stage timings and peak RSS)"
 	@echo "make ablations      design-choice ablations, seed sensitivity and the lost-edge crawl"
+	@echo "make fuzz-short     10 s fuzz of the wire codec, the journal, series.jsonl, graph.v2 and segment readers, Compact, the triad pass, the multi-source BFS, the connectivity kernels (WCC, SCC, reciprocity), the edge sort and the CDF sort"
 	@echo "make fuzz           long fuzz of every parser (wire codec, series names and the series.jsonl tick decoder included), the client's request URLs, the multi-source BFS, the triad pass, the connectivity kernels (WCC, SCC, reciprocity), the edge sort, the segment compaction, the segment reader and the CDF sort (30s each)"
 	@echo "make verify         generate a dataset and audit it against the paper at two analysis seeds"
 	@echo "make experiments    regenerate the measured half of EXPERIMENTS.md from a fresh dataset"
@@ -221,7 +222,9 @@ fuzz:
 # compact to a graph Open verifies), the triad
 # pass is the one kernel three figures share, the multi-source BFS is
 # the one kernel behind Figure 5 and both diameter bounds (held lane by
-# lane to the single-source BFS, in both step kinds), the radix edge
+# lane to the single-source BFS, in both step kinds), the connectivity
+# kernels (WCC, SCC, reciprocity) are held to brute-force reachability
+# and arc counts, the radix edge
 # sort is the one order every compaction and Builder graph
 # rests on, and the same kernel under sortedCopy orders every CDF and
 # CCDF (held to sort.Float64s as its oracle).
@@ -234,6 +237,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz=FuzzSegment -fuzztime=10s ./internal/graph/diskcsr/
 	$(GO) test -run '^$$' -fuzz=FuzzTriads -fuzztime=10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz=FuzzMultiSourceBFS -fuzztime=10s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz=FuzzComponents -fuzztime=10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz=FuzzSortEdges -fuzztime=10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz=FuzzSortedCopy -fuzztime=10s ./internal/stats/
 

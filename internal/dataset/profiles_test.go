@@ -170,13 +170,14 @@ func TestProfileColumnMatchesEncodingJSON(t *testing.T) {
 	columns["3 MiB"] = bytes.Repeat(columns["golden"], 3*profileChunk/len(columns["golden"])+1)
 	columns["no final newline"] = bytes.TrimSuffix(columns["golden"], []byte("\n"))
 	// Canonical lines, as the writer writes them, holding what strings
-	// and values can hold: escapes, runes, unlisted values, empty arrays.
+	// and values can hold: escapes, runes, every valued field listed,
+	// listed fields left without a value, extreme counts.
 	columns["hostile"] = []byte(strings.Join([]string{
 		`{"id":"a","name":"\u003cb\u003e\u0026amp;\u003c/b\u003e \u2028\u2029 ` + "caf\u00e9 \U0001F600 \ufffd" + `","fields":["name","places_lived"],"placesLived":["x\ty","\"q\""],"place":{"name":"\"q\"","lat":1e-7,"lon":-1e+21},"inCircleCount":3,"outCircleCount":4,"crawled":true}`,
-		`{"id":"b","name":"","fields":["gender"],"gender":"Female","relationship":"Single","placesLived":["p"],"place":{"name":"p","lat":1,"lon":2,"country":"BR"},"occupation":"IT","inCircleCount":0,"outCircleCount":0,"crawled":false}`,
-		`{"id":"c","name":"n","fields":["places_lived","hovercraft"],"placesLived":["p","q"],"inCircleCount":-1,"outCircleCount":9223372036854775807,"crawled":false}`,
+		`{"id":"b","name":"","fields":["gender","places_lived","occupation","relationship"],"gender":"Female","relationship":"Single","placesLived":["p"],"place":{"name":"p","lat":1,"lon":2,"country":"BR"},"occupation":"IT","inCircleCount":0,"outCircleCount":0,"crawled":false}`,
+		`{"id":"c","name":"n","fields":["gender","places_lived","relationship"],"placesLived":["p","q"],"place":{"name":"q","lat":0,"lon":0},"inCircleCount":-1,"outCircleCount":9223372036854775807,"crawled":false}`,
 		`{"id":"d","name":"ctl \u0000\u001f\b\f\n\r","fields":null,"inCircleCount":0,"outCircleCount":0,"crawled":true}`,
-		`{"id":"e","name":"","fields":[],"inCircleCount":0,"outCircleCount":0,"crawled":true}`,
+		`{"id":"e","name":"","fields":["name","work_contact","home_contact"],"inCircleCount":0,"outCircleCount":0,"crawled":true}`,
 	}, "\n") + "\n")
 
 	for name, raw := range columns {

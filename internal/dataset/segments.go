@@ -34,9 +34,11 @@ type SegmentSink struct {
 	names []string
 }
 
-// NewSegmentSink creates a sink writing segments of up to bufferEdges
-// edges (0 = diskcsr.DefaultSegmentEdges) under dir, which must not
-// already contain segments. met may be nil.
+// NewSegmentSink creates a sink streaming edges into segments of up to
+// bufferEdges edges each (0 = diskcsr.DefaultSegmentEdges) under dir,
+// which must not already contain segments. bufferEdges sets only the
+// segment size: the Writer holds its fixed pool of 64 KiB chunks
+// whatever it is. met may be nil.
 func NewSegmentSink(dir string, bufferEdges int, met *diskcsr.Metrics) (*SegmentSink, error) {
 	if segs, err := diskcsr.ListSegments(dir); err != nil {
 		return nil, err

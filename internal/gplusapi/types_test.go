@@ -3,6 +3,7 @@ package gplusapi
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gplus/internal/geo"
@@ -101,20 +102,21 @@ func TestFromProfileFieldCodes(t *testing.T) {
 	}
 }
 
-func TestToProfileUnknownCodesIgnored(t *testing.T) {
-	data := []byte(`{"id":"x","name":"n","fields":["name","hovercraft","gender"],"gender":"Blorp","inCircleCount":0,"outCircleCount":0}`)
-	var (
-		id string
-		p  profile.Profile
-	)
-	if err := DecodeProfile(data, &id, &p, nil); err != nil {
-		t.Fatal(err)
-	}
-	if p.Public.Count() != 2 {
-		t.Errorf("public count = %d, want 2", p.Public.Count())
-	}
-	if p.Gender != profile.GenderUnknown {
-		t.Errorf("unknown gender label parsed to %v", p.Gender)
+// TestDecodeProfileRejectsUnknownCodes: an unknown field code or label
+// would not re-encode to itself, so the decoder refuses it, naming the
+// byte offset, rather than dropping it.
+func TestDecodeProfileRejectsUnknownCodes(t *testing.T) {
+	for doc, want := range map[string]string{
+		`{"id":"x","name":"n","fields":["name","hovercraft","gender"],"inCircleCount":0,"outCircleCount":0}`:     "at byte 38: a field code the encoder does not write",
+		`{"id":"x","name":"n","fields":["name","gender"],"gender":"Blorp","inCircleCount":0,"outCircleCount":0}`: "at byte 57: a gender label the encoder does not write",
+	} {
+		var (
+			id string
+			p  profile.Profile
+		)
+		if err := DecodeProfile([]byte(doc), &id, &p, nil); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want %q", doc, err, want)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"unicode/utf8"
 
-	"gplus/internal/geo"
 	"gplus/internal/profile"
 )
 
@@ -34,8 +33,10 @@ import (
 //   - no white space;
 //   - members in encoding order, each at most once, an optional member
 //     present only with a non-empty value;
-//   - null only as the fields of a profile whose public set is empty,
-//     or the ids of a nil page;
+//   - null only as the fields of a profile whose public set names no
+//     field, or the ids of a nil page;
+//   - each field code known, listed once, in attribute order, and a
+//     value only for a listed field, with a label the encoder writes;
 //   - only the escapes the encoder writes, and valid UTF-8;
 //   - numbers as the encoder formats them;
 //   - at most one newline after the document (gplusd ends a body so).
@@ -44,10 +45,10 @@ import (
 // oracle on what is accepted: json.Unmarshal accepts every accepted
 // document, and json.Marshal writes what it read back as the same
 // bytes; DecodeProfile yields the profile the document shows, and
-// AppendProfile of it is the document again for every document the
-// pipeline writes. On a rejected input the destination is left in an
-// unspecified state. FuzzWireCodec holds all of it, against a
-// test-local struct carrying the documents' JSON tags.
+// AppendProfile of it, like AppendCirclePage of a decoded page, is the
+// document again byte for byte. On a rejected input the destination is
+// left in an unspecified state. FuzzWireCodec holds all of it, against
+// a test-local struct carrying the documents' JSON tags.
 
 // Member names of the documents, in encoding order (a place's name is
 // keyName). The encoders and decoders spell keys through these, so a
@@ -73,19 +74,19 @@ const (
 // ---- encoding ----
 
 // AppendProfile appends to dst the profile document of user id: the
-// public view of p. A field's value is written only when the field is
-// public — gender and relationship also only when known, places lived
-// only when not empty — and the geocoded place whenever places lived is
-// public. It fails only on a place coordinate that is NaN or infinite.
+// public view of p. The fields are null when no attribute is public. A
+// field's value is written only when the field is public — gender and
+// relationship also only when known, places lived only when not empty —
+// and the geocoded place whenever places lived is public. It fails only
+// on a place coordinate that is NaN or infinite.
 func AppendProfile(dst []byte, id string, p *profile.Profile) ([]byte, error) {
 	pub := p.Public
 	dst = appendString(appendKey(dst, '{', keyID), id)
 	dst = appendString(appendKey(dst, ',', keyName), p.Name)
 	dst = appendKey(dst, ',', keyFields)
-	if pub == 0 {
+	if pub&(1<<profile.NumAttrs-1) == 0 {
 		dst = append(dst, "null"...)
 	} else {
-		// A set holding only bits past the attributes is an empty list.
 		dst = append(dst, '[')
 		for a := profile.Attr(0); a < profile.NumAttrs; a++ {
 			if pub.Has(a) {
@@ -268,10 +269,11 @@ func DecodeCirclePage(data []byte, p *CirclePage) error {
 
 // DecodeProfile decodes one canonical profile document straight into
 // the analysis model, overwriting *id and *p: field codes become AttrSet
-// bits and labels enums as they are scanned, and a value counts only if
-// its field is listed, so an inconsistent document degrades to the
-// private view rather than leaking the value. Nothing in *id or *p
-// aliases data.
+// bits and labels enums as they are scanned. A document AppendProfile
+// would not write back byte for byte — an unknown, repeated or
+// misordered field code, an empty field list, a value whose field is
+// not listed, a label outside the model, a listed occupation or place
+// without its member — is rejected. Nothing in *id or *p aliases data.
 //
 // extra, when non-nil, is a container format's one member after the
 // document's own — the dataset's "crawled" flag — which must then be
@@ -298,9 +300,12 @@ type scanner struct {
 	scratch []byte // unquoting space of the slow string path
 }
 
-func (s *scanner) fail(format string, args ...any) {
+func (s *scanner) fail(format string, args ...any) { s.failAt(s.pos, format, args...) }
+
+// failAt is fail for a value that started at offset pos.
+func (s *scanner) failAt(pos int, format string, args ...any) {
 	if s.err == nil {
-		s.err = fmt.Errorf("gplusapi: invalid document at byte %d: %s", s.pos, fmt.Sprintf(format, args...))
+		s.err = fmt.Errorf("gplusapi: invalid document at byte %d: %s", pos, fmt.Sprintf(format, args...))
 	}
 }
 
@@ -541,23 +546,41 @@ func (s *scanner) profile(id *string, p *profile.Profile) {
 	s.key(',', keyFields)
 	if !s.null() {
 		s.array(func() {
-			if a, ok := profile.AttrFromWireCode(string(s.stringBytes())); ok {
-				p.Public = p.Public.With(a)
+			start := s.pos
+			a, ok := profile.AttrFromWireCode(string(s.stringBytes()))
+			switch {
+			case !ok:
+				s.failAt(start, "a field code the encoder does not write")
+			case p.Public>>a != 0:
+				s.failAt(start, "a field code repeated or out of attribute order")
 			}
+			p.Public = p.Public.With(a)
 		})
+		if p.Public == 0 {
+			s.fail("an empty field list, which the encoder writes as null")
+		}
 	}
 	if s.member(',', keyGender) {
+		start := s.pos
 		p.Gender = profile.ParseGender(string(s.label()))
+		s.listed(start, p.Public, profile.AttrGender, p.Gender != profile.GenderUnknown)
 	}
 	if s.member(',', keyRelationship) {
+		start := s.pos
 		p.Relationship = profile.ParseRelationship(string(s.label()))
+		s.listed(start, p.Public, profile.AttrRelationship, p.Relationship != profile.RelUnknown)
 	}
 	if s.member(',', keyPlacesLived) {
+		start := s.pos
 		if s.strs(&p.PlacesLived); len(p.PlacesLived) == 0 {
 			s.fail("an empty value the encoder omits")
 		}
+		s.listed(start, p.Public, profile.AttrPlacesLived, true)
 	}
-	if s.member(',', keyPlace) {
+	if !s.member(',', keyPlace) {
+		s.listedWithout(p.Public, profile.AttrPlacesLived, keyPlace)
+	} else {
+		s.listed(s.pos, p.Public, profile.AttrPlacesLived, true)
 		s.key('{', keyName)
 		s.str(&p.Place)
 		s.key(',', keyLat)
@@ -569,25 +592,37 @@ func (s *scanner) profile(id *string, p *profile.Profile) {
 		}
 		s.expect('}')
 	}
-	if s.member(',', keyOccupation) {
-		p.Occupation = profile.ParseOccupation(string(s.label()))
+	if !s.member(',', keyOccupation) {
+		s.listedWithout(p.Public, profile.AttrOccupation, keyOccupation)
+	} else {
+		start := s.pos
+		code := s.label()
+		p.Occupation = profile.ParseOccupation(string(code))
+		s.listed(start, p.Public, profile.AttrOccupation, p.Occupation.Code() == string(code))
 	}
 	s.key(',', keyInCircleCount)
 	s.integer(&p.DeclaredInDegree)
 	s.key(',', keyOutCircleCount)
 	s.integer(&p.DeclaredOutDegree)
-	// A value counts only if its field is listed.
-	if !p.Public.Has(profile.AttrGender) {
-		p.Gender = profile.GenderUnknown
+}
+
+// listed checks the value of field a read from offset start: the
+// encoder writes it only when pub lists a, and only a label the model
+// knows.
+func (s *scanner) listed(start int, pub profile.AttrSet, a profile.Attr, known bool) {
+	switch {
+	case !pub.Has(a):
+		s.failAt(start, "a %s value whose field is not listed", a.WireCode())
+	case !known:
+		s.failAt(start, "a %s label the encoder does not write", a.WireCode())
 	}
-	if !p.Public.Has(profile.AttrRelationship) {
-		p.Relationship = profile.RelUnknown
-	}
-	if !p.Public.Has(profile.AttrOccupation) {
-		p.Occupation = profile.OccupationOther
-	}
-	if !p.Public.Has(profile.AttrPlacesLived) {
-		p.PlacesLived, p.Place, p.Loc, p.CountryCode = nil, "", geo.Point{}, ""
+}
+
+// listedWithout fails if pub lists a, whose member key the encoder
+// always writes then, and the member is missing.
+func (s *scanner) listedWithout(pub profile.AttrSet, a profile.Attr, key string) {
+	if pub.Has(a) {
+		s.fail("a listed %s without the %q member", a.WireCode(), key)
 	}
 }
 

@@ -42,9 +42,6 @@ type placeDoc struct {
 // docOf is the document of user id's profile p: its public view.
 func docOf(id string, p *profile.Profile) profileDoc {
 	d := profileDoc{ID: id, Name: p.Name, InCircleCount: p.DeclaredInDegree, OutCircleCount: p.DeclaredOutDegree}
-	if n := p.Public.Count(); n > 0 {
-		d.Fields = make([]string, 0, n)
-	}
 	for a := profile.Attr(0); a < profile.NumAttrs; a++ {
 		if p.Public.Has(a) {
 			d.Fields = append(d.Fields, a.WireCode())
@@ -116,19 +113,27 @@ func flagHook(flag *bool) func(key, value []byte) error {
 
 // checkDecoders holds each decoder to the contract on one input: what
 // it accepts, json.Unmarshal accepts too and reads as the same value,
-// and json.Marshal of that value is the input again, less gplusd's
-// newline. It reports whether any decoder accepted.
+// and both json.Marshal of that value and the codec's own encoder of
+// what the decoder read are the input again, less gplusd's newline. It
+// reports whether any decoder accepted.
 func checkDecoders(t *testing.T, data []byte) (accepted bool) {
 	t.Helper()
+	doc := bytes.TrimSuffix(data, []byte("\n"))
 	oracle := func(what string, v any) {
 		t.Helper()
 		if err := json.Unmarshal(data, v); err != nil {
 			t.Fatalf("%s %q: accepted, but json.Unmarshal says %v", what, data, err)
 		}
-		if enc, err := json.Marshal(v); err != nil || !bytes.Equal(enc, bytes.TrimSuffix(data, []byte("\n"))) {
+		if enc, err := json.Marshal(v); err != nil || !bytes.Equal(enc, doc) {
 			t.Fatalf("%s %q: accepted, but json.Marshal re-encodes it as %s (%v)", what, data, enc, err)
 		}
 		accepted = true
+	}
+	reencodes := func(what string, enc []byte, err error) {
+		t.Helper()
+		if err != nil || !bytes.Equal(enc, doc) {
+			t.Fatalf("%s %q: accepted, but the encoder writes what it read as %s (%v)", what, data, enc, err)
+		}
 	}
 
 	var page, wantPage CirclePage
@@ -136,6 +141,7 @@ func checkDecoders(t *testing.T, data []byte) (accepted bool) {
 		if oracle("CirclePage", &wantPage); !reflect.DeepEqual(page, wantPage) {
 			t.Fatalf("CirclePage %q:\n  got %#v\n want %#v", data, page, wantPage)
 		}
+		reencodes("CirclePage", AppendCirclePage(nil, &page), nil)
 	}
 
 	var (
@@ -148,6 +154,8 @@ func checkDecoders(t *testing.T, data []byte) (accepted bool) {
 		if wantP := want.profile(); id != want.ID || !reflect.DeepEqual(p, wantP) {
 			t.Fatalf("profile %q:\n  got %q %#v\n want %q %#v", data, id, p, want.ID, wantP)
 		}
+		enc, err := AppendProfile(nil, id, &p)
+		reencodes("profile", enc, err)
 	}
 
 	var (
@@ -159,6 +167,11 @@ func checkDecoders(t *testing.T, data []byte) (accepted bool) {
 		if wantP := wantLine.profile(); id != wantLine.ID || flag != wantLine.Flag || !reflect.DeepEqual(p, wantP) {
 			t.Fatalf("profile line %q:\n  got %q %v %#v\n want %q %v %#v", data, id, flag, p, wantLine.ID, wantLine.Flag, wantP)
 		}
+		enc, err := AppendProfile(nil, id, &p)
+		if err == nil {
+			enc = fmt.Appendf(enc[:len(enc)-1], `,"flag":%t}`, flag)
+		}
+		reencodes("profile line", enc, err)
 	}
 	return accepted
 }
@@ -168,9 +181,9 @@ func checkDecoders(t *testing.T, data []byte) (accepted bool) {
 // the same bytes, or both fail; and the decoders to accepting what they
 // write: the documents, a container line, a gplusd body. That needs
 // valid UTF-8 strings: the encoder writes an invalid byte as \ufffd,
-// which reads back as a different string. A profile of the model's own
-// values decodes back to one that AppendProfile writes as the same
-// bytes: the journal's fixed point.
+// which reads back as a different string. It needs a profile of the
+// model's own values too: a label past the last of its kind is written
+// as one the decoder rejects, since it would not read back as itself.
 func checkEncoders(t *testing.T, id string, p *profile.Profile, page *CirclePage) {
 	t.Helper()
 	d := docOf(id, p)
@@ -188,19 +201,9 @@ func checkEncoders(t *testing.T, id string, p *profile.Profile, page *CirclePage
 			t.Fatal(err)
 		}
 		for _, doc := range [][]byte{got, append(got, '\n'), line} {
-			if !checkDecoders(t, doc) {
+			if !checkDecoders(t, doc) && known(p) {
 				t.Fatalf("no decoder accepts the encoder's %q", doc)
 			}
-		}
-		var (
-			backID string
-			back   profile.Profile
-		)
-		if err := DecodeProfile(got, &backID, &back, nil); err != nil {
-			t.Fatal(err)
-		}
-		if again, err := AppendProfile(nil, backID, &back); known(p) && (err != nil || !bytes.Equal(again, got)) {
-			t.Fatalf("profile %q %#v: %s decodes to %#v, which re-encodes as %s (%v)", id, p, got, back, again, err)
 		}
 	}
 
@@ -245,14 +248,13 @@ var canonicalSeeds = []string{
 	`{"ids":["1","2","3"],"nextPageToken":"1000"}`, `{"ids":[]}`, `{"ids":null}`, `{"ids":[]}` + "\n", `{"ids":["a]","b,c,d",""]}`,
 	`{"ids":["x"],"nextPageToken":"\u003c\u0026\u003e"}`,
 	`{"id":"","name":"","fields":null,"inCircleCount":0,"outCircleCount":0}`,
-	`{"id":"1","name":"n","fields":[],"inCircleCount":-7,"outCircleCount":9223372036854775807}`,
+	`{"id":"1","name":"n","fields":["name"],"inCircleCount":-7,"outCircleCount":9223372036854775807}`,
 	`{"id":"1","name":"n","fields":null,"inCircleCount":-9223372036854775808,"outCircleCount":123456789}`,
 	// every escape the encoder writes, and what it writes verbatim
 	`{"id":"tab\there","name":"q\"b\\s/\b\f\n\r\u0000\u0001\u001f\u003chtml\u003e\u0026","fields":null,"inCircleCount":0,"outCircleCount":0}`,
-	"{\"id\":\"caf\u00e9 \U0001F600 \ufffd \x7f\",\"name\":\"\\u2028\\u2029\",\"fields\":[\"\u00e9\"],\"inCircleCount\":1,\"outCircleCount\":2}",
-	// values present but not listed as public, unknown codes and labels, a code listed twice
-	`{"id":"a","name":"b","fields":["name"],"gender":"Male","relationship":"Single","placesLived":["x"],"place":{"name":"x","lat":0,"lon":0},"occupation":"IT","inCircleCount":0,"outCircleCount":0}`,
-	`{"id":"a","name":"b","fields":["hovercraft","gender","gender"],"gender":"Blorp","occupation":"zz","inCircleCount":0,"outCircleCount":0}`,
+	"{\"id\":\"caf\u00e9 \U0001F600 \ufffd \x7f\",\"name\":\"\\u2028\\u2029\",\"fields\":null,\"inCircleCount\":1,\"outCircleCount\":2}",
+	// every field listed, a listed gender and relationship left unknown
+	`{"id":"a","name":"b","fields":["name","gender","education","places_lived","employment","phrase","other_profiles","occupation","contributor_to","introduction","other_names","relationship","bragging_rights","recommended_links","looking_for","work_contact","home_contact"],"place":{"name":"","lat":0,"lon":0},"occupation":"--","inCircleCount":0,"outCircleCount":0}`,
 	// places: no country, an empty entry, floats in every form appendFloat writes
 	`{"id":"p","name":"","fields":["places_lived"],"placesLived":[""],"place":{"name":"","lat":-0,"lon":5e-324},"inCircleCount":0,"outCircleCount":0}`,
 	`{"id":"p","name":"","fields":["places_lived"],"place":{"name":"n","lat":1e-7,"lon":-1e+21,"country":"BR"},"inCircleCount":0,"outCircleCount":0}`,
@@ -260,7 +262,7 @@ var canonicalSeeds = []string{
 }
 
 // profileSeed is a canonical profile document with every member.
-const profileSeed = `{"id":"1","name":"n","fields":["name","gender","places_lived","relationship","occupation"],"gender":"Female","relationship":"It's complicated","placesLived":["A","B"],"place":{"name":"B","lat":-33.776047103969695,"lon":-70.57200261450315,"country":"XX"},"occupation":"Bl","inCircleCount":21,"outCircleCount":30}`
+const profileSeed = `{"id":"1","name":"n","fields":["name","gender","places_lived","occupation","relationship"],"gender":"Female","relationship":"It's complicated","placesLived":["A","B"],"place":{"name":"B","lat":-33.776047103969695,"lon":-70.57200261450315,"country":"XX"},"occupation":"Bl","inCircleCount":21,"outCircleCount":30}`
 
 // nonCanonicalSeeds are inputs the decoders must reject: JSON that
 // encoding/json reads but no encoder writes, and what is not JSON.
@@ -317,6 +319,31 @@ var nonCanonicalSeeds = append([]string{
 	strings.Replace(profileSeed, `"name":"n"`, "\"name\":\"\xff\"", 1),
 	strings.Replace(profileSeed, `"name":"n"`, "\"name\":\"\xe2\x80\"", 1),
 	strings.Replace(profileSeed, `"name":"n"`, "\"name\":\"\xed\xa0\x80\"", 1),
+	// fields and values AppendProfile would not write back
+	`{"id":"1","name":"n","fields":[],"inCircleCount":-7,"outCircleCount":9223372036854775807}`,
+	strings.Replace(profileSeed, `["name","gender",`, `["zzz","name","gender",`, 1),
+	strings.Replace(profileSeed, `"places_lived","occupation","relationship"]`, `"places_lived","occupation","relationship","zzz"]`, 1),
+	strings.Replace(profileSeed, `"occupation","relationship"]`, `"relationship","occupation"]`, 1),
+	strings.Replace(profileSeed, `["name","gender",`, `["name","gender","gender",`, 1),
+	`{"id":"1","name":"n","fields":["occupation","gender"],"inCircleCount":0,"outCircleCount":0}`,
+	`{"id":"1","name":"n","fields":["gender","gender"],"inCircleCount":0,"outCircleCount":0}`,
+	`{"id":"1","name":"n","fields":["zzz"],"inCircleCount":0,"outCircleCount":0}`,
+	"{\"id\":\"1\",\"name\":\"n\",\"fields\":[\"\u00e9\"],\"inCircleCount\":1,\"outCircleCount\":2}",
+	strings.Replace(profileSeed, `,"occupation":"Bl"`, ``, 1),
+	strings.Replace(profileSeed, `"occupation":"Bl"`, `"occupation":"zz"`, 1),
+	strings.Replace(profileSeed, `"occupation":"Bl"`, `"occupation":"bl"`, 1),
+	strings.Replace(profileSeed, `"occupation",`, ``, 1),
+	`{"id":"1","name":"n","fields":null,"gender":"male","inCircleCount":0,"outCircleCount":0}`,
+	`{"id":"1","name":"n","fields":null,"gender":"Male","inCircleCount":0,"outCircleCount":0}`,
+	`{"id":"1","name":"n","fields":["name"],"relationship":"Single","inCircleCount":0,"outCircleCount":0}`,
+	`{"id":"1","name":"n","fields":["name"],"placesLived":["x"],"place":{"name":"x","lat":0,"lon":0},"inCircleCount":0,"outCircleCount":0}`,
+	`{"id":"1","name":"n","fields":["name"],"place":{"name":"x","lat":0,"lon":0},"inCircleCount":0,"outCircleCount":0}`,
+	`{"id":"1","name":"n","fields":["places_lived"],"placesLived":["x"],"inCircleCount":0,"outCircleCount":0}`,
+	`{"id":"1","name":"n","fields":["name"],"occupation":"IT","inCircleCount":0,"outCircleCount":0}`,
+	strings.Replace(profileSeed, `"gender":"Female"`, `"gender":"unknown"`, 1),
+	strings.Replace(profileSeed, `"gender":"Female"`, `"gender":"Unknown"`, 1),
+	strings.Replace(profileSeed, `"gender":"Female"`, `"gender":"Blorp"`, 1),
+	strings.Replace(profileSeed, `"relationship":"It's complicated"`, `"relationship":"Unknown"`, 1),
 	profileSeed + "\n\n", profileSeed + "\r\n", profileSeed + " ", profileSeed[:len(profileSeed)-1], profileSeed[:len(profileSeed)/2],
 	`{"ids":[],"ids":[]}`, `{"Ids":[]}`, `{"ids":[] }`, `{"ids": []}`, `{"ids":[null]}`, `{"ids":[],"nextPageToken":""}`,
 	`{"ids":[],"nextPageToken":null}`, `{"nextPageToken":"1","ids":[]}`, `{"ids":[],"x":1}`, `{"nextPageToken":"1"}`,

@@ -13,7 +13,9 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gplus/internal/durable"
 	"gplus/internal/graph"
@@ -887,61 +889,297 @@ func TestWriterFailedFlushIsFinal(t *testing.T) {
 			t.Fatalf("compacted %d edges, the published segments hold %d", stats.Edges, len(want))
 		}
 	})
+
+	// Segment k fails while Add waits on an empty chunk pool: segment
+	// k+1 spans more chunks than the pool holds, and its goroutine stalls
+	// on its placeholder header, every chunk queued to it, until segment
+	// k has failed at step. At step "write" segment k+1 fails that write
+	// itself instead, so its goroutine must drain the queued chunks for
+	// Add to go on.
+	for _, step := range []string{"written", "synced", "renamed", "write"} {
+		t.Run("stream/"+step, func(t *testing.T) {
+			testStreamFailure(t, step)
+		})
+	}
 }
 
-// edgeBuffers adds edges edges to w, flushes it, and returns how many
-// distinct edge buffers Add filled: every edge buffer the Writer
-// allocates is filled by Add before it is flushed.
-func edgeBuffers(t *testing.T, w *Writer, edges int) int {
+// testStreamFailure is TestWriterFailedFlushIsFinal's stream/<step>
+// case: the Add loop runs on its own goroutine, so that the test sees it
+// stall on the pool and, after the failure, finish.
+func testStreamFailure(t *testing.T, step string) {
+	const k, limit, segments = 2, 9*segWriteBuffer/8 + 5, 5
+	const stall = (k+1)*limit + poolChunks*segWriteBuffer/8 // Adds that return before the pool runs dry
+	boom := errors.New("disk full")
+	dir := t.TempDir()
+	w, err := NewWriter(dir, limit, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	durable.StepHook = func(path, s string) error {
+		if filepath.Base(path) == fmt.Sprintf("seg-%06d.seg", k) && s == step {
+			<-stalled
+			return boom
+		}
+		return nil
+	}
+	write := writeSegment
+	writeSegment = func(f *os.File, c []byte, seq int) error {
+		failed := false
+		if seq == k+1 {
+			once.Do(func() {
+				<-release
+				failed = step == "write"
+			})
+		}
+		if failed {
+			return boom
+		}
+		return write(f, c, seq)
+	}
+	defer func() { durable.StepHook, writeSegment = nil, write }()
+
+	var added atomic.Int64
+	var errs []error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < segments*limit; i++ {
+			err := w.Add(writerStream(i))
+			if err != nil {
+				errs = append(errs, err)
+			}
+			added.Add(1)
+		}
+		errs = append(errs, w.Flush(), w.Flush(), w.Add(0, 1))
+	}()
+	deadline := time.After(30 * time.Second)
+	wait := func(what string, ok func() bool) {
+		for !ok() {
+			select {
+			case <-done:
+				t.Fatalf("the stream ended before %s", what)
+			case <-deadline:
+				t.Fatalf("timed out waiting for %s: deadlock", what)
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
+	wait("Add to stall on the chunk pool", func() bool { return added.Load() == stall })
+	time.Sleep(10 * time.Millisecond)
+	if got := added.Load(); got != stall {
+		t.Fatalf("%d Adds returned with the pool held by a stalled segment, want %d", got, stall)
+	}
+	if step != "write" {
+		close(stalled)
+		wait("segment k to fail", func() bool { return w.failed.Load() != nil })
+	}
+	close(release)
+	select {
+	case <-done:
+	case <-deadline:
+		t.Fatal("timed out waiting for the stream to end: deadlock")
+	}
+	if len(errs) == 0 || !errors.Is(errs[0], boom) {
+		t.Fatalf("the writer reported %v, want the injected failure", errs)
+	}
+	for _, err := range errs {
+		if err != errs[0] {
+			t.Fatalf("a call after the failure returned %v, want %v", err, errs[0])
+		}
+	}
+	durable.StepHook, writeSegment = nil, write
+
+	// Published: the segments before k, and k itself when it failed only
+	// after its rename or did not fail at all, each whole.
+	stream := make([]uint64, segments*limit)
+	for i := range stream {
+		stream[i] = graph.PackEdge(writerStream(i))
+	}
+	want := map[int][]byte{}
+	edges := map[uint64]bool{}
+	for j, seg := range refSegments(stream, limit, nil) {
+		if j < k || j == k && (step == "renamed" || step == "write") {
+			want[j] = seg
+			for _, e := range stream[j*limit : (j+1)*limit] {
+				if u, v := graph.UnpackEdge(e); u != v {
+					edges[e] = true // Compact drops self-loops
+				}
+			}
+		}
+	}
+	checkSegments(t, dir, want)
+	stats, err := Compact(dir, filepath.Join(t.TempDir(), "graph.v2"), CompactOptions{NumNodes: 1000})
+	if err != nil {
+		t.Fatalf("Compact over the published segments: %v", err)
+	}
+	if stats.Edges != int64(len(edges)) {
+		t.Fatalf("compacted %d edges, the published segments hold %d", stats.Edges, len(edges))
+	}
+}
+
+// refSegments encodes stream as the segments a Writer of threshold
+// limit writes when Flush is called before each index in flushes and
+// at the end: a header, then the records, little-endian, cut at every
+// limit edges since the last Flush and at each Flush.
+func refSegments(stream []uint64, limit int, flushes []int) [][]byte {
+	var segs [][]byte
+	cut := func(recs []uint64) {
+		if len(recs) == 0 {
+			return
+		}
+		bound := uint64(0)
+		for _, e := range recs {
+			u, v := graph.UnpackEdge(e)
+			bound = max(bound, uint64(u)+1, uint64(v)+1)
+		}
+		seg := append([]byte(nil), segMagic[:]...)
+		for _, x := range []uint64{bound, uint64(len(recs)), 8 * uint64(len(recs))} {
+			seg = binary.LittleEndian.AppendUint64(seg, x)
+		}
+		for _, e := range recs {
+			seg = binary.LittleEndian.AppendUint64(seg, e)
+		}
+		segs = append(segs, seg)
+	}
+	start := 0
+	for i := 0; i <= len(stream); i++ {
+		for _, f := range flushes {
+			if f == i {
+				cut(stream[start:i])
+				start = i
+			}
+		}
+		if i == len(stream) {
+			cut(stream[start:])
+		} else if i+1-start == limit {
+			cut(stream[start : i+1])
+			start = i + 1
+		}
+	}
+	return segs
+}
+
+// writerStream is the test streams' edge i: distinct for i < 10⁶, ids
+// below 1000.
+func writerStream(i int) (graph.NodeID, graph.NodeID) {
+	return graph.NodeID(i % 1000), graph.NodeID(i / 1000 % 1000)
+}
+
+// checkSegments requires dir's segments to be exactly want, by sequence
+// number, byte for byte.
+func checkSegments(t *testing.T, dir string, want map[int][]byte) {
 	t.Helper()
-	seen := map[*uint64]bool{&w.buf[:1][0]: true}
-	for i := 0; i < edges; i++ {
-		if err := w.Add(graph.NodeID(i%97), graph.NodeID(i%89)); err != nil {
+	segs, err := ListSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != len(want) {
+		t.Fatalf("%d segments %v, want %d", len(segs), segs, len(want))
+	}
+	for _, s := range segs {
+		var k int
+		if _, err := fmt.Sscanf(filepath.Base(s), "seg-%d.seg", &k); err != nil {
 			t.Fatal(err)
 		}
-		seen[&w.buf[:1][0]] = true
+		got, err := os.ReadFile(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref, ok := want[k]; !ok || !bytes.Equal(got, ref) {
+			t.Fatalf("segment %s (%d bytes) differs from the reference encoding (%d bytes, expected %v)", s, len(got), len(ref), ok)
+		}
+	}
+}
+
+// writeStream adds edges edges of writerStream to a Writer of threshold
+// limit in a fresh directory, calling Flush before each index in flushes
+// and at the end, and requires the segments to be exactly the reference
+// encoding, of segments segments. It returns the Writer.
+func writeStream(t *testing.T, limit, edges, segments int, flushes []int) *Writer {
+	t.Helper()
+	dir := t.TempDir()
+	w, err := NewWriter(dir, limit, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := make([]uint64, edges)
+	for i := range stream {
+		for _, f := range flushes {
+			if f == i {
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		u, v := writerStream(i)
+		stream[i] = graph.PackEdge(u, v)
+		if err := w.Add(u, v); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return len(seen)
+	want := map[int][]byte{}
+	for k, seg := range refSegments(stream, limit, flushes) {
+		want[k] = seg
+	}
+	if len(want) != segments {
+		t.Fatalf("the reference cuts %d segments, want %d", len(want), segments)
+	}
+	checkSegments(t, dir, want)
+	return w
 }
 
-// TestWriterEdgeBufferBound pins the Writer's RAM bound: with four
-// flushes in flight, a 40-segment stream runs through at most five edge
-// buffers, four of them spares.
+// TestWriterEdgeBufferBound pins the Writer's RAM bound: at any
+// GOMAXPROCS a stream of many segments, or of segments spanning several
+// chunks, runs through at most poolChunks chunks and writes exactly the
+// reference encoding of the stream.
 func TestWriterEdgeBufferBound(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	const buffer, segments = 64, 40
-	dir := t.TempDir()
-	w, err := NewWriter(dir, buffer, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := edgeBuffers(t, w, buffer*segments); got < 2 || got > 4+1 {
-		t.Fatalf("the writer filled %d edge buffers, want between 2 and GOMAXPROCS+1 = 5", got)
-	}
-	if w.spares > 4 {
-		t.Fatalf("the writer made %d spare edge buffers, want at most GOMAXPROCS = 4", w.spares)
-	}
-	if segs, err := ListSegments(dir); err != nil || len(segs) != segments {
-		t.Fatalf("%d segments (%v), want %d", len(segs), err, segments)
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, c := range []struct {
+				name                   string
+				limit, edges, segments int
+				flushes                []int
+			}{
+				{"40 segments", 64, 64 * 40, 40, nil},
+				{"segments of 3 chunks and 5 edges", 3*segWriteBuffer/8 + 5, 100_000, 6, []int{20_000, 20_000, 70_001}},
+			} {
+				w := writeStream(t, c.limit, c.edges, c.segments, c.flushes)
+				if w.made > poolChunks {
+					t.Fatalf("%s: the writer made %d chunks, want at most the pool's %d", c.name, w.made, poolChunks)
+				}
+			}
+		})
 	}
 }
 
-// TestWriterSmallStreamHoldsOneBuffer: a stream that never fills the
-// buffer holds what a Writer held before flushes left the caller's
-// goroutine — one edge buffer, which the final flush writes from.
+// TestWriterSmallStreamHoldsOneBuffer: at any GOMAXPROCS, NewWriter
+// makes nothing of the threshold's size up front, and a stream that never
+// fills a chunk (the crawl's sink at DefaultSegmentEdges holds more, but
+// the rule is the same) runs through one chunk.
 func TestWriterSmallStreamHoldsOneBuffer(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	w, err := NewWriter(t.TempDir(), 1000, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := edgeBuffers(t, w, 999); got != 1 {
-		t.Fatalf("the writer filled %d edge buffers, want 1", got)
-	}
-	if w.spares != 0 {
-		t.Fatalf("the writer made %d spare edge buffers, want 0", w.spares)
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			w, err := NewWriter(t.TempDir(), DefaultSegmentEdges, nil)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.KeepAlive(w)
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Fatalf("NewWriter allocated %d bytes before the first Add, want under 1 MiB", got)
+			}
+			if w := writeStream(t, 1000, 999, 1, nil); w.made != 1 {
+				t.Fatalf("the writer made %d chunks for a stream of 999 edges, want 1", w.made)
+			}
+		})
 	}
 }

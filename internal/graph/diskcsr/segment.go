@@ -2,23 +2,25 @@ package diskcsr
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"gplus/internal/durable"
 	"gplus/internal/graph"
 )
 
-// LSM-style ingest without the sort: edges accumulate in a bounded
-// buffer and flush as immutable segment files, each a raw log of the
-// edges added to it, in Add order, duplicates and self-loops kept.
-// Compact is the one place edges are sorted, deduplicated and stripped
-// of self-loops: it distributes every segment's records over key-range
-// buckets, forward and reverse, and encodes them into one v2 CSR.
+// LSM-style ingest without the sort: edges stream to disk as immutable
+// segment files, each a raw log of the edges added to it, in Add order,
+// duplicates and self-loops kept. Compact is the one place edges are
+// sorted, deduplicated and stripped of self-loops: it distributes every
+// segment's records over key-range buckets, forward and reverse, and
+// encodes them into one v2 CSR.
 //
 // Segment layout (little-endian):
 //
@@ -31,59 +33,61 @@ var segMagic = [8]byte{'G', 'P', 'L', 'S', 'E', 'G', '0', '3'}
 
 const (
 	segHeaderSize = 32
-	// segWriteBuffer is the size of the buffer a flush streams the
-	// header and its records through; a multiple of 8, so they fill it
-	// exactly.
+	// segWriteBuffer is the size of the chunks Add fills with records
+	// and a segment's goroutine writes: 8 192 records of 8 bytes.
 	segWriteBuffer = 64 << 10
+	// poolChunks is every chunk a Writer makes, whatever its threshold.
+	poolChunks = 8
 )
 
-// DefaultSegmentEdges is the flush threshold Writer uses when none is
-// given: 4M buffered edges of 8 B each (32 MB), a 32 MB segment each.
-// Writer documents what it holds in multiples of it.
+// DefaultSegmentEdges is the segment size Writer uses when none is
+// given: 4M edges of 8 B each, a 32 MB segment. It sets only the size
+// of the files; the Writer's memory is its chunk pool.
 const DefaultSegmentEdges = 4 << 20
 
-// Writer buffers edges and flushes them as segment files named
-// seg-NNNNNN.seg under dir, each holding its buffer's edges as added. A
-// full buffer is flushed on a goroutine of its own while Add fills
-// another, at most GOMAXPROCS (read at the first flush) flushes in
-// flight at once, so with P = GOMAXPROCS the Writer holds at most P+1
-// edge buffers, (P+1) × threshold × 8 B, and P write buffers of
-// segWriteBuffer bytes. A stream that never fills the buffer holds one
-// edge buffer. Segment k holds the k-th buffer's edges whatever the
-// parallelism, so the files are the same at any core count.
+// writeSegment writes b, segment seq's placeholder header or one of its
+// chunks, to f; tests wrap it to stall or fail a segment mid-stream.
+var writeSegment = func(f *os.File, b []byte, seq int) error { _, err := f.Write(b); return err }
+
+// Writer streams edges into segment files named seg-NNNNNN.seg under
+// dir: segment k holds edges [k·limit, (k+1)·limit) of the stream, cut
+// short by each Flush. Add fills chunks of segWriteBuffer bytes from a
+// pool of poolChunks (512 KiB), blocking while it is empty, and hands
+// each full one to the open segment's goroutine, which writes it
+// through durable.WriteFile and returns it. A closed segment fsyncs and
+// renames while Add fills the next, at most GOMAXPROCS (read by
+// NewWriter) at once. So the Writer holds the pool and at most
+// GOMAXPROCS+1 open files, whatever its threshold, and the files are
+// the same at any core count.
 //
-// Not safe for concurrent use; callers with concurrent producers (the
+// A stream ends with Flush, which waits for the segment goroutines. Not
+// safe for concurrent use; callers with concurrent producers (the
 // crawler's workers) serialize around it.
 type Writer struct {
-	dir   string
-	limit int
-	buf   []uint64 // the edges Add is filling, graph.PackEdge(src, dst)
-	seq   int      // the sequence number the next flush is written under
-	met   *Metrics
-	// idle holds the edge buffers no flush or Add is using; it is made at
-	// the first hand-off with room for GOMAXPROCS of them, and spares
-	// counts how many exist beside the first.
-	idle     chan []uint64
-	spares   int
+	dir      string
+	limit    int
+	met      *Metrics
+	seq      int           // the sequence number of the open segment, or of the next
+	chunk    []byte        // the records Add is filling, graph.PackEdge(src, dst)
+	n        int           // edges added to the open segment, chunk included
+	open     chan []byte   // the open segment's chunks; nil discards it
+	free     chan []byte   // the chunks no one is using
+	made     int           // chunks made, at most poolChunks
+	slots    chan struct{} // a token per live segment goroutine
 	inFlight sync.WaitGroup
-	mu       sync.Mutex
-	failed   error // the first background flush failure, under mu
-	// err is the first failure Add or Flush returned. A background
-	// failure is seen only after Add has moved past the failed buffer,
-	// whose edges are gone with it, so no retry could make the segments
-	// whole again; a failure in Flush ends the Writer too, so that the
-	// caller has one rule: once a call fails, the stream is lost, and
-	// every later call returns err.
+	failed   atomic.Pointer[error] // the first segment failure
+	// err is the first failure Add or Flush returned: the failed
+	// segment's edges are gone, so every later call returns it.
 	err error
 }
 
-// NewWriter creates dir if needed and returns a Writer flushing every
-// bufferEdges edges (DefaultSegmentEdges when <= 0). Existing segments
-// in dir are kept, and numbering continues after the highest present,
-// so a second Writer adds to a directory rather than overwriting it.
-// The crawl never resumes that way: dataset.NewSegmentSink refuses a
-// directory that holds segments, and a resumed crawl replays its
-// journal into a fresh one.
+// NewWriter creates dir if needed and returns a Writer cutting a segment
+// every bufferEdges edges (DefaultSegmentEdges when <= 0). Existing
+// segments in dir are kept, and numbering continues after the highest
+// present, so a second Writer adds to a directory rather than
+// overwriting it. The crawl never resumes that way:
+// dataset.NewSegmentSink refuses a directory that holds segments, and a
+// resumed crawl replays its journal into a fresh one.
 func NewWriter(dir string, bufferEdges int, met *Metrics) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -102,130 +106,145 @@ func NewWriter(dir string, bufferEdges int, met *Metrics) (*Writer, error) {
 			seq = k + 1
 		}
 	}
-	return &Writer{dir: dir, limit: bufferEdges, buf: make([]uint64, 0, bufferEdges), seq: seq, met: met}, nil
+	return &Writer{dir: dir, limit: bufferEdges, seq: seq, met: met,
+		free: make(chan []byte, poolChunks), slots: make(chan struct{}, runtime.GOMAXPROCS(0)+1)}, nil
 }
 
-// Add buffers the directed edge src→dst. When the buffer reaches the
-// threshold it is handed to a flush goroutine and Add goes on with an
-// empty one. The first failure of a flush in the background is returned
-// by the next Add that hands a buffer off, or by Flush.
+// Add appends the directed edge src→dst to the stream. A full chunk
+// goes to the open segment's goroutine, and the segment closes at
+// limit edges. The first failure of a segment is returned by the next
+// Add that hands a chunk off, or by Flush.
 func (w *Writer) Add(src, dst graph.NodeID) error {
 	if w.err != nil {
 		return w.err
 	}
-	w.buf = append(w.buf, graph.PackEdge(src, dst))
-	if len(w.buf) >= w.limit {
-		w.err = w.handOff()
+	if w.chunk == nil {
+		w.chunk = w.takeChunk()
+	}
+	w.chunk = binary.LittleEndian.AppendUint64(w.chunk, graph.PackEdge(src, dst))
+	if w.n++; w.n == w.limit || len(w.chunk) == cap(w.chunk) {
+		w.sendChunk()
 	}
 	return w.err
 }
 
-// handOff starts flushing the full buffer under the next sequence
-// number and lets Add carry on with an idle buffer, waiting first while
-// GOMAXPROCS flushes are in flight.
-func (w *Writer) handOff() error {
-	if err := w.backgroundFailure(); err != nil {
-		return err
+// takeChunk returns an empty chunk: a free one, a new one while fewer
+// than poolChunks exist, or else the first one a segment releases.
+func (w *Writer) takeChunk() []byte {
+	if len(w.free) == 0 && w.made < poolChunks {
+		w.made++
+		return make([]byte, 0, segWriteBuffer)
 	}
-	edges, seq := w.buf, w.seq
+	return <-w.free
+}
+
+// sendChunk sends the chunk to the open segment, opening one if none is,
+// and closes the segment once it holds limit edges.
+func (w *Writer) sendChunk() {
+	if err := w.failed.Load(); err != nil {
+		w.fail(*err)
+		return
+	}
+	if w.open == nil {
+		w.slots <- struct{}{}
+		w.open = make(chan []byte, poolChunks) // room for every chunk: a send never waits
+		w.inFlight.Add(1)
+		go w.stream(w.open, w.seq)
+	}
+	w.open <- w.chunk
+	w.chunk = nil
+	if w.n == w.limit {
+		w.closeSegment()
+	}
+}
+
+// closeSegment lets the open segment's goroutine commit it.
+func (w *Writer) closeSegment() {
+	close(w.open)
+	w.open, w.n = nil, 0
 	w.seq++
-	w.buf = w.idleBuffer()
-	w.inFlight.Add(1)
-	go func() {
-		defer w.inFlight.Done()
-		if err := w.write(edges, seq); err != nil {
-			w.mu.Lock()
-			if w.failed == nil {
-				w.failed = err
-			}
-			w.mu.Unlock()
-		}
-		w.idle <- edges[:0]
-	}()
-	return nil
 }
 
-// idleBuffer returns an empty edge buffer: a free one, a new one while
-// fewer than the first flush's GOMAXPROCS spares exist, or else the
-// first one a flush in flight releases.
-func (w *Writer) idleBuffer() []uint64 {
-	if w.idle == nil {
-		w.idle = make(chan []uint64, runtime.GOMAXPROCS(0))
+// fail ends the Writer with err: the open segment is discarded, and
+// fail returns once no goroutine of the Writer runs.
+func (w *Writer) fail(err error) {
+	w.err = err
+	if w.open != nil {
+		w.open <- nil
+		w.closeSegment()
 	}
-	select {
-	case b := <-w.idle:
-		return b
-	default:
-	}
-	if w.spares < cap(w.idle) {
-		w.spares++
-		return make([]uint64, 0, w.limit)
-	}
-	return <-w.idle
-}
-
-func (w *Writer) backgroundFailure() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.failed
-}
-
-// Flush waits for every flush in flight, then writes the buffered edges
-// as one segment file and empties the buffer; flushing an empty buffer
-// writes nothing. After a failed flush, in the background or here, the
-// Writer is dead: every later Add and Flush returns the same error.
-func (w *Writer) Flush() error {
+	w.chunk = nil
 	w.inFlight.Wait()
-	if w.err == nil {
-		w.err = w.backgroundFailure()
-	}
-	if w.err != nil || len(w.buf) == 0 {
-		return w.err
-	}
-	if w.err = w.write(w.buf, w.seq); w.err != nil {
-		return w.err
-	}
-	w.seq++
-	w.buf = w.buf[:0]
-	return nil
 }
 
-// write writes edges as segment seq, atomically, through
-// durable.WriteFile: the header, then one record per edge, streamed
-// through a buffer of segWriteBuffer bytes.
-func (w *Writer) write(edges []uint64, seq int) error {
-	bound := uint64(0)
-	for _, e := range edges {
-		src, dst := graph.UnpackEdge(e)
-		bound = max(bound, uint64(src)+1, uint64(dst)+1)
+// Flush closes the open segment, so that the edges added so far are in
+// segment files, and waits until every segment is committed; flushing
+// an empty stream writes nothing. After a segment fails, Flush returns
+// its error, and the Writer is dead: every later Add and Flush returns
+// the same error.
+func (w *Writer) Flush() error {
+	if w.err != nil {
+		return w.err
 	}
-	path := filepath.Join(w.dir, fmt.Sprintf("seg-%06d.seg", seq))
-	err := durable.WriteFile(path, func(f *os.File) error {
-		out := make([]byte, 0, min(segWriteBuffer, segHeaderSize+8*len(edges)))
-		out = append(out, segMagic[:]...)
-		out = binary.LittleEndian.AppendUint64(out, bound)
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(edges)))
-		out = binary.LittleEndian.AppendUint64(out, 8*uint64(len(edges)))
-		for _, e := range edges {
-			if len(out) == cap(out) {
-				if _, err := f.Write(out); err != nil {
-					return err
-				}
-				out = out[:0]
-			}
-			out = binary.LittleEndian.AppendUint64(out, e)
+	if w.chunk != nil {
+		w.sendChunk()
+	}
+	if w.open != nil {
+		w.closeSegment()
+	}
+	w.inFlight.Wait()
+	if err := w.failed.Load(); err != nil {
+		w.fail(*err)
+	}
+	return w.err
+}
+
+// stream writes segment seq, atomically, through durable.WriteFile: a
+// placeholder header, each chunk as it arrives, and, once the channel
+// is closed, the real header at offset 0. A failed segment still drains
+// its chunks back to the pool, so Add never waits on it.
+func (w *Writer) stream(chunks chan []byte, seq int) {
+	defer w.inFlight.Done()
+	defer func() { <-w.slots }()
+	var bound, edges uint64
+	err := durable.WriteFile(filepath.Join(w.dir, fmt.Sprintf("seg-%06d.seg", seq)), func(f *os.File) error {
+		if err := writeSegment(f, make([]byte, segHeaderSize), seq); err != nil {
+			return err
 		}
-		_, err := f.Write(out)
+		for c := range chunks {
+			if c == nil {
+				return errors.New("diskcsr: segment discarded")
+			}
+			for i := 0; i < len(c); i += 8 {
+				src, dst := graph.UnpackEdge(binary.LittleEndian.Uint64(c[i:]))
+				bound = max(bound, uint64(src)+1, uint64(dst)+1)
+			}
+			edges += uint64(len(c) / 8)
+			err := writeSegment(f, c, seq)
+			w.free <- c[:0]
+			if err != nil {
+				return err
+			}
+		}
+		header := append([]byte(nil), segMagic[:]...)
+		for _, x := range []uint64{bound, edges, 8 * edges} {
+			header = binary.LittleEndian.AppendUint64(header, x)
+		}
+		_, err := f.WriteAt(header, 0)
 		return err
 	})
 	if err != nil {
-		return err
+		w.failed.CompareAndSwap(nil, &err) // a discarded segment's Writer has failed already
 	}
-	if w.met != nil {
+	for c := range chunks {
+		if c != nil {
+			w.free <- c[:0]
+		}
+	}
+	if err == nil && w.met != nil {
 		w.met.segmentsFlushed.Inc()
-		w.met.segmentEdges.Add(int64(len(edges)))
+		w.met.segmentEdges.Add(int64(edges))
 	}
-	return nil
 }
 
 // ListSegments returns dir's segment files in sequence order.
