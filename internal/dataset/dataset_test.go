@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"context"
+	"encoding/binary"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -190,6 +191,19 @@ func TestLoadRejectsCorruptGraph(t *testing.T) {
 			return os.WriteFile(filepath.Join(dir, graphV2File), []byte("garbage"), 0o644)
 		}, graphV2File},
 		{"no graph", func(dir string) error { return os.Remove(filepath.Join(dir, graphV2File)) }, graphV2File},
+		// A continuation bit on the out blob's last byte: the header and
+		// index stay valid and the last out-row's varint runs off its end,
+		// which only a decode of the rows finds.
+		{"corrupt row", func(dir string) error {
+			path := filepath.Join(dir, graphV2File)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			n, outBlobLen := binary.LittleEndian.Uint64(data[8:]), binary.LittleEndian.Uint64(data[24:])
+			data[48+4*8*(n+1)+outBlobLen-1] |= 0x80
+			return os.WriteFile(path, data, 0o644)
+		}, graphV2File},
 		{"no profiles", func(dir string) error { return os.Remove(filepath.Join(dir, profilesFile)) }, profilesFile},
 	} {
 		dir := t.TempDir()

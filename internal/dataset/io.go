@@ -109,9 +109,14 @@ func Load(dir string) (*Dataset, error) {
 // LoadWith reads a dataset with explicit backend options. With
 // Options.Mapped the v2 graph is served memory-mapped and the caller
 // must Close the returned dataset.
+//
+// Either way graph.v2 is decoded and verified once: by Open for a
+// mapped dataset, and by Materialize, of a map opened unverified, for
+// one in RAM.
 func LoadWith(dir string, opt Options) (*Dataset, error) {
 	d := &Dataset{}
-	m, err := diskcsr.Open(filepath.Join(dir, graphV2File), diskcsr.Options{})
+	path := filepath.Join(dir, graphV2File)
+	m, err := diskcsr.Open(path, diskcsr.Options{SkipVerify: !opt.Mapped})
 	if err != nil {
 		return nil, fmt.Errorf("dataset: opening v2 graph: %w", err)
 	}
@@ -122,7 +127,7 @@ func LoadWith(dir string, opt Options) (*Dataset, error) {
 		d.Graph, err = m.Materialize()
 		m.Close() //nolint:errcheck — read-only mapping
 		if err != nil {
-			return nil, fmt.Errorf("dataset: materializing v2 graph: %w", err)
+			return nil, fmt.Errorf("dataset: materializing %s: %w", path, err)
 		}
 	}
 	if err := d.loadProfiles(dir); err != nil {

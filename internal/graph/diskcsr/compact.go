@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"gplus/internal/graph"
+	"gplus/internal/stats"
 )
 
 // CompactOptions configures Compact.
@@ -50,8 +51,8 @@ const (
 )
 
 // compactSortHook, when set, is told the length of every edge list a
-// compaction worker sorts.
-var compactSortHook func(edges int)
+// compaction worker sorts, and whether it is a reverse bucket's.
+var compactSortHook func(reverse bool, edges int)
 
 // Compact writes one v2 CSR file at outPath (atomically) holding the
 // edges of every segment under segDir, by a distribution sort over key
@@ -60,19 +61,25 @@ var compactSortHook func(edges int)
 // built through segments equals the graph built in RAM from the same
 // edge stream.
 //
-// Two passes run on up to P = GOMAXPROCS workers each. The scatter: a
+// Three passes run on up to P = GOMAXPROCS workers each. The scatter: a
 // worker reads a contiguous range of records, a P-th of all segments'
 // records, cut across segment borders and mapping one segment at a
 // time, translates each edge through Remap, and appends (src,dst) to the
-// forward bucket of src's key range and (dst,src) to the reverse bucket
-// of dst's, in chunks spilled to one scratch file, outPath + ".spill",
-// and indexed in RAM. The encode: a worker reads a bucket back, sorts it
-// with graph.SortEdges and encodes its rows; the encoded pieces are
-// copied into outPath in key order. The bucket count follows from the
-// segments' edge totals, so a worker holds at most bucketTarget edges
-// to sort — a fuller bucket, as hub rows make, is first cut into
-// narrower ranges, down to one edge value — plus its chunk buffers.
-// Beside that the call holds both directions' O(NumNodes) index arrays;
+// forward bucket of src's key range, in chunks spilled to one scratch
+// file, outPath + ".spill", and indexed in RAM. The forward encode: a
+// worker reads a bucket back, sorts and deduplicates it with
+// graph.SortEdges and encodes its rows, and appends the reverse copy
+// (dst,src) of each distinct edge it writes to the reverse bucket of
+// dst's key range, spilled the same way. The reverse encode: a worker
+// reads a reverse bucket back, which holds each edge once however often
+// the segments observed it, sorts it and encodes its rows. The encoded
+// pieces are copied into outPath in key order, forward then reverse.
+// The bucket count follows from the segments' edge totals, so a worker
+// holds at most bucketTarget edges to sort — a fuller bucket, as hub
+// rows make, is first cut into narrower ranges, down to one edge value
+// — plus its chunk buffers: one partition's in the scatter, its sort
+// buffers and one reverse partition's in the forward encode. Beside
+// that the call holds both directions' O(NumNodes) index arrays;
 // adjacency never materializes, and only outPath outlives the call.
 //
 // The bytes written are the same at any GOMAXPROCS, and so is the
@@ -111,14 +118,14 @@ func Compact(segDir, outPath string, opt CompactOptions) (*CompactStats, error) 
 	sp := &spill{f: f}
 
 	plan := newBucketPlan(limit, total)
-	buckets, seen, err := scatter(segs, starts, opt.Remap, limit, plan, sp)
+	fwd, seen, err := scatter(segs, starts, opt.Remap, limit, plan, sp)
 	if err != nil {
 		return nil, err
 	}
 	n := cmp.Or(opt.NumNodes, int(seen))
 	cnt := [2][]uint64{make([]uint64, n+1), make([]uint64, n+1)}
 	pos := [2][]uint64{make([]uint64, n+1), make([]uint64, n+1)}
-	pieces, err := encodeBuckets(buckets, plan, n, cnt, pos, sp)
+	pieces, err := encodeBuckets(fwd, plan, n, cnt, pos, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -240,17 +247,15 @@ func (p *partition) flush() error {
 // into one contiguous record range per worker across segment borders,
 // checks each id against its segment's bound, translates the edge
 // through remap (when non-nil), drops self-loops, checks every id
-// against limit, and spreads each edge's forward and reverse copies
-// over the plan's buckets. It returns the two directions' bucket
-// indexes and the largest id seen + 1.
-func scatter(segs []string, starts []uint64, remap []graph.NodeID, limit uint64, plan bucketPlan, sp *spill) (buckets [2][]bucket, seen uint64, err error) {
+// against limit, and spreads the edges over the plan's forward
+// buckets. It returns their index and the largest id seen + 1.
+func scatter(segs []string, starts []uint64, remap []graph.NodeID, limit uint64, plan bucketPlan, sp *spill) ([]bucket, uint64, error) {
 	total := starts[len(segs)]
 	workers := int(min(uint64(runtime.GOMAXPROCS(0)), total))
-	parts := make([][2]*partition, workers)
+	parts := make([][]bucket, workers)
 	seens := make([]uint64, workers)
-	err = inParallel(workers, func(lo, hi int) error {
-		fwd, rev := newPartition(sp, plan.buckets), newPartition(sp, plan.buckets)
-		parts[lo] = [2]*partition{fwd, rev}
+	err := inParallel(workers, func(lo, hi int) error {
+		fwd := newPartition(sp, plan.buckets)
 		var top uint64 // the largest id seen + 1
 		// records scatters records [from, to) of s.
 		records := func(s *segment, from, to uint64) error {
@@ -275,9 +280,6 @@ func scatter(segs []string, starts []uint64, remap []graph.NodeID, limit uint64,
 				if err := fwd.add(int(k>>plan.shift), graph.PackEdge(k, v)); err != nil {
 					return err
 				}
-				if err := rev.add(int(v>>plan.shift), graph.PackEdge(v, k)); err != nil {
-					return err
-				}
 			}
 			return nil
 		}
@@ -298,56 +300,90 @@ func scatter(segs []string, starts []uint64, remap []graph.NodeID, limit uint64,
 				return err
 			}
 		}
-		seens[lo] = top
-		if err := fwd.flush(); err != nil {
-			return err
-		}
-		return rev.flush()
+		seens[lo], parts[lo] = top, fwd.buckets
+		return fwd.flush() // which fills the buckets parts[lo] shares
 	})
 	if err != nil {
-		return buckets, 0, err
+		return nil, 0, err
 	}
-	for d := range buckets {
-		buckets[d] = make([]bucket, plan.buckets)
-		for lo, p := range parts {
-			if p[d] == nil {
-				continue
-			}
-			seen = max(seen, seens[lo])
-			for b, pb := range p[d].buckets {
-				buckets[d][b].chunks = append(buckets[d][b].chunks, pb.chunks...)
-				buckets[d][b].edges += pb.edges
-			}
-		}
+	var seen uint64
+	for _, top := range seens {
+		seen = max(seen, top)
 	}
-	return buckets, seen, nil
+	return merge(parts, plan.buckets), seen, nil
 }
 
-// encodeBuckets is the second pass: it encodes every bucket into v2
-// rows and returns the encoded pieces in output order — forward buckets
-// then reverse, each in key order. Row u's edge count and byte length
-// land in cnt[d][u+1] and pos[d][u+1], for the caller to sum.
-func encodeBuckets(buckets [2][]bucket, plan bucketPlan, n int, cnt, pos [2][]uint64, sp *spill) ([]extent, error) {
-	largest := 0
-	for d := range buckets {
-		for _, b := range buckets[d] {
-			largest = max(largest, min(b.edges, bucketTarget))
+// merge joins the workers' bucket indexes, in worker order, into one.
+func merge(parts [][]bucket, buckets int) []bucket {
+	merged := make([]bucket, buckets)
+	for _, p := range parts {
+		for b, pb := range p {
+			merged[b].chunks = append(merged[b].chunks, pb.chunks...)
+			merged[b].edges += pb.edges
 		}
 	}
+	return merged
+}
+
+// encodeBuckets encodes the forward buckets into v2 rows, then the
+// reverse buckets those rows fill, and returns the encoded pieces in
+// output order — forward buckets then reverse, each in key order. Row
+// u's edge count and byte length land in cnt[d][u+1] and pos[d][u+1],
+// for the caller to sum.
+//
+// The forward pass, the second of the compaction, sorts and
+// deduplicates each bucket, and each worker appends the reverse copy
+// (dst,src) of every distinct edge it writes to its own reverse
+// partition. The third pass merges those partitions in worker order and
+// encodes the reverse buckets, which so hold each distinct edge once,
+// not once per observation. A worker encodes a contiguous run of
+// forward buckets in key order, so its reverse copies reach each
+// reverse bucket ordered by value, and the workers' runs follow each
+// other: a reverse bucket's edges arrive ordered by value, and sorting
+// them by key alone orders them.
+func encodeBuckets(fwd []bucket, plan bucketPlan, n int, cnt, pos [2][]uint64, sp *spill) ([]extent, error) {
+	// encs and revs hold each worker's encoder and reverse bucket index
+	// at the index of its first bucket; both passes cut the buckets
+	// alike, so the reverse pass reuses the encoders.
+	encs, revs := make([]*encoder, plan.buckets), make([][]bucket, plan.buckets)
 	out := make([][]extent, 2*plan.buckets)
-	err := inParallel(len(out), func(lo, hi int) error {
-		e := &encoder{sp: sp, n: uint64(n), edges: make([]uint64, 0, largest), scratch: make([]uint64, largest)}
-		for j := lo; j < hi; j++ {
-			d, b := j/plan.buckets, j%plan.buckets
-			e.cnt, e.pos, e.open, e.pieces = cnt[d], pos[d], false, nil
-			keys := uint64(b) << plan.shift << 32
-			if err := e.encode(buckets[d][b], keys, keys+1<<plan.shift<<32); err != nil {
-				return err
-			}
-			out[j] = e.pieces
+	pass := func(d int, buckets []bucket) error {
+		largest := 0
+		for _, b := range buckets {
+			largest = max(largest, min(b.edges, bucketTarget))
 		}
-		return nil
-	})
+		return inParallel(plan.buckets, func(lo, hi int) error {
+			e := encs[lo]
+			if e == nil {
+				e = &encoder{sp: sp, n: uint64(n), shift: plan.shift}
+				encs[lo] = e
+			}
+			if cap(e.edges) < largest {
+				e.edges, e.scratch = make([]uint64, 0, largest), make([]uint64, largest)
+			}
+			e.cnt, e.pos, e.rev = cnt[d], pos[d], nil
+			if d == 0 {
+				e.rev = newPartition(sp, plan.buckets)
+			}
+			for b := lo; b < hi; b++ {
+				e.open, e.pieces = false, nil
+				keys := uint64(b) << plan.shift << 32
+				if err := e.encode(buckets[b], keys, keys+1<<plan.shift<<32); err != nil {
+					return err
+				}
+				out[d*plan.buckets+b] = e.pieces
+			}
+			if e.rev == nil {
+				return nil
+			}
+			revs[lo] = e.rev.buckets
+			return e.rev.flush() // which fills the buckets revs[lo] shares
+		})
+	}
+	err := pass(0, fwd)
+	if err == nil {
+		err = pass(1, merge(revs, plan.buckets))
+	}
 	var pieces []extent
 	for _, p := range out {
 		pieces = append(pieces, p...)
@@ -355,15 +391,19 @@ func encodeBuckets(buckets [2][]bucket, plan bucketPlan, n int, cnt, pos [2][]ui
 	return pieces, err
 }
 
-// encoder is one worker of the encode pass, with buffers kept across
-// buckets: the sort's two, sized once from the largest bucket, and the
-// rows encoded since the last spill.
+// encoder is one worker of the encode passes, with buffers kept across
+// buckets: the sort's two, sized from the largest bucket, and the rows
+// encoded since the last spill.
 type encoder struct {
 	sp             *spill
 	n              uint64
+	shift          uint // the bucket plan's
 	edges, scratch []uint64
 	raw, row       []byte
 	cnt, pos       []uint64
+	// rev takes the reverse copy of every edge the forward pass writes;
+	// it is nil in the reverse pass.
+	rev *partition
 	// The row being encoded, which the next range of a cut bucket may
 	// continue.
 	open      bool
@@ -404,9 +444,11 @@ func (e *encoder) encode(bkt bucket, lo, hi uint64) error {
 			return err
 		}
 		if compactSortHook != nil {
-			compactSortHook(len(edges))
+			compactSortHook(e.rev == nil, len(edges))
 		}
-		e.emit(graph.SortEdges(edges, e.scratch[:len(edges)]))
+		if err := e.emit(e.order(edges)); err != nil {
+			return err
+		}
 		return e.spillRows()
 	}
 	var shift uint
@@ -414,7 +456,10 @@ func (e *encoder) encode(bkt bucket, lo, hi uint64) error {
 	if hi-lo > 1<<32 {
 		shift = 32 + uint(max(0, bits.Len64((hi-lo)>>32-1)-cut))
 	} else if hi = min(hi, lo&^(1<<32-1)|e.n); hi-lo == 1 {
-		e.emit([]uint64{lo}) // one edge, seen more than bucketTarget times
+		// One edge, seen more than bucketTarget times.
+		if err := e.emit([]uint64{lo}); err != nil {
+			return err
+		}
 		return e.spillRows()
 	} else {
 		shift = uint(max(0, bits.Len64(hi-lo-1)-cut))
@@ -434,10 +479,28 @@ func (e *encoder) encode(bkt bucket, lo, hi uint64) error {
 	return err
 }
 
+// order sorts a bucket's edges. A forward bucket's arrive in any
+// order, with duplicates, and graph.SortEdges sorts and deduplicates
+// them. A reverse bucket's are distinct and arrive ordered by value
+// (see encodeBuckets), so a stable radix sort on the digits its keys
+// differ in finishes them.
+func (e *encoder) order(edges []uint64) []uint64 {
+	if e.rev != nil {
+		return graph.SortEdges(edges, e.scratch[:len(edges)])
+	}
+	var diff uint64
+	for _, x := range edges {
+		diff |= x ^ edges[0]
+	}
+	sorted, _ := stats.RadixSort(edges, e.scratch[:len(edges)], 32, stats.RadixPasses(bits.Len64(diff>>32)))
+	return sorted
+}
+
 // emit encodes kept — sorted, distinct, no self-loops — onto e.row,
-// continuing the open row when the first edge shares its key, and
-// counts each row's edges and bytes.
-func (e *encoder) emit(kept []uint64) {
+// continuing the open row when the first edge shares its key, counts
+// each row's edges and bytes and, in the forward pass, appends each
+// edge's reverse copy to e.rev.
+func (e *encoder) emit(kept []uint64) error {
 	for _, x := range kept {
 		k, v := graph.UnpackEdge(x)
 		size := len(e.row)
@@ -450,7 +513,13 @@ func (e *encoder) emit(kept []uint64) {
 		e.prev = v
 		e.cnt[k+1]++
 		e.pos[k+1] += uint64(len(e.row) - size)
+		if e.rev != nil {
+			if err := e.rev.add(int(v>>e.shift), graph.PackEdge(v, k)); err != nil {
+				return err
+			}
+		}
 	}
+	return nil
 }
 
 // spillRows appends the rows encoded so far to the spill as a piece.

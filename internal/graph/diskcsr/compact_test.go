@@ -37,6 +37,13 @@ func FuzzCompact(f *testing.F) {
 		f.Add(mode, uint8(0), encode(7, 7))                                           // a self-loop alone
 		f.Add(mode, uint8(2), encode(1, 2, 1, 2, 2, 1, 3, 3, 4095, 0, 0, 4095, 1, 2)) // duplicates across segments
 		f.Add(mode, uint8(63), encode(4095, 2048, 2047, 4095, 5, 4000, 5, 4001, 5, 4000))
+		// Edges observed from both sides, as a crawl lists each in its
+		// tail's out-circle and its head's in-circle: (1,2) three times,
+		// (3,4) twice, its reciprocal (4,3) once, one edge a segment;
+		// then wide ids, each edge and its reciprocal repeated, and a
+		// self-loop, two edges a segment.
+		f.Add(mode, uint8(0), encode(1, 2, 3, 4, 1, 2, 4, 3, 3, 4, 1, 2))
+		f.Add(mode, uint8(1), encode(4095, 0, 0, 4095, 17, 4095, 4095, 0, 17, 4095, 0, 4095, 9, 9, 4095, 0))
 	}
 	f.Fuzz(func(t *testing.T, mode, threshold uint8, data []byte) {
 		const n, maxEdges = 1 << 12, 512
@@ -184,6 +191,112 @@ func FuzzSegment(f *testing.F) {
 	})
 }
 
+// TestCompactObservationMultiplicity holds compaction to one reverse
+// copy per distinct edge, however often the stream observes it: edges
+// seen once (one side only), twice (both sides) and k times, self-loops,
+// and an in-hub whose reverse row alone exceeds bucketTarget, so a
+// reverse bucket the forward pass fills must be cut. At GOMAXPROCS 1, 2
+// and 8 the stream must compact to WriteGraph's bytes, the forward
+// sorts must total the kept observations and the reverse sorts the
+// distinct edges, and no sort may exceed bucketTarget+maxChunk.
+func TestCompactObservationMultiplicity(t *testing.T) {
+	const n, hub, hubDegree, background = 100_000, 70_001, 80_000, 30_000
+	rng := rand.New(rand.NewPCG(52, 7))
+	var stream []uint64
+	observe := func(u, v graph.NodeID, times int) {
+		for range times {
+			stream = append(stream, graph.PackEdge(u, v))
+		}
+	}
+	for i, u := range rng.Perm(n)[:hubDegree] {
+		if graph.NodeID(u) != hub {
+			observe(graph.NodeID(u), hub, 1+i%2)
+		}
+	}
+	for i := range background {
+		u, v := graph.NodeID(rng.IntN(n)), graph.NodeID(rng.IntN(n))
+		observe(u, v, []int{1, 2, 2, 5}[i%4])
+		if i%7 == 0 {
+			observe(u, u, 1+i%3)
+		}
+	}
+	rng.Shuffle(len(stream), func(i, j int) { stream[i], stream[j] = stream[j], stream[i] })
+
+	dir := t.TempDir()
+	segDir := filepath.Join(dir, "segs")
+	w, err := NewWriter(segDir, 1<<14, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := graph.NewBuilder(n, 0)
+	kept := 0
+	for _, x := range stream {
+		u, v := graph.UnpackEdge(x)
+		if err := w.Add(u, v); err != nil {
+			t.Fatal(err)
+		}
+		if u != v {
+			b.AddEdge(u, v)
+			kept++
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	g := b.Build()
+	if g.InDegree(hub) <= bucketTarget+maxChunk {
+		t.Fatalf("hub in-row of %d edges fits one sort; the test needs a longer one", g.InDegree(hub))
+	}
+	refPath := filepath.Join(dir, "ref.v2")
+	if err := WriteGraph(refPath, g); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(refPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var (
+		mu      sync.Mutex
+		sorted  [2]int // forward, reverse
+		largest int
+	)
+	compactSortHook = func(reverse bool, edges int) {
+		mu.Lock()
+		defer mu.Unlock()
+		if reverse {
+			sorted[1] += edges
+		} else {
+			sorted[0] += edges
+		}
+		largest = max(largest, edges)
+	}
+	defer func() { compactSortHook = nil }()
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			sorted, largest = [2]int{}, 0
+			out := filepath.Join(t.TempDir(), "graph.v2")
+			if _, err := Compact(segDir, out, CompactOptions{NumNodes: n}); err != nil {
+				t.Fatal(err)
+			}
+			if distinct := int(g.NumEdges()); sorted != [2]int{kept, distinct} {
+				t.Fatalf("the buckets sorted %d forward and %d reverse edges, want the %d kept observations and the %d distinct edges", sorted[0], sorted[1], kept, distinct)
+			}
+			if largest > bucketTarget+maxChunk {
+				t.Fatalf("a worker sorted %d edges at once, want at most %d", largest, bucketTarget+maxChunk)
+			}
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("the multiply observed stream compacted to bytes that differ from WriteGraph's")
+			}
+		})
+	}
+}
+
 // TestCompactSortBound pins the compaction's RAM bound where ids are
 // skewed, as a degree order that puts hubs in the lowest ids makes them. Three
 // hubs hold most edges, each with rows longer than bucketTarget, so
@@ -238,7 +351,7 @@ func TestCompactSortBound(t *testing.T) {
 		mu      sync.Mutex
 		largest int
 	)
-	compactSortHook = func(edges int) {
+	compactSortHook = func(_ bool, edges int) {
 		mu.Lock()
 		largest = max(largest, edges)
 		mu.Unlock()

@@ -61,6 +61,27 @@ func openBytes(data []byte, opt Options) (*Mapped, error) {
 	return newMapped(data, func() error { return nil }, opt)
 }
 
+// swappedInRow returns the bytes of v2Bytes with node 1's in-row [0]
+// rewritten to [4]: one varint byte for another, the row still ascending
+// and every count and byte length intact, so only the transpose check
+// can tell that the in blob no longer holds the out blob's edges.
+func swappedInRow(t testing.TB) []byte {
+	t.Helper()
+	data := v2Bytes(t)
+	h, err := parseHeader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, arr := uint64(headerSize), 8*(h.n+1)
+	inPos := data[idx+3*arr : idx+4*arr]
+	at := idx + 4*arr + h.outBlobLen + u64at(inPos, 1)
+	if u64at(inPos, 2)-u64at(inPos, 1) != 1 || data[at] != 0 {
+		t.Fatalf("node 1's in-row is not the one byte [0] the swap expects")
+	}
+	data[at] = 4
+	return data
+}
+
 // TestOpenRejectsCorruption drives the corrupt-input corpus from the
 // issue: every mutation must be rejected with a descriptive error, not
 // a panic and not a silently wrong graph.
@@ -140,6 +161,10 @@ func TestOpenRejectsCorruption(t *testing.T) {
 			func([]byte) []byte { return wrappedDeltaV2(t) },
 			"out of range",
 		},
+		"in blob not the transpose": {
+			func([]byte) []byte { return swappedInRow(t) },
+			"not the transpose",
+		},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -151,13 +176,22 @@ func TestOpenRejectsCorruption(t *testing.T) {
 			if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
+			// A map opened unverified passes the index checks; its
+			// Materialize must then fail with Open's error.
+			if m, lerr := openBytes(mut, Options{SkipVerify: true}); lerr == nil {
+				if _, merr := m.Materialize(); merr == nil || merr.Error() != "diskcsr: "+err.Error() {
+					t.Fatalf("Materialize of the unverified map: %v, want diskcsr: %v", merr, err)
+				}
+			}
 		})
 	}
 }
 
 // TestBothBlobsCorruptReportsOut: Open's verification and Materialize
 // decode the two directions side by side, and when both are corrupt the
-// error is the out direction's, as a serial decode would report it.
+// error is the out direction's, as a serial decode would report it —
+// the same error from both, since Materialize runs Open's checks on a
+// map Open did not verify.
 func TestBothBlobsCorruptReportsOut(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	data := v2Bytes(t)
@@ -176,7 +210,7 @@ func TestBothBlobsCorruptReportsOut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Materialize(); err == nil || !strings.Contains(err.Error(), "out direction") {
+		if _, err := m.Materialize(); err == nil || !strings.HasPrefix(err.Error(), "diskcsr: out row 0") {
 			t.Fatalf("Materialize: %v, want the out direction's error", err)
 		}
 	}
@@ -341,8 +375,10 @@ func TestCompactRejectsTornSegment(t *testing.T) {
 // FuzzOpenV2 feeds arbitrary bytes through the full Open validation,
 // the one reader every dataset graph goes through: it must never panic,
 // and anything accepted must materialize into a graph that passes
-// Validate and round-trips through WriteGraph. The dataset package's
-// golden graph.v2 seeds it with bytes no current writer influences.
+// Validate and round-trips through WriteGraph. A map opened without
+// verification must materialize exactly when Open accepts, failing
+// otherwise with Open's error. The dataset package's golden graph.v2
+// seeds it with bytes no current writer influences.
 func FuzzOpenV2(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("..", "..", "dataset", "testdata", "golden", "graph.v2"))
 	if err != nil {
@@ -362,9 +398,16 @@ func FuzzOpenV2(f *testing.F) {
 	binary.LittleEndian.PutUint64(mism[16:], 999)
 	f.Add(mism)
 	f.Add(wrappedDeltaV2(f))
+	f.Add(swappedInRow(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := openBytes(data, Options{})
+		if lazy, lerr := openBytes(data, Options{SkipVerify: true}); lerr == nil {
+			_, merr := lazy.Materialize()
+			if (merr == nil) != (err == nil) || err != nil && merr.Error() != "diskcsr: "+err.Error() {
+				t.Fatalf("Materialize of the unverified map: %v; Open: %v", merr, err)
+			}
+		}
 		if err != nil {
 			return // rejected: fine
 		}

@@ -15,10 +15,13 @@
 //     8-byte records in the order the edges were added, and compacted
 //     into a v2 file by Compact, a distribution sort over key-range
 //     buckets and the one place edges are sorted, deduplicated and
-//     stripped of self-loops. Ingest RAM is bounded by the flush
-//     threshold and compaction RAM, beside the O(n) index arrays, by
-//     one bucket and its chunk buffers per worker: neither grows with
-//     the crawl.
+//     stripped of self-loops. Only the forward copy of each observation
+//     is scattered; the reverse buckets are filled from the distinct
+//     edges the forward encode writes, so each edge is reversed once
+//     however often the crawl observed it. Ingest RAM is bounded by the
+//     Writer's chunk pool and compaction RAM, beside the O(n) index
+//     arrays, by one bucket and its chunk buffers per worker: neither
+//     grows with the crawl.
 //
 // v2 layout (all integers little-endian):
 //

@@ -2,6 +2,7 @@ package diskcsr
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 
@@ -13,8 +14,11 @@ type Options struct {
 	// SkipVerify skips the full O(m) decode check of both adjacency
 	// blobs. Structural validation of the header and index arrays still
 	// runs; only per-edge checks (varint well-formedness, ascending
-	// rows, in-range targets) are waived. Use only for files this
-	// process just wrote and fsynced.
+	// rows, in-range targets, exact row lengths, the in blob being the
+	// out blob's transpose) are waived until Materialize, which then
+	// runs them during its own decode. Use only for files this process
+	// just wrote and fsynced, or for a map that is materialized before
+	// any row is read.
 	SkipVerify bool
 	// Metrics, when non-nil, receives open/close accounting.
 	Metrics *Metrics
@@ -45,13 +49,17 @@ type Mapped struct {
 	inPos   []byte
 	outBlob []byte
 	inBlob  []byte
+	// verified is whether Open decoded and checked both blobs.
+	verified bool
 }
 
 // Open maps the v2 file at path and validates it. By default every
 // byte of both blobs is decoded once (each blob sequentially — the cheap
 // access pattern for a fresh map — and the two side by side) so that
 // corrupt files fail here rather than as garbage analysis results
-// later; when both are corrupt, the out blob's error is reported.
+// later; when both are corrupt, the out blob's error is reported. The
+// decode also requires the in blob to hold the out blob's edges, by a
+// fingerprint of each (see rowMix).
 func Open(path string, opt Options) (*Mapped, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -104,9 +112,10 @@ func newMapped(data []byte, unmap func() error, opt Options) (*Mapped, error) {
 		return nil, err
 	}
 	if !opt.SkipVerify {
-		if err := bothDirections(m.verifyBlob); err != nil {
+		if _, _, err := m.decode(false, true); err != nil {
 			return nil, err
 		}
+		m.verified = true
 	}
 	return m, nil
 }
@@ -147,28 +156,92 @@ func (m *Mapped) validateIndex(name string, cnt, pos []byte, blobLen uint64) err
 	return nil
 }
 
-// verifyBlob decodes direction d's whole blob once, checking each row
-// against its index entries: exact byte length, exact count, strictly
-// ascending, all targets below n.
-func (m *Mapped) verifyBlob(d int) error {
+// decode decodes both blobs side by side, checking each row against
+// its index entries (see decodeBlob); with materialize set, into the
+// CSR arrays it returns. With verify set it also requires the in blob
+// to hold the out blob's edges, which their fingerprints check. When
+// both blobs are corrupt, the out blob's error is the one returned.
+func (m *Mapped) decode(materialize, verify bool) (off [2][]int64, adj [2][]graph.NodeID, err error) {
+	var sums [2]uint64
+	err = bothDirections(func(d int) (err error) {
+		if materialize {
+			_, cnt, _, _ := m.direction(d)
+			off[d] = make([]int64, m.h.n+1)
+			for u := range off[d] {
+				off[d][u] = int64(u64at(cnt, uint64(u)))
+			}
+			adj[d] = make([]graph.NodeID, m.h.m)
+		}
+		sums[d], err = m.decodeBlob(d, adj[d], verify)
+		return err
+	})
+	if err == nil && sums[0] != sums[1] {
+		err = errors.New("the in blob is not the transpose of the out blob")
+	}
+	return off, adj, err
+}
+
+// decodeBlob decodes direction d's whole blob once, in row order, into
+// adj (m entries, row u at its count index) or, when adj is nil, into a
+// scratch row, checking each row against its index entries: exact byte
+// length, exact count, strictly ascending, all targets below n. With
+// fingerprint set it returns the sum of rowMix over the rows.
+func (m *Mapped) decodeBlob(d int, adj []graph.NodeID, fingerprint bool) (sum uint64, err error) {
 	name, cnt, pos, blob := m.direction(d)
 	n := m.h.n
-	var scratch []graph.NodeID
+	var row []graph.NodeID
 	for u := uint64(0); u < n; u++ {
-		count := int(u64at(cnt, u+1) - u64at(cnt, u))
-		lo, hi := u64at(pos, u), u64at(pos, u+1)
-		if cap(scratch) < count {
-			scratch = make([]graph.NodeID, count)
+		first, last := u64at(cnt, u), u64at(cnt, u+1)
+		switch {
+		case adj != nil:
+			row = adj[first:last]
+		case uint64(cap(row)) < last-first:
+			row = make([]graph.NodeID, last-first)
+		default:
+			row = row[:last-first]
 		}
-		used, err := decodeRow(blob[lo:hi], n, scratch[:count])
+		lo, hi := u64at(pos, u), u64at(pos, u+1)
+		used, err := decodeRow(blob[lo:hi], n, row)
 		if err != nil {
-			return fmt.Errorf("%s row %d: %w", name, u, err)
+			return 0, fmt.Errorf("%s row %d: %w", name, u, err)
 		}
 		if uint64(used) != hi-lo {
-			return fmt.Errorf("%s row %d: %d encoded bytes, index claims %d", name, u, used, hi-lo)
+			return 0, fmt.Errorf("%s row %d: %d encoded bytes, index claims %d", name, u, used, hi-lo)
+		}
+		if fingerprint {
+			sum += rowMix(d, u, row)
 		}
 	}
-	return nil
+	return sum, nil
+}
+
+// rowMix sums a 64-bit mix of every edge of row u of direction d,
+// packed as (tail, head): (u, v) for an out-row, (v, u) for an in-row.
+// A sum does not depend on the order edges are visited in, so a file's
+// two blobs sum alike when they hold the same edges, and a corrupt one
+// that still decodes — an id swapped for another in one direction —
+// almost surely breaks the equality. It guards against corruption, not
+// against a file crafted to collide.
+func rowMix(d int, u uint64, row []graph.NodeID) (sum uint64) {
+	if d == 0 {
+		for _, v := range row {
+			sum += mix64(u<<32 | uint64(v))
+		}
+	} else {
+		for _, v := range row {
+			sum += mix64(uint64(v)<<32 | u)
+		}
+	}
+	return sum
+}
+
+// mix64 multiplies x by an odd constant and folds the high half into
+// the low: both steps are invertible, so an edge changed for another
+// always changes its direction's sum. It is one multiply, because
+// Open pays it for every edge twice.
+func mix64(x uint64) uint64 {
+	x *= 0x9e3779b97f4a7c15
+	return x ^ x>>32
 }
 
 func u64at(arr []byte, i uint64) uint64 {
@@ -266,31 +339,13 @@ func (m *Mapped) WorkPrefix(u int) int64 {
 // Materialize decodes the whole file into an in-RAM graph.Graph — the
 // escape hatch when RAM affords it and repeated random access makes
 // decode-per-row too slow. The two directions decode side by side.
+// A map Open did not verify (Options.SkipVerify) is verified by this
+// decode, with Open's checks and errors, so a RAM load decodes the file
+// once.
 func (m *Mapped) Materialize() (*graph.Graph, error) {
-	var (
-		off [2][]int64
-		adj [2][]graph.NodeID
-	)
-	err := bothDirections(func(d int) (err error) {
-		off[d], adj[d], err = m.materializeDir(d)
-		return err
-	})
+	off, adj, err := m.decode(true, !m.verified)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("diskcsr: %w", err)
 	}
 	return graph.FromCSR(off[0], adj[0], off[1], adj[1])
-}
-
-func (m *Mapped) materializeDir(d int) ([]int64, []graph.NodeID, error) {
-	name, cnt, pos, blob := m.direction(d)
-	n := m.h.n
-	off := make([]int64, n+1)
-	adj := make([]graph.NodeID, m.h.m)
-	for u := uint64(0); u < n; u++ {
-		off[u+1] = int64(u64at(cnt, u+1))
-		if _, err := decodeRow(blob[u64at(pos, u):u64at(pos, u+1)], n, adj[off[u]:off[u+1]]); err != nil {
-			return nil, nil, fmt.Errorf("diskcsr: %s direction: row %d: %w", name, u, err)
-		}
-	}
-	return off, adj, nil
 }

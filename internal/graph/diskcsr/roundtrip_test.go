@@ -644,7 +644,9 @@ func TestCompactRemapNoSegments(t *testing.T) {
 // and a file of 32 + 8N bytes. The stream is the crawl's shape, held in
 // one buffer and flushed once, so its one segment is split by record
 // range in the scatter: at GOMAXPROCS 1, 2 and 8 it must compact to
-// WriteGraph's bytes, with every record scattered exactly once.
+// WriteGraph's bytes, with every record scattered exactly once and
+// every distinct edge reversed exactly once, so the buckets sort the
+// kept observations plus the distinct edges.
 func TestSegmentIsALog(t *testing.T) {
 	const n, pairs = 3000, 20_000
 	rng := rand.New(rand.NewPCG(43, 3))
@@ -708,34 +710,41 @@ func TestSegmentIsALog(t *testing.T) {
 		}
 	}
 
+	ref := b.Build()
 	refPath := filepath.Join(dir, "ref.v2")
-	if err := WriteGraph(refPath, b.Build()); err != nil {
+	if err := WriteGraph(refPath, ref); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(refPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	distinct := int(ref.NumEdges())
 	var (
 		mu     sync.Mutex
-		sorted int
+		sorted [2]int // forward, reverse
 	)
-	compactSortHook = func(edges int) {
+	compactSortHook = func(reverse bool, edges int) {
 		mu.Lock()
-		sorted += edges
+		if reverse {
+			sorted[1] += edges
+		} else {
+			sorted[0] += edges
+		}
 		mu.Unlock()
 	}
 	defer func() { compactSortHook = nil }()
 	for _, procs := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			sorted = 0
+			sorted = [2]int{}
 			out := filepath.Join(t.TempDir(), "graph.v2")
 			if _, err := Compact(segDir, out, CompactOptions{NumNodes: n, Remap: remap}); err != nil {
 				t.Fatal(err)
 			}
-			if sorted != 2*kept {
-				t.Fatalf("the buckets sorted %d edge copies, want 2 × %d: a record was scattered more or less than once", sorted, kept)
+			if sorted[0]+sorted[1] != kept+distinct || sorted[1] != distinct {
+				t.Fatalf("the buckets sorted %d forward and %d reverse edges, want %d + %d: a record was scattered more or less than once, or a distinct edge reversed more or less than once",
+					sorted[0], sorted[1], kept, distinct)
 			}
 			got, err := os.ReadFile(out)
 			if err != nil {

@@ -228,10 +228,17 @@ func TestCaptureFileNames(t *testing.T) {
 	}
 }
 
+// TestCollectorIntervalAndTriggerCaptures runs the collector until the
+// ring holds an interval CPU capture, triggers it, and stops it once the
+// trigger's goroutine dump and CPU burst are there too, each wait with a
+// deadline far beyond the few hundred milliseconds they take on an idle
+// machine, so a loaded one only makes the test slower.
 func TestCollectorIntervalAndTriggerCaptures(t *testing.T) {
 	reg := obs.NewRegistry()
 	dir := t.TempDir()
-	store, err := OpenStore(dir, StoreOptions{MaxCaptures: 100, Metrics: reg})
+	// Room for every capture of a slow run: the ring must not evict the
+	// interval capture while the trigger's are awaited.
+	store, err := OpenStore(dir, StoreOptions{MaxCaptures: 1000, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,13 +249,33 @@ func TestCollectorIntervalAndTriggerCaptures(t *testing.T) {
 		TriggerCooldown:    time.Millisecond,
 		Metrics:            reg,
 	})
+	kindTrigger := regexp.MustCompile(`^([a-z]+)-[0-9]+-(.*)\.pb\.gz$`)
+	// waitFor polls the ring until it holds a capture of each kind and
+	// file-name trigger given.
+	waitFor := func(want ...[2]string) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			have := make(map[[2]string]bool)
+			for _, name := range ring(t, dir) {
+				m := kindTrigger.FindStringSubmatch(name)
+				have[[2]string{m[1], m[2]}] = true
+			}
+			missing := slices.DeleteFunc(slices.Clone(want), func(w [2]string) bool { return have[w] })
+			if len(missing) == 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				c.Stop()
+				t.Fatalf("no %v capture within 30 s; the ring holds %v", missing, ring(t, dir))
+			}
+		}
+	}
 	c.Start()
-	time.Sleep(150 * time.Millisecond) // at least one full interval cycle
+	waitFor([2]string{"cpu", "interval"})
 	c.Trigger("slo-page:availability")
-	time.Sleep(100 * time.Millisecond)
+	waitFor([2]string{"goroutine", "slo-page_availability"}, [2]string{"cpu", "slo-page_availability"})
 	c.Stop()
 
-	kindTrigger := regexp.MustCompile(`^([a-z]+)-[0-9]+-(.*)\.pb\.gz$`)
 	byKindTrigger := make(map[[2]string]int)
 	for _, name := range ring(t, dir) {
 		m := kindTrigger.FindStringSubmatch(name)
