@@ -74,9 +74,8 @@ race:
 # (and bench/) calls os.Rename or os.CreateTemp or opens a file
 # O_APPEND, so a second copy of the write-fsync-rename protocol or of
 # the append log cannot land unnoticed. The flags gate fails if
-# gpluscrawl, gplusd, gplusanalyze, gplusgen or gplusverify
-# registers a flag that no README.md, EXPERIMENTS.md or Makefile command
-# line passes to it, if a `go run ./<dir>` in those files names no
+# gpluscrawl, gplusd, gplusanalyze or gplusgen registers a flag that
+# no README.md, EXPERIMENTS.md or Makefile command line passes to it, if a `go run ./<dir>` in those files names no
 # package main, if a `gplusanalyze <word>` there or in a string of
 # a cmd/*/main.go names no sub-command it has, or if a curl of
 # 127.0.0.1 in README.md or EXPERIMENTS.md fetches a path that both the
@@ -241,13 +240,14 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz=FuzzSortEdges -fuzztime=10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz=FuzzSortedCopy -fuzztime=10s ./internal/stats/
 
-# Generate a dataset and audit it against the paper's published claims,
+# Generate a dataset and audit it against the paper's published claims
+# (gplusanalyze's audit experiment, which exits 1 when a check fails),
 # at the default analysis seed and at a second one: the sampled checks
 # (path lengths, Figure 9's pair samples) must not pass by sample luck.
 verify:
 	$(GO) run ./cmd/gplusgen -nodes 100000 -out /tmp/gplus-verify-data
-	$(GO) run ./cmd/gplusverify -data /tmp/gplus-verify-data
-	$(GO) run ./cmd/gplusverify -data /tmp/gplus-verify-data -analysis-seed 7
+	$(GO) run ./cmd/gplusanalyze -data /tmp/gplus-verify-data -only audit
+	$(GO) run ./cmd/gplusanalyze -data /tmp/gplus-verify-data -only audit -analysis-seed 7
 
 # The measured half of EXPERIMENTS.md: a dataset at the documented size
 # and seeds, the whole study over it as Markdown (audit, every table and

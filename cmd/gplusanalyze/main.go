@@ -1,18 +1,21 @@
 // Command gplusanalyze runs the full study over a saved dataset and
-// prints every table and figure of the paper.
+// prints every table and figure of the paper, after the audit of the
+// paper's published claims.
 //
 // Usage:
 //
-//	gplusanalyze -data ./data                  # all experiments
+//	gplusanalyze -data ./data                  # the audit, then all experiments
+//	gplusanalyze -data ./data -only audit      # the paper-claim audit alone
 //	gplusanalyze -data ./data -only table4,fig5
 //	gplusanalyze -data ./data -only motifs     # exact triangle + triad census
 //	gplusanalyze -data ./data -baselines       # include Table 4 baselines
-//	gplusanalyze -data ./data -format md       # the audit, then each experiment as a Markdown section
+//	gplusanalyze -data ./data -format md       # each experiment as a Markdown section
 //
-// -format md prints what text prints, one "## <id>" section and fenced
-// block per experiment, under a title, the dataset line and (when -only
-// is not given) the audit table as gplusverify prints it; `make
-// experiments` writes its output into EXPERIMENTS.md.
+// The audit experiment prints one PASS/FAIL row per published claim;
+// when a row says FAIL the whole report is still printed, and then the
+// exit status is 1. -format md prints what text prints, one "## <id>"
+// section and fenced block per experiment, under a title and the dataset
+// line; `make experiments` writes its output into EXPERIMENTS.md.
 //
 // Two subcommands read the run directory gpluscrawl/gplusd write under
 // -obs-dir (series.jsonl, traces.jsonl) — during the run too, since both
@@ -207,7 +210,7 @@ func run(stdout, stderr io.Writer, args []string) error {
 		baselines = fs.Bool("baselines", false, "regenerate Twitter/Facebook/Orkut-like baselines for Table 4")
 		seed      = fs.Uint64("analysis-seed", 2012, "seed for sampled analyses")
 		circleCap = fs.Int("cap", 10_000, "assumed circle cap for the lost-edge estimate")
-		format    = fs.String("format", "text", "output format: text, or md (the text report as Markdown sections, after the audit when -only is not given)")
+		format    = fs.String("format", "text", "output format: text, or md (the text report as Markdown sections)")
 		plotDir   = fs.String("plotdir", "", "also write gnuplot-ready figure data + plots.gp here")
 		par       = fs.Int("parallelism", 0, "worker goroutines per graph analysis; results are identical for any value (0 = auto: GOMAXPROCS capped at 8)")
 		mmapGraph = fs.Bool("mmap", false, "serve the graph from the memory-mapped v2 file instead of loading it into RAM; results are byte-identical")
@@ -269,7 +272,7 @@ func run(stdout, stderr io.Writer, args []string) error {
 			return fmt.Errorf("structural analyses: %w", err)
 		}
 	}
-	return report.Print(ctx, stdout, study, experiments, *format == "md", len(want) == 0)
+	return report.Print(ctx, stdout, study, experiments, *format == "md")
 }
 
 // printStageBreakdown prints where the analysis wall-clock went, slowest

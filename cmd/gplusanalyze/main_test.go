@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"log"
 	"net/http/httptest"
 	"os"
@@ -24,6 +25,7 @@ import (
 	"gplus/internal/obs/rundir"
 	"gplus/internal/obs/series"
 	"gplus/internal/obs/trace"
+	"gplus/internal/paper"
 	"gplus/internal/synth"
 )
 
@@ -212,9 +214,11 @@ func TestCutDumpIsAnalyzedWithAWarning(t *testing.T) {
 
 // TestOnlyPaysForTheStagesItNames drives the study runner in-process:
 // the stage breakdown of an -only run lists exactly the stages behind
-// the experiments it names, -format md honours -only, -baselines and
-// -cap as text does, and a mistyped id or an unknown -format is a usage
-// error instead of a report the command line did not ask for.
+// the experiments it names, the audit opens the whole report in either
+// format and its failed checks are run's error once the report is
+// printed, -format md honours -only, -baselines and -cap as text does,
+// and a mistyped id or an unknown -format is a usage error instead of a
+// report the command line did not ask for.
 func TestOnlyPaysForTheStagesItNames(t *testing.T) {
 	u, err := synth.Generate(synth.DefaultConfig(2_000))
 	if err != nil {
@@ -236,12 +240,14 @@ func TestOnlyPaysForTheStagesItNames(t *testing.T) {
 		{only: "table4", stages: []string{"paths", "reciprocity"}},
 		{only: "table4,fig5,fig4", stages: []string{"paths", "reciprocity", "scc", "triads"}},
 		{only: "table1,lostedges"},
+		// The audit reads every stage, Figure 9's pair sample included.
+		{only: "audit", stages: all},
 		{stages: all},
 		// -plotdir writes Figure 9's CDFs and the text report prints
 		// them: one pair sample serves both.
 		{plotdir: true, stages: all},
 		// md takes -only, -baselines and -cap as text does; the audit
-		// comes with the whole report only.
+		// comes with the whole report, as in text.
 		{only: "table2", more: []string{"-format", "md"}, prints: []string{"## table2\n\n```\nTable 2:"}},
 		{more: []string{"-format", "md", "-baselines"}, stages: all, prints: []string{"## audit\n", "Twitter-like", "## lostedges\n"}},
 		{only: "lostedges", more: []string{"-format", "md", "-cap", "5000"}, prints: []string{"Lost edges (cap 5000)"}},
@@ -251,7 +257,14 @@ func TestOnlyPaysForTheStagesItNames(t *testing.T) {
 			args = append(args, "-plotdir", t.TempDir())
 		}
 		var stdout, stderr bytes.Buffer
-		if err := run(&stdout, &stderr, args); err != nil {
+		err := run(&stdout, &stderr, args)
+		// A universe this small fails some of the paper's checks: the
+		// report is printed whole, then run returns how many failed.
+		audited := tc.only == "" || tc.only == "audit"
+		failed := len(failRow.FindAllString(stdout.String(), -1))
+		if audited && (failed == 0 || err == nil || err.Error() != fmt.Sprintf("%d of %d checks failed", failed, len(paper.Checks()))) {
+			t.Errorf("%v: %d audit rows say FAIL, run returned %v", args, failed, err)
+		} else if !audited && err != nil {
 			t.Fatalf("%v: %v", args, err)
 		}
 		if stdout.Len() == 0 {
@@ -262,8 +275,17 @@ func TestOnlyPaysForTheStagesItNames(t *testing.T) {
 				t.Errorf("%v: output lacks %q:\n%s", args, want, stdout.String())
 			}
 		}
-		if audit := strings.Contains(stdout.String(), "## audit"); audit != (tc.only == "" && slices.Contains(tc.more, "md")) {
+		if audit := strings.Contains(stdout.String(), " checks passed\n"); audit != audited {
 			t.Errorf("%v: audit printed = %v", args, audit)
+		}
+		// The audit, when printed, is the report's first experiment.
+		out := stdout.String()
+		opens := strings.HasPrefix(out, "check ")
+		if slices.Contains(tc.more, "md") {
+			opens = strings.Index(out, "## ") == strings.Index(out, "## audit\n")
+		}
+		if audited && !opens {
+			t.Errorf("%v: the report does not open with the audit:\n%s", args, out)
 		}
 		var stages []string
 		if _, breakdown, ok := strings.Cut(stderr.String(), "analysis stage wall-clock:\n"); ok {
@@ -307,6 +329,77 @@ func TestOnlyPaysForTheStagesItNames(t *testing.T) {
 		}
 		if stdout.Len() > 0 {
 			t.Errorf("%v still printed:\n%s", tc.args, stdout.String())
+		}
+	}
+}
+
+// failRow matches a row of the audit table that says FAIL.
+var failRow = regexp.MustCompile(`(?m)^\S+ +FAIL `)
+
+// TestAuditTable drives the audit experiment in-process on a dataset
+// written the way gplusgen writes one, at the default analysis seed and
+// another: one row per paper check in the checks' order, a footer
+// counting the rows that say PASS, the blank line every text experiment
+// ends with, and an error naming how many rows say FAIL exactly when
+// one does (a universe this small does not pass every check). The audit
+// over the memory-mapped graph prints the same bytes and fails the
+// same way.
+func TestAuditTable(t *testing.T) {
+	u, err := synth.Generate(synth.DefaultConfig(3_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := dataset.FromUniverse(u).SaveV2(dir); err != nil {
+		t.Fatal(err)
+	}
+	checks := paper.Checks()
+	for _, seed := range []string{"2012", "7"} {
+		audit := func(more ...string) (string, error) {
+			var stdout, stderr bytes.Buffer
+			err := run(&stdout, &stderr, append([]string{"-data", dir, "-analysis-seed", seed, "-only", "audit"}, more...))
+			return stdout.String(), err
+		}
+		stdout, runErr := audit()
+		if mapped, mappedErr := audit("-mmap"); mapped != stdout || fmt.Sprint(mappedErr) != fmt.Sprint(runErr) {
+			t.Errorf("seed %s: mapped audit (%v):\n%s\nin-RAM audit (%v):\n%s", seed, mappedErr, mapped, runErr, stdout)
+		}
+
+		out, ok := strings.CutSuffix(stdout, "\n\n")
+		if !ok {
+			t.Fatalf("seed %s: the audit does not end in a blank line:\n%s", seed, stdout)
+		}
+		table, footer, ok := strings.Cut(out, "\n\n")
+		if !ok {
+			t.Fatalf("seed %s: no blank line between table and footer:\n%s", seed, stdout)
+		}
+		rows := strings.Split(table, "\n")[1:] // less the header
+		if len(rows) != len(checks) {
+			t.Fatalf("seed %s: %d rows for %d checks:\n%s", seed, len(rows), len(checks), table)
+		}
+		passed := 0
+		for i, row := range rows {
+			f := strings.Fields(row)
+			if f[0] != checks[i].ID {
+				t.Errorf("seed %s: row %d is %s, want %s", seed, i, f[0], checks[i].ID)
+			}
+			switch f[1] {
+			case "PASS":
+				passed++
+			case "FAIL":
+			default:
+				t.Errorf("seed %s: row %d has status %q:\n%s", seed, i, f[1], row)
+			}
+		}
+		if want := fmt.Sprintf("%d/%d checks passed", passed, len(checks)); footer != want {
+			t.Errorf("seed %s: footer %q, want %q", seed, footer, want)
+		}
+		failed := len(checks) - passed
+		if failed == 0 {
+			t.Errorf("seed %s: every check passed; the mapped comparison needs a dataset some rows fail", seed)
+		}
+		if (runErr != nil) != (failed > 0) || failed > 0 && runErr.Error() != fmt.Sprintf("%d of %d checks failed", failed, len(checks)) {
+			t.Errorf("seed %s: %d rows say FAIL but run returned %v", seed, failed, runErr)
 		}
 	}
 }

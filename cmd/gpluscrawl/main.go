@@ -208,9 +208,9 @@ func run(ctx context.Context, args []string) error {
 		}
 		if n := prev.Stats.TornRecords; n > 0 {
 			// A mid-append crash tore the final line; at most that one
-			// record is lost and the rest of the journal is intact.
+			// record is lost and the rest of the journal is intact. The
+			// crawler counts it in crawler_journal_torn_records_total.
 			log.Printf("warning: dropped %d torn trailing record(s) from %s", n, *journal)
-			reg.Counter("crawler_journal_torn_records_total").Add(int64(n))
 		}
 		log.Printf("resuming: %d profiles, %d discovered, %d edge observations from %s",
 			len(prev.Profiles), len(prev.Discovered), prev.Stats.EdgesObserved, *journal)

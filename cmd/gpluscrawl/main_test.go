@@ -16,6 +16,8 @@ import (
 	"gplus/internal/dataset"
 	"gplus/internal/gplusd"
 	"gplus/internal/obs"
+	"gplus/internal/obs/rundir"
+	"gplus/internal/obs/series"
 	"gplus/internal/synth"
 )
 
@@ -83,7 +85,7 @@ func TestRerunResumesToTheSameDataset(t *testing.T) {
 	if err != nil {
 		t.Fatalf("journal is not a loadable checkpoint: %v", err)
 	}
-	ds, err := dataset.Load(out)
+	ds, err := dataset.LoadWith(out, dataset.Options{})
 	if err != nil {
 		t.Fatalf("loading the crawled dataset: %v", err)
 	}
@@ -161,5 +163,59 @@ func TestGivingUpExitsNonZeroAndResumes(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s differs from the reference crawl's (%d vs %d bytes)", name, len(got), len(want))
 		}
+	}
+}
+
+// TestResumeCountsATornRecordOnce: a session cut short leaves a journal
+// whose final line a crash then tears; the resumed session warns of the
+// one torn record and its run directory counts it once in
+// crawler_journal_torn_records_total.
+func TestResumeCountsATornRecordOnce(t *testing.T) {
+	ts := httptest.NewServer(gplusd.New(smallUniverse(t), gplusd.Options{}))
+	defer ts.Close()
+
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	dir := t.TempDir()
+	out, obsDir := filepath.Join(dir, "data"), filepath.Join(dir, "run")
+	crawl := func(more ...string) {
+		t.Helper()
+		args := append([]string{"-url", ts.URL, "-out", out, "-workers", "2", "-progress", "0"}, more...)
+		if err := run(context.Background(), args); err != nil {
+			t.Fatalf("gpluscrawl %v: %v\n%s", args, err, &logged)
+		}
+	}
+	crawl("-max", "40", "-sample-interval", "0")
+	journal := filepath.Join(out, "crawl.journal")
+	fi, err := os.Stat(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Tear the final record: its newline and the byte before it are lost.
+	if err := os.Truncate(journal, fi.Size()-2); err != nil {
+		t.Fatal(err)
+	}
+
+	crawl("-obs-dir", obsDir, "-profile-interval", "0")
+	if want := "dropped 1 torn trailing record(s)"; !strings.Contains(logged.String(), want) {
+		t.Errorf("resumed session did not warn %q:\n%s", want, &logged)
+	}
+	f, err := os.Open(filepath.Join(obsDir, rundir.SeriesFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dump, _, err := series.ReadTicks(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticks := dump.Ticks()
+	if len(ticks) == 0 {
+		t.Fatal("the run directory holds no sample")
+	}
+	if n := ticks[len(ticks)-1].Counters["crawler_journal_torn_records_total"]; n != 1 {
+		t.Errorf("crawler_journal_torn_records_total = %d after resuming over one torn record, want 1", n)
 	}
 }

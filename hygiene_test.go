@@ -183,7 +183,6 @@ func TestFlagsHaveRecipe(t *testing.T) {
 		{"gplusanalyze", "fs", false, 9},
 		{"gplusanalyze", "sub", false, 4},
 		{"gplusgen", "flag", false, 3},
-		{"gplusverify", "fs", false, 2},
 	} {
 		src, err := os.ReadFile(filepath.Join("cmd", bin.name, "main.go"))
 		if err != nil {

@@ -132,7 +132,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := d.SaveV2(dir); err != nil {
 		t.Fatalf("SaveV2: %v", err)
 	}
-	got, err := Load(dir)
+	got, err := LoadWith(dir, Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -171,7 +171,7 @@ func TestLoadRejectsCorruptProfiles(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "profiles.jsonl"), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(dir); err == nil {
+		if _, err := LoadWith(dir, Options{}); err == nil {
 			t.Errorf("%s: corrupt profiles accepted", name)
 		}
 	}
@@ -214,7 +214,7 @@ func TestLoadRejectsCorruptGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The name must end at ": ": a longer name it prefixes does not pass.
-		if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), filepath.Join(dir, tc.want)+": ") {
+		if _, err := LoadWith(dir, Options{}); err == nil || !strings.Contains(err.Error(), filepath.Join(dir, tc.want)+": ") {
 			t.Errorf("%s: Load says %v, want an error naming %s", tc.name, err, tc.want)
 		}
 	}
@@ -233,7 +233,7 @@ func TestSaveRejectsInvalidDataset(t *testing.T) {
 }
 
 func TestLoadMissingDir(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "absent")); err == nil {
+	if _, err := LoadWith(filepath.Join(t.TempDir(), "absent"), Options{}); err == nil {
 		t.Fatal("expected error for missing dataset")
 	}
 }

@@ -25,7 +25,7 @@ const golden = "testdata/golden"
 // mapped, requires the same study structure results from both, and
 // re-saves each: the files written must be the golden bytes.
 func TestGoldenDatasetRoundTrips(t *testing.T) {
-	ram, err := dataset.Load(golden)
+	ram, err := dataset.LoadWith(golden, dataset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

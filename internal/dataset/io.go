@@ -101,14 +101,9 @@ func (d *Dataset) writeProfiles(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a dataset directory, materialized in RAM.
-func Load(dir string) (*Dataset, error) {
-	return LoadWith(dir, Options{})
-}
-
-// LoadWith reads a dataset with explicit backend options. With
-// Options.Mapped the v2 graph is served memory-mapped and the caller
-// must Close the returned dataset.
+// LoadWith reads a dataset directory: materialized in RAM by default,
+// or with Options.Mapped the v2 graph served memory-mapped, when the
+// caller must Close the returned dataset.
 //
 // Either way graph.v2 is decoded and verified once: by Open for a
 // mapped dataset, and by Materialize, of a map opened unverified, for

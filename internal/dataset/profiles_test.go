@@ -280,7 +280,7 @@ func TestLongProfileRecordRoundTrips(t *testing.T) {
 	if err := d.SaveV2(dir); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(dir)
+	got, err := LoadWith(dir, Options{})
 	if err != nil {
 		t.Fatalf("Load of a dataset with a %d MiB record: %v", len(long)>>20, err)
 	}
@@ -292,7 +292,7 @@ func TestLongProfileRecordRoundTrips(t *testing.T) {
 // TestNodeOfBuildsIndexOnFirstUse: a loaded dataset resolves ids (the
 // index is built lazily now) and concurrent first callers agree.
 func TestNodeOfBuildsIndexOnFirstUse(t *testing.T) {
-	d, err := Load(goldenDir)
+	d, err := LoadWith(goldenDir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

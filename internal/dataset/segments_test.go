@@ -37,7 +37,7 @@ func TestSaveV2LoadRoundTrip(t *testing.T) {
 		t.Fatalf("a save wrote %v, want exactly %s and %s", names, graphV2File, profilesFile)
 	}
 
-	got, err := Load(dir)
+	got, err := LoadWith(dir, Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}

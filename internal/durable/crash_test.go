@@ -178,7 +178,7 @@ func inRAM(res *crawler.Result) *dataset.Dataset {
 // observeDataset reloads dir and classifies its graph and profile files.
 func observeDataset(dir string, old, new *dataset.Dataset) func(*testing.T) map[string]bool {
 	return func(t *testing.T) map[string]bool {
-		got, err := dataset.Load(dir)
+		got, err := dataset.LoadWith(dir, dataset.Options{})
 		if err != nil {
 			t.Fatalf("dataset unloadable: %v", err)
 		}

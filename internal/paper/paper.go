@@ -1,7 +1,8 @@
 // Package paper embeds the published values of Magno et al. (IMC 2012)
 // and the tolerance bands within which this reproduction is considered
-// to match. cmd/gplusverify evaluates a dataset against every check and
-// reports pass/fail per experiment.
+// to match. Collect and Evaluate hold a study to every check; the audit
+// experiment of internal/report (gplusanalyze -only audit) prints the
+// pass/fail table.
 //
 // Two kinds of checks exist:
 //

@@ -2,6 +2,7 @@ package report
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 
@@ -17,14 +18,26 @@ type Experiment struct {
 	Print func(ctx context.Context, w io.Writer, s *core.Study) error
 }
 
-// Experiments is every experiment in print order. Each calls the Study
-// methods it renders, and a Study computes each structural stage at most
-// once, so a subset pays for exactly the stages its experiments name.
-// baselines adds Table 4's Twitter-, Facebook- and Orkut-like rows,
-// generated from seed; circleCap is the circle cap the §2.2 lost-edge
-// estimate assumes.
+// Experiments is every experiment in print order, the paper-claim audit
+// first. Each calls the Study methods it renders, and a Study computes
+// each structural stage at most once, so a subset pays for exactly the
+// stages its experiments name. The audit returns a checksFailed error
+// when a row says FAIL, after printing the whole table. baselines adds
+// Table 4's Twitter-, Facebook- and Orkut-like rows, generated from
+// seed; circleCap is the circle cap the §2.2 lost-edge estimate assumes.
 func Experiments(baselines bool, seed uint64, circleCap int) []Experiment {
 	return []Experiment{
+		{"audit", func(ctx context.Context, w io.Writer, s *core.Study) error {
+			results, err := paper.Collect(ctx, s)
+			if err != nil {
+				return err
+			}
+			outcomes := paper.Evaluate(results)
+			if failed := Audit(w, outcomes); failed > 0 {
+				return checksFailed{failed, len(outcomes)}
+			}
+			return nil
+		}},
 		{"table1", func(_ context.Context, w io.Writer, s *core.Study) error { Table1(w, s.TopUsers(20)); return nil }},
 		{"table2", func(_ context.Context, w io.Writer, s *core.Study) error { Table2(w, s.AttributeTable()); return nil }},
 		{"table3", func(_ context.Context, w io.Writer, s *core.Study) error { Table3(w, s.TelUsers()); return nil }},
@@ -96,28 +109,24 @@ func ExperimentIDs() []string {
 // Print writes what each of exps prints over s, in order, each followed
 // by a blank line: the text report. With md set it is the Markdown
 // report instead, the measured half of EXPERIMENTS.md: a title and the
-// dataset line, the audit when audit is set, then a "## <id>" section
-// per experiment whose fenced block holds exactly those text lines.
-func Print(ctx context.Context, w io.Writer, s *core.Study, exps []Experiment, md, audit bool) error {
+// dataset line, then a "## <id>" section per experiment whose fenced
+// block holds exactly those text lines. A failed audit check does not cut
+// the report short: Print writes every experiment, then returns the
+// audit's "N of M checks failed".
+func Print(ctx context.Context, w io.Writer, s *core.Study, exps []Experiment, md bool) error {
 	if md {
 		ds := s.Dataset()
 		fmt.Fprintf(w, "# Google+ reproduction report\n\nDataset: %d users (%d crawled), %d edges.\n\n",
 			ds.NumUsers(), ds.NumCrawled(), ds.View().NumEdges())
-		if audit {
-			results, err := paper.Collect(ctx, s)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, "## audit\n\n```\n")
-			Audit(w, paper.Evaluate(results))
-			fmt.Fprint(w, "```\n\n")
-		}
 	}
+	var failed error
 	for _, e := range exps {
 		if md {
 			fmt.Fprintf(w, "## %s\n\n```\n", e.ID)
 		}
-		if err := e.Print(ctx, w, s); err != nil {
+		if err := e.Print(ctx, w, s); errors.As(err, new(checksFailed)) {
+			failed = err
+		} else if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		if md {
@@ -125,12 +134,20 @@ func Print(ctx context.Context, w io.Writer, s *core.Study, exps []Experiment, m
 		}
 		fmt.Fprintln(w)
 	}
-	return nil
+	return failed
 }
 
-// Audit writes the paper-claim audit as gplusverify prints it: one row
-// per check, in the order of paper.Checks, then how many rows say PASS.
-// It returns how many say FAIL.
+// checksFailed is the audit's verdict on a dataset some rows of whose
+// table say FAIL: the report is whole, but the paper is not reproduced.
+type checksFailed struct{ failed, total int }
+
+func (e checksFailed) Error() string {
+	return fmt.Sprintf("%d of %d checks failed", e.failed, e.total)
+}
+
+// Audit writes the paper-claim audit table, the audit experiment's text:
+// one row per check, in the order of paper.Checks, then how many rows
+// say PASS. It returns how many say FAIL.
 func Audit(w io.Writer, outcomes []paper.Outcome) (failed int) {
 	fmt.Fprintf(w, "%-26s %-8s %10s %10s  %s\n", "check", "status", "paper", "measured", "claim")
 	for _, o := range outcomes {

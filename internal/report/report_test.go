@@ -136,47 +136,57 @@ func TestFigureRenderers(t *testing.T) {
 }
 
 // TestMarkdownReport: -format md is the text report, section by
-// section: after the title and the dataset line (and the audit table as
-// gplusverify prints it, when every experiment is asked for), each
-// experiment is a "## <id>" heading over a fenced block holding exactly
-// the lines the text report prints for it.
+// section: after the title and the dataset line, each experiment is a
+// "## <id>" heading over a fenced block holding exactly the lines the
+// text report prints for it — the audit table first, as Audit renders
+// it. A failed check is the report's error, after every section.
 func TestMarkdownReport(t *testing.T) {
 	s, ctx := study(t), context.Background()
-	report := func(exps []Experiment, md, audit bool) string {
-		t.Helper()
-		var sb strings.Builder
-		if err := Print(ctx, &sb, s, exps, md, audit); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
-	}
 	results, err := paper.Collect(ctx, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var audit strings.Builder
-	Audit(&audit, paper.Evaluate(results))
+	failed := Audit(&audit, paper.Evaluate(results))
+	report := func(exps []Experiment, md bool) string {
+		t.Helper()
+		var sb strings.Builder
+		err := Print(ctx, &sb, s, exps, md)
+		if exps[0].ID == "audit" && failed > 0 {
+			if want := (checksFailed{failed, len(paper.Checks())}); err != want {
+				t.Fatalf("Print: %v, want %v", err, want)
+			}
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
 	ds := s.Dataset()
 	header := fmt.Sprintf("# Google+ reproduction report\n\nDataset: %d users (%d crawled), %d edges.\n\n",
 		ds.NumUsers(), ds.NumCrawled(), ds.View().NumEdges())
 
 	exps := Experiments(true, 1, 150)
+	if exps[0].ID != "audit" {
+		t.Fatalf("the first experiment is %s, want audit", exps[0].ID)
+	}
 	var text, sections strings.Builder
 	for _, e := range exps {
-		one := report([]Experiment{e}, false, false)
+		one := report([]Experiment{e}, false)
 		if !strings.HasSuffix(one, "\n\n") {
 			t.Fatalf("%s: text does not end in a blank line: %q", e.ID, one)
 		}
 		text.WriteString(one)
-		sections.WriteString("## " + e.ID + "\n\n```\n" + strings.TrimSuffix(one, "\n") + "```\n\n")
+		if e.ID != "audit" {
+			sections.WriteString("## " + e.ID + "\n\n```\n" + strings.TrimSuffix(one, "\n") + "```\n\n")
+		}
 	}
-	if got := report(exps, false, false); got != text.String() {
+	if got := report(exps, false); got != text.String() {
 		t.Errorf("the text report is not its experiments one after another:\n%s", got)
 	}
-	if got, want := report(exps, true, true), header+"## audit\n\n```\n"+audit.String()+"```\n\n"+sections.String(); got != want {
+	if got, want := report(exps, true), header+"## audit\n\n```\n"+audit.String()+"```\n\n"+sections.String(); got != want {
 		t.Errorf("md report:\n%s\nwant:\n%s", got, want)
 	}
-	if got, want := report(exps[3:4], true, false), header+"## table4\n\n```\n"+strings.TrimSuffix(report(exps[3:4], false, false), "\n")+"```\n\n"; got != want {
+	if got, want := report(exps[4:5], true), header+"## table4\n\n```\n"+strings.TrimSuffix(report(exps[4:5], false), "\n")+"```\n\n"; got != want {
 		t.Errorf("md report of table4 alone:\n%s\nwant:\n%s", got, want)
 	}
 	if !strings.Contains(audit.String(), "checks passed") || !strings.Contains(sections.String(), "Twitter-like") {
@@ -260,7 +270,7 @@ func TestPlotDataAndMarkdownShareOneStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Print(ctx, io.Discard, s, Experiments(false, 3, 10_000), true, true); err != nil {
+	if err := Print(ctx, io.Discard, s, Experiments(false, 3, 10_000), true); err != nil && !errors.As(err, new(checksFailed)) {
 		t.Fatal(err)
 	}
 	if results.Topology != row || row.PathLength != results.Paths.Directed.Mean() || row.Reciprocity != results.Reciprocity.Global {
