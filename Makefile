@@ -184,22 +184,25 @@ paperscale:
 ablations:
 	$(GO) test -run '^$$' -bench='Ablation|SeedSensitivity|LostEdges' -benchtime=1x .
 
+# The long fuzz legs, 30 s each. Every leg passes -run '^$$', as
+# fuzz-short's do, so a leg fuzzes at once instead of first running its
+# package's whole test suite (the crawler's alone takes a minute).
 fuzz:
-	$(GO) test -fuzz=FuzzToProfile -fuzztime=30s ./internal/gplusapi/
-	$(GO) test -fuzz=FuzzWireCodec -fuzztime=30s ./internal/gplusapi/
-	$(GO) test -fuzz=FuzzRequestURL -fuzztime=30s ./internal/gplusapi/
-	$(GO) test -fuzz=FuzzMultiSourceBFS -fuzztime=30s ./internal/graph/
-	$(GO) test -fuzz=FuzzTriads -fuzztime=30s ./internal/graph/
-	$(GO) test -fuzz=FuzzComponents -fuzztime=30s ./internal/graph/
-	$(GO) test -fuzz=FuzzSortEdges -fuzztime=30s ./internal/graph/
-	$(GO) test -fuzz=FuzzSortedCopy -fuzztime=30s ./internal/stats/
-	$(GO) test -fuzz=FuzzOpenV2 -fuzztime=30s ./internal/graph/diskcsr/
-	$(GO) test -fuzz=FuzzCompact -fuzztime=30s ./internal/graph/diskcsr/
-	$(GO) test -fuzz=FuzzSegment -fuzztime=30s ./internal/graph/diskcsr/
-	$(GO) test -fuzz=FuzzReadResult -fuzztime=30s ./internal/crawler/
-	$(GO) test -fuzz=FuzzParseFaultSpec -fuzztime=30s ./internal/gplusd/
-	$(GO) test -fuzz=FuzzSeriesName -fuzztime=30s ./internal/obs/
-	$(GO) test -fuzz=FuzzSeriesLog -fuzztime=30s -fuzzminimizetime=1s ./internal/obs/series/
+	$(GO) test -run '^$$' -fuzz=FuzzToProfile -fuzztime=30s ./internal/gplusapi/
+	$(GO) test -run '^$$' -fuzz=FuzzWireCodec -fuzztime=30s ./internal/gplusapi/
+	$(GO) test -run '^$$' -fuzz=FuzzRequestURL -fuzztime=30s ./internal/gplusapi/
+	$(GO) test -run '^$$' -fuzz=FuzzMultiSourceBFS -fuzztime=30s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz=FuzzTriads -fuzztime=30s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz=FuzzComponents -fuzztime=30s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz=FuzzSortEdges -fuzztime=30s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz=FuzzSortedCopy -fuzztime=30s ./internal/stats/
+	$(GO) test -run '^$$' -fuzz=FuzzOpenV2 -fuzztime=30s ./internal/graph/diskcsr/
+	$(GO) test -run '^$$' -fuzz=FuzzCompact -fuzztime=30s ./internal/graph/diskcsr/
+	$(GO) test -run '^$$' -fuzz=FuzzSegment -fuzztime=30s ./internal/graph/diskcsr/
+	$(GO) test -run '^$$' -fuzz=FuzzReadResult -fuzztime=30s ./internal/crawler/
+	$(GO) test -run '^$$' -fuzz=FuzzParseFaultSpec -fuzztime=30s ./internal/gplusd/
+	$(GO) test -run '^$$' -fuzz=FuzzSeriesName -fuzztime=30s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz=FuzzSeriesLog -fuzztime=30s -fuzzminimizetime=1s ./internal/obs/series/
 
 # The quick fuzz leg of `make check`: the checkpoint/journal parser and
 # the series.jsonl tick decoder read the formats a crash can hand

@@ -204,7 +204,8 @@ func run(stdout, stderr io.Writer, args []string) error {
 		}
 		return nil
 	}
-	fs := flag.NewFlagSet("gplusanalyze", flag.ExitOnError)
+	fs := flag.NewFlagSet("gplusanalyze", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		dataDir   = fs.String("data", "data", "dataset directory (from gpluscrawl or gplusgen)")
 		baselines = fs.Bool("baselines", false, "regenerate Twitter/Facebook/Orkut-like baselines for Table 4")
@@ -217,7 +218,11 @@ func run(stdout, stderr io.Writer, args []string) error {
 	)
 	ids := report.ExperimentIDs()
 	only := fs.String("only", "", "comma-separated experiment ids ("+strings.Join(ids, ", ")+"); empty = all")
-	fs.Parse(args) //nolint:errcheck — ExitOnError
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil // -h: flag has printed the usage
+	} else if err != nil {
+		return usageError{err} // flag has printed the complaint and the usage
+	}
 
 	want := map[string]bool{}
 	if *only != "" {
@@ -246,7 +251,7 @@ func run(stdout, stderr io.Writer, args []string) error {
 	}
 	defer ds.Close()
 	backend := "in-RAM"
-	if ds.Graph == nil {
+	if *mmapGraph {
 		backend = "mmap"
 	}
 	logger.Printf("dataset: %d users (%d crawled), %d edges (%s graph)",

@@ -333,6 +333,36 @@ func TestOnlyPaysForTheStagesItNames(t *testing.T) {
 	}
 }
 
+// TestStudyFlagsReturnToRun: a study command line the flag package
+// rejects comes back from run, not as an exit of the process — a usage
+// error carrying flag's complaint, after the usage on stderr — and -h
+// prints the usage and returns nil, which main exits 0 on.
+func TestStudyFlagsReturnToRun(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // in the error; "" for none
+	}{
+		{[]string{"-fromat", "md"}, "flag provided but not defined: -fromat"},
+		{[]string{"-parallelism", "many"}, `invalid value "many" for flag -parallelism`},
+		{[]string{"-h"}, ""},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(&stdout, &stderr, tc.args)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%v: err = %v, want nil", tc.args, err)
+		case tc.want != "" && (!errors.As(err, new(usageError)) || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%v: err = %v, want a usage error saying %s", tc.args, err, tc.want)
+		}
+		if !strings.Contains(stderr.String(), "Usage of gplusanalyze:") || !strings.Contains(stderr.String(), "-mmap") {
+			t.Errorf("%v: stderr lacks the usage:\n%s", tc.args, stderr.String())
+		}
+		if stdout.Len() > 0 {
+			t.Errorf("%v printed a report:\n%s", tc.args, stdout.String())
+		}
+	}
+}
+
 // failRow matches a row of the audit table that says FAIL.
 var failRow = regexp.MustCompile(`(?m)^\S+ +FAIL `)
 

@@ -122,10 +122,10 @@ func TestPathMilesMatchesSerial(t *testing.T) {
 func TestPathMilesAttemptCap(t *testing.T) {
 	const n = 9
 	b := graph.NewBuilder(n, n*n)
-	ds := &dataset.Dataset{Profiles: make([]profile.Profile, n), IDs: make([]string, n), Crawled: make([]bool, n)}
+	uni := &synth.Universe{Profiles: make([]profile.Profile, n), IDs: make([]string, n)}
 	for u := 0; u < n; u++ {
-		ds.IDs[u], ds.Crawled[u] = fmt.Sprint(u), true
-		ds.Profiles[u] = profile.Profile{
+		uni.IDs[u] = fmt.Sprint(u)
+		uni.Profiles[u] = profile.Profile{
 			Public: profile.AttrSet(0).With(profile.AttrPlacesLived), CountryCode: "US",
 			Loc: geo.Point{Lat: float64(4 * u), Lon: float64(-9 * u)},
 		}
@@ -138,7 +138,8 @@ func TestPathMilesAttemptCap(t *testing.T) {
 			}
 		}
 	}
-	ds.Graph = b.Build()
+	uni.Graph = b.Build()
+	ds := dataset.FromUniverse(uni)
 	for _, par := range []int{1, 3} {
 		s := New(ds, Options{Seed: 7, PairSample: 50, Parallelism: par})
 		got, want := s.PathMiles(), pathMilesSerial(s)

@@ -24,12 +24,7 @@ func TestWCCGiantFractionUsesGraphDenominator(t *testing.T) {
 	// but a roster of 6 users. Graph denominator: 4/5. Roster: 4/6.
 	g := graph.FromEdges(5, 0, 1, 1, 2, 2, 3)
 	ids := []string{"a", "b", "c", "d", "e", "phantom"}
-	ds := &dataset.Dataset{
-		Graph:    g,
-		IDs:      ids,
-		Profiles: make([]profile.Profile, len(ids)),
-		Crawled:  make([]bool, len(ids)),
-	}
+	ds := dataset.FromUniverse(&synth.Universe{Graph: g, IDs: ids, Profiles: make([]profile.Profile, len(ids))})
 	if ds.NumUsers() == g.NumNodes() {
 		t.Fatal("test needs users != graph nodes")
 	}
@@ -164,13 +159,13 @@ func TestClusteringExactPathAndMotifs(t *testing.T) {
 	s := New(ds, Options{Seed: 11})
 	cl := s.Clustering()
 	var coeffs []float64
-	links := make([]int64, ds.Graph.NumNodes())
+	links := make([]int64, ds.View().NumNodes())
 	for u := range links {
-		c, ok := graph.ClusteringCoefficient(ds.Graph, graph.NodeID(u))
+		c, ok := graph.ClusteringCoefficient(ds.View(), graph.NodeID(u))
 		if !ok {
 			continue
 		}
-		k := ds.Graph.OutDegree(graph.NodeID(u))
+		k := ds.View().OutDegree(graph.NodeID(u))
 		coeffs = append(coeffs, c)
 		links[u] = int64(math.Round(c * float64(k*(k-1))))
 	}
@@ -180,7 +175,7 @@ func TestClusteringExactPathAndMotifs(t *testing.T) {
 	if want := stats.CDF(coeffs); !reflect.DeepEqual(cl.CDF, want) {
 		t.Fatal("Figure 4(b) CDF is not that of the per-node coefficients")
 	}
-	if want := graph.ClusteringByDegree(ds.Graph, links); len(want) == 0 || !reflect.DeepEqual(cl.ByDegree, want) {
+	if want := graph.ClusteringByDegree(ds.View(), links); len(want) == 0 || !reflect.DeepEqual(cl.ByDegree, want) {
 		t.Fatal("C(k) curve is not that of the per-node numerators")
 	}
 	m, err := s.Motifs()
@@ -193,11 +188,11 @@ func TestClusteringExactPathAndMotifs(t *testing.T) {
 	if m.Census == nil || m.Census.Triangles() != m.TriangleTotal {
 		t.Fatalf("census triangles disagree with kernel total %d", m.TriangleTotal)
 	}
-	if want := graph.Triangles(ds.Graph, graph.TriangleCohen, 2); m.TriangleTotal != want.Total || m.Transitivity != want.Transitivity() {
+	if want := graph.Triangles(ds.View(), graph.TriangleCohen, 2); m.TriangleTotal != want.Total || m.Transitivity != want.Transitivity() {
 		t.Fatalf("%d triangles, transitivity %v; the Cohen reference has %d and %v", m.TriangleTotal, m.Transitivity, want.Total, want.Transitivity())
 	}
-	if m.Census.Nodes != ds.Graph.NumNodes() {
-		t.Fatalf("census ran on %d nodes, graph has %d", m.Census.Nodes, ds.Graph.NumNodes())
+	if m.Census.Nodes != ds.View().NumNodes() {
+		t.Fatalf("census ran on %d nodes, graph has %d", m.Census.Nodes, ds.View().NumNodes())
 	}
 }
 

@@ -18,18 +18,18 @@ import (
 // Dataset is the collected Google+ sample: every discovered user gets a
 // dense node id; users whose profile page was fetched carry profile data
 // and Crawled=true, while frontier users discovered only through circle
-// lists carry an empty profile.
+// lists carry an empty profile. The graph over those ids is reached
+// through View.
 type Dataset struct {
-	Graph    *graph.Graph
 	Profiles []profile.Profile
 	IDs      []string
 	Crawled  []bool
 
-	// view, when non-nil, is the graph behind an alternate backend (the
-	// mmap-backed v2 form); Graph may then be nil. Access through View().
-	view graph.View
-	// closer releases the view's resources (the mmap); nil for in-RAM
-	// datasets, where Close is a no-op.
+	// g is the graph: an in-RAM *graph.Graph, or the memory-mapped v2
+	// file of a dataset opened with Options.Mapped.
+	g graph.View
+	// closer releases the mapping; nil for in-RAM datasets, where Close
+	// is a no-op.
 	closer io.Closer
 
 	// index resolves service ids for NodeOf; it is built by the first
@@ -54,16 +54,9 @@ func (d *Dataset) Close() error {
 func (d *Dataset) NumUsers() int { return len(d.IDs) }
 
 // View returns the graph as the read surface the analysis kernels are
-// written against: the memory-mapped backend when the dataset was
-// opened with Options.Mapped, the in-RAM Graph otherwise. Callers that
-// only traverse should prefer this over the Graph field — code written
-// against View runs over either backend unchanged.
-func (d *Dataset) View() graph.View {
-	if d.view != nil {
-		return d.view
-	}
-	return d.Graph
-}
+// written against, whichever backend holds it: code written against
+// View runs over either unchanged.
+func (d *Dataset) View() graph.View { return d.g }
 
 // NumCrawled returns how many users have fetched profiles.
 func (d *Dataset) NumCrawled() int {
@@ -94,9 +87,9 @@ func (d *Dataset) idIndex() map[string]graph.NodeID {
 }
 
 // Validate checks cross-field invariants. The graph itself is not
-// checked again: a graph.Graph is valid by construction (Builder.Build
-// and FromCSR, which validates), and a mapped view was verified by its
-// decoder on open.
+// checked again: a built graph.Graph is valid by construction, and a
+// loaded one, in RAM or mapped, was checked in full by the decode that
+// read graph.v2.
 func (d *Dataset) Validate() error {
 	n := len(d.IDs)
 	if len(d.Profiles) != n || len(d.Crawled) != n {
@@ -144,7 +137,7 @@ func rosterFromCrawl(res *crawler.Result, extra []string) *Dataset {
 // by cmd/gplusgen for large-scale runs.
 func FromUniverse(u *synth.Universe) *Dataset {
 	d := &Dataset{
-		Graph:    u.Graph,
+		g:        u.Graph,
 		Profiles: u.Profiles,
 		IDs:      u.IDs,
 		Crawled:  make([]bool, u.NumUsers()),

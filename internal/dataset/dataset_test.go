@@ -73,8 +73,8 @@ func TestFromCrawlMatchesGroundTruth(t *testing.T) {
 	if d.NumUsers() != wantUsers {
 		t.Errorf("dataset has %d users, want %d", d.NumUsers(), wantUsers)
 	}
-	if d.Graph.NumEdges() != wantEdges {
-		t.Errorf("dataset has %d edges, want %d", d.Graph.NumEdges(), wantEdges)
+	if d.View().NumEdges() != wantEdges {
+		t.Errorf("dataset has %d edges, want %d", d.View().NumEdges(), wantEdges)
 	}
 	if d.NumCrawled() != wantUsers {
 		t.Errorf("crawled count %d, want %d", d.NumCrawled(), wantUsers)
@@ -89,7 +89,7 @@ func TestFromCrawlMatchesGroundTruth(t *testing.T) {
 		if !ok {
 			t.Fatalf("user %s missing from dataset", u.IDs[i])
 		}
-		if got, want := d.Graph.OutDegree(node), u.Graph.OutDegree(graph.NodeID(i)); got != want {
+		if got, want := d.View().OutDegree(node), u.Graph.OutDegree(graph.NodeID(i)); got != want {
 			t.Fatalf("out-degree of %s = %d, want %d", u.IDs[i], got, want)
 		}
 		if d.Profiles[node].Public != u.Profiles[i].Public {
@@ -101,7 +101,7 @@ func TestFromCrawlMatchesGroundTruth(t *testing.T) {
 func TestFromCrawlDeterministic(t *testing.T) {
 	_, res := fixtures(t)
 	a, b := FromCrawl(res), FromCrawl(res)
-	if !reflect.DeepEqual(a.IDs, b.IDs) || !reflect.DeepEqual(a.Graph, b.Graph) {
+	if !reflect.DeepEqual(a.IDs, b.IDs) || !reflect.DeepEqual(a.View(), b.View()) {
 		t.Error("FromCrawl not deterministic")
 	}
 }
@@ -142,7 +142,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Crawled, d.Crawled) {
 		t.Error("Crawled flags differ after round trip")
 	}
-	if !reflect.DeepEqual(got.Graph, d.Graph) {
+	if !reflect.DeepEqual(got.View(), d.View()) {
 		t.Error("graph differs after round trip")
 	}
 	if !reflect.DeepEqual(got.Profiles, d.Profiles) {
@@ -222,7 +222,7 @@ func TestLoadRejectsCorruptGraph(t *testing.T) {
 
 func TestSaveRejectsInvalidDataset(t *testing.T) {
 	d := &Dataset{
-		Graph:    graph.FromEdges(2, 0, 1),
+		g:        graph.FromEdges(2, 0, 1),
 		Profiles: make([]profile.Profile, 3), // mismatch
 		IDs:      []string{"a", "b", "c"},
 		Crawled:  make([]bool, 3),
@@ -240,7 +240,7 @@ func TestLoadMissingDir(t *testing.T) {
 
 func TestValidateCatchesMismatch(t *testing.T) {
 	d := &Dataset{
-		Graph:    graph.FromEdges(2, 0, 1),
+		g:        graph.FromEdges(2, 0, 1),
 		Profiles: make([]profile.Profile, 3),
 		IDs:      []string{"a", "b", "c"},
 		Crawled:  make([]bool, 3),
@@ -249,7 +249,7 @@ func TestValidateCatchesMismatch(t *testing.T) {
 		t.Fatal("graph/user count mismatch accepted")
 	}
 	d2 := &Dataset{
-		Graph:    graph.FromEdges(2, 0, 1),
+		g:        graph.FromEdges(2, 0, 1),
 		Profiles: make([]profile.Profile, 1),
 		IDs:      []string{"a", "b"},
 		Crawled:  make([]bool, 2),

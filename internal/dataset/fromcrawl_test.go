@@ -27,7 +27,7 @@ func FromCrawl(res *crawler.Result) *Dataset {
 		}
 		b.AddEdge(from, to)
 	}
-	d.Graph = b.Build()
+	d.g = b.Build()
 	return d
 }
 

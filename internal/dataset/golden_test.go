@@ -11,6 +11,7 @@ import (
 	"gplus/internal/core"
 	"gplus/internal/dataset"
 	"gplus/internal/gplusapi"
+	"gplus/internal/graph/diskcsr"
 	"gplus/internal/profile"
 )
 
@@ -29,16 +30,16 @@ func TestGoldenDatasetRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ram.NumUsers() != 64 || ram.NumCrawled() != 64 || ram.Graph.NumEdges() != 819 {
+	if ram.NumUsers() != 64 || ram.NumCrawled() != 64 || ram.View().NumEdges() != 819 {
 		t.Fatalf("golden loaded as %d users, %d crawled, %d edges; want 64, 64, 819",
-			ram.NumUsers(), ram.NumCrawled(), ram.Graph.NumEdges())
+			ram.NumUsers(), ram.NumCrawled(), ram.View().NumEdges())
 	}
 	mapped, err := dataset.LoadWith(golden, dataset.Options{Mapped: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mapped.Close()
-	if mapped.Graph != nil {
+	if _, ok := mapped.View().(*diskcsr.Mapped); !ok {
 		t.Fatal("golden dataset did not open memory-mapped")
 	}
 

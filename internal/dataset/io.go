@@ -101,29 +101,25 @@ func (d *Dataset) writeProfiles(w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadWith reads a dataset directory: materialized in RAM by default,
-// or with Options.Mapped the v2 graph served memory-mapped, when the
-// caller must Close the returned dataset.
-//
-// Either way graph.v2 is decoded and verified once: by Open for a
-// mapped dataset, and by Materialize, of a map opened unverified, for
-// one in RAM.
+// LoadWith reads a dataset directory: the graph read into RAM by
+// diskcsr.ReadGraph by default, or with Options.Mapped served from the
+// memory-mapped v2 file diskcsr.Open verified, when the caller must
+// Close the returned dataset. Either way graph.v2 is decoded and
+// checked once, by the decode that reads it.
 func LoadWith(dir string, opt Options) (*Dataset, error) {
 	d := &Dataset{}
 	path := filepath.Join(dir, graphV2File)
-	m, err := diskcsr.Open(path, diskcsr.Options{SkipVerify: !opt.Mapped})
+	var err error
+	if opt.Mapped {
+		var m *diskcsr.Mapped
+		if m, err = diskcsr.Open(path, diskcsr.Options{}); err == nil {
+			d.g, d.closer = m, m
+		}
+	} else {
+		d.g, err = diskcsr.ReadGraph(path)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("dataset: opening v2 graph: %w", err)
-	}
-	if opt.Mapped {
-		d.view = m
-		d.closer = m
-	} else {
-		d.Graph, err = m.Materialize()
-		m.Close() //nolint:errcheck — read-only mapping
-		if err != nil {
-			return nil, fmt.Errorf("dataset: materializing %s: %w", path, err)
-		}
 	}
 	if err := d.loadProfiles(dir); err != nil {
 		d.Close() //nolint:errcheck — unwinding a failed open

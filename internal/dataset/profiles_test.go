@@ -267,8 +267,8 @@ func TestLongProfileRecordRoundTrips(t *testing.T) {
 	long := strings.Repeat("a very long place name ", (17<<20)/23)
 	public := profile.AttrSet(0).With(profile.AttrName).With(profile.AttrPlacesLived)
 	d := &Dataset{
-		Graph: graph.NewBuilder(3, 0).Build(),
-		IDs:   []string{"before", "long", "after"},
+		g:   graph.NewBuilder(3, 0).Build(),
+		IDs: []string{"before", "long", "after"},
 		Profiles: []profile.Profile{
 			{Name: "b", Public: public},
 			{Name: "l", Public: public, PlacesLived: []string{"short", long}, Place: long, CountryCode: "XX"},

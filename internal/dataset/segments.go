@@ -115,8 +115,7 @@ func FromCrawlSegments(res *crawler.Result, sink *SegmentSink, dir string, met *
 	if err != nil {
 		return nil, fmt.Errorf("dataset: opening compacted graph: %w", err)
 	}
-	d.view = m
-	d.closer = m
+	d.g, d.closer = m, m
 	if err := d.Validate(); err != nil {
 		m.Close()
 		return nil, err

@@ -41,7 +41,7 @@ func TestSaveV2LoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if !reflect.DeepEqual(got.Graph, d.Graph) {
+	if !reflect.DeepEqual(got.View(), d.View()) {
 		t.Error("graph differs after v2 round trip")
 	}
 	if !reflect.DeepEqual(got.IDs, d.IDs) || !reflect.DeepEqual(got.Profiles, d.Profiles) {
@@ -53,17 +53,17 @@ func TestSaveV2LoadRoundTrip(t *testing.T) {
 		t.Fatalf("LoadWith(Mapped): %v", err)
 	}
 	defer mapped.Close()
-	if mapped.Graph != nil {
+	if _, ok := mapped.View().(*diskcsr.Mapped); !ok {
 		t.Fatal("mapped load should not materialize the graph")
 	}
 	v := mapped.View()
-	if v.NumNodes() != d.Graph.NumNodes() || v.NumEdges() != d.Graph.NumEdges() {
+	if v.NumNodes() != d.View().NumNodes() || v.NumEdges() != d.View().NumEdges() {
 		t.Fatalf("mapped view %d/%d, want %d/%d",
-			v.NumNodes(), v.NumEdges(), d.Graph.NumNodes(), d.Graph.NumEdges())
+			v.NumNodes(), v.NumEdges(), d.View().NumNodes(), d.View().NumEdges())
 	}
 	for u := 0; u < v.NumNodes(); u++ {
-		if !reflect.DeepEqual(v.Out(graph.NodeID(u)), d.Graph.Out(graph.NodeID(u))) &&
-			!(len(v.Out(graph.NodeID(u))) == 0 && len(d.Graph.Out(graph.NodeID(u))) == 0) {
+		if !reflect.DeepEqual(v.Out(graph.NodeID(u)), d.View().Out(graph.NodeID(u))) &&
+			!(len(v.Out(graph.NodeID(u))) == 0 && len(d.View().Out(graph.NodeID(u))) == 0) {
 			t.Fatalf("node %d: mapped out row differs", u)
 		}
 	}
@@ -133,7 +133,7 @@ func TestSegmentCrawlMatchesFromCrawl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(mat, want.Graph) {
+	if !reflect.DeepEqual(mat, want.View()) {
 		t.Fatal("compacted graph differs from the in-RAM crawl graph")
 	}
 
@@ -143,7 +143,7 @@ func TestSegmentCrawlMatchesFromCrawl(t *testing.T) {
 		t.Fatalf("reloading segment-built dataset: %v", err)
 	}
 	defer reloaded.Close()
-	if reloaded.NumUsers() != want.NumUsers() || reloaded.View().NumEdges() != want.Graph.NumEdges() {
+	if reloaded.NumUsers() != want.NumUsers() || reloaded.View().NumEdges() != want.View().NumEdges() {
 		t.Fatal("reloaded dataset lost users or edges")
 	}
 }
@@ -328,7 +328,7 @@ func TestSegmentCrawlKillResumeConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(mat, want.Graph) {
+	if !reflect.DeepEqual(mat, want.View()) {
 		t.Error("compacted graph diverges from the fault-free crawl graph")
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"gplus/internal/obs/rundir"
 	"gplus/internal/obs/series"
 	"gplus/internal/profile"
+	"gplus/internal/synth"
 )
 
 var errCrash = errors.New("simulated crash")
@@ -156,23 +157,22 @@ func crawlResult(version string) *crawler.Result {
 // numbers it (ids in sorted order) with every profile crawled: the
 // reference the saves under test are read back against.
 func inRAM(res *crawler.Result) *dataset.Dataset {
-	d := &dataset.Dataset{}
+	u := &synth.Universe{}
 	for id := range res.Discovered {
-		d.IDs = append(d.IDs, id)
+		u.IDs = append(u.IDs, id)
 	}
-	sort.Strings(d.IDs)
-	node := make(map[string]graph.NodeID, len(d.IDs))
-	for i, id := range d.IDs {
+	sort.Strings(u.IDs)
+	node := make(map[string]graph.NodeID, len(u.IDs))
+	for i, id := range u.IDs {
 		node[id] = graph.NodeID(i)
-		d.Profiles = append(d.Profiles, res.Profiles[id])
-		d.Crawled = append(d.Crawled, true)
+		u.Profiles = append(u.Profiles, res.Profiles[id])
 	}
 	var pairs []graph.NodeID
 	for _, e := range res.Edges {
 		pairs = append(pairs, node[e.From], node[e.To])
 	}
-	d.Graph = graph.FromEdges(len(d.IDs), pairs...)
-	return d
+	u.Graph = graph.FromEdges(len(u.IDs), pairs...)
+	return dataset.FromUniverse(u)
 }
 
 // observeDataset reloads dir and classifies its graph and profile files.
@@ -183,7 +183,7 @@ func observeDataset(dir string, old, new *dataset.Dataset) func(*testing.T) map[
 			t.Fatalf("dataset unloadable: %v", err)
 		}
 		return map[string]bool{
-			"graph.v2":       isNew(t, "graph", got.Graph, old.Graph, new.Graph),
+			"graph.v2":       isNew(t, "graph", got.View(), old.View(), new.View()),
 			"profiles.jsonl": isNew(t, "profiles", got.Profiles, old.Profiles, new.Profiles),
 		}
 	}

@@ -56,9 +56,15 @@ func wrappedDeltaV2(t testing.TB) []byte {
 	return data
 }
 
-// openBytes runs the full Open validation on raw bytes without a file.
-func openBytes(data []byte, opt Options) (*Mapped, error) {
-	return newMapped(data, func() error { return nil }, opt)
+// openBytes runs Open's checks on raw bytes without a file, and
+// readBytes ReadGraph's; both report errors without the path.
+func openBytes(data []byte) (*Mapped, error) {
+	return newMapped(data, nil, nil, verify)
+}
+
+func readBytes(data []byte) (g *graph.Graph, err error) {
+	_, err = newMapped(data, nil, nil, readInto(&g))
+	return g, err
 }
 
 // swappedInRow returns the bytes of v2Bytes with node 1's in-row [0]
@@ -169,29 +175,25 @@ func TestOpenRejectsCorruption(t *testing.T) {
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			mut := tc.mutate(append([]byte(nil), base...))
-			_, err := openBytes(mut, Options{})
+			_, err := openBytes(mut)
 			if err == nil {
 				t.Fatal("corrupt file accepted")
 			}
 			if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
-			// A map opened unverified passes the index checks; its
-			// Materialize must then fail with Open's error.
-			if m, lerr := openBytes(mut, Options{SkipVerify: true}); lerr == nil {
-				if _, merr := m.Materialize(); merr == nil || merr.Error() != "diskcsr: "+err.Error() {
-					t.Fatalf("Materialize of the unverified map: %v, want diskcsr: %v", merr, err)
-				}
+			// The RAM load must fail with Open's error.
+			if _, rerr := readBytes(mut); rerr == nil || rerr.Error() != err.Error() {
+				t.Fatalf("ReadGraph: %v, want Open's %v", rerr, err)
 			}
 		})
 	}
 }
 
-// TestBothBlobsCorruptReportsOut: Open's verification and Materialize
+// TestBothBlobsCorruptReportsOut: Open's verification and ReadGraph
 // decode the two directions side by side, and when both are corrupt the
 // error is the out direction's, as a serial decode would report it —
-// the same error from both, since Materialize runs Open's checks on a
-// map Open did not verify.
+// the same error from both, since ReadGraph runs Open's checks.
 func TestBothBlobsCorruptReportsOut(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	data := v2Bytes(t)
@@ -203,15 +205,11 @@ func TestBothBlobsCorruptReportsOut(t *testing.T) {
 	data[outBlobStart] = 0x7f              // node 0's first out-neighbor out of range
 	data[outBlobStart+h.outBlobLen] = 0x7f // and its first in-neighbor
 	for range 20 {
-		if _, err := openBytes(data, Options{}); err == nil || !strings.HasPrefix(err.Error(), "out row 0") {
+		if _, err := openBytes(data); err == nil || !strings.HasPrefix(err.Error(), "out row 0") {
 			t.Fatalf("Open: %v, want the out direction's error", err)
 		}
-		m, err := openBytes(data, Options{SkipVerify: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Materialize(); err == nil || !strings.HasPrefix(err.Error(), "diskcsr: out row 0") {
-			t.Fatalf("Materialize: %v, want the out direction's error", err)
+		if _, err := readBytes(data); err == nil || !strings.HasPrefix(err.Error(), "out row 0") {
+			t.Fatalf("ReadGraph: %v, want the out direction's error", err)
 		}
 	}
 }
@@ -373,12 +371,13 @@ func TestCompactRejectsTornSegment(t *testing.T) {
 }
 
 // FuzzOpenV2 feeds arbitrary bytes through the full Open validation,
-// the one reader every dataset graph goes through: it must never panic,
-// and anything accepted must materialize into a graph that passes
-// Validate and round-trips through WriteGraph. A map opened without
-// verification must materialize exactly when Open accepts, failing
-// otherwise with Open's error. The dataset package's golden graph.v2
-// seeds it with bytes no current writer influences.
+// the one check every dataset graph goes through: it must never panic,
+// and anything accepted must materialize into a graph whose every row
+// equals the verified map's — so sorted and in range, none dropped or
+// reordered — and that round-trips through WriteGraph. ReadGraph, the
+// RAM load, must accept exactly when Open does, with the same graph,
+// and otherwise fail with Open's error. The dataset package's golden
+// graph.v2 seeds it with bytes no current writer influences.
 func FuzzOpenV2(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("..", "..", "dataset", "testdata", "golden", "graph.v2"))
 	if err != nil {
@@ -401,12 +400,10 @@ func FuzzOpenV2(f *testing.F) {
 	f.Add(swappedInRow(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := openBytes(data, Options{})
-		if lazy, lerr := openBytes(data, Options{SkipVerify: true}); lerr == nil {
-			_, merr := lazy.Materialize()
-			if (merr == nil) != (err == nil) || err != nil && merr.Error() != "diskcsr: "+err.Error() {
-				t.Fatalf("Materialize of the unverified map: %v; Open: %v", merr, err)
-			}
+		m, err := openBytes(data)
+		read, rerr := readBytes(data)
+		if (rerr == nil) != (err == nil) || err != nil && rerr.Error() != err.Error() {
+			t.Fatalf("ReadGraph: %v; Open: %v", rerr, err)
 		}
 		if err != nil {
 			return // rejected: fine
@@ -415,8 +412,9 @@ func FuzzOpenV2(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted file fails to materialize: %v", err)
 		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("accepted graph fails validation: %v", err)
+		viewsEqual(t, m, g)
+		if !reflect.DeepEqual(g, read) {
+			t.Fatal("ReadGraph and Materialize read different graphs")
 		}
 		path := filepath.Join(t.TempDir(), "again.v2")
 		if err := WriteGraph(path, m); err != nil {

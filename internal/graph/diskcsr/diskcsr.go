@@ -4,11 +4,12 @@
 // analyze on one machine. The package has two halves:
 //
 //   - The v2 file: per-direction edge-count and byte-offset index
-//     arrays over a varint/delta-compressed adjacency blob. Mapped
-//     implements graph.View (plus graph.WorkPrefixer), so every
-//     analysis kernel in internal/graph runs over it unmodified and,
-//     by the package determinism contract, byte-identically to the
-//     in-RAM Graph.
+//     arrays over a varint/delta-compressed adjacency blob. Open maps
+//     and verifies one as a Mapped, which implements graph.View, so
+//     every analysis kernel in internal/graph runs over it unmodified
+//     and, by the package determinism contract, byte-identically to the
+//     in-RAM Graph; ReadGraph reads one into that Graph with the same
+//     checks, in the one decode.
 //
 //   - LSM-style edge segments: bounded in-memory batches of edges
 //     flushed during a live crawl to segment files, each a raw log of
@@ -127,8 +128,8 @@ func appendRow(dst []byte, row []graph.NodeID) []byte {
 // dst, returning the bytes consumed. n bounds node ids; any malformed
 // varint, or a step that would carry the row to or past n (which is
 // also every step that could wrap and break the ascending order), is an
-// error. It is the one row decoder: Open's verification, Materialize and
-// every cursor read go through it with the same checks.
+// error. It is the one row decoder: Open's verification, ReadGraph,
+// Materialize and every cursor read go through it with the same checks.
 func decodeRow(blob []byte, n uint64, dst []graph.NodeID) (int, error) {
 	used := 0
 	next := uint64(0) // the smallest id the coming element may take; <= n

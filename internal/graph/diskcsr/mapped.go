@@ -11,33 +11,22 @@ import (
 
 // Options configures Open.
 type Options struct {
-	// SkipVerify skips the full O(m) decode check of both adjacency
-	// blobs. Structural validation of the header and index arrays still
-	// runs; only per-edge checks (varint well-formedness, ascending
-	// rows, in-range targets, exact row lengths, the in blob being the
-	// out blob's transpose) are waived until Materialize, which then
-	// runs them during its own decode. Use only for files this process
-	// just wrote and fsynced, or for a map that is materialized before
-	// any row is read.
-	SkipVerify bool
 	// Metrics, when non-nil, receives open/close accounting.
 	Metrics *Metrics
 }
 
-// Mapped is a v2 graph file exposed through the graph.View surface.
-// Adjacency bytes live in a shared read-only memory map (plain memory
-// on platforms without mmap) and fault in on first touch, so opening a
-// file costs index validation, not an edge-list read, and resident
-// memory grows only with the rows actually visited. Rows are decoded on
-// demand: a cursor from Rows decodes into two buffers it owns (one per
-// direction), so a row lives until the cursor's next call in its
-// direction, a pass allocates nothing once the buffers have grown, and
-// each goroutine needs its own cursor. Out and In are the same decode
-// into a fresh slice per call.
+// Mapped is a verified v2 graph file exposed through the graph.View
+// surface. Adjacency bytes live in a shared read-only memory map (plain
+// memory on platforms without mmap) and fault in on first touch, so
+// resident memory grows only with the rows actually visited. Rows are
+// decoded on demand: a cursor from Rows decodes into two buffers it owns
+// (one per direction), so a row lives until the cursor's next call in
+// its direction, a pass allocates nothing once the buffers have grown,
+// and each goroutine needs its own cursor. Out and In are the same
+// decode into a fresh slice per call.
 //
-// Mapped implements graph.View and graph.WorkPrefixer. All methods are
-// safe for concurrent use. Close unmaps the file; no method or cursor
-// may be used afterwards.
+// All methods are safe for concurrent use. Close unmaps the file; no
+// method or cursor may be used afterwards.
 type Mapped struct {
 	h       header
 	data    []byte
@@ -49,18 +38,55 @@ type Mapped struct {
 	inPos   []byte
 	outBlob []byte
 	inBlob  []byte
-	// verified is whether Open decoded and checked both blobs.
-	verified bool
 }
 
-// Open maps the v2 file at path and validates it. By default every
-// byte of both blobs is decoded once (each blob sequentially — the cheap
-// access pattern for a fresh map — and the two side by side) so that
+// Open maps the v2 file at path and verifies it: the index, then every
+// byte of both blobs, decoded once (each blob sequentially — the cheap
+// access pattern for a fresh map — and the two side by side), so that
 // corrupt files fail here rather than as garbage analysis results
-// later; when both are corrupt, the out blob's error is reported. The
-// decode also requires the in blob to hold the out blob's edges, by a
-// fingerprint of each (see rowMix).
+// later; when both blobs are corrupt, the out blob's error is reported.
+// The decode also requires the in blob to hold the out blob's edges, by
+// a fingerprint of each (see rowMix). Every Mapped is verified.
 func Open(path string, opt Options) (*Mapped, error) {
+	m, err := mapPath(path, opt.Metrics, verify)
+	if err == nil && opt.Metrics != nil {
+		opt.Metrics.mappedOpens.Inc()
+		opt.Metrics.mappedBytes.Add(int64(len(m.data)))
+	}
+	return m, err
+}
+
+// ReadGraph reads the v2 file at path into an in-RAM graph.Graph: it
+// maps the file, checks the index and decodes both blobs once, straight
+// into the CSR arrays, with Open's checks, errors and fingerprint, then
+// unmaps it. It is the RAM load: the file is checked in full, once, by
+// the decode that reads it.
+func ReadGraph(path string) (g *graph.Graph, err error) {
+	m, err := mapPath(path, nil, readInto(&g))
+	if err != nil {
+		return nil, err
+	}
+	return g, m.Close()
+}
+
+// verify is Open's check of a map: both blobs decoded, fingerprinted.
+func verify(m *Mapped) error {
+	_, _, err := m.decode(false, true)
+	return err
+}
+
+// readInto is ReadGraph's check of a map: the same decode, into the CSR
+// arrays of the graph it stores in *g.
+func readInto(g **graph.Graph) func(*Mapped) error {
+	return func(m *Mapped) (err error) {
+		*g, err = m.materialize(true)
+		return err
+	}
+}
+
+// mapPath maps the v2 file at path and hands newMapped the bytes and
+// check; on failure it unmaps the file and names it in the error.
+func mapPath(path string, met *Metrics, check func(*Mapped) error) (*Mapped, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -74,20 +100,17 @@ func Open(path string, opt Options) (*Mapped, error) {
 	if err != nil {
 		return nil, fmt.Errorf("diskcsr: mapping %s: %w", path, err)
 	}
-	m, err := newMapped(data, unmap, opt)
+	m, err := newMapped(data, unmap, met, check)
 	if err != nil {
 		unmap()
 		return nil, fmt.Errorf("diskcsr: %s: %w", path, err)
 	}
-	if opt.Metrics != nil {
-		opt.Metrics.mappedOpens.Inc()
-		opt.Metrics.mappedBytes.Add(int64(len(data)))
-	}
 	return m, nil
 }
 
-// newMapped slices the index sections out of data and validates.
-func newMapped(data []byte, unmap func() error, opt Options) (*Mapped, error) {
+// newMapped slices the index sections out of data, checks the index,
+// then runs check — verify or readInto — over the map.
+func newMapped(data []byte, unmap func() error, met *Metrics, check func(*Mapped) error) (*Mapped, error) {
 	h, err := parseHeader(data)
 	if err != nil {
 		return nil, err
@@ -97,7 +120,7 @@ func newMapped(data []byte, unmap func() error, opt Options) (*Mapped, error) {
 	}
 	idx := uint64(headerSize)
 	arr := 8 * (h.n + 1)
-	m := &Mapped{h: h, data: data, unmap: unmap, met: opt.Metrics}
+	m := &Mapped{h: h, data: data, unmap: unmap, met: met}
 	m.outCnt = data[idx : idx+arr]
 	m.outPos = data[idx+arr : idx+2*arr]
 	m.inCnt = data[idx+2*arr : idx+3*arr]
@@ -105,17 +128,13 @@ func newMapped(data []byte, unmap func() error, opt Options) (*Mapped, error) {
 	blobs := idx + 4*arr
 	m.outBlob = data[blobs : blobs+h.outBlobLen]
 	m.inBlob = data[blobs+h.outBlobLen : blobs+h.outBlobLen+h.inBlobLen]
-	if err := m.validateIndex("out", m.outCnt, m.outPos, h.outBlobLen); err != nil {
-		return nil, err
-	}
-	if err := m.validateIndex("in", m.inCnt, m.inPos, h.inBlobLen); err != nil {
-		return nil, err
-	}
-	if !opt.SkipVerify {
-		if _, _, err := m.decode(false, true); err != nil {
+	for d := range 2 {
+		if err := m.validateIndex(m.direction(d)); err != nil {
 			return nil, err
 		}
-		m.verified = true
+	}
+	if err := check(m); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -134,7 +153,7 @@ func (m *Mapped) direction(d int) (name string, cnt, pos, blob []byte) {
 // edge count and blob length. After this, every pos/cnt delta a reader
 // computes is in range, so lazy row access never faults outside a blob
 // whatever the blob bytes contain.
-func (m *Mapped) validateIndex(name string, cnt, pos []byte, blobLen uint64) error {
+func (m *Mapped) validateIndex(name string, cnt, pos, blob []byte) error {
 	n := m.h.n
 	if u64at(cnt, 0) != 0 || u64at(pos, 0) != 0 {
 		return fmt.Errorf("%s index does not start at zero", name)
@@ -150,18 +169,18 @@ func (m *Mapped) validateIndex(name string, cnt, pos []byte, blobLen uint64) err
 	if got := u64at(cnt, n); got != m.h.m {
 		return fmt.Errorf("%s degree sum %d does not match edge count %d", name, got, m.h.m)
 	}
-	if got := u64at(pos, n); got != blobLen {
-		return fmt.Errorf("%s offsets end at %d, want blob length %d", name, got, blobLen)
+	if got := u64at(pos, n); got != uint64(len(blob)) {
+		return fmt.Errorf("%s offsets end at %d, want blob length %d", name, got, len(blob))
 	}
 	return nil
 }
 
 // decode decodes both blobs side by side, checking each row against
 // its index entries (see decodeBlob); with materialize set, into the
-// CSR arrays it returns. With verify set it also requires the in blob
-// to hold the out blob's edges, which their fingerprints check. When
-// both blobs are corrupt, the out blob's error is the one returned.
-func (m *Mapped) decode(materialize, verify bool) (off [2][]int64, adj [2][]graph.NodeID, err error) {
+// CSR arrays it returns. With fingerprint set it also requires the in
+// blob to hold the out blob's edges, which their fingerprints check.
+// When both blobs are corrupt, the out blob's error is the one returned.
+func (m *Mapped) decode(materialize, fingerprint bool) (off [2][]int64, adj [2][]graph.NodeID, err error) {
 	var sums [2]uint64
 	err = bothDirections(func(d int) (err error) {
 		if materialize {
@@ -172,7 +191,7 @@ func (m *Mapped) decode(materialize, verify bool) (off [2][]int64, adj [2][]grap
 			}
 			adj[d] = make([]graph.NodeID, m.h.m)
 		}
-		sums[d], err = m.decodeBlob(d, adj[d], verify)
+		sums[d], err = m.decodeBlob(d, adj[d], fingerprint)
 		return err
 	})
 	if err == nil && sums[0] != sums[1] {
@@ -329,23 +348,27 @@ func (m *Mapped) row(dst []graph.NodeID, u graph.NodeID, cnt, pos, blob []byte) 
 	return dst
 }
 
-// WorkPrefix implements graph.WorkPrefixer with the same weight the
-// in-RAM graph uses (outdeg + indeg + 1 per node, as a prefix sum), so
+// WorkPrefix implements graph.View with the same weight the in-RAM
+// graph uses (outdeg + indeg + 1 per node, as a prefix sum), so
 // degree-balanced shard cuts are identical across backends.
 func (m *Mapped) WorkPrefix(u int) int64 {
 	return int64(u64at(m.outCnt, uint64(u)) + u64at(m.inCnt, uint64(u)) + uint64(u))
 }
 
-// Materialize decodes the whole file into an in-RAM graph.Graph — the
+// Materialize decodes the whole map into an in-RAM graph.Graph — the
 // escape hatch when RAM affords it and repeated random access makes
-// decode-per-row too slow. The two directions decode side by side.
-// A map Open did not verify (Options.SkipVerify) is verified by this
-// decode, with Open's checks and errors, so a RAM load decodes the file
-// once.
-func (m *Mapped) Materialize() (*graph.Graph, error) {
-	off, adj, err := m.decode(true, !m.verified)
+// decode-per-row too slow. The two directions decode side by side. Open
+// has verified the map, so the decode does not fingerprint it again (an
+// error means the file changed underneath the map); a graph that is
+// only to be read into RAM is read by ReadGraph, in one checked pass.
+func (m *Mapped) Materialize() (*graph.Graph, error) { return m.materialize(false) }
+
+// materialize decodes both blobs into CSR arrays, with fingerprint as
+// decode takes it, and assembles the graph.
+func (m *Mapped) materialize(fingerprint bool) (*graph.Graph, error) {
+	off, adj, err := m.decode(true, fingerprint)
 	if err != nil {
-		return nil, fmt.Errorf("diskcsr: %w", err)
+		return nil, err
 	}
 	return graph.FromCSR(off[0], adj[0], off[1], adj[1])
 }

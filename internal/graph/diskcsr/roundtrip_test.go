@@ -150,8 +150,15 @@ func (staleView) In(graph.NodeID) []graph.NodeID  { panic("kernel used the alloc
 
 func (v staleView) Rows() graph.Rows { return &staleRows{inner: v.View.Rows()} }
 
-// WorkPrefix keeps the wrapped view's shard cuts.
-func (v staleView) WorkPrefix(u int) int64 { return v.View.(graph.WorkPrefixer).WorkPrefix(u) }
+// WorkPrefix prices every node alike, int64(u): valid, but not the
+// degree weight of the plain views. Every kernel that shards by
+// WorkPrefix (reciprocity, WCC, triads, the Cohen projection) then runs
+// here under node-uniform cuts, which on a skewed graph such as the
+// star differ from the plain views' at P = 2, 3 and 8, and must still
+// give the RAM answer at P = 1. That a price changes a kernel's speed,
+// never its output, is the View contract the node-uniform fallback for
+// unpriced views relied on.
+func (staleView) WorkPrefix(u int) int64 { return int64(u) }
 
 type staleRows struct {
 	inner   graph.Rows

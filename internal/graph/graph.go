@@ -67,65 +67,19 @@ func (g *Graph) InDegree(u NodeID) int {
 	return int(g.inOff[u+1] - g.inOff[u])
 }
 
-// FromCSR assembles a Graph directly from prebuilt CSR arrays — offsets
-// plus sorted adjacency for both directions — validating the invariants
-// the Builder would have established. It is the constructor the
-// on-disk decoder (diskcsr's Materialize) uses: it already holds the
-// arrays and must not pay the Builder's edge-list resort. The arrays are retained, not copied; the caller must not
-// modify them afterwards.
+// FromCSR assembles a Graph from CSR arrays — offsets plus sorted
+// adjacency for both directions — that its caller has decoded and
+// checked row by row: diskcsr, whose decode is where a stored graph's
+// rows are checked. FromCSR checks only the arrays' shape, in O(1):
+// offsets of n+1 entries each, from 0 to their adjacency's length, and
+// as many in-edges as out-edges. The arrays are retained, not copied;
+// the caller must not modify them afterwards.
 func FromCSR(outOff []int64, outAdj []NodeID, inOff []int64, inAdj []NodeID) (*Graph, error) {
-	g := &Graph{outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}
-	if err := g.Validate(); err != nil {
-		return nil, err
+	n := len(outOff) - 1
+	if n < 0 || len(inOff) != n+1 || outOff[0] != 0 || inOff[0] != 0 ||
+		outOff[n] != int64(len(outAdj)) || inOff[n] != int64(len(inAdj)) || len(outAdj) != len(inAdj) {
+		return nil, fmt.Errorf("graph: CSR arrays out of shape: %d out and %d in offsets over %d out and %d in edges",
+			len(outOff), len(inOff), len(outAdj), len(inAdj))
 	}
-	return g, nil
-}
-
-// Validate checks internal CSR invariants. It is used by tests and by
-// FromCSR to reject corrupt inputs.
-func (g *Graph) Validate() error {
-	n := g.NumNodes()
-	if len(g.outOff) == 0 {
-		// Zero-value graph: valid exactly when every array is empty, so
-		// validateCSR never indexes off[0] of a nil slice.
-		if len(g.inOff) != 0 || len(g.outAdj) != 0 || len(g.inAdj) != 0 {
-			return fmt.Errorf("graph: zero-value graph with non-empty arrays: %d in offsets, %d out adj, %d in adj",
-				len(g.inOff), len(g.outAdj), len(g.inAdj))
-		}
-		return nil
-	}
-	if len(g.inOff) != len(g.outOff) {
-		return fmt.Errorf("graph: offset arrays disagree: %d out vs %d in", len(g.outOff), len(g.inOff))
-	}
-	if len(g.outAdj) != len(g.inAdj) {
-		return fmt.Errorf("graph: adjacency arrays disagree: %d out vs %d in", len(g.outAdj), len(g.inAdj))
-	}
-	if err := validateCSR(g.outOff, g.outAdj, n, "out"); err != nil {
-		return err
-	}
-	return validateCSR(g.inOff, g.inAdj, n, "in")
-}
-
-func validateCSR(off []int64, adj []NodeID, n int, name string) error {
-	if off[0] != 0 {
-		return fmt.Errorf("graph: %s offsets must start at 0, got %d", name, off[0])
-	}
-	if off[n] != int64(len(adj)) {
-		return fmt.Errorf("graph: %s offsets end at %d, want %d", name, off[n], len(adj))
-	}
-	for u := 0; u < n; u++ {
-		lo, hi := off[u], off[u+1]
-		if lo > hi {
-			return fmt.Errorf("graph: %s offsets decrease at node %d", name, u)
-		}
-		for i := lo; i < hi; i++ {
-			if int(adj[i]) >= n {
-				return fmt.Errorf("graph: %s edge from %d to out-of-range node %d", name, u, adj[i])
-			}
-			if i > lo && adj[i] <= adj[i-1] {
-				return fmt.Errorf("graph: %s adjacency of node %d not strictly sorted", name, u)
-			}
-		}
-	}
-	return nil
+	return &Graph{outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}, nil
 }

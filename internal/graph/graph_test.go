@@ -28,8 +28,8 @@ func TestBuilderBasics(t *testing.T) {
 	if HasArc(g, 1, 1) {
 		t.Fatalf("self-loop should have been dropped")
 	}
-	if err := g.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+	if err := validate(g); err != nil {
+		t.Fatalf("validate: %v", err)
 	}
 }
 
@@ -97,7 +97,7 @@ func TestGraphPropertyAdjacencySorted(t *testing.T) {
 		r := rand.New(rand.NewPCG(seed, seed^0x9e3779b9))
 		n := 2 + r.IntN(50)
 		g := randomGraph(n, 3*n, r)
-		return g.Validate() == nil
+		return validate(g) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -60,9 +60,9 @@ func prefixWorkBounds(n, parallelism int, w func(int) int64) []int {
 	return bounds
 }
 
-// WorkPrefix implements WorkPrefixer: the total sharding weight of
-// nodes [0, u), where node weight is outdeg + indeg + 1, read straight
-// off the CSR offset arrays. On the crawl's heavy-tailed graphs a
+// WorkPrefix implements View: the total sharding weight of nodes
+// [0, u), where node weight is outdeg + indeg + 1, read straight off
+// the CSR offset arrays. On the crawl's heavy-tailed graphs a
 // node-uniform split would hand the shard holding the celebrity head
 // most of the edges; weight-balanced cuts keep shard runtimes level so
 // the slowest worker bounds speedup.

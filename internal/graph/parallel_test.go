@@ -65,15 +65,17 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // TestZeroValueGraph covers the regression where a zero-value Graph
-// reported NumNodes() == -1, panicking the degree analyses, and Validate
-// indexed off[0] of a nil slice.
+// reported NumNodes() == -1, panicking the degree analyses, and the
+// CSR check indexed off[0] of a nil slice; FromCSR, which never makes
+// one, rejects every array shape but a graph's without indexing off
+// the end.
 func TestZeroValueGraph(t *testing.T) {
 	var g Graph
 	if n := g.NumNodes(); n != 0 {
 		t.Fatalf("zero-value NumNodes = %d, want 0", n)
 	}
-	if err := g.Validate(); err != nil {
-		t.Fatalf("zero-value Validate: %v", err)
+	if err := validate(&g); err != nil {
+		t.Fatalf("zero-value graph: %v", err)
 	}
 	if d := InDegrees(&g, 4); len(d) != 0 {
 		t.Fatalf("zero-value InDegrees = %v, want empty", d)
@@ -90,9 +92,13 @@ func TestZeroValueGraph(t *testing.T) {
 	if s := SCC(&g); s.Count != 0 {
 		t.Fatalf("zero-value SCC count = %d, want 0", s.Count)
 	}
-	bad := Graph{inOff: []int64{0}}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Validate accepted a graph with offsets but no out array")
+	for _, off := range [][2][]int64{{nil, nil}, {nil, {0}}, {{0}, {0, 0}}, {{1}, {1}}} {
+		if _, err := FromCSR(off[0], nil, off[1], nil); err == nil {
+			t.Errorf("FromCSR accepted out offsets %v beside in offsets %v", off[0], off[1])
+		}
+	}
+	if g, err := FromCSR([]int64{0}, nil, []int64{0}, nil); err != nil || g.NumNodes() != 0 {
+		t.Errorf("FromCSR of a 0-node graph: %v", err)
 	}
 }
 

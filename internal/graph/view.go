@@ -16,6 +16,11 @@ import "sort"
 //   - Out and In are the convenience form of the same rows for callers
 //     outside a hot loop: the slice is the caller's to keep, and on
 //     Mapped it costs one allocation per call.
+//   - WorkPrefix(u) prices shard cuts: the monotone weight of nodes
+//     [0, u), from WorkPrefix(0) = 0 to the total at NumNodes(). Both
+//     backends answer it in O(1) off their offset arrays, with the same
+//     weight (outdeg + indeg + 1 per node), so they cut shards alike.
+//     A price changes only a kernel's speed, never its output.
 //   - Every method of the View itself is safe for concurrent use.
 //
 // Kernels accept a View rather than *Graph so the same code runs — and
@@ -29,6 +34,7 @@ type View interface {
 	Rows() Rows
 	Out(u NodeID) []NodeID
 	In(u NodeID) []NodeID
+	WorkPrefix(u int) int64
 }
 
 // Rows is a row cursor over a View. The slice Out returns is valid
@@ -45,26 +51,10 @@ type Rows interface {
 	In(u NodeID) []NodeID
 }
 
-// WorkPrefixer is an optional View extension for degree-balanced
-// sharding. WorkPrefix(u) is the monotone prefix weight of nodes
-// [0, u): the sum of outdeg+indeg+1 over them, so WorkPrefix(0) = 0 and
-// WorkPrefix(NumNodes()) is the total work. Views that can answer this
-// in O(1) (both backends here: it reads straight off the CSR offset
-// arrays) get the same heavy-tail-aware shard cuts as *Graph; others
-// fall back to node-uniform sharding, which by the determinism contract
-// changes only the speed of a kernel, never its output.
-type WorkPrefixer interface {
-	WorkPrefix(u int) int64
-}
-
-// viewWorkBounds splits [0, NumNodes()) into contiguous shard ranges:
-// degree-balanced cuts when the view can price them, uniform cuts
-// otherwise.
+// viewWorkBounds splits [0, NumNodes()) into contiguous shard ranges
+// of near-equal View.WorkPrefix weight: degree-balanced cuts.
 func viewWorkBounds(g View, parallelism int) []int {
-	if wp, ok := g.(WorkPrefixer); ok {
-		return prefixWorkBounds(g.NumNodes(), parallelism, wp.WorkPrefix)
-	}
-	return uniformBounds(g.NumNodes(), parallelism)
+	return prefixWorkBounds(g.NumNodes(), parallelism, g.WorkPrefix)
 }
 
 // HasArc reports whether the directed edge u->v exists. It probes the
