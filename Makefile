@@ -57,8 +57,12 @@ vet:
 test:
 	$(GO) test ./...
 
+# The second line races the analysis fan-outs (the study's stage fan-out,
+# the triad chunk runner, the overlapped dataset load) at 1 and 4 Ps, so
+# they also run with more runnable goroutines than cores.
 race:
 	$(GO) test -race ./internal/core/ ./internal/obs/ ./internal/obs/prof/ ./internal/obs/rundir/ ./internal/obs/series/ ./internal/obs/trace/ ./internal/paper/ ./internal/report/ ./cmd/gplusanalyze/ ./cmd/gpluscrawl/ ./internal/crawler/ ./internal/dataset/ ./internal/durable/ ./internal/gplusd/ ./internal/graph/ ./internal/graph/diskcsr/ ./internal/resilience/
+	$(GO) test -race -cpu 1,4 -run 'Structure|PathLengths|PathMiles|Figure5|Triads|LoadWith' ./internal/core ./internal/graph ./internal/dataset
 
 # The metrics-hygiene gate: every family either registry exposes after a
 # faulted crawl must match the Prometheus naming grammar and carry a

@@ -77,9 +77,34 @@ func pathMilesSerial(s *Study) PathMileResult {
 	return res
 }
 
+// averagePathMilesSerial is the reference Figure 9(b): one walk of the
+// located users in node order, each friend pair measured from the
+// profiles' own coordinates.
+func averagePathMilesSerial(s *Study) []CountryPathMile {
+	dists := map[string][]float64{}
+	s.eachCrawled(func(u graph.NodeID) {
+		pu := &s.ds.Profiles[u]
+		if !pu.HasLocation() {
+			return
+		}
+		for _, v := range s.g.Out(u) {
+			if pv := &s.ds.Profiles[v]; s.ds.Crawled[v] && pv.HasLocation() {
+				a, b := pu.Loc, pv.Loc
+				dists[pu.CountryCode] = append(dists[pu.CountryCode], geo.HaversineMilesCos(a, b, geo.CosLat(a), geo.CosLat(b)))
+			}
+		}
+	})
+	var out []CountryPathMile
+	for _, c := range geo.PaperTop10 {
+		out = append(out, CountryPathMile{Country: c, Summary: stats.Summarize(dists[c])})
+	}
+	return out
+}
+
 // TestPathMilesMatchesSerial: the batched pair sample is the serial one,
 // to the bit, over RAM and the mapped dataset, at every parallelism, for
-// a sample smaller than, around and far above the located population.
+// a sample smaller than, around and far above the located population;
+// and so is the sharded Figure 9(b) sweep.
 func TestPathMilesMatchesSerial(t *testing.T) {
 	u, err := synth.Generate(synth.DefaultConfig(3_000))
 	if err != nil {
@@ -95,6 +120,14 @@ func TestPathMilesMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ds.Close()
+		wantAvg := averagePathMilesSerial(New(ds, Options{}))
+		for _, par := range []int{1, 2, 3, 8} {
+			t.Run(fmt.Sprintf("mapped=%v/fig9b/P=%d", mapped, par), func(t *testing.T) {
+				if got := New(ds, Options{Parallelism: par}).AveragePathMiles(); !reflect.DeepEqual(got, wantAvg) {
+					t.Errorf("Figure 9(b) differs from the serial reference:\n got %+v\nwant %+v", got, wantAvg)
+				}
+			})
+		}
 		for _, sample := range []int{50, 2_000, 0} {
 			want := pathMilesSerial(New(ds, Options{Seed: 7, PairSample: sample}))
 			if len(want.Reciprocal) == 0 || len(want.Random) == 0 {

@@ -269,9 +269,11 @@ func (s *Study) pathMiles() PathMileResult {
 		Reciprocal: s.pairMiles(reciprocal.Items()),
 		Random:     s.pairMiles(s.randomPairs(rng)),
 	}
-	res.FriendsCDF = stats.CDF(res.Friends)
-	res.ReciprocalCDF = stats.CDF(res.Reciprocal)
-	res.RandomCDF = stats.CDF(res.Random)
+	s.fanOut(
+		func() { res.FriendsCDF = stats.CDF(res.Friends) },
+		func() { res.ReciprocalCDF = stats.CDF(res.Reciprocal) },
+		func() { res.RandomCDF = stats.CDF(res.Random) },
+	)
 	res.FriendsEps = reservoirEps(friends)
 	res.ReciprocalEps = reservoirEps(reciprocal)
 	res.RandomEps = stats.DKWEpsilon(len(res.Random), PairSampleAlpha)
@@ -342,7 +344,7 @@ func (s *Study) pairMiles(pairs []pair) []float64 {
 	}
 	col := s.located()
 	miles := make([]float64, len(pairs))
-	graph.Shards(len(pairs), s.opts.Parallelism, func(lo, hi int) {
+	graph.Shards(len(pairs), s.opts.Parallelism, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			miles[i] = col.miles(pairs[i][0], pairs[i][1])
 		}
@@ -358,25 +360,37 @@ type CountryPathMile struct {
 
 // AveragePathMiles computes Figure 9(b): the mean and standard deviation
 // of friend-pair distances per top-10 country (pairs are attributed to
-// the source user's country).
+// the source user's country). The located users are swept in
+// graph.Shards ranges, and each country's distances are joined in range
+// order, so stats.Summarize sees them in node order at any Parallelism.
 func (s *Study) AveragePathMiles() []CountryPathMile {
 	col := s.located()
-	dists := make([][]float64, len(paperTop10))
-	rows := s.g.Rows()
-	for _, u := range col.nodes {
-		cu := col.country[u]
-		if cu < 0 {
-			continue
-		}
-		for _, v := range rows.Out(u) {
-			if col.is[v] {
-				dists[cu] = append(dists[cu], col.miles(u, v))
+	shards := make([][][]float64, s.opts.Parallelism)
+	graph.Shards(len(col.nodes), s.opts.Parallelism, func(shard, lo, hi int) {
+		dists := make([][]float64, len(paperTop10))
+		rows := s.g.Rows()
+		for _, u := range col.nodes[lo:hi] {
+			cu := col.country[u]
+			if cu < 0 {
+				continue
+			}
+			for _, v := range rows.Out(u) {
+				if col.is[v] {
+					dists[cu] = append(dists[cu], col.miles(u, v))
+				}
 			}
 		}
-	}
+		shards[shard] = dists
+	})
 	out := make([]CountryPathMile, 0, len(paperTop10))
 	for i, c := range paperTop10 {
-		out = append(out, CountryPathMile{Country: c, Summary: stats.Summarize(dists[i])})
+		dists := shards[0][i]
+		for _, part := range shards[1:] {
+			if part != nil { // fewer ranges than Parallelism
+				dists = append(dists, part[i]...)
+			}
+		}
+		out = append(out, CountryPathMile{Country: c, Summary: stats.Summarize(dists)})
 	}
 	return out
 }

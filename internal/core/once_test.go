@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gplus/internal/dataset"
+	"gplus/internal/graph"
 	"gplus/internal/obs/trace"
 	"gplus/internal/synth"
 )
@@ -199,7 +201,8 @@ func TestPathMilesComputedOnce(t *testing.T) {
 // gets the full result, and that one is kept. A context cancelled before
 // the call computes nothing — none of the six stages, nor Table 4 built
 // from two of them, reads a row — and Structure under it returns the
-// context's error rather than zeroed figures.
+// context's error rather than zeroed figures. A context cancelled while
+// the paths stage's four searches run leaves nothing kept either.
 func TestCancelledStageIsNotCached(t *testing.T) {
 	u, err := synth.Generate(synth.DefaultConfig(2_000))
 	if err != nil {
@@ -247,4 +250,61 @@ func TestCancelledStageIsNotCached(t *testing.T) {
 			t.Errorf("%d analyze.%s spans, want 3", spans["analyze."+stage], stage)
 		}
 	}
+
+	// Cancelled partway: the context goes once the paths stage has read
+	// a third of the rows its four searches read in full, while they run
+	// side by side. The cut-short figures are that caller's alone.
+	full := New(ds, Options{Seed: 7, PathSources: 32})
+	counted := newCountingView(full.g)
+	full.g = counted
+	full.PathLengths(context.Background())
+	var reads int64
+	for v := range counted.outs {
+		reads += int64(counted.outs[v].Load() + counted.ins[v].Load())
+	}
+	for _, par := range []int{1, 4} {
+		rec := trace.NewRecorder(0, trace.Rules{})
+		s := New(ds, Options{Seed: 7, PathSources: 32, Parallelism: par, Tracer: trace.New(trace.Config{Recorder: rec})})
+		ctx, cancel := context.WithCancel(context.Background())
+		cut := &cancellingView{View: s.g, limit: reads / 3, cancel: cancel}
+		s.g = cut
+		s.PathLengths(ctx)
+		if ctx.Err() == nil || cut.reads.Load() >= reads {
+			t.Fatalf("P=%d: the paths stage read %d of %d rows under a context cancelled after %d", par, cut.reads.Load(), reads, reads/3)
+		}
+		s.g = cut.View
+		if got := s.PathLengths(context.Background()); !reflect.DeepEqual(got, want.Paths) {
+			t.Errorf("P=%d: the paths stage after a call cancelled partway is not the full result", par)
+		}
+		if n := stageSpans(rec)["analyze.paths"]; n != 2 {
+			t.Errorf("P=%d: %d analyze.paths spans, want 2: the cut-short call's and the kept one's", par, n)
+		}
+	}
 }
+
+// cancellingView cancels a context once limit rows have been read
+// through it.
+type cancellingView struct {
+	graph.View
+	reads  atomic.Int64
+	limit  int64
+	cancel context.CancelFunc
+}
+
+func (v *cancellingView) read() {
+	if v.reads.Add(1) == v.limit {
+		v.cancel()
+	}
+}
+
+func (v *cancellingView) Out(u graph.NodeID) []graph.NodeID { v.read(); return v.View.Out(u) }
+func (v *cancellingView) In(u graph.NodeID) []graph.NodeID  { v.read(); return v.View.In(u) }
+func (v *cancellingView) Rows() graph.Rows                  { return cancellingRows{v, v.View.Rows()} }
+
+type cancellingRows struct {
+	v     *cancellingView
+	inner graph.Rows
+}
+
+func (r cancellingRows) Out(u graph.NodeID) []graph.NodeID { r.v.read(); return r.inner.Out(u) }
+func (r cancellingRows) In(u graph.NodeID) []graph.NodeID  { r.v.read(); return r.inner.In(u) }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync"
 
 	"gplus/internal/graph"
 	"gplus/internal/stats"
@@ -280,32 +279,37 @@ type PathLengthResult struct {
 
 // PathLengths computes Figure 5 by sampled BFS, the paper's §3.3.5
 // procedure (grow the source sample until the distribution stabilizes).
+// Its four searches — the directed and undirected samples and the two
+// double-sweep diameter bounds — each draw from their own stream (3 to
+// 6), so they run side by side under the Study's worker budget, and
+// each parallelizes internally. The two samples split that budget, so
+// together they hold at most Parallelism BFS scratches, as one sample
+// run alone would.
 func (s *Study) PathLengths(ctx context.Context) PathLengthResult {
 	res, _ := once(ctx, s, &s.pathsMemo, "paths", func(ctx context.Context) (PathLengthResult, error) {
-		opt := graph.PathLengthOptions{
-			MinSources:  s.opts.PathSources / 4,
-			MaxSources:  s.opts.PathSources,
-			Parallelism: s.opts.Parallelism,
-			Rand:        s.rng(3),
-		}
-		res := PathLengthResult{
-			Directed: graph.SamplePathLengths(ctx, s.g, graph.Directed, opt),
-		}
-		opt.Rand = s.rng(4)
-		res.Undirected = graph.SamplePathLengths(ctx, s.g, graph.Undirected, opt)
-		// Each bound's restarts share one multi-source search per sweep,
-		// a serial pass; the two bounds draw from their own streams, so
-		// they run side by side when Parallelism allows.
-		bounds := []struct {
-			dir    graph.Direction
-			stream uint64
-			bound  *int
-		}{{graph.Directed, 5, &res.DiameterDirected}, {graph.Undirected, 6, &res.DiameterUndirected}}
-		graph.Shards(len(bounds), s.opts.Parallelism, func(lo, hi int) {
-			for _, b := range bounds[lo:hi] {
-				*b.bound = graph.DoubleSweepDiameter(ctx, s.g, b.dir, diameterSweeps, s.rng(b.stream), s.opts.Parallelism)
+		var res PathLengthResult
+		sample := func(dst **graph.PathLengthDist, dir graph.Direction, stream uint64) func() {
+			return func() {
+				*dst = graph.SamplePathLengths(ctx, s.g, dir, graph.PathLengthOptions{
+					MinSources:  s.opts.PathSources / 4,
+					MaxSources:  s.opts.PathSources,
+					Parallelism: max(1, s.opts.Parallelism/2),
+					Rand:        s.rng(stream),
+				})
 			}
-		})
+		}
+		// Each bound's restarts share one multi-source search per sweep.
+		bound := func(dst *int, dir graph.Direction, stream uint64) func() {
+			return func() {
+				*dst = graph.DoubleSweepDiameter(ctx, s.g, dir, diameterSweeps, s.rng(stream), s.opts.Parallelism)
+			}
+		}
+		s.fanOut(
+			sample(&res.Directed, graph.Directed, 3),
+			sample(&res.Undirected, graph.Undirected, 4),
+			bound(&res.DiameterDirected, graph.Directed, 5),
+			bound(&res.DiameterUndirected, graph.Undirected, 6),
+		)
 		return res, nil
 	})
 	return res
@@ -349,14 +353,20 @@ func (s *Study) BaselineTopology(ctx context.Context, name string, g graph.View)
 	return row
 }
 
+// topologyRow computes the row's two stages side by side.
 func (s *Study) topologyRow(ctx context.Context, name string) TopologyRow {
-	paths := s.PathLengths(ctx)
+	var paths PathLengthResult
+	var rec ReciprocityResult
+	s.fanOut(
+		func() { paths = s.PathLengths(ctx) },
+		func() { rec = s.reciprocity(ctx) },
+	)
 	return TopologyRow{
 		Network:     name,
 		Nodes:       s.g.NumNodes(),
 		Edges:       s.g.NumEdges(),
 		PathLength:  paths.Directed.Mean(),
-		Reciprocity: s.reciprocity(ctx).Global,
+		Reciprocity: rec.Global,
 		Diameter:    paths.DiameterDirected,
 		AvgDegree:   graph.AvgDegree(s.g),
 	}
@@ -375,39 +385,25 @@ type StructureResult struct {
 }
 
 // Structure returns every structural analysis, fanning the stages not
-// yet computed out concurrently under a worker budget of min(Parallelism,
-// #stages); each stage additionally parallelizes internally. Every stage
-// derives its own RNG stream, so the results are identical for any
-// Parallelism — the same contract the graph package promises. A ctx
-// cancelled before the fan-out ends returns its error, not the cut-short
-// figures.
+// yet computed out through fanOut; each stage additionally parallelizes
+// internally. Every stage derives its own RNG stream, so the results
+// are identical for any Parallelism — the same contract the graph
+// package promises. A ctx cancelled before the fan-out ends returns its
+// error, not the cut-short figures.
 func (s *Study) Structure(ctx context.Context) (*StructureResult, error) {
 	ctx, sp := s.opts.Tracer.StartSpan(ctx, "analyze.structure")
 	defer sp.Finish()
 
 	res := &StructureResult{}
 	var degErr error
-	stages := []func(){
+	s.fanOut(
 		func() { res.Degrees, degErr = s.degrees(ctx) },
 		func() { res.Reciprocity = s.reciprocity(ctx) },
 		func() { res.SCC = s.scc(ctx) },
 		func() { res.WCC = s.wcc(ctx) },
 		func() { res.Paths = s.PathLengths(ctx) },
 		func() { t := s.triads(ctx); res.Clustering, res.Motifs = t.Clustering, t.Motifs },
-	}
-
-	sem := make(chan struct{}, min(s.opts.Parallelism, len(stages))) // Parallelism >= 1: withDefaults
-	var wg sync.WaitGroup
-	for _, run := range stages {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			run()
-		}()
-	}
-	wg.Wait()
+	)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

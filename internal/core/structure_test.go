@@ -111,36 +111,51 @@ func TestStructureTimingsAndSpans(t *testing.T) {
 // fixture, a graph whose multi-source searches switch from pushing to
 // pulling mid-search, to one graph.BFSDistances per drawn source: each
 // histogram is the sum of the single-source histograms of the first
-// Sources sources its stream draws.
+// Sources sources its stream draws. The paths stage runs its four
+// searches side by side; each diameter bound must still be the one
+// graph.DoubleSweepDiameter returns alone on its stream.
 func TestFigure5MatchesPerSourceBFS(t *testing.T) {
 	u, err := synth.Generate(synth.DefaultConfig(2_000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(dataset.FromUniverse(u), Options{Seed: 7, Parallelism: 3})
-	paths := s.PathLengths(context.Background())
-	n := s.g.NumNodes()
-	for _, fig := range []struct {
-		dir    graph.Direction
-		stream uint64
-		got    *graph.PathLengthDist
-	}{{graph.Directed, 3, paths.Directed}, {graph.Undirected, 4, paths.Undirected}} {
-		want := &graph.PathLengthDist{Sources: fig.got.Sources}
-		rng := s.rng(fig.stream)
-		for range fig.got.Sources {
-			for _, d := range graph.BFSDistances(s.g, graph.NodeID(rng.IntN(n)), fig.dir, nil) {
-				if d < 0 {
-					continue
+	ds := dataset.FromUniverse(u)
+	for _, par := range []int{1, 3, 8} {
+		s := New(ds, Options{Seed: 7, Parallelism: par})
+		paths := s.PathLengths(context.Background())
+		n := s.g.NumNodes()
+		for _, fig := range []struct {
+			dir    graph.Direction
+			stream uint64
+			got    *graph.PathLengthDist
+		}{{graph.Directed, 3, paths.Directed}, {graph.Undirected, 4, paths.Undirected}} {
+			want := &graph.PathLengthDist{Sources: fig.got.Sources}
+			rng := s.rng(fig.stream)
+			for range fig.got.Sources {
+				for _, d := range graph.BFSDistances(s.g, graph.NodeID(rng.IntN(n)), fig.dir, nil) {
+					if d < 0 {
+						continue
+					}
+					for int(d) >= len(want.Counts) {
+						want.Counts = append(want.Counts, 0)
+					}
+					want.Counts[d]++
+					want.Reachable++
 				}
-				for int(d) >= len(want.Counts) {
-					want.Counts = append(want.Counts, 0)
-				}
-				want.Counts[d]++
-				want.Reachable++
+			}
+			if fig.got.Sources == 0 || !reflect.DeepEqual(fig.got, want) {
+				t.Errorf("P=%d %v Figure 5:\n got %+v\nwant %+v (one BFSDistances per source)", par, fig.dir, fig.got, want)
 			}
 		}
-		if fig.got.Sources == 0 || !reflect.DeepEqual(fig.got, want) {
-			t.Errorf("%v Figure 5:\n got %+v\nwant %+v (one BFSDistances per source)", fig.dir, fig.got, want)
+		for _, b := range []struct {
+			dir    graph.Direction
+			stream uint64
+			got    int
+		}{{graph.Directed, 5, paths.DiameterDirected}, {graph.Undirected, 6, paths.DiameterUndirected}} {
+			want := graph.DoubleSweepDiameter(context.Background(), s.g, b.dir, diameterSweeps, s.rng(b.stream), 1)
+			if b.got != want || want == 0 {
+				t.Errorf("P=%d %v diameter bound %d, want %d (DoubleSweepDiameter alone on stream %d)", par, b.dir, b.got, want, b.stream)
+			}
 		}
 	}
 }

@@ -34,6 +34,13 @@ import (
 // not cached: the next call computes it in full. The located column
 // under Figures 9 and 10 is built once as well. Everything else is
 // recomputed per call and touches no shared state.
+//
+// Independent work within one call runs side by side through the
+// Study's one fan-out, at most Options.Parallelism tasks at once:
+// Structure's stages, Table 4's paths and reciprocity stages, the paths
+// stage's two samples and two diameter bounds, Figure 9(a)'s three CDF
+// sorts. A call still computes only the stages it names: Topology never
+// runs the triad census.
 type Study struct {
 	ds   *dataset.Dataset
 	opts Options
@@ -101,8 +108,9 @@ type Options struct {
 	PairSample int
 	// Parallelism fans every graph analysis except the serial SCC
 	// (degrees, reciprocity, clustering, WCC, triangles, BFS sampling) out
-	// over this many goroutines (default: up to 8, bounded by GOMAXPROCS).
-	// Results are identical for any value.
+	// over this many goroutines, and bounds how many independent tasks of
+	// one call run side by side (default: up to 8, bounded by
+	// GOMAXPROCS). Results are identical for any value.
 	Parallelism int
 	// Tracer, when non-nil, wraps each stage computation in a span named
 	// analyze.<stage>, so the per-stage wall-clock breakdown can be read
@@ -136,6 +144,33 @@ func New(ds *dataset.Dataset, opts Options) *Study {
 
 // Dataset returns the underlying dataset.
 func (s *Study) Dataset() *dataset.Dataset { return s.ds }
+
+// fanOut is the Study's one fan-out: it runs every task, at most
+// Parallelism at a time, and returns when all have. The tasks must be
+// independent — each writes only its own results and draws from its own
+// RNG stream — so what they compute does not depend on which runs when.
+// At Parallelism 1 they run in order on the caller's goroutine.
+func (s *Study) fanOut(tasks ...func()) {
+	limit := min(s.opts.Parallelism, len(tasks))
+	if limit <= 1 {
+		for _, run := range tasks {
+			run()
+		}
+		return
+	}
+	sem := make(chan struct{}, limit)
+	var wg sync.WaitGroup
+	wg.Add(len(tasks))
+	for _, run := range tasks {
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			run()
+		}()
+	}
+	wg.Wait()
+}
 
 // rng derives an independent deterministic stream per analysis.
 func (s *Study) rng(stream uint64) *rand.Rand {

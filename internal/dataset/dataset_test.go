@@ -220,6 +220,52 @@ func TestLoadRejectsCorruptGraph(t *testing.T) {
 	}
 }
 
+// TestLoadWithFailuresUnderOverlap: graph.v2 decodes beside the profile
+// column, and whichever finishes first, a bad graph is the error
+// returned, a bad column beside a good graph is the column's error, and
+// no failed load, in RAM or mapped, leaves the graph mapped.
+func TestLoadWithFailuresUnderOverlap(t *testing.T) {
+	_, res := fixtures(t)
+	garbageGraph := func(dir string) error {
+		return os.WriteFile(filepath.Join(dir, graphV2File), []byte("garbage"), 0o644)
+	}
+	badColumn := func(dir string) error {
+		return os.WriteFile(filepath.Join(dir, profilesFile), []byte("not json at all\n"), 0o644)
+	}
+	for _, tc := range []struct {
+		name   string
+		spoil  []func(dir string) error
+		prefix string // the error's stage
+	}{
+		{"corrupt profiles", []func(string) error{badColumn}, "dataset: reading profiles: "},
+		{"no graph", []func(string) error{func(dir string) error {
+			return os.Remove(filepath.Join(dir, graphV2File))
+		}}, "dataset: opening v2 graph: "},
+		{"corrupt graph", []func(string) error{garbageGraph}, "dataset: opening v2 graph: "},
+		{"both", []func(string) error{garbageGraph, badColumn}, "dataset: opening v2 graph: "},
+	} {
+		for _, mapped := range []bool{false, true} {
+			dir := t.TempDir()
+			if err := FromCrawl(res).SaveV2(dir); err != nil {
+				t.Fatal(err)
+			}
+			for _, spoil := range tc.spoil {
+				if err := spoil(dir); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d, err := LoadWith(dir, Options{Mapped: mapped})
+			if d != nil || err == nil || !strings.HasPrefix(err.Error(), tc.prefix) {
+				t.Errorf("%s, mapped=%v: LoadWith returned a dataset %v and error %v, want an error starting %q",
+					tc.name, mapped, d != nil, err, tc.prefix)
+			}
+			if maps, err := os.ReadFile("/proc/self/maps"); err == nil && strings.Contains(string(maps), dir) {
+				t.Errorf("%s, mapped=%v: the failed load left %s mapped", tc.name, mapped, dir)
+			}
+		}
+	}
+}
+
 func TestSaveRejectsInvalidDataset(t *testing.T) {
 	d := &Dataset{
 		g:        graph.FromEdges(2, 0, 1),

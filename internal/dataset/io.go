@@ -105,27 +105,41 @@ func (d *Dataset) writeProfiles(w io.Writer) error {
 // diskcsr.ReadGraph by default, or with Options.Mapped served from the
 // memory-mapped v2 file diskcsr.Open verified, when the caller must
 // Close the returned dataset. Either way graph.v2 is decoded and
-// checked once, by the decode that reads it.
+// checked once, by the decode that reads it, on its own goroutine while
+// the profile column decodes beside it. A graph error is the one
+// returned, whatever the profile column held; on any error the mapping
+// is closed. A graph.v2 that cannot be opened fails at once, before the
+// column is read.
 func LoadWith(dir string, opt Options) (*Dataset, error) {
 	d := &Dataset{}
 	path := filepath.Join(dir, graphV2File)
-	var err error
-	if opt.Mapped {
-		var m *diskcsr.Mapped
-		if m, err = diskcsr.Open(path, diskcsr.Options{}); err == nil {
-			d.g, d.closer = m, m
-		}
-	} else {
-		d.g, err = diskcsr.ReadGraph(path)
-	}
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: opening v2 graph: %w", err)
 	}
-	if err := d.loadProfiles(dir); err != nil {
-		d.Close() //nolint:errcheck — unwinding a failed open
-		return nil, err
+	f.Close()
+	var graphErr error
+	graphDone := make(chan struct{})
+	go func() {
+		defer close(graphDone)
+		if !opt.Mapped {
+			d.g, graphErr = diskcsr.ReadGraph(path)
+			return
+		}
+		var m *diskcsr.Mapped
+		if m, graphErr = diskcsr.Open(path, diskcsr.Options{}); graphErr == nil {
+			d.g, d.closer = m, m
+		}
+	}()
+	err = d.loadProfiles(dir)
+	<-graphDone
+	if graphErr != nil {
+		return nil, fmt.Errorf("dataset: opening v2 graph: %w", graphErr)
 	}
-	if err := d.Validate(); err != nil {
+	if err == nil {
+		err = d.Validate()
+	}
+	if err != nil {
 		d.Close() //nolint:errcheck — unwinding a failed open
 		return nil, err
 	}

@@ -102,13 +102,16 @@ func TestFromProfileFieldCodes(t *testing.T) {
 	}
 }
 
-// TestDecodeProfileRejectsUnknownCodes: an unknown field code or label
-// would not re-encode to itself, so the decoder refuses it, naming the
-// byte offset, rather than dropping it.
+// TestDecodeProfileRejectsUnknownCodes: an unknown field code or label,
+// or a code repeated or out of attribute order, would not re-encode to
+// itself, so the decoder refuses it, naming the byte offset, rather than
+// dropping it.
 func TestDecodeProfileRejectsUnknownCodes(t *testing.T) {
 	for doc, want := range map[string]string{
 		`{"id":"x","name":"n","fields":["name","hovercraft","gender"],"inCircleCount":0,"outCircleCount":0}`:     "at byte 38: a field code the encoder does not write",
 		`{"id":"x","name":"n","fields":["name","gender"],"gender":"Blorp","inCircleCount":0,"outCircleCount":0}`: "at byte 57: a gender label the encoder does not write",
+		`{"id":"x","name":"n","fields":["name","name"],"inCircleCount":0,"outCircleCount":0}`:                    "at byte 38: a field code repeated or out of attribute order",
+		`{"id":"x","name":"n","fields":["gender","name"],"inCircleCount":0,"outCircleCount":0}`:                  "at byte 40: a field code repeated or out of attribute order",
 	} {
 		var (
 			id string

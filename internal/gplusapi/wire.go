@@ -514,13 +514,38 @@ func (s *scanner) numberText() []byte {
 // integer consumes an int member's value, as strconv.AppendInt writes it.
 func (s *scanner) integer(dst *int) {
 	lit := s.numberText()
-	n, err := strconv.ParseInt(string(lit), 10, 0)
-	var buf [20]byte
-	if err != nil || string(strconv.AppendInt(buf[:0], n, 10)) != string(lit) {
+	n, ok := canonicalInt(lit)
+	if !ok {
 		s.pos -= len(lit)
 		s.fail("want an integer as the encoder writes it")
 	}
-	*dst = int(n)
+	*dst = n
+}
+
+// canonicalInt reads lit when it is what strconv.AppendInt writes: 0 or
+// -?[1-9][0-9]*, inside int's range. Anything else is not ok.
+func canonicalInt(lit []byte) (n int, ok bool) {
+	digits := lit
+	neg := len(lit) > 0 && lit[0] == '-'
+	limit := uint(math.MaxInt) // the magnitude allowed: one more when negative
+	if neg {
+		digits, limit = lit[1:], limit+1
+	}
+	if len(digits) == 0 || digits[0] == '0' && len(lit) > 1 {
+		return 0, false
+	}
+	var u uint
+	for _, c := range digits {
+		d := uint(c - '0') // a byte below '0' wraps past 9
+		if d > 9 || u > (limit-d)/10 {
+			return 0, false
+		}
+		u = u*10 + d
+	}
+	if neg {
+		return -int(u), true // u = -math.MinInt converts to math.MinInt, its own negation
+	}
+	return int(u), true
 }
 
 // float consumes a float64 member's value, as appendFloat writes it.
@@ -545,16 +570,26 @@ func (s *scanner) profile(id *string, p *profile.Profile) {
 	s.str(&p.Name)
 	s.key(',', keyFields)
 	if !s.null() {
+		// Codes arrive in attribute order, so each is looked for only
+		// past the last one read: a code found nowhere there is unknown,
+		// repeated or out of order.
+		next := profile.Attr(0)
 		s.array(func() {
 			start := s.pos
-			a, ok := profile.AttrFromWireCode(string(s.stringBytes()))
-			switch {
-			case !ok:
-				s.failAt(start, "a field code the encoder does not write")
-			case p.Public>>a != 0:
-				s.failAt(start, "a field code repeated or out of attribute order")
+			code := s.stringBytes()
+			a := next
+			for a < profile.NumAttrs && a.WireCode() != string(code) {
+				a++
 			}
-			p.Public = p.Public.With(a)
+			if a == profile.NumAttrs {
+				if _, ok := profile.AttrFromWireCode(string(code)); !ok {
+					s.failAt(start, "a field code the encoder does not write")
+				} else {
+					s.failAt(start, "a field code repeated or out of attribute order")
+				}
+				return
+			}
+			p.Public, next = p.Public.With(a), a+1
 		})
 		if p.Public == 0 {
 			s.fail("an empty field list, which the encoder writes as null")

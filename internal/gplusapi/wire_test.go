@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -524,6 +525,31 @@ func TestDecodeAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("AppendProfile: %v allocs per document, want 0", n)
+	}
+}
+
+// TestCanonicalIntMatchesStrconv: the integer decoder takes exactly
+// what strconv.AppendInt writes, over int's whole range, and reads it as
+// strconv.ParseInt does.
+func TestCanonicalIntMatchesStrconv(t *testing.T) {
+	lits := []string{
+		"0", "7", "-7", "10", "-10", "123456789", "-999999999999999999", "999999999999999999",
+		"1000000000000000000", "-1000000000000000000",
+		"", "-", "-0", "00", "01", "-01", "+1", "1.0", "1e3", "1-", "--1", " 1", "/", ":",
+		"99999999999999999999", "-99999999999999999999", "123456789012345678901",
+	}
+	for _, n := range []int64{math.MaxInt, math.MinInt, math.MaxInt32, math.MinInt32} {
+		lits = append(lits, strconv.FormatInt(n, 10))
+		lits = append(lits, strconv.FormatInt(n/10, 10)+"9", strconv.FormatInt(n, 10)+"0")
+		lits = append(lits, strconv.FormatInt(n-n%10, 10)) // a trailing zero, always in range
+	}
+	for _, lit := range lits {
+		n, ok := canonicalInt([]byte(lit))
+		want, err := strconv.ParseInt(lit, 10, 0)
+		canonical := err == nil && strconv.FormatInt(want, 10) == lit
+		if ok != canonical || ok && int64(n) != want {
+			t.Errorf("canonicalInt(%q) = %d, %v; strconv reads %d (error %v), canonical %v", lit, n, ok, want, err, canonical)
+		}
 	}
 }
 

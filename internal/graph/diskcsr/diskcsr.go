@@ -180,7 +180,7 @@ func inParallel(n int, do func(lo, hi int) error) error {
 		return nil
 	}
 	errs := make([]error, n)
-	graph.Shards(n, runtime.GOMAXPROCS(0), func(lo, hi int) { errs[lo] = do(lo, hi) })
+	graph.Shards(n, runtime.GOMAXPROCS(0), func(_, lo, hi int) { errs[lo] = do(lo, hi) })
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -175,30 +175,31 @@ func (c *errAfter) Err() error {
 }
 
 // TestTriadsCancellation: every look Triads takes at its context — before
-// each pass and once per chunk of rank rows — ends the call with the
-// context's error and no result once the context says so, and a
-// context that never does gets the full result.
+// each pass and once per chunk of rank rows a worker takes — ends the
+// call with the context's error and no result once the context says so,
+// and a context that never does gets the full result. The row count
+// leaves a partial last chunk, so at every P the workers hand out
+// several chunks, one of them short; FuzzTriads' graphs fit in one.
 func TestTriadsCancellation(t *testing.T) {
-	g := randomGraph(3*triadChunk, 12*triadChunk, rand.New(rand.NewPCG(3, 9)))
+	const n, chunks = 3*triadChunk + 17, 4
+	g := randomGraph(n, 12*n, rand.New(rand.NewPCG(3, 9)))
 	want := triads(g, 1)
-	for _, par := range []int{1, 2} {
+	for _, par := range []int{1, 2, 3, 8} {
 		live := &errAfter{Context: context.Background()}
 		live.limit.Store(math.MaxInt32)
 		if got, err := Triads(live, g, par); err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("P=%d: a live context got error %v or a different result", par, err)
 		}
-		looks := live.calls.Load()
 		// One look before each of the three passes and one after the
-		// last, and one per chunk of rank rows: at least one a shard,
-		// and three at P=1 over 3·triadChunk rows.
-		if looks < 4+int32(par) || par == 1 && looks != 7 {
-			t.Fatalf("P=%d: Triads looked at its context %d times", par, looks)
+		// last, and one per chunk taken, whichever worker takes it.
+		if looks := live.calls.Load(); looks != 4+chunks {
+			t.Fatalf("P=%d: Triads looked at its context %d times, want %d", par, looks, 4+chunks)
 		}
-		for limit := int32(1); limit <= looks; limit++ {
+		for limit := int32(1); limit <= 4+chunks; limit++ {
 			ctx := &errAfter{Context: context.Background()}
 			ctx.limit.Store(limit)
 			if got, err := Triads(ctx, g, par); err != context.Canceled || got != nil {
-				t.Fatalf("P=%d: cancelled at look %d of %d: result %v, error %v", par, limit, looks, got != nil, err)
+				t.Fatalf("P=%d: cancelled at look %d of %d: result %v, error %v", par, limit, 4+chunks, got != nil, err)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // This file holds the shared fan-out machinery behind every parallelized
@@ -92,12 +93,36 @@ func runShards(bounds []int, fn func(shard, lo, hi int)) {
 	wg.Wait()
 }
 
-// Shards is the fan-out for callers outside the package: fn(lo, hi) runs
-// over [0, n) cut into at most parallelism contiguous near-equal ranges,
-// concurrently, and Shards waits for all of them. fn must confine its
-// writes to its own range.
-func Shards(n, parallelism int, fn func(lo, hi int)) {
-	runShards(uniformBounds(n, parallelism), func(_, lo, hi int) { fn(lo, hi) })
+// runChunks hands [0, n) out in chunk-sized ranges to at most
+// parallelism workers: each worker pulls the next unclaimed range from
+// one atomic counter and calls fn(worker, lo, hi) on it, until no range
+// is left or fn returns false. Which worker takes which range depends on
+// scheduling, so fn must keep its results in worker-owned state whose
+// merge does not depend on it (exact integer sums). Workers are
+// numbered from 0 and fewer than normShards(n, parallelism). Pulling
+// keeps every worker busy to the end, where contiguous cuts of skewed
+// work would leave one idle.
+func runChunks(n, chunk, parallelism int, fn func(worker, lo, hi int) bool) {
+	chunks := (n + chunk - 1) / chunk
+	workers := normShards(chunks, parallelism)
+	var next atomic.Int64
+	runShards(uniformBounds(workers, workers), func(w, _, _ int) {
+		for {
+			lo := int(next.Add(1)-1) * chunk
+			if lo >= n || !fn(w, lo, min(lo+chunk, n)) {
+				return
+			}
+		}
+	})
+}
+
+// Shards is the fan-out for callers outside the package: fn(shard, lo,
+// hi) runs over [0, n) cut into at most parallelism contiguous
+// near-equal ranges, numbered from 0 in range order, concurrently, and
+// Shards waits for all of them. fn must confine its writes to its own
+// range or shard.
+func Shards(n, parallelism int, fn func(shard, lo, hi int)) {
+	runShards(uniformBounds(n, parallelism), fn)
 }
 
 // relabelByFirstAppearance rewrites the component labels in comp to the

@@ -3,6 +3,7 @@ package graph
 import (
 	"context"
 	"fmt"
+	"slices"
 )
 
 // Everything triangle-shaped comes from one enumeration of the closed
@@ -14,7 +15,10 @@ import (
 // two passes over the view's rows build the degree-ranked half of it,
 // one packed 4-byte word per kept edge, and the Sandia lowest-rank
 // enumeration walks that half once, marking each row and scanning its
-// neighbors' rows against the marks, tallying per shard in rank space.
+// neighbors' rows against the marks. The enumeration's workers pull
+// chunks of rank rows from one counter (runChunks), so the worker with
+// the heaviest rows does not bound the pass, and each tallies in rank
+// space in its own arrays, summed exactly at the end.
 
 // TriadResult is what one closed-triple enumeration of a graph yields.
 type TriadResult struct {
@@ -37,24 +41,20 @@ const (
 	dyadMut                 // both
 )
 
-// eachDyad merges a node's sorted out- and in-rows: emit sees every
-// neighbor of the projection once, ascending, with its dyad kind.
-func eachDyad(out, in []NodeID, emit func(w NodeID, k dyadKind)) {
-	i, j := 0, 0
-	for i < len(out) || j < len(in) {
-		switch {
-		case j == len(in) || (i < len(out) && out[i] < in[j]):
-			emit(out[i], dyadOut)
-			i++
-		case i == len(out) || in[j] < out[i]:
-			emit(in[j], dyadIn)
-			j++
-		default:
-			emit(out[i], dyadMut)
-			i++
-			j++
-		}
+// nextDyad steps the merge of a node's sorted out- and in-rows past
+// out[:i] and in[:j]: it returns the least neighbor left, its dyad kind,
+// and the positions after it. Walked from 0, 0 while i < len(out) ||
+// j < len(in), it yields every neighbor of the projection once,
+// ascending. It is small enough to inline, so a merge costs no call per
+// neighbor.
+func nextDyad(out, in []NodeID, i, j int) (NodeID, dyadKind, int, int) {
+	switch {
+	case j == len(in) || (i < len(out) && out[i] < in[j]):
+		return out[i], dyadOut, i + 1, j
+	case i == len(out) || in[j] < out[i]:
+		return in[j], dyadIn, i, j + 1
 	}
+	return out[i], dyadMut, i + 1, j + 1
 }
 
 // A packed half-graph entry is rank<<kindBits | kind: entry>>kindBits
@@ -168,19 +168,21 @@ func Triads(ctx context.Context, g View, parallelism int) (*TriadResult, error) 
 	// lowest-rank corner. Every entry of row(s) outranks s, so the
 	// common neighbors are the entries of row(s) that r's row marks:
 	// mark[t] holds kind(r, t)+1 while row r is walked, and the word
-	// t<<kindBits | mark[t]-1 is r's entry for t. Each shard tallies in
-	// rank space, in its own arrays; the shards are summed and mapped to
-	// node ids once, at the end.
-	ebounds := prefixWorkBounds(n, parallelism, func(r int) int64 { return h.off[r] + int64(r) })
-	tallies := make([]triadTally, len(ebounds)-1)
-	runShards(ebounds, func(shard, lo, hi int) {
-		t := &tallies[shard]
-		t.perRank = make([][2]int64, n)
-		mark := make([]uint8, n)
+	// t<<kindBits | mark[t]-1 is r's entry for t. Workers pull chunks of
+	// triadChunk rank rows and tally in rank space, each in its own
+	// arrays; the workers are summed and mapped to node ids once, at the
+	// end.
+	tallies := make([]triadTally, normShards(n, parallelism))
+	runChunks(n, triadChunk, parallelism, func(w, lo, hi int) bool {
+		if ctx.Err() != nil {
+			return false
+		}
+		t := &tallies[w]
+		if t.perRank == nil {
+			t.perRank, t.mark = make([][2]int64, n), make([]uint8, n)
+		}
+		mark := t.mark
 		for r := uint32(lo); r < uint32(hi); r++ {
-			if (r-uint32(lo))%triadChunk == 0 && ctx.Err() != nil {
-				return
-			}
 			row := h.row(r)
 			for _, e := range row {
 				mark[e>>kindBits] = uint8(e&kindMask) + 1
@@ -198,10 +200,13 @@ func Triads(ctx context.Context, g View, parallelism int) (*TriadResult, error) 
 				mark[e>>kindBits] = 0
 			}
 		}
+		return true
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// Drop the workers that took no chunk.
+	tallies = slices.DeleteFunc(tallies, func(t triadTally) bool { return t.perRank == nil })
 	for r, v := range h.perm {
 		for i := range tallies {
 			c := &tallies[i].perRank[r]
@@ -225,12 +230,13 @@ func Triads(ctx context.Context, g View, parallelism int) (*TriadResult, error) 
 	return res, nil
 }
 
-// triadTally is what one shard of the enumeration counts: closed
+// triadTally is what one worker of the enumeration counts: closed
 // triples by kind index, and per rank the triangles and clustering
-// links of the node holding it.
+// links of the node holding it. mark is the worker's row marks.
 type triadTally struct {
 	byKind  [len(triadTable)]int64
 	perRank [][2]int64
+	mark    []uint8
 }
 
 // closed tallies the triple of ranks r < s < t, where a is r's entry
@@ -289,11 +295,15 @@ func buildHalfGraph(g View, rank []uint32, bounds []int) *halfGraph {
 		for v := lo; v < hi; v++ {
 			r := rank[v]
 			row := h.adj[h.off[r]:h.off[r]:h.off[r+1]]
-			eachDyad(rows.Out(NodeID(v)), rows.In(NodeID(v)), func(w NodeID, k dyadKind) {
+			out, in := rows.Out(NodeID(v)), rows.In(NodeID(v))
+			for i, j := 0, 0; i < len(out) || j < len(in); {
+				var w NodeID
+				var k dyadKind
+				w, k, i, j = nextDyad(out, in, i, j)
 				if rw := rank[w]; rw > r {
 					row = append(row, rw<<kindBits|uint32(k))
 				}
-			})
+			}
 		}
 	})
 	var kept, lo int64 // lo: row r's fill offset, before off[r] moved

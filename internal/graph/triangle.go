@@ -124,9 +124,12 @@ func buildUndirected(g View, parallelism int) *undirected {
 		rows := g.Rows()
 		for v := lo; v < hi; v++ {
 			row := u.nbr(NodeID(v))[:0]
-			eachDyad(rows.Out(NodeID(v)), rows.In(NodeID(v)), func(w NodeID, _ dyadKind) {
+			out, in := rows.Out(NodeID(v)), rows.In(NodeID(v))
+			for i, j := 0, 0; i < len(out) || j < len(in); {
+				var w NodeID
+				w, _, i, j = nextDyad(out, in, i, j)
 				row = append(row, w)
-			})
+			}
 		}
 	})
 	return u

@@ -19,54 +19,45 @@ func (a Attr) WireCode() string {
 	return ""
 }
 
-var attrByCode = func() map[string]Attr {
-	m := make(map[string]Attr, NumAttrs)
-	for i := Attr(0); i < NumAttrs; i++ {
-		m[attrCodes[i]] = i
-	}
-	return m
-}()
-
 // AttrFromWireCode resolves an API identifier back to an attribute.
 func AttrFromWireCode(code string) (Attr, bool) {
-	a, ok := attrByCode[code]
-	return a, ok
-}
-
-var genderByLabel = map[string]Gender{
-	"Male": GenderMale, "Female": GenderFemale, "Other": GenderOther,
+	for a, c := range attrCodes {
+		if c == code {
+			return Attr(a), true
+		}
+	}
+	return 0, false
 }
 
 // ParseGender resolves a gender label as served by the API; unknown or
 // empty labels map to GenderUnknown.
 func ParseGender(label string) Gender {
-	return genderByLabel[label]
-}
-
-var relationshipByLabel = func() map[string]Relationship {
-	m := make(map[string]Relationship, NumRelationships)
-	for _, r := range Relationships() {
-		m[r.String()] = r
+	for g := GenderMale; g < numGenders; g++ {
+		if genderNames[g] == label {
+			return g
+		}
 	}
-	return m
-}()
+	return GenderUnknown
+}
 
 // ParseRelationship resolves a relationship label as served by the API;
 // unknown or empty labels map to RelUnknown.
 func ParseRelationship(label string) Relationship {
-	return relationshipByLabel[label]
-}
-
-var occupationByCode = func() map[string]Occupation {
-	m := make(map[string]Occupation, NumOccupations)
-	for o := OccupationOther; o < NumOccupations; o++ {
-		m[o.Code()] = o
+	for r := RelSingle; r < NumRelationships; r++ {
+		if relNames[r] == label {
+			return r
+		}
 	}
-	return m
-}()
+	return RelUnknown
+}
 
 // ParseOccupation resolves a Table 5 occupation code; unknown codes map
 // to OccupationOther.
 func ParseOccupation(code string) Occupation {
-	return occupationByCode[code]
+	for o, c := range occupationCodes {
+		if c == code {
+			return Occupation(o)
+		}
+	}
+	return OccupationOther
 }

@@ -92,17 +92,15 @@ const (
 	GenderMale
 	GenderFemale
 	GenderOther
+	numGenders // sentinel (includes GenderUnknown)
 )
+
+var genderNames = [numGenders]string{"Unknown", "Male", "Female", "Other"}
 
 // String returns the Table 3 gender label.
 func (g Gender) String() string {
-	switch g {
-	case GenderMale:
-		return "Male"
-	case GenderFemale:
-		return "Female"
-	case GenderOther:
-		return "Other"
+	if g < numGenders {
+		return genderNames[g]
 	}
 	return "Unknown"
 }
