@@ -15,7 +15,8 @@ STATICCHECK_VERSION ?= 2024.1
 all: build vet test race
 
 # check is the conventional entry point for the same gate; the race leg
-# covers the sharded rate limiter, the batched crawl frontier and the
+# covers the sharded rate limiter, the batched crawl frontier, the
+# concurrent API client with its shared retry budget and body pool, and the
 # study's concurrent, memoised structure stages with the packages that
 # drive them (paper, report, gplusanalyze), the
 # short fuzz leg shakes the checkpoint/journal parser, the series.jsonl tick decoder, the wire codec (canonical form in, encoding/json as the oracle, round-trip identity), the graph.v2 reader, the segment reader, the triad pass, the connectivity kernels, the edge sort and the CDF sort, the hygiene leg
@@ -30,7 +31,7 @@ check: all staticcheck hygiene brownout fuzz-short loc
 
 help:
 	@echo "make all            build + vet + test + race (default)"
-	@echo "make check          all + staticcheck + hygiene + brownout + fuzz-short"
+	@echo "make check          all + staticcheck + hygiene + brownout + fuzz-short + loc"
 	@echo "make hygiene        metrics-hygiene gate (naming grammar + HELP lines + label keys from the one vocabulary) + labels-are-data gate + durable-write gate + every-flag-has-a-recipe gate + every-package- and every-exported-symbol-reaches-the-pipeline gates + reflection-JSON-stays-cold gate"
 	@echo "make loc            non-test Go lines per package (bench/ excluded)"
 	@echo "make chaos          kill/resume convergence under the fault suite"
@@ -61,7 +62,7 @@ test:
 # the triad chunk runner, the overlapped dataset load) at 1 and 4 Ps, so
 # they also run with more runnable goroutines than cores.
 race:
-	$(GO) test -race ./internal/core/ ./internal/obs/ ./internal/obs/prof/ ./internal/obs/rundir/ ./internal/obs/series/ ./internal/obs/trace/ ./internal/paper/ ./internal/report/ ./cmd/gplusanalyze/ ./cmd/gpluscrawl/ ./internal/crawler/ ./internal/dataset/ ./internal/durable/ ./internal/gplusd/ ./internal/graph/ ./internal/graph/diskcsr/ ./internal/resilience/
+	$(GO) test -race ./internal/core/ ./internal/obs/ ./internal/obs/prof/ ./internal/obs/rundir/ ./internal/obs/series/ ./internal/obs/trace/ ./internal/paper/ ./internal/report/ ./cmd/gplusanalyze/ ./cmd/gpluscrawl/ ./internal/crawler/ ./internal/dataset/ ./internal/durable/ ./internal/gplusapi/ ./internal/gplusd/ ./internal/graph/ ./internal/graph/diskcsr/ ./internal/resilience/
 	$(GO) test -race -cpu 1,4 -run 'Structure|PathLengths|PathMiles|Figure5|Triads|LoadWith' ./internal/core ./internal/graph ./internal/dataset
 
 # The metrics-hygiene gate: every family either registry exposes after a

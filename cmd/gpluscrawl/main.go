@@ -52,11 +52,12 @@
 //
 // Every crawl adapts to overload: an AIMD gate adapts effective worker
 // concurrency to 429/503/deadline feedback, a shared retry budget caps
-// fleet-wide retry amplification near 10%, per-endpoint circuit breakers
-// fail fast through dead endpoints, and server sheds requeue the id to
-// the frontier tail instead of counting as failures — a crawl rides out
-// a server brownout with an identical final dataset. -attempt-timeout is
-// the one request deadline, per wire attempt and propagated to gplusd.
+// fleet-wide retry amplification near 10% (so a dead endpoint costs the
+// fleet its first attempts plus the budget's burst), and server sheds
+// requeue the id to the frontier tail instead of counting as failures —
+// a crawl rides out a server brownout with an identical final dataset.
+// -attempt-timeout is the one request deadline, per wire attempt and
+// propagated to gplusd.
 // -abort-errors counts ids that stayed failed (retries exhausted, or out
 // of requeues): the crawl then saves what it has and exits non-zero.
 //

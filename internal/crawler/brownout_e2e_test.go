@@ -26,8 +26,8 @@ import (
 //
 //  1. the final dataset is identical to a fault-free crawl — sheds turn
 //     into requeues, not holes;
-//  2. retry amplification stays within 1.1x — the retry budget and
-//     breaker kept the fleet from retry-storming the browned-out server;
+//  2. retry amplification stays within 1.1x — the shared retry budget
+//     kept the fleet from retry-storming the browned-out server;
 //  3. the 5xx responses the server sheds carry a Retry-After estimate;
 //  4. the run's SLO burn-rate reports leave OK during the brownout and
 //     return to OK once it passes.
@@ -151,7 +151,6 @@ func TestBrownoutConvergence(t *testing.T) {
 		RetryBackoffBase: 2 * time.Millisecond,
 		Metrics:          run.Registry,
 		Tracer:           run.Tracer,
-		Breaker:          resilience.BreakerOptions{Cooldown: 250 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatalf("brownout crawl: %v", err)

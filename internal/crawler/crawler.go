@@ -116,10 +116,6 @@ type Config struct {
 	// shrink effective concurrency, never add workers. The zero value is
 	// the library default.
 	AIMD resilience.AIMDOptions
-	// Breaker shapes the per-endpoint circuit breakers shared by all
-	// workers, so one worker's discovery of a dead endpoint fails the
-	// whole fleet fast. The zero value is the library default.
-	Breaker resilience.BreakerOptions
 }
 
 func (c *Config) withDefaults() (Config, error) {
@@ -241,7 +237,6 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 	// overload signal protects every other worker's request stream.
 	gate := resilience.NewAIMD(cfg.AIMD, reg, "crawler")
 	budget := resilience.NewRetryBudget(resilience.BudgetOptions{}, reg, "crawler")
-	breakers := resilience.NewBreakerGroup(cfg.Breaker, reg, "crawler")
 
 	sched := newScheduler(cfg.MaxProfiles)
 	sched.tel = tel
@@ -281,7 +276,6 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 				Metrics:        cfg.Metrics,
 				Tracer:         cfg.Tracer,
 				RetryBudget:    budget,
-				Breakers:       breakers,
 				Feedback:       gate,
 				AttemptTimeout: cfg.AttemptTimeout,
 			},
@@ -409,8 +403,8 @@ const maxRequeuePause = 250 * time.Millisecond
 // deferred work rather than holes in the dataset. A false return means
 // the caller must count the error; true means the id was requeued, or
 // the crawl was cancelled while it waited.
-// The worker first honors the overload's pacing hint (Retry-After,
-// breaker cooldown) while still holding the id's claim: requeueing must
+// The worker first honors the overload's pacing hint (a 429/503's
+// Retry-After) while still holding the id's claim: requeueing must
 // defer load in time, not just reshuffle the queue. Handing the id back
 // before the pause lets every idle worker re-claim it at once, so at a
 // crawl's tail, where it is the only id left, the fleet spends its

@@ -19,7 +19,6 @@ import (
 	"gplus/internal/obs"
 	"gplus/internal/obs/rundir"
 	"gplus/internal/profile"
-	"gplus/internal/resilience"
 	"gplus/internal/synth"
 )
 
@@ -364,7 +363,6 @@ func TestCrawlAbortsOnErrorBudget(t *testing.T) {
 		AttemptTimeout:   5 * time.Second,
 		MaxRetries:       1,
 		RetryBackoffBase: time.Millisecond,
-		Breaker:          resilience.BreakerOptions{Cooldown: 20 * time.Millisecond},
 	})
 	if !errors.Is(err, ErrTooManyErrors) {
 		t.Fatalf("err = %v, want ErrTooManyErrors", err)
@@ -424,11 +422,11 @@ func min(a, b int) int {
 	return b
 }
 
-// circleBreaker fails every circle-list request with a permanent
+// circlesForbidden fails every circle-list request with a permanent
 // (non-retryable) status while letting profile fetches through.
-type circleBreaker struct{ inner http.Handler }
+type circlesForbidden struct{ inner http.Handler }
 
-func (c circleBreaker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (c circlesForbidden) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if strings.Contains(r.URL.Path, "/circles/") {
 		http.Error(w, "circles unavailable", http.StatusForbidden)
 		return
@@ -578,7 +576,7 @@ func TestCrawlTelemetry(t *testing.T) {
 func TestCrawlErrorSplit(t *testing.T) {
 	u := crawlUniverse(t)
 	inner := gplusd.New(u, gplusd.Options{})
-	ts := httptest.NewServer(circleBreaker{inner: inner})
+	ts := httptest.NewServer(circlesForbidden{inner: inner})
 	defer ts.Close()
 
 	reg := obs.NewRegistry()
@@ -613,7 +611,7 @@ func TestCrawlErrorSplit(t *testing.T) {
 func TestCrawlErrorBudgetCoversBothKinds(t *testing.T) {
 	u := crawlUniverse(t)
 	inner := gplusd.New(u, gplusd.Options{})
-	ts := httptest.NewServer(circleBreaker{inner: inner})
+	ts := httptest.NewServer(circlesForbidden{inner: inner})
 	defer ts.Close()
 
 	// Profiles succeed, so only circle errors can exhaust the budget.

@@ -129,7 +129,6 @@ func TestContinuousProfilingE2E(t *testing.T) {
 		MaxRetries:       16,
 		RetryBackoffBase: 2 * time.Millisecond,
 		Metrics:          creg,
-		Breaker:          resilience.BreakerOptions{Cooldown: 250 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatalf("brownout crawl: %v", err)

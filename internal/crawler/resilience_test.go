@@ -96,8 +96,9 @@ func TestCrawlRequeuesOnOverload(t *testing.T) {
 	u := crawlUniverse(t)
 	seed := seedID(u)
 	// 6 rejects: two full 3-attempt rounds fail and requeue, the third
-	// succeeds — and the streak stays below the breaker's default
-	// consecutive-failure trip of 8, keeping the test fast.
+	// succeeds. Their 4 retries fit in the retry budget's default burst
+	// of 10, so no round is cut short, and 2 requeues are far inside the
+	// per-id allowance of 32.
 	gate := &overloadGate{inner: gplusd.New(u, gplusd.Options{}), target: seed, rejects: 6}
 	ts := httptest.NewServer(gate)
 	defer ts.Close()
@@ -159,11 +160,10 @@ func TestCrawlRequeuePacesTheID(t *testing.T) {
 		MaxProfiles:      30,
 		MaxRetries:       1,
 		RetryBackoffBase: time.Millisecond,
-		// Keep the breaker shut and the AIMD gate open, as successes on
-		// the rest of the frontier do mid-crawl: the 503s alone must
-		// drive the requeues, and all eight workers may hold the id.
-		Breaker: resilience.BreakerOptions{ConsecutiveFailures: 1 << 20, MinSamples: 1 << 20},
-		AIMD:    resilience.AIMDOptions{Min: 8},
+		// Keep the AIMD gate open, as successes on the rest of the
+		// frontier do mid-crawl: the 503s alone must drive the requeues,
+		// and all eight workers may hold the id.
+		AIMD: resilience.AIMDOptions{Min: 8},
 	})
 	if err != nil {
 		t.Fatal(err)

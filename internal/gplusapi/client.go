@@ -68,11 +68,6 @@ type Client struct {
 	// whole fleet's retry traffic is bounded together. nil allows all
 	// retries (the pre-budget behavior).
 	RetryBudget *resilience.RetryBudget
-	// Breakers, when non-nil, circuit-breaks each endpoint independently:
-	// an open breaker fails requests fast — no wire attempt — until its
-	// cooldown admits a probe. Breaker denials are retryable and carry
-	// the cooldown as their backoff hint. Share one group per crawl.
-	Breakers *resilience.BreakerGroup
 	// Feedback, when non-nil, receives congestion signals: RecordSuccess
 	// per 200/404, RecordOverload per 429/503 or per-attempt deadline
 	// expiry. The crawler plugs its AIMD gate in here.
@@ -199,7 +194,7 @@ func (c *Client) backoffCeil(attempt int) time.Duration {
 
 // backoffDelay computes the jittered delay before retry attempt
 // (1-based), honoring a Retry-After hint surfaced by the previous error
-// (server hints and breaker cooldowns both implement RetryAfterHint).
+// (a 429/503's Retry-After, through retryAfterError).
 // The delay is sampled in [ceil/2, ceil] — equal-range jitter keeps
 // concurrent workers from synchronizing while keeping consecutive
 // attempts monotone (ceil(k) is the lower bound of attempt k+1's range
@@ -295,29 +290,24 @@ func (c *Client) get(ctx context.Context, op string, u *url.URL, decode func(bod
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // withRetries runs fn with exponential backoff and jitter, honoring
-// Retry-After hints surfaced through retryAfterError and breaker
-// denials. Every retry must first win a token from the retry budget
-// (when one is configured): an exhausted budget turns the request into
-// an overload failure instead of amplifying load on a struggling
-// service. Each wire attempt must also pass the endpoint's circuit
-// breaker; a denial is retryable, costs no wire attempt, and reuses the
-// breaker's cooldown as its backoff hint. fn receives the per-attempt
-// context, which carries that attempt's span so doGet can propagate it
-// to the service, and the attempt's deadline.
+// Retry-After hints surfaced through retryAfterError. Every retry must
+// first win a token from the retry budget (when one is configured): an
+// exhausted budget turns the request into an overload failure instead
+// of amplifying load on a struggling service, so a dead endpoint costs
+// the whole fleet its first attempts plus the budget's burst, however
+// many workers call it. fn receives the per-attempt context, which
+// carries that attempt's span so doGet can propagate it to the service,
+// and the attempt's deadline.
 func (c *Client) withRetries(ctx context.Context, op string, fn func(context.Context) error) error {
 	var osp *trace.Span
 	if c.Tracer != nil {
 		ctx, osp = c.Tracer.StartSpan(ctx, "api."+op)
 	}
-	breaker := c.Breakers.Get(op)
-	attempts, denials := 0, 0
+	attempts := 0
 	finish := func(err error) error {
 		if osp != nil {
 			osp.Annotate("attempts", strconv.Itoa(attempts))
 			osp.SetRetries(max(attempts-1, 0))
-			if denials > 0 {
-				osp.Annotate("breaker_denials", strconv.Itoa(denials))
-			}
 			osp.SetError(err)
 			osp.Finish()
 		}
@@ -338,21 +328,6 @@ func (c *Client) withRetries(ctx context.Context, op string, fn func(context.Con
 			case <-time.After(delay):
 			}
 		}
-		done, berr := breaker.Allow()
-		if berr != nil {
-			// Fail fast with no wire attempt (and no "attempt" span, so
-			// retry-amplification accounting sees only real traffic); the
-			// denial is retryable and hints the breaker's cooldown.
-			denials++
-			if osp != nil {
-				var oe *resilience.OpenError
-				if errors.As(berr, &oe) {
-					osp.Annotate("breaker", oe.State.String())
-				}
-			}
-			lastErr = berr
-			continue
-		}
 		actx, asp := c.Tracer.StartSpan(ctx, "attempt")
 		if asp != nil {
 			asp.Annotate("n", strconv.Itoa(attempt+1))
@@ -366,9 +341,6 @@ func (c *Client) withRetries(ctx context.Context, op string, fn func(context.Con
 		cancel()
 		asp.SetError(err)
 		asp.Finish()
-		// A working service — including one correctly reporting a missing
-		// profile — counts as breaker health.
-		done(err == nil || errors.Is(err, ErrNotFound))
 		if err == nil {
 			c.RetryBudget.Deposit()
 			return finish(nil)
@@ -410,13 +382,12 @@ func (e *transientError) Unwrap() error { return e.err }
 func isRetryable(err error) bool {
 	var ra *retryAfterError
 	var te *transientError
-	var oe *resilience.OpenError
-	return errors.As(err, &ra) || errors.As(err, &te) || errors.As(err, &oe)
+	return errors.As(err, &ra) || errors.As(err, &te)
 }
 
 // IsOverload reports whether err is a pushback signal — the service or
-// the resilience layer shedding load (429/503, admission sheds, open
-// breakers, exhausted retry budgets, per-attempt deadline expiry) —
+// the resilience layer shedding load (429/503, admission sheds,
+// exhausted retry budgets, per-attempt deadline expiry) —
 // rather than a permanent failure. The crawler requeues overloaded work
 // instead of counting the profile as lost, which is what lets a crawl
 // through a brownout still converge to the complete dataset.
@@ -425,10 +396,6 @@ func IsOverload(err error) bool {
 		return false
 	}
 	if errors.Is(err, resilience.ErrRetryBudgetExhausted) {
-		return true
-	}
-	var oe *resilience.OpenError
-	if errors.As(err, &oe) {
 		return true
 	}
 	var ra *retryAfterError

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -197,87 +198,45 @@ func TestClientBudgetRefillsOnSuccess(t *testing.T) {
 	}
 }
 
-// --- circuit breaker wiring ---
-
-func TestClientBreakerFailsFastAfterTrip(t *testing.T) {
+// TestSharedRetryBudgetBoundsDeadEndpoint pins the fleet-wide bound on a
+// dead endpoint: however many clients share one budget, and however many
+// retries each may make, the server sees each call's first attempt plus
+// the budget's burst, and every call comes back as an overload wrapping
+// ErrRetryBudgetExhausted, which is what lets the crawler requeue it.
+func TestSharedRetryBudgetBoundsDeadEndpoint(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		http.Error(w, "broken", http.StatusInternalServerError)
+		http.Error(w, "down", http.StatusServiceUnavailable)
 	}))
 	defer ts.Close()
-	c := newTestClient(ts)
-	c.MaxBackoff = time.Millisecond // keep breaker-cooldown hints from stalling the test
-	reg := obs.NewRegistry()
-	c.Breakers = resilience.NewBreakerGroup(resilience.BreakerOptions{
-		ConsecutiveFailures: 2,
-		Cooldown:            time.Hour,
-	}, reg, "t")
-	// Two wire failures trip the breaker; the remaining retries of the
-	// same operation are denied without touching the wire.
-	if _, err := c.FetchSeed(context.Background()); err == nil {
-		t.Fatal("want failure")
+	const clients, burst = 8, 4
+	// A negligible trickle: the burst is all the retrying the fleet gets.
+	budget := resilience.NewRetryBudget(resilience.BudgetOptions{MinPerSec: 1e-9, Burst: burst}, nil, "t")
+	errs := make([]error, clients)
+	var wg sync.WaitGroup
+	for i := range clients {
+		c := newTestClient(ts)
+		c.MaxRetries = 10
+		c.MaxBackoff = time.Millisecond
+		c.RetryBudget = budget
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = c.FetchSeed(context.Background())
+		}()
 	}
-	if got := resilience.BreakerState(reg.Gauge("t_breaker_state", obs.Label{Key: obs.KeyBreaker, Value: obs.EndpointSeed}).Value()); got != resilience.BreakerOpen {
-		t.Fatalf("breaker state = %v, want open after 2 consecutive failures", got)
+	wg.Wait()
+	if got := calls.Load(); got != clients+burst {
+		t.Fatalf("wire attempts = %d, want %d (%d first attempts + %d budgeted retries)", got, clients+burst, clients, burst)
 	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("wire attempts = %d, want 2 (breaker open stops the rest)", got)
-	}
-	before := calls.Load()
-	_, err := c.FetchSeed(context.Background())
-	if err == nil {
-		t.Fatal("open breaker must fail the call")
-	}
-	var oe *resilience.OpenError
-	if !errors.As(err, &oe) {
-		t.Fatalf("err = %v, want *resilience.OpenError", err)
-	}
-	if !IsOverload(err) {
-		t.Fatal("breaker denial must classify as overload")
-	}
-	if got := calls.Load(); got != before {
-		t.Fatalf("open breaker made %d wire attempts, want 0", got-before)
-	}
-	// Endpoints break independently: a profile fetch still works...
-	// fails, but is allowed on the wire.
-	if _, err := c.FetchProfile(context.Background(), "u1"); err == nil {
-		t.Fatal("profile endpoint should still reach the failing server")
-	}
-	if got := calls.Load(); got == before {
-		t.Fatal("profile endpoint should not share the seed breaker")
-	}
-}
-
-func TestClientBreakerRecoversThroughProbe(t *testing.T) {
-	var broken atomic.Bool
-	broken.Store(true)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if broken.Load() {
-			http.Error(w, "broken", http.StatusInternalServerError)
-			return
+	for i, err := range errs {
+		if !IsOverload(err) {
+			t.Errorf("client %d: IsOverload(%v) = false, want true", i, err)
 		}
-		w.Write([]byte(`{"users":1,"edges":1}`))
-	}))
-	defer ts.Close()
-	c := newTestClient(ts)
-	c.MaxRetries = 1
-	c.MaxBackoff = time.Millisecond
-	reg := obs.NewRegistry()
-	c.Breakers = resilience.NewBreakerGroup(resilience.BreakerOptions{
-		ConsecutiveFailures: 1,
-		Cooldown:            10 * time.Millisecond,
-	}, reg, "t")
-	if _, err := c.FetchSeed(context.Background()); err == nil {
-		t.Fatal("want failure")
-	}
-	broken.Store(false)
-	time.Sleep(15 * time.Millisecond) // cooldown elapses → probe allowed
-	if _, err := c.FetchSeed(context.Background()); err != nil {
-		t.Fatalf("probe should succeed and close the breaker: %v", err)
-	}
-	if got := resilience.BreakerState(reg.Gauge("t_breaker_state", obs.Label{Key: obs.KeyBreaker, Value: obs.EndpointSeed}).Value()); got != resilience.BreakerClosed {
-		t.Fatalf("breaker state = %v, want closed after good probe", got)
+		if !errors.Is(err, resilience.ErrRetryBudgetExhausted) {
+			t.Errorf("client %d: err = %v, want wrapped ErrRetryBudgetExhausted", i, err)
+		}
 	}
 }
 
@@ -429,7 +388,6 @@ func TestIsOverloadClassification(t *testing.T) {
 		{&retryAfterError{status: 429}, true},
 		{&retryAfterError{status: 503}, true},
 		{&retryAfterError{status: 500}, false},
-		{&resilience.OpenError{Name: "x"}, true},
 		{resilience.ErrRetryBudgetExhausted, true},
 		{&transientError{err: context.DeadlineExceeded}, true},
 		{&transientError{err: errors.New("conn reset")}, false},

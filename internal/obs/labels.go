@@ -26,7 +26,6 @@ const (
 	KeyPriority = "priority" // admission priority class: high, low
 	KeyRule     = "rule"     // exemplar rule(s) a retained trace tripped
 	KeyTrigger  = "trigger"  // what fired a profile capture: interval, stall, slo-page:<name>, …
-	KeyBreaker  = "name"     // circuit breaker, named after the endpoint it guards
 	KeyLE       = "le"       // histogram bucket upper bound (exposition only)
 )
 

@@ -3,16 +3,16 @@
 // are safe". The paper's crawl of 27.5M profiles survived a flaky,
 // throttling service for 45 days; that only works when client retries
 // are budgeted (a browning-out service must not be hit *harder* exactly
-// when it is weakest), failing endpoints are circuit-broken instead of
-// probed at full rate, abandoned work is rejected before it is served
-// (deadline propagation + admission control), and the crawler fleet
-// backs off as one organism (AIMD) instead of N independent retry
-// loops.
+// when it is weakest, and a dead endpoint costs the fleet a bounded
+// number of retries, not every worker's full retry ladder), abandoned
+// work is rejected before it is served (deadline propagation +
+// admission control), and the crawler fleet backs off as one organism
+// (AIMD) instead of N independent retry loops.
 //
 // The package is dependency-free beyond internal/obs and shared by all
-// three layers: gplusapi (retry budget, circuit breakers, deadline
-// headers), gplusd (admission control, deadline parsing), and crawler
-// (AIMD worker-concurrency adaptation).
+// three layers: gplusapi (retry budget, deadline headers), gplusd
+// (admission control, deadline parsing), and crawler (AIMD
+// worker-concurrency adaptation).
 package resilience
 
 import (

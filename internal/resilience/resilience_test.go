@@ -50,125 +50,6 @@ func TestRetryBudgetNil(t *testing.T) {
 	}
 }
 
-// stateOf reads the breaker's position (the gauge of the same name,
-// for breakers built without a registry).
-func stateOf(b *Breaker) BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
-func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
-	reg := obs.NewRegistry()
-	b := NewBreaker("profile", BreakerOptions{ConsecutiveFailures: 3, Cooldown: 50 * time.Millisecond}, reg, "t")
-	for i := 0; i < 3; i++ {
-		done, err := b.Allow()
-		if err != nil {
-			t.Fatalf("attempt %d unexpectedly denied: %v", i, err)
-		}
-		done(false)
-	}
-	if got := stateOf(b); got != BreakerOpen {
-		t.Fatalf("state = %v, want open", got)
-	}
-	if _, err := b.Allow(); err == nil {
-		t.Fatal("open breaker must deny")
-	} else {
-		var oe *OpenError
-		if !asOpenError(err, &oe) {
-			t.Fatalf("denial should be *OpenError, got %T", err)
-		}
-		if oe.RetryAfterHint() <= 0 {
-			t.Fatalf("RetryAfterHint = %v, want > 0", oe.RetryAfterHint())
-		}
-	}
-}
-
-func asOpenError(err error, target **OpenError) bool {
-	oe, ok := err.(*OpenError)
-	if ok {
-		*target = oe
-	}
-	return ok
-}
-
-func TestBreakerHalfOpenSingleFlightAndRecovery(t *testing.T) {
-	b := NewBreaker("x", BreakerOptions{ConsecutiveFailures: 1, Cooldown: 20 * time.Millisecond}, nil, "t")
-	done, _ := b.Allow()
-	done(false) // trip
-	if stateOf(b) != BreakerOpen {
-		t.Fatal("breaker should be open")
-	}
-	time.Sleep(30 * time.Millisecond)
-	probe, err := b.Allow()
-	if err != nil {
-		t.Fatalf("cooldown elapsed, probe should be allowed: %v", err)
-	}
-	if stateOf(b) != BreakerHalfOpen {
-		t.Fatalf("state = %v, want half-open", stateOf(b))
-	}
-	// Second caller while the probe is in flight: denied.
-	if _, err := b.Allow(); err == nil {
-		t.Fatal("second half-open caller must be denied (single-flight)")
-	}
-	probe(true)
-	if stateOf(b) != BreakerClosed {
-		t.Fatalf("state after good probe = %v, want closed", stateOf(b))
-	}
-	if done, err := b.Allow(); err != nil {
-		t.Fatalf("closed breaker should allow: %v", err)
-	} else {
-		done(true)
-	}
-}
-
-func TestBreakerProbeFailureReopens(t *testing.T) {
-	b := NewBreaker("x", BreakerOptions{ConsecutiveFailures: 1, Cooldown: 10 * time.Millisecond}, nil, "t")
-	done, _ := b.Allow()
-	done(false)
-	time.Sleep(15 * time.Millisecond)
-	probe, err := b.Allow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe(false)
-	if stateOf(b) != BreakerOpen {
-		t.Fatalf("state after failed probe = %v, want open", stateOf(b))
-	}
-}
-
-func TestBreakerErrorRatioTrip(t *testing.T) {
-	b := NewBreaker("x", BreakerOptions{
-		ConsecutiveFailures: 1000, // never trip on the run
-		ErrorRatio:          0.5,
-		MinSamples:          10,
-		Window:              time.Minute,
-	}, nil, "t")
-	// Alternate success/failure: 50% error ratio over ≥ MinSamples.
-	for i := 0; i < 12; i++ {
-		done, err := b.Allow()
-		if err != nil {
-			break
-		}
-		done(i%2 == 0)
-	}
-	if stateOf(b) != BreakerOpen {
-		t.Fatalf("state = %v, want open on 50%% error ratio", stateOf(b))
-	}
-}
-
-func TestBreakerGroupPerEndpoint(t *testing.T) {
-	g := NewBreakerGroup(BreakerOptions{ConsecutiveFailures: 1}, nil, "t")
-	done, _ := g.Get("circles").Allow()
-	done(false)
-	if stateOf(g.Get("circles")) != BreakerOpen {
-		t.Fatal("circles breaker should be open")
-	}
-	if stateOf(g.Get("profile")) != BreakerClosed {
-		t.Fatal("profile breaker must be independent")
-	}
-}
-
 func TestDeadlineHeaderRoundTrip(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
@@ -461,13 +342,11 @@ func TestAIMDNil(t *testing.T) {
 func TestMetricsRegistered(t *testing.T) {
 	reg := obs.NewRegistry()
 	NewRetryBudget(BudgetOptions{}, reg, "gplusapi")
-	NewBreakerGroup(BreakerOptions{}, reg, "gplusapi").Get("profile")
 	NewAdmission(AdmissionOptions{}, reg, "gplusd_admission")
 	NewAIMD(AIMDOptions{}, reg, "crawler")
 	snap := reg.Snapshot()
 	want := []string{
 		"gplusapi_retry_budget_tokens_milli",
-		"gplusapi_breaker_state",
 		"gplusd_admission_limit",
 		"gplusd_admission_shed_total",
 		"crawler_aimd_limit",
