@@ -50,12 +50,13 @@
 // last traces plus every slow (>500ms), errored or retry-heavy (3+)
 // exemplar; browse it at /debug/traces on -metrics-addr.
 //
-// Every crawl adapts to overload: an AIMD gate adapts effective worker
-// concurrency to 429/503/deadline feedback, a shared retry budget caps
-// fleet-wide retry amplification near 10% (so a dead endpoint costs the
-// fleet its first attempts plus the budget's burst), and server sheds
-// requeue the id to the frontier tail instead of counting as failures —
-// a crawl rides out a server brownout with an identical final dataset.
+// -workers is the crawl's concurrency, and every crawl carries overload
+// without changing it: a shared retry budget caps fleet-wide retry
+// amplification near 10% (so a dead endpoint costs the fleet its first
+// attempts plus the budget's burst), retries wait out the server's
+// Retry-After, and server sheds requeue the id to the frontier tail
+// instead of counting as failures — a crawl rides out a server brownout
+// with an identical final dataset.
 // -attempt-timeout is the one request deadline, per wire attempt and
 // propagated to gplusd.
 // -abort-errors counts ids that stayed failed (retries exhausted, or out
@@ -89,7 +90,6 @@ import (
 	"gplus/internal/graph/diskcsr"
 	"gplus/internal/obs/rundir"
 	"gplus/internal/obs/series"
-	"gplus/internal/resilience"
 )
 
 func main() {
@@ -167,9 +167,9 @@ func run(ctx context.Context, args []string) error {
 			return fmt.Errorf("-seeds %q contains no usable ids", *seeds)
 		}
 	} else {
-		// The seed fetch deserves the same instrumentation as every
-		// crawl worker's client.
-		client := &gplusapi.Client{BaseURL: *url, Metrics: reg}
+		// The seed fetch deserves the same instrumentation and request
+		// deadline as every crawl worker's client.
+		client := &gplusapi.Client{BaseURL: *url, Metrics: reg, Tracer: obsRun.Tracer, AttemptTimeout: *attemptTO}
 		id, err := client.FetchSeed(ctx)
 		if err != nil {
 			return fmt.Errorf("fetching seed from %s: %w", *url, err)
@@ -263,14 +263,6 @@ func run(ctx context.Context, args []string) error {
 		Metrics:          reg,
 		Tracer:           obsRun.Tracer,
 		EdgeSink:         sink,
-		// An AIMD collapse — the fleet cut all the way to one concurrent
-		// fetch — is the crawl-side signature of a struggling service;
-		// capture it as it happens.
-		AIMD: resilience.AIMDOptions{OnDecrease: func(limit int) {
-			if limit <= 1 {
-				obsRun.Profiler.Trigger("aimd-collapse")
-			}
-		}},
 	})
 	if cerr := jrnl.Close(); cerr != nil {
 		log.Printf("journal error (crawl state may be incomplete on disk): %v", cerr)

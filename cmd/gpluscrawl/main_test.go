@@ -5,11 +5,14 @@ import (
 	"context"
 	"errors"
 	"log"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"gplus/internal/crawler"
@@ -18,6 +21,7 @@ import (
 	"gplus/internal/obs"
 	"gplus/internal/obs/rundir"
 	"gplus/internal/obs/series"
+	"gplus/internal/resilience"
 	"gplus/internal/synth"
 )
 
@@ -162,6 +166,43 @@ func TestGivingUpExitsNonZeroAndResumes(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s differs from the reference crawl's (%d vs %d bytes)", name, len(got), len(want))
+		}
+	}
+}
+
+// TestSeedFetchHonorsAttemptTimeout: without -seeds the crawl starts
+// with a GET /seed, and that request runs under -attempt-timeout like
+// every worker's, propagating it to the service in X-Gplus-Deadline.
+func TestSeedFetchHonorsAttemptTimeout(t *testing.T) {
+	srv := gplusd.New(smallUniverse(t), gplusd.Options{})
+	var mu sync.Mutex
+	var deadlines []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && r.URL.Path == "/seed" {
+			mu.Lock()
+			deadlines = append(deadlines, r.Header.Get(resilience.DeadlineHeader))
+			mu.Unlock()
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	out := filepath.Join(t.TempDir(), "data")
+	if err := run(context.Background(), []string{"-url", ts.URL, "-out", out, "-attempt-timeout", "250ms", "-max", "5", "-progress", "0"}); err != nil {
+		t.Fatalf("gpluscrawl: %v\n%s", err, &logged)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(deadlines) == 0 {
+		t.Fatal("the crawl never fetched /seed")
+	}
+	for _, v := range deadlines {
+		if ms, err := strconv.ParseInt(v, 10, 64); err != nil || ms <= 0 || ms > 250 {
+			t.Errorf("GET /seed carried %s = %q, want 0 < ms ≤ 250", resilience.DeadlineHeader, v)
 		}
 	}
 }

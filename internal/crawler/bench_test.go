@@ -36,7 +36,7 @@ func benchSchedulerOffer(b *testing.B, workers int, single bool) {
 				}
 				if single {
 					for _, id := range page {
-						s.offer(id)
+						s.offerBatch([]string{id})
 					}
 				} else {
 					s.offerBatch(page)

@@ -43,8 +43,9 @@ type Config struct {
 	// AttemptTimeout is the one per-request deadline (default 30s): it
 	// bounds each wire attempt through the request context, so a hung
 	// response costs a worker one attempt — retryable, and an overload
-	// signal to the AIMD gate — and it is propagated to the server in
-	// X-Gplus-Deadline so gplusd can shed work already abandoned here.
+	// that requeues the id once retries run out — and it is propagated to
+	// the server in X-Gplus-Deadline so gplusd can shed work already
+	// abandoned here.
 	AttemptTimeout time.Duration
 	// MaxRetries is handed to each worker's API client: retry attempts
 	// per request beyond the first (0 = client default of 5). Chaos
@@ -110,12 +111,6 @@ type Config struct {
 	// Implementations must be safe for concurrent use by all workers. A
 	// sink write error aborts the crawl.
 	EdgeSink EdgeSink
-	// AIMD shapes the additive-increase/multiplicative-decrease gate that
-	// adapts how many workers may fetch concurrently to 429/503/deadline
-	// pressure. Max defaults to the worker count: the gate can only ever
-	// shrink effective concurrency, never add workers. The zero value is
-	// the library default.
-	AIMD resilience.AIMDOptions
 }
 
 func (c *Config) withDefaults() (Config, error) {
@@ -146,9 +141,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if out.AttemptTimeout <= 0 {
 		out.AttemptTimeout = 30 * time.Second
-	}
-	if out.AIMD.Max <= 0 {
-		out.AIMD.Max = out.Workers
 	}
 	return out, nil
 }
@@ -233,9 +225,8 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 	reg := cfg.Metrics
 	tel := newTelemetry(reg, cfg.Workers)
 
-	// Overload machinery, shared across the worker fleet so one worker's
-	// overload signal protects every other worker's request stream.
-	gate := resilience.NewAIMD(cfg.AIMD, reg, "crawler")
+	// One retry budget for the whole fleet, so a dead endpoint costs the
+	// crawl a bounded number of retries, not every worker's full ladder.
 	budget := resilience.NewRetryBudget(resilience.BudgetOptions{}, reg, "crawler")
 
 	sched := newScheduler(cfg.MaxProfiles)
@@ -266,7 +257,6 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 			sched: sched,
 			tel:   tel,
 			self:  tel.workers[i],
-			gate:  gate,
 			client: &gplusapi.Client{
 				BaseURL:        cfg.BaseURL,
 				Transport:      transport,
@@ -276,7 +266,6 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 				Metrics:        cfg.Metrics,
 				Tracer:         cfg.Tracer,
 				RetryBudget:    budget,
-				Feedback:       gate,
 				AttemptTimeout: cfg.AttemptTimeout,
 			},
 			profiles: make(map[string]profile.Profile),
@@ -340,8 +329,7 @@ type worker struct {
 	cfg           Config
 	sched         *scheduler
 	tel           *telemetry
-	self          *obs.Counter     // this worker's throughput series
-	gate          *resilience.AIMD // concurrency gate shared by the fleet
+	self          *obs.Counter // this worker's throughput series
 	client        *gplusapi.Client
 	labels        workerLabels
 	profiles      map[string]profile.Profile
@@ -378,16 +366,10 @@ func (w *worker) run(ctx context.Context) {
 		if !ok {
 			return
 		}
-		// The AIMD gate is acquired only after an id is claimed: a worker
-		// blocked here holds a claim, so the scheduler's completion
-		// detection (inflight > 0) stays correct while the gate throttles.
-		if w.gate.Acquire(ctx) {
-			before := w.profileErrs + w.circleErrs
-			w.crawlOne(ctx, id)
-			w.gate.Release()
-			if after := w.profileErrs + w.circleErrs; after > before {
-				w.sched.recordErrors(after - before)
-			}
+		before := w.profileErrs + w.circleErrs
+		w.crawlOne(ctx, id)
+		if after := w.profileErrs + w.circleErrs; after > before {
+			w.sched.recordErrors(after - before)
 		}
 		w.sched.finish()
 	}

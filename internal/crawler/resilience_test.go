@@ -10,14 +10,13 @@ import (
 
 	"gplus/internal/gplusd"
 	"gplus/internal/obs"
-	"gplus/internal/resilience"
 )
 
 func TestSchedulerRequeue(t *testing.T) {
 	s := newScheduler(0)
 	s.tel = newTelemetry(nil, 0)
 	s.maxRequeues = 2
-	s.offer("u1")
+	s.offerBatch([]string{"u1"})
 
 	id, ok := s.next()
 	if !ok || id != "u1" {
@@ -53,7 +52,7 @@ func TestSchedulerRequeue(t *testing.T) {
 func TestSchedulerRequeueDisabledByDefault(t *testing.T) {
 	s := newScheduler(0)
 	s.tel = newTelemetry(nil, 0)
-	s.offer("u1")
+	s.offerBatch([]string{"u1"})
 	if _, ok := s.next(); !ok {
 		t.Fatal("claim failed")
 	}
@@ -160,10 +159,6 @@ func TestCrawlRequeuePacesTheID(t *testing.T) {
 		MaxProfiles:      30,
 		MaxRetries:       1,
 		RetryBackoffBase: time.Millisecond,
-		// Keep the AIMD gate open, as successes on the rest of the
-		// frontier do mid-crawl: the 503s alone must drive the requeues,
-		// and all eight workers may hold the id.
-		AIMD: resilience.AIMDOptions{Min: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,13 +180,12 @@ func TestCrawlResilienceMetricsRegistered(t *testing.T) {
 		FetchIn: true, FetchOut: true,
 		MaxProfiles: 10,
 		Metrics:     reg,
-		AIMD:        resilience.AIMDOptions{Max: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	for _, want := range []string{"crawler_aimd_limit", "crawler_retry_budget_tokens_milli"} {
+	for _, want := range []string{"crawler_retry_budget_tokens_milli"} {
 		if _, ok := snap.Gauges[want]; !ok {
 			t.Errorf("gauge %s not registered", want)
 		}

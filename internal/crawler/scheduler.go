@@ -125,12 +125,6 @@ func (s *scheduler) preload(prev *Result) {
 	s.cond.Broadcast()
 }
 
-// offer enqueues an id if it has never been seen. It may be called from
-// any worker while it crawls.
-func (s *scheduler) offer(id string) {
-	s.offerBatch([]string{id})
-}
-
 // offerBatch enqueues every never-seen id in the batch under a single
 // lock acquisition — one round-trip per circle page instead of one per
 // edge — then wakes at most as many waiters as ids were added.

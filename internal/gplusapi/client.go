@@ -68,10 +68,6 @@ type Client struct {
 	// whole fleet's retry traffic is bounded together. nil allows all
 	// retries (the pre-budget behavior).
 	RetryBudget *resilience.RetryBudget
-	// Feedback, when non-nil, receives congestion signals: RecordSuccess
-	// per 200/404, RecordOverload per 429/503 or per-attempt deadline
-	// expiry. The crawler plugs its AIMD gate in here.
-	Feedback resilience.Feedback
 	// AttemptTimeout bounds each wire attempt separately from the
 	// operation's context (default 30s); it is the client's one request
 	// deadline, so a bare Client cannot hang either. An expired attempt
@@ -455,14 +451,6 @@ func (c *Client) doGet(opCtx, ctx context.Context, op string, u *url.URL, decode
 			// retrying would only delay the shutdown.
 			return err
 		}
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) && errors.Is(err, context.DeadlineExceeded) {
-			// Only this attempt's deadline expired: the request is worth
-			// retrying, but a service too slow to answer inside the
-			// attempt budget is congested — tell the AIMD gate.
-			if c.Feedback != nil {
-				c.Feedback.RecordOverload()
-			}
-		}
 		return &transientError{err: err}
 	}
 	defer func() {
@@ -487,21 +475,10 @@ func (c *Client) doGet(opCtx, ctx context.Context, op string, u *url.URL, decode
 			// idempotent, so retry it.
 			return &transientError{err: err}
 		}
-		if c.Feedback != nil {
-			c.Feedback.RecordSuccess()
-		}
 		return nil
 	case resp.StatusCode == http.StatusNotFound:
-		if c.Feedback != nil {
-			// A correct 404 is a healthy service, not congestion.
-			c.Feedback.RecordSuccess()
-		}
 		return ErrNotFound
 	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
-		if c.Feedback != nil &&
-			(resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable) {
-			c.Feedback.RecordOverload()
-		}
 		after, _ := parseRetryAfter(resp.Header.Get("Retry-After"))
 		return &retryAfterError{status: resp.StatusCode, after: after}
 	default:

@@ -280,16 +280,35 @@ func TestClientAttemptTimeoutRetriesThenSucceeds(t *testing.T) {
 	c := newTestClient(ts)
 	c.AttemptTimeout = 50 * time.Millisecond
 	c.MaxRetries = 3
-	var overloads atomic.Int32
-	c.Feedback = feedbackFunc{onOverload: func() { overloads.Add(1) }}
 	if _, err := c.FetchSeed(context.Background()); err != nil {
 		t.Fatalf("FetchSeed: %v; want success on retry", err)
 	}
 	if got := calls.Load(); got < 2 {
 		t.Fatalf("wire attempts = %d, want ≥ 2 (timeout then success)", got)
 	}
-	if overloads.Load() == 0 {
-		t.Fatal("attempt deadline expiry should signal overload to the AIMD gate")
+}
+
+// An attempt that expires every time exhausts the retries as an
+// overload, not a permanent failure: that is what makes the crawler
+// requeue the id instead of counting it failed.
+func TestClientAttemptTimeoutExhaustedIsOverload(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select { // outlast every attempt's budget
+		case <-r.Context().Done():
+		case <-time.After(time.Second):
+		}
+		w.Write([]byte(`{"users":1,"edges":1}`))
+	}))
+	defer ts.Close()
+	c := newTestClient(ts)
+	c.AttemptTimeout = 50 * time.Millisecond
+	c.MaxRetries = 1
+	_, err := c.FetchSeed(context.Background())
+	if err == nil {
+		t.Fatal("FetchSeed succeeded; want failure after every attempt expired")
+	}
+	if !IsOverload(err) {
+		t.Fatalf("IsOverload(%v) = false; an expired attempt is an overload", err)
 	}
 }
 
@@ -311,69 +330,6 @@ func TestClientParentCancelIsTerminal(t *testing.T) {
 	}
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("wire attempts = %d; an expired operation context must not retry", got)
-	}
-}
-
-// --- AIMD feedback wiring ---
-
-type feedbackFunc struct {
-	onSuccess  func()
-	onOverload func()
-}
-
-func (f feedbackFunc) RecordSuccess() {
-	if f.onSuccess != nil {
-		f.onSuccess()
-	}
-}
-
-func (f feedbackFunc) RecordOverload() {
-	if f.onOverload != nil {
-		f.onOverload()
-	}
-}
-
-func TestClientFeedbackSignals(t *testing.T) {
-	var mode atomic.Int32 // 0: ok, 1: 503, 2: 404, 3: 500
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch mode.Load() {
-		case 1:
-			http.Error(w, "overloaded", http.StatusServiceUnavailable)
-		case 2:
-			http.Error(w, "gone", http.StatusNotFound)
-		case 3:
-			http.Error(w, "bug", http.StatusInternalServerError)
-		default:
-			w.Write([]byte(`{"users":1,"edges":1}`))
-		}
-	}))
-	defer ts.Close()
-	var successes, overloads atomic.Int32
-	c := newTestClient(ts)
-	c.MaxRetries = 1
-	c.MaxBackoff = time.Millisecond
-	c.Feedback = feedbackFunc{
-		onSuccess:  func() { successes.Add(1) },
-		onOverload: func() { overloads.Add(1) },
-	}
-	c.FetchSeed(context.Background())
-	if successes.Load() != 1 || overloads.Load() != 0 {
-		t.Fatalf("after 200: successes=%d overloads=%d", successes.Load(), overloads.Load())
-	}
-	mode.Store(1)
-	c.FetchSeed(context.Background()) // 1 attempt + 1 retry, both 503
-	if overloads.Load() != 2 {
-		t.Fatalf("each 503 should record overload, got %d", overloads.Load())
-	}
-	mode.Store(2)
-	c.FetchProfile(context.Background(), "nope")
-	if successes.Load() != 2 {
-		t.Fatalf("404 should count as service health, successes=%d", successes.Load())
-	}
-	mode.Store(3)
-	c.FetchSeed(context.Background())
-	if overloads.Load() != 2 {
-		t.Fatalf("a plain 500 is failure, not congestion; overloads=%d", overloads.Load())
 	}
 }
 

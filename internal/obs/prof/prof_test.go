@@ -214,7 +214,7 @@ func TestCaptureFileNames(t *testing.T) {
 		{"cpu", "interval", 0, "cpu-000000-interval.pb.gz"},
 		{"cpu", "slo-page:availability", 42, "cpu-000042-slo-page_availability.pb.gz"},
 		{"goroutine", "slo-page:a/b c", 7, "goroutine-000007-slo-page_a_b_c.pb.gz"},
-		{"mutex", "aimd-collapse", 1234567, "mutex-1234567-aimd-collapse.pb.gz"},
+		{"mutex", "stall", 1234567, "mutex-1234567-stall.pb.gz"},
 		{"heap", "v1.2_x", 3, "heap-000003-v1.2_x.pb.gz"},
 	} {
 		got := fileName(tc.kind, tc.seq, tc.trigger)

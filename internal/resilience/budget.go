@@ -4,15 +4,14 @@
 // throttling service for 45 days; that only works when client retries
 // are budgeted (a browning-out service must not be hit *harder* exactly
 // when it is weakest, and a dead endpoint costs the fleet a bounded
-// number of retries, not every worker's full retry ladder), abandoned
+// number of retries, not every worker's full retry ladder) and abandoned
 // work is rejected before it is served (deadline propagation +
-// admission control), and the crawler fleet backs off as one organism
-// (AIMD) instead of N independent retry loops.
+// admission control).
 //
-// The package is dependency-free beyond internal/obs and shared by all
-// three layers: gplusapi (retry budget, deadline headers), gplusd
-// (admission control, deadline parsing), and crawler (AIMD
-// worker-concurrency adaptation).
+// The package is dependency-free beyond internal/obs and shared by both
+// sides of the wire: gplusapi (retry budget, deadline headers) and
+// gplusd (admission control, deadline parsing). The crawler shares one
+// retry budget across its worker fleet.
 package resilience
 
 import (

@@ -261,95 +261,15 @@ func TestAdmissionNil(t *testing.T) {
 	release()
 }
 
-func TestAIMDDecreaseAndRecovery(t *testing.T) {
-	reg := obs.NewRegistry()
-	g := NewAIMD(AIMDOptions{Min: 1, Max: 8, Cooldown: time.Millisecond}, reg, "t")
-	limit := reg.Gauge("t_aimd_limit").Value
-	if limit() != 8 {
-		t.Fatalf("initial limit = %d, want 8", limit())
-	}
-	g.RecordOverload()
-	if limit() != 4 {
-		t.Fatalf("limit after one cut = %d, want 4", limit())
-	}
-	time.Sleep(2 * time.Millisecond)
-	g.RecordOverload()
-	if limit() != 2 {
-		t.Fatalf("limit after two cuts = %d, want 2", limit())
-	}
-	if n := reg.Counter("t_aimd_decreases_total").Value(); n != 2 {
-		t.Fatalf("decreases = %d, want 2", n)
-	}
-	// Additive increase: limit-many successes buy one slot.
-	for i := 0; i < 2; i++ {
-		g.RecordSuccess()
-	}
-	if limit() != 3 {
-		t.Fatalf("limit after recovery credits = %d, want 3", limit())
-	}
-}
-
-func TestAIMDCooldownCoalescesBurst(t *testing.T) {
-	reg := obs.NewRegistry()
-	g := NewAIMD(AIMDOptions{Min: 1, Max: 16, Cooldown: time.Hour}, reg, "t")
-	for i := 0; i < 10; i++ {
-		g.RecordOverload()
-	}
-	if limit := reg.Gauge("t_aimd_limit").Value(); limit != 8 {
-		t.Fatalf("limit = %d: a burst inside the cooldown must count as one cut", limit)
-	}
-}
-
-func TestAIMDFloor(t *testing.T) {
-	reg := obs.NewRegistry()
-	g := NewAIMD(AIMDOptions{Min: 2, Max: 4, Cooldown: 0}, reg, "t")
-	for i := 0; i < 10; i++ {
-		g.RecordOverload()
-		time.Sleep(300 * time.Microsecond)
-	}
-	if limit := reg.Gauge("t_aimd_limit").Value(); limit < 2 {
-		t.Fatalf("limit = %d fell below Min", limit)
-	}
-}
-
-func TestAIMDGateBlocksAtLimit(t *testing.T) {
-	g := NewAIMD(AIMDOptions{Min: 1, Max: 1}, nil, "t")
-	if !g.Acquire(context.Background()) {
-		t.Fatal("first acquire should pass")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if g.Acquire(ctx) {
-		t.Fatal("second acquire should block until ctx expiry")
-	}
-	g.Release()
-	if !g.Acquire(context.Background()) {
-		t.Fatal("released slot should be acquirable")
-	}
-	g.Release()
-}
-
-func TestAIMDNil(t *testing.T) {
-	var g *AIMD
-	if !g.Acquire(context.Background()) {
-		t.Fatal("nil gate must admit")
-	}
-	g.Release()
-	g.RecordSuccess()
-	g.RecordOverload()
-}
-
 func TestMetricsRegistered(t *testing.T) {
 	reg := obs.NewRegistry()
 	NewRetryBudget(BudgetOptions{}, reg, "gplusapi")
 	NewAdmission(AdmissionOptions{}, reg, "gplusd_admission")
-	NewAIMD(AIMDOptions{}, reg, "crawler")
 	snap := reg.Snapshot()
 	want := []string{
 		"gplusapi_retry_budget_tokens_milli",
 		"gplusd_admission_limit",
 		"gplusd_admission_shed_total",
-		"crawler_aimd_limit",
 	}
 	joined := strings.Join(snapKeys(snap), "\n")
 	for _, name := range want {
