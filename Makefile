@@ -15,8 +15,9 @@ STATICCHECK_VERSION ?= 2024.1
 all: build vet test race
 
 # check is the conventional entry point for the same gate; the race leg
-# covers the sharded rate limiter, the batched crawl frontier, the
-# concurrent API client with its shared retry budget and body pool, and the
+# covers gplusd's sharded rate limiter and admission limit, the batched
+# crawl frontier, the concurrent API client with the retry budget its
+# crawl workers share and its body pool, and the
 # study's concurrent, memoised structure stages with the packages that
 # drive them (paper, report, gplusanalyze), the
 # short fuzz leg shakes the checkpoint/journal parser, the series.jsonl tick decoder, the wire codec (canonical form in, encoding/json as the oracle, round-trip identity), the graph.v2 reader, the segment reader, the triad pass, the connectivity kernels, the edge sort and the CDF sort, the hygiene leg
@@ -62,7 +63,7 @@ test:
 # the triad chunk runner, the overlapped dataset load) at 1 and 4 Ps, so
 # they also run with more runnable goroutines than cores.
 race:
-	$(GO) test -race ./internal/core/ ./internal/obs/ ./internal/obs/prof/ ./internal/obs/rundir/ ./internal/obs/series/ ./internal/obs/trace/ ./internal/paper/ ./internal/report/ ./cmd/gplusanalyze/ ./cmd/gpluscrawl/ ./internal/crawler/ ./internal/dataset/ ./internal/durable/ ./internal/gplusapi/ ./internal/gplusd/ ./internal/graph/ ./internal/graph/diskcsr/ ./internal/resilience/
+	$(GO) test -race ./internal/core/ ./internal/obs/ ./internal/obs/prof/ ./internal/obs/rundir/ ./internal/obs/series/ ./internal/obs/trace/ ./internal/paper/ ./internal/report/ ./cmd/gplusanalyze/ ./cmd/gpluscrawl/ ./internal/crawler/ ./internal/dataset/ ./internal/durable/ ./internal/gplusapi/ ./internal/gplusd/ ./internal/graph/ ./internal/graph/diskcsr/
 	$(GO) test -race -cpu 1,4 -run 'Structure|PathLengths|PathMiles|Figure5|Triads|LoadWith' ./internal/core ./internal/graph ./internal/dataset
 
 # The metrics-hygiene gate: every family either registry exposes after a

@@ -57,8 +57,9 @@
 // Retry-After, and server sheds requeue the id to the frontier tail
 // instead of counting as failures — a crawl rides out a server brownout
 // with an identical final dataset.
-// -attempt-timeout is the one request deadline, per wire attempt and
-// propagated to gplusd.
+// -attempt-timeout is the one request deadline, per wire attempt: when
+// it expires the client hangs up, and gplusd's side of the request ends
+// with it.
 // -abort-errors counts ids that stayed failed (retries exhausted, or out
 // of requeues): the crawl then saves what it has and exits non-zero.
 //
@@ -116,7 +117,7 @@ func run(ctx context.Context, args []string) error {
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/pprof/, /debug/traces, /debug/timeseries and /debug/slo on this address while crawling (empty disables)")
 		progress    = fs.Duration("progress", 10*time.Second, "interval between progress lines (0 logs only the closing summary); three intervals without a page fetched while ids stay queued is a stall and fires a profile capture")
 		dashOn      = fs.Bool("dash", false, "draw the live health report on stdout as a terminal dashboard (sparkline throughput/frontier/error rows, stalls, SLO state) instead of periodic progress lines")
-		attemptTO   = fs.Duration("attempt-timeout", 30*time.Second, "request deadline of each wire attempt, propagated to gplusd via X-Gplus-Deadline; an expired attempt is retried and counts as an overload signal")
+		attemptTO   = fs.Duration("attempt-timeout", 30*time.Second, "request deadline of each wire attempt; an expired attempt is retried and counts as an overload signal")
 	)
 	obsCfg := rundir.Config{Signals: series.CrawlSignals()}
 	obsCfg.RegisterFlags(fs)

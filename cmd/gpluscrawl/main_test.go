@@ -10,10 +10,10 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gplus/internal/crawler"
 	"gplus/internal/dataset"
@@ -21,7 +21,6 @@ import (
 	"gplus/internal/obs"
 	"gplus/internal/obs/rundir"
 	"gplus/internal/obs/series"
-	"gplus/internal/resilience"
 	"gplus/internal/synth"
 )
 
@@ -172,16 +171,30 @@ func TestGivingUpExitsNonZeroAndResumes(t *testing.T) {
 
 // TestSeedFetchHonorsAttemptTimeout: without -seeds the crawl starts
 // with a GET /seed, and that request runs under -attempt-timeout like
-// every worker's, propagating it to the service in X-Gplus-Deadline.
+// every worker's. The first GET /seed hangs until the client hangs up
+// (at most 5s); the crawl must cut it at the attempt deadline and retry,
+// not wait the hang out.
 func TestSeedFetchHonorsAttemptTimeout(t *testing.T) {
 	srv := gplusd.New(smallUniverse(t), gplusd.Options{})
 	var mu sync.Mutex
-	var deadlines []string
+	var seeds int
+	var hung time.Duration
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet && r.URL.Path == "/seed" {
 			mu.Lock()
-			deadlines = append(deadlines, r.Header.Get(resilience.DeadlineHeader))
+			seeds++
+			first := seeds == 1
 			mu.Unlock()
+			if first {
+				start := time.Now()
+				select {
+				case <-r.Context().Done():
+				case <-time.After(5 * time.Second):
+				}
+				mu.Lock()
+				hung = time.Since(start)
+				mu.Unlock()
+			}
 		}
 		srv.ServeHTTP(w, r)
 	}))
@@ -197,13 +210,11 @@ func TestSeedFetchHonorsAttemptTimeout(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(deadlines) == 0 {
+	if seeds == 0 {
 		t.Fatal("the crawl never fetched /seed")
 	}
-	for _, v := range deadlines {
-		if ms, err := strconv.ParseInt(v, 10, 64); err != nil || ms <= 0 || ms > 250 {
-			t.Errorf("GET /seed carried %s = %q, want 0 < ms ≤ 250", resilience.DeadlineHeader, v)
-		}
+	if hung <= 0 || hung >= 2*time.Second {
+		t.Errorf("the hung GET /seed held %v, want it cut by the 250ms attempt deadline (< 2s)", hung)
 	}
 }
 

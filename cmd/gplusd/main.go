@@ -22,13 +22,11 @@
 // admission capacity squeezes). Injections are counted per kind in
 // gplusd_chaos_faults_total; /metrics itself is never faulted.
 //
-// -admission puts an admission controller in front of the simulator:
-// bounded concurrency plus a bounded LIFO wait queue, deadline-aware
-// shedding (503 + Retry-After, honoring the client's X-Gplus-Deadline),
-// and per-endpoint priority (circle listings shed before profile
-// fetches). A -chaos brownout rule squeezes the admission capacity
-// during its windows. Its state is the gplusd_admission_* series on
-// /metrics, which bypasses admission.
+// -admission N caps the requests the simulator serves at once: an
+// arrival beyond the cap is refused at once (503 + Retry-After 0.05),
+// never queued. A -chaos brownout rule squeezes the cap during its
+// windows. Its state is the gplusd_admission_* series on /metrics,
+// which bypasses admission.
 //
 // -trace-sample > 0 records server-side request spans — the request root
 // plus chaos delays/hangs and page rendering — joining crawler traces
@@ -62,7 +60,6 @@ import (
 	"gplus/internal/gplusd"
 	"gplus/internal/obs/rundir"
 	"gplus/internal/obs/series"
-	"gplus/internal/resilience"
 	"gplus/internal/synth"
 )
 
@@ -107,9 +104,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("starting observability: %v", err)
 	}
-	var admission *resilience.AdmissionOptions
 	if *admitMax > 0 {
-		admission = &resilience.AdmissionOptions{MaxConcurrent: *admitMax}
 		log.Printf("admission control armed: %d concurrent (state in gplusd_admission_* on /metrics)", *admitMax)
 	}
 	srv := gplusd.New(u, gplusd.Options{
@@ -118,7 +113,7 @@ func main() {
 		Faults:        faults,
 		Metrics:       run.Registry,
 		Tracer:        run.Tracer,
-		Admission:     admission,
+		Admission:     *admitMax,
 	})
 
 	// The run's mux takes /metrics and the /debug/ endpoints; every other

@@ -18,7 +18,6 @@ import (
 	"gplus/internal/obs"
 	"gplus/internal/obs/trace"
 	"gplus/internal/profile"
-	"gplus/internal/resilience"
 )
 
 // Config controls a crawl.
@@ -43,9 +42,7 @@ type Config struct {
 	// AttemptTimeout is the one per-request deadline (default 30s): it
 	// bounds each wire attempt through the request context, so a hung
 	// response costs a worker one attempt — retryable, and an overload
-	// that requeues the id once retries run out — and it is propagated to
-	// the server in X-Gplus-Deadline so gplusd can shed work already
-	// abandoned here.
+	// that requeues the id once retries run out.
 	AttemptTimeout time.Duration
 	// MaxRetries is handed to each worker's API client: retry attempts
 	// per request beyond the first (0 = client default of 5). Chaos
@@ -227,7 +224,7 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 
 	// One retry budget for the whole fleet, so a dead endpoint costs the
 	// crawl a bounded number of retries, not every worker's full ladder.
-	budget := resilience.NewRetryBudget(resilience.BudgetOptions{}, reg, "crawler")
+	budget := gplusapi.NewRetryBudget(gplusapi.BudgetOptions{}, reg, "crawler")
 
 	sched := newScheduler(cfg.MaxProfiles)
 	sched.tel = tel

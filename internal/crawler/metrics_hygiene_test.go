@@ -25,7 +25,6 @@ import (
 	"gplus/internal/obs/rundir"
 	"gplus/internal/obs/series"
 	"gplus/internal/obs/trace"
-	"gplus/internal/resilience"
 )
 
 // promFamilyRe is the Prometheus metric-name grammar; every family the
@@ -57,7 +56,7 @@ func TestMetricsHygiene(t *testing.T) {
 			{Kind: gplusd.FaultOutage, Every: time.Hour, Down: 10 * time.Millisecond},
 			{Kind: gplusd.FaultBrownout, Every: time.Hour, Down: time.Millisecond, Delay: time.Millisecond, Squeeze: 0.5},
 		}},
-		Admission: &resilience.AdmissionOptions{MaxConcurrent: 64},
+		Admission: 64,
 	})
 
 	run := startRun(t, rundir.Config{
@@ -180,7 +179,7 @@ func labelVocabulary(t *testing.T) map[string]bool {
 		}
 		return true
 	})
-	if len(keys) < 10 {
+	if len(keys) < 9 {
 		t.Fatalf("read only %d Key* constants from labels.go", len(keys))
 	}
 	return keys

@@ -18,7 +18,6 @@ import (
 	"gplus/internal/obs/prof"
 	"gplus/internal/obs/rundir"
 	"gplus/internal/obs/series"
-	"gplus/internal/resilience"
 )
 
 // TestContinuousProfilingE2E is the profiling tentpole's end-to-end
@@ -56,11 +55,7 @@ func TestContinuousProfilingE2E(t *testing.T) {
 			{Kind: gplusd.FaultBrownout, Every: 10 * time.Minute, Down: 700 * time.Millisecond,
 				Delay: 20 * time.Millisecond, Squeeze: 0.9},
 		}},
-		Admission: &resilience.AdmissionOptions{
-			MaxConcurrent: 4,
-			MaxQueue:      16,
-			MaxWait:       50 * time.Millisecond,
-		},
+		Admission: 4,
 	})
 
 	// Background probes deepen the admission squeeze through the

@@ -19,7 +19,6 @@ import (
 	"gplus/internal/obs"
 	"gplus/internal/obs/trace"
 	"gplus/internal/profile"
-	"gplus/internal/resilience"
 )
 
 // ErrNotFound is returned for profiles that do not exist.
@@ -67,14 +66,13 @@ type Client struct {
 	// attempt. Share one budget across all workers of a crawl so the
 	// whole fleet's retry traffic is bounded together. nil allows all
 	// retries (the pre-budget behavior).
-	RetryBudget *resilience.RetryBudget
+	RetryBudget *RetryBudget
 	// AttemptTimeout bounds each wire attempt separately from the
 	// operation's context (default 30s); it is the client's one request
 	// deadline, so a bare Client cannot hang either. An expired attempt
 	// is retryable (and an overload signal) where an expired operation is
-	// terminal. The remaining budget is propagated to the server in
-	// X-Gplus-Deadline so it can shed work this client has already
-	// abandoned.
+	// terminal. It ends the attempt's request context, which is all the
+	// server sees: hanging up cancels the server's side of the request.
 	AttemptTimeout time.Duration
 
 	helpOnce sync.Once // registers the HELP lines of the client families
@@ -313,8 +311,8 @@ func (c *Client) withRetries(ctx context.Context, op string, fn func(context.Con
 	for attempt := 0; attempt <= c.maxRetries(); attempt++ {
 		var delay time.Duration
 		if attempt > 0 {
-			if !c.RetryBudget.TrySpend() {
-				return finish(fmt.Errorf("gplusapi: %w (last error: %w)", resilience.ErrRetryBudgetExhausted, lastErr))
+			if !c.RetryBudget.trySpend() {
+				return finish(fmt.Errorf("%w (last error: %w)", ErrRetryBudgetExhausted, lastErr))
 			}
 			c.Metrics.Counter("gplusapi_retries_total", endpoint(op)).Inc()
 			delay = c.backoffDelay(attempt, lastErr)
@@ -338,7 +336,7 @@ func (c *Client) withRetries(ctx context.Context, op string, fn func(context.Con
 		asp.SetError(err)
 		asp.Finish()
 		if err == nil {
-			c.RetryBudget.Deposit()
+			c.RetryBudget.deposit()
 			return finish(nil)
 		}
 		if !isRetryable(err) {
@@ -382,8 +380,8 @@ func isRetryable(err error) bool {
 }
 
 // IsOverload reports whether err is a pushback signal — the service or
-// the resilience layer shedding load (429/503, admission sheds,
-// exhausted retry budgets, per-attempt deadline expiry) —
+// the client shedding load (429/503, admission sheds, exhausted retry
+// budgets, per-attempt deadline expiry) —
 // rather than a permanent failure. The crawler requeues overloaded work
 // instead of counting the profile as lost, which is what lets a crawl
 // through a brownout still converge to the complete dataset.
@@ -391,7 +389,7 @@ func IsOverload(err error) bool {
 	if err == nil {
 		return false
 	}
-	if errors.Is(err, resilience.ErrRetryBudgetExhausted) {
+	if errors.Is(err, ErrRetryBudgetExhausted) {
 		return true
 	}
 	var ra *retryAfterError
@@ -418,15 +416,12 @@ func (c *Client) doGet(opCtx, ctx context.Context, op string, u *url.URL, decode
 		Proto:      "HTTP/1.1",
 		ProtoMajor: 1,
 		ProtoMinor: 1,
-		Header:     make(http.Header, 3),
+		Header:     make(http.Header, 2),
 		Host:       u.Host,
 	}).WithContext(ctx)
 	if c.crawlerID != nil {
 		req.Header["X-Crawler-Id"] = c.crawlerID
 	}
-	// Propagate this attempt's remaining budget so the server can shed
-	// work we will have abandoned by the time it leaves the queue.
-	resilience.SetDeadlineHeader(ctx, req)
 	// The context carries this attempt's span (see withRetries);
 	// propagating it lets gplusd join the trace and record its
 	// server-side spans under this attempt.

@@ -5,14 +5,12 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"gplus/internal/obs"
-	"gplus/internal/resilience"
 )
 
 // --- Retry-After parsing: seconds, HTTP-date, garbage ---
@@ -149,7 +147,45 @@ func TestBackoffDelayHintNeverExceedsMaxBackoff(t *testing.T) {
 	}
 }
 
-// --- retry budget wiring ---
+// --- retry budget ---
+
+func TestRetryBudgetSpendAndRefill(t *testing.T) {
+	b := NewRetryBudget(BudgetOptions{Ratio: 0.5, MinPerSec: 0.0001, Burst: 2}, nil, "t")
+	if !b.trySpend() || !b.trySpend() {
+		t.Fatal("burst tokens should grant the first two retries")
+	}
+	if b.trySpend() {
+		t.Fatal("third retry should be denied with an empty bucket")
+	}
+	// Two successes deposit 2×0.5 = 1 token.
+	b.deposit()
+	b.deposit()
+	if !b.trySpend() {
+		t.Fatal("deposits should refill the bucket")
+	}
+	if b.trySpend() {
+		t.Fatal("bucket should be empty again")
+	}
+}
+
+func TestRetryBudgetBurstCap(t *testing.T) {
+	reg := obs.NewRegistry()
+	b := NewRetryBudget(BudgetOptions{Ratio: 1, Burst: 3}, reg, "t")
+	for i := 0; i < 100; i++ {
+		b.deposit()
+	}
+	if got := reg.Gauge("t_retry_budget_tokens_milli").Value(); got > 3000 {
+		t.Fatalf("tokens = %d milli, want ≤ burst 3", got)
+	}
+}
+
+func TestRetryBudgetNil(t *testing.T) {
+	var b *RetryBudget
+	b.deposit()
+	if !b.trySpend() {
+		t.Fatal("nil budget must always grant")
+	}
+}
 
 func TestClientRetryBudgetExhaustion(t *testing.T) {
 	var calls atomic.Int32
@@ -161,12 +197,12 @@ func TestClientRetryBudgetExhaustion(t *testing.T) {
 	c := newTestClient(ts)
 	c.MaxRetries = 10
 	// Burst 2 with a negligible trickle: exactly two retries available.
-	c.RetryBudget = resilience.NewRetryBudget(resilience.BudgetOptions{Ratio: 0.1, MinPerSec: 1e-9, Burst: 2}, nil, "t")
+	c.RetryBudget = NewRetryBudget(BudgetOptions{Ratio: 0.1, MinPerSec: 1e-9, Burst: 2}, nil, "t")
 	_, err := c.FetchSeed(context.Background())
 	if err == nil {
 		t.Fatal("want failure")
 	}
-	if !errors.Is(err, resilience.ErrRetryBudgetExhausted) {
+	if !errors.Is(err, ErrRetryBudgetExhausted) {
 		t.Fatalf("err = %v, want wrapped ErrRetryBudgetExhausted", err)
 	}
 	if !IsOverload(err) {
@@ -184,8 +220,8 @@ func TestClientBudgetRefillsOnSuccess(t *testing.T) {
 	defer ts.Close()
 	c := newTestClient(ts)
 	reg := obs.NewRegistry()
-	b := resilience.NewRetryBudget(resilience.BudgetOptions{Ratio: 0.5, MinPerSec: 1e-9, Burst: 4}, reg, "t")
-	for b.TrySpend() { // drain
+	b := NewRetryBudget(BudgetOptions{Ratio: 0.5, MinPerSec: 1e-9, Burst: 4}, reg, "t")
+	for b.trySpend() { // drain
 	}
 	c.RetryBudget = b
 	for i := 0; i < 4; i++ {
@@ -212,7 +248,7 @@ func TestSharedRetryBudgetBoundsDeadEndpoint(t *testing.T) {
 	defer ts.Close()
 	const clients, burst = 8, 4
 	// A negligible trickle: the burst is all the retrying the fleet gets.
-	budget := resilience.NewRetryBudget(resilience.BudgetOptions{MinPerSec: 1e-9, Burst: burst}, nil, "t")
+	budget := NewRetryBudget(BudgetOptions{MinPerSec: 1e-9, Burst: burst}, nil, "t")
 	errs := make([]error, clients)
 	var wg sync.WaitGroup
 	for i := range clients {
@@ -234,39 +270,13 @@ func TestSharedRetryBudgetBoundsDeadEndpoint(t *testing.T) {
 		if !IsOverload(err) {
 			t.Errorf("client %d: IsOverload(%v) = false, want true", i, err)
 		}
-		if !errors.Is(err, resilience.ErrRetryBudgetExhausted) {
+		if !errors.Is(err, ErrRetryBudgetExhausted) {
 			t.Errorf("client %d: err = %v, want wrapped ErrRetryBudgetExhausted", i, err)
 		}
 	}
 }
 
-// --- deadline propagation + attempt timeouts ---
-
-func TestClientSendsDeadlineHeader(t *testing.T) {
-	headers := make(chan string, 1)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		headers <- r.Header.Get(resilience.DeadlineHeader)
-		w.Write([]byte(`{"users":1,"edges":1}`))
-	}))
-	defer ts.Close()
-	// A bare client (zero AttemptTimeout) still bounds each attempt, by
-	// the 30s default, and tells the server so.
-	for _, tc := range []struct {
-		timeout time.Duration
-		maxMS   int64
-	}{{250 * time.Millisecond, 250}, {0, 30_000}} {
-		c := newTestClient(ts)
-		c.AttemptTimeout = tc.timeout
-		if _, err := c.FetchSeed(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		v := <-headers
-		ms, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || ms <= 0 || ms > tc.maxMS {
-			t.Errorf("AttemptTimeout %v: deadline header = %q, want 0 < ms ≤ %d", tc.timeout, v, tc.maxMS)
-		}
-	}
-}
+// --- attempt timeouts ---
 
 func TestClientAttemptTimeoutRetriesThenSucceeds(t *testing.T) {
 	var calls atomic.Int32
@@ -344,7 +354,7 @@ func TestIsOverloadClassification(t *testing.T) {
 		{&retryAfterError{status: 429}, true},
 		{&retryAfterError{status: 503}, true},
 		{&retryAfterError{status: 500}, false},
-		{resilience.ErrRetryBudgetExhausted, true},
+		{ErrRetryBudgetExhausted, true},
 		{&transientError{err: context.DeadlineExceeded}, true},
 		{&transientError{err: errors.New("conn reset")}, false},
 	} {

@@ -11,21 +11,39 @@ import (
 	"testing"
 	"time"
 
+	"gplus/internal/gplusapi"
 	"gplus/internal/obs"
-	"gplus/internal/resilience"
 )
 
-func TestAdmissionPriorityClassification(t *testing.T) {
-	for path, want := range map[string]resilience.Priority{
-		"/people/u1/circles/out": resilience.PriorityLow,
-		"/people/u1/circles/in":  resilience.PriorityLow,
-		"/people/u1":             resilience.PriorityHigh,
-		"/stats":                 resilience.PriorityHigh,
-		"/seed":                  resilience.PriorityHigh,
-	} {
-		if got := admissionPriority(path); got != want {
-			t.Errorf("admissionPriority(%q) = %v, want %v", path, got, want)
+func TestAdmissionScaleSqueezesLimit(t *testing.T) {
+	scale := 1.0
+	var mu sync.Mutex
+	reg := obs.NewRegistry()
+	a := newAdmission(4, func() float64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return scale
+	}, reg)
+	for i := 0; i < 4; i++ {
+		if !a.acquire() {
+			t.Fatalf("acquire %d shed below the limit", i)
 		}
+	}
+	for i := 0; i < 4; i++ {
+		a.release()
+	}
+	mu.Lock()
+	scale = 0.25 // squeeze to 1 slot
+	mu.Unlock()
+	if !a.acquire() {
+		t.Fatal("first acquire under a 0.25 squeeze of 4 shed")
+	}
+	defer a.release()
+	if a.acquire() {
+		t.Fatal("second acquire should shed under a 0.25 squeeze of 4")
+	}
+	if limit := reg.Gauge("gplusd_admission_limit").Value(); limit != 1 {
+		t.Fatalf("gplusd_admission_limit = %d, want 1", limit)
 	}
 }
 
@@ -38,11 +56,7 @@ func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 		Faults: &FaultSpec{Seed: 7, Rules: []FaultRule{
 			{Kind: FaultDelay, Rate: 1, Delay: 150 * time.Millisecond},
 		}},
-		Admission: &resilience.AdmissionOptions{
-			MaxConcurrent: 1,
-			MaxQueue:      1,
-			MaxWait:       20 * time.Millisecond,
-		},
+		Admission: 1,
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -87,23 +101,19 @@ func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 		}
 	}
 	if shed == 0 {
-		t.Fatal("six parallel requests against 1 slot + 1 queue entry should shed some")
+		t.Fatal("six parallel requests against 1 slot should shed some")
 	}
 }
 
 // TestAdmissionDeadlineSheds occupies the single slot and then offers a
-// request whose propagated deadline cannot survive the queue: it must be
-// rejected immediately (no MaxWait stall) with a 503.
+// second request: a full server refuses it at once (there is no queue to
+// wait in) with a 503.
 func TestAdmissionDeadlineSheds(t *testing.T) {
 	srv := New(serverUniverse(t), Options{
 		Faults: &FaultSpec{Seed: 7, Rules: []FaultRule{
 			{Kind: FaultDelay, Rate: 1, Delay: 300 * time.Millisecond},
 		}},
-		Admission: &resilience.AdmissionOptions{
-			MaxConcurrent: 1,
-			MaxQueue:      4,
-			MaxWait:       time.Second,
-		},
+		Admission: 1,
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -121,7 +131,6 @@ func TestAdmissionDeadlineSheds(t *testing.T) {
 	time.Sleep(50 * time.Millisecond) // let the slot fill
 
 	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/stats", nil)
-	req.Header.Set(resilience.DeadlineHeader, "2") // 2ms left: hopeless
 	start := time.Now()
 	resp, err := ts.Client().Do(req)
 	if err != nil {
@@ -130,27 +139,58 @@ func TestAdmissionDeadlineSheds(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503 for a doomed deadline", resp.StatusCode)
+		t.Fatalf("status = %d, want 503 from a full server", resp.StatusCode)
 	}
 	if waited := time.Since(start); waited > 200*time.Millisecond {
-		t.Errorf("doomed request took %v; deadline shedding should reject before queueing", waited)
+		t.Errorf("refused request took %v; a full server should refuse without queueing", waited)
 	}
 	if resp.Header.Get("Retry-After") == "" {
-		t.Error("deadline shed missing Retry-After")
+		t.Error("shed missing Retry-After")
 	}
 	wg.Wait()
 }
 
+// TestMetricsRegistered: the overload series exist as soon as the
+// admission limit and the client retry budget are built, before any
+// request is admitted, shed, retried or denied.
+func TestMetricsRegistered(t *testing.T) {
+	reg := obs.NewRegistry()
+	gplusapi.NewRetryBudget(gplusapi.BudgetOptions{}, reg, "gplusapi")
+	newAdmission(4, nil, reg)
+	snap := reg.Snapshot()
+	var have []string
+	for name := range snap.Counters {
+		have = append(have, name)
+	}
+	for name := range snap.Gauges {
+		have = append(have, name)
+	}
+	for name := range snap.Histograms {
+		have = append(have, name)
+	}
+	joined := strings.Join(have, "\n")
+	for _, name := range []string{
+		"gplusapi_retry_budget_tokens_milli",
+		"gplusd_admission_limit",
+		"gplusd_admission_inflight",
+		"gplusd_admission_shed_total",
+	} {
+		if !strings.Contains(joined, name) {
+			t.Errorf("series %q not registered; have:\n%s", name, joined)
+		}
+	}
+}
+
 // TestAdmissionMetricsExported: the admission state is read off
 // /metrics, and /metrics bypasses admission — it answers while the one
-// slot is held and a request waits for it.
+// slot is held and a second request is refused.
 func TestAdmissionMetricsExported(t *testing.T) {
 	u := serverUniverse(t)
 	srv := New(u, Options{
 		Faults: &FaultSpec{Seed: 7, Rules: []FaultRule{
 			{Kind: FaultDelay, Endpoint: obs.EndpointStats, Rate: 1, Delay: time.Second},
 		}},
-		Admission: &resilience.AdmissionOptions{MaxConcurrent: 1, MaxWait: 10 * time.Second},
+		Admission: 1,
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -179,7 +219,7 @@ func TestAdmissionMetricsExported(t *testing.T) {
 				t.Fatalf("/metrics = %d while admission is full", resp.StatusCode)
 			}
 			if took := time.Since(start); took > 500*time.Millisecond {
-				t.Fatalf("/metrics took %v while admission is full; it must bypass the queue", took)
+				t.Fatalf("/metrics took %v while admission is full; it must bypass admission", took)
 			}
 			missing := slices.DeleteFunc(slices.Clone(want), func(line string) bool {
 				return slices.Contains(strings.Split(string(body), "\n"), line)
@@ -194,22 +234,24 @@ func TestAdmissionMetricsExported(t *testing.T) {
 		}
 	}
 
+	waitFor( // registered before the first request
+		"gplusd_admission_limit 1",
+		"gplusd_admission_inflight 0",
+		"gplusd_admission_shed_total 0",
+	)
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(1)
 	go func() { defer wg.Done(); get("/stats") }() // holds the one slot for a second
 	waitFor("gplusd_admission_inflight 1")
-	go func() { defer wg.Done(); get("/people/" + u.IDs[0] + "/circles/out") }() // waits for it
+	get("/people/" + u.IDs[0] + "/circles/out") // refused at once
 	waitFor(
 		"gplusd_admission_limit 1",
 		"gplusd_admission_inflight 1",
-		`gplusd_admission_queued{priority="low"} 1`,
-		`gplusd_admission_queued{priority="high"} 0`,
+		"gplusd_admission_shed_total 1",
 	)
 	wg.Wait()
 	waitFor(
 		"gplusd_admission_inflight 0",
-		`gplusd_admission_queued{priority="low"} 0`,
-		`gplusd_admission_admitted_total{priority="high"} 1`,
-		`gplusd_admission_admitted_total{priority="low"} 1`,
+		"gplusd_admission_shed_total 1",
 	)
 }

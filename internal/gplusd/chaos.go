@@ -44,7 +44,7 @@ const (
 	// start of every Every-long period (a triangular ramp, so the squeeze
 	// arrives and recedes gradually the way real overload does). At
 	// severity s every matching request gains s×Delay extra latency, and
-	// the admission controller's capacity is multiplied by 1−s×Squeeze.
+	// the admission limit is multiplied by 1−s×Squeeze.
 	// The schedule is purely time-driven — no RNG — so a brownout crawl
 	// is as reproducible as the fault-free one.
 	FaultBrownout FaultKind = "brownout"
@@ -67,9 +67,9 @@ type FaultRule struct {
 	// Every and Down schedule outage and brownout rules.
 	Every, Down time.Duration
 	// Squeeze is the peak capacity reduction of brownout rules in
-	// [0, 1]: at full severity the admission controller's concurrency
-	// limit is multiplied by 1−Squeeze. It only takes effect when the
-	// server runs with admission control enabled.
+	// [0, 1]: at full severity the admission concurrency limit is
+	// multiplied by 1−Squeeze. It only takes effect when the server runs
+	// with an admission limit (Options.Admission).
 	Squeeze float64
 }
 
@@ -254,10 +254,9 @@ func absFloat(x float64) float64 {
 	return x
 }
 
-// admissionScale is the capacity multiplier the admission controller
-// should apply right now: the most severe squeeze across all active
-// brownout rules (1 = full capacity). Nil-safe so it can be handed to
-// resilience.AdmissionOptions.Scale unconditionally.
+// admissionScale is the multiplier the admission limit should apply
+// right now: the most severe squeeze across all active brownout rules
+// (1 = full capacity). Nil-safe.
 func (c *chaos) admissionScale() float64 {
 	if c == nil {
 		return 1
@@ -303,7 +302,7 @@ func (c *chaos) stateLabel() string {
 }
 
 // hasBrownout reports whether any rule squeezes capacity, i.e. whether
-// the admission controller needs the chaos clock as its Scale source.
+// the admission limit needs the chaos clock as its scale.
 func (c *chaos) hasBrownout() bool {
 	if c == nil {
 		return false
@@ -348,16 +347,14 @@ func (s *Server) serveChaos(w http.ResponseWriter, r *http.Request, ep string) {
 			if remaining, down := rule.outageRemaining(time.Since(s.chaos.start)); down {
 				rule.hits.Inc()
 				trace.SpanFromContext(r.Context()).Fail("chaos: scheduled outage")
-				w.Header().Set("Retry-After", strconv.FormatFloat(remaining.Seconds(), 'f', 3, 64))
-				http.Error(w, "chaos: scheduled outage", http.StatusServiceUnavailable)
+				refuse(w, http.StatusServiceUnavailable, remaining, "chaos: scheduled outage")
 				return
 			}
 		case FaultUnavailable:
 			if rule.src.hit() {
 				rule.hits.Inc()
 				trace.SpanFromContext(r.Context()).Fail("chaos: injected 503")
-				w.Header().Set("Retry-After", "0.05")
-				http.Error(w, "chaos: transient backend error", http.StatusServiceUnavailable)
+				refuse(w, http.StatusServiceUnavailable, 50*time.Millisecond, "chaos: transient backend error")
 				return
 			}
 		case FaultDelay:

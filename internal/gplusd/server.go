@@ -21,7 +21,6 @@ import (
 	"gplus/internal/graph"
 	"gplus/internal/obs"
 	"gplus/internal/obs/trace"
-	"gplus/internal/resilience"
 	"gplus/internal/synth"
 )
 
@@ -46,18 +45,13 @@ type Options struct {
 	// FaultSpec and ParseFaultSpec. Nil injects nothing. Injections are
 	// counted per kind in gplusd_chaos_faults_total.
 	Faults *FaultSpec
-	// Admission, when non-nil, puts an admission controller in front of
-	// the handler chain: bounded concurrency with a bounded LIFO wait
-	// queue, deadline-aware shedding of requests whose propagated
-	// X-Gplus-Deadline would expire in queue, and per-endpoint priority —
-	// expensive circle pages shed before cheap profile fetches, and
-	// /metrics bypasses admission entirely. Shed responses are 503s with
-	// a Retry-After capacity estimate. State is exported as the
-	// gplusd_admission_* series on /metrics. When the chaos suite
-	// contains brownout rules with a squeeze, the controller's capacity
-	// follows the brownout schedule automatically (unless
-	// Admission.Scale is already set).
-	Admission *resilience.AdmissionOptions
+	// Admission, when positive, caps the requests served at once: an
+	// arrival beyond the cap is refused at once with a 503 and a
+	// Retry-After of 50ms, never queued. /metrics bypasses the cap.
+	// State is exported as the gplusd_admission_* series on /metrics.
+	// When the chaos suite contains brownout rules with a squeeze, the
+	// cap follows the brownout schedule. Zero admits everything.
+	Admission int
 	// Metrics receives server telemetry. When nil the server creates a
 	// private registry, so /metrics always works; pass one to share the
 	// registry with other subsystems (a run's collector and its mux).
@@ -98,7 +92,7 @@ type Server struct {
 	mux     *http.ServeMux
 
 	chaos     *chaos
-	admission *resilience.Admission
+	admission *admission
 	limiter   *limiter
 	tracer    *trace.Tracer
 	// labels holds the pprof label context of each pair of endpoint and
@@ -151,12 +145,12 @@ func New(u *synth.Universe, opts Options) *Server {
 		reg.Gauge("gplusd_rate_limiter_buckets"),
 		reg.Counter("gplusd_rate_limiter_evictions_total"))
 	s.chaos = newChaos(opts.Faults, reg)
-	if opts.Admission != nil {
-		ao := *opts.Admission
-		if ao.Scale == nil && s.chaos.hasBrownout() {
-			ao.Scale = s.chaos.admissionScale
+	if opts.Admission > 0 {
+		var scale func() float64
+		if s.chaos.hasBrownout() {
+			scale = s.chaos.admissionScale
 		}
-		s.admission = resilience.NewAdmission(ao, reg, "gplusd_admission")
+		s.admission = newAdmission(opts.Admission, scale, reg)
 	}
 	s.labels = make(map[[2]string]context.Context)
 	for _, ep := range []string{obs.EndpointProfile, obs.EndpointCircles, obs.EndpointStats, obs.EndpointSeed, obs.EndpointOther} {
@@ -216,21 +210,17 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, ep string) {
 		}
 	}
 	if s.admission != nil {
-		deadline, _ := resilience.DeadlineFromHeader(r)
-		release, shed := s.admission.Acquire(r.Context(), admissionPriority(r.URL.Path), deadline)
-		if shed != nil {
-			sp.Fail("admission shed: " + shed.Reason)
-			w.Header().Set("Retry-After", strconv.FormatFloat(shed.RetryAfter.Seconds(), 'f', 3, 64))
-			http.Error(w, "admission: overloaded ("+shed.Reason+")", http.StatusServiceUnavailable)
+		if !s.admission.acquire() {
+			sp.Fail("admission shed")
+			refuse(w, http.StatusServiceUnavailable, 50*time.Millisecond, "admission: overloaded")
 			return
 		}
-		defer release()
+		defer s.admission.release()
 	}
 	if !s.allow(r) {
 		s.mRateLimit.Inc()
 		sp.Fail("rate limited")
-		w.Header().Set("Retry-After", "0.2")
-		http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
+		refuse(w, http.StatusTooManyRequests, 200*time.Millisecond, "rate limit exceeded")
 		return
 	}
 	if s.chaos != nil {
@@ -245,15 +235,12 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, ep string) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// admissionPriority classifies a request path for admission control:
-// paginated circle lists are the expensive requests (graph walks, big
-// bodies) and shed first; profile fetches and the tiny operational
-// endpoints survive longer.
-func admissionPriority(path string) resilience.Priority {
-	if endpointOf(path) == obs.EndpointCircles {
-		return resilience.PriorityLow
-	}
-	return resilience.PriorityHigh
+// refuse answers a request the server will not serve now: status, a
+// Retry-After of retryAfter in seconds (to the millisecond), and msg as
+// the plain-text body.
+func refuse(w http.ResponseWriter, status int, retryAfter time.Duration, msg string) {
+	w.Header().Set("Retry-After", strconv.FormatFloat(retryAfter.Round(time.Millisecond).Seconds(), 'f', -1, 64))
+	http.Error(w, msg, status)
 }
 
 func clientKey(r *http.Request) string {

@@ -239,7 +239,7 @@ func TestRateLimiting(t *testing.T) {
 
 func TestClientRetriesRateLimit(t *testing.T) {
 	u := serverUniverse(t)
-	_, client := startServer(t, Options{RatePerSecond: 30, BurstSize: 2})
+	srv, client := startServer(t, Options{RatePerSecond: 30, BurstSize: 2})
 	client.CrawlerID = "retry-worker"
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -248,6 +248,9 @@ func TestClientRetriesRateLimit(t *testing.T) {
 		if _, err := client.FetchProfile(ctx, u.IDs[i]); err != nil {
 			t.Fatalf("fetch %d failed despite retries: %v", i, err)
 		}
+	}
+	if srv.mRateLimit.Value() == 0 {
+		t.Error("the server answered no 429; the client had no rate limit to absorb")
 	}
 }
 

@@ -22,8 +22,6 @@ const (
 	KeyWorker   = "worker"   // crawl worker ("machine-NN"), also its X-Crawler-Id
 	KeyChaos    = "chaos"    // gplusd fault acting on a request: a FaultKind, or ChaosNone
 	KeyKind     = "kind"     // record kind of a journal line / profile kind of a capture
-	KeyReason   = "reason"   // why admission control shed a request
-	KeyPriority = "priority" // admission priority class: high, low
 	KeyRule     = "rule"     // exemplar rule(s) a retained trace tripped
 	KeyTrigger  = "trigger"  // what fired a profile capture: interval, stall, slo-page:<name>, …
 	KeyLE       = "le"       // histogram bucket upper bound (exposition only)
