@@ -44,7 +44,7 @@ help:
 	@echo "make ablations      design-choice ablations, seed sensitivity and the lost-edge crawl"
 	@echo "make fuzz-short     10 s fuzz of the wire codec, the journal, series.jsonl, graph.v2 and segment readers, Compact, the triad pass, the multi-source BFS, the connectivity kernels (WCC, SCC, reciprocity), the edge sort and the CDF sort"
 	@echo "make fuzz           long fuzz of every parser (wire codec, series names and the series.jsonl tick decoder included), the client's request URLs, the multi-source BFS, the triad pass, the connectivity kernels (WCC, SCC, reciprocity), the edge sort, the segment compaction, the segment reader and the CDF sort (30s each)"
-	@echo "make verify         generate a dataset and audit it against the paper at two analysis seeds"
+	@echo "make verify         generate a dataset and audit it against the paper at three analysis seeds"
 	@echo "make experiments    regenerate the measured half of EXPERIMENTS.md from a fresh dataset"
 
 build:
@@ -60,11 +60,12 @@ test:
 	$(GO) test ./...
 
 # The second line races the analysis fan-outs (the study's stage fan-out,
-# the triad chunk runner, the overlapped dataset load) at 1 and 4 Ps, so
-# they also run with more runnable goroutines than cores.
+# the triad chunk runner, the double sweep's passes, the overlapped
+# dataset load) at 1 and 4 Ps, so they also run with more runnable
+# goroutines than cores.
 race:
 	$(GO) test -race ./internal/core/ ./internal/obs/ ./internal/obs/prof/ ./internal/obs/rundir/ ./internal/obs/series/ ./internal/obs/trace/ ./internal/paper/ ./internal/report/ ./cmd/gplusanalyze/ ./cmd/gpluscrawl/ ./internal/crawler/ ./internal/dataset/ ./internal/durable/ ./internal/gplusapi/ ./internal/gplusd/ ./internal/graph/ ./internal/graph/diskcsr/
-	$(GO) test -race -cpu 1,4 -run 'Structure|PathLengths|PathMiles|Figure5|Triads|LoadWith' ./internal/core ./internal/graph ./internal/dataset
+	$(GO) test -race -cpu 1,4 -run 'Structure|PathLengths|PathMiles|Figure5|Triads|DoubleSweep|LoadWith' ./internal/core ./internal/graph ./internal/dataset
 
 # The metrics-hygiene gate: every family either registry exposes after a
 # faulted crawl must match the Prometheus naming grammar and carry a
@@ -251,12 +252,14 @@ fuzz-short:
 
 # Generate a dataset and audit it against the paper's published claims
 # (gplusanalyze's audit experiment, which exits 1 when a check fails),
-# at the default analysis seed and at a second one: the sampled checks
-# (path lengths, Figure 9's pair samples) must not pass by sample luck.
+# at the default analysis seed and at two more: the sampled checks (path
+# lengths, which stop at a stated error, and Figure 9's pair samples)
+# must not pass by sample luck.
 verify:
 	$(GO) run ./cmd/gplusgen -nodes 100000 -out /tmp/gplus-verify-data
 	$(GO) run ./cmd/gplusanalyze -data /tmp/gplus-verify-data -only audit
 	$(GO) run ./cmd/gplusanalyze -data /tmp/gplus-verify-data -only audit -analysis-seed 7
+	$(GO) run ./cmd/gplusanalyze -data /tmp/gplus-verify-data -only audit -analysis-seed 3
 
 # The measured half of EXPERIMENTS.md: a dataset at the documented size
 # and seeds, the whole study over it as Markdown (audit, every table and

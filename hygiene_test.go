@@ -716,17 +716,33 @@ func TestLabelsAreData(t *testing.T) {
 	}
 	keys := map[string]string{} // constant name → the key it spells
 	ast.Inspect(parsed, func(n ast.Node) bool {
-		if spec, ok := n.(*ast.ValueSpec); ok && strings.HasPrefix(spec.Names[0].Name, "Key") {
-			keys[spec.Names[0].Name], _ = strconv.Unquote(spec.Values[0].(*ast.BasicLit).Value)
+		spec, ok := n.(*ast.ValueSpec)
+		if !ok {
+			return true
+		}
+		for i, name := range spec.Names {
+			if !strings.HasPrefix(name.Name, "Key") {
+				continue
+			}
+			key := ""
+			if i < len(spec.Values) {
+				if lit, ok := spec.Values[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					key, _ = strconv.Unquote(lit.Value) // the parser accepted the literal
+				}
+			}
+			if key == "" {
+				t.Fatalf("%s: %s is not spelled as a non-empty string literal", vocabFile, name.Name)
+			}
+			keys[name.Name] = key
 		}
 		return true
 	})
-	if len(keys) < 9 {
-		t.Fatalf("read only %d Key* constants from %s", len(keys), vocabFile)
-	}
 	spelled := map[string]string{}
 	for name, key := range keys {
 		spelled[key] = name
+	}
+	if len(keys) == 0 || len(spelled) != len(keys) {
+		t.Fatalf("%s: %d Key* constants spell %d distinct keys; want one key each, and at least one", vocabFile, len(keys), len(spelled))
 	}
 	// literalWith finds a string literal under e that ok accepts.
 	literalWith := func(e ast.Expr, ok func(string) bool) (found string) {

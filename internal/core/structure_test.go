@@ -111,7 +111,9 @@ func TestStructureTimingsAndSpans(t *testing.T) {
 // fixture, a graph whose multi-source searches switch from pushing to
 // pulling mid-search, to one graph.BFSDistances per drawn source: each
 // histogram is the sum of the single-source histograms of the first
-// Sources sources its stream draws. The paths stage runs its four
+// Sources sources its stream draws, and its half-width is 1.96 standard
+// errors of the ratio estimator over those sources' 8-source batches,
+// worked here from the per-source sums. The paths stage runs its four
 // searches side by side; each diameter bound must still be the one
 // graph.DoubleSweepDiameter returns alone on its stream.
 func TestFigure5MatchesPerSourceBFS(t *testing.T) {
@@ -130,8 +132,12 @@ func TestFigure5MatchesPerSourceBFS(t *testing.T) {
 			got    *graph.PathLengthDist
 		}{{graph.Directed, 3, paths.Directed}, {graph.Undirected, 4, paths.Undirected}} {
 			want := &graph.PathLengthDist{Sources: fig.got.Sources}
+			var pairs, hops []float64 // per 8-source batch
 			rng := s.rng(fig.stream)
-			for range fig.got.Sources {
+			for i := range fig.got.Sources {
+				if i%8 == 0 {
+					pairs, hops = append(pairs, 0), append(hops, 0)
+				}
 				for _, d := range graph.BFSDistances(s.g, graph.NodeID(rng.IntN(n)), fig.dir, nil) {
 					if d < 0 {
 						continue
@@ -141,9 +147,20 @@ func TestFigure5MatchesPerSourceBFS(t *testing.T) {
 					}
 					want.Counts[d]++
 					want.Reachable++
+					pairs[len(pairs)-1]++
+					hops[len(hops)-1] += float64(d)
 				}
 			}
-			if fig.got.Sources == 0 || !reflect.DeepEqual(fig.got, want) {
+			want.HalfWidth = ratioHalfWidth(pairs, hops)
+			if fig.got.Sources == 0 || fig.got.Sources%64 != 0 || math.Abs(fig.got.HalfWidth-want.HalfWidth) > 1e-9 {
+				t.Errorf("P=%d %v Figure 5: %d sources, ±%v; want a whole number of 64-source passes and ±%v",
+					par, fig.dir, fig.got.Sources, fig.got.HalfWidth, want.HalfWidth)
+			}
+			if fig.got.Sources < s.opts.PathSources && fig.got.HalfWidth > 0.1 {
+				t.Errorf("P=%d %v Figure 5 stopped at %d sources with half-width %v, above 0.1", par, fig.dir, fig.got.Sources, fig.got.HalfWidth)
+			}
+			want.HalfWidth = fig.got.HalfWidth
+			if !reflect.DeepEqual(fig.got, want) {
 				t.Errorf("P=%d %v Figure 5:\n got %+v\nwant %+v (one BFSDistances per source)", par, fig.dir, fig.got, want)
 			}
 		}
@@ -328,4 +345,21 @@ func TestStagesScanOnce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ratioHalfWidth is 1.96 standard errors of Σ hops / Σ pairs over
+// i.i.d. batches: √(Σ (hops_b − R·pairs_b)² / (k (k−1))) / mean pairs.
+func ratioHalfWidth(pairs, hops []float64) float64 {
+	k := float64(len(pairs))
+	var p, h float64
+	for i := range pairs {
+		p += pairs[i]
+		h += hops[i]
+	}
+	var ss float64
+	for i := range pairs {
+		d := hops[i] - h/p*pairs[i]
+		ss += d * d
+	}
+	return 1.96 * math.Sqrt(ss/(k*(k-1))) / (p / k)
 }

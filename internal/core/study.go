@@ -99,8 +99,11 @@ type Options struct {
 	// Seed drives every sampled analysis (path lengths, path miles).
 	// Defaults to 2012.
 	Seed uint64
-	// PathSources bounds the BFS sources of the Figure 5 estimate
+	// PathSources caps the BFS sources of each Figure 5 sample
 	// (default 256; the paper used up to 10,000 on a 35M-node graph).
+	// A sample draws at least a quarter of it and stops at the first
+	// 64-source pass whose mean is within ±0.1 hop at 95 %, so the cap
+	// binds only where that precision needs more sources.
 	PathSources int
 	// PairSample bounds each Figure 9 pair population. The default,
 	// 18,445, is the DKW size for a CDF error of PairSampleEps at

@@ -172,15 +172,32 @@ func labelVocabulary(t *testing.T) map[string]bool {
 		t.Fatal(err)
 	}
 	keys := map[string]bool{}
+	names := 0
 	ast.Inspect(file, func(n ast.Node) bool {
-		if spec, ok := n.(*ast.ValueSpec); ok && strings.HasPrefix(spec.Names[0].Name, "Key") {
-			key, _ := strconv.Unquote(spec.Values[0].(*ast.BasicLit).Value)
+		spec, ok := n.(*ast.ValueSpec)
+		if !ok {
+			return true
+		}
+		for i, name := range spec.Names {
+			if !strings.HasPrefix(name.Name, "Key") {
+				continue
+			}
+			names++
+			key := ""
+			if i < len(spec.Values) {
+				if lit, ok := spec.Values[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					key, _ = strconv.Unquote(lit.Value) // the parser accepted the literal
+				}
+			}
+			if key == "" {
+				t.Fatalf("labels.go: %s is not spelled as a non-empty string literal", name.Name)
+			}
 			keys[key] = true
 		}
 		return true
 	})
-	if len(keys) < 9 {
-		t.Fatalf("read only %d Key* constants from labels.go", len(keys))
+	if names == 0 || len(keys) != names {
+		t.Fatalf("labels.go: %d Key* constants spell %d distinct keys; want one key each, and at least one", names, len(keys))
 	}
 	return keys
 }

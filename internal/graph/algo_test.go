@@ -375,7 +375,7 @@ func TestDoubleSweepMatchesPerSourceBFS(t *testing.T) {
 			sources[i] = NodeID(rng.IntN(n))
 		}
 		for _, mode := range [][2]bool{{true, false}, {false, true}, {true, true}} {
-			ms.run(context.Background(), sources, 0, len(sources), mode[0], mode[1])
+			ms.run(context.Background(), sources, len(sources), mode[0], mode[1])
 			steps.add(ms)
 			for lane, src := range sources {
 				if far, ecc := farthest(scratch.run(src, mode[0], mode[1]), src); ms.far[lane] != far || ms.ecc[lane] != ecc {

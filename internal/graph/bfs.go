@@ -2,6 +2,7 @@ package graph
 
 import (
 	"context"
+	"math"
 	"math/bits"
 	"math/rand/v2"
 	"slices"
@@ -96,6 +97,10 @@ type PathLengthDist struct {
 	Sources int
 	// Reachable is the total number of reachable pairs counted.
 	Reachable int64
+	// HalfWidth is the 95 % half-width of Mean: 1.96 standard errors of
+	// the ratio estimator over the sample's batches (+Inf below two
+	// batches, 0 for an empty sample).
+	HalfWidth float64
 }
 
 // Probability returns the fraction of reachable pairs at each hop count,
@@ -152,15 +157,21 @@ type PathLengthOptions struct {
 	// MinSources above an explicit MaxSources is lowered to it.
 	MinSources int
 	MaxSources int
-	// Tolerance is the maximum L-infinity change between the normalized
-	// distributions of consecutive batches that counts as converged.
+	// Tolerance is the 95 % half-width of the mean path length, in hops,
+	// at which the sample stops: after each 64-source pass, once at
+	// least MinSources sources are in, the sample ends if HalfWidth is
+	// at most Tolerance. Default 0.1, the precision the paper reports
+	// its means to.
 	Tolerance float64
-	// BatchSize is the number of sources added per convergence check.
+	// BatchSize is the number of sources per batch, the unit whose
+	// means the standard error is taken over. Batches do not span
+	// passes: a pass's 64 lanes split into runs of BatchSize from its
+	// first lane, the last run possibly shorter. Default 8, so one pass
+	// holds 8 batches.
 	BatchSize int
 	// Parallelism runs that many 64-source passes at a time, one
 	// goroutine each. Results are identical for any value: sources are
-	// pre-drawn from Rand in order and batch histograms fold in source
-	// order.
+	// pre-drawn from Rand in order and passes fold in that order.
 	Parallelism int
 	// Rand supplies source sampling. Required.
 	Rand *rand.Rand
@@ -177,10 +188,10 @@ func (o *PathLengthOptions) setDefaults() {
 		o.MinSources = o.MaxSources
 	}
 	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-3
+		o.Tolerance = 0.1
 	}
 	if o.BatchSize <= 0 {
-		o.BatchSize = 32
+		o.BatchSize = 8
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = 1
@@ -189,10 +200,10 @@ func (o *PathLengthOptions) setDefaults() {
 
 // SamplePathLengths estimates the pairwise hop-distance distribution by
 // running full BFS from randomly sampled sources, the procedure of §3.3.5.
-// It stops early once the distribution stabilizes or ctx is cancelled
-// (returning the estimate so far). The result is independent of
-// Parallelism: sources are drawn up-front in a fixed order and per-batch
-// histograms fold in that order.
+// It stops early once the mean's 95 % half-width reaches opt.Tolerance
+// or ctx is cancelled (returning the estimate so far). The result is
+// independent of Parallelism: sources are drawn up-front in a fixed
+// order and passes fold in that order.
 func SamplePathLengths(ctx context.Context, g View, dir Direction, opt PathLengthOptions) *PathLengthDist {
 	opt.setDefaults()
 	n := g.NumNodes()
@@ -210,21 +221,17 @@ func SamplePathLengths(ctx context.Context, g View, dir Direction, opt PathLengt
 // (opt already defaulted; len(sources) stands in for MaxSources).
 //
 // Sources ride the multi-source kernel 64 at a time: pass p carries
-// sources [64p, 64p+64), whatever batches those lanes belong to, and
-// reports one histogram per batch it touches. A round runs the next
-// Parallelism passes concurrently, then folds every batch whose lanes
-// have all arrived, in order, with the convergence check after each —
-// so the fold sees exactly what a source-by-source scan would, and
-// passes past the converging batch are simply dropped. A cancelled pass
-// reports nothing and ends the sample at the sources before it.
+// sources [64p, 64p+64) and reports one histogram per batch of its
+// lanes. A round runs the next Parallelism passes concurrently, then
+// folds them in order, checking the stopping rule after each — so the
+// fold sees exactly what a source-by-source scan would, and passes past
+// the stopping one are simply dropped. A cancelled pass reports nothing
+// and ends the sample at the passes before it.
 func pathLengthsFrom(ctx context.Context, g View, dir Direction, sources []NodeID, opt PathLengthOptions) *PathLengthDist {
 	res := &PathLengthDist{}
 	passes := (len(sources) + msLanes - 1) / msLanes
-	// pending[b] is batch b's histogram so far, summed over the passes
-	// that carry its lanes.
-	pending := make([][]int64, (len(sources)+opt.BatchSize-1)/opt.BatchSize)
+	var batches []batchSum
 	var scratch []*msBFS
-	var prevProb []float64
 	for pass := 0; pass < passes; {
 		round := min(opt.Parallelism, passes-pass)
 		for len(scratch) < round {
@@ -232,62 +239,72 @@ func pathLengthsFrom(ctx context.Context, g View, dir Direction, sources []NodeI
 		}
 		runShards(uniformBounds(round, round), func(w, _, _ int) {
 			lo := (pass + w) * msLanes
-			hi := min(lo+msLanes, len(sources))
-			scratch[w].run(ctx, sources[lo:hi], lo, opt.BatchSize, true, dir == Undirected)
+			scratch[w].run(ctx, sources[lo:min(lo+msLanes, len(sources))], opt.BatchSize, true, dir == Undirected)
 		})
-		covered, cancelled := pass*msLanes, false
 		for _, s := range scratch[:round] {
 			if !s.done {
-				cancelled = true
-				break
-			}
-			covered = min(covered+msLanes, len(sources))
-			for i, c := range s.hist {
-				if c == 0 {
-					continue // this batch's lanes finished at an earlier level
-				}
-				b, hop := s.firstBatch+i%len(s.masks), i/len(s.masks)
-				for hop >= len(pending[b]) {
-					pending[b] = append(pending[b], 0)
-				}
-				pending[b][hop] += c
-			}
-		}
-		for res.Sources < len(sources) {
-			end := min(res.Sources+opt.BatchSize, len(sources))
-			if end > covered {
-				break
-			}
-			res.add(pending[res.Sources/opt.BatchSize], end)
-			prob := res.Probability()
-			if res.Sources >= opt.MinSources && prevProb != nil && linfDelta(prevProb, prob) < opt.Tolerance {
 				return res
 			}
-			prevProb = prob
-		}
-		if cancelled {
-			// The estimate so far includes the completed head of the
-			// batch the cancellation landed in.
-			if covered > res.Sources {
-				res.add(pending[res.Sources/opt.BatchSize], covered)
+			batches = res.add(s, batches)
+			res.Sources = min(res.Sources+msLanes, len(sources))
+			res.HalfWidth = ratioHalfWidth(batches)
+			if res.Sources >= opt.MinSources && res.HalfWidth <= opt.Tolerance {
+				return res
 			}
-			return res
 		}
 		pass += round
 	}
 	return res
 }
 
-// add folds a histogram covering the sources up to end into p.
-func (p *PathLengthDist) add(counts []int64, end int) {
-	for h, c := range counts {
-		for h >= len(p.Counts) {
+// batchSum is one batch's share of the sample: its reachable pairs and
+// their summed hop counts.
+type batchSum struct{ pairs, hops int64 }
+
+// add folds a finished pass's histograms into p and appends its batches'
+// sums to batches.
+func (p *PathLengthDist) add(s *msBFS, batches []batchSum) []batchSum {
+	k := len(s.masks)
+	batches = append(batches, make([]batchSum, k)...)
+	pass := batches[len(batches)-k:]
+	for i, c := range s.hist {
+		hop := i / k
+		for hop >= len(p.Counts) {
 			p.Counts = append(p.Counts, 0)
 		}
-		p.Counts[h] += c
+		p.Counts[hop] += c
 		p.Reachable += c
+		pass[i%k].pairs += c
+		pass[i%k].hops += int64(hop) * c
 	}
-	p.Sources = end
+	return batches
+}
+
+// z95 is the two-sided 95 % quantile of the standard normal.
+const z95 = 1.96
+
+// ratioHalfWidth is z95 standard errors of the ratio estimator
+// R = Σ hops / Σ pairs over i.i.d. batches (Cochran, Sampling
+// Techniques, §6.4): SE² = Σ (hops_b − R·pairs_b)² / (k (k−1) p̄²), with
+// p̄ the mean pairs per batch. Fewer than two batches give +Inf.
+func ratioHalfWidth(batches []batchSum) float64 {
+	k := len(batches)
+	if k < 2 {
+		return math.Inf(1)
+	}
+	var pairs, hops int64
+	for _, b := range batches {
+		pairs += b.pairs
+		hops += b.hops
+	}
+	r := float64(hops) / float64(pairs)
+	var ss float64
+	for _, b := range batches {
+		d := float64(b.hops) - r*float64(b.pairs)
+		ss += d * d
+	}
+	mean := float64(pairs) / float64(k)
+	return z95 * math.Sqrt(ss/float64(k*(k-1))) / mean
 }
 
 // msLanes is how many BFS sources one multi-source pass carries: one
@@ -315,14 +332,13 @@ type msBFS struct {
 	seen, frontier, next []uint64
 	cur, nxt             []NodeID
 
-	// The last run's result. masks[k] selects the lanes of batch
-	// firstBatch+k; hist is level-major, hist[hop*len(masks)+k] being
-	// the number of (lane, node) pairs of that batch at that hop. done
-	// is false when the run was cancelled, and hist is then meaningless.
-	masks      []uint64
-	hist       []int64
-	firstBatch int
-	done       bool
+	// The last run's result. masks[k] selects the lanes of the run's
+	// k-th batch; hist is level-major, hist[hop*len(masks)+k] being the
+	// number of (lane, node) pairs of that batch at that hop. done is
+	// false when the run was cancelled, and hist is then meaningless.
+	masks []uint64
+	hist  []int64
+	done  bool
 
 	// Set by trackFar, for the double sweep: after a run, ecc[i] is the
 	// last level lane i's search reached — its source's eccentricity —
@@ -352,21 +368,20 @@ func (s *msBFS) trackFar() {
 }
 
 // run searches from up to 64 sources at once, following out-edges,
-// in-edges (the transpose graph), or both. base is the position of
-// sources[0] in the whole sample, which decides how the lanes split
-// into batches of batchSize. ctx is consulted once per level.
+// in-edges (the transpose graph), or both. The lanes split into batches
+// of batchSize from lane 0, the last possibly shorter. ctx is consulted
+// once per level.
 //
 // A level pulls when its frontier's rows are together longer than the
 // reverse rows of the unfilled nodes — those whose seen word lacks some
 // lane of the pass — and pushes otherwise. Neither step's result
 // depends on the order it visits nodes in, so the choice changes which
 // rows are read, never hist, ecc or far.
-func (s *msBFS) run(ctx context.Context, sources []NodeID, base, batchSize int, out, in bool) {
-	s.masks, s.firstBatch = s.masks[:0], base/batchSize
-	for lo := 0; lo < len(sources); {
-		hi := min(len(sources), (base+lo)/batchSize*batchSize+batchSize-base)
+func (s *msBFS) run(ctx context.Context, sources []NodeID, batchSize int, out, in bool) {
+	s.masks = s.masks[:0]
+	for lo := 0; lo < len(sources); lo += batchSize {
+		hi := min(len(sources), lo+batchSize)
 		s.masks = append(s.masks, ^uint64(0)>>(msLanes-(hi-lo))<<lo)
-		lo = hi
 	}
 	clear(s.seen)
 	for lane := range s.ecc {
@@ -521,31 +536,6 @@ func (s *msBFS) gather(have, full uint64, row []NodeID) uint64 {
 	return acc
 }
 
-func linfDelta(a, b []float64) float64 {
-	var max float64
-	long := a
-	if len(b) > len(long) {
-		long = b
-	}
-	for i := range long {
-		var av, bv float64
-		if i < len(a) {
-			av = a[i]
-		}
-		if i < len(b) {
-			bv = b[i]
-		}
-		d := av - bv
-		if d < 0 {
-			d = -d
-		}
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // DoubleSweepDiameter returns a lower bound on the diameter (longest
 // shortest path) using repeated double sweeps: BFS from a node, then BFS
 // again from the farthest node found (the lowest-id one among equals).
@@ -582,7 +572,7 @@ func DoubleSweepDiameter(ctx context.Context, g View, dir Direction, sweeps int,
 			for hop := 0; hop < 2; hop++ {
 				// The directed return sweep runs over the transpose graph.
 				back := dir == Directed && hop == 1
-				s.run(ctx, lanes, 0, len(lanes), !back, back || dir == Undirected)
+				s.run(ctx, lanes, msLanes, !back, back || dir == Undirected)
 				if !s.done {
 					return
 				}

@@ -3,8 +3,10 @@ package graph
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -23,30 +25,37 @@ func addHops(counts []int64, dist []int32) []int64 {
 	return counts
 }
 
-// pathLengthsOracle is the path sample as it was computed before the
-// multi-source kernel: one BFSDistances per source, in order, with the
-// convergence check after every BatchSize sources. opt must already be
-// defaulted.
+// pathLengthsOracle is the path sample computed without the
+// multi-source kernel: one BFSDistances per source, in order, each
+// source's pairs and hops summed into its batch (BatchSize sources,
+// cut at every 64-source pass), and after each pass the half-width
+// rule checked. opt must already be defaulted.
 func pathLengthsOracle(g View, dir Direction, sources []NodeID, opt PathLengthOptions) *PathLengthDist {
 	res := &PathLengthDist{}
-	var prev []float64
+	var batches []batchSum
 	var dist []int32
 	for res.Sources < len(sources) {
-		end := min(res.Sources+opt.BatchSize, len(sources))
-		for _, src := range sources[res.Sources:end] {
-			dist = BFSDistances(g, src, dir, dist)
-			res.Counts = addHops(res.Counts, dist)
-		}
-		res.Reachable = 0
-		for _, c := range res.Counts {
-			res.Reachable += c
+		end := min(res.Sources+msLanes, len(sources))
+		for lo := res.Sources; lo < end; lo += opt.BatchSize {
+			var b batchSum
+			for _, src := range sources[lo:min(lo+opt.BatchSize, end)] {
+				dist = BFSDistances(g, src, dir, dist)
+				res.Counts = addHops(res.Counts, dist)
+				for _, d := range dist {
+					if d >= 0 {
+						b.pairs++
+						b.hops += int64(d)
+					}
+				}
+			}
+			batches = append(batches, b)
+			res.Reachable += b.pairs
 		}
 		res.Sources = end
-		prob := res.Probability()
-		if res.Sources >= opt.MinSources && prev != nil && linfDelta(prev, prob) < opt.Tolerance {
+		res.HalfWidth = ratioHalfWidth(batches)
+		if res.Sources >= opt.MinSources && res.HalfWidth <= opt.Tolerance {
 			break
 		}
-		prev = prob
 	}
 	return res
 }
@@ -56,9 +65,9 @@ func pathLengthsOracle(g View, dir Direction, sources []NodeID, opt PathLengthOp
 // sample size around the 64-lane boundary and batch size around it,
 // SamplePathLengths must return exactly what the per-source oracle
 // does. Sources are drawn with replacement, so on the small graphs many
-// lanes of a pass start on the same node. The loose tolerance lets some
-// configurations converge early (dropping speculative passes) while
-// others run to MaxSources; the test checks it saw both. It also
+// lanes of a pass start on the same node. The loose half-width target
+// lets some configurations stop early (dropping speculative passes)
+// while others run to MaxSources; the test checks it saw both. It also
 // checks that the table's levels both pushed and pulled, tallied on
 // each configuration's first pass run on its own — the kernel is
 // deterministic, so that is the sample's own first pass.
@@ -71,7 +80,7 @@ func TestPathLengthsMatchPerSourceBFS(t *testing.T) {
 				for _, batch := range []int{1, 4, 32, 64, 100} {
 					opt := PathLengthOptions{
 						MinSources: max(1, maxSrc/4), MaxSources: maxSrc,
-						BatchSize: batch, Tolerance: 0.02,
+						BatchSize: batch, Tolerance: 0.3,
 					}
 					want := &PathLengthDist{}
 					if n := g.NumNodes(); n > 0 {
@@ -89,7 +98,7 @@ func TestPathLengthsMatchPerSourceBFS(t *testing.T) {
 							full++
 						}
 						ms := newMSBFS(g)
-						ms.run(context.Background(), sources[:min(msLanes, maxSrc)], 0, def.BatchSize, true, dir == Undirected)
+						ms.run(context.Background(), sources[:min(msLanes, maxSrc)], def.BatchSize, true, dir == Undirected)
 						steps.add(ms)
 					}
 					for _, par := range []int{1, 2, 4, 7} {
@@ -106,7 +115,7 @@ func TestPathLengthsMatchPerSourceBFS(t *testing.T) {
 		}
 	}
 	if early == 0 || full == 0 {
-		t.Fatalf("table is one-sided: %d configurations converged early, %d ran to MaxSources", early, full)
+		t.Fatalf("table is one-sided: %d configurations stopped early, %d ran to MaxSources", early, full)
 	}
 	steps.check(t)
 }
@@ -180,8 +189,7 @@ func karateClub() *Graph {
 // are known from the shape of the graph rather than from another kernel
 // of this package: every node is a source once, so the sample is the
 // full ordered-pair distance distribution. The 100-node ring and the
-// 70-node chain exceed 64 sources, so with BatchSize = n one batch
-// spans two passes.
+// 70-node chain exceed 64 sources, so their samples fold two passes.
 func TestPathLengthKnownAnswers(t *testing.T) {
 	ring := NewBuilder(100, 100)
 	for i := 0; i < 100; i++ {
@@ -303,21 +311,23 @@ func (c *cancelAfter) Err() error {
 
 // checkCancelPrefix runs the sample under every cancellation point,
 // from "cancelled before the first level" up to the first run that
-// finishes unhindered, and requires the property cancellation
-// accounting exists for: whatever Sources a cancelled run reports, its
-// Counts and Reachable are those of the uncancelled sample over exactly
-// the first Sources sources. Crediting a source whose BFS did not
-// finish, or a finished one out of order, breaks the equality. opt must
-// be defaulted and must not converge early.
+// finishes unhindered, at P = 1, 2, 3 and 8, and requires the property
+// cancellation accounting exists for: whatever Sources a cancelled run
+// reports, the result — half-width included — is the oracle's over
+// exactly the first Sources sources, and never runs past where the
+// uncancelled sample stops. Crediting a source whose BFS did not
+// finish, or a finished one out of order, breaks the equality. opt
+// must be defaulted.
 func checkCancelPrefix(t *testing.T, g View, dir Direction, sources []NodeID, opt PathLengthOptions) {
 	t.Helper()
-	for _, par := range []int{1, 4} {
+	full := pathLengthsOracle(g, dir, sources, opt)
+	for _, par := range []int{1, 2, 3, 8} {
 		opt.Parallelism = par
 		for allowed := int64(0); ; allowed++ {
 			ctx := &cancelAfter{Context: context.Background(), allowed: allowed}
 			got := pathLengthsFrom(ctx, g, dir, sources, opt)
-			if got.Sources > len(sources) {
-				t.Fatalf("P=%d allowed=%d: Sources = %d of %d", par, allowed, got.Sources, len(sources))
+			if got.Sources > full.Sources {
+				t.Fatalf("P=%d allowed=%d: Sources = %d, past the uncancelled sample's %d", par, allowed, got.Sources, full.Sources)
 			}
 			if allowed == 0 && got.Sources != 0 {
 				t.Fatalf("P=%d: a sample cancelled before its first level credited %d sources", par, got.Sources)
@@ -328,8 +338,8 @@ func checkCancelPrefix(t *testing.T, g View, dir Direction, sources []NodeID, op
 					par, allowed, got, want, got.Sources)
 			}
 			if ctx.calls.Load() <= allowed {
-				if got.Sources != len(sources) {
-					t.Fatalf("P=%d: an uncancelled sample stopped at %d of %d sources", par, got.Sources, len(sources))
+				if !reflect.DeepEqual(got, full) {
+					t.Fatalf("P=%d: an uncancelled sample\n got %+v\nwant %+v", par, got, full)
 				}
 				break
 			}
@@ -341,7 +351,7 @@ func checkCancelPrefix(t *testing.T, g View, dir Direction, sources []NodeID, op
 // where cancellation inside a batch still credited the whole batch to
 // Sources. On a triangle every completed source reaches exactly 3
 // nodes, so the prefix property reads Reachable = 3·Sources; the 150
-// sources span three passes and batches that straddle them.
+// sources span three passes, each ending in a 4-lane remainder batch.
 func TestSamplePathLengthsCancelMidBatchAccounting(t *testing.T) {
 	g := triangle()
 	sources := make([]NodeID, 150)
@@ -369,5 +379,75 @@ func TestBFSBatchCancelPrefixConsistency(t *testing.T) {
 	opt.setDefaults()
 	for _, dir := range []Direction{Directed, Undirected} {
 		t.Run(fmt.Sprint(dir), func(t *testing.T) { checkCancelPrefix(t, g, dir, sources, opt) })
+	}
+}
+
+// TestPathLengthsStopAtHalfWidth checks the stopping rule itself. The
+// oracle gives the half-width after each 64-source pass; with the
+// target set to the smallest of them between the first and the last
+// pass, the sample must end at the first pass within it and report that
+// pass's half-width, at P = 1, 2, 3 and 8 and under every cancellation
+// point. A MinSources past that pass must hold the stop back.
+func TestPathLengthsStopAtHalfWidth(t *testing.T) {
+	for _, name := range []string{"random", "sparse"} {
+		g := testGraphs()[name]
+		rng := rand.New(rand.NewPCG(31, 32))
+		sources := make([]NodeID, 6*msLanes)
+		for i := range sources {
+			sources[i] = NodeID(rng.IntN(g.NumNodes()))
+		}
+		for _, dir := range []Direction{Directed, Undirected} {
+			opt := PathLengthOptions{MinSources: len(sources), MaxSources: len(sources)}
+			opt.setDefaults()
+			var hw []float64
+			for end := msLanes; end <= len(sources); end += msLanes {
+				hw = append(hw, pathLengthsOracle(g, dir, sources[:end], opt).HalfWidth)
+			}
+			opt.Tolerance = slices.Min(hw[1 : len(hw)-1])
+			stop := slices.IndexFunc(hw, func(h float64) bool { return h <= opt.Tolerance })
+			if stop == 0 {
+				t.Fatalf("%s %v: half-widths %v reach their inner minimum at the first pass", name, dir, hw)
+			}
+			opt.MinSources = msLanes
+			want := pathLengthsOracle(g, dir, sources, opt)
+			if want.Sources != (stop+1)*msLanes || want.HalfWidth != hw[stop] || want.HalfWidth > opt.Tolerance {
+				t.Fatalf("%s %v: oracle stopped at %d sources, ±%v; half-widths per pass %v, target %v",
+					name, dir, want.Sources, want.HalfWidth, hw, opt.Tolerance)
+			}
+			for _, par := range []int{1, 2, 3, 8} {
+				opt.Parallelism = par
+				if got := pathLengthsFrom(context.Background(), g, dir, sources, opt); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %v P=%d:\n got %+v\nwant %+v", name, dir, par, got, want)
+				}
+			}
+			checkCancelPrefix(t, g, dir, sources, opt)
+			opt.MinSources = want.Sources + 1
+			if got := pathLengthsFrom(context.Background(), g, dir, sources, opt); got.Sources <= want.Sources {
+				t.Fatalf("%s %v: MinSources %d, but the sample stopped at %d", name, dir, opt.MinSources, got.Sources)
+			}
+		}
+	}
+}
+
+// TestRatioHalfWidth checks the estimator against half-widths worked by
+// hand.
+func TestRatioHalfWidth(t *testing.T) {
+	for _, tc := range []struct {
+		batches []batchSum
+		want    float64
+	}{
+		// R = 3, residuals ∓10, s² = 200, SE = √(200/2)/10 = 1.
+		{[]batchSum{{10, 20}, {10, 40}}, 1.96},
+		// Unequal batches: R = 48/16 = 3, residuals −4, 0, 4, s² = 16,
+		// SE = √(16/3)/(16/3) = √3/4.
+		{[]batchSum{{4, 8}, {8, 24}, {4, 16}}, 1.96 * math.Sqrt(3) / 4},
+		// Every batch at the same mean: no spread.
+		{[]batchSum{{5, 10}, {7, 14}}, 0},
+		{[]batchSum{{5, 10}}, math.Inf(1)},
+		{nil, math.Inf(1)},
+	} {
+		if got := ratioHalfWidth(tc.batches); math.Abs(got-tc.want) > 1e-12 && got != tc.want {
+			t.Errorf("ratioHalfWidth(%v) = %v, want %v", tc.batches, got, tc.want)
+		}
 	}
 }

@@ -57,7 +57,7 @@ func FuzzMultiSourceBFS(f *testing.F) {
 			if rerun == 1 {
 				s.trackFar()
 			}
-			s.run(context.Background(), sources, 0, 1, out, in)
+			s.run(context.Background(), sources, 1, out, in)
 			if !s.done || len(s.masks) != len(sources) {
 				t.Fatalf("run %d: done=%v with %d lane masks for %d sources", rerun, s.done, len(s.masks), len(sources))
 			}

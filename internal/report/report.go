@@ -182,16 +182,27 @@ func Motifs(w io.Writer, m core.MotifResult) {
 		c.ConnectedTriples(), c.Triangles(), c.TransitiveClosures())
 }
 
-// Fig5 renders the path-length distributions.
+// Fig5 renders the path-length distributions: each mean with its 95 %
+// half-width and the sources behind it, and the double-sweep diameters
+// as the lower bounds they are.
 func Fig5(w io.Writer, pl core.PathLengthResult) {
-	fmt.Fprintf(w, "Figure 5: directed avg=%.2f mode=%d diameter>=%d | undirected avg=%.2f mode=%d diameter>=%d\n",
-		pl.Directed.Mean(), pl.Directed.Mode(), pl.DiameterDirected,
-		pl.Undirected.Mean(), pl.Undirected.Mode(), pl.DiameterUndirected)
+	fmt.Fprintf(w, "Figure 5: directed %s mode=%d diameter>=%d | undirected %s mode=%d diameter>=%d\n",
+		sampledMean(pl.Directed), pl.Directed.Mode(), pl.DiameterDirected,
+		sampledMean(pl.Undirected), pl.Undirected.Mode(), pl.DiameterUndirected)
 	for h, p := range pl.Directed.Probability() {
 		if p > 0.001 {
 			fmt.Fprintf(w, "  hops=%-3d directed=%.3f\n", h, p)
 		}
 	}
+}
+
+// sampledMean renders a path sample's mean as avg=<mean>±<half-width>
+// (<sources> sources).
+func sampledMean(d *graph.PathLengthDist) string {
+	if d == nil {
+		d = &graph.PathLengthDist{}
+	}
+	return fmt.Sprintf("avg=%.2f±%.2f (%d sources)", d.Mean(), d.HalfWidth, d.Sources)
 }
 
 // Fig6 renders the top-country shares.
