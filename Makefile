@@ -60,12 +60,12 @@ test:
 	$(GO) test ./...
 
 # The second line races the analysis fan-outs (the study's stage fan-out,
-# the triad chunk runner, the double sweep's passes, the overlapped
-# dataset load) at 1 and 4 Ps, so they also run with more runnable
-# goroutines than cores.
+# the triad chunk runner, the two path samples side by side with their
+# diameter sweeps, the overlapped dataset load) at 1 and 4 Ps, so they
+# also run with more runnable goroutines than cores.
 race:
 	$(GO) test -race ./internal/core/ ./internal/obs/ ./internal/obs/prof/ ./internal/obs/rundir/ ./internal/obs/series/ ./internal/obs/trace/ ./internal/paper/ ./internal/report/ ./cmd/gplusanalyze/ ./cmd/gpluscrawl/ ./internal/crawler/ ./internal/dataset/ ./internal/durable/ ./internal/gplusapi/ ./internal/gplusd/ ./internal/graph/ ./internal/graph/diskcsr/
-	$(GO) test -race -cpu 1,4 -run 'Structure|PathLengths|PathMiles|Figure5|Triads|DoubleSweep|LoadWith' ./internal/core ./internal/graph ./internal/dataset
+	$(GO) test -race -cpu 1,4 -run 'Structure|PathLengths|PathMiles|Figure5|Triads|Diameter|LoadWith' ./internal/core ./internal/graph ./internal/dataset
 
 # The metrics-hygiene gate: every family either registry exposes after a
 # faulted crawl must match the Prometheus naming grammar and carry a

@@ -261,12 +261,12 @@ func TestFig5PathLengths(t *testing.T) {
 		t.Errorf("directed mode %d < undirected mode %d", pl.Directed.Mode(), pl.Undirected.Mode())
 	}
 	for h, c := range pl.Directed.Counts {
-		if c > 0 && h > pl.DiameterDirected {
-			t.Errorf("diameter bound %d below an observed distance %d", pl.DiameterDirected, h)
+		if c > 0 && h > pl.Directed.Diameter {
+			t.Errorf("diameter bound %d below an observed distance %d", pl.Directed.Diameter, h)
 		}
 	}
-	if pl.DiameterUndirected > pl.DiameterDirected {
-		t.Errorf("undirected diameter %d exceeds directed %d", pl.DiameterUndirected, pl.DiameterDirected)
+	if pl.Undirected.Diameter > pl.Directed.Diameter {
+		t.Errorf("undirected diameter %d exceeds directed %d", pl.Undirected.Diameter, pl.Directed.Diameter)
 	}
 }
 

@@ -106,10 +106,10 @@ func TestStagesComputedOnce(t *testing.T) {
 				if !reflect.DeepEqual(st, want) || !reflect.DeepEqual(fig, want) {
 					t.Error("Structure after Topology, or the per-figure methods after both, differ from a lone Structure")
 				}
-				if row.PathLength != fig.Paths.Directed.Mean() || row.Diameter != fig.Paths.DiameterDirected || row.Reciprocity != fig.Reciprocity.Global {
-					t.Errorf("Table 4 (%v, %d, %v) is not Figure 5's (%v, %d) and Figure 4(a)'s %v",
-						row.PathLength, row.Diameter, row.Reciprocity,
-						fig.Paths.Directed.Mean(), fig.Paths.DiameterDirected, fig.Reciprocity.Global)
+				if d := fig.Paths.Directed; row.PathLength != d.Mean() || row.PathHalfWidth != d.HalfWidth || row.Diameter != d.Diameter || row.Reciprocity != fig.Reciprocity.Global {
+					t.Errorf("Table 4 (%v±%v, %d, %v) is not Figure 5's (%v±%v, %d) and Figure 4(a)'s %v",
+						row.PathLength, row.PathHalfWidth, row.Diameter, row.Reciprocity,
+						d.Mean(), d.HalfWidth, d.Diameter, fig.Reciprocity.Global)
 				}
 				if got := stageSpans(rec); !reflect.DeepEqual(got, oncePerStage(1)) {
 					t.Errorf("recorded spans %v, want %v", got, oncePerStage(1))
@@ -201,8 +201,9 @@ func TestPathMilesComputedOnce(t *testing.T) {
 // gets the full result, and that one is kept. A context cancelled before
 // the call computes nothing — none of the six stages, nor Table 4 built
 // from two of them, reads a row — and Structure under it returns the
-// context's error rather than zeroed figures. A context cancelled while
-// the paths stage's four searches run leaves nothing kept either.
+// context's error rather than zeroed figures, while Figure 5 gets two
+// empty samples, not nil ones. A context cancelled while the paths
+// stage's two samples run leaves nothing kept either.
 func TestCancelledStageIsNotCached(t *testing.T) {
 	u, err := synth.Generate(synth.DefaultConfig(2_000))
 	if err != nil {
@@ -226,8 +227,12 @@ func TestCancelledStageIsNotCached(t *testing.T) {
 	s.scc(cancelled)
 	s.wcc(cancelled)
 	s.triads(cancelled)
-	if row := s.Topology(cancelled); row.PathLength != 0 || row.Reciprocity != 0 {
+	if row := s.Topology(cancelled); row.PathLength != 0 || row.PathHalfWidth != 0 || row.Diameter != 0 || row.Reciprocity != 0 {
 		t.Errorf("Table 4 under a cancelled context = %+v, want no paths or reciprocity figure", row)
+	}
+	empty := PathLengthResult{Directed: &graph.PathLengthDist{}, Undirected: &graph.PathLengthDist{}}
+	if got := New(ds, Options{Seed: 7, PathSources: 32}).PathLengths(cancelled); !reflect.DeepEqual(got, empty) {
+		t.Errorf("Figure 5 under a cancelled context = %+v, want two empty samples", got)
 	}
 	if _, err := s.Structure(cancelled); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Structure under a cancelled context: error %v, want context.Canceled", err)
@@ -252,7 +257,7 @@ func TestCancelledStageIsNotCached(t *testing.T) {
 	}
 
 	// Cancelled partway: the context goes once the paths stage has read
-	// a third of the rows its four searches read in full, while they run
+	// a third of the rows its two samples read in full, while they run
 	// side by side. The cut-short figures are that caller's alone.
 	full := New(ds, Options{Seed: 7, PathSources: 32})
 	counted := newCountingView(full.g)

@@ -269,56 +269,45 @@ func (s *Study) scc(ctx context.Context) SCCResult {
 	return res
 }
 
-// PathLengthResult is Figure 5 plus the Table 4 diameter entries.
+// PathLengthResult is Figure 5 plus the Table 4 diameter entries: each
+// sample's Diameter is its double-sweep lower bound (the paper reports
+// 19 directed and 13 undirected).
 type PathLengthResult struct {
 	Directed, Undirected *graph.PathLengthDist
-	// DiameterDirected and DiameterUndirected are double-sweep lower
-	// bounds (the paper reports 19 and 13).
-	DiameterDirected, DiameterUndirected int
 }
 
 // PathLengths computes Figure 5 by sampled BFS, the paper's §3.3.5
 // procedure (grow the source sample until the distribution stabilizes),
 // with "stabilizes" read as a 95 % half-width of at most 0.1 hop on
-// each mean, the precision the paper reports.
-// Its four searches — the directed and undirected samples and the two
-// double-sweep diameter bounds — each draw from their own stream (3 to
-// 6), so they run side by side under the Study's worker budget, and
-// each parallelizes internally. The two samples split that budget, so
-// together they hold at most Parallelism BFS scratches, as one sample
-// run alone would.
+// each mean, the precision the paper reports. Each sample also carries
+// the diameter bound swept from its first sources.
+// The directed and undirected samples draw from their own streams (3
+// and 4), so they run side by side under the Study's worker budget,
+// each on one worker and one BFS scratch. A stage cancelled before it
+// ran returns two empty samples.
 func (s *Study) PathLengths(ctx context.Context) PathLengthResult {
-	res, _ := once(ctx, s, &s.pathsMemo, "paths", func(ctx context.Context) (PathLengthResult, error) {
+	res, err := once(ctx, s, &s.pathsMemo, "paths", func(ctx context.Context) (PathLengthResult, error) {
 		var res PathLengthResult
 		sample := func(dst **graph.PathLengthDist, dir graph.Direction, stream uint64) func() {
 			return func() {
 				*dst = graph.SamplePathLengths(ctx, s.g, dir, graph.PathLengthOptions{
-					MinSources:  s.opts.PathSources / 4,
-					MaxSources:  s.opts.PathSources,
-					Parallelism: max(1, s.opts.Parallelism/2),
-					Rand:        s.rng(stream),
+					MinSources: s.opts.PathSources / 4,
+					MaxSources: s.opts.PathSources,
+					Rand:       s.rng(stream),
 				})
-			}
-		}
-		// Each bound's restarts share one multi-source search per sweep.
-		bound := func(dst *int, dir graph.Direction, stream uint64) func() {
-			return func() {
-				*dst = graph.DoubleSweepDiameter(ctx, s.g, dir, diameterSweeps, s.rng(stream), s.opts.Parallelism)
 			}
 		}
 		s.fanOut(
 			sample(&res.Directed, graph.Directed, 3),
 			sample(&res.Undirected, graph.Undirected, 4),
-			bound(&res.DiameterDirected, graph.Directed, 5),
-			bound(&res.DiameterUndirected, graph.Undirected, 6),
 		)
 		return res, nil
 	})
+	if err != nil {
+		res = PathLengthResult{Directed: &graph.PathLengthDist{}, Undirected: &graph.PathLengthDist{}}
+	}
 	return res
 }
-
-// diameterSweeps is the double-sweep restarts behind each diameter bound.
-const diameterSweeps = 4
 
 // TopologyRow is one row of Table 4: the graph's size beside the
 // Figure 5 directed average and diameter bound and the Figure 4(a)
@@ -329,8 +318,9 @@ type TopologyRow struct {
 	Edges          int64
 	CrawledPercent float64 // share of nodes whose profile was fetched
 	PathLength     float64 // PathLengths().Directed.Mean()
+	PathHalfWidth  float64 // PathLengths().Directed.HalfWidth
 	Reciprocity    float64 // Reciprocity().Global
-	Diameter       int     // PathLengths().DiameterDirected
+	Diameter       int     // PathLengths().Directed.Diameter
 	AvgDegree      float64
 }
 
@@ -363,14 +353,16 @@ func (s *Study) topologyRow(ctx context.Context, name string) TopologyRow {
 		func() { paths = s.PathLengths(ctx) },
 		func() { rec = s.reciprocity(ctx) },
 	)
+	d := paths.Directed
 	return TopologyRow{
-		Network:     name,
-		Nodes:       s.g.NumNodes(),
-		Edges:       s.g.NumEdges(),
-		PathLength:  paths.Directed.Mean(),
-		Reciprocity: rec.Global,
-		Diameter:    paths.DiameterDirected,
-		AvgDegree:   graph.AvgDegree(s.g),
+		Network:       name,
+		Nodes:         s.g.NumNodes(),
+		Edges:         s.g.NumEdges(),
+		PathLength:    d.Mean(),
+		PathHalfWidth: d.HalfWidth,
+		Reciprocity:   rec.Global,
+		Diameter:      d.Diameter,
+		AvgDegree:     graph.AvgDegree(s.g),
 	}
 }
 

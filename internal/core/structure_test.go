@@ -113,9 +113,9 @@ func TestStructureTimingsAndSpans(t *testing.T) {
 // histogram is the sum of the single-source histograms of the first
 // Sources sources its stream draws, and its half-width is 1.96 standard
 // errors of the ratio estimator over those sources' 8-source batches,
-// worked here from the per-source sums. The paths stage runs its four
-// searches side by side; each diameter bound must still be the one
-// graph.DoubleSweepDiameter returns alone on its stream.
+// worked here from the per-source sums. Each sample's diameter bound is
+// the per-source double sweep from the first four sources its stream
+// draws.
 func TestFigure5MatchesPerSourceBFS(t *testing.T) {
 	u, err := synth.Generate(synth.DefaultConfig(2_000))
 	if err != nil {
@@ -133,12 +133,17 @@ func TestFigure5MatchesPerSourceBFS(t *testing.T) {
 		}{{graph.Directed, 3, paths.Directed}, {graph.Undirected, 4, paths.Undirected}} {
 			want := &graph.PathLengthDist{Sources: fig.got.Sources}
 			var pairs, hops []float64 // per 8-source batch
+			var starts []graph.NodeID // the double sweeps' first four
 			rng := s.rng(fig.stream)
 			for i := range fig.got.Sources {
 				if i%8 == 0 {
 					pairs, hops = append(pairs, 0), append(hops, 0)
 				}
-				for _, d := range graph.BFSDistances(s.g, graph.NodeID(rng.IntN(n)), fig.dir, nil) {
+				src := graph.NodeID(rng.IntN(n))
+				if i < 4 {
+					starts = append(starts, src)
+				}
+				for _, d := range graph.BFSDistances(s.g, src, fig.dir, nil) {
 					if d < 0 {
 						continue
 					}
@@ -160,21 +165,57 @@ func TestFigure5MatchesPerSourceBFS(t *testing.T) {
 				t.Errorf("P=%d %v Figure 5 stopped at %d sources with half-width %v, above 0.1", par, fig.dir, fig.got.Sources, fig.got.HalfWidth)
 			}
 			want.HalfWidth = fig.got.HalfWidth
-			if !reflect.DeepEqual(fig.got, want) {
-				t.Errorf("P=%d %v Figure 5:\n got %+v\nwant %+v (one BFSDistances per source)", par, fig.dir, fig.got, want)
+			if want.Diameter = doubleSweep(s.g, fig.dir, starts); want.Diameter == 0 {
+				t.Errorf("P=%d %v: the per-source double sweeps from %v found no path", par, fig.dir, starts)
 			}
-		}
-		for _, b := range []struct {
-			dir    graph.Direction
-			stream uint64
-			got    int
-		}{{graph.Directed, 5, paths.DiameterDirected}, {graph.Undirected, 6, paths.DiameterUndirected}} {
-			want := graph.DoubleSweepDiameter(context.Background(), s.g, b.dir, diameterSweeps, s.rng(b.stream), 1)
-			if b.got != want || want == 0 {
-				t.Errorf("P=%d %v diameter bound %d, want %d (DoubleSweepDiameter alone on stream %d)", par, b.dir, b.got, want, b.stream)
+			if !reflect.DeepEqual(fig.got, want) {
+				t.Errorf("P=%d %v Figure 5:\n got %+v\nwant %+v (one BFSDistances per source, per-source double sweeps)", par, fig.dir, fig.got, want)
 			}
 		}
 	}
+}
+
+// doubleSweep is the per-source double sweep over g from each start: a
+// BFS, then one back from its lowest-id farthest node — over in-rows
+// alone for the directed bound — keeping the greatest eccentricity met.
+func doubleSweep(g graph.View, dir graph.Direction, starts []graph.NodeID) int {
+	bound := 0
+	for _, src := range starts {
+		for hop := 0; hop < 2; hop++ {
+			var dist []int32
+			if dir == graph.Directed && hop == 1 {
+				dist = inDistances(g, src)
+			} else {
+				dist = graph.BFSDistances(g, src, dir, nil)
+			}
+			far, farD := src, int32(0)
+			for v, d := range dist {
+				if d > farD {
+					far, farD = graph.NodeID(v), d
+				}
+			}
+			bound, src = max(bound, int(farD)), far
+		}
+	}
+	return bound
+}
+
+// inDistances is graph.BFSDistances over the transpose graph.
+func inDistances(g graph.View, src graph.NodeID) []int32 {
+	dist := make([]int32, g.NumNodes())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	for queue := []graph.NodeID{src}; len(queue) > 0; queue = queue[1:] {
+		for _, v := range g.In(queue[0]) {
+			if dist[v] < 0 {
+				dist[v] = dist[queue[0]] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return dist
 }
 
 // TestClusteringExactPathAndMotifs checks the two per-figure entry
@@ -256,9 +297,9 @@ func (r countingRows) In(u graph.NodeID) []graph.NodeID  { r.v.ins[u].Add(1); re
 // its in-row at most once; the triad pass reads every row of either
 // direction exactly twice — degrees, then the half-graph fill — over RAM
 // and over the mapped dataset alike, and never goes back to the view
-// while it enumerates. Figure 9(a) and the diameter bounds
-// batch their questions, so their row reads count rounds and levels, not
-// pairs and restarts.
+// while it enumerates. Figure 9(a) and the path samples with their
+// diameter bounds batch their questions, so their row reads count rounds
+// and levels, not pairs and sources.
 func TestStagesScanOnce(t *testing.T) {
 	u, err := synth.Generate(synth.DefaultConfig(2_000))
 	if err != nil {
@@ -312,35 +353,48 @@ func TestStagesScanOnce(t *testing.T) {
 			}
 		}
 
-		// The diameter bound's restarts share a multi-source search per
-		// hop, and each level of a search either pushes from its frontier
-		// or pulls into the nodes some restart has not reached: a row is
-		// read at most once per level of each of the two searches, which
-		// run at most bound+1 levels each, and on the undirected bound —
-		// where every search covers its start's whole component — less
-		// than half as often all told as one search per restart would.
-		for _, dir := range []graph.Direction{graph.Directed, graph.Undirected} {
+		// A path sample's sources share a multi-source search per pass,
+		// and the diameter bound's return sweeps one more; each level of
+		// a search either pushes from its frontier or pulls into the
+		// nodes some source has not reached: one pass's row is read at
+		// most once per level of the pass (as many as its histogram has
+		// hops) and of the return sweeps (at most bound+1), and on the
+		// undirected sample — where every search covers its start's
+		// whole component — less than half as often all told as one
+		// search per source and return sweep would. The bound itself is
+		// the per-source double sweep's, over RAM and the mapped dataset
+		// alike.
+		for stream, dir := range map[uint64]graph.Direction{3: graph.Directed, 4: graph.Undirected} {
 			cv = newCountingView(g)
-			bound := graph.DoubleSweepDiameter(context.Background(), cv, dir, diameterSweeps, s.rng(6), 3)
-			perRow := 2 * int32(bound+1)
+			paths := graph.SamplePathLengths(context.Background(), cv, dir, graph.PathLengthOptions{
+				MinSources: 64, MaxSources: 64, Rand: s.rng(stream),
+			})
+			sources := make([]graph.NodeID, 64)
+			for rng, i := s.rng(stream), 0; i < len(sources); i++ {
+				sources[i] = graph.NodeID(rng.IntN(n))
+			}
+			if want := doubleSweep(g, dir, sources[:4]); paths.Diameter != want {
+				t.Fatalf("mapped=%v: the %v diameter bound is %d, the per-source double sweeps' %d", mapped, dir, paths.Diameter, want)
+			}
+			perRow := int32(len(paths.Counts) + paths.Diameter + 1)
 			var total int64
 			for v := 0; v < n; v++ {
 				outs, ins := cv.outs[v].Load(), cv.ins[v].Load()
 				if total += int64(outs + ins); outs > perRow || ins > perRow {
-					t.Fatalf("mapped=%v: the %v diameter bound %d read node %d's out-row %d times and in-row %d times, want at most %d", mapped, dir, bound, v, outs, ins, perRow)
+					t.Fatalf("mapped=%v: the %v sample (%d hops, bound %d) read node %d's out-row %d times and in-row %d times, want at most %d", mapped, dir, len(paths.Counts)-1, paths.Diameter, v, outs, ins, perRow)
 				}
 			}
 			if dir == graph.Undirected {
 				var perSource int64
-				for rng, i := s.rng(6), 0; i < diameterSweeps; i++ {
-					for _, d := range graph.BFSDistances(g, graph.NodeID(rng.IntN(n)), dir, nil) {
+				for _, src := range append(sources, sources[:4]...) {
+					for _, d := range graph.BFSDistances(g, src, dir, nil) {
 						if d >= 0 {
-							perSource += 2 * 2 // two hops over the component, two rows a node
+							perSource += 2 // two rows a node
 						}
 					}
 				}
 				if 2*total > perSource {
-					t.Fatalf("mapped=%v: the undirected diameter bound made %d row reads, per-source sweeps make %d: want less than half", mapped, total, perSource)
+					t.Fatalf("mapped=%v: the undirected sample made %d row reads, per-source searches make %d: want less than half", mapped, total, perSource)
 				}
 			}
 		}

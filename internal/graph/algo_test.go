@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -300,20 +301,6 @@ func TestSamplePathLengthsMatchesExactAllPairs(t *testing.T) {
 	}
 }
 
-func TestDoubleSweepDiameter(t *testing.T) {
-	// Undirected path 0-1-2-3-4 has diameter 4.
-	g := FromEdges(5, 0, 1, 1, 2, 2, 3, 3, 4)
-	rng := rand.New(rand.NewPCG(9, 9))
-	for _, par := range []int{1, 3} {
-		if got := DoubleSweepDiameter(context.Background(), g, Undirected, 4, rng, par); got != 4 {
-			t.Errorf("undirected diameter bound at P=%d = %d, want 4", par, got)
-		}
-		if got := DoubleSweepDiameter(context.Background(), g, Directed, 4, rng, par); got != 4 {
-			t.Errorf("directed diameter bound at P=%d = %d, want 4", par, got)
-		}
-	}
-}
-
 // farthest scans one BFS's distances for the lowest-id node at the
 // greatest distance, src itself when nothing else is reachable.
 func farthest(dist []int32, src NodeID) (far NodeID, farD int32) {
@@ -327,31 +314,48 @@ func farthest(dist []int32, src NodeID) (far NodeID, farD int32) {
 }
 
 // doubleSweepPerSource is the reference double sweep: one BFS per
-// restart and hop.
-func doubleSweepPerSource(g View, dir Direction, sweeps int, rng *rand.Rand) int {
-	starts := make([]NodeID, sweeps)
-	for i := range starts {
-		starts[i] = NodeID(rng.IntN(g.NumNodes()))
-	}
-	scratch, best := newBFSScratch(g, nil), int32(0)
+// start and hop, the return over in-rows alone for the directed bound.
+// first is the bound over the first sweeps alone, both over both.
+func doubleSweepPerSource(g View, dir Direction, starts []NodeID) (first, both int) {
+	scratch := newBFSScratch(g, nil)
 	for _, src := range starts {
 		for hop := 0; hop < 2; hop++ {
 			back := dir == Directed && hop == 1
 			far, farD := farthest(scratch.run(src, !back, back || dir == Undirected), src)
-			best, src = max(best, farD), far
+			if both = max(both, int(farD)); hop == 0 {
+				first = max(first, int(farD))
+			}
+			src = far
 		}
 	}
-	return int(best)
+	return first, both
 }
 
-// TestDoubleSweepMatchesPerSourceBFS: riding the multi-source kernel
-// changes no bound. Sparse seeded random graphs keep isolated nodes
-// (restarts that go nowhere), several components and ties for the far
-// node; 70 restarts cross the 64-lane boundary. The lanes' own far
-// nodes and eccentricities are held to the scan as well, since the
-// bound is a max that could hide one wrong lane; those runs must have
-// both pushed and pulled.
-func TestDoubleSweepMatchesPerSourceBFS(t *testing.T) {
+// TestDoubleSweepDiameter: the path 0-1-2-3-4 has diameter 4 both ways,
+// and any double sweep finds it (a start's far node is an end, whose
+// sweep reaches the other end), so the bound riding the path sample
+// must read 4 at every parallelism.
+func TestDoubleSweepDiameter(t *testing.T) {
+	g := FromEdges(5, 0, 1, 1, 2, 2, 3, 3, 4)
+	for _, par := range []int{1, 3} {
+		for _, dir := range []Direction{Undirected, Directed} {
+			opt := PathLengthOptions{MaxSources: 4, Parallelism: par, Rand: rand.New(rand.NewPCG(9, 9))}
+			if got := SamplePathLengths(context.Background(), g, dir, opt).Diameter; got != 4 {
+				t.Errorf("%v diameter bound at P=%d = %d, want 4", dir, par, got)
+			}
+		}
+	}
+}
+
+// TestDiameterMatchesPerSourceBFS: the diameter bound riding the path
+// sample's first pass is the per-source double sweep from the first
+// diameterSweeps sources the sample draws, at P = 1, 2, 3 and 8, also
+// when MaxSources leaves fewer than that. Sparse seeded random graphs
+// keep isolated nodes (sweeps that go nowhere), several components and
+// ties for the far node. The lanes' own far nodes and eccentricities
+// are held to the scan as well, since the bound is a max that could
+// hide one wrong lane; those runs must have both pushed and pulled.
+func TestDiameterMatchesPerSourceBFS(t *testing.T) {
 	isolatedStart := false
 	var steps levelTally
 	for seed := uint64(0); seed < 60; seed++ {
@@ -359,21 +363,27 @@ func TestDoubleSweepMatchesPerSourceBFS(t *testing.T) {
 		n := 1 + rng.IntN(80)
 		g := randomGraph(n, rng.IntN(2*n), rng)
 		for _, dir := range []Direction{Directed, Undirected} {
-			for _, sweeps := range []int{1, 4, 70} {
-				want := doubleSweepPerSource(g, dir, sweeps, rand.New(rand.NewPCG(seed, 5)))
-				for _, par := range []int{1, 3} {
-					if got := DoubleSweepDiameter(context.Background(), g, dir, sweeps, rand.New(rand.NewPCG(seed, 5)), par); got != want {
-						t.Fatalf("seed %d, %d nodes, %v, %d sweeps, P=%d: bound %d, per-source reference %d", seed, n, dir, sweeps, par, got, want)
+			for _, maxSrc := range []int{1, 3, 4, 70} {
+				sources := make([]NodeID, maxSrc)
+				for i, draw := 0, rand.New(rand.NewPCG(seed, 5)); i < maxSrc; i++ {
+					sources[i] = NodeID(draw.IntN(n))
+				}
+				_, want := doubleSweepPerSource(g, dir, sources[:min(diameterSweeps, maxSrc)])
+				for _, par := range []int{1, 2, 3, 8} {
+					opt := PathLengthOptions{MaxSources: maxSrc, Parallelism: par, Rand: rand.New(rand.NewPCG(seed, 5))}
+					if got := SamplePathLengths(context.Background(), g, dir, opt).Diameter; got != want {
+						t.Fatalf("seed %d, %d nodes, %v, MaxSources %d, P=%d: bound %d, per-source reference %d", seed, n, dir, maxSrc, par, got, want)
 					}
 				}
 			}
 		}
-		ms, scratch := newMSBFS(g), newBFSScratch(g, nil)
-		ms.trackFar()
+		scratch := newBFSScratch(g, nil)
 		sources := make([]NodeID, msLanes)
 		for i := range sources {
 			sources[i] = NodeID(rng.IntN(n))
 		}
+		ms := newMSBFS(g)
+		ms.farLanes = ^uint64(0)
 		for _, mode := range [][2]bool{{true, false}, {false, true}, {true, true}} {
 			ms.run(context.Background(), sources, len(sources), mode[0], mode[1])
 			steps.add(ms)
@@ -391,6 +401,68 @@ func TestDoubleSweepMatchesPerSourceBFS(t *testing.T) {
 		t.Fatal("no graph started a sweep on an isolated node")
 	}
 	steps.check(t)
+}
+
+// rowCounter is a View whose cursors count every node's out- and
+// in-row reads.
+type rowCounter struct {
+	View
+	outs, ins []int32
+}
+
+func (c *rowCounter) Rows() Rows { return counterRows{c, c.View.Rows()} }
+
+type counterRows struct {
+	c     *rowCounter
+	inner Rows
+}
+
+func (r counterRows) Out(u NodeID) []NodeID { r.c.outs[u]++; return r.inner.Out(u) }
+func (r counterRows) In(u NodeID) []NodeID  { r.c.ins[u]++; return r.inner.In(u) }
+
+// TestDiameterReturnSweepReadsRowsOncePerLevel: the return sweeps run
+// on the first pass's scratch, allocating an eighth of another one at
+// most, and read each row at most once per level of their search (a
+// push reads the in-rows of the directed bound's transpose sweep, a
+// pull the out-rows).
+func TestDiameterReturnSweepReadsRowsOncePerLevel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(43, 44))
+	graphs := []*Graph{testGraphs()["random"], testGraphs()["sparse"], randomGraph(4000, 24000, rng)}
+	for _, g := range graphs {
+		n := g.NumNodes()
+		sources := make([]NodeID, msLanes)
+		for i := range sources {
+			sources[i] = NodeID(rng.IntN(n))
+		}
+		for _, dir := range []Direction{Directed, Undirected} {
+			c := &rowCounter{View: g, outs: make([]int32, n), ins: make([]int32, n)}
+			s := newMSBFS(c)
+			s.farLanes = 1<<diameterSweeps - 1
+			s.run(context.Background(), sources, 8, true, dir == Undirected)
+			clear(c.outs)
+			clear(c.ins)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			var res PathLengthDist
+			if !res.sweepBack(context.Background(), s, dir, diameterSweeps) {
+				t.Fatal("uncancelled return sweeps reported a cut")
+			}
+			runtime.ReadMemStats(&after)
+			_, want := doubleSweepPerSource(g, dir, sources[:diameterSweeps])
+			levels := int32(len(s.hist) / len(s.masks))
+			if res.Diameter != want || levels > int32(want)+1 {
+				t.Fatalf("%d nodes, %v: bound %d over %d levels, per-source reference %d", n, dir, res.Diameter, levels, want)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(4*n) {
+				t.Errorf("%d nodes, %v: the return sweeps allocated %d B, a scratch is %d B", n, dir, grew, 32*n)
+			}
+			for v := range n {
+				if outs, ins := c.outs[v], c.ins[v]; outs > levels || ins > levels {
+					t.Fatalf("%d nodes, %v: the return sweeps read node %d's out-row %d times and in-row %d times over %d levels", n, dir, v, outs, ins, levels)
+				}
+			}
+		}
+	}
 }
 
 func TestClusteringCoefficient(t *testing.T) {

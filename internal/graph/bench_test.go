@@ -97,21 +97,13 @@ func BenchmarkClusteringCoefficient(b *testing.B) {
 	}
 }
 
-func BenchmarkSamplePathLengthsSerial(b *testing.B) {
-	benchmarkPaths(b, 1)
-}
-
-func BenchmarkSamplePathLengthsParallel4(b *testing.B) {
-	benchmarkPaths(b, 4)
-}
-
-func benchmarkPaths(b *testing.B, par int) {
+func BenchmarkSamplePathLengths(b *testing.B) {
 	g := benchGraphOnce(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = SamplePathLengths(context.Background(), g, Directed, PathLengthOptions{
-			MinSources: 64, MaxSources: 64, Parallelism: par,
+			MinSources: 64, MaxSources: 64,
 			Rand: rand.New(rand.NewPCG(5, 5)),
 		})
 	}

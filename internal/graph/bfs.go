@@ -101,6 +101,11 @@ type PathLengthDist struct {
 	// the ratio estimator over the sample's batches (+Inf below two
 	// batches, 0 for an empty sample).
 	HalfWidth float64
+	// Diameter is a double-sweep lower bound on the diameter (longest
+	// shortest path): the greatest eccentricity of the sample's first
+	// diameterSweeps sources and of each one's far node, swept back
+	// (0 for an empty sample).
+	Diameter int
 }
 
 // Probability returns the fraction of reachable pairs at each hop count,
@@ -169,9 +174,10 @@ type PathLengthOptions struct {
 	// first lane, the last run possibly shorter. Default 8, so one pass
 	// holds 8 batches.
 	BatchSize int
-	// Parallelism runs that many 64-source passes at a time, one
-	// goroutine each. Results are identical for any value: sources are
-	// pre-drawn from Rand in order and passes fold in that order.
+	// Parallelism is not used: a sample runs its passes one at a time
+	// on one worker, so that no pass past the stopping one is computed
+	// and one scratch serves them all. Callers that want more cores run
+	// samples side by side.
 	Parallelism int
 	// Rand supplies source sampling. Required.
 	Rand *rand.Rand
@@ -193,17 +199,14 @@ func (o *PathLengthOptions) setDefaults() {
 	if o.BatchSize <= 0 {
 		o.BatchSize = 8
 	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = 1
-	}
 }
 
 // SamplePathLengths estimates the pairwise hop-distance distribution by
-// running full BFS from randomly sampled sources, the procedure of §3.3.5.
-// It stops early once the mean's 95 % half-width reaches opt.Tolerance
-// or ctx is cancelled (returning the estimate so far). The result is
-// independent of Parallelism: sources are drawn up-front in a fixed
-// order and passes fold in that order.
+// running full BFS from randomly sampled sources, the procedure of §3.3.5,
+// and bounds the diameter by double sweeps from the first of them. It
+// stops early once the mean's 95 % half-width reaches opt.Tolerance or
+// ctx is cancelled (returning the estimate so far). Sources are drawn
+// up-front in a fixed order and passes fold in that order.
 func SamplePathLengths(ctx context.Context, g View, dir Direction, opt PathLengthOptions) *PathLengthDist {
 	opt.setDefaults()
 	n := g.NumNodes()
@@ -217,44 +220,69 @@ func SamplePathLengths(ctx context.Context, g View, dir Direction, opt PathLengt
 	return pathLengthsFrom(ctx, g, dir, sources, opt)
 }
 
+// diameterSweeps is how many of a sample's sources, its first ones,
+// start the double sweeps behind PathLengthDist.Diameter.
+const diameterSweeps = 4
+
 // pathLengthsFrom is SamplePathLengths over an explicit source list
 // (opt already defaulted; len(sources) stands in for MaxSources).
 //
 // Sources ride the multi-source kernel 64 at a time: pass p carries
 // sources [64p, 64p+64) and reports one histogram per batch of its
-// lanes. A round runs the next Parallelism passes concurrently, then
-// folds them in order, checking the stopping rule after each — so the
-// fold sees exactly what a source-by-source scan would, and passes past
-// the stopping one are simply dropped. A cancelled pass reports nothing
-// and ends the sample at the passes before it.
+// lanes. The passes run one after another on one scratch and fold in
+// order with the stopping rule checked after each, so no pass past the
+// stopping one runs. The first pass also records its first
+// diameterSweeps lanes' far nodes, and the return sweeps from them run
+// on its scratch before the second pass. A cancelled search reports
+// nothing and ends the sample at what finished before it.
 func pathLengthsFrom(ctx context.Context, g View, dir Direction, sources []NodeID, opt PathLengthOptions) *PathLengthDist {
 	res := &PathLengthDist{}
-	passes := (len(sources) + msLanes - 1) / msLanes
+	if len(sources) == 0 {
+		return res
+	}
+	s := newMSBFS(g)
+	sweeps := min(diameterSweeps, len(sources))
 	var batches []batchSum
-	var scratch []*msBFS
-	for pass := 0; pass < passes; {
-		round := min(opt.Parallelism, passes-pass)
-		for len(scratch) < round {
-			scratch = append(scratch, newMSBFS(g))
+	for lo := 0; lo < len(sources); lo += msLanes {
+		s.farLanes = 0
+		if lo == 0 {
+			s.farLanes = 1<<sweeps - 1
 		}
-		runShards(uniformBounds(round, round), func(w, _, _ int) {
-			lo := (pass + w) * msLanes
-			scratch[w].run(ctx, sources[lo:min(lo+msLanes, len(sources))], opt.BatchSize, true, dir == Undirected)
-		})
-		for _, s := range scratch[:round] {
-			if !s.done {
-				return res
-			}
-			batches = res.add(s, batches)
-			res.Sources = min(res.Sources+msLanes, len(sources))
-			res.HalfWidth = ratioHalfWidth(batches)
-			if res.Sources >= opt.MinSources && res.HalfWidth <= opt.Tolerance {
-				return res
-			}
+		s.run(ctx, sources[lo:min(lo+msLanes, len(sources))], opt.BatchSize, true, dir == Undirected)
+		if !s.done {
+			return res
 		}
-		pass += round
+		batches = res.add(s, batches)
+		res.Sources = min(lo+msLanes, len(sources))
+		res.HalfWidth = ratioHalfWidth(batches)
+		if lo == 0 && !res.sweepBack(ctx, s, dir, sweeps) {
+			return res
+		}
+		if res.Sources >= opt.MinSources && res.HalfWidth <= opt.Tolerance {
+			return res
+		}
 	}
 	return res
+}
+
+// sweepBack finishes the double sweeps of a first pass that recorded its
+// first sweeps lanes: the bound takes their eccentricities, then the
+// return sweeps from their far nodes run on the same scratch — over
+// in-rows alone for the directed bound, the transpose graph, so that a
+// path ending at the far node is measured end to end — and it takes
+// theirs. A far node is the lowest-id one among equals. It reports
+// false if ctx cut the return sweeps short; the bound then covers the
+// first sweeps alone.
+func (p *PathLengthDist) sweepBack(ctx context.Context, s *msBFS, dir Direction, sweeps int) bool {
+	var far [diameterSweeps]NodeID
+	copy(far[:], s.far[:sweeps])
+	p.Diameter = int(slices.Max(s.ecc[:sweeps]))
+	s.run(ctx, far[:sweeps], msLanes, dir == Undirected, true)
+	if !s.done {
+		return false
+	}
+	p.Diameter = max(p.Diameter, int(slices.Max(s.ecc[:sweeps])))
+	return true
 }
 
 // batchSum is one batch's share of the sample: its reachable pairs and
@@ -340,12 +368,14 @@ type msBFS struct {
 	hist  []int64
 	done  bool
 
-	// Set by trackFar, for the double sweep: after a run, ecc[i] is the
-	// last level lane i's search reached — its source's eccentricity —
-	// and far[i] the lowest-id node at that level. nil on the path
-	// sample's workers, which skip the per-lane bookkeeping.
-	ecc []int32
-	far []NodeID
+	// farLanes selects the lanes whose ecc and far a run records, for
+	// the double sweep: after a run, ecc[i] is the last level lane i's
+	// search reached — its source's eccentricity — and far[i] the
+	// lowest-id node at that level. Untracked lanes cost one AND per
+	// frontier node.
+	farLanes uint64
+	ecc      [msLanes]int32
+	far      [msLanes]NodeID
 
 	// pulls is how many of the last run's levels pulled. It steers
 	// nothing; tests read it to prove both step kinds ran.
@@ -360,11 +390,6 @@ func newMSBFS(g View) *msBFS {
 		seen: words[:n:n], frontier: words[n : 2*n : 2*n], next: words[2*n:],
 		cur: make([]NodeID, 0, n), nxt: make([]NodeID, 0, n),
 	}
-}
-
-// trackFar makes every later run record each lane's ecc and far.
-func (s *msBFS) trackFar() {
-	s.ecc, s.far = make([]int32, msLanes), make([]NodeID, msLanes)
 }
 
 // run searches from up to 64 sources at once, following out-edges,
@@ -384,8 +409,8 @@ func (s *msBFS) run(ctx context.Context, sources []NodeID, batchSize int, out, i
 		s.masks = append(s.masks, ^uint64(0)>>(msLanes-(hi-lo))<<lo)
 	}
 	clear(s.seen)
-	for lane := range s.ecc {
-		s.ecc[lane] = -1
+	for m := s.farLanes; m != 0; m &= m - 1 {
+		s.ecc[bits.TrailingZeros64(m)] = -1
 	}
 	full := ^uint64(0) >> (msLanes - len(sources))
 	// pullLen is what a pull would read: the unfilled nodes' reverse
@@ -422,18 +447,16 @@ func (s *msBFS) run(ctx context.Context, sources []NodeID, batchSize int, out, i
 			s.pulls++
 			nxt = s.pull(full, out, in, nxt)
 		}
+		hop := int32(level / len(s.masks))
 		for _, u := range cur {
 			f := s.frontier[u]
 			s.frontier[u] = 0
 			for k, m := range s.masks {
 				hist[level+k] += int64(bits.OnesCount64(f & m))
 			}
-			if s.far != nil {
-				hop := int32(level / len(s.masks))
-				for m := f; m != 0; m &= m - 1 {
-					if lane := bits.TrailingZeros64(m); s.ecc[lane] != hop || u < s.far[lane] {
-						s.ecc[lane], s.far[lane] = hop, u
-					}
+			for m := f & s.farLanes; m != 0; m &= m - 1 {
+				if lane := bits.TrailingZeros64(m); s.ecc[lane] != hop || u < s.far[lane] {
+					s.ecc[lane], s.far[lane] = hop, u
 				}
 			}
 			if pull {
@@ -534,52 +557,4 @@ func (s *msBFS) gather(have, full uint64, row []NodeID) uint64 {
 		}
 	}
 	return acc
-}
-
-// DoubleSweepDiameter returns a lower bound on the diameter (longest
-// shortest path) using repeated double sweeps: BFS from a node, then BFS
-// again from the farthest node found (the lowest-id one among equals).
-// For directed graphs the second sweep runs backwards over in-edges, the
-// standard directed variant, so that a path ending at the far node is
-// measured end to end. sweeps controls how many restarts are tried from
-// random nodes. The restarts are drawn from rng up front and are
-// independent, so they ride the multi-source kernel 64 to a pass — every
-// first sweep of a pass in one search, then every return sweep in
-// another, a row read at most once per level for all of them — with the
-// passes spread over parallelism workers and merged by max: the bound is
-// the same at any parallelism. ctx is consulted once per level; once it
-// is cancelled the sweeps stop and the bound covers only the searches
-// that finished.
-func DoubleSweepDiameter(ctx context.Context, g View, dir Direction, sweeps int, rng *rand.Rand, parallelism int) int {
-	n := g.NumNodes()
-	if n == 0 {
-		return 0
-	}
-	if sweeps <= 0 {
-		sweeps = 4
-	}
-	starts := make([]NodeID, sweeps)
-	for i := range starts {
-		starts[i] = NodeID(rng.IntN(n))
-	}
-	bounds := uniformBounds((sweeps+msLanes-1)/msLanes, parallelism)
-	best := make([]int32, len(bounds)-1)
-	runShards(bounds, func(shard, lo, hi int) {
-		s := newMSBFS(g)
-		s.trackFar()
-		for pass := lo; pass < hi; pass++ {
-			lanes := starts[pass*msLanes : min(pass*msLanes+msLanes, sweeps)]
-			for hop := 0; hop < 2; hop++ {
-				// The directed return sweep runs over the transpose graph.
-				back := dir == Directed && hop == 1
-				s.run(ctx, lanes, msLanes, !back, back || dir == Undirected)
-				if !s.done {
-					return
-				}
-				best[shard] = max(best[shard], slices.Max(s.ecc[:len(lanes)]))
-				copy(lanes, s.far)
-			}
-		}
-	})
-	return int(slices.Max(best))
 }

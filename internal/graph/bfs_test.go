@@ -29,9 +29,11 @@ func addHops(counts []int64, dist []int32) []int64 {
 // multi-source kernel: one BFSDistances per source, in order, each
 // source's pairs and hops summed into its batch (BatchSize sources,
 // cut at every 64-source pass), and after each pass the half-width
-// rule checked. opt must already be defaulted.
+// rule checked; the diameter bound is the per-source double sweep from
+// the first diameterSweeps sources. opt must already be defaulted.
 func pathLengthsOracle(g View, dir Direction, sources []NodeID, opt PathLengthOptions) *PathLengthDist {
 	res := &PathLengthDist{}
+	_, res.Diameter = doubleSweepPerSource(g, dir, sources[:min(diameterSweeps, len(sources))])
 	var batches []batchSum
 	var dist []int32
 	for res.Sources < len(sources) {
@@ -190,6 +192,10 @@ func karateClub() *Graph {
 // of this package: every node is a source once, so the sample is the
 // full ordered-pair distance distribution. The 100-node ring and the
 // 70-node chain exceed 64 sources, so their samples fold two passes.
+// The double sweeps from nodes 0 to 3 find each fixture's diameter: the
+// ring's and the chain's from node 0's far end, the star's through the
+// hub (no leaf reaches another along out-edges, so 1 directed), the
+// karate club's 5 from member 1's far node.
 func TestPathLengthKnownAnswers(t *testing.T) {
 	ring := NewBuilder(100, 100)
 	for i := 0; i < 100; i++ {
@@ -223,6 +229,7 @@ func TestPathLengthKnownAnswers(t *testing.T) {
 		name                 string
 		g                    *Graph
 		directed, undirected []int64
+		diameter             [2]int // directed, undirected
 	}{
 		{"ring", ring.Build(),
 			seq(100, func(int) int64 { return 100 }),
@@ -231,7 +238,7 @@ func TestPathLengthKnownAnswers(t *testing.T) {
 					return 100
 				}
 				return 200
-			})},
+			}), [2]int{99, 50}},
 		{"chain", chain.Build(),
 			seq(70, func(h int) int64 { return int64(70 - h) }),
 			seq(70, func(h int) int64 {
@@ -239,10 +246,10 @@ func TestPathLengthKnownAnswers(t *testing.T) {
 					return 70
 				}
 				return 2 * int64(70-h)
-			})},
-		{"star", star.Build(), []int64{65, 64}, []int64{65, 128, 64 * 63}},
-		{"complete", complete.Build(), []int64{20, 380}, []int64{20, 380}},
-		{"karate", karateClub(), karate, karate},
+			}), [2]int{69, 69}},
+		{"star", star.Build(), []int64{65, 64}, []int64{65, 128, 64 * 63}, [2]int{1, 2}},
+		{"complete", complete.Build(), []int64{20, 380}, []int64{20, 380}, [2]int{1, 1}},
+		{"karate", karateClub(), karate, karate, [2]int{5, 5}},
 	}
 	for _, fx := range fixtures {
 		n := fx.g.NumNodes()
@@ -256,9 +263,9 @@ func TestPathLengthKnownAnswers(t *testing.T) {
 				opt.setDefaults()
 				for dir, want := range map[Direction][]int64{Directed: fx.directed, Undirected: fx.undirected} {
 					got := pathLengthsFrom(context.Background(), fx.g, dir, sources, opt)
-					if got.Sources != n || !reflect.DeepEqual(got.Counts, want) {
-						t.Errorf("%s %v BatchSize=%d P=%d: %d sources, histogram %v, want %d and %v",
-							fx.name, dir, batch, par, got.Sources, got.Counts, n, want)
+					if got.Sources != n || !reflect.DeepEqual(got.Counts, want) || got.Diameter != fx.diameter[dir] {
+						t.Errorf("%s %v BatchSize=%d P=%d: %d sources, histogram %v, diameter bound %d, want %d, %v and %d",
+							fx.name, dir, batch, par, got.Sources, got.Counts, got.Diameter, n, want, fx.diameter[dir])
 					}
 				}
 			}
@@ -316,8 +323,9 @@ func (c *cancelAfter) Err() error {
 // reports, the result — half-width included — is the oracle's over
 // exactly the first Sources sources, and never runs past where the
 // uncancelled sample stops. Crediting a source whose BFS did not
-// finish, or a finished one out of order, breaks the equality. opt
-// must be defaulted.
+// finish, or a finished one out of order, breaks the equality. The
+// diameter bound may instead be the first sweeps' alone, when the
+// cancellation landed in the return sweeps. opt must be defaulted.
 func checkCancelPrefix(t *testing.T, g View, dir Direction, sources []NodeID, opt PathLengthOptions) {
 	t.Helper()
 	full := pathLengthsOracle(g, dir, sources, opt)
@@ -333,6 +341,11 @@ func checkCancelPrefix(t *testing.T, g View, dir Direction, sources []NodeID, op
 				t.Fatalf("P=%d: a sample cancelled before its first level credited %d sources", par, got.Sources)
 			}
 			want := pathLengthsOracle(g, dir, sources[:got.Sources], opt)
+			// Only a one-pass sample can have been cut in its return
+			// sweeps: they finish before the second pass starts.
+			if first, _ := doubleSweepPerSource(g, dir, sources[:min(diameterSweeps, got.Sources)]); got.Sources > 0 && got.Sources <= msLanes && got.Diameter == first {
+				want.Diameter = first
+			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("P=%d allowed=%d: cancelled sample\n got %+v\nwant %+v (the first %d sources, uncancelled)",
 					par, allowed, got, want, got.Sources)

@@ -241,9 +241,11 @@ var matrixParallelisms = []int{1, 2, 3, 8}
 // answers of the routes that share nothing with it: Cohen's triangles
 // and the per-node ClusteringCoefficient of every node.
 func TestKernelEquivalence(t *testing.T) {
-	paths := func(v graph.View, dir graph.Direction, par int) any {
+	// A path sample carries its diameter bound, swept from its first
+	// four sources, or from all of them when it draws three.
+	paths := func(v graph.View, dir graph.Direction, maxSrc, par int) any {
 		return graph.SamplePathLengths(context.Background(), v, dir, graph.PathLengthOptions{
-			MinSources: 8, MaxSources: 24, BatchSize: 8, Parallelism: par,
+			MinSources: 8, MaxSources: maxSrc, BatchSize: 8, Parallelism: par,
 			Rand: rand.New(rand.NewPCG(3, 4)),
 		})
 	}
@@ -263,14 +265,10 @@ func TestKernelEquivalence(t *testing.T) {
 			return graph.ClusteringByDegree(v, triadsOf(v, par).Links)
 		},
 		"ClusteringCoefficient": func(v graph.View, _ int) any { return coefficientsOf(v) },
-		"PathsDirected":         func(v graph.View, par int) any { return paths(v, graph.Directed, par) },
-		"PathsUndirected":       func(v graph.View, par int) any { return paths(v, graph.Undirected, par) },
-		"DiameterDirected": func(v graph.View, par int) any {
-			return graph.DoubleSweepDiameter(context.Background(), v, graph.Directed, 3, rand.New(rand.NewPCG(7, 8)), par)
-		},
-		"DiameterUndirected": func(v graph.View, par int) any {
-			return graph.DoubleSweepDiameter(context.Background(), v, graph.Undirected, 3, rand.New(rand.NewPCG(7, 8)), par)
-		},
+		"PathsDirected":         func(v graph.View, par int) any { return paths(v, graph.Directed, 24, par) },
+		"PathsUndirected":       func(v graph.View, par int) any { return paths(v, graph.Undirected, 24, par) },
+		"PathsDirected3":        func(v graph.View, par int) any { return paths(v, graph.Directed, 3, par) },
+		"PathsUndirected3":      func(v graph.View, par int) any { return paths(v, graph.Undirected, 3, par) },
 		"LinkedPairs": func(v graph.View, par int) any {
 			// Every node asked about its next three, so each bucket
 			// holds several questions and rows interleave across buckets.

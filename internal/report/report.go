@@ -62,14 +62,15 @@ func Table3(w io.Writer, cmp core.TelUserComparison) {
 	}
 }
 
-// Table4 renders the topology comparison rows.
+// Table4 renders the topology comparison rows, each path length with
+// its 95 % half-width as Figure 5 prints it.
 func Table4(w io.Writer, rows []core.TopologyRow) {
 	fmt.Fprintln(w, "Table 4: Topological comparison")
 	fmt.Fprintf(w, "%-14s %10s %12s %10s %12s %12s %9s %10s\n",
 		"Network", "Nodes", "Edges", "%Crawled", "PathLength", "Reciprocity", "Diameter", "AvgDegree")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-14s %10d %12d %9.0f%% %12.2f %11.0f%% %9d %10.1f\n",
-			r.Network, r.Nodes, r.Edges, r.CrawledPercent, r.PathLength,
+		fmt.Fprintf(w, "%-14s %10d %12d %9.0f%% %12s %11.0f%% %9d %10.1f\n",
+			r.Network, r.Nodes, r.Edges, r.CrawledPercent, fmt.Sprintf("%.2f±%.2f", r.PathLength, r.PathHalfWidth),
 			100*r.Reciprocity, r.Diameter, r.AvgDegree)
 	}
 }
@@ -183,12 +184,13 @@ func Motifs(w io.Writer, m core.MotifResult) {
 }
 
 // Fig5 renders the path-length distributions: each mean with its 95 %
-// half-width and the sources behind it, and the double-sweep diameters
-// as the lower bounds they are.
+// half-width and the sources behind it, each mode beside the two largest
+// hop shares it was picked from, and the double-sweep diameters as the
+// lower bounds they are.
 func Fig5(w io.Writer, pl core.PathLengthResult) {
-	fmt.Fprintf(w, "Figure 5: directed %s mode=%d diameter>=%d | undirected %s mode=%d diameter>=%d\n",
-		sampledMean(pl.Directed), pl.Directed.Mode(), pl.DiameterDirected,
-		sampledMean(pl.Undirected), pl.Undirected.Mode(), pl.DiameterUndirected)
+	fmt.Fprintf(w, "Figure 5: directed %s %s diameter>=%d | undirected %s %s diameter>=%d\n",
+		sampledMean(pl.Directed), sampledMode(pl.Directed), pl.Directed.Diameter,
+		sampledMean(pl.Undirected), sampledMode(pl.Undirected), pl.Undirected.Diameter)
 	for h, p := range pl.Directed.Probability() {
 		if p > 0.001 {
 			fmt.Fprintf(w, "  hops=%-3d directed=%.3f\n", h, p)
@@ -199,10 +201,28 @@ func Fig5(w io.Writer, pl core.PathLengthResult) {
 // sampledMean renders a path sample's mean as avg=<mean>±<half-width>
 // (<sources> sources).
 func sampledMean(d *graph.PathLengthDist) string {
-	if d == nil {
-		d = &graph.PathLengthDist{}
-	}
 	return fmt.Sprintf("avg=%.2f±%.2f (%d sources)", d.Mean(), d.HalfWidth, d.Sources)
+}
+
+// sampledMode renders a path sample's mode with its share of the
+// reachable pairs and the runner-up hop's, mode=<hop> (<share>, <hop> at
+// <share>), so that a near-tie shows. A sample with no second hop
+// prints the mode's share alone.
+func sampledMode(d *graph.PathLengthDist) string {
+	mode, p := d.Mode(), d.Probability()
+	if mode == 0 {
+		return "mode=0"
+	}
+	next := 0
+	for h := 1; h < len(p); h++ {
+		if h != mode && (next == 0 || p[h] > p[next]) {
+			next = h
+		}
+	}
+	if next == 0 {
+		return fmt.Sprintf("mode=%d (%.3f)", mode, p[mode])
+	}
+	return fmt.Sprintf("mode=%d (%.3f, %d at %.3f)", mode, p[mode], next, p[next])
 }
 
 // Fig6 renders the top-country shares.

@@ -135,6 +135,47 @@ func TestFigureRenderers(t *testing.T) {
 	}
 }
 
+// TestPathFiguresPrintTheirErrors: Table 4 prints each path length with
+// its half-width, and Figure 5 each mode beside its share and the
+// runner-up hop's — a near-tie reads as one — or its share alone when
+// no other hop was reached; a cancelled paths stage prints as empty.
+func TestPathFiguresPrintTheirErrors(t *testing.T) {
+	out := render(t, func(sb *strings.Builder) {
+		Table4(sb, []core.TopologyRow{{Network: "Google+", PathLength: 4.2249, PathHalfWidth: 0.0871, Diameter: 10}})
+	})
+	if !strings.Contains(out, "   4.22±0.09 ") {
+		t.Errorf("Table 4 row lacks the path length's half-width:\n%s", out)
+	}
+	for _, tc := range []struct {
+		counts []int64
+		want   string
+	}{
+		{[]int64{100, 4260, 4390, 1250}, "mode=2 (0.439, 1 at 0.426)"},
+		{[]int64{5, 20}, "mode=1 (0.800)"},
+		{nil, "mode=0"},
+	} {
+		d := &graph.PathLengthDist{Counts: tc.counts}
+		for _, c := range tc.counts {
+			d.Reachable += c
+		}
+		if got := sampledMode(d); got != tc.want {
+			t.Errorf("counts %v: %q, want %q", tc.counts, got, tc.want)
+		}
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	u, err := synth.Generate(synth.DefaultConfig(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = render(t, func(sb *strings.Builder) {
+		Fig5(sb, core.New(dataset.FromUniverse(u), core.Options{Seed: 3}).PathLengths(cancelled))
+	})
+	if want := "Figure 5: directed avg=0.00±0.00 (0 sources) mode=0 diameter>=0 | undirected avg=0.00±0.00 (0 sources) mode=0 diameter>=0\n"; out != want {
+		t.Errorf("a cancelled paths stage renders as %q, want %q", out, want)
+	}
+}
+
 // TestMarkdownReport: -format md is the text report, section by
 // section: after the title and the dataset line, each experiment is a
 // "## <id>" heading over a fenced block holding exactly the lines the
